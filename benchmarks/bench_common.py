@@ -150,7 +150,7 @@ def stats_snapshot(column, *attributes: str) -> Dict[str, int]:
     returned dict is one consistent snapshot.
 
     Objects without a ``_stats_lock`` are plain single-threaded structures
-    (e.g. :class:`UpdatableCrackedColumn`); their attributes are read
+    (e.g. an adaptive-merging index); their attributes are read
     directly — the single benchmark driver thread is the only writer.
     """
     lock = getattr(column, "_stats_lock", None)

@@ -146,9 +146,10 @@ def run_worker_sweep_experiment():
 def run_mixed_mode_experiment():
     """Mixed batches bit-identical to sequential in every indexing mode.
 
-    The partitioned strategies additionally run with the process execution
-    backend (partition fan-out in worker processes over shared memory) —
-    the bit-identity contract must survive the extra execution layer.
+    The partitioned strategies additionally run with their own thread
+    fan-out on (partition sub-selections on the column's pool, inside a
+    batch that is itself fanned out) — the bit-identity contract must
+    survive the nested execution layer.
     """
     managed = ["scan", "full-index", "online", "soft"]
     cases = [(mode, mode, {}) for mode in managed]
@@ -157,8 +158,7 @@ def run_mixed_mode_experiment():
         for mode in available_strategies() if mode not in managed
     ]
     cases += [
-        (f"{mode} (process)", mode,
-         {"partitions": 3, "parallel": True, "executor": "process"})
+        (f"{mode} (fan-out)", mode, {"partitions": 3, "parallel": True})
         for mode in ("partitioned-cracking", "partitioned-updatable-cracking")
     ]
     queries = make_queries(count=10, seed=81, selectivity=0.02)

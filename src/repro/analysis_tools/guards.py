@@ -55,7 +55,7 @@ Buffer specs are dtype names (``"int64"``) or kind classes (``"numeric"``
 = any int/float column dtype); a ``?`` suffix allows None, a ``*`` suffix
 declares a list/tuple of buffers.  ``mutates`` names the buffers the
 kernel writes in place — ownership the reprotype TB005 rule checks
-against ``SharedArrayBuffer`` aliasing.
+against aliased views.
 
 ``@guarded_by`` and ``@charges`` are free of runtime enforcement: the
 point is a single, checkable source of truth, not per-access overhead on

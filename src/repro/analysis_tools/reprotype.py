@@ -31,9 +31,10 @@ kernel mutates); this analyzer walks the kernel modules with nothing but
 ``TB005`` in-place buffer mutation without ownership
     Subscript stores, in-place sorts/fills on a declared buffer (or an
     alias/view of one) that the kernel does not list in ``mutates=``.
-    Mutated buffers may alias ``SharedArrayBuffer`` views owned by the
-    process executor; the declaration is the ownership handshake the
-    runtime type witness and PR 8's single-owner discipline rely on.
+    Mutated buffers may alias a view another structure still reads (a
+    base-column slice, a live cracker region); the declaration is the
+    ownership handshake the runtime type witness and PR 8's single-owner
+    discipline rely on.
 
 All rules apply only inside ``@typed_kernel``-decorated functions, so the
 contract is opt-in per kernel.  Findings carry ``file:line``, the rule id
@@ -587,8 +588,8 @@ class _KernelChecker:
                 f"in-place store into typed buffer `{root}` which the "
                 f"kernel does not declare in mutates=",
                 hint=f"add \"{root}\" to the @typed_kernel mutates= "
-                     f"declaration — mutated buffers may alias "
-                     f"SharedArrayBuffer views and need the ownership "
+                     f"declaration — mutated buffers may alias views "
+                     f"other structures read and need the ownership "
                      f"handshake",
                 attribute=root,
             )

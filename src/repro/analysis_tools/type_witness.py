@@ -7,13 +7,13 @@ every kernel call boundary.  When armed, each call to a
 asserts, for every declared buffer argument:
 
 * it is a 1-D, C-contiguous :class:`numpy.ndarray` (the layout every
-  vectorized kernel and every ``SharedArrayBuffer`` view assumes);
+  vectorized kernel assumes);
 * its dtype conforms to the declared spec (``"numeric"`` accepts any
   integer/float dtype — the column dtype is workload-chosen — while an
   exact name like ``"int64"`` must match exactly) and is never ``object``
   (a boxed-element array silently de-vectorizes every operation on it);
 * buffers the kernel declares it ``mutates`` are writeable (a read-only
-  shared-memory view reached a mutating kernel without ownership);
+  view reached a mutating kernel without ownership);
 
 and, after the call, that no ``object``-dtype array escapes through the
 return value (tuples/lists are walked one level deep).

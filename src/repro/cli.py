@@ -53,7 +53,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.partitioned import EXECUTORS
 from repro.core.strategies import available_strategies
 from repro.version import __version__
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark
@@ -71,7 +70,6 @@ from repro.workloads.reporting import (
 
 _EXAMPLES = """examples:
   repro compare --strategies cracking,partitioned-cracking --partitions 8 --parallel
-  repro compare --strategies partitioned-cracking --parallel --executor process
   repro compare --strategies partitioned-cracking --repartition --pattern skewed
   repro updates --strategy partitioned-updatable-cracking --repartition \\
       --max-partition-rows 50000 --updates-per-query 4
@@ -85,6 +83,10 @@ Adaptive repartitioning (--repartition) lets the partitioned strategies
 split hot partitions at crack boundaries (and merge cold siblings) so a
 skewed insert or query stream cannot bloat one partition; answers stay
 bit-identical to the unpartitioned strategies.
+
+--parallel fans partitioned sub-selections out over a thread pool.  Measured
+at 1M rows / 8 partitions it wins the cold first query only (16 ms vs 21 ms);
+steady-state queries are faster without it (docs/PERFORMANCE.md).
 """
 
 
@@ -125,12 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--parallel", action="store_true",
         help="fan partitioned sub-selections out over a worker pool",
-    )
-    compare.add_argument(
-        "--executor", default="thread", choices=list(EXECUTORS),
-        help="fan-out backend for the partitioned strategies: 'thread' "
-             "(shared address space) or 'process' (shared-memory segments, "
-             "escapes the GIL)",
     )
     compare.add_argument(
         "--policy", default="ripple", choices=["ripple", "gradual"],
@@ -184,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     updates.add_argument(
         "--parallel", action="store_true",
         help="fan partitioned sub-selections out over a worker pool",
-    )
-    updates.add_argument(
-        "--executor", default="thread", choices=list(EXECUTORS),
-        help="fan-out backend for the partitioned strategies: 'thread' "
-             "(shared address space) or 'process' (shared-memory segments, "
-             "escapes the GIL)",
     )
     _add_repartition_arguments(updates)
     _add_durability_arguments(updates)
@@ -387,7 +377,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         "partitioned-cracking": {
             "partitions": args.partitions,
             "parallel": args.parallel,
-            "executor": args.executor,
             **repartition_options,
         },
         "updatable-cracking": {
@@ -397,7 +386,6 @@ def _command_compare(args: argparse.Namespace) -> int:
         "partitioned-updatable-cracking": {
             "partitions": args.partitions,
             "parallel": args.parallel,
-            "executor": args.executor,
             "policy": args.policy,
             "merge_batch": args.merge_batch,
             **repartition_options,
@@ -496,7 +484,6 @@ def _command_updates(args: argparse.Namespace) -> int:
             options.update(
                 partitions=args.partitions,
                 parallel=args.parallel,
-                executor=args.executor,
             )
             options.update(_repartition_options(args))
         database.set_indexing("data", "key", args.strategy, **options)

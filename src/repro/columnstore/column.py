@@ -133,9 +133,7 @@ class Column:
         """Raw bytes of the valid region, in the dtype's native layout.
 
         Always materialises a contiguous copy, so it works no matter what
-        buffer backs the array — including the shared-memory segments the
-        process-executor partitions use.  The inverse is
-        :meth:`from_bytes`.
+        buffer backs the array.  The inverse is :meth:`from_bytes`.
         """
         return np.ascontiguousarray(self.values).tobytes()
 

@@ -1,31 +1,15 @@
-"""Memory accounting, storage budgets, and shared-memory column buffers.
+"""Memory accounting and storage budgets.
 
 Partial cracking (Idreos et al., SIGMOD 2009) bounds the storage available to
 auxiliary cracking structures; the :class:`StorageBudget` models that bound
 and the :class:`MemoryTracker` gives a global view of the memory used by a
 database instance (base columns plus all auxiliary index structures).
-
-:class:`SharedArrayBuffer` backs a numpy array with a named
-``multiprocessing.shared_memory`` segment so partition worker *processes*
-can attach to the same physical bytes by name: the creating process keeps
-the only owning handle (it unlinks the segment on :meth:`close`), workers
-attach read-write views and mutate them in place, and the segment name is
-the only thing that ever crosses the process boundary.  Segment names are
-``repro-{pid}-{counter}``, unique for the lifetime of the creating process,
-so a re-created buffer never aliases a stale attachment.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-import weakref
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict
 
 
 class StorageExceededError(RuntimeError):
@@ -110,117 +94,3 @@ class MemoryTracker:
     def breakdown(self) -> Dict[str, int]:
         """Per-component memory usage (copy)."""
         return dict(self.components)
-
-
-# -- shared-memory column buffers ----------------------------------------------
-
-#: monotonically increasing suffix making segment names unique per process
-_SEGMENT_COUNTER = itertools.count()
-
-#: segments created (owned) by this process and not yet closed, by name —
-#: the leak oracle for lifecycle tests and a debugging aid
-_LIVE_SEGMENTS: Dict[str, "SharedArrayBuffer"] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def _next_segment_name() -> str:
-    return f"repro-{os.getpid()}-{next(_SEGMENT_COUNTER)}"
-
-
-def live_shared_segments() -> List[str]:
-    """Names of shared segments this process owns and has not yet released."""
-    with _REGISTRY_LOCK:
-        return sorted(_LIVE_SEGMENTS)
-
-
-def _release_segment(shm: shared_memory.SharedMemory,
-                     owned_name: "str | None") -> None:
-    """Unlink (owner only) and unmap one segment; finalizer-safe."""
-    if owned_name is not None:
-        with _REGISTRY_LOCK:
-            _LIVE_SEGMENTS.pop(owned_name, None)
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double-release race
-            pass
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - a caller still holds a view
-        # an escaped numpy view still exports the buffer; the segment is
-        # already unlinked, so the mapping simply dies with that view
-        pass
-
-
-class SharedArrayBuffer:
-    """A numpy array whose bytes live in a named shared-memory segment.
-
-    Exactly one process *owns* a segment (:meth:`create`); any process can
-    :meth:`attach` to it by name.  The owner's :meth:`close` unlinks the
-    segment — attached mappings elsewhere stay valid until they close, but
-    no new attach can happen — and rebinding a column's arrays always
-    allocates a *new* segment under a fresh name, so attachments can be
-    cached by name safely.
-    """
-
-    __slots__ = ("name", "array", "owner", "_shm", "_finalizer", "__weakref__")
-
-    def __init__(self, shm: shared_memory.SharedMemory, array: np.ndarray,
-                 owner: bool) -> None:
-        self._shm = shm
-        self.array = array
-        self.name = shm.name
-        self.owner = bool(owner)
-        if owner:
-            with _REGISTRY_LOCK:
-                _LIVE_SEGMENTS[self.name] = self
-        self._finalizer = weakref.finalize(
-            self, _release_segment, shm, self.name if owner else None
-        )
-
-    @classmethod
-    def create(cls, source: np.ndarray) -> "SharedArrayBuffer":
-        """Copy ``source`` into a fresh owned segment (uncharged, physical)."""
-        source = np.ascontiguousarray(source)
-        while True:
-            try:
-                shm = shared_memory.SharedMemory(
-                    create=True, size=max(1, source.nbytes),
-                    name=_next_segment_name(),
-                )
-                break
-            except FileExistsError:  # pragma: no cover - stale leftover segment
-                continue
-        array = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
-        array[...] = source
-        return cls(shm, array, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, dtype: str, shape: Tuple[int, ...]) -> "SharedArrayBuffer":
-        """Attach to an existing segment by name (worker side, non-owning)."""
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            # Python < 3.13 has no track=False, so attaching registers the
-            # segment with the resource tracker a second time.  Our attachers
-            # are always spawn-pool children *sharing* the owner's tracker,
-            # whose cache is a set — the duplicate registration is a no-op
-            # and the owner's unlink clears the single entry.  Unregistering
-            # here (the classic workaround for independent processes) would
-            # remove the owner's entry instead and make the owner's unlink
-            # race the tracker.
-            shm = shared_memory.SharedMemory(name=name)
-        array = np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=shm.buf)
-        return cls(shm, array, owner=False)
-
-    def descriptor(self) -> Tuple[str, str, Tuple[int, ...]]:
-        """``(name, dtype, shape)`` — everything a worker needs to attach."""
-        return (self.name, self.array.dtype.str, tuple(self.array.shape))
-
-    @property
-    def closed(self) -> bool:
-        return not self._finalizer.alive
-
-    def close(self) -> None:
-        """Release the mapping (and unlink the segment when owning); idempotent."""
-        self.array = None
-        self._finalizer()

@@ -14,15 +14,18 @@ Modules
     The piece-boundary bookkeeping structure (an ordered map from key values
     to array positions, with per-piece sortedness flags).
 ``crack_engine``
-    The physical crack-in-two / crack-in-three kernels.
+    The physical crack-in-two / crack-in-three kernels and the ripple
+    insertion/deletion kernels.
 ``cracked_column``
-    :class:`CrackedColumn`: cracker column + cracker index + select operator.
+    :class:`CrackedColumn`: cracker column + cracker index + select operator
+    + pending insert/delete queues merged adaptively during query
+    processing.
 ``stochastic``
     Stochastic cracking (random auxiliary cuts) for robustness against
     adversarial query patterns.
 ``updates``
-    :class:`UpdatableCrackedColumn`: pending insert/delete queues merged
-    adaptively during query processing (ripple insertion/deletion).
+    ``UpdatableCrackedColumn``, the historical name of :class:`CrackedColumn`
+    with its copy made up front.
 ``partial``
     :class:`PartialCrackedColumn`: cracking under a storage budget, with
     on-demand materialisation and eviction of value-range fragments.

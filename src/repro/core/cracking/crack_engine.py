@@ -1,10 +1,12 @@
-"""Physical cracking kernels: crack-in-two and crack-in-three.
+"""Physical cracking kernels: crack-in-two, crack-in-three and the ripples.
 
-These functions combine the bulk partitioning primitives of
+The crack functions combine the bulk partitioning primitives of
 :mod:`repro.columnstore.bulk` with the bookkeeping of
 :class:`~repro.core.cracking.cracker_index.CrackerIndex`.  They are shared by
 plain cracking, stochastic cracking, the update machinery, sideways cracking
-and the hybrid algorithms (which crack their initial partitions).
+and the hybrid algorithms (which crack their initial partitions).  The two
+ripple kernels at the end physically merge one pending insert or delete into
+a cracked column at a cost of one relocated element per later piece.
 
 ``rowids`` is the aligned row-identifier array of the cracker column;
 ``extra_payload`` is an optional additional aligned array (the dragged tail
@@ -177,3 +179,88 @@ def crack_range(
         values, rowids, index, high, counters, sort_threshold, extra_payload
     )
     return start, end
+
+
+@typed_kernel(buffers={"values": "numeric", "rowids": "int64",
+                       "boundary_positions": "int64"},
+              mutates=("values", "rowids"))
+@charges("movements", "random_accesses")
+def ripple_insert_value(
+    values: np.ndarray,
+    rowids: np.ndarray,
+    length: int,
+    value: float,
+    rowid: int,
+    boundary_positions: np.ndarray,
+    counters: Optional[CostCounters],
+) -> None:
+    """Ripple one value into ``values[:length]``, one move per later piece.
+
+    ``boundary_positions`` are the boundaries whose value lies strictly
+    above ``value`` — the pieces the hole ripples through, right to left,
+    starting from the spare slot at ``values[length]``.  The per-piece
+    walk is expressed as one gather/scatter over the move chain: the
+    chain positions are pairwise distinct, so every source is read before
+    any step would overwrite it, which is exactly what fancy indexing
+    (gather first, then scatter) computes.
+    """
+    # the walk visits each distinct boundary position once, skipping a
+    # boundary already equal to the hole (only possible at the array end)
+    chain = np.unique(boundary_positions[boundary_positions != length])[::-1]
+    if len(chain):
+        destinations = np.concatenate(
+            [np.array([length], dtype=np.int64), chain[:-1]]
+        )
+        values[destinations] = values[chain]
+        rowids[destinations] = rowids[chain]
+        hole = int(chain[-1])
+    else:
+        hole = length
+    values[hole] = value
+    rowids[hole] = rowid
+    moves = len(chain)
+    if counters is not None:
+        counters.record_move(moves + 1)
+        counters.record_random_access(moves + 1)
+
+
+@typed_kernel(buffers={"values": "numeric", "rowids": "int64",
+                       "boundary_positions": "int64"},
+              mutates=("values", "rowids"))
+@charges("movements", "random_accesses")
+def ripple_delete_position(
+    values: np.ndarray,
+    rowids: np.ndarray,
+    position: int,
+    length: int,
+    boundary_positions: np.ndarray,
+    counters: Optional[CostCounters],
+) -> int:
+    """Close the hole at ``position`` by rippling it right, piece by piece.
+
+    Each piece after the target (delimited by ``boundary_positions``, the
+    boundaries strictly above the deleted value, plus the column end)
+    donates its last element into the hole; the hole ends up at
+    ``length - 1``.  Vectorized as one gather/scatter over the chain of
+    per-piece last positions, which are pairwise distinct and ascending.
+    Returns the number of moves performed.
+    """
+    piece_lasts = np.unique(
+        np.concatenate(
+            [boundary_positions, np.array([length], dtype=np.int64)]
+        )
+    ) - 1
+    # a piece whose last element *is* the hole donates nothing (only
+    # possible for the target piece itself)
+    piece_lasts = piece_lasts[piece_lasts != position]
+    if len(piece_lasts):
+        destinations = np.concatenate(
+            [np.array([position], dtype=np.int64), piece_lasts[:-1]]
+        )
+        values[destinations] = values[piece_lasts]
+        rowids[destinations] = rowids[piece_lasts]
+    moves = len(piece_lasts)
+    if counters is not None:
+        counters.record_move(moves)
+        counters.record_random_access(moves)
+    return moves

@@ -1,815 +1,17 @@
-"""Cracking under updates (Idreos, Kersten, Manegold; SIGMOD 2007).
+"""Cracking under updates — the historical name of the cracked column.
 
-Updates are handled "in the same adaptive philosophy" as cracking itself:
-inserts and deletes are queued in pending structures and merged into the
-cracker column *on demand*, only when a query's range touches the pending
-values, and only the touched values are merged.  The physical merge uses
-*ripple* movements: to make room for (or close the hole left by) one value
-inside a piece, exactly one element per subsequent piece is relocated, so
-the cost is proportional to the number of pieces — not to the column size.
-
-Two merging policies are provided:
-
-* ``"ripple"`` — merge every qualifying pending update before answering
-  (the default, complete-merge policy);
-* ``"gradual"`` — merge at most ``merge_batch`` pending updates *in total*
-  per query — inserts and deletes share the one budget and are served
-  round-robin, so neither class can starve the other — and answer the
-  remainder directly from the pending structures, spreading the
-  maintenance cost over more queries.
-
-Cost accounting follows the convention established for the cracking
-kernels: whenever the pending structures are non-empty, a query is charged
-one comparison per pending entry for deciding which updates qualify — the
-scan happens whether or not anything qualifies.
+The pending insert/delete queues and the ripple merge live in
+:class:`~repro.core.cracking.cracked_column.CrackedColumn` itself (a column
+nobody updates is one whose queues stay empty); the ripple kernels are in
+:mod:`~repro.core.cracking.crack_engine`.  ``UpdatableCrackedColumn`` is
+that class with the cracker-column copy made up front and charged to no
+query — the accounting the updatable registry names use.  It is a factory
+(a :func:`functools.partial`), not a type: call it to build a column, and
+use :class:`CrackedColumn` for ``isinstance``, annotations and subclassing.
 """
 
-from __future__ import annotations
+from functools import partial
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from repro.core.cracking.cracked_column import CrackedColumn
 
-import numpy as np
-
-from repro.analysis_tools.guards import charges, typed_kernel
-from repro.columnstore.column import Column
-from repro.core.cracking.cracker_index import CrackerIndex
-from repro.core.cracking.crack_engine import crack_range, crack_value
-from repro.cost.counters import CostCounters
-
-#: work-queue tags for the interleaved merge batch (int8 kind buffer)
-_KIND_INSERT, _KIND_DELETE = 0, 1
-
-
-@typed_kernel(buffers={"values": "numeric", "rowids": "int64",
-                       "boundary_positions": "int64"},
-              mutates=("values", "rowids"))
-@charges("movements", "random_accesses")
-def ripple_insert_value(
-    values: np.ndarray,
-    rowids: np.ndarray,
-    length: int,
-    value: float,
-    rowid: int,
-    boundary_positions: np.ndarray,
-    counters: Optional[CostCounters],
-) -> None:
-    """Ripple one value into ``values[:length]``, one move per later piece.
-
-    ``boundary_positions`` are the boundaries whose value lies strictly
-    above ``value`` — the pieces the hole ripples through, right to left,
-    starting from the spare slot at ``values[length]``.  The per-piece
-    walk is expressed as one gather/scatter over the move chain: the
-    chain positions are pairwise distinct, so every source is read before
-    any step would overwrite it, which is exactly what fancy indexing
-    (gather first, then scatter) computes.
-    """
-    # the walk visits each distinct boundary position once, skipping a
-    # boundary already equal to the hole (only possible at the array end)
-    chain = np.unique(boundary_positions[boundary_positions != length])[::-1]
-    if len(chain):
-        destinations = np.concatenate(
-            [np.array([length], dtype=np.int64), chain[:-1]]
-        )
-        values[destinations] = values[chain]
-        rowids[destinations] = rowids[chain]
-        hole = int(chain[-1])
-    else:
-        hole = length
-    values[hole] = value
-    rowids[hole] = rowid
-    moves = len(chain)
-    if counters is not None:
-        counters.record_move(moves + 1)
-        counters.record_random_access(moves + 1)
-
-
-@typed_kernel(buffers={"values": "numeric", "rowids": "int64",
-                       "boundary_positions": "int64"},
-              mutates=("values", "rowids"))
-@charges("movements", "random_accesses")
-def ripple_delete_position(
-    values: np.ndarray,
-    rowids: np.ndarray,
-    position: int,
-    length: int,
-    boundary_positions: np.ndarray,
-    counters: Optional[CostCounters],
-) -> int:
-    """Close the hole at ``position`` by rippling it right, piece by piece.
-
-    Each piece after the target (delimited by ``boundary_positions``, the
-    boundaries strictly above the deleted value, plus the column end)
-    donates its last element into the hole; the hole ends up at
-    ``length - 1``.  Vectorized as one gather/scatter over the chain of
-    per-piece last positions, which are pairwise distinct and ascending.
-    Returns the number of moves performed.
-    """
-    piece_lasts = np.unique(
-        np.concatenate(
-            [boundary_positions, np.array([length], dtype=np.int64)]
-        )
-    ) - 1
-    # a piece whose last element *is* the hole donates nothing (only
-    # possible for the target piece itself)
-    piece_lasts = piece_lasts[piece_lasts != position]
-    if len(piece_lasts):
-        destinations = np.concatenate(
-            [np.array([position], dtype=np.int64), piece_lasts[:-1]]
-        )
-        values[destinations] = values[piece_lasts]
-        rowids[destinations] = rowids[piece_lasts]
-    moves = len(piece_lasts)
-    if counters is not None:
-        counters.record_move(moves)
-        counters.record_random_access(moves)
-    return moves
-
-
-class UpdatableCrackedColumn:
-    """A cracked column that accepts inserts and deletes between queries.
-
-    Row identifiers: rows of the original column keep their position
-    (shifted by ``rowid_base``) as identifier; rows inserted later receive
-    fresh identifiers starting at ``rowid_base + len(original column)``, or
-    an identifier supplied by the caller.  :meth:`search` returns
-    identifiers of all *visible* qualifying rows (original minus deleted
-    plus inserted).
-
-    ``rowid_base`` lets a partitioned owner number each shard's original
-    rows in global (base-column) coordinates, so per-partition answers need
-    no shifting and externally assigned insert identifiers stay globally
-    unique.
-    """
-
-    def __init__(
-        self,
-        column: Union[Column, np.ndarray],
-        policy: str = "ripple",
-        merge_batch: int = 16,
-        sort_threshold: int = 0,
-        rowid_base: int = 0,
-        name: str = "",
-    ) -> None:
-        if policy not in ("ripple", "gradual"):
-            raise ValueError(f"unknown update policy {policy!r}")
-        if merge_batch < 1:
-            raise ValueError("merge_batch must be >= 1")
-        base = column.values if isinstance(column, Column) else np.asarray(column)
-        self.name = name or (column.name if isinstance(column, Column) else "")
-        self.policy = policy
-        self.merge_batch = int(merge_batch)
-        self.sort_threshold = int(sort_threshold)
-        self.rowid_base = int(rowid_base)
-
-        self._initial_size = len(base)
-        # None = original rows are the contiguous range
-        # [rowid_base, rowid_base + initial size); a repartitioning split
-        # scatters a fragment's original rows, so fragments carry them as an
-        # explicit set instead (see :meth:`split_at`)
-        self._original_rowids: Optional[set] = None
-        self._next_rowid = self.rowid_base + len(base)
-        # cracker column storage with spare capacity for ripple inserts
-        capacity = max(16, int(len(base) * 1.2))
-        self._values = np.empty(capacity, dtype=np.asarray(base).dtype
-                                if np.asarray(base).dtype.kind in "if" else np.float64)
-        self._values[: len(base)] = base
-        self._rowids = np.empty(capacity, dtype=np.int64)
-        self._rowids[: len(base)] = np.arange(
-            self.rowid_base, self.rowid_base + len(base), dtype=np.int64
-        )
-        self._length = len(base)
-        self.index = CrackerIndex(len(base))
-
-        # pending structures
-        self._pending_insert_values: List[float] = []
-        self._pending_insert_rowids: List[int] = []
-        # mirror of _pending_insert_rowids for O(1) membership tests
-        self._pending_insert_rowid_set: set = set()
-        self._pending_delete_rowids: Dict[int, float] = {}
-        # values of rows inserted at any point (needed to delete them later)
-        self._inserted_values: Dict[int, float] = {}
-
-        self.queries_processed = 0
-        self.merges_performed = 0
-
-    # -- public state -----------------------------------------------------------
-
-    @property
-    def values(self) -> np.ndarray:
-        """The live region of the cracker column (read-only view)."""
-        return self._values[: self._length]
-
-    @property
-    def rowids(self) -> np.ndarray:
-        """Row identifiers aligned with :attr:`values` (read-only view)."""
-        return self._rowids[: self._length]
-
-    def __len__(self) -> int:
-        """Number of currently visible rows (merged + pending inserts).
-
-        Every queued delete targets a merged row (deleting a still-pending
-        insert cancels it instead), so the pending-delete count is exactly
-        the number of merged-but-deleted rows — O(1), which matters because
-        adaptive repartitioning polls partition sizes on every update.
-        """
-        return (self._length + len(self._pending_insert_values)
-                - len(self._pending_delete_rowids))
-
-    @property
-    def pending_inserts(self) -> int:
-        return len(self._pending_insert_values)
-
-    @property
-    def pending_deletes(self) -> int:
-        return len(self._pending_delete_rowids)
-
-    @property
-    def piece_count(self) -> int:
-        return self.index.piece_count
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of auxiliary storage (cracker column, rowids, pending queues)."""
-        pending = (len(self._pending_insert_values) + len(self._pending_delete_rowids)
-                   + len(self._inserted_values)) * 16
-        return int(self._values.nbytes + self._rowids.nbytes + pending)
-
-    def _is_original(self, rowid: int) -> bool:
-        """True when ``rowid`` identifies a row of the original column."""
-        if self._original_rowids is not None:
-            return rowid in self._original_rowids
-        return self.rowid_base <= rowid < self.rowid_base + self._initial_size
-
-    def _is_merged(self, rowid: int) -> bool:
-        """True when ``rowid`` currently lives in the cracker column."""
-        if self._is_original(rowid):
-            return True
-        return (rowid in self._inserted_values
-                and rowid not in self._pending_insert_rowid_set)
-
-    def knows_rowid(self, rowid: int) -> bool:
-        """True when ``rowid`` belongs to this column (original or a live insert).
-
-        Used by the partitioned owner to route deletes of inserted rows;
-        rowids of fully removed rows (cancelled pending inserts, merged
-        deletes) are unknown again.
-        """
-        return self._is_original(rowid) or rowid in self._inserted_values
-
-    def value_of(self, rowid: int) -> float:
-        """Current value of a visible row (original or inserted)."""
-        if rowid in self._pending_delete_rowids:
-            raise KeyError(f"row {rowid} has been deleted")
-        if self._is_original(rowid):
-            position = np.flatnonzero(self.rowids == rowid)
-            if len(position) == 0:
-                raise KeyError(f"row {rowid} not found")
-            return float(self.values[position[0]])
-        try:
-            return self._inserted_values[rowid]
-        except KeyError:
-            raise KeyError(f"row {rowid} not found") from None
-
-    # -- updates -----------------------------------------------------------------
-
-    def check_insertable(self, value: float) -> None:
-        """Raise TypeError when ``value`` cannot be stored in this column."""
-        if np.issubdtype(self._values.dtype, np.integer) and float(value) != int(value):
-            raise TypeError(
-                f"cannot insert non-integer value {value!r} into an integer column"
-            )
-
-    def insert(self, value: float, counters: Optional[CostCounters] = None,
-               rowid: Optional[int] = None) -> int:
-        """Queue the insertion of ``value``; returns its new row identifier.
-
-        ``rowid`` lets an external owner (the partitioned column) assign
-        globally unique identifiers; it must be fresh and outside the
-        original row range.
-        """
-        self.check_insertable(value)
-        if rowid is None:
-            rowid = self._next_rowid
-            self._next_rowid += 1
-        else:
-            rowid = int(rowid)
-            if self._is_original(rowid) or rowid in self._inserted_values:
-                raise ValueError(f"row identifier {rowid} is already in use")
-            self._next_rowid = max(self._next_rowid, rowid + 1)
-        self._pending_insert_values.append(float(value))
-        self._pending_insert_rowids.append(rowid)
-        self._pending_insert_rowid_set.add(rowid)
-        self._inserted_values[rowid] = float(value)
-        if counters is not None:
-            counters.record_move(1)
-        return rowid
-
-    def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
-        """Queue the deletion of the row identified by ``rowid``."""
-        if rowid in self._pending_delete_rowids:
-            return
-        if not self._is_original(rowid) and rowid not in self._inserted_values:
-            raise KeyError(f"unknown row identifier {rowid}")
-        # deleting a still-pending insert simply cancels it
-        if rowid in self._pending_insert_rowid_set:
-            position = self._pending_insert_rowids.index(rowid)
-            self._pending_insert_rowids.pop(position)
-            self._pending_insert_values.pop(position)
-            self._pending_insert_rowid_set.discard(rowid)
-            del self._inserted_values[rowid]
-            return
-        value = (
-            self._inserted_values[rowid]
-            if rowid in self._inserted_values
-            else None
-        )
-        if value is None:
-            # original row: its value can move around the cracker column but
-            # never changes, so look it up from the base positions once.
-            positions = np.flatnonzero(self.rowids == rowid)
-            if len(positions) == 0:
-                raise KeyError(f"unknown row identifier {rowid}")
-            value = float(self.values[positions[0]])
-        self._pending_delete_rowids[rowid] = value
-        if counters is not None:
-            counters.record_move(1)
-
-    def update(self, rowid: int, new_value: float,
-               counters: Optional[CostCounters] = None) -> int:
-        """Update = delete old row + insert new value; returns the new rowid.
-
-        The new value is validated before the delete is queued, so a
-        rejected value leaves the old row untouched.
-        """
-        self.check_insertable(new_value)
-        self.delete(rowid, counters)
-        return self.insert(new_value, counters)
-
-    # -- repartitioning support -----------------------------------------------------
-
-    @classmethod
-    def _from_parts(
-        cls,
-        values: np.ndarray,
-        rowids: np.ndarray,
-        original_rowids: Iterable[int],
-        index: CrackerIndex,
-        *,
-        policy: str,
-        merge_batch: int,
-        sort_threshold: int,
-        next_rowid: int,
-        pending_inserts: Sequence[Tuple[float, int]],
-        pending_deletes: Dict[int, float],
-        inserted_values: Dict[int, float],
-        merges_performed: int = 0,
-        name: str = "",
-    ) -> "UpdatableCrackedColumn":
-        """Build a column fragment from pre-cracked state (split/merge helper).
-
-        ``values``/``rowids`` are the merged cracker arrays (globally
-        numbered), ``original_rowids`` the subset of rowids that identify
-        original base rows, and ``index`` must describe exactly
-        ``len(values)`` elements.
-        """
-        if len(values) != len(rowids) or index.size != len(values):
-            raise ValueError("fragment arrays and index sizes must agree")
-        fragment = cls.__new__(cls)
-        fragment.name = name
-        fragment.policy = policy
-        fragment.merge_batch = int(merge_batch)
-        fragment.sort_threshold = int(sort_threshold)
-        fragment.rowid_base = 0
-        fragment._initial_size = 0
-        fragment._original_rowids = set(int(r) for r in original_rowids)
-        fragment._next_rowid = int(next_rowid)
-        capacity = max(16, int(len(values) * 1.2))
-        fragment._values = np.empty(capacity, dtype=values.dtype)
-        fragment._values[: len(values)] = values
-        fragment._rowids = np.empty(capacity, dtype=np.int64)
-        fragment._rowids[: len(rowids)] = rowids
-        fragment._length = len(values)
-        fragment.index = index
-        fragment._pending_insert_values = [float(v) for v, _ in pending_inserts]
-        fragment._pending_insert_rowids = [int(r) for _, r in pending_inserts]
-        fragment._pending_insert_rowid_set = set(fragment._pending_insert_rowids)
-        fragment._pending_delete_rowids = dict(pending_deletes)
-        fragment._inserted_values = dict(inserted_values)
-        fragment.queries_processed = 0
-        fragment.merges_performed = int(merges_performed)
-        return fragment
-
-    def _original_rowid_subset(self, rowids: np.ndarray) -> set:
-        """The original-row identifiers among ``rowids``."""
-        if self._original_rowids is not None:
-            return self._original_rowids.intersection(rowids.tolist())
-        mask = (rowids >= self.rowid_base) & (
-            rowids < self.rowid_base + self._initial_size
-        )
-        return set(rowids[mask].tolist())
-
-    @charges("comparisons", "movements", "allocations")
-    def split_at(
-        self, pivot: float, counters: Optional[CostCounters] = None
-    ) -> Tuple["UpdatableCrackedColumn", "UpdatableCrackedColumn"]:
-        """Split into two independent columns around ``pivot``.
-
-        The merged region is cracked at ``pivot`` (values below it on the
-        left), the cracker index is cut at the resulting boundary, and every
-        pending insert/delete is routed to the side its value belongs to —
-        so the union of the two fragments is indistinguishable from the
-        parent: same visible rows, same rowids, same refinement.  The parent
-        must not be used afterwards.
-        """
-        pivot = float(pivot)
-        length = self._length
-        mid = crack_value(
-            self._values[:length], self._rowids[:length], self.index, pivot,
-            counters, sort_threshold=self.sort_threshold,
-        )
-        left_index, right_index = self.index.split_at_boundary(pivot)
-        left_values = self._values[:mid].copy()
-        left_rowids = self._rowids[:mid].copy()
-        right_values = self._values[mid:length].copy()
-        right_rowids = self._rowids[mid:length].copy()
-        if counters is not None:
-            # carving the two fragments out touches every merged element
-            counters.record_move(length)
-            counters.record_allocation(
-                left_values.nbytes + left_rowids.nbytes
-                + right_values.nbytes + right_rowids.nbytes
-            )
-            pending_total = (
-                len(self._pending_insert_values) + len(self._pending_delete_rowids)
-            )
-            if pending_total:
-                counters.record_comparisons(pending_total)
-        # pending updates and live inserted rows are routed by value, which
-        # matches the crack: merged rows with value < pivot sit on the left
-        left_pending_inserts, right_pending_inserts = [], []
-        for value, rowid in zip(self._pending_insert_values,
-                                self._pending_insert_rowids):
-            side = left_pending_inserts if value < pivot else right_pending_inserts
-            # routing a pending entry re-queues it, it does not touch the
-            # cracker arrays (the record_move(length) above covers the carve)
-            side.append((value, rowid))  # reproperf: ignore[PF001, PF003]
-        left_pending_deletes = {
-            r: v for r, v in self._pending_delete_rowids.items() if v < pivot
-        }
-        right_pending_deletes = {
-            r: v for r, v in self._pending_delete_rowids.items() if v >= pivot
-        }
-        left_inserted = {
-            r: v for r, v in self._inserted_values.items() if v < pivot
-        }
-        right_inserted = {
-            r: v for r, v in self._inserted_values.items() if v >= pivot
-        }
-        common = dict(
-            policy=self.policy, merge_batch=self.merge_batch,
-            sort_threshold=self.sort_threshold, next_rowid=self._next_rowid,
-        )
-        left = UpdatableCrackedColumn._from_parts(
-            left_values, left_rowids, self._original_rowid_subset(left_rowids),
-            left_index, pending_inserts=left_pending_inserts,
-            pending_deletes=left_pending_deletes, inserted_values=left_inserted,
-            merges_performed=self.merges_performed,
-            name=f"{self.name}<{pivot}" if self.name else "", **common,
-        )
-        right = UpdatableCrackedColumn._from_parts(
-            right_values, right_rowids, self._original_rowid_subset(right_rowids),
-            right_index, pending_inserts=right_pending_inserts,
-            pending_deletes=right_pending_deletes, inserted_values=right_inserted,
-            name=f"{self.name}>={pivot}" if self.name else "", **common,
-        )
-        return left, right
-
-    @classmethod
-    @charges("movements", "allocations")
-    def merged(
-        cls,
-        left: "UpdatableCrackedColumn",
-        right: "UpdatableCrackedColumn",
-        pivot: float,
-        counters: Optional[CostCounters] = None,
-    ) -> "UpdatableCrackedColumn":
-        """Concatenate two *value-disjoint* columns back into one.
-
-        Every value of ``left`` (merged or pending) must be strictly below
-        ``pivot`` and every value of ``right`` at or above it; the merged
-        column keeps one boundary at ``pivot`` (the per-side refinement is
-        deliberately dropped — merges target cold partitions, whose
-        refinement is no longer paying for itself).
-        """
-        pivot = float(pivot)
-        values = np.concatenate([left.values, right.values])
-        rowids = np.concatenate([left.rowids, right.rowids])
-        index = CrackerIndex(len(values))
-        if len(left.values) and len(right.values):
-            index.add_boundary(pivot, len(left.values))
-        if counters is not None:
-            counters.record_move(len(values))
-            counters.record_allocation(values.nbytes + rowids.nbytes)
-        original = left._original_rowid_subset(left.rowids)
-        original |= right._original_rowid_subset(right.rowids)
-        pending_inserts = list(
-            zip(left._pending_insert_values, left._pending_insert_rowids)
-        ) + list(zip(right._pending_insert_values, right._pending_insert_rowids))
-        pending_deletes = dict(left._pending_delete_rowids)
-        pending_deletes.update(right._pending_delete_rowids)
-        inserted = dict(left._inserted_values)
-        inserted.update(right._inserted_values)
-        return cls._from_parts(
-            values, rowids, original, index,
-            policy=left.policy, merge_batch=left.merge_batch,
-            sort_threshold=left.sort_threshold,
-            next_rowid=max(left._next_rowid, right._next_rowid),
-            pending_inserts=pending_inserts, pending_deletes=pending_deletes,
-            inserted_values=inserted,
-            merges_performed=left.merges_performed + right.merges_performed,
-            name=left.name or right.name,
-        )
-
-    # -- ripple kernels -------------------------------------------------------------
-
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._length + extra
-        if needed <= len(self._values):
-            return
-        new_capacity = max(needed, 2 * len(self._values))
-        grown_values = np.empty(new_capacity, dtype=self._values.dtype)
-        grown_values[: self._length] = self._values[: self._length]
-        grown_rowids = np.empty(new_capacity, dtype=np.int64)
-        grown_rowids[: self._length] = self._rowids[: self._length]
-        self._values = grown_values
-        self._rowids = grown_rowids
-
-    def _ripple_insert_one(self, value: float, rowid: int,
-                           counters: Optional[CostCounters]) -> None:
-        """Physically place one value into its piece via ripple shifts."""
-        self._ensure_capacity(1)
-        target_index = self.index.piece_index_for_value(value)
-        # content of target piece and of every piece after it will change order
-        self.index.mark_pieces_unsorted_from(target_index)
-        ripple_insert_value(
-            self._values, self._rowids, self._length, value, rowid,
-            self.index.positions_for_values_above(value), counters,
-        )
-        self._length += 1
-        self.index.shift_positions_for_values_above(value, +1)
-
-    @charges("scans")
-    def _ripple_delete_one(self, rowid: int, value: float,
-                           counters: Optional[CostCounters]) -> bool:
-        """Physically remove one row from its piece via ripple shifts."""
-        target_index = self.index.piece_index_for_value(value)
-        target = self.index.piece_at_index(target_index)
-        segment_rowids = self._rowids[target.start : target.end]
-        offsets = np.flatnonzero(segment_rowids == rowid)
-        if counters is not None:
-            counters.record_scan(target.size)
-        if len(offsets) == 0:
-            return False
-        position = target.start + int(offsets[0])
-        self.index.mark_pieces_unsorted_from(target_index)
-        # fill the hole with the last element of the target piece, then let
-        # the hole ripple right through every subsequent piece.
-        ripple_delete_position(
-            self._values, self._rowids, position, self._length,
-            self.index.positions_for_values_above(value), counters,
-        )
-        self._length -= 1
-        self.index.shift_positions_for_values_above(value, -1)
-        return True
-
-    # -- merge-on-demand -----------------------------------------------------------
-
-    def _qualifying_pending(self, low, high) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices of pending inserts / rowids of pending deletes in range.
-
-        Both sides are computed with vectorized range masks over the
-        pending values; only the merged-membership filter on the delete
-        side stays per-candidate (a set lookup per qualifying delete).
-        """
-        pending_values = np.asarray(self._pending_insert_values,
-                                    dtype=np.float64)
-        mask = np.ones(len(pending_values), dtype=bool)
-        if low is not None:
-            mask &= pending_values >= low
-        if high is not None:
-            mask &= pending_values < high
-        insert_indices = np.flatnonzero(mask)
-
-        delete_count = len(self._pending_delete_rowids)
-        if delete_count:
-            candidate_rowids = np.fromiter(
-                self._pending_delete_rowids.keys(), dtype=np.int64,
-                count=delete_count,
-            )
-            candidate_values = np.fromiter(
-                self._pending_delete_rowids.values(), dtype=np.float64,
-                count=delete_count,
-            )
-            delete_mask = np.ones(delete_count, dtype=bool)
-            if low is not None:
-                delete_mask &= candidate_values >= low
-            if high is not None:
-                delete_mask &= candidate_values < high
-            delete_rowids = np.asarray(
-                [r for r in candidate_rowids[delete_mask].tolist()
-                 if self._is_merged(r)],
-                dtype=np.int64,
-            )
-        else:
-            delete_rowids = np.empty(0, dtype=np.int64)
-        return insert_indices, delete_rowids
-
-    def _merge_pending(self, low, high, counters: Optional[CostCounters]) -> Tuple[List[int], List[int]]:
-        """Merge qualifying pending updates (policy dependent).
-
-        Returns ``(unmerged_insert_indices, unmerged_delete_rowids)`` — the
-        qualifying pending updates that were *not* merged (only non-empty
-        under the gradual policy) so the caller can still answer correctly.
-
-        The qualifying inserts and deletes are interleaved round-robin into
-        one typed work queue (an int8 kind buffer and an int64 item buffer,
-        built with strided assignments) and dispatched by
-        :meth:`_apply_ripple_batch`.
-        """
-        pending_total = (
-            len(self._pending_insert_values) + len(self._pending_delete_rowids)
-        )
-        if counters is not None and pending_total:
-            # deciding what qualifies scans every pending entry, whether or
-            # not anything ends up qualifying
-            counters.record_comparisons(pending_total)
-        insert_indices, delete_rowids = self._qualifying_pending(low, high)
-
-        # round-robin interleave: insert[0], delete[0], insert[1], ... with
-        # the longer queue's tail appended once the shorter runs out
-        insert_count = len(insert_indices)
-        delete_count = len(delete_rowids)
-        paired = min(insert_count, delete_count)
-        kinds = np.empty(insert_count + delete_count, dtype=np.int8)
-        items = np.empty(insert_count + delete_count, dtype=np.int64)
-        kinds[0 : 2 * paired : 2] = _KIND_INSERT
-        kinds[1 : 2 * paired : 2] = _KIND_DELETE
-        items[0 : 2 * paired : 2] = insert_indices[:paired]
-        items[1 : 2 * paired : 2] = delete_rowids[:paired]
-        if insert_count > paired:
-            kinds[2 * paired :] = _KIND_INSERT
-            items[2 * paired :] = insert_indices[paired:]
-        elif delete_count > paired:
-            kinds[2 * paired :] = _KIND_DELETE
-            items[2 * paired :] = delete_rowids[paired:]
-
-        remaining_deletes = self._apply_ripple_batch(kinds, items, counters)
-
-        unmerged_inserts = [
-            i for i in range(len(self._pending_insert_values))
-            if self._in_range(self._pending_insert_values[i], low, high)
-        ]
-        return unmerged_inserts, remaining_deletes
-
-    @typed_kernel(buffers={"kinds": "int8", "items": "int64"})
-    def _apply_ripple_batch(
-        self,
-        kinds: np.ndarray,
-        items: np.ndarray,
-        counters: Optional[CostCounters],
-    ) -> List[int]:
-        """Dispatch one interleaved batch of pending updates to the ripple kernels.
-
-        Deliberately per-element (the one reasoned TB001 baseline entry):
-        each queue entry is a distinct physical reorganisation whose target
-        piece depends on the value being merged — and changes the piece
-        layout the next entry sees — so the dispatch cannot be batched
-        without replaying the ripple dependency chain.  The per-piece data
-        movement inside each step *is* vectorized (the module-level ripple
-        kernels).
-
-        Under the gradual policy one ``merge_batch`` budget is shared by
-        inserts and deletes, served round-robin — at most ``merge_batch``
-        pending updates in total are merged per query, and a steady stream
-        of qualifying inserts cannot starve the pending deletes (or vice
-        versa), so both queues always drain.  Returns the qualifying
-        deletes left unmerged.
-        """
-        budget = None
-        if self.policy == "gradual":
-            budget = self.merge_batch
-
-        merged_insert_indices: List[int] = []
-        remaining_deletes: List[int] = []
-        pending_deletes = self._pending_delete_rowids  # hoisted (PF002)
-        for position in range(len(kinds)):
-            kind = int(kinds[position])
-            item = int(items[position])
-            if budget is not None and budget <= 0:
-                if kind == _KIND_DELETE:
-                    remaining_deletes.append(item)
-                continue
-            if kind == _KIND_INSERT:
-                value = self._pending_insert_values[item]
-                rowid = self._pending_insert_rowids[item]
-                self._ripple_insert_one(value, rowid, counters)
-                merged_insert_indices.append(item)
-                self.merges_performed += 1
-            else:
-                value = pending_deletes[item]
-                if not self._ripple_delete_one(item, value, counters):
-                    remaining_deletes.append(item)
-                    continue
-                del pending_deletes[item]
-                # a merged delete of an inserted row removes the row for
-                # good: forget its value so the rowid becomes unknown (and
-                # the bookkeeping doesn't grow with every insert ever made)
-                self._inserted_values.pop(item, None)
-                self.merges_performed += 1
-            if budget is not None:
-                budget -= 1
-        for pending_index in sorted(merged_insert_indices, reverse=True):
-            self._pending_insert_values.pop(pending_index)
-            rowid = self._pending_insert_rowids.pop(pending_index)
-            self._pending_insert_rowid_set.discard(rowid)
-        return remaining_deletes
-
-    @staticmethod
-    def _in_range(value, low, high) -> bool:
-        if low is not None and value < low:
-            return False
-        if high is not None and value >= high:
-            return False
-        return True
-
-    # -- the select operator ----------------------------------------------------------
-
-    def search(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
-        """Row identifiers of visible rows with ``low <= value < high``.
-
-        Merges qualifying pending updates first (per the configured policy),
-        then cracks and answers from the cracker column.
-        """
-        self.queries_processed += 1
-        unmerged_inserts, unmerged_deletes = self._merge_pending(low, high, counters)
-
-        start, end = crack_range(
-            self._values[: self._length],
-            self._rowids[: self._length],
-            self.index,
-            low,
-            high,
-            counters,
-            sort_threshold=self.sort_threshold,
-        )
-        result_rowids = self._rowids[start:end]
-        if counters is not None:
-            counters.record_scan(max(0, end - start))
-
-        # under the gradual policy some qualifying updates may still be pending
-        extra = [self._pending_insert_rowids[i] for i in unmerged_inserts]
-        exclude = set(unmerged_deletes)
-        exclude.update(
-            r for r, v in self._pending_delete_rowids.items()
-            if self._in_range(v, low, high)
-        )
-        if exclude:
-            mask = ~np.isin(result_rowids, np.fromiter(exclude, dtype=np.int64))
-            result_rowids = result_rowids[mask]
-        if extra:
-            result_rowids = np.concatenate(
-                [result_rowids, np.asarray(extra, dtype=np.int64)]
-            )
-        return result_rowids.copy() if isinstance(result_rowids, np.ndarray) else result_rowids
-
-    # -- verification -----------------------------------------------------------------
-
-    def visible_values(self) -> np.ndarray:
-        """Multiset of currently visible values (reference for tests)."""
-        merged_mask = ~np.isin(
-            self.rowids,
-            np.fromiter(self._pending_delete_rowids.keys(), dtype=np.int64)
-            if self._pending_delete_rowids
-            else np.empty(0, dtype=np.int64),
-        )
-        merged = self.values[merged_mask]
-        pending = np.asarray(self._pending_insert_values, dtype=merged.dtype)
-        return np.concatenate([merged, pending]) if len(pending) else merged.copy()
-
-    def check_invariants(self) -> None:
-        """Verify piece bounds and boundary consistency (test helper)."""
-        self.index.check_invariants()
-        assert self.index.size == self._length
-        for piece in self.index.pieces():
-            segment = self._values[piece.start : piece.end]
-            if len(segment) == 0:
-                continue
-            if piece.low is not None:
-                assert segment.min() >= piece.low, f"{piece} violates low bound"
-            if piece.high is not None:
-                assert segment.max() < piece.high, f"{piece} violates high bound"
+UpdatableCrackedColumn = partial(CrackedColumn, lazy_copy=False)

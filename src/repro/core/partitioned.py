@@ -11,52 +11,63 @@ range selection into at most ``P`` completely independent sub-selections.
   range overlaps the predicate; cold regions of the key domain are never
   reorganised, exactly as in whole-column cracking, and cold *partitions*
   are not even visited;
-* **parallelism** — the per-partition sub-selections fan out across a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  The numpy partitioning
-  kernels release the GIL, so the fan-out yields real speed-ups on
-  multi-core machines.  Each worker records its work on a private
+* **parallelism** — with ``parallel=True`` the per-partition sub-selections
+  fan out across a :class:`concurrent.futures.ThreadPoolExecutor`.  Each
+  worker records its work on a private
   :class:`~repro.cost.counters.CostCounters` instance; the per-partition
   counters are merged into the caller's counters after the fan-out, so
   logical cost accounting is independent of the execution mode.
 
-Search results are positions into the *base* column (partition-local row
-identifiers shifted by the partition offset), which makes the partitioned
-column a drop-in replacement for
-:class:`~repro.core.cracking.cracked_column.CrackedColumn`: the answer to
-any query is the same set of positions, whatever ``partitions`` is.
+What the fan-out buys, measured (1M rows, 8 partitions, 2 workers on a
+2-vCPU host, medians): it wins the **cold first query only** — 16.0 ms
+threaded against 21.4 ms sequential, because the eight partition copies and
+bounds scans are large numpy calls that release the GIL.  From then on the
+kernels are too short for the pool hand-off to pay: the first 100 queries
+take 0.135–0.234 s threaded against 0.107 s sequential, and the steady p50
+is 670 µs against 280 µs.  A third backend, the ``process`` executor (worker
+processes over shared-memory segments), never won anything — steady p50
+12.9 ms against 0.26 ms sequential (49×), first 100 queries 0.78–1.33 s
+against 0.095 s, 0.075× at 8 000 rows — and was removed together with its
+option; d51987e is the last commit that carries it.
 
-:class:`PartitionedUpdatableCrackedColumn` extends the scheme to mixed
-query/update workloads: every partition owns a private
-:class:`~repro.core.cracking.updates.UpdatableCrackedColumn` (with its own
-pending insert/delete queues, merged on demand by ripple movements), updates
-are routed to the owning partition — deletes by asking the partitions which
-one knows the rowid, inserts by the partition value bounds (best fit) — and
-the partition bounds are widened whenever an insert lands outside them, so
-bounds pruning never hides a pending update.  Row identifiers are assigned
-globally (original rows keep their base position, inserted rows receive
-fresh identifiers starting at the base length), so the partitioned column
-returns exactly the rowid sets an unpartitioned
-:class:`~repro.core.cracking.updates.UpdatableCrackedColumn` would return.
+Every partition's :class:`~repro.core.cracking.cracked_column.CrackedColumn`
+numbers its rows in global (base-column) coordinates, so per-partition
+answers need no shifting and the partitioned column is a drop-in
+replacement for the whole-column one: the answer to any query is the same
+set of row identifiers, whatever ``partitions`` is.
+
+Updates work as in the whole column, per partition: every partition's
+column owns its pending insert/delete queues (merged on demand by ripple
+movements), updates are routed to the owning partition — deletes by asking
+the partitions which one knows the rowid, inserts by the partition value
+bounds (best fit) — and the partition bounds are widened whenever an insert
+lands outside them, so bounds pruning never hides a pending update.  Row
+identifiers are assigned globally (base rows keep their base position,
+inserted rows receive fresh identifiers starting at the base length).
 
 Adaptive repartitioning
 -----------------------
 
-With ``repartition=True`` both partitioned columns monitor per-partition
-load and reorganise the partitioning itself, in the same adaptive
-philosophy as cracking: physical reorganisation happens only where, and
-when, the workload proves it worthwhile.
+With ``repartition=True`` the column monitors per-partition load and
+reorganises the partitioning itself, in the same adaptive philosophy as
+cracking: physical reorganisation happens only where, and when, the
+workload proves it worthwhile.  One policy decides which partition to
+split, checked in this order:
 
-* The *updatable* column tracks per-partition row counts (merged plus
-  pending).  When a partition exceeds ``max_partition_rows`` — or, with
-  more than one partition, ``split_threshold`` times the mean partition
-  size — it is split at a crack boundary near its middle (or at the median
-  value when no useful boundary exists), so a skewed insert stream cannot
-  bloat one partition and degenerate the parallel fan-out to a single
-  worker.  Conversely, partitions drained by deletes are merged back into a
-  value-adjacent sibling once their combined size drops below the mean.
-* The *read-only* column tracks per-partition visit counts.  A partition
-  absorbing more than ``split_threshold`` times the mean visits (a zoom-in
-  query stream) is split the same way, rebalancing future crack work.
+* **row cap** — a partition holding more than ``max_partition_rows``
+  visible rows (merged plus pending);
+* **row skew** — with more than one partition, a partition holding more
+  than ``split_threshold`` times the mean partition size, so a skewed
+  insert stream cannot bloat one partition and degenerate the parallel
+  fan-out to a single worker;
+* **visit skew** — a partition absorbing more than ``split_threshold``
+  times the mean visits (a zoom-in query stream), rebalancing future crack
+  work.
+
+The chosen partition is split at a crack boundary near its middle (or at
+the median value when no useful boundary exists).  Conversely, partitions
+drained by deletes are merged back into a value-adjacent sibling once their
+combined size drops below the mean.
 
 Splits cut the cracker arrays at an existing crack boundary, route pending
 updates by value, and keep global rowids untouched, so answers stay
@@ -69,24 +80,21 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.column import Column
-from repro.core import procexec
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
-from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
 __all__ = [
     "ColumnPartition",
-    "EXECUTORS",
     "PartitionedCrackedColumn",
     "PartitionedUpdatableCrackedColumn",
-    "UpdatableColumnPartition",
     "partition_bounds",
 ]
 
@@ -117,8 +125,8 @@ def partition_bounds(size: int, partitions: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def _updatable_content_bounds(
-    column: UpdatableCrackedColumn,
+def _content_bounds(
+    column: CrackedColumn,
 ) -> Tuple[Optional[float], Optional[float]]:
     """Exact min/max over a column's merged values and pending inserts."""
     lows, highs = [], []
@@ -164,440 +172,201 @@ def _choose_split_pivot(values: np.ndarray, index: CrackerIndex) -> Optional[flo
 class ColumnPartition:
     """One contiguous shard of a partitioned cracked column.
 
-    Owns a private :class:`CrackedColumn` over ``base[start:end]`` whose row
-    identifiers are partition-local; :meth:`search` shifts them by ``start``
-    so callers always see positions into the base column.  The partition's
-    value bounds (min/max of its slice) are computed the first time the
-    partition is visited and charged to that query's counters, mirroring how
-    the lazy cracker-column copy charges the first query.
+    Owns a private :class:`CrackedColumn` over ``base[start:end]`` numbered
+    in global coordinates (``rowid_base=start``), so its answers need no
+    shifting.  The partition keeps conservative value bounds: the min/max of
+    the base slice — computed the first time the partition is visited and
+    charged to that query's counters, mirroring how the lazy cracker-column
+    copy charges the first query — widened by every value ever inserted into
+    the partition.  Bounds are never narrowed — deleting the extreme value
+    leaves them stale-wide, which only costs a spurious visit, never a
+    missed row.
 
-    After an adaptive-repartitioning split a partition becomes a *fragment*:
-    it owns an arbitrary value-contiguous subset of its parent's rows,
-    still expressed in the parent slice's coordinates (``start`` keeps
-    shifting local rowids to base positions), with exact value bounds set at
-    split time.
+    After an adaptive-repartitioning split (or merge) a partition becomes a
+    *fragment*: it owns an arbitrary value-contiguous subset of its parent's
+    rows (the underlying column carries its base rowids as an explicit set),
+    with exact value bounds set at split time; ``start``/``end`` keep naming
+    the parent's row range.  It behaves identically otherwise.
     """
 
-    __slots__ = ("start", "end", "cracked", "_base_slice", "min_value", "max_value",
-                 "_bounds_known", "visits", "_shared")
+    __slots__ = ("start", "end", "cracked", "min_value", "max_value",
+                 "_bounds_known", "_extra_min", "_extra_max", "visits")
 
-    def __init__(self, base_slice: np.ndarray, start: int, sort_threshold: int = 0,
-                 name: str = "") -> None:
-        self.start = int(start)
-        self.end = int(start) + len(base_slice)
-        self._base_slice = base_slice
-        self.cracked = CrackedColumn(
-            base_slice, sort_threshold=sort_threshold, lazy_copy=True, name=name
-        )
-        self.min_value: Optional[float] = None
-        self.max_value: Optional[float] = None
-        self._bounds_known = False
-        self.visits = 0
-        self._shared = None
-
-    @classmethod
-    def _fragment(
-        cls,
-        base_slice: np.ndarray,
+    def __init__(
+        self,
         start: int,
         end: int,
-        values: np.ndarray,
-        rowids: np.ndarray,
-        index: CrackerIndex,
-        bounds: Tuple[Optional[float], Optional[float]],
-        sort_threshold: int = 0,
-        name: str = "",
-    ) -> "ColumnPartition":
-        """A partition over a pre-cracked fragment of ``base_slice`` (splits)."""
-        partition = cls.__new__(cls)
-        partition.start = int(start)
-        partition.end = int(end)
-        partition._base_slice = base_slice
-        partition.cracked = CrackedColumn.from_fragment(
-            base_slice, values, rowids, index,
-            sort_threshold=sort_threshold, name=name,
-        )
-        partition.min_value, partition.max_value = bounds
-        partition._bounds_known = True
-        partition.visits = 0
-        partition._shared = None
-        return partition
+        cracked: CrackedColumn,
+        bounds: Optional[Tuple[Optional[float], Optional[float]]] = None,
+    ) -> None:
+        """``cracked`` holds rows of ``base[start:end]``; ``bounds`` are its
+        exact value bounds when the caller knows them (fragments), else they
+        are learned from the column's base slice on the first visit."""
+        self.start = int(start)
+        self.end = int(end)
+        self.cracked = cracked
+        self._bounds_known = bounds is not None
+        self.min_value, self.max_value = bounds or (None, None)
+        self._extra_min: Optional[float] = None
+        self._extra_max: Optional[float] = None
+        self.visits = 0
 
     def __len__(self) -> int:
+        """Number of currently visible rows in this partition."""
         return len(self.cracked)
-
-    @property
-    def is_fragment(self) -> bool:
-        """True when this partition was produced by a repartitioning split."""
-        return self.cracked._fragment
 
     @charges("scans", "comparisons")
     def _ensure_bounds(self, counters: Optional[CostCounters]) -> None:
-        """Learn the partition's value range (one scan, charged once)."""
+        """Learn the base slice's value range (one scan, charged once)."""
         if self._bounds_known:
             return
-        if len(self._base_slice):
-            self.min_value = float(self._base_slice.min())
-            self.max_value = float(self._base_slice.max())
+        base_slice = self.cracked._base
+        if len(base_slice):
+            self.min_value = float(base_slice.min())
+            self.max_value = float(base_slice.max())
             if counters is not None:
-                counters.record_scan(len(self._base_slice))
-                counters.record_comparisons(2 * len(self._base_slice))
+                counters.record_scan(len(base_slice))
+                counters.record_comparisons(2 * len(base_slice))
         self._bounds_known = True
+
+    @property
+    def effective_bounds(self) -> Tuple[Optional[float], Optional[float]]:
+        """Known value bounds: base bounds (once learned) widened by inserts."""
+        low, high = self.min_value, self.max_value
+        if self._extra_min is not None:
+            low = self._extra_min if low is None else min(low, self._extra_min)
+            high = self._extra_max if high is None else max(high, self._extra_max)
+        return low, high
 
     def overlaps(self, low: Optional[float], high: Optional[float],
                  counters: Optional[CostCounters]) -> bool:
-        """True when ``[low, high)`` can contain values of this partition."""
+        """True when ``[low, high)`` can contain visible values of this partition."""
         self._ensure_bounds(counters)
-        if self.min_value is None:
+        bound_low, bound_high = self.effective_bounds
+        if bound_low is None:
             return False
-        if low is not None and self.max_value < low:
+        if low is not None and bound_high < low:
             return False
-        if high is not None and self.min_value >= high:
+        if high is not None and bound_low >= high:
             return False
         return True
 
-    def search(self, low: Optional[float], high: Optional[float],
-               counters: Optional[CostCounters]) -> np.ndarray:
-        """Base-column positions of qualifying rows inside this partition."""
-        local = self.cracked.search(low, high, counters)
-        return local + self.start if self.start else local
-
-    def search_values(self, low: Optional[float], high: Optional[float],
-                      counters: Optional[CostCounters]) -> np.ndarray:
-        return self.cracked.search_values(low, high, counters)
-
-    def count(self, low: Optional[float], high: Optional[float],
-              counters: Optional[CostCounters]) -> int:
-        return self.cracked.count(low, high, counters)
+    def insert(self, value: float, counters: Optional[CostCounters],
+               rowid: int) -> int:
+        """Queue one insert (globally numbered) and widen the bounds."""
+        rowid = self.cracked.insert(value, counters, rowid=rowid)
+        value = float(value)
+        if self._extra_min is None or value < self._extra_min:
+            self._extra_min = value
+        if self._extra_max is None or value > self._extra_max:
+            self._extra_max = value
+        return rowid
 
     def load(self) -> dict:
-        """Per-partition load summary (rows, visits, pieces)."""
+        """Per-partition load summary (rows, visits, pending depth, pieces)."""
         return {
             "rows": len(self),
             "visits": self.visits,
+            "pending": (self.cracked.pending_inserts
+                        + self.cracked.pending_deletes),
             "pieces": self.cracked.piece_count,
         }
 
-    @charges("scans", "comparisons", "movements", "allocations")
+    @charges("scans", "comparisons")
     def split(
         self, counters: Optional[CostCounters]
     ) -> Optional[Tuple["ColumnPartition", "ColumnPartition"]]:
         """Split into two partitions; None when no useful pivot exists.
 
-        An unmaterialised partition is split by row range (two contiguous
-        sub-slices, nothing to move); a materialised one is cut at a crack
-        boundary near its middle, producing two fragments with disjoint
-        value bounds and unchanged global rowids.
+        A partition nobody touched yet is split by row range (two contiguous
+        sub-slices, nothing to move).  A materialised one is cut at an
+        existing crack boundary near the middle of the merged region (or at
+        the median value); pending updates follow their value's side, global
+        rowids are unchanged, and both fragments receive exact value bounds,
+        so bounds pruning and insert routing stay tight after the split.
         """
-        sort_threshold = self.cracked.sort_threshold
-        name = self.cracked.name
-        if not self.cracked.materialised:
-            size = len(self._base_slice)
-            if size < 2:
+        cracked = self.cracked
+        if not cracked.materialised:
+            mid = self.start + len(cracked) // 2
+            if mid == self.start:
                 return None
-            mid = size // 2
-            left = ColumnPartition(
-                self._base_slice[:mid], self.start,
-                sort_threshold=sort_threshold, name=name,
-            )
-            right = ColumnPartition(
-                self._base_slice[mid:], self.start + mid,
-                sort_threshold=sort_threshold, name=name,
-            )
-            return left, right
-        values = self.cracked.values
-        length = len(values)
-        pivot = _choose_split_pivot(values, self.cracked.index)
+
+            def shard(start: int, end: int) -> "ColumnPartition":
+                return ColumnPartition(start, end, CrackedColumn(
+                    cracked._base[start - self.start:end - self.start],
+                    rowid_base=start, sort_threshold=cracked.sort_threshold,
+                    policy=cracked.policy, merge_batch=cracked.merge_batch,
+                    name=cracked.name,
+                ))
+
+            return shard(self.start, mid), shard(mid, self.end)
+        pivot = _choose_split_pivot(cracked.values, cracked.index)
         if pivot is None:
             return None
-        mid = self.cracked.crack_at(pivot, counters)
-        if not 0 < mid < length:
-            return None
-        left_index, right_index = self.cracked.index.split_at_boundary(pivot)
-        left_values = values[:mid].copy()
-        left_rowids = self.cracked.rowids[:mid].copy()
-        right_values = values[mid:].copy()
-        right_rowids = self.cracked.rowids[mid:].copy()
+        fragments = cracked.split_at(pivot, counters)
         if counters is not None:
-            counters.record_move(length)
-            counters.record_scan(length)  # exact bounds of both fragments
-            counters.record_comparisons(2 * length)
-            counters.record_allocation(
-                left_values.nbytes + left_rowids.nbytes
-                + right_values.nbytes + right_rowids.nbytes
-            )
-        left = ColumnPartition._fragment(
-            self._base_slice, self.start, self.end,
-            left_values, left_rowids, left_index,
-            (float(left_values.min()), float(left_values.max())),
-            sort_threshold=sort_threshold, name=name,
+            # exact bounds of both fragments cost one scan of their content
+            total = sum(len(fragment.values) for fragment in fragments)
+            counters.record_scan(total)
+            counters.record_comparisons(2 * total)
+        return tuple(
+            ColumnPartition(self.start, self.end, fragment,
+                            _content_bounds(fragment))
+            for fragment in fragments
         )
-        right = ColumnPartition._fragment(
-            self._base_slice, self.start, self.end,
-            right_values, right_rowids, right_index,
-            (float(right_values.min()), float(right_values.max())),
-            sort_threshold=sort_threshold, name=name,
-        )
-        return left, right
-
-
-#: execution backends a partitioned column can fan out over
-EXECUTORS = ("thread", "process")
-
-
-@guarded_by(_pool="_pool_lock")
-class _PartitionedFanOut:
-    """Shared fan-out machinery of the partitioned columns.
-
-    Subclasses populate ``self._partitions`` and set ``self.parallel`` /
-    ``self._max_workers``; :meth:`_fan_out` then runs one operation over a
-    set of target partitions, sequentially or concurrently, with private
-    per-worker counters merged back into the caller's counters.
-
-    Two execution backends sit behind the same seam: ``executor="thread"``
-    fans out over a lazily created per-column thread pool, and
-    ``executor="process"`` ships each partition to an OS worker process
-    over shared memory (:mod:`repro.core.procexec`) — real multi-core
-    execution for the pure-Python crack loops the GIL serialises.  Answers
-    and logical cost counters are bit-identical across all backends.
-    """
-
-    parallel: bool = False
-    _max_workers: Optional[int] = None
-
-    def _init_fan_out(self, max_workers: Optional[int],
-                      executor: str = "thread") -> None:
-        """Shared fan-out state; called by subclass constructors.
-
-        The two locks make a *converged* (read-only) partitioned column
-        safe under the concurrent readers the batch scheduler fans out:
-        ``_pool_lock`` keeps the lazy thread pool from being created twice,
-        ``_stats_lock`` keeps shared visit/query counters from losing
-        increments.
-        """
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        self.executor = str(executor)
-        # a caller-chosen worker count is pinned; a defaulted one tracks the
-        # partition count as repartitioning splits and merges change it
-        self._explicit_workers = max_workers is not None
-        self._max_workers = max_workers or len(self._partitions)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-
-    def _executor(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-partition",
-                )
-            return self._pool
-
-    def _sync_worker_pool(self) -> None:
-        """Track topology changes with the fan-out width (defaulted sizing only).
-
-        ``_max_workers`` defaults to the partition count at construction;
-        without this hook a repartitioning split past that count leaves the
-        fan-out under-subscribed forever (and merges leave the pool
-        oversized).  An existing thread pool of the wrong size is retired
-        and lazily re-created at the new width; the process backend reads
-        ``_max_workers`` per fan-out, so updating the count is enough.
-        """
-        if self._explicit_workers:
-            return
-        desired = max(1, len(self._partitions))
-        with self._pool_lock:
-            if desired == self._max_workers:
-                return
-            self._max_workers = desired
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def close(self) -> None:
-        """Release execution resources: the thread pool and any shared segments.
-
-        Idempotent, and not final — a later parallel query re-creates what
-        it needs.  Shared-memory segments created for the process backend
-        are copied back into private arrays and unlinked, so a closed (or
-        dropped) column never leaks segments.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        for partition in self._partitions:
-            procexec.release_shared(partition)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    @staticmethod
-    def _validate_repartition_options(
-        repartition: bool,
-        max_partition_rows: Optional[int],
-        split_threshold: float,
-    ) -> Tuple[bool, Optional[int], float]:
-        if max_partition_rows is not None and max_partition_rows < 1:
-            raise ValueError("max_partition_rows must be >= 1")
-        if split_threshold <= 1.0:
-            raise ValueError("split_threshold must be > 1.0")
-        return bool(repartition), (
-            None if max_partition_rows is None else int(max_partition_rows)
-        ), float(split_threshold)
-
-    def _fan_out(
-        self,
-        targets: Sequence[object],
-        operation: str,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters],
-        parallel: Optional[bool],
-    ) -> List[object]:
-        """Run ``operation`` on every target partition, sequentially or in parallel.
-
-        Per-partition results are returned in partition order.  In parallel
-        mode each worker writes to its own counters; the private counters are
-        merged into ``counters`` once all workers finish, so concurrent
-        workers never share a mutable counter instance.
-        """
-        use_parallel = self.parallel if parallel is None else bool(parallel)
-        if not use_parallel or len(targets) <= 1:
-            return [getattr(t, operation)(low, high, counters) for t in targets]
-        if self.executor == "process":
-            return self._fan_out_process(targets, operation, low, high, counters)
-        locals_counters = [CostCounters() if counters is not None else None
-                           for _ in targets]
-        pool = self._executor()
-        futures = [
-            pool.submit(getattr(target, operation), low, high, private)
-            for target, private in zip(targets, locals_counters)
-        ]
-        results = [future.result() for future in futures]
-        if counters is not None:
-            for private in locals_counters:
-                counters += private
-        return results
-
-    def _fan_out_process(
-        self,
-        targets: Sequence[object],
-        operation: str,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters],
-    ) -> List[object]:
-        """The process backend of :meth:`_fan_out` (same contract).
-
-        Each target partition is snapshotted into a picklable task over its
-        shared-memory arrays, run on the process pool bounded to
-        ``_max_workers`` concurrent slots, and its outcome (result, mutated
-        bookkeeping, private counters) installed back — in partition order,
-        exactly like the thread backend merges its private counters.
-        """
-        locals_counters = [CostCounters() if counters is not None else None
-                           for _ in targets]
-        tasks = [
-            procexec.prepare_task(target, operation, low, high, private)
-            for target, private in zip(targets, locals_counters)
-        ]
-        outcomes = procexec.run_tasks(tasks, self._max_workers)
-        results = [
-            procexec.apply_outcome(target, outcome, private)
-            for target, outcome, private in zip(targets, outcomes, locals_counters)
-        ]
-        if counters is not None:
-            for private in locals_counters:
-                counters += private
-        return results
-
-    def _check_partition_layout(self, base_size: int) -> None:
-        """Shared layout invariants: ordered, covering row ranges and
-        value-disjoint bounds between partitions with overlapping ranges."""
-        partitions = self._partitions
-        covered = np.zeros(base_size, dtype=bool)
-        for partition in partitions:
-            assert 0 <= partition.start <= partition.end <= base_size, (
-                f"row range [{partition.start}:{partition.end}) outside the base"
-            )
-            covered[partition.start:partition.end] = True
-        assert covered.all() or base_size == 0, (
-            "partition row ranges do not cover the base column"
-        )
-        for left, right in zip(partitions, partitions[1:]):
-            assert left.start <= right.start, (
-                "partitions are not ordered by row-range start"
-            )
-            ranges_overlap = (left.start < right.end and right.start < left.end)
-            if not ranges_overlap:
-                continue
-            # partitions sharing rows of the base (split descendants) must
-            # cover disjoint value ranges, in list order
-            left_high = getattr(left, "max_value", None)
-            right_low = getattr(right, "min_value", None)
-            if hasattr(left, "effective_bounds"):
-                left_high = left.effective_bounds[1]
-                right_low = right.effective_bounds[0]
-            if left_high is None or right_low is None:
-                continue
-            assert left_high < right_low, (
-                f"split siblings have overlapping value bounds: "
-                f"{left_high} !< {right_low}"
-            )
 
 
 @guarded_by(
+    _pool="_pool_lock",
     queries_processed="_stats_lock",
     partition_splits="_stats_lock",
     partition_merges="_stats_lock",
 )
-class PartitionedCrackedColumn(_PartitionedFanOut):
+class PartitionedCrackedColumn:
     """A column sharded into contiguous partitions, each cracked independently.
 
     Parameters
     ----------
     column:
-        Base column (or raw array); each partition keeps a lazy private copy
-        of its slice, charged to the first query that touches it.
+        Base column (or raw array), sharded into contiguous partitions.
     partitions:
         Number of contiguous shards (clamped to the column size; >= 1).
     parallel:
         When True, queries overlapping more than one partition fan out over a
         thread pool; each worker gets private counters that are merged into
-        the caller's counters afterwards.  Answers are identical either way.
+        the caller's counters afterwards.  Per-partition cracks and merges
+        only touch partition-private state, so the fan-out is race-free and
+        answers (and logical costs) are identical to the sequential run.
     repartition:
-        Enable adaptive repartitioning: partitions absorbing a skewed share
-        of the visits (or exceeding ``max_partition_rows``) are split at a
-        crack boundary.  Answers are identical either way.
+        Enable adaptive repartitioning: a partition over the row cap,
+        bloated by a skewed insert stream or absorbing a skewed share of the
+        visits is split at a crack boundary, and partitions drained by
+        deletes are merged back into a value-adjacent sibling.  Answers are
+        identical either way — repartitioning only changes load spread.
     max_partition_rows:
-        Hard per-partition row cap enforced by repartitioning (None = no cap).
+        Hard per-partition row cap enforced by repartitioning (None = no
+        cap; with more than one partition the relative ``split_threshold``
+        triggers apply as well).
     split_threshold:
-        Relative skew trigger (> 1.0): a partition visited more than
-        ``split_threshold`` times the mean is split.
-    sort_threshold:
-        Forwarded to every partition's :class:`CrackedColumn`.
+        Relative skew trigger (> 1.0): a partition holding — or visited —
+        more than ``split_threshold`` times the mean is split.
+    sort_threshold / policy / merge_batch / lazy_copy:
+        Forwarded to every partition's :class:`CrackedColumn`: with
+        ``lazy_copy`` (the default) each partition copies its slice when it
+        is first touched and charges that query; otherwise all copies are
+        made up front and charged to nobody.  Under the gradual policy each
+        *partition* merges at most ``merge_batch`` pending updates per query
+        it participates in.
     max_workers:
         Fan-out width (defaults to the partition count, tracking it as
         repartitioning changes the topology; an explicit value is pinned).
-    executor:
-        Parallel execution backend: ``"thread"`` (default) fans out over a
-        thread pool, ``"process"`` over OS worker processes attached to the
-        partition arrays through shared memory.  Answers and logical cost
-        counters are bit-identical across backends.
+
+    Updates are routed to the owning partition: deletes by asking the
+    partitions which one knows the rowid, and inserts to the *best-fit*
+    partition — the one with the tightest value bounds containing the value
+    (falling back to the nearest partition by value distance, then to the
+    last partition while no bounds are known).  Routing never affects
+    answers — rowids are global — only load spread.
     """
 
     def __init__(
@@ -610,34 +379,63 @@ class PartitionedCrackedColumn(_PartitionedFanOut):
         split_threshold: float = 2.0,
         sort_threshold: int = 0,
         max_workers: Optional[int] = None,
-        executor: str = "thread",
         name: str = "",
+        policy: str = "ripple",
+        merge_batch: int = 16,
+        lazy_copy: bool = True,
     ) -> None:
         base = column.values if isinstance(column, Column) else np.asarray(column)
         if base.ndim != 1:
             raise ValueError("partitioned cracked columns are one-dimensional")
+        if max_partition_rows is not None and max_partition_rows < 1:
+            raise ValueError("max_partition_rows must be >= 1")
+        if split_threshold <= 1.0:
+            raise ValueError("split_threshold must be > 1.0")
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.parallel = bool(parallel)
-        (self.repartition, self.max_partition_rows,
-         self.split_threshold) = self._validate_repartition_options(
-            repartition, max_partition_rows, split_threshold
+        self.repartition = bool(repartition)
+        self.max_partition_rows = (
+            None if max_partition_rows is None else int(max_partition_rows)
         )
+        self.split_threshold = float(split_threshold)
+        self.policy = policy
+        self.merge_batch = int(merge_batch)
         self.sort_threshold = int(sort_threshold)
         self.queries_processed = 0
         self.partition_splits = 0
         self.partition_merges = 0
         self._partitions: List[ColumnPartition] = [
-            ColumnPartition(base[start:end], start, sort_threshold=sort_threshold,
-                            name=f"{self.name}[{start}:{end}]" if self.name else "")
+            ColumnPartition(
+                start, end,
+                CrackedColumn(
+                    base[start:end], rowid_base=start,
+                    sort_threshold=sort_threshold, policy=policy,
+                    merge_batch=merge_batch, lazy_copy=lazy_copy,
+                    name=f"{self.name}[{start}:{end}]" if self.name else "",
+                ),
+            )
             for start, end in partition_bounds(len(base), partitions)
         ]
-        self._init_fan_out(max_workers, executor)
+        self._next_rowid = len(base)
+        # a caller-chosen worker count is pinned; a defaulted one tracks the
+        # partition count as repartitioning splits and merges change it
+        self._explicit_workers = max_workers is not None
+        self._max_workers = max_workers or len(self._partitions)
+        # the two locks make a *converged* (read-only) column safe under the
+        # concurrent readers the batch scheduler fans out: ``_pool_lock``
+        # keeps the lazy thread pool from being created twice,
+        # ``_stats_lock`` keeps shared visit/query counters from losing
+        # increments
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._stats_lock = threading.Lock()
 
     # -- basic properties -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._base)
+        """Number of currently visible rows across all partitions."""
+        return sum(len(p) for p in self._partitions)
 
     @property
     def partition_count(self) -> int:
@@ -659,6 +457,18 @@ class PartitionedCrackedColumn(_PartitionedFanOut):
         return sum(p.cracked.nbytes for p in self._partitions)
 
     @property
+    def pending_inserts(self) -> int:
+        return sum(p.cracked.pending_inserts for p in self._partitions)
+
+    @property
+    def pending_deletes(self) -> int:
+        return sum(p.cracked.pending_deletes for p in self._partitions)
+
+    @property
+    def merges_performed(self) -> int:
+        return sum(p.cracked.merges_performed for p in self._partitions)
+
+    @property
     def materialised(self) -> bool:
         """True once at least one partition holds its cracker-column copy."""
         return any(p.cracked.materialised for p in self._partitions)
@@ -668,11 +478,12 @@ class PartitionedCrackedColumn(_PartitionedFanOut):
         """True when a search can no longer reorganise any physical state.
 
         Requires every partition to be materialised with a fully sorted
-        cracker column and known value bounds, and adaptive repartitioning
-        to be off (a repartitioning column may still split on any query).
-        A converged partitioned column is read-only under selection — the
-        remaining per-query bookkeeping (visit and query counters) is
-        guarded by ``_stats_lock``, so concurrent readers are safe.
+        cracker column, empty pending queues and known value bounds, and
+        adaptive repartitioning to be off (a repartitioning column may still
+        split on any query).  A converged partitioned column is read-only
+        under selection — the remaining per-query bookkeeping (visit and
+        query counters) is guarded by ``_stats_lock``, so concurrent readers
+        are safe.
         """
         if self.repartition:
             return False
@@ -681,7 +492,7 @@ class PartitionedCrackedColumn(_PartitionedFanOut):
         )
 
     def pieces(self) -> List[Piece]:
-        """All pieces across partitions, positions shifted to base coordinates.
+        """All pieces across partitions, positions shifted by the partition start.
 
         After repartitioning splits, fragments of one parent share the
         parent's coordinate frame, so their piece positions describe
@@ -702,537 +513,149 @@ class PartitionedCrackedColumn(_PartitionedFanOut):
                 )
         return result
 
-    # -- adaptive repartitioning -----------------------------------------------
-
     def partition_loads(self) -> List[dict]:
         """Per-partition load summaries, left to right."""
         return [p.load() for p in self._partitions]
 
-    def _split_candidate(self) -> Optional[int]:
-        """Index of the partition most in need of a split, or None."""
-        partitions = self._partitions
-        count = len(partitions)
-        sizes = [len(p) for p in partitions]
-        if self.max_partition_rows is not None:
-            over = [
-                (sizes[i], i) for i in range(count)
-                if sizes[i] > self.max_partition_rows and sizes[i] >= 2
-            ]
-            if over:
-                return max(over)[1]
-        if count > 1:
-            mean_rows = sum(sizes) / count
-            visits = [p.visits for p in partitions]
-            mean_visits = sum(visits) / count
-            hot = [
-                (visits[i], i) for i in range(count)
-                if sizes[i] >= 2
-                and visits[i] >= _MIN_SPLIT_VISITS
-                and visits[i] > self.split_threshold * mean_visits
-                and sizes[i] * self.split_threshold >= mean_rows
-            ]
-            if hot:
-                return max(hot)[1]
-        return None
+    # -- the thread fan-out -----------------------------------------------------
 
-    def _maybe_rebalance(self, counters: Optional[CostCounters]) -> None:
-        """Split skewed partitions (bounded work per call; main thread only)."""
-        if not self.repartition:
-            return
-        partitions = self._partitions  # hoisted out of the split loop (PF002)
-        for _ in range(_MAX_SPLITS_PER_CHECK):
-            candidate = self._split_candidate()
-            if candidate is None:
-                break
-            parent = partitions[candidate]
-            children = parent.split(counters)
-            if children is None:
-                break
-            left, right = children
-            left.visits = right.visits = parent.visits // 2
-            procexec.release_shared(parent)
-            partitions[candidate:candidate + 1] = [left, right]
-            with self._stats_lock:
-                self.partition_splits += 1
-        self._sync_worker_pool()
-
-    # -- the adaptive select operator -----------------------------------------
-
-    def search(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-        parallel: Optional[bool] = None,
-    ) -> np.ndarray:
-        """Positions (into the base column) of rows with ``low <= value < high``.
-
-        Cracks only the partitions whose value range overlaps the predicate,
-        each as a side effect of its own sub-selection.  Positions are
-        returned in partition order (ascending partition, cracker order
-        within each partition); the *set* of positions is identical to what a
-        whole-column :class:`CrackedColumn` would return.
-        """
-        self._maybe_rebalance(counters)
-        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
-        with self._stats_lock:
-            self.queries_processed += 1
-            for target in targets:
-                target.visits += 1
-        if not targets:
-            return np.empty(0, dtype=np.int64)
-        chunks = self._fan_out(targets, "search", low, high, counters, parallel)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
-
-    def search_values(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-        parallel: Optional[bool] = None,
-    ) -> np.ndarray:
-        """Qualifying *values* rather than base positions (cracks as a side effect)."""
-        self._maybe_rebalance(counters)
-        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
-        with self._stats_lock:
-            self.queries_processed += 1
-            for target in targets:
-                target.visits += 1
-        if not targets:
-            return np.empty(0, dtype=self._base.dtype)
-        chunks = self._fan_out(targets, "search_values", low, high, counters, parallel)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
-
-    def count(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-        parallel: Optional[bool] = None,
-    ) -> int:
-        """Number of qualifying rows (cracks as a side effect)."""
-        self._maybe_rebalance(counters)
-        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
-        with self._stats_lock:
-            self.queries_processed += 1
-            for target in targets:
-                target.visits += 1
-        if not targets:
-            return 0
-        return int(sum(self._fan_out(targets, "count", low, high, counters, parallel)))
-
-    # -- maintenance / inspection ----------------------------------------------
-
-    def is_fully_sorted(self) -> bool:
-        """True when every partition is materialised and fully sorted internally."""
-        return all(p.cracked.is_fully_sorted() for p in self._partitions)
-
-    def check_invariants(self) -> None:
-        """Per-partition invariants plus global rowid/layout consistency."""
-        for partition in self._partitions:
-            partition.cracked.check_invariants()
-        self._check_partition_layout(len(self._base))
-        # global rowid consistency: every base position is owned by exactly
-        # one partition (materialised partitions contribute their cracker
-        # rowids shifted to base coordinates, pristine ones their row range)
-        chunks = []
-        for partition in self._partitions:
-            if partition.cracked.materialised:
-                global_rowids = partition.cracked.rowids + partition.start
-                assert np.array_equal(
-                    partition.cracked.values, self._base[global_rowids]
-                ), (
-                    f"partition [{partition.start}:{partition.end}) "
-                    f"misaligned with base"
+    def _executor(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._max_workers,
+                    thread_name_prefix="repro-partition",
                 )
-                chunks.append(global_rowids)
-            else:
-                chunks.append(
-                    np.arange(partition.start, partition.end, dtype=np.int64)
-                )
-        all_rowids = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-        assert np.array_equal(
-            np.sort(all_rowids), np.arange(len(self._base))
-        ), "global rowids are not a permutation of the base positions"
+            return self._pool
 
-    @property
-    def structure_description(self) -> str:
-        cracked = sum(1 for p in self._partitions if p.cracked.materialised)
-        description = (
-            f"partitioned cracking: {self.partition_count} partitions "
-            f"({cracked} touched), {self.piece_count} pieces"
-        )
-        if self.repartition:
-            description += (
-                f", {self.partition_splits} splits/"
-                f"{self.partition_merges} merges"
-            )
-        return description
+    def _sync_worker_pool(self) -> None:
+        """Track topology changes with the fan-out width (defaulted sizing only).
 
-
-class UpdatableColumnPartition:
-    """One contiguous shard of a partitioned *updatable* cracked column.
-
-    Owns a private :class:`UpdatableCrackedColumn` over ``base[start:end]``
-    numbered in global coordinates (``rowid_base=start``), so its answers
-    need no shifting.  The partition keeps conservative value bounds: the
-    min/max of the base slice (learned lazily, charged to the first touching
-    query, as in :class:`ColumnPartition`) widened by every value ever
-    inserted into the partition.  Bounds are never narrowed — deleting the
-    extreme value leaves them stale-wide, which only costs a spurious visit,
-    never a missed row.
-
-    After an adaptive-repartitioning split a partition becomes a *fragment*
-    with exact bounds over an arbitrary subset of its parent's rows (the
-    underlying column carries its original rowids as an explicit set); it
-    behaves identically otherwise.
-    """
-
-    __slots__ = ("start", "end", "updatable", "_base_slice", "min_value",
-                 "max_value", "_bounds_known", "_extra_min", "_extra_max",
-                 "_shared")
-
-    def __init__(self, base_slice: np.ndarray, start: int, policy: str = "ripple",
-                 merge_batch: int = 16, sort_threshold: int = 0,
-                 name: str = "") -> None:
-        self.start = int(start)
-        self.end = int(start) + len(base_slice)
-        self._base_slice = base_slice
-        self.updatable = UpdatableCrackedColumn(
-            base_slice, policy=policy, merge_batch=merge_batch,
-            sort_threshold=sort_threshold, rowid_base=start, name=name,
-        )
-        self.min_value: Optional[float] = None
-        self.max_value: Optional[float] = None
-        self._bounds_known = False
-        self._extra_min: Optional[float] = None
-        self._extra_max: Optional[float] = None
-        self._shared = None
-
-    @classmethod
-    def _fragment(
-        cls,
-        start: int,
-        end: int,
-        updatable: UpdatableCrackedColumn,
-        bounds: Tuple[Optional[float], Optional[float]],
-    ) -> "UpdatableColumnPartition":
-        """A partition wrapping a pre-split updatable column fragment."""
-        partition = cls.__new__(cls)
-        partition.start = int(start)
-        partition.end = int(end)
-        partition._base_slice = np.empty(0, dtype=updatable.values.dtype)
-        partition.updatable = updatable
-        partition.min_value, partition.max_value = bounds
-        partition._bounds_known = True
-        partition._extra_min = None
-        partition._extra_max = None
-        partition._shared = None
-        return partition
-
-    def __len__(self) -> int:
-        """Number of currently visible rows in this partition."""
-        return len(self.updatable)
-
-    @property
-    def is_fragment(self) -> bool:
-        """True when this partition was produced by a split or a merge."""
-        return self.updatable._original_rowids is not None
-
-    @charges("scans", "comparisons")
-    def _ensure_bounds(self, counters: Optional[CostCounters]) -> None:
-        """Learn the base slice's value range (one scan, charged once)."""
-        if self._bounds_known:
-            return
-        if len(self._base_slice):
-            self.min_value = float(self._base_slice.min())
-            self.max_value = float(self._base_slice.max())
-            if counters is not None:
-                counters.record_scan(len(self._base_slice))
-                counters.record_comparisons(2 * len(self._base_slice))
-        self._bounds_known = True
-
-    @property
-    def effective_bounds(self) -> Tuple[Optional[float], Optional[float]]:
-        """Known value bounds: base bounds (once learned) widened by inserts."""
-        lows = [b for b in (self.min_value, self._extra_min) if b is not None]
-        highs = [b for b in (self.max_value, self._extra_max) if b is not None]
-        return (min(lows) if lows else None, max(highs) if highs else None)
-
-    def contains_value(self, value: float) -> bool:
-        """True when ``value`` falls inside the currently known bounds."""
-        low, high = self.effective_bounds
-        return low is not None and low <= value <= high
-
-    def bounds_span(self) -> Optional[float]:
-        """Width of the known bounds (None while no bounds are known)."""
-        low, high = self.effective_bounds
-        return None if low is None else high - low
-
-    def overlaps(self, low: Optional[float], high: Optional[float],
-                 counters: Optional[CostCounters]) -> bool:
-        """True when ``[low, high)`` can contain visible values of this partition."""
-        self._ensure_bounds(counters)
-        bound_low, bound_high = self.effective_bounds
-        if bound_low is None:
-            return False
-        if low is not None and bound_high < low:
-            return False
-        if high is not None and bound_low >= high:
-            return False
-        return True
-
-    # -- updates --------------------------------------------------------------
-
-    def insert(self, value: float, counters: Optional[CostCounters],
-               rowid: int) -> int:
-        """Queue one insert (globally numbered) and widen the bounds."""
-        rowid = self.updatable.insert(value, counters, rowid=rowid)
-        value = float(value)
-        if self._extra_min is None or value < self._extra_min:
-            self._extra_min = value
-        if self._extra_max is None or value > self._extra_max:
-            self._extra_max = value
-        return rowid
-
-    def delete(self, rowid: int, counters: Optional[CostCounters]) -> None:
-        self.updatable.delete(rowid, counters)
-
-    # -- queries ---------------------------------------------------------------
-
-    def search(self, low: Optional[float], high: Optional[float],
-               counters: Optional[CostCounters]) -> np.ndarray:
-        """Global rowids of visible qualifying rows inside this partition."""
-        return self.updatable.search(low, high, counters)
-
-    def load(self) -> dict:
-        """Per-partition load summary (rows, pending depth, queries)."""
-        return {
-            "rows": len(self),
-            "pending": (self.updatable.pending_inserts
-                        + self.updatable.pending_deletes),
-            "queries": self.updatable.queries_processed,
-            "pieces": self.updatable.piece_count,
-        }
-
-    @charges("scans", "comparisons")
-    def split(
-        self, counters: Optional[CostCounters]
-    ) -> Optional[Tuple["UpdatableColumnPartition", "UpdatableColumnPartition"]]:
-        """Split into two partitions; None when no useful pivot exists.
-
-        The pivot is an existing crack boundary near the middle of the
-        merged region (or the median value); pending updates follow their
-        value's side.  Both fragments receive exact value bounds, so bounds
-        pruning and insert routing stay tight after the split.
+        ``_max_workers`` defaults to the partition count at construction;
+        without this hook a repartitioning split past that count leaves the
+        fan-out under-subscribed forever (and merges leave the pool
+        oversized).  An existing thread pool of the wrong size is retired
+        and lazily re-created at the new width.
         """
-        updatable = self.updatable
-        pivot = _choose_split_pivot(updatable.values, updatable.index)
-        if pivot is None:
-            return None
-        left_column, right_column = updatable.split_at(pivot, counters)
-        if counters is not None:
-            # exact bounds of both fragments cost one scan of their content
-            total = len(left_column.values) + len(right_column.values)
-            counters.record_scan(total)
-            counters.record_comparisons(2 * total)
-        left = UpdatableColumnPartition._fragment(
-            self.start, self.end, left_column,
-            _updatable_content_bounds(left_column),
-        )
-        right = UpdatableColumnPartition._fragment(
-            self.start, self.end, right_column,
-            _updatable_content_bounds(right_column),
-        )
-        return left, right
+        if self._explicit_workers:
+            return
+        desired = max(1, len(self._partitions))
+        with self._pool_lock:
+            if desired == self._max_workers:
+                return
+            self._max_workers = desired
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
+    def close(self) -> None:
+        """Release the thread pool.
 
-@guarded_by(
-    queries_processed="_stats_lock",
-    partition_splits="_stats_lock",
-    partition_merges="_stats_lock",
-)
-class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
-    """Partitioned cracking with first-class inserts, deletes and updates.
+        Idempotent, and not final — a later parallel query re-creates it.
+        """
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
-    Parameters
-    ----------
-    column:
-        Base column (or raw array), sharded into contiguous partitions.
-    partitions:
-        Number of contiguous shards (clamped to the column size; >= 1).
-    parallel:
-        When True, queries overlapping more than one partition fan out over
-        a thread pool; per-partition merges only touch partition-private
-        state, so the fan-out is race-free and answers (and logical costs)
-        are identical to the sequential run.
-    repartition:
-        Enable adaptive repartitioning: a partition bloated by a skewed
-        insert stream is split at a crack boundary, and partitions drained
-        by deletes are merged back into a value-adjacent sibling.  Answers
-        are identical either way — repartitioning only changes load spread.
-    max_partition_rows:
-        Hard per-partition row cap enforced by repartitioning (None = no
-        cap; with more than one partition the relative ``split_threshold``
-        trigger applies as well).
-    split_threshold:
-        Relative skew trigger (> 1.0): a partition holding more than
-        ``split_threshold`` times the mean partition row count is split.
-    policy / merge_batch:
-        Pending-update merge policy of every partition — see
-        :class:`~repro.core.cracking.updates.UpdatableCrackedColumn`.  Under
-        the gradual policy each *partition* merges at most ``merge_batch``
-        pending updates per query it participates in.
-    sort_threshold / max_workers / executor:
-        As in :class:`PartitionedCrackedColumn`.
+    def __enter__(self):
+        return self
 
-    Updates are routed to the owning partition: deletes by asking the
-    partitions which one knows the rowid, and inserts to the *best-fit*
-    partition — the one with the tightest value bounds containing the value
-    (falling back to the nearest partition by value distance, then to the
-    last partition while no bounds are known).  Routing never affects
-    answers — rowids are global — only load spread.
-    """
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-    def __init__(
+    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def _fan_out(
         self,
-        column: Union[Column, np.ndarray],
-        partitions: int = 4,
-        parallel: bool = False,
-        repartition: bool = False,
-        max_partition_rows: Optional[int] = None,
-        split_threshold: float = 2.0,
-        policy: str = "ripple",
-        merge_batch: int = 16,
-        sort_threshold: int = 0,
-        max_workers: Optional[int] = None,
-        executor: str = "thread",
-        name: str = "",
-    ) -> None:
-        base = column.values if isinstance(column, Column) else np.asarray(column)
-        if base.ndim != 1:
-            raise ValueError("partitioned cracked columns are one-dimensional")
-        self.name = name or (column.name if isinstance(column, Column) else "")
-        self._base = base
-        self.parallel = bool(parallel)
-        (self.repartition, self.max_partition_rows,
-         self.split_threshold) = self._validate_repartition_options(
-            repartition, max_partition_rows, split_threshold
-        )
-        self.policy = policy
-        self.merge_batch = int(merge_batch)
-        self.sort_threshold = int(sort_threshold)
-        self.queries_processed = 0
-        self.partition_splits = 0
-        self.partition_merges = 0
-        self._partitions: List[UpdatableColumnPartition] = [
-            UpdatableColumnPartition(
-                base[start:end], start, policy=policy, merge_batch=merge_batch,
-                sort_threshold=sort_threshold,
-                name=f"{self.name}[{start}:{end}]" if self.name else "",
-            )
-            for start, end in partition_bounds(len(base), partitions)
+        targets: Sequence[ColumnPartition],
+        low: Optional[float],
+        high: Optional[float],
+        counters: Optional[CostCounters],
+        parallel: Optional[bool],
+    ) -> List[np.ndarray]:
+        """Search every target partition, sequentially or in parallel.
+
+        Per-partition results are returned in partition order.  In parallel
+        mode each worker writes to its own counters; the private counters are
+        merged into ``counters`` once all workers finish, so concurrent
+        workers never share a mutable counter instance.
+        """
+        use_parallel = self.parallel if parallel is None else bool(parallel)
+        if not use_parallel or len(targets) <= 1:
+            return [t.cracked.search(low, high, counters) for t in targets]
+        locals_counters = [CostCounters() if counters is not None else None
+                           for _ in targets]
+        pool = self._executor()
+        futures = [
+            pool.submit(target.cracked.search, low, high, private)
+            for target, private in zip(targets, locals_counters)
         ]
-        self._next_rowid = len(base)
-        self._init_fan_out(max_workers, executor)
-
-    # -- basic properties -------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of currently visible rows across all partitions."""
-        return sum(len(p) for p in self._partitions)
-
-    @property
-    def partition_count(self) -> int:
-        return len(self._partitions)
-
-    @property
-    def partitions(self) -> List[UpdatableColumnPartition]:
-        """The partitions, left to right (for inspection and tests)."""
-        return list(self._partitions)
-
-    @property
-    def piece_count(self) -> int:
-        """Total pieces across all partition cracker indexes."""
-        return sum(p.updatable.piece_count for p in self._partitions)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of auxiliary storage held across all partitions."""
-        return sum(p.updatable.nbytes for p in self._partitions)
-
-    @property
-    def pending_inserts(self) -> int:
-        return sum(p.updatable.pending_inserts for p in self._partitions)
-
-    @property
-    def pending_deletes(self) -> int:
-        return sum(p.updatable.pending_deletes for p in self._partitions)
-
-    @property
-    def merges_performed(self) -> int:
-        return sum(p.updatable.merges_performed for p in self._partitions)
-
-    @property
-    def next_rowid(self) -> int:
-        """The identifier the next insert will receive."""
-        return self._next_rowid
-
-    def partition_loads(self) -> List[dict]:
-        """Per-partition load summaries, left to right."""
-        return [p.load() for p in self._partitions]
+        results = [future.result() for future in futures]
+        if counters is not None:
+            for private in locals_counters:
+                counters += private
+        return results
 
     # -- update routing ---------------------------------------------------------
 
-    def _route_insert(self, value: float) -> UpdatableColumnPartition:
+    def _route_insert(self, value: float) -> ColumnPartition:
         """The partition that should absorb an insert of ``value``.
 
         Best fit: among the partitions whose known bounds contain the value,
         the one with the *tightest* bounds — after a split, the fragment
         actually covering the hot range, not merely the leftmost partition
-        whose (possibly stale-wide) bounds happen to contain it.
+        whose (possibly stale-wide) bounds happen to contain it.  Failing
+        that the partition nearest by value distance, and the last partition
+        while no bounds are known at all.
         """
-        best: Optional[UpdatableColumnPartition] = None
+        best: Optional[ColumnPartition] = None
         best_span: Optional[float] = None
-        for partition in self._partitions:
-            if partition.contains_value(value):
-                span = partition.bounds_span()
-                if best_span is None or span < best_span:
-                    best, best_span = partition, span
-        if best is not None:
-            return best
-        best_distance: Optional[float] = None
+        nearest: Optional[ColumnPartition] = None
+        nearest_distance: Optional[float] = None
         for partition in self._partitions:
             low, high = partition.effective_bounds
             if low is None:
                 continue
-            distance = (low - value) if value < low else (value - high)
-            if best_distance is None or distance < best_distance:
-                best, best_distance = partition, distance
-        return best if best is not None else self._partitions[-1]
+            if low <= value <= high:
+                if best_span is None or high - low < best_span:
+                    best, best_span = partition, high - low
+            else:
+                distance = (low - value) if value < low else (value - high)
+                if nearest_distance is None or distance < nearest_distance:
+                    nearest, nearest_distance = partition, distance
+        # Identity tests, not truthiness: a partition drained by deletes has
+        # ``len() == 0`` and would read as falsy, yet still owns its bounds.
+        if best is not None:
+            return best
+        return nearest if nearest is not None else self._partitions[-1]
 
-    def _owning_partition(self, rowid: int) -> UpdatableColumnPartition:
+    def _owning_partition(self, rowid: int) -> ColumnPartition:
         """The partition owning ``rowid``.
 
-        Every partition can answer ownership in O(1) for original rows
-        (range or set membership) and for inserted rows (its insert
-        registry), so the lookup is a short scan over the partition list;
-        fully removed rows are unknown everywhere and raise ``KeyError``,
-        matching the unpartitioned column.
+        Every partition can answer ownership in O(1) for base rows (range
+        or set membership) and for inserted rows (its insert registry), so
+        the lookup is a short scan over the partition list; fully removed
+        rows are unknown everywhere and raise ``KeyError``, matching the
+        unpartitioned column.
         """
         for partition in self._partitions:
-            if partition.updatable.knows_rowid(rowid):
+            if partition.cracked.knows_rowid(rowid):
                 return partition
         raise KeyError(f"unknown row identifier {rowid}")
 
     # -- adaptive repartitioning -------------------------------------------------
 
     def _split_candidate(self) -> Optional[int]:
-        """Index of the partition most in need of a split, or None."""
+        """Index of the partition most in need of a split, or None.
+
+        Row cap first, then row skew, then visit skew (see the module
+        docstring).
+        """
         partitions = self._partitions
         count = len(partitions)
         sizes = [len(p) for p in partitions]
@@ -1251,6 +674,17 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
             ]
             if big:
                 return max(big)[1]
+            visits = [p.visits for p in partitions]
+            mean_visits = sum(visits) / count
+            hot = [
+                (visits[i], i) for i in range(count)
+                if sizes[i] >= 2
+                and visits[i] >= _MIN_SPLIT_VISITS
+                and visits[i] > self.split_threshold * mean_visits
+                and sizes[i] * self.split_threshold >= mean_rows
+            ]
+            if hot:
+                return max(hot)[1]
         return None
 
     def _maybe_split(self, counters: Optional[CostCounters]) -> None:
@@ -1266,8 +700,9 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
             children = parent.split(counters)
             if children is None:
                 break
-            procexec.release_shared(parent)
-            partitions[candidate:candidate + 1] = list(children)
+            left, right = children
+            left.visits = right.visits = parent.visits // 2
+            partitions[candidate:candidate + 1] = [left, right]
             with self._stats_lock:
                 self.partition_splits += 1
         self._sync_worker_pool()
@@ -1302,17 +737,16 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
             else:
                 # one side never held a value: nothing constrains the merge
                 pivot = right_low if right_low is not None else 0.0
-            merged_column = UpdatableCrackedColumn.merged(
-                left.updatable, right.updatable, pivot, counters
+            merged_column = CrackedColumn.merged(
+                left.cracked, right.cracked, pivot, counters
             )
             lows = [b for b in (left_low, right_low) if b is not None]
             highs = [b for b in (left_high, right_high) if b is not None]
-            merged = UpdatableColumnPartition._fragment(
+            merged = ColumnPartition(
                 left.start, max(left.end, right.end), merged_column,
                 (min(lows) if lows else None, max(highs) if highs else None),
             )
-            procexec.release_shared(left)
-            procexec.release_shared(right)
+            merged.visits = left.visits + right.visits
             partitions[i:i + 2] = [merged]
             with self._stats_lock:
                 self.partition_merges += 1
@@ -1321,8 +755,18 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
 
     # -- updates ----------------------------------------------------------------
 
-    def insert(self, value: float, counters: Optional[CostCounters] = None) -> int:
-        """Queue the insertion of ``value``; returns its new (global) rowid."""
+    def insert(self, value: float, counters: Optional[CostCounters] = None,
+               rowid: Optional[int] = None) -> int:
+        """Queue the insertion of ``value``; returns its new (global) rowid.
+
+        Identifiers are assigned sequentially; a caller-supplied ``rowid``
+        is only checked against the one the insert is about to receive.
+        """
+        if rowid is not None and rowid != self._next_rowid:
+            raise ValueError(
+                "partitioned cracking assigns rowids sequentially; "
+                f"expected {self._next_rowid}, got {rowid}"
+            )
         partition = self._route_insert(float(value))
         rowid = partition.insert(value, counters, self._next_rowid)
         self._next_rowid += 1
@@ -1331,7 +775,7 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
 
     def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
         """Queue the deletion of the row identified by (global) ``rowid``."""
-        self._owning_partition(rowid).delete(rowid, counters)
+        self._owning_partition(rowid).cracked.delete(rowid, counters)
         self._maybe_merge(counters)
 
     def update(self, rowid: int, new_value: float,
@@ -1341,11 +785,11 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
         The new value is validated before the delete is queued, so a
         rejected value leaves the old row untouched.
         """
-        self._partitions[0].updatable.check_insertable(new_value)
+        self._partitions[0].cracked.check_insertable(new_value)
         self.delete(rowid, counters)
         return self.insert(new_value, counters)
 
-    # -- the adaptive select operator -------------------------------------------
+    # -- the adaptive select operator -----------------------------------------
 
     def search(
         self,
@@ -1356,58 +800,101 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
     ) -> np.ndarray:
         """Global rowids of visible rows with ``low <= value < high``.
 
-        Each overlapping partition merges its own qualifying pending updates
-        (per the configured policy) and cracks itself as a side effect; the
-        *set* of rowids is identical to what an unpartitioned
-        :class:`UpdatableCrackedColumn` would return.
+        Only the partitions whose value range overlaps the predicate are
+        visited; each merges its own qualifying pending updates (per the
+        configured policy) and cracks itself as a side effect of its own
+        sub-selection.  Rowids are returned in partition order (ascending
+        partition, cracker order within each partition); the *set* of
+        rowids is identical to what a whole-column :class:`CrackedColumn`
+        would return.
         """
+        self._maybe_split(counters)
+        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
         with self._stats_lock:
             self.queries_processed += 1
-        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
+            for target in targets:
+                target.visits += 1
         if not targets:
             return np.empty(0, dtype=np.int64)
-        chunks = self._fan_out(targets, "search", low, high, counters, parallel)
+        chunks = self._fan_out(targets, low, high, counters, parallel)
         if len(chunks) == 1:
             return chunks[0]
         return np.concatenate(chunks)
 
-    # -- verification -----------------------------------------------------------
+    # -- maintenance / inspection ----------------------------------------------
+
+    def is_fully_sorted(self) -> bool:
+        """True when every partition is materialised and fully sorted internally."""
+        return all(p.cracked.is_fully_sorted() for p in self._partitions)
 
     def visible_values(self) -> np.ndarray:
         """Multiset of currently visible values (reference for tests)."""
-        chunks = [p.updatable.visible_values() for p in self._partitions]
-        return np.concatenate(chunks) if len(chunks) > 1 else chunks[0].copy()
+        return np.concatenate(
+            [p.cracked.visible_values() for p in self._partitions]
+        )
 
     def check_invariants(self) -> None:
-        """Per-partition invariants plus global rowid consistency (tests)."""
-        for partition in self._partitions:
-            partition.updatable.check_invariants()
-        self._check_partition_layout(len(self._base))
-        seen: set = set()
-        for partition in self._partitions:
-            merged = partition.updatable.rowids.tolist()
-            pending = partition.updatable._pending_insert_rowids
-            for rowid in merged:
-                original = 0 <= rowid < len(self._base)
-                if original:
-                    assert partition.start <= rowid < partition.end, (
-                        f"original row {rowid} merged outside its partition "
-                        f"row range [{partition.start}:{partition.end})"
-                    )
-                else:
-                    assert partition.updatable.knows_rowid(rowid), (
-                        f"inserted row {rowid} lives in a partition that "
-                        f"does not know it"
-                    )
-            for rowid in list(merged) + list(pending):
-                assert rowid not in seen, f"row {rowid} appears in two partitions"
-                seen.add(rowid)
+        """Per-partition invariants plus global rowid/layout consistency (tests)."""
+        base_size = len(self._base)
+        partitions = self._partitions
+        covered = np.zeros(base_size, dtype=bool)
+        for partition in partitions:
+            partition.cracked.check_invariants()
+            assert 0 <= partition.start <= partition.end <= base_size, (
+                f"row range [{partition.start}:{partition.end}) outside the base"
+            )
+            covered[partition.start:partition.end] = True
+        assert covered.all(), "partition row ranges do not cover the base column"
+        for left, right in zip(partitions, partitions[1:]):
+            assert left.start <= right.start, (
+                "partitions are not ordered by row-range start"
+            )
+            if not (left.start < right.end and right.start < left.end):
+                continue
+            # partitions sharing rows of the base (split descendants) must
+            # cover disjoint value ranges, in list order
+            left_high = left.effective_bounds[1]
+            right_low = right.effective_bounds[0]
+            if left_high is None or right_low is None:
+                continue
+            assert left_high < right_low, (
+                f"split siblings have overlapping value bounds: "
+                f"{left_high} !< {right_low}"
+            )
+        # every rowid lives in exactly one partition; base rows stay inside
+        # their partition's row range and keep their base value (a pristine
+        # partition contributes its row range as is)
+        chunks = []
+        for partition in partitions:
+            cracked = partition.cracked
+            if not cracked.materialised:
+                chunks.append(
+                    np.arange(partition.start, partition.end, dtype=np.int64)
+                )
+                continue
+            original = cracked.rowids < base_size
+            base_rowids = cracked.rowids[original]
+            assert np.all(
+                (base_rowids >= partition.start) & (base_rowids < partition.end)
+            ), (
+                f"base rows merged outside their partition row range "
+                f"[{partition.start}:{partition.end})"
+            )
+            assert np.array_equal(
+                cracked.values[original], self._base[base_rowids]
+            ), f"partition [{partition.start}:{partition.end}) misaligned with base"
+            for rowid in cracked.rowids[~original].tolist():
+                assert cracked.knows_rowid(rowid), (
+                    f"inserted row {rowid} lives in a partition that does "
+                    f"not know it"
+                )
+            chunks.append(cracked.rowids)
+            chunks.append(np.asarray(cracked._pending_insert_rowids,
+                                     dtype=np.int64))
             # everything a partition holds stays within its known bounds
             if partition._bounds_known:
                 low, high = partition.effective_bounds
-                content_low, content_high = _updatable_content_bounds(
-                    partition.updatable
-                )
+                content_low, content_high = _content_bounds(cracked)
                 if content_low is not None:
                     assert low is not None and low <= content_low, (
                         f"partition content below its bounds: "
@@ -1417,13 +904,24 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
                         f"partition content above its bounds: "
                         f"{content_high} > {high}"
                     )
+        all_rowids = np.concatenate(chunks)
+        assert len(np.unique(all_rowids)) == len(all_rowids), (
+            "a row appears in two partitions"
+        )
+        if not self.merges_performed:
+            # nothing inserted or deleted physically: the merged rowids are
+            # exactly the base positions
+            merged = all_rowids[all_rowids < base_size]
+            assert np.array_equal(np.sort(merged), np.arange(base_size)), (
+                "global rowids are not a permutation of the base positions"
+            )
 
     @property
     def structure_description(self) -> str:
+        touched = sum(1 for p in self._partitions if p.cracked.materialised)
         description = (
-            f"partitioned updatable cracking ({self.policy}): "
-            f"{self.partition_count} partitions, {self.piece_count} pieces, "
-            f"{self.pending_inserts}+{self.pending_deletes} pending"
+            f"partitioned cracking: {self.partition_count} partitions "
+            f"({touched} touched), {self.piece_count} pieces"
         )
         if self.repartition:
             description += (
@@ -1431,3 +929,9 @@ class PartitionedUpdatableCrackedColumn(_PartitionedFanOut):
                 f"{self.partition_merges} merges"
             )
         return description
+
+
+#: the historical name of the column with every partition copied up front
+#: (and charged to no query) — the accounting the updatable registry name uses.
+#: A factory, not a type: ``isinstance`` and annotations take the class above.
+PartitionedUpdatableCrackedColumn = partial(PartitionedCrackedColumn, lazy_copy=False)

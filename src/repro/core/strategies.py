@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -23,12 +24,8 @@ from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.stochastic import StochasticCrackedColumn
-from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.core.hybrids.hybrid_index import HybridIndex
-from repro.core.partitioned import (
-    PartitionedCrackedColumn,
-    PartitionedUpdatableCrackedColumn,
-)
+from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
 from repro.cost.counters import CostCounters
 from repro.indexes.full_index import FullIndex
@@ -36,6 +33,11 @@ from repro.indexes.full_index import FullIndex
 
 def _as_array(column: Union[Column, np.ndarray]) -> np.ndarray:
     return column.values if isinstance(column, Column) else np.asarray(column)
+
+
+def _given(options: Dict[str, object], *keys: str) -> Dict[str, object]:
+    """The entries of ``options`` under ``keys`` that the caller supplied."""
+    return {key: options[key] for key in keys if key in options}
 
 
 @guarded_by(queries_processed="_stats_lock")
@@ -110,12 +112,12 @@ class SearchStrategy(ABC):
         return scan_select(self._array, RangePredicate(low, high))
 
     def close(self) -> None:
-        """Release execution resources (pools, shared-memory segments).
+        """Release execution resources (thread pools).
 
         Most strategies hold none — the base implementation is a no-op.
         The engine calls this whenever an access path is dropped or
         replaced, so strategies owning OS resources (the partitioned
-        columns' fan-out pools and shared segments) must override it.
+        column's fan-out pool) must override it.
         """
 
 
@@ -188,129 +190,67 @@ class SortFirstStrategy(SearchStrategy):
 
 
 class CrackingStrategy(SearchStrategy):
-    """Standard selection cracking (CIDR 2007)."""
+    """Selection cracking (CIDR 2007) — the one wrapper behind every cracking name.
+
+    The registry names differ only in the options they fix (see the
+    registrations at the end of this module):
+
+    * ``partitions`` — ``None`` cracks the whole column
+      (:class:`~repro.core.cracking.cracked_column.CrackedColumn`); a shard
+      count cracks a
+      :class:`~repro.core.partitioned.PartitionedCrackedColumn`, which also
+      takes ``parallel`` (fan the per-partition sub-selections out over a
+      thread pool, default False), ``max_workers``, and ``repartition``
+      (adaptive repartitioning under skewed query or insert streams, default
+      False) with ``max_partition_rows``/``split_threshold``;
+    * ``supports_updates`` — whether the engine routes inserts, deletes and
+      updates into the column's pending queues, merged on demand (SIGMOD
+      2007), or rebuilds the strategy after DML.  ``policy`` (``"ripple"``
+      merges every qualifying pending update, ``"gradual"`` at most
+      ``merge_batch`` per query — default ``"ripple"``) and ``merge_batch``
+      (gradual-policy budget, default 16) choose how.  Updatable names copy
+      the column up front and charge the copy to no query; the read-only
+      names charge it to the first query that touches it;
+    * ``sort_threshold`` — pieces at most this large are sorted outright.
+    """
 
     name = "cracking"
 
-    def __init__(self, column, **options):
+    def __init__(self, column, *, name="cracking", supports_updates=False,
+                 **options):
+        if "executor" in options:
+            # retired with the process backend; refused here so it cannot be
+            # kept in ``options`` and journaled (recovery drops it from old logs)
+            raise ValueError("the 'executor' option was removed; use "
+                             "parallel=True/max_workers= for the thread pool")
         super().__init__(column, **options)
-        self.cracked = CrackedColumn(
-            column,
-            sort_threshold=options.get("sort_threshold", 0),
-            lazy_copy=True,
-        )
-
-    @property
-    def reorganizes_on_read(self) -> bool:
-        """Mutating until the cracker column becomes fully sorted."""
-        return not self.cracked.converged
-
-    def search(self, low, high, counters=None):
-        self.note_query()
-        return self.cracked.search(low, high, counters)
-
-    @property
-    def nbytes(self) -> int:
-        return self.cracked.nbytes
-
-    @property
-    def structure_description(self) -> str:
-        return f"cracking: {self.cracked.piece_count} pieces"
-
-
-class CrackingSortedPiecesStrategy(CrackingStrategy):
-    """Cracking that fully sorts pieces once they shrink below a threshold."""
-
-    name = "cracking-sort-pieces"
-
-    def __init__(self, column, **options):
-        options.setdefault("sort_threshold", 128)
-        super().__init__(column, **options)
-
-
-class PartitionedCrackingStrategy(SearchStrategy):
-    """Partitioned (optionally parallel) selection cracking.
-
-    Options: ``partitions`` (shard count, default 4), ``parallel`` (fan the
-    per-partition sub-selections out over a thread pool, default False),
-    ``repartition`` (adaptive repartitioning under skewed query streams,
-    default False) with ``max_partition_rows``/``split_threshold``,
-    ``sort_threshold``, ``max_workers`` and ``executor`` (``"thread"`` or
-    ``"process"`` fan-out backend) — see
-    :class:`~repro.core.partitioned.PartitionedCrackedColumn`.
-    """
-
-    name = "partitioned-cracking"
-
-    def __init__(self, column, **options):
-        super().__init__(column, **options)
-        self.cracked = PartitionedCrackedColumn(
-            column,
-            partitions=options.get("partitions", 4),
-            parallel=options.get("parallel", False),
-            repartition=options.get("repartition", False),
-            max_partition_rows=options.get("max_partition_rows"),
-            split_threshold=options.get("split_threshold", 2.0),
-            sort_threshold=options.get("sort_threshold", 0),
-            max_workers=options.get("max_workers"),
-            executor=options.get("executor", "thread"),
-        )
+        self.name = name
+        self.supports_updates = supports_updates
+        # only what the caller gave is forwarded: the columns' own defaults
+        # cover the rest
+        column_options = _given(options, "sort_threshold", "policy", "merge_batch")
+        column_options["lazy_copy"] = not supports_updates
+        if options.get("partitions") is None:
+            self.cracked = CrackedColumn(column, **column_options)
+        else:
+            self.cracked = PartitionedCrackedColumn(
+                column, **column_options,
+                **_given(options, "partitions", "parallel", "max_workers",
+                         "repartition", "max_partition_rows", "split_threshold"),
+            )
 
     def close(self) -> None:
-        """Release the fan-out pool and any shared-memory segments."""
-        self.cracked.close()
+        """Release the partitioned column's fan-out pool (if there is one)."""
+        if isinstance(self.cracked, PartitionedCrackedColumn):
+            self.cracked.close()
 
     @property
     def reorganizes_on_read(self) -> bool:
-        """Mutating until every partition is fully sorted with known bounds
-        (and always while adaptive repartitioning is on)."""
-        return not self.cracked.converged
-
-    def search(self, low, high, counters=None):
-        self.note_query()
-        return self.cracked.search(low, high, counters)
-
-    @property
-    def nbytes(self) -> int:
-        return self.cracked.nbytes
-
-    @property
-    def partition_splits(self) -> int:
-        return self.cracked.partition_splits
-
-    @property
-    def partition_merges(self) -> int:
-        return self.cracked.partition_merges
-
-    @property
-    def structure_description(self) -> str:
-        return self.cracked.structure_description
-
-
-class UpdatableCrackingStrategy(SearchStrategy):
-    """Selection cracking with merge-on-demand updates (SIGMOD 2007).
-
-    Options: ``policy`` (``"ripple"`` merges every qualifying pending update,
-    ``"gradual"`` merges at most ``merge_batch`` per query — default
-    ``"ripple"``), ``merge_batch`` (gradual-policy budget, default 16) and
-    ``sort_threshold`` — see
-    :class:`~repro.core.cracking.updates.UpdatableCrackedColumn`.
-    """
-
-    name = "updatable-cracking"
-    supports_updates = True
-    # pending insert/delete queues merge on demand during every search, so
-    # reads reorganize permanently for this strategy
-    reorganizes_on_read = True
-
-    def __init__(self, column, **options):
-        super().__init__(column, **options)
-        self.cracked = UpdatableCrackedColumn(
-            column,
-            policy=options.get("policy", "ripple"),
-            merge_batch=options.get("merge_batch", 16),
-            sort_threshold=options.get("sort_threshold", 0),
-        )
+        """Mutating until the cracker column (every partition's, with known
+        bounds and repartitioning off) is fully sorted.  An updatable name
+        answers True for good: pending insert/delete queues merge on demand
+        during any search."""
+        return self.supports_updates or not self.cracked.converged
 
     def search(self, low, high, counters=None):
         self.note_query()
@@ -334,86 +274,14 @@ class UpdatableCrackingStrategy(SearchStrategy):
 
     @property
     def structure_description(self) -> str:
-        return (
-            f"updatable cracking ({self.cracked.policy}): "
-            f"{self.cracked.piece_count} pieces, "
-            f"{self.cracked.pending_inserts}+{self.cracked.pending_deletes} pending"
-        )
-
-
-class PartitionedUpdatableCrackingStrategy(SearchStrategy):
-    """Partitioned (optionally parallel) cracking with merge-on-demand updates.
-
-    Options: ``partitions``/``parallel``/``max_workers`` as in
-    :class:`PartitionedCrackingStrategy`, ``policy``/``merge_batch`` as in
-    :class:`UpdatableCrackingStrategy`, plus ``repartition`` (adaptive
-    repartitioning under skewed insert streams, default False) with
-    ``max_partition_rows``/``split_threshold`` — see
-    :class:`~repro.core.partitioned.PartitionedUpdatableCrackedColumn`.
-    """
-
-    name = "partitioned-updatable-cracking"
-    supports_updates = True
-    # pending insert/delete queues merge on demand during every search, so
-    # reads reorganize permanently for this strategy
-    reorganizes_on_read = True
-
-    def __init__(self, column, **options):
-        super().__init__(column, **options)
-        self.cracked = PartitionedUpdatableCrackedColumn(
-            column,
-            partitions=options.get("partitions", 4),
-            parallel=options.get("parallel", False),
-            repartition=options.get("repartition", False),
-            max_partition_rows=options.get("max_partition_rows"),
-            split_threshold=options.get("split_threshold", 2.0),
-            policy=options.get("policy", "ripple"),
-            merge_batch=options.get("merge_batch", 16),
-            sort_threshold=options.get("sort_threshold", 0),
-            max_workers=options.get("max_workers"),
-            executor=options.get("executor", "thread"),
-        )
-
-    def close(self) -> None:
-        """Release the fan-out pool and any shared-memory segments."""
-        self.cracked.close()
-
-    def search(self, low, high, counters=None):
-        self.note_query()
-        return self.cracked.search(low, high, counters)
-
-    def insert(self, value, counters=None, rowid=None):
-        """Queue an insert; returns the new row identifier."""
-        if rowid is not None and rowid != self.cracked.next_rowid:
-            raise ValueError(
-                "partitioned updatable cracking assigns rowids sequentially; "
-                f"expected {self.cracked.next_rowid}, got {rowid}"
+        cracked = self.cracked
+        description = cracked.structure_description
+        if self.supports_updates:
+            description += (
+                f", {cracked.pending_inserts}+{cracked.pending_deletes} "
+                f"pending ({cracked.policy})"
             )
-        return self.cracked.insert(value, counters)
-
-    def delete(self, rowid, counters=None):
-        """Queue the deletion of ``rowid``."""
-        self.cracked.delete(rowid, counters)
-
-    def update(self, rowid, new_value, counters=None):
-        """Delete ``rowid`` and insert ``new_value``; returns the new rowid."""
-        return self.cracked.update(rowid, new_value, counters)
-
-    @property
-    def nbytes(self) -> int:
-        return self.cracked.nbytes
-
-    @property
-    def partition_splits(self) -> int:
-        return self.cracked.partition_splits
-
-    @property
-    def partition_merges(self) -> int:
-        return self.cracked.partition_merges
-
-    @property
-    def structure_description(self) -> str:
-        return self.cracked.structure_description
+        return description
 
 
 class StochasticCrackingStrategy(SearchStrategy):
@@ -593,11 +461,6 @@ for _cls in (
     ScanStrategy,
     FullIndexStrategy,
     SortFirstStrategy,
-    CrackingStrategy,
-    CrackingSortedPiecesStrategy,
-    PartitionedCrackingStrategy,
-    UpdatableCrackingStrategy,
-    PartitionedUpdatableCrackingStrategy,
     StochasticCrackingStrategy,
     AdaptiveMergingStrategy,
     HybridCrackCrackStrategy,
@@ -607,3 +470,15 @@ for _cls in (
     HybridRadixRadixStrategy,
 ):
     register_strategy(_cls.name, _cls)
+
+#: the cracking names: one wrapper, different fixed options
+for _name, _fixed in (
+    ("cracking", {}),
+    # cracking that fully sorts pieces once they shrink below a threshold
+    ("cracking-sort-pieces", {"sort_threshold": 128}),
+    ("partitioned-cracking", {"partitions": 4}),
+    ("updatable-cracking", {"supports_updates": True}),
+    ("partitioned-updatable-cracking",
+     {"supports_updates": True, "partitions": 4}),
+):
+    register_strategy(_name, partial(CrackingStrategy, name=_name, **_fixed))

@@ -80,6 +80,20 @@ class RecoveryReport:
         return sum(self.replayed_operations.values())
 
 
+#: ``set_indexing`` options journaled by earlier versions that no longer
+#: exist; a data directory may still carry them.  ``executor`` chose the
+#: partition fan-out backend, and answers never depended on it.
+_RETIRED_MODE_OPTIONS = ("executor",)
+
+
+def _current_mode_options(options: Dict[str, object]) -> Dict[str, object]:
+    """Recorded ``set_indexing`` options minus the retired ones."""
+    return {
+        key: value for key, value in options.items()
+        if key not in _RETIRED_MODE_OPTIONS
+    }
+
+
 def _choose_snapshot(
     store: SnapshotStore, report: RecoveryReport
 ) -> Optional[SnapshotState]:
@@ -118,7 +132,7 @@ def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
             mode_state.table,
             mode_state.column,
             mode_state.mode,
-            **mode_state.options,
+            **_current_mode_options(mode_state.options),
         )
 
 
@@ -179,7 +193,7 @@ def _replay_records(
                     record.table,
                     record.column,
                     record.mode,
-                    **record.options,
+                    **_current_mode_options(record.options),
                 )
             counts[kind] = counts.get(kind, 0) + 1
             replayed += 1

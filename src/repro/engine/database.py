@@ -51,7 +51,13 @@ from repro.columnstore.select import RangePredicate
 from repro.columnstore.storage import MemoryTracker, StorageBudget
 from repro.columnstore.table import Table
 from repro.core.cracking.sideways import SidewaysCracker
-from repro.core.strategies import SearchStrategy, available_strategies, create_strategy
+from repro.core.partitioned import PartitionedCrackedColumn
+from repro.core.strategies import (
+    CrackingStrategy,
+    SearchStrategy,
+    available_strategies,
+    create_strategy,
+)
 from repro.cost.counters import CostCounters
 from repro.cost.stats import WorkloadStatistics
 from repro.cost.timer import Timer
@@ -312,12 +318,11 @@ class Database:
 
     def close(self) -> None:
         """Flush and close the durability layer and release execution
-        resources — fan-out pools, shared-memory segments, the default
-        wrapper session's pool (idempotent).
+        resources — fan-out pools and the default wrapper session's pool
+        (idempotent).
 
         The in-memory state stays usable (paths re-create what they need
-        lazily; shared segments are copied back into private arrays
-        first), but the journal stops: a closed database no longer
+        lazily), but the journal stops: a closed database no longer
         persists anything.
         """
         with self._engine_stats_lock:
@@ -390,7 +395,7 @@ class Database:
 
     @staticmethod
     def _close_path(path) -> None:
-        """Release an access path's resources (fan-out pools, shared memory).
+        """Release an access path's resources (fan-out pools).
 
         Only adaptive strategies hold releasable resources today; managed
         indexes (full/online/soft) are plain in-process structures.
@@ -461,8 +466,6 @@ class Database:
             if column not in owning_table:
                 raise KeyError(f"no column {column!r} in table {table!r}")
             key = (table, column)
-            self._modes[key] = mode
-            self._mode_options[key] = dict(options)
             base_column = owning_table.column(column)
             # a previous mode may have recorded index memory for this
             # column; forget it (and release its resources) before the new
@@ -499,6 +502,10 @@ class Database:
                     for rowid in self._deleted_rows.get(table, ()):
                         strategy.delete(rowid)
                 self._access_paths[key] = strategy
+            # recorded only once the access path exists, so a rejected
+            # option leaves the previous mode (and the journal) untouched
+            self._modes[key] = mode
+            self._mode_options[key] = dict(options)
             # journaled so recovery re-installs the mode (options must stay
             # JSON-serializable scalars, which every registered strategy's
             # are)
@@ -1015,9 +1022,10 @@ class Database:
         report: List[Dict[str, object]] = []
         for (table, column), mode in sorted(self._modes.items()):
             path = self._access_paths.get((table, column))
-            cracked = getattr(path, "cracked", None)
-            if cracked is None or not hasattr(cracked, "partition_splits"):
+            if not (isinstance(path, CrackingStrategy)
+                    and isinstance(path.cracked, PartitionedCrackedColumn)):
                 continue
+            cracked = path.cracked
             loads = cracked.partition_loads()
             sizes = [load["rows"] for load in loads]
             mean_rows = (sum(sizes) / len(sizes)) if sizes else 0.0

@@ -99,9 +99,9 @@ class TestRealTree:
     def test_kernels_actually_declare_charges(self):
         """The @charges annotations this PR adds are importable and visible."""
         from repro.analysis_tools.guards import charged_counters
-        from repro.core.cracking.updates import UpdatableCrackedColumn
+        from repro.core.cracking.cracked_column import CrackedColumn
 
-        channels = charged_counters(UpdatableCrackedColumn.split_at)
+        channels = charged_counters(CrackedColumn.split_at)
         assert "movements" in channels
         assert "comparisons" in channels
 

@@ -93,7 +93,7 @@ class TestInventory:
             "crack_range",
             "ripple_insert_value",
             "ripple_delete_position",
-            "UpdatableCrackedColumn._apply_ripple_batch",
+            "CrackedColumn._apply_ripple_batch",
         } <= symbols
 
 

@@ -147,8 +147,7 @@ def run_stream(name, partitions, policy, sort_threshold, parallel):
             counters.comparisons, counters.random_accesses,
             counters.bytes_allocated, counters.pieces_created,
             cracked.piece_count, cracked.nbytes,
-            getattr(cracked, "pending_inserts", 0),
-            getattr(cracked, "pending_deletes", 0),
+            cracked.pending_inserts, cracked.pending_deletes,
             digest.hexdigest()[:16],
         )
     finally:

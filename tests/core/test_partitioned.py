@@ -5,8 +5,10 @@ import pytest
 
 from repro.columnstore.column import Column
 from repro.core.cracking.cracked_column import CrackedColumn
+from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.core.partitioned import (
     PartitionedCrackedColumn,
+    PartitionedUpdatableCrackedColumn,
     partition_bounds,
 )
 from repro.core.strategies import available_strategies, create_strategy
@@ -75,7 +77,6 @@ class TestPartitionedCrackedColumn:
         column = PartitionedCrackedColumn(np.array([], dtype=np.int64), partitions=4)
         assert column.partition_count == 1
         assert len(column.search(0, 10)) == 0
-        assert column.count(0, 10) == 0
         column.check_invariants()
 
     def test_accepts_column_objects(self, rng):
@@ -88,20 +89,12 @@ class TestPartitionedCrackedColumn:
         column = PartitionedCrackedColumn(np.arange(3, dtype=np.int64), partitions=10)
         assert column.partition_count == 3
 
-    def test_count_and_search_values(self, rng):
-        values = rng.integers(0, 500, size=800).astype(np.int64)
-        column = PartitionedCrackedColumn(values, partitions=4)
-        expected = reference(values, 100, 300)
-        assert column.count(100, 300) == len(expected)
-        got = column.search_values(100, 300)
-        assert sorted(got.tolist()) == sorted(values[list(expected)].tolist())
-
-    def test_queries_processed_counts_every_operator(self, rng):
+    def test_queries_processed_counts_every_search(self, rng):
         values = rng.integers(0, 100, size=300).astype(np.int64)
         column = PartitionedCrackedColumn(values, partitions=3)
         column.search(0, 10)
-        column.search_values(10, 20)
-        column.count(20, 30)
+        column.search(10, 20)
+        column.search(20, 30)
         assert column.queries_processed == 3
 
     def test_value_pruning_skips_cold_partitions(self):
@@ -189,6 +182,105 @@ class TestPartitionedCrackedColumn:
         column.search(0, 1000)
         description = column.structure_description
         assert "4 partitions" in description
+
+
+class TestSequentialThreadEquivalence:
+    """Answers match the whole-column oracle whatever the fan-out; counters
+    match between the sequential run and the thread fan-out (the partitioned
+    physical work legitimately differs from unpartitioned)."""
+
+    QUERIES = [(100, 300), (50, 150), (400, 900), (120, 130)]
+
+    @pytest.fixture
+    def values(self, rng):
+        return rng.integers(0, 1000, size=400).astype(np.int64)
+
+    def test_read_only_matches_whole_column(self, values):
+        per_mode = {}
+        for parallel in (False, True):
+            whole = CrackedColumn(values)
+            counters = CostCounters()
+            with PartitionedCrackedColumn(
+                values, partitions=4, parallel=parallel
+            ) as column:
+                for low, high in self.QUERIES:
+                    expected = whole.search(low, high)
+                    actual = column.search(low, high, counters)
+                    assert np.array_equal(np.sort(actual), np.sort(expected))
+                column.check_invariants()
+            per_mode[parallel] = counters
+        assert per_mode[True] == per_mode[False]
+
+    def test_updatable_matches_whole_column(self, values):
+        per_mode = {}
+        for parallel in (False, True):
+            whole = UpdatableCrackedColumn(values)
+            counters = CostCounters()
+            with PartitionedUpdatableCrackedColumn(
+                values, partitions=4, parallel=parallel
+            ) as column:
+                for step, (low, high) in enumerate(self.QUERIES):
+                    whole.insert(step * 10)
+                    column.insert(step * 10, counters)
+                    expected = whole.search(low, high)
+                    actual = column.search(low, high, counters)
+                    assert np.array_equal(np.sort(actual), np.sort(expected))
+                column.check_invariants()
+            per_mode[parallel] = counters
+        assert per_mode[True] == per_mode[False]
+
+
+class TestFanOutPoolSizing:
+    """Regression: the pool must track the partition count."""
+
+    def test_pool_grows_past_initial_partition_count(self, rng):
+        values = rng.integers(0, 1000, size=300).astype(np.int64)
+        column = PartitionedUpdatableCrackedColumn(
+            values, partitions=2, parallel=True,
+            repartition=True, max_partition_rows=100,
+        )
+        assert column._max_workers == 2
+        while column.partition_count <= 4:
+            column.insert(int(rng.integers(0, 1000)))
+            column.search(0, 1000)
+        # splits grew the topology; the fan-out width must have kept up
+        assert column.partition_count > 4
+        assert column._max_workers == column.partition_count
+        column.close()
+
+    def test_pool_shrinks_after_merges(self, rng):
+        values = rng.integers(0, 1000, size=400).astype(np.int64)
+        column = PartitionedUpdatableCrackedColumn(
+            values, partitions=2, parallel=True,
+            repartition=True, max_partition_rows=150,
+        )
+        inserted = []
+        while column.partition_splits == 0:
+            inserted.append(column.insert(int(rng.integers(0, 100))))
+            column.search(0, 1000)
+        grown = column.partition_count
+        assert column._max_workers == grown
+        for rowid in inserted:
+            column.delete(rowid)
+        for victim in range(len(values) - 30):
+            column.delete(victim)
+        column.search(0, 1000)
+        assert column.partition_merges > 0
+        assert column.partition_count < grown
+        assert column._max_workers == column.partition_count
+        column.close()
+
+    def test_explicit_max_workers_is_respected_across_splits(self, rng):
+        values = rng.integers(0, 1000, size=300).astype(np.int64)
+        column = PartitionedUpdatableCrackedColumn(
+            values, partitions=2, parallel=True, max_workers=3,
+            repartition=True, max_partition_rows=100,
+        )
+        while column.partition_splits == 0:
+            column.insert(int(rng.integers(0, 1000)))
+            column.search(0, 1000)
+        assert column._max_workers == 3  # an explicit cap never auto-resizes
+        column.close()
 
 
 class TestPartitionedCrackingStrategy:

@@ -79,8 +79,8 @@ class TestBestFitInsertRouting:
         assert column.partitions[0].effective_bounds == (0.0, 999.0)
         assert column.partitions[1].effective_bounds == (500.0, 510.0)
         column.insert(505)
-        assert column.partitions[0].updatable.pending_inserts == 0
-        assert column.partitions[1].updatable.pending_inserts == 1
+        assert column.partitions[0].cracked.pending_inserts == 0
+        assert column.partitions[1].cracked.pending_inserts == 1
 
     def test_regression_leftmost_would_have_won(self):
         # pin the exact shape of the old bug: leftmost-containing wins only
@@ -92,9 +92,9 @@ class TestBestFitInsertRouting:
         column = PartitionedUpdatableCrackedColumn(base, partitions=2)
         column.search(0, 2_000)
         column.insert(150)  # contained by both; leftmost is tighter here
-        assert column.partitions[0].updatable.pending_inserts == 1
+        assert column.partitions[0].cracked.pending_inserts == 1
         column.insert(900)  # only the wide partition contains it
-        assert column.partitions[1].updatable.pending_inserts == 1
+        assert column.partitions[1].cracked.pending_inserts == 1
 
     def test_value_outside_all_bounds_goes_to_nearest(self):
         base = np.concatenate([
@@ -104,8 +104,30 @@ class TestBestFitInsertRouting:
         column = PartitionedUpdatableCrackedColumn(base, partitions=2)
         column.search(0, 600)
         column.insert(480)  # nearest to the [500, 599] partition
-        assert column.partitions[1].updatable.pending_inserts == 1
-        assert column.partitions[0].updatable.pending_inserts == 0
+        assert column.partitions[1].cracked.pending_inserts == 1
+        assert column.partitions[0].cracked.pending_inserts == 0
+
+    def test_drained_fragment_still_receives_its_values(self):
+        # a partition with 0 visible rows is falsy (``__len__``) but keeps
+        # its bounds: routing by truthiness sent the insert to the sibling,
+        # whose bounds then widened over the drained fragment's range
+        base = np.arange(400, dtype=np.int64)
+        np.random.default_rng(3).shuffle(base)
+        column = PartitionedUpdatableCrackedColumn(
+            base, partitions=1, repartition=True, max_partition_rows=300
+        )
+        column.search(0, 400)
+        column.search(100, 300)
+        assert column.partition_splits == 1
+        left, right = column.partitions
+        for rowid in column.search(None, right.effective_bounds[0]).tolist():
+            column.delete(rowid)
+        assert len(left) == 0 and column.partitions == [left, right]
+        column.insert(50)  # inside the drained fragment's exact bounds
+        assert left.cracked.pending_inserts == 1
+        assert right.cracked.pending_inserts == 0
+        column.check_invariants()
+        assert column.search(0, 100).size == 1
 
 
 class TestOptionValidation:
@@ -131,8 +153,8 @@ class TestOptionValidation:
         assert strategy.cracked.repartition is True
         assert strategy.cracked.max_partition_rows == 100
         assert strategy.cracked.split_threshold == 3.0
-        assert strategy.partition_splits == 0
-        assert strategy.partition_merges == 0
+        assert strategy.cracked.partition_splits == 0
+        assert strategy.cracked.partition_merges == 0
 
 
 class TestRebalanceSurfacing:

@@ -54,6 +54,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_strategy("", lambda column: None)
 
+    @pytest.mark.parametrize("name", [
+        "cracking", "cracking-sort-pieces", "updatable-cracking",
+        "partitioned-cracking", "partitioned-updatable-cracking",
+    ])
+    @pytest.mark.parametrize("executor", ["thread", "process", "fiber"])
+    def test_retired_executor_option_rejected(self, name, executor, small_values):
+        # the option went with the process backend; silently keeping it in
+        # ``options`` would let it reach new journals
+        with pytest.raises(ValueError, match="'executor' option was removed"):
+            create_strategy(name, small_values, executor=executor)
+
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STRATEGIES))
 class TestAllStrategies:

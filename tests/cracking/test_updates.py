@@ -184,3 +184,69 @@ class TestRippleCost:
                 expected = {r for r, v in model.items() if low <= v < high}
                 assert got == expected
         column.check_invariants()
+
+
+class TestConvergedLatch:
+    """A sorted column answers by binary search — until an update is merged."""
+
+    @staticmethod
+    def converged_column():
+        rng = np.random.default_rng(5)
+        base = rng.integers(0, 60, size=200).astype(np.int64)
+        # one crack of a piece below the sort threshold sorts the whole
+        # column into three *wide* sorted pieces, so a ripple into any of
+        # them lands out of order
+        column = UpdatableCrackedColumn(base, sort_threshold=1_000)
+        column.search(20, 40)
+        assert column.piece_count == 3 and column.converged
+        return column, {int(i): int(v) for i, v in enumerate(base)}
+
+    @staticmethod
+    def assert_matches_scan(column, model):
+        for low, high in [(10, 20), (12, 13), (17, 18), (20, 21), (40, 45),
+                          (0, 60), (40, None), (None, 5)]:
+            expected = {
+                r for r, v in model.items()
+                if (low is None or v >= low) and (high is None or v < high)
+            }
+            assert set(column.search(low, high).tolist()) == expected
+        column.check_invariants()
+
+    def test_pending_updates_suspend_convergence(self):
+        column, _ = self.converged_column()
+        column.insert(30)
+        assert not column.converged
+        column.search(30, 31)  # merges the insert
+        assert column.pending_inserts == 0
+
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_inserts_inside_and_outside_the_queried_range(self, policy):
+        column, model = self.converged_column()
+        column.policy, column.merge_batch = policy, 1
+        counters = CostCounters()
+        # inside [10, 20): merged by the query, a ripple into sorted data
+        for value in (12, 17, 12):
+            model[column.insert(value)] = value
+        # outside: stays pending, the merged region stays sorted
+        model[column.insert(55)] = 55
+        expected = {r for r, v in model.items() if 10 <= v < 20}
+        assert set(column.search(10, 20, counters).tolist()) == expected
+        assert counters.tuples_moved > 0  # the ripple really happened
+        self.assert_matches_scan(column, model)
+
+    def test_delete_from_a_converged_column(self):
+        column, model = self.converged_column()
+        victims = [r for r, v in model.items() if 10 <= v < 20][:3]
+        for victim in victims:
+            column.delete(victim)
+            del model[victim]
+        self.assert_matches_scan(column, model)
+
+    def test_column_converges_again_after_the_merge(self):
+        column, model = self.converged_column()
+        model[column.insert(12)] = 12
+        column.search(10, 20)
+        for low in range(60):
+            column.search(low, low + 1)
+        assert column.converged
+        self.assert_matches_scan(column, model)

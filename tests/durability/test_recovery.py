@@ -136,6 +136,58 @@ class TestOpenRecover:
         assert_same_database(recovered, database)
         recovered.close()
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+    def test_retired_executor_option_is_accepted_and_dropped(
+        self, tmp_path, executor, snapshot
+    ):
+        """Data directories written before the process backend (and the
+        ``executor`` option selecting it) was removed still carry the key in
+        their ``set_indexing`` records; answers never depended on it."""
+        database = make_database(tmp_path)
+        database.set_indexing(
+            "facts", "key", "partitioned-cracking", partitions=3, parallel=True
+        )
+        old_options = {"partitions": 3, "parallel": True, "executor": executor}
+        if snapshot:
+            # only the snapshot carries the old key; the live database goes
+            # on with what it was given (it would refuse the key on rebuild)
+            current = database._mode_options[("facts", "key")]
+            database._mode_options[("facts", "key")] = dict(old_options)
+            database.snapshot()
+            database._mode_options[("facts", "key")] = current
+        else:
+            database._durable_schema_record(
+                "set_indexing", "facts", column="key",
+                mode="partitioned-cracking", options=old_options,
+            )
+        run_dml(database, steps=10)
+        database.close()
+
+        recovered = Database.open(tmp_path)
+        assert recovered._modes[("facts", "key")] == "partitioned-cracking"
+        assert recovered._mode_options[("facts", "key")] == {
+            "partitions": 3, "parallel": True,
+        }
+        assert recovered.access_path("facts", "key").cracked.parallel is True
+        assert_same_database(recovered, database)
+        recovered.close()
+
+    def test_retired_executor_option_never_reaches_a_new_journal(self, tmp_path):
+        database = make_database(tmp_path)
+        database.set_indexing("facts", "key", "cracking")
+        records = database.durability.stats()["appended_records"]
+        with pytest.raises(ValueError, match="'executor' option was removed"):
+            database.set_indexing(
+                "facts", "key", "partitioned-cracking",
+                partitions=3, executor="process",
+            )
+        # refused before anything was recorded: mode, options and journal
+        assert database._modes[("facts", "key")] == "cracking"
+        assert database._mode_options[("facts", "key")] == {}
+        assert database.durability.stats()["appended_records"] == records
+        database.close()
+
     def test_fresh_database_over_durable_state_is_refused(self, tmp_path):
         database = make_database(tmp_path)
         database.close()
@@ -257,20 +309,17 @@ class TestThresholdsAndJournalBound:
 
 class TestClose:
     def test_close_releases_execution_resources(self, tmp_path):
-        """A closed database must not leak fan-out pools or shared
-        segments: recover-then-close loops (and benchmarks) would
-        otherwise accumulate process-backend shared memory forever."""
-        from repro.columnstore.storage import live_shared_segments
-
+        """A closed database must not leak fan-out pools: recover-then-close
+        loops (and benchmarks) would otherwise accumulate threads forever."""
         database = make_database(tmp_path / "state")
         database.set_indexing(
-            "facts", "key", "partitioned-cracking",
-            partitions=3, parallel=True, executor="process",
+            "facts", "key", "partitioned-cracking", partitions=3, parallel=True,
         )
+        column = database.access_path("facts", "key").cracked
         database.query("facts").where("key", 10, 4_000).run()
-        assert live_shared_segments(), "process backend should be live"
+        assert column._pool is not None, "the thread fan-out should be live"
         database.close()
-        assert live_shared_segments() == []
+        assert column._pool is None
 
         # close is not final for the in-memory state: a later query
         # lazily re-creates what it needs, with identical answers
@@ -278,4 +327,4 @@ class TestClose:
         values = database.table("facts")["key"].values
         assert count == int(((values >= 10) & (values <= 4_000)).sum())
         database.close()
-        assert live_shared_segments() == []
+        assert column._pool is None

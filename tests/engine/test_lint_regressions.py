@@ -14,10 +14,7 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.core.strategies import (
-    PartitionedUpdatableCrackingStrategy,
-    UpdatableCrackingStrategy,
-)
+from repro.core.strategies import CrackingStrategy, create_strategy
 
 
 @pytest.fixture
@@ -145,12 +142,20 @@ class TestReorganizesOnReadDeclarations:
     Batch scheduling gives shared claims to strategies whose reads do not
     reorganize; an updatable strategy silently inheriting the default
     would be one refactor away from data races, so the flag must be an
-    explicit class-level declaration (reprolint rule RL003).
+    explicit declaration on the wrapper class (reprolint rule RL003), and
+    the updatable names must answer True even when the column itself has
+    converged.
     """
 
+    def test_flag_declared_on_the_class_itself(self):
+        assert "reorganizes_on_read" in CrackingStrategy.__dict__
+
     @pytest.mark.parametrize(
-        "strategy_class",
-        [UpdatableCrackingStrategy, PartitionedUpdatableCrackingStrategy],
+        "name", ["updatable-cracking", "partitioned-updatable-cracking"]
     )
-    def test_flag_declared_on_the_class_itself(self, strategy_class):
-        assert strategy_class.__dict__.get("reorganizes_on_read") is True
+    def test_updatable_names_always_reorganize(self, name):
+        strategy = create_strategy(name, np.arange(64, dtype=np.int64))
+        for low in range(64):
+            strategy.search(low, low + 1)
+        assert strategy.cracked.converged
+        assert strategy.reorganizes_on_read is True

@@ -5,9 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.engine import session as session_module
 from repro.engine.concurrency import TableGate
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, QueryBuilder, RangeSelection
+from repro.engine.session import default_worker_count, validate_max_workers
 
 
 @pytest.fixture
@@ -62,6 +64,44 @@ class TestSessionLifecycle:
         ]
         session.close()
         assert all(future.done() for future in futures)
+
+
+class TestSessionWorkerDefaults:
+    """Regression: no hard cap at 4 workers."""
+
+    def test_default_scales_with_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
+        assert default_worker_count() == 16
+        assert default_worker_count(tasks=4) == 4
+        assert default_worker_count(tasks=100) == 16
+
+    def test_default_floor_is_two_workers(self, monkeypatch):
+        monkeypatch.setattr(session_module.os, "cpu_count", lambda: None)
+        assert default_worker_count() == 2
+        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 1)
+        assert default_worker_count() == 2
+        assert default_worker_count(tasks=1) == 1
+
+    def test_submit_pool_uses_machine_default(self, monkeypatch, rng):
+        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
+        database = Database("sizing")
+        database.create_table(
+            "t", {"k": rng.integers(0, 100, size=50).astype(np.int64)}
+        )
+        with database.session() as session:
+            session.query("t").where("k", 10, 20).submit().result()
+            assert session._pool._max_workers == 16
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_validate_rejects_non_positive(self, bad):
+        with pytest.raises(ValueError, match="positive worker count"):
+            validate_max_workers(bad)
+        with pytest.raises(ValueError, match="positive worker count"):
+            Database("v").session(max_workers=bad)
+
+    def test_validate_passes_none_and_positive_through(self):
+        assert validate_max_workers(None) is None
+        assert validate_max_workers(5) == 5
 
 
 class TestSessionExecution:

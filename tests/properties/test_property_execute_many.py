@@ -34,13 +34,11 @@ EXTRA_CASES = [
                               "max_partition_rows": 1_200}),
     ("partitioned-updatable-cracking", {"partitions": 3, "repartition": True,
                                         "max_partition_rows": 1_200}),
-    # process-backend fan-out over shared memory: the same sequential-vs-
+    # thread fan-out inside the partitioned column: the same sequential-vs-
     # parallel bit-identity (answers and counters) must hold when partition
-    # work runs in worker processes, with and without repartitioning
-    ("partitioned-cracking", {"partitions": 3, "parallel": True,
-                              "executor": "process"}),
+    # work runs on the column's own pool, with and without repartitioning
+    ("partitioned-cracking", {"partitions": 3, "parallel": True}),
     ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True,
-                                        "executor": "process",
                                         "repartition": True,
                                         "max_partition_rows": 1_200}),
 ]

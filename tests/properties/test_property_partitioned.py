@@ -59,20 +59,6 @@ def test_partitioned_matches_cracked_column(partitions, parallel, seed):
 
 
 @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-def test_partitioned_count_and_values_match(partitions):
-    rng = np.random.default_rng(123)
-    values = rng.integers(0, 500, size=1200).astype(np.int64)
-    whole = CrackedColumn(values)
-    partitioned = PartitionedCrackedColumn(values, partitions=partitions)
-    for low, high in random_workload(rng, 500, count=25):
-        assert partitioned.count(low, high) == whole.count(low, high)
-        expected = np.sort(whole.search_values(low, high))
-        actual = np.sort(partitioned.search_values(low, high))
-        assert np.array_equal(actual, expected)
-    partitioned.check_invariants()
-
-
-@pytest.mark.parametrize("partitions", PARTITION_COUNTS)
 def test_sort_threshold_preserves_answers(partitions):
     rng = np.random.default_rng(9)
     values = rng.integers(0, 300, size=900).astype(np.int64)

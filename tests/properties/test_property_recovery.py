@@ -8,7 +8,7 @@ journal-replay machinery the session property suite uses
 (``replay_journal`` demands every replayed query is bit-identical and
 every DML lands on its recorded rowid), so a recovery bug and a
 linearization bug are caught by the same net.  Swept across the
-sequential, thread-pool and process-pool partitioned executors, and —
+sequential and thread-pool partitioned executions, and —
 without any crash — across snapshot-threshold churn with a clean close.
 """
 
@@ -41,13 +41,8 @@ EXECUTOR_CASES = [
     pytest.param("cracking", {}, id="seq"),
     pytest.param(
         "partitioned-cracking",
-        {"partitions": 3, "parallel": True, "executor": "thread"},
+        {"partitions": 3, "parallel": True},
         id="thread",
-    ),
-    pytest.param(
-        "partitioned-cracking",
-        {"partitions": 3, "parallel": True, "executor": "process"},
-        id="process",
     ),
 ]
 

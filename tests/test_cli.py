@@ -1,8 +1,5 @@
 """Unit tests for the command-line interface."""
 
-
-import pytest
-
 from repro.cli import main
 from repro.core.strategies import available_strategies
 
@@ -79,7 +76,7 @@ class TestUpdatesCommand:
         assert code == 0
         output = capsys.readouterr().out
         assert "update throughput" in output
-        assert "updatable cracking (gradual)" in output
+        assert "pending (gradual)" in output
 
     def test_updates_runs_partitioned_strategy(self, capsys):
         code = main([
@@ -101,39 +98,17 @@ class TestUpdatesCommand:
         assert code == 2
         assert "unknown strategy" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_updates_parallel_executor_backends(self, executor, capsys):
+    def test_updates_parallel_fan_out(self, capsys):
         code = main([
             "updates", "--rows", "3000", "--queries", "10",
             "--updates-per-query", "1",
             "--strategy", "partitioned-updatable-cracking",
-            "--partitions", "2", "--parallel", "--executor", executor,
+            "--partitions", "2", "--parallel",
         ])
         assert code == 0
         output = capsys.readouterr().out
         assert "2 partitions" in output
         assert "update throughput" in output
-
-    def test_updates_executor_default_is_thread_and_choices_are_enforced(
-        self, capsys
-    ):
-        # the flag without --parallel is accepted (it only selects the
-        # backend the fan-out would use) ...
-        assert main([
-            "updates", "--rows", "2000", "--queries", "5",
-            "--strategy", "partitioned-updatable-cracking",
-            "--executor", "process",
-        ]) == 0
-        capsys.readouterr()
-        # ... and an unknown backend is an argparse usage error (exit 2)
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                "updates", "--rows", "2000", "--queries", "5",
-                "--strategy", "partitioned-updatable-cracking",
-                "--parallel", "--executor", "fiber",
-            ])
-        assert exit_info.value.code == 2
-        assert "--executor" in capsys.readouterr().err
 
     def test_updates_validates_counts(self, capsys):
         assert main(["updates", "--rows", "100", "--queries", "0"]) == 2
