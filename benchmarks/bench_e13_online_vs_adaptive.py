@@ -19,14 +19,9 @@ import numpy as np
 import pytest
 
 from bench_common import make_column
-from repro.columnstore.column import Column
-from repro.columnstore.select import RangePredicate, scan_select
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
-from repro.indexes.full_index import FullIndex
-from repro.indexes.online_tuner import OnlineIndexTuner
-from repro.indexes.soft_index import SoftIndexManager
 from repro.workloads.generators import WorkloadSpec, piecewise_focus_workload
 
 QUERY_COUNT = 400
@@ -43,56 +38,28 @@ def build_workload():
 
 def run_experiment():
     values = make_column(size=100_000)
-    column = Column(values, name="key")
     queries = build_workload()
     model = DEFAULT_MAIN_MEMORY_MODEL
+    # every approach is one name of the strategy registry; the offline index
+    # is built here, up front (its cost is recorded separately, not per query)
+    strategies = {
+        "scan": create_strategy("scan", values),
+        "offline-index": create_strategy("full-index", values),
+        "online-tuning": create_strategy(
+            "online", values, build_threshold_factor=1.0
+        ),
+        "soft-index": create_strategy("soft", values, recommendation_threshold=10),
+        "cracking": create_strategy("cracking", values),
+    }
     costs = {}
-
-    # scan baseline
-    series = []
-    for query in queries:
-        counters = CostCounters()
-        scan_select(column, RangePredicate(query.low, query.high), counters)
-        series.append(model.cost(counters))
-    costs["scan"] = series
-
-    # offline index: built up front (cost recorded separately, not per query)
-    offline_index = FullIndex(column)
-    series = []
-    for query in queries:
-        counters = CostCounters()
-        offline_index.search(query.low, query.high, counters)
-        series.append(model.cost(counters))
-    costs["offline-index"] = series
-    offline_build_cost = model.cost(offline_index.build_counters)
-
-    # online tuner (monitor and tune)
-    tuner = OnlineIndexTuner(build_threshold_factor=1.0)
-    series = []
-    for query in queries:
-        counters = CostCounters()
-        tuner.select(column, RangePredicate(query.low, query.high), counters)
-        series.append(model.cost(counters))
-    costs["online-tuning"] = series
-
-    # soft indexes
-    soft = SoftIndexManager(recommendation_threshold=10)
-    series = []
-    for query in queries:
-        counters = CostCounters()
-        soft.select(column, RangePredicate(query.low, query.high), counters)
-        series.append(model.cost(counters))
-    costs["soft-index"] = series
-
-    # database cracking
-    cracking = create_strategy("cracking", values)
-    series = []
-    for query in queries:
-        counters = CostCounters()
-        cracking.search(query.low, query.high, counters)
-        series.append(model.cost(counters))
-    costs["cracking"] = series
-
+    for label, strategy in strategies.items():
+        series = []
+        for query in queries:
+            counters = CostCounters()
+            strategy.search(query.low, query.high, counters)
+            series.append(model.cost(counters))
+        costs[label] = series
+    offline_build_cost = model.cost(strategies["offline-index"].build_counters)
     return costs, offline_build_cost
 
 

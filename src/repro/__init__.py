@@ -5,8 +5,8 @@ EDBT 2012 tutorial *Adaptive Indexing in Modern Database Kernels* (Idreos,
 Manegold, Graefe):
 
 * a MonetDB-style column-store substrate (:mod:`repro.columnstore`),
-* non-adaptive baselines: full indexes, offline what-if tuning, online
-  tuning and soft indexes (:mod:`repro.indexes`),
+* non-adaptive baselines: full indexes, online tuning and soft indexes
+  (:mod:`repro.indexes`),
 * the adaptive-indexing family: database cracking, cracking updates,
   partial and sideways cracking, stochastic cracking, adaptive merging and
   the hybrid algorithms (:mod:`repro.core`),

@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     updates.add_argument("--selectivity", type=float, default=0.01, help="query selectivity")
     updates.add_argument(
         "--strategy", default="updatable-cracking",
-        help="indexing mode for the key column (any registered strategy, or scan)",
+        help="indexing mode for the key column (any registered strategy)",
     )
     updates.add_argument(
         "--policy", default="ripple", choices=["ripple", "gradual"],
@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mode", default="scan",
-        help="indexing mode for the key column (managed mode or any strategy)",
+        help="indexing mode for the key column (any registered strategy)",
     )
     batch.add_argument(
         "--parallel", action="store_true",
@@ -452,7 +452,7 @@ def _command_updates(args: argparse.Namespace) -> int:
     from repro.engine.database import Database
     from repro.workloads.updates import mixed_update_workload
 
-    if args.strategy != "scan" and args.strategy not in available_strategies():
+    if args.strategy not in available_strategies():
         print(
             f"unknown strategy {args.strategy!r}; "
             f"available: {', '.join(available_strategies())}",
@@ -568,11 +568,9 @@ def _command_batch(args: argparse.Namespace) -> int:
     from repro.engine.query import Query
     from repro.engine.session import validate_max_workers
 
-    managed_modes = ("scan", "full-index", "online", "soft")
-    if args.mode not in managed_modes and args.mode not in available_strategies():
+    if args.mode not in available_strategies():
         print(
-            f"unknown mode {args.mode!r}; managed modes: "
-            f"{', '.join(managed_modes)}; strategies: "
+            f"unknown mode {args.mode!r}; available: "
             f"{', '.join(available_strategies())}",
             file=sys.stderr,
         )

@@ -16,22 +16,17 @@ Modules
     Bookkeeping of which key ranges have been fully merged.
 ``runs``
     Sorted run creation and range extraction from runs.
-``partitioned_btree``
-    A partitioned B-tree: one artificial leading key per partition/run, used
-    as the disk-oriented realisation of run storage.
 ``adaptive_merge``
     :class:`AdaptiveMergingIndex`: the adaptive select operator.
 """
 
 from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
 from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.partitioned_btree import PartitionedBTree
 from repro.core.merging.runs import SortedRun, create_runs
 
 __all__ = [
     "AdaptiveMergingIndex",
     "IntervalSet",
-    "PartitionedBTree",
     "SortedRun",
     "create_runs",
 ]

@@ -7,6 +7,13 @@ the benchmark harness agnostic of which technique is in use, every technique
 is wrapped as a :class:`SearchStrategy`: construct it over a column, then
 call :meth:`SearchStrategy.search` for each range query.
 
+This module is the only place that knows which technique is behind a name.
+What an access path can do — answer a range, say whether a read still
+reorganises it, absorb DML or ask to be rebuilt, report its bytes and
+structure, release resources — is the :class:`SearchStrategy` contract, and
+the engine installs, queries, updates and drops every access path through
+that contract alone.
+
 New strategies can be plugged in with :func:`register_strategy`.
 """
 
@@ -29,6 +36,8 @@ from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
 from repro.cost.counters import CostCounters
 from repro.indexes.full_index import FullIndex
+from repro.indexes.online_tuner import OnlineIndexTuner
+from repro.indexes.soft_index import SoftIndexManager
 
 
 def _as_array(column: Union[Column, np.ndarray]) -> np.ndarray:
@@ -51,6 +60,12 @@ class SearchStrategy(ABC):
     #: (exposes ``insert``/``delete``/``update``); the engine rebuilds
     #: strategies that don't after DML against their table.
     supports_updates: bool = False
+
+    #: the planner's rank among one query's selections (lower drives the
+    #: select, the others refine): 0 for an index that answers from its
+    #: first query on, 1 for a tuner that scans until it decides to build
+    #: (a column without any access path ranks 2)
+    selection_priority: int = 0
 
     def __init__(self, column: Union[Column, np.ndarray], **options) -> None:
         self._column = column
@@ -111,6 +126,16 @@ class SearchStrategy(ABC):
         """Scan-based reference answer (used by tests to validate any strategy)."""
         return scan_select(self._array, RangePredicate(low, high))
 
+    def rebuilt(self, column: Union[Column, np.ndarray]) -> "SearchStrategy":
+        """The access path to install after DML this strategy cannot absorb.
+
+        By default everything learned is thrown away: a fresh instance over
+        the changed base ``column``, same name, same recorded options.
+        Subclasses override this to carry state across (the tuners keep
+        their monitoring statistics).  The caller closes the old strategy.
+        """
+        return create_strategy(self.name, column, **self.options)
+
     def close(self) -> None:
         """Release execution resources (thread pools).
 
@@ -157,6 +182,10 @@ class FullIndexStrategy(SearchStrategy):
     @property
     def nbytes(self) -> int:
         return self.index.nbytes
+
+    @property
+    def structure_description(self) -> str:
+        return f"full index ({self.nbytes} bytes)"
 
 
 class SortFirstStrategy(SearchStrategy):
@@ -429,6 +458,72 @@ class HybridRadixRadixStrategy(_HybridStrategyBase):
     final_mode = "radix"
 
 
+class _TunerStrategy(SearchStrategy):
+    """A monitor-and-tune select operator behind the strategy contract.
+
+    The tuner classes keep their own defaults: only the options the caller
+    gave are forwarded.  One tuner serves one column here, so the
+    ``max_indexes`` budget of the online tuner only matters as 0 ("never
+    build").
+    """
+
+    #: every select updates the monitoring statistics and may build the index
+    reorganizes_on_read = True
+    selection_priority = 1
+
+    #: the wrapped select operator, the options it takes, and how its built
+    #: structure (and only that: the cost witness fingerprints it) is worded
+    tuner_class: Callable[..., object]
+    tuner_options: tuple = ()
+    structure_template = ""
+
+    def __init__(self, column, **options):
+        super().__init__(column, **options)
+        if not isinstance(column, Column):
+            # the tuners key their statistics and indexes by column name
+            self._column = Column(self._array, name=self.name)
+        self.tuner = self.tuner_class(**_given(options, *self.tuner_options))
+
+    def search(self, low, high, counters=None):
+        self.note_query()
+        return self.tuner.select(self._column, RangePredicate(low, high), counters)
+
+    def rebuilt(self, column):
+        """Keep the monitoring statistics, drop the built index: the tuner
+        builds it again on the next query that crosses its threshold."""
+        fresh = super().rebuilt(column)
+        self.tuner.indexes.clear()
+        fresh.tuner = self.tuner
+        return fresh
+
+    @property
+    def nbytes(self) -> int:
+        return sum(index.nbytes for index in self.tuner.indexes.values())
+
+    @property
+    def structure_description(self) -> str:
+        return self.structure_template.format(len(self.tuner.indexes))
+
+
+class OnlineTuningStrategy(_TunerStrategy):
+    """Online index tuning (monitor, then build a full index inside the
+    query that crosses the benefit threshold)."""
+
+    name = "online"
+    tuner_class = OnlineIndexTuner
+    tuner_options = ("build_threshold_factor", "decay", "max_indexes")
+    structure_template = "online tuner ({} indexes built)"
+
+
+class SoftIndexStrategy(_TunerStrategy):
+    """Soft indexes (recommend during processing, build piggy-backed on a scan)."""
+
+    name = "soft"
+    tuner_class = SoftIndexManager
+    tuner_options = ("recommendation_threshold",)
+    structure_template = "soft indexes ({} built)"
+
+
 _REGISTRY: Dict[str, Callable[..., SearchStrategy]] = {}
 
 
@@ -461,6 +556,8 @@ for _cls in (
     ScanStrategy,
     FullIndexStrategy,
     SortFirstStrategy,
+    OnlineTuningStrategy,
+    SoftIndexStrategy,
     StochasticCrackingStrategy,
     AdaptiveMergingStrategy,
     HybridCrackCrackStrategy,

@@ -64,25 +64,15 @@ def _fingerprint(path: object) -> Optional[Tuple[str, int, int]]:
 
     ``(structure description, auxiliary bytes, row count)`` — any physical
     reorganisation the library performs (cracking a piece, merging a range,
-    splitting a partition, rippling a pending update) changes at least one
-    component.  Returns None for objects that expose none of the three
-    (plain scans have no auxiliary structure to fingerprint).
+    splitting a partition, rippling a pending update, a tuner building its
+    index) changes at least one component.  Every installed access path is
+    a :class:`~repro.core.strategies.SearchStrategy` and exposes all three;
+    None stands for "no access path" (a plain scan has no auxiliary
+    structure to fingerprint).
     """
     if path is None:
         return None
-    description = getattr(path, "structure_description", None)
-    nbytes = getattr(path, "nbytes", None)
-    try:
-        length = len(path)  # type: ignore[arg-type]
-    except TypeError:
-        length = -1
-    if description is None and nbytes is None and length == -1:
-        return None
-    return (
-        str(description) if description is not None else "",
-        int(nbytes) if nbytes is not None else -1,
-        length,
-    )
+    return (path.structure_description, int(path.nbytes), len(path))
 
 
 class CostConformanceWitness:

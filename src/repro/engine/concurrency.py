@@ -13,9 +13,9 @@ and any number of queries may fan out over it at once.
 This module gives :meth:`~repro.engine.database.Database.execute_many` that
 distinction:
 
-* :func:`reorganizes_on_read` asks the configured access path of one
-  ``(table, column)`` whether a selection can still mutate it, preferring
-  the ``reorganizes_on_read`` capability flag every
+* :func:`reorganizes_on_read` asks the access path installed for one
+  ``(table, column)`` whether a selection can still mutate it: the
+  ``reorganizes_on_read`` capability flag every
   :class:`~repro.core.strategies.SearchStrategy` carries;
 * :func:`classify_plan` turns a planned query into
   :class:`AccessPathClaim` records — one per access path the plan
@@ -52,7 +52,7 @@ import logging
 import os
 import threading
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -361,22 +361,13 @@ class BatchExecutionReport:
 def reorganizes_on_read(database, table: str, column: str) -> bool:
     """True when a selection on ``table.column`` can mutate its access path.
 
-    Managed modes are classified directly: a plain scan reads the base
-    column, a full offline index answers with pure binary searches, while
-    the online and soft-index tuners update recommendation statistics (and
-    may build an index) on every selection.  Adaptive strategies are asked
-    through their ``reorganizes_on_read`` capability flag; a path without
-    the flag is conservatively treated as mutating.
+    A column without an access path is scanned, which reads the base column
+    only; every installed path answers through its own
+    ``reorganizes_on_read`` capability flag (a built full index never, the
+    tuners always, the adaptive structures until they converge).
     """
-    mode = database.indexing_mode(table, column) or "scan"
     path = database.access_path(table, column)
-    if mode == "scan" or path is None:
-        return False
-    if mode == "full-index":
-        return False
-    if mode in ("online", "soft"):
-        return True
-    return bool(getattr(path, "reorganizes_on_read", True))
+    return path is not None and path.reorganizes_on_read
 
 
 def classify_plan(
@@ -409,12 +400,7 @@ def classify_plan(
                     # issued from another thread may be cracking this very
                     # column, and a convergence check (which latches) must
                     # never observe a mid-crack array
-                    manager = getattr(database, "_path_locks", None)
-                    guard = (
-                        manager.lock_for(key) if manager is not None
-                        else nullcontext()
-                    )
-                    with guard:
+                    with database._path_locks.lock_for(key):
                         cache[key] = reorganizes_on_read(
                             database, step.table, step.column
                         )

@@ -1,24 +1,15 @@
 """The Database facade: tables, physical design modes, query execution.
 
 A :class:`Database` owns tables and, for each (table, column), an *indexing
-mode* describing the physical design used to answer selections on that
-column:
-
-``"scan"``
-    no index; every selection scans (the default);
-``"full-index"``
-    a full offline index, built when the mode is set (idle time);
-``"online"``
-    the online tuner (:class:`~repro.indexes.online_tuner.OnlineIndexTuner`)
-    monitors selections and builds a full index when the benefit threshold
-    is crossed;
-``"soft"``
-    soft indexes: recommendation during processing, non-incremental build
-    piggy-backed on a scan;
-any adaptive strategy name (``"cracking"``, ``"adaptive-merging"``,
-``"hybrid-crack-sort"``, ...)
-    the corresponding :class:`~repro.core.strategies.SearchStrategy` answers
-    and refines itself incrementally.
+mode*: a name from the one strategy registry
+(:func:`~repro.core.strategies.available_strategies`) — the whole spectrum
+the tutorial compares, from the offline full index over online tuning and
+soft indexes to cracking, adaptive merging and the hybrids.  Setting a mode
+installs the :class:`~repro.core.strategies.SearchStrategy` registered under
+that name as the column's *access path*; the engine queries, updates,
+reports on and releases it through that contract only and never asks which
+technique is behind it.  ``"scan"`` (the default) means "no access path":
+there is nothing to build, and selections scan the base column.
 
 Additionally a table can be put under **sideways cracking** for a selection
 attribute (:meth:`enable_sideways`), which takes over multi-column
@@ -47,7 +38,7 @@ import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
-from repro.columnstore.select import RangePredicate
+from repro.columnstore.select import RangePredicate, scan_select
 from repro.columnstore.storage import MemoryTracker, StorageBudget
 from repro.columnstore.table import Table
 from repro.core.cracking.sideways import SidewaysCracker
@@ -79,12 +70,6 @@ from repro.engine.executor import Executor, QueryResult
 from repro.engine.planner import Plan, Planner
 from repro.engine.query import Query, QueryBuilder
 from repro.engine.session import OperationRecord, Session
-from repro.indexes.full_index import FullIndex
-from repro.indexes.online_tuner import OnlineIndexTuner
-from repro.indexes.soft_index import SoftIndexManager
-
-
-_MANAGED_MODES = ("scan", "full-index", "online", "soft")
 
 
 @guarded_by(
@@ -117,8 +102,8 @@ class Database:
         self._modes: Dict[Tuple[str, str], str] = {}
         # (table, column) -> options passed to set_indexing (for rebuilds)
         self._mode_options: Dict[Tuple[str, str], Dict] = {}
-        # (table, column) -> access-path object for that mode
-        self._access_paths: Dict[Tuple[str, str], object] = {}
+        # (table, column) -> the strategy installed for that mode
+        self._access_paths: Dict[Tuple[str, str], SearchStrategy] = {}
         # table -> head column -> SidewaysCracker
         self._sideways: Dict[str, Dict[str, SidewaysCracker]] = {}
         # table -> positions deleted by DML (tombstones; appends keep all
@@ -330,7 +315,7 @@ class Database:
         if session is not None:
             session.close()
         for path in list(self._access_paths.values()):
-            self._close_path(path)
+            path.close()
         manager = self._durability
         if manager is not None:
             manager.close()
@@ -393,16 +378,17 @@ class Database:
             )
             return table
 
-    @staticmethod
-    def _close_path(path) -> None:
-        """Release an access path's resources (fan-out pools).
-
-        Only adaptive strategies hold releasable resources today; managed
-        indexes (full/online/soft) are plain in-process structures.
-        """
-        close = getattr(path, "close", None)
-        if close is not None:
-            close()
+    def _record_index_memory(self, table: str, column: str) -> None:
+        """The one memory rule: ``index:{table}.{column}`` is the auxiliary
+        bytes the installed path holds, read at install and after each DML
+        operation it saw; a path holding none (no path, a lazy copy not yet
+        taken, a tuner without an index) has no entry."""
+        path = self._access_paths.get((table, column))
+        nbytes = path.nbytes if path is not None else 0
+        if nbytes:
+            self.memory.set_usage(f"index:{table}.{column}", nbytes)
+        else:
+            self.memory.remove(f"index:{table}.{column}")
 
     def drop_table(self, name: str) -> None:
         """Drop a table and all physical structures attached to it."""
@@ -412,22 +398,14 @@ class Database:
             if name not in self._tables:
                 raise KeyError(f"no table {name!r}")
             del self._tables[name]
-            for dropped_table, dropped_column in list(self._access_paths):
-                if dropped_table == name:
-                    self.memory.remove(
-                        f"index:{dropped_table}.{dropped_column}"
-                    )
-                    self._close_path(
-                        self._access_paths[(dropped_table, dropped_column)]
-                    )
+            for key in [k for k in self._access_paths if k[0] == name]:
+                self.memory.remove(f"index:{name}.{key[1]}")
+                self._access_paths.pop(key).close()
             self._modes = {
                 k: v for k, v in self._modes.items() if k[0] != name
             }
             self._mode_options = {
                 k: v for k, v in self._mode_options.items() if k[0] != name
-            }
-            self._access_paths = {
-                k: v for k, v in self._access_paths.items() if k[0] != name
             }
             self._sideways.pop(name, None)
             with self._tombstone_lock:
@@ -453,12 +431,9 @@ class Database:
 
     def set_indexing(self, table: str, column: str, mode: str, **options) -> None:
         """Choose the indexing mode for selections on ``table.column``."""
-        known_adaptive = available_strategies()
-        if mode not in _MANAGED_MODES and mode not in known_adaptive:
-            raise ValueError(
-                f"unknown indexing mode {mode!r}; "
-                f"managed modes: {_MANAGED_MODES}, strategies: {known_adaptive}"
-            )
+        known = available_strategies()
+        if mode not in known:
+            raise ValueError(f"unknown indexing mode {mode!r}; available: {known}")
         # under the schema lock so a concurrent snapshot's captured mode
         # set stays consistent with its high-water mark (see create_table)
         with self._schema_lock:
@@ -466,42 +441,29 @@ class Database:
             if column not in owning_table:
                 raise KeyError(f"no column {column!r} in table {table!r}")
             key = (table, column)
-            base_column = owning_table.column(column)
-            # a previous mode may have recorded index memory for this
-            # column; forget it (and release its resources) before the new
-            # mode's
-            self.memory.remove(f"index:{table}.{column}")
-            self._close_path(self._access_paths.get(key))
-            if mode == "scan":
-                self._access_paths.pop(key, None)
-            elif mode == "full-index":
-                index = FullIndex(base_column, name=column)
-                self._access_paths[key] = index
-                self.memory.set_usage(f"index:{table}.{column}", index.nbytes)
-            elif mode == "online":
-                self._access_paths[key] = OnlineIndexTuner(
-                    build_threshold_factor=options.get(
-                        "build_threshold_factor", 1.0
-                    ),
-                    decay=options.get("decay", 0.995),
-                    max_indexes=options.get("max_indexes"),
+            # build first, swap second, release the old path last: a
+            # refused option must leave the installed path — its memory
+            # entry and its pool — exactly as it was
+            strategy = None
+            if mode != "scan":
+                strategy = create_strategy(
+                    mode, owning_table.column(column), **options
                 )
-            elif mode == "soft":
-                self._access_paths[key] = SoftIndexManager(
-                    recommendation_threshold=options.get(
-                        "recommendation_threshold", 3
-                    )
-                )
-            else:
-                strategy = create_strategy(mode, base_column, **options)
-                if getattr(strategy, "supports_updates", False):
+                if strategy.supports_updates:
                     # the new column treats every base position as a live
                     # row; replay existing tombstones so rows deleted under
                     # an earlier mode stay deleted (its answers are not
                     # filtered)
                     for rowid in self._deleted_rows.get(table, ()):
                         strategy.delete(rowid)
+            previous = self._access_paths.get(key)
+            if strategy is None:
+                self._access_paths.pop(key, None)
+            else:
                 self._access_paths[key] = strategy
+            self._record_index_memory(table, column)
+            if previous is not None:
+                previous.close()
             # recorded only once the access path exists, so a rejected
             # option leaves the previous mode (and the journal) untouched
             self._modes[key] = mode
@@ -572,28 +534,33 @@ class Database:
 
         The row is appended to every column of the table, so existing row
         positions never shift.  Every configured access path stays
-        consistent: updatable strategies absorb the insert through their
-        pending queues (merge on demand), a full index is rebuilt (offline
-        semantics), online/soft managed indexes on the column are dropped
-        (their tuners rebuild them when the benefit threshold is crossed
-        again), and non-updatable adaptive strategies are rebuilt over the
-        grown column — the honest cost of a physical design without update
-        support, and exactly what the updatable strategies avoid.
+        consistent: strategies that support updates absorb the insert
+        through their pending queues (merge on demand); every other one
+        is replaced by what its ``rebuilt`` returns over the grown column —
+        the honest cost of a physical design without update support, and
+        exactly what the updatable strategies avoid.
         """
         owning_table = self.table(table)
         rowid = owning_table.row_count
         owning_table.append_rows(dict(values), counters=counters)
         self.memory.set_usage(f"table:{table}", owning_table.nbytes)
-        for (owner, column_name), mode in list(self._modes.items()):
-            if owner == table:
-                # the rebuild/absorb additionally holds the owning
-                # access-path lock, so even a caller that bypasses the
-                # gates cannot race a selection through this path
-                with self._path_locks.lock_for(("path", table, column_name)):
-                    self._absorb_insert(
-                        table, column_name, mode, values[column_name], rowid,
-                        counters,
+        for (owner, column_name), path in list(self._access_paths.items()):
+            if owner != table:
+                continue
+            # the absorb/rebuild additionally holds the owning access-path
+            # lock, so even a caller that bypasses the gates cannot race a
+            # selection through this path
+            with self._path_locks.lock_for(("path", table, column_name)):
+                if path.supports_updates:
+                    path.insert(values[column_name], counters, rowid=rowid)
+                else:
+                    self._access_paths[(table, column_name)] = path.rebuilt(
+                        owning_table.column(column_name)
                     )
+                    path.close()
+                # absorbing (and possibly repartitioning) or rebuilding
+                # changes the auxiliary footprint
+                self._record_index_memory(table, column_name)
         # sideways cracker maps are non-incremental copies: drop them so they
         # re-materialise (and replay the crack history) from the grown table
         with self._path_locks.lock_for(("sideways", table)):
@@ -604,39 +571,6 @@ class Database:
         with self._engine_stats_lock:
             self.rows_inserted += 1
         return rowid
-
-    def _absorb_insert(
-        self,
-        table: str,
-        column: str,
-        mode: str,
-        value: Union[int, float],
-        rowid: int,
-        counters: Optional[CostCounters],
-    ) -> None:
-        """Bring one access path up to date with a newly appended row."""
-        key = (table, column)
-        path = self._access_paths.get(key)
-        if mode == "scan" or path is None:
-            return  # scans read the base column, which already has the row
-        if getattr(path, "supports_updates", False):
-            path.insert(value, counters, rowid=rowid)
-            # absorbing (and possibly repartitioning) changes the auxiliary
-            # footprint; keep the tracker in step with the live structure
-            self.memory.set_usage(f"index:{table}.{column}", path.nbytes)
-            return
-        base_column = self.table(table).column(column)
-        if mode == "full-index":
-            index = FullIndex(base_column, name=column)
-            self._access_paths[key] = index
-            self.memory.set_usage(f"index:{table}.{column}", index.nbytes)
-            return
-        if mode in ("online", "soft"):
-            path.indexes.pop(column, None)
-            return
-        options = self._mode_options.get(key, {})
-        self._close_path(path)
-        self._access_paths[key] = create_strategy(mode, base_column, **options)
 
     def delete_row(
         self,
@@ -677,12 +611,10 @@ class Database:
                 return
             deleted.add(rowid)
         for (owner, column_name), path in self._access_paths.items():
-            if owner == table and getattr(path, "supports_updates", False):
+            if owner == table and path.supports_updates:
                 with self._path_locks.lock_for(("path", table, column_name)):
                     path.delete(rowid, counters)
-                    self.memory.set_usage(
-                        f"index:{table}.{column_name}", path.nbytes
-                    )
+                    self._record_index_memory(table, column_name)
         if counters is not None:
             counters.record_move(1)
         with self._engine_stats_lock:
@@ -797,20 +729,15 @@ class Database:
         counters: CostCounters,
     ) -> np.ndarray:
         """Answer a selection through the configured access path."""
-        mode = self.indexing_mode(table, column) or "scan"
-        base_column = self.table(table).column(column)
         path = self._access_paths.get((table, column))
-        if mode == "scan" or path is None:
-            from repro.columnstore.select import scan_select
-
-            positions = scan_select(base_column, RangePredicate(low, high), counters)
-        elif mode == "full-index":
-            positions = path.search(low, high, counters)
-        elif mode in ("online", "soft"):
-            positions = path.select(base_column, RangePredicate(low, high), counters)
+        if path is None:
+            positions = scan_select(
+                self.table(table).column(column), RangePredicate(low, high),
+                counters,
+            )
         else:
             positions = path.search(low, high, counters)
-            if getattr(path, "supports_updates", False):
+            if path.supports_updates:
                 # updatable strategies receive every DML delete themselves,
                 # so their answers already exclude tombstoned rows
                 return positions
@@ -1050,23 +977,14 @@ class Database:
         report = []
         for (table, column), mode in sorted(self._modes.items()):
             path = self._access_paths.get((table, column))
-            description = ""
-            if isinstance(path, SearchStrategy):
-                description = path.structure_description
-            elif isinstance(path, FullIndex):
-                description = f"full index ({path.nbytes} bytes)"
-            elif isinstance(path, OnlineIndexTuner):
-                description = (
-                    f"online tuner ({len(path.indexes)} indexes built)"
-                )
-            elif isinstance(path, SoftIndexManager):
-                description = f"soft indexes ({len(path.indexes)} built)"
             report.append(
                 {
                     "table": table,
                     "column": column,
                     "mode": mode,
-                    "structure": description,
+                    "structure": (
+                        path.structure_description if path is not None else ""
+                    ),
                 }
             )
         for table, crackers in sorted(self._sideways.items()):

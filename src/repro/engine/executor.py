@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.columnstore.operators import aggregate as aggregate_values
 from repro.columnstore.reconstruct import late_reconstruct
-from repro.columnstore.select import RangePredicate, refine_select, scan_select
+from repro.columnstore.select import RangePredicate, refine_select
 from repro.cost.counters import CostCounters
 from repro.engine.planner import Plan
 
@@ -65,16 +65,8 @@ class Executor:
             )
 
         for step in plan.steps:
-            if step.operator == "scan_select":
-                positions = self.database.visible_positions(
-                    plan.query.table,
-                    scan_select(
-                        table.column(step.column),
-                        RangePredicate(step.low, step.high),
-                        counters,
-                    ),
-                )
-            elif step.operator == "index_select":
+            if step.operator in ("scan_select", "index_select"):
+                # one dispatch: a column without an access path is scanned
                 positions = self.database.index_select(
                     plan.query.table, step.column, step.low, step.high, counters
                 )

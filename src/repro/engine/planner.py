@@ -4,10 +4,10 @@ The planner's job mirrors what the tutorial calls the "optimizer rules"
 needed by an auto-tuning kernel: for each selection it picks the best
 available access path for that column *right now* —
 
-* an adaptive index (cracking, adaptive merging, a hybrid, ...),
 * a sideways-cracking map set (multi-column selections over one table),
-* a full offline index,
-* an online-tuning or soft-index managed path (which may decide to build), or
+* the :class:`~repro.core.strategies.SearchStrategy` installed for the
+  column, ranked by its ``selection_priority`` (an index — offline,
+  sort-first or adaptive — before a tuner that may not have built yet), or
 * a plain scan —
 
 and orders the remaining work (predicate refinement, tuple reconstruction,
@@ -87,13 +87,9 @@ class Planner:
     # -- selection ordering -----------------------------------------------------------
 
     def _selection_priority(self, table: str, selection: RangeSelection) -> int:
-        """Lower is better: indexed columns first, then scans."""
-        mode = self.database.indexing_mode(table, selection.column)
-        if mode in ("scan", None):
-            return 2
-        if mode in ("online", "soft"):
-            return 1
-        return 0
+        """Lower is better: indexed columns first, then tuners, then scans."""
+        path = self.database.access_path(table, selection.column)
+        return 2 if path is None else path.selection_priority
 
     def plan(self, query: Query) -> Plan:
         """Produce a plan for ``query`` against the current physical design."""

@@ -43,14 +43,20 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis_tools.guards import guarded_by
 from repro.cost.counters import CostCounters
 from repro.cost.stats import QueryStatistics, WorkloadStatistics
 from repro.durability.record import WalRecord
-from repro.engine.concurrency import BatchExecutionReport, schedule_batch, classify_plan
+from repro.engine.concurrency import (
+    AccessPathClaim,
+    BatchExecutionReport,
+    classify_plan,
+    schedule_batch,
+)
 from repro.engine.executor import QueryResult
+from repro.engine.planner import Plan
 from repro.engine.query import Query, QueryBuilder
 
 
@@ -228,16 +234,20 @@ class Session:
         self._check_open()
         database = self._database
         with database._table_gates.read([query.table]):
-            result = self._execute_gated(query)
+            plan = database.planner.plan(query)
+            result = self._execute_claimed(
+                query, plan, classify_plan(database, plan)
+            )
         with self._lock:
             self._stats.queries_executed += 1
         return result
 
-    def _execute_gated(self, query: Query) -> QueryResult:
-        """Classify and execute one query; the table gate is already held."""
+    def _execute_claimed(
+        self, query: Query, plan: Plan, claims: Sequence[AccessPathClaim]
+    ) -> QueryResult:
+        """The one query path: hold the plan's exclusive path locks, execute,
+        and stamp the linearization sequence before they release."""
         database = self._database
-        plan = database.planner.plan(query)
-        claims = classify_plan(database, plan)
         with database._path_locks.locked(claims):
             result = database._execute_single(query, plan)
             result.sequence = database._journal_record(
@@ -290,19 +300,10 @@ class Session:
 
             def run_task(positions: List[int]) -> None:
                 for position in positions:
-                    claims = schedule.claims[position]
-                    with database._path_locks.locked(claims):
-                        result = database._execute_single(
-                            queries[position], plans[position]
-                        )
-                        result.sequence = database._journal_record(
-                            "query",
-                            queries[position].table,
-                            queries[position],
-                            result,
-                            session=self.name,
-                        )
-                    results[position] = result
+                    results[position] = self._execute_claimed(
+                        queries[position], plans[position],
+                        schedule.claims[position],
+                    )
 
             if not parallel or len(schedule.tasks) <= 1:
                 for task in schedule.tasks:
@@ -361,6 +362,58 @@ class Session:
 
     # -- DML -----------------------------------------------------------------------
 
+    def _commit_dml(
+        self,
+        kind: str,
+        table: str,
+        apply: Callable[[], Optional[int]],
+        payload: object,
+        counter: str,
+        **wal_fields,
+    ) -> Optional[int]:
+        """The one DML commit path: fence, apply, journal, count.
+
+        ``apply`` runs under the table's write gate and returns the row
+        identifier the operation assigned (None for a delete); ``payload``
+        is the operation input the in-memory journal keeps, ``wal_fields``
+        what the durable record carries beside ``rowid`` (the assigned
+        identifier unless the caller names one), ``counter`` the session
+        statistic to bump.
+        """
+        self._check_open()
+        database = self._database
+        durability = database._durability
+        with database._table_gates.write(table):
+            result = apply()
+            if durability is None:
+                database._journal_record(
+                    kind, table, payload, result, session=self.name
+                )
+            else:
+                # write-ahead contract: the journal append (and its group
+                # commit) completes before the gate releases, i.e. before
+                # any other operation can observe the change — the file
+                # I/O inside this critical section is RL005-baselined.
+                # The order mutex spans sequence assignment *and* the
+                # append: sessions writing different tables hold different
+                # gates, so without it their records could reach the WAL
+                # out of linearization order (which WalScan rejects as
+                # corruption).
+                with database._wal_order_lock:
+                    sequence = database._journal_record(
+                        kind, table, payload, result, session=self.name
+                    )
+                    wal_fields.setdefault("rowid", result)
+                    durability.append_record(
+                        WalRecord(sequence=sequence, kind=kind, table=table,
+                                  **wal_fields)
+                    )
+        with self._lock:
+            setattr(self._stats, counter, getattr(self._stats, counter) + 1)
+        if durability is not None and durability.snapshot_due():
+            database.snapshot()
+        return result
+
     def insert_row(
         self,
         table: str,
@@ -374,41 +427,12 @@ class Session:
         query in flight on the table, and each per-path mutation
         additionally holds that path's lock.
         """
-        self._check_open()
-        database = self._database
-        durability = database._durability
-        with database._table_gates.write(table):
-            rowid = database._insert_row_locked(table, values, counters)
-            if durability is None:
-                database._journal_record(
-                    "insert", table, dict(values), rowid, session=self.name
-                )
-            else:
-                # write-ahead contract: the journal append (and its group
-                # commit) completes before the gate releases, i.e. before
-                # any other operation can observe the insert — the file
-                # I/O inside this critical section is RL005-baselined.
-                # The order mutex spans sequence assignment *and* the
-                # append: sessions writing different tables hold different
-                # gates, so without it their records could reach the WAL
-                # out of linearization order (which WalScan rejects as
-                # corruption).
-                with database._wal_order_lock:
-                    sequence = database._journal_record(
-                        "insert", table, dict(values), rowid,
-                        session=self.name,
-                    )
-                    durability.append_record(
-                        WalRecord(
-                            sequence=sequence, kind="insert", table=table,
-                            rowid=rowid, values=dict(values),
-                        )
-                    )
-        with self._lock:
-            self._stats.rows_inserted += 1
-        if durability is not None and durability.snapshot_due():
-            database.snapshot()
-        return rowid
+        row = dict(values)
+        return self._commit_dml(
+            "insert", table,
+            lambda: self._database._insert_row_locked(table, values, counters),
+            row, "rows_inserted", values=row,
+        )
 
     def delete_row(
         self,
@@ -417,32 +441,11 @@ class Session:
         counters: Optional[CostCounters] = None,
     ) -> None:
         """Delete the row identified by ``rowid`` (idempotent), fenced."""
-        self._check_open()
-        database = self._database
-        durability = database._durability
-        with database._table_gates.write(table):
-            database._delete_row_locked(table, rowid, counters)
-            if durability is None:
-                database._journal_record(
-                    "delete", table, int(rowid), None, session=self.name
-                )
-            else:
-                # journaled before the gate releases, sequenced and
-                # appended under the order mutex (see insert_row)
-                with database._wal_order_lock:
-                    sequence = database._journal_record(
-                        "delete", table, int(rowid), None, session=self.name
-                    )
-                    durability.append_record(
-                        WalRecord(
-                            sequence=sequence, kind="delete", table=table,
-                            rowid=int(rowid),
-                        )
-                    )
-        with self._lock:
-            self._stats.rows_deleted += 1
-        if durability is not None and durability.snapshot_due():
-            database.snapshot()
+        self._commit_dml(
+            "delete", table,
+            lambda: self._database._delete_row_locked(table, rowid, counters),
+            int(rowid), "rows_deleted", rowid=int(rowid),
+        )
 
     def update_row(
         self,
@@ -452,36 +455,15 @@ class Session:
         counters: Optional[CostCounters] = None,
     ) -> int:
         """Update = delete + insert under one fence; returns the new rowid."""
-        self._check_open()
-        database = self._database
-        durability = database._durability
-        with database._table_gates.write(table):
-            new_rowid = database._update_row_locked(table, rowid, values, counters)
-            if durability is None:
-                database._journal_record(
-                    "update", table, (int(rowid), dict(values)), new_rowid,
-                    session=self.name,
-                )
-            else:
-                # journaled before the gate releases, sequenced and
-                # appended under the order mutex (see insert_row)
-                with database._wal_order_lock:
-                    sequence = database._journal_record(
-                        "update", table, (int(rowid), dict(values)),
-                        new_rowid, session=self.name,
-                    )
-                    durability.append_record(
-                        WalRecord(
-                            sequence=sequence, kind="update", table=table,
-                            rowid=new_rowid, old_rowid=int(rowid),
-                            values=dict(values),
-                        )
-                    )
-        with self._lock:
-            self._stats.rows_updated += 1
-        if durability is not None and durability.snapshot_due():
-            database.snapshot()
-        return new_rowid
+        changed = dict(values)
+        return self._commit_dml(
+            "update", table,
+            lambda: self._database._update_row_locked(
+                table, rowid, values, counters
+            ),
+            (int(rowid), changed), "rows_updated",
+            old_rowid=int(rowid), values=changed,
+        )
 
     def submit_insert(
         self,

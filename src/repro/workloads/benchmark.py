@@ -209,8 +209,8 @@ class AdaptiveIndexingBenchmark:
         """Run the workload through a Database session (the engine front door).
 
         Builds a fresh single-table database, puts its key column under
-        ``mode`` (any managed mode or registered strategy; ``"scan"``
-        leaves it unindexed) and executes every query through the
+        ``mode`` (any registered strategy; ``"scan"`` leaves it
+        unindexed) and executes every query through the
         lock-aware session builder.  For a pure selection workload the
         recorded counters are identical to :meth:`run_strategy`'s — the
         engine dispatches to the same structures — so both surfaces feed
@@ -239,14 +239,6 @@ class AdaptiveIndexingBenchmark:
                     )
                 )
         path = database.access_path("data", "key")
-        structure = next(
-            (
-                record["structure"]
-                for record in database.physical_design_report()
-                if record["column"] == "key"
-            ),
-            "",
-        )
         per_query = statistics.per_query_cost(self.cost_model)
         return StrategyRunResult(
             strategy=label,
@@ -263,9 +255,9 @@ class AdaptiveIndexingBenchmark:
             ),
             total_cost=sum(per_query),
             total_seconds=statistics.total_seconds,
-            final_nbytes=int(getattr(path, "nbytes", 0) or 0),
+            final_nbytes=path.nbytes if path is not None else 0,
             robustness=robustness_ratio(per_query) if per_query else 1.0,
-            final_structure=structure,
+            final_structure=path.structure_description if path is not None else "",
         )
 
     def run(

@@ -24,6 +24,8 @@ import pytest
 
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
+from repro.engine.database import Database
+from repro.engine.query import Query
 
 ROWS = 2_000
 DOMAIN = 20_000
@@ -209,9 +211,6 @@ def run_engine_stream(label):
     """Drive one mode through a session; returns the dict pinned in
     ``ENGINE_GOLDEN``: per-operation counters in stream order and, per stage,
     ``(structure string, memory breakdown)``."""
-    from repro.engine.database import Database
-    from repro.engine.query import Query
-
     mode, options = ENGINE_CASES[label]
     rng = np.random.default_rng(SEED + 2)
     database = Database("golden")
@@ -504,10 +503,10 @@ ENGINE_GOLDEN = {
         'stages': {
             'install': (
                 'cracking: 1 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'queried': (
                 'cracking: 17 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'cracking: 17 pieces, 1+0 pending (ripple)',
                 {'table:T': 1616, 'index:T.a': 1632}),
@@ -532,10 +531,10 @@ ENGINE_GOLDEN = {
         'stages': {
             'install': (
                 'partitioned cracking: 2 partitions (2 touched), 2 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'queried': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces, 1+0 pending (ripple)',
                 {'table:T': 1616, 'index:T.a': 1632}),

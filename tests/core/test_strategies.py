@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.columnstore.column import Column
 from repro.core.strategies import (
     SearchStrategy,
     available_strategies,
@@ -15,6 +16,8 @@ EXPECTED_STRATEGIES = {
     "scan",
     "full-index",
     "sort-first",
+    "online",
+    "soft",
     "cracking",
     "cracking-sort-pieces",
     "partitioned-cracking",
@@ -94,6 +97,104 @@ class TestAllStrategies:
         strategy = create_strategy(name, small_values)
         strategy.search(0, 50)
         assert strategy.nbytes >= 0
+
+
+@pytest.mark.parametrize("name,options,build_query", [
+    ("online", {}, None),
+    ("online", {"build_threshold_factor": 0.5}, None),
+    ("soft", {}, 3),
+    ("soft", {"recommendation_threshold": 5}, 5),
+])
+@pytest.mark.parametrize("as_column", [True, False], ids=["column", "array"])
+class TestTunerStrategies:
+    """``online`` and ``soft`` are the tuner classes behind the one contract."""
+
+    def test_answers_and_the_build_is_charged_to_its_query(
+        self, name, options, build_query, as_column, small_values
+    ):
+        source = Column(small_values, name="key") if as_column else small_values
+        strategy = create_strategy(name, source, **options)
+        rng = np.random.default_rng(3)
+        empty = strategy.structure_description
+        assert strategy.nbytes == 0
+        built_at = None
+        for number in range(1, 41):
+            low = int(rng.integers(0, 90))
+            counters = CostCounters()
+            before = strategy.structure_description
+            answer = strategy.search(low, low + 10, counters)
+            assert sorted(answer.tolist()) == sorted(
+                strategy.reference_search(low, low + 10).tolist()
+            )
+            if strategy.structure_description != before:
+                # the structure string reflects built structure only, so it
+                # changes exactly on the query that pays for the sort
+                assert built_at is None and before == empty
+                assert counters.tuples_moved == len(small_values)
+                assert counters.pieces_created == 1
+                built_at = number
+            else:
+                assert counters.tuples_moved == 0
+        assert built_at is not None
+        if build_query is not None:
+            assert built_at == build_query
+        assert strategy.nbytes == 2 * small_values.nbytes
+
+    def test_declares_that_reads_reorganize(
+        self, name, options, build_query, as_column, small_values
+    ):
+        strategy = create_strategy(name, small_values, **options)
+        # declared on the class (RL003), not inherited from the base default
+        declaring = [
+            cls for cls in type(strategy).__mro__
+            if "reorganizes_on_read" in vars(cls)
+        ]
+        assert declaring[0] is not SearchStrategy
+        assert strategy.reorganizes_on_read is True
+        assert strategy.supports_updates is False
+        assert strategy.selection_priority > create_strategy(
+            "full-index", small_values
+        ).selection_priority
+
+    def test_rebuilt_keeps_statistics_and_drops_the_index(
+        self, name, options, build_query, as_column, small_values
+    ):
+        source = Column(small_values, name="key") if as_column else small_values
+        strategy = create_strategy(name, source, **options)
+        while not strategy.nbytes:
+            strategy.search(40, 60)
+        grown = np.append(small_values, 50)
+        fresh = strategy.rebuilt(
+            Column(grown, name="key") if as_column else grown
+        )
+        assert fresh is not strategy and type(fresh) is type(strategy)
+        assert fresh.options == options and len(fresh) == len(grown)
+        assert fresh.nbytes == 0
+        # the statistics came along: the very next query rebuilds
+        counters = CostCounters()
+        answer = fresh.search(40, 60, counters)
+        assert sorted(answer.tolist()) == sorted(
+            fresh.reference_search(40, 60).tolist()
+        )
+        assert len(small_values) in answer.tolist()
+        assert fresh.nbytes and counters.tuples_moved == len(grown)
+
+
+def test_tuner_options_are_forwarded_only_when_given(small_values):
+    online = create_strategy("online", small_values)
+    assert (online.tuner.build_threshold_factor, online.tuner.decay,
+            online.tuner.max_indexes) == (1.0, 0.995, None)
+    assert create_strategy("soft", small_values).tuner.recommendation_threshold == 3
+    tuned = create_strategy(
+        "online", small_values, build_threshold_factor=2.5, decay=0.9, max_indexes=0
+    )
+    assert (tuned.tuner.build_threshold_factor, tuned.tuner.decay,
+            tuned.tuner.max_indexes) == (2.5, 0.9, 0)
+    # the tuners validate their own options
+    with pytest.raises(ValueError):
+        create_strategy("online", small_values, build_threshold_factor=-1)
+    with pytest.raises(ValueError):
+        create_strategy("soft", small_values, recommendation_threshold=0)
 
 
 class TestCostShapes:

@@ -188,6 +188,41 @@ class TestOpenRecover:
         assert database.durability.stats()["appended_records"] == records
         database.close()
 
+    @pytest.mark.parametrize("refused", [
+        ("cracking", {"executor": "process"}),
+        ("online", {"build_threshold_factor": -1}),
+    ])
+    def test_refused_set_indexing_leaves_the_installed_path_intact(
+        self, tmp_path, refused
+    ):
+        mode, options = refused
+        database = make_database(tmp_path)
+        database.set_indexing("facts", "key", "full-index")
+        installed = database.access_path("facts", "key")
+        memory = database.memory.breakdown()
+        assert memory["index:facts.key"] == installed.nbytes
+        with pytest.raises(ValueError):
+            database.set_indexing("facts", "key", mode, **options)
+        assert database.access_path("facts", "key") is installed
+        assert database.memory.breakdown() == memory
+
+        # a fan-out pool must survive the refusal too: the old path is
+        # released only after its replacement exists
+        database.set_indexing(
+            "facts", "key", "partitioned-cracking",
+            partitions=2, parallel=True, max_workers=2,
+        )
+        pooled = database.access_path("facts", "key")
+        database.execute(Query.range_query("facts", "key", 10, 5_000))
+        pool = pooled.cracked._pool
+        assert pool is not None
+        with pytest.raises(ValueError):
+            database.set_indexing("facts", "key", mode, **options)
+        assert database.access_path("facts", "key") is pooled
+        assert pooled.cracked._pool is pool
+        pool.submit(lambda: None).result(timeout=10)  # still accepting work
+        database.close()
+
     def test_fresh_database_over_durable_state_is_refused(self, tmp_path):
         database = make_database(tmp_path)
         database.close()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.strategies import available_strategies
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, RangeSelection
 
@@ -164,6 +165,45 @@ class TestExecution:
         stats = database.run_workload(queries)
         costs = [q.counters.tuples_scanned + q.counters.tuples_moved for q in stats]
         assert costs[-1] < costs[0]
+
+
+#: options worth carrying across a rebuild, per registry name
+REBUILD_OPTIONS = {
+    "cracking": {"sort_threshold": 8},
+    "partitioned-cracking": {"partitions": 2},
+    "partitioned-updatable-cracking": {"partitions": 2, "policy": "gradual"},
+    "online": {"build_threshold_factor": 2.0},
+    "soft": {"recommendation_threshold": 4},
+    "adaptive-merging": {"run_size": 500},
+    "stochastic-cracking": {"variant": "mdd1r", "seed": 5},
+}
+
+
+@pytest.mark.parametrize("mode", available_strategies())
+def test_insert_keeps_or_rebuilds_every_access_path(database, mode):
+    """One absorb rule for the whole registry: a strategy that supports
+    updates stays installed, any other is replaced by a fresh one under the
+    same name carrying the recorded options."""
+    options = REBUILD_OPTIONS.get(mode, {})
+    database.set_indexing("facts", "a", mode, **options)
+    before = database.access_path("facts", "a")
+    rowid = database.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
+    after = database.access_path("facts", "a")
+    if mode == "scan":
+        assert before is None and after is None
+    elif before.supports_updates:
+        assert after is before
+    else:
+        assert after is not before and type(after) is type(before)
+        assert after.name == mode
+        assert {key: after.options[key] for key in options} == options
+        assert len(after) == database.table("facts").row_count
+    result = database.execute(Query.range_query("facts", "a", 1000, 3000))
+    assert set(result.positions.tolist()) == reference_positions(
+        database, 1000, 3000
+    )
+    assert rowid in result.positions.tolist()
+    database.close()
 
 
 class TestMemoryAccounting:

@@ -362,18 +362,20 @@ class TestDMLFencing:
     def test_insert_rebuild_holds_owning_path_lock(self, database, monkeypatch):
         """ROADMAP follow-up 3: the access-path rebuild on insert runs
         under the owning path's lock, even via the legacy wrapper."""
-        import repro.engine.database as database_module
+        # the rebuild is the strategy's own ``rebuilt``, which goes back
+        # through the registry
+        import repro.core.strategies as strategies_module
 
         database.set_indexing("facts", "a", "cracking")
         lock = database._path_locks.lock_for(("path", "facts", "a"))
-        original = database_module.create_strategy
+        original = strategies_module.create_strategy
         observed = {}
 
         def checking_create(*args, **kwargs):
             observed["locked"] = lock.locked()
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(database_module, "create_strategy", checking_create)
+        monkeypatch.setattr(strategies_module, "create_strategy", checking_create)
         database.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
         assert observed["locked"] is True
 

@@ -1,101 +1,12 @@
-"""Unit tests for what-if analysis, the offline tuner, online tuner and soft indexes."""
+"""Unit tests for the online tuner and soft indexes."""
 
 import pytest
 
 from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate
 from repro.cost.counters import CostCounters
-from repro.indexes.offline_tuner import OfflineTuner
 from repro.indexes.online_tuner import OnlineIndexTuner
 from repro.indexes.soft_index import SoftIndexManager
-from repro.indexes.whatif import HypotheticalIndex, WhatIfAnalyzer, WorkloadQuery
-
-
-@pytest.fixture
-def analyzer():
-    return WhatIfAnalyzer({"orders": 100_000, "tiny": 100})
-
-
-class TestWhatIfAnalyzer:
-    def test_indexed_cheaper_than_scan(self, analyzer):
-        query = WorkloadQuery("orders", "price", selectivity=0.01)
-        assert analyzer.indexed_cost(query) < analyzer.scan_cost(query)
-
-    def test_query_cost_uses_matching_index_only(self, analyzer):
-        query = WorkloadQuery("orders", "price", selectivity=0.01)
-        other = HypotheticalIndex("orders", "date")
-        matching = HypotheticalIndex("orders", "price")
-        assert analyzer.query_cost(query, [other]) == analyzer.scan_cost(query)
-        assert analyzer.query_cost(query, [matching]) == analyzer.indexed_cost(query)
-
-    def test_build_cost_grows_with_table(self, analyzer):
-        big = analyzer.build_cost(HypotheticalIndex("orders", "price"))
-        small = analyzer.build_cost(HypotheticalIndex("tiny", "price"))
-        assert big > small
-
-    def test_workload_cost_with_build(self, analyzer):
-        workload = [WorkloadQuery("orders", "price", 0.01, weight=10)]
-        index = HypotheticalIndex("orders", "price")
-        without_build = analyzer.workload_cost(workload, [index])
-        with_build = analyzer.workload_cost(workload, [index], include_build_cost=True)
-        assert with_build > without_build
-
-    def test_index_benefit_positive_for_selective_queries(self, analyzer):
-        workload = [WorkloadQuery("orders", "price", 0.001, weight=100)]
-        assert analyzer.index_benefit(HypotheticalIndex("orders", "price"), workload) > 0
-
-    def test_candidate_indexes_deduplicated(self, analyzer):
-        workload = [
-            WorkloadQuery("orders", "price"),
-            WorkloadQuery("orders", "price"),
-            WorkloadQuery("orders", "date"),
-        ]
-        candidates = analyzer.candidate_indexes(workload)
-        assert len(candidates) == 2
-
-    def test_unknown_table_raises(self, analyzer):
-        with pytest.raises(KeyError):
-            analyzer.scan_cost(WorkloadQuery("missing", "x"))
-
-
-class TestOfflineTuner:
-    def test_recommends_hot_column(self, analyzer):
-        tuner = OfflineTuner(analyzer)
-        workload = [
-            WorkloadQuery("orders", "price", 0.001, weight=1000),
-            WorkloadQuery("orders", "comment", 0.5, weight=1),
-        ]
-        recommendation = tuner.recommend(workload)
-        assert recommendation.covers("orders", "price")
-        assert recommendation.estimated_benefit > 0
-
-    def test_respects_storage_budget(self, analyzer):
-        tuner = OfflineTuner(analyzer, bytes_per_row=16)
-        workload = [
-            WorkloadQuery("orders", "a", 0.001, weight=100),
-            WorkloadQuery("orders", "b", 0.001, weight=100),
-        ]
-        # budget for exactly one index over the 100k-row table
-        recommendation = tuner.recommend(workload, storage_budget_bytes=100_000 * 16)
-        assert len(recommendation.indexes) == 1
-        assert recommendation.estimated_storage_bytes <= 100_000 * 16
-
-    def test_respects_max_indexes(self, analyzer):
-        tuner = OfflineTuner(analyzer)
-        workload = [
-            WorkloadQuery("orders", name, 0.001, weight=10) for name in "abcd"
-        ]
-        recommendation = tuner.recommend(workload, max_indexes=2)
-        assert len(recommendation.indexes) == 2
-
-    def test_min_benefit_filters_marginal_indexes(self, analyzer):
-        tuner = OfflineTuner(analyzer)
-        workload = [WorkloadQuery("orders", "x", selectivity=1.0, weight=1)]
-        # an index on a fully unselective, rarely-run query brings only a
-        # marginal benefit; requiring a substantial one rejects it
-        threshold = 2 * analyzer.scan_cost(workload[0])
-        recommendation = tuner.recommend(workload, min_benefit=threshold)
-        assert recommendation.indexes == []
 
 
 class TestOnlineTuner:
