@@ -1,4 +1,4 @@
-"""Golden counters for the four cracking registry names and the engine's modes.
+"""Golden counters for the cracking names, the engine's modes, merging and hybrids.
 
 One seeded stream per name — queries only for the read-only names, queries
 interleaved with insert/delete/update for the updatable ones — with the
@@ -555,6 +555,181 @@ def test_engine_stream_matches_recorded_literals(label):
     assert run_engine_stream(label) == ENGINE_GOLDEN[label]
 
 
+# -- adaptive merging and the hybrids ---------------------------------------------
+#
+# Sixteen seeded range queries per name over the drifting base column, each
+# pinned as ``(per-query counters, nbytes, structure_description)``: the
+# first query pays run generation / initial partitioning, later ones move
+# only the not-yet-merged part of their range.  Recorded at commit b7279e0,
+# before the hybrids' sorted initial partition became ``merging.runs.SortedRun``
+# and the five hybrid classes became registrations of one class.
+
+MERGE_QUERIES = 16
+
+MERGE_NAMES = (
+    "adaptive-merging", "hybrid-crack-crack", "hybrid-crack-sort",
+    "hybrid-crack-radix", "hybrid-sort-sort", "hybrid-radix-radix",
+)
+
+
+def run_merge_stream(name):
+    """Per query: ``(counter tuple, nbytes, structure_description)``, plus a
+    hash of the sorted answers."""
+    values = base_values()
+    strategy = create_strategy(name, values)
+    rng = np.random.default_rng(SEED + 3)
+    digest = hashlib.sha256()
+    recorded = []
+    for _ in range(MERGE_QUERIES):
+        width = int(rng.choice([200, 2_000, DOMAIN // 2]))
+        low = int(rng.integers(0, DOMAIN - width + 1))
+        counters = CostCounters()
+        answer = np.sort(strategy.search(low, low + width, counters))
+        expected = np.flatnonzero((values >= low) & (values < low + width))
+        assert answer.tolist() == expected.tolist()
+        digest.update(answer.astype(np.int64).tobytes())
+        recorded.append((
+            _counter_tuple(counters), strategy.nbytes,
+            strategy.structure_description,
+        ))
+    return {"queries": recorded, "answers": digest.hexdigest()[:16]}
+
+
+MERGE_GOLDEN = {
+    'adaptive-merging': {
+        'queries': [
+            ((2498, 2498, 13434, 92, 32000, 46), 32000, 'adaptive merging: 46 runs left, 249 tuples merged'),
+            ((50, 75, 679, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 274 tuples merged'),
+            ((30, 45, 617, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 289 tuples merged'),
+            ((419, 492, 2152, 184, 0, 0), 32000, 'adaptive merging: 46 runs left, 453 tuples merged'),
+            ((299, 324, 1265, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 561 tuples merged'),
+            ((46, 69, 626, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 584 tuples merged'),
+            ((20, 30, 555, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 594 tuples merged'),
+            ((32, 48, 584, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 610 tuples merged'),
+            ((48, 72, 630, 92, 0, 0), 32000, 'adaptive merging: 46 runs left, 634 tuples merged'),
+            ((2241, 2955, 9641, 256, 0, 0), 32000, 'adaptive merging: 30 runs left, 1619 tuples merged'),
+            ((22, 33, 303, 60, 0, 0), 32000, 'adaptive merging: 30 runs left, 1630 tuples merged'),
+            ((283, 120, 475, 60, 0, 0), 32000, 'adaptive merging: 24 runs left, 1670 tuples merged'),
+            ((26, 0, 22, 0, 0, 0), 32000, 'adaptive merging: 24 runs left, 1670 tuples merged'),
+            ((245, 345, 1129, 96, 0, 0), 32000, 'adaptive merging: 24 runs left, 1785 tuples merged'),
+            ((24, 0, 22, 0, 0, 0), 32000, 'adaptive merging: 24 runs left, 1785 tuples merged'),
+            ((1249, 0, 22, 0, 0, 0), 32000, 'adaptive merging: 24 runs left, 1785 tuples merged'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+    'hybrid-crack-crack': {
+        'queries': [
+            ((4249, 4498, 4048, 0, 35984, 139), 32000, 'hybrid-crack-crack: 249 tuples in final partition (1 pieces)'),
+            ((476, 501, 998, 0, 400, 93), 32000, 'hybrid-crack-crack: 274 tuples in final partition (2 pieces)'),
+            ((1315, 1330, 2744, 0, 240, 93), 32000, 'hybrid-crack-crack: 289 tuples in final partition (3 pieces)'),
+            ((810, 883, 1505, 0, 2624, 50), 32000, 'hybrid-crack-crack: 453 tuples in final partition (5 pieces)'),
+            ((573, 598, 883, 0, 1728, 49), 32000, 'hybrid-crack-crack: 561 tuples in final partition (6 pieces)'),
+            ((1249, 1272, 2650, 0, 368, 93), 32000, 'hybrid-crack-crack: 584 tuples in final partition (7 pieces)'),
+            ((164, 174, 508, 0, 160, 93), 32000, 'hybrid-crack-crack: 594 tuples in final partition (8 pieces)'),
+            ((1004, 1020, 2178, 0, 256, 93), 32000, 'hybrid-crack-crack: 610 tuples in final partition (9 pieces)'),
+            ((858, 882, 1872, 0, 384, 93), 32000, 'hybrid-crack-crack: 634 tuples in final partition (10 pieces)'),
+            ((1900, 2614, 1955, 0, 15760, 41), 32000, 'hybrid-crack-crack: 1619 tuples in final partition (13 pieces)'),
+            ((145, 156, 446, 0, 176, 61), 32000, 'hybrid-crack-crack: 1630 tuples in final partition (14 pieces)'),
+            ((614, 451, 1074, 0, 640, 5), 32000, 'hybrid-crack-crack: 1670 tuples in final partition (15 pieces)'),
+            ((192, 166, 364, 0, 0, 2), 32000, 'hybrid-crack-crack: 1670 tuples in final partition (15 pieces)'),
+            ((327, 427, 711, 0, 1840, 50), 32000, 'hybrid-crack-crack: 1785 tuples in final partition (17 pieces)'),
+            ((422, 398, 834, 0, 0, 4), 32000, 'hybrid-crack-crack: 1785 tuples in final partition (17 pieces)'),
+            ((1559, 310, 458, 0, 0, 4), 32000, 'hybrid-crack-crack: 1785 tuples in final partition (17 pieces)'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+    'hybrid-crack-sort': {
+        'queries': [
+            ((4249, 4498, 6030, 0, 35984, 139), 32000, 'hybrid-crack-sort: 249 tuples in final partition (1 pieces)'),
+            ((476, 501, 1114, 0, 400, 93), 32000, 'hybrid-crack-sort: 274 tuples in final partition (2 pieces)'),
+            ((1315, 1330, 2802, 0, 240, 93), 32000, 'hybrid-crack-sort: 289 tuples in final partition (3 pieces)'),
+            ((561, 634, 2090, 0, 2624, 48), 32000, 'hybrid-crack-sort: 453 tuples in final partition (5 pieces)'),
+            ((453, 478, 1385, 0, 1728, 47), 32000, 'hybrid-crack-sort: 561 tuples in final partition (6 pieces)'),
+            ((1249, 1272, 2754, 0, 368, 93), 32000, 'hybrid-crack-sort: 584 tuples in final partition (7 pieces)'),
+            ((164, 174, 541, 0, 160, 93), 32000, 'hybrid-crack-sort: 594 tuples in final partition (8 pieces)'),
+            ((1004, 1020, 2242, 0, 256, 93), 32000, 'hybrid-crack-sort: 610 tuples in final partition (9 pieces)'),
+            ((858, 882, 1982, 0, 384, 93), 32000, 'hybrid-crack-sort: 634 tuples in final partition (10 pieces)'),
+            ((1651, 2365, 9998, 0, 15760, 39), 32000, 'hybrid-crack-sort: 1619 tuples in final partition (13 pieces)'),
+            ((145, 156, 484, 0, 176, 61), 32000, 'hybrid-crack-sort: 1630 tuples in final partition (14 pieces)'),
+            ((243, 80, 570, 0, 640, 1), 32000, 'hybrid-crack-sort: 1670 tuples in final partition (15 pieces)'),
+            ((26, 0, 48, 0, 0, 0), 32000, 'hybrid-crack-sort: 1670 tuples in final partition (15 pieces)'),
+            ((327, 427, 1398, 0, 1840, 50), 32000, 'hybrid-crack-sort: 1785 tuples in final partition (17 pieces)'),
+            ((24, 0, 66, 0, 0, 0), 32000, 'hybrid-crack-sort: 1785 tuples in final partition (17 pieces)'),
+            ((1249, 0, 66, 0, 0, 0), 32000, 'hybrid-crack-sort: 1785 tuples in final partition (17 pieces)'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+    'hybrid-crack-radix': {
+        'queries': [
+            ((4498, 4498, 4297, 0, 35984, 139), 32000, 'hybrid-crack-radix: 249 tuples in final partition (1 pieces)'),
+            ((501, 501, 1023, 0, 400, 93), 32000, 'hybrid-crack-radix: 274 tuples in final partition (2 pieces)'),
+            ((1330, 1330, 2759, 0, 240, 93), 32000, 'hybrid-crack-radix: 289 tuples in final partition (3 pieces)'),
+            ((974, 883, 1669, 0, 2624, 50), 32000, 'hybrid-crack-radix: 453 tuples in final partition (5 pieces)'),
+            ((681, 598, 991, 0, 1728, 49), 32000, 'hybrid-crack-radix: 561 tuples in final partition (6 pieces)'),
+            ((1272, 1272, 2673, 0, 368, 93), 32000, 'hybrid-crack-radix: 584 tuples in final partition (7 pieces)'),
+            ((174, 174, 518, 0, 160, 93), 32000, 'hybrid-crack-radix: 594 tuples in final partition (8 pieces)'),
+            ((1020, 1020, 2194, 0, 256, 93), 32000, 'hybrid-crack-radix: 610 tuples in final partition (9 pieces)'),
+            ((882, 882, 1896, 0, 384, 93), 32000, 'hybrid-crack-radix: 634 tuples in final partition (10 pieces)'),
+            ((2885, 2614, 2940, 0, 15760, 41), 32000, 'hybrid-crack-radix: 1619 tuples in final partition (13 pieces)'),
+            ((156, 156, 457, 0, 176, 61), 32000, 'hybrid-crack-radix: 1630 tuples in final partition (14 pieces)'),
+            ((654, 451, 1114, 0, 640, 5), 32000, 'hybrid-crack-radix: 1670 tuples in final partition (15 pieces)'),
+            ((192, 166, 364, 0, 0, 2), 32000, 'hybrid-crack-radix: 1670 tuples in final partition (15 pieces)'),
+            ((442, 427, 826, 0, 1840, 50), 32000, 'hybrid-crack-radix: 1785 tuples in final partition (17 pieces)'),
+            ((422, 398, 834, 0, 0, 4), 32000, 'hybrid-crack-radix: 1785 tuples in final partition (17 pieces)'),
+            ((1559, 310, 458, 0, 0, 4), 32000, 'hybrid-crack-radix: 1785 tuples in final partition (17 pieces)'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+    'hybrid-sort-sort': {
+        'queries': [
+            ((2498, 2498, 13420, 92, 35984, 47), 32000, 'hybrid-sort-sort: 249 tuples in final partition (1 pieces)'),
+            ((50, 50, 656, 92, 400, 1), 32000, 'hybrid-sort-sort: 274 tuples in final partition (2 pieces)'),
+            ((30, 30, 596, 92, 240, 1), 32000, 'hybrid-sort-sort: 289 tuples in final partition (3 pieces)'),
+            ((419, 328, 2142, 184, 2624, 2), 32000, 'hybrid-sort-sort: 453 tuples in final partition (5 pieces)'),
+            ((299, 216, 1261, 92, 1728, 1), 32000, 'hybrid-sort-sort: 561 tuples in final partition (6 pieces)'),
+            ((46, 46, 610, 92, 368, 1), 32000, 'hybrid-sort-sort: 584 tuples in final partition (7 pieces)'),
+            ((20, 20, 541, 92, 160, 1), 32000, 'hybrid-sort-sort: 594 tuples in final partition (8 pieces)'),
+            ((32, 32, 572, 92, 256, 1), 32000, 'hybrid-sort-sort: 610 tuples in final partition (9 pieces)'),
+            ((48, 48, 620, 92, 384, 1), 32000, 'hybrid-sort-sort: 634 tuples in final partition (10 pieces)'),
+            ((2241, 1970, 9629, 256, 15760, 3), 32000, 'hybrid-sort-sort: 1619 tuples in final partition (13 pieces)'),
+            ((22, 22, 298, 60, 176, 1), 32000, 'hybrid-sort-sort: 1630 tuples in final partition (14 pieces)'),
+            ((283, 80, 500, 60, 640, 1), 32000, 'hybrid-sort-sort: 1670 tuples in final partition (15 pieces)'),
+            ((26, 0, 48, 0, 0, 0), 32000, 'hybrid-sort-sort: 1670 tuples in final partition (15 pieces)'),
+            ((245, 230, 1119, 96, 1840, 2), 32000, 'hybrid-sort-sort: 1785 tuples in final partition (17 pieces)'),
+            ((24, 0, 66, 0, 0, 0), 32000, 'hybrid-sort-sort: 1785 tuples in final partition (17 pieces)'),
+            ((1249, 0, 66, 0, 0, 0), 32000, 'hybrid-sort-sort: 1785 tuples in final partition (17 pieces)'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+    'hybrid-radix-radix': {
+        'queries': [
+            ((2780, 2780, 4288, 0, 35984, 931), 32000, 'hybrid-radix-radix: 249 tuples in final partition (1 pieces)'),
+            ((119, 119, 1411, 0, 400, 41), 32000, 'hybrid-radix-radix: 274 tuples in final partition (2 pieces)'),
+            ((60, 60, 1314, 0, 240, 19), 32000, 'hybrid-radix-radix: 289 tuples in final partition (3 pieces)'),
+            ((848, 757, 3596, 0, 2624, 121), 32000, 'hybrid-radix-radix: 453 tuples in final partition (5 pieces)'),
+            ((532, 449, 1749, 0, 1728, 81), 32000, 'hybrid-radix-radix: 561 tuples in final partition (6 pieces)'),
+            ((107, 107, 1188, 0, 368, 39), 32000, 'hybrid-radix-radix: 584 tuples in final partition (7 pieces)'),
+            ((41, 41, 1084, 0, 160, 19), 32000, 'hybrid-radix-radix: 594 tuples in final partition (8 pieces)'),
+            ((64, 64, 1107, 0, 256, 19), 32000, 'hybrid-radix-radix: 610 tuples in final partition (9 pieces)'),
+            ((99, 99, 1159, 0, 384, 31), 32000, 'hybrid-radix-radix: 634 tuples in final partition (10 pieces)'),
+            ((3485, 3214, 6068, 0, 15760, 680), 32000, 'hybrid-radix-radix: 1619 tuples in final partition (13 pieces)'),
+            ((47, 47, 397, 0, 176, 17), 32000, 'hybrid-radix-radix: 1630 tuples in final partition (14 pieces)'),
+            ((694, 491, 1240, 0, 640, 38), 32000, 'hybrid-radix-radix: 1670 tuples in final partition (15 pieces)'),
+            ((192, 166, 364, 0, 0, 2), 32000, 'hybrid-radix-radix: 1670 tuples in final partition (15 pieces)'),
+            ((376, 361, 914, 0, 1840, 92), 32000, 'hybrid-radix-radix: 1785 tuples in final partition (17 pieces)'),
+            ((422, 398, 834, 0, 0, 4), 32000, 'hybrid-radix-radix: 1785 tuples in final partition (17 pieces)'),
+            ((1559, 310, 458, 0, 0, 4), 32000, 'hybrid-radix-radix: 1785 tuples in final partition (17 pieces)'),
+        ],
+        'answers': '94b4381bbe302a0e',
+    },
+}
+
+
+@pytest.mark.parametrize("name", MERGE_NAMES)
+def test_merge_stream_matches_recorded_literals(name):
+    assert run_merge_stream(name) == MERGE_GOLDEN[name]
+
+
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_golden_counters.py
     for case in _cases():
         sequential = run_stream(*case, parallel=False)
@@ -576,6 +751,17 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_g
             print(f"                {structure!r},")
             print(f"                {memory!r}),")
         print("        },")
+        print(f"        'answers': {recorded['answers']!r},")
+        print("    },")
+    print("}")
+    print("MERGE_GOLDEN = {")
+    for name in MERGE_NAMES:
+        recorded = run_merge_stream(name)
+        print(f"    {name!r}: {{")
+        print("        'queries': [")
+        for query in recorded["queries"]:
+            print(f"            {query!r},")
+        print("        ],")
         print(f"        'answers': {recorded['answers']!r},")
         print("    },")
     print("}")
