@@ -1,36 +1,33 @@
 """Repo-specific software-engineering tooling for the adaptive-indexing kernel.
 
 Adaptive indexing makes *reads* mutate physical state — every query cracks
-or merges the store — so the engine's correctness hinges on a hand-maintained
-lock discipline (table gates → access-path locks → object stats locks, see
-``docs/CONCURRENCY.md``).  This package machine-checks that discipline once
-so every future PR inherits it:
+or merges the store — so the engine's correctness hinges on a lock
+discipline and a cost model that are easy to break silently (see
+``docs/CONCURRENCY.md`` and ``docs/PERFORMANCE.md``).  This package
+machine-checks both once so every future PR inherits them, one module per
+decision:
 
-* :mod:`repro.analysis_tools.guards` — the ``@guarded_by`` convention: a
-  class decorator declaring which lock protects each shared mutable
-  attribute, readable both at runtime (``__guarded_attributes__``) and
-  statically by the linter;
-* :mod:`repro.analysis_tools.reprolint` — the concurrency-invariant static
-  analyzer (stdlib ``ast`` only): guarded-attribute writes outside their
-  lock, lock-order back-edges, missing ``reorganizes_on_read``
-  declarations, unlocked counter increments, and blocking calls under a
-  path lock.  Run it as ``python -m repro.analysis_tools.reprolint
-  src/repro`` or ``repro lint``;
-* :mod:`repro.analysis_tools.pystyle` — a dependency-free equivalent of
-  the minimal ruff rule set checked in as ``ruff.toml`` (unused imports,
-  undefined names), used by CI where ruff is not installed;
-* :mod:`repro.analysis_tools.reproperf` — the hot-path & cost-model static
-  analyzer: per-row-loop allocations (PF001), hoistable attribute reloads
-  (PF002), ``@charges`` cost-accounting soundness (PF003), loop-invariant
-  ``len()`` recomputation (PF004) and per-element Python-level calls that
-  block the typed-buffer migration (PF005).  Run it as ``python -m
-  repro.analysis_tools.reproperf`` or ``repro lint --perf``.
+* :mod:`repro.analysis_tools.guards` — what a contract is: the
+  ``@guarded_by`` / ``@charges`` / ``@typed_kernel`` declarations and the
+  engine's lock order (``LOCK_ORDER``), readable at runtime and statically;
+* :mod:`repro.analysis_tools.common` — how a contract is checked
+  statically: the one analyzer driver (files → ``ast`` → rules → inline
+  suppressions → baseline → text/JSON report → exit status);
+* :mod:`~repro.analysis_tools.reprolint` (concurrency invariants,
+  RL001–RL005), :mod:`~repro.analysis_tools.reproperf` (hot loops and
+  ``@charges`` soundness, PF001–PF005) and
+  :mod:`~repro.analysis_tools.reprotype` (typed-kernel dataflow,
+  TB001–TB005) — the rules.  ``python -m repro lint`` runs all three;
+  ``python -m repro.analysis_tools.<tool>`` runs one;
+* :mod:`repro.analysis_tools.witness` — how a contract is checked at run
+  time: the scaffold of the three witnesses, which live with the code they
+  watch (:mod:`repro.engine.concurrency`, :mod:`repro.cost.witness`,
+  :mod:`repro.analysis_tools.type_witness`) and are armed by
+  ``REPRO_LOCK_WITNESS=1`` / ``REPRO_COST_WITNESS=1`` /
+  ``REPRO_TYPE_WITNESS=1``.
 
-The runtime complements — a lock-order witness that turns the property
-suites into deadlock detectors under ``REPRO_LOCK_WITNESS=1``, and a
-cost-conformance witness that cross-checks counters against physical
-reorganization under ``REPRO_COST_WITNESS=1`` — live with the code they
-check, in :mod:`repro.engine.concurrency` and :mod:`repro.cost.witness`.
+The style gate (unused imports, undefined names, mutable defaults) is
+``ruff check`` over the rules in ``ruff.toml``.
 """
 
 from repro.analysis_tools.guards import charges, guarded_by

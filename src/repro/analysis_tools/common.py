@@ -9,26 +9,49 @@ whose every entry must carry a ``reason``; ``--strict-baseline`` fails on
 entries no finding matches any more (so baselines only shrink); output is
 text or JSON; exit status is 0 clean / 1 findings / 2 usage errors.
 
-This module holds that contract once: the :class:`Finding` record, file
-discovery, inline-suppression and baseline application, the JSON rendering
-and the shared CLI driver.  Each analyzer contributes only its rules and
-(optionally) an extra JSON payload section plus a text summary line.
-``pystyle`` shares the file discovery and suppression-marker helpers.
+This module holds that contract once: the :class:`Finding` record and the
+:class:`Reporter` that files one, the AST helpers every rule module uses,
+the driver (:func:`analyze_modules`: discover files → parse → ``XX000``
+syntax finding → rules → inline suppressions → sort), baseline application
+(:func:`run_analyzer`), the report rendering and the per-tool CLI
+(:func:`run_cli`).  An analyzer module is its rules plus an
+:class:`Analyzer` record naming them; ``python -m repro lint`` runs all
+three records through the same functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+from repro.analysis_tools.guards import CHARGE_CHANNELS
 
 try:  # Python >= 3.11; the container and CI both satisfy this
     import tomllib
 except ModuleNotFoundError:  # pragma: no cover - pre-3.11 fallback
     tomllib = None
+
+#: the kernel modules the cost model and the typed-buffer contract live in
+#: (relative to the repo root): the default scope of reproperf and reprotype
+KERNEL_TARGETS = (
+    "src/repro/columnstore/bulk.py",
+    "src/repro/core/cracking",
+    "src/repro/core/merging",
+    "src/repro/core/hybrids",
+    "src/repro/core/partitioned.py",
+)
+
+#: record method -> channel (inverse of guards.CHARGE_CHANNELS)
+RECORD_METHODS: Dict[str, str] = {
+    method: channel
+    for channel, methods in CHARGE_CHANNELS.items()
+    for method in methods
+}
 
 
 @dataclass
@@ -53,17 +76,97 @@ class Finding:
             text += f"\n    hint: {self.hint}"
         return text
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "symbol": self.symbol,
-            "attribute": self.attribute,
-            "message": self.message,
-            "hint": self.hint,
-            "suppressed_by": self.suppressed_by,
-        }
+
+class Reporter:
+    """What every rule visitor shares: a file, a symbol, a findings list."""
+
+    path: str
+    findings: List[Finding]
+    symbol: str
+
+    def _report(self, rule: str, node: ast.AST, message: str, hint: str = "",
+                attribute: str = "") -> None:
+        self.findings.append(
+            Finding(
+                rule=rule,
+                path=self.path,
+                line=getattr(node, "lineno", 0),
+                symbol=self.symbol,
+                message=message,
+                hint=hint,
+                attribute=attribute,
+            )
+        )
+
+
+# -- AST helpers -----------------------------------------------------------------
+
+
+def expr_text(node: ast.expr) -> str:
+    """The source text of ``node`` (for messages and owner matching)."""
+    try:
+        return ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse covers all our inputs
+        return ast.dump(node)
+
+
+def simple_name(node: ast.expr) -> str:
+    """The last identifier of a name, an attribute chain or a call's target.
+
+    ``threading.Lock()`` -> ``"Lock"``, ``@charges("x")`` -> ``"charges"``,
+    ``database._table_gates`` -> ``"_table_gates"``; ``""`` for anything else.
+    """
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
+def decorator_call(node: ast.AST, name: str) -> Optional[ast.Call]:
+    """The ``@name(...)`` decorator call on a def or class, or None."""
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call) and simple_name(decorator) == name:
+            return decorator
+    return None
+
+
+def iter_stop_at_functions(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``node`` without descending into nested function/class scopes.
+
+    Scope-boundary children (nested defs, lambdas, classes) are yielded —
+    so rules can flag the boundary itself — but not entered.
+    """
+    stack: List[ast.AST] = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        if current is not node and isinstance(
+            current,
+            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(current))
+
+
+def python_level_names(tree: ast.Module) -> Set[str]:
+    """Names in ``tree`` that resolve to Python-level code: module-level
+    defs plus anything imported from the repro package itself."""
+    names: Set[str] = set()
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(statement.name)
+        elif isinstance(statement, ast.ImportFrom):
+            module = statement.module or ""
+            if statement.level > 0 or module.split(".")[0] == "repro":
+                for alias in statement.names:
+                    names.add(alias.asname or alias.name)
+    return names
+
+
+# -- the driver ------------------------------------------------------------------
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
@@ -80,14 +183,47 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return files
 
 
+def analyze_modules(
+    paths: Sequence[str],
+    tool: str,
+    syntax_rule: str,
+    check: Callable[[List[Tuple[str, ast.Module]], List[Finding]], None],
+) -> List[Finding]:
+    """Parse every file under ``paths`` and run ``check`` over the modules.
+
+    ``check(modules, findings)`` gets every parsed ``(path, tree)`` at once
+    (rules that resolve names across files need them all) and appends to
+    ``findings``.  A file that does not parse becomes a ``syntax_rule``
+    finding; inline ``# <tool>: ignore[...]`` markers are applied and the
+    findings sorted before they are returned.
+    """
+    findings: List[Finding] = []
+    modules: List[Tuple[str, ast.Module]] = []
+    sources: Dict[str, List[str]] = {}
+    for file_path in iter_python_files(paths):
+        path, source = str(file_path), file_path.read_text()
+        try:
+            modules.append((path, ast.parse(source, filename=path)))
+        except SyntaxError as error:
+            findings.append(Finding(
+                rule=syntax_rule, path=path, line=error.lineno or 0,
+                symbol="<module>", message=f"syntax error: {error.msg}",
+            ))
+            continue
+        sources[path] = source.splitlines()
+    check(modules, findings)
+    apply_inline_suppressions(findings, sources, tool)
+    findings.sort(key=Finding.key)
+    return findings
+
+
 def apply_inline_suppressions(
-    findings: List[Finding], path: str, lines: List[str], tool: str
+    findings: List[Finding], sources: Dict[str, List[str]], tool: str
 ) -> None:
     """Mark findings silenced by ``# <tool>: ignore[...]`` on their line."""
     marker_text = f"# {tool}: ignore"
     for finding in findings:
-        if finding.path != path or finding.suppressed_by:
-            continue
+        lines = sources.get(finding.path, ())
         if 1 <= finding.line <= len(lines):
             text = lines[finding.line - 1]
             marker = text.rfind(marker_text)
@@ -142,56 +278,111 @@ def apply_baseline(findings: List[Finding], entries: List[Dict[str, str]]) -> Li
     ]
 
 
-def render_json(
-    findings: List[Finding],
-    unused_baseline: List[str],
-    extra: Optional[Dict[str, object]] = None,
-) -> str:
-    """The shared JSON report shape; ``extra`` adds analyzer sections."""
-    active = [f for f in findings if not f.suppressed_by]
-    payload: Dict[str, object] = {
-        "findings": [finding.as_dict() for finding in findings],
-    }
-    if extra:
-        payload.update(extra)
-    payload["summary"] = {
-        "total": len(findings),
-        "active": len(active),
-        "suppressed": len(findings) - len(active),
-        "unused_baseline_entries": unused_baseline,
-    }
-    return json.dumps(payload, indent=2)
+# -- running an analyzer ----------------------------------------------------------
 
 
-def run_cli(
-    *,
-    tool: str,
-    description: str,
-    default_paths: Sequence[str],
-    default_baseline: str,
-    analyze: Callable[[Sequence[str]], Tuple[List[Finding], object]],
-    extra_payload: Callable[[object], Dict[str, object]],
-    summary: Callable[[int, int, object], str],
-    path_help: str,
-    argv: Optional[Sequence[str]] = None,
-) -> int:
-    """The analyzer CLI driver (flags, baseline plumbing, exit codes).
+@dataclass(frozen=True)
+class Analyzer:
+    """One analyzer as the drivers see it: its name, scope and rules.
 
     ``analyze(paths)`` returns ``(findings, aux)``; ``extra_payload(aux)``
-    contributes the analyzer-specific JSON sections; ``summary(active,
-    suppressed, aux)`` renders the stderr summary line for text output.
+    contributes the analyzer-specific JSON section; ``summary(aux)`` is the
+    analyzer-specific tail of the text summary line.  The baseline is
+    ``./<tool>.toml`` unless the per-tool CLI is told otherwise.
     """
-    parser = argparse.ArgumentParser(prog=tool, description=description)
+
+    tool: str
+    description: str
+    default_paths: Tuple[str, ...]
+    analyze: Callable[[Sequence[str]], Tuple[List[Finding], object]]
+    extra_payload: Callable[[object], Dict[str, object]]
+    summary: Callable[[object], str]
+
+
+class UsageError(Exception):
+    """A path or baseline the caller named cannot be used (exit status 2)."""
+
+
+@dataclass
+class Report:
+    """The outcome of one analyzer run, baseline applied."""
+
+    analyzer: Analyzer
+    findings: List[Finding]
+    unused_baseline: List[str]
+    aux: object
+
+    @property
+    def active(self) -> List[Finding]:
+        return [f for f in self.findings if not f.suppressed_by]
+
+    def status(self, strict_baseline: bool) -> int:
+        """1 on active findings (or, when strict, stale baseline entries)."""
+        return int(bool(self.active or (strict_baseline and self.unused_baseline)))
+
+    def payload(self) -> Dict[str, object]:
+        """The JSON report: findings, the analyzer's section, a summary."""
+        payload: Dict[str, object] = {
+            "findings": [asdict(finding) for finding in self.findings],
+        }
+        payload.update(self.analyzer.extra_payload(self.aux))
+        payload["summary"] = {
+            "total": len(self.findings),
+            "active": len(self.active),
+            "suppressed": len(self.findings) - len(self.active),
+            "unused_baseline_entries": self.unused_baseline,
+        }
+        return payload
+
+    def print_text(self, strict_baseline: bool) -> None:
+        """Active findings on stdout; baseline notes and the summary on stderr."""
+        for finding in self.active:
+            print(finding.render())
+        for message in self.unused_baseline:
+            prefix = "error" if strict_baseline else "warning"
+            print(f"{prefix}: {message}", file=sys.stderr)
+        print(
+            f"{self.analyzer.tool}: {len(self.active)} finding(s) "
+            f"({len(self.findings) - len(self.active)} suppressed, "
+            f"{self.analyzer.summary(self.aux)})",
+            file=sys.stderr,
+        )
+
+
+def run_analyzer(
+    analyzer: Analyzer,
+    paths: Sequence[str] = (),
+    baseline: Optional[str] = None,
+    no_baseline: bool = False,
+) -> Report:
+    """Analyze ``paths`` (default: the analyzer's own scope), apply the baseline."""
+    try:
+        findings, aux = analyzer.analyze(list(paths) or list(analyzer.default_paths))
+    except FileNotFoundError as error:
+        raise UsageError(str(error)) from None
+    unused_baseline: List[str] = []
+    if not no_baseline:
+        baseline_path = Path(baseline or f"{analyzer.tool}.toml")
+        if baseline and not baseline_path.exists():
+            raise UsageError(f"no baseline at {baseline_path}")
+        if baseline_path.exists():
+            try:
+                entries = load_baseline(baseline_path)
+            except ValueError as error:
+                raise UsageError(f"bad baseline: {error}") from None
+            unused_baseline = apply_baseline(findings, entries)
+    return Report(analyzer, findings, unused_baseline, aux)
+
+
+def add_arguments(parser: argparse.ArgumentParser, default_scope: str) -> None:
+    """The options every entry point takes (per-tool mains and ``repro lint``)."""
     parser.add_argument(
-        "paths", nargs="*", default=list(default_paths), help=path_help,
+        "paths", nargs="*",
+        help=f"files or directories to analyze (default: {default_scope})",
     )
     parser.add_argument(
         "--format", default="text", choices=["text", "json"],
         help="finding output format",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="TOML",
-        help=f"suppression baseline (default: ./{default_baseline} when present)",
     )
     parser.add_argument(
         "--no-baseline", action="store_true",
@@ -199,42 +390,29 @@ def run_cli(
     )
     parser.add_argument(
         "--strict-baseline", action="store_true",
-        help="fail (exit 1) when the baseline contains unused entries",
+        help="fail (exit 1) when a baseline contains entries no finding "
+             "matches (stale suppressions)",
+    )
+
+
+def run_cli(analyzer: Analyzer, argv: Optional[Sequence[str]] = None) -> int:
+    """The per-tool CLI (``python -m repro.analysis_tools.<tool>``)."""
+    parser = argparse.ArgumentParser(
+        prog=analyzer.tool, description=analyzer.description
+    )
+    add_arguments(parser, " ".join(analyzer.default_paths))
+    parser.add_argument(
+        "--baseline", default=None, metavar="TOML",
+        help=f"suppression baseline (default: ./{analyzer.tool}.toml when present)",
     )
     args = parser.parse_args(argv)
-
     try:
-        findings, aux = analyze(args.paths)
-    except FileNotFoundError as error:
-        print(f"{tool}: {error}", file=sys.stderr)
+        report = run_analyzer(analyzer, args.paths, args.baseline, args.no_baseline)
+    except UsageError as error:
+        print(f"{analyzer.tool}: {error}", file=sys.stderr)
         return 2
-
-    unused_baseline: List[str] = []
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline) if args.baseline else Path(default_baseline)
-        if args.baseline and not baseline_path.exists():
-            print(f"{tool}: no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        if baseline_path.exists():
-            try:
-                entries = load_baseline(baseline_path)
-            except ValueError as error:
-                print(f"{tool}: bad baseline: {error}", file=sys.stderr)
-                return 2
-            unused_baseline = apply_baseline(findings, entries)
-
-    active = [f for f in findings if not f.suppressed_by]
     if args.format == "json":
-        print(render_json(findings, unused_baseline, extra_payload(aux)))
+        print(json.dumps(report.payload(), indent=2))
     else:
-        for finding in active:
-            print(finding.render())
-        for message in unused_baseline:
-            prefix = "error" if args.strict_baseline else "warning"
-            print(f"{prefix}: {message}", file=sys.stderr)
-        print(summary(len(active), len(findings) - len(active), aux), file=sys.stderr)
-    if active:
-        return 1
-    if args.strict_baseline and unused_baseline:
-        return 1
-    return 0
+        report.print_text(args.strict_baseline)
+    return report.status(args.strict_baseline)

@@ -1,7 +1,9 @@
-"""Structured invariant declarations: ``@guarded_by`` and ``@charges``.
+"""Structured invariant declarations: ``@guarded_by``, ``@charges``,
+``@typed_kernel`` and the lock order.
 
-The engine's concurrency protocol guards shared mutable state with three
-layers of locks (table gates, access-path locks, per-object stats locks).
+The engine's concurrency protocol guards shared mutable state with layered
+locks (the schema lock, table gates, access-path locks, the WAL-order
+mutex, per-object stats locks — :data:`LOCK_ORDER` declares the order once).
 The *association* between an attribute and its lock used to live only in
 comments; this module makes it a structured declaration that is
 
@@ -82,6 +84,27 @@ CHARGE_CHANNELS: Dict[str, Tuple[str, ...]] = {
     "random_accesses": ("record_random_access",),
     "allocations": ("record_allocation",),
     "pieces": ("record_pieces",),
+}
+
+#: The engine's lock order, outermost first: a thread may acquire a lock only
+#: at a level strictly after every level it already holds.  The static rule
+#: (reprolint ``RL002``) and the runtime lock-order witness both read this
+#: table; ``docs/CONCURRENCY.md`` explains why each level sits where it does.
+LOCK_ORDER: Tuple[str, ...] = ("schema", "gate", "path", "wal_order", "stats")
+
+#: level name -> rank in :data:`LOCK_ORDER` (lower is acquired first)
+LOCK_RANK: Dict[str, int] = {level: rank for rank, level in enumerate(LOCK_ORDER)}
+
+#: The lock attributes that sit above the leaves.  ``_table_gates`` and
+#: ``_path_locks`` are registries entered through their sorting helpers; the
+#: other two are plain mutexes.  Every other lock — per-object statistics
+#: locks, registry guards, the WAL's internal mutex — is a ``"stats"`` leaf,
+#: under which nothing may be acquired.
+LOCK_LEVELS: Dict[str, str] = {
+    "_schema_lock": "schema",
+    "_table_gates": "gate",
+    "_path_locks": "path",
+    "_wal_order_lock": "wal_order",
 }
 
 

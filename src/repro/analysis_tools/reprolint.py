@@ -1,10 +1,12 @@
 """reprolint — concurrency-invariant static analysis for the repro engine.
 
 Adaptive indexing makes reads mutate physical state, so the engine lives or
-dies by its lock discipline: **table gates** (level 0) are acquired before
-**access-path locks** (level 1), which are acquired before **per-object
-stats locks** (level 2, leaves).  This analyzer walks the source tree with
-nothing but :mod:`ast` and reports violations of that discipline:
+dies by its lock discipline: the **schema lock** is acquired before **table
+gates**, before **access-path locks**, before the **WAL-order mutex**,
+before **per-object stats locks** (the leaves) — the order
+:data:`repro.analysis_tools.guards.LOCK_ORDER` declares.  This analyzer
+walks the source tree with nothing but :mod:`ast` and reports violations of
+that discipline:
 
 ``RL001`` guarded-attribute write outside its declared lock
     An attribute declared via :func:`repro.analysis_tools.guards.guarded_by`
@@ -14,7 +16,7 @@ nothing but :mod:`ast` and reports violations of that discipline:
 ``RL002`` lock acquisition violating the documented order
     Acquisition edges are collected from lexical ``with`` nesting (including
     ``ExitStack.enter_context``).  Each nested acquisition must strictly
-    increase the lock level (gate → path → stats); stats locks are leaves
+    increase the declared lock level; stats locks are leaves
     under which nothing may be acquired, and multi-gate / multi-path
     acquisition must go through the sorting helpers
     (``TableGateRegistry.read`` / ``AccessPathLockManager.locked``), never
@@ -39,14 +41,11 @@ nothing but :mod:`ast` and reports violations of that discipline:
     allowed only where the write-ahead contract requires it (the journal
     append *is* the commit point), recorded as a reasoned baseline entry.
 
-Findings carry ``file:line``, the rule id and a fix hint.  Suppressions
-live in a checked-in TOML baseline (every entry needs a ``reason``) or as
-inline ``# reprolint: ignore[RL00x]`` comments.  Run::
-
-    python -m repro.analysis_tools.reprolint src/repro [--format=text|json]
-
-Exit status is 0 when every finding is suppressed (or none exist), 1
-otherwise, 2 on usage errors.
+Suppressions are ``reprolint.toml`` entries or inline
+``# reprolint: ignore[RL00x]`` comments; findings, output formats and exit
+status follow the contract in :mod:`repro.analysis_tools.common`.  Run
+``python -m repro lint``, or this analyzer alone with
+``python -m repro.analysis_tools.reprolint [paths] [--format=text|json]``.
 """
 
 from __future__ import annotations
@@ -54,35 +53,42 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_tools.common import (
+    Analyzer,
     Finding,
-    apply_inline_suppressions as _shared_inline_suppressions,
-    iter_python_files,
+    Reporter,
+    analyze_modules,
+    decorator_call,
+    expr_text,
     load_baseline,
     run_cli,
+    simple_name,
 )
-from repro.analysis_tools.common import apply_baseline, render_json as _render_json
+from repro.analysis_tools.guards import LOCK_LEVELS, LOCK_ORDER, LOCK_RANK
 
-__all__ = [
-    "RULES", "Finding", "analyze_paths", "iter_python_files",
-    "load_baseline", "apply_baseline", "render_json", "main",
-]
+__all__ = ["RULES", "ANALYZER", "Finding", "analyze_paths", "load_baseline", "main"]
 
 
 RULES = {
     "RL001": "guarded attribute written outside its declared lock",
-    "RL002": "lock acquisition violates the gate → path → stats order",
+    "RL002": "lock acquisition violates the declared lock order",
     "RL003": "SearchStrategy subclass without explicit reorganizes_on_read",
     "RL004": "counter attribute mutated via += outside any lock",
     "RL005": "blocking or file-I/O call while a path lock or gate is held",
 }
 
-#: lock levels of the documented protocol (lower acquires first)
-LEVEL_GATE, LEVEL_PATH, LEVEL_STATS = 0, 1, 2
-_LEVEL_NAMES = {LEVEL_GATE: "gate", LEVEL_PATH: "path", LEVEL_STATS: "stats"}
+#: ranks of the declared levels the rules single out (lower acquires first)
+LEVEL_GATE, LEVEL_PATH, LEVEL_STATS = (
+    LOCK_RANK["gate"], LOCK_RANK["path"], LOCK_RANK["stats"]
+)
+
+#: how a lock registry at a non-leaf level is entered: level -> method names
+_REGISTRY_ENTRIES = {
+    "gate": ("read", "write", "write_all"),
+    "path": ("locked", "lock_for"),
+}
 
 #: method names that mutate their receiver (list/dict/set mutators)
 _MUTATING_METHODS = {
@@ -126,7 +132,6 @@ class ClassInfo:
     """Statically collected facts about one class definition."""
 
     name: str
-    module: str
     bases: List[str] = field(default_factory=list)
     #: attribute → lock attribute, from the @guarded_by decorator
     guards: Dict[str, str] = field(default_factory=dict)
@@ -134,7 +139,6 @@ class ClassInfo:
     own_locks: Set[str] = field(default_factory=set)
     #: names assigned or defined directly in the class body
     declared: Set[str] = field(default_factory=set)
-    line: int = 0
 
 
 def _attr_chain_root(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
@@ -151,13 +155,6 @@ def _is_self(node: ast.expr) -> bool:
     return isinstance(node, ast.Name) and node.id in ("self", "cls")
 
 
-def _expr_text(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse covers all our inputs
-        return ast.dump(node)
-
-
 def _looks_like_lock_name(name: str) -> bool:
     lowered = name.lower()
     return (
@@ -172,27 +169,33 @@ def _looks_like_lock_name(name: str) -> bool:
 def classify_lock_expr(expr: ast.expr) -> Optional[Tuple[int, str, str]]:
     """Classify a ``with``-item as a lock acquisition.
 
-    Returns ``(level, token, base_text)`` or None.  ``token`` identifies the
-    lock class in the static acquisition graph; ``base_text`` is the
+    Returns ``(level, token, base_text)`` or None.  The level is read from
+    the declared order (:data:`~repro.analysis_tools.guards.LOCK_LEVELS`;
+    any other lock-named attribute is a stats leaf).  ``token`` identifies
+    the lock class in the static acquisition graph; ``base_text`` is the
     source of the owner expression (used to match guarded writes to the
     lock of the *same* object).
     """
-    # gate level: <something gate-ish>.read(...) / .write(...)
+    # a declared registry entered through one of its helpers:
+    # <owner>._table_gates.read(...) / <owner>._path_locks.lock_for(...)
     if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
         method = expr.func.attr
         owner = expr.func.value
-        owner_text = _expr_text(owner)
-        if method in ("read", "write", "write_all") and "gate" in owner_text.lower():
-            return (LEVEL_GATE, f"gate.{method}", owner_text)
-        # path level: <path lock manager>.locked(...) / .lock_for(...)
-        if method in ("locked", "lock_for") and "path_lock" in owner_text.lower():
-            return (LEVEL_PATH, "path", owner_text)
-    # stats level: a bare lock attribute (with self._stats_lock: ...)
-    if isinstance(expr, ast.Attribute) and _looks_like_lock_name(expr.attr):
-        return (LEVEL_STATS, f"stats.{expr.attr}", _expr_text(expr.value))
-    if isinstance(expr, ast.Name) and _looks_like_lock_name(expr.id):
-        return (LEVEL_STATS, f"stats.{expr.id}", "")
-    return None
+        level = LOCK_LEVELS.get(simple_name(owner), "")
+        if method in _REGISTRY_ENTRIES.get(level, ()):
+            token = "path" if level == "path" else f"{level}.{method}"
+            return (LOCK_RANK[level], token, expr_text(owner))
+    # a bare lock: a declared mutex, or any other lock-named attribute (a leaf)
+    if isinstance(expr, ast.Attribute):
+        name, base = expr.attr, expr_text(expr.value)
+    elif isinstance(expr, ast.Name):
+        name, base = expr.id, ""
+    else:
+        return None
+    level = LOCK_LEVELS.get(name) or ("stats" if _looks_like_lock_name(name) else "")
+    if not level or level in _REGISTRY_ENTRIES:
+        return None
+    return (LOCK_RANK[level], f"{level}.{name}", base)
 
 
 def _is_counter_name(name: str) -> bool:
@@ -201,46 +204,31 @@ def _is_counter_name(name: str) -> bool:
 
 def _is_lock_factory(value: ast.expr) -> bool:
     """True for ``threading.Lock()`` / ``RLock()`` / ``Condition()`` calls."""
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else ""
+    return isinstance(value, ast.Call) and simple_name(value) in (
+        "Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"
     )
-    return name in ("Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore")
 
 
 class _ClassIndexer(ast.NodeVisitor):
     """First pass: collect every class, its guards, locks and declarations."""
 
-    def __init__(self, module: str) -> None:
-        self.module = module
+    def __init__(self) -> None:
         self.classes: List[ClassInfo] = []
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        info = ClassInfo(name=node.name, module=self.module, line=node.lineno)
+        info = ClassInfo(name=node.name)
         for base in node.bases:
             _, chain = _attr_chain_root(base)
             if chain:
                 info.bases.append(chain[-1])
             elif isinstance(base, ast.Name):
                 info.bases.append(base.id)
-        for decorator in node.decorator_list:
-            if (
-                isinstance(decorator, ast.Call)
-                and isinstance(decorator.func, (ast.Name, ast.Attribute))
-            ):
-                func_name = (
-                    decorator.func.id
-                    if isinstance(decorator.func, ast.Name)
-                    else decorator.func.attr
-                )
-                if func_name == "guarded_by":
-                    for keyword in decorator.keywords:
-                        if keyword.arg and isinstance(
-                            keyword.value, ast.Constant
-                        ) and isinstance(keyword.value.value, str):
-                            info.guards[keyword.arg] = keyword.value.value
+        guarded_by = decorator_call(node, "guarded_by")
+        for keyword in guarded_by.keywords if guarded_by is not None else ():
+            if keyword.arg and isinstance(
+                keyword.value, ast.Constant
+            ) and isinstance(keyword.value.value, str):
+                info.guards[keyword.arg] = keyword.value.value
         for statement in node.body:
             if isinstance(statement, ast.Assign):
                 for target in statement.targets:
@@ -324,7 +312,7 @@ class _HeldLock:
     line: int
 
 
-class _FunctionAnalyzer(ast.NodeVisitor):
+class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
     """Second pass over one module: emit findings with the global registry."""
 
     def __init__(
@@ -351,28 +339,11 @@ class _FunctionAnalyzer(ast.NodeVisitor):
         parts = [info.name for info in self.class_stack] + self.function_stack
         return ".".join(parts) or "<module>"
 
-    def _report(self, rule: str, node: ast.AST, message: str, hint: str = "",
-                attribute: str = "") -> None:
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.path,
-                line=getattr(node, "lineno", 0),
-                symbol=self.symbol,
-                message=message,
-                hint=hint,
-                attribute=attribute,
-            )
-        )
-
     def _in_exempt_method(self) -> bool:
         if not self.function_stack:
             return False
         name = self.function_stack[-1]
         return name in _EXEMPT_METHODS or name.startswith("_init_")
-
-    def _locks_held(self) -> bool:
-        return bool(self.held)
 
     def _holds_lock(self, owner_text: str, lock_name: str) -> bool:
         for held in self.held:
@@ -392,7 +363,7 @@ class _FunctionAnalyzer(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         info = self.registry.by_name.get(node.name)
         self.class_stack.append(
-            info if info is not None else ClassInfo(node.name, self.path)
+            info if info is not None else ClassInfo(node.name)
         )
         self._check_strategy_declaration(node)
         self.generic_visit(node)
@@ -420,18 +391,12 @@ class _FunctionAnalyzer(ast.NodeVisitor):
                 attribute="reorganizes_on_read",
             )
 
-    def _enter_function(self, node) -> None:
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.function_stack.append(node.name)
         self.fresh_locals.append(set())
-
-    def _leave_function(self) -> None:
+        self.generic_visit(node)
         self.function_stack.pop()
         self.fresh_locals.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._enter_function(node)
-        self.generic_visit(node)
-        self._leave_function()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -456,8 +421,8 @@ class _FunctionAnalyzer(ast.NodeVisitor):
                 self._report(
                     "RL002",
                     node,
-                    f"acquiring {_LEVEL_NAMES[level]}-level {token} while "
-                    f"holding {_LEVEL_NAMES[top.level]}-level {top.token} "
+                    f"acquiring {LOCK_ORDER[level]}-level {token} while "
+                    f"holding {LOCK_ORDER[top.level]}-level {top.token} "
                     f"(held since line {top.line}) — back-edge in the "
                     f"gate → path → stats order",
                     hint="acquire gates before path locks before stats "
@@ -529,7 +494,7 @@ class _FunctionAnalyzer(ast.NodeVisitor):
                              node: ast.AST) -> None:
         if self._in_exempt_method() or self._is_fresh_local(owner):
             return
-        owner_text = _expr_text(owner)
+        owner_text = expr_text(owner)
         lock_name: Optional[str] = None
         if _is_self(owner) and self.class_stack:
             lock_name = self.registry.merged_guards(
@@ -563,7 +528,7 @@ class _FunctionAnalyzer(ast.NodeVisitor):
         attribute = chain[0]
         if not _is_counter_name(attribute):
             return
-        if self._in_exempt_method() or self._locks_held():
+        if self._in_exempt_method() or self.held:
             return
         if not self.class_stack or not self.registry.owns_lock(
             self.class_stack[-1].name
@@ -645,11 +610,8 @@ class _FunctionAnalyzer(ast.NodeVisitor):
         receiver = func.value
         if isinstance(receiver, ast.Name) and receiver.id == "os":
             return method in _BLOCKING_IO_OS_CALLS
-        if method in _BLOCKING_IO_ATTR_CALLS:
-            # gate.write(...) / registry.write(...) is a lock acquisition
-            # (classified by classify_lock_expr), not file I/O
-            return "gate" not in _expr_text(receiver).lower()
-        return False
+        # <owner>._table_gates.write(...) is a lock acquisition, not file I/O
+        return method in _BLOCKING_IO_ATTR_CALLS and classify_lock_expr(node) is None
 
     def _check_blocking_io(self, node: ast.Call) -> None:
         holder = next(
@@ -661,8 +623,8 @@ class _FunctionAnalyzer(ast.NodeVisitor):
         self._report(
             "RL005",
             node,
-            f"file I/O call {_expr_text(node.func)}(...) while "
-            f"{_LEVEL_NAMES[holder.level]} lock held (since line "
+            f"file I/O call {expr_text(node.func)}(...) while "
+            f"{LOCK_ORDER[holder.level]} lock held (since line "
             f"{holder.line}) stalls every operation queued on that lock "
             f"for a disk round-trip",
             hint="move the durable write outside the critical section, or "
@@ -673,48 +635,27 @@ class _FunctionAnalyzer(ast.NodeVisitor):
 
 # -- driver ----------------------------------------------------------------------
 
+AcquisitionGraph = Dict[Tuple[str, str], Tuple[str, int]]
 
-def analyze_paths(paths: Sequence[str]) -> Tuple[
-    List[Finding], Dict[Tuple[str, str], Tuple[str, int]]
-]:
+
+def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], AcquisitionGraph]:
     """Run every rule over ``paths``; returns (findings, acquisition graph)."""
-    files = iter_python_files(paths)
-    registry = ClassRegistry()
-    parsed: List[Tuple[Path, ast.Module, List[str]]] = []
-    findings: List[Finding] = []
-    for file_path in files:
-        source = file_path.read_text()
-        try:
-            tree = ast.parse(source, filename=str(file_path))
-        except SyntaxError as error:
-            findings.append(
-                Finding(
-                    rule="RL000",
-                    path=str(file_path),
-                    line=error.lineno or 0,
-                    symbol="<module>",
-                    message=f"syntax error: {error.msg}",
-                )
-            )
-            continue
-        indexer = _ClassIndexer(str(file_path))
-        indexer.visit(tree)
-        for info in indexer.classes:
-            registry.add(info)
-        parsed.append((file_path, tree, source.splitlines()))
+    graph: AcquisitionGraph = {}
 
-    graph: Dict[Tuple[str, str], Tuple[str, int]] = {}
-    for file_path, tree, lines in parsed:
-        analyzer = _FunctionAnalyzer(str(file_path), registry, findings, graph)
-        analyzer.visit(tree)
-        _shared_inline_suppressions(findings, str(file_path), lines, "reprolint")
-    findings.sort(key=Finding.key)
-    return findings, graph
+    def check(modules, findings):
+        registry = ClassRegistry()
+        for _path, tree in modules:
+            indexer = _ClassIndexer()
+            indexer.visit(tree)
+            for info in indexer.classes:
+                registry.add(info)
+        for path, tree in modules:
+            _FunctionAnalyzer(path, registry, findings, graph).visit(tree)
+
+    return analyze_modules(paths, "reprolint", "RL000", check), graph
 
 
-def _graph_payload(
-    graph: Dict[Tuple[str, str], Tuple[str, int]]
-) -> Dict[str, object]:
+def _graph_payload(graph: AcquisitionGraph) -> Dict[str, object]:
     return {
         "acquisition_graph": [
             {
@@ -727,30 +668,18 @@ def _graph_payload(
     }
 
 
-def render_json(
-    findings: List[Finding],
-    graph: Dict[Tuple[str, str], Tuple[str, int]],
-    unused_baseline: List[str],
-) -> str:
-    return _render_json(findings, unused_baseline, _graph_payload(graph))
+ANALYZER = Analyzer(
+    tool="reprolint",
+    description="concurrency-invariant static analysis for the repro engine",
+    default_paths=("src/repro",),
+    analyze=analyze_paths,
+    extra_payload=_graph_payload,
+    summary=lambda graph: f"{len(graph)} acquisition edge(s) observed",
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(
-        tool="reprolint",
-        description="concurrency-invariant static analysis for the repro engine",
-        default_paths=["src/repro"],
-        default_baseline="reprolint.toml",
-        analyze=analyze_paths,
-        extra_payload=_graph_payload,
-        summary=lambda active, suppressed, graph: (
-            f"reprolint: {active} finding(s) "
-            f"({suppressed} suppressed, {len(graph)} acquisition edge(s) "
-            f"observed)"
-        ),
-        path_help="files or directories to analyze (default: src/repro)",
-        argv=argv,
-    )
+    return run_cli(ANALYZER, argv)
 
 
 if __name__ == "__main__":

@@ -32,15 +32,11 @@ walks the kernel modules (``core/cracking``, ``core/merging``,
     interpreter must re-enter per element); findings name the callee so
     they double as the migration worklist.
 
-Findings carry ``file:line``, the rule id and a fix hint.  Suppressions
-live in a checked-in TOML baseline (``reproperf.toml``; every entry needs
-a ``reason``) or as inline ``# reproperf: ignore[PF00x]`` comments.  Run::
-
-    python -m repro.analysis_tools.reproperf [paths] [--format=text|json]
-
-Exit status is 0 when every finding is suppressed (or none exist), 1
-otherwise (or, with ``--strict-baseline``, when stale baseline entries
-remain), 2 on usage errors.
+Suppressions are ``reproperf.toml`` entries or inline
+``# reproperf: ignore[PF00x]`` comments; findings, output formats and exit
+status follow the contract in :mod:`repro.analysis_tools.common`.  Run
+``python -m repro lint``, or this analyzer alone with
+``python -m repro.analysis_tools.reproperf [paths] [--format=text|json]``.
 """
 
 from __future__ import annotations
@@ -50,20 +46,24 @@ import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_tools.common import (
+    KERNEL_TARGETS as DEFAULT_TARGETS,
+    RECORD_METHODS,
+    Analyzer,
     Finding,
-    apply_baseline,
-    apply_inline_suppressions as _shared_inline_suppressions,
-    iter_python_files,
+    Reporter,
+    analyze_modules,
+    decorator_call,
+    expr_text,
+    iter_stop_at_functions,
     load_baseline,
-    render_json as _render_json,
+    python_level_names,
     run_cli,
 )
 from repro.analysis_tools.guards import CHARGE_CHANNELS
 
 __all__ = [
-    "RULES", "DEFAULT_TARGETS", "Finding", "analyze_paths",
-    "iter_python_files", "load_baseline", "apply_baseline", "render_json",
-    "main",
+    "RULES", "ANALYZER", "DEFAULT_TARGETS", "Finding", "analyze_paths",
+    "load_baseline", "main",
 ]
 
 
@@ -73,22 +73,6 @@ RULES = {
     "PF003": "@charges kernel with unsound cost accounting",
     "PF004": "loop-invariant len() recomputed in a while condition",
     "PF005": "per-element Python-level call from a hot loop",
-}
-
-#: the kernel modules the cost model lives in (relative to the repo root)
-DEFAULT_TARGETS = (
-    "src/repro/columnstore/bulk.py",
-    "src/repro/core/cracking",
-    "src/repro/core/merging",
-    "src/repro/core/hybrids",
-    "src/repro/core/partitioned.py",
-)
-
-#: record method -> channel (inverse of guards.CHARGE_CHANNELS)
-_RECORD_METHODS: Dict[str, str] = {
-    method: channel
-    for channel, methods in CHARGE_CHANNELS.items()
-    for method in methods
 }
 
 #: builtin constructors whose call allocates a fresh container
@@ -138,43 +122,18 @@ def _attr_chain(node: ast.expr) -> Optional[Tuple[str, str]]:
     return node.id, ".".join(parts)
 
 
-def _expr_text(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse covers all our inputs
-        return ast.dump(node)
-
-
-def _iter_stop_at_functions(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into nested function/class scopes.
-
-    Scope-boundary children (nested defs, lambdas, classes) are yielded —
-    so rules can flag the boundary itself — but not entered.
-    """
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if current is not node and isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
 def _record_calls(node: ast.AST) -> Iterator[Tuple[str, ast.Call]]:
     """(channel, call) pairs for every ``*.record_<x>(...)`` under ``node``."""
-    for sub in _iter_stop_at_functions(node):
+    for sub in iter_stop_at_functions(node):
         if (
             isinstance(sub, ast.Call)
             and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr in _RECORD_METHODS
+            and sub.func.attr in RECORD_METHODS
         ):
-            yield _RECORD_METHODS[sub.func.attr], sub
+            yield RECORD_METHODS[sub.func.attr], sub
 
 
-class _ModuleAnalyzer(ast.NodeVisitor):
+class _ModuleAnalyzer(Reporter, ast.NodeVisitor):
     """Single pass over one module: emit PF findings."""
 
     def __init__(self, path: str, findings: List[Finding]) -> None:
@@ -195,33 +154,15 @@ class _ModuleAnalyzer(ast.NodeVisitor):
 
     def _report(self, rule: str, node: ast.AST, message: str, hint: str = "",
                 attribute: str = "") -> None:
-        line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        dedup = (rule, line, col, attribute)
-        if dedup in self._seen:
-            return
-        self._seen.add(dedup)
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.path,
-                line=line,
-                symbol=self.symbol,
-                message=message,
-                hint=hint,
-                attribute=attribute,
-            )
-        )
+        # nested loops put one node into several regions: report it once
+        dedup = (rule, getattr(node, "lineno", 0), getattr(node, "col_offset", 0),
+                 attribute)
+        if dedup not in self._seen:
+            self._seen.add(dedup)
+            super()._report(rule, node, message, hint, attribute)
 
     def visit_Module(self, node: ast.Module) -> None:
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.python_level_names.add(statement.name)
-            elif isinstance(statement, ast.ImportFrom):
-                module = statement.module or ""
-                if statement.level > 0 or module.split(".")[0] == "repro":
-                    for alias in statement.names:
-                        self.python_level_names.add(alias.asname or alias.name)
+        self.python_level_names = python_level_names(node)
         self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -248,22 +189,15 @@ class _ModuleAnalyzer(ast.NodeVisitor):
     @staticmethod
     def _charges_channels(node: ast.FunctionDef) -> Optional[List[str]]:
         """The channels declared by an ``@charges`` decorator, or None."""
-        for decorator in node.decorator_list:
-            if not isinstance(decorator, ast.Call):
-                continue
-            func = decorator.func
-            name = func.attr if isinstance(func, ast.Attribute) else (
-                func.id if isinstance(func, ast.Name) else ""
-            )
-            if name != "charges":
-                continue
-            return [
-                argument.value
-                for argument in decorator.args
-                if isinstance(argument, ast.Constant)
-                and isinstance(argument.value, str)
-            ]
-        return None
+        decorator = decorator_call(node, "charges")
+        if decorator is None:
+            return None
+        return [
+            argument.value
+            for argument in decorator.args
+            if isinstance(argument, ast.Constant)
+            and isinstance(argument.value, str)
+        ]
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.function_stack.append(node.name)
@@ -297,9 +231,9 @@ class _ModuleAnalyzer(ast.NodeVisitor):
         """Nodes evaluated once per iteration (body + ``while`` test)."""
         region: List[ast.AST] = []
         if isinstance(loop, ast.While):
-            region.extend(_iter_stop_at_functions(loop.test))
+            region.extend(iter_stop_at_functions(loop.test))
         for statement in loop.body:
-            region.extend(_iter_stop_at_functions(statement))
+            region.extend(iter_stop_at_functions(statement))
         return region
 
     def _check_loop(self, loop: ast.stmt) -> None:
@@ -470,7 +404,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
     def _length_changes(body: Sequence[ast.stmt], root: str, text: str) -> bool:
         resizing = {"append", "extend", "insert", "pop", "remove", "clear"}
         for statement in body:
-            for node in _iter_stop_at_functions(statement):
+            for node in iter_stop_at_functions(statement):
                 if isinstance(node, ast.Name) and node.id == root and isinstance(
                     node.ctx, (ast.Store, ast.Del)
                 ):
@@ -485,12 +419,12 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in resizing
-                    and _expr_text(node.func.value) == text
+                    and expr_text(node.func.value) == text
                 ):
                     return True
                 if isinstance(node, ast.Subscript) and isinstance(
                     node.ctx, ast.Del
-                ) and _expr_text(node.value) == text:
+                ) and expr_text(node.value) == text:
                     return True
         return False
 
@@ -513,7 +447,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                 )
             elif isinstance(func, ast.Attribute):
                 method = func.attr
-                if method in _NATIVE_METHODS or method in _RECORD_METHODS:
+                if method in _NATIVE_METHODS or method in RECORD_METHODS:
                     continue
                 if method.startswith("record_") or method.startswith("__"):
                     continue
@@ -522,7 +456,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                     continue
                 self._report(
                     "PF005", node,
-                    f"call to Python-level method `{_expr_text(func)}` per "
+                    f"call to Python-level method `{expr_text(func)}` per "
                     f"iteration of the enclosing loop",
                     hint="per-element interpreter re-entry blocks the "
                          "typed-buffer kernel migration; batch the work or "
@@ -533,7 +467,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
                 self._report(
                     "PF005", node,
                     f"dynamically dispatched call "
-                    f"`{_expr_text(func)}(...)` per iteration of the "
+                    f"`{expr_text(func)}(...)` per iteration of the "
                     f"enclosing loop",
                     hint="resolve the callable once before the loop",
                     attribute="<dynamic>",
@@ -650,7 +584,7 @@ class _ModuleAnalyzer(ast.NodeVisitor):
 
         def scan_expressions(roots: Sequence[ast.AST]) -> None:
             for root in roots:
-                for node in _iter_stop_at_functions(root):
+                for node in iter_stop_at_functions(root):
                     if isinstance(node, ast.Compare) and any(
                         isinstance(side, ast.Subscript)
                         for side in [node.left, *node.comparators]
@@ -701,29 +635,12 @@ def analyze_paths(paths: Sequence[str]) -> Tuple[
     callee (including baselined ones — they are the typed-buffer migration
     inventory) to the ``path:line`` sites that call it per element.
     """
-    findings: List[Finding] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text()
-        try:
-            tree = ast.parse(source, filename=str(file_path))
-        except SyntaxError as error:
-            findings.append(
-                Finding(
-                    rule="PF000",
-                    path=str(file_path),
-                    line=error.lineno or 0,
-                    symbol="<module>",
-                    message=f"syntax error: {error.msg}",
-                )
-            )
-            continue
-        analyzer = _ModuleAnalyzer(str(file_path), findings)
-        analyzer.visit(tree)
-        _shared_inline_suppressions(
-            findings, str(file_path), source.splitlines(), "reproperf"
-        )
-    findings.sort(key=Finding.key)
+    def check(modules, findings):
+        for path, tree in modules:
+            _ModuleAnalyzer(path, findings).visit(tree)
+
     worklist: Dict[str, List[str]] = {}
+    findings = analyze_modules(paths, "reproperf", "PF000", check)
     for finding in findings:
         if finding.rule == "PF005" and finding.attribute:
             worklist.setdefault(finding.attribute, []).append(
@@ -732,37 +649,18 @@ def analyze_paths(paths: Sequence[str]) -> Tuple[
     return findings, worklist
 
 
-def _worklist_payload(worklist: Dict[str, List[str]]) -> Dict[str, object]:
-    return {
-        "migration_worklist": {
-            callee: sites for callee, sites in sorted(worklist.items())
-        },
-    }
-
-
-def render_json(
-    findings: List[Finding],
-    worklist: Dict[str, List[str]],
-    unused_baseline: List[str],
-) -> str:
-    return _render_json(findings, unused_baseline, _worklist_payload(worklist))
+ANALYZER = Analyzer(
+    tool="reproperf",
+    description="hot-path & cost-model static analysis for the repro kernels",
+    default_paths=DEFAULT_TARGETS,
+    analyze=analyze_paths,
+    extra_payload=lambda worklist: {"migration_worklist": dict(sorted(worklist.items()))},
+    summary=lambda worklist: f"{len(worklist)} callee(s) on the migration worklist",
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(
-        tool="reproperf",
-        description="hot-path & cost-model static analysis for the repro kernels",
-        default_paths=list(DEFAULT_TARGETS),
-        default_baseline="reproperf.toml",
-        analyze=analyze_paths,
-        extra_payload=_worklist_payload,
-        summary=lambda active, suppressed, worklist: (
-            f"reproperf: {active} finding(s) ({suppressed} suppressed, "
-            f"{len(worklist)} callee(s) on the migration worklist)"
-        ),
-        path_help="files or directories to analyze (default: the kernel modules)",
-        argv=argv,
-    )
+    return run_cli(ANALYZER, argv)
 
 
 if __name__ == "__main__":

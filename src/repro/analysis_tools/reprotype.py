@@ -37,16 +37,11 @@ kernel mutates); this analyzer walks the kernel modules with nothing but
     discipline rely on.
 
 All rules apply only inside ``@typed_kernel``-decorated functions, so the
-contract is opt-in per kernel.  Findings carry ``file:line``, the rule id
-and a fix hint.  Suppressions live in a checked-in TOML baseline
-(``reprotype.toml``; every entry needs a ``reason``) or as inline
-``# reprotype: ignore[TB00x]`` comments.  Run::
-
-    python -m repro.analysis_tools.reprotype [paths] [--format=text|json]
-
-Exit status is 0 when every finding is suppressed (or none exist), 1
-otherwise (or, with ``--strict-baseline``, when stale baseline entries
-remain), 2 on usage errors.
+contract is opt-in per kernel.  Suppressions are ``reprotype.toml`` entries
+or inline ``# reprotype: ignore[TB00x]`` comments; findings, output formats
+and exit status follow the contract in :mod:`repro.analysis_tools.common`.
+Run ``python -m repro lint``, or this analyzer alone with
+``python -m repro.analysis_tools.reprotype [paths] [--format=text|json]``.
 """
 
 from __future__ import annotations
@@ -54,23 +49,26 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_tools.common import (
+    KERNEL_TARGETS as DEFAULT_TARGETS,
+    RECORD_METHODS,
+    Analyzer,
     Finding,
-    apply_baseline,
-    apply_inline_suppressions as _shared_inline_suppressions,
-    iter_python_files,
+    Reporter,
+    analyze_modules,
+    decorator_call,
+    iter_stop_at_functions,
     load_baseline,
-    render_json as _render_json,
+    python_level_names,
     run_cli,
+    simple_name,
 )
-from repro.analysis_tools.guards import CHARGE_CHANNELS
 
 __all__ = [
-    "RULES", "DEFAULT_TARGETS", "Finding", "analyze_paths",
-    "iter_python_files", "load_baseline", "apply_baseline", "render_json",
-    "main",
+    "RULES", "ANALYZER", "DEFAULT_TARGETS", "Finding", "analyze_paths",
+    "load_baseline", "main",
 ]
 
 RULES = {
@@ -79,22 +77,6 @@ RULES = {
     "TB003": "typed kernel passes a buffer to an unannotated callee",
     "TB004": "@charges channel bumped per iteration instead of closed form",
     "TB005": "in-place mutation of a buffer the kernel does not own",
-}
-
-#: the kernel modules the typed-buffer contract lives in
-DEFAULT_TARGETS = (
-    "src/repro/columnstore/bulk.py",
-    "src/repro/core/cracking",
-    "src/repro/core/merging",
-    "src/repro/core/hybrids",
-    "src/repro/core/partitioned.py",
-)
-
-#: record method -> channel (inverse of guards.CHARGE_CHANNELS)
-_RECORD_METHODS: Dict[str, str] = {
-    method: channel
-    for channel, methods in CHARGE_CHANNELS.items()
-    for method in methods
 }
 
 #: ndarray methods that mutate their receiver in place
@@ -116,15 +98,6 @@ class KernelDecl:
     mutates: Set[str] = field(default_factory=set)
 
 
-def _decorator_name(decorator: ast.expr) -> str:
-    func = decorator.func if isinstance(decorator, ast.Call) else decorator
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def _constant_str(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
@@ -135,67 +108,39 @@ def _typed_kernel_decl(
     node: ast.FunctionDef, symbol: str, path: str
 ) -> Optional[KernelDecl]:
     """Parse the ``@typed_kernel`` decorator of ``node``, if present."""
-    for decorator in node.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        if _decorator_name(decorator) != "typed_kernel":
-            continue
-        decl = KernelDecl(
-            name=node.name, symbol=symbol, path=path, line=node.lineno
-        )
-        default_spec = "numeric"
-        for keyword in decorator.keywords:
-            if keyword.arg == "dtype":
-                value = _constant_str(keyword.value)
-                if value is not None:
-                    default_spec = value
-        for keyword in decorator.keywords:
-            if keyword.arg == "buffers":
-                if isinstance(keyword.value, ast.Dict):
-                    for key, value in zip(
-                        keyword.value.keys, keyword.value.values
-                    ):
-                        name = _constant_str(key) if key is not None else None
-                        spec = _constant_str(value)
-                        if name is not None:
-                            decl.buffers[name] = spec or default_spec
-                elif isinstance(keyword.value, (ast.List, ast.Tuple, ast.Set)):
-                    for element in keyword.value.elts:
-                        name = _constant_str(element)
-                        if name is not None:
-                            decl.buffers[name] = default_spec
-            elif keyword.arg == "mutates":
-                if isinstance(keyword.value, (ast.List, ast.Tuple, ast.Set)):
-                    for element in keyword.value.elts:
-                        name = _constant_str(element)
-                        if name is not None:
-                            decl.mutates.add(name)
-        return decl
-    return None
+    decorator = decorator_call(node, "typed_kernel")
+    if decorator is None:
+        return None
+    decl = KernelDecl(name=node.name, symbol=symbol, path=path, line=node.lineno)
+    default_spec = "numeric"
+    for keyword in decorator.keywords:
+        if keyword.arg == "dtype":
+            value = _constant_str(keyword.value)
+            if value is not None:
+                default_spec = value
+    for keyword in decorator.keywords:
+        if keyword.arg == "buffers":
+            if isinstance(keyword.value, ast.Dict):
+                for key, value in zip(keyword.value.keys, keyword.value.values):
+                    name = _constant_str(key) if key is not None else None
+                    spec = _constant_str(value)
+                    if name is not None:
+                        decl.buffers[name] = spec or default_spec
+            elif isinstance(keyword.value, (ast.List, ast.Tuple, ast.Set)):
+                for element in keyword.value.elts:
+                    name = _constant_str(element)
+                    if name is not None:
+                        decl.buffers[name] = default_spec
+        elif keyword.arg == "mutates":
+            if isinstance(keyword.value, (ast.List, ast.Tuple, ast.Set)):
+                for element in keyword.value.elts:
+                    name = _constant_str(element)
+                    if name is not None:
+                        decl.mutates.add(name)
+    return decl
 
 
-def _expr_text(node: ast.expr) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse covers all our inputs
-        return ast.dump(node)
-
-
-def _iter_stop_at_functions(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into nested function/class scopes."""
-    stack: List[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if current is not node and isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
-class _KernelChecker:
+class _KernelChecker(Reporter):
     """Check one ``@typed_kernel`` function body against its declaration."""
 
     def __init__(
@@ -222,19 +167,9 @@ class _KernelChecker:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _report(self, rule: str, node: ast.AST, message: str, hint: str = "",
-                attribute: str = "") -> None:
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.path,
-                line=getattr(node, "lineno", 0),
-                symbol=self.decl.symbol,
-                message=message,
-                hint=hint,
-                attribute=attribute,
-            )
-        )
+    @property
+    def symbol(self) -> str:
+        return self.decl.symbol
 
     def _buffer_name(self, node: ast.expr) -> Optional[str]:
         """The tainted buffer name ``node`` refers to, if any.
@@ -261,7 +196,7 @@ class _KernelChecker:
 
     def check(self) -> None:
         self._collect_aliases()
-        for sub in _iter_stop_at_functions(self.node):
+        for sub in iter_stop_at_functions(self.node):
             if isinstance(sub, ast.For):
                 self._check_for_loop(sub)
             elif isinstance(sub, ast.While):
@@ -282,7 +217,7 @@ class _KernelChecker:
         changed = True
         while changed:
             changed = False
-            for sub in _iter_stop_at_functions(self.node):
+            for sub in iter_stop_at_functions(self.node):
                 if not isinstance(sub, ast.Assign) or len(sub.targets) != 1:
                     continue
                 target = sub.targets[0]
@@ -316,7 +251,7 @@ class _KernelChecker:
                         self.alias_of[target.id] = tainted_root
                         changed = True
             # iterating a container yields buffers: taint the loop target
-            for sub in _iter_stop_at_functions(self.node):
+            for sub in iter_stop_at_functions(self.node):
                 if not isinstance(sub, ast.For) or not isinstance(
                     sub.target, ast.Name
                 ):
@@ -395,7 +330,7 @@ class _KernelChecker:
     def _check_while_loop(self, loop: ast.While) -> None:
         mutated_names: Set[str] = set()
         for statement in loop.body:
-            for sub in _iter_stop_at_functions(statement):
+            for sub in iter_stop_at_functions(statement):
                 if isinstance(sub, ast.Name) and isinstance(
                     sub.ctx, (ast.Store,)
                 ):
@@ -404,9 +339,9 @@ class _KernelChecker:
                     sub.target, ast.Name
                 ):
                     mutated_names.add(sub.target.id)
-        region = list(_iter_stop_at_functions(loop.test))
+        region = list(iter_stop_at_functions(loop.test))
         for statement in loop.body:
-            region.extend(_iter_stop_at_functions(statement))
+            region.extend(iter_stop_at_functions(statement))
         for sub in region:
             if not isinstance(sub, ast.Subscript):
                 continue
@@ -465,20 +400,12 @@ class _KernelChecker:
         self._check_array_literal(call)
 
     def _check_array_literal(self, call: ast.Call) -> None:
-        func = call.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
+        name = simple_name(call)
         if name not in ("array", "asarray", "fromiter"):
             return
         for keyword in call.keywords:
             if keyword.arg == "dtype":
-                value = keyword.value
-                target = (
-                    value.attr if isinstance(value, ast.Attribute)
-                    else value.id if isinstance(value, ast.Name) else ""
-                )
-                if target == "object":
+                if simple_name(keyword.value) == "object":
                     self._report(
                         "TB002", call,
                         "explicit dtype=object de-vectorizes every "
@@ -542,20 +469,20 @@ class _KernelChecker:
 
     def _check_charge_sites(self) -> None:
         loops = [
-            sub for sub in _iter_stop_at_functions(self.node)
+            sub for sub in iter_stop_at_functions(self.node)
             if isinstance(sub, (ast.For, ast.While))
         ]
         for loop in loops:
             body_region: List[ast.AST] = []
             for statement in loop.body + getattr(loop, "orelse", []):
-                body_region.extend(_iter_stop_at_functions(statement))
+                body_region.extend(iter_stop_at_functions(statement))
             for sub in body_region:
                 if (
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _RECORD_METHODS
+                    and sub.func.attr in RECORD_METHODS
                 ):
-                    channel = _RECORD_METHODS[sub.func.attr]
+                    channel = RECORD_METHODS[sub.func.attr]
                     self._report(
                         "TB004", sub,
                         f"`{channel}` charged inside a loop — a vectorized "
@@ -634,14 +561,7 @@ class _ModuleScanner(ast.NodeVisitor):
         self.python_level_names: Set[str] = set()
 
     def visit_Module(self, node: ast.Module) -> None:
-        for statement in node.body:
-            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.python_level_names.add(statement.name)
-            elif isinstance(statement, ast.ImportFrom):
-                module = statement.module or ""
-                if statement.level > 0 or module.split(".")[0] == "repro":
-                    for alias in statement.names:
-                        self.python_level_names.add(alias.asname or alias.name)
+        self.python_level_names = python_level_names(node)
         self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -659,7 +579,7 @@ class _ModuleScanner(ast.NodeVisitor):
                 self.python_level_names, self.findings,
             )
             checker.check()
-            for sub in _iter_stop_at_functions(node):
+            for sub in iter_stop_at_functions(node):
                 if isinstance(sub, ast.Call):
                     checker.check_mutating_call(sub)
         self.scope_stack.append(node.name)
@@ -670,16 +590,13 @@ class _ModuleScanner(ast.NodeVisitor):
 
 
 def _collect_typed_kernel_names(trees: Sequence[ast.Module]) -> Set[str]:
-    names: Set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for decorator in node.decorator_list:
-                    if isinstance(decorator, ast.Call) and _decorator_name(
-                        decorator
-                    ) == "typed_kernel":
-                        names.add(node.name)
-    return names
+    return {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and decorator_call(node, "typed_kernel") is not None
+    }
 
 
 def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], List[KernelDecl]]:
@@ -689,32 +606,14 @@ def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], List[KernelDecl]
     ``@typed_kernel`` declaration seen (the kernel surface the contract
     covers), including clean ones.
     """
-    findings: List[Finding] = []
-    parsed: List[Tuple[str, ast.Module, List[str]]] = []
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text()
-        try:
-            tree = ast.parse(source, filename=str(file_path))
-        except SyntaxError as error:
-            findings.append(
-                Finding(
-                    rule="TB000",
-                    path=str(file_path),
-                    line=error.lineno or 0,
-                    symbol="<module>",
-                    message=f"syntax error: {error.msg}",
-                )
-            )
-            continue
-        parsed.append((str(file_path), tree, source.splitlines()))
-
-    typed_kernel_names = _collect_typed_kernel_names([t for _, t, _ in parsed])
     inventory: List[KernelDecl] = []
-    for path, tree, lines in parsed:
-        scanner = _ModuleScanner(path, typed_kernel_names, findings, inventory)
-        scanner.visit(tree)
-        _shared_inline_suppressions(findings, path, lines, "reprotype")
-    findings.sort(key=Finding.key)
+
+    def check(modules, findings):
+        typed_kernel_names = _collect_typed_kernel_names([t for _, t in modules])
+        for path, tree in modules:
+            _ModuleScanner(path, typed_kernel_names, findings, inventory).visit(tree)
+
+    findings = analyze_modules(paths, "reprotype", "TB000", check)
     inventory.sort(key=lambda decl: (decl.path, decl.line))
     return findings, inventory
 
@@ -734,29 +633,18 @@ def _inventory_payload(inventory: List[KernelDecl]) -> Dict[str, object]:
     }
 
 
-def render_json(
-    findings: List[Finding],
-    inventory: List[KernelDecl],
-    unused_baseline: List[str],
-) -> str:
-    return _render_json(findings, unused_baseline, _inventory_payload(inventory))
+ANALYZER = Analyzer(
+    tool="reprotype",
+    description="typed-kernel dataflow analysis for the repro kernels",
+    default_paths=DEFAULT_TARGETS,
+    analyze=analyze_paths,
+    extra_payload=_inventory_payload,
+    summary=lambda inventory: f"{len(inventory)} typed kernel(s) under contract",
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(
-        tool="reprotype",
-        description="typed-kernel dataflow analysis for the repro kernels",
-        default_paths=list(DEFAULT_TARGETS),
-        default_baseline="reprotype.toml",
-        analyze=analyze_paths,
-        extra_payload=_inventory_payload,
-        summary=lambda active, suppressed, inventory: (
-            f"reprotype: {active} finding(s) ({suppressed} suppressed, "
-            f"{len(inventory)} typed kernel(s) under contract)"
-        ),
-        path_help="files or directories to analyze (default: the kernel modules)",
-        argv=argv,
-    )
+    return run_cli(ANALYZER, argv)
 
 
 if __name__ == "__main__":

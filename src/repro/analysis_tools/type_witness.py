@@ -19,20 +19,19 @@ and, after the call, that no ``object``-dtype array escapes through the
 return value (tuples/lists are walked one level deep).
 
 Off by default with zero overhead beyond one global read per kernel call;
-enabled by ``REPRO_TYPE_WITNESS=1`` (raise) / ``=log`` (warn only) or
-programmatically via :func:`enable_type_witness`.
+enabled by ``REPRO_TYPE_WITNESS=1`` or programmatically via
+:func:`enable_type_witness`.  A violation raises
+:class:`TypeConformanceViolation` (see
+:mod:`repro.analysis_tools.witness` for the shared scaffold).
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import threading
-from typing import List, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
+from repro.analysis_tools.witness import Witness
 
 __all__ = [
     "TypeConformanceViolation",
@@ -83,15 +82,13 @@ def _dtype_conforms(dtype: np.dtype, base: str) -> bool:
     return dtype == np.dtype(base)
 
 
-class TypeConformanceWitness:
+class TypeConformanceWitness(Witness):
     """Asserts the typed-buffer contract at every kernel call boundary."""
 
-    def __init__(self, mode: str = "raise") -> None:
-        if mode not in ("raise", "log"):
-            raise ValueError(f"witness mode must be 'raise' or 'log', got {mode!r}")
-        self.mode = mode
-        self._lock = threading.Lock()
-        self._violations: List[str] = []
+    violation = TypeConformanceViolation
+
+    def __init__(self) -> None:
+        super().__init__()
         self.calls_checked = 0
 
     # -- the two hook points ----------------------------------------------------
@@ -191,18 +188,6 @@ class TypeConformanceWitness:
                 f"reached a mutating kernel without ownership"
             )
 
-    def violations(self) -> List[str]:
-        """Messages recorded so far (useful in ``log`` mode)."""
-        with self._lock:
-            return list(self._violations)
-
-    def _report(self, message: str) -> None:
-        with self._lock:
-            self._violations.append(message)
-        if self.mode == "raise":
-            raise TypeConformanceViolation(message)
-        logger.warning(message)
-
 
 _WITNESS: Optional[TypeConformanceWitness] = None
 
@@ -212,22 +197,6 @@ def type_witness() -> Optional[TypeConformanceWitness]:
     return _WITNESS
 
 
-def enable_type_witness(mode: str = "raise") -> TypeConformanceWitness:
-    """Install (and return) a fresh witness; replaces any previous one."""
-    global _WITNESS
-    _WITNESS = TypeConformanceWitness(mode)
-    return _WITNESS
-
-
-def disable_type_witness() -> None:
-    """Remove the active witness (kernel calls revert to a no-op check)."""
-    global _WITNESS
-    _WITNESS = None
-
-
-_env_witness = os.environ.get("REPRO_TYPE_WITNESS", "").strip().lower()
-if _env_witness in {"1", "true", "raise", "strict"}:
-    enable_type_witness("raise")
-elif _env_witness in {"log", "warn"}:
-    enable_type_witness("log")
-del _env_witness
+enable_type_witness = TypeConformanceWitness.enable
+disable_type_witness = TypeConformanceWitness.disable
+TypeConformanceWitness.enable_from_environment("REPRO_TYPE_WITNESS")

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands cover the common interactive uses of the library without
+The subcommands cover the common interactive uses of the library without
 writing any Python:
 
 ``python -m repro strategies``
@@ -26,7 +26,11 @@ writing any Python:
 ``python -m repro recover``
     crash-recover a durable data directory and report what recovery did:
     the snapshot used, replayed operation counts, journal records scanned,
-    whether a torn tail was tolerated, and the wall-clock time.
+    whether a torn tail was tolerated, and the wall-clock time;
+``python -m repro lint``
+    run the three static analyzers (reprolint, reproperf, reprotype) over
+    the tree against their checked-in baselines; ``--format json`` prints
+    one document keyed by analyzer.
 
 Durability: ``updates`` and ``batch`` accept ``--data-dir`` (journal every
 DML to a write-ahead log under that directory) and ``--sync`` (the fsync
@@ -53,6 +57,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis_tools.common import add_arguments as add_analyzer_arguments
 from repro.core.strategies import available_strategies
 from repro.version import __version__
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark
@@ -78,6 +83,7 @@ _EXAMPLES = """examples:
   repro updates --strategy cracking --data-dir ./state --sync batch
   repro recover --data-dir ./state         # replay the journal, report counts
   repro snapshot --data-dir ./state        # compact the journal into a snapshot
+  repro lint --strict-baseline             # all three static analyzers, as CI runs them
 
 Adaptive repartitioning (--repartition) lets the partitioned strategies
 split hot partitions at crack boundaries (and merge cold siblings) so a
@@ -243,44 +249,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run reprolint, the concurrency-invariant static analyzer",
+        help="run the three static analyzers: reprolint (concurrency "
+             "invariants), reproperf (hot paths & cost model) and reprotype "
+             "(typed kernels), each against its checked-in ./<tool>.toml "
+             "baseline; --format json prints one document keyed by analyzer",
     )
-    lint.add_argument(
-        "paths", nargs="*", default=None,
-        help="files or directories to analyze (default: src/repro; with "
-             "--perf the perf analyzer keeps its own kernel-module default "
-             "unless paths are given explicitly)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="TOML",
-        help="suppression baseline (default: ./reprolint.toml when present)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    lint.add_argument(
-        "--style", action="store_true",
-        help="also run the pystyle checker (unused imports, undefined names)",
-    )
-    lint.add_argument(
-        "--perf", action="store_true",
-        help="also run reproperf, the hot-path & cost-model analyzer "
-             "(baseline: ./reproperf.toml when present)",
-    )
-    lint.add_argument(
-        "--types", action="store_true",
-        help="also run reprotype, the typed-kernel dataflow analyzer "
-             "(baseline: ./reprotype.toml when present)",
-    )
-    lint.add_argument(
-        "--strict-baseline", action="store_true",
-        help="fail when a baseline contains entries no finding matches "
-             "(stale suppressions)",
+    add_analyzer_arguments(
+        lint, "each analyzer's own scope: src/repro for reprolint, the kernel "
+              "modules for the other two",
     )
     return parser
 
@@ -763,39 +739,28 @@ def _command_snapshot(args: argparse.Namespace) -> int:
 
 
 def _command_lint(args) -> int:
-    """Delegate to reprolint (and optionally reproperf/reprotype/pystyle)."""
-    from repro.analysis_tools import pystyle, reprolint
+    """Run reprolint, reproperf and reprotype; the worst exit status wins."""
+    import json
 
-    paths = list(args.paths) if args.paths else ["src/repro"]
-    lint_argv = paths + ["--format", args.format]
-    if args.no_baseline:
-        lint_argv.append("--no-baseline")
-    elif args.baseline is not None:
-        lint_argv += ["--baseline", args.baseline]
-    if args.strict_baseline:
-        lint_argv.append("--strict-baseline")
-    status = reprolint.main(lint_argv)
-    # explicit paths flow through to the companion analyzers; the default
-    # scope stays the kernel modules each one was calibrated for (their
-    # own DEFAULT_TARGETS)
-    companion_argv = (list(args.paths) if args.paths else []) + [
-        "--format", args.format,
-    ]
-    if args.no_baseline:
-        companion_argv.append("--no-baseline")
-    if args.strict_baseline:
-        companion_argv.append("--strict-baseline")
-    if args.perf:
-        from repro.analysis_tools import reproperf
+    from repro.analysis_tools import common, reprolint, reproperf, reprotype
 
-        status = max(status, reproperf.main(list(companion_argv)))
-    if args.types:
-        from repro.analysis_tools import reprotype
-
-        status = max(status, reprotype.main(list(companion_argv)))
-    if args.style:
-        status = max(status, pystyle.main(paths))
-    return status
+    reports = {}
+    for analyzer in (reprolint.ANALYZER, reproperf.ANALYZER, reprotype.ANALYZER):
+        try:
+            reports[analyzer.tool] = common.run_analyzer(
+                analyzer, args.paths, no_baseline=args.no_baseline
+            )
+        except common.UsageError as error:
+            print(f"{analyzer.tool}: {error}", file=sys.stderr)
+            return 2
+    if args.format == "json":
+        print(json.dumps(
+            {tool: report.payload() for tool, report in reports.items()}, indent=2
+        ))
+    else:
+        for report in reports.values():
+            report.print_text(args.strict_baseline)
+    return max(report.status(args.strict_baseline) for report in reports.values())
 
 
 def main(argv: Optional[List[str]] = None) -> int:

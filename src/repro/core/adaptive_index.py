@@ -82,16 +82,20 @@ class AdaptiveIndex:
         counters: Optional[CostCounters] = None,
     ) -> np.ndarray:
         """Positions of rows with ``low <= value < high`` (adapting as a side effect)."""
-        own_counters = counters if counters is not None else CostCounters()
+        # charge a fresh object so the recorded statistics are this query's
+        # work even when the caller accumulates a stream into one ``counters``
+        own_counters = CostCounters()
         timer = Timer()
         with timer:
             positions = self.strategy.search(low, high, own_counters)
+        if counters is not None:
+            counters += own_counters
         if self.collect_statistics:
             self.statistics.append(
                 QueryStatistics(
                     query_index=len(self.statistics),
                     elapsed_seconds=timer.elapsed,
-                    counters=own_counters.copy() if counters is None else own_counters.copy(),
+                    counters=own_counters,
                     result_count=len(positions),
                     strategy=self.strategy_name,
                     description=f"range [{low}, {high})",

@@ -23,7 +23,6 @@ from repro.core.hybrids.initial_partitions import (
     CrackedInitialPartition,
     InitialPartition,
     RadixInitialPartition,
-    SortedInitialPartition,
 )
 from repro.core.hybrids.final_partition import FinalPartition
 
@@ -31,7 +30,6 @@ __all__ = [
     "HybridIndex",
     "InitialPartition",
     "CrackedInitialPartition",
-    "SortedInitialPartition",
     "RadixInitialPartition",
     "FinalPartition",
 ]

@@ -38,9 +38,9 @@ from repro.core.hybrids.initial_partitions import (
     CrackedInitialPartition,
     InitialPartition,
     RadixInitialPartition,
-    SortedInitialPartition,
 )
 from repro.core.merging.intervals import IntervalSet
+from repro.core.merging.runs import SortedRun, sorted_run
 from repro.cost.counters import CostCounters
 
 
@@ -71,7 +71,7 @@ class HybridIndex:
         self.final_mode = final_mode
         self.partition_size = partition_size
         self.radix_bits = int(radix_bits)
-        self.partitions: List[InitialPartition] = []
+        self.partitions: List[Union[InitialPartition, SortedRun]] = []
         self.final = FinalPartition(mode=final_mode, radix_bits=radix_bits)
         self.merged_ranges = IntervalSet()
         self.queries_processed = 0
@@ -118,11 +118,11 @@ class HybridIndex:
             values = self._base[start:end]
             rowids = np.arange(start, end, dtype=np.int64)
             if mode == "crack":
-                partition: InitialPartition = CrackedInitialPartition(
-                    values, rowids, counters
+                partition: Union[InitialPartition, SortedRun] = (
+                    CrackedInitialPartition(values, rowids, counters)
                 )
             elif mode == "sort":
-                partition = SortedInitialPartition(values, rowids, counters)
+                partition = sorted_run(values, rowids, counters)
             else:
                 partition = RadixInitialPartition(
                     values, rowids, bits=self.radix_bits, counters=counters

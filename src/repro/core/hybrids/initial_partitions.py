@@ -6,8 +6,10 @@ is the first design axis:
 
 * ``CrackedInitialPartition`` — no order at creation; the partition is
   cracked on demand, and qualifying tuples are carved out of it.
-* ``SortedInitialPartition`` — the partition is fully sorted at creation
-  (a sorted run), so extraction is two binary searches.
+* :class:`~repro.core.merging.runs.SortedRun` — the partition is fully
+  sorted at creation (adaptive merging's sorted run, built by
+  :func:`~repro.core.merging.runs.sorted_run`), so extraction is two binary
+  searches.
 * ``RadixInitialPartition`` — the partition is range-clustered into
   ``2**bits`` buckets at creation; extraction touches only the overlapping
   buckets, each of which is cracked on demand.
@@ -23,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.analysis_tools.guards import charges
-from repro.columnstore.bulk import binary_search_count, radix_cluster
+from repro.columnstore.bulk import radix_cluster
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range
 from repro.cost.counters import CostCounters
@@ -94,58 +96,6 @@ class CrackedInitialPartition(InitialPartition):
         self.index.shift_positions(end, -removed)
         if counters is not None:
             counters.record_move(removed)
-        return extracted_values, extracted_rowids
-
-
-class SortedInitialPartition(InitialPartition):
-    """An initial partition fully sorted at creation time (a sorted run)."""
-
-    def __init__(self, values: np.ndarray, rowids: np.ndarray,
-                 counters: Optional[CostCounters] = None) -> None:
-        order = np.argsort(values, kind="stable")
-        self.values = np.asarray(values)[order]
-        self.rowids = np.asarray(rowids)[order]
-        if counters is not None:
-            n = len(self.values)
-            counters.record_scan(n)
-            counters.record_move(n)
-            counters.record_comparisons(int(n * max(1.0, np.log2(max(n, 2)))))
-            counters.record_allocation(self.values.nbytes + self.rowids.nbytes)
-            counters.record_pieces(1)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.values.nbytes + self.rowids.nbytes)
-
-    @charges("scans", "comparisons", "movements", "random_accesses")
-    def extract_range(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Binary-search the sorted partition and carve the range out."""
-        n = len(self.values)
-        if n == 0:
-            return np.empty(0, dtype=self.values.dtype), np.empty(0, dtype=np.int64)
-        begin = 0 if low is None else int(np.searchsorted(self.values, low, side="left"))
-        end = n if high is None else int(np.searchsorted(self.values, high, side="left"))
-        end = max(end, begin)
-        if counters is not None:
-            counters.record_comparisons(2 * binary_search_count(n))
-            counters.record_random_access(2)
-        if begin == end:
-            return np.empty(0, dtype=self.values.dtype), np.empty(0, dtype=np.int64)
-        extracted_values = self.values[begin:end].copy()
-        extracted_rowids = self.rowids[begin:end].copy()
-        self.values = np.concatenate([self.values[:begin], self.values[end:]])
-        self.rowids = np.concatenate([self.rowids[:begin], self.rowids[end:]])
-        if counters is not None:
-            counters.record_scan(end - begin)
-            counters.record_move(end - begin)
         return extracted_values, extracted_rowids
 
 

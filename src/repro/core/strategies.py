@@ -379,18 +379,33 @@ class AdaptiveMergingStrategy(SearchStrategy):
         )
 
 
-class _HybridStrategyBase(SearchStrategy):
-    """Shared implementation of the hybrid strategies."""
+class HybridStrategy(SearchStrategy):
+    """The hybrid algorithms (PVLDB 2011) — the one wrapper behind every
+    ``hybrid-*`` name.
 
-    initial_mode = "crack"
-    final_mode = "sort"
+    The registry names differ only in the two modes they fix (see the
+    registrations at the end of this module): how much order the initial
+    partitions get at creation and how the final partition organises what
+    is merged into it — ``crack``-``crack`` (HCC, lazy everywhere, closest
+    to plain cracking), ``crack``-``sort`` (HCS), ``crack``-``radix`` (HCR),
+    ``sort``-``sort`` (HSS, adaptive merging in main memory) and
+    ``radix``-``radix`` (HRR).  ``partition_size`` and ``radix_bits`` are
+    forwarded to :class:`~repro.core.hybrids.hybrid_index.HybridIndex`.
+    """
 
-    def __init__(self, column, **options):
-        super().__init__(column, **options)
+    name = "hybrid-crack-sort"
+
+    def __init__(self, column, *, name="hybrid-crack-sort", initial_mode="crack",
+                 final_mode="sort", **options):
+        # the modes are recorded with the options, like every option a
+        # name fixes, so ``rebuilt`` keeps a caller's override of them
+        super().__init__(column, initial_mode=initial_mode,
+                         final_mode=final_mode, **options)
+        self.name = name
         self.index = HybridIndex(
             column,
-            initial_mode=options.get("initial_mode", self.initial_mode),
-            final_mode=options.get("final_mode", self.final_mode),
+            initial_mode=initial_mode,
+            final_mode=final_mode,
             partition_size=options.get("partition_size"),
             radix_bits=options.get("radix_bits", 4),
         )
@@ -416,46 +431,6 @@ class _HybridStrategyBase(SearchStrategy):
             f"{self.name}: {len(self.index.final)} tuples in final partition "
             f"({self.index.final.piece_count} pieces)"
         )
-
-
-class HybridCrackCrackStrategy(_HybridStrategyBase):
-    """Hybrid crack-crack (HCC): lazy everywhere, closest to plain cracking."""
-
-    name = "hybrid-crack-crack"
-    initial_mode = "crack"
-    final_mode = "crack"
-
-
-class HybridCrackSortStrategy(_HybridStrategyBase):
-    """Hybrid crack-sort (HCS): lazy initial partitions, sorted final pieces."""
-
-    name = "hybrid-crack-sort"
-    initial_mode = "crack"
-    final_mode = "sort"
-
-
-class HybridCrackRadixStrategy(_HybridStrategyBase):
-    """Hybrid crack-radix (HCR): lazy initial partitions, radix-clustered final pieces."""
-
-    name = "hybrid-crack-radix"
-    initial_mode = "crack"
-    final_mode = "radix"
-
-
-class HybridSortSortStrategy(_HybridStrategyBase):
-    """Hybrid sort-sort (HSS): sorted runs + sorted final pieces (adaptive merging)."""
-
-    name = "hybrid-sort-sort"
-    initial_mode = "sort"
-    final_mode = "sort"
-
-
-class HybridRadixRadixStrategy(_HybridStrategyBase):
-    """Hybrid radix-radix (HRR): radix-clustered initial and final partitions."""
-
-    name = "hybrid-radix-radix"
-    initial_mode = "radix"
-    final_mode = "radix"
 
 
 class _TunerStrategy(SearchStrategy):
@@ -560,11 +535,6 @@ for _cls in (
     SoftIndexStrategy,
     StochasticCrackingStrategy,
     AdaptiveMergingStrategy,
-    HybridCrackCrackStrategy,
-    HybridCrackSortStrategy,
-    HybridCrackRadixStrategy,
-    HybridSortSortStrategy,
-    HybridRadixRadixStrategy,
 ):
     register_strategy(_cls.name, _cls)
 
@@ -579,3 +549,13 @@ for _name, _fixed in (
      {"supports_updates": True, "partitions": 4}),
 ):
     register_strategy(_name, partial(CrackingStrategy, name=_name, **_fixed))
+
+#: the hybrid names: one wrapper, (initial, final) partition modes fixed
+for _initial, _final in (
+    ("crack", "crack"), ("crack", "sort"), ("crack", "radix"),
+    ("sort", "sort"), ("radix", "radix"),
+):
+    _name = f"hybrid-{_initial}-{_final}"
+    register_strategy(_name, partial(
+        HybridStrategy, name=_name, initial_mode=_initial, final_mode=_final
+    ))

@@ -18,22 +18,20 @@ and compares the fingerprints with the query's
   downstream experiment curve.
 
 Off by default with zero overhead beyond one global read per query; enabled
-by ``REPRO_COST_WITNESS=1`` (raise) / ``=log`` (warn only) or
-programmatically via :func:`enable_cost_witness`.  The hook site is
+by ``REPRO_COST_WITNESS=1`` or programmatically via
+:func:`enable_cost_witness`.  A violation raises
+:class:`CostConformanceViolation` (see :mod:`repro.analysis_tools.witness`
+for the shared scaffold).  The hook site is
 ``Database._execute_single``, which already runs under the session's path
 locks, so fingerprints are race-free snapshots.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import threading
 from typing import Iterable, List, Optional, Tuple
 
+from repro.analysis_tools.witness import Witness
 from repro.cost.counters import CostCounters
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CostConformanceViolation",
@@ -75,16 +73,13 @@ def _fingerprint(path: object) -> Optional[Tuple[str, int, int]]:
     return (path.structure_description, int(path.nbytes), len(path))
 
 
-class CostConformanceWitness:
+class CostConformanceWitness(Witness):
     """Compares per-query counters against observed structural change."""
 
-    def __init__(self, mode: str = "raise") -> None:
-        if mode not in ("raise", "log"):
-            raise ValueError(f"witness mode must be 'raise' or 'log', got {mode!r}")
-        self.mode = mode
-        self._lock = threading.Lock()
-        #: violation messages (also raised in ``raise`` mode)
-        self._violations: List[str] = []
+    violation = CostConformanceViolation
+
+    def __init__(self) -> None:
+        super().__init__()
         self.queries_checked = 0
 
     # -- the two hook points ----------------------------------------------------
@@ -143,20 +138,6 @@ class CostConformanceWitness:
                     f"@charges bill)"
                 )
 
-    # -- reporting ---------------------------------------------------------------
-
-    def violations(self) -> List[str]:
-        """Messages recorded so far (useful in ``log`` mode)."""
-        with self._lock:
-            return list(self._violations)
-
-    def _report(self, message: str) -> None:
-        with self._lock:
-            self._violations.append(message)
-        if self.mode == "raise":
-            raise CostConformanceViolation(message)
-        logger.warning(message)
-
 
 _WITNESS: Optional[CostConformanceWitness] = None
 
@@ -166,22 +147,6 @@ def cost_witness() -> Optional[CostConformanceWitness]:
     return _WITNESS
 
 
-def enable_cost_witness(mode: str = "raise") -> CostConformanceWitness:
-    """Install (and return) a fresh witness; replaces any previous one."""
-    global _WITNESS
-    _WITNESS = CostConformanceWitness(mode)
-    return _WITNESS
-
-
-def disable_cost_witness() -> None:
-    """Remove the active witness (the query hook reverts to a no-op)."""
-    global _WITNESS
-    _WITNESS = None
-
-
-_env_witness = os.environ.get("REPRO_COST_WITNESS", "").strip().lower()
-if _env_witness in {"1", "true", "raise", "strict"}:
-    enable_cost_witness("raise")
-elif _env_witness in {"log", "warn"}:
-    enable_cost_witness("log")
-del _env_witness
+enable_cost_witness = CostConformanceWitness.enable
+disable_cost_witness = CostConformanceWitness.disable
+CostConformanceWitness.enable_from_environment("REPRO_COST_WITNESS")

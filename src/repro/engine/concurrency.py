@@ -48,17 +48,14 @@ fixed two-level hierarchy, so the protocol is deadlock-free.
 
 from __future__ import annotations
 
-import logging
-import os
 import threading
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis_tools.guards import guarded_by
-
-logger = logging.getLogger(__name__)
+from repro.analysis_tools.guards import LOCK_RANK, guarded_by
+from repro.analysis_tools.witness import Witness
 
 #: access-path key: ("path", table, column) or ("sideways", table)
 PathKey = Tuple[str, ...]
@@ -72,43 +69,39 @@ PathKey = Tuple[str, ...]
 # pushes onto a thread-local held-lock stack and records the edge
 # (top-of-stack -> new lock) into a global acquisition-order graph.  An edge
 # that would close a cycle — or that acquires a table gate while a path lock
-# is held (rank regression) — is a potential deadlock and is reported with
-# both stacks: the acquiring thread's, and the sample stack recorded when
-# the conflicting edge was first observed.
+# is held (rank regression against the declared ``guards.LOCK_ORDER``) — is a
+# potential deadlock and is reported with both stacks: the acquiring
+# thread's, and the sample stack recorded when the conflicting edge was
+# first observed.
 #
 # Off by default with zero overhead beyond one global read per acquisition;
-# enabled by ``REPRO_LOCK_WITNESS=1`` (raise) / ``=log`` (warn only) or
-# programmatically via :func:`enable_lock_witness`.
+# enabled by ``REPRO_LOCK_WITNESS=1`` or programmatically via
+# :func:`enable_lock_witness`; a violation raises :class:`LockOrderViolation`
+# (see :mod:`repro.analysis_tools.witness` for the shared scaffold).
 
 
 class LockOrderViolation(RuntimeError):
-    """A lock acquisition violated the two-level order (possible deadlock)."""
+    """A lock acquisition violated the declared order (possible deadlock)."""
 
 
-#: acquisition ranks: gates strictly before path locks
-_WITNESS_RANKS = {"gate": 0, "path": 1}
-
-
-@guarded_by(_edges="_graph_lock", _violations="_graph_lock")
-class LockOrderWitness:
+@guarded_by(_edges="_lock")
+class LockOrderWitness(Witness):
     """Thread-local held-lock stacks feeding a global acquisition graph.
 
-    Nodes are lock names (``gate:<table>``, ``path:<key>``); a directed
+    Nodes are lock names prefixed with their declared level
+    (``gate:<table>``, ``path:<key>``); a directed
     edge ``a -> b`` means some thread acquired ``b`` while holding ``a``.
     The graph is append-only and shared by every thread; violating edges
     are reported (never added), so the published graph stays acyclic.
     """
 
-    def __init__(self, mode: str = "raise") -> None:
-        if mode not in ("raise", "log"):
-            raise ValueError(f"witness mode must be 'raise' or 'log', got {mode!r}")
-        self.mode = mode
+    violation = LockOrderViolation
+
+    def __init__(self) -> None:
+        super().__init__()
         self._tls = threading.local()
-        self._graph_lock = threading.Lock()
         #: edge -> formatted stack of the thread that first recorded it
         self._edges: Dict[Tuple[str, str], str] = {}
-        #: violation messages (also raised in ``raise`` mode)
-        self._violations: List[str] = []
 
     # -- per-thread state ------------------------------------------------------
 
@@ -123,13 +116,8 @@ class LockOrderWitness:
 
     def edges(self) -> List[Tuple[str, str]]:
         """Every acquisition-order edge observed so far (sorted)."""
-        with self._graph_lock:
+        with self._lock:
             return sorted(self._edges)
-
-    def violations(self) -> List[str]:
-        """Messages of every violation reported so far."""
-        with self._graph_lock:
-            return list(self._violations)
 
     def is_acyclic(self) -> bool:
         """True when the observed acquisition graph has no cycle."""
@@ -176,7 +164,8 @@ class LockOrderWitness:
 
     @staticmethod
     def _rank(name: str) -> int:
-        return _WITNESS_RANKS.get(name.split(":", 1)[0], len(_WITNESS_RANKS))
+        """The declared rank of a node's level prefix (unknown = a leaf)."""
+        return LOCK_RANK.get(name.split(":", 1)[0], LOCK_RANK["stats"])
 
     def _find_path(self, source: str, target: str) -> Optional[List[str]]:
         """Nodes of a path ``source -> ... -> target``, or None (lock held)."""
@@ -199,7 +188,7 @@ class LockOrderWitness:
     def _check_edge(self, holding: str, acquiring: str) -> None:
         edge = (holding, acquiring)
         sample = "".join(traceback.format_stack(limit=16))
-        with self._graph_lock:
+        with self._lock:
             if edge in self._edges:
                 return
             problem = None
@@ -233,10 +222,7 @@ class LockOrderWitness:
                     f"--- stack that first recorded the conflicting edge ---\n"
                     f"{conflict_stack}"
                 )
-            self._violations.append(message)
-        if self.mode == "raise":
-            raise LockOrderViolation(message)
-        logger.warning(message)
+        self._report(message)
 
 
 _WITNESS: Optional[LockOrderWitness] = None
@@ -247,25 +233,9 @@ def lock_witness() -> Optional[LockOrderWitness]:
     return _WITNESS
 
 
-def enable_lock_witness(mode: str = "raise") -> LockOrderWitness:
-    """Install (and return) a fresh witness; replaces any previous one."""
-    global _WITNESS
-    _WITNESS = LockOrderWitness(mode)
-    return _WITNESS
-
-
-def disable_lock_witness() -> None:
-    """Remove the active witness (instrumentation reverts to no-ops)."""
-    global _WITNESS
-    _WITNESS = None
-
-
-_env_witness = os.environ.get("REPRO_LOCK_WITNESS", "").strip().lower()
-if _env_witness in {"1", "true", "raise", "strict"}:
-    enable_lock_witness("raise")
-elif _env_witness in {"log", "warn"}:
-    enable_lock_witness("log")
-del _env_witness
+enable_lock_witness = LockOrderWitness.enable
+disable_lock_witness = LockOrderWitness.disable
+LockOrderWitness.enable_from_environment("REPRO_LOCK_WITNESS")
 
 
 class _WitnessedLock:

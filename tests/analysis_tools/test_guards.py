@@ -4,6 +4,9 @@ import pytest
 
 from repro.analysis_tools.guards import (
     CHARGE_CHANNELS,
+    LOCK_LEVELS,
+    LOCK_ORDER,
+    LOCK_RANK,
     charged_counters,
     charges,
     guarded_attributes,
@@ -114,3 +117,18 @@ class TestCharges:
             assert methods, channel
             for method in methods:
                 assert callable(getattr(CostCounters, method))
+
+
+class TestLockOrder:
+    def test_ranks_follow_the_declared_order(self):
+        assert LOCK_ORDER == ("schema", "gate", "path", "wal_order", "stats")
+        assert [LOCK_RANK[level] for level in LOCK_ORDER] == list(range(5))
+
+    def test_every_declared_attribute_is_a_lock_of_the_database(self):
+        from repro.engine.database import Database
+
+        database = Database("declared")
+        # the leaves are "every other lock": only the levels above them are named
+        assert set(LOCK_LEVELS.values()) == set(LOCK_ORDER) - {"stats"}
+        for attribute in LOCK_LEVELS:
+            assert hasattr(database, attribute), attribute

@@ -49,6 +49,17 @@ class TestFixtures:
         fixture = FIXTURES / f"{rule.lower()}_bad.py"
         assert reprolint.main([str(fixture), "--no-baseline"]) == 1
 
+    def test_declared_order_is_clean_outermost_first(self):
+        # schema lock -> gate -> path -> WAL-order -> leaf, read from
+        # guards.LOCK_ORDER rather than guessed from lock names
+        assert actual_findings(FIXTURES / "rl002_declared_order_good.py") == set()
+
+    def test_every_back_edge_of_the_declared_order_is_flagged(self):
+        fixture = FIXTURES / "rl002_declared_order_bad.py"
+        expected = expected_findings(fixture)
+        assert len(expected) == 6
+        assert actual_findings(fixture) == expected
+
     def test_findings_carry_location_and_hint(self):
         findings, _ = reprolint.analyze_paths([str(FIXTURES / "rl001_bad.py")])
         for finding in findings:
@@ -71,11 +82,10 @@ class TestRealTree:
         # The only findings the analyzer is allowed to raise on the real
         # tree are the deliberate durability exceptions: the WAL append
         # under the DML gate (the one commit path every insert, delete and
-        # update takes), the snapshot write under the all-table
-        # gate (RL005), and the schema mutex — which ranks *above* the
-        # gates but is name-classified as a stats leaf — taken by
-        # snapshot() ahead of the gates and around drop_table's tombstone
-        # cleanup (RL002).  Anything else is a regression.
+        # update takes) and the snapshot write under the all-table gate
+        # (RL005).  The schema mutex that snapshot() and drop_table take
+        # first is clean by declaration (guards.LOCK_ORDER ranks it above
+        # the gates).  Anything else is a regression.
         findings, _graph = reprolint.analyze_paths(
             [str(REPO_ROOT / "src" / "repro")]
         )
@@ -83,19 +93,17 @@ class TestRealTree:
         assert locations == {
             ("RL005", "Session._commit_dml"),
             ("RL005", "Database.snapshot"),
-            ("RL002", "Database.snapshot"),
-            ("RL002", "Database.drop_table"),
         }
 
     def test_checked_in_baseline_entries_are_reasoned(self):
         entries = reprolint.load_baseline(REPO_ROOT / "reprolint.toml")
-        assert len(entries) == 4
+        assert len(entries) == 2
         by_rule = {}
         for entry in entries:
             by_rule.setdefault(entry["rule"], 0)
             by_rule[entry["rule"]] += 1
             assert len(entry["reason"]) > 40
-        assert by_rule == {"RL005": 2, "RL002": 2}
+        assert by_rule == {"RL005": 2}
 
     def test_acquisition_graph_records_gate_before_wal_order_lock(self):
         # The analyzer is lexical.  The session takes the path locks in its
@@ -107,7 +115,9 @@ class TestRealTree:
         _findings, graph = reprolint.analyze_paths(
             [str(REPO_ROOT / "src" / "repro" / "engine")]
         )
-        assert ("gate.write", "stats._wal_order_lock") in graph
+        assert ("gate.write", "wal_order._wal_order_lock") in graph
+        # and the schema lock is taken ahead of the gates, never after
+        assert ("schema._schema_lock", "gate.write_all") in graph
 
 
 class TestSuppression:

@@ -81,7 +81,7 @@ class TestWitnessDisarmed:
 
 class TestWitnessRaise:
     def test_conforming_call_passes_and_is_counted(self):
-        witness = enable_type_witness("raise")
+        witness = enable_type_witness()
         values = np.array([1.0, -2.0])
         _negate(values)
         assert values.tolist() == [-1.0, 2.0]
@@ -89,40 +89,40 @@ class TestWitnessRaise:
         assert witness.violations() == []
 
     def test_wrong_exact_dtype_raises(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         with pytest.raises(TypeConformanceViolation, match="dtype"):
             _total(np.array([1, 2], dtype=np.int32))
 
     def test_object_dtype_raises(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         with pytest.raises(TypeConformanceViolation, match="object dtype"):
             _negate(np.array([1, None], dtype=object))
 
     def test_non_contiguous_view_raises(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         with pytest.raises(TypeConformanceViolation, match="contiguous"):
             _negate(np.arange(10.0)[::2])
 
     def test_two_dimensional_buffer_raises(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         with pytest.raises(TypeConformanceViolation, match="flat"):
             _negate(np.ones((2, 2)))
 
     def test_read_only_mutated_buffer_raises(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         frozen = np.arange(4.0)
         frozen.setflags(write=False)
         with pytest.raises(TypeConformanceViolation, match="read-only"):
             _negate(frozen)
 
     def test_none_needs_the_optional_suffix(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         assert _total(np.array([1.0]), payload=None) == 1.0
         with pytest.raises(TypeConformanceViolation, match="None"):
             _negate(None)
 
     def test_container_accepts_list_and_bare_array_shorthand(self):
-        enable_type_witness("raise")
+        enable_type_witness()
         values = np.array([1.0])
         assert _total(values, payload=[np.array([2.0]), np.array([3.0])]) == 6.0
         assert _total(values, payload=np.array([4.0])) == 5.0
@@ -130,7 +130,7 @@ class TestWitnessRaise:
             _total(values, payload={"not": "a container"})
 
     def test_object_array_may_not_escape_the_return(self):
-        enable_type_witness("raise")
+        enable_type_witness()
 
         @typed_kernel(buffers={"values": "numeric"})
         def boxes(values):
@@ -138,15 +138,3 @@ class TestWitnessRaise:
 
         with pytest.raises(TypeConformanceViolation, match="escaped"):
             boxes(np.array([1.0]))
-
-
-class TestWitnessLog:
-    def test_log_mode_records_instead_of_raising(self):
-        witness = enable_type_witness("log")
-        result = _negate(np.arange(6.0)[::2])  # non-contiguous: logged only
-        assert isinstance(result, np.ndarray)
-        assert any("contiguous" in message for message in witness.violations())
-
-    def test_invalid_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            enable_type_witness("whisper")

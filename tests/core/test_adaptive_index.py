@@ -32,6 +32,20 @@ class TestFacade:
         index.search(0, 50, counters)
         assert not counters.is_zero()
 
+    def test_shared_counters_do_not_bend_the_per_query_statistics(self, small_values):
+        """A caller accumulating a stream into one ``CostCounters`` gets the
+        running total there, and each query's own work in the statistics."""
+        shared, alone = CostCounters(), AdaptiveIndex(small_values, strategy="scan")
+        index = AdaptiveIndex(small_values, strategy="scan")
+        for _ in range(3):
+            index.search(0, 50, shared)
+            alone.search(0, 50)
+        scanned = [q.counters.tuples_scanned for q in index.statistics]
+        assert scanned == [len(small_values)] * 3
+        assert shared.tuples_scanned == 3 * len(small_values)
+        assert index.per_query_cost() == alone.per_query_cost()
+        assert index.cumulative_cost() == alone.cumulative_cost()
+
     def test_count(self, small_values, reference):
         index = AdaptiveIndex(small_values)
         assert index.count(5, 25) == len(reference(small_values, 5, 25))

@@ -6,8 +6,9 @@ import pytest
 from repro.core.hybrids.initial_partitions import (
     CrackedInitialPartition,
     RadixInitialPartition,
-    SortedInitialPartition,
 )
+# the hybrids' sorted initial partition is adaptive merging's sorted run
+from repro.core.merging.runs import sorted_run as SortedInitialPartition
 from repro.cost.counters import CostCounters
 
 

@@ -7,7 +7,7 @@ analyzer (reproperf, rule PF003) checks the ``@charges`` declarations
 lexically; the witness checks the *implementation* at runtime by
 fingerprinting every access path around each query the engine executes.
 
-These tests arm a fresh raise-mode witness and drive the full registered
+These tests arm a fresh witness and drive the full registered
 strategy matrix through the engine front door — adaptive reads, repeated
 ranges (convergence), point-ish ranges and DML on the updatable strategies —
 so a kernel that reorganises for free (or a counter that regresses) fails
@@ -57,14 +57,14 @@ UPDATABLE_STRATEGIES = ["updatable-cracking", "partitioned-updatable-cracking"]
 
 @contextmanager
 def fresh_witness():
-    """A fresh raise-mode witness, restoring whatever was active before.
+    """A fresh witness, restoring whatever was active before.
 
     A context manager rather than a fixture: hypothesis reuses the test
     function across generated inputs, so the witness must be re-armed
     inside the test body, per input.
     """
     previous = cost_witness_module.cost_witness()
-    active = cost_witness_module.enable_cost_witness("raise")
+    active = cost_witness_module.enable_cost_witness()
     try:
         yield active
     finally:
@@ -156,7 +156,7 @@ class _Reorganizer:
 
 class TestWitnessMechanism:
     def test_free_reorganization_raises(self):
-        active = cost_witness_module.CostConformanceWitness("raise")
+        active = cost_witness_module.CostConformanceWitness()
         path = _Reorganizer()
         snapshots = active.before([("facts", "key", path)])
         path.pieces += 1  # reorganize...
@@ -166,7 +166,7 @@ class TestWitnessMechanism:
         assert "reorganized for free" in active.violations()[0]
 
     def test_paid_reorganization_passes(self):
-        active = cost_witness_module.CostConformanceWitness("raise")
+        active = cost_witness_module.CostConformanceWitness()
         path = _Reorganizer()
         snapshots = active.before([("facts", "key", path)])
         path.pieces += 1
@@ -177,38 +177,16 @@ class TestWitnessMechanism:
         assert active.violations() == []
 
     def test_unchanged_structure_needs_no_payment(self):
-        active = cost_witness_module.CostConformanceWitness("raise")
+        active = cost_witness_module.CostConformanceWitness()
         path = _Reorganizer()
         snapshots = active.before([("facts", "key", path)])
         active.after("q", snapshots, CostCounters())
         assert active.violations() == []
 
     def test_counter_regression_raises(self):
-        active = cost_witness_module.CostConformanceWitness("raise")
+        active = cost_witness_module.CostConformanceWitness()
         counters = CostCounters()
         counters.tuples_moved = -3
         with pytest.raises(cost_witness_module.CostConformanceViolation):
             active.after("q", active.before([]), counters)
         assert "regressed" in active.violations()[0]
-
-    def test_log_mode_records_without_raising(self):
-        active = cost_witness_module.CostConformanceWitness("log")
-        path = _Reorganizer()
-        snapshots = active.before([("facts", "key", path)])
-        path.pieces += 1
-        active.after("q", snapshots, CostCounters())
-        assert len(active.violations()) == 1
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            cost_witness_module.CostConformanceWitness("shout")
-
-    def test_enable_disable_round_trip(self):
-        previous = cost_witness_module.cost_witness()
-        try:
-            active = cost_witness_module.enable_cost_witness("log")
-            assert cost_witness_module.cost_witness() is active
-            cost_witness_module.disable_cost_witness()
-            assert cost_witness_module.cost_witness() is None
-        finally:
-            cost_witness_module._WITNESS = previous

@@ -10,8 +10,8 @@ is acyclic, that not a single violation was recorded, and that every
 edge respects gate-before-path ranking.
 
 CI additionally exports ``REPRO_LOCK_WITNESS=1`` for the whole property
-step, so every other property suite runs instrumented too (in ``raise``
-mode a violation fails the offending test directly).
+step, so every other property suite runs instrumented too (a violation
+raises, failing the offending test directly).
 """
 
 import threading
@@ -31,9 +31,9 @@ STEPS = 10
 
 @pytest.fixture
 def witness():
-    """A fresh raise-mode witness, restoring whatever was active before."""
+    """A fresh witness, restoring whatever was active before."""
     previous = concurrency.lock_witness()
-    active = concurrency.enable_lock_witness("raise")
+    active = concurrency.enable_lock_witness()
     try:
         yield active
     finally:
@@ -190,18 +190,3 @@ class TestWitnessMechanism:
         # the gate was rolled back: a writer can take it immediately
         registry.gate("facts").acquire_write()
         registry.gate("facts").release_write()
-
-    def test_log_mode_records_without_raising(self, witness):
-        logged = concurrency.enable_lock_witness("log")
-        try:
-            manager = concurrency.AccessPathLockManager()
-            with manager.lock_for(("path", "t", "b")):
-                with manager.lock_for(("path", "t", "a")):
-                    pass
-            with manager.lock_for(("path", "t", "a")):
-                with manager.lock_for(("path", "t", "b")):
-                    pass
-            assert len(logged.violations()) == 1
-            assert logged.is_acyclic()
-        finally:
-            concurrency._WITNESS = witness

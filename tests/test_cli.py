@@ -1,5 +1,10 @@
 """Unit tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.cli import main
 from repro.core.strategies import available_strategies
 
@@ -171,3 +176,57 @@ class TestDemoAndDefaults:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
+
+
+class TestLintCommand:
+    """``repro lint`` is the one way to run the three static analyzers."""
+
+    @pytest.fixture(autouse=True)
+    def _from_the_repo_root(self, monkeypatch):
+        # default scopes and the ./<tool>.toml baselines are root-relative
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+
+    def test_json_is_one_document_keyed_by_analyzer(self, capsys):
+        assert main(["lint", "--strict-baseline", "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert list(document) == ["reprolint", "reproperf", "reprotype"]
+        for report in document.values():
+            assert report["summary"]["active"] == 0
+            assert report["summary"]["unused_baseline_entries"] == []
+        assert document["reprolint"]["acquisition_graph"]
+        assert document["reproperf"]["migration_worklist"]
+        assert document["reprotype"]["kernel_inventory"]
+
+    def test_without_the_baselines_the_accepted_findings_fail_the_run(self, capsys):
+        assert main(["lint", "--no-baseline", "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert all(report["summary"]["active"] > 0 for report in document.values())
+
+    def test_text_output_summarises_every_analyzer(self, capsys):
+        assert main(["lint"]) == 0
+        summaries = capsys.readouterr().err
+        for tool in ("reprolint", "reproperf", "reprotype"):
+            assert f"{tool}: 0 finding(s)" in summaries
+
+    def test_explicit_paths_reach_all_three(self, capsys):
+        fixtures = "tests/analysis_tools/fixtures"
+        status = main([
+            "lint", f"{fixtures}/rl004_bad.py", f"{fixtures}/pf004_bad.py",
+            f"{fixtures}/tb001_bad.py", "--no-baseline", "--format", "json",
+        ])
+        assert status == 1
+        document = json.loads(capsys.readouterr().out)
+        assert {
+            tool: {finding["rule"][:2] for finding in report["findings"]}
+            for tool, report in document.items()
+        } == {"reprolint": {"RL"}, "reproperf": {"PF"}, "reprotype": {"TB"}}
+
+    def test_a_missing_path_is_a_usage_error(self, capsys):
+        assert main(["lint", "no/such/dir"]) == 2
+        assert "reprolint: not a python file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--style", "--perf", "--types"])
+    def test_the_per_analyzer_switches_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["lint", flag])
+        assert raised.value.code == 2
