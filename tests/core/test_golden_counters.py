@@ -22,10 +22,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.columnstore.storage import StorageBudget
+from repro.core.cracking.partial import PartialCrackedColumn
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.engine.database import Database
-from repro.engine.query import Query
+from repro.engine.query import Aggregate, Query, RangeSelection
 
 ROWS = 2_000
 DOMAIN = 20_000
@@ -730,6 +732,282 @@ def test_merge_stream_matches_recorded_literals(name):
     assert run_merge_stream(name) == MERGE_GOLDEN[name]
 
 
+# -- sideways cracking through the engine, partial cracking at its kernel ----------
+#
+# Recorded at commit e138017, where sideways cracking was switched on with
+# ``Database.enable_sideways`` and ``PartialCrackedColumn`` was constructed
+# directly; putting both behind the strategy registry changed the set-up
+# lines of the two drivers below and nothing else.
+#
+# The sideways stream is sixteen operations through ``Session``: select-project,
+# select-project-where on two attributes, aggregates over a projected column,
+# a selection that projects nothing, one on an attribute that is not the head
+# (an ordinary scan), an insert (the maps are dropped and re-materialise by
+# replaying the crack history) and a delete (tombstones filter the aligned
+# columns).  Per operation: the counters, the maps' ``nbytes`` and the map
+# names afterwards.  The budgeted case fits one and a half maps, so every
+# change of projected attribute evicts.
+
+SIDEWAYS_ROWS = 200
+
+#: label -> (sort_threshold, budget in bytes)
+SIDEWAYS_CASES = {"unlimited": (0, None), "budget-1.5-maps": (8, 7_200)}
+
+
+#: (selections, projections, aggregates) | ("insert", row) | ("delete", rowid)
+SIDEWAYS_STREAM = (
+    ([("a", 100, 400)], ["c"], []),
+    ([("a", 250, 700)], ["b", "c"], []),
+    ([("a", 100, 700), ("b", 20, 150)], ["c"], []),
+    ([("a", 50, 900), ("b", 10, 190), ("c", 0.25, 0.75)], ["b"], []),
+    ([("a", 300, 600)], [], [("c", "sum")]),
+    ([("a", 0, 500), ("b", 50, 200)], ["b"], [("c", "mean"), ("b", "max")]),
+    ([("a", 420, 480)], [], []),
+    ("insert", {"a": 450, "b": SIDEWAYS_ROWS, "c": 0.5}),
+    ([("a", 400, 500)], ["c"], []),
+    ([("a", 100, 700), ("b", 20, 201)], ["c"], []),
+    ("delete", None),  # the victim is the first row of the previous answer
+    ([("a", 100, 700)], [], [("c", "sum"), ("c", "count")]),
+    ([("a", None, 300)], ["b", "c"], []),
+    ([("b", 40, 60)], ["c"], []),
+    ([("a", 600, None), ("c", 0.5, None)], ["b"], []),
+    ([("a", 100, 400)], ["c"], []),
+)
+
+
+def run_sideways_stream(label):
+    """Per operation ``(counter tuple, maps' nbytes, map names)``, plus a hash
+    of the answers (positions, projected columns, aggregates)."""
+    sort_threshold, budget = SIDEWAYS_CASES[label]
+    rng = np.random.default_rng(SEED + 4)
+    database = Database("golden-sideways")
+    table = database.create_table("T", {
+        "a": rng.integers(0, ENGINE_DOMAIN, size=SIDEWAYS_ROWS).astype(np.int64),
+        "b": np.arange(SIDEWAYS_ROWS, dtype=np.int64),
+        "c": rng.random(SIDEWAYS_ROWS),
+    })
+    database.enable_sideways(
+        "T", "a", sort_threshold=sort_threshold,
+        budget=StorageBudget(limit_bytes=budget),
+    )
+
+    def cracker():  # looked up per operation: an insert may replace it
+        return database.sideways_cracker("T", "a")
+
+    recorded = []
+    digest = hashlib.sha256()
+    deleted = set()
+    previous = None
+    try:
+        with database.session() as session:
+            for operation in SIDEWAYS_STREAM:
+                counters = CostCounters()
+                if operation[0] == "insert":
+                    session.insert_row("T", operation[1], counters)
+                elif operation[0] == "delete":
+                    victim = int(np.sort(previous.positions)[0])
+                    session.delete_row("T", victim, counters)
+                    deleted.add(victim)
+                else:
+                    bounds, projections, aggregates = operation
+                    previous = session.execute(Query(
+                        table="T",
+                        selections=[RangeSelection(*bound) for bound in bounds],
+                        projections=list(projections),
+                        aggregates=[Aggregate(c, f) for c, f in aggregates],
+                    ))
+                    counters = previous.counters
+                    keep = np.ones(table.row_count, dtype=bool)
+                    keep[sorted(deleted)] = False
+                    for column, low, high in bounds:
+                        values = table[column].values
+                        if low is not None:
+                            keep &= values >= low
+                        if high is not None:
+                            keep &= values < high
+                    order = np.argsort(previous.positions, kind="stable")
+                    answer = previous.positions[order]
+                    assert answer.tolist() == np.flatnonzero(keep).tolist()
+                    assert sorted(previous.columns) == sorted(projections)
+                    digest.update(answer.astype(np.int64).tobytes())
+                    for name in projections:
+                        column = previous.columns[name][order]
+                        assert column.tolist() == table[name].values[answer].tolist()
+                        digest.update(column.astype(np.float64).tobytes())
+                    digest.update(repr(sorted(previous.aggregates.items())).encode())
+                recorded.append((
+                    _counter_tuple(counters), cracker().nbytes,
+                    tuple(cracker().map_names()),
+                ))
+    finally:
+        database.close()
+    return {"operations": recorded, "answers": digest.hexdigest()[:16]}
+
+
+SIDEWAYS_GOLDEN = {
+    'unlimited': {
+        'operations': [
+            ((848, 782, 389, 0, 4800, 2), 4800, ('c',)),
+            ((1312, 1146, 771, 0, 4800, 6), 9600, ('b', 'c')),
+            ((236, 0, 130, 0, 0, 0), 9600, ('b', 'c')),
+            ((486, 164, 510, 0, 0, 4), 9600, ('b', 'c')),
+            ((197, 83, 98, 0, 0, 2), 9600, ('b', 'c')),
+            ((529, 175, 315, 0, 0, 6), 9600, ('b', 'c')),
+            ((38, 30, 46, 0, 0, 2), 9600, ('b', 'c')),
+            ((0, 3, 0, 0, 24, 0), 0, ()),
+            ((1232, 1214, 857, 0, 4824, 12), 4824, ('c',)),
+            ((1452, 1214, 984, 0, 4824, 12), 9648, ('b', 'c')),
+            ((0, 1, 0, 0, 0, 0), 9648, ('b', 'c')),
+            ((355, 0, 8, 0, 0, 0), 9648, ('b', 'c')),
+            ((126, 0, 8, 0, 0, 0), 9648, ('b', 'c')),
+            ((201, 0, 402, 20, 0, 0), 9648, ('b', 'c')),
+            ((160, 0, 88, 0, 0, 0), 9648, ('b', 'c')),
+            ((66, 0, 8, 0, 0, 0), 9648, ('b', 'c')),
+        ],
+        'answers': '2f0fd3f73f653a68',
+    },
+    'budget-1.5-maps': {
+        'operations': [
+            ((848, 782, 389, 0, 4800, 2), 4800, ('c',)),
+            ((2094, 1928, 1156, 0, 9600, 8), 4800, ('c',)),
+            ((2164, 1928, 1274, 0, 9600, 8), 4800, ('c',)),
+            ((2414, 2092, 1654, 0, 9600, 12), 4800, ('c',)),
+            ((197, 83, 98, 0, 0, 2), 4800, ('c',)),
+            ((2704, 2350, 1725, 0, 9600, 20), 4800, ('c',)),
+            ((1213, 1205, 850, 0, 4800, 12), 4800, ('b',)),
+            ((0, 3, 0, 0, 24, 0), 0, ()),
+            ((1232, 1214, 857, 0, 4824, 12), 4824, ('c',)),
+            ((2666, 2428, 1833, 0, 9648, 24), 4824, ('c',)),
+            ((0, 1, 0, 0, 0, 0), 4824, ('c',)),
+            ((355, 0, 8, 0, 0, 0), 4824, ('c',)),
+            ((2554, 2428, 1706, 0, 9648, 24), 4824, ('c',)),
+            ((201, 0, 402, 20, 0, 0), 4824, ('c',)),
+            ((1374, 1214, 937, 0, 4824, 12), 4824, ('b',)),
+            ((1280, 1214, 857, 0, 4824, 12), 4824, ('c',)),
+        ],
+        'answers': '2f0fd3f73f653a68',
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(SIDEWAYS_CASES))
+def test_sideways_stream_matches_recorded_literals(label):
+    assert run_sideways_stream(label) == SIDEWAYS_GOLDEN[label]
+
+
+# ``PartialCrackedColumn`` searched directly over the drifting base column:
+# unlimited, every touched fragment stays (48 000 bytes in the end); a quarter
+# of that holds one or two of the eight fragments, so every wide query evicts;
+# a budget below one expected fragment materialises nothing and scans.
+
+PARTIAL_FRAGMENTS = 8
+PARTIAL_QUERIES = 16
+
+#: label -> budget in bytes
+PARTIAL_CASES = {"unlimited": None, "quarter": 12_000, "below-one-fragment": 4_000}
+
+
+def run_partial_stream(label):
+    """Per query ``(counter tuple, nbytes, materialised fragments, evictions,
+    fallback scans)``, plus a hash of the sorted answers."""
+    values = base_values()
+    partial = PartialCrackedColumn(
+        values, budget=StorageBudget(limit_bytes=PARTIAL_CASES[label]),
+        fragments=PARTIAL_FRAGMENTS, sort_threshold=16,
+    )
+    search = partial.search
+    rng = np.random.default_rng(SEED + 5)
+    digest = hashlib.sha256()
+    recorded = []
+    for _ in range(PARTIAL_QUERIES):
+        width = int(rng.choice([200, 2_000, DOMAIN // 2]))
+        low = int(rng.integers(0, DOMAIN - width + 1))
+        counters = CostCounters()
+        answer = np.sort(search(low, low + width, counters))
+        expected = np.flatnonzero((values >= low) & (values < low + width))
+        assert answer.tolist() == expected.tolist()
+        partial.check_invariants()
+        digest.update(answer.astype(np.int64).tobytes())
+        recorded.append((
+            _counter_tuple(counters), partial.nbytes,
+            partial.materialised_fragments, partial.evictions,
+            partial.fallback_scans,
+        ))
+    return {"queries": recorded, "answers": digest.hexdigest()[:16]}
+
+
+PARTIAL_GOLDEN = {
+    'unlimited': {
+        'queries': [
+            ((12742, 2968, 22973, 0, 35616, 15), 35616, 5, 0, 0),
+            ((4497, 746, 8748, 0, 8952, 6), 44568, 7, 0, 0),
+            ((3723, 765, 4783, 0, 3432, 5), 48000, 8, 0, 0),
+            ((722, 490, 500, 0, 0, 2), 48000, 8, 0, 0),
+            ((139, 123, 248, 0, 0, 2), 48000, 8, 0, 0),
+            ((175, 147, 297, 0, 0, 2), 48000, 8, 0, 0),
+            ((538, 292, 302, 0, 0, 2), 48000, 8, 0, 0),
+            ((625, 374, 386, 0, 0, 2), 48000, 8, 0, 0),
+            ((1683, 462, 489, 0, 0, 4), 48000, 8, 0, 0),
+            ((233, 117, 128, 0, 0, 2), 48000, 8, 0, 0),
+            ((76, 56, 115, 0, 0, 2), 48000, 8, 0, 0),
+            ((1161, 140, 170, 0, 0, 2), 48000, 8, 0, 0),
+            ((203, 188, 379, 0, 0, 2), 48000, 8, 0, 0),
+            ((299, 96, 109, 0, 0, 2), 48000, 8, 0, 0),
+            ((69, 57, 117, 0, 0, 2), 48000, 8, 0, 0),
+            ((703, 432, 445, 0, 0, 2), 48000, 8, 0, 0),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+    'quarter': {
+        'queries': [
+            ((12742, 2968, 22973, 0, 35616, 15), 7488, 1, 4, 0),
+            ((4497, 746, 8748, 0, 8952, 6), 8952, 2, 5, 0),
+            ((12416, 2630, 22635, 0, 31560, 15), 7224, 1, 11, 0),
+            ((4774, 1084, 9086, 0, 13008, 6), 7488, 1, 13, 0),
+            ((2172, 312, 4313, 0, 3744, 3), 11232, 2, 13, 0),
+            ((2329, 602, 4603, 0, 7224, 3), 10968, 2, 14, 0),
+            ((2746, 812, 4818, 0, 7488, 5), 7488, 1, 16, 0),
+            ((4793, 1084, 9086, 0, 13008, 6), 7488, 1, 18, 0),
+            ((10577, 2515, 18718, 0, 27816, 14), 5208, 1, 22, 0),
+            ((4489, 746, 8748, 0, 8952, 6), 8952, 2, 23, 0),
+            ((2332, 624, 4625, 0, 7488, 3), 7488, 1, 25, 0),
+            ((12336, 2630, 22635, 0, 31560, 15), 7224, 1, 30, 0),
+            ((2327, 624, 4625, 0, 7488, 3), 7488, 1, 31, 0),
+            ((2533, 547, 4663, 0, 5208, 5), 5208, 1, 32, 0),
+            ((2242, 460, 4461, 0, 5520, 3), 10728, 2, 32, 0),
+            ((4901, 1260, 9262, 0, 15120, 6), 7224, 1, 35, 0),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+    'below-one-fragment': {
+        'queries': [
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 1),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 2),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 3),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 4),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 5),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 6),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 7),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 8),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 9),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 10),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 11),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 12),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 13),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 14),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 15),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 16),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+}
+
+
+@pytest.mark.parametrize("label", sorted(PARTIAL_CASES))
+def test_partial_stream_matches_recorded_literals(label):
+    assert run_partial_stream(label) == PARTIAL_GOLDEN[label]
+
+
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_golden_counters.py
     for case in _cases():
         sequential = run_stream(*case, parallel=False)
@@ -765,3 +1043,18 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_g
         print(f"        'answers': {recorded['answers']!r},")
         print("    },")
     print("}")
+    for title, cases, run, key in (
+        ("SIDEWAYS_GOLDEN", SIDEWAYS_CASES, run_sideways_stream, "operations"),
+        ("PARTIAL_GOLDEN", PARTIAL_CASES, run_partial_stream, "queries"),
+    ):
+        print(f"{title} = {{")
+        for label in cases:
+            recorded = run(label)
+            print(f"    {label!r}: {{")
+            print(f"        {key!r}: [")
+            for entry in recorded[key]:
+                print(f"            {entry!r},")
+            print("        ],")
+            print(f"        'answers': {recorded['answers']!r},")
+            print("    },")
+        print("}")
