@@ -141,24 +141,32 @@ def _content_bounds(
     return min(lows), max(highs)
 
 
-def _choose_split_pivot(values: np.ndarray, index: CrackerIndex) -> Optional[float]:
-    """A pivot that splits ``values`` into two non-empty halves, or None.
+def _choose_split_pivot(
+    values: np.ndarray, index: CrackerIndex, pending: Sequence[float] = ()
+) -> Optional[float]:
+    """A pivot that splits a partition into two non-empty halves, or None.
 
+    ``values`` is the merged region, ``pending`` the queued insert values:
+    they follow their value's side of the split, so both count toward the
+    halves — a partition whose load is pending inserts has to be splittable.
     Prefers the existing crack boundary closest to the middle (free: no
-    data movement beyond the cut), falling back to the median value when the
-    partition has not been cracked in its interior yet.  Returns None when
-    every element is equal (nothing can split the partition).
+    data movement beyond the cut), falling back to the median value when
+    no boundary separates anything yet.  Returns None when every element
+    is equal (nothing can split the partition).
     """
-    length = len(values)
-    if length < 2:
+    queued = np.asarray(pending, dtype=values.dtype)
+    total = len(values) + len(queued)
+    if total < 2:
         return None
-    interior = [
-        (abs(position - length / 2), value)
-        for value, position in zip(index.boundary_values, index.boundary_positions)
-        if 0 < position < length
-    ]
+    interior = []
+    for value, position in zip(index.boundary_values, index.boundary_positions):
+        below = position + int(np.count_nonzero(queued < value))
+        if 0 < below < total:
+            interior.append((abs(below - total / 2), value))
     if interior:
         return min(interior)[1]
+    if len(queued):
+        values = np.concatenate([values, queued])
     low = float(values.min())
     high = float(values.max())
     if low == high:
@@ -300,7 +308,9 @@ class ColumnPartition:
                 ))
 
             return shard(self.start, mid), shard(mid, self.end)
-        pivot = _choose_split_pivot(cracked.values, cracked.index)
+        pivot = _choose_split_pivot(
+            cracked.values, cracked.index, cracked._pending_insert_values
+        )
         if pivot is None:
             return None
         fragments = cracked.split_at(pivot, counters)
@@ -650,36 +660,41 @@ class PartitionedCrackedColumn:
 
     # -- adaptive repartitioning -------------------------------------------------
 
-    def _split_candidate(self) -> Optional[int]:
+    def _split_candidate(
+        self, unsplittable: Sequence[ColumnPartition] = ()
+    ) -> Optional[int]:
         """Index of the partition most in need of a split, or None.
 
         Row cap first, then row skew, then visit skew (see the module
-        docstring).
+        docstring); partitions in ``unsplittable`` are passed over.
         """
         partitions = self._partitions
         count = len(partitions)
         sizes = [len(p) for p in partitions]
+        eligible = [
+            i for i in range(count)
+            if sizes[i] >= 2 and partitions[i] not in unsplittable
+        ]
         if self.max_partition_rows is not None:
             over = [
-                (sizes[i], i) for i in range(count)
-                if sizes[i] > self.max_partition_rows and sizes[i] >= 2
+                (sizes[i], i) for i in eligible
+                if sizes[i] > self.max_partition_rows
             ]
             if over:
                 return max(over)[1]
         if count > 1:
             mean_rows = sum(sizes) / count
             big = [
-                (sizes[i], i) for i in range(count)
-                if sizes[i] >= 2 and sizes[i] > self.split_threshold * mean_rows
+                (sizes[i], i) for i in eligible
+                if sizes[i] > self.split_threshold * mean_rows
             ]
             if big:
                 return max(big)[1]
             visits = [p.visits for p in partitions]
             mean_visits = sum(visits) / count
             hot = [
-                (visits[i], i) for i in range(count)
-                if sizes[i] >= 2
-                and visits[i] >= _MIN_SPLIT_VISITS
+                (visits[i], i) for i in eligible
+                if visits[i] >= _MIN_SPLIT_VISITS
                 and visits[i] > self.split_threshold * mean_visits
                 and sizes[i] * self.split_threshold >= mean_rows
             ]
@@ -692,14 +707,19 @@ class PartitionedCrackedColumn:
         if not self.repartition:
             return
         partitions = self._partitions  # hoisted out of the split loop (PF002)
+        # a candidate without a pivot (one value, however often) is passed
+        # over for the rest of the call, or it would be chosen again at once
+        # and no other partition would ever be split
+        unsplittable: List[ColumnPartition] = []
         for _ in range(_MAX_SPLITS_PER_CHECK):
-            candidate = self._split_candidate()
+            candidate = self._split_candidate(unsplittable)
             if candidate is None:
                 break
             parent = partitions[candidate]
             children = parent.split(counters)
             if children is None:
-                break
+                unsplittable.append(parent)
+                continue
             left, right = children
             left.visits = right.visits = parent.visits // 2
             partitions[candidate:candidate + 1] = [left, right]

@@ -63,6 +63,46 @@ class TestSkewHotspotRegression:
             expected = set(fixed.search(low, low + 60).tolist())
             assert set(adaptive.search(low, low + 60).tolist()) == expected
 
+    def test_partition_loaded_with_pending_inserts_splits(self):
+        # the merged values are all equal, so they alone offer no pivot; the
+        # partition's load is the pending inserts, and those spread over 40
+        # values — the pivot has to be chosen over both
+        base = np.array([50] * 4 + [1000, 1001, 1002, 1003], dtype=np.int64)
+        cap = 16
+        column = PartitionedUpdatableCrackedColumn(
+            base, partitions=2, repartition=True, max_partition_rows=cap
+        )
+        column.search(0, 2_000)  # both partitions materialise
+        for value in range(40):  # nearest bounds: the [50, 50] partition
+            column.insert(value)
+        assert column.partition_splits > 0
+        assert all(len(p) <= cap for p in column.partitions)
+        column.check_invariants()
+        assert sorted(column.search(0, 2_000).tolist()) == list(range(48))
+        assert sorted(column.search(10, 30).tolist()) == list(range(18, 38))
+
+    def test_unsplittable_candidate_does_not_starve_the_others(self):
+        # the largest partition holds one value 35 times (no pivot exists);
+        # the second one is over the cap too and splits fine — ending the
+        # pass at the first refusal left it whole forever
+        base = np.concatenate([
+            np.full(30, 50), np.arange(1_000, 1_030),
+        ]).astype(np.int64)
+        cap = 12
+        column = PartitionedUpdatableCrackedColumn(
+            base, partitions=2, repartition=True, max_partition_rows=cap
+        )
+        column.search(0, 2_000)
+        for _ in range(5):
+            column.insert(50)
+        column.search(0, 2_000)
+        stuck, *others = column.partitions
+        assert len(stuck) == 35 and stuck.effective_bounds == (50.0, 50.0)
+        assert len(others) >= 3
+        assert all(len(p) <= cap for p in others)
+        column.check_invariants()
+        assert sorted(column.search(1_000, 1_030).tolist()) == list(range(30, 60))
+
 
 class TestBestFitInsertRouting:
     """Inserts route to the tightest-bounds partition, not the leftmost."""
