@@ -31,9 +31,10 @@ def run_mode(mode: str):
     if mode == "cracking+late-reconstruction":
         database.set_indexing("lineorder", "orderdate", "cracking")
     elif mode == "sideways-cracking":
-        database.enable_sideways("lineorder", "orderdate")
+        database.set_indexing("lineorder", "orderdate", "sideways-cracking")
     queries = shipping_priority_queries(CONFIG, query_count=QUERY_COUNT, seed=10)
-    stats = database.run_workload(queries, strategy_label=mode)
+    with database.session() as session:
+        stats = session.run_workload(queries, strategy_label=mode)
     totals = stats.total_counters()
     per_query = stats.per_query_cost(DEFAULT_MAIN_MEMORY_MODEL)
     tail = per_query[-QUERY_COUNT // 5:]

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from bench_common import make_column, make_spec
-from repro.columnstore.storage import StorageBudget
-from repro.core.cracking.partial import PartialCrackedColumn
+from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
 from repro.workloads.generators import random_workload
@@ -30,21 +29,21 @@ def run_experiment():
     results = {}
     for fraction in BUDGET_FRACTIONS:
         budget = (
-            StorageBudget(limit_bytes=None)
-            if fraction is None
-            else StorageBudget(limit_bytes=int(full_structures_bytes * fraction))
+            None if fraction is None else int(full_structures_bytes * fraction)
         )
-        column = PartialCrackedColumn(values, budget=budget, fragments=16)
+        strategy = create_strategy(
+            "partial-cracking", values, budget_bytes=budget, fragments=16
+        )
         costs = []
         for query in queries:
             counters = CostCounters()
-            column.search(query.low, query.high, counters)
+            strategy.search(query.low, query.high, counters)
             costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(counters))
         results[fraction] = {
             "total": float(np.sum(costs)),
-            "evictions": column.evictions,
-            "fallback_scans": column.fallback_scans,
-            "used_bytes": column.nbytes,
+            "evictions": strategy.partial.evictions,
+            "fallback_scans": strategy.partial.fallback_scans,
+            "used_bytes": strategy.nbytes,
         }
     scan_total = 3.0 * len(values) * len(queries)
     return results, scan_total

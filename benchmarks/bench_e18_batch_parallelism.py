@@ -1,6 +1,6 @@
 """E18 — batch execution under per-access-path concurrency control.
 
-``Database.execute_many`` classifies every planned query by the access
+``Session.execute_many`` classifies every planned query by the access
 paths it touches and whether each path reorganises on read (the
 ``reorganizes_on_read`` capability flag).  Expected shape: a same-table
 batch over *read-only* paths (plain scans, a full offline index) fans out
@@ -75,17 +75,18 @@ def timed_batch(mode, queries, parallel, max_workers=None, repeats=3):
     """
     best_seconds, results, report, most_workers = float("inf"), None, None, 0
     for _ in range(repeats):
-        database = fresh_database(mode)
-        started = time.perf_counter()
-        batch_results = database.execute_many(
-            queries, parallel=parallel, max_workers=max_workers
-        )
-        elapsed = time.perf_counter() - started
-        most_workers = max(most_workers, database.last_batch_report.workers_used)
+        with fresh_database(mode).session() as session:
+            started = time.perf_counter()
+            batch_results = session.execute_many(
+                queries, parallel=parallel, max_workers=max_workers
+            )
+            elapsed = time.perf_counter() - started
+            last_report = session.stats().last_batch_report
+        most_workers = max(most_workers, last_report.workers_used)
         if elapsed < best_seconds:
             best_seconds = elapsed
             results = batch_results
-            report = database.last_batch_report
+            report = last_report
     return results, best_seconds, report, most_workers
 
 
@@ -167,20 +168,21 @@ def run_mixed_mode_experiment():
         sequential_db = fresh_database(mode, rows=MIXED_MODE_ROWS, **options)
         parallel_db = fresh_database(mode, rows=MIXED_MODE_ROWS, **options)
         divergences = 0
-        for _ in range(2):  # second round may hit converged structures
-            sequential = sequential_db.execute_many(queries, parallel=False)
-            parallel = parallel_db.execute_many(
-                queries, parallel=True, max_workers=4
-            )
-            divergences += sum(
-                0 if (np.array_equal(a.positions, b.positions)
-                      and a.counters == b.counters) else 1
-                for a, b in zip(sequential, parallel)
-            )
-        rows[label] = {
-            "divergences": divergences,
-            "report": parallel_db.last_batch_report,
-        }
+        with sequential_db.session() as one_by_one, parallel_db.session() as fanned:
+            for _ in range(2):  # second round may hit converged structures
+                sequential = one_by_one.execute_many(queries, parallel=False)
+                parallel = fanned.execute_many(
+                    queries, parallel=True, max_workers=4
+                )
+                divergences += sum(
+                    0 if (np.array_equal(a.positions, b.positions)
+                          and a.counters == b.counters) else 1
+                    for a, b in zip(sequential, parallel)
+                )
+            rows[label] = {
+                "divergences": divergences,
+                "report": fanned.stats().last_batch_report,
+            }
     return rows
 
 

@@ -74,9 +74,10 @@ def replay_journal(journal, database):
     cost counters; every DML op must land on the recorded rowid.
     """
     divergences = []
+    session = database.session(name="replay")
     for record in journal:
         if record.kind == "query":
-            replayed = database.execute(record.payload)
+            replayed = session.execute(record.payload)
             original = record.result
             same = (
                 np.array_equal(replayed.positions, original.positions)
@@ -91,16 +92,17 @@ def replay_journal(journal, database):
             if not same:
                 divergences.append(record.sequence)
         elif record.kind == "insert":
-            rowid = database.insert_row(record.table, record.payload)
+            rowid = session.insert_row(record.table, record.payload)
             if rowid != record.result:
                 divergences.append(record.sequence)
         elif record.kind == "delete":
-            database.delete_row(record.table, record.payload)
+            session.delete_row(record.table, record.payload)
         elif record.kind == "update":
             old_rowid, values = record.payload
-            rowid = database.update_row(record.table, old_rowid, values)
+            rowid = session.update_row(record.table, old_rowid, values)
             if rowid != record.result:
                 divergences.append(record.sequence)
+    session.close()
     return divergences
 
 
@@ -233,7 +235,6 @@ def run_dml_during_batch_experiment():
         "concurrent_ms": concurrent_seconds * 1e3,
         "divergences": divergences,
         "fenced_writes": database.table_gate("data").fenced_writes,
-        "last_report": database.last_batch_report,
     }
 
 

@@ -25,8 +25,9 @@ def run_mode(mode: str, config: TPCHLikeConfig, queries) -> dict:
     if mode == "cracking + late reconstruction":
         database.set_indexing("lineorder", "orderdate", "cracking")
     elif mode == "sideways cracking":
-        database.enable_sideways("lineorder", "orderdate")
-    stats = database.run_workload(queries, strategy_label=mode)
+        database.set_indexing("lineorder", "orderdate", "sideways-cracking")
+    with database.session() as session:
+        stats = session.run_workload(queries, strategy_label=mode)
     totals = stats.total_counters()
     return {
         "total_cost": sum(stats.per_query_cost(DEFAULT_MAIN_MEMORY_MODEL)),

@@ -10,23 +10,29 @@ Manegold, Graefe):
 * the adaptive-indexing family: database cracking, cracking updates,
   partial and sideways cracking, stochastic cracking, adaptive merging and
   the hybrid algorithms (:mod:`repro.core`),
-* a query engine facade (:mod:`repro.engine`), and
+* a query engine entered through sessions (:mod:`repro.engine`), and
 * workload generators plus the adaptive-indexing benchmark of Graefe et al.
   (:mod:`repro.workloads`).
 
 Quickstart
 ----------
 
+One column, at the kernel: any registered technique over an array.
+
 >>> import numpy as np
->>> from repro import AdaptiveIndex
+>>> from repro import create_strategy
+>>> from repro.cost.counters import CostCounters
 >>> values = np.random.default_rng(0).integers(0, 10_000, size=100_000)
->>> index = AdaptiveIndex(values, strategy="cracking")
->>> positions = index.search(1_000, 2_000)          # crack as a side effect
+>>> index, counters = create_strategy("cracking", values), CostCounters()
+>>> positions = index.search(1_000, 2_000, counters)   # crack as a side effect
 >>> sorted(values[positions]) == sorted(v for v in values if 1_000 <= v < 2_000)
 True
+
+Tables, queries and updates: a :class:`Database` holds the schema and the
+physical design (``set_indexing`` is the only switch) and a :class:`Session`
+from ``db.session()`` is the only way operations enter it — see the README.
 """
 
-from repro.core.adaptive_index import AdaptiveIndex
 from repro.core.strategies import available_strategies, create_strategy
 from repro.durability.manager import DurabilityConfig
 from repro.durability.recovery import RecoveryError, RecoveryReport
@@ -36,7 +42,6 @@ from repro.engine.session import Session
 from repro.version import __version__
 
 __all__ = [
-    "AdaptiveIndex",
     "Database",
     "DurabilityConfig",
     "Query",

@@ -402,22 +402,26 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_demo(args: argparse.Namespace) -> int:
-    from repro.core.adaptive_index import AdaptiveIndex
+    from repro.core.strategies import create_strategy
+    from repro.cost.counters import CostCounters
+    from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
 
     rng = np.random.default_rng(0)
     values = generate_column_data(args.rows, 0, 1_000_000, seed=0)
-    index = AdaptiveIndex(values, strategy="cracking")
+    index = create_strategy("cracking", values)
     width = 1_000
+    costs = []
     for _ in range(args.queries):
         low = float(rng.uniform(0, 1_000_000 - width))
-        index.search(low, low + width)
-    costs = index.per_query_cost()
+        counters = CostCounters()
+        index.search(low, low + width, counters)
+        costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(counters))
     checkpoints = [0, 1, 4, 9, 49, 99, len(costs) - 1]
     print(f"database cracking over {args.rows:,} rows, {args.queries} queries:")
     for point in checkpoints:
         if point < len(costs):
             print(f"  query {point + 1:>4d}: logical cost {costs[point]:>12.0f}")
-    print(f"  structure: {index.structure_description()}")
+    print(f"  structure: {index.structure_description}")
     return 0
 
 

@@ -15,11 +15,11 @@ query execution*.
   cracking: contiguous shards cracked independently, with thread-pool
   fan-out for queries spanning several shards;
 * :mod:`repro.core.strategies` — a uniform registry so that baselines and
-  adaptive strategies are interchangeable in the engine and the benchmark;
-* :mod:`repro.core.adaptive_index` — the user-facing facade.
+  adaptive strategies are interchangeable in the engine and the benchmark
+  (``create_strategy(name, values).search(low, high, counters)`` is the
+  kernel-level way in).
 """
 
-from repro.core.adaptive_index import AdaptiveIndex
 from repro.core.partitioned import (
     PartitionedCrackedColumn,
     PartitionedUpdatableCrackedColumn,
@@ -32,7 +32,6 @@ from repro.core.strategies import (
 )
 
 __all__ = [
-    "AdaptiveIndex",
     "PartitionedCrackedColumn",
     "PartitionedUpdatableCrackedColumn",
     "SearchStrategy",

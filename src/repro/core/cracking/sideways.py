@@ -23,7 +23,7 @@ storage budget with LRU eviction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,17 +171,32 @@ class SidewaysCracker:
         high: Optional[float],
         projections: Sequence[str],
         counters: Optional[CostCounters] = None,
+        extra_predicates: Optional[
+            Mapping[str, Tuple[Optional[float], Optional[float]]]
+        ] = None,
     ) -> Dict[str, np.ndarray]:
-        """Select on the head attribute, project ``projections`` sideways.
+        """Select on the head attribute, refine and project sideways.
 
-        Returns a dict column-name -> values of qualifying rows, plus the
-        special key ``"__rowids__"`` with the base row positions.  All
-        returned arrays are aligned with each other.
+        ``extra_predicates`` maps other attributes to ``(low, high)``
+        half-open ranges the qualifying rows must also satisfy; they are
+        checked on the sideways maps of those attributes, so neither
+        refinement nor projection needs random access into the base table.
+        Returns a dict column-name -> values of qualifying rows for every
+        name in ``projections``, plus the special key ``"__rowids__"`` with
+        the base row positions.  All returned arrays are aligned with each
+        other.
         """
         self.queries_processed += 1
         requested = list(projections)
-        head_requested = self.head in requested
-        tails = [name for name in requested if name != self.head]
+        refinements = {
+            attribute: bounds
+            for attribute, bounds in (extra_predicates or {}).items()
+            if attribute != self.head
+        }
+        tails = [
+            name for name in dict.fromkeys(list(refinements) + requested)
+            if name != self.head
+        ]
         if not tails:
             # a map is still needed to answer the selection; use any other
             # attribute of the table (or fall back to a head-only map).
@@ -194,9 +209,8 @@ class SidewaysCracker:
         if high is not None:
             self._record_crack(high)
 
-        result: Dict[str, np.ndarray] = {}
-        rowids_out: Optional[np.ndarray] = None
-        head_segment: Optional[np.ndarray] = None
+        segments: Dict[str, np.ndarray] = {}
+        rowids: Optional[np.ndarray] = None
         for tail in tails:
             cracker_map = self.get_map(tail, counters)
             start, end = crack_range(
@@ -211,72 +225,15 @@ class SidewaysCracker:
             )
             if counters is not None:
                 counters.record_scan(max(0, end - start))
-            if tail in requested:
-                result[tail] = cracker_map.tail_values[start:end].copy()
-            if rowids_out is None:
-                rowids_out = cracker_map.rowids[start:end].copy()
-                head_segment = cracker_map.head_values[start:end].copy()
-        if head_requested and head_segment is not None:
-            result[self.head] = head_segment
-        result["__rowids__"] = (
-            rowids_out if rowids_out is not None else np.empty(0, dtype=np.int64)
-        )
-        return result
-
-    def select_project_where(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        extra_predicates: Dict[str, Tuple[Optional[float], Optional[float]]],
-        projections: Sequence[str],
-        counters: Optional[CostCounters] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Multi-column selection: crack on head, refine with the other predicates.
-
-        ``extra_predicates`` maps attribute name -> (low, high) half-open
-        range.  Refinement uses the sideways maps of those attributes, so no
-        random access into the base table is required.
-        """
-        self.queries_processed += 1
-        if low is not None:
-            self._record_crack(low)
-        if high is not None:
-            self._record_crack(high)
-
-        needed_tails = list(dict.fromkeys(list(extra_predicates) + list(projections)))
-        needed_tails = [name for name in needed_tails if name != self.head]
-
-        segments: Dict[str, np.ndarray] = {}
-        rowids_out: Optional[np.ndarray] = None
-        head_segment: Optional[np.ndarray] = None
-        for tail in needed_tails:
-            cracker_map = self.get_map(tail, counters)
-            start, end = crack_range(
-                cracker_map.head_values,
-                cracker_map.rowids,
-                cracker_map.index,
-                low,
-                high,
-                counters,
-                sort_threshold=self.sort_threshold,
-                extra_payload=cracker_map.tail_values,
-            )
-            if counters is not None:
-                counters.record_scan(max(0, end - start))
             segments[tail] = cracker_map.tail_values[start:end]
-            if rowids_out is None:
-                rowids_out = cracker_map.rowids[start:end]
-                head_segment = cracker_map.head_values[start:end]
+            if rowids is None:
+                rowids = cracker_map.rowids[start:end]
+                segments[self.head] = cracker_map.head_values[start:end]
 
-        if rowids_out is None:
-            return {"__rowids__": np.empty(0, dtype=np.int64)}
-        if head_segment is not None:
-            segments[self.head] = head_segment
-
-        keep = np.ones(len(rowids_out), dtype=bool)
-        for attribute, (attr_low, attr_high) in extra_predicates.items():
-            if attribute == self.head:
-                continue
+        # the segments are views into the maps, which the next crack
+        # permutes: the fancy index below (or the copy) detaches the answer
+        keep = np.ones(len(rowids), dtype=bool) if refinements else slice(None)
+        for attribute, (attr_low, attr_high) in refinements.items():
             values = segments[attribute]
             if attr_low is not None:
                 keep &= values >= attr_low
@@ -285,8 +242,8 @@ class SidewaysCracker:
             if counters is not None:
                 counters.record_comparisons(len(values))
 
-        result = {name: segments[name][keep].copy() for name in projections}
-        result["__rowids__"] = rowids_out[keep].copy()
+        result = {name: segments[name][keep].copy() for name in requested}
+        result["__rowids__"] = rowids[keep].copy()
         return result
 
     # -- inspection ---------------------------------------------------------------------

@@ -154,17 +154,18 @@ def _choose_split_pivot(
     no boundary separates anything yet.  Returns None when every element
     is equal (nothing can split the partition).
     """
-    queued = np.asarray(pending, dtype=values.dtype)
+    queued = np.sort(np.asarray(pending, dtype=values.dtype))
     total = len(values) + len(queued)
     if total < 2:
         return None
-    interior = []
+    best = None  # (distance from the middle, boundary value)
     for value, position in zip(index.boundary_values, index.boundary_positions):
-        below = position + int(np.count_nonzero(queued < value))
+        below = position + int(np.searchsorted(queued, value))  # queued < value
         if 0 < below < total:
-            interior.append((abs(below - total / 2), value))
-    if interior:
-        return min(interior)[1]
+            candidate = (abs(below - total / 2), value)
+            best = candidate if best is None else min(best, candidate)
+    if best is not None:
+        return best[1]
     if len(queued):
         values = np.concatenate([values, queued])
     low = float(values.min())

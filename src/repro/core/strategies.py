@@ -9,8 +9,9 @@ call :meth:`SearchStrategy.search` for each range query.
 
 This module is the only place that knows which technique is behind a name.
 What an access path can do — answer a range, say whether a read still
-reorganises it, absorb DML or ask to be rebuilt, report its bytes and
-structure, release resources — is the :class:`SearchStrategy` contract, and
+reorganises it, answer a whole select-project when it covers projections,
+absorb DML or ask to be rebuilt, report its bytes and structure, release
+resources — is the :class:`SearchStrategy` contract, and
 the engine installs, queries, updates and drops every access path through
 that contract alone.
 
@@ -22,14 +23,18 @@ from __future__ import annotations
 import threading
 from abc import ABC, abstractmethod
 from functools import partial
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
+from repro.columnstore.storage import StorageBudget
+from repro.columnstore.table import Table
 from repro.core.cracking.cracked_column import CrackedColumn
+from repro.core.cracking.partial import PartialCrackedColumn
+from repro.core.cracking.sideways import SidewaysCracker
 from repro.core.cracking.stochastic import StochasticCrackedColumn
 from repro.core.hybrids.hybrid_index import HybridIndex
 from repro.core.partitioned import PartitionedCrackedColumn
@@ -49,6 +54,14 @@ def _given(options: Dict[str, object], *keys: str) -> Dict[str, object]:
     return {key: options[key] for key in keys if key in options}
 
 
+def _counted_by(attribute: str) -> property:
+    """``queries_processed`` of a strategy that forwards every search to the
+    structure under ``attribute``: that structure counts its own searches
+    (under its own lock where readers can be concurrent), so the strategy
+    reports its count instead of keeping a second one."""
+    return property(lambda self: getattr(self, attribute).queries_processed)
+
+
 @guarded_by(queries_processed="_stats_lock")
 class SearchStrategy(ABC):
     """A named range-search technique over one column."""
@@ -64,14 +77,32 @@ class SearchStrategy(ABC):
     #: the planner's rank among one query's selections (lower drives the
     #: select, the others refine): 0 for an index that answers from its
     #: first query on, 1 for a tuner that scans until it decides to build
-    #: (a column without any access path ranks 2)
+    #: (a column without any access path ranks 2); -1 for a path that
+    #: covers the projection, which leads whatever else is indexed
     selection_priority: int = 0
 
-    def __init__(self, column: Union[Column, np.ndarray], **options) -> None:
+    #: True when :meth:`select_project` answers a whole select-project —
+    #: the other predicates and the projected attributes included — from
+    #: the path's own aligned copies; the planner then hands it the query's
+    #: refinements and projections instead of planning them as steps
+    covers_projection: bool = False
+
+    #: queries answered so far.  One owner per fact: the strategies that
+    #: wrap nothing that counts bump this through :meth:`note_query`; one
+    #: that forwards to a counting structure reports that structure's count
+    #: read-only (:func:`_counted_by`)
+    queries_processed: int = 0
+
+    def __init__(
+        self, column: Union[Column, np.ndarray], table: Optional[Table] = None, **options
+    ) -> None:
         self._column = column
         self._array = _as_array(column)
+        #: the table owning ``column`` — construction context handed over
+        #: by ``Database.set_indexing`` for the paths that read the sibling
+        #: attributes; deliberately not an option (options are journaled)
+        self._table = table
         self.options = options
-        self.queries_processed = 0
         self._stats_lock = threading.Lock()
 
     @property
@@ -112,6 +143,23 @@ class SearchStrategy(ABC):
     ) -> np.ndarray:
         """Positions (into the base column) of rows with ``low <= value < high``."""
 
+    def select_project(
+        self,
+        low: Optional[float],
+        high: Optional[float],
+        refinements: Mapping[str, Tuple[Optional[float], Optional[float]]],
+        projections: Sequence[str],
+        counters: Optional[CostCounters] = None,
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
+        """Select on this column, refine, project: ``(positions, columns)``.
+
+        ``refinements`` maps the owning table's other selection attributes
+        to their half-open ranges, ``projections`` names the attributes to
+        return; every returned array is aligned with the positions.  Only
+        a strategy declaring :attr:`covers_projection` implements this.
+        """
+        raise NotImplementedError(f"{self.name} does not cover projections")
+
     @property
     def nbytes(self) -> int:
         """Bytes of auxiliary structures held by the strategy (0 by default)."""
@@ -130,14 +178,15 @@ class SearchStrategy(ABC):
         """The access path to install after DML this strategy cannot absorb.
 
         By default everything learned is thrown away: a fresh instance over
-        the changed base ``column``, same name, same recorded options.
-        Subclasses override this to carry state across (the tuners keep
-        their monitoring statistics).  The caller closes the old strategy.
+        the changed base ``column``, same name, same owning table, same
+        recorded options.  Subclasses override this to carry state across
+        (the tuners keep their monitoring statistics, sideways cracking its
+        crack history).  The caller closes the old strategy.
         """
-        return create_strategy(self.name, column, **self.options)
+        return create_strategy(self.name, column, table=self._table, **self.options)
 
     def close(self) -> None:
-        """Release execution resources (thread pools).
+        """Release execution resources (thread pools, budgeted storage).
 
         Most strategies hold none — the base implementation is a no-op.
         The engine calls this whenever an access path is dropped or
@@ -281,8 +330,9 @@ class CrackingStrategy(SearchStrategy):
         during any search."""
         return self.supports_updates or not self.cracked.converged
 
+    queries_processed = _counted_by("cracked")
+
     def search(self, low, high, counters=None):
-        self.note_query()
         return self.cracked.search(low, high, counters)
 
     def insert(self, value, counters=None, rowid=None):
@@ -334,8 +384,9 @@ class StochasticCrackingStrategy(SearchStrategy):
         cracker column becomes fully sorted."""
         return not self.cracked.converged
 
+    queries_processed = _counted_by("cracked")
+
     def search(self, low, high, counters=None):
-        self.note_query()
         return self.cracked.search(low, high, counters)
 
     @property
@@ -363,8 +414,9 @@ class AdaptiveMergingStrategy(SearchStrategy):
         """Mutating until every run has drained into the final partition."""
         return not self.index.fully_merged
 
+    queries_processed = _counted_by("index")
+
     def search(self, low, high, counters=None):
-        self.note_query()
         return self.index.search(low, high, counters)
 
     @property
@@ -417,8 +469,9 @@ class HybridStrategy(SearchStrategy):
         pieces keep cracking on partial overlap and never converge)."""
         return not self.index.read_only_under_selection
 
+    queries_processed = _counted_by("index")
+
     def search(self, low, high, counters=None):
-        self.note_query()
         return self.index.search(low, high, counters)
 
     @property
@@ -430,6 +483,113 @@ class HybridStrategy(SearchStrategy):
         return (
             f"{self.name}: {len(self.index.final)} tuples in final partition "
             f"({self.index.final.piece_count} pieces)"
+        )
+
+
+class SidewaysCrackingStrategy(SearchStrategy):
+    """Sideways cracking (SIGMOD 2009): self-organising tuple reconstruction.
+
+    The column is the *head* of a set of cracker maps ``M(head, tail)`` over
+    the owning table's other attributes
+    (:class:`~repro.core.cracking.sideways.SidewaysCracker`): a
+    select-project cracks the maps of the attributes it needs on the head,
+    so their values come back contiguous and aligned, with no random access
+    into the base table.  ``sort_threshold`` is forwarded to the cracks;
+    ``budget_bytes`` bounds the materialised maps (least recently used
+    evicted first, default unlimited).  Constructed over a bare array the
+    head is the only attribute of a one-column table.
+    """
+
+    name = "sideways-cracking"
+    covers_projection = True
+    selection_priority = -1
+    #: maps are materialised, aligned and cracked by every select
+    reorganizes_on_read = True
+
+    def __init__(self, column, **options):
+        super().__init__(column, **options)
+        head = (column.name if isinstance(column, Column) else "") or "value"
+        table = self._table
+        if table is None:
+            table = Table(head, {head: self._array})
+        self.cracker = SidewaysCracker(
+            table, head,
+            budget=StorageBudget(limit_bytes=options.get("budget_bytes")),
+            sort_threshold=options.get("sort_threshold", 0),
+        )
+
+    queries_processed = _counted_by("cracker")
+
+    def search(self, low, high, counters=None):
+        return self.select_project(low, high, {}, (), counters)[0]
+
+    def select_project(self, low, high, refinements, projections, counters=None):
+        columns = self.cracker.select_project(
+            low, high, projections, counters, refinements
+        )
+        return columns.pop("__rowids__"), columns
+
+    def rebuilt(self, column):
+        """Maps are copies of the table's columns, so DML drops them all;
+        the crack history carries over, and each map replays it when a
+        query next materialises it from the changed table."""
+        fresh = super().rebuilt(column)
+        fresh.cracker.crack_history = self.cracker.crack_history
+        return fresh
+
+    def close(self) -> None:
+        """Drop the maps and hand their bytes back to the budget."""
+        self.cracker.budget.release(self.cracker.nbytes)
+        self.cracker.maps.clear()
+
+    @property
+    def nbytes(self) -> int:
+        return self.cracker.nbytes
+
+    @property
+    def structure_description(self) -> str:
+        return f"{len(self.cracker.maps)} cracker maps"
+
+
+class PartialCrackingStrategy(SearchStrategy):
+    """Partial cracking (SIGMOD 2009): cracker structures under a storage bound.
+
+    The value domain is cut into ``fragments``; a fragment is materialised
+    when a query first touches its range, cracked independently from then
+    on (``sort_threshold``), and evicted least recently used first when the
+    materialised fragments would exceed ``budget_bytes`` (default
+    unlimited); ranges whose fragment cannot be held are scanned.  See
+    :class:`~repro.core.cracking.partial.PartialCrackedColumn`.
+    """
+
+    name = "partial-cracking"
+    #: a select materialises, cracks or evicts fragments, converged or not
+    reorganizes_on_read = True
+
+    def __init__(self, column, **options):
+        super().__init__(column, **options)
+        self.partial = PartialCrackedColumn(
+            column,
+            budget=StorageBudget(limit_bytes=options.get("budget_bytes")),
+            **_given(options, "fragments", "sort_threshold"),
+        )
+
+    queries_processed = _counted_by("partial")
+
+    def search(self, low, high, counters=None):
+        return self.partial.search(low, high, counters)
+
+    @property
+    def nbytes(self) -> int:
+        return self.partial.nbytes
+
+    @property
+    def structure_description(self) -> str:
+        partial = self.partial
+        return (
+            f"partial cracking: {partial.materialised_fragments} of "
+            f"{partial.fragment_count} fragments held, {partial.evictions} "
+            f"evictions, {partial.fallback_scans} fallback scans"
         )
 
 
@@ -459,8 +619,9 @@ class _TunerStrategy(SearchStrategy):
             self._column = Column(self._array, name=self.name)
         self.tuner = self.tuner_class(**_given(options, *self.tuner_options))
 
+    queries_processed = _counted_by("tuner")
+
     def search(self, low, high, counters=None):
-        self.note_query()
         return self.tuner.select(self._column, RangePredicate(low, high), counters)
 
     def rebuilt(self, column):
@@ -534,6 +695,8 @@ for _cls in (
     OnlineTuningStrategy,
     SoftIndexStrategy,
     StochasticCrackingStrategy,
+    SidewaysCrackingStrategy,
+    PartialCrackingStrategy,
     AdaptiveMergingStrategy,
 ):
     register_strategy(_cls.name, _cls)

@@ -284,7 +284,8 @@ def recover(
         if record.sequence > high_water
     )
     manager.seed_backlog(replayed, backlog_bytes)
-    database._attach_durability(manager)
+    # recovery's last step: from here on operations are journaled again
+    database._durability = manager
 
     report.elapsed_seconds = time.perf_counter() - started
     database.recovery_report = report

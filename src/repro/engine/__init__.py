@@ -1,4 +1,4 @@
-"""Query engine facade.
+"""Query engine.
 
 The engine ties the substrate together the way an "auto-tuning kernel"
 (tutorial, Section 2) would: a :class:`~repro.engine.database.Database`
@@ -8,7 +8,7 @@ strategy), and queries are planned and executed through the same operators
 regardless of the mode — physical design differences stay invisible to the
 query author, exactly as adaptive indexing promises.
 
-The front door is the :class:`~repro.engine.session.Session`
+The one door is the :class:`~repro.engine.session.Session`
 (``db.session()``): one lock-aware API for single queries, pipelined
 futures, batches and DML, all interleaving safely across sessions and
 threads with results bit-identical to a sequential per-access-path

@@ -10,7 +10,7 @@ offline index, a cracked column that has become fully sorted, an adaptive
 merging index whose runs are drained, a converged hybrid — is a pure reader
 and any number of queries may fan out over it at once.
 
-This module gives :meth:`~repro.engine.database.Database.execute_many` that
+This module gives :meth:`~repro.engine.session.Session.execute_many` that
 distinction:
 
 * :func:`reorganizes_on_read` asks the access path installed for one
@@ -57,8 +57,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis_tools.guards import LOCK_RANK, guarded_by
 from repro.analysis_tools.witness import Witness
 
-#: access-path key: ("path", table, column) or ("sideways", table)
-PathKey = Tuple[str, ...]
+#: access-path key: ("path", table, column)
+PathKey = Tuple[str, str, str]
 
 
 # -- runtime lock-order witness -------------------------------------------------
@@ -350,31 +350,24 @@ def classify_plan(
     Only the selection steps that dispatch through an access path generate
     claims; refinement, reconstruction and aggregation read base columns
     (immutable during a batch) and tombstones (lock-protected) only.
-    Sideways cracking always claims exclusively: the cracker maps — and a
-    possibly shared storage budget — mutate on every select, so sideways
-    queries serialize per table.
     """
     cache = exclusivity_cache if exclusivity_cache is not None else {}
     claims: Dict[PathKey, AccessPathClaim] = {}
     for step in plan.access_path_steps():
-        if step.operator == "sideways_select":
-            key: PathKey = ("sideways", step.table)
-            exclusive = True
-        else:
-            key = ("path", step.table, step.column)
-            if step.operator == "scan_select":
-                exclusive = False
-            else:  # index_select
-                if key not in cache:
-                    # classify under the path's execution lock: a batch
-                    # issued from another thread may be cracking this very
-                    # column, and a convergence check (which latches) must
-                    # never observe a mid-crack array
-                    with database._path_locks.lock_for(key):
-                        cache[key] = reorganizes_on_read(
-                            database, step.table, step.column
-                        )
-                exclusive = cache[key]
+        key: PathKey = ("path", step.table, step.column)
+        if step.operator == "scan_select":
+            exclusive = False
+        else:  # index_select
+            if key not in cache:
+                # classify under the path's execution lock: a batch
+                # issued from another thread may be cracking this very
+                # column, and a convergence check (which latches) must
+                # never observe a mid-crack array
+                with database._path_locks.lock_for(key):
+                    cache[key] = reorganizes_on_read(
+                        database, step.table, step.column
+                    )
+            exclusive = cache[key]
         existing = claims.get(key)
         if existing is None or (exclusive and not existing.exclusive):
             claims[key] = AccessPathClaim(key, exclusive)
@@ -462,8 +455,7 @@ class AccessPathLockManager:
                 return lock
             wrapped = self._witnessed.get(key)
             if wrapped is None:
-                parts = key[1:] if key and key[0] == "path" else key
-                name = "path:" + ":".join(map(str, parts))
+                name = "path:" + ":".join(map(str, key[1:]))
                 wrapped = self._witnessed[key] = _WitnessedLock(lock, name)
             return wrapped
 

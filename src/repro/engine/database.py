@@ -1,47 +1,39 @@
-"""The Database facade: tables, physical design modes, query execution.
+"""The Database: schema, physical design, lifecycle and storage primitives.
 
 A :class:`Database` owns tables and, for each (table, column), an *indexing
 mode*: a name from the one strategy registry
 (:func:`~repro.core.strategies.available_strategies`) — the whole spectrum
 the tutorial compares, from the offline full index over online tuning and
-soft indexes to cracking, adaptive merging and the hybrids.  Setting a mode
-installs the :class:`~repro.core.strategies.SearchStrategy` registered under
-that name as the column's *access path*; the engine queries, updates,
-reports on and releases it through that contract only and never asks which
-technique is behind it.  ``"scan"`` (the default) means "no access path":
-there is nothing to build, and selections scan the base column.
+soft indexes to the cracking family, adaptive merging and the hybrids.
+:meth:`Database.set_indexing` is the only physical-design switch: it
+installs the :class:`~repro.core.strategies.SearchStrategy` registered
+under that name as the column's *access path*, and the engine queries,
+updates, reports on and releases it through that contract only and never
+asks which technique is behind it.  ``"scan"`` (the default) means "no
+access path": there is nothing to build, and selections scan the base column.
 
-Additionally a table can be put under **sideways cracking** for a selection
-attribute (:meth:`enable_sideways`), which takes over multi-column
-select/project queries on that attribute.
-
-Execution goes through the **session front door**
-(:mod:`repro.engine.session`): ``db.session()`` yields a handle whose
-``execute``/``submit``/``execute_many`` and DML methods all run under the
-same two-level concurrency protocol — a per-table readers-writer gate
-fencing DML against in-flight queries, plus the per-access-path locks of
-:mod:`repro.engine.concurrency` serializing mutating selections.  The
-historical ``Database.execute`` / ``execute_many`` / ``run_workload`` and
-DML methods remain as thin wrappers delegating to a shared default
-session, so every entry point is safe to use concurrently and results
-plus cost counters stay bit-identical to a sequential per-access-path
-ordering of the same operations.
+The database executes nothing itself.  Every operation enters through a
+:class:`~repro.engine.session.Session` (``db.session()``), which holds the
+table gate and the access-path locks of :mod:`repro.engine.concurrency`
+and calls back into the primitives below while it holds them: the
+access-path dispatch (:meth:`Database.index_select`), the DML bodies
+(``_insert_row_locked`` and friends, which keep every installed path
+consistent with the base table) and the linearization journal.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
-from repro.columnstore.storage import MemoryTracker, StorageBudget
+from repro.columnstore.storage import MemoryTracker
 from repro.columnstore.table import Table
-from repro.core.cracking.sideways import SidewaysCracker
 from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import (
     CrackingStrategy,
@@ -50,7 +42,6 @@ from repro.core.strategies import (
     create_strategy,
 )
 from repro.cost.counters import CostCounters
-from repro.cost.stats import WorkloadStatistics
 from repro.cost.timer import Timer
 from repro.cost.witness import cost_witness
 from repro.durability.manager import (
@@ -62,13 +53,12 @@ from repro.durability.record import ColumnDump, WalRecord
 from repro.durability.snapshot import IndexModeState, SnapshotState, TableState
 from repro.engine.concurrency import (
     AccessPathLockManager,
-    BatchExecutionReport,
     TableGate,
     TableGateRegistry,
 )
 from repro.engine.executor import Executor, QueryResult
 from repro.engine.planner import Plan, Planner
-from repro.engine.query import Query, QueryBuilder
+from repro.engine.query import Query
 from repro.engine.session import OperationRecord, Session
 
 
@@ -80,10 +70,8 @@ from repro.engine.session import OperationRecord, Session
     queries_executed="_engine_stats_lock",
     rows_inserted="_engine_stats_lock",
     rows_deleted="_engine_stats_lock",
-    last_batch_report="_engine_stats_lock",
     _journal="_engine_stats_lock",
     _op_sequence="_engine_stats_lock",
-    _wrapper_session="_engine_stats_lock",
     journal_retention="_engine_stats_lock",
 )
 class Database:
@@ -104,8 +92,6 @@ class Database:
         self._mode_options: Dict[Tuple[str, str], Dict] = {}
         # (table, column) -> the strategy installed for that mode
         self._access_paths: Dict[Tuple[str, str], SearchStrategy] = {}
-        # table -> head column -> SidewaysCracker
-        self._sideways: Dict[str, Dict[str, SidewaysCracker]] = {}
         # table -> positions deleted by DML (tombstones; appends keep all
         # other positions stable, so visible rowids never shift)
         self._deleted_rows: Dict[str, set] = {}
@@ -119,8 +105,8 @@ class Database:
         self._path_locks = AccessPathLockManager()
         # per-table readers-writer gates: queries shared, DML exclusive
         self._table_gates = TableGateRegistry()
-        # guards engine-level bookkeeping (queries_executed,
-        # last_batch_report, the operation journal) across sessions
+        # guards engine-level bookkeeping (queries_executed, the operation
+        # journal) across sessions
         self._engine_stats_lock = threading.Lock()
         # journal-order mutex: held across sequence assignment *and* the
         # WAL append so records reach the journal in linearization order
@@ -136,8 +122,6 @@ class Database:
         # (tables, modes, high-water sequence) is consistent with the
         # journal.  Ordering: this > table gates.
         self._schema_lock = threading.Lock()
-        #: introspection record of the most recent execute_many call
-        self.last_batch_report: Optional[BatchExecutionReport] = None
         #: when True, every session operation is appended to the journal
         #: (the linearized history replayed by the sequential oracle)
         self.record_journal = False
@@ -145,8 +129,6 @@ class Database:
         #: in-memory journal bound (None = unbounded; see set_journal_retention)
         self.journal_retention: Optional[int] = None
         self._op_sequence = 0
-        # shared session backing the legacy execute/execute_many/DML wrappers
-        self._wrapper_session: Optional[Session] = None
         self.memory = MemoryTracker()
         self.planner = Planner(self)
         self.executor = Executor(self)
@@ -197,10 +179,6 @@ class Database:
             data_dir, name=name, config=durability, injector=fault_injector
         )
         return database
-
-    def _attach_durability(self, manager: DurabilityManager) -> None:
-        """Install the journal/snapshot manager (recovery's last step)."""
-        self._durability = manager
 
     @property
     def durability(self) -> Optional[DurabilityManager]:
@@ -302,18 +280,13 @@ class Database:
             )
 
     def close(self) -> None:
-        """Flush and close the durability layer and release execution
-        resources — fan-out pools and the default wrapper session's pool
-        (idempotent).
+        """Flush and close the durability layer and release what the
+        access paths hold — fan-out pools, budgeted storage (idempotent).
 
         The in-memory state stays usable (paths re-create what they need
         lazily), but the journal stops: a closed database no longer
-        persists anything.
+        persists anything.  Sessions own their pools and close themselves.
         """
-        with self._engine_stats_lock:
-            session, self._wrapper_session = self._wrapper_session, None
-        if session is not None:
-            session.close()
         for path in list(self._access_paths.values()):
             path.close()
         manager = self._durability
@@ -325,29 +298,14 @@ class Database:
     def session(
         self, name: Optional[str] = None, max_workers: Optional[int] = None
     ) -> Session:
-        """Open a lock-aware session handle (use it context-managed).
+        """Open a lock-aware session handle, the one way operations enter
+        the engine (use it context-managed).
 
         All sessions on one database interleave safely: queries, pipelined
         futures, batches and DML from any of them are equivalent to a
         sequential per-access-path ordering of the same operations.
         """
         return Session(self, name=name, max_workers=max_workers)
-
-    def _default_session(self) -> Session:
-        """The shared session behind the legacy ``Database`` entry points."""
-        with self._engine_stats_lock:
-            if self._wrapper_session is None:
-                self._wrapper_session = Session(self, name=f"{self.name}-default")
-            return self._wrapper_session
-
-    def query(self, table: str) -> QueryBuilder:
-        """Fluent query builder bound to the default session.
-
-        ``db.query("T").where("a", lo, hi).select("b").agg("sum", "b").run()``
-        desugars to a :class:`Query` and executes it lock-aware.
-        """
-        session = self._default_session()
-        return QueryBuilder(table, runner=session.execute, submitter=session.submit)
 
     # -- schema management --------------------------------------------------------
 
@@ -381,8 +339,8 @@ class Database:
     def _record_index_memory(self, table: str, column: str) -> None:
         """The one memory rule: ``index:{table}.{column}`` is the auxiliary
         bytes the installed path holds, read at install and after each DML
-        operation it saw; a path holding none (no path, a lazy copy not yet
-        taken, a tuner without an index) has no entry."""
+        operation on its table; a path holding none (no path, a lazy copy
+        not yet taken, a tuner without an index) has no entry."""
         path = self._access_paths.get((table, column))
         nbytes = path.nbytes if path is not None else 0
         if nbytes:
@@ -407,7 +365,6 @@ class Database:
             self._mode_options = {
                 k: v for k, v in self._mode_options.items() if k[0] != name
             }
-            self._sideways.pop(name, None)
             with self._tombstone_lock:
                 self._deleted_rows.pop(name, None)
                 self._tombstone_cache.pop(name, None)
@@ -447,7 +404,7 @@ class Database:
             strategy = None
             if mode != "scan":
                 strategy = create_strategy(
-                    mode, owning_table.column(column), **options
+                    mode, owning_table.column(column), table=owning_table, **options
                 )
                 if strategy.supports_updates:
                     # the new column treats every base position as a live
@@ -484,45 +441,7 @@ class Database:
         """The physical access-path object for ``table.column`` (or None)."""
         return self._access_paths.get((table, column))
 
-    def enable_sideways(
-        self,
-        table: str,
-        head_column: str,
-        budget: Optional[StorageBudget] = None,
-        **options,
-    ) -> SidewaysCracker:
-        """Enable sideways cracking for selections on ``table.head_column``."""
-        owning_table = self.table(table)
-        cracker = SidewaysCracker(
-            owning_table, head_column, budget=budget,
-            sort_threshold=options.get("sort_threshold", 0),
-        )
-        self._sideways.setdefault(table, {})[head_column] = cracker
-        return cracker
-
-    def has_sideways(self, table: str, column: str) -> bool:
-        """True when a sideways map set exists for ``table.column``."""
-        return column in self._sideways.get(table, {})
-
-    def sideways_cracker(self, table: str, column: str) -> SidewaysCracker:
-        return self._sideways[table][column]
-
     # -- data manipulation ---------------------------------------------------------------
-
-    def insert_row(
-        self,
-        table: str,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Insert one row (a mapping column-name -> value); returns its rowid.
-
-        Thin wrapper delegating to the default session: the insert holds
-        the table gate exclusive (fenced against in-flight queries and
-        batches) and every access-path absorb/rebuild runs under that
-        path's lock.  See :meth:`Session.insert_row`.
-        """
-        return self._default_session().insert_row(table, values, counters)
 
     def _insert_row_locked(
         self,
@@ -561,29 +480,9 @@ class Database:
                 # absorbing (and possibly repartitioning) or rebuilding
                 # changes the auxiliary footprint
                 self._record_index_memory(table, column_name)
-        # sideways cracker maps are non-incremental copies: drop them so they
-        # re-materialise (and replay the crack history) from the grown table
-        with self._path_locks.lock_for(("sideways", table)):
-            for cracker in self._sideways.get(table, {}).values():
-                for cracker_map in list(cracker.maps.values()):
-                    cracker.budget.release(cracker_map.nbytes)
-                cracker.maps.clear()
         with self._engine_stats_lock:
             self.rows_inserted += 1
         return rowid
-
-    def delete_row(
-        self,
-        table: str,
-        rowid: int,
-        counters: Optional[CostCounters] = None,
-    ) -> None:
-        """Delete the row identified by ``rowid`` (idempotent).
-
-        Thin wrapper delegating to the default session (fenced on the
-        table gate).  See :meth:`Session.delete_row`.
-        """
-        self._default_session().delete_row(table, rowid, counters)
 
     def _delete_row_locked(
         self,
@@ -611,28 +510,16 @@ class Database:
                 return
             deleted.add(rowid)
         for (owner, column_name), path in self._access_paths.items():
-            if owner == table and path.supports_updates:
+            if owner != table:
+                continue
+            if path.supports_updates:
                 with self._path_locks.lock_for(("path", table, column_name)):
                     path.delete(rowid, counters)
-                    self._record_index_memory(table, column_name)
+            self._record_index_memory(table, column_name)
         if counters is not None:
             counters.record_move(1)
         with self._engine_stats_lock:
             self.rows_deleted += 1
-
-    def update_row(
-        self,
-        table: str,
-        rowid: int,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Update = delete the old row + insert the changed one; returns the new rowid.
-
-        Thin wrapper delegating to the default session: both halves run
-        under one table-gate fence.  See :meth:`Session.update_row`.
-        """
-        return self._default_session().update_row(table, rowid, values, counters)
 
     def _update_row_locked(
         self,
@@ -707,12 +594,20 @@ class Database:
                 cached = rebuilt
         return cached
 
-    def visible_positions(self, table: str, positions: np.ndarray) -> np.ndarray:
-        """Filter DML tombstones out of a position list (no-op when none)."""
+    def visible_positions(
+        self, table: str, positions: np.ndarray, aligned: Optional[dict] = None
+    ) -> np.ndarray:
+        """Filter DML tombstones out of a position list (no-op when none),
+        and with the same mask out of the ``aligned`` column arrays (name ->
+        values in the row order of ``positions``, as a path covering the
+        projection hands them back); its entries are replaced."""
         tombstones = self._tombstones(table)
         if tombstones is None or len(positions) == 0:
             return positions
-        return positions[~np.isin(positions, tombstones)]
+        keep = ~np.isin(positions, tombstones)
+        for name, values in (aligned or {}).items():
+            aligned[name] = values[keep]
+        return positions[keep]
 
     def visible_row_count(self, table: str) -> int:
         """Rows of ``table`` visible to queries (total minus tombstones)."""
@@ -743,66 +638,17 @@ class Database:
                 return positions
         return self.visible_positions(table, positions)
 
-    def sideways_select(
-        self,
-        table: str,
-        head_column: str,
-        low: Optional[float],
-        high: Optional[float],
-        query: Query,
-        counters: CostCounters,
-    ) -> Dict[str, np.ndarray]:
-        """Answer a (possibly multi-column) select/project via sideways cracking."""
-        cracker = self.sideways_cracker(table, head_column)
-        extra_predicates = {
-            s.column: (s.low, s.high)
-            for s in query.selections
-            if s.column != head_column
-        }
-        needed = list(
-            dict.fromkeys(
-                list(query.projections)
-                + [a.column for a in query.aggregates]
-                + list(extra_predicates)
-            )
-        )
-        needed = [name for name in needed if name != head_column] or needed
-        if extra_predicates:
-            result = cracker.select_project_where(
-                low, high, extra_predicates, needed, counters
-            )
-        else:
-            result = cracker.select_project(low, high, needed or [head_column], counters)
-        tombstones = self._tombstones(table)
-        if tombstones is not None:
-            mask = ~np.isin(result["__rowids__"], tombstones)
-            result = {name: array[mask] for name, array in result.items()}
-        return result
-
-    # -- query execution -------------------------------------------------------------------
+    # -- query planning and the executor hook ---------------------------------------------
 
     def plan(self, query: Query) -> Plan:
         """Plan a query without executing it (EXPLAIN)."""
         return self.planner.plan(query)
 
-    def execute(self, query: Query) -> QueryResult:
-        """Plan and execute a query, recording per-query statistics.
+    def _execute_single(self, query: Query, plan: Plan) -> QueryResult:
+        """Execute one planned query without touching shared bookkeeping;
+        stamps the executing thread on the result.
 
-        Thin wrapper delegating to the default session: the query holds
-        its table's gate shared and the exclusive locks of every mutating
-        access path it dispatches through, so this front door is safe to
-        call concurrently with batches, pipelined sessions and DML.  See
-        :meth:`Session.execute`.
-        """
-        return self._default_session().execute(query)
-
-    def _execute_single(
-        self, query: Query, plan: Optional[Plan] = None
-    ) -> QueryResult:
-        """Plan (unless pre-planned) and execute one query without touching
-        shared bookkeeping; stamps the executing thread on the result.
-
-        Both session execution paths route through here while holding the
+        The session's one query path routes through here while holding the
         plan's path locks, which makes this the cost-conformance hook site:
         the witness (when armed, see :mod:`repro.cost.witness`) fingerprints
         every access path the plan dispatches through before and after the
@@ -810,8 +656,6 @@ class Database:
         counters."""
         counters = CostCounters()
         timer = Timer()
-        if plan is None:
-            plan = self.planner.plan(query)
         witness = cost_witness()
         snapshots = None
         if witness is not None:
@@ -828,41 +672,6 @@ class Database:
         result.elapsed_seconds = timer.elapsed
         result.worker = threading.current_thread().name
         return result
-
-    def execute_many(
-        self,
-        queries: Sequence[Query],
-        parallel: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> List[QueryResult]:
-        """Execute a batch of queries, each with its own :class:`CostCounters`.
-
-        Thin wrapper delegating to the default session.  Results come back
-        in submission order; with ``parallel=True`` the batch fans out over
-        a thread pool under per-access-path concurrency control — queries
-        through read-only paths (scans, full indexes, converged adaptive
-        structures) run any number at a time, queries through mutating
-        paths (cracking et al.) serialize per path in submission order, so
-        answers and cost counters stay bit-identical to sequential
-        execution.  The batch holds the gates of every referenced table
-        shared for its duration, so DML issued meanwhile queues behind it
-        instead of racing the in-flight cracks.  The task decomposition of
-        the last call is exposed as :attr:`last_batch_report`.  See
-        :meth:`Session.execute_many`.
-        """
-        return self._default_session().execute_many(
-            queries, parallel=parallel, max_workers=max_workers
-        )
-
-    def run_workload(
-        self, queries: Iterable[Query], strategy_label: str = ""
-    ) -> WorkloadStatistics:
-        """Execute a sequence of queries, returning per-query statistics.
-
-        Thin wrapper delegating to the default session (see
-        :meth:`Session.run_workload`).
-        """
-        return self._default_session().run_workload(queries, strategy_label)
 
     # -- linearization journal ------------------------------------------------------------
 
@@ -987,14 +796,4 @@ class Database:
                     ),
                 }
             )
-        for table, crackers in sorted(self._sideways.items()):
-            for head, cracker in sorted(crackers.items()):
-                report.append(
-                    {
-                        "table": table,
-                        "column": head,
-                        "mode": "sideways-cracking",
-                        "structure": f"{len(cracker.maps)} cracker maps",
-                    }
-                )
         return report

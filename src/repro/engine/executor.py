@@ -55,7 +55,6 @@ class Executor:
         positions: Optional[np.ndarray] = None
         columns: Dict[str, np.ndarray] = {}
         aggregates: Dict[str, float] = {}
-        sideways_result: Optional[Dict[str, np.ndarray]] = None
 
         def all_positions() -> np.ndarray:
             if counters is not None:
@@ -66,21 +65,30 @@ class Executor:
 
         for step in plan.steps:
             if step.operator in ("scan_select", "index_select"):
-                # one dispatch: a column without an access path is scanned
-                positions = self.database.index_select(
-                    plan.query.table, step.column, step.low, step.high, counters
-                )
-            elif step.operator == "sideways_select":
-                sideways_result = self.database.sideways_select(
-                    plan.query.table,
-                    step.column,
-                    step.low,
-                    step.high,
-                    plan.query,
-                    counters,
-                )
-                positions = sideways_result.pop("__rowids__")
-                columns.update(sideways_result)
+                if not step.columns:
+                    # one dispatch: a column without an access path is scanned
+                    positions = self.database.index_select(
+                        plan.query.table, step.column, step.low, step.high, counters
+                    )
+                else:
+                    # the path covers the projection: it refines on the other
+                    # predicates itself and hands back, aligned with the
+                    # positions, every attribute the query projects or aggregates
+                    query = plan.query
+                    refinements = {s.column: s.bounds for s in query.selections}
+                    del refinements[step.column]
+                    projections = list(dict.fromkeys(
+                        [*query.projections, *(a.column for a in query.aggregates)]
+                    ))
+                    path = self.database.access_path(query.table, step.column)
+                    positions, columns = path.select_project(
+                        step.low, step.high, refinements, projections, counters
+                    )
+                    # the aligned columns lose their tombstoned rows with the
+                    # positions (a no-op for a path that absorbed the deletes)
+                    positions = self.database.visible_positions(
+                        query.table, positions, columns
+                    )
             elif step.operator == "refine":
                 if positions is None:
                     raise RuntimeError("refine step executed before any selection")

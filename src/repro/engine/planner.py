@@ -4,15 +4,16 @@ The planner's job mirrors what the tutorial calls the "optimizer rules"
 needed by an auto-tuning kernel: for each selection it picks the best
 available access path for that column *right now* —
 
-* a sideways-cracking map set (multi-column selections over one table),
 * the :class:`~repro.core.strategies.SearchStrategy` installed for the
-  column, ranked by its ``selection_priority`` (an index — offline,
-  sort-first or adaptive — before a tuner that may not have built yet), or
+  column, ranked by its ``selection_priority`` (a path that covers the
+  projection first, then an index — offline, sort-first or adaptive —
+  before a tuner that may not have built yet), or
 * a plain scan —
 
 and orders the remaining work (predicate refinement, tuple reconstruction,
-aggregation) behind it.  The produced plan is a linear list of steps; the
-executor interprets them.
+aggregation) behind it; a leading path that declares ``covers_projection``
+takes the refinement and the reconstruction into its own step.  The
+produced plan is a linear list of steps; the executor interprets them.
 """
 
 from __future__ import annotations
@@ -27,12 +28,15 @@ from repro.engine.query import Query, RangeSelection
 class PlanStep:
     """One step of a physical plan."""
 
-    operator: str  # index_select | sideways_select | scan_select | refine |
-    #               reconstruct | aggregate
+    operator: str  # index_select | scan_select | refine | reconstruct |
+    #               aggregate
     table: str
     column: str = ""
     low: Optional[float] = None
     high: Optional[float] = None
+    #: the attributes a ``reconstruct`` fetches — or, on a leading
+    #: ``index_select``, the other attributes the query touches, all of
+    #: which the step's path (it covers the projection) answers itself
     columns: tuple = ()
     function: str = ""
     access_path: str = ""  # strategy / mode handling an index_select
@@ -56,7 +60,7 @@ class Plan:
         """
         return [
             step for step in self.steps
-            if step.operator in ("scan_select", "index_select", "sideways_select")
+            if step.operator in ("scan_select", "index_select")
         ]
 
     def explain(self) -> str:
@@ -68,8 +72,8 @@ class Plan:
                 detail = f" {step.column} in [{step.low}, {step.high})"
                 if step.access_path:
                     detail += f" via {step.access_path}"
-            elif step.operator == "sideways_select":
-                detail = f" head={step.column}, attributes={list(step.columns)}"
+                if step.columns:
+                    detail += f" covering {list(step.columns)}"
             elif step.operator == "reconstruct":
                 detail = f" columns={list(step.columns)}"
             elif step.operator == "aggregate":
@@ -95,62 +99,34 @@ class Planner:
         """Produce a plan for ``query`` against the current physical design."""
         table = query.table
         plan = Plan(query=query)
-        selections = list(query.selections)
-
-        # Sideways cracking handles the whole select-project in one step when
-        # a map set exists for the first selection column of this table.
-        if selections:
-            head_candidates = [
-                s for s in selections
-                if self.database.has_sideways(table, s.column)
-            ]
-            if head_candidates:
-                head = head_candidates[0]
-                other_columns = tuple(
-                    [s.column for s in selections if s is not head]
-                    + list(query.projections)
-                    + [a.column for a in query.aggregates]
-                )
-                plan.steps.append(
-                    PlanStep(
-                        operator="sideways_select",
-                        table=table,
-                        column=head.column,
-                        low=head.low,
-                        high=head.high,
-                        columns=other_columns,
-                        access_path="sideways-cracking",
-                    )
-                )
-                for aggregate in query.aggregates:
-                    plan.steps.append(
-                        PlanStep(
-                            operator="aggregate",
-                            table=table,
-                            column=aggregate.column,
-                            function=aggregate.function,
-                        )
-                    )
-                return plan
-
         ordered = sorted(
-            selections, key=lambda s: self._selection_priority(table, s)
+            query.selections, key=lambda s: self._selection_priority(table, s)
         )
+        covered = ()
         for index, selection in enumerate(ordered):
-            mode = self.database.indexing_mode(table, selection.column) or "scan"
             if index == 0:
-                operator = "scan_select" if mode == "scan" else "index_select"
+                path = self.database.access_path(table, selection.column)
+                if path is not None and path.covers_projection:
+                    # the path refines and projects from its own aligned
+                    # copies: every other attribute the query touches
+                    # rides on this step, none gets a step of its own
+                    covered = tuple(dict.fromkeys(
+                        [s.column for s in ordered[1:]]
+                        + list(query.projections)
+                        + [a.column for a in query.aggregates]
+                    ))
                 plan.steps.append(
                     PlanStep(
-                        operator=operator,
+                        operator="scan_select" if path is None else "index_select",
                         table=table,
                         column=selection.column,
                         low=selection.low,
                         high=selection.high,
-                        access_path=mode,
+                        columns=covered,
+                        access_path="scan" if path is None else path.name,
                     )
                 )
-            else:
+            elif not covered:
                 plan.steps.append(
                     PlanStep(
                         operator="refine",
@@ -161,7 +137,7 @@ class Planner:
                     )
                 )
 
-        if query.projections:
+        if query.projections and not covered:
             plan.steps.append(
                 PlanStep(
                     operator="reconstruct",

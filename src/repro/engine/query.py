@@ -8,11 +8,11 @@ current indexing mode.
 
 :class:`QueryBuilder` is the fluent front half of the session API::
 
-    db.query("T").where("a", lo, hi).select("b").agg("sum", "b").run()
+    session.query("T").where("a", lo, hi).select("b").agg("sum", "b").run()
 
 It desugars to a plain :class:`Query`; ``run()``/``submit()`` hand the
-built query to whatever session or database the builder was obtained
-from.  A detached builder (constructed directly) can still ``build()``.
+built query to the session the builder was obtained from.  A detached
+builder (constructed directly) can still ``build()``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class Query:
 class QueryBuilder:
     """Fluent construction of a :class:`Query`, bound to an execution hook.
 
-    Obtained from ``Database.query(table)`` or ``Session.query(table)``;
+    Obtained from ``Session.query(table)``;
     every clause method returns the builder, ``build()`` produces the
     immutable :class:`Query`, and ``run()`` / ``submit()`` execute it
     through the owning session's lock-aware front door.  Validation is
@@ -193,7 +193,7 @@ class QueryBuilder:
         """Build and execute through the bound session (lock-aware)."""
         if self._runner is None:
             raise RuntimeError(
-                "this builder is not bound to a session or database; "
+                "this builder is not bound to a session; "
                 "use build() and execute the query yourself"
             )
         return self._runner(self.build())

@@ -1,4 +1,4 @@
-"""The session front door: one lock-aware API for queries, batches and DML.
+"""The session: the one door into the engine for queries, batches and DML.
 
 Adaptive indexing's promise (EDBT 2012 tutorial, Section 3) is that index
 refinement rides along with *live* query traffic — there is no offline
@@ -26,8 +26,9 @@ True``), which is exactly the sequential oracle the property suite
 replays.
 
 Sessions are cheap: they own no data, only a lazily created thread pool
-for :meth:`Session.submit` pipelining and a few statistics counters.  Use
-them context-managed::
+for :meth:`Session.submit` pipelining and a few statistics counters.  They
+are obtained from ``Database.session()`` and nowhere else — the database
+itself executes nothing.  Use them context-managed::
 
     with db.session() as session:
         future = session.query("T").where("a", lo, hi).agg("sum", "b").submit()
@@ -281,7 +282,7 @@ class Session:
         mutating paths serialize per access path in submission order, so
         results and cost counters are bit-identical to sequential
         execution.  See :class:`BatchExecutionReport` for the observed
-        decomposition, exposed on both the session and the database.
+        decomposition, reported as ``stats().last_batch_report``.
         """
         self._check_open()
         database = self._database
@@ -332,9 +333,6 @@ class Session:
     def _finish_batch(
         self, report: BatchExecutionReport, results: List[QueryResult]
     ) -> List[QueryResult]:
-        database = self._database
-        with database._engine_stats_lock:
-            database.last_batch_report = report
         with self._lock:
             self._stats.batches_executed += 1
             self._stats.queries_executed += len(results)
@@ -422,10 +420,9 @@ class Session:
     ) -> int:
         """Insert one row, fenced against in-flight queries; returns its rowid.
 
-        Holds the table gate exclusive: the append, every access-path
-        absorb/rebuild and the sideways-map invalidation run with no
-        query in flight on the table, and each per-path mutation
-        additionally holds that path's lock.
+        Holds the table gate exclusive: the append and every access-path
+        absorb/rebuild run with no query in flight on the table, and each
+        per-path mutation additionally holds that path's lock.
         """
         row = dict(values)
         return self._commit_dml(

@@ -68,3 +68,11 @@ def reference_range_positions(values: np.ndarray, low, high) -> set:
 def reference():
     """Expose the reference-answer helper as a fixture."""
     return reference_range_positions
+
+
+@pytest.fixture
+def session(database):
+    """A session on the requesting module's ``database`` fixture — the one
+    way operations enter the engine — closed when the test ends."""
+    with database.session() as session:
+        yield session

@@ -22,8 +22,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.columnstore.storage import StorageBudget
-from repro.core.cracking.partial import PartialCrackedColumn
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.engine.database import Database
@@ -734,10 +732,11 @@ def test_merge_stream_matches_recorded_literals(name):
 
 # -- sideways cracking through the engine, partial cracking at its kernel ----------
 #
-# Recorded at commit e138017, where sideways cracking was switched on with
-# ``Database.enable_sideways`` and ``PartialCrackedColumn`` was constructed
-# directly; putting both behind the strategy registry changed the set-up
-# lines of the two drivers below and nothing else.
+# Recorded at commit e138017, where sideways cracking was switched on by a
+# ``Database`` method of its own ``(table, head, budget=, sort_threshold=)`` and
+# ``PartialCrackedColumn(values, budget=, …)`` was constructed directly;
+# putting both behind the strategy registry changed the set-up lines of the
+# two drivers below and nothing else.
 #
 # The sideways stream is sixteen operations through ``Session``: select-project,
 # select-project-where on two attributes, aggregates over a projected column,
@@ -786,13 +785,13 @@ def run_sideways_stream(label):
         "b": np.arange(SIDEWAYS_ROWS, dtype=np.int64),
         "c": rng.random(SIDEWAYS_ROWS),
     })
-    database.enable_sideways(
-        "T", "a", sort_threshold=sort_threshold,
-        budget=StorageBudget(limit_bytes=budget),
+    database.set_indexing(
+        "T", "a", "sideways-cracking", sort_threshold=sort_threshold,
+        budget_bytes=budget,
     )
 
     def cracker():  # looked up per operation: an insert may replace it
-        return database.sideways_cracker("T", "a")
+        return database.access_path("T", "a").cracker
 
     recorded = []
     digest = hashlib.sha256()
@@ -911,11 +910,11 @@ def run_partial_stream(label):
     """Per query ``(counter tuple, nbytes, materialised fragments, evictions,
     fallback scans)``, plus a hash of the sorted answers."""
     values = base_values()
-    partial = PartialCrackedColumn(
-        values, budget=StorageBudget(limit_bytes=PARTIAL_CASES[label]),
+    strategy = create_strategy(
+        "partial-cracking", values, budget_bytes=PARTIAL_CASES[label],
         fragments=PARTIAL_FRAGMENTS, sort_threshold=16,
     )
-    search = partial.search
+    partial, search = strategy.partial, strategy.search
     rng = np.random.default_rng(SEED + 5)
     digest = hashlib.sha256()
     recorded = []

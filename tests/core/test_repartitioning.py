@@ -15,6 +15,7 @@ from repro.core.partitioned import (
 )
 from repro.core.strategies import create_strategy
 from repro.engine.database import Database
+from repro.engine.query import Query
 
 
 class TestSkewHotspotRegression:
@@ -214,11 +215,10 @@ class TestRebalanceSurfacing:
             "facts", "key", "partitioned-updatable-cracking",
             partitions=4, repartition=True, max_partition_rows=600,
         )
-        from repro.engine.query import Query
-
-        database.execute(Query.range_query("facts", "key", 0, 1_000))
-        for _ in range(1_200):
-            database.insert_row("facts", {"key": int(rng.integers(0, 100))})
+        with database.session() as session:
+            session.execute(Query.range_query("facts", "key", 0, 1_000))
+            for _ in range(1_200):
+                session.insert_row("facts", {"key": int(rng.integers(0, 100))})
         stats = database.rebalance_stats()
         assert len(stats) == 1
         record = stats[0]
@@ -234,8 +234,9 @@ class TestRebalanceSurfacing:
             "facts", "key", "partitioned-updatable-cracking",
             partitions=2, repartition=True, max_partition_rows=800,
         )
-        for _ in range(800):
-            database.insert_row("facts", {"key": int(rng.integers(0, 50))})
+        with database.session() as session:
+            for _ in range(800):
+                session.insert_row("facts", {"key": int(rng.integers(0, 50))})
         report = database.physical_design_report()
         assert any("splits" in r["structure"] for r in report)
 
@@ -247,10 +248,11 @@ class TestRebalanceSurfacing:
         # the eager copy is held from the moment the path is installed
         path = database.access_path("facts", "key")
         assert database.memory.breakdown()["index:facts.key"] == path.nbytes
-        database.insert_row("facts", {"key": 7})
-        assert database.memory.breakdown()["index:facts.key"] == path.nbytes
-        database.delete_row("facts", 0)
-        assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+        with database.session() as session:
+            session.insert_row("facts", {"key": 7})
+            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            session.delete_row("facts", 0)
+            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
 
     def test_non_partitioned_paths_not_reported(self):
         database, _ = self.make_database(rows=100)

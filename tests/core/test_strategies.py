@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.strategies as strategies_module
 from repro.columnstore.column import Column
 from repro.core.strategies import (
     SearchStrategy,
@@ -24,6 +25,8 @@ EXPECTED_STRATEGIES = {
     "updatable-cracking",
     "partitioned-updatable-cracking",
     "stochastic-cracking",
+    "sideways-cracking",
+    "partial-cracking",
     "adaptive-merging",
     "hybrid-crack-crack",
     "hybrid-crack-sort",
@@ -34,8 +37,10 @@ EXPECTED_STRATEGIES = {
 
 
 class TestRegistry:
-    def test_all_expected_strategies_registered(self):
-        assert EXPECTED_STRATEGIES.issubset(set(available_strategies()))
+    def test_exactly_the_expected_strategies_registered(self):
+        # every suite that iterates the registry (DML upkeep, the session and
+        # batch property suites, bench_e18) covers exactly these nineteen
+        assert set(available_strategies()) == EXPECTED_STRATEGIES
 
     def test_create_unknown_strategy(self, small_values):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -49,9 +54,12 @@ class TestRegistry:
                 return np.empty(0, dtype=np.int64)
 
         register_strategy("echo", EchoStrategy)
-        strategy = create_strategy("echo", small_values)
-        assert isinstance(strategy, EchoStrategy)
-        assert "echo" in available_strategies()
+        try:
+            strategy = create_strategy("echo", small_values)
+            assert isinstance(strategy, EchoStrategy)
+            assert "echo" in available_strategies()
+        finally:
+            del strategies_module._REGISTRY["echo"]
 
     def test_register_empty_name_rejected(self):
         with pytest.raises(ValueError):
@@ -97,6 +105,96 @@ class TestAllStrategies:
         strategy = create_strategy(name, small_values)
         strategy.search(0, 50)
         assert strategy.nbytes >= 0
+
+    def test_queries_processed_has_one_owner(self, name, small_values):
+        """A strategy that forwards to a counting structure reports that
+        structure's count and cannot be bumped beside it."""
+        strategy = create_strategy(name, small_values)
+        strategy.search(0, 10)
+        if name in ("scan", "full-index", "sort-first"):
+            strategy.note_query()
+            assert strategy.queries_processed == 2
+        else:
+            with pytest.raises(AttributeError):
+                strategy.note_query()
+            assert strategy.queries_processed == 1
+
+
+class TestCoveringStrategy:
+    """``sideways-cracking`` answers select-projects from its own maps."""
+
+    def test_only_sideways_cracking_covers_projections(self, small_values):
+        covering = {
+            name for name in EXPECTED_STRATEGIES
+            if create_strategy(name, small_values).covers_projection
+        }
+        assert covering == {"sideways-cracking"}
+        with pytest.raises(NotImplementedError, match="cracking does not cover"):
+            create_strategy("cracking", small_values).select_project(
+                0, 10, {}, [], None
+            )
+
+    def test_select_project_over_the_owning_table(self, sample_table):
+        strategy = create_strategy(
+            "sideways-cracking", sample_table.column("a"), table=sample_table
+        )
+        assert "table" not in strategy.options  # options are journaled
+        counters = CostCounters()
+        rowids, columns = strategy.select_project(
+            1000, 6000, {"b": (100, 500)}, ["a", "c"], counters
+        )
+        a, b = sample_table["a"].values, sample_table["b"].values
+        expected = np.flatnonzero((a >= 1000) & (a < 6000) & (b >= 100) & (b < 500))
+        assert sorted(rowids.tolist()) == expected.tolist()
+        assert list(columns) == ["a", "c"]
+        assert np.array_equal(columns["a"], a[rowids])
+        assert np.array_equal(columns["c"], sample_table["c"].values[rowids])
+        assert counters.random_accesses == 0
+        assert strategy.cracker.map_names() == ["b", "c"]
+
+    def test_bare_array_is_a_one_column_table(self, small_values):
+        strategy = create_strategy("sideways-cracking", small_values)
+        rowids, columns = strategy.select_project(10, 60, {}, ["value"])
+        assert np.array_equal(columns["value"], small_values[rowids])
+        assert strategy.cracker.map_names() == ["value"]
+
+    def test_rebuilt_keeps_the_crack_history_and_drops_the_maps(self, sample_table):
+        strategy = create_strategy(
+            "sideways-cracking", sample_table.column("a"), table=sample_table,
+            budget_bytes=10**6,
+        )
+        strategy.select_project(1000, 6000, {}, ["c"])
+        sample_table.append_rows({"a": 1500, "b": 1, "c": 0.5, "d": 2})
+        fresh = strategy.rebuilt(sample_table.column("a"))
+        strategy.close()
+        assert strategy.nbytes == 0 and strategy.cracker.budget.used_bytes == 0
+        assert fresh.options == strategy.options == {"budget_bytes": 10**6}
+        assert fresh.cracker.crack_history == [1000, 6000] and fresh.nbytes == 0
+        rowids, columns = fresh.select_project(1000, 2000, {}, ["c"])
+        assert len(sample_table) - 1 in rowids.tolist()
+        fresh.cracker.check_invariants()
+        assert fresh.cracker.budget.used_bytes == fresh.nbytes > 0
+
+
+class TestPartialCrackingStrategy:
+    def test_budget_is_enforced_and_described(self, medium_values, reference):
+        budget = medium_values.nbytes  # room for about a third of the fragments
+        strategy = create_strategy(
+            "partial-cracking", medium_values, fragments=8, budget_bytes=budget
+        )
+        assert strategy.reorganizes_on_read and not strategy.supports_updates
+        for low in range(0, 100_000, 9_000):
+            assert set(strategy.search(low, low + 30_000).tolist()) == reference(
+                medium_values, low, low + 30_000
+            )
+            assert 0 < strategy.nbytes <= budget
+        strategy.partial.check_invariants()
+        assert strategy.partial.evictions > 0
+        assert strategy.structure_description == (
+            f"partial cracking: {strategy.partial.materialised_fragments} of 8 "
+            f"fragments held, {strategy.partial.evictions} evictions, "
+            f"{strategy.partial.fallback_scans} fallback scans"
+        )
 
 
 @pytest.mark.parametrize("name,options,build_query", [

@@ -79,8 +79,8 @@ class TestSelectProject:
 class TestMultiColumnSelection:
     def test_select_project_where(self, sample_table):
         cracker = SidewaysCracker(sample_table, head="a")
-        result = cracker.select_project_where(
-            1000, 6000, {"b": (100, 500)}, ["c", "d"]
+        result = cracker.select_project(
+            1000, 6000, ["c", "d"], extra_predicates={"b": (100, 500)}
         )
         rowids = result["__rowids__"]
         a = sample_table["a"].values
@@ -93,15 +93,15 @@ class TestMultiColumnSelection:
     def test_select_project_where_random_access_free(self, sample_table):
         """Sideways cracking never gathers from the base table."""
         cracker = SidewaysCracker(sample_table, head="a")
-        cracker.select_project_where(1000, 6000, {"b": (100, 500)}, ["c"])
+        cracker.select_project(1000, 6000, ["c"], None, {"b": (100, 500)})
         counters = CostCounters()
-        cracker.select_project_where(1000, 6000, {"b": (100, 500)}, ["c"], counters)
+        cracker.select_project(1000, 6000, ["c"], counters, {"b": (100, 500)})
         assert counters.random_accesses == 0
 
     def test_multiple_predicates(self, sample_table):
         cracker = SidewaysCracker(sample_table, head="a")
-        result = cracker.select_project_where(
-            0, 9000, {"b": (0, 800), "d": (10, 40)}, ["b"]
+        result = cracker.select_project(
+            0, 9000, ["b"], extra_predicates={"b": (0, 800), "d": (10, 40)}
         )
         rowids = result["__rowids__"]
         a = sample_table["a"].values

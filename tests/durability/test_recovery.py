@@ -8,7 +8,7 @@ from repro.durability.recovery import RecoveryError
 from repro.durability.wal import SEGMENT_HEADER
 from repro.durability.faults import FaultInjector
 from repro.engine.database import Database
-from repro.engine.query import Query
+from repro.engine.query import Aggregate, Query, RangeSelection
 
 ROWS = 400
 DOMAIN = 10_000
@@ -72,9 +72,10 @@ def assert_same_database(recovered, original):
         assert recovered._deleted_rows.get(table, set()) == \
             original._deleted_rows.get(table, set())
     query = Query.range_query("facts", "key", 0, DOMAIN // 2)
-    assert np.array_equal(
-        recovered.execute(query).positions, original.execute(query).positions
-    )
+    with recovered.session() as replayed, original.session() as lived:
+        assert np.array_equal(
+            replayed.execute(query).positions, lived.execute(query).positions
+        )
 
 
 class TestOpenRecover:
@@ -135,6 +136,47 @@ class TestOpenRecover:
         assert recovered._modes[("facts", "key")] == "partitioned-cracking"
         assert_same_database(recovered, database)
         recovered.close()
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+    def test_sideways_cracking_survives_a_reopen(self, tmp_path, snapshot):
+        """Every physical design is a journaled ``set_indexing`` record, the
+        covering one included: the reopened database plans, and answers, as
+        the one that was never closed."""
+        query = Query(
+            table="facts",
+            selections=[RangeSelection("key", 2_000, 7_000),
+                        RangeSelection("payload", 0.4, 60.0)],
+            projections=["payload"],
+            aggregates=[Aggregate("payload", "sum")],
+        )
+        lived = make_database(tmp_path / "lived")
+        closed = make_database(tmp_path / "closed")
+        for database in (lived, closed):
+            database.set_indexing(
+                "facts", "key", "sideways-cracking", budget_bytes=50_000
+            )
+            with database.session() as session:
+                session.execute(query)
+            run_dml(database, steps=10)
+        if snapshot:
+            closed.snapshot()
+        closed.close()
+
+        reopened = Database.open(tmp_path / "closed")
+        path = reopened.access_path("facts", "key")
+        assert path.name == "sideways-cracking"
+        assert path.options == {"budget_bytes": 50_000}
+        plan = reopened.plan(query)
+        assert [step.operator for step in plan.steps] == ["index_select", "aggregate"]
+        assert plan.steps[0].columns == ("payload",)
+        with reopened.session() as replayed, lived.session() as expected:
+            got, want = replayed.execute(query), expected.execute(query)
+        assert got.positions.tolist() == want.positions.tolist()
+        assert got.columns["payload"].tolist() == want.columns["payload"].tolist()
+        assert got.aggregates == want.aggregates
+        assert_same_database(reopened, lived)
+        reopened.close()
+        lived.close()
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
@@ -213,7 +255,8 @@ class TestOpenRecover:
             partitions=2, parallel=True, max_workers=2,
         )
         pooled = database.access_path("facts", "key")
-        database.execute(Query.range_query("facts", "key", 10, 5_000))
+        with database.session() as session:
+            session.execute(Query.range_query("facts", "key", 10, 5_000))
         pool = pooled.cracked._pool
         assert pool is not None
         with pytest.raises(ValueError):
@@ -338,7 +381,8 @@ class TestThresholdsAndJournalBound:
         database.create_table("t", {"key": np.arange(4, dtype=np.int64)})
         database.record_journal = True
         database.set_journal_retention(0)
-        database.insert_row("t", {"key": 9})
+        with database.session() as session:
+            session.insert_row("t", {"key": 9})
         assert database.operation_journal() == []
 
 
@@ -351,15 +395,17 @@ class TestClose:
             "facts", "key", "partitioned-cracking", partitions=3, parallel=True,
         )
         column = database.access_path("facts", "key").cracked
-        database.query("facts").where("key", 10, 4_000).run()
+        session = database.session()
+        session.query("facts").where("key", 10, 4_000).run()
         assert column._pool is not None, "the thread fan-out should be live"
         database.close()
         assert column._pool is None
 
         # close is not final for the in-memory state: a later query
         # lazily re-creates what it needs, with identical answers
-        count = database.query("facts").where("key", 10, 4_000).run().row_count
+        count = session.query("facts").where("key", 10, 4_000).run().row_count
         values = database.table("facts")["key"].values
         assert count == int(((values >= 10) & (values <= 4_000)).sum())
+        session.close()
         database.close()
         assert column._pool is None

@@ -64,53 +64,53 @@ class TestReorganizesOnRead:
         database.set_indexing("facts", "a", mode)
         assert reorganizes_on_read(database, "facts", "a") is True
 
-    def test_sort_first_becomes_read_only_after_first_query(self, database):
+    def test_sort_first_becomes_read_only_after_first_query(self, database, session):
         database.set_indexing("facts", "a", "sort-first")
         assert reorganizes_on_read(database, "facts", "a") is True
-        database.execute(Query.range_query("facts", "a", 0, 100))
+        session.execute(Query.range_query("facts", "a", 0, 100))
         assert reorganizes_on_read(database, "facts", "a") is False
 
-    def test_cracking_becomes_read_only_once_fully_sorted(self, database):
+    def test_cracking_becomes_read_only_once_fully_sorted(self, database, session):
         # a generous sort threshold makes the cracker column converge fast
         database.set_indexing(
             "facts", "a", "cracking", sort_threshold=10_000
         )
-        database.execute(Query.range_query("facts", "a", 2_000, 8_000))
+        session.execute(Query.range_query("facts", "a", 2_000, 8_000))
         path = database.access_path("facts", "a")
         assert path.cracked.is_fully_sorted()
         assert reorganizes_on_read(database, "facts", "a") is False
         # converged answers keep matching the reference and stay pure
         pieces_before = path.cracked.piece_count
-        result = database.execute(Query.range_query("facts", "a", 1_000, 3_000))
+        result = session.execute(Query.range_query("facts", "a", 1_000, 3_000))
         assert set(result.positions.tolist()) == reference_positions(
             database, 1_000, 3_000
         )
         assert path.cracked.piece_count == pieces_before
 
-    def test_adaptive_merging_becomes_read_only_when_fully_merged(self, database):
+    def test_adaptive_merging_becomes_read_only_when_fully_merged(self, database, session):
         database.set_indexing("facts", "a", "adaptive-merging")
-        database.execute(Query.range_query("facts", "a", None, None))
+        session.execute(Query.range_query("facts", "a", None, None))
         path = database.access_path("facts", "a")
         assert path.index.fully_merged
         assert reorganizes_on_read(database, "facts", "a") is False
-        result = database.execute(Query.range_query("facts", "a", 500, 700))
+        result = session.execute(Query.range_query("facts", "a", 500, 700))
         assert set(result.positions.tolist()) == reference_positions(
             database, 500, 700
         )
 
-    def test_hybrid_crack_sort_converges_but_crack_crack_does_not(self, database):
+    def test_hybrid_crack_sort_converges_but_crack_crack_does_not(self, database, session):
         database.set_indexing("facts", "a", "hybrid-crack-sort")
         database.set_indexing("facts", "b", "hybrid-crack-crack")
-        database.execute(Query.range_query("facts", "a", None, None))
-        database.execute(Query.range_query("facts", "b", None, None))
+        session.execute(Query.range_query("facts", "a", None, None))
+        session.execute(Query.range_query("facts", "b", None, None))
         # hybrid crack-sort: fully merged with sorted final pieces
         assert reorganizes_on_read(database, "facts", "a") is False
         # hybrid crack-crack: final pieces keep cracking on partial overlap
         assert reorganizes_on_read(database, "facts", "b") is True
 
-    def test_updatable_modes_never_become_read_only(self, database):
+    def test_updatable_modes_never_become_read_only(self, database, session):
         database.set_indexing("facts", "a", "updatable-cracking")
-        database.execute(Query.range_query("facts", "a", None, None))
+        session.execute(Query.range_query("facts", "a", None, None))
         assert reorganizes_on_read(database, "facts", "a") is True
 
 
@@ -152,14 +152,16 @@ class TestClassifyAndSchedule:
         assert [1] in schedule.tasks and [3] in schedule.tasks
 
     def test_sideways_queries_claim_exclusively(self, database):
-        database.enable_sideways("facts", "a")
+        database.set_indexing("facts", "a", "sideways-cracking")
         query = Query(
             table="facts",
             selections=[RangeSelection("a", 0, 1_000)],
             projections=["c"],
         )
         claims = classify_plan(database, database.plan(query))
-        assert any(c.exclusive and c.key == ("sideways", "facts") for c in claims)
+        assert [(c.key, c.exclusive) for c in claims] == [
+            (("path", "facts", "a"), True)
+        ]
 
     def test_refine_steps_claim_nothing(self, database):
         database.set_indexing("facts", "a", "cracking")
@@ -197,18 +199,18 @@ class TestLockManager:
 class TestExecuteManyValidation:
     @pytest.mark.parametrize("workers", [0, -1, -7])
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_non_positive_max_workers_rejected(self, database, workers, parallel):
+    def test_non_positive_max_workers_rejected(self, database, session, workers, parallel):
         queries = [Query.range_query("facts", "a", 0, 100)] * 3
         with pytest.raises(ValueError, match="max_workers"):
-            database.execute_many(queries, parallel=parallel, max_workers=workers)
+            session.execute_many(queries, parallel=parallel, max_workers=workers)
 
-    def test_empty_batch_still_reports(self, database):
-        assert database.execute_many([], parallel=True) == []
-        assert database.last_batch_report.query_count == 0
+    def test_empty_batch_still_reports(self, database, session):
+        assert session.execute_many([], parallel=True) == []
+        assert session.stats().last_batch_report.query_count == 0
 
 
 class TestBatchFanOut:
-    def test_read_only_same_table_batch_fans_out(self, database):
+    def test_read_only_same_table_batch_fans_out(self, database, session):
         database.set_indexing("facts", "b", "full-index")
         queries = []
         for low in range(0, 4_000, 400):
@@ -216,8 +218,8 @@ class TestBatchFanOut:
             queries.append(
                 Query.range_query("facts", "b", low // 10, low // 10 + 50)
             )
-        results = database.execute_many(queries, parallel=True, max_workers=4)
-        report = database.last_batch_report
+        results = session.execute_many(queries, parallel=True, max_workers=4)
+        report = session.stats().last_batch_report
         assert report.read_only_queries == len(queries)
         assert report.task_count == len(queries)
         assert report.parallel is True
@@ -228,7 +230,7 @@ class TestBatchFanOut:
             )
             assert result.worker  # every result is stamped with its worker
 
-    def test_mutating_path_does_not_block_other_columns(self, database):
+    def test_mutating_path_does_not_block_other_columns(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [
             Query.range_query("facts", "a", 0, 2_000),
@@ -236,8 +238,8 @@ class TestBatchFanOut:
             Query.range_query("facts", "c", 0.0, 50.0),
             Query.range_query("facts", "a", 2_000, 4_000),
         ]
-        results = database.execute_many(queries, parallel=True, max_workers=3)
-        report = database.last_batch_report
+        results = session.execute_many(queries, parallel=True, max_workers=3)
+        report = session.stats().last_batch_report
         # three independent tasks: the two cracking queries share one
         assert report.task_count == 3
         assert report.exclusive_groups == 1
@@ -248,29 +250,29 @@ class TestBatchFanOut:
                 database, selection.low, selection.high, column=selection.column
             )
 
-    def test_sequential_and_parallel_agree_after_convergence(self, database):
+    def test_sequential_and_parallel_agree_after_convergence(self, database, session):
         # converge the cracked column (the generous sort threshold sorts
         # the whole piece on the first crack), then fan a batch out over it
         database.set_indexing("facts", "a", "cracking", sort_threshold=10_000)
-        database.execute(Query.range_query("facts", "a", 0, 20_000))
+        session.execute(Query.range_query("facts", "a", 0, 20_000))
         assert database.access_path("facts", "a").cracked.is_fully_sorted()
         queries = [
             Query.range_query("facts", "a", low, low + 700)
             for low in range(0, 7_000, 700)
         ]
-        sequential = database.execute_many(queries, parallel=False)
-        parallel = database.execute_many(queries, parallel=True, max_workers=4)
-        report = database.last_batch_report
+        sequential = session.execute_many(queries, parallel=False)
+        parallel = session.execute_many(queries, parallel=True, max_workers=4)
+        report = session.stats().last_batch_report
         assert report.read_only_queries == len(queries)
         for left, right in zip(sequential, parallel):
             assert np.array_equal(left.positions, right.positions)
             assert left.counters == right.counters
 
-    def test_query_counter_survives_concurrent_readers(self, database):
+    def test_query_counter_survives_concurrent_readers(self, database, session):
         # sort-first is read-only once built, and (unlike the managed
         # full-index mode) its strategy object carries a query counter
         database.set_indexing("facts", "a", "sort-first")
-        database.execute(Query.range_query("facts", "a", 0, 100))
+        session.execute(Query.range_query("facts", "a", 0, 100))
         path = database.access_path("facts", "a")
         assert path.reorganizes_on_read is False
         queries = [
@@ -278,7 +280,7 @@ class TestBatchFanOut:
             for low in range(0, 4_000, 50)
         ]
         before = path.queries_processed
-        database.execute_many(queries, parallel=True, max_workers=8)
+        session.execute_many(queries, parallel=True, max_workers=8)
         assert path.queries_processed == before + len(queries)
 
 
@@ -287,7 +289,7 @@ class TestTombstoneRebuildRace:
     under a lock, so batch workers racing a concurrent delete stream never
     iterate a mutating set or observe a torn cache."""
 
-    def test_parallel_batches_with_interleaved_deletes(self, database, rng):
+    def test_parallel_batches_with_interleaved_deletes(self, database, session, rng):
         stop = threading.Event()
         errors = []
         values = database.table("facts")["a"].values
@@ -298,7 +300,7 @@ class TestTombstoneRebuildRace:
             for victim in victims:
                 if stop.is_set():
                     return
-                database.delete_row("facts", int(victim))
+                session.delete_row("facts", int(victim))
                 # keep the cache permanently stale so readers must rebuild
                 database._tombstone_cache.pop("facts", None)
 
@@ -309,7 +311,7 @@ class TestTombstoneRebuildRace:
             ]
             try:
                 while not stop.is_set():
-                    results = database.execute_many(
+                    results = session.execute_many(
                         queries, parallel=True, max_workers=4
                     )
                     for query, result in zip(queries, results):
@@ -338,11 +340,11 @@ class TestTombstoneRebuildRace:
         assert not errors, f"concurrent batch execution raised: {errors[0]!r}"
         # after the dust settles, results are exact again
         survivors = initial_visible - database._deleted_rows["facts"]
-        result = database.execute(Query.range_query("facts", "a", 0, 10_000))
+        result = session.execute(Query.range_query("facts", "a", 0, 10_000))
         expected = {r for r in survivors if 0 <= values[r] < 10_000}
         assert set(result.positions.tolist()) == expected
 
-    def test_direct_rebuild_hammer(self, database):
+    def test_direct_rebuild_hammer(self, database, session):
         """Many threads forcing rebuilds while deletes mutate the set."""
         errors = []
         barrier = threading.Barrier(9)
@@ -361,7 +363,7 @@ class TestTombstoneRebuildRace:
             try:
                 barrier.wait()
                 for rowid in range(offset, offset + 300):
-                    database.delete_row("facts", rowid)
+                    session.delete_row("facts", rowid)
             except Exception as exc:  # pragma: no cover - only on regression
                 errors.append(exc)
 

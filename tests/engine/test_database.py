@@ -28,6 +28,33 @@ def reference_positions(db, low, high, column="a", table="facts"):
     return set(np.flatnonzero((values >= low) & (values < high)).tolist())
 
 
+REMOVED_DATABASE_NAMES = (
+    "execute", "execute_many", "run_workload", "insert_row", "delete_row",
+    "update_row", "query", "last_batch_report", "_default_session",
+)
+
+
+class TestOneDoorOneSwitch:
+    """Operations enter through ``db.session()``, physical designs through
+    ``set_indexing``; the database offers no second spelling of either."""
+
+    @pytest.mark.parametrize("name", REMOVED_DATABASE_NAMES)
+    def test_database_has_no_second_entry_point(self, database, name):
+        assert not hasattr(Database, name) and not hasattr(database, name)
+
+    def test_database_names_no_technique(self, database):
+        # the four methods and the private dict that were sideways
+        # cracking's own switch, dispatch and storage
+        assert [name for name in dir(database) if "sideways" in name.lower()] == []
+
+    def test_the_single_column_facade_is_gone(self):
+        import repro
+
+        assert not hasattr(repro, "AdaptiveIndex")
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.adaptive_index  # noqa: F401
+
+
 class TestSchema:
     def test_create_and_drop_table(self, database, rng):
         database.create_table("dim", {"k": rng.integers(0, 10, size=5)})
@@ -61,11 +88,11 @@ class TestIndexingModes:
         ["scan", "full-index", "online", "soft", "cracking", "adaptive-merging",
          "hybrid-crack-sort"],
     )
-    def test_every_mode_answers_correctly(self, database, mode):
+    def test_every_mode_answers_correctly(self, database, session, mode):
         database.set_indexing("facts", "a", mode)
         expected = reference_positions(database, 1000, 3000)
         for _ in range(5):  # repeat so online/soft modes get to build
-            result = database.execute(Query.range_query("facts", "a", 1000, 3000))
+            result = session.execute(Query.range_query("facts", "a", 1000, 3000))
             assert set(result.positions.tolist()) == expected
 
     def test_indexing_mode_reported(self, database):
@@ -82,12 +109,12 @@ class TestIndexingModes:
 
 
 class TestExecution:
-    def test_multi_column_selection(self, database):
+    def test_multi_column_selection(self, database, session):
         query = Query(
             table="facts",
             selections=[RangeSelection("a", 1000, 6000), RangeSelection("b", 100, 400)],
         )
-        result = database.execute(query)
+        result = session.execute(query)
         a = database.table("facts")["a"].values
         b = database.table("facts")["b"].values
         expected = set(
@@ -95,51 +122,51 @@ class TestExecution:
         )
         assert set(result.positions.tolist()) == expected
 
-    def test_projection_and_aggregate(self, database):
+    def test_projection_and_aggregate(self, database, session):
         query = Query(
             table="facts",
             selections=[RangeSelection("a", 0, 5000)],
             projections=["c"],
             aggregates=[Aggregate("c", "sum"), Aggregate("c", "count")],
         )
-        result = database.execute(query)
+        result = session.execute(query)
         positions = sorted(result.positions.tolist())
         expected_values = database.table("facts")["c"].values[positions]
         assert result.aggregates["sum(c)"] == pytest.approx(expected_values.sum())
         assert result.aggregates["count(c)"] == len(positions)
         assert set(result.columns) == {"c"}
 
-    def test_aggregate_on_empty_result(self, database):
+    def test_aggregate_on_empty_result(self, database, session):
         query = Query(
             table="facts",
             selections=[RangeSelection("a", 100_000, 200_000)],
             aggregates=[Aggregate("c", "sum"), Aggregate("c", "count")],
         )
-        result = database.execute(query)
+        result = session.execute(query)
         assert result.row_count == 0
         assert np.isnan(result.aggregates["sum(c)"])
         assert result.aggregates["count(c)"] == 0
 
-    def test_no_selection_returns_all_rows(self, database):
-        result = database.execute(Query(table="facts", projections=["a"]))
+    def test_no_selection_returns_all_rows(self, database, session):
+        result = session.execute(Query(table="facts", projections=["a"]))
         assert result.row_count == database.table("facts").row_count
 
-    def test_execute_records_counters_and_time(self, database):
-        result = database.execute(Query.range_query("facts", "a", 0, 1000))
+    def test_execute_records_counters_and_time(self, database, session):
+        result = session.execute(Query.range_query("facts", "a", 0, 1000))
         assert result.counters.tuples_scanned > 0
         assert result.elapsed_seconds >= 0
         assert database.queries_executed == 1
 
-    def test_sideways_execution_matches_scan(self, database):
-        expected = database.execute(
+    def test_sideways_execution_matches_scan(self, database, session):
+        expected = session.execute(
             Query(
                 table="facts",
                 selections=[RangeSelection("a", 1000, 4000), RangeSelection("b", 0, 500)],
                 projections=["c"],
             )
         )
-        database.enable_sideways("facts", "a")
-        sideways = database.execute(
+        database.set_indexing("facts", "a", "sideways-cracking")
+        sideways = session.execute(
             Query(
                 table="facts",
                 selections=[RangeSelection("a", 1000, 4000), RangeSelection("b", 0, 500)],
@@ -151,18 +178,44 @@ class TestExecution:
             sorted(expected.columns["c"].tolist())
         )
 
-    def test_run_workload_collects_statistics(self, database):
+    def test_sideways_execution_projects_and_aggregates_the_head(
+        self, database, session
+    ):
+        query = Query(
+            table="facts",
+            selections=[RangeSelection("a", 1000, 4000), RangeSelection("b", 0, 500)],
+            projections=["a", "c"],
+            aggregates=[Aggregate("a", "max"), Aggregate("c", "count")],
+        )
+        expected = session.execute(query)
+        database.set_indexing("facts", "a", "sideways-cracking")
+        assert [step.operator for step in database.plan(query).steps] == [
+            "index_select", "aggregate", "aggregate"
+        ]
+        sideways = session.execute(query)
+        order = np.argsort(sideways.positions)
+        assert sideways.positions[order].tolist() == sorted(expected.positions.tolist())
+        assert sorted(sideways.columns) == ["a", "c"]
+        for name in ("a", "c"):
+            assert np.array_equal(
+                sideways.columns[name], database.table("facts")[name].values[sideways.positions]
+            )
+        assert sideways.aggregates == expected.aggregates
+        # the head came from the maps like every other attribute
+        assert sideways.counters.random_accesses == 0
+
+    def test_run_workload_collects_statistics(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [Query.range_query("facts", "a", low, low + 500) for low in range(0, 5000, 500)]
-        stats = database.run_workload(queries, strategy_label="cracking")
+        stats = session.run_workload(queries, strategy_label="cracking")
         assert len(stats) == len(queries)
         assert stats.total_seconds > 0
         assert stats.strategy == "cracking"
 
-    def test_adaptive_mode_gets_cheaper_with_repetition(self, database):
+    def test_adaptive_mode_gets_cheaper_with_repetition(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [Query.range_query("facts", "a", 2000, 2500) for _ in range(10)]
-        stats = database.run_workload(queries)
+        stats = session.run_workload(queries)
         costs = [q.counters.tuples_scanned + q.counters.tuples_moved for q in stats]
         assert costs[-1] < costs[0]
 
@@ -180,14 +233,14 @@ REBUILD_OPTIONS = {
 
 
 @pytest.mark.parametrize("mode", available_strategies())
-def test_insert_keeps_or_rebuilds_every_access_path(database, mode):
+def test_insert_keeps_or_rebuilds_every_access_path(database, session, mode):
     """One absorb rule for the whole registry: a strategy that supports
     updates stays installed, any other is replaced by a fresh one under the
     same name carrying the recorded options."""
     options = REBUILD_OPTIONS.get(mode, {})
     database.set_indexing("facts", "a", mode, **options)
     before = database.access_path("facts", "a")
-    rowid = database.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
+    rowid = session.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
     after = database.access_path("facts", "a")
     if mode == "scan":
         assert before is None and after is None
@@ -198,7 +251,7 @@ def test_insert_keeps_or_rebuilds_every_access_path(database, mode):
         assert after.name == mode
         assert {key: after.options[key] for key in options} == options
         assert len(after) == database.table("facts").row_count
-    result = database.execute(Query.range_query("facts", "a", 1000, 3000))
+    result = session.execute(Query.range_query("facts", "a", 1000, 3000))
     assert set(result.positions.tolist()) == reference_positions(
         database, 1000, 3000
     )
@@ -239,13 +292,67 @@ class TestMemoryAccounting:
         database.set_indexing("facts", "a", "full-index")
         assert database.memory.breakdown()["index:facts.a"] == recorded
 
+    @pytest.mark.parametrize("release", ["scan", "drop_table"])
+    def test_cracker_maps_are_tracked_and_released(self, database, session, release):
+        """The maps are auxiliary bytes like any path's: read after each DML
+        operation on the table, gone (budget included) with the path."""
+        database.set_indexing(
+            "facts", "a", "sideways-cracking", budget_bytes=10**6
+        )
+        assert "index:facts.a" not in database.memory.breakdown()
+        covering = Query(
+            table="facts", selections=[RangeSelection("a", 1000, 4000)],
+            projections=["b", "c"],
+        )
+        session.execute(covering)
+        session.delete_row("facts", 7)
+        cracker = database.access_path("facts", "a").cracker
+        assert cracker.map_names() == ["b", "c"]
+        assert database.memory.breakdown()["index:facts.a"] == cracker.nbytes == 240_000
+        # an insert drops every map (they re-materialise on demand) ...
+        session.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
+        rebuilt = database.access_path("facts", "a").cracker
+        assert rebuilt is not cracker and cracker.budget.used_bytes == 0
+        assert "index:facts.a" not in database.memory.breakdown()
+        # ... and the next DML operation reads the re-materialised ones
+        session.execute(covering)
+        session.delete_row("facts", 8)
+        assert database.memory.breakdown()["index:facts.a"] == rebuilt.nbytes == 240_048
+        assert rebuilt.budget.used_bytes == rebuilt.nbytes
+        if release == "scan":
+            database.set_indexing("facts", "a", "scan")
+        else:
+            database.drop_table("facts")
+        assert "index:facts.a" not in database.memory.breakdown()
+        assert rebuilt.budget.used_bytes == 0 and rebuilt.nbytes == 0
+
+    def test_one_physical_design_per_column(self, database, session):
+        """Installing sideways cracking replaces (and closes) what the
+        column had; nothing is built and billed beside it."""
+        database.set_indexing(
+            "facts", "a", "partitioned-updatable-cracking",
+            partitions=2, parallel=True,
+        )
+        session.execute(Query.range_query("facts", "a", 0, 9_000))
+        replaced = database.access_path("facts", "a")
+        assert replaced.cracked._pool is not None
+        assert "index:facts.a" in database.memory.breakdown()
+        database.set_indexing("facts", "a", "sideways-cracking")
+        assert replaced.cracked._pool is None
+        assert database.access_path("facts", "a").name == "sideways-cracking"
+        assert "index:facts.a" not in database.memory.breakdown()
+        assert [(r["column"], r["mode"], r["structure"])
+                for r in database.physical_design_report()] == [
+            ("a", "sideways-cracking", "0 cracker maps")
+        ]
+
 
 class TestPartitionedMode:
-    def test_partitioned_cracking_selectable(self, database):
+    def test_partitioned_cracking_selectable(self, database, session):
         database.set_indexing("facts", "a", "partitioned-cracking", partitions=4)
         expected = reference_positions(database, 1000, 3000)
         for _ in range(3):
-            result = database.execute(Query.range_query("facts", "a", 1000, 3000))
+            result = session.execute(Query.range_query("facts", "a", 1000, 3000))
             assert set(result.positions.tolist()) == expected
         path = database.access_path("facts", "a")
         assert path.cracked.partition_count == 4
@@ -255,13 +362,13 @@ class TestPartitionedMode:
             for r in report
         )
 
-    def test_partitioned_parallel_matches_reference(self, database):
+    def test_partitioned_parallel_matches_reference(self, database, session):
         database.set_indexing(
             "facts", "a", "partitioned-cracking", partitions=8, parallel=True
         )
         for low in (0, 2000, 4000, 6000):
             expected = reference_positions(database, low, low + 1500)
-            result = database.execute(
+            result = session.execute(
                 Query.range_query("facts", "a", low, low + 1500)
             )
             assert set(result.positions.tolist()) == expected
@@ -277,7 +384,7 @@ class TestDML:
     ]
 
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_mixed_dml_stays_correct_in_every_mode(self, database, rng, mode):
+    def test_mixed_dml_stays_correct_in_every_mode(self, database, session, rng, mode):
         if mode != "scan":
             database.set_indexing("facts", "a", mode)
         table = database.table("facts")
@@ -289,7 +396,7 @@ class TestDML:
             action = step % 4
             if action == 0:
                 value = int(rng.integers(0, 10_000))
-                rowid = database.insert_row(
+                rowid = session.insert_row(
                     "facts", {"a": value, "b": 0, "c": 0.0}
                 )
                 assert rowid == next_id
@@ -297,86 +404,86 @@ class TestDML:
                 next_id += 1
             elif action == 1 and model:
                 victim = int(rng.choice(list(model)))
-                database.delete_row("facts", victim)
+                session.delete_row("facts", victim)
                 del model[victim]
             else:
                 low = int(rng.integers(0, 9_000))
                 high = low + 500
-                result = database.execute(
+                result = session.execute(
                     Query.range_query("facts", "a", low, high)
                 )
                 expected = {r for r, v in model.items() if low <= v < high}
                 assert set(result.positions.tolist()) == expected
         assert database.visible_row_count("facts") == len(model)
 
-    def test_update_row_renumbers_and_keeps_other_columns(self, database):
+    def test_update_row_renumbers_and_keeps_other_columns(self, database, session):
         old_b = int(database.table("facts")["b"].values[5])
-        new_rowid = database.update_row("facts", 5, {"a": 12345})
+        new_rowid = session.update_row("facts", 5, {"a": 12345})
         assert new_rowid == 5000  # first fresh rowid
-        result = database.execute(Query.range_query("facts", "a", 12345, 12346))
+        result = session.execute(Query.range_query("facts", "a", 12345, 12346))
         assert new_rowid in result.positions.tolist()
         assert 5 not in result.positions.tolist()
         assert int(database.table("facts")["b"].values[new_rowid]) == old_b
         with pytest.raises(KeyError):
-            database.update_row("facts", 5, {"a": 1})  # old row is gone
+            session.update_row("facts", 5, {"a": 1})  # old row is gone
 
-    def test_update_row_validates_columns(self, database):
+    def test_update_row_validates_columns(self, database, session):
         with pytest.raises(KeyError, match="zzz"):
-            database.update_row("facts", 0, {"zzz": 1})
+            session.update_row("facts", 0, {"zzz": 1})
 
-    def test_update_row_is_atomic_on_type_errors(self, database):
+    def test_update_row_is_atomic_on_type_errors(self, database, session):
         # a lossy value must be rejected before the old row is tombstoned
         with pytest.raises(TypeError):
-            database.update_row("facts", 5, {"b": 2.5})
+            session.update_row("facts", 5, {"b": 2.5})
         assert database.visible_row_count("facts") == 5000
-        result = database.execute(Query(table="facts", projections=["a"]))
+        result = session.execute(Query(table="facts", projections=["a"]))
         assert 5 in result.positions.tolist()
 
     @pytest.mark.parametrize(
         "mode", ["updatable-cracking", "partitioned-updatable-cracking"]
     )
-    def test_tombstones_replayed_when_switching_to_updatable(self, database, mode):
+    def test_tombstones_replayed_when_switching_to_updatable(self, database, session, mode):
         # rows deleted under an earlier mode must stay deleted after the
         # switch: the new updatable column replays the tombstones
         value = int(database.table("facts")["a"].values[7])
-        database.delete_row("facts", 7)
+        session.delete_row("facts", 7)
         database.set_indexing("facts", "a", mode)
-        result = database.execute(
+        result = session.execute(
             Query.range_query("facts", "a", value, value + 1)
         )
         assert 7 not in result.positions.tolist()
         assert database.visible_row_count("facts") == 4999
 
-    def test_delete_row_validates_and_is_idempotent(self, database):
+    def test_delete_row_validates_and_is_idempotent(self, database, session):
         with pytest.raises(KeyError):
-            database.delete_row("facts", 10**9)
-        database.delete_row("facts", 3)
-        database.delete_row("facts", 3)
+            session.delete_row("facts", 10**9)
+        session.delete_row("facts", 3)
+        session.delete_row("facts", 3)
         assert database.visible_row_count("facts") == 4999
 
-    def test_insert_row_requires_all_columns(self, database):
+    def test_insert_row_requires_all_columns(self, database, session):
         with pytest.raises(ValueError):
-            database.insert_row("facts", {"a": 1})
+            session.insert_row("facts", {"a": 1})
 
-    def test_insert_row_is_atomic_on_type_errors(self, database):
+    def test_insert_row_is_atomic_on_type_errors(self, database, session):
         # column "b" is int64: a lossy float must be rejected *before* any
         # column is appended, or the table is left with ragged columns
         with pytest.raises(TypeError):
-            database.insert_row("facts", {"a": 1, "b": 2.5, "c": 0.0})
+            session.insert_row("facts", {"a": 1, "b": 2.5, "c": 0.0})
         table = database.table("facts")
         assert {len(table[name]) for name in table.column_names} == {5000}
         assert database.visible_row_count("facts") == 5000
 
-    def test_deleted_rows_invisible_without_selection(self, database):
-        database.delete_row("facts", 0)
-        result = database.execute(Query(table="facts", projections=["a"]))
+    def test_deleted_rows_invisible_without_selection(self, database, session):
+        session.delete_row("facts", 0)
+        result = session.execute(Query(table="facts", projections=["a"]))
         assert result.row_count == 4999
         assert 0 not in result.positions.tolist()
 
-    def test_aggregates_exclude_deleted_rows(self, database):
+    def test_aggregates_exclude_deleted_rows(self, database, session):
         database.set_indexing("facts", "a", "updatable-cracking")
-        database.delete_row("facts", 7)
-        result = database.execute(
+        session.delete_row("facts", 7)
+        result = session.execute(
             Query(
                 table="facts",
                 selections=[RangeSelection("a", None, None)],
@@ -385,60 +492,60 @@ class TestDML:
         )
         assert result.aggregates["count(c)"] == 4999
 
-    def test_insert_updates_memory_tracker(self, database):
+    def test_insert_updates_memory_tracker(self, database, session):
         database.set_indexing("facts", "a", "full-index")
         table_before = database.memory.breakdown()["table:facts"]
         index_before = database.memory.breakdown()["index:facts.a"]
-        database.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
+        session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
         assert database.memory.breakdown()["table:facts"] > table_before
         assert database.memory.breakdown()["index:facts.a"] > index_before
 
-    def test_updatable_path_absorbs_instead_of_rebuilding(self, database):
+    def test_updatable_path_absorbs_instead_of_rebuilding(self, database, session):
         database.set_indexing("facts", "a", "updatable-cracking")
         path = database.access_path("facts", "a")
-        database.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
+        session.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
         assert database.access_path("facts", "a") is path  # same object
         assert path.cracked.pending_inserts == 1
 
-    def test_non_updatable_strategy_rebuilt_with_options(self, database):
+    def test_non_updatable_strategy_rebuilt_with_options(self, database, session):
         database.set_indexing("facts", "a", "partitioned-cracking", partitions=8)
         old_path = database.access_path("facts", "a")
-        database.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
+        session.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
         new_path = database.access_path("facts", "a")
         assert new_path is not old_path
         assert new_path.cracked.partition_count == 8  # options preserved
-        result = database.execute(Query.range_query("facts", "a", 4242, 4243))
+        result = session.execute(Query.range_query("facts", "a", 4242, 4243))
         assert 5000 in result.positions.tolist()
 
-    def test_sideways_maps_rebuilt_after_insert(self, database):
-        database.enable_sideways("facts", "a")
+    def test_sideways_maps_rebuilt_after_insert(self, database, session):
+        database.set_indexing("facts", "a", "sideways-cracking")
         # materialise a map, then insert and re-query through sideways
         query = Query(
             table="facts",
             selections=[RangeSelection("a", 1000, 2000)],
             projections=["c"],
         )
-        database.execute(query)
-        database.insert_row("facts", {"a": 1500, "b": 0, "c": 9.5})
-        result = database.execute(query)
+        session.execute(query)
+        session.insert_row("facts", {"a": 1500, "b": 0, "c": 9.5})
+        result = session.execute(query)
         assert 5000 in result.positions.tolist()
         assert 9.5 in result.columns["c"].tolist()
 
-    def test_dml_on_unknown_table_raises(self, database):
+    def test_dml_on_unknown_table_raises(self, database, session):
         with pytest.raises(KeyError):
-            database.insert_row("nope", {"a": 1})
+            session.insert_row("nope", {"a": 1})
         with pytest.raises(KeyError):
-            database.delete_row("nope", 0)
+            session.delete_row("nope", 0)
 
 
 class TestExecuteMany:
-    def test_sequential_batch_matches_reference(self, database):
+    def test_sequential_batch_matches_reference(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [
             Query.range_query("facts", "a", low, low + 800)
             for low in range(0, 8000, 800)
         ]
-        results = database.execute_many(queries)
+        results = session.execute_many(queries)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
             low, high = query.selections[0].bounds
@@ -447,7 +554,7 @@ class TestExecuteMany:
             )
         assert database.queries_executed == len(queries)
 
-    def test_parallel_batch_preserves_order_and_counters(self, database, rng):
+    def test_parallel_batch_preserves_order_and_counters(self, database, session, rng):
         database.create_table(
             "dim", {"k": rng.integers(0, 1000, size=2000).astype(np.int64)}
         )
@@ -457,7 +564,7 @@ class TestExecuteMany:
         for step in range(8):
             queries.append(Query.range_query("facts", "a", step * 1000, step * 1000 + 900))
             queries.append(Query.range_query("dim", "k", step * 100, step * 100 + 90))
-        results = database.execute_many(queries, parallel=True)
+        results = session.execute_many(queries, parallel=True)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
             low, high = query.selections[0].bounds
@@ -472,7 +579,7 @@ class TestExecuteMany:
         assert len(counter_ids) == len(results)
         assert database.queries_executed == len(queries)
 
-    def test_parallel_same_table_is_safe(self, database):
+    def test_parallel_same_table_is_safe(self, database, session):
         # all queries hit one cracked column; they must stay ordered on one
         # worker and keep producing exact answers
         database.set_indexing("facts", "a", "cracking")
@@ -480,16 +587,16 @@ class TestExecuteMany:
             Query.range_query("facts", "a", low, low + 500)
             for low in range(0, 9000, 300)
         ]
-        results = database.execute_many(queries, parallel=True, max_workers=4)
+        results = session.execute_many(queries, parallel=True, max_workers=4)
         for query, result in zip(queries, results):
             low, high = query.selections[0].bounds
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
 
-    def test_empty_batch(self, database):
-        assert database.execute_many([]) == []
-        assert database.execute_many([], parallel=True) == []
+    def test_empty_batch(self, database, session):
+        assert session.execute_many([]) == []
+        assert session.execute_many([], parallel=True) == []
 
 
 class TestExecuteManyWithDML:
@@ -507,37 +614,37 @@ class TestExecuteManyWithDML:
         "adaptive-merging",
     ]
 
-    def apply_dml(self, database, rng):
+    def apply_dml(self, database, session, rng):
         """Interleave inserts and deletes; returns the visible model."""
         values = database.table("facts")["a"].values
         model = {int(i): int(v) for i, v in enumerate(values)}
         for _ in range(40):
-            rowid = database.insert_row(
+            rowid = session.insert_row(
                 "facts",
                 {"a": int(rng.integers(0, 10_000)), "b": 1, "c": 0.5},
             )
             model[rowid] = int(database.table("facts")["a"].values[rowid])
         for victim in rng.choice(list(model), size=60, replace=False):
-            database.delete_row("facts", int(victim))
+            session.delete_row("facts", int(victim))
             del model[int(victim)]
         return model
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("parallel", [False, True])
     def test_batch_after_dml_is_tombstone_consistent(
-        self, database, rng, mode, parallel
+        self, database, session, rng, mode, parallel
     ):
         options = {}
         if mode.startswith("partitioned"):
             options = {"partitions": 3, "repartition": True,
                        "max_partition_rows": 4_000}
         database.set_indexing("facts", "a", mode, **options)
-        model = self.apply_dml(database, rng)
+        model = self.apply_dml(database, session, rng)
         queries = [
             Query.range_query("facts", "a", low, low + 1_000)
             for low in range(0, 10_000, 1_000)
         ]
-        results = database.execute_many(queries, parallel=parallel)
+        results = session.execute_many(queries, parallel=parallel)
         for query, result in zip(queries, results):
             low, high = query.selections[0].bounds
             expected = {r for r, v in model.items() if low <= v < high}
@@ -545,17 +652,17 @@ class TestExecuteManyWithDML:
                 f"{mode} (parallel={parallel}) diverged on [{low}, {high})"
             )
 
-    def test_parallel_cross_table_batch_after_dml(self, database, rng):
+    def test_parallel_cross_table_batch_after_dml(self, database, session, rng):
         database.create_table(
             "dim", {"k": rng.integers(0, 1_000, size=2_000).astype(np.int64)}
         )
         database.set_indexing("facts", "a", "updatable-cracking")
         database.set_indexing("dim", "k", "partitioned-updatable-cracking",
                               partitions=2)
-        model = self.apply_dml(database, rng)
+        model = self.apply_dml(database, session, rng)
         dim_deleted = set()
         for victim in range(0, 50, 5):
-            database.delete_row("dim", victim)
+            session.delete_row("dim", victim)
             dim_deleted.add(victim)
         queries = []
         for step in range(6):
@@ -565,7 +672,7 @@ class TestExecuteManyWithDML:
             queries.append(
                 Query.range_query("dim", "k", step * 150, step * 150 + 140)
             )
-        results = database.execute_many(queries, parallel=True)
+        results = session.execute_many(queries, parallel=True)
         dim_values = database.table("dim")["k"].values
         for query, result in zip(queries, results):
             low, high = query.selections[0].bounds

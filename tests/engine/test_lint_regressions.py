@@ -61,9 +61,9 @@ class TestTombstonePublishAfterDrop:
     the new, tombstone-free table, hiding freshly inserted rows.
     """
 
-    def test_rebuild_racing_drop_publishes_nothing(self, database, rng):
-        database.delete_row("facts", 7)
-        database.delete_row("facts", 11)
+    def test_rebuild_racing_drop_publishes_nothing(self, database, session, rng):
+        session.delete_row("facts", 7)
+        session.delete_row("facts", 11)
         # invalidate the cache so the next _tombstones call must rebuild
         with database._tombstone_lock:
             database._tombstone_cache.pop("facts", None)
@@ -99,7 +99,7 @@ class TestTombstonePublishAfterDrop:
 class TestConcurrentDeleteAndTombstoneReads:
     """DML deletes racing cache rebuilds must stay internally consistent."""
 
-    def test_reader_hammer_during_deletes(self, database):
+    def test_reader_hammer_during_deletes(self, database, session):
         stop = threading.Event()
         errors = []
 
@@ -124,7 +124,7 @@ class TestConcurrentDeleteAndTombstoneReads:
             thread.start()
         try:
             for rowid in range(0, 600, 3):
-                database.delete_row("facts", rowid)
+                session.delete_row("facts", rowid)
         finally:
             stop.set()
             for thread in readers:

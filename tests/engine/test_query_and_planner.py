@@ -96,16 +96,21 @@ class TestPlanner:
         assert plan.steps[-1].function == "mean"
 
     def test_sideways_plan(self, database):
-        database.enable_sideways("facts", "a")
+        database.set_indexing("facts", "a", "sideways-cracking")
+        database.set_indexing("facts", "b", "full-index")
         query = Query(
             table="facts",
-            selections=[RangeSelection("a", 0, 1000), RangeSelection("b", 0, 500)],
+            # a path covering the projection leads whatever else is indexed
+            selections=[RangeSelection("b", 0, 500), RangeSelection("a", 0, 1000)],
             projections=["c"],
+            aggregates=[Aggregate("c", "sum")],
         )
         plan = database.plan(query)
-        assert plan.steps[0].operator == "sideways_select"
+        assert [step.operator for step in plan.steps] == ["index_select", "aggregate"]
         assert plan.steps[0].column == "a"
-        assert "b" in plan.steps[0].columns and "c" in plan.steps[0].columns
+        assert plan.steps[0].access_path == "sideways-cracking"
+        assert plan.steps[0].columns == ("b", "c")
+        assert "covering ['b', 'c']" in plan.explain()
 
     def test_explain_mentions_every_step(self, database):
         database.set_indexing("facts", "a", "cracking")

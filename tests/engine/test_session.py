@@ -128,17 +128,17 @@ class TestSessionExecution:
             second = session.execute(Query.range_query("facts", "a", 0, 100))
         assert 0 <= first.sequence < second.sequence
 
-    def test_execute_many_reports_on_session_and_database(self, database):
+    def test_execute_many_reports_on_the_session_that_ran_it(self, database):
         queries = [
             Query.range_query("facts", "a", low, low + 500)
             for low in range(0, 2000, 500)
         ]
-        with database.session() as session:
+        with database.session() as session, database.session() as idle:
             results = session.execute_many(queries, parallel=True)
             report = session.stats().last_batch_report
         assert len(results) == len(queries)
-        assert report is database.last_batch_report
         assert report.query_count == len(queries)
+        assert idle.stats().last_batch_report is None
 
     def test_session_stats_count_operations(self, database):
         with database.session() as session:
@@ -195,9 +195,9 @@ class TestSessionExecution:
 
 
 class TestQueryBuilder:
-    def test_builder_desugars_to_query(self, database):
+    def test_builder_desugars_to_query(self, database, session):
         query = (
-            database.query("facts")
+            session.query("facts")
             .where("a", 10, 20)
             .where("b", None, 500)
             .select("c")
@@ -213,12 +213,12 @@ class TestQueryBuilder:
             description="demo",
         )
 
-    def test_builder_run_and_submit(self, database):
-        result = database.query("facts").where("a", 1000, 2000).run()
+    def test_builder_run_and_submit(self, database, session):
+        result = session.query("facts").where("a", 1000, 2000).run()
         assert set(result.positions.tolist()) == reference_positions(
             database, 1000, 2000
         )
-        future = database.query("facts").where("a", 1000, 2000).submit()
+        future = session.query("facts").where("a", 1000, 2000).submit()
         assert np.array_equal(future.result().positions, result.positions)
 
     def test_builder_on_session(self, database):
@@ -231,14 +231,14 @@ class TestQueryBuilder:
             )
         assert result.aggregates["count(c)"] == result.row_count
 
-    def test_duplicate_where_rejected_eagerly(self, database):
-        builder = database.query("facts").where("a", 0, 10)
+    def test_duplicate_where_rejected_eagerly(self, database, session):
+        builder = session.query("facts").where("a", 0, 10)
         with pytest.raises(ValueError, match="duplicate selection"):
             builder.where("a", 20, 30)
 
-    def test_unknown_aggregate_rejected_eagerly(self, database):
+    def test_unknown_aggregate_rejected_eagerly(self, database, session):
         with pytest.raises(ValueError, match="unknown aggregate function"):
-            database.query("facts").agg("median", "c")
+            session.query("facts").agg("median", "c")
 
     def test_unbound_builder_cannot_run(self):
         builder = QueryBuilder("facts").where("a", 0, 1)
@@ -341,13 +341,13 @@ class TestTableGate:
 
 
 class TestDMLFencing:
-    def test_dml_blocks_until_inflight_queries_drain(self, database):
+    def test_dml_blocks_until_inflight_queries_drain(self, database, session):
         gate = database.table_gate("facts")
         gate.acquire_read()  # stand in for an in-flight query/batch
         inserted = threading.Event()
 
         def dml():
-            database.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
+            session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
             inserted.set()
 
         thread = threading.Thread(target=dml)
@@ -359,9 +359,9 @@ class TestDMLFencing:
         assert gate.fenced_writes == 1
         assert database.table("facts").row_count == 4001
 
-    def test_insert_rebuild_holds_owning_path_lock(self, database, monkeypatch):
+    def test_insert_rebuild_holds_owning_path_lock(self, database, session, monkeypatch):
         """ROADMAP follow-up 3: the access-path rebuild on insert runs
-        under the owning path's lock, even via the legacy wrapper."""
+        under the owning path's lock."""
         # the rebuild is the strategy's own ``rebuilt``, which goes back
         # through the registry
         import repro.core.strategies as strategies_module
@@ -376,10 +376,10 @@ class TestDMLFencing:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(strategies_module, "create_strategy", checking_create)
-        database.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
+        session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
         assert observed["locked"] is True
 
-    def test_updatable_absorb_holds_owning_path_lock(self, database):
+    def test_updatable_absorb_holds_owning_path_lock(self, database, session):
         database.set_indexing("facts", "a", "updatable-cracking")
         path = database.access_path("facts", "a")
         lock = database._path_locks.lock_for(("path", "facts", "a"))
@@ -392,7 +392,7 @@ class TestDMLFencing:
 
         path.insert = checking_insert
         try:
-            database.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
+            session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
         finally:
             del path.insert
         assert observed["locked"] is True

@@ -129,9 +129,10 @@ def assert_same_logical_state(recovered, oracle, context):
         ), f"{context}: column {name} diverged"
     assert recovered._deleted_rows.get("facts", set()) == \
         oracle._deleted_rows.get("facts", set()), context
-    for low in (0, 1_200, 3_300):
-        query = Query.range_query("facts", "key", low, low + 900)
-        assert np.array_equal(
-            np.sort(recovered.execute(query).positions),
-            np.sort(oracle.execute(query).positions),
-        ), f"{context}: query [{low}, {low + 900}) diverged"
+    with recovered.session() as replayed, oracle.session() as expected:
+        for low in (0, 1_200, 3_300):
+            query = Query.range_query("facts", "key", low, low + 900)
+            assert np.array_equal(
+                np.sort(replayed.execute(query).positions),
+                np.sort(expected.execute(query).positions),
+            ), f"{context}: query [{low}, {low + 900}) diverged"

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro import AdaptiveIndex, Database, available_strategies
+from repro import Database, available_strategies, create_strategy
 from repro.core.cracking.updates import UpdatableCrackedColumn
+from repro.cost.counters import CostCounters
 from repro.engine.query import Query
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark
 from repro.workloads.generators import (
@@ -31,8 +32,9 @@ class TestLibraryEntryPoints:
     def test_adaptive_index_quickstart(self):
         rng = np.random.default_rng(0)
         values = rng.integers(0, 10_000, size=30_000)
-        index = AdaptiveIndex(values, strategy="cracking")
-        positions = index.search(1_000, 2_000)
+        index, counters = create_strategy("cracking", values), CostCounters()
+        positions = index.search(1_000, 2_000, counters)
+        assert counters.tuples_moved > 0  # cracked as a side effect
         assert sorted(values[positions]) == sorted(
             v for v in values if 1_000 <= v < 2_000
         )
@@ -56,11 +58,12 @@ class TestDatabaseLifecycle:
         database.set_indexing("facts", "b", "adaptive-merging")
         database.set_indexing("facts", "c", "full-index")
         # column d stays scan-only
-        for column in "abcd":
-            values = database.table("facts")[column].values
-            expected = set(np.flatnonzero((values >= 2000) & (values < 4000)).tolist())
-            result = database.execute(Query.range_query("facts", column, 2000, 4000))
-            assert set(result.positions.tolist()) == expected
+        with database.session() as session:
+            for column in "abcd":
+                values = database.table("facts")[column].values
+                expected = set(np.flatnonzero((values >= 2000) & (values < 4000)).tolist())
+                result = session.execute(Query.range_query("facts", column, 2000, 4000))
+                assert set(result.positions.tolist()) == expected
         report = database.physical_design_report()
         assert {r["mode"] for r in report} == {"cracking", "adaptive-merging", "full-index"}
 
@@ -68,10 +71,12 @@ class TestDatabaseLifecycle:
         config = TPCHLikeConfig(fact_rows=20_000, seed=3)
         scan_db = build_database(config)
         sideways_db = build_database(config)
-        sideways_db.enable_sideways("lineorder", "orderdate")
+        sideways_db.set_indexing("lineorder", "orderdate", "sideways-cracking")
         queries = shipping_priority_queries(config, query_count=30, seed=4)
-        scan_stats = scan_db.run_workload(queries, strategy_label="scan")
-        sideways_stats = sideways_db.run_workload(queries, strategy_label="sideways")
+        with scan_db.session() as session:
+            scan_stats = session.run_workload(queries, strategy_label="scan")
+        with sideways_db.session() as session:
+            sideways_stats = session.run_workload(queries, strategy_label="sideways")
         # identical answers
         for scan_query, sideways_query in zip(scan_stats, sideways_stats):
             assert scan_query.result_count == sideways_query.result_count

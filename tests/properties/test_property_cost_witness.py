@@ -41,6 +41,8 @@ ALL_STRATEGIES = [
     "cracking",
     "cracking-sort-pieces",
     "stochastic-cracking",
+    "sideways-cracking",
+    "partial-cracking",
     "updatable-cracking",
     "adaptive-merging",
     "hybrid-crack-crack",
@@ -102,13 +104,12 @@ def test_strategy_matrix_conforms(mode, bounds):
 
     Each query list is replayed twice (the second pass hits converged /
     already-merged ranges, where charges come from navigation, not
-    movement) — a violation raises out of ``Database.execute`` directly.
+    movement) — a violation raises out of ``Session.execute`` directly.
     """
-    with fresh_witness() as witness:
-        database = build_database(mode)
+    with fresh_witness() as witness, build_database(mode).session() as session:
         for _ in range(2):
             for low, high in bounds:
-                database.execute(Query.range_query("facts", "key", low, high))
+                session.execute(Query.range_query("facts", "key", low, high))
         assert witness.violations() == []
         assert witness.queries_checked >= 2 * len(bounds)
 
@@ -118,18 +119,18 @@ def test_strategy_matrix_conforms(mode, bounds):
 @settings(max_examples=10, deadline=None)
 def test_updatable_strategies_conform_under_dml(mode, bounds, seed):
     """Pending-update merges (ripples) are paid for like any other query."""
-    with fresh_witness() as witness:
-        database = build_database(mode, seed=seed % 13 + 1)
+    database = build_database(mode, seed=seed % 13 + 1)
+    with fresh_witness() as witness, database.session() as session:
         rng = np.random.default_rng(seed)
         inserted = []
         for low, high in bounds:
             value = int(rng.integers(0, DOMAIN))
             inserted.append(
-                database.insert_row("facts", {"key": value, "payload": 1.0})
+                session.insert_row("facts", {"key": value, "payload": 1.0})
             )
             if inserted and rng.integers(0, 2):
-                database.delete_row("facts", inserted.pop())
-            database.execute(Query.range_query("facts", "key", low, high))
+                session.delete_row("facts", inserted.pop())
+            session.execute(Query.range_query("facts", "key", low, high))
         assert witness.violations() == []
 
 

@@ -72,16 +72,22 @@ def apply_dml(database, rng):
     """Identical insert/delete stream on both databases; returns the model."""
     values = database.table("facts")["key"].values
     model = {int(i): int(v) for i, v in enumerate(values)}
-    for _ in range(25):
-        value = int(rng.integers(0, DOMAIN))
-        rowid = database.insert_row(
-            "facts", {"key": value, "aux": 1, "payload": 0.25}
-        )
-        model[rowid] = value
-    for victim in rng.choice(sorted(model), size=40, replace=False):
-        database.delete_row("facts", int(victim))
-        del model[int(victim)]
+    with database.session() as session:
+        for _ in range(25):
+            value = int(rng.integers(0, DOMAIN))
+            rowid = session.insert_row(
+                "facts", {"key": value, "aux": 1, "payload": 0.25}
+            )
+            model[rowid] = value
+        for victim in rng.choice(sorted(model), size=40, replace=False):
+            session.delete_row("facts", int(victim))
+            del model[int(victim)]
     return model
+
+
+def run_batch(database, queries, **fan_out):
+    with database.session() as session:
+        return session.execute_many(queries, **fan_out)
 
 
 def mixed_batch(rng):
@@ -143,9 +149,9 @@ def test_parallel_batches_bit_identical_across_modes(mode, options):
         batch_rng_b = np.random.default_rng(100 + round_index)
         queries_a = mixed_batch(batch_rng_a)
         queries_b = mixed_batch(batch_rng_b)
-        sequential = sequential_db.execute_many(queries_a, parallel=False)
-        parallel = parallel_db.execute_many(
-            queries_b, parallel=True, max_workers=4
+        sequential = run_batch(sequential_db, queries_a, parallel=False)
+        parallel = run_batch(
+            parallel_db, queries_b, parallel=True, max_workers=4
         )
         assert_bit_identical(
             sequential, parallel, f"mode={mode}, options={options}, "
@@ -177,13 +183,14 @@ def test_interleaved_dml_and_batches_stay_consistent(mode):
         for db in (sequential_db, parallel_db):
             rng = np.random.default_rng(7_000 + round_index)
             value = int(rng.integers(0, DOMAIN))
-            db.insert_row("facts", {"key": value, "aux": 2, "payload": 1.5})
-            db.delete_row("facts", round_index * 3)
+            with db.session() as session:
+                session.insert_row("facts", {"key": value, "aux": 2, "payload": 1.5})
+                session.delete_row("facts", round_index * 3)
         rng_a = np.random.default_rng(500 + round_index)
         rng_b = np.random.default_rng(500 + round_index)
-        sequential = sequential_db.execute_many(mixed_batch(rng_a), parallel=False)
-        parallel = parallel_db.execute_many(
-            mixed_batch(rng_b), parallel=True, max_workers=3
+        sequential = run_batch(sequential_db, mixed_batch(rng_a), parallel=False)
+        parallel = run_batch(
+            parallel_db, mixed_batch(rng_b), parallel=True, max_workers=3
         )
         assert_bit_identical(
             sequential, parallel, f"mode={mode}, round={round_index}"

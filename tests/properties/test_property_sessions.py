@@ -80,22 +80,24 @@ def assert_query_bit_identical(replayed, original, label):
 
 def replay_journal(journal, database, context):
     """Sequentially re-apply a linearized history; every op must match."""
+    session = database.session()
     for record in journal:
         label = f"{context}, sequence {record.sequence} ({record.kind})"
         if record.kind == "query":
-            replayed = database.execute(record.payload)
+            replayed = session.execute(record.payload)
             assert_query_bit_identical(replayed, record.result, label)
         elif record.kind == "insert":
-            assert database.insert_row(record.table, record.payload) == \
+            assert session.insert_row(record.table, record.payload) == \
                 record.result, label
         elif record.kind == "delete":
-            database.delete_row(record.table, record.payload)
+            session.delete_row(record.table, record.payload)
         elif record.kind == "update":
             old_rowid, values = record.payload
-            assert database.update_row(record.table, old_rowid, values) == \
+            assert session.update_row(record.table, old_rowid, values) == \
                 record.result, label
         else:  # pragma: no cover - defensive
             raise AssertionError(f"unknown journal kind {record.kind!r}")
+    session.close()
 
 
 def assert_same_final_state(concurrent, oracle, context):
@@ -309,11 +311,12 @@ def test_dml_during_parallel_batches_hammer(mode):
 
 def test_journal_disabled_by_default():
     database = build_database("cracking", {})
-    database.execute(Query.range_query("facts", "key", 0, 1_000))
-    database.insert_row("facts", {"key": 1, "aux": 1, "payload": 1.0})
-    assert database.operation_journal() == []
-    database.record_journal = True
-    database.execute(Query.range_query("facts", "key", 0, 1_000))
+    with database.session() as session:
+        session.execute(Query.range_query("facts", "key", 0, 1_000))
+        session.insert_row("facts", {"key": 1, "aux": 1, "payload": 1.0})
+        assert database.operation_journal() == []
+        database.record_journal = True
+        session.execute(Query.range_query("facts", "key", 0, 1_000))
     journal = database.operation_journal()
     assert len(journal) == 1 and journal[0].kind == "query"
     database.clear_journal()

@@ -93,7 +93,8 @@ class TestTPCHLike:
         database = build_database(self.CONFIG)
         queries = shipping_priority_queries(self.CONFIG, query_count=5, seed=2)
         assert all(isinstance(q, Query) for q in queries)
-        result = database.execute(queries[0])
+        with database.session() as session:
+            result = session.execute(queries[0])
         # verify against a direct reference evaluation
         lineorder = database.table("lineorder")
         orderdate = lineorder["orderdate"].values
