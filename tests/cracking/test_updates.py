@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
@@ -250,3 +251,128 @@ class TestConvergedLatch:
             column.search(low, low + 1)
         assert column.converged
         self.assert_matches_scan(column, model)
+
+
+class TestDeleteAndValueOfExceptionMatrix:
+    """What ``delete`` and ``value_of`` raise, ignore and accept — pinned.
+
+    The same script runs against a plain column, against the fragment a
+    ``split_at`` produces (explicit base-rowid set, empty base) and against
+    two such fragments ``merged`` back together.  Base values are distinct,
+    so a row is found by its value; every row the script touches has a
+    value below ``PIVOT`` and therefore lands in the left fragment.
+    """
+
+    BASE = np.array([7, 3, 9, 1, 12, 5, 17, 0, 14, 8, 19, 2], dtype=np.int64)
+    PIVOT = 10
+
+    @pytest.fixture(params=["column", "split", "merged"])
+    def column(self, request):
+        column = CrackedColumn(self.BASE, lazy_copy=False)
+        if request.param == "column":
+            return column
+        left, right = column.split_at(self.PIVOT)
+        if request.param == "split":
+            return left
+        return CrackedColumn.merged(left, right, self.PIVOT)
+
+    @staticmethod
+    def merge_everything(column):
+        column.search(None, None)
+        assert column.pending_inserts == column.pending_deletes == 0
+
+    def test_unknown_rowid(self, column):
+        unknown = 10**9
+        assert not column.knows_rowid(unknown)
+        with pytest.raises(KeyError, match="unknown row identifier"):
+            column.delete(unknown)
+        with pytest.raises(KeyError, match=f"row {unknown} not found"):
+            column.value_of(unknown)
+        assert column.pending_deletes == 0
+
+    def test_base_row_is_read_and_deleted_by_its_rowid(self, column):
+        assert column.value_of(1) == 3.0 and column.value_of(7) == 0.0
+        counters = CostCounters()
+        column.delete(1, counters)
+        assert counters.as_dict() == CostCounters(tuples_moved=1).as_dict()
+        assert column._pending_delete_rowids == {1: 3.0}
+
+    def test_double_delete_while_pending_is_a_noop(self, column):
+        column.delete(1)
+        counters = CostCounters()
+        column.delete(1, counters)
+        assert column.pending_deletes == 1
+        assert counters.as_dict() == CostCounters().as_dict()
+        with pytest.raises(KeyError, match="row 1 has been deleted"):
+            column.value_of(1)
+        assert column.knows_rowid(1)
+
+    def test_delete_of_a_base_row_after_its_delete_was_merged(self, column):
+        column.delete(1)
+        self.merge_everything(column)
+        assert 1 not in column.rowids.tolist()
+        # a base rowid stays "known" for good, yet the row is gone
+        assert column.knows_rowid(1)
+        with pytest.raises(KeyError, match="unknown row identifier 1"):
+            column.delete(1)
+        with pytest.raises(KeyError, match="unknown row identifier 1"):
+            column.value_of(1)
+        assert column.pending_deletes == 0
+        # its neighbours are untouched
+        assert column.value_of(0) == 7.0 and column.value_of(5) == 5.0
+        column.check_invariants()
+
+    def test_delete_cancels_a_pending_insert(self, column):
+        rowid = column.insert(4)
+        assert column.value_of(rowid) == 4.0
+        counters = CostCounters()
+        column.delete(rowid, counters)
+        assert column.pending_inserts == column.pending_deletes == 0
+        assert counters.as_dict() == CostCounters().as_dict()
+        assert not column.knows_rowid(rowid)
+        with pytest.raises(KeyError, match=f"row {rowid} not found"):
+            column.value_of(rowid)
+        with pytest.raises(KeyError, match="unknown row identifier"):
+            column.delete(rowid)
+
+    def test_delete_of_a_merged_inserted_row(self, column):
+        rowid = column.insert(4)
+        self.merge_everything(column)
+        assert column.value_of(rowid) == 4.0
+        column.delete(rowid)
+        assert column._pending_delete_rowids == {rowid: 4.0}
+        with pytest.raises(KeyError, match=f"row {rowid} has been deleted"):
+            column.value_of(rowid)
+        self.merge_everything(column)
+        assert not column.knows_rowid(rowid)
+        with pytest.raises(KeyError, match="unknown row identifier"):
+            column.delete(rowid)
+        with pytest.raises(KeyError, match=f"row {rowid} not found"):
+            column.value_of(rowid)
+        column.check_invariants()
+
+    def test_a_fragment_never_knew_a_row_merged_out_of_its_parent(self):
+        parent = CrackedColumn(self.BASE)
+        parent.delete(1)
+        self.merge_everything(parent)
+        left, right = parent.split_at(self.PIVOT)
+        for fragment in (left, right, CrackedColumn.merged(left, right, self.PIVOT)):
+            assert not fragment.knows_rowid(1)
+            with pytest.raises(KeyError, match="unknown row identifier 1"):
+                fragment.delete(1)
+            with pytest.raises(KeyError, match="row 1 not found"):
+                fragment.value_of(1)
+
+    def test_a_pending_delete_follows_its_value_through_split_and_merge(self):
+        parent = CrackedColumn(self.BASE)
+        parent.delete(1)    # value 3: left of the pivot
+        parent.delete(4)    # value 12: right of it
+        left, right = parent.split_at(self.PIVOT)
+        assert left._pending_delete_rowids == {1: 3.0}
+        assert right._pending_delete_rowids == {4: 12.0}
+        left.delete(1)      # still a no-op
+        assert left.pending_deletes == 1
+        whole = CrackedColumn.merged(left, right, self.PIVOT)
+        assert whole._pending_delete_rowids == {1: 3.0, 4: 12.0}
+        with pytest.raises(KeyError, match="row 4 has been deleted"):
+            whole.value_of(4)
