@@ -163,12 +163,18 @@ class CrackedColumn:
         self._pending_delete_rowids: Dict[int, float] = {}
         # values of rows inserted at any point (needed to delete them later)
         self._inserted_values: Dict[int, float] = {}
+        # base rows whose delete has been merged: their value stays in the
+        # base, so this is what tells a removed base row from a live one
+        self._removed_base_rowids: set = set()
 
         self.queries_processed = 0
         self.merges_performed = 0
         # once True, search answers by pure binary search and never mutates
         # the cracker column again (see :attr:`converged`)
         self._converged = False
+        # last known position with ``not values[w] <= values[w + 1]``: a
+        # hint, re-verified on every use (see :attr:`converged`)
+        self._descent = 0
         # guards the shared query counter: converged columns serve
         # concurrent readers, whose increments must not be lost
         self._stats_lock = threading.Lock()
@@ -235,21 +241,53 @@ class CrackedColumn:
         values (see :meth:`_sorted_range`) and does not mutate itself:
         it is read-only under selection, which the batch scheduler
         (:mod:`repro.engine.concurrency`) exploits to fan concurrent
-        queries out over it.  The check is an O(n) vectorised sortedness
-        test, so it is performed on demand (typically once per batch by
-        the scheduler's classification, never on the per-query hot path)
-        and latched: cracks only ever add order, so a sorted cracker
-        column stays sorted until an update is physically merged into it,
-        which clears the latch.  Callers that may race a concurrent crack of
-        this column (batch classification across concurrently issued
-        batches) must evaluate this under the column's access-path lock —
-        the sortedness of a mid-crack array is not meaningful.
+        queries out over it.  The answer is exact — what
+        :meth:`is_fully_sorted` would say — yet cheap enough for the
+        per-query classification: one adjacent pair out of order proves
+        "not sorted", so the column keeps the position of one such pair (the
+        *descent witness*) and re-checks it with a single comparison.  A
+        crack, a ripple or a buffer growth may make the witness stale; that
+        is harmless, because it is only ever a hint — bounds-checked,
+        re-verified, and replaced by :meth:`_has_descent` when it no longer
+        holds.  Finding no descent anywhere is the proof of sortedness and
+        is latched: cracks only ever add order, so a sorted cracker column
+        stays sorted until an update is physically merged into it, which
+        clears the latch.  The call reads the cracker column and writes the
+        witness and the latch, so callers that may race a crack of this
+        column (batch classification across concurrently issued batches)
+        must evaluate it under the column's access-path lock — the
+        sortedness of a mid-crack array is not meaningful.
         """
         if self._pending_insert_values or self._pending_delete_rowids:
             return False
-        if not self._converged and self.is_fully_sorted():
+        if not self._converged and self.materialised and not self._has_descent():
             self._converged = True
         return self._converged
+
+    def _has_descent(self) -> bool:
+        """True when some adjacent pair is out of order; remembers where.
+
+        The search resumes at the old witness and wraps around, in windows
+        that double in size: near a stale witness the next descent is
+        usually a few elements away, and a full pass (a sorted column's
+        first classification) costs no more than one vectorised comparison.
+        """
+        values = self.values
+        pairs = len(values) - 1
+        witness = self._descent if 0 <= self._descent < pairs else 0
+        if pairs > 0 and not values[witness] <= values[witness + 1]:
+            return True
+        for start, stop in ((witness + 1, pairs), (0, witness)):
+            width = 64
+            while start < stop:
+                end = min(start + width, stop)
+                ordered = values[start:end] <= values[start + 1:end + 1]
+                first = int(np.argmin(ordered))  # the first False, if any
+                if not ordered[first]:
+                    self._descent = start + first
+                    return True
+                start, width = end, 2 * width
+        return False
 
     def _count_query(self) -> None:
         """Thread-safely note one processed query (converged columns are
@@ -326,8 +364,13 @@ class CrackedColumn:
         return self._is_original(rowid) or rowid in self._inserted_values
 
     def _merged_value(self, rowid: int) -> float:
-        """Value of a base row: it can move around the cracker column but
-        never changes, so it is looked up by its identifier."""
+        """Value of a live base row: it can move around the cracker column
+        but never changes, so it is read from the base — except in a
+        fragment, whose base is empty and which looks the row up instead."""
+        if self._original_rowids is None:
+            if rowid in self._removed_base_rowids:
+                raise KeyError(f"unknown row identifier {rowid}")
+            return float(self._base[rowid - self.rowid_base])
         positions = np.flatnonzero(self.rowids == rowid)
         if len(positions) == 0:
             raise KeyError(f"unknown row identifier {rowid}")
@@ -338,7 +381,6 @@ class CrackedColumn:
         if rowid in self._pending_delete_rowids:
             raise KeyError(f"row {rowid} has been deleted")
         if self._is_original(rowid):
-            self._materialise(None)
             return self._merged_value(rowid)
         try:
             return self._inserted_values[rowid]
@@ -768,8 +810,12 @@ class CrackedColumn:
                 del pending_deletes[item]
                 # a merged delete of an inserted row removes the row for
                 # good: forget its value so the rowid becomes unknown (and
-                # the bookkeeping doesn't grow with every insert ever made)
-                self._inserted_values.pop(item, None)
+                # the bookkeeping doesn't grow with every insert ever made);
+                # a base row is remembered as gone instead (a fragment
+                # finds out by looking: see :meth:`_merged_value`)
+                if (self._inserted_values.pop(item, None) is None
+                        and self._original_rowids is None):
+                    self._removed_base_rowids.add(item)
                 self.merges_performed += 1
             if budget is not None:
                 budget -= 1
@@ -898,7 +944,8 @@ class CrackedColumn:
         )
 
     def is_fully_sorted(self) -> bool:
-        """True when the cracker column has become completely sorted."""
+        """True when the cracker column is completely sorted: the O(n) oracle
+        for what :attr:`converged` answers without a pass (tests, inspection)."""
         if not self.materialised:
             return False
         return bool(np.all(self.values[:-1] <= self.values[1:])) if len(self.values) > 1 else True

@@ -29,7 +29,6 @@ class QueryResult:
     aggregates: Dict[str, float] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     elapsed_seconds: float = 0.0
-    plan_description: str = ""
     #: name of the thread that executed the query (batch fan-out visibility)
     worker: str = ""
     #: engine-wide linearization stamp assigned by the session front door
@@ -134,5 +133,4 @@ class Executor:
             columns=columns,
             aggregates=aggregates,
             counters=counters,
-            plan_description=plan.explain(),
         )

@@ -70,6 +70,21 @@ class TestLazyCopy:
         assert cracked.materialised
         assert counters.tuples_moved == len(small_values)
 
+    def test_value_of_a_base_row_leaves_the_copy_to_the_first_search(
+            self, small_values):
+        """``value_of`` answers from the base: the first search still makes
+        the cracker-column copy and is charged for it, as if nobody had asked
+        (the copy used to be made here, charged to no one)."""
+        asked, untouched = CrackedColumn(small_values), CrackedColumn(small_values)
+        assert asked.value_of(17) == float(small_values[17])
+        assert not asked.materialised and asked.nbytes == 0
+        charged, expected = CostCounters(), CostCounters()
+        assert np.array_equal(asked.search(10, 20, charged),
+                              untouched.search(10, 20, expected))
+        assert charged.as_dict() == expected.as_dict()
+        assert charged.tuples_scanned >= len(small_values) <= charged.tuples_moved
+        assert charged.bytes_allocated == asked.values.nbytes + asked.rowids.nbytes
+
 
 class TestAdaptiveBehaviour:
     def test_piece_count_grows_with_queries(self, medium_values):

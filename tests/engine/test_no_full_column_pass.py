@@ -1,0 +1,110 @@
+"""No full-column pass per operation on the session's hot paths.
+
+Classifying a query (is the cracked column still reorganising?), deleting a
+base row and re-absorbing a tombstone at ``set_indexing`` each used to make
+one pass over the whole cracker column.  Such a pass cannot hide from
+``tracemalloc``: numpy registers its buffers there, and a comparison over
+``n`` elements allocates an ``n``-byte mask.  So the tests below arm tracing
+around the call under test only and bound the peak by ``n / 8`` bytes — no
+clock involved.  (The kernels' own piece-sized temporaries, and the
+materialising copy, are legitimate and stay outside the traced region or are
+common to both sides of the comparison.)
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.engine.concurrency import classify_plan
+from repro.engine.database import Database
+from repro.engine.query import Query
+
+ROWS = 200_000
+DOMAIN = 2_000_000
+BUDGET = ROWS // 8  # bytes
+TOMBSTONES = 250
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while ``call`` runs (tracing armed only here)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def build_database(mode, seed=21, **options):
+    rng = np.random.default_rng(seed)
+    database = Database(f"no-full-pass-{mode}")
+    database.create_table("t", {
+        "key": rng.integers(0, DOMAIN, size=ROWS).astype(np.int64),
+        "pay": rng.uniform(0, 1, size=ROWS),
+    })
+    if mode != "scan":
+        database.set_indexing("t", "key", mode, **options)
+    return database, rng
+
+
+@pytest.mark.parametrize("mode, options", [
+    ("cracking", {}),
+    ("partitioned-cracking", {"partitions": 4}),
+])
+def test_classifying_a_query_on_an_unconverged_column_allocates_no_mask(
+        mode, options):
+    database, rng = build_database(mode, **options)
+    peak = 0
+    with database.session() as session:
+        for low in rng.integers(0, DOMAIN - 2_000, size=200).tolist():
+            query = Query.range_query("t", "key", float(low), float(low + 2_000))
+            plan = database.plan(query)
+            for _ in range(2):  # before the query's own cracks, and after
+                claims = []
+                peak = max(peak, traced_peak(
+                    lambda: claims.extend(classify_plan(database, plan))))
+                assert [claim.exclusive for claim in claims] == [True]
+                session.execute(query)
+    database.close()
+    assert peak < BUDGET, f"classification allocated {peak} B on {ROWS} rows"
+
+
+def test_deleting_a_base_row_allocates_no_mask():
+    database, rng = build_database("updatable-cracking")
+    peak = 0
+    with database.session() as session:
+        for low in rng.integers(0, DOMAIN - 2_000, size=20).tolist():
+            session.execute(Query.range_query("t", "key", low, low + 2_000))
+        for rowid in rng.choice(ROWS, size=200, replace=False).tolist():
+            peak = max(peak, traced_peak(
+                lambda: session.delete_row("t", rowid)))
+        assert database.access_path("t", "key").cracked.pending_deletes == 200
+    database.close()
+    assert peak < BUDGET, f"a base-row delete allocated {peak} B on {ROWS} rows"
+
+
+def test_reabsorbing_tombstones_costs_no_pass_per_tombstone():
+    """The recovery path: ``set_indexing`` over a table that carries deletes.
+
+    A queued delete legitimately keeps ≈70 B (its queue entry), so the
+    tombstone count is sized to leave the queue well inside the budget; one
+    mask over the column, for any one of them, would not be.
+    """
+    peaks = {}
+    for tombstones in (0, TOMBSTONES):
+        database, rng = build_database("scan")
+        with database.session() as session:
+            for rowid in rng.choice(ROWS, size=tombstones, replace=False).tolist():
+                session.delete_row("t", rowid)
+        peaks[tombstones] = traced_peak(
+            lambda: database.set_indexing("t", "key", "updatable-cracking"))
+        cracked = database.access_path("t", "key").cracked
+        assert cracked.pending_deletes == tombstones
+        database.close()
+    extra = peaks[TOMBSTONES] - peaks[0]
+    assert extra < BUDGET, (
+        f"{TOMBSTONES} tombstones raised the peak of set_indexing by "
+        f"{extra} B on {ROWS} rows"
+    )
+
