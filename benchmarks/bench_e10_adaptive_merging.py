@@ -41,7 +41,7 @@ def run_experiment():
             strategy.search(query.low, query.high, counters)
             costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(counters))
             if name == "adaptive-merging":
-                fractions.append(len(strategy.index.final_values) / len(values))
+                fractions.append(strategy.index.merged_count / len(values))
         series[name] = costs
         if name == "adaptive-merging":
             merged_fraction[name] = fractions

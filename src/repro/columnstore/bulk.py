@@ -301,3 +301,12 @@ def binary_search_count(n: int) -> int:
     if n <= 0:
         return 0
     return int(np.ceil(np.log2(n + 1)))
+
+
+def binary_search_counts(sizes: np.ndarray) -> np.ndarray:
+    """:func:`binary_search_count` of every entry of an integer array.
+
+    ``ceil(log2(n + 1))`` is the bit length of ``n``, which ``frexp`` reads
+    off exactly (0 for an empty structure).
+    """
+    return np.frexp(sizes)[1]

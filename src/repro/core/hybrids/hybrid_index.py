@@ -40,7 +40,7 @@ from repro.core.hybrids.initial_partitions import (
     RadixInitialPartition,
 )
 from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.runs import SortedRun, sorted_run
+from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
 
@@ -71,9 +71,11 @@ class HybridIndex:
         self.final_mode = final_mode
         self.partition_size = partition_size
         self.radix_bits = int(radix_bits)
-        self.partitions: List[Union[InitialPartition, SortedRun]] = []
+        self.partitions: List[Union[InitialPartition, RunSet]] = []
         self.final = FinalPartition(mode=final_mode, radix_bits=radix_bits)
         self.merged_ranges = IntervalSet()
+        #: what an open lower / upper bound stands for (set on the first query)
+        self._domain = (0.0, 0.0)
         self.queries_processed = 0
         self.initialized = False
         # guards the shared query counter: a converged hybrid serves
@@ -113,21 +115,29 @@ class HybridIndex:
         n = len(self._base)
         size = self.partition_size or max(1, int(np.sqrt(n))) if n else 1
         mode = self.initial_mode  # hoisted out of the partition loop (PF002)
-        for start in range(0, n, size):
-            end = min(start + size, n)
-            values = self._base[start:end]
-            rowids = np.arange(start, end, dtype=np.int64)
-            if mode == "crack":
-                partition: Union[InitialPartition, SortedRun] = (
-                    CrackedInitialPartition(values, rowids, counters)
-                )
-            elif mode == "sort":
-                partition = sorted_run(values, rowids, counters)
-            else:
-                partition = RadixInitialPartition(
-                    values, rowids, bits=self.radix_bits, counters=counters
-                )
-            self.partitions.append(partition)
+        if mode == "sort":
+            # every sorted partition in one run set, extracted from at once
+            self.partitions.append(RunSet(self._base, size, counters))
+        else:
+            for start in range(0, n, size):
+                end = min(start + size, n)
+                values = self._base[start:end]
+                rowids = np.arange(start, end, dtype=np.int64)
+                if mode == "crack":
+                    partition: InitialPartition = CrackedInitialPartition(
+                        values, rowids, counters
+                    )
+                else:
+                    partition = RadixInitialPartition(
+                        values, rowids, bits=self.radix_bits, counters=counters
+                    )
+                self.partitions.append(partition)
+        if n:
+            # what an open bound stands for, taken once
+            self._domain = (
+                float(np.min(self._base)),
+                float(np.nextafter(np.max(self._base), np.inf)),
+            )
         self.initialized = True
 
     # -- the select operator ------------------------------------------------------------
@@ -151,14 +161,8 @@ class HybridIndex:
         # converged hybrid (sorted final pieces) is a pure read and can
         # serve concurrent queries without racing on the interval set.
         if not self.fully_merged:
-            effective_low = (
-                float(low) if low is not None else float(np.min(self._base))
-            )
-            effective_high = (
-                float(high)
-                if high is not None
-                else float(np.nextafter(np.max(self._base), np.inf))
-            )
+            effective_low = float(low) if low is not None else self._domain[0]
+            effective_high = float(high) if high is not None else self._domain[1]
 
             if not self.merged_ranges.covers(effective_low, effective_high):
                 for gap_low, gap_high in self.merged_ranges.uncovered(

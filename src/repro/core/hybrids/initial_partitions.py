@@ -6,10 +6,10 @@ is the first design axis:
 
 * ``CrackedInitialPartition`` — no order at creation; the partition is
   cracked on demand, and qualifying tuples are carved out of it.
-* :class:`~repro.core.merging.runs.SortedRun` — the partition is fully
-  sorted at creation (adaptive merging's sorted run, built by
-  :func:`~repro.core.merging.runs.sorted_run`), so extraction is two binary
-  searches.
+* :class:`~repro.core.merging.runs.RunSet` — every partition is fully
+  sorted at creation (adaptive merging's sorted runs: one run set holds
+  them all and extracts from all of them at once), so extraction is two
+  binary searches per partition.
 * ``RadixInitialPartition`` — the partition is range-clustered into
   ``2**bits`` buckets at creation; extraction touches only the overlapping
   buckets, each of which is cracked on demand.

@@ -13,20 +13,19 @@ early queries — the trade-off the hybrid algorithms then explore.
 Modules
 -------
 ``intervals``
-    Bookkeeping of which key ranges have been fully merged.
+    Bookkeeping of which key ranges have been fully merged, and where.
 ``runs``
-    Sorted run creation and range extraction from runs.
+    :class:`RunSet`: sorted run creation and batched range extraction.
 ``adaptive_merge``
     :class:`AdaptiveMergingIndex`: the adaptive select operator.
 """
 
 from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
 from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.runs import SortedRun, create_runs
+from repro.core.merging.runs import RunSet
 
 __all__ = [
     "AdaptiveMergingIndex",
     "IntervalSet",
-    "SortedRun",
-    "create_runs",
+    "RunSet",
 ]

@@ -11,12 +11,30 @@ Behaviour (Graefe & Kuno, EDBT 2010):
   moves) and merges it into the final partition.
 * Once a key range has been merged, queries inside it touch only the final
   partition — the adaptation overhead for that range is gone.
+
+Layout
+------
+The runs are one :class:`~repro.core.merging.runs.RunSet`.  The final
+partition is a pair of arrays of the column's length, allocated untouched at
+the first query and **laid out by rank**: slot ``i`` is reserved for the
+column's ``i``-th smallest value.  A gap the search path hands to
+``_merge_range`` is an *uncovered* stretch of the merged-range set, so it
+holds no merged value — the invariant the immutable runs rest on — and the
+run set returns, with the gap's tuples, the rank of its lower bound: the
+sorted block is written at ``[rank, rank + k)`` and nothing is spliced or
+copied again.  Merged ranges are contiguous in both spaces
+(:class:`~repro.core.merging.intervals.IntervalSet` keeps the position span
+beside each value interval), so a query whose range is covered is two binary
+searches inside one span.  The cost model keeps billing the modelled
+algorithm — a splice into a dense final partition of ``merged_count``
+tuples — not these arrays.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import List, Optional, Union
+from bisect import bisect_left
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +42,7 @@ from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.bulk import binary_search_count
 from repro.columnstore.column import Column
 from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.runs import SortedRun, create_runs
+from repro.core.merging.runs import RunSet, search_key, sort_comparisons
 from repro.cost.counters import CostCounters
 
 
@@ -42,9 +60,13 @@ class AdaptiveMergingIndex:
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.run_size = run_size
-        self.runs: List[SortedRun] = []
-        self.final_values = np.empty(0, dtype=base.dtype)
-        self.final_rowids = np.empty(0, dtype=np.int64)
+        #: the sorted runs; generated by the first query
+        self.runs: Optional[RunSet] = None
+        # the final partition, laid out by rank; sized by the first query
+        self._final_values = np.empty(0, dtype=base.dtype)
+        self._final_rowids = np.empty(0, dtype=np.int64)
+        #: what an open lower / upper bound stands for (set with the runs)
+        self._domain = (0.0, 0.0)
         self.merged_ranges = IntervalSet()
         self.queries_processed = 0
         self.initialized = False
@@ -57,24 +79,38 @@ class AdaptiveMergingIndex:
 
     @property
     def nbytes(self) -> int:
-        """Auxiliary storage: runs plus the final partition."""
-        run_bytes = sum(run.nbytes for run in self.runs)
-        return int(run_bytes + self.final_values.nbytes + self.final_rowids.nbytes)
+        """Auxiliary storage: live run entries plus merged tuples — every
+        tuple is one or the other (the logical figure; see the run set on
+        what an extracted entry keeps)."""
+        return len(self._base) * (self._base.itemsize + 8) if self.initialized else 0
+
+    @property
+    def merged_count(self) -> int:
+        """Tuples moved into the final partition so far: those no run holds."""
+        return len(self._base) - len(self.runs) if self.initialized else 0
 
     @property
     def run_count(self) -> int:
         """Number of non-empty runs remaining."""
-        return sum(1 for run in self.runs if len(run) > 0)
+        return self.runs.run_count if self.initialized else 0
 
     @property
     def fully_merged(self) -> bool:
         """True once every tuple has moved into the final partition."""
-        return self.initialized and all(len(run) == 0 for run in self.runs)
+        return self.initialized and len(self.runs) == 0
 
     # -- initialization --------------------------------------------------------------
 
     def _initialize(self, counters: Optional[CostCounters]) -> None:
-        self.runs = create_runs(self._base, run_size=self.run_size, counters=counters)
+        self.runs = RunSet(self._base, self.run_size, counters)
+        n = len(self._base)
+        # untouched until a block is merged in, so not resident before
+        self._final_values = np.empty(n, dtype=self._base.dtype)
+        self._final_rowids = np.empty(n, dtype=np.int64)
+        if n:
+            # what an open bound stands for, taken once
+            lowest, highest = self.runs.key_range()
+            self._domain = (float(lowest), float(np.nextafter(highest, np.inf)))
         self.initialized = True
 
     # -- merging -----------------------------------------------------------------------
@@ -85,50 +121,31 @@ class AdaptiveMergingIndex:
         low: float,
         high: float,
         counters: Optional[CostCounters],
-    ) -> None:
-        """Extract [low, high) from every run and merge into the final partition.
+    ) -> Tuple[int, int]:
+        """Extract [low, high) from every run and merge it into the final
+        partition; returns the position span the range occupies there.
 
         Callers must pass a range that contains no already-merged values
         (the search path iterates over the *uncovered* gaps of the query
         range), so the extracted block is contiguous in value space with
-        respect to the final partition and can be spliced in at one spot.
+        respect to the final partition and lands at one spot: its rank.
         """
-        extracted_values: List[np.ndarray] = []
-        extracted_rowids: List[np.ndarray] = []
-        for run in self.runs:
-            if len(run) == 0:
-                continue
-            values, rowids = run.extract_range(low, high, counters)
-            if len(values):
-                extracted_values.append(values)
-                extracted_rowids.append(rowids)
-        if not extracted_values:
-            return
-        new_values = np.concatenate(extracted_values)
-        new_rowids = np.concatenate(extracted_rowids)
-        order = np.argsort(new_values, kind="stable")
-        new_values = new_values[order]
-        new_rowids = new_rowids[order]
+        values, rowids, rank = self.runs.extract_ranked(low, high, counters)
+        k = len(values)
+        if k == 0:
+            return rank, rank
+        order = np.argsort(values, kind="stable")
+        self._final_values[rank:rank + k] = values[order]
+        self._final_rowids[rank:rank + k] = rowids[order]
         if counters is not None:
-            k = len(new_values)
-            counters.record_comparisons(int(k * max(1.0, np.log2(max(k, 2)))))
+            counters.record_comparisons(sort_comparisons(k))
             counters.record_move(k)
-
-        if len(self.final_values) == 0:
-            self.final_values = new_values
-            self.final_rowids = new_rowids
-        else:
-            # splice the new sorted block into the sorted final partition
-            insert_at = int(np.searchsorted(self.final_values, new_values[0], side="left"))
-            self.final_values = np.concatenate(
-                [self.final_values[:insert_at], new_values, self.final_values[insert_at:]]
-            )
-            self.final_rowids = np.concatenate(
-                [self.final_rowids[:insert_at], new_rowids, self.final_rowids[insert_at:]]
-            )
-            if counters is not None:
-                counters.record_move(len(new_values))
-                counters.record_comparisons(binary_search_count(len(self.final_values)))
+            merged = self.merged_count
+            if merged > k:
+                # splicing the sorted block into a non-empty final partition
+                counters.record_move(k)
+                counters.record_comparisons(binary_search_count(merged))
+        return rank, rank + k
 
     # -- the select operator --------------------------------------------------------------
 
@@ -148,29 +165,31 @@ class AdaptiveMergingIndex:
         # nothing left to merge: skip the merged-range bookkeeping entirely
         # so the search is a pure read (concurrent queries may then fan out
         # over the index without racing on the interval set).
-        if not self.fully_merged:
-            effective_low = float(low) if low is not None else float(np.min(self._base)) if len(self._base) else 0.0
-            effective_high = (
-                float(high)
-                if high is not None
-                else float(np.nextafter(np.max(self._base), np.inf)) if len(self._base) else 0.0
-            )
-
-            if not self.merged_ranges.covers(effective_low, effective_high):
-                for gap_low, gap_high in self.merged_ranges.uncovered(
-                    effective_low, effective_high
-                ):
+        if self.fully_merged:
+            start, stop = 0, len(self._base)
+        else:
+            effective_low = float(low) if low is not None else self._domain[0]
+            effective_high = float(high) if high is not None else self._domain[1]
+            ranges = self.merged_ranges
+            if not ranges.covers(effective_low, effective_high):
+                placed = [
                     self._merge_range(gap_low, gap_high, counters)
-                self.merged_ranges.add(effective_low, effective_high)
+                    for gap_low, gap_high in ranges.uncovered(effective_low, effective_high)
+                ]
+                ranges.add(effective_low, effective_high, placed[0][0], placed[-1][1])
+            start, stop = ranges.span(effective_low, effective_high)
 
-        n = len(self.final_values)
-        begin = 0 if low is None else int(np.searchsorted(self.final_values, low, side="left"))
-        end = n if high is None else int(np.searchsorted(self.final_values, high, side="left"))
+        # the answer lies inside the one span that covers the range; bisect
+        # compares element by element, where searchsorted would first cast
+        # the whole span to the bound's type
+        final_values = self._final_values
+        begin = start if low is None else bisect_left(final_values, search_key(low), start, stop)
+        end = stop if high is None else bisect_left(final_values, search_key(high), start, stop)
         end = max(end, begin)
         if counters is not None:
-            counters.record_comparisons(2 * binary_search_count(n))
+            counters.record_comparisons(2 * binary_search_count(self.merged_count))
             counters.record_scan(end - begin)
-        return self.final_rowids[begin:end].copy()
+        return self._final_rowids[begin:end].copy()
 
     def search_values(
         self,
@@ -188,16 +207,15 @@ class AdaptiveMergingIndex:
         """Content preservation and sortedness checks (test helper)."""
         if not self.initialized:
             return
-        total = len(self.final_values) + sum(len(run) for run in self.runs)
-        assert total == len(self._base), "tuples lost or duplicated during merging"
-        assert bool(
-            np.all(self.final_values[:-1] <= self.final_values[1:])
-        ) if len(self.final_values) > 1 else True, "final partition not sorted"
-        for run in self.runs:
-            assert run.is_sorted(), "run lost its sortedness"
-        # rowid alignment
-        if len(self.final_values):
-            assert np.array_equal(
-                self._base[self.final_rowids], self.final_values
-            ), "final partition misaligned with base column"
+        self.runs.check_invariants(self._base)
         self.merged_ranges.check_invariants()
+        spans = self.merged_ranges.spans
+        assert sum(stop - start for start, stop in spans) == self.merged_count, (
+            "tuples lost or duplicated during merging"
+        )
+        for start, stop in spans:
+            values = self._final_values[start:stop]
+            assert bool(np.all(values[:-1] <= values[1:])), "final partition not sorted"
+            assert np.array_equal(self._base[self._final_rowids[start:stop]], values), (
+                "final partition misaligned with base column"
+            )

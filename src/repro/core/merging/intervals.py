@@ -4,97 +4,124 @@ Adaptive merging must remember which key ranges have already been merged
 into the final partition so that (a) fully-merged ranges are served without
 touching the runs at all ("overhead ... disappears when a range has been
 fully-optimized") and (b) convergence can be measured structurally.
+
+Layout
+------
+The intervals are kept as parallel lists sorted by value — lower bounds,
+upper bounds — so ``covers``/``uncovered``/``add`` find their place by
+``bisect`` and touch only the intervals a range overlaps.  Every interval
+also carries a **position span** ``(start, stop)``: where, in a final
+partition laid out by rank (slot ``i`` holds the column's ``i``-th smallest
+value), the interval's tuples sit.  A covered interval ``[low, high)`` holds
+*every* value of the column in it, so its span is ``[rank(low), rank(high))``
+and intervals that touch in value space touch in position space: ``add``
+coalesces both at once.  Owners that place nothing by position (the hybrids,
+whose final partition is a list of pieces) leave the spans at their default
+and never read them.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Tuple
 
 
 class IntervalSet:
     """A set of disjoint half-open intervals ``[low, high)`` over floats."""
 
     def __init__(self) -> None:
-        self._intervals: List[Tuple[float, float]] = []
+        self._lows: List[float] = []
+        self._highs: List[float] = []
+        self._spans: List[Tuple[int, int]] = []
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._lows)
 
     def __iter__(self):
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     @property
     def intervals(self) -> List[Tuple[float, float]]:
         """The disjoint intervals, sorted by lower bound (copy)."""
-        return list(self._intervals)
+        return list(zip(self._lows, self._highs))
+
+    @property
+    def spans(self) -> List[Tuple[int, int]]:
+        """The position span of every interval, in interval order (copy)."""
+        return list(self._spans)
 
     def is_empty(self) -> bool:
-        return not self._intervals
+        return not self._lows
 
     def total_length(self) -> float:
         """Sum of interval lengths."""
-        return sum(high - low for low, high in self._intervals)
+        return sum(high - low for low, high in zip(self._lows, self._highs))
 
-    def add(self, low: float, high: float) -> None:
-        """Add ``[low, high)``, merging with overlapping or adjacent intervals."""
+    def add(self, low: float, high: float, start: int = 0, stop: int = 0) -> None:
+        """Add ``[low, high)``, which occupies positions ``[start, stop)``,
+        merging with overlapping or adjacent intervals (and their spans)."""
         if high < low:
             raise ValueError(f"invalid interval: high ({high}) < low ({low})")
         if high == low:
             return
-        merged: List[Tuple[float, float]] = []
-        placed = False
-        for existing_low, existing_high in self._intervals:
-            if existing_high < low or existing_low > high:
-                merged.append((existing_low, existing_high))
-            else:
-                low = min(low, existing_low)
-                high = max(high, existing_high)
-        for index, (existing_low, _) in enumerate(merged):
-            if existing_low > low:
-                merged.insert(index, (low, high))
-                placed = True
-                break
-        if not placed:
-            merged.append((low, high))
-        self._intervals = merged
+        # the stored intervals that overlap or touch [low, high)
+        first = bisect_left(self._highs, low)
+        last = bisect_right(self._lows, high)
+        if first < last:
+            low = min(low, self._lows[first])
+            high = max(high, self._highs[last - 1])
+            start = min(start, self._spans[first][0])
+            stop = max(stop, self._spans[last - 1][1])
+        self._lows[first:last] = [low]
+        self._highs[first:last] = [high]
+        self._spans[first:last] = [(start, stop)]
+
+    def _covering(self, low: float, high: float) -> Optional[int]:
+        """Index of the stored interval ``[low, high)`` lies inside, if any."""
+        index = bisect_right(self._lows, low) - 1
+        if index >= 0 and high <= self._highs[index]:
+            return index
+        return None
 
     def covers(self, low: float, high: float) -> bool:
         """True when ``[low, high)`` is entirely inside one stored interval."""
+        return high <= low or self._covering(low, high) is not None
+
+    def span(self, low: float, high: float) -> Tuple[int, int]:
+        """Position span of the stored interval that covers ``[low, high)``
+        (:meth:`covers` must hold); an empty range occupies no position."""
         if high <= low:
-            return True
-        for existing_low, existing_high in self._intervals:
-            if existing_low <= low and high <= existing_high:
-                return True
-        return False
+            return 0, 0
+        return self._spans[self._covering(low, high)]
 
     def contains_point(self, value: float) -> bool:
         """True when ``value`` lies inside some stored interval."""
-        return any(low <= value < high for low, high in self._intervals)
+        index = bisect_right(self._lows, value) - 1
+        return index >= 0 and value < self._highs[index]
 
     def uncovered(self, low: float, high: float) -> List[Tuple[float, float]]:
         """Sub-intervals of ``[low, high)`` not covered by the set."""
         if high <= low:
             return []
-        gaps: List[Tuple[float, float]] = []
-        cursor = low
-        for existing_low, existing_high in self._intervals:
-            if existing_high <= cursor:
-                continue
-            if existing_low >= high:
-                break
-            if existing_low > cursor:
-                gaps.append((cursor, min(existing_low, high)))
-            cursor = max(cursor, existing_high)
-            if cursor >= high:
-                break
-        if cursor < high:
-            gaps.append((cursor, high))
-        return gaps
+        # the stored intervals that overlap [low, high): a gap opens where
+        # one ends (or at ``low``) and closes where the next begins (or at
+        # ``high``); the two outer candidates are empty when ``low``/``high``
+        # fall inside an interval
+        first = bisect_right(self._highs, low)
+        last = bisect_left(self._lows, high)
+        opens = [low] + self._highs[first:last]
+        closes = self._lows[first:last] + [high]
+        return [(a, b) for a, b in zip(opens, closes) if a < b]
 
     def check_invariants(self) -> None:
-        """Disjointness and ordering checks (test helper)."""
-        for (low1, high1), (low2, high2) in zip(self._intervals, self._intervals[1:]):
-            assert low1 < high1, "degenerate interval stored"
-            assert low2 < high2, "degenerate interval stored"
-            assert high1 < low2 or (high1 <= low2), "intervals overlap or are unsorted"
-            assert low1 <= low2, "intervals are unsorted"
+        """Disjointness and ordering checks, in both spaces (test helper)."""
+        for low, high, (start, stop) in zip(self._lows, self._highs, self._spans):
+            assert low < high, "degenerate interval stored"
+            assert start <= stop, "interval occupies a negative span"
+        for index in range(len(self._lows) - 1):
+            assert self._highs[index] < self._lows[index + 1], (
+                "intervals overlap, touch or are unsorted"
+            )
+            assert self._spans[index][1] <= self._spans[index + 1][0], (
+                "position spans are not ordered like their intervals"
+            )

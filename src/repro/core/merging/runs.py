@@ -1,4 +1,4 @@
-"""Sorted run creation and range extraction.
+"""The run set: every sorted run of a column in two flat arrays.
 
 The first query of adaptive merging performs *run generation*: the column is
 cut into equal-size chunks, each chunk is sorted (with its row identifiers),
@@ -6,145 +6,232 @@ and the chunks become the initial partitions of a partitioned B-tree.  Run
 generation is a single sequential pass plus per-run sorts — far cheaper than
 a full sort in a disk-based setting (one pass instead of log-many) and the
 only moment adaptive merging touches rows the workload never asks for.
+
+Layout
+------
+:class:`RunSet` keeps one ``values`` and one ``rowids`` array of the column's
+length ``n``; run ``r`` is the slice ``[r·S, min((r+1)·S, n))`` (``S`` the run
+size), stably sorted.  The arrays are written once, by run generation, and
+never again.
+
+Why the runs can stay immutable
+-------------------------------
+Adaptive merging and the hybrids extract each key range **at most once**:
+the ranges they ask for are the *uncovered* gaps of an interval set, so a
+gap never contains an already-extracted value.  On the original run slice
+the two bisection positions of a gap therefore bracket exactly the entries
+that are still live — the textbook step of cutting them out and rebuilding
+the run would change nothing a later search can see.  What the cost model
+is defined on is the number of entries each run still *holds* (a binary
+search over a run of ``m`` live entries costs ``binary_search_count(m)``),
+so that is all that is kept per run: one ``int64`` live count.  The price
+is memory: an extracted entry keeps its 8 + itemsize bytes in the flat
+arrays, which ``nbytes`` — the logical figure, live entries only — does not
+show.
+
+One kernel per gap
+------------------
+Both bounds are located in all runs at once by a branch-free bisection over
+index vectors (``bit_length(S)`` rounds of a handful of array operations —
+no per-run Python), the qualifying entries are gathered in run order by one
+index, and the sum of the lower positions is the *global rank* of the gap's
+lower bound: the number of values in the column below it, which is where
+the sorted block belongs in a final partition laid out by rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import charges
-from repro.columnstore.bulk import binary_search_count
+from repro.columnstore.bulk import binary_search_counts
 from repro.columnstore.column import Column
 from repro.cost.counters import CostCounters
 
 
-@dataclass
-class SortedRun:
-    """One sorted run: values in non-decreasing order with aligned row ids."""
+def sort_comparisons(size: int) -> int:
+    """Comparisons charged for sorting ``size`` elements."""
+    return int(size * max(1.0, np.log2(max(size, 2))))
 
-    values: np.ndarray
-    rowids: np.ndarray
 
-    def __post_init__(self) -> None:
-        if len(self.values) != len(self.rowids):
-            raise ValueError("run values and rowids must be aligned")
+def search_key(bound: float) -> np.generic:
+    """``bound`` as the numpy scalar ``np.searchsorted`` would search for.
+
+    Comparing stored elements with this — and not with a Python number,
+    which numpy casts to the *element's* type — promotes the elements
+    exactly as ``searchsorted`` would promote the whole array, without the
+    copy of the array.
+    """
+    return np.asarray(bound)[()]
+
+
+class RunSet:
+    """All sorted runs of one column (see the module docstring).
+
+    It is also the hybrids' *sorted* initial partition: ``extract_range``,
+    ``len`` (live tuples) and ``nbytes`` are the initial-partition interface,
+    and a set whose run size reaches the column length is one sorted
+    partition.  Callers must never extract a key range that overlaps an
+    earlier one.
+    """
+
+    def __init__(
+        self,
+        column: Union[Column, np.ndarray],
+        run_size: Optional[int] = None,
+        counters: Optional[CostCounters] = None,
+    ) -> None:
+        """Cut ``column`` into sorted runs of ``run_size`` elements.
+
+        The default run size is ``sqrt(n)`` (giving about ``sqrt(n)`` runs),
+        which mirrors the memory-limited run generation of the original work
+        and keeps both the number of runs and the per-run sort cost balanced.
+        """
+        base = column.values if isinstance(column, Column) else np.asarray(column)
+        n = len(base)
+        if run_size is None:
+            run_size = max(1, int(np.sqrt(n)))
+        if run_size < 1:
+            raise ValueError("run_size must be >= 1")
+        self.run_size = int(run_size)
+        self.starts = np.arange(0, n, self.run_size, dtype=np.int64)
+        self.ends = np.minimum(self.starts + self.run_size, n)
+        #: entries each run still holds
+        self.live = self.ends - self.starts
+        self._live_total = n
+        # the full runs sort as the rows of one matrix, the ragged tail alone
+        full = n - n % self.run_size
+        self.rowids = np.empty(n, dtype=np.int64)
+        body = self.rowids[:full].reshape(-1, self.run_size)
+        body[...] = np.argsort(
+            base[:full].reshape(-1, self.run_size), axis=1, kind="stable"
+        )
+        body += self.starts[: len(body), None]
+        self.rowids[full:] = np.argsort(base[full:], kind="stable")
+        self.rowids[full:] += full
+        self.values = base[self.rowids]
+        if counters is not None:
+            # what sorting run by run charges, summed over the runs
+            counters.record_scan(n)
+            counters.record_move(n)
+            counters.record_comparisons(
+                len(body) * sort_comparisons(self.run_size)
+                + (sort_comparisons(n - full) if n > full else 0)
+            )
+            counters.record_allocation(n * (base.itemsize + 8))
+            counters.record_pieces(len(self.starts))
 
     def __len__(self) -> int:
-        return len(self.values)
+        """Tuples not yet extracted."""
+        return self._live_total
 
     @property
     def nbytes(self) -> int:
-        return int(self.values.nbytes + self.rowids.nbytes)
+        """Bytes of the live entries (extracted ones are not counted)."""
+        return self._live_total * (self.values.itemsize + 8)
+
+    @property
+    def run_count(self) -> int:
+        """Number of runs that still hold an entry."""
+        return int(np.count_nonzero(self.live))
 
     def key_range(self) -> Tuple[float, float]:
-        """(min, max) key in the run; raises on an empty run."""
+        """(min, max) key of the column — the smallest run head and the
+        largest run tail; raises on an empty set."""
         if len(self.values) == 0:
-            raise ValueError("empty run has no key range")
-        return float(self.values[0]), float(self.values[-1])
+            raise ValueError("an empty run set has no key range")
+        return self.values[self.starts].min(), self.values[self.ends - 1].max()
+
+    def _lower_bounds(self, bound: float) -> np.ndarray:
+        """Per run, the position of its first entry ``>= bound``.
+
+        ``np.searchsorted(run, bound, side="left")`` for every run at once:
+        ``found`` advances by halving steps while the entry it would skip
+        to is inside the run and below ``bound``.
+        """
+        key = search_key(bound)
+        values, ends = self.values, self.ends
+        found = self.starts.copy()
+        scratch = np.empty_like(found)
+        probe = np.empty(len(found), dtype=values.dtype)
+        inside = np.empty(len(found), dtype=bool)
+        below = np.empty(len(found), dtype=bool)
+        # the largest power of two a run can hold (0 for an empty column)
+        step = (1 << min(self.run_size, len(values)).bit_length()) >> 1
+        while step:
+            np.add(found, step - 1, out=scratch)  # the last entry a step skips
+            np.less(scratch, ends, out=inside)
+            values.take(scratch, out=probe, mode="clip")
+            np.less(probe, key, out=below)
+            below &= inside
+            np.multiply(below, step, out=scratch)
+            found += scratch
+            step >>= 1
+        return found
 
     @charges("scans", "comparisons", "movements", "random_accesses")
+    def extract_ranked(
+        self,
+        low: Optional[float],
+        high: Optional[float],
+        counters: Optional[CostCounters] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Take out ``(values, rowids)`` with ``low <= value < high``,
+        concatenated in run order, and return them with the global rank of
+        ``low``: the number of values in the column below it (0 when open).
+
+        The qualifying entries are located with binary searches (the runs
+        are sorted) and charged as moved out of their runs, exactly like
+        adaptive merging moves tuples out of initial partitions into the
+        final one.
+        """
+        if counters is not None:
+            # two binary searches in every run that still holds an entry
+            counters.record_comparisons(2 * int(binary_search_counts(self.live).sum()))
+            counters.record_random_access(2 * self.run_count)
+        begin = self.starts if low is None else self._lower_bounds(low)
+        rank = int((begin - self.starts).sum())
+        if high is None:
+            counts = self.ends - begin
+        else:
+            counts = self._lower_bounds(high)
+            counts -= begin
+            np.maximum(counts, 0, out=counts)
+        total = int(counts.sum())
+        if counters is not None:
+            counters.record_scan(total)
+            counters.record_move(total)
+        self.live -= counts
+        self._live_total -= total
+        # slot i of the block reads run r's entry begin[r] + (i - block_start[r])
+        shift = np.cumsum(counts)
+        shift -= counts
+        np.subtract(begin, shift, out=shift)
+        index = np.repeat(shift, counts)
+        index += np.arange(total)
+        return self.values[index], self.rowids[index], rank
+
     def extract_range(
         self,
         low: Optional[float],
         high: Optional[float],
         counters: Optional[CostCounters] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Remove and return ``(values, rowids)`` with ``low <= value < high``.
+        """:meth:`extract_ranked` without the rank: the initial-partition
+        interface of the hybrids."""
+        return self.extract_ranked(low, high, counters)[:2]
 
-        The qualifying entries are located with binary searches (the run is
-        sorted) and physically removed from the run, exactly like adaptive
-        merging moves tuples out of initial partitions into the final one.
-        """
-        n = len(self.values)
-        if n == 0:
-            return (
-                np.empty(0, dtype=self.values.dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        begin = 0 if low is None else int(np.searchsorted(self.values, low, side="left"))
-        end = n if high is None else int(np.searchsorted(self.values, high, side="left"))
-        end = max(end, begin)
-        if counters is not None:
-            counters.record_comparisons(2 * binary_search_count(n))
-            counters.record_random_access(2)
-        if begin == end:
-            return (
-                np.empty(0, dtype=self.values.dtype),
-                np.empty(0, dtype=np.int64),
-            )
-        extracted_values = self.values[begin:end].copy()
-        extracted_rowids = self.rowids[begin:end].copy()
-        self.values = np.concatenate([self.values[:begin], self.values[end:]])
-        self.rowids = np.concatenate([self.rowids[:begin], self.rowids[end:]])
-        if counters is not None:
-            counters.record_scan(end - begin)
-            counters.record_move(end - begin)
-        return extracted_values, extracted_rowids
-
-    def peek_range_count(
-        self, low: Optional[float], high: Optional[float]
-    ) -> int:
-        """Number of entries in range without extracting them."""
-        n = len(self.values)
-        if n == 0:
-            return 0
-        begin = 0 if low is None else int(np.searchsorted(self.values, low, side="left"))
-        end = n if high is None else int(np.searchsorted(self.values, high, side="left"))
-        return max(0, end - begin)
-
-    def is_sorted(self) -> bool:
-        """True when the run respects its sortedness invariant (tests)."""
-        if len(self.values) <= 1:
-            return True
-        return bool(np.all(self.values[:-1] <= self.values[1:]))
-
-
-def sorted_run(
-    values: np.ndarray,
-    rowids: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> SortedRun:
-    """Sort one chunk (with its row identifiers) into a run, charging the
-    pass over it, the sort and the run's storage."""
-    order = np.argsort(values, kind="stable")
-    run = SortedRun(values=np.asarray(values)[order], rowids=np.asarray(rowids)[order])
-    if counters is not None:
-        size = len(run)
-        counters.record_scan(size)
-        counters.record_move(size)
-        counters.record_comparisons(int(size * max(1.0, np.log2(max(size, 2)))))
-        counters.record_allocation(run.nbytes)
-        counters.record_pieces(1)
-    return run
-
-
-def create_runs(
-    column: Union[Column, np.ndarray],
-    run_size: Optional[int] = None,
-    counters: Optional[CostCounters] = None,
-) -> List[SortedRun]:
-    """Cut ``column`` into sorted runs of ``run_size`` elements.
-
-    The default run size is ``sqrt(n)`` (giving about ``sqrt(n)`` runs),
-    which mirrors the memory-limited run generation of the original work and
-    keeps both the number of runs and the per-run sort cost balanced.
-    """
-    values = column.values if isinstance(column, Column) else np.asarray(column)
-    n = len(values)
-    if n == 0:
-        return []
-    if run_size is None:
-        run_size = max(1, int(np.sqrt(n)))
-    if run_size < 1:
-        raise ValueError("run_size must be >= 1")
-    runs: List[SortedRun] = []
-    for start in range(0, n, run_size):
-        end = min(start + run_size, n)
-        rowids = np.arange(start, end, dtype=np.int64)
-        # one call per run (about sqrt(n) of them, first query only); the
-        # sort inside is the bulk kernel
-        runs.append(sorted_run(values[start:end], rowids, counters))  # reproperf: ignore[PF005]
-    return runs
+    def check_invariants(self, base: np.ndarray) -> None:
+        """Runs sorted, aligned with ``base`` and counted right (test helper)."""
+        assert np.array_equal(base[self.rowids], self.values), "runs misaligned with base"
+        owner = self.rowids // self.run_size
+        assert np.array_equal(owner, np.arange(len(base)) // self.run_size), (
+            "a row identifier left its run"
+        )
+        ordered = self.values[:-1] <= self.values[1:]
+        ordered[self.ends[:-1] - 1] = True  # run boundaries
+        assert bool(ordered.all()), "run lost its sortedness"
+        assert bool(((0 <= self.live) & (self.live <= self.ends - self.starts)).all())
+        assert int(self.live.sum()) == self._live_total

@@ -427,7 +427,7 @@ class AdaptiveMergingStrategy(SearchStrategy):
     def structure_description(self) -> str:
         return (
             f"adaptive merging: {self.index.run_count} runs left, "
-            f"{len(self.index.final_values)} tuples merged"
+            f"{self.index.merged_count} tuples merged"
         )
 
 

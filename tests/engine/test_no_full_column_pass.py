@@ -9,8 +9,14 @@ around the call under test only and bound the peak by ``n / 8`` bytes — no
 clock involved.  (The kernels' own piece-sized temporaries, and the
 materialising copy, are legitimate and stay outside the traced region or are
 common to both sides of the comparison.)
+
+Adaptive merging is held to the same two standards per query: no copy of the
+final partition or of a run (``tracemalloc``), and no Python-level work per
+run (``sys.setprofile`` counts calls, so the run count can be varied with the
+column held fixed).
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -34,6 +40,22 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def call_events(call) -> int:
+    """Function calls, Python-level and C-level, made while ``call`` runs."""
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return events
 
 
 def build_database(mode, seed=21, **options):
@@ -108,3 +130,41 @@ def test_reabsorbing_tombstones_costs_no_pass_per_tombstone():
         f"{extra} B on {ROWS} rows"
     )
 
+
+
+def test_merging_queries_copy_neither_the_runs_nor_the_final_partition():
+    """With 45 % of the column merged, 0.1 % ranges — inside the merged
+    stretch, outside it and across its edge, float bounds on integer keys —
+    stay within the budget: no rebuilt final partition (16 B per merged
+    row), no rebuilt run, no cast of either to the bound's type.  What a
+    query does allocate is its own block and a handful of index vectors of
+    8 B per run; 200 runs keep those a fraction of the budget, which at the
+    default √n runs they would mostly use up on a column this small."""
+    database, rng = build_database("adaptive-merging", run_size=1_000)
+    width = DOMAIN // 1_000
+    peak = 0
+    with database.session() as session:
+        merged = session.execute(
+            Query.range_query("t", "key", 0.0, 0.45 * DOMAIN)).row_count
+        assert merged >= 0.4 * ROWS
+        for low in rng.integers(0, DOMAIN - width, size=100).tolist():
+            query = Query.range_query("t", "key", float(low), float(low + width))
+            peak = max(peak, traced_peak(lambda: session.execute(query)))
+    database.close()
+    assert peak < BUDGET, f"a merging query allocated {peak} B on {ROWS} rows"
+
+
+def test_a_merging_query_makes_no_call_per_run():
+    """Sixteen times the runs over the same column: the calls one merging
+    query makes must not follow (the bisection rounds even fall, with the
+    run size)."""
+    events = {}
+    for runs in (100, 1_600):
+        database, _ = build_database("adaptive-merging", run_size=ROWS // runs)
+        with database.session() as session:
+            session.execute(Query.range_query("t", "key", 0.0, 2_000.0))
+            assert database.access_path("t", "key").index.run_count == runs
+            query = Query.range_query("t", "key", 500_000.0, 502_000.0)
+            events[runs] = call_events(lambda: session.execute(query))
+        database.close()
+    assert events[1_600] < 2 * events[100], events

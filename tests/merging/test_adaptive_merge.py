@@ -50,17 +50,17 @@ class TestAdaptiveBehaviour:
     def test_merged_range_never_touches_runs_again(self, medium_values):
         index = AdaptiveMergingIndex(medium_values, run_size=2000)
         index.search(10_000, 20_000)
-        runs_before = [len(run) for run in index.runs]
+        runs_before = index.runs.live.tolist()
         counters = CostCounters()
         index.search(12_000, 18_000, counters)  # fully inside the merged range
-        runs_after = [len(run) for run in index.runs]
+        runs_after = index.runs.live.tolist()
         assert runs_before == runs_after
         assert counters.tuples_moved == 0
 
     def test_only_queried_ranges_merged(self, medium_values):
         index = AdaptiveMergingIndex(medium_values, run_size=2000)
         index.search(10_000, 15_000)
-        merged = len(index.final_values)
+        merged = index.merged_count
         total = len(medium_values)
         assert 0 < merged < total / 2
         assert not index.fully_merged
@@ -69,8 +69,8 @@ class TestAdaptiveBehaviour:
         index = AdaptiveMergingIndex(medium_values, run_size=2000)
         index.search(None, None)
         assert index.fully_merged
-        assert len(index.final_values) == len(medium_values)
-        assert np.all(np.diff(index.final_values) >= 0)
+        assert index.merged_count == len(medium_values)
+        assert np.all(np.diff(index.search_values(None, None)) >= 0)
         index.check_invariants()
 
     def test_converges_faster_than_cracking(self, medium_values):

@@ -86,3 +86,41 @@ class TestQueries:
         intervals = IntervalSet()
         assert intervals.uncovered(3, 9) == [(3, 9)]
         assert intervals.uncovered(9, 3) == []
+
+
+class TestPositionSpans:
+    def test_span_of_the_covering_interval(self):
+        intervals = IntervalSet()
+        intervals.add(10, 20, 100, 150)
+        intervals.add(40, 50, 300, 320)
+        assert intervals.span(12, 18) == (100, 150)
+        assert intervals.span(40, 50) == (300, 320)
+        assert intervals.span(7, 7) == (0, 0)  # an empty range occupies nothing
+        assert intervals.spans == [(100, 150), (300, 320)]
+
+    def test_adjacent_intervals_coalesce_in_both_spaces(self):
+        intervals = IntervalSet()
+        intervals.add(10, 20, 100, 150)
+        intervals.add(20, 30, 150, 190)
+        assert intervals.intervals == [(10, 30)]
+        assert intervals.spans == [(100, 190)]
+
+    def test_bridging_interval_takes_the_outer_positions(self):
+        """A query over two merged ranges places only its gaps; the interval
+        it leaves spans from the first range's start to the last one's stop."""
+        intervals = IntervalSet()
+        intervals.add(0, 10, 0, 40)
+        intervals.add(20, 30, 90, 120)
+        intervals.add(40, 50, 200, 230)
+        # gaps [10, 20) and [30, 40) were placed at 40..90 and 120..200
+        intervals.add(5, 45, 40, 200)
+        assert intervals.intervals == [(0, 50)]
+        assert intervals.spans == [(0, 230)]
+        intervals.check_invariants()
+
+    def test_spans_default_to_nothing(self):
+        intervals = IntervalSet()
+        intervals.add(10, 20)
+        intervals.add(15, 30)
+        assert intervals.spans == [(0, 0)]
+        intervals.check_invariants()

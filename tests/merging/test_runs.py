@@ -1,36 +1,54 @@
-"""Unit tests for sorted run generation and extraction."""
+"""Unit tests for the run set: sorted run generation and batched extraction."""
 
 import numpy as np
 import pytest
 
-from repro.core.merging.runs import SortedRun, create_runs
+from repro.columnstore.bulk import binary_search_count
+from repro.core.merging.runs import RunSet, sort_comparisons
 from repro.cost.counters import CostCounters
 
 
-class TestCreateRuns:
+def one_run(values):
+    """A run set of a single run — the old stand-alone sorted partition."""
+    values = np.asarray(values)
+    return RunSet(values, run_size=max(1, len(values)))
+
+
+class TestRunGeneration:
     def test_runs_cover_column_and_are_sorted(self, medium_values):
-        runs = create_runs(medium_values, run_size=1000)
-        assert sum(len(run) for run in runs) == len(medium_values)
-        assert all(run.is_sorted() for run in runs)
-        # rowids map back to original values
-        for run in runs:
-            assert np.array_equal(medium_values[run.rowids], run.values)
+        runs = RunSet(medium_values, run_size=1000)
+        assert len(runs) == len(medium_values)
+        assert runs.run_count == 20
+        # sortedness per run, and rowids map back to original values
+        runs.check_invariants(medium_values)
+
+    def test_ragged_last_run(self, rng):
+        values = rng.integers(0, 1000, size=1050)
+        runs = RunSet(values, run_size=100)
+        assert runs.run_count == 11
+        assert runs.live.tolist() == [100] * 10 + [50]
+        runs.check_invariants(values)
 
     def test_default_run_size_sqrt(self, medium_values):
-        runs = create_runs(medium_values)
+        runs = RunSet(medium_values)
         expected_runs = int(np.ceil(len(medium_values) / np.sqrt(len(medium_values))))
-        assert abs(len(runs) - expected_runs) <= 1
+        assert abs(runs.run_count - expected_runs) <= 1
 
     def test_empty_column(self):
-        assert create_runs(np.empty(0, dtype=np.int64)) == []
+        runs = RunSet(np.empty(0, dtype=np.int64))
+        assert len(runs) == 0 and runs.run_count == 0 and runs.nbytes == 0
+        values, rowids = runs.extract_range(0, 10)
+        assert len(values) == 0 and len(rowids) == 0
+        with pytest.raises(ValueError):
+            runs.key_range()
 
     def test_invalid_run_size(self, small_values):
         with pytest.raises(ValueError):
-            create_runs(small_values, run_size=0)
+            RunSet(small_values, run_size=0)
 
     def test_run_generation_cost_single_pass(self, medium_values):
         counters = CostCounters()
-        create_runs(medium_values, run_size=1000, counters=counters)
+        RunSet(medium_values, run_size=1000, counters=counters)
         n = len(medium_values)
         assert counters.tuples_scanned == n
         assert counters.tuples_moved == n
@@ -38,40 +56,75 @@ class TestCreateRuns:
         assert counters.comparisons < n * np.log2(n)
         assert counters.comparisons >= n * np.log2(1000) * 0.9
 
+    def test_run_generation_charges_are_the_sum_over_runs(self, rng):
+        values = rng.integers(0, 1000, size=1050)
+        counters = CostCounters()
+        RunSet(values, run_size=100, counters=counters)
+        assert counters.as_dict() == CostCounters(
+            tuples_scanned=1050, tuples_moved=1050,
+            comparisons=10 * sort_comparisons(100) + sort_comparisons(50),
+            bytes_allocated=1050 * 16, pieces_created=11,
+        ).as_dict()
 
-class TestSortedRun:
-    def test_misaligned_rejected(self):
-        with pytest.raises(ValueError):
-            SortedRun(values=np.array([1, 2]), rowids=np.array([0]))
 
-    def test_key_range(self):
-        run = SortedRun(values=np.array([1, 5, 9]), rowids=np.array([0, 1, 2]))
-        assert run.key_range() == (1, 9)
-        with pytest.raises(ValueError):
-            SortedRun(np.empty(0), np.empty(0, dtype=np.int64)).key_range()
+class TestExtraction:
+    def test_key_range(self, medium_values):
+        assert one_run([5, 1, 9]).key_range() == (1, 9)
+        assert RunSet(medium_values, run_size=300).key_range() == (
+            medium_values.min(), medium_values.max())
 
     def test_extract_range_removes_and_returns(self):
-        run = SortedRun(values=np.array([1, 3, 5, 7, 9]), rowids=np.arange(5))
-        values, rowids = run.extract_range(3, 8)
+        runs = one_run([1, 3, 5, 7, 9])
+        values, rowids = runs.extract_range(3, 8)
         assert np.array_equal(values, [3, 5, 7])
         assert np.array_equal(rowids, [1, 2, 3])
-        assert np.array_equal(run.values, [1, 9])
-        assert run.is_sorted()
+        assert len(runs) == 2 and runs.nbytes == 2 * 16
 
     def test_extract_range_empty_intersection(self):
-        run = SortedRun(values=np.array([1, 2, 3]), rowids=np.arange(3))
-        values, rowids = run.extract_range(10, 20)
+        runs = one_run([1, 2, 3])
+        values, rowids = runs.extract_range(10, 20)
         assert len(values) == 0
-        assert len(run) == 3
+        assert len(runs) == 3
+        values, _ = runs.extract_range(3, 2)  # inverted
+        assert len(values) == 0 and len(runs) == 3
 
     def test_extract_unbounded(self):
-        run = SortedRun(values=np.array([1, 2, 3]), rowids=np.arange(3))
-        values, _ = run.extract_range(None, None)
+        runs = one_run([1, 2, 3])
+        values, _ = runs.extract_range(None, None)
         assert np.array_equal(values, [1, 2, 3])
-        assert len(run) == 0
+        assert len(runs) == 0 and runs.run_count == 0
 
-    def test_peek_range_count(self):
-        run = SortedRun(values=np.array([1, 3, 5, 7]), rowids=np.arange(4))
-        assert run.peek_range_count(2, 6) == 2
-        assert run.peek_range_count(None, None) == 4
-        assert len(run) == 4  # peek does not remove
+    def test_blocks_come_in_run_order_with_base_rowids(self):
+        base = np.array([4, 2, 6, 5, 3, 1, 2, 9])
+        runs = RunSet(base, run_size=3)  # runs: [2 4 6] [1 3 5] [2 9]
+        values, rowids = runs.extract_range(2, 6)
+        assert values.tolist() == [2, 4, 3, 5, 2]
+        assert rowids.tolist() == [1, 0, 4, 3, 6]
+        assert runs.live.tolist() == [1, 1, 1]
+
+    def test_float_bound_between_integer_keys(self):
+        runs = RunSet(np.array([3, 1, 2, 2, 3, 1]), run_size=3)
+        values, _ = runs.extract_range(1.5, 2.5)
+        assert values.tolist() == [2, 2]
+
+    def test_rank_of_the_lower_bound(self, medium_values):
+        runs = RunSet(medium_values, run_size=700)
+        for low, high in [(40_000, 41_000), (0, 5), (99_000.5, None), (None, 40_000)]:
+            _, _, rank = runs.extract_ranked(low, high)
+            assert rank == (0 if low is None else int((medium_values < low).sum()))
+
+    def test_searches_are_charged_on_what_each_run_still_holds(self):
+        base = np.arange(24)
+        runs = RunSet(base, run_size=8)
+        counters = CostCounters()
+        runs.extract_range(0, 12, counters)  # empties run 0, halves run 1
+        assert counters.comparisons == 3 * 2 * binary_search_count(8)
+        assert counters.random_accesses == 6
+        assert counters.tuples_scanned == counters.tuples_moved == 12
+        assert runs.live.tolist() == [0, 4, 8] and runs.run_count == 2
+        counters = CostCounters()
+        runs.extract_range(30, 40, counters)  # finds nothing, still searches
+        assert counters.comparisons == 2 * (
+            binary_search_count(4) + binary_search_count(8))
+        assert counters.random_accesses == 4
+        assert counters.tuples_moved == 0
