@@ -139,9 +139,7 @@ class RunSet:
 
     def key_range(self) -> Tuple[float, float]:
         """(min, max) key of the column — the smallest run head and the
-        largest run tail; raises on an empty set."""
-        if len(self.values) == 0:
-            raise ValueError("an empty run set has no key range")
+        largest run tail; ``ValueError`` (numpy's) on an empty set."""
         return self.values[self.starts].min(), self.values[self.ends - 1].max()
 
     def _lower_bounds(self, bound: float) -> np.ndarray:
