@@ -181,6 +181,21 @@ def crack_range(
     return start, end
 
 
+@typed_kernel(buffers={"boundary_positions": "int64"})
+def _piece_edges(boundary_positions: np.ndarray, length: int) -> np.ndarray:
+    """The distinct piece edges a ripple walks, ascending, column end last.
+
+    ``boundary_positions`` is non-decreasing and bounded by ``length`` (a
+    :class:`CrackerIndex` invariant; repeats delimit empty pieces), so one
+    comparison of neighbours finds the repeats — no sort, no hash table.
+    """
+    edges = np.append(boundary_positions, length)
+    first_of_run = np.empty(len(edges), dtype=bool)
+    first_of_run[0] = True
+    np.not_equal(edges[1:], edges[:-1], out=first_of_run[1:])
+    return edges[first_of_run]
+
+
 @typed_kernel(buffers={"values": "numeric", "rowids": "int64",
                        "boundary_positions": "int64"},
               mutates=("values", "rowids"))
@@ -197,28 +212,22 @@ def ripple_insert_value(
     """Ripple one value into ``values[:length]``, one move per later piece.
 
     ``boundary_positions`` are the boundaries whose value lies strictly
-    above ``value`` — the pieces the hole ripples through, right to left,
-    starting from the spare slot at ``values[length]``.  The per-piece
-    walk is expressed as one gather/scatter over the move chain: the
-    chain positions are pairwise distinct, so every source is read before
-    any step would overwrite it, which is exactly what fancy indexing
-    (gather first, then scatter) computes.
+    above ``value``, non-decreasing — the pieces the hole ripples through,
+    right to left, starting from the spare slot at ``values[length]``: each
+    non-empty piece hands its first element to the edge behind it.  The
+    per-piece walk is expressed as one gather/scatter over the move chain:
+    the chain positions are pairwise distinct, so every source is read
+    before any step would overwrite it, which is exactly what fancy
+    indexing (gather first, then scatter) computes.
     """
-    # the walk visits each distinct boundary position once, skipping a
-    # boundary already equal to the hole (only possible at the array end)
-    chain = np.unique(boundary_positions[boundary_positions != length])[::-1]
-    if len(chain):
-        destinations = np.concatenate(
-            [np.array([length], dtype=np.int64), chain[:-1]]
-        )
-        values[destinations] = values[chain]
-        rowids[destinations] = rowids[chain]
-        hole = int(chain[-1])
-    else:
-        hole = length
+    edges = _piece_edges(boundary_positions, length)
+    starts, destinations = edges[:-1], edges[1:]
+    values[destinations] = values[starts]
+    rowids[destinations] = rowids[starts]
+    hole = int(edges[0])
     values[hole] = value
     rowids[hole] = rowid
-    moves = len(chain)
+    moves = len(starts)
     if counters is not None:
         counters.record_move(moves + 1)
         counters.record_random_access(moves + 1)
@@ -238,27 +247,24 @@ def ripple_delete_position(
 ) -> int:
     """Close the hole at ``position`` by rippling it right, piece by piece.
 
-    Each piece after the target (delimited by ``boundary_positions``, the
-    boundaries strictly above the deleted value, plus the column end)
-    donates its last element into the hole; the hole ends up at
-    ``length - 1``.  Vectorized as one gather/scatter over the chain of
-    per-piece last positions, which are pairwise distinct and ascending.
-    Returns the number of moves performed.
+    Each piece from the target on (delimited by ``boundary_positions``, the
+    boundaries strictly above the deleted value — non-decreasing, and all
+    behind ``position`` — plus the column end) donates its last element
+    into the hole; the hole ends up at ``length - 1``.  Vectorized as one
+    gather/scatter over the chain of per-piece last positions, which are
+    pairwise distinct and ascending.  Returns the number of moves performed.
     """
-    piece_lasts = np.unique(
-        np.concatenate(
-            [boundary_positions, np.array([length], dtype=np.int64)]
-        )
-    ) - 1
+    piece_lasts = _piece_edges(boundary_positions, length) - 1
     # a piece whose last element *is* the hole donates nothing (only
-    # possible for the target piece itself)
-    piece_lasts = piece_lasts[piece_lasts != position]
-    if len(piece_lasts):
-        destinations = np.concatenate(
-            [np.array([position], dtype=np.int64), piece_lasts[:-1]]
-        )
-        values[destinations] = values[piece_lasts]
-        rowids[destinations] = rowids[piece_lasts]
+    # possible for the target piece itself, the first of the chain)
+    first_last = int(piece_lasts[0])
+    if first_last == position:
+        piece_lasts = piece_lasts[1:]
+    destinations = np.empty_like(piece_lasts)
+    destinations[:1] = position
+    destinations[1:] = piece_lasts[:-1]
+    values[destinations] = values[piece_lasts]
+    rowids[destinations] = rowids[piece_lasts]
     moves = len(piece_lasts)
     if counters is not None:
         counters.record_move(moves)

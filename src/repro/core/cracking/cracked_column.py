@@ -37,6 +37,7 @@ scan happens whether or not anything qualifies.
 from __future__ import annotations
 
 import threading
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,6 +59,14 @@ _KIND_INSERT, _KIND_DELETE = 0, 1
 
 #: what the pending structures contribute to an answer when they are empty
 _NOTHING_PENDING = np.empty(0, dtype=np.int64)
+
+
+def _value_queue(dtype: np.dtype) -> array:
+    """An empty queue of values of a ``dtype`` column.  :mod:`array` and
+    numpy share the one-letter codes of the machine types, so the queue is
+    bit-exact and ``np.frombuffer(queue, dtype=queue.typecode)`` views it
+    without a copy; any other dtype queues float64."""
+    return array(dtype.char if dtype.char in "bBhHiIlLqQfd" else "d")
 
 
 def _in_range(values: np.ndarray, low: Optional[float],
@@ -155,12 +164,17 @@ class CrackedColumn:
         self._rowids_buffer: Optional[np.ndarray] = None
         self.index = CrackerIndex(len(base))
 
-        # pending structures (only ever non-empty on a materialised column)
-        self._pending_insert_values: List[float] = []
-        self._pending_insert_rowids: List[int] = []
-        # mirror of _pending_insert_rowids for O(1) membership tests
+        # values enter the queues as the column's own kind of Python scalar
+        self._scalar = int if np.issubdtype(base.dtype, np.integer) else float
+        # pending structures (only ever non-empty on a materialised column):
+        # typed queues in arrival order, which is the merge order, each
+        # beside a set that answers membership in O(1)
+        self._pending_insert_values = _value_queue(base.dtype)
+        self._pending_insert_rowids = array("q")
         self._pending_insert_rowid_set: set = set()
-        self._pending_delete_rowids: Dict[int, float] = {}
+        self._delete_queue_values = _value_queue(base.dtype)
+        self._delete_queue_rowids = array("q")
+        self._pending_delete_rowid_set: set = set()
         # values of rows inserted at any point (needed to delete them later)
         self._inserted_values: Dict[int, float] = {}
         # base rows whose delete has been merged: their value stays in the
@@ -223,7 +237,7 @@ class CrackedColumn:
         adaptive repartitioning polls partition sizes on every update.
         """
         return (self._length + len(self._pending_insert_values)
-                - len(self._pending_delete_rowids))
+                - len(self._delete_queue_rowids))
 
     @property
     def pending_inserts(self) -> int:
@@ -231,7 +245,13 @@ class CrackedColumn:
 
     @property
     def pending_deletes(self) -> int:
-        return len(self._pending_delete_rowids)
+        return len(self._delete_queue_rowids)
+
+    @property
+    def _pending_delete_rowids(self) -> Dict[int, float]:
+        """The queued deletes as rowid -> value, in arrival order (what a
+        split or a merge routes to the fragments; inspection)."""
+        return dict(zip(self._delete_queue_rowids, self._delete_queue_values))
 
     @property
     def converged(self) -> bool:
@@ -258,7 +278,7 @@ class CrackedColumn:
         must evaluate it under the column's access-path lock — the
         sortedness of a mid-crack array is not meaningful.
         """
-        if self._pending_insert_values or self._pending_delete_rowids:
+        if self._pending_insert_values or self._delete_queue_rowids:
             return False
         if not self._converged and self.materialised and not self._has_descent():
             self._converged = True
@@ -333,7 +353,7 @@ class CrackedColumn:
         """
         if not self.materialised:
             return 0
-        pending = (len(self._pending_insert_values) + len(self._pending_delete_rowids)
+        pending = (len(self._pending_insert_values) + len(self._delete_queue_rowids)
                    + len(self._inserted_values)) * 16
         return int(self._values_buffer.nbytes + self._rowids_buffer.nbytes + pending)
 
@@ -370,15 +390,15 @@ class CrackedColumn:
         if self._original_rowids is None:
             if rowid in self._removed_base_rowids:
                 raise KeyError(f"unknown row identifier {rowid}")
-            return float(self._base[rowid - self.rowid_base])
+            return self._base[rowid - self.rowid_base].item()
         positions = np.flatnonzero(self.rowids == rowid)
         if len(positions) == 0:
             raise KeyError(f"unknown row identifier {rowid}")
-        return float(self.values[positions[0]])
+        return self.values[positions[0]].item()
 
     def value_of(self, rowid: int) -> float:
         """Current value of a visible row (base or inserted)."""
-        if rowid in self._pending_delete_rowids:
+        if rowid in self._pending_delete_rowid_set:
             raise KeyError(f"row {rowid} has been deleted")
         if self._is_original(rowid):
             return self._merged_value(rowid)
@@ -390,10 +410,29 @@ class CrackedColumn:
     # -- updates -----------------------------------------------------------------
 
     def check_insertable(self, value: float) -> None:
-        """Raise TypeError when ``value`` cannot be stored in this column."""
-        if np.issubdtype(self._base.dtype, np.integer) and float(value) != int(value):
+        """Raise when ``value`` cannot be stored in this column: TypeError
+        for anything but a whole number on an integer column (exact at any
+        magnitude; NaN and the infinities included), ValueError for one
+        outside the dtype's range and for NaN on a float column — no bounded
+        range holds a NaN, so it would stay pending for ever."""
+        dtype = self._base.dtype
+        if self._scalar is float:
+            if float(value) != float(value):
+                raise ValueError(f"cannot insert NaN into column {self.name!r}")
+            return
+        if isinstance(value, (float, np.floating)):
+            integral = float(value).is_integer()
+        else:
+            integral = isinstance(value, (int, np.integer))
+        if not integral:
             raise TypeError(
                 f"cannot insert non-integer value {value!r} into an integer column"
+            )
+        limits = np.iinfo(dtype)
+        if not limits.min <= int(value) <= limits.max:
+            raise ValueError(
+                f"cannot insert {value!r} into column {self.name!r}: "
+                f"outside the range of {dtype.name}"
             )
 
     def insert(self, value: float, counters: Optional[CostCounters] = None,
@@ -405,6 +444,7 @@ class CrackedColumn:
         base row range.
         """
         self.check_insertable(value)
+        value = self._scalar(value)
         if rowid is None:
             rowid = self._next_rowid
             self._next_rowid += 1
@@ -414,25 +454,25 @@ class CrackedColumn:
                 raise ValueError(f"row identifier {rowid} is already in use")
             self._next_rowid = max(self._next_rowid, rowid + 1)
         self._materialise(counters)
-        self._pending_insert_values.append(float(value))
+        self._pending_insert_values.append(value)
         self._pending_insert_rowids.append(rowid)
         self._pending_insert_rowid_set.add(rowid)
-        self._inserted_values[rowid] = float(value)
+        self._inserted_values[rowid] = value
         if counters is not None:
             counters.record_move(1)
         return rowid
 
     def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
         """Queue the deletion of the row identified by ``rowid``."""
-        if rowid in self._pending_delete_rowids:
+        if rowid in self._pending_delete_rowid_set:
             return
         if not self.knows_rowid(rowid):
             raise KeyError(f"unknown row identifier {rowid}")
         # deleting a still-pending insert simply cancels it
         if rowid in self._pending_insert_rowid_set:
             position = self._pending_insert_rowids.index(rowid)
-            self._pending_insert_rowids.pop(position)
-            self._pending_insert_values.pop(position)
+            del self._pending_insert_rowids[position]
+            del self._pending_insert_values[position]
             self._pending_insert_rowid_set.discard(rowid)
             del self._inserted_values[rowid]
             return
@@ -440,7 +480,9 @@ class CrackedColumn:
         value = self._inserted_values.get(rowid)
         if value is None:
             value = self._merged_value(rowid)
-        self._pending_delete_rowids[rowid] = value
+        self._pending_delete_rowid_set.add(rowid)
+        self._delete_queue_rowids.append(rowid)
+        self._delete_queue_values.append(value)
         if counters is not None:
             counters.record_move(1)
 
@@ -493,10 +535,12 @@ class CrackedColumn:
         fragment._next_rowid = int(next_rowid)
         fragment.index = index
         fragment._set_arrays(values, rowids, len(values))
-        fragment._pending_insert_values = [float(v) for v, _ in pending_inserts]
-        fragment._pending_insert_rowids = [int(r) for _, r in pending_inserts]
+        fragment._pending_insert_values.extend(v for v, _ in pending_inserts)
+        fragment._pending_insert_rowids.extend(r for _, r in pending_inserts)
         fragment._pending_insert_rowid_set = set(fragment._pending_insert_rowids)
-        fragment._pending_delete_rowids = dict(pending_deletes)
+        fragment._pending_delete_rowid_set = set(pending_deletes)
+        fragment._delete_queue_rowids.extend(pending_deletes)
+        fragment._delete_queue_values.extend(pending_deletes.values())
         fragment._inserted_values = dict(inserted_values)
         fragment.merges_performed = int(merges_performed)
         return fragment
@@ -539,7 +583,7 @@ class CrackedColumn:
                 + right_values.nbytes + right_rowids.nbytes
             )
             pending_total = (
-                len(self._pending_insert_values) + len(self._pending_delete_rowids)
+                len(self._pending_insert_values) + len(self._delete_queue_rowids)
             )
             if pending_total:
                 counters.record_comparisons(pending_total)
@@ -552,11 +596,12 @@ class CrackedColumn:
             # routing a pending entry re-queues it, it does not touch the
             # cracker arrays (the record_move(length) above covers the carve)
             side.append((value, rowid))  # reproperf: ignore[PF001, PF003]
+        pending_deletes = self._pending_delete_rowids
         left_pending_deletes = {
-            r: v for r, v in self._pending_delete_rowids.items() if v < pivot
+            r: v for r, v in pending_deletes.items() if v < pivot
         }
         right_pending_deletes = {
-            r: v for r, v in self._pending_delete_rowids.items() if v >= pivot
+            r: v for r, v in pending_deletes.items() if v >= pivot
         }
         left_inserted = {
             r: v for r, v in self._inserted_values.items() if v < pivot
@@ -616,7 +661,7 @@ class CrackedColumn:
         pending_inserts = list(
             zip(left._pending_insert_values, left._pending_insert_rowids)
         ) + list(zip(right._pending_insert_values, right._pending_insert_rowids))
-        pending_deletes = dict(left._pending_delete_rowids)
+        pending_deletes = left._pending_delete_rowids
         pending_deletes.update(right._pending_delete_rowids)
         inserted = dict(left._inserted_values)
         inserted.update(right._inserted_values)
@@ -702,38 +747,32 @@ class CrackedColumn:
     # -- merge-on-demand -----------------------------------------------------------
 
     def _qualifying_pending(self, low, high) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices of pending inserts / rowids of pending deletes in range.
+        """Indices of the pending inserts / pending deletes inside the range.
 
-        Both sides are computed with vectorized range masks over the
-        pending values.
+        One range mask per queue, over a zero-copy view of it, so the
+        indices come out in arrival order.  The views are locals: a queue
+        cannot grow or shrink while a view of it is alive.
         """
-        insert_indices = np.flatnonzero(_in_range(
-            np.asarray(self._pending_insert_values, dtype=np.float64), low, high
-        ))
-        delete_count = len(self._pending_delete_rowids)
-        candidate_rowids = np.fromiter(
-            self._pending_delete_rowids.keys(), dtype=np.int64, count=delete_count
-        )
-        candidate_values = np.fromiter(
-            self._pending_delete_rowids.values(), dtype=np.float64,
-            count=delete_count,
-        )
-        return insert_indices, candidate_rowids[
-            _in_range(candidate_values, low, high)
-        ]
+        typecode = self._pending_insert_values.typecode
+        inserts = np.frombuffer(self._pending_insert_values, dtype=typecode)
+        deletes = np.frombuffer(self._delete_queue_values, dtype=typecode)
+        return (np.flatnonzero(_in_range(inserts, low, high)),
+                np.flatnonzero(_in_range(deletes, low, high)))
 
-    def _merge_pending(self, low, high, counters: Optional[CostCounters]) -> None:
+    def _merge_pending(self, low, high, counters: Optional[CostCounters]
+                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Merge qualifying pending updates (policy dependent).
 
         The qualifying inserts and deletes are interleaved round-robin into
-        one typed work queue (an int8 kind buffer and an int64 item buffer,
-        built with strided assignments) and dispatched by
-        :meth:`_apply_ripple_batch`.  Whatever qualifies but stays pending
-        (only under the gradual policy) is accounted for by
-        :meth:`_select`, so the answer is correct either way.
+        one typed work queue (an int8 kind buffer and an int64 item buffer
+        of queue indices, built with strided assignments) and dispatched by
+        :meth:`_apply_ripple_batch`.  Returns what qualifies but stays
+        pending — under the gradual policy, or a delete whose row was not
+        found — for :meth:`_gather` to account for: indices of pending
+        inserts and rowids of pending deletes.
         """
         pending_total = (
-            len(self._pending_insert_values) + len(self._pending_delete_rowids)
+            len(self._pending_insert_values) + len(self._delete_queue_rowids)
         )
         if counters is not None and pending_total:
             # deciding what qualifies scans every pending entry, whether or
@@ -741,27 +780,34 @@ class CrackedColumn:
             counters.record_comparisons(pending_total)
         # (every queued delete targets a merged row: deleting a still-pending
         # insert cancels it instead)
-        insert_indices, delete_rowids = self._qualifying_pending(low, high)
+        insert_indices, delete_indices = self._qualifying_pending(low, high)
 
         # round-robin interleave: insert[0], delete[0], insert[1], ... with
         # the longer queue's tail appended once the shorter runs out
         insert_count = len(insert_indices)
-        delete_count = len(delete_rowids)
+        delete_count = len(delete_indices)
+        if not insert_count + delete_count:
+            return _NOTHING_PENDING, _NOTHING_PENDING
         paired = min(insert_count, delete_count)
         kinds = np.empty(insert_count + delete_count, dtype=np.int8)
         items = np.empty(insert_count + delete_count, dtype=np.int64)
         kinds[0 : 2 * paired : 2] = _KIND_INSERT
         kinds[1 : 2 * paired : 2] = _KIND_DELETE
         items[0 : 2 * paired : 2] = insert_indices[:paired]
-        items[1 : 2 * paired : 2] = delete_rowids[:paired]
+        items[1 : 2 * paired : 2] = delete_indices[:paired]
         if insert_count > paired:
             kinds[2 * paired :] = _KIND_INSERT
             items[2 * paired :] = insert_indices[paired:]
         elif delete_count > paired:
             kinds[2 * paired :] = _KIND_DELETE
-            items[2 * paired :] = delete_rowids[paired:]
+            items[2 * paired :] = delete_indices[paired:]
 
-        self._apply_ripple_batch(kinds, items, counters)
+        if self._apply_ripple_batch(kinds, items, counters) == len(kinds):
+            return _NOTHING_PENDING, _NOTHING_PENDING
+        # something stayed behind: look again, the merged entries are gone
+        insert_indices, delete_indices = self._qualifying_pending(low, high)
+        rowids = np.frombuffer(self._delete_queue_rowids, dtype=np.int64)
+        return insert_indices, rowids[delete_indices]
 
     @typed_kernel(buffers={"kinds": "int8", "items": "int64"})
     def _apply_ripple_batch(
@@ -769,8 +815,9 @@ class CrackedColumn:
         kinds: np.ndarray,
         items: np.ndarray,
         counters: Optional[CostCounters],
-    ) -> None:
-        """Dispatch one interleaved batch of pending updates to the ripple kernels.
+    ) -> int:
+        """Dispatch one interleaved batch of pending updates to the ripple
+        kernels; returns how many of them were merged.
 
         Deliberately per-element (the one reasoned TB001 baseline entry):
         each queue entry is a distinct physical reorganisation whose target
@@ -786,14 +833,14 @@ class CrackedColumn:
         of qualifying inserts cannot starve the pending deletes (or vice
         versa), so both queues always drain.
         """
-        budget = None
-        if self.policy == "gradual":
-            budget = self.merge_batch
-
-        merged_insert_indices: List[int] = []
-        pending_deletes = self._pending_delete_rowids  # hoisted (PF002)
+        budget = self.merge_batch if self.policy == "gradual" else len(kinds)
+        # merged entries leave their queue once the batch is through, so
+        # the indices in ``items`` stay valid while it runs
+        merged_inserts: List[int] = []
+        merged_deletes: List[int] = []
+        pending_deletes = self._pending_delete_rowid_set  # hoisted (PF002)
         for position in range(len(kinds)):
-            if budget is not None and budget <= 0:
+            if budget <= 0:
                 break
             kind = int(kinds[position])
             item = int(items[position])
@@ -801,28 +848,33 @@ class CrackedColumn:
                 value = self._pending_insert_values[item]
                 rowid = self._pending_insert_rowids[item]
                 self._ripple_insert_one(value, rowid, counters)
-                merged_insert_indices.append(item)
-                self.merges_performed += 1
+                merged_inserts.append(item)
             else:
-                value = pending_deletes[item]
-                if not self._ripple_delete_one(item, value, counters):
+                rowid = self._delete_queue_rowids[item]
+                value = self._delete_queue_values[item]
+                if not self._ripple_delete_one(rowid, value, counters):
                     continue
-                del pending_deletes[item]
+                pending_deletes.discard(rowid)
                 # a merged delete of an inserted row removes the row for
                 # good: forget its value so the rowid becomes unknown (and
                 # the bookkeeping doesn't grow with every insert ever made);
                 # a base row is remembered as gone instead (a fragment
                 # finds out by looking: see :meth:`_merged_value`)
-                if (self._inserted_values.pop(item, None) is None
+                if (self._inserted_values.pop(rowid, None) is None
                         and self._original_rowids is None):
-                    self._removed_base_rowids.add(item)
-                self.merges_performed += 1
-            if budget is not None:
-                budget -= 1
-        for pending_index in sorted(merged_insert_indices, reverse=True):
-            self._pending_insert_values.pop(pending_index)
-            rowid = self._pending_insert_rowids.pop(pending_index)
-            self._pending_insert_rowid_set.discard(rowid)
+                    self._removed_base_rowids.add(rowid)
+                merged_deletes.append(item)
+            self.merges_performed += 1
+            budget -= 1
+        for index in sorted(merged_inserts, reverse=True):
+            del self._pending_insert_values[index]
+            self._pending_insert_rowid_set.discard(
+                self._pending_insert_rowids.pop(index)
+            )
+        for index in sorted(merged_deletes, reverse=True):
+            del self._delete_queue_rowids[index]
+            del self._delete_queue_values[index]
+        return len(merged_inserts) + len(merged_deletes)
 
     # -- the adaptive select operator ----------------------------------------------
 
@@ -845,9 +897,9 @@ class CrackedColumn:
         self._count_query()
         if not self.materialised:
             self._materialise(counters)
-        pending = bool(self._pending_insert_values or self._pending_delete_rowids)
-        if pending:
-            self._merge_pending(low, high, counters)
+        extra = excluded = _NOTHING_PENDING
+        if self._pending_insert_values or self._delete_queue_rowids:
+            extra, excluded = self._merge_pending(low, high, counters)
         if self._converged:
             start, end = self._sorted_range(low, high, counters)
         else:
@@ -860,10 +912,6 @@ class CrackedColumn:
                 counters,
                 sort_threshold=self.sort_threshold,
             )
-        if pending:
-            extra, excluded = self._qualifying_pending(low, high)
-        else:
-            extra = excluded = _NOTHING_PENDING
         return start, max(start, end), extra, excluded
 
     def search(
@@ -896,7 +944,7 @@ class CrackedColumn:
         return self._gather(self.values, self._pending_insert_values,
                             selection, counters)
 
-    def _gather(self, merged: np.ndarray, pending: list,
+    def _gather(self, merged: np.ndarray, pending: array,
                 selection: Tuple[int, int, np.ndarray, np.ndarray],
                 counters: Optional[CostCounters]) -> np.ndarray:
         """Copy one attribute (rowids or values) of a :meth:`_select` result:
@@ -908,10 +956,10 @@ class CrackedColumn:
         if len(excluded):
             result = result[~np.isin(self.rowids[start:end], excluded)]
         if len(extra):
-            result = np.concatenate([
-                result,
-                np.asarray([pending[i] for i in extra], dtype=result.dtype),
-            ])
+            queued = np.frombuffer(pending, dtype=pending.typecode)
+            result = np.concatenate(
+                [result, queued[extra].astype(result.dtype, copy=False)]
+            )
         return result.copy()
 
     def count(
@@ -954,9 +1002,7 @@ class CrackedColumn:
         """Multiset of currently visible values (reference for tests)."""
         self._materialise(None)
         merged_mask = ~np.isin(
-            self.rowids,
-            np.fromiter(self._pending_delete_rowids.keys(), dtype=np.int64,
-                        count=len(self._pending_delete_rowids)),
+            self.rowids, np.frombuffer(self._delete_queue_rowids, dtype=np.int64)
         )
         merged = self.values[merged_mask]
         pending = np.asarray(self._pending_insert_values, dtype=merged.dtype)

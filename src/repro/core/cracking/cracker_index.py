@@ -13,14 +13,33 @@ when a strategy decides to sort small pieces, or when hybrid algorithms sort
 merged pieces), because boundaries inside a sorted piece can be introduced
 with a binary search instead of a physical crack.
 
-MonetDB implements this structure as an AVL tree; here an ordered pair of
-Python lists with :mod:`bisect` gives the same O(log #pieces) navigation,
-and the number of pieces is at most two per query so the lists stay small.
+MonetDB implements this structure as an AVL tree; here three parallel
+sequences ordered by boundary value give the same O(log #pieces) navigation
+through :mod:`bisect`.  They do not stay small — a query adds up to two
+boundaries, so 12 000 queries leave some 24 000 pieces — and every merged
+update moves each later boundary by one, so storage is chosen per sequence.
+Boundary **values** are a Python list: bisecting Python floats is the
+fastest navigation there is, and values never shift.  Boundary
+**positions** are an ``array('q')`` and the sortedness **flags** a
+``bytearray``: both read and insert like a list (scalar reads are Python
+``int``; an insert is one memmove with the interpreter lock held) and both
+export the buffer protocol, so the update path shifts and range-checks a
+suffix of positions and clears a suffix of flags as single vectorised
+operations on a zero-copy numpy view — no interpreter step per piece.
+
+An ``array`` cannot be resized while a view of it is alive, so a view is a
+local of the method that makes it, dropped before that method returns or
+raises: never stored, never returned un-copied.  Growable numpy arrays with
+slice-shift inserts were measured and rejected: the update path gains the
+same, but every ``add_boundary`` then copies the tail with the interpreter
+lock released and the fan-out workers of a partitioned column convoy on
+re-acquiring it (``batch_partitioned`` throughput −32 %, ROADMAP item 6).
 """
 
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -63,10 +82,10 @@ class CrackerIndex:
         self.size = size
         # boundary i: values[0.._positions[i]) < _values[i] <= values[_positions[i]..)
         self._values: List[float] = []
-        self._positions: List[int] = []
+        self._positions = array("q")
         # _sorted_flags[i] describes the piece *before* boundary i;
         # _sorted_flags[len(_values)] describes the last piece.
-        self._sorted_flags: List[bool] = [False]
+        self._sorted_flags = bytearray(1)
 
     # -- basic properties ---------------------------------------------------
 
@@ -85,18 +104,19 @@ class CrackerIndex:
 
     @property
     def boundary_positions(self) -> List[int]:
-        return list(self._positions)
+        return self._positions.tolist()
 
     def positions_for_values_above(self, value: float) -> np.ndarray:
         """Boundary positions whose boundary value is strictly above ``value``.
 
-        Returned as an int64 array: these are the pieces a ripple insert or
-        delete walks (one relocated element per returned position), and the
-        vectorized ripple kernels consume them as a typed buffer.  Boundary
-        values are kept sorted, so the filter is a bisect, not a scan.
+        Returned as a non-decreasing int64 array (a copy: see the module
+        docstring): these are the pieces a ripple insert or delete walks
+        (one relocated element per distinct position), and the vectorized
+        ripple kernels consume them as a typed buffer.  Boundary values are
+        kept sorted, so the filter is a bisect, not a scan.
         """
         index = bisect.bisect_right(self._values, value)
-        return np.asarray(self._positions[index:], dtype=np.int64)
+        return np.frombuffer(self._positions, dtype=np.int64)[index:].copy()
 
     def has_boundary(self, value: float) -> bool:
         """True when a boundary for exactly ``value`` exists."""
@@ -139,7 +159,7 @@ class CrackerIndex:
         low = self._values[index - 1] if index > 0 else None
         high = self._values[index] if index < len(self._values) else None
         return Piece(start=start, end=end, low=low, high=high,
-                     sorted=self._sorted_flags[index])
+                     sorted=bool(self._sorted_flags[index]))
 
     def pieces(self) -> List[Piece]:
         """All pieces, left to right."""
@@ -214,14 +234,7 @@ class CrackerIndex:
         cracking when the underlying cracker column grows or shrinks.
         ``size`` is adjusted by the same delta.
         """
-        self._positions = [
-            p + delta if p >= from_position else p for p in self._positions
-        ]
-        self.size += delta
-        if self.size < 0:
-            raise ValueError("shift_positions made the column size negative")
-        if any(p < 0 or p > self.size for p in self._positions):
-            raise ValueError("shift_positions produced out-of-range boundaries")
+        self._shift_from(bisect.bisect_left(self._positions, from_position), delta)
 
     def shift_positions_for_values_above(self, value: float, delta: int) -> None:
         """Shift boundaries whose *value* is strictly greater than ``value``.
@@ -232,22 +245,26 @@ class CrackerIndex:
         right of it — identified by boundary values above ``value`` — shifts
         by one position.  ``size`` is adjusted by the same delta.
         """
-        index = bisect.bisect_right(self._values, value)
-        self._positions = self._positions[:index] + [
-            p + delta for p in self._positions[index:]
-        ]
+        self._shift_from(bisect.bisect_right(self._values, value), delta)
+
+    def _shift_from(self, first: int, delta: int) -> None:
+        """Move boundaries ``first..`` and the column end by ``delta``."""
         self.size += delta
         if self.size < 0:
             raise ValueError("shift made the column size negative")
-        if any(p < 0 or p > self.size for p in self._positions):
+        positions = np.frombuffer(self._positions, dtype=np.int64)
+        positions[first:] += delta
+        out_of_range = len(positions) and (
+            positions.min() < 0 or positions.max() > self.size
+        )
+        del positions  # a raise would keep the view alive in its traceback
+        if out_of_range:
             raise ValueError("shift produced out-of-range boundaries")
 
     def mark_pieces_unsorted_from(self, piece_index: int) -> None:
         """Clear the sortedness flag of every piece at or after ``piece_index``."""
-        if piece_index < 0:
-            piece_index = 0
-        for index in range(piece_index, self.piece_count):
-            self._sorted_flags[index] = False
+        first = max(piece_index, 0)
+        self._sorted_flags[first:] = bytes(max(len(self._sorted_flags) - first, 0))
 
     def split_at_boundary(self, value: float) -> Tuple["CrackerIndex", "CrackerIndex"]:
         """Split the index at the existing boundary for ``value``.
@@ -268,10 +285,11 @@ class CrackerIndex:
         left._values = self._values[:index]
         left._positions = self._positions[:index]
         left._sorted_flags = self._sorted_flags[: index + 1]
-        right = CrackerIndex(self.size - position)
+        right = CrackerIndex(self.size)
         right._values = self._values[index + 1 :]
-        right._positions = [p - position for p in self._positions[index + 1 :]]
+        right._positions = self._positions[index + 1 :]
         right._sorted_flags = self._sorted_flags[index + 1 :]
+        right._shift_from(0, -position)
         return left, right
 
     def drop_boundaries_in_position_range(self, start: int, end: int) -> None:
@@ -279,17 +297,14 @@ class CrackerIndex:
 
         Used when a contiguous region is extracted (hybrid algorithms move
         qualifying tuples out of initial partitions) — boundaries strictly
-        inside the removed region no longer describe anything.
+        inside the removed region no longer describe anything.  Positions
+        are non-decreasing, so those boundaries are adjacent.
         """
-        keep = [
-            (v, p, flag)
-            for v, p, flag in zip(self._values, self._positions, self._sorted_flags)
-            if not (start < p < end)
-        ]
-        trailing_flag = self._sorted_flags[-1]
-        self._values = [v for v, _, _ in keep]
-        self._positions = [p for _, p, _ in keep]
-        self._sorted_flags = [flag for _, _, flag in keep] + [trailing_flag]
+        first = bisect.bisect_right(self._positions, start)
+        last = max(first, bisect.bisect_left(self._positions, end))
+        del self._values[first:last]
+        del self._positions[first:last]
+        del self._sorted_flags[first:last]
 
     # -- validation ----------------------------------------------------------------
 
