@@ -776,6 +776,10 @@ class PartitionedCrackedColumn:
 
     # -- updates ----------------------------------------------------------------
 
+    def check_insertable(self, value: float) -> None:
+        """Raise when ``value`` cannot be stored (every partition agrees)."""
+        self._partitions[0].cracked.check_insertable(value)
+
     def insert(self, value: float, counters: Optional[CostCounters] = None,
                rowid: Optional[int] = None) -> int:
         """Queue the insertion of ``value``; returns its new (global) rowid.
@@ -806,7 +810,7 @@ class PartitionedCrackedColumn:
         The new value is validated before the delete is queued, so a
         rejected value leaves the old row untouched.
         """
-        self._partitions[0].cracked.check_insertable(new_value)
+        self.check_insertable(new_value)
         self.delete(rowid, counters)
         return self.insert(new_value, counters)
 

@@ -70,7 +70,8 @@ class SearchStrategy(ABC):
     name: str = ""
 
     #: True when the strategy absorbs inserts/deletes/updates adaptively
-    #: (exposes ``insert``/``delete``/``update``); the engine rebuilds
+    #: (exposes ``insert``/``delete``/``update``, and ``check_insertable``
+    #: for the engine to ask before it appends a row); the engine rebuilds
     #: strategies that don't after DML against their table.
     supports_updates: bool = False
 
@@ -334,6 +335,11 @@ class CrackingStrategy(SearchStrategy):
 
     def search(self, low, high, counters=None):
         return self.cracked.search(low, high, counters)
+
+    def check_insertable(self, value):
+        """Raise when :meth:`insert` would refuse ``value`` (the engine asks
+        before it appends the row to the table)."""
+        self.cracked.check_insertable(value)
 
     def insert(self, value, counters=None, rowid=None):
         """Queue an insert; returns the new row identifier."""

@@ -443,6 +443,17 @@ class Database:
 
     # -- data manipulation ---------------------------------------------------------------
 
+    def _check_row_absorbable(
+        self, table: str, values: Mapping[str, Union[int, float]]
+    ) -> None:
+        """Raise what an update-absorbing access path of ``table`` would
+        raise on ``values`` — asked before anything is appended, tombstoned
+        or logged, so a refused row leaves no trace."""
+        for (owner, column_name), path in self._access_paths.items():
+            if (owner == table and path.supports_updates
+                    and column_name in values):
+                path.check_insertable(values[column_name])
+
     def _insert_row_locked(
         self,
         table: str,
@@ -460,6 +471,7 @@ class Database:
         exactly what the updatable strategies avoid.
         """
         owning_table = self.table(table)
+        self._check_row_absorbable(table, values)
         rowid = owning_table.row_count
         owning_table.append_rows(dict(values), counters=counters)
         self.memory.set_usage(f"table:{table}", owning_table.nbytes)
@@ -552,8 +564,10 @@ class Database:
             ).items()
         }
         row.update(values)
-        # validate the merged row against every column dtype *before*
-        # tombstoning, so a rejected value cannot silently lose the row
+        # validate the merged row against every access path and column
+        # dtype *before* tombstoning, so a rejected value cannot silently
+        # lose the row
+        self._check_row_absorbable(table, row)
         for name, value in row.items():
             owning_table.column(name).dtype.validate_array(
                 np.atleast_1d(np.asarray(value))

@@ -44,6 +44,36 @@ class TestInsertions:
         with pytest.raises(TypeError):
             column.insert(1.5)
 
+    def test_integer_validation_is_exact(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
+        for value in (float("nan"), float("inf"), -float("inf"), np.float64(0.5)):
+            with pytest.raises(TypeError):
+                column.insert(value)
+        for value in (2**63, -2**63 - 1, 1e30):
+            with pytest.raises(ValueError):
+                column.insert(value)
+        accepted = [7, np.int64(7), 7.0, np.float32(7), True, 2**63 - 1, -2**63]
+        rowids = [column.insert(value) for value in accepted]
+        assert [column.value_of(rowid) for rowid in rowids] == [int(v) for v in accepted]
+        assert all(type(column.value_of(rowid)) is int for rowid in rowids)
+        assert column.pending_inserts == len(accepted)
+
+    def test_a_nan_key_is_refused(self):
+        # it would qualify for no bounded range: pending for ever, so the
+        # column could never be recognised as converged
+        values = np.random.default_rng(3).uniform(0, 100, size=64)
+        column = UpdatableCrackedColumn(values, sort_threshold=64, name="price")
+        with pytest.raises(ValueError, match="price"):
+            column.insert(float("nan"))
+        with pytest.raises(ValueError, match="price"):
+            column.update(3, float("nan"))
+        assert column.pending_inserts == column.pending_deletes == 0
+        assert len(column) == 64 and not column.converged
+        assert sorted(column.search(None, None).tolist()) == list(range(64))
+        column.search(10.0, 60.0)  # sorts the one piece there is
+        assert column.converged
+        column.check_invariants()
+
     def test_many_inserts_preserve_content(self, small_values):
         column = UpdatableCrackedColumn(small_values)
         rng = np.random.default_rng(0)

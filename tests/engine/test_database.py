@@ -474,6 +474,89 @@ class TestDML:
         assert {len(table[name]) for name in table.column_names} == {5000}
         assert database.visible_row_count("facts") == 5000
 
+    def test_int64_keys_beyond_float_precision_are_exact(self, rng):
+        # 2**60 + 1 has no float: judged, queued, merged and found as an int
+        big = 2**60 + 1
+        database = Database("wide-keys")
+        database.create_table("t", {
+            "k": rng.integers(0, 1_000, size=100).astype(np.int64),
+            "v": rng.uniform(0, 1, size=100),
+        })
+        database.set_indexing("t", "k", "updatable-cracking")
+        cracked = database.access_path("t", "k").cracked
+
+        def rows(low, high):
+            return session.execute(
+                Query.range_query("t", "k", low, high)).positions.tolist()
+
+        with database.session() as session:
+            rowid = session.insert_row("t", {"k": big, "v": 0.5})
+            assert rowid == 100 and cracked.pending_inserts == 1
+            assert rows(2**60, 2**61) == [rowid]  # merges it
+            assert cracked.pending_inserts == 0
+            assert rows(big, big + 1) == [rowid]
+            assert rows(2**60, big) == [] and rows(big + 1, 2**61) == []
+            value = cracked.value_of(rowid)
+            assert value == big and type(value) is int
+            assert int(database.table("t")["k"].values[rowid]) == big
+            cracked.check_invariants()
+            session.delete_row("t", rowid)
+            assert cracked._pending_delete_rowids == {rowid: big}
+            assert rows(2**60, 2**61) == []
+            assert cracked.pending_deletes == 0
+            cracked.check_invariants()
+        database.close()
+
+    @pytest.mark.parametrize("durable", [False, True])
+    @pytest.mark.parametrize("column, value, error", [
+        ("k", 2**64, ValueError),          # a whole number int64 cannot hold
+        ("k", float("inf"), TypeError),    # not a whole number at all
+        ("c", float("nan"), ValueError),   # no bounded range would ever merge it
+    ])
+    def test_a_row_the_access_path_refuses_leaves_no_trace(
+            self, rng, tmp_path, durable, column, value, error):
+        database = Database("refusals", data_dir=tmp_path if durable else None)
+        database.record_journal = True
+        database.create_table("t", {
+            "k": rng.integers(0, 1_000, size=100).astype(np.int64),
+            "c": rng.uniform(0, 100, size=100),
+        })
+        for name in ("k", "c"):
+            database.set_indexing("t", name, "updatable-cracking")
+
+        def observable():
+            durability = database.durability
+            return (
+                database.table("t").row_count,
+                database.visible_row_count("t"),
+                len(database.operation_journal()),
+                durability.stats()["appended_records"] if durability else None,
+                database.rows_inserted, database.rows_deleted,
+                session.stats().rows_inserted, session.stats().rows_updated,
+                [(database.access_path("t", name).cracked.pending_inserts,
+                  database.access_path("t", name).cracked.pending_deletes)
+                 for name in ("k", "c")],
+            )
+
+        row = {"k": 5, "c": 5.0, column: value}
+        with database.session() as session:
+            before = observable()
+            with pytest.raises(error):
+                session.insert_row("t", row)
+            assert observable() == before
+            # ... nor does an update tombstone the old row first
+            with pytest.raises(error):
+                session.update_row("t", 7, {column: value})
+            assert observable() == before
+            assert 7 in session.execute(
+                Query(table="t", projections=["k"])).positions.tolist()
+        database.close()
+        if durable:
+            recovered = Database.open(tmp_path)
+            assert recovered.table("t").row_count == 100
+            assert recovered.visible_row_count("t") == 100
+            recovered.close()
+
     def test_deleted_rows_invisible_without_selection(self, database, session):
         session.delete_row("facts", 0)
         result = session.execute(Query(table="facts", projections=["a"]))
