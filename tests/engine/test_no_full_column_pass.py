@@ -13,7 +13,9 @@ common to both sides of the comparison.)
 Adaptive merging is held to the same two standards per query: no copy of the
 final partition or of a run (``tracemalloc``), and no Python-level work per
 run (``sys.setprofile`` counts calls, so the run count can be varied with the
-column held fixed).
+column held fixed).  So is an updatable cracked column: merging a pending
+update makes no call per piece, and deciding that nothing pending qualifies
+converts no pending entry.
 """
 
 import sys
@@ -168,3 +170,53 @@ def test_a_merging_query_makes_no_call_per_run():
             events[runs] = call_events(lambda: session.execute(query))
         database.close()
     assert events[1_600] < 2 * events[100], events
+
+
+def test_merging_a_pending_update_makes_no_call_per_piece():
+    """One pending insert and one pending delete rippled into the same
+    column cut into sixteen times the pieces: every later piece gives up one
+    element either way (a gather/scatter), but the calls made must not
+    follow the piece count."""
+    events = {}
+    for pieces in (1_000, 16_000):
+        database, rng = build_database("updatable-cracking")
+        cracked = database.access_path("t", "key").cracked
+        # in random order, so that each crack splits a piece, not the rest
+        for pivot in rng.permutation(
+                np.linspace(0, DOMAIN, pieces, endpoint=False)[1:]):
+            cracked.crack_at(int(pivot))
+        assert cracked.piece_count == pieces
+        with database.session() as session:
+            # the first pass warms the path up, the second is measured
+            for low in (600_000, 2_000):
+                query = Query.range_query("t", "key", low, low + 2_000)
+                victim = int(session.execute(query).positions[0])
+                session.insert_row("t", {"key": low + 1_000, "pay": 0.5})
+                session.delete_row("t", victim)
+                merged = cracked.merges_performed
+                events[pieces] = call_events(lambda: session.execute(query))
+                assert cracked.merges_performed == merged + 2
+        database.close()
+    assert events[16_000] < 2 * events[1_000], events
+
+
+def test_a_query_converts_no_pending_entry_it_does_not_merge():
+    """4 000 queued deletes, none inside the query's range: deciding so is a
+    mask over the typed queues (a byte or two per entry), not arrays built
+    from the queued Python objects (16 B per entry, twice)."""
+    pending = 4_000
+    database, _ = build_database("updatable-cracking")
+    keys = database.table("t")["key"].values
+    query = Query.range_query("t", "key", 1_000, 3_000)
+    with database.session() as session:
+        session.execute(query)
+        for rowid in np.flatnonzero(keys >= 10_000)[:pending].tolist():
+            session.delete_row("t", rowid)
+        peak = max(traced_peak(lambda: session.execute(query))
+                   for _ in range(3))
+        cracked = database.access_path("t", "key").cracked
+        assert cracked.pending_deletes == pending
+    database.close()
+    assert peak < 16 * pending, (
+        f"a query allocated {peak} B beside {pending} pending updates")
+
