@@ -36,6 +36,7 @@ scan happens whether or not anything qualifies.
 
 from __future__ import annotations
 
+import math
 import threading
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -415,9 +416,8 @@ class CrackedColumn:
         magnitude; NaN and the infinities included), ValueError for one
         outside the dtype's range and for NaN on a float column — no bounded
         range holds a NaN, so it would stay pending for ever."""
-        dtype = self._base.dtype
         if self._scalar is float:
-            if float(value) != float(value):
+            if math.isnan(value):
                 raise ValueError(f"cannot insert NaN into column {self.name!r}")
             return
         if isinstance(value, (float, np.floating)):
@@ -428,11 +428,11 @@ class CrackedColumn:
             raise TypeError(
                 f"cannot insert non-integer value {value!r} into an integer column"
             )
-        limits = np.iinfo(dtype)
+        limits = np.iinfo(self._base.dtype)
         if not limits.min <= int(value) <= limits.max:
             raise ValueError(
                 f"cannot insert {value!r} into column {self.name!r}: "
-                f"outside the range of {dtype.name}"
+                f"outside the range of {self._base.dtype.name}"
             )
 
     def insert(self, value: float, counters: Optional[CostCounters] = None,
