@@ -165,8 +165,12 @@ class CrackedColumn:
         self._rowids_buffer: Optional[np.ndarray] = None
         self.index = CrackerIndex(len(base))
 
-        # values enter the queues as the column's own kind of Python scalar
-        self._scalar = int if np.issubdtype(base.dtype, np.integer) else float
+        # an integer column takes whole numbers in this range and queues
+        # them as ints; any other column (None) queues floats
+        self._integer_range: Optional[Tuple[int, int]] = None
+        if np.issubdtype(base.dtype, np.integer):
+            limits = np.iinfo(base.dtype)
+            self._integer_range = (int(limits.min), int(limits.max))
         # pending structures (only ever non-empty on a materialised column):
         # typed queues in arrival order, which is the merge order, each
         # beside a set that answers membership in O(1)
@@ -391,7 +395,7 @@ class CrackedColumn:
         if self._original_rowids is None:
             if rowid in self._removed_base_rowids:
                 raise KeyError(f"unknown row identifier {rowid}")
-            return self._base[rowid - self.rowid_base].item()
+            return self._base.item(rowid - self.rowid_base)
         positions = np.flatnonzero(self.rowids == rowid)
         if len(positions) == 0:
             raise KeyError(f"unknown row identifier {rowid}")
@@ -416,7 +420,7 @@ class CrackedColumn:
         magnitude; NaN and the infinities included), ValueError for one
         outside the dtype's range and for NaN on a float column — no bounded
         range holds a NaN, so it would stay pending for ever."""
-        if self._scalar is float:
+        if self._integer_range is None:
             if math.isnan(value):
                 raise ValueError(f"cannot insert NaN into column {self.name!r}")
             return
@@ -428,8 +432,8 @@ class CrackedColumn:
             raise TypeError(
                 f"cannot insert non-integer value {value!r} into an integer column"
             )
-        limits = np.iinfo(self._base.dtype)
-        if not limits.min <= int(value) <= limits.max:
+        lowest, highest = self._integer_range
+        if not lowest <= int(value) <= highest:
             raise ValueError(
                 f"cannot insert {value!r} into column {self.name!r}: "
                 f"outside the range of {self._base.dtype.name}"
@@ -444,7 +448,7 @@ class CrackedColumn:
         base row range.
         """
         self.check_insertable(value)
-        value = self._scalar(value)
+        value = float(value) if self._integer_range is None else int(value)
         if rowid is None:
             rowid = self._next_rowid
             self._next_rowid += 1
