@@ -86,7 +86,8 @@ def run_comparison(
 ) -> BenchmarkResult:
     """Run ``strategies`` over the workload and return the benchmark result."""
     harness = AdaptiveIndexingBenchmark(values, queries, cost_model=cost_model)
-    return harness.run(strategies, options=options)
+    options = options or {}
+    return harness.run({name: (name, options.get(name, {})) for name in strategies})
 
 
 def print_summary(title: str, result: BenchmarkResult) -> None:

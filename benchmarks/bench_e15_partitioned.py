@@ -49,7 +49,7 @@ def run_experiment():
             "partitioned-cracking",
             {"partitions": 8, "parallel": True, "max_workers": workers},
         )
-    return harness.run_labeled(variants)
+    return harness.run(variants)
 
 
 @pytest.mark.benchmark(group="e15-partitioned")

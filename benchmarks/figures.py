@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 import tempfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -40,29 +39,24 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.strategies import create_strategy  # noqa: E402
 from repro.cost.counters import CostCounters  # noqa: E402
 from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL as MODEL  # noqa: E402
-from repro.cost.stats import QueryStatistics, WorkloadStatistics  # noqa: E402
+from repro.cost.stats import WorkloadStatistics  # noqa: E402
 from repro.durability.manager import DurabilityConfig  # noqa: E402
 from repro.engine.database import Database  # noqa: E402
-from repro.engine.query import Query  # noqa: E402
 from repro.workloads import tpch_like  # noqa: E402
-from repro.workloads.benchmark import AdaptiveIndexingBenchmark  # noqa: E402
+from repro.workloads.benchmark import (  # noqa: E402
+    AdaptiveIndexingBenchmark,
+    run_operations,
+    stats_snapshot,
+)
 from repro.workloads.generators import (  # noqa: E402
     WORKLOAD_PATTERNS,
-    RangeQuery,
     WorkloadSpec,
     generate_column_data,
-    random_workload,
 )
-from repro.workloads.metrics import (  # noqa: E402
-    convergence_point,
-    cost_crossover,
-    initialization_overhead,
-    robustness_ratio,
-)
-from repro.workloads.updates import UpdateOperation  # noqa: E402
+from repro.workloads.metrics import cost_crossover, robustness_ratio  # noqa: E402
+from repro.workloads.updates import mixed_update_workload, write_workload  # noqa: E402
 
 FIGURES_PATH = Path(__file__).resolve().parent.parent / "FIGURES.json"
 
@@ -98,44 +92,6 @@ def _resolved(options: Mapping[str, object], rows: int, queries: int) -> dict:
             for key, value in options.items()}
 
 
-def _mixed_updates(spec, updates_per_query=0.1, insert_fraction=0.5, hot_fraction=1.0):
-    """``mixed_update_workload`` with inserts confined to the bottom
-    ``hot_fraction`` of the key domain (the skewed stream of e17)."""
-    rng = np.random.default_rng(spec.seed + 1)
-    insert_high = spec.domain_low + hot_fraction * spec.domain_width
-    stream = []
-    for query in random_workload(spec):
-        for _ in range(rng.poisson(updates_per_query)):
-            if rng.random() < insert_fraction:
-                value = float(int(rng.uniform(spec.domain_low, insert_high)))
-                stream.append(UpdateOperation(kind="insert", value=value))
-            else:
-                stream.append(UpdateOperation(kind="delete"))
-        stream.append(UpdateOperation(kind="query", query=query))
-    return stream
-
-
-def _writes(spec, writes, insert_fraction=0.5, delete_fraction=0.25):
-    """``writes`` inserts / deletes / updates with ``spec.query_count`` random
-    range queries spread evenly between them (the durability stream of e20)."""
-    rng = np.random.default_rng(spec.seed + 1)
-    queries = random_workload(spec)
-    every = max(1, writes // len(queries))
-    stream = []
-    for index in range(writes):
-        roll = rng.random()
-        value = float(int(rng.uniform(spec.domain_low, spec.domain_high)))
-        if roll < insert_fraction:
-            stream.append(("insert", value))
-        elif roll < insert_fraction + delete_fraction:
-            stream.append(("delete", None))
-        else:
-            stream.append(("update", value))
-        if (index + 1) % every == 0 and queries:
-            stream.append(queries.pop(0))
-    return stream
-
-
 def _shipping_priority(spec):
     return tpch_like.shipping_priority_queries(
         tpch_like.TPCHLikeConfig(), query_count=spec.query_count, seed=spec.seed
@@ -144,8 +100,8 @@ def _shipping_priority(spec):
 
 PATTERNS: Dict[str, Callable] = {
     **WORKLOAD_PATTERNS,
-    "mixed-updates": _mixed_updates,
-    "writes": _writes,
+    "mixed-updates": mixed_update_workload,
+    "writes": write_workload,
     "shipping-priority": _shipping_priority,
 }
 
@@ -189,7 +145,6 @@ class Cell:
     """One variant over one panel: what the predicates read and the gate records."""
 
     statistics: WorkloadStatistics
-    answers_crc: int
     first_query_overhead: Optional[float] = None
     convergence_query: Optional[int] = None
     aux_bytes: int = 0
@@ -200,6 +155,7 @@ class Cell:
         self.cumulative: List[float] = self.statistics.cumulative_cost(MODEL)
         self.counters: CostCounters = self.statistics.total_counters()
         self.result_rows = sum(q.result_count for q in self.statistics)
+        self.answers_crc = self.statistics.answers_crc
 
     @property
     def total(self) -> float:
@@ -252,51 +208,6 @@ def near(value: float, expected: float, rel: float) -> bool:
     return abs(value - expected) <= rel * abs(expected)
 
 
-def run_operations(target, operations, label, table="data", column="key",
-                   rows=None, victim_seed=0):
-    """Replay ``operations`` against a strategy or a session; returns the
-    per-query statistics and a checksum of the answers (as row sets)."""
-    on_session = not hasattr(target, "search")
-    statistics = WorkloadStatistics(strategy=label)
-    rng = np.random.default_rng(victim_seed)
-    live = list(range(len(target) if rows is None else rows))
-    crc = 0
-    for operation in operations:
-        if isinstance(operation, UpdateOperation):
-            kind, query, value = operation.kind, operation.query, operation.value
-        elif isinstance(operation, tuple):
-            (kind, value), query = operation, None
-        else:
-            kind, query, value = "query", operation, None
-        if kind in ("delete", "update"):
-            if not live:
-                continue
-            victim = live.pop(int(rng.integers(0, len(live))))
-        if kind == "query":
-            if on_session:
-                if isinstance(query, RangeQuery):
-                    query = Query.range_query(table, column, query.low, query.high)
-                result = target.execute(query)
-                positions, counters = result.positions, result.counters
-            else:
-                counters = CostCounters()
-                positions = target.search(query.low, query.high, counters)
-            crc = zlib.crc32(np.sort(positions).tobytes(), crc)
-            statistics.append(QueryStatistics(
-                query_index=len(statistics), elapsed_seconds=0.0, counters=counters,
-                result_count=len(positions), strategy=label,
-            ))
-        elif kind == "insert":
-            live.append(target.insert_row(table, {column: value}) if on_session
-                        else target.insert(value))
-        elif kind == "delete":
-            target.delete_row(table, victim) if on_session else target.delete(victim)
-        else:
-            live.append(target.update_row(table, victim, {column: value}) if on_session
-                        else target.update(victim, value))
-    return statistics, crc
-
-
 class Results:
     """The cells of one experiment run; ``results(label, panel)`` is a cell."""
 
@@ -336,27 +247,15 @@ def _column(experiment: Experiment, rows: int) -> np.ndarray:
 
 
 def _strategy_cell(experiment, values, operations, workload, label, name, options):
-    queries = [op.query if isinstance(op, UpdateOperation) else op for op in operations]
-    harness = AdaptiveIndexingBenchmark(
-        values, [q for q in queries if isinstance(q, RangeQuery)]
+    tolerance, consecutive = experiment.convergence
+    run = AdaptiveIndexingBenchmark(
+        values, operations, MODEL, tolerance, consecutive, victim_seed=workload.seed
+    ).run_strategy(name, label, **options)
+    probe = experiment.probes.get(name)
+    return Cell(
+        run.statistics, run.initialization_overhead, run.convergence_query,
+        run.final_nbytes, probe(run.path) if probe else {},
     )
-    strategy = create_strategy(name, values, **options)
-    try:
-        statistics, crc = run_operations(
-            strategy, operations, label, victim_seed=workload.seed
-        )
-        probe = experiment.probes.get(name)
-        tolerance, consecutive = experiment.convergence
-        return Cell(
-            statistics, crc,
-            initialization_overhead(statistics, harness.scan_cost, MODEL),
-            convergence_point(statistics, harness.full_index_cost, tolerance,
-                              consecutive, MODEL),
-            strategy.nbytes,
-            probe(strategy) if probe else {},
-        )
-    finally:
-        strategy.close()
 
 
 def _session_cell(experiment, rows, operations, workload, label, name, options, scratch):
@@ -382,11 +281,12 @@ def _session_cell(experiment, rows, operations, workload, label, name, options, 
     if name != "scan":
         database.set_indexing(table, column, name, **options)
     with database.session(name=label) as session:
-        statistics, crc = run_operations(
-            session, operations, label, table, column, rows, workload.seed
+        statistics = run_operations(
+            session, operations, label, table=table, column=column, rows=rows,
+            victim_seed=workload.seed,
         )
     path = database.access_path(table, column)
-    cell = Cell(statistics, crc, aux_bytes=path.nbytes if path is not None else 0)
+    cell = Cell(statistics, aux_bytes=path.nbytes if path is not None else 0)
     if sync is not None:
         journal = database.durability.stats()
         cell.probes.update(journal_records=journal["appended_records"],
@@ -426,15 +326,6 @@ def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
 
 
 # -- probes and helpers the rows share -----------------------------------------------
-
-
-def stats_snapshot(column, *attributes: str) -> Dict[str, int]:
-    """Read shared statistics counters under the object's ``_stats_lock``."""
-    lock = getattr(column, "_stats_lock", None)
-    if lock is None:
-        return {name: getattr(column, name) for name in attributes}
-    with lock:
-        return {name: getattr(column, name) for name in attributes}
 
 
 def merges(strategy) -> Dict[str, float]:

@@ -60,16 +60,17 @@ import numpy as np
 from repro.analysis_tools.common import add_arguments as add_analyzer_arguments
 from repro.core.strategies import available_strategies
 from repro.version import __version__
-from repro.workloads.benchmark import AdaptiveIndexingBenchmark
+from repro.workloads.benchmark import AdaptiveIndexingBenchmark, run_operations
 from repro.workloads.generators import (
     WorkloadSpec,
     generate_column_data,
     make_workload,
+    random_workload,
 )
 from repro.workloads.reporting import (
-    per_query_series_csv,
     render_markdown_table,
     render_text_table,
+    write_csv,
 )
 
 
@@ -367,7 +368,9 @@ def _command_compare(args: argparse.Namespace) -> int:
             **repartition_options,
         },
     }
-    result = harness.run(strategies, options=options)
+    result = harness.run(
+        {name: (name, options.get(name, {})) for name in strategies}
+    )
 
     if args.format == "markdown":
         print(render_markdown_table(result))
@@ -395,41 +398,28 @@ def _command_compare(args: argparse.Namespace) -> int:
             for label, structure in structures.items():
                 print(f"physical state [{label}]: {structure}")
     if args.series_csv:
-        with open(args.series_csv, "w") as handle:
-            handle.write(per_query_series_csv(result))
+        write_csv(args.series_csv, result)
         print(f"\nper-query series written to {args.series_csv}")
     return 0
 
 
 def _command_demo(args: argparse.Namespace) -> int:
-    from repro.core.strategies import create_strategy
-    from repro.cost.counters import CostCounters
-    from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
-
-    rng = np.random.default_rng(0)
     values = generate_column_data(args.rows, 0, 1_000_000, seed=0)
-    index = create_strategy("cracking", values)
-    width = 1_000
-    costs = []
-    for _ in range(args.queries):
-        low = float(rng.uniform(0, 1_000_000 - width))
-        counters = CostCounters()
-        index.search(low, low + width, counters)
-        costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(counters))
+    spec = WorkloadSpec(query_count=args.queries, selectivity=0.001, seed=0)
+    run = AdaptiveIndexingBenchmark(values, random_workload(spec)).run_strategy(
+        "cracking"
+    )
+    costs = run.statistics.per_query_cost()
     checkpoints = [0, 1, 4, 9, 49, 99, len(costs) - 1]
     print(f"database cracking over {args.rows:,} rows, {args.queries} queries:")
     for point in checkpoints:
         if point < len(costs):
             print(f"  query {point + 1:>4d}: logical cost {costs[point]:>12.0f}")
-    print(f"  structure: {index.structure_description}")
+    print(f"  structure: {run.final_structure}")
     return 0
 
 
 def _command_updates(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
-    from repro.engine.database import Database
     from repro.workloads.updates import mixed_update_workload
 
     if args.strategy not in available_strategies():
@@ -476,38 +466,15 @@ def _command_updates(args: argparse.Namespace) -> int:
         seed=args.seed + 1,
     )
     stream = mixed_update_workload(spec, updates_per_query=args.updates_per_query)
-    rng = np.random.default_rng(args.seed + 2)
-    live_rowids = list(range(args.rows))
-    query_costs: List[float] = []
-    update_seconds = 0.0
-    query_seconds = 0.0
-    update_count = 0
     with database.session(name="updates-cli") as session:
-        for operation in stream:
-            if operation.kind == "insert":
-                started = time.perf_counter()
-                live_rowids.append(
-                    session.insert_row("data", {"key": operation.value})
-                )
-                update_seconds += time.perf_counter() - started
-                update_count += 1
-            elif operation.kind == "delete":
-                if live_rowids:
-                    victim = live_rowids.pop(int(rng.integers(0, len(live_rowids))))
-                    started = time.perf_counter()
-                    session.delete_row("data", victim)
-                    update_seconds += time.perf_counter() - started
-                    update_count += 1
-            else:
-                query = operation.query
-                started = time.perf_counter()
-                result = (
-                    session.query("data")
-                    .where("key", query.low, query.high)
-                    .run()
-                )
-                query_seconds += time.perf_counter() - started
-                query_costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(result.counters))
+        statistics = run_operations(
+            session, stream, args.strategy, rows=args.rows,
+            victim_seed=args.seed + 2,
+        )
+    query_costs = statistics.per_query_cost()
+    update_count = statistics.update_count
+    query_seconds = statistics.total_seconds
+    update_seconds = statistics.wall_seconds - query_seconds
 
     mean_cost = float(np.mean(query_costs)) if query_costs else 0.0
     tail = query_costs[-max(1, len(query_costs) // 10):]
@@ -542,10 +509,6 @@ def _command_updates(args: argparse.Namespace) -> int:
 
 
 def _command_batch(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.engine.database import Database
-    from repro.engine.query import Query
     from repro.engine.session import validate_max_workers
 
     if args.mode not in available_strategies():
@@ -565,14 +528,10 @@ def _command_batch(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
 
-    domain = 1_000_000
-    values = generate_column_data(args.rows, 0, domain, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    width = max(1.0, domain * args.selectivity)
-    queries = []
-    for _ in range(args.queries):
-        low = float(rng.uniform(0, domain - width))
-        queries.append(Query.range_query("data", "key", low, low + width))
+    values = generate_column_data(args.rows, 0, 1_000_000, seed=args.seed)
+    queries = random_workload(WorkloadSpec(
+        query_count=args.queries, selectivity=args.selectivity, seed=args.seed + 1
+    ))
 
     def run(parallel: bool):
         # each run gets its own journal directory: a data directory may
@@ -583,18 +542,17 @@ def _command_batch(args: argparse.Namespace) -> int:
         if args.mode != "scan":
             database.set_indexing("data", "key", args.mode)
         with database.session(name="batch-cli") as session:
-            started = time.perf_counter()
-            results = session.execute_many(
-                queries, parallel=parallel, max_workers=args.max_workers
+            statistics = run_operations(
+                session, [queries], label,
+                parallel=parallel, max_workers=args.max_workers,
             )
-            elapsed = time.perf_counter() - started
             report = session.stats().last_batch_report
         _report_durability(database, args)
         database.close()
-        return results, elapsed, report
+        return statistics, report
 
     try:
-        sequential_results, sequential_seconds, report = run(parallel=False)
+        sequential, report = run(parallel=False)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -607,23 +565,22 @@ def _command_batch(args: argparse.Namespace) -> int:
         f"({report.read_only_queries} read-only queries, "
         f"{report.exclusive_groups} serialized groups)"
     )
-    print(f"sequential        : {sequential_seconds * 1e3:8.1f} ms")
+    print(f"sequential        : {sequential.wall_seconds * 1e3:8.1f} ms")
     if not args.parallel:
         return 0
 
     try:
-        parallel_results, parallel_seconds, report = run(parallel=True)
+        concurrent, report = run(parallel=True)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
-    identical = all(
-        np.array_equal(sequential.positions, concurrent.positions)
-        and sequential.counters == concurrent.counters
-        for sequential, concurrent in zip(sequential_results, parallel_results)
+    identical = sequential.answers_crc == concurrent.answers_crc and all(
+        (one.counters, one.result_count) == (other.counters, other.result_count)
+        for one, other in zip(sequential, concurrent)
     )
-    speedup = sequential_seconds / max(parallel_seconds, 1e-9)
+    speedup = sequential.wall_seconds / max(concurrent.wall_seconds, 1e-9)
     print(
-        f"parallel          : {parallel_seconds * 1e3:8.1f} ms "
+        f"parallel          : {concurrent.wall_seconds * 1e3:8.1f} ms "
         f"({speedup:.2f}x, {report.workers_used} workers observed)"
     )
     print(f"results identical : {'yes' if identical else 'NO — BUG'}")

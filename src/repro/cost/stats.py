@@ -3,8 +3,8 @@
 These containers are produced by the engine (:mod:`repro.engine`) and by the
 adaptive-indexing benchmark harness (:mod:`repro.workloads.benchmark`).  They
 record, for every query of a workload, the wall-clock time, the logical cost
-counters, and the result cardinality — everything the experiments in
-EXPERIMENTS.md need.
+counters, and the result cardinality — everything the figure table in
+``benchmarks/figures.py`` needs.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ class WorkloadStatistics:
 
     strategy: str = ""
     queries: List[QueryStatistics] = field(default_factory=list)
+    #: inserts, deletes and updates applied between the queries
+    update_count: int = 0
+    #: wall-clock over every operation, writes included
+    wall_seconds: float = 0.0
+    #: crc32 chained over each query's sorted result positions: two runs that
+    #: answered every query with the same row set agree
+    answers_crc: int = 0
 
     def append(self, stats: QueryStatistics) -> None:
         self.queries.append(stats)
@@ -64,19 +71,6 @@ class WorkloadStatistics:
     @property
     def total_seconds(self) -> float:
         return sum(q.elapsed_seconds for q in self.queries)
-
-    @property
-    def per_query_seconds(self) -> List[float]:
-        return [q.elapsed_seconds for q in self.queries]
-
-    def cumulative_seconds(self) -> List[float]:
-        """Running sum of per-query wall-clock times."""
-        total = 0.0
-        cumulative = []
-        for query in self.queries:
-            total += query.elapsed_seconds
-            cumulative.append(total)
-        return cumulative
 
     def per_query_cost(
         self, model: CostModel = DEFAULT_MAIN_MEMORY_MODEL

@@ -11,11 +11,16 @@
   that sideways cracking targets (stand-in for TPC-H, see DESIGN.md).
 * :mod:`repro.workloads.metrics` / :mod:`repro.workloads.benchmark` — the
   benchmark of Graefe, Idreos, Kuno & Manegold (TPCTC 2010): initialization
-  cost, convergence point, and a harness that runs many strategies over the
-  same workload and reports both.
+  cost, convergence point, the one measuring loop (``run_operations``: an
+  operation stream against a strategy or a session) and a harness that runs
+  many strategies over the same stream through it and reports both.
 """
 
-from repro.workloads.benchmark import AdaptiveIndexingBenchmark, BenchmarkResult
+from repro.workloads.benchmark import (
+    AdaptiveIndexingBenchmark,
+    BenchmarkResult,
+    run_operations,
+)
 from repro.workloads.generators import (
     RangeQuery,
     WorkloadSpec,
@@ -31,6 +36,7 @@ from repro.workloads.updates import UpdateOperation, mixed_update_workload
 __all__ = [
     "AdaptiveIndexingBenchmark",
     "BenchmarkResult",
+    "run_operations",
     "RangeQuery",
     "WorkloadSpec",
     "random_workload",

@@ -1,39 +1,148 @@
 """The adaptive-indexing benchmark harness (Graefe et al., TPCTC 2010).
 
-The harness runs a set of strategies over the same column and the same
-query workload, records per-query logical costs and wall-clock times, and
-reports the benchmark's two metrics (initialization cost of the first query,
-convergence point) plus total cost — everything the experiment scripts under
-``benchmarks/`` need to regenerate the figures listed in EXPERIMENTS.md.
-
-Two execution surfaces are offered: :meth:`run_strategy` drives a bare
-strategy object (the historical micro-benchmark path), while
-:meth:`run_in_engine` routes the same workload through a full
-``Database`` session — planner, executor, table gate and access-path
-locks included — so engine-level experiments (concurrent sessions,
-DML-during-batch) report metrics comparable to the strategy-level runs.
+:func:`run_operations` is the one measuring loop of the repository: it
+replays an operation stream — range queries, inserts, deletes, updates,
+query batches — against either a bare strategy object or a ``Database``
+session and records per-query logical costs and wall-clock times.
+:class:`AdaptiveIndexingBenchmark` runs several strategies over one column
+and one stream through it and reports the benchmark's two metrics
+(initialization cost of the first query, convergence point) plus total
+cost.  The CLI's ``compare`` / ``updates`` / ``batch`` / ``demo`` and every
+row of the figure table in ``benchmarks/figures.py`` measure through here.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.columnstore.column import Column
-from repro.core.strategies import create_strategy
+from repro.core.strategies import SearchStrategy, create_strategy
 from repro.cost.counters import CostCounters
 from repro.cost.model import CostModel, DEFAULT_MAIN_MEMORY_MODEL
 from repro.cost.stats import QueryStatistics, WorkloadStatistics
 from repro.cost.timer import Timer
-from repro.engine.database import Database
+from repro.engine.executor import QueryResult
+from repro.engine.query import Query
+from repro.engine.session import Session
 from repro.workloads.generators import RangeQuery
 from repro.workloads.metrics import (
     convergence_point,
     initialization_overhead,
     robustness_ratio,
 )
+from repro.workloads.updates import UpdateOperation
+
+def stats_snapshot(column, *attributes: str) -> Dict[str, int]:
+    """Atomically read a strategy's shared statistics counters.
+
+    Statistics like ``merges_performed`` / ``partition_splits`` are declared
+    ``@guarded_by(..., "_stats_lock")``: with a parallel fan-out column pool
+    workers update them under the object's stats lock, so reading them bare
+    from the driver thread is a data race — individually torn reads, and
+    multi-attribute snapshots that mix two moments.  All requested reads
+    happen under one acquisition of the object's ``_stats_lock``; an object
+    without one is a single-threaded structure and is read directly.
+    """
+    lock = getattr(column, "_stats_lock", None)
+    if lock is None:
+        return {name: getattr(column, name) for name in attributes}
+    with lock:
+        return {name: getattr(column, name) for name in attributes}
+
+
+def run_operations(
+    target: Union[SearchStrategy, Session],
+    operations: Iterable[object],
+    label: str = "",
+    *,
+    table: str = "data",
+    column: str = "key",
+    rows: Optional[int] = None,
+    victim_seed: int = 0,
+    **batch_options,
+) -> WorkloadStatistics:
+    """Replay ``operations`` against a strategy or a session, one at a time.
+
+    An operation is a :class:`RangeQuery` (on a session: a selection on
+    ``table.column``), an engine :class:`Query`, a list of either (a batch
+    for ``Session.execute_many``, given ``batch_options``; sessions only), or
+    an :class:`UpdateOperation`.  Deletes and updates name no row: the victim
+    is drawn with ``victim_seed`` from the live rowids — ``rows`` base rows
+    (default: a strategy's length, none of a session's table) plus what the
+    stream inserted — and skipped when none is left.  Only the call into the
+    target is timed.
+
+    Returns one :class:`QueryStatistics` per query plus the write count, the
+    wall-clock over all operations and a checksum of the answers as row sets.
+    """
+    session = target if isinstance(target, Session) else None
+    statistics = WorkloadStatistics(strategy=label)
+    rng = np.random.default_rng(victim_seed)
+    if rows is None:
+        rows = len(target) if session is None else 0
+    live = list(range(rows))
+    timer = Timer()
+    for operation in operations:
+        kind, queries, value = "query", [operation], None
+        if isinstance(operation, UpdateOperation):
+            kind, queries, value = operation.kind, [operation.query], operation.value
+        elif not isinstance(operation, (RangeQuery, Query)):
+            kind, queries = "batch", list(operation)
+        if kind in ("delete", "update"):
+            if not live:
+                continue
+            victim = live.pop(int(rng.integers(0, len(live))))
+        elif session is not None and kind != "insert":
+            queries = [
+                Query.range_query(table, column, query.low, query.high)
+                if isinstance(query, RangeQuery) else query
+                for query in queries
+            ]
+        with timer:
+            if kind == "batch":
+                results = session.execute_many(queries, **batch_options)
+            elif kind == "query" and session is not None:
+                results = [session.execute(queries[0])]
+            elif kind == "query":
+                counters = CostCounters()
+                positions = target.search(queries[0].low, queries[0].high, counters)
+            elif kind == "insert":
+                live.append(session.insert_row(table, {column: value})
+                            if session is not None else target.insert(value))
+            elif kind == "delete":
+                if session is not None:
+                    session.delete_row(table, victim)
+                else:
+                    target.delete(victim)
+            else:
+                live.append(session.update_row(table, victim, {column: value})
+                            if session is not None else target.update(victim, value))
+        if kind not in ("query", "batch"):
+            statistics.update_count += 1
+            continue
+        if session is None:
+            results = [QueryResult(positions, counters=counters)]
+        for query, result in zip(queries, results):
+            statistics.answers_crc = zlib.crc32(
+                np.sort(result.positions).tobytes(), statistics.answers_crc
+            )
+            statistics.append(QueryStatistics(
+                query_index=len(statistics),
+                # a batch overlaps its queries: each keeps the engine's own time
+                elapsed_seconds=(result.elapsed_seconds if kind == "batch"
+                                 else timer.elapsed),
+                counters=result.counters,
+                result_count=result.row_count,
+                strategy=label,
+                description=(query.description if session is not None
+                             else f"[{query.low}, {query.high})"),
+            ))
+    statistics.wall_seconds = timer.total
+    return statistics
 
 
 @dataclass
@@ -50,6 +159,9 @@ class StrategyRunResult:
     robustness: float = 1.0
     #: one-line physical state after the workload (partition/split counts …)
     final_structure: str = ""
+    #: the strategy that answered the run, closed: structure counters are
+    #: read off it afterwards
+    path: Optional[SearchStrategy] = None
 
     def summary_row(self) -> Dict[str, object]:
         """Flat record for tabular reports."""
@@ -95,31 +207,40 @@ class BenchmarkResult:
 
 
 class AdaptiveIndexingBenchmark:
-    """Run several strategies over one column and one query sequence."""
+    """Run several strategies over one column and one operation stream."""
 
     def __init__(
         self,
         values: Union[Column, np.ndarray],
-        queries: Sequence[RangeQuery],
+        operations: Iterable[object],
         cost_model: CostModel = DEFAULT_MAIN_MEMORY_MODEL,
         convergence_tolerance: float = 1.25,
         convergence_consecutive: int = 5,
+        victim_seed: int = 0,
     ) -> None:
         self.values = values.values if isinstance(values, Column) else np.asarray(values)
-        self.queries = list(queries)
+        self.operations = list(operations)
+        #: the range queries of the stream (the reference costs average them)
+        self.queries = [
+            query for query in (
+                op.query if isinstance(op, UpdateOperation) else op
+                for op in self.operations
+            ) if isinstance(query, RangeQuery)
+        ]
         if not self.queries:
             raise ValueError("the benchmark needs at least one query")
         self.cost_model = cost_model
         self.convergence_tolerance = convergence_tolerance
         self.convergence_consecutive = convergence_consecutive
-        self._scan_cost = self._estimate_scan_cost()
-        self._full_index_cost = self._estimate_full_index_cost()
+        self.victim_seed = victim_seed
+        #: logical cost of answering one query with a full scan
+        self.scan_cost = cost_model.cost_of(
+            tuples_scanned=len(self.values), comparisons=2 * len(self.values)
+        )
+        #: logical steady-state cost of one query on a full index
+        self.full_index_cost = self._estimate_full_index_cost()
 
     # -- reference costs -----------------------------------------------------------
-
-    def _estimate_scan_cost(self) -> float:
-        n = len(self.values)
-        return self.cost_model.cost_of(tuples_scanned=n, comparisons=2 * n)
 
     def _estimate_full_index_cost(self) -> float:
         """Steady-state cost of one query on a full index (lookup + result scan)."""
@@ -141,57 +262,35 @@ class AdaptiveIndexingBenchmark:
         width = float(self.values.max() - self.values.min())
         return width if width > 0 else 1.0
 
-    @property
-    def scan_cost(self) -> float:
-        """Logical cost of answering one query with a full scan."""
-        return self._scan_cost
-
-    @property
-    def full_index_cost(self) -> float:
-        """Logical steady-state cost of one query on a full index."""
-        return self._full_index_cost
-
     # -- running -----------------------------------------------------------------------
 
     def run_strategy(
         self, name: str, label: Optional[str] = None, **options
     ) -> StrategyRunResult:
-        """Run the full query sequence against a fresh instance of one strategy.
+        """Run the stream against a fresh instance of one strategy.
 
         ``label`` names the run in the result (defaults to ``name``); distinct
         labels let the same strategy be compared at several configurations,
         e.g. partitioned cracking at different partition counts.
         """
-        label = label or name
         strategy = create_strategy(name, self.values, **options)
-        statistics = WorkloadStatistics(strategy=label)
-        total_timer = Timer()
-        with total_timer:
-            for index, query in enumerate(self.queries):
-                counters = CostCounters()
-                timer = Timer()
-                with timer:
-                    positions = strategy.search(query.low, query.high, counters)
-                statistics.append(
-                    QueryStatistics(
-                        query_index=index,
-                        elapsed_seconds=timer.elapsed,
-                        counters=counters,
-                        result_count=len(positions),
-                        strategy=label,
-                        description=f"[{query.low}, {query.high})",
-                    )
-                )
+        try:
+            statistics = run_operations(
+                strategy, self.operations, label or name,
+                victim_seed=self.victim_seed,
+            )
+        finally:
+            strategy.close()
         per_query = statistics.per_query_cost(self.cost_model)
         return StrategyRunResult(
-            strategy=label,
+            strategy=statistics.strategy,
             statistics=statistics,
             initialization_overhead=initialization_overhead(
-                statistics, self._scan_cost, self.cost_model
+                statistics, self.scan_cost, self.cost_model
             ),
             convergence_query=convergence_point(
                 statistics,
-                self._full_index_cost,
+                self.full_index_cost,
                 tolerance=self.convergence_tolerance,
                 consecutive=self.convergence_consecutive,
                 model=self.cost_model,
@@ -201,98 +300,22 @@ class AdaptiveIndexingBenchmark:
             final_nbytes=strategy.nbytes,
             robustness=robustness_ratio(per_query) if per_query else 1.0,
             final_structure=strategy.structure_description,
-        )
-
-    def run_in_engine(
-        self, mode: str, label: Optional[str] = None, **options
-    ) -> StrategyRunResult:
-        """Run the workload through a Database session (the engine front door).
-
-        Builds a fresh single-table database, puts its key column under
-        ``mode`` (any registered strategy; ``"scan"`` leaves it
-        unindexed) and executes every query through the
-        lock-aware session builder.  For a pure selection workload the
-        recorded counters are identical to :meth:`run_strategy`'s — the
-        engine dispatches to the same structures — so both surfaces feed
-        the same summary tables.
-        """
-        label = label or f"engine:{mode}"
-        database = Database(f"bench-{mode}")
-        database.create_table("data", {"key": self.values})
-        if mode != "scan":
-            database.set_indexing("data", "key", mode, **options)
-        statistics = WorkloadStatistics(strategy=label)
-        total_timer = Timer()
-        with total_timer, database.session(name=label) as session:
-            for index, query in enumerate(self.queries):
-                result = (
-                    session.query("data").where("key", query.low, query.high).run()
-                )
-                statistics.append(
-                    QueryStatistics(
-                        query_index=index,
-                        elapsed_seconds=result.elapsed_seconds,
-                        counters=result.counters,
-                        result_count=result.row_count,
-                        strategy=label,
-                        description=f"[{query.low}, {query.high})",
-                    )
-                )
-        path = database.access_path("data", "key")
-        per_query = statistics.per_query_cost(self.cost_model)
-        return StrategyRunResult(
-            strategy=label,
-            statistics=statistics,
-            initialization_overhead=initialization_overhead(
-                statistics, self._scan_cost, self.cost_model
-            ),
-            convergence_query=convergence_point(
-                statistics,
-                self._full_index_cost,
-                tolerance=self.convergence_tolerance,
-                consecutive=self.convergence_consecutive,
-                model=self.cost_model,
-            ),
-            total_cost=sum(per_query),
-            total_seconds=statistics.total_seconds,
-            final_nbytes=path.nbytes if path is not None else 0,
-            robustness=robustness_ratio(per_query) if per_query else 1.0,
-            final_structure=path.structure_description if path is not None else "",
+            path=strategy,
         )
 
     def run(
-        self,
-        strategies: Iterable[str],
-        options: Optional[Dict[str, dict]] = None,
+        self, variants: Union[Iterable[str], Mapping[str, Tuple[str, dict]]]
     ) -> BenchmarkResult:
-        """Run every strategy in ``strategies`` over the same workload."""
-        options = options or {}
+        """Run every variant over the same stream: registry names, or
+        ``label -> (name, options)`` to compare one strategy with itself."""
+        if not isinstance(variants, Mapping):
+            variants = {name: (name, {}) for name in variants}
         result = BenchmarkResult(
             column_size=len(self.values),
             query_count=len(self.queries),
-            scan_cost=self._scan_cost,
-            full_index_cost=self._full_index_cost,
+            scan_cost=self.scan_cost,
+            full_index_cost=self.full_index_cost,
         )
-        for name in strategies:
-            result.runs[name] = self.run_strategy(name, **options.get(name, {}))
-        return result
-
-    def run_labeled(
-        self, variants: Mapping[str, Tuple[str, dict]]
-    ) -> BenchmarkResult:
-        """Run labelled strategy variants: ``label -> (strategy name, options)``.
-
-        Unlike :meth:`run`, the same strategy may appear several times under
-        different labels (and option sets) in one result.
-        """
-        result = BenchmarkResult(
-            column_size=len(self.values),
-            query_count=len(self.queries),
-            scan_cost=self._scan_cost,
-            full_index_cost=self._full_index_cost,
-        )
-        for label, (name, variant_options) in variants.items():
-            result.runs[label] = self.run_strategy(
-                name, label=label, **dict(variant_options)
-            )
+        for label, (name, options) in variants.items():
+            result.runs[label] = self.run_strategy(name, label=label, **options)
         return result

@@ -3,15 +3,15 @@
 The benchmark harness returns structured
 :class:`~repro.workloads.benchmark.BenchmarkResult` objects; this module
 turns them into the artefacts an experimenter actually wants: aligned text
-tables for the console, Markdown tables for reports (EXPERIMENTS.md is built
-from these), and CSV files of the per-query series for plotting.
+tables for the console, Markdown tables for reports, and CSV files of the
+per-query series for plotting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List
+from typing import Dict
 
 from repro.cost.model import CostModel, DEFAULT_MAIN_MEMORY_MODEL
 from repro.workloads.benchmark import BenchmarkResult
@@ -36,14 +36,9 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def summary_rows(result: BenchmarkResult) -> List[dict]:
-    """The summary table as a list of dictionaries (one per strategy)."""
-    return result.summary_table()
-
-
 def render_text_table(result: BenchmarkResult) -> str:
     """Fixed-width text table of the benchmark summary."""
-    rows = summary_rows(result)
+    rows = result.summary_table()
     widths = {}
     for key, title in _SUMMARY_COLUMNS:
         widths[key] = max(
@@ -63,7 +58,7 @@ def render_text_table(result: BenchmarkResult) -> str:
 
 def render_markdown_table(result: BenchmarkResult) -> str:
     """GitHub-flavoured Markdown table of the benchmark summary."""
-    rows = summary_rows(result)
+    rows = result.summary_table()
     titles = [title for _, title in _SUMMARY_COLUMNS]
     lines = [
         "| " + " | ".join(titles) + " |",
@@ -105,7 +100,7 @@ def write_csv(path: str, result: BenchmarkResult, cumulative: bool = False) -> N
 
 def summary_csv(result: BenchmarkResult) -> str:
     """CSV text of the summary table."""
-    rows = summary_rows(result)
+    rows = result.summary_table()
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow([key for key, _ in _SUMMARY_COLUMNS])
@@ -124,8 +119,8 @@ def compare_results(
     Useful for ablation studies: run the same workload with a design knob
     flipped and report the relative change per strategy.
     """
-    baseline_rows = {row["strategy"]: row for row in summary_rows(baseline)}
-    candidate_rows = {row["strategy"]: row for row in summary_rows(candidate)}
+    baseline_rows = {row["strategy"]: row for row in baseline.summary_table()}
+    candidate_rows = {row["strategy"]: row for row in candidate.summary_table()}
     ratios: Dict[str, float] = {}
     for name in sorted(set(baseline_rows) & set(candidate_rows)):
         base_value = baseline_rows[name][metric]

@@ -3,21 +3,18 @@
 The parallel fan-out columns update statistics like ``partition_splits``
 under their ``_stats_lock`` (declared via ``@guarded_by``); the benchmark
 drivers used to read them bare, which is a data race under pool workers.
-``bench_common.stats_snapshot`` is the fix — these tests pin down that it
+``repro.workloads.benchmark.stats_snapshot`` (what the figure table's
+structure probes read through) is the fix — these tests pin down that it
 really holds the lock across *all* requested reads (one consistent
 snapshot) and that lock-less single-threaded structures keep working.
 """
 
-import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
-
-from bench_common import stats_snapshot  # noqa: E402
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn  # noqa: E402
+from repro.core.partitioned import PartitionedUpdatableCrackedColumn
+from repro.workloads.benchmark import stats_snapshot
 
 
 class _RecordingLock:

@@ -6,7 +6,9 @@ import pytest
 from repro.cost.counters import CostCounters
 from repro.cost.model import CostModel
 from repro.cost.stats import QueryStatistics, WorkloadStatistics
-from repro.workloads.benchmark import AdaptiveIndexingBenchmark
+from repro.core.strategies import create_strategy
+from repro.engine.database import Database
+from repro.workloads.benchmark import AdaptiveIndexingBenchmark, run_operations
 from repro.workloads.generators import WorkloadSpec, random_workload
 from repro.workloads.metrics import (
     convergence_point,
@@ -14,6 +16,7 @@ from repro.workloads.metrics import (
     initialization_overhead,
     robustness_ratio,
 )
+from repro.workloads.updates import UpdateOperation, write_workload
 
 UNIT_MODEL = CostModel(name="unit", scan_weight=1.0, move_weight=0.0,
                        comparison_weight=0.0, random_access_weight=0.0)
@@ -115,3 +118,96 @@ class TestBenchmarkHarness:
     def test_strategy_options_forwarded(self, harness):
         run = harness.run_strategy("adaptive-merging", run_size=500)
         assert run.total_cost > 0
+
+    def test_labelled_variants_compare_one_strategy_with_itself(self, harness):
+        result = harness.run({
+            f"p{count}": ("partitioned-cracking", {"partitions": count})
+            for count in (2, 4)
+        })
+        assert list(result.runs) == ["p2", "p4"]
+        assert result.runs["p2"].strategy == "p2"
+        assert result.runs["p4"].path.cracked.partition_count == 4
+        assert (result.runs["p2"].statistics.answers_crc
+                == result.runs["p4"].statistics.answers_crc)
+
+
+class TestRunOperations:
+    """The one measuring loop: same stream, either surface, same answers."""
+
+    ROWS = 4_000
+
+    @pytest.fixture(scope="class")
+    def values(self):
+        return np.random.default_rng(3).integers(0, 50_000, size=self.ROWS)
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        spec = WorkloadSpec(domain_low=0, domain_high=50_000, query_count=25,
+                            selectivity=0.02, seed=4)
+        return write_workload(spec, writes=100)
+
+    def through_a_session(self, values, operations, mode, **kwargs):
+        database = Database("surface")
+        database.create_table("data", {"key": values})
+        database.set_indexing("data", "key", mode)
+        with database.session() as session:
+            statistics = run_operations(
+                session, operations, mode, rows=len(values), **kwargs
+            )
+        database.close()
+        return statistics
+
+    def test_a_selection_stream_costs_the_same_on_both_surfaces(self, values):
+        spec = WorkloadSpec(domain_low=0, domain_high=50_000, query_count=30,
+                            selectivity=0.02, seed=1)
+        queries = random_workload(spec)
+        bare = run_operations(create_strategy("cracking", values), queries, "bare")
+        engine = self.through_a_session(values, queries, "cracking")
+        assert len(bare) == len(engine) == 30
+        assert [q.counters for q in bare] == [q.counters for q in engine]
+        assert bare.answers_crc == engine.answers_crc != 0
+        assert bare.update_count == engine.update_count == 0
+        assert bare.wall_seconds >= bare.total_seconds > 0
+
+    def test_writes_reach_both_surfaces_with_the_same_victims(self, values, stream):
+        bare = run_operations(
+            create_strategy("updatable-cracking", values), stream, victim_seed=9
+        )
+        engine = self.through_a_session(
+            values, stream, "updatable-cracking", victim_seed=9
+        )
+        assert bare.update_count == engine.update_count == 100
+        assert len(bare) == len(engine) == 25
+        assert bare.answers_crc == engine.answers_crc
+        assert [q.result_count for q in bare] == [q.result_count for q in engine]
+        other_victims = run_operations(
+            create_strategy("updatable-cracking", values), stream, victim_seed=10
+        )
+        assert other_victims.answers_crc != bare.answers_crc
+
+    def test_the_answers_match_a_scan_over_the_same_writes(self, values, stream):
+        cracked = run_operations(
+            create_strategy("updatable-cracking", values), stream, victim_seed=9
+        )
+        scanned = self.through_a_session(values, stream, "scan", victim_seed=9)
+        assert cracked.answers_crc == scanned.answers_crc
+
+    def test_a_list_of_queries_is_one_batch(self, values):
+        spec = WorkloadSpec(domain_low=0, domain_high=50_000, query_count=8,
+                            selectivity=0.05, seed=2)
+        queries = random_workload(spec)
+        one_by_one = self.through_a_session(values, queries, "scan")
+        batched = self.through_a_session(
+            values, [queries], "scan", parallel=True, max_workers=2
+        )
+        assert len(batched) == 8
+        assert batched.answers_crc == one_by_one.answers_crc
+        assert [q.counters for q in batched] == [q.counters for q in one_by_one]
+
+    def test_a_write_without_a_live_row_is_skipped(self):
+        stream = [UpdateOperation(kind="delete"),
+                  UpdateOperation(kind="insert", value=5.0),
+                  UpdateOperation(kind="delete"),
+                  UpdateOperation(kind="delete")]
+        strategy = create_strategy("updatable-cracking", np.arange(0))
+        assert run_operations(strategy, stream).update_count == 2

@@ -1,5 +1,7 @@
 """Unit tests for update workloads and the TPC-H-like generator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,14 @@ from repro.workloads.tpch_like import (
     generate_tables,
     shipping_priority_queries,
 )
-from repro.workloads.updates import UpdateOperation, mixed_update_workload, split_operations
+from repro.workloads.updates import UpdateOperation, mixed_update_workload, write_workload
 
 
 SPEC = WorkloadSpec(domain_low=0, domain_high=10_000, query_count=200, seed=5)
+
+
+def split_operations(stream):
+    return Counter(operation.kind for operation in stream)
 
 
 class TestUpdateWorkload:
@@ -25,6 +31,8 @@ class TestUpdateWorkload:
             UpdateOperation(kind="query")
         with pytest.raises(ValueError):
             UpdateOperation(kind="insert")
+        with pytest.raises(ValueError):
+            UpdateOperation(kind="update")
 
     def test_mixed_stream_composition(self):
         stream = mixed_update_workload(SPEC, updates_per_query=0.5)
@@ -52,11 +60,32 @@ class TestUpdateWorkload:
                 assert SPEC.domain_low <= operation.value <= SPEC.domain_high
                 assert operation.value == int(operation.value)
 
+    def test_hot_fraction_confines_the_inserts_and_nothing_else(self):
+        everywhere = mixed_update_workload(SPEC, updates_per_query=1.0)
+        hot = mixed_update_workload(SPEC, updates_per_query=1.0, hot_fraction=0.1)
+        assert [op.kind for op in hot] == [op.kind for op in everywhere]
+        assert [op.query for op in hot] == [op.query for op in everywhere]
+        inserted = [op.value for op in hot if op.kind == "insert"]
+        assert inserted and max(inserted) < 0.1 * SPEC.domain_high
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mixed_update_workload(SPEC, updates_per_query=-1)
         with pytest.raises(ValueError):
             mixed_update_workload(SPEC, insert_fraction=2.0)
+        with pytest.raises(ValueError):
+            mixed_update_workload(SPEC, hot_fraction=0.0)
+
+    def test_write_workload_has_exactly_the_writes_asked_for(self):
+        spec = WorkloadSpec(domain_low=0, domain_high=10_000, query_count=30, seed=5)
+        stream = write_workload(spec, writes=300)
+        summary = split_operations(stream)
+        assert summary["query"] == 30
+        assert summary["insert"] + summary["delete"] + summary["update"] == 300
+        assert min(summary["insert"], summary["delete"], summary["update"]) > 30
+        # a query after every tenth write, none before the first
+        assert [op.kind == "query" for op in stream[:11]] == [False] * 10 + [True]
+        assert stream == write_workload(spec, writes=300)
 
 
 class TestTPCHLike:
