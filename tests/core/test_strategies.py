@@ -39,7 +39,7 @@ EXPECTED_STRATEGIES = {
 class TestRegistry:
     def test_exactly_the_expected_strategies_registered(self):
         # every suite that iterates the registry (DML upkeep, the session and
-        # batch property suites, bench_e18) covers exactly these nineteen
+        # batch property suites) covers exactly these nineteen
         assert set(available_strategies()) == EXPECTED_STRATEGIES
 
     def test_create_unknown_strategy(self, small_values):
