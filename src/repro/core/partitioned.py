@@ -131,8 +131,8 @@ def _content_bounds(
     """Exact min/max over a column's merged values and pending inserts."""
     lows, highs = [], []
     if len(column.values):
-        lows.append(float(column.values.min()))
-        highs.append(float(column.values.max()))
+        lows.append(column.values.min().item())
+        highs.append(column.values.max().item())
     if column._pending_insert_values:
         lows.append(min(column._pending_insert_values))
         highs.append(max(column._pending_insert_values))
@@ -264,7 +264,9 @@ class ColumnPartition:
                rowid: int) -> int:
         """Queue one insert (globally numbered) and widen the bounds."""
         rowid = self.cracked.insert(value, counters, rowid=rowid)
-        value = float(value)
+        # as the column stored it — an int on an integer column: float() would
+        # round a key beyond 2**53 and the bounds would prune its own row
+        value = self.cracked.value_of(rowid)
         if self._extra_min is None or value < self._extra_min:
             self._extra_min = value
         if self._extra_max is None or value > self._extra_max:
@@ -792,7 +794,7 @@ class PartitionedCrackedColumn:
                 "partitioned cracking assigns rowids sequentially; "
                 f"expected {self._next_rowid}, got {rowid}"
             )
-        partition = self._route_insert(float(value))
+        partition = self._route_insert(value)
         rowid = partition.insert(value, counters, self._next_rowid)
         self._next_rowid += 1
         self._maybe_split(counters)

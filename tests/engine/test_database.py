@@ -507,6 +507,36 @@ class TestDML:
             cracked.check_invariants()
         database.close()
 
+    @pytest.mark.parametrize("options", [
+        {}, {"repartition": True}, {"repartition": True, "max_partition_rows": 80},
+    ], ids=["fixed", "repartition", "repartition-splitting"])
+    def test_a_partition_does_not_prune_its_own_wide_key(self, options):
+        # the owning partition's bounds widened with float(2**60 + 1) == 2**60,
+        # so the query below pruned it and the row was lost
+        big = 2**60 + 1
+        database = Database("wide-keys-partitioned")
+        database.create_table("t", {"k": np.arange(100, dtype=np.int64)})
+        database.set_indexing(
+            "t", "k", "partitioned-updatable-cracking", partitions=2, **options
+        )
+        column = database.access_path("t", "k").cracked
+        with database.session() as session:
+            rowid = session.insert_row("t", {"k": big})
+            for round in range(3):  # pending; merged; merged into a split fragment
+                found = session.execute(Query.range_query("t", "k", big, big + 1))
+                assert found.positions.tolist() == [rowid]
+                if round == 1 and "max_partition_rows" in options:
+                    for key in range(40):  # overfill the partition holding it
+                        session.insert_row("t", {"k": 60 + key})
+            assert session.execute(
+                Query.range_query("t", "k", big + 1, 2**61)).row_count == 0
+            assert session.execute(
+                Query.range_query("t", "k", 2**60, big)).row_count == 0
+        if "max_partition_rows" in options:
+            assert column.partition_splits > 0
+        column.check_invariants()
+        database.close()
+
     @pytest.mark.parametrize("durable", [False, True])
     @pytest.mark.parametrize("column, value, error", [
         ("k", 2**64, ValueError),          # a whole number int64 cannot hold
