@@ -192,7 +192,10 @@ class FinalPartition:
         """Value-disjointness and per-piece bound checks (test helper)."""
         ordered = sorted(self.pieces, key=lambda piece: piece.low)
         for first, second in zip(ordered, ordered[1:]):
-            assert first.high <= second.low or first.low >= second.high or True
+            assert first.high <= second.low, (
+                f"pieces [{first.low}, {first.high}) and "
+                f"[{second.low}, {second.high}) overlap"
+            )
         for piece in self.pieces:
             if len(piece.values) == 0:
                 continue

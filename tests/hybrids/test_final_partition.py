@@ -41,6 +41,17 @@ class TestModes:
         expected = set(r1[(v1 >= 50)].tolist()) | set(r2[(v2 < 350)].tolist())
         assert set(found.tolist()) == expected
 
+    def test_overlapping_pieces_fail_the_invariants(self, rng, mode):
+        # a key range is extracted at most once: the check used to end in
+        # ``or True`` and accepted anything
+        partition = FinalPartition(mode=mode)
+        add_range_piece(partition, rng, 0, 100)
+        add_range_piece(partition, rng, 100, 200)  # adjacent is disjoint
+        partition.check_invariants()
+        add_range_piece(partition, rng, 150, 250)
+        with pytest.raises(AssertionError, match="overlap"):
+            partition.check_invariants()
+
     def test_empty_piece_ignored(self, rng, mode):
         partition = FinalPartition(mode=mode)
         partition.add_piece(0, 10, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
