@@ -26,6 +26,11 @@ from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, RangeSelection
+from repro.workloads.generators import (
+    WorkloadSpec,
+    random_workload,
+    sequential_workload,
+)
 
 ROWS = 2_000
 DOMAIN = 20_000
@@ -1007,6 +1012,65 @@ def test_partial_stream_matches_recorded_literals(label):
     assert run_partial_stream(label) == PARTIAL_GOLDEN[label]
 
 
+# -- the robustness claim: plain vs stochastic cracking per access pattern -----------
+#
+# Row e07 of ``benchmarks/figures.py`` states the shape as inequalities; here
+# it is literals.  Totals over one seeded ``random_workload`` and one
+# ``sequential_workload`` (disjoint ranges sweeping left to right — every
+# query shaves a sliver off the one huge remaining piece) for plain cracking
+# and for stochastic cracking (``ddr``, seed 0): ``(counter tuple, piece
+# count, answer hash)``.  Recorded at commit 12c90bf.
+
+PATTERN_SPEC = WorkloadSpec(
+    domain_low=0, domain_high=DOMAIN, query_count=96, selectivity=0.005,
+    seed=SEED + 5,
+)
+PATTERNS = {"random": random_workload, "sequential": sequential_workload}
+PATTERN_OPTIONS = {
+    "cracking": {}, "stochastic-cracking": {"variant": "ddr", "seed": 0},
+}
+PATTERN_CASES = [
+    (name, pattern) for name in PATTERN_OPTIONS for pattern in PATTERNS
+]
+
+
+def run_pattern_stream(name, pattern):
+    values = base_values()
+    strategy = create_strategy(name, values, **PATTERN_OPTIONS[name])
+    counters = CostCounters()
+    digest = hashlib.sha256()
+    for query in PATTERNS[pattern](PATTERN_SPEC):
+        answer = np.sort(strategy.search(query.low, query.high, counters))
+        expected = np.flatnonzero((values >= query.low) & (values < query.high))
+        assert answer.tolist() == expected.tolist()
+        digest.update(answer.astype(np.int64).tobytes())
+    return (_counter_tuple(counters), strategy.cracked.piece_count,
+            digest.hexdigest()[:16])
+
+
+PATTERN_GOLDEN = {
+    ('cracking', 'random'):
+        ((18302, 17383, 30364, 0, 32000, 192), 193, '9037615f87de67f3'),
+    ('cracking', 'sequential'):
+        ((157423, 156463, 157576, 0, 32000, 97), 98, '71b589488be82ecc'),
+    ('stochastic-cracking', 'random'):
+        ((22985, 22066, 22870, 0, 32000, 353), 354, '9037615f87de67f3'),
+    ('stochastic-cracking', 'sequential'):
+        ((17119, 16159, 16098, 0, 32000, 192), 193, '71b589488be82ecc'),
+}
+
+
+@pytest.mark.parametrize("name, pattern", PATTERN_CASES)
+def test_pattern_stream_matches_recorded_literals(name, pattern):
+    assert run_pattern_stream(name, pattern) == PATTERN_GOLDEN[(name, pattern)]
+
+
+def test_a_sequential_sweep_hurts_cracking_not_stochastic_cracking():
+    moved = {case: PATTERN_GOLDEN[case][0][1] for case in PATTERN_CASES}
+    assert moved["cracking", "sequential"] > 2 * moved["cracking", "random"]
+    assert moved["stochastic-cracking", "sequential"] < moved["cracking", "sequential"] / 2
+
+
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_golden_counters.py
     for case in _cases():
         sequential = run_stream(*case, parallel=False)
@@ -1057,3 +1121,8 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_g
             print(f"        'answers': {recorded['answers']!r},")
             print("    },")
         print("}")
+    print("PATTERN_GOLDEN = {")
+    for case in PATTERN_CASES:
+        print(f"    {case!r}:")
+        print(f"        {run_pattern_stream(*case)!r},")
+    print("}")
