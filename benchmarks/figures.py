@@ -126,8 +126,8 @@ class Experiment:
     variants: Mapping[str, Tuple[str, dict]]
     #: the expected shape: name -> predicate over the :class:`Results`
     expect: Mapping[str, Callable[["Results"], bool]]
-    #: ``(distribution, seed)`` of the column, or ``"tpch"`` for the star schema
-    data: object = ("uniform", 0)
+    #: ``(distribution, seed)`` of the column; ``"tpch"`` is the star schema
+    data: Tuple[str, int] = ("uniform", 0)
     surface: str = "strategy"
     #: ``(tolerance, consecutive)`` of the convergence metric
     convergence: Tuple[float, int] = (1.25, 5)
@@ -266,10 +266,10 @@ def _session_cell(experiment, rows, operations, workload, label, name, options, 
     options = dict(options)
     sync = options.pop("sync", None)
     data_dir = Path(scratch) / label
-    if experiment.data == "tpch":
+    if experiment.data[0] == "tpch":
         table, column = "lineorder", "orderdate"
         database = tpch_like.build_database(
-            tpch_like.TPCHLikeConfig(fact_rows=rows, seed=9)
+            tpch_like.TPCHLikeConfig(fact_rows=rows, seed=experiment.data[1])
         )
     else:
         table, column = "data", "key"
@@ -304,7 +304,7 @@ def _session_cell(experiment, rows, operations, workload, label, name, options, 
 def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
     """Every variant over every panel of one row, at the given size."""
     results = Results(experiment, rows, queries)
-    values = None if experiment.data == "tpch" else _column(experiment, rows)
+    values = None if experiment.surface == "session" else _column(experiment, rows)
     with tempfile.TemporaryDirectory(prefix=f"figures-{experiment.id}-") as scratch:
         for panel, workload in experiment.panels.items():
             operations = workload.operations(rows, queries)
@@ -389,8 +389,8 @@ SHIFT = 150
 MERGE_BATCH = 16
 #: e17: a partition splits beyond this multiple of the mean load
 SPLIT = 2.0
-#: e20: journal records the set-up writes (create_table, set_indexing) and
-#: writes replayed in the stream; group commit size of ``sync="batch"``
+#: e20: journal records of the set-up (create_table, set_indexing), writes in
+#: the stream, and the group-commit size of ``sync="batch"``
 SETUP_RECORDS, WRITES, GROUP_COMMIT = 2, 300, 32
 
 
@@ -611,7 +611,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         title="sideways cracking: self-organising tuple reconstruction",
         source="Self-organizing tuple reconstruction in column stores, SIGMOD 2009",
         rows=60_000, queries=150, gate=(6_000, 150),
-        data="tpch", surface="session",
+        data=("tpch", 9), surface="session",
         panels={"select-project": W("shipping-priority", seed=10)},
         variants={"scan": ("scan", {}),
                   "cracking+late-reconstruction": ("cracking", {}),

@@ -473,8 +473,7 @@ def _command_updates(args: argparse.Namespace) -> int:
         )
     query_costs = statistics.per_query_cost()
     update_count = statistics.update_count
-    query_seconds = statistics.total_seconds
-    update_seconds = statistics.wall_seconds - query_seconds
+    update_seconds = statistics.wall_seconds - statistics.total_seconds
 
     mean_cost = float(np.mean(query_costs)) if query_costs else 0.0
     tail = query_costs[-max(1, len(query_costs) // 10):]
@@ -493,7 +492,7 @@ def _command_updates(args: argparse.Namespace) -> int:
         f"tail mean {float(np.mean(tail)):>12,.0f} "
         f"(scan would be {3 * database.visible_row_count('data'):>12,.0f})"
     )
-    print(f"query wall-clock  : {query_seconds * 1e3:.1f} ms total")
+    print(f"query wall-clock  : {statistics.total_seconds * 1e3:.1f} ms total")
     for record in database.physical_design_report():
         print(f"physical design   : {record['mode']} — {record['structure']}")
     for record in database.rebalance_stats():

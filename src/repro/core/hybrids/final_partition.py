@@ -192,10 +192,7 @@ class FinalPartition:
         """Value-disjointness and per-piece bound checks (test helper)."""
         ordered = sorted(self.pieces, key=lambda piece: piece.low)
         for first, second in zip(ordered, ordered[1:]):
-            assert first.high <= second.low, (
-                f"pieces [{first.low}, {first.high}) and "
-                f"[{second.low}, {second.high}) overlap"
-            )
+            assert first.high <= second.low, f"pieces overlap in [{second.low}, {first.high})"
         for piece in self.pieces:
             if len(piece.values) == 0:
                 continue
