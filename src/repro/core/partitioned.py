@@ -577,11 +577,13 @@ class PartitionedCrackedColumn:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+    def __del__(self) -> None:
+        # never join here: the collector can run a finalizer inside
+        # ``threading``'s own bookkeeping lock (while another thread is being
+        # started), where ``Thread.join`` needs that lock again and deadlocks
+        pool = getattr(self, "_pool", None)
+        if pool is not None:
+            pool.shutdown(wait=False)
 
     def _fan_out(
         self,

@@ -283,6 +283,30 @@ class TestFanOutPoolSizing:
         column.close()
 
 
+class TestFinalizer:
+    def test_a_collected_column_releases_its_pool_without_joining(self, rng):
+        """Regression: a tier-1 run hung for good with a new pool thread
+        stuck in ``_bootstrap_inner`` — the collector ran this finalizer
+        there, under ``threading._shutdown_locks_lock``; it joined the
+        workers, and ``Thread.join`` takes that (non-reentrant) lock."""
+        values = rng.integers(0, 1000, size=300).astype(np.int64)
+        column = PartitionedCrackedColumn(values, partitions=3, parallel=True)
+        column.search(0, 1000)
+        pool = column._pool
+        workers = list(pool._threads)
+        assert workers
+        waits = []
+        shutdown = pool.shutdown
+        pool.shutdown = lambda wait=True: (waits.append(wait), shutdown(wait=wait))
+        column.__del__()
+        assert waits == [False]
+        for worker in workers:  # released all the same, just not waited for
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+        column.__del__()  # and harmless twice
+        PartitionedCrackedColumn.__del__(object.__new__(PartitionedCrackedColumn))
+
+
 class TestPartitionedCrackingStrategy:
     def test_registered(self):
         assert "partitioned-cracking" in available_strategies()
