@@ -246,11 +246,8 @@ def _column(experiment: Experiment, rows: int) -> np.ndarray:
     return generate_column_data(rows, 0, DOMAIN, distribution=distribution, seed=seed)
 
 
-def _strategy_cell(experiment, values, operations, workload, label, name, options):
-    tolerance, consecutive = experiment.convergence
-    run = AdaptiveIndexingBenchmark(
-        values, operations, MODEL, tolerance, consecutive, victim_seed=workload.seed
-    ).run_strategy(name, label, **options)
+def _strategy_cell(experiment, harness, label, name, options):
+    run = harness.run_strategy(name, label, **options)
     probe = experiment.probes.get(name)
     return Cell(
         run.statistics, run.initialization_overhead, run.convergence_query,
@@ -263,7 +260,6 @@ def _session_cell(experiment, rows, operations, workload, label, name, options, 
     the database's, not the strategy's: it puts the run on a data directory
     journaled under that fsync policy, which is then reopened — the cell
     records what the journal took and what recovery replayed."""
-    options = dict(options)
     sync = options.pop("sync", None)
     data_dir = Path(scratch) / label
     if experiment.data[0] == "tpch":
@@ -309,6 +305,11 @@ def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
         for panel, workload in experiment.panels.items():
             operations = workload.operations(rows, queries)
             cells = results.cells[panel] = {}
+            if experiment.surface == "strategy":
+                harness = AdaptiveIndexingBenchmark(
+                    values, operations, MODEL, *experiment.convergence,
+                    victim_seed=workload.seed,
+                )
             for label, (name, options) in experiment.variants.items():
                 options = _resolved(options, rows, queries)
                 if experiment.surface == "session":
@@ -318,7 +319,7 @@ def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
                     )
                 else:
                     cells[label] = _strategy_cell(
-                        experiment, values, operations, workload, label, name, options
+                        experiment, harness, label, name, options
                     )
     for name, derive in experiment.derived.items():
         results.derived[name] = derive(results)

@@ -96,7 +96,7 @@ def run_operations(
             if not live:
                 continue
             victim = live.pop(int(rng.integers(0, len(live))))
-        elif session is not None and kind != "insert":
+        elif session is not None and kind in ("query", "batch"):
             queries = [
                 Query.range_query(table, column, query.low, query.high)
                 if isinstance(query, RangeQuery) else query

@@ -69,15 +69,10 @@ def mixed_update_workload(
     return stream
 
 
-def write_workload(
-    spec: WorkloadSpec,
-    writes: int,
-    insert_fraction: float = 0.5,
-    delete_fraction: float = 0.25,
-) -> List[UpdateOperation]:
-    """``writes`` inserts, deletes and updates (the rest) of integer keys,
-    with ``spec.query_count`` random range queries spread evenly between
-    them — the stream the durability experiment journals."""
+def write_workload(spec: WorkloadSpec, writes: int) -> List[UpdateOperation]:
+    """``writes`` writes of integer keys — half inserts, a quarter deletes, a
+    quarter updates — with ``spec.query_count`` random range queries spread
+    evenly between them: the stream the durability experiment journals."""
     rng = np.random.default_rng(spec.seed + 1)
     queries = random_workload(spec)
     every = max(1, writes // len(queries))
@@ -85,9 +80,9 @@ def write_workload(
     for index in range(writes):
         roll = rng.random()
         value = float(int(rng.uniform(spec.domain_low, spec.domain_high)))
-        if roll < insert_fraction:
+        if roll < 0.5:
             stream.append(UpdateOperation(kind="insert", value=value))
-        elif roll < insert_fraction + delete_fraction:
+        elif roll < 0.75:
             stream.append(UpdateOperation(kind="delete"))
         else:
             stream.append(UpdateOperation(kind="update", value=value))
