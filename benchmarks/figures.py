@@ -34,11 +34,13 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core import partitioned  # noqa: E402
 from repro.cost.counters import CostCounters  # noqa: E402
 from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL as MODEL  # noqa: E402
 from repro.cost.stats import WorkloadStatistics  # noqa: E402
@@ -135,6 +137,12 @@ class Experiment:
     probes: Mapping[str, Callable[[object], Dict[str, float]]] = field(default_factory=dict)
     #: row-level metrics derived from several cells, recorded beside them
     derived: Mapping[str, Callable[["Results"], object]] = field(default_factory=dict)
+    #: ``core.partitioned._POOL_MIN_WORK`` while the row runs: a partitioned
+    #: column decides its fan-out from piece size, and at these sizes no piece
+    #: is big enough, so the rows that compare a ``parallel`` variant with the
+    #: sequential one set 0 — every sub-selection then goes to the pool, or
+    #: the cells would be the same run
+    pool_min_work: int = partitioned._POOL_MIN_WORK
 
 
 # -- measuring ---------------------------------------------------------------------------
@@ -301,7 +309,10 @@ def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
     """Every variant over every panel of one row, at the given size."""
     results = Results(experiment, rows, queries)
     values = None if experiment.surface == "session" else _column(experiment, rows)
-    with tempfile.TemporaryDirectory(prefix=f"figures-{experiment.id}-") as scratch:
+    pool_bar = mock.patch.object(partitioned, "_POOL_MIN_WORK",
+                                 experiment.pool_min_work)
+    with tempfile.TemporaryDirectory(
+            prefix=f"figures-{experiment.id}-") as scratch, pool_bar:
         for panel, workload in experiment.panels.items():
             operations = workload.operations(rows, queries)
             cells = results.cells[panel] = {}
@@ -776,7 +787,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                "partitioned-8 and partitioned-8-thread-N are the former "
                "BENCH_e15_scaling.json seq / thread-N",
         rows=100_000, queries=300, gate=(8_000, 60),
-        data=("uniform", 15),
+        data=("uniform", 15), pool_min_work=0,
         panels={"random": W("random", 0.02, seed=151)},
         variants={
             "cracking": ("cracking", {}),
@@ -805,7 +816,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         title="partitioned updatable cracking: cost against shards",
         source="Updates in the adaptive philosophy (SIGMOD 2007) composed with "
                "partitioned cracking",
-        rows=50_000, queries=200, gate=(5_000, 30),
+        rows=50_000, queries=200, gate=(5_000, 30), pool_min_work=0,
         panels={"mixed": W("mixed-updates", 0.01, seed=16, updates_per_query=2.0)},
         variants={
             "updatable": ("updatable-cracking", {"merge_batch": MERGE_BATCH}),
@@ -838,7 +849,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         source="The paper's workload-driven reorganisation applied at the "
                "partition layer (this reproduction)",
         rows=30_000, queries=200, gate=(3_000, 30),
-        data=("uniform", 17),
+        data=("uniform", 17), pool_min_work=0,
         # twice the column arrives as inserts into the bottom tenth of the domain
         panels={"skewed-inserts": W(
             "mixed-updates", 0.01, seed=18, insert_fraction=1.0, hot_fraction=0.1,

@@ -91,9 +91,10 @@ split hot partitions at crack boundaries (and merge cold siblings) so a
 skewed insert or query stream cannot bloat one partition; answers stay
 bit-identical to the unpartitioned strategies.
 
---parallel fans partitioned sub-selections out over a thread pool.  Measured
-at 1M rows / 8 partitions it wins the cold first query only (16 ms vs 21 ms);
-steady-state queries are faster without it (docs/PERFORMANCE.md).
+--parallel lets a partitioned column hand sub-selections to a thread pool.
+The column decides per query: only a crack about to move 32k elements or more
+is handed over, which at 1M rows / 8 partitions is the cold first query
+(docs/PERFORMANCE.md); smaller pieces are cracked on the calling thread.
 """
 
 

@@ -976,6 +976,24 @@ class CrackedColumn:
         start, end, extra, excluded = self._select(low, high, counters)
         return end - start - len(excluded) + len(extra)
 
+    def crack_work(self, low: Optional[float], high: Optional[float]) -> int:
+        """Elements a :meth:`search` for ``[low, high)`` would physically
+        move in the cracker column; reads the index, changes nothing.
+
+        The whole slice while unmaterialised (the first crack splits the one
+        piece; the copy moves as many again), the sizes of the distinct
+        unsorted pieces holding a bound that is not yet a boundary after
+        that, 0 once converged.  It is what the cracks charge to
+        ``tuples_moved`` (bar a one-element piece under a sort threshold,
+        which may move twice); ripple merges of pending updates are not
+        counted.  The partitioned owner sizes its fan-out with it.
+        """
+        if not self.materialised:
+            return len(self._base)
+        if self._converged:
+            return 0
+        return self.index.crack_work(low, high)
+
     # -- maintenance / inspection -----------------------------------------------------
 
     def crack_at(

@@ -165,6 +165,38 @@ class CrackerIndex:
         """All pieces, left to right."""
         return [self._piece_at(i) for i in range(self.piece_count)]
 
+    def _piece_to_crack(self, bound: Optional[float]) -> int:
+        """Index of the piece a crack at ``bound`` would physically partition;
+        -1 when it would move nothing (no bound, a registered boundary, or a
+        sorted piece, where the crack is a binary search)."""
+        if bound is None:
+            return -1
+        values = self._values
+        index = bisect.bisect_left(values, bound)
+        if index < len(values) and values[index] == bound:
+            return -1
+        return -1 if self._sorted_flags[index] else index
+
+    def crack_work(self, low: Optional[float], high: Optional[float]) -> int:
+        """Elements a crack for ``[low, high)`` would move, without cracking.
+
+        The sizes of the distinct unsorted pieces holding a bound that is not
+        yet a boundary: both bounds in one piece move it once (crack-in-three,
+        or one sort under a sort threshold), bounds in two pieces move both.
+        Reads the flat buffers only — two bisects, no :class:`Piece`.
+        """
+        first = self._piece_to_crack(low)
+        second = self._piece_to_crack(high)
+        work = self._piece_size(first) if first >= 0 else 0
+        if second >= 0 and second != first:
+            work += self._piece_size(second)
+        return work
+
+    def _piece_size(self, index: int) -> int:
+        positions = self._positions
+        end = positions[index] if index < len(positions) else self.size
+        return end - (positions[index - 1] if index else 0)
+
     def lower_bound_position(self, value: float) -> Optional[int]:
         """Position of the first element >= value, if derivable from boundaries.
 

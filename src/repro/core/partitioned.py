@@ -11,24 +11,34 @@ range selection into at most ``P`` completely independent sub-selections.
   range overlaps the predicate; cold regions of the key domain are never
   reorganised, exactly as in whole-column cracking, and cold *partitions*
   are not even visited;
-* **parallelism** — with ``parallel=True`` the per-partition sub-selections
-  fan out across a :class:`concurrent.futures.ThreadPoolExecutor`.  Each
-  worker records its work on a private
-  :class:`~repro.cost.counters.CostCounters` instance; the per-partition
-  counters are merged into the caller's counters after the fan-out, so
-  logical cost accounting is independent of the execution mode.
+* **parallelism** — with ``parallel=True`` the column may hand per-partition
+  sub-selections to a :class:`concurrent.futures.ThreadPoolExecutor`, and
+  decides per query and per partition whether it does: a sub-selection goes
+  to the pool only when its crack is about to move at least
+  :data:`_POOL_MIN_WORK` elements
+  (:meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_work`: the
+  whole slice on the first touch, the pieces holding the two bounds after
+  it) and at least two of them do; the others run on the caller while those
+  are in flight.  Each sub-selection records its work on a private
+  :class:`~repro.cost.counters.CostCounters` instance, merged into the
+  caller's counters in partition order afterwards, so logical cost
+  accounting is independent of who ran what.
 
-What the fan-out buys, measured (1M rows, 8 partitions, 2 workers on a
-2-vCPU host, medians): it wins the **cold first query only** — 16.0 ms
-threaded against 21.4 ms sequential, because the eight partition copies and
-bounds scans are large numpy calls that release the GIL.  From then on the
-kernels are too short for the pool hand-off to pay: the first 100 queries
-take 0.135–0.234 s threaded against 0.107 s sequential, and the steady p50
-is 670 µs against 280 µs.  A third backend, the ``process`` executor (worker
-processes over shared-memory segments), never won anything — steady p50
-12.9 ms against 0.26 ms sequential (49×), first 100 queries 0.78–1.33 s
-against 0.095 s, 0.075× at 8 000 rows — and was removed together with its
-option; d51987e is the last commit that carries it.
+What the pool buys, measured (1M rows, 8 partitions, 2 workers on a 2-vCPU
+host; the sweep is beside :data:`_POOL_MIN_WORK`): a hand-off costs ~100 µs
+and pays only while the kernel behind it is a large numpy call that
+releases the GIL.  That is the **cold first query** — eight 125k-row copies
+and cracks, 10–14 ms through the pool against 13–20 ms on the caller — and
+nothing after it: while the pieces hold 10k–60k elements the two are level,
+and below that the kernel is ~45 µs.  A column that hands every
+sub-selection over whatever its size (this one, before it decided) took
+0.54–1.40 s over its first 1 000 queries against 0.40–0.44 s, and
+441–927 µs per steady query against 320–358 µs.  A third backend, the
+``process`` executor (worker processes over shared-memory segments), never
+won anything — steady p50 12.9 ms against 0.26 ms sequential (49×), first
+100 queries 0.78–1.33 s against 0.095 s, 0.075× at 8 000 rows — and was
+removed together with its option; d51987e is the last commit that carries
+it.
 
 Every partition's :class:`~repro.core.cracking.cracked_column.CrackedColumn`
 numbers its rows in global (base-column) coordinates, so per-partition
@@ -103,6 +113,25 @@ _MIN_SPLIT_VISITS = 8
 
 #: safety bound on splits performed per trigger check
 _MAX_SPLITS_PER_CHECK = 8
+
+#: a sub-selection is handed to the thread pool only when its crack is about
+#: to move at least this many elements.  Not an option: set from this sweep
+#: (1M uniform int64 keys, 8 partitions, 2 workers, 2-vCPU host, ranges of
+#: 0.1 % of the domain; medians of 10 cold starts, three runs of the sweep;
+#: ms for the first query / queries 2-10 / the first 100 / the first 1 000):
+#:
+#:   0 (always)   13.8 13.4 11.0 / 30.0 28.2 29.9 / 227 114 217 / 1399 543 1229
+#:   2 048        13.7 12.9 13.1 / 33.7 27.0 31.1 / 232 107 196 /  682 423  595
+#:   8 192        14.0 12.9  9.6 / 32.3 27.2 28.9 / 144 105 130 /  495 404  445
+#:   32 768       10.5 13.2 10.1 / 27.0 27.4 25.7 /  99  96  97 /  441 405  405
+#:   65 536       12.5 12.9 10.4 / 30.4 27.1 24.2 / 109  95  95 /  449 391  422
+#:   100 000      11.3 12.7 10.8 / 31.1 26.8 26.8 / 110  98 102 /  438 407  417
+#:   never        15.8 19.8 13.3 / 29.3 27.1 28.2 / 108 102 103 /  472 420  421
+#:
+#: The pool pays on the first touch (125k-row slices), is a wash while the
+#: pieces hold 10k-60k elements and loses below; from 32k up to one
+#: partition's slice the readings are the same, so the smallest such value.
+_POOL_MIN_WORK = 32_768
 
 
 def partition_bounds(size: int, partitions: int) -> List[Tuple[int, int]]:
@@ -231,8 +260,10 @@ class ColumnPartition:
             return
         base_slice = self.cracked._base
         if len(base_slice):
-            self.min_value = float(base_slice.min())
-            self.max_value = float(base_slice.max())
+            # the stored scalar, as in :meth:`insert`: float() rounds an int64
+            # beyond 2**53 and the partition would prune its own row
+            self.min_value = base_slice.min().item()
+            self.max_value = base_slice.max().item()
             if counters is not None:
                 counters.record_scan(len(base_slice))
                 counters.record_comparisons(2 * len(base_slice))
@@ -345,11 +376,15 @@ class PartitionedCrackedColumn:
     partitions:
         Number of contiguous shards (clamped to the column size; >= 1).
     parallel:
-        When True, queries overlapping more than one partition fan out over a
-        thread pool; each worker gets private counters that are merged into
-        the caller's counters afterwards.  Per-partition cracks and merges
-        only touch partition-private state, so the fan-out is race-free and
-        answers (and logical costs) are identical to the sequential run.
+        When True the column may use a thread pool: of a query overlapping
+        more than one partition, the sub-selections with at least
+        :data:`_POOL_MIN_WORK` elements to move go to it (when there are two
+        or more), the rest run on the caller; the pool is created by the
+        first query that needs it.  Per-partition cracks and merges only
+        touch partition-private state and every sub-selection gets private
+        counters, merged into the caller's afterwards, so the fan-out is
+        race-free and answers (and logical costs) are identical to the
+        sequential run.
     repartition:
         Enable adaptive repartitioning: a partition over the row cap,
         bloated by a skewed insert stream or absorbing a skewed share of the
@@ -371,7 +406,7 @@ class PartitionedCrackedColumn:
         *partition* merges at most ``merge_batch`` pending updates per query
         it participates in.
     max_workers:
-        Fan-out width (defaults to the partition count, tracking it as
+        Width of that pool (defaults to the partition count, tracking it as
         repartitioning changes the topology; an explicit value is pinned).
 
     Updates are routed to the owning partition: deletes by asking the
@@ -591,28 +626,41 @@ class PartitionedCrackedColumn:
         low: Optional[float],
         high: Optional[float],
         counters: Optional[CostCounters],
-        parallel: Optional[bool],
     ) -> List[np.ndarray]:
-        """Search every target partition, sequentially or in parallel.
+        """Search every target partition; results come in partition order.
 
-        Per-partition results are returned in partition order.  In parallel
-        mode each worker writes to its own counters; the private counters are
-        merged into ``counters`` once all workers finish, so concurrent
-        workers never share a mutable counter instance.
+        On a ``parallel`` column a sub-selection whose crack is about to move
+        at least :data:`_POOL_MIN_WORK` elements goes to the pool, provided
+        there are two of them to overlap; the others run here, on the caller,
+        while those are in flight.  Whoever runs it, each sub-selection then
+        writes to private counters, merged into ``counters`` in partition
+        order once all are done — workers never share a mutable counter
+        instance, and the totals do not depend on the dispatch.
         """
-        use_parallel = self.parallel if parallel is None else bool(parallel)
-        if not use_parallel or len(targets) <= 1:
-            return [t.cracked.search(low, high, counters) for t in targets]
-        locals_counters = [CostCounters() if counters is not None else None
-                           for _ in targets]
+        searches = [target.cracked.search for target in targets]
+        pooled = [
+            target.cracked.crack_work(low, high) >= _POOL_MIN_WORK
+            for target in targets
+        ] if self.parallel and len(targets) > 1 else ()
+        if sum(pooled) < 2:
+            return [search(low, high, counters) for search in searches]
+        privates = [CostCounters() if counters is not None else None
+                    for _ in targets]
         pool = self._executor()
         futures = [
-            pool.submit(target.cracked.search, low, high, private)
-            for target, private in zip(targets, locals_counters)
+            pool.submit(search, low, high, private) if handed else None
+            for search, private, handed in zip(searches, privates, pooled)
         ]
-        results = [future.result() for future in futures]
+        inline = [
+            None if handed else search(low, high, private)
+            for search, private, handed in zip(searches, privates, pooled)
+        ]
+        results = [
+            chunk if future is None else future.result()
+            for future, chunk in zip(futures, inline)
+        ]
         if counters is not None:
-            for private in locals_counters:
+            for private in privates:
                 counters += private
         return results
 
@@ -825,7 +873,6 @@ class PartitionedCrackedColumn:
         low: Optional[float],
         high: Optional[float],
         counters: Optional[CostCounters] = None,
-        parallel: Optional[bool] = None,
     ) -> np.ndarray:
         """Global rowids of visible rows with ``low <= value < high``.
 
@@ -845,7 +892,7 @@ class PartitionedCrackedColumn:
                 target.visits += 1
         if not targets:
             return np.empty(0, dtype=np.int64)
-        chunks = self._fan_out(targets, low, high, counters, parallel)
+        chunks = self._fan_out(targets, low, high, counters)
         if len(chunks) == 1:
             return chunks[0]
         return np.concatenate(chunks)

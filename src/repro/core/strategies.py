@@ -278,8 +278,9 @@ class CrackingStrategy(SearchStrategy):
       (:class:`~repro.core.cracking.cracked_column.CrackedColumn`); a shard
       count cracks a
       :class:`~repro.core.partitioned.PartitionedCrackedColumn`, which also
-      takes ``parallel`` (fan the per-partition sub-selections out over a
-      thread pool, default False), ``max_workers``, and ``repartition``
+      takes ``parallel`` (the column may hand per-partition sub-selections
+      to a thread pool, and does for those with enough to move; default
+      False), ``max_workers``, and ``repartition``
       (adaptive repartitioning under skewed query or insert streams, default
       False) with ``max_partition_rows``/``split_threshold``;
     * ``supports_updates`` — whether the engine routes inserts, deletes and

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,30 @@ def sample_table(rng):
             "d": rng.integers(0, 50, size=size).astype(np.int64),
         },
     )
+
+
+@pytest.fixture
+def pooled_fan_out(monkeypatch):
+    """Every sub-selection of a ``parallel=True`` partitioned column clears
+    the hand-off bar, so a test-sized column runs its fan-out on the thread
+    pool — which its own decision (pieces of 32k elements and more) would
+    never give it."""
+    monkeypatch.setattr("repro.core.partitioned._POOL_MIN_WORK", 0)
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """The callable of every ``ThreadPoolExecutor.submit`` made during the
+    test, in order: how a test sees a hand-off without reading a clock."""
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording(self, fn, /, *args, **kwargs):
+        submitted.append(fn)
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    return submitted
 
 
 def reference_range_positions(values: np.ndarray, low, high) -> set:

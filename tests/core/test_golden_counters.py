@@ -169,7 +169,7 @@ def run_stream(name, partitions, policy, sort_threshold, parallel):
     ids=lambda value: ("thread" if value else "seq") if isinstance(value, bool)
     else "-".join(str(part) for part in value if part is not None),
 )
-def test_stream_matches_recorded_literals(case, parallel):
+def test_stream_matches_recorded_literals(case, parallel, pooled_fan_out):
     assert run_stream(*case, parallel=parallel) == GOLDEN[case]
 
 
@@ -1072,6 +1072,8 @@ def test_a_sequential_sweep_hurts_cracking_not_stochastic_cracking():
 
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_golden_counters.py
+    from repro.core import partitioned
+    partitioned._POOL_MIN_WORK = 0  # as the ``pooled_fan_out`` fixture does
     for case in _cases():
         sequential = run_stream(*case, parallel=False)
         if case[1] is not None:

@@ -118,7 +118,7 @@ class TestPartitionedCrackedColumn:
         assert counters.tuples_scanned <= 2 * 250 + 20
         column.check_invariants()
 
-    def test_parallel_answers_match_sequential(self, rng):
+    def test_parallel_answers_match_sequential(self, rng, pooled_fan_out):
         values = rng.integers(0, 1000, size=2000).astype(np.int64)
         sequential = PartitionedCrackedColumn(values, partitions=8, parallel=False)
         with PartitionedCrackedColumn(values, partitions=8, parallel=True) as parallel:
@@ -130,7 +130,7 @@ class TestPartitionedCrackedColumn:
             parallel.check_invariants()
         sequential.check_invariants()
 
-    def test_parallel_counters_match_sequential(self, rng):
+    def test_parallel_counters_match_sequential(self, rng, pooled_fan_out):
         values = rng.integers(0, 1000, size=2000).astype(np.int64)
         sequential = PartitionedCrackedColumn(values, partitions=4, parallel=False)
         with PartitionedCrackedColumn(values, partitions=4, parallel=True) as parallel:
@@ -141,11 +141,33 @@ class TestPartitionedCrackedColumn:
                 parallel.search(low, low + 80, par_counters)
             assert par_counters.as_dict() == seq_counters.as_dict()
 
-    def test_per_call_parallel_override(self, rng):
-        values = rng.integers(0, 1000, size=1000).astype(np.int64)
-        with PartitionedCrackedColumn(values, partitions=4, parallel=False) as column:
-            expected = reference(values, 200, 400)
-            assert set(column.search(200, 400, parallel=True).tolist()) == expected
+    def test_mixed_dispatch_matches_sequential(self, rng, monkeypatch,
+                                               pool_submits):
+        # shard i holds the keys [500 i, 500 i + 500): two warm-up queries
+        # crack shards 0 and 1 only, so the wide query finds them in pieces
+        # of 100 and 300 rows (400 to move, under the bar: inline) and shards
+        # 2 and 3 untouched (500 each, over it: pooled)
+        monkeypatch.setattr("repro.core.partitioned._POOL_MIN_WORK", 450)
+        values = np.concatenate(
+            [500 * shard + rng.permutation(500) for shard in range(4)]
+        ).astype(np.int64)
+        sequential = PartitionedCrackedColumn(values, partitions=4, parallel=False)
+        with PartitionedCrackedColumn(values, partitions=4, parallel=True) as mixed:
+            seq_counters, mixed_counters = CostCounters(), CostCounters()
+            for low, high in ((100, 200), (600, 700)):
+                sequential.search(low, high, seq_counters)
+                mixed.search(low, high, mixed_counters)
+            assert mixed._pool is None and pool_submits == []
+            work = [p.cracked.crack_work(150, 1900) for p in mixed.partitions]
+            assert work == [400, 400, 500, 500]
+            expected = sequential.search(150, 1900, seq_counters)
+            actual = mixed.search(150, 1900, mixed_counters)
+            assert pool_submits == [p.cracked.search for p in mixed.partitions[2:]]
+            # rowids in partition order, whoever ran the partition
+            assert np.array_equal(actual, expected)
+            assert set(actual.tolist()) == reference(values, 150, 1900)
+            assert mixed_counters.as_dict() == seq_counters.as_dict()
+            mixed.check_invariants()
 
     def test_nbytes_and_pieces_aggregate_partitions(self, rng):
         values = rng.integers(0, 1000, size=1000).astype(np.int64)
@@ -184,6 +206,7 @@ class TestPartitionedCrackedColumn:
         assert "4 partitions" in description
 
 
+@pytest.mark.usefixtures("pooled_fan_out")
 class TestSequentialThreadEquivalence:
     """Answers match the whole-column oracle whatever the fan-out; counters
     match between the sequential run and the thread fan-out (the partitioned
@@ -230,6 +253,7 @@ class TestSequentialThreadEquivalence:
         assert per_mode[True] == per_mode[False]
 
 
+@pytest.mark.usefixtures("pooled_fan_out")
 class TestFanOutPoolSizing:
     """Regression: the pool must track the partition count."""
 
@@ -284,7 +308,8 @@ class TestFanOutPoolSizing:
 
 
 class TestFinalizer:
-    def test_a_collected_column_releases_its_pool_without_joining(self, rng):
+    def test_a_collected_column_releases_its_pool_without_joining(
+            self, rng, pooled_fan_out):
         """Regression: a tier-1 run hung for good with a new pool thread
         stuck in ``_bootstrap_inner`` — the collector ran this finalizer
         there, under ``threading._shutdown_locks_lock``; it joined the

@@ -51,7 +51,8 @@ class TestEquivalenceWithUnpartitioned:
     @pytest.mark.parametrize("partitions", [1, 3, 8])
     @pytest.mark.parametrize("policy", ["ripple", "gradual"])
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_mixed_stream_matches_unpartitioned(self, partitions, policy, parallel, rng):
+    def test_mixed_stream_matches_unpartitioned(self, partitions, policy, parallel,
+                                                rng, pooled_fan_out):
         base = rng.integers(0, 1000, size=3000).astype(np.int64)
         reference = UpdatableCrackedColumn(base, policy=policy, merge_batch=4)
         with PartitionedUpdatableCrackedColumn(
@@ -60,7 +61,7 @@ class TestEquivalenceWithUnpartitioned:
         ) as partitioned:
             run_mixed_stream(reference, partitioned, base)
 
-    def test_parallel_does_identical_logical_work(self, rng):
+    def test_parallel_does_identical_logical_work(self, rng, pooled_fan_out):
         base = rng.integers(0, 10_000, size=5000).astype(np.int64)
         costs = {}
         for parallel in (False, True):

@@ -235,7 +235,7 @@ class TestOpenRecover:
         ("online", {"build_threshold_factor": -1}),
     ])
     def test_refused_set_indexing_leaves_the_installed_path_intact(
-        self, tmp_path, refused
+        self, tmp_path, refused, pooled_fan_out
     ):
         mode, options = refused
         database = make_database(tmp_path)
@@ -387,7 +387,7 @@ class TestThresholdsAndJournalBound:
 
 
 class TestClose:
-    def test_close_releases_execution_resources(self, tmp_path):
+    def test_close_releases_execution_resources(self, tmp_path, pooled_fan_out):
         """A closed database must not leak fan-out pools: recover-then-close
         loops (and benchmarks) would otherwise accumulate threads forever."""
         database = make_database(tmp_path / "state")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import available_strategies
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, RangeSelection
@@ -326,7 +327,8 @@ class TestMemoryAccounting:
         assert "index:facts.a" not in database.memory.breakdown()
         assert rebuilt.budget.used_bytes == 0 and rebuilt.nbytes == 0
 
-    def test_one_physical_design_per_column(self, database, session):
+    def test_one_physical_design_per_column(self, database, session,
+                                            pooled_fan_out):
         """Installing sideways cracking replaces (and closes) what the
         column had; nothing is built and billed beside it."""
         database.set_indexing(
@@ -535,6 +537,31 @@ class TestDML:
         if "max_partition_rows" in options:
             assert column.partition_splits > 0
         column.check_invariants()
+        database.close()
+
+    @pytest.mark.parametrize("partitions", [1, 2, 4])
+    def test_a_partition_does_not_prune_its_own_wide_base_key(self, partitions):
+        # the same rounding on the read path: the bounds learned from the
+        # base slice were float(min), float(max), so the shard holding
+        # 2**60 + 1 believed its maximum was 2**60 and answered nothing
+        big = 2**60 + 1
+        keys = np.array([5, 7, big, 3, 9, 1, 2, 4], dtype=np.int64)
+        column = PartitionedCrackedColumn(keys, partitions=partitions)
+        assert column.search(big, big + 1).tolist() == [2]
+        assert column.search(2**60, big).tolist() == []
+        assert column.search(big + 1, 2**61).tolist() == []
+        owner = next(p for p in column.partitions if p.start <= 2 < p.end)
+        assert owner.max_value == big and type(owner.max_value) is int
+        column.check_invariants()
+
+        database = Database("wide-base-keys")
+        database.create_table("t", {"k": keys})
+        database.set_indexing("t", "k", "partitioned-cracking", partitions=partitions)
+        with database.session() as session:
+            found = session.execute(Query.range_query("t", "k", big, big + 1))
+            assert found.positions.tolist() == [2]
+            assert session.execute(
+                Query.range_query("t", "k", 2**60, big)).row_count == 0
         database.close()
 
     @pytest.mark.parametrize("durable", [False, True])

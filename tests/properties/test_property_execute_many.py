@@ -131,7 +131,8 @@ def assert_bit_identical(sequential, parallel, context):
 @pytest.mark.parametrize(
     "mode,options", all_modes(), ids=lambda value: str(value)
 )
-def test_parallel_batches_bit_identical_across_modes(mode, options):
+def test_parallel_batches_bit_identical_across_modes(mode, options,
+                                                     pooled_fan_out):
     sequential_db = build_database(mode, options)
     parallel_db = build_database(mode, options)
 
@@ -172,6 +173,8 @@ def test_parallel_batches_bit_identical_across_modes(mode, options):
             assert set(result.positions.tolist()) == expected, (
                 f"mode={mode}: tombstone-inconsistent answer on [{low}, {high})"
             )
+    if options.get("parallel"):
+        assert parallel_db.access_path("facts", "key").cracked._pool is not None
 
 
 @pytest.mark.parametrize("mode", ["scan", "full-index", "cracking-sort-pieces"])

@@ -38,7 +38,8 @@ def random_workload(rng, domain, count):
 @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
 @pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("seed", [0, 7, 42])
-def test_partitioned_matches_cracked_column(partitions, parallel, seed):
+def test_partitioned_matches_cracked_column(partitions, parallel, seed,
+                                            pooled_fan_out):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, 3000))
     domain = int(rng.integers(1, 2000))
@@ -56,6 +57,8 @@ def test_partitioned_matches_cracked_column(partitions, parallel, seed):
             )
         whole.check_invariants()
         partitioned.check_invariants()
+        # the parallel cases ran on the pool (one partition has no fan-out)
+        assert (partitioned._pool is not None) == (parallel and partitions > 1)
 
 
 @pytest.mark.parametrize("partitions", PARTITION_COUNTS)

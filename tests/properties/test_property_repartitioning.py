@@ -30,7 +30,8 @@ from repro.cost.counters import CostCounters
 PARTITION_COUNTS = [1, 3, 8]
 
 #: execution configurations a partitioned column must be indistinguishable
-#: across: sequential and thread fan-out
+#: across: sequential and thread fan-out (really on the pool: the tests that
+#: loop over these take the ``pooled_fan_out`` fixture)
 EXECUTIONS = [
     ("seq", {"parallel": False}),
     ("thread", {"parallel": True}),
@@ -107,7 +108,8 @@ class TestUpdatableRepartitioningOracle:
     @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
     @pytest.mark.parametrize("policy", ["ripple", "gradual"])
     @pytest.mark.parametrize("skewed", [False, True])
-    def test_mixed_stream_bit_identical(self, partitions, policy, skewed):
+    def test_mixed_stream_bit_identical(self, partitions, policy, skewed,
+                                        pooled_fan_out):
         rng = np.random.default_rng(17)
         base = rng.integers(0, 1000, size=600).astype(np.int64)
         outcomes = {}
@@ -242,7 +244,8 @@ class TestReadOnlyRepartitioningOracle:
     """Query-skew repartitioning of the read-only partitioned column."""
 
     @pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-    def test_zoom_in_stream_matches_cracked_column(self, partitions):
+    def test_zoom_in_stream_matches_cracked_column(self, partitions,
+                                                   pooled_fan_out):
         rng = np.random.default_rng(13)
         # clustered values (position-correlated) make the zoom-in stream
         # concentrate on few partitions, the workload repartitioning targets

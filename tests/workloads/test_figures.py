@@ -27,10 +27,14 @@ def test_the_gate_file_holds_exactly_the_table():
 
 
 @pytest.mark.parametrize("experiment", figures.EXPERIMENTS, ids=lambda e: e.id)
-def test_row_has_its_shape_and_its_recorded_counters(experiment):
+def test_row_has_its_shape_and_its_recorded_counters(experiment, pool_submits):
     results = figures.run_experiment(experiment, *experiment.gate)
     assert results.failed() == []
     assert figures.differences(RECORDED[experiment.id], results.record()) == []
+    # a ``parallel`` variant (e15-e17) really ran on its pool: at gate size
+    # the column's own decision would make it one more sequential cell
+    assert bool(pool_submits) == any(
+        options.get("parallel") for _, options in experiment.variants.values())
 
 
 def test_a_drifted_counter_is_reported_with_its_path():
