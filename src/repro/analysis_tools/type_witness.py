@@ -49,7 +49,7 @@ class TypeConformanceViolation(TypeError):
 
 #: dtype kind classes accepted for the spec bases that are not exact dtypes
 _KIND_CLASSES = {
-    "numeric": "if",  # any integer or float column dtype
+    "numeric": "iuf",  # any integer or float column dtype
     "integer": "iu",
     "float": "f",
 }

@@ -16,7 +16,10 @@ buffer parameters are flat numeric ndarrays, checked statically by
 :mod:`repro.analysis_tools.reprotype` and dynamically by the type witness
 (``REPRO_TYPE_WITNESS=1``).  Both partition kernels are single-pass mask
 selections (O(n)), not argsorts — the produced layout is identical to a
-stable argsort of the group keys, without the O(n log n) sort.
+stable argsort of the group keys, without the O(n log n) sort.  The one
+sort kernel that builds whole structures, :func:`stable_sort_rows` (run
+generation, full-index builds), likewise returns exactly a stable argsort's
+answer, sorting integer keys as packed (value, position) words.
 """
 
 from __future__ import annotations
@@ -224,6 +227,77 @@ def stable_sort_segment(
         # n log n comparisons, n moves: the standard accounting for a sort.
         counters.record_comparisons(int(n * max(1.0, np.log2(n))))
         counters.record_move(n)
+
+
+def sort_comparisons(size: int) -> int:
+    """Comparisons charged for sorting ``size`` elements."""
+    return int(size * max(1.0, np.log2(max(size, 2))))
+
+
+@typed_kernel(buffers={"values": "numeric"})
+@charges("comparisons", "movements")
+def stable_sort_rows(
+    values: np.ndarray,
+    width: int,
+    counters: Optional[CostCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort each row of ``values`` — consecutive slices of ``width``
+    elements, the last one possibly shorter — stably and out of place.
+
+    Returns ``(sorted_values, positions)``, both as long as ``values``:
+    every row's values in ascending order and, aligned with them, their
+    positions within the row — exactly what ``np.argsort(row,
+    kind="stable")`` gives, ties in their original order.
+
+    Integer keys whose span ``max - min`` and the ``width - 1`` positions
+    fit 63 bits together are sorted as packed words ``(value - min) <<
+    pbits | position``, in the ``positions`` array itself: the words are
+    distinct, so numpy's default (SIMD) sort puts them in (value, position)
+    order, which is stable order, and masking and shifting take the words
+    apart again without a gather.  Every other input — floats, spans too
+    wide to pack — keeps numpy's stable argsort.  Either way the only
+    column-sized arrays are the two returned.
+    """
+    n = len(values)
+    full = n - n % width
+    # the full rows as one matrix, the ragged tail as one more row
+    rows = [(begin, end, size)
+            for begin, end, size in ((0, full, width), (full, n, n - full)) if end > begin]
+    positions = np.empty(n, dtype=np.int64)
+    pbits = (width - 1).bit_length()
+    low = values.min() if n and values.dtype.kind in "iu" else None
+    if low is not None and (int(values.max()) - int(low)).bit_length() + pbits <= 63:
+        # computed in int64, whose wrap-around keeps it exact for uint64
+        # keys past 2**63: the true difference is below 2**63
+        np.subtract(values, low, out=positions, dtype=np.int64, casting="unsafe")
+        positions <<= pbits
+        for begin, end, size in rows:
+            block = positions[begin:end].reshape(-1, size)
+            block |= np.arange(size)
+            block.sort(axis=1)
+        sorted_values = np.empty_like(values)
+        # (value - min) fits the dtype's width, so wrapping casts are exact
+        np.right_shift(positions, pbits, out=sorted_values, casting="unsafe")
+        sorted_values += low
+        positions &= (1 << pbits) - 1
+    else:
+        for begin, end, size in rows:
+            positions[begin:end].reshape(-1, size)[...] = np.argsort(
+                values[begin:end].reshape(-1, size), axis=1, kind="stable")
+        sorted_values = np.empty_like(values)
+        # gather through row-global positions, made and undone in place so
+        # that no index-sized temporary sits beside the two results
+        for begin, end, size in rows:
+            block = positions[begin:end].reshape(-1, size)
+            starts = np.arange(begin, end, size)[:, None]
+            block += starts
+            values.take(positions[begin:end], out=sorted_values[begin:end], mode="clip")
+            block -= starts
+    if counters is not None:
+        counters.record_comparisons(
+            n // width * sort_comparisons(width) + sort_comparisons(n - full))
+        counters.record_move(n)
+    return sorted_values, positions
 
 
 @charges("scans", "comparisons", "movements")

@@ -39,10 +39,10 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.analysis_tools.guards import charges, guarded_by
-from repro.columnstore.bulk import binary_search_count
+from repro.columnstore.bulk import binary_search_count, sort_comparisons
 from repro.columnstore.column import Column
 from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.runs import RunSet, search_key, sort_comparisons
+from repro.core.merging.runs import RunSet, search_key
 from repro.cost.counters import CostCounters
 
 

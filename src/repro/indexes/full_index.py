@@ -13,7 +13,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.columnstore.bulk import binary_search_count
+from repro.columnstore.bulk import binary_search_count, stable_sort_rows
 from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate
 from repro.cost.counters import CostCounters
@@ -36,13 +36,12 @@ class FullIndex:
         values = column.values if isinstance(column, Column) else np.asarray(column)
         self.name = name or (column.name if isinstance(column, Column) else "")
         n = len(values)
-        order = np.argsort(values, kind="stable")
-        self.sorted_values = values[order]
-        self.sorted_positions = order.astype(np.int64)
         self.build_counters = CostCounters()
         self.build_counters.record_scan(n)
-        self.build_counters.record_comparisons(int(n * max(1.0, np.log2(max(n, 2)))))
-        self.build_counters.record_move(n)
+        # the whole column as one row: its in-row positions are the row ids
+        self.sorted_values, self.sorted_positions = stable_sort_rows(
+            values, max(n, 1), self.build_counters
+        )
         self.build_counters.record_allocation(
             self.sorted_values.nbytes + self.sorted_positions.nbytes
         )

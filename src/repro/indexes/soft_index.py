@@ -72,22 +72,8 @@ class SoftIndexManager:
         if candidate.recommended:
             # Piggy-back the index build on this scan: the data was already
             # read, so only the sort and materialisation are charged here.
-            n = len(column)
-            order = np.argsort(column.values, kind="stable")
-            index = FullIndex.__new__(FullIndex)
-            index.name = name
-            index.sorted_values = column.values[order]
-            index.sorted_positions = order.astype(np.int64)
-            index.build_counters = CostCounters()
-            index.build_counters.record_comparisons(
-                int(n * max(1.0, np.log2(max(n, 2))))
-            )
-            index.build_counters.record_move(n)
-            index.build_counters.record_allocation(
-                index.sorted_values.nbytes + index.sorted_positions.nbytes
-            )
-            index.build_counters.record_pieces(1)
-            counters += index.build_counters
+            index = FullIndex(column, name=name)
+            counters += index.build_counters - CostCounters(tuples_scanned=len(column))
             self.indexes[name] = index
             self.builds.append((self.queries_processed, name))
         return positions

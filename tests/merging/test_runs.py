@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.columnstore.bulk import binary_search_count
-from repro.core.merging.runs import RunSet, sort_comparisons
+from repro.columnstore.bulk import binary_search_count, sort_comparisons
+from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
 

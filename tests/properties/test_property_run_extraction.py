@@ -11,13 +11,16 @@ and ``structure_description``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.columnstore.bulk import binary_search_count
+from repro.columnstore.bulk import binary_search_count, stable_sort_rows
 from repro.core.hybrids.final_partition import FinalPartition
 from repro.core.hybrids.hybrid_index import HybridIndex
+from repro.core.merging.runs import RunSet
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
+from repro.indexes.full_index import FullIndex
 
 
 def sort_cost(size):
@@ -265,12 +268,178 @@ run_size = st.one_of(st.none(), st.integers(1, 100))
 @example(subject=hybrid_sort_sort_subject, base=np.array([7], dtype=np.int64),
          run_size=None, queries=[(8, None), (None, 7), (7, 8), (None, None)])
 def test_every_query_matches_the_per_run_model(subject, base, run_size, queries):
+    assert_generated_stream_matches_model(subject, base, run_size, queries)
+
+
+@given(subject=st.sampled_from(SUBJECTS),
+       dtype=st.sampled_from([np.int8, np.int16, np.int32]),
+       base=int_column, run_size=run_size, queries=stream)
+@settings(max_examples=60, deadline=None)
+def test_narrow_integer_columns_match_the_per_run_model(
+        subject, dtype, base, run_size, queries):
+    """The same streams over keys stored in fewer than eight bytes."""
+    assert_generated_stream_matches_model(subject, base.astype(dtype), run_size, queries)
+
+
+def assert_generated_stream_matches_model(subject, base, run_size, queries):
     if subject is hybrid_sort_radix_subject:
         # a cracked final piece refuses an inverted range (crack_range raises),
         # which is the final partition's business, not run extraction's
         queries = [(low, high) if None in (low, high) else (min(low, high), max(low, high))
                    for low, high in queries]
     assert_stream_matches_model(subject, base, run_size, queries)
+
+
+# -- run generation and the full-index build alone, across dtypes and key spans ------
+#
+# Both sort integer keys by packing them into words (see
+# ``repro.columnstore.bulk.stable_sort_rows``) only while the key span and the
+# row width fit 63 bits together, so the generated keys sit on that limit,
+# either side of it, at the ends of their dtype, or bunch into a handful of
+# duplicates.  Whatever the layout, the result is the model's: each run (and
+# the full index, one run of the whole column) stably sorted.
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint64)
+#: row widths: one, two, not a power of two, a power of two, wider than most columns
+WIDTHS = (1, 2, 7, 16, 100)
+#: lowest keys worth a try in every dtype that holds them
+ANCHORS = (0, -1, -2**62, 2**60 + 1, 2**62, 2**63 + 1)
+
+
+def packing_limit(width):
+    """The smallest key span whose words, shifted past ``width`` positions,
+    no longer fit 63 bits."""
+    return 2 ** (63 - (width - 1).bit_length())
+
+
+@st.composite
+def keyed_rows(draw):
+    """``(keys, width)``: a column of any dtype the kernel takes, and a row width."""
+    width = draw(st.sampled_from(WIDTHS))
+    size = draw(st.integers(0, min(3 * width + 5, 120)))
+    dtype = draw(st.sampled_from(INT_DTYPES + (np.float64,)))
+    if dtype is np.float64:
+        quarters = st.lists(st.integers(-8, 8), min_size=size, max_size=size)
+        extremes = st.lists(st.sampled_from([-1e300, -0.0, 0.0, 0.25, 1e300]),
+                            min_size=size, max_size=size)
+        return np.asarray(draw(quarters | extremes), dtype=np.float64) / 4, width
+    info = np.iinfo(dtype)
+    whole = int(info.max) - int(info.min)
+    limit = packing_limit(width)
+    span = min(whole, draw(st.sampled_from([0, 1, 3, limit - 1, limit, whole])
+                           | st.integers(0, whole)))
+    fits = [a for a in ANCHORS + (int(info.min), int(info.max) - span)
+            if info.min <= a <= int(info.max) - span]
+    low = draw(st.sampled_from(fits) | st.integers(int(info.min), int(info.max) - span))
+    offsets = draw(st.lists(st.sampled_from([0, span]) | st.integers(0, min(span, 3))
+                            | st.integers(0, span), min_size=size, max_size=size))
+    if size >= 2:  # the span is attained, so the limit is really in play
+        at = draw(st.permutations(range(size)))
+        offsets[at[0]], offsets[at[1]] = 0, span
+    return np.array([low + offset for offset in offsets], dtype=dtype), width
+
+
+def stable_rows_reference(keys, width):
+    """Per row of ``width`` keys, numpy's stable argsort and the keys in its order."""
+    positions = np.empty(len(keys), dtype=np.int64)
+    for start in range(0, len(keys), width):
+        positions[start:start + width] = np.argsort(keys[start:start + width],
+                                                    kind="stable")
+    row_starts = np.arange(len(keys)) // width * width
+    return keys[positions + row_starts], positions
+
+
+def edge_columns():
+    """Spans one short of and exactly at the packing limit, for each width,
+    from both ends of int64 and from past 2**63 in uint64."""
+    for width in (1, 2, 7, 1_000):
+        limit = packing_limit(width)
+        for span in (limit - 1, limit):
+            # keys bunched at both ends of the span, which they attain
+            offsets = (0, 1, 2, span - 2, span - 1, span)
+            picks = np.random.default_rng(width).integers(0, 6, size=2 * width + 3)
+            lows = [(np.int64, -2**63), (np.int64, 2**63 - 1 - span), (np.int64, 2**60 + 1),
+                    (np.uint64, 2**64 - 1 - span), (np.uint64, 0)]
+            for dtype, low in lows:
+                if low + span <= np.iinfo(dtype).max:
+                    keys = np.array([low + offsets[p] for p in picks.tolist()]
+                                    + [low + span, low], dtype=dtype)
+                    yield pytest.param(keys, width, id=f"{np.dtype(dtype)}-w{width}-"
+                                       f"{'in' if span < limit else 'out'}-{low}")
+    yield pytest.param(np.array([-2**62, 2**62 - 1, 0, -2**62], dtype=np.int64), 1,
+                       id="int64-pm-2**62")
+    yield pytest.param(np.array([2**63 + 1, 2**63, 2**64 - 1, 2**63], dtype=np.uint64), 3,
+                       id="uint64-past-2**63")
+    yield pytest.param(np.empty(0, dtype=np.int64), 1, id="empty")
+
+
+def assert_runs_match_the_model(keys, width):
+    counters = CostCounters()
+    runs = RunSet(keys, run_size=width, counters=counters)
+    model = ReferenceModel(keys, width)
+    want_counters = CostCounters()
+    model._generate_runs(want_counters)
+    empty = [np.empty(0, dtype=keys.dtype), np.empty(0, dtype=np.int64)]
+    want_values, want_rowids = (np.concatenate([run[i] for run in model.runs] or [empty[i]])
+                                for i in (0, 1))
+    assert runs.values.dtype == keys.dtype and runs.rowids.dtype == np.int64
+    assert np.array_equal(runs.values, want_values)
+    assert np.array_equal(runs.rowids, want_rowids)
+    assert counters.as_dict() == want_counters.as_dict()
+    runs.check_invariants(keys)
+
+
+def assert_full_index_is_a_stable_sort(keys):
+    counters = CostCounters()
+    index = FullIndex(keys, counters=counters)
+    order = np.argsort(keys, kind="stable")
+    assert index.sorted_values.dtype == keys.dtype
+    assert index.sorted_positions.dtype == np.int64
+    assert np.array_equal(index.sorted_values, keys[order])
+    assert np.array_equal(index.sorted_positions, order)
+    n = len(keys)
+    assert counters.as_dict() == CostCounters(
+        tuples_scanned=n, tuples_moved=n, comparisons=sort_cost(n),
+        bytes_allocated=n * (keys.itemsize + 8), pieces_created=1).as_dict()
+
+
+def assert_kernel_is_a_stable_argsort(keys, width):
+    counters = CostCounters()
+    sorted_values, positions = stable_sort_rows(keys, width, counters)
+    want_values, want_positions = stable_rows_reference(keys, width)
+    assert sorted_values.dtype == keys.dtype and positions.dtype == np.int64
+    assert np.array_equal(sorted_values, want_values)
+    assert np.array_equal(positions, want_positions)
+    rows, tail = divmod(len(keys), width)
+    assert counters.as_dict() == CostCounters(
+        tuples_moved=len(keys),
+        comparisons=rows * sort_cost(width) + (sort_cost(tail) if tail else 0),
+    ).as_dict()
+
+
+@given(keyed=keyed_rows())
+@settings(max_examples=400, deadline=None)
+def test_the_row_sort_kernel_is_a_stable_argsort_per_row(keyed):
+    assert_kernel_is_a_stable_argsort(*keyed)
+
+
+@given(keyed=keyed_rows())
+@settings(max_examples=400, deadline=None)
+def test_run_generation_matches_the_per_run_model(keyed):
+    assert_runs_match_the_model(*keyed)
+
+
+@given(keyed=keyed_rows())
+@settings(max_examples=200, deadline=None)
+def test_a_full_index_is_a_stable_sort_of_the_column(keyed):
+    assert_full_index_is_a_stable_sort(keyed[0])
+
+
+@pytest.mark.parametrize("keys, width", edge_columns())
+def test_keys_on_the_packing_limit(keys, width):
+    assert_kernel_is_a_stable_argsort(keys, width)
+    assert_runs_match_the_model(keys, width)
+    assert_full_index_is_a_stable_sort(keys)
 
 
 def test_open_bound_streams_take_the_domain_from_the_data(rng):
