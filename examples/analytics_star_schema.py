@@ -13,6 +13,7 @@ Run with:  python examples/analytics_star_schema.py
 """
 
 from repro.cost.model import DEFAULT_MAIN_MEMORY_MODEL
+from repro.workloads.benchmark import run_operations
 from repro.workloads.tpch_like import (
     TPCHLikeConfig,
     build_database,
@@ -27,7 +28,7 @@ def run_mode(mode: str, config: TPCHLikeConfig, queries) -> dict:
     elif mode == "sideways cracking":
         database.set_indexing("lineorder", "orderdate", "sideways-cracking")
     with database.session() as session:
-        stats = session.run_workload(queries, strategy_label=mode)
+        stats = run_operations(session, queries, mode)
     totals = stats.total_counters()
     return {
         "total_cost": sum(stats.per_query_cost(DEFAULT_MAIN_MEMORY_MODEL)),

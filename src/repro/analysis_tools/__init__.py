@@ -14,11 +14,11 @@ decision:
   statically: the one analyzer driver (files → ``ast`` → rules → inline
   suppressions → baseline → text/JSON report → exit status);
 * :mod:`~repro.analysis_tools.reprolint` (concurrency invariants,
-  RL001–RL005), :mod:`~repro.analysis_tools.reproperf` (hot loops and
-  ``@charges`` soundness, PF001–PF005) and
-  :mod:`~repro.analysis_tools.reprotype` (typed-kernel dataflow,
-  TB001–TB005) — the rules.  ``python -m repro lint`` runs all three;
-  ``python -m repro.analysis_tools.<tool>`` runs one;
+  RL001–RL005) and :mod:`~repro.analysis_tools.reproperf` (the kernels:
+  hot loops and ``@charges`` soundness, PF001–PF005, and the
+  ``@typed_kernel`` contract, TB001–TB005) — the rules.  ``python -m
+  repro lint`` runs both; ``python -m repro.analysis_tools.<tool>`` runs
+  one;
 * :mod:`repro.analysis_tools.witness` — how a contract is checked at run
   time: the scaffold of the three witnesses, which live with the code they
   watch (:mod:`repro.engine.concurrency`, :mod:`repro.cost.witness`,

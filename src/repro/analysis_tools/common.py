@@ -1,7 +1,7 @@
 """Shared machinery of the repro static analyzers.
 
-``reprolint`` (concurrency invariants), ``reproperf`` (hot paths & the cost
-model) and ``reprotype`` (typed-buffer kernels) all follow the same
+``reprolint`` (concurrency invariants) and ``reproperf`` (the kernels: hot
+paths, the cost model and the typed-buffer contract) follow the same
 operating contract — findings carry ``file:line``, a rule id, the enclosing
 symbol and a fix hint; suppressions are either inline
 (``# <tool>: ignore[RULE, ...]``) or entries of a checked-in TOML baseline
@@ -15,8 +15,8 @@ the driver (:func:`analyze_modules`: discover files → parse → ``XX000``
 syntax finding → rules → inline suppressions → sort), baseline application
 (:func:`run_analyzer`), the report rendering and the per-tool CLI
 (:func:`run_cli`).  An analyzer module is its rules plus an
-:class:`Analyzer` record naming them; ``python -m repro lint`` runs all
-three records through the same functions.
+:class:`Analyzer` record naming them; ``python -m repro lint`` runs both
+records through the same functions.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ except ModuleNotFoundError:  # pragma: no cover - pre-3.11 fallback
     tomllib = None
 
 #: the kernel modules the cost model and the typed-buffer contract live in
-#: (relative to the repo root): the default scope of reproperf and reprotype
+#: (relative to the repo root): the default scope of reproperf
 KERNEL_TARGETS = (
     "src/repro/columnstore/bulk.py",
     "src/repro/core/cracking",
@@ -252,16 +252,21 @@ def load_baseline(path: Path) -> List[Dict[str, str]]:
 
 
 def apply_baseline(findings: List[Finding], entries: List[Dict[str, str]]) -> List[str]:
-    """Mark baselined findings; returns messages for unused entries."""
+    """Mark baselined findings; returns messages for unused entries.
+
+    An entry's path matches a finding's when it equals the finding's path or
+    ends it right after a ``/`` — ``pf001_bad.py`` covers
+    ``fixtures/pf001_bad.py``, not ``xpf001_bad.py``.
+    """
     used = [False] * len(entries)
     for finding in findings:
         if finding.suppressed_by:
             continue
+        normalized = "/" + finding.path.replace("\\", "/")
         for position, entry in enumerate(entries):
             if entry["rule"] != finding.rule:
                 continue
-            normalized = finding.path.replace("\\", "/")
-            if not normalized.endswith(entry["path"].replace("\\", "/")):
+            if not normalized.endswith("/" + entry["path"].replace("\\", "/")):
                 continue
             if entry.get("symbol") and entry["symbol"] != finding.symbol:
                 continue

@@ -41,7 +41,7 @@ bounds), ``movements`` (tuple moves/swaps, ``CostCounters.tuples_moved``),
 
 ``@typed_kernel`` completes the set for the typed-buffer migration: it
 declares which parameters of a kernel are flat numpy buffers (and their
-dtype contract), so :mod:`repro.analysis_tools.reprotype` can verify the
+dtype contract), so :mod:`repro.analysis_tools.reproperf` can verify the
 body stays vectorized (rules TB001–TB005) and the
 :class:`~repro.analysis_tools.type_witness.TypeConformanceWitness` can
 assert dtype/contiguity/no-object-escape at the call boundary::
@@ -56,7 +56,7 @@ assert dtype/contiguity/no-object-escape at the call boundary::
 Buffer specs are dtype names (``"int64"``) or kind classes (``"numeric"``
 = any int/float column dtype); a ``?`` suffix allows None, a ``*`` suffix
 declares a list/tuple of buffers.  ``mutates`` names the buffers the
-kernel writes in place — ownership the reprotype TB005 rule checks
+kernel writes in place — ownership the reproperf TB005 rule checks
 against aliased views.
 
 ``@guarded_by`` and ``@charges`` are free of runtime enforcement: the
@@ -175,34 +175,27 @@ def charged_counters(func: Union[Callable, type]) -> Tuple[str, ...]:
 
 
 def typed_kernel(
-    *,
-    buffers: Union[Dict[str, str], Sequence[str]],
-    dtype: str = "numeric",
-    mutates: Sequence[str] = (),
+    *, buffers: Dict[str, str], mutates: Sequence[str] = ()
 ) -> Callable[[Callable], Callable]:
     """Declare which parameters of a kernel are flat numpy buffers.
 
-    ``buffers`` maps parameter names to buffer specs (or is a plain
-    sequence of names, each getting the default ``dtype`` spec).  A spec
-    is a dtype name (``"int64"``, ``"float64"``) or a kind class
-    (``"numeric"`` = any integer/float dtype, ``"integer"``, ``"float"``)
-    plus optional suffixes: ``?`` allows None, ``*`` declares a
-    list/tuple of buffers (e.g. a payload-column container).  ``mutates``
-    names the declared buffers the kernel writes in place — the ownership
-    declaration reprotype's TB005 rule checks mutations against.
+    ``buffers`` maps parameter names to buffer specs.  A spec is a dtype
+    name (``"int64"``, ``"float64"``) or a kind class (``"numeric"`` = any
+    integer/float dtype, ``"integer"``, ``"float"``) plus optional
+    suffixes: ``?`` allows None, ``*`` declares a list/tuple of buffers
+    (e.g. a payload-column container).  ``mutates`` names the declared
+    buffers the kernel writes in place — the ownership declaration
+    reproperf's TB005 rule checks mutations against.
 
     The declaration is attached as ``__typed_buffers__`` /
-    ``__typed_mutates__`` / ``__typed_kernel__`` for introspection and
-    for :mod:`repro.analysis_tools.reprotype`.  At runtime the wrapper
+    ``__typed_mutates__`` / ``__typed_kernel__`` for introspection; the
+    static check reads the decorator call itself.  At runtime the wrapper
     costs one module-global read per call; when the
     :mod:`~repro.analysis_tools.type_witness` is armed it checks every
     declared buffer (dtype, 1-D, contiguity, writeability for mutated
     buffers) and the return value (no object-dtype escape).
     """
-    if isinstance(buffers, dict):
-        normalized: Dict[str, str] = dict(buffers)
-    else:
-        normalized = {name: dtype for name in buffers}
+    normalized = dict(buffers)
     if not normalized:
         raise ValueError("typed_kernel() needs at least one buffer parameter")
     for name, spec in normalized.items():

@@ -1,6 +1,6 @@
 """Runtime type-conformance witness for ``@typed_kernel`` boundaries.
 
-:mod:`repro.analysis_tools.reprotype` checks the typed-buffer contract
+:mod:`repro.analysis_tools.reproperf` checks the typed-buffer contract
 lexically (rules TB001–TB005); this witness checks it *dynamically* at
 every kernel call boundary.  When armed, each call to a
 :func:`repro.analysis_tools.guards.typed_kernel`-decorated function

@@ -28,8 +28,8 @@ writing any Python:
     the snapshot used, replayed operation counts, journal records scanned,
     whether a torn tail was tolerated, and the wall-clock time;
 ``python -m repro lint``
-    run the three static analyzers (reprolint, reproperf, reprotype) over
-    the tree against their checked-in baselines; ``--format json`` prints
+    run the two static analyzers (reprolint, and reproperf for the
+    kernels) over the tree against their checked-in baselines; ``--format json`` prints
     one document keyed by analyzer.
 
 Durability: ``updates`` and ``batch`` accept ``--data-dir`` (journal every
@@ -84,7 +84,7 @@ _EXAMPLES = """examples:
   repro updates --strategy cracking --data-dir ./state --sync batch
   repro recover --data-dir ./state         # replay the journal, report counts
   repro snapshot --data-dir ./state        # compact the journal into a snapshot
-  repro lint --strict-baseline             # all three static analyzers, as CI runs them
+  repro lint --strict-baseline             # both static analyzers, as CI runs them
 
 Adaptive repartitioning (--repartition) lets the partitioned strategies
 split hot partitions at crack boundaries (and merge cold siblings) so a
@@ -251,14 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the three static analyzers: reprolint (concurrency "
-             "invariants), reproperf (hot paths & cost model) and reprotype "
-             "(typed kernels), each against its checked-in ./<tool>.toml "
+        help="run the two static analyzers: reprolint (concurrency "
+             "invariants) and reproperf (kernels: hot paths, cost model, "
+             "typed buffers), each against its checked-in ./<tool>.toml "
              "baseline; --format json prints one document keyed by analyzer",
     )
     add_analyzer_arguments(
         lint, "each analyzer's own scope: src/repro for reprolint, the kernel "
-              "modules for the other two",
+              "modules for reproperf",
     )
     return parser
 
@@ -700,13 +700,13 @@ def _command_snapshot(args: argparse.Namespace) -> int:
 
 
 def _command_lint(args) -> int:
-    """Run reprolint, reproperf and reprotype; the worst exit status wins."""
+    """Run reprolint and reproperf; the worst exit status wins."""
     import json
 
-    from repro.analysis_tools import common, reprolint, reproperf, reprotype
+    from repro.analysis_tools import common, reprolint, reproperf
 
     reports = {}
-    for analyzer in (reprolint.ANALYZER, reproperf.ANALYZER, reprotype.ANALYZER):
+    for analyzer in (reprolint.ANALYZER, reproperf.ANALYZER):
         try:
             reports[analyzer.tool] = common.run_analyzer(
                 analyzer, args.paths, no_baseline=args.no_baseline

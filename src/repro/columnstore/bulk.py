@@ -13,7 +13,7 @@ and crack-in-three need.
 
 The reorganisation kernels carry ``@typed_kernel`` declarations: their
 buffer parameters are flat numeric ndarrays, checked statically by
-:mod:`repro.analysis_tools.reprotype` and dynamically by the type witness
+:mod:`repro.analysis_tools.reproperf` and dynamically by the type witness
 (``REPRO_TYPE_WITNESS=1``).  Both partition kernels are single-pass mask
 selections (O(n)), not argsorts — the produced layout is identical to a
 stable argsort of the group keys, without the O(n log n) sort.  The one

@@ -88,6 +88,7 @@ spread, never results.  Split and merge counts are exposed as
 
 from __future__ import annotations
 
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -406,8 +407,8 @@ class PartitionedCrackedColumn:
         *partition* merges at most ``merge_batch`` pending updates per query
         it participates in.
     max_workers:
-        Width of that pool (defaults to the partition count, tracking it as
-        repartitioning changes the topology; an explicit value is pinned).
+        Width of that pool, fixed at construction (default:
+        ``os.cpu_count()``); repartitioning never resizes it.
 
     Updates are routed to the owning partition: deletes by asking the
     partitions which one knows the rowid, and inserts to the *best-fit*
@@ -466,10 +467,9 @@ class PartitionedCrackedColumn:
             for start, end in partition_bounds(len(base), partitions)
         ]
         self._next_rowid = len(base)
-        # a caller-chosen worker count is pinned; a defaulted one tracks the
-        # partition count as repartitioning splits and merges change it
-        self._explicit_workers = max_workers is not None
-        self._max_workers = max_workers or len(self._partitions)
+        # fixed for the column's life: the pool starts a thread only when a
+        # task finds none idle, so a width above the partition count is free
+        self._max_workers = max_workers or os.cpu_count() or 1
         # the two locks make a *converged* (read-only) column safe under the
         # concurrent readers the batch scheduler fans out: ``_pool_lock``
         # keeps the lazy thread pool from being created twice,
@@ -575,26 +575,6 @@ class PartitionedCrackedColumn:
                     thread_name_prefix="repro-partition",
                 )
             return self._pool
-
-    def _sync_worker_pool(self) -> None:
-        """Track topology changes with the fan-out width (defaulted sizing only).
-
-        ``_max_workers`` defaults to the partition count at construction;
-        without this hook a repartitioning split past that count leaves the
-        fan-out under-subscribed forever (and merges leave the pool
-        oversized).  An existing thread pool of the wrong size is retired
-        and lazily re-created at the new width.
-        """
-        if self._explicit_workers:
-            return
-        desired = max(1, len(self._partitions))
-        with self._pool_lock:
-            if desired == self._max_workers:
-                return
-            self._max_workers = desired
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def close(self) -> None:
         """Release the thread pool.
@@ -778,7 +758,6 @@ class PartitionedCrackedColumn:
             partitions[candidate:candidate + 1] = [left, right]
             with self._stats_lock:
                 self.partition_splits += 1
-        self._sync_worker_pool()
 
     def _maybe_merge(self, counters: Optional[CostCounters]) -> None:
         """Merge one pair of cold, value-adjacent partitions (main thread only).
@@ -823,7 +802,6 @@ class PartitionedCrackedColumn:
             partitions[i:i + 2] = [merged]
             with self._stats_lock:
                 self.partition_merges += 1
-            self._sync_worker_pool()
             return
 
     # -- updates ----------------------------------------------------------------

@@ -44,11 +44,10 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis_tools.guards import guarded_by
 from repro.cost.counters import CostCounters
-from repro.cost.stats import QueryStatistics, WorkloadStatistics
 from repro.durability.record import WalRecord
 from repro.engine.concurrency import (
     AccessPathClaim,
@@ -338,25 +337,6 @@ class Session:
             self._stats.queries_executed += len(results)
             self._stats.last_batch_report = report
         return results
-
-    def run_workload(
-        self, queries: Iterable[Query], strategy_label: str = ""
-    ) -> WorkloadStatistics:
-        """Execute a query sequence, returning per-query statistics."""
-        statistics = WorkloadStatistics(strategy=strategy_label)
-        for index, query in enumerate(queries):
-            result = self.execute(query)
-            statistics.append(
-                QueryStatistics(
-                    query_index=index,
-                    elapsed_seconds=result.elapsed_seconds,
-                    counters=result.counters,
-                    result_count=result.row_count,
-                    strategy=strategy_label,
-                    description=query.description,
-                )
-            )
-        return statistics
 
     # -- DML -----------------------------------------------------------------------
 

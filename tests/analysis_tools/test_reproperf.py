@@ -1,4 +1,5 @@
-"""Self-tests for reproperf: fixtures, baseline mechanics, CLI contract."""
+"""Self-tests for reproperf, the kernel analyzer: fixtures for all ten rules
+(PF001–PF005, TB001–TB005), baseline mechanics, CLI contract."""
 
 import json
 import re
@@ -7,17 +8,18 @@ from pathlib import Path
 import pytest
 
 from repro.analysis_tools import reproperf
+from repro.analysis_tools.common import apply_baseline, load_baseline
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-_EXPECT = re.compile(r"#\s*expect\[(PF\d{3})\]")
+_EXPECT = re.compile(r"#\s*expect\[((?:PF|TB)\d{3})\]")
 
-RULES = ["PF001", "PF002", "PF003", "PF004", "PF005"]
+RULES = sorted(reproperf.RULES)
 
 
 def expected_findings(fixture: Path):
-    """(rule, line) pairs harvested from ``# expect[PFnnn]`` markers."""
+    """(rule, line) pairs harvested from ``# expect[RULE]`` markers."""
     pairs = set()
     for lineno, text in enumerate(fixture.read_text().splitlines(), start=1):
         match = _EXPECT.search(text)
@@ -27,8 +29,18 @@ def expected_findings(fixture: Path):
 
 
 def actual_findings(path: Path):
-    findings, _worklist = reproperf.analyze_paths([str(path)])
+    findings, _aux = reproperf.analyze_paths([str(path)])
     return {(f.rule, f.line) for f in findings}
+
+
+def kernel_targets():
+    return [str(REPO_ROOT / target) for target in reproperf.DEFAULT_TARGETS]
+
+
+def test_the_rule_table_has_both_families():
+    assert RULES == [f"PF00{n}" for n in range(1, 6)] + [
+        f"TB00{n}" for n in range(1, 6)
+    ]
 
 
 class TestFixtures:
@@ -49,14 +61,52 @@ class TestFixtures:
         fixture = FIXTURES / f"{rule.lower()}_bad.py"
         assert reproperf.main([str(fixture), "--no-baseline"]) == 1
 
-    def test_findings_carry_location_and_hint(self):
-        findings, _ = reproperf.analyze_paths([str(FIXTURES / "pf001_bad.py")])
+    @pytest.mark.parametrize("rule", ["PF001", "TB001"])
+    def test_findings_carry_location_and_hint(self, rule):
+        name = f"{rule.lower()}_bad.py"
+        findings, _ = reproperf.analyze_paths([str(FIXTURES / name)])
         for finding in findings:
-            assert finding.path.endswith("pf001_bad.py")
+            assert finding.path.endswith(name)
             assert finding.line > 0
             assert finding.rule in reproperf.RULES
             assert finding.message
             assert finding.hint
+
+    def test_rules_apply_only_inside_typed_kernels(self, tmp_path):
+        module = tmp_path / "plain.py"
+        module.write_text(
+            "def plain(values):\n"
+            "    total = 0.0\n"
+            "    for value in values:\n"
+            "        total += value\n"
+            "    return total\n"
+        )
+        assert actual_findings(module) == set()
+
+
+class TestInventory:
+    def test_inventory_lists_every_declaration(self):
+        _findings, (_worklist, inventory) = reproperf.analyze_paths(
+            [str(FIXTURES / "tb005_good.py")]
+        )
+        symbols = {decl.symbol for decl in inventory}
+        assert "declared_store" in symbols and "sorted_copy" in symbols
+        declared = {
+            decl.symbol: decl for decl in inventory
+        }["declared_store"]
+        assert declared.buffers == {"values": "numeric"}
+        assert declared.mutates == {"values"}
+
+    def test_real_tree_inventory_covers_the_crack_kernels(self):
+        _findings, (_worklist, inventory) = reproperf.analyze_paths(kernel_targets())
+        symbols = {decl.symbol for decl in inventory}
+        assert {
+            "crack_value",
+            "crack_range",
+            "ripple_insert_value",
+            "ripple_delete_position",
+            "CrackedColumn._apply_ripple_batch",
+        } <= symbols
 
 
 class TestRealTree:
@@ -68,18 +118,17 @@ class TestRealTree:
 
     def test_remaining_findings_are_accepted_cost_classes_only(self):
         """With inline suppressions applied but no baseline, only
-        PF001/PF005 remain — PF002 reloads and PF004 invariant lens are
-        fixed, and every @charges contract (PF003) is sound (the few
-        inline-suppressed PF003 sites are commented bookkeeping, not
-        tuple movement)."""
-        targets = [str(REPO_ROOT / target) for target in reproperf.DEFAULT_TARGETS]
-        findings, _ = reproperf.analyze_paths(targets)
+        PF001/PF005 and the one sequential typed-kernel loop (TB001)
+        remain — PF002 reloads and PF004 invariant lens are fixed, and every
+        @charges contract (PF003) is sound (the few inline-suppressed PF003
+        sites are commented bookkeeping, not tuple movement)."""
+        findings, _ = reproperf.analyze_paths(kernel_targets())
         active = [f for f in findings if not f.suppressed_by]
-        assert {f.rule for f in active} <= {"PF001", "PF005"}
+        assert {f.rule for f in active} <= {"PF001", "PF005", "TB001"}
         assert all(
             f.suppressed_by == "inline"
             for f in findings
-            if f.rule not in ("PF001", "PF005")
+            if f.rule not in ("PF001", "PF005", "TB001")
         )
 
     def test_checked_in_baseline_entries_all_carry_reasons(self):
@@ -88,8 +137,7 @@ class TestRealTree:
         assert all(str(entry["reason"]).strip() for entry in entries)
 
     def test_migration_worklist_names_per_element_callees(self):
-        targets = [str(REPO_ROOT / target) for target in reproperf.DEFAULT_TARGETS]
-        _findings, worklist = reproperf.analyze_paths(targets)
+        _findings, (worklist, _inventory) = reproperf.analyze_paths(kernel_targets())
         assert worklist, "kernels still make per-element Python calls"
         for callee, sites in worklist.items():
             assert callee
@@ -97,7 +145,7 @@ class TestRealTree:
             assert all(":" in site for site in sites)
 
     def test_kernels_actually_declare_charges(self):
-        """The @charges annotations this PR adds are importable and visible."""
+        """The @charges annotations are importable and visible."""
         from repro.analysis_tools.guards import charged_counters
         from repro.core.cracking.cracked_column import CrackedColumn
 
@@ -119,95 +167,142 @@ class TestSuppression:
         assert active == []
         assert len(suppressed) == 2
 
+    def test_inline_ignore_silences_one_line(self, tmp_path):
+        source = (FIXTURES / "tb005_bad.py").read_text().replace(
+            "values[position] = value  # expect[TB005]",
+            "values[position] = value  # reproperf: ignore[TB005]",
+        )
+        target = tmp_path / "inline.py"
+        target.write_text(source)
+        findings, _ = reproperf.analyze_paths([str(target)])
+        active = [f for f in findings if not f.suppressed_by]
+        suppressed = [f for f in findings if f.suppressed_by]
+        assert [(f.rule, f.line) for f in suppressed] == [("TB005", 8)]
+        assert {f.rule for f in active} == {"TB005"}
+        assert all(f.line != 8 for f in active)
+
     def test_inline_ignore_accepts_a_rule_list(self, tmp_path):
         target = tmp_path / "multi.py"
         target.write_text(
+            "from repro.analysis_tools.guards import typed_kernel\n"
+            "\n"
+            "\n"
             "def helper(item):\n"
             "    return item\n"
             "\n"
             "\n"
+            "@typed_kernel(buffers={'values': 'numeric'})\n"
             "def run(values):\n"
             "    out = []\n"
-            "    for value in values:\n"
+            "    for value in values:  # reproperf: ignore[TB001]\n"
             "        out.append(helper(value))  "
             "# reproperf: ignore[PF001, PF005]\n"
             "    return out\n"
         )
         findings, _ = reproperf.analyze_paths([str(target)])
-        assert findings, "the fixture should produce a PF005 finding"
+        assert {f.rule for f in findings} == {"PF005", "TB001"}
         assert all(f.suppressed_by == "inline" for f in findings)
 
-    def test_inline_ignore_does_not_cover_other_rules(self, tmp_path):
-        source = (FIXTURES / "pf004_bad.py").read_text().replace(
-            "# expect[PF004]", "# reproperf: ignore[PF001]"
+    @pytest.mark.parametrize(
+        "rule, other", [("PF004", "PF001"), ("TB005", "TB001")]
+    )
+    def test_inline_ignore_does_not_cover_other_rules(
+        self, tmp_path, rule, other
+    ):
+        source = (FIXTURES / f"{rule.lower()}_bad.py").read_text().replace(
+            f"# expect[{rule}]", f"# reproperf: ignore[{other}]"
         )
         target = tmp_path / "mismatch.py"
         target.write_text(source)
         findings, _ = reproperf.analyze_paths([str(target)])
         assert all(not f.suppressed_by for f in findings)
 
-    def test_baseline_suppresses_matching_finding(self, tmp_path):
+    @pytest.mark.parametrize("rule", ["PF004", "TB002"])
+    def test_baseline_suppresses_matching_finding(self, tmp_path, rule):
+        fixture = FIXTURES / f"{rule.lower()}_bad.py"
         baseline = tmp_path / "baseline.toml"
         baseline.write_text(
             '[[suppress]]\n'
-            'rule = "PF004"\n'
-            'path = "pf004_bad.py"\n'
-            'reason = "fixture exercises the invariant len on purpose"\n'
+            f'rule = "{rule}"\n'
+            f'path = "{fixture.name}"\n'
+            'reason = "the fixture breaks the rule on purpose"\n'
         )
-        status = reproperf.main(
-            [str(FIXTURES / "pf004_bad.py"), "--baseline", str(baseline)]
-        )
+        status = reproperf.main([str(fixture), "--baseline", str(baseline)])
         assert status == 0
 
-    def test_baseline_symbol_filter_narrows_the_match(self, tmp_path):
-        baseline = tmp_path / "narrow.toml"
+    @pytest.mark.parametrize("rule", ["PF001", "TB001"])
+    def test_baseline_path_matches_on_a_path_boundary(self, tmp_path, rule):
+        """An entry for ``pf001_bad.py`` must not cover ``xpf001_bad.py``."""
+        fixture = FIXTURES / f"{rule.lower()}_bad.py"
+        target = tmp_path / f"x{fixture.name}"
+        target.write_text(fixture.read_text())
+        baseline = tmp_path / "baseline.toml"
         baseline.write_text(
             '[[suppress]]\n'
-            'rule = "PF004"\n'
-            'path = "pf004_bad.py"\n'
-            'symbol = "walk"\n'
-            'reason = "only the first function is accepted"\n'
+            f'rule = "{rule}"\n'
+            f'path = "{fixture.name}"\n'
+            'reason = "covers the fixture, not a file that merely ends alike"\n'
         )
-        status = reproperf.main(
-            [str(FIXTURES / "pf004_bad.py"), "--baseline", str(baseline)]
-        )
-        assert status == 1  # count_below stays active
+        assert reproperf.main([str(target), "--baseline", str(baseline)]) == 1
+        assert reproperf.main([str(fixture), "--baseline", str(baseline)]) == 0
 
-    def test_baseline_entry_requires_reason(self, tmp_path):
+    def test_baseline_suppresses_matching_symbol(self, tmp_path):
+        baseline = tmp_path / "baseline.toml"
+        baseline.write_text(
+            '[[suppress]]\n'
+            'rule = "TB001"\n'
+            'path = "tb001_bad.py"\n'
+            'symbol = "cursor_walk"\n'
+            'reason = "fixture keeps the cursor walk on purpose"\n'
+        )
+        findings, _ = reproperf.analyze_paths([str(FIXTURES / "tb001_bad.py")])
+        unused = apply_baseline(findings, load_baseline(baseline))
+        assert unused == []
+        suppressed = [f for f in findings if f.suppressed_by == "baseline"]
+        assert [f.symbol for f in suppressed] == ["cursor_walk"]
+        assert len(findings) > len(suppressed)  # the other kernels stay active
+
+    @pytest.mark.parametrize("rule, reason", [("PF004", ""), ("TB001", " ")])
+    def test_baseline_entry_requires_reason(self, tmp_path, rule, reason):
+        fixture = FIXTURES / f"{rule.lower()}_bad.py"
         baseline = tmp_path / "noreason.toml"
         baseline.write_text(
-            '[[suppress]]\nrule = "PF004"\npath = "pf004_bad.py"\nreason = ""\n'
+            f'[[suppress]]\nrule = "{rule}"\npath = "{fixture.name}"\n'
+            f'reason = "{reason}"\n'
         )
-        status = reproperf.main(
-            [str(FIXTURES / "pf004_bad.py"), "--baseline", str(baseline)]
-        )
+        status = reproperf.main([str(fixture), "--baseline", str(baseline)])
         assert status == 2
 
-    def test_unused_baseline_entry_warns_but_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rule", ["PF001", "TB001"])
+    def test_unused_baseline_entry_warns_but_passes(
+        self, tmp_path, capsys, rule
+    ):
         baseline = tmp_path / "stale.toml"
         baseline.write_text(
             '[[suppress]]\n'
-            'rule = "PF001"\n'
+            f'rule = "{rule}"\n'
             'path = "no/such/file.py"\n'
             'reason = "stale entry"\n'
         )
-        status = reproperf.main(
-            [str(FIXTURES / "pf001_good.py"), "--baseline", str(baseline)]
-        )
+        fixture = FIXTURES / f"{rule.lower()}_good.py"
+        status = reproperf.main([str(fixture), "--baseline", str(baseline)])
         assert status == 0
         assert "unused baseline entry" in capsys.readouterr().err
 
-    def test_strict_baseline_fails_on_unused_entries(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rule", ["PF001", "TB001"])
+    def test_strict_baseline_fails_on_unused_entries(
+        self, tmp_path, capsys, rule
+    ):
         baseline = tmp_path / "stale.toml"
         baseline.write_text(
             '[[suppress]]\n'
-            'rule = "PF001"\n'
+            f'rule = "{rule}"\n'
             'path = "no/such/file.py"\n'
             'reason = "stale entry"\n'
         )
         status = reproperf.main(
             [
-                str(FIXTURES / "pf001_good.py"),
+                str(FIXTURES / f"{rule.lower()}_good.py"),
                 "--baseline", str(baseline),
                 "--strict-baseline",
             ]
@@ -223,23 +318,45 @@ class TestJsonOutput:
         )
         assert status == 1
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"findings", "migration_worklist", "summary"}
+        assert set(payload) == {
+            "findings", "migration_worklist", "kernel_inventory", "summary",
+        }
         assert payload["summary"]["active"] == 4
         assert {f["rule"] for f in payload["findings"]} == {"PF005"}
         # findings double as the typed-buffer migration worklist
         assert set(payload["migration_worklist"]) == {
             "classify", "CostCounters", "<dynamic>", "advance",
         }
+        assert payload["kernel_inventory"] == []
         assert all(
             {"rule", "path", "line", "symbol", "message", "hint"} <= set(f)
             for f in payload["findings"]
         )
 
+    def test_json_shape_and_kernel_inventory(self, capsys):
+        status = reproperf.main(
+            [str(FIXTURES / "tb002_bad.py"), "--no-baseline", "--format=json"]
+        )
+        assert status == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "findings", "migration_worklist", "kernel_inventory", "summary",
+        }
+        assert payload["summary"]["active"] == 4
+        assert {f["rule"] for f in payload["findings"]} == {"TB002"}
+        kernels = {entry["kernel"] for entry in payload["kernel_inventory"]}
+        assert "box_with_tolist" in kernels
+        for entry in payload["kernel_inventory"]:
+            assert {"kernel", "path", "line", "buffers", "mutates"} <= set(entry)
+
     def test_clean_json_run_exits_zero(self, capsys):
         status = reproperf.main(
-            [str(FIXTURES / "pf005_good.py"), "--no-baseline", "--format=json"]
+            [str(FIXTURES / "tb002_good.py"), "--no-baseline", "--format=json"]
         )
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["active"] == 0
         assert payload["migration_worklist"] == {}
+        assert payload["kernel_inventory"]
+        for entry in payload["kernel_inventory"]:
+            assert {"kernel", "path", "line", "buffers", "mutates"} <= set(entry)

@@ -38,12 +38,12 @@ class TestDeclaration:
         assert typed_buffers(_negate) == {"values": "numeric"}
         assert _negate.__typed_mutates__ == ("values",)
 
-    def test_sequence_form_uses_the_default_dtype(self):
-        @typed_kernel(buffers=["left", "right"], dtype="int64")
+    def test_each_buffer_names_its_own_spec(self):
+        @typed_kernel(buffers={"left": "int64", "right": "numeric?"})
         def merge(left, right):
             return left, right
 
-        assert typed_buffers(merge) == {"left": "int64", "right": "int64"}
+        assert typed_buffers(merge) == {"left": "int64", "right": "numeric?"}
 
     def test_unknown_spec_is_rejected(self):
         with pytest.raises(ValueError, match="unknown buffer spec"):

@@ -255,44 +255,7 @@ class TestSequentialThreadEquivalence:
 
 @pytest.mark.usefixtures("pooled_fan_out")
 class TestFanOutPoolSizing:
-    """Regression: the pool must track the partition count."""
-
-    def test_pool_grows_past_initial_partition_count(self, rng):
-        values = rng.integers(0, 1000, size=300).astype(np.int64)
-        column = PartitionedUpdatableCrackedColumn(
-            values, partitions=2, parallel=True,
-            repartition=True, max_partition_rows=100,
-        )
-        assert column._max_workers == 2
-        while column.partition_count <= 4:
-            column.insert(int(rng.integers(0, 1000)))
-            column.search(0, 1000)
-        # splits grew the topology; the fan-out width must have kept up
-        assert column.partition_count > 4
-        assert column._max_workers == column.partition_count
-        column.close()
-
-    def test_pool_shrinks_after_merges(self, rng):
-        values = rng.integers(0, 1000, size=400).astype(np.int64)
-        column = PartitionedUpdatableCrackedColumn(
-            values, partitions=2, parallel=True,
-            repartition=True, max_partition_rows=150,
-        )
-        inserted = []
-        while column.partition_splits == 0:
-            inserted.append(column.insert(int(rng.integers(0, 100))))
-            column.search(0, 1000)
-        grown = column.partition_count
-        assert column._max_workers == grown
-        for rowid in inserted:
-            column.delete(rowid)
-        for victim in range(len(values) - 30):
-            column.delete(victim)
-        column.search(0, 1000)
-        assert column.partition_merges > 0
-        assert column.partition_count < grown
-        assert column._max_workers == column.partition_count
-        column.close()
+    """The pool's width is fixed when the column is built."""
 
     def test_explicit_max_workers_is_respected_across_splits(self, rng):
         values = rng.integers(0, 1000, size=300).astype(np.int64)

@@ -7,6 +7,8 @@ from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import available_strategies
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, RangeSelection
+from repro.engine.session import Session
+from repro.workloads.benchmark import run_operations
 
 
 @pytest.fixture
@@ -34,6 +36,10 @@ REMOVED_DATABASE_NAMES = (
     "update_row", "query", "last_batch_report", "_default_session",
 )
 
+#: the session's own query loop, beside the one measuring loop
+#: (``workloads.benchmark.run_operations``)
+REMOVED_SESSION_NAMES = ("run_workload",)
+
 
 class TestOneDoorOneSwitch:
     """Operations enter through ``db.session()``, physical designs through
@@ -42,6 +48,10 @@ class TestOneDoorOneSwitch:
     @pytest.mark.parametrize("name", REMOVED_DATABASE_NAMES)
     def test_database_has_no_second_entry_point(self, database, name):
         assert not hasattr(Database, name) and not hasattr(database, name)
+
+    @pytest.mark.parametrize("name", REMOVED_SESSION_NAMES)
+    def test_session_has_no_second_measuring_loop(self, session, name):
+        assert not hasattr(Session, name) and not hasattr(session, name)
 
     def test_database_names_no_technique(self, database):
         # the four methods and the private dict that were sideways
@@ -205,10 +215,10 @@ class TestExecution:
         # the head came from the maps like every other attribute
         assert sideways.counters.random_accesses == 0
 
-    def test_run_workload_collects_statistics(self, database, session):
+    def test_run_operations_collects_statistics(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [Query.range_query("facts", "a", low, low + 500) for low in range(0, 5000, 500)]
-        stats = session.run_workload(queries, strategy_label="cracking")
+        stats = run_operations(session, queries, "cracking")
         assert len(stats) == len(queries)
         assert stats.total_seconds > 0
         assert stats.strategy == "cracking"
@@ -216,7 +226,7 @@ class TestExecution:
     def test_adaptive_mode_gets_cheaper_with_repetition(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [Query.range_query("facts", "a", 2000, 2500) for _ in range(10)]
-        stats = session.run_workload(queries)
+        stats = run_operations(session, queries)
         costs = [q.counters.tuples_scanned + q.counters.tuples_moved for q in stats]
         assert costs[-1] < costs[0]
 

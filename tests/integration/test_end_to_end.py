@@ -7,7 +7,7 @@ from repro import Database, available_strategies, create_strategy
 from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 from repro.engine.query import Query
-from repro.workloads.benchmark import AdaptiveIndexingBenchmark
+from repro.workloads.benchmark import AdaptiveIndexingBenchmark, run_operations
 from repro.workloads.generators import (
     WorkloadSpec,
     generate_column_data,
@@ -74,9 +74,9 @@ class TestDatabaseLifecycle:
         sideways_db.set_indexing("lineorder", "orderdate", "sideways-cracking")
         queries = shipping_priority_queries(config, query_count=30, seed=4)
         with scan_db.session() as session:
-            scan_stats = session.run_workload(queries, strategy_label="scan")
+            scan_stats = run_operations(session, queries, "scan")
         with sideways_db.session() as session:
-            sideways_stats = session.run_workload(queries, strategy_label="sideways")
+            sideways_stats = run_operations(session, queries, "sideways")
         # identical answers
         for scan_query, sideways_query in zip(scan_stats, sideways_stats):
             assert scan_query.result_count == sideways_query.result_count

@@ -179,7 +179,7 @@ class TestDemoAndDefaults:
 
 
 class TestLintCommand:
-    """``repro lint`` is the one way to run the three static analyzers."""
+    """``repro lint`` is the one way to run the two static analyzers."""
 
     @pytest.fixture(autouse=True)
     def _from_the_repo_root(self, monkeypatch):
@@ -189,13 +189,13 @@ class TestLintCommand:
     def test_json_is_one_document_keyed_by_analyzer(self, capsys):
         assert main(["lint", "--strict-baseline", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert list(document) == ["reprolint", "reproperf", "reprotype"]
+        assert list(document) == ["reprolint", "reproperf"]
         for report in document.values():
             assert report["summary"]["active"] == 0
             assert report["summary"]["unused_baseline_entries"] == []
         assert document["reprolint"]["acquisition_graph"]
         assert document["reproperf"]["migration_worklist"]
-        assert document["reprotype"]["kernel_inventory"]
+        assert document["reproperf"]["kernel_inventory"]
 
     def test_without_the_baselines_the_accepted_findings_fail_the_run(self, capsys):
         assert main(["lint", "--no-baseline", "--format", "json"]) == 1
@@ -205,7 +205,7 @@ class TestLintCommand:
     def test_text_output_summarises_every_analyzer(self, capsys):
         assert main(["lint"]) == 0
         summaries = capsys.readouterr().err
-        for tool in ("reprolint", "reproperf", "reprotype"):
+        for tool in ("reprolint", "reproperf"):
             assert f"{tool}: 0 finding(s)" in summaries
 
     def test_explicit_paths_reach_all_three(self, capsys):
@@ -219,7 +219,7 @@ class TestLintCommand:
         assert {
             tool: {finding["rule"][:2] for finding in report["findings"]}
             for tool, report in document.items()
-        } == {"reprolint": {"RL"}, "reproperf": {"PF"}, "reprotype": {"TB"}}
+        } == {"reprolint": {"RL"}, "reproperf": {"PF", "TB"}}
 
     def test_a_missing_path_is_a_usage_error(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2
