@@ -38,23 +38,20 @@ def range_mask(
     low: Optional[float],
     high: Optional[float],
     counters: Optional[CostCounters] = None,
-    include_low: bool = True,
-    include_high: bool = False,
 ) -> np.ndarray:
-    """Boolean mask of ``low <= v < high`` (bounds optional / configurable).
+    """Boolean mask of ``low <= v < high``; a ``None`` bound is unbounded.
 
-    ``None`` bounds are treated as unbounded.  The default half-open
-    interval ``[low, high)`` matches the convention used throughout the
-    cracking literature.
+    The half-open interval of the cracking literature; with bounds of the
+    column's type it expresses every closed or open variant.
     """
     values = np.asarray(values)
     mask = np.ones(len(values), dtype=bool)
     comparisons = 0
     if low is not None:
-        mask &= (values >= low) if include_low else (values > low)
+        mask &= values >= low
         comparisons += len(values)
     if high is not None:
-        mask &= (values < high) if not include_high else (values <= high)
+        mask &= values < high
         comparisons += len(values)
     if counters is not None:
         counters.record_scan(len(values))
@@ -67,14 +64,24 @@ def filter_range(
     low: Optional[float],
     high: Optional[float],
     counters: Optional[CostCounters] = None,
-    include_low: bool = True,
-    include_high: bool = False,
 ) -> np.ndarray:
     """Positions (indices into ``values``) whose value falls in the range."""
-    mask = range_mask(
-        values, low, high, counters, include_low=include_low, include_high=include_high
-    )
-    return np.flatnonzero(mask)
+    return np.flatnonzero(range_mask(values, low, high, counters))
+
+
+@typed_kernel(buffers={"values": "numeric"})
+def lower_bound(values: np.ndarray, bound) -> int:
+    """``np.searchsorted(values, bound)``: the position of the first element
+    of sorted ``values`` at or above ``bound``, a bound of their column's type.
+
+    ``searchsorted`` reads a Python int as an int64 array, where a comparison
+    reads it as the other operand's type: a uint64 array would then be
+    searched in float64 (inexact past 2**53) and a narrower one copied to
+    int64 by every call.  A Python int is searched for as an element.
+    """
+    if isinstance(bound, int) and values.dtype.kind in "iu":
+        bound = values.dtype.type(bound)
+    return int(np.searchsorted(values, bound))
 
 
 @charges("random_accesses")
@@ -330,8 +337,15 @@ def radix_cluster(
     if hi == lo:
         bucket_ids = np.zeros(n, dtype=np.int64)
     else:
-        # normalise into [0, buckets) by value range
-        scaled = (values.astype(np.float64) - lo) / (float(hi) - float(lo))
+        # normalise into [0, buckets) by value range; integer keys are taken
+        # apart from the minimum in integer space first (their distance to
+        # it fits uint64, whose wrap-around keeps the subtraction exact), so
+        # only the distances are rounded — monotonically — on the way to float
+        if values.dtype.kind in "iu":
+            offsets = np.subtract(values, lo, dtype=np.uint64, casting="unsafe")
+        else:
+            offsets = values.astype(np.float64) - lo
+        scaled = offsets / np.float64(hi.item() - lo.item())
         bucket_ids = np.minimum((scaled * buckets).astype(np.int64), buckets - 1)
     order = np.argsort(bucket_ids, kind="stable")
     clustered = values[order]

@@ -23,15 +23,13 @@ from repro.cost.counters import CostCounters
 class RangePredicate:
     """Half-open range predicate ``low <= value < high``.
 
-    Either bound may be ``None`` (unbounded).  ``include_low`` /
-    ``include_high`` adjust bound inclusivity; the default half-open
-    convention matches the cracking literature.
+    Either bound may be ``None`` (unbounded).  With bounds of the column's
+    type (:func:`repro.columnstore.types.exact_bounds`) the half-open form
+    expresses every closed or open range.
     """
 
     low: Optional[float] = None
     high: Optional[float] = None
-    include_low: bool = True
-    include_high: bool = False
 
     def __post_init__(self) -> None:
         if self.low is not None and self.high is not None and self.high < self.low:
@@ -39,25 +37,7 @@ class RangePredicate:
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of values satisfying the predicate (no cost recorded)."""
-        return range_mask(
-            values,
-            self.low,
-            self.high,
-            include_low=self.include_low,
-            include_high=self.include_high,
-        )
-
-    def selectivity_estimate(self, lo: float, hi: float) -> float:
-        """Fraction of a uniform [lo, hi) domain selected by this predicate."""
-        if hi <= lo:
-            return 1.0
-        lower = self.low if self.low is not None else lo
-        upper = self.high if self.high is not None else hi
-        lower = max(lower, lo)
-        upper = min(upper, hi)
-        if upper <= lower:
-            return 0.0
-        return (upper - lower) / (hi - lo)
+        return range_mask(values, self.low, self.high)
 
 
 def scan_select(
@@ -71,14 +51,7 @@ def scan_select(
     column is read and compared.
     """
     values = column.values if isinstance(column, Column) else np.asarray(column)
-    return filter_range(
-        values,
-        predicate.low,
-        predicate.high,
-        counters,
-        include_low=predicate.include_low,
-        include_high=predicate.include_high,
-    )
+    return filter_range(values, predicate.low, predicate.high, counters)
 
 
 def refine_select(
@@ -101,26 +74,3 @@ def refine_select(
         counters.record_comparisons(len(candidate_positions))
     mask = predicate.matches(fetched)
     return candidate_positions[mask]
-
-
-def count_select(
-    column: Union[Column, np.ndarray],
-    predicate: RangePredicate,
-    counters: Optional[CostCounters] = None,
-) -> int:
-    """Count qualifying rows without materialising the position list."""
-    values = column.values if isinstance(column, Column) else np.asarray(column)
-    mask = range_mask(
-        values,
-        predicate.low,
-        predicate.high,
-        counters,
-        include_low=predicate.include_low,
-        include_high=predicate.include_high,
-    )
-    return int(mask.sum())
-
-
-def between(low: Optional[float], high: Optional[float]) -> RangePredicate:
-    """Shorthand constructor for the canonical half-open range predicate."""
-    return RangePredicate(low=low, high=high)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.analysis_tools.guards import charges, typed_kernel
 from repro.columnstore.bulk import (
     binary_search_count,
+    lower_bound,
     partition_three_way,
     partition_two_way,
     stable_sort_segment,
@@ -76,10 +77,7 @@ def crack_value(
 
     if piece.sorted:
         # no data movement needed: binary search inside the sorted piece
-        offset = int(
-            np.searchsorted(values[piece.start : piece.end], pivot, side="left")
-        )
-        split = piece.start + offset
+        split = piece.start + lower_bound(values[piece.start : piece.end], pivot)
         if counters is not None:
             counters.record_comparisons(binary_search_count(piece.size))
         index.add_boundary(pivot, split, left_sorted=True, right_sorted=True)
@@ -89,10 +87,7 @@ def crack_value(
 
     if 0 < sort_threshold and piece.size <= sort_threshold and piece.size > 1:
         stable_sort_segment(values, piece.start, piece.end, counters, payload=payload)
-        offset = int(
-            np.searchsorted(values[piece.start : piece.end], pivot, side="left")
-        )
-        split = piece.start + offset
+        split = piece.start + lower_bound(values[piece.start : piece.end], pivot)
         index.add_boundary(pivot, split, left_sorted=True, right_sorted=True)
         if counters is not None:
             counters.record_pieces(1)

@@ -36,7 +36,6 @@ scan happens whether or not anything qualifies.
 
 from __future__ import annotations
 
-import math
 import threading
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -44,8 +43,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis_tools.guards import charges, guarded_by, typed_kernel
-from repro.columnstore.bulk import binary_search_count
+from repro.columnstore.bulk import binary_search_count, filter_range, lower_bound
 from repro.columnstore.column import Column
+from repro.columnstore.types import exact_key
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.core.cracking.crack_engine import (
     crack_range,
@@ -68,17 +68,6 @@ def _value_queue(dtype: np.dtype) -> array:
     bit-exact and ``np.frombuffer(queue, dtype=queue.typecode)`` views it
     without a copy; any other dtype queues float64."""
     return array(dtype.char if dtype.char in "bBhHiIlLqQfd" else "d")
-
-
-def _in_range(values: np.ndarray, low: Optional[float],
-              high: Optional[float]) -> np.ndarray:
-    """Boolean mask of ``low <= values < high`` (``None`` = unbounded)."""
-    mask = np.ones(len(values), dtype=bool)
-    if low is not None:
-        mask &= values >= low
-    if high is not None:
-        mask &= values < high
-    return mask
 
 
 @guarded_by(queries_processed="_stats_lock")
@@ -164,13 +153,6 @@ class CrackedColumn:
         self._values_buffer: Optional[np.ndarray] = None
         self._rowids_buffer: Optional[np.ndarray] = None
         self.index = CrackerIndex(len(base))
-
-        # an integer column takes whole numbers in this range and queues
-        # them as ints; any other column (None) queues floats
-        self._integer_range: Optional[Tuple[int, int]] = None
-        if np.issubdtype(base.dtype, np.integer):
-            limits = np.iinfo(base.dtype)
-            self._integer_range = (int(limits.min), int(limits.max))
         # pending structures (only ever non-empty on a materialised column):
         # typed queues in arrival order, which is the merge order, each
         # beside a set that answers membership in O(1)
@@ -337,12 +319,12 @@ class CrackedColumn:
         if low is None:
             start = 0
         else:
-            start = int(np.searchsorted(self.values, low, side="left"))
+            start = lower_bound(self.values, low)
             probes += 1
         if high is None:
             end = n
         else:
-            end = int(np.searchsorted(self.values, high, side="left"))
+            end = lower_bound(self.values, high)
             probes += 1
         if counters is not None and probes:
             counters.record_comparisons(probes * binary_search_count(n))
@@ -415,29 +397,9 @@ class CrackedColumn:
     # -- updates -----------------------------------------------------------------
 
     def check_insertable(self, value: float) -> None:
-        """Raise when ``value`` cannot be stored in this column: TypeError
-        for anything but a whole number on an integer column (exact at any
-        magnitude; NaN and the infinities included), ValueError for one
-        outside the dtype's range and for NaN on a float column — no bounded
-        range holds a NaN, so it would stay pending for ever."""
-        if self._integer_range is None:
-            if math.isnan(value):
-                raise ValueError(f"cannot insert NaN into column {self.name!r}")
-            return
-        if isinstance(value, (float, np.floating)):
-            integral = float(value).is_integer()
-        else:
-            integral = isinstance(value, (int, np.integer))
-        if not integral:
-            raise TypeError(
-                f"cannot insert non-integer value {value!r} into an integer column"
-            )
-        lowest, highest = self._integer_range
-        if not lowest <= int(value) <= highest:
-            raise ValueError(
-                f"cannot insert {value!r} into column {self.name!r}: "
-                f"outside the range of {self._base.dtype.name}"
-            )
+        """Raise when ``value`` cannot be stored in this column (the rule is
+        :func:`~repro.columnstore.types.exact_key`)."""
+        exact_key(self._base.dtype, value, self.name)
 
     def insert(self, value: float, counters: Optional[CostCounters] = None,
                rowid: Optional[int] = None) -> int:
@@ -447,8 +409,7 @@ class CrackedColumn:
         globally unique identifiers; it must be fresh and outside the
         base row range.
         """
-        self.check_insertable(value)
-        value = float(value) if self._integer_range is None else int(value)
+        value = exact_key(self._base.dtype, value, self.name)
         if rowid is None:
             rowid = self._next_rowid
             self._next_rowid += 1
@@ -571,7 +532,6 @@ class CrackedColumn:
         parent: same visible rows, same rowids, same refinement.  The parent
         must not be used afterwards.
         """
-        pivot = float(pivot)
         length = self._length
         mid = self.crack_at(pivot, counters)
         left_index, right_index = self.index.split_at_boundary(pivot)
@@ -649,7 +609,6 @@ class CrackedColumn:
         deliberately dropped — merges target cold partitions, whose
         refinement is no longer paying for itself).
         """
-        pivot = float(pivot)
         left._materialise(counters)
         right._materialise(counters)
         values = np.concatenate([left.values, right.values])
@@ -760,8 +719,7 @@ class CrackedColumn:
         typecode = self._pending_insert_values.typecode
         inserts = np.frombuffer(self._pending_insert_values, dtype=typecode)
         deletes = np.frombuffer(self._delete_queue_values, dtype=typecode)
-        return (np.flatnonzero(_in_range(inserts, low, high)),
-                np.flatnonzero(_in_range(deletes, low, high)))
+        return (filter_range(inserts, low, high), filter_range(deletes, low, high))
 
     def _merge_pending(self, low, high, counters: Optional[CostCounters]
                        ) -> Tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.columnstore.bulk import range_mask
 from repro.columnstore.column import Column
 from repro.columnstore.storage import StorageBudget
 from repro.core.cracking.cracked_column import CrackedColumn
@@ -33,8 +34,6 @@ class _Fragment:
     """A materialised cracker structure for one value-range fragment."""
 
     fragment_index: int
-    low: float
-    high: float  # half-open [low, high); the last fragment is closed at the top
     cracked: CrackedColumn
     rowids: np.ndarray  # base positions of the rows in this fragment
     last_used: int = 0
@@ -42,6 +41,22 @@ class _Fragment:
     @property
     def nbytes(self) -> int:
         return self.cracked.nbytes + self.rowids.nbytes
+
+
+def _fragment_edges(base: np.ndarray, count: int) -> List[Optional[float]]:
+    """The ``count + 1`` edges of ``count`` equal-width fragments, keys of the
+    column's type: fragment ``i`` holds ``[edges[i], edges[i + 1])``, the
+    first edge is the column's exact minimum and the last is open (None).
+    An integer column's inner edges are rounded up exactly — ``v >= e``
+    holds for the same integers as ``v >= ceil(e)`` — where a float one's
+    keep the float width."""
+    lowest, highest = base.min().item(), base.max().item()
+    span = (highest - lowest) or 1
+    if base.dtype.kind in "iu":
+        inner = [lowest - (-index * span // count) for index in range(1, count)]
+    else:
+        inner = [lowest + index * (span / count) for index in range(1, count)]
+    return [lowest, *inner, None]
 
 
 class PartialCrackedColumn:
@@ -65,8 +80,7 @@ class PartialCrackedColumn:
         self.budget = budget or StorageBudget(limit_bytes=None)
         self.fragment_count = int(fragments)
         self.sort_threshold = int(sort_threshold)
-        self._domain_low = float(np.min(base))
-        self._domain_high = float(np.max(base))
+        self._edges = _fragment_edges(base, self.fragment_count)
         self._fragments: Dict[int, _Fragment] = {}
         self.queries_processed = 0
         self.evictions = 0
@@ -84,33 +98,6 @@ class PartialCrackedColumn:
     def nbytes(self) -> int:
         """Auxiliary storage currently held by all materialised fragments."""
         return sum(f.nbytes for f in self._fragments.values())
-
-    # -- fragment geometry ----------------------------------------------------------
-
-    def _fragment_bounds(self, index: int) -> Tuple[float, float]:
-        """Value range [low, high) covered by fragment ``index``."""
-        span = (self._domain_high - self._domain_low) or 1.0
-        width = span / self.fragment_count
-        low = self._domain_low + index * width
-        high = self._domain_low + (index + 1) * width
-        if index == self.fragment_count - 1:
-            high = np.nextafter(self._domain_high, np.inf)
-        return low, high
-
-    def _fragments_for_range(self, low: Optional[float], high: Optional[float]) -> List[int]:
-        """Indices of fragments whose value range intersects [low, high)."""
-        query_low = self._domain_low if low is None else max(low, self._domain_low)
-        query_high = (
-            np.nextafter(self._domain_high, np.inf) if high is None else high
-        )
-        if query_high <= query_low:
-            return []
-        indices = []
-        for index in range(self.fragment_count):
-            fragment_low, fragment_high = self._fragment_bounds(index)
-            if fragment_high > query_low and fragment_low < query_high:
-                indices.append(index)
-        return indices
 
     # -- materialisation and eviction ---------------------------------------------------
 
@@ -135,8 +122,7 @@ class PartialCrackedColumn:
             and self.budget.limit_bytes < self._expected_fragment_bytes()
         ):
             return None
-        low, high = self._fragment_bounds(index)
-        mask = (self._base >= low) & (self._base < high)
+        mask = range_mask(self._base, self._edges[index], self._edges[index + 1])
         if counters is not None:
             counters.record_scan(len(self._base))
             counters.record_comparisons(2 * len(self._base))
@@ -151,7 +137,7 @@ class PartialCrackedColumn:
 
         cracked = CrackedColumn(values, sort_threshold=self.sort_threshold, lazy_copy=False)
         fragment = _Fragment(
-            fragment_index=index, low=low, high=high, cracked=cracked, rowids=rowids,
+            fragment_index=index, cracked=cracked, rowids=rowids,
             last_used=self.queries_processed,
         )
         self.budget.reserve(needed)
@@ -189,10 +175,17 @@ class PartialCrackedColumn:
         self.queries_processed += 1
         results: List[np.ndarray] = []
         fallback_ranges: List[Tuple[float, float]] = []
-        for index in self._fragments_for_range(low, high):
-            fragment_low, fragment_high = self._fragment_bounds(index)
-            effective_low = fragment_low if low is None else max(low, fragment_low)
-            effective_high = fragment_high if high is None else min(high, fragment_high)
+        if low is not None and high is not None and high <= low:
+            return np.empty(0, dtype=np.int64)
+        edges = self._edges
+        for index in range(self.fragment_count):
+            start, stop = edges[index], edges[index + 1]
+            if (high is not None and start >= high) or (
+                    low is not None and stop is not None and stop <= low):
+                continue
+            effective_low = start if low is None else max(low, start)
+            effective_high = (high if stop is None
+                              else stop if high is None else min(high, stop))
             fragment = self._fragments.get(index)
             if fragment is None:
                 fragment = self._materialise_fragment(index, counters)
@@ -212,7 +205,7 @@ class PartialCrackedColumn:
             base = self._base  # hoisted out of the range loop (PF002)
             mask = np.zeros(len(base), dtype=bool)
             for effective_low, effective_high in fallback_ranges:
-                mask |= (base >= effective_low) & (base < effective_high)
+                mask |= range_mask(base, effective_low, effective_high)
             if counters is not None:
                 counters.record_scan(len(base))
                 counters.record_comparisons(2 * len(base))

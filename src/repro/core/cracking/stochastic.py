@@ -88,12 +88,13 @@ class StochasticCrackedColumn(CrackedColumn):
         return max(2, int(len(self) * self.size_threshold_fraction))
 
     def _auxiliary_pivot(self, start: int, end: int) -> float:
-        """Pick the auxiliary cut value for the piece [start, end)."""
+        """Pick the auxiliary cut value for the piece [start, end): a key of
+        the piece, as the column stores it."""
         if self.variant == "ddc":
             position = (start + end) // 2
         else:  # ddr and mdd1r use a random position
             position = int(self._rng.integers(start, end))
-        return float(self.values[position])
+        return self.values[position].item()
 
     def _shrink_piece_containing(
         self,

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis_tools.guards import charges
-from repro.columnstore.bulk import binary_search_count, radix_cluster
+from repro.columnstore.bulk import binary_search_count, lower_bound, radix_cluster
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range
 from repro.cost.counters import CostCounters
@@ -167,12 +167,8 @@ class FinalPartition:
     ) -> np.ndarray:
         if piece.sorted:
             n = len(piece.values)
-            begin = 0 if low is None else int(
-                np.searchsorted(piece.values, low, side="left")
-            )
-            end = n if high is None else int(
-                np.searchsorted(piece.values, high, side="left")
-            )
+            begin = 0 if low is None else lower_bound(piece.values, low)
+            end = n if high is None else lower_bound(piece.values, high)
             end = max(end, begin)
             if counters is not None:
                 counters.record_comparisons(2 * binary_search_count(n))

@@ -39,7 +39,7 @@ from repro.core.hybrids.initial_partitions import (
     InitialPartition,
     RadixInitialPartition,
 )
-from repro.core.merging.intervals import IntervalSet
+from repro.core.merging.intervals import IntervalSet, as_interval, as_selection
 from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
@@ -74,8 +74,6 @@ class HybridIndex:
         self.partitions: List[Union[InitialPartition, RunSet]] = []
         self.final = FinalPartition(mode=final_mode, radix_bits=radix_bits)
         self.merged_ranges = IntervalSet()
-        #: what an open lower / upper bound stands for (set on the first query)
-        self._domain = (0.0, 0.0)
         self.queries_processed = 0
         self.initialized = False
         # guards the shared query counter: a converged hybrid serves
@@ -132,12 +130,6 @@ class HybridIndex:
                         values, rowids, bits=self.radix_bits, counters=counters
                     )
                 self.partitions.append(partition)
-        if n:
-            # what an open bound stands for, taken once
-            self._domain = (
-                float(np.min(self._base)),
-                float(np.nextafter(np.max(self._base), np.inf)),
-            )
         self.initialized = True
 
     # -- the select operator ------------------------------------------------------------
@@ -161,28 +153,26 @@ class HybridIndex:
         # converged hybrid (sorted final pieces) is a pure read and can
         # serve concurrent queries without racing on the interval set.
         if not self.fully_merged:
-            effective_low = float(low) if low is not None else self._domain[0]
-            effective_high = float(high) if high is not None else self._domain[1]
-
-            if not self.merged_ranges.covers(effective_low, effective_high):
-                for gap_low, gap_high in self.merged_ranges.uncovered(
-                    effective_low, effective_high
-                ):
+            interval = as_interval(low, high)
+            if not self.merged_ranges.covers(*interval):
+                for gap_low, gap_high in self.merged_ranges.uncovered(*interval):
                     self._merge_gap(gap_low, gap_high, counters)
-                self.merged_ranges.add(effective_low, effective_high)
+                self.merged_ranges.add(*interval)
 
         return self.final.search(low, high, counters)
 
     def _merge_gap(
         self, gap_low: float, gap_high: float, counters: Optional[CostCounters]
     ) -> None:
-        """Move [gap_low, gap_high) from every initial partition into the final one."""
+        """Move [gap_low, gap_high) from every initial partition into the
+        final one; the final piece keeps the gap's ``-inf``/``inf`` ends."""
         values_parts: List[np.ndarray] = []
         rowid_parts: List[np.ndarray] = []
+        low, high = as_selection(gap_low, gap_high)
         for partition in self.partitions:
             if len(partition) == 0:
                 continue
-            values, rowids = partition.extract_range(gap_low, gap_high, counters)
+            values, rowids = partition.extract_range(low, high, counters)
             if len(values):
                 values_parts.append(values)
                 rowid_parts.append(rowids)

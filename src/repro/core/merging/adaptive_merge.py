@@ -41,8 +41,8 @@ import numpy as np
 from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.bulk import binary_search_count, sort_comparisons
 from repro.columnstore.column import Column
-from repro.core.merging.intervals import IntervalSet
-from repro.core.merging.runs import RunSet, search_key
+from repro.core.merging.intervals import IntervalSet, as_interval, as_selection
+from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
 
@@ -65,8 +65,6 @@ class AdaptiveMergingIndex:
         # the final partition, laid out by rank; sized by the first query
         self._final_values = np.empty(0, dtype=base.dtype)
         self._final_rowids = np.empty(0, dtype=np.int64)
-        #: what an open lower / upper bound stands for (set with the runs)
-        self._domain = (0.0, 0.0)
         self.merged_ranges = IntervalSet()
         self.queries_processed = 0
         self.initialized = False
@@ -107,10 +105,6 @@ class AdaptiveMergingIndex:
         # untouched until a block is merged in, so not resident before
         self._final_values = np.empty(n, dtype=self._base.dtype)
         self._final_rowids = np.empty(n, dtype=np.int64)
-        if n:
-            # what an open bound stands for, taken once
-            lowest, highest = self.runs.key_range()
-            self._domain = (float(lowest), float(np.nextafter(highest, np.inf)))
         self.initialized = True
 
     # -- merging -----------------------------------------------------------------------
@@ -124,13 +118,14 @@ class AdaptiveMergingIndex:
     ) -> Tuple[int, int]:
         """Extract [low, high) from every run and merge it into the final
         partition; returns the position span the range occupies there.
+        ``-inf``/``inf`` are the open ends of the merged-range set.
 
         Callers must pass a range that contains no already-merged values
         (the search path iterates over the *uncovered* gaps of the query
         range), so the extracted block is contiguous in value space with
         respect to the final partition and lands at one spot: its rank.
         """
-        values, rowids, rank = self.runs.extract_ranked(low, high, counters)
+        values, rowids, rank = self.runs.extract_ranked(*as_selection(low, high), counters)
         k = len(values)
         if k == 0:
             return rank, rank
@@ -168,23 +163,21 @@ class AdaptiveMergingIndex:
         if self.fully_merged:
             start, stop = 0, len(self._base)
         else:
-            effective_low = float(low) if low is not None else self._domain[0]
-            effective_high = float(high) if high is not None else self._domain[1]
+            interval = as_interval(low, high)
             ranges = self.merged_ranges
-            if not ranges.covers(effective_low, effective_high):
+            if not ranges.covers(*interval):
                 placed = [
                     self._merge_range(gap_low, gap_high, counters)
-                    for gap_low, gap_high in ranges.uncovered(effective_low, effective_high)
+                    for gap_low, gap_high in ranges.uncovered(*interval)
                 ]
-                ranges.add(effective_low, effective_high, placed[0][0], placed[-1][1])
-            start, stop = ranges.span(effective_low, effective_high)
+                ranges.add(*interval, placed[0][0], placed[-1][1])
+            start, stop = ranges.span(*interval)
 
         # the answer lies inside the one span that covers the range; bisect
-        # compares element by element, where searchsorted would first cast
-        # the whole span to the bound's type
+        # compares element by element, with no copy of the span
         final_values = self._final_values
-        begin = start if low is None else bisect_left(final_values, search_key(low), start, stop)
-        end = stop if high is None else bisect_left(final_values, search_key(high), start, stop)
+        begin = start if low is None else bisect_left(final_values, low, start, stop)
+        end = stop if high is None else bisect_left(final_values, high, start, stop)
         end = max(end, begin)
         if counters is not None:
             counters.record_comparisons(2 * binary_search_count(self.merged_count))

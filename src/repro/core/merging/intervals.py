@@ -18,16 +18,30 @@ and intervals that touch in value space touch in position space: ``add``
 coalesces both at once.  Owners that place nothing by position (the hybrids,
 whose final partition is a list of pieces) leave the spans at their default
 and never read them.
+
+Bounds are keys of the column's type and an open bound is ``-inf``/``inf``
+(Python compares ``int`` with ``float`` exactly); kernels get ``None`` back.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 
+def as_interval(low, high) -> Tuple:
+    """A selection ``[low, high)`` as an interval: ``None`` is ``-inf``/``inf``."""
+    return (-math.inf if low is None else low, math.inf if high is None else high)
+
+
+def as_selection(low, high) -> Tuple:
+    """An interval as a kernel's selection: ``-inf``/``inf`` is ``None``."""
+    return (None if low == -math.inf else low, None if high == math.inf else high)
+
+
 class IntervalSet:
-    """A set of disjoint half-open intervals ``[low, high)`` over floats."""
+    """A set of disjoint half-open intervals ``[low, high)`` over keys."""
 
     def __init__(self) -> None:
         self._lows: List[float] = []

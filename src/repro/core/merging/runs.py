@@ -63,17 +63,6 @@ from repro.columnstore.column import Column
 from repro.cost.counters import CostCounters
 
 
-def search_key(bound: float) -> np.generic:
-    """``bound`` as the numpy scalar ``np.searchsorted`` would search for.
-
-    Comparing stored elements with this — and not with a Python number,
-    which numpy casts to the *element's* type — promotes the elements
-    exactly as ``searchsorted`` would promote the whole array, without the
-    copy of the array.
-    """
-    return np.asarray(bound)[()]
-
-
 class RunSet:
     """All sorted runs of one column (see the module docstring).
 
@@ -134,11 +123,6 @@ class RunSet:
         """Number of runs that still hold an entry."""
         return int(np.count_nonzero(self.live))
 
-    def key_range(self) -> Tuple[float, float]:
-        """(min, max) key of the column — the smallest run head and the
-        largest run tail; ``ValueError`` (numpy's) on an empty set."""
-        return self.values[self.starts].min(), self.values[self.ends - 1].max()
-
     def _lower_bounds(self, bound: float) -> np.ndarray:
         """Per run, the position of its first entry ``>= bound``.
 
@@ -146,7 +130,6 @@ class RunSet:
         ``found`` advances by halving steps while the entry it would skip
         to is inside the run and below ``bound``.
         """
-        key = search_key(bound)
         values, ends = self.values, self.ends
         found = self.starts.copy()
         scratch = np.empty_like(found)
@@ -159,7 +142,7 @@ class RunSet:
             np.add(found, step - 1, out=scratch)  # the last entry a step skips
             np.less(scratch, ends, out=inside)
             values.take(scratch, out=probe, mode="clip")
-            np.less(probe, key, out=below)
+            np.less(probe, bound, out=below)
             below &= inside
             np.multiply(below, step, out=scratch)
             found += scratch

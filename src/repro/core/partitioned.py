@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import List, Optional, Sequence, Tuple, Union
@@ -180,32 +181,30 @@ def _choose_split_pivot(
     they follow their value's side of the split, so both count toward the
     halves — a partition whose load is pending inserts has to be splittable.
     Prefers the existing crack boundary closest to the middle (free: no
-    data movement beyond the cut), falling back to the median value when
-    no boundary separates anything yet.  Returns None when every element
-    is equal (nothing can split the partition).
+    data movement beyond the cut), falling back to a key of the column's
+    type near the median when no boundary separates anything yet.  Returns
+    None when every element is equal (nothing can split the partition).
     """
-    queued = np.sort(np.asarray(pending, dtype=values.dtype))
+    queued = sorted(pending)
     total = len(values) + len(queued)
     if total < 2:
         return None
     best = None  # (distance from the middle, boundary value)
     for value, position in zip(index.boundary_values, index.boundary_positions):
-        below = position + int(np.searchsorted(queued, value))  # queued < value
+        below = position + bisect_left(queued, value)  # queued < value
         if 0 < below < total:
             candidate = (abs(below - total / 2), value)
             best = candidate if best is None else min(best, candidate)
     if best is not None:
         return best[1]
-    if len(queued):
-        values = np.concatenate([values, queued])
-    low = float(values.min())
-    high = float(values.max())
-    if low == high:
+    values = np.concatenate([values, np.asarray(queued, dtype=values.dtype)])
+    above = values[values > values.min()]
+    if not len(above):
         return None
-    pivot = float(np.median(values))
-    if pivot <= low:
-        pivot = float(values[values > low].min())
-    return pivot
+    # the upper middle key splits as the median does (no key lies between
+    # the two middle ones), unless it is the minimum
+    pivot = np.partition(values, len(values) // 2)[len(values) // 2]
+    return max(pivot, above.min()).item()
 
 
 class ColumnPartition:
@@ -261,8 +260,6 @@ class ColumnPartition:
             return
         base_slice = self.cracked._base
         if len(base_slice):
-            # the stored scalar, as in :meth:`insert`: float() rounds an int64
-            # beyond 2**53 and the partition would prune its own row
             self.min_value = base_slice.min().item()
             self.max_value = base_slice.max().item()
             if counters is not None:
@@ -296,9 +293,7 @@ class ColumnPartition:
                rowid: int) -> int:
         """Queue one insert (globally numbered) and widen the bounds."""
         rowid = self.cracked.insert(value, counters, rowid=rowid)
-        # as the column stored it — an int on an integer column: float() would
-        # round a key beyond 2**53 and the bounds would prune its own row
-        value = self.cracked.value_of(rowid)
+        value = self.cracked.value_of(rowid)  # as the column stored it
         if self._extra_min is None or value < self._extra_min:
             self._extra_min = value
         if self._extra_max is None or value > self._extra_max:

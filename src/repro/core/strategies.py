@@ -32,6 +32,7 @@ from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
 from repro.columnstore.storage import StorageBudget
 from repro.columnstore.table import Table
+from repro.columnstore.types import exact_type
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.partial import PartialCrackedColumn
 from repro.core.cracking.sideways import SidewaysCracker
@@ -518,7 +519,8 @@ class SidewaysCrackingStrategy(SearchStrategy):
         head = (column.name if isinstance(column, Column) else "") or "value"
         table = self._table
         if table is None:
-            table = Table(head, {head: self._array})
+            array = self._array
+            table = Table(head, {head: Column(array, name=head, dtype=exact_type(array.dtype))})
         self.cracker = SidewaysCracker(
             table, head,
             budget=StorageBudget(limit_bytes=options.get("budget_bytes")),
@@ -622,8 +624,10 @@ class _TunerStrategy(SearchStrategy):
     def __init__(self, column, **options):
         super().__init__(column, **options)
         if not isinstance(column, Column):
-            # the tuners key their statistics and indexes by column name
-            self._column = Column(self._array, name=self.name)
+            # the tuners key their statistics and indexes by column name;
+            # the copy keeps the array's dtype (a uint64 key enters no table)
+            self._column = Column(self._array, name=self.name,
+                                  dtype=exact_type(self._array.dtype))
         self.tuner = self.tuner_class(**_given(options, *self.tuner_options))
 
     queries_processed = _counted_by("tuner")

@@ -153,7 +153,7 @@ def _put_values(parts: List[bytes], values: Mapping[str, Union[int, float]]) -> 
             parts.append(_I64.pack(int(value)))
         else:
             parts.append(_U8.pack(_VALUE_FLOAT))
-            parts.append(_F64.pack(float(value)))
+            parts.append(_F64.pack(value))
 
 
 def _get_values(buffer: bytes, offset: int) -> Tuple[Dict[str, Union[int, float]], int]:
@@ -165,13 +165,11 @@ def _get_values(buffer: bytes, offset: int) -> Tuple[Dict[str, Union[int, float]
         (tag,) = _U8.unpack_from(buffer, offset)
         offset += _U8.size
         if tag == _VALUE_INT:
-            (value,) = _I64.unpack_from(buffer, offset)
+            (values[name],) = _I64.unpack_from(buffer, offset)
             offset += _I64.size
-            values[name] = int(value)
         elif tag == _VALUE_FLOAT:
-            (value,) = _F64.unpack_from(buffer, offset)
+            (values[name],) = _F64.unpack_from(buffer, offset)
             offset += _F64.size
-            values[name] = float(value)
         else:
             raise RecordFormatError(f"unknown value tag {tag}")
     return values, offset

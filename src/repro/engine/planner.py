@@ -14,6 +14,8 @@ and orders the remaining work (predicate refinement, tuple reconstruction,
 aggregation) behind it; a leading path that declares ``covers_projection``
 takes the refinement and the reconstruction into its own step.  The
 produced plan is a linear list of steps; the executor interprets them.
+The planner is also where bounds become keys of their column's type
+(:func:`~repro.columnstore.types.exact_bounds`, once per selection).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.columnstore.types import exact_bounds
 from repro.engine.query import Query, RangeSelection
 
 
@@ -46,6 +49,7 @@ class PlanStep:
 class Plan:
     """An ordered list of plan steps plus bookkeeping for explain output."""
 
+    #: the planned query, each selection's bounds typed for its column
     query: Query
     steps: List[PlanStep] = field(default_factory=list)
 
@@ -95,8 +99,25 @@ class Planner:
         path = self.database.access_path(table, selection.column)
         return 2 if path is None else path.selection_priority
 
+    def _typed(self, query: Query) -> Query:
+        """``query`` with each selection's bounds as keys of its column —
+        ``query`` itself when they already are."""
+        table = self.database.table(query.table)
+        selections, retyped = [], False
+        for selection in query.selections:
+            low, high = exact_bounds(table.column(selection.column).dtype.numpy_dtype,
+                                     selection.low, selection.high)
+            if low is not selection.low or high is not selection.high:
+                selection, retyped = RangeSelection(selection.column, low, high), True
+            selections.append(selection)
+        if not retyped:
+            return query
+        return Query(query.table, selections, query.projections,
+                     query.aggregates, query.description)
+
     def plan(self, query: Query) -> Plan:
         """Produce a plan for ``query`` against the current physical design."""
+        query = self._typed(query)
         table = query.table
         plan = Plan(query=query)
         ordered = sorted(

@@ -9,13 +9,12 @@ of the qualifying positions.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from repro.columnstore.bulk import binary_search_count, stable_sort_rows
+from repro.columnstore.bulk import binary_search_count, lower_bound, stable_sort_rows
 from repro.columnstore.column import Column
-from repro.columnstore.select import RangePredicate
 from repro.cost.counters import CostCounters
 
 
@@ -59,67 +58,22 @@ class FullIndex:
 
     # -- lookups -------------------------------------------------------------
 
-    def range_bounds(
-        self,
-        predicate: RangePredicate,
-        counters: Optional[CostCounters] = None,
-    ) -> Tuple[int, int]:
-        """Offsets ``(begin, end)`` into the sorted arrays for a predicate."""
-        n = len(self.sorted_values)
-        if predicate.low is None:
-            begin = 0
-        else:
-            side = "left" if predicate.include_low else "right"
-            begin = int(np.searchsorted(self.sorted_values, predicate.low, side=side))
-        if predicate.high is None:
-            end = n
-        else:
-            side = "right" if predicate.include_high else "left"
-            end = int(np.searchsorted(self.sorted_values, predicate.high, side=side))
-        if counters is not None:
-            counters.record_comparisons(2 * binary_search_count(n))
-            counters.record_random_access(2)
-        return begin, min(max(end, begin), n)
-
     def search(
         self,
         low: Optional[float],
         high: Optional[float],
         counters: Optional[CostCounters] = None,
     ) -> np.ndarray:
-        """Positions (in the base column) of rows with ``low <= value < high``."""
-        return self.search_predicate(RangePredicate(low, high), counters)
-
-    def search_predicate(
-        self,
-        predicate: RangePredicate,
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
-        """Positions satisfying an arbitrary range predicate."""
-        begin, end = self.range_bounds(predicate, counters)
+        """Positions (in the base column) of rows with ``low <= value < high``:
+        two binary searches and the contiguous run between them."""
+        n = len(self.sorted_values)
+        begin = 0 if low is None else lower_bound(self.sorted_values, low)
+        end = max(begin, n if high is None else lower_bound(self.sorted_values, high))
         if counters is not None:
+            counters.record_comparisons(2 * binary_search_count(n))
+            counters.record_random_access(2)
             counters.record_scan(end - begin)
         return self.sorted_positions[begin:end]
-
-    def search_values(
-        self,
-        predicate: RangePredicate,
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
-        """Qualifying *values* (sorted) rather than positions."""
-        begin, end = self.range_bounds(predicate, counters)
-        if counters is not None:
-            counters.record_scan(end - begin)
-        return self.sorted_values[begin:end]
-
-    def count(
-        self,
-        predicate: RangePredicate,
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Number of qualifying rows (no materialisation)."""
-        begin, end = self.range_bounds(predicate, counters)
-        return end - begin
 
     def is_consistent_with(self, column: Union[Column, np.ndarray]) -> bool:
         """Verify the index still describes ``column`` (used by tests)."""

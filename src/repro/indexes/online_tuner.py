@@ -116,7 +116,7 @@ class OnlineIndexTuner:
             stats = self.candidates.setdefault(name, CandidateStatistics())
             stats.queries_observed += 1
             stats.last_query_seen = self.queries_processed
-            positions = index.search_predicate(predicate, counters)
+            positions = index.search(predicate.low, predicate.high, counters)
             benefit = self._scan_cost(rows) - self._indexed_cost(rows, len(positions))
             stats.recent_benefit += max(benefit, 0.0)
             return positions

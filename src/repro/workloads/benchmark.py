@@ -259,8 +259,8 @@ class AdaptiveIndexingBenchmark:
     def _domain_width(self) -> float:
         if len(self.values) == 0:
             return 1.0
-        width = float(self.values.max() - self.values.min())
-        return width if width > 0 else 1.0
+        span = self.values.max() - self.values.min()
+        return float(span) if span > 0 else 1.0
 
     # -- running -----------------------------------------------------------------------
 

@@ -30,13 +30,6 @@ class TestRangeFilters:
         assert np.array_equal(range_mask(values, 2, None), [False, True, True])
         assert np.array_equal(range_mask(values, None, 2), [True, False, False])
 
-    def test_range_mask_inclusive_flags(self):
-        values = np.array([1, 2, 3])
-        assert np.array_equal(
-            range_mask(values, 1, 3, include_low=False, include_high=True),
-            [False, True, True],
-        )
-
     def test_filter_range_returns_positions(self):
         values = np.array([5, 1, 7, 3])
         assert np.array_equal(filter_range(values, 3, 7), [0, 3])

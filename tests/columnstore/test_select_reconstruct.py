@@ -11,13 +11,7 @@ from repro.columnstore.reconstruct import (
     positions_to_values,
     union_positions,
 )
-from repro.columnstore.select import (
-    RangePredicate,
-    between,
-    count_select,
-    refine_select,
-    scan_select,
-)
+from repro.columnstore.select import RangePredicate, refine_select, scan_select
 from repro.cost.counters import CostCounters
 
 
@@ -31,16 +25,6 @@ class TestRangePredicate:
         assert np.array_equal(
             predicate.matches(np.array([1, 2, 3, 4])), [False, True, True, False]
         )
-
-    def test_selectivity_estimate(self):
-        predicate = RangePredicate(0, 10)
-        assert predicate.selectivity_estimate(0, 100) == pytest.approx(0.1)
-        assert RangePredicate(None, None).selectivity_estimate(0, 100) == 1.0
-        assert RangePredicate(200, 300).selectivity_estimate(0, 100) == 0.0
-
-    def test_between_shorthand(self):
-        predicate = between(1, 2)
-        assert predicate.low == 1 and predicate.high == 2
 
 
 class TestSelects:
@@ -65,12 +49,6 @@ class TestSelects:
         counters = CostCounters()
         refine_select(column, np.array([0, 1, 2]), RangePredicate(0, 50), counters)
         assert counters.random_accesses == 3
-
-    def test_count_select(self, small_values, reference):
-        column = Column(small_values)
-        assert count_select(column, RangePredicate(10, 30)) == len(
-            reference(small_values, 10, 30)
-        )
 
 
 class TestReconstruction:

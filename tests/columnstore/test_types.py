@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import math
+
 from repro.columnstore.types import (
     FLOAT32,
     FLOAT64,
@@ -10,8 +12,12 @@ from repro.columnstore.types import (
     INT64,
     SUPPORTED_TYPES,
     dtype_by_name,
+    exact_bounds,
+    exact_key,
     infer_dtype,
 )
+
+I64 = np.dtype(np.int64)
 
 
 class TestDataType:
@@ -37,6 +43,17 @@ class TestDataType:
     def test_validate_array_accepts_whole_floats(self):
         converted = INT64.validate_array(np.array([1.0, 2.0]))
         assert converted.dtype == np.int64
+
+    def test_validate_array_refuses_what_the_type_cannot_hold(self):
+        with pytest.raises(ValueError, match="int32"):
+            INT32.validate_array(np.array([2**40]))
+        with pytest.raises(ValueError, match="int64"):
+            INT64.validate_array(np.array([2**63 + 5], dtype=np.uint64))
+        with pytest.raises(ValueError, match="int64"):
+            INT64.validate_array(np.array([2.0**63]))
+        with pytest.raises(TypeError, match="losslessly"):
+            INT64.validate_array(np.array([np.nan]))
+        assert INT32.validate_array(np.array([-2**31, 2**31 - 1])).dtype == np.int32
 
     def test_empty_and_zeros(self):
         assert len(INT64.empty(7)) == 7
@@ -69,3 +86,45 @@ class TestInference:
 
     def test_supported_types_registry(self):
         assert INT64 in SUPPORTED_TYPES and FLOAT64 in SUPPORTED_TYPES
+
+
+class TestKeys:
+    """The one typing rule: bounds and keys of a column's dtype."""
+
+    def test_integer_bounds_round_up_exactly(self):
+        assert exact_bounds(I64, 2.5, 7.0) == (3, 7)
+        assert exact_bounds(I64, float(2**60 + 1), 2**60 + 1) == (2**60, 2**60 + 1)
+        low, high = exact_bounds(I64, np.int64(4), np.float64(-0.5))
+        assert (low, high) == (4, 0) and type(low) is int and type(high) is int
+
+    def test_integer_bounds_stay_inside_the_dtype(self):
+        top, bottom = 2**63 - 1, -2**63
+        assert exact_bounds(I64, -math.inf, math.inf) == (None, None)
+        assert exact_bounds(I64, None, 2**63) == (None, None)
+        assert exact_bounds(I64, -2**70, -2**70) == (bottom, bottom)
+        assert exact_bounds(I64, 2**63, None) == (top, top)
+        assert exact_bounds(I64, math.inf, math.inf) == (top, top)
+        assert exact_bounds(np.dtype(np.int32), 2.0**40, None) == (2**31 - 1, 2**31 - 1)
+
+    def test_float_bounds_stay_floats(self):
+        low, high = exact_bounds(np.dtype(np.float64), 2, np.float32(0.5))
+        assert (low, high) == (2.0, 0.5) and type(low) is float
+        assert exact_bounds(np.dtype(np.float64), -math.inf, None) == (-math.inf, None)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_a_nan_bound_is_refused(self, dtype):
+        with pytest.raises(ValueError, match="NaN"):
+            exact_bounds(np.dtype(dtype), float("nan"), None)
+
+    def test_keys_are_whole_numbers_in_range(self):
+        assert exact_key(I64, 5.0) == 5 and type(exact_key(I64, 5.0)) is int
+        assert exact_key(np.uint64, np.uint64(2**64 - 1)) == 2**64 - 1
+        with pytest.raises(TypeError, match="non-integer"):
+            exact_key(I64, 2.5)
+        with pytest.raises(TypeError, match="non-integer"):
+            exact_key(I64, math.inf)
+        with pytest.raises(ValueError, match="'k'.*int32"):
+            exact_key(np.int32, 2**40, "k")
+        with pytest.raises(ValueError, match="NaN"):
+            exact_key(np.float64, float("nan"))
+        assert exact_key(np.float32, 0.1) == float(np.float32(0.1))

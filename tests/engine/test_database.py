@@ -624,6 +624,30 @@ class TestDML:
             assert recovered.visible_row_count("t") == 100
             recovered.close()
 
+    def test_a_table_append_refuses_what_its_type_cannot_hold(self):
+        # a key with no access path behind it: the append alone decides, and
+        # it used to cast 2**40 into int32 as 0
+        database = Database("narrow-keys")
+        database.create_table("t", {"k": np.arange(10, dtype=np.int32)})
+        with database.session() as session:
+            with pytest.raises(ValueError, match="int32"):
+                session.insert_row("t", {"k": 2**40})
+            session.insert_row("t", {"k": 2**31 - 1})
+        assert database.table("t")["k"].values.tolist() == [*range(10), 2**31 - 1]
+        database.close()
+
+    def test_a_table_refuses_uint64_keys_past_int64(self):
+        # uint64 is no table type (the journal writes keys as int64): the
+        # keys became int64 and 2**63 + 5 came back as -9223372036854775803
+        database = Database("unsigned-keys")
+        keys = np.array([1, 2**63 + 5], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64"):
+            database.create_table("t", {"k": keys})
+        assert database.table_names == []
+        database.create_table("t", {"k": keys[:1]})
+        assert database.table("t")["k"].values.dtype == np.int64
+        database.close()
+
     def test_deleted_rows_invisible_without_selection(self, database, session):
         session.delete_row("facts", 0)
         result = session.execute(Query(table="facts", projections=["a"]))

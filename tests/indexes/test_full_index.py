@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.columnstore.select import RangePredicate
 from repro.cost.counters import CostCounters
 from repro.indexes.full_index import FullIndex
 
@@ -50,23 +49,6 @@ class TestSearch:
         assert set(index.search(None, 50).tolist()) == reference(small_values, None, 50)
         assert set(index.search(50, None).tolist()) == reference(small_values, 50, None)
         assert set(index.search(None, None).tolist()) == set(range(len(small_values)))
-
-    def test_search_predicate_inclusivity(self):
-        values = np.array([1, 2, 3, 4, 5])
-        index = FullIndex(values)
-        closed = index.search_predicate(RangePredicate(2, 4, include_high=True))
-        assert set(values[closed]) == {2, 3, 4}
-        open_low = index.search_predicate(RangePredicate(2, 4, include_low=False))
-        assert set(values[open_low]) == {3}
-
-    def test_search_values_sorted(self, small_values):
-        index = FullIndex(small_values)
-        result = index.search_values(RangePredicate(10, 90))
-        assert np.all(np.diff(result) >= 0)
-
-    def test_count(self, small_values, reference):
-        index = FullIndex(small_values)
-        assert index.count(RangePredicate(20, 40)) == len(reference(small_values, 20, 40))
 
     def test_search_cost_much_cheaper_than_scan(self, medium_values):
         index = FullIndex(medium_values)

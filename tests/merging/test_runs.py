@@ -39,8 +39,6 @@ class TestRunGeneration:
         assert len(runs) == 0 and runs.run_count == 0 and runs.nbytes == 0
         values, rowids = runs.extract_range(0, 10)
         assert len(values) == 0 and len(rowids) == 0
-        with pytest.raises(ValueError):
-            runs.key_range()
 
     def test_invalid_run_size(self, small_values):
         with pytest.raises(ValueError):
@@ -68,11 +66,6 @@ class TestRunGeneration:
 
 
 class TestExtraction:
-    def test_key_range(self, medium_values):
-        assert one_run([5, 1, 9]).key_range() == (1, 9)
-        assert RunSet(medium_values, run_size=300).key_range() == (
-            medium_values.min(), medium_values.max())
-
     def test_extract_range_removes_and_returns(self):
         runs = one_run([1, 3, 5, 7, 9])
         values, rowids = runs.extract_range(3, 8)

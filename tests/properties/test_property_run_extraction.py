@@ -10,6 +10,8 @@ the final partition.  Whatever data layout the package uses must give, after
 and ``structure_description``.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,9 +142,9 @@ class ReferenceModel:
         if n == 0 and self.pieces is not None:
             return np.empty(0, dtype=np.int64)
         if not self.fully_merged:
-            eff_low = float(low) if low is not None else float(np.min(self.base))
-            eff_high = (float(high) if high is not None
-                        else float(np.nextafter(np.max(self.base), np.inf)))
+            # an open bound is an infinite end of the merged ranges
+            eff_low = -math.inf if low is None else low
+            eff_high = math.inf if high is None else high
             covered = eff_high <= eff_low or any(
                 a <= eff_low and eff_high <= b for a, b in self.merged)
             if not covered:
@@ -442,10 +444,10 @@ def test_keys_on_the_packing_limit(keys, width):
     assert_full_index_is_a_stable_sort(keys)
 
 
-def test_open_bound_streams_take_the_domain_from_the_data(rng):
-    """Open bounds stand for the column's minimum and the value just past its
-    maximum — before, while and after the runs drain — with the model's
-    answers and charges on every step."""
+def test_open_bounds_stay_open_in_every_stream(rng):
+    """An open bound is an infinite end of the merged ranges — before, while
+    and after the runs drain — with the model's answers and charges on
+    every step, bounds past the data's ends included."""
     base = rng.integers(100, 5_000, size=3_000).astype(np.int64)
     queries = [(None, 400), (4_500.5, None), (None, 1_200), (2_000, None),
                (None, 99), (5_000, None), (None, None), (None, 700), (300, None)]
