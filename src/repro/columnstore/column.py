@@ -6,8 +6,9 @@ array position *i* belongs to row *i*.  Operators therefore exchange
 position lists ("candidate lists") rather than materialised tuples, which is
 the late-reconstruction execution model database cracking builds on.
 
-Columns support appends (with geometric growth), deletions via tombstone-free
-compaction, and expose zero-copy views of their valid region.
+Columns support appends (with geometric growth) and expose zero-copy views
+of their valid region; a deleted row is a tombstone its table keeps, so no
+value ever moves.
 """
 
 from __future__ import annotations
@@ -100,28 +101,6 @@ class Column:
         if counters is not None:
             counters.record_move(len(array))
             counters.record_allocation(len(array) * self.dtype.width_bytes)
-
-    def delete_positions(self, positions: Union[np.ndarray, Iterable[int]],
-                         counters: Optional[CostCounters] = None) -> None:
-        """Remove the rows at ``positions``, compacting the column.
-
-        Positions of subsequent rows shift down; callers that maintain
-        auxiliary structures must account for this (the cracking update
-        machinery does its own bookkeeping instead of using this method).
-        """
-        positions = np.unique(np.asarray(positions, dtype=np.int64))
-        if len(positions) == 0:
-            return
-        if positions.min() < 0 or positions.max() >= self._length:
-            raise IndexError("delete position out of range")
-        keep = np.ones(self._length, dtype=bool)
-        keep[positions] = False
-        kept = self._data[: self._length][keep]
-        self._data[: len(kept)] = kept
-        self._length = len(kept)
-        if counters is not None:
-            counters.record_scan(len(keep))
-            counters.record_move(len(kept))
 
     def copy(self, name: Optional[str] = None) -> "Column":
         """Deep copy of this column."""

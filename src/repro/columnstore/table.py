@@ -1,4 +1,4 @@
-"""Tables: collections of aligned columns."""
+"""Tables: collections of aligned columns and their tombstones."""
 
 from __future__ import annotations
 
@@ -10,17 +10,31 @@ from repro.columnstore.column import Column
 from repro.cost.counters import CostCounters
 
 
+def _frozen(positions: np.ndarray) -> np.ndarray:
+    positions.flags.writeable = False
+    return positions
+
+
 class Table:
     """A named collection of equal-length :class:`~repro.columnstore.column.Column`.
 
     Rows are identified by their position (0-based, dense).  All columns of a
-    table are kept aligned: appending rows appends to every column, deleting
-    rows compacts every column identically.
+    table are kept aligned: appending rows appends to every column.  Deleting
+    a row never moves one: its position becomes a *tombstone*, so every other
+    row keeps its identifier, and readers filter tombstoned positions out
+    (:meth:`visible_positions`).
+
+    The tombstones are one sorted int64 array that is never mutated: a
+    delete (whose caller holds the table's write gate) publishes a new,
+    read-only array, so a reader that took :attr:`tombstones` keeps a
+    consistent view with no lock.  Appends leave it alone — positions past
+    the last tombstone are live.
     """
 
     def __init__(self, name: str, columns: Optional[Mapping[str, Union[Column, np.ndarray, Iterable]]] = None) -> None:
         self.name = name
         self._columns: Dict[str, Column] = {}
+        self._tombstones = _frozen(np.empty(0, dtype=np.int64))
         if columns:
             for column_name, values in columns.items():
                 self.add_column(column_name, values)
@@ -119,13 +133,6 @@ class Table:
         for name, array in arrays.items():
             self._columns[name].append(array, counters=counters)
 
-    def delete_rows(self, positions: Union[np.ndarray, Iterable[int]],
-                    counters: Optional[CostCounters] = None) -> None:
-        """Delete the rows at ``positions`` from every column."""
-        positions = np.asarray(list(positions) if not isinstance(positions, np.ndarray) else positions)
-        for column in self._columns.values():
-            column.delete_positions(positions, counters=counters)
-
     def fetch_rows(self, positions: Union[np.ndarray, Iterable[int]],
                    column_names: Optional[Iterable[str]] = None,
                    counters: Optional[CostCounters] = None) -> Dict[str, np.ndarray]:
@@ -143,3 +150,66 @@ class Table:
     def to_dict(self) -> Dict[str, np.ndarray]:
         """Export all columns as a dict of NumPy arrays (copies)."""
         return {name: column.values.copy() for name, column in self._columns.items()}
+
+    # -- tombstones --------------------------------------------------------------
+
+    @property
+    def tombstones(self) -> np.ndarray:
+        """Sorted positions of the deleted rows (read-only int64 array)."""
+        return self._tombstones
+
+    @property
+    def visible_row_count(self) -> int:
+        """Rows not deleted."""
+        return self.row_count - len(self._tombstones)
+
+    def is_deleted(self, position: int) -> bool:
+        """True when the row at ``position`` has been deleted."""
+        tombstones = self._tombstones
+        slot = int(tombstones.searchsorted(position))
+        return slot < len(tombstones) and bool(tombstones[slot] == position)
+
+    def delete(self, position: int) -> bool:
+        """Tombstone the row at ``position``; False when it already was.
+
+        The caller holds the table's write gate; readers keep whichever
+        array they took (see the class docstring).
+        """
+        position = int(position)
+        if not 0 <= position < self.row_count:
+            raise KeyError(f"unknown row identifier {position} in table {self.name!r}")
+        # one search finds both whether the row is deleted and where its
+        # tombstone goes; slices and a concatenate cost a quarter of what
+        # np.insert does per call
+        tombstones = self._tombstones
+        slot = int(tombstones.searchsorted(position))
+        if slot < len(tombstones) and tombstones[slot] == position:
+            return False
+        self._tombstones = _frozen(np.concatenate(
+            (tombstones[:slot], (position,), tombstones[slot:])
+        ))
+        return True
+
+    def delete_many(self, positions: Iterable[int]) -> None:
+        """Tombstone every row in ``positions`` at once (recovery's bulk
+        form of :meth:`delete`; rows already deleted stay deleted)."""
+        positions = np.asarray(positions, dtype=np.int64)
+        if len(positions) and not (
+            0 <= positions.min() and positions.max() < self.row_count
+        ):
+            raise KeyError(f"row identifiers out of range in table {self.name!r}")
+        self._tombstones = _frozen(np.union1d(self._tombstones, positions))
+
+    def visible_positions(
+        self, positions: np.ndarray, aligned: Optional[dict] = None
+    ) -> np.ndarray:
+        """Filter tombstoned rows out of a position list (no-op when none),
+        and with the same mask out of the ``aligned`` column arrays (name ->
+        values in the row order of ``positions``); its entries are replaced."""
+        tombstones = self._tombstones
+        if len(tombstones) == 0 or len(positions) == 0:
+            return positions
+        keep = ~np.isin(positions, tombstones)
+        for name, values in (aligned or {}).items():
+            aligned[name] = values[keep]
+        return positions[keep]

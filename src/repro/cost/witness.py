@@ -22,8 +22,8 @@ by ``REPRO_COST_WITNESS=1`` or programmatically via
 :func:`enable_cost_witness`.  A violation raises
 :class:`CostConformanceViolation` (see :mod:`repro.analysis_tools.witness`
 for the shared scaffold).  The hook site is
-``Database._execute_single``, which already runs under the session's path
-locks, so fingerprints are race-free snapshots.
+``Session._execute_claimed``, the one query path, which runs under the
+plan's path locks, so fingerprints are race-free snapshots.
 """
 
 from __future__ import annotations

@@ -113,18 +113,15 @@ def _choose_snapshot(
 def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
     """Install a snapshot's tables, tombstones and indexing modes."""
     for table_state in state.tables:
-        database.create_table(
+        table = database.create_table(
             table_state.name,
             {
                 dump.name: Column(dump.values, name=dump.name, dtype=dump.dtype)
                 for dump in table_state.columns
             },
         )
-        if table_state.deleted_rows:
-            with database._tombstone_lock:
-                database._deleted_rows[table_state.name] = set(
-                    table_state.deleted_rows
-                )
+        # nothing else can see the table yet: no gate is needed
+        table.delete_many(table_state.deleted_rows)
     # modes go in after tombstones: updatable strategies re-absorb the
     # pending deletes inside set_indexing, exactly like a live mode switch
     for mode_state in state.modes:

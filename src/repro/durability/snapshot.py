@@ -1,10 +1,10 @@
 """Column-store snapshots: atomic, checksummed full-state dumps.
 
 A snapshot captures everything the journal replay would otherwise rebuild
-from the beginning of time: every table's column arrays, the tombstone
-sets (the engine's pending-delete queues — updatable access paths re-absorb
-them on load), the configured indexing modes, and the journal high-water
-sequence the dump is consistent with.  Adaptive access-path *internals*
+from the beginning of time: every table's column arrays, its tombstones
+(the positions of its deleted rows — updatable access paths re-absorb
+them on load as pending deletes), the configured indexing modes, and the
+journal high-water sequence the dump is consistent with.  Adaptive access-path *internals*
 (crack maps, partial sort state, sideways maps) are deliberately not
 dumped: they are derived, rebuildable state — recovery re-installs each
 mode with ``set_indexing`` and lets the indexes refine again from query

@@ -37,7 +37,8 @@ Scope of the protection: since the session front door
 (:mod:`repro.engine.session`) every entry point — single-query
 ``execute``, pipelined ``submit``, batches and DML — runs under the same
 two-level protocol.  Level one is a per-table :class:`TableGate` (a fair
-readers-writer gate): queries hold it shared, DML holds it exclusive, so
+readers-writer gate): queries hold it shared, DML (and the DDL that
+changes a table's design or drops it) holds it exclusive, so
 an insert or delete issued mid-batch is *fenced* behind the in-flight
 cracks instead of racing the access-path rebuild.  Level two is the
 per-access-path lock of :class:`AccessPathLockManager`, serializing
@@ -349,7 +350,8 @@ def classify_plan(
 
     Only the selection steps that dispatch through an access path generate
     claims; refinement, reconstruction and aggregation read base columns
-    (immutable during a batch) and tombstones (lock-protected) only.
+    and tombstones only, which no DML changes while the batch holds its
+    gates.
     """
     cache = exclusivity_cache if exclusivity_cache is not None else {}
     claims: Dict[PathKey, AccessPathClaim] = {}

@@ -1,4 +1,4 @@
-"""The Database: schema, physical design, lifecycle and storage primitives.
+"""The Database: schema, physical design and lifecycle.
 
 A :class:`Database` owns tables and, for each (table, column), an *indexing
 mode*: a name from the one strategy registry
@@ -14,11 +14,12 @@ access path": there is nothing to build, and selections scan the base column.
 
 The database executes nothing itself.  Every operation enters through a
 :class:`~repro.engine.session.Session` (``db.session()``), which holds the
-table gate and the access-path locks of :mod:`repro.engine.concurrency`
-and calls back into the primitives below while it holds them: the
-access-path dispatch (:meth:`Database.index_select`), the DML bodies
-(``_insert_row_locked`` and friends, which keep every installed path
-consistent with the base table) and the linearization journal.
+table gate and the access-path locks of :mod:`repro.engine.concurrency`,
+runs the DML bodies and calls back into the access-path dispatch
+(:meth:`Database.index_select`) and the linearization journal.  Deleted
+rows are the tombstones each :class:`~repro.columnstore.table.Table`
+keeps; DDL takes the table's write gate inside the schema lock, so no
+query or DML is in flight on a table while its design changes.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from repro.core.strategies import (
     create_strategy,
 )
 from repro.cost.counters import CostCounters
-from repro.cost.timer import Timer
-from repro.cost.witness import cost_witness
 from repro.durability.manager import (
     DurabilityConfig,
     DurabilityManager,
@@ -56,16 +55,13 @@ from repro.engine.concurrency import (
     TableGate,
     TableGateRegistry,
 )
-from repro.engine.executor import Executor, QueryResult
+from repro.engine.executor import Executor
 from repro.engine.planner import Plan, Planner
 from repro.engine.query import Query
 from repro.engine.session import OperationRecord, Session
 
 
 @guarded_by(
-    # tombstone state: parallel batch workers read concurrently with DML
-    _deleted_rows="_tombstone_lock",
-    _tombstone_cache="_tombstone_lock",
     # engine-level bookkeeping shared by every session
     queries_executed="_engine_stats_lock",
     rows_inserted="_engine_stats_lock",
@@ -92,15 +88,6 @@ class Database:
         self._mode_options: Dict[Tuple[str, str], Dict] = {}
         # (table, column) -> the strategy installed for that mode
         self._access_paths: Dict[Tuple[str, str], SearchStrategy] = {}
-        # table -> positions deleted by DML (tombstones; appends keep all
-        # other positions stable, so visible rowids never shift)
-        self._deleted_rows: Dict[str, set] = {}
-        # table -> sorted tombstone array, rebuilt lazily when stale
-        self._tombstone_cache: Dict[str, np.ndarray] = {}
-        # guards tombstone-set mutation and cache rebuild: parallel batch
-        # workers read tombstones concurrently, and without the lock two
-        # rebuilds could race a concurrent delete mid-iteration
-        self._tombstone_lock = threading.Lock()
         # per-access-path execution locks shared by every session
         self._path_locks = AccessPathLockManager()
         # per-table readers-writer gates: queries shared, DML exclusive
@@ -116,8 +103,9 @@ class Database:
         # paths; ordering: table gates > this > _engine_stats_lock / the
         # WAL's internal mutex.
         self._wal_order_lock = threading.Lock()
-        # schema mutex: create_table/drop_table/set_indexing run under it,
-        # and snapshot() holds it across its all-gate quiesce — DML is
+        # schema mutex: create_table/drop_table/set_indexing run under it
+        # (the last two also take their table's write gate inside it), and
+        # snapshot() holds it across its all-gate quiesce — DML is
         # excluded by the gates, DDL by this lock, so the snapshot's cut
         # (tables, modes, high-water sequence) is consistent with the
         # journal.  Ordering: this > table gates.
@@ -223,8 +211,6 @@ class Database:
         tables = []
         for table_name in self.table_names:
             table = self._tables[table_name]
-            with self._tombstone_lock:
-                deleted = tuple(sorted(self._deleted_rows.get(table_name, ())))
             dumps = tuple(
                 ColumnDump(
                     column_name,
@@ -236,7 +222,8 @@ class Database:
                 for column_name, column in table.columns.items()
             )
             tables.append(
-                TableState(name=table_name, columns=dumps, deleted_rows=deleted)
+                TableState(name=table_name, columns=dumps,
+                           deleted_rows=tuple(table.tombstones.tolist()))
             )
         modes = tuple(
             IndexModeState(
@@ -349,27 +336,27 @@ class Database:
             self.memory.remove(f"index:{table}.{column}")
 
     def drop_table(self, name: str) -> None:
-        """Drop a table and all physical structures attached to it."""
+        """Drop a table and all physical structures attached to it (its
+        tombstones go with its :class:`Table`)."""
         # under the schema lock so a concurrent snapshot's captured table
-        # set stays consistent with its high-water mark (see create_table)
+        # set stays consistent with its high-water mark (see create_table),
+        # and under the table's write gate so no query is mid-flight on it
         with self._schema_lock:
             if name not in self._tables:
                 raise KeyError(f"no table {name!r}")
-            del self._tables[name]
-            for key in [k for k in self._access_paths if k[0] == name]:
-                self.memory.remove(f"index:{name}.{key[1]}")
-                self._access_paths.pop(key).close()
-            self._modes = {
-                k: v for k, v in self._modes.items() if k[0] != name
-            }
-            self._mode_options = {
-                k: v for k, v in self._mode_options.items() if k[0] != name
-            }
-            with self._tombstone_lock:
-                self._deleted_rows.pop(name, None)
-                self._tombstone_cache.pop(name, None)
-            self.memory.remove(f"table:{name}")
-            self._durable_schema_record("drop_table", name)
+            with self._table_gates.write(name):
+                del self._tables[name]
+                for key in [k for k in self._access_paths if k[0] == name]:
+                    self.memory.remove(f"index:{name}.{key[1]}")
+                    self._access_paths.pop(key).close()
+                self._modes = {
+                    k: v for k, v in self._modes.items() if k[0] != name
+                }
+                self._mode_options = {
+                    k: v for k, v in self._mode_options.items() if k[0] != name
+                }
+                self.memory.remove(f"table:{name}")
+                self._durable_schema_record("drop_table", name)
 
     def table(self, name: str) -> Table:
         """Return the table named ``name``."""
@@ -392,46 +379,50 @@ class Database:
         if mode not in known:
             raise ValueError(f"unknown indexing mode {mode!r}; available: {known}")
         # under the schema lock so a concurrent snapshot's captured mode
-        # set stays consistent with its high-water mark (see create_table)
+        # set stays consistent with its high-water mark (see create_table),
+        # and under the table's write gate so the switch cannot land
+        # between a query's plan and its execution, nor beside DML
         with self._schema_lock:
             owning_table = self.table(table)
             if column not in owning_table:
                 raise KeyError(f"no column {column!r} in table {table!r}")
             key = (table, column)
-            # build first, swap second, release the old path last: a
-            # refused option must leave the installed path — its memory
-            # entry and its pool — exactly as it was
-            strategy = None
-            if mode != "scan":
-                strategy = create_strategy(
-                    mode, owning_table.column(column), table=owning_table, **options
+            with self._table_gates.write(table):
+                # build first, swap second, release the old path last: a
+                # refused option must leave the installed path — its
+                # memory entry and its pool — exactly as it was
+                strategy = None
+                if mode != "scan":
+                    strategy = create_strategy(
+                        mode, owning_table.column(column), table=owning_table,
+                        **options,
+                    )
+                    if strategy.supports_updates:
+                        # the new column treats every base position as a
+                        # live row; replay the table's tombstones so rows
+                        # deleted under an earlier mode stay deleted (its
+                        # answers are not filtered)
+                        for rowid in owning_table.tombstones.tolist():
+                            strategy.delete(rowid)
+                previous = self._access_paths.get(key)
+                if strategy is None:
+                    self._access_paths.pop(key, None)
+                else:
+                    self._access_paths[key] = strategy
+                self._record_index_memory(table, column)
+                if previous is not None:
+                    previous.close()
+                # recorded only once the access path exists, so a rejected
+                # option leaves the previous mode (and the journal) untouched
+                self._modes[key] = mode
+                self._mode_options[key] = dict(options)
+                # journaled so recovery re-installs the mode (options must
+                # stay JSON-serializable scalars, which every registered
+                # strategy's are)
+                self._durable_schema_record(
+                    "set_indexing", table, column=column, mode=mode,
+                    options=dict(options),
                 )
-                if strategy.supports_updates:
-                    # the new column treats every base position as a live
-                    # row; replay existing tombstones so rows deleted under
-                    # an earlier mode stay deleted (its answers are not
-                    # filtered)
-                    for rowid in self._deleted_rows.get(table, ()):
-                        strategy.delete(rowid)
-            previous = self._access_paths.get(key)
-            if strategy is None:
-                self._access_paths.pop(key, None)
-            else:
-                self._access_paths[key] = strategy
-            self._record_index_memory(table, column)
-            if previous is not None:
-                previous.close()
-            # recorded only once the access path exists, so a rejected
-            # option leaves the previous mode (and the journal) untouched
-            self._modes[key] = mode
-            self._mode_options[key] = dict(options)
-            # journaled so recovery re-installs the mode (options must stay
-            # JSON-serializable scalars, which every registered strategy's
-            # are)
-            self._durable_schema_record(
-                "set_indexing", table, column=column, mode=mode,
-                options=dict(options),
-            )
 
     def indexing_mode(self, table: str, column: str) -> Optional[str]:
         """Current indexing mode of ``table.column`` (None = never set = scan)."""
@@ -441,191 +432,17 @@ class Database:
         """The physical access-path object for ``table.column`` (or None)."""
         return self._access_paths.get((table, column))
 
-    # -- data manipulation ---------------------------------------------------------------
-
-    def _check_row_absorbable(
-        self, table: str, values: Mapping[str, Union[int, float]]
-    ) -> None:
-        """Raise what an update-absorbing access path of ``table`` would
-        raise on ``values`` — asked before anything is appended, tombstoned
-        or logged, so a refused row leaves no trace."""
-        for (owner, column_name), path in self._access_paths.items():
-            if (owner == table and path.supports_updates
-                    and column_name in values):
-                path.check_insertable(values[column_name])
-
-    def _insert_row_locked(
-        self,
-        table: str,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Insert one row; the caller holds the table's write gate.
-
-        The row is appended to every column of the table, so existing row
-        positions never shift.  Every configured access path stays
-        consistent: strategies that support updates absorb the insert
-        through their pending queues (merge on demand); every other one
-        is replaced by what its ``rebuilt`` returns over the grown column —
-        the honest cost of a physical design without update support, and
-        exactly what the updatable strategies avoid.
-        """
-        owning_table = self.table(table)
-        self._check_row_absorbable(table, values)
-        rowid = owning_table.row_count
-        owning_table.append_rows(dict(values), counters=counters)
-        self.memory.set_usage(f"table:{table}", owning_table.nbytes)
-        for (owner, column_name), path in list(self._access_paths.items()):
-            if owner != table:
-                continue
-            # the absorb/rebuild additionally holds the owning access-path
-            # lock, so even a caller that bypasses the gates cannot race a
-            # selection through this path
-            with self._path_locks.lock_for(("path", table, column_name)):
-                if path.supports_updates:
-                    path.insert(values[column_name], counters, rowid=rowid)
-                else:
-                    self._access_paths[(table, column_name)] = path.rebuilt(
-                        owning_table.column(column_name)
-                    )
-                    path.close()
-                # absorbing (and possibly repartitioning) or rebuilding
-                # changes the auxiliary footprint
-                self._record_index_memory(table, column_name)
-        with self._engine_stats_lock:
-            self.rows_inserted += 1
-        return rowid
-
-    def _delete_row_locked(
-        self,
-        table: str,
-        rowid: int,
-        counters: Optional[CostCounters] = None,
-    ) -> None:
-        """Delete one row; the caller holds the table's write gate.
-
-        The base columns are not compacted — the position is tombstoned so
-        every other rowid stays stable — and updatable access paths queue a
-        pending delete, merged on demand by the next query that touches the
-        deleted value's range.  All other access paths are filtered against
-        the tombstones at query time.
-        """
-        owning_table = self.table(table)
-        rowid = int(rowid)
-        if not 0 <= rowid < owning_table.row_count:
-            raise KeyError(f"unknown row identifier {rowid} in table {table!r}")
-        # mutate the tombstone map and set under the lock so a concurrent
-        # cache rebuild never iterates a set that changes size underneath it
-        with self._tombstone_lock:
-            deleted = self._deleted_rows.setdefault(table, set())
-            if rowid in deleted:
-                return
-            deleted.add(rowid)
-        for (owner, column_name), path in self._access_paths.items():
-            if owner != table:
-                continue
-            if path.supports_updates:
-                with self._path_locks.lock_for(("path", table, column_name)):
-                    path.delete(rowid, counters)
-            self._record_index_memory(table, column_name)
-        if counters is not None:
-            counters.record_move(1)
-        with self._engine_stats_lock:
-            self.rows_deleted += 1
-
-    def _update_row_locked(
-        self,
-        table: str,
-        rowid: int,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Update one row; the caller holds the table's write gate.
-
-        ``values`` names the columns to change; unmentioned columns keep the
-        old row's values.  This mirrors how the update machinery treats an
-        update as a delete/insert pair, so the row receives a fresh rowid.
-        """
-        owning_table = self.table(table)
-        rowid = int(rowid)
-        if rowid in self._deleted_rows.get(table, set()):
-            raise KeyError(f"row {rowid} of table {table!r} has been deleted")
-        if not 0 <= rowid < owning_table.row_count:
-            raise KeyError(f"unknown row identifier {rowid} in table {table!r}")
-        unknown = set(values) - set(owning_table.column_names)
-        if unknown:
-            raise KeyError(
-                f"no columns {sorted(unknown)} in table {table!r}"
-            )
-        row = {
-            name: values_array[0]
-            for name, values_array in owning_table.fetch_rows(
-                [rowid], counters=counters
-            ).items()
-        }
-        row.update(values)
-        # validate the merged row against every access path and column
-        # dtype *before* tombstoning, so a rejected value cannot silently
-        # lose the row
-        self._check_row_absorbable(table, row)
-        for name, value in row.items():
-            owning_table.column(name).dtype.validate_array(
-                np.atleast_1d(np.asarray(value))
-            )
-        self._delete_row_locked(table, rowid, counters)
-        return self._insert_row_locked(table, row, counters)
-
-    def _tombstones(self, table: str) -> Optional[np.ndarray]:
-        """Sorted tombstone positions of ``table`` (None when there are none).
-
-        The array is cached and rebuilt lazily; tombstone sets only grow, so
-        a length mismatch is the complete staleness signal.  Parallel batch
-        workers call this concurrently: the fast path reads the published
-        (immutable once published) array without locking, while a stale or
-        missing cache is rebuilt under ``_tombstone_lock`` — build first,
-        publish the finished array last, and re-check staleness under the
-        lock so concurrent workers never duplicate or tear a rebuild.
-        """
-        deleted = self._deleted_rows.get(table)
-        if not deleted:
-            return None
-        cached = self._tombstone_cache.get(table)
-        if cached is not None and len(cached) == len(deleted):
-            return cached
-        with self._tombstone_lock:
-            # the table may have been dropped (and even recreated) while this
-            # worker waited: re-read the live set and never publish an array
-            # built from a stale set identity into the cache of the new table
-            deleted = self._deleted_rows.get(table)
-            if not deleted:
-                return None
-            # another worker may have rebuilt while this one waited
-            cached = self._tombstone_cache.get(table)
-            if cached is None or len(cached) != len(deleted):
-                rebuilt = np.fromiter(deleted, dtype=np.int64, count=len(deleted))
-                rebuilt.sort()
-                self._tombstone_cache[table] = rebuilt
-                cached = rebuilt
-        return cached
+    # -- visibility (each table keeps its tombstones) ------------------------------------
 
     def visible_positions(
         self, table: str, positions: np.ndarray, aligned: Optional[dict] = None
     ) -> np.ndarray:
-        """Filter DML tombstones out of a position list (no-op when none),
-        and with the same mask out of the ``aligned`` column arrays (name ->
-        values in the row order of ``positions``, as a path covering the
-        projection hands them back); its entries are replaced."""
-        tombstones = self._tombstones(table)
-        if tombstones is None or len(positions) == 0:
-            return positions
-        keep = ~np.isin(positions, tombstones)
-        for name, values in (aligned or {}).items():
-            aligned[name] = values[keep]
-        return positions[keep]
+        """:meth:`Table.visible_positions` of ``table``."""
+        return self.table(table).visible_positions(positions, aligned)
 
     def visible_row_count(self, table: str) -> int:
         """Rows of ``table`` visible to queries (total minus tombstones)."""
-        return self.table(table).row_count - len(self._deleted_rows.get(table, ()))
+        return self.table(table).visible_row_count
 
     # -- access-path dispatch (used by the executor) -------------------------------------
 
@@ -652,40 +469,11 @@ class Database:
                 return positions
         return self.visible_positions(table, positions)
 
-    # -- query planning and the executor hook ---------------------------------------------
+    # -- query planning -------------------------------------------------------------------
 
     def plan(self, query: Query) -> Plan:
         """Plan a query without executing it (EXPLAIN)."""
         return self.planner.plan(query)
-
-    def _execute_single(self, query: Query, plan: Plan) -> QueryResult:
-        """Execute one planned query without touching shared bookkeeping;
-        stamps the executing thread on the result.
-
-        The session's one query path routes through here while holding the
-        plan's path locks, which makes this the cost-conformance hook site:
-        the witness (when armed, see :mod:`repro.cost.witness`) fingerprints
-        every access path the plan dispatches through before and after the
-        executor runs and checks the structural delta against the query's
-        counters."""
-        counters = CostCounters()
-        timer = Timer()
-        witness = cost_witness()
-        snapshots = None
-        if witness is not None:
-            snapshots = witness.before(
-                (step.table, step.column, self.access_path(step.table, step.column))
-                for step in plan.access_path_steps()
-            )
-        with timer:
-            result = self.executor.execute(plan, counters)
-        if witness is not None:
-            witness.after(
-                query.description or query.table, snapshots, result.counters
-            )
-        result.elapsed_seconds = timer.elapsed
-        result.worker = threading.current_thread().name
-        return result
 
     # -- linearization journal ------------------------------------------------------------
 

@@ -58,8 +58,8 @@ class Executor:
         def all_positions() -> np.ndarray:
             if counters is not None:
                 counters.record_scan(table.row_count)
-            return self.database.visible_positions(
-                plan.query.table, np.arange(table.row_count, dtype=np.int64)
+            return table.visible_positions(
+                np.arange(table.row_count, dtype=np.int64)
             )
 
         for step in plan.steps:
@@ -85,9 +85,7 @@ class Executor:
                     )
                     # the aligned columns lose their tombstoned rows with the
                     # positions (a no-op for a path that absorbed the deletes)
-                    positions = self.database.visible_positions(
-                        query.table, positions, columns
-                    )
+                    positions = table.visible_positions(positions, columns)
             elif step.operator == "refine":
                 if positions is None:
                     raise RuntimeError("refine step executed before any selection")

@@ -42,12 +42,16 @@ import itertools
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.cost.counters import CostCounters
+from repro.cost.timer import Timer
+from repro.cost.witness import cost_witness
 from repro.durability.record import WalRecord
 from repro.engine.concurrency import (
     AccessPathClaim,
@@ -94,6 +98,14 @@ class SessionStats:
     rows_updated: int = 0
     #: introspection record of this session's most recent execute_many
     last_batch_report: Optional[BatchExecutionReport] = None
+
+
+@dataclass
+class _Commit:
+    """What a DML body hands :meth:`Session._commit_dml` to journal: the
+    row identifier it assigned (None for a delete)."""
+
+    rowid: Optional[int] = None
 
 
 _SESSION_IDS = itertools.count(1)
@@ -246,10 +258,34 @@ class Session:
         self, query: Query, plan: Plan, claims: Sequence[AccessPathClaim]
     ) -> QueryResult:
         """The one query path: hold the plan's exclusive path locks, execute,
-        and stamp the linearization sequence before they release."""
+        stamp the executing thread and the linearization sequence before
+        they release.
+
+        Every query passes here holding its locks, which makes this the
+        cost-conformance hook site: the witness (when armed, see
+        :mod:`repro.cost.witness`) fingerprints every access path the plan
+        dispatches through before and after the executor runs and checks
+        the structural delta against the query's counters."""
         database = self._database
         with database._path_locks.locked(claims):
-            result = database._execute_single(query, plan)
+            counters = CostCounters()
+            timer = Timer()
+            witness = cost_witness()
+            snapshots = None
+            if witness is not None:
+                snapshots = witness.before(
+                    (step.table, step.column,
+                     database.access_path(step.table, step.column))
+                    for step in plan.access_path_steps()
+                )
+            with timer:
+                result = database.executor.execute(plan, counters)
+            if witness is not None:
+                witness.after(
+                    query.description or query.table, snapshots, result.counters
+                )
+            result.elapsed_seconds = timer.elapsed
+            result.worker = threading.current_thread().name
             result.sequence = database._journal_record(
                 "query", query.table, query, result, session=self.name
             )
@@ -340,29 +376,24 @@ class Session:
 
     # -- DML -----------------------------------------------------------------------
 
-    def _commit_dml(
-        self,
-        kind: str,
-        table: str,
-        apply: Callable[[], Optional[int]],
-        payload: object,
-        counter: str,
-        **wal_fields,
-    ) -> Optional[int]:
-        """The one DML commit path: fence, apply, journal, count.
+    @contextmanager
+    def _commit_dml(self, kind: str, table: str, payload: object, **wal_fields):
+        """The one DML commit path: fence, apply, journal.
 
-        ``apply`` runs under the table's write gate and returns the row
-        identifier the operation assigned (None for a delete); ``payload``
-        is the operation input the in-memory journal keeps, ``wal_fields``
-        what the durable record carries beside ``rowid`` (the assigned
-        identifier unless the caller names one), ``counter`` the session
-        statistic to bump.
+        The ``with`` block applies the operation under the table's write
+        gate and sets ``rowid`` on the yielded :class:`_Commit` to the row
+        identifier it assigned (a delete assigns none); ``payload`` is the
+        operation input the in-memory journal keeps, ``wal_fields`` what
+        the durable record carries beside ``rowid`` (the assigned
+        identifier unless the caller names one).
         """
         self._check_open()
         database = self._database
         durability = database._durability
+        commit = _Commit()
         with database._table_gates.write(table):
-            result = apply()
+            yield commit
+            result = commit.rowid
             if durability is None:
                 database._journal_record(
                     kind, table, payload, result, session=self.name
@@ -386,11 +417,91 @@ class Session:
                         WalRecord(sequence=sequence, kind=kind, table=table,
                                   **wal_fields)
                     )
-        with self._lock:
-            setattr(self._stats, counter, getattr(self._stats, counter) + 1)
         if durability is not None and durability.snapshot_due():
             database.snapshot()
-        return result
+
+    def _check_row_absorbable(
+        self, table: str, values: Mapping[str, Union[int, float]]
+    ) -> None:
+        """Raise what an update-absorbing access path of ``table`` would
+        raise on ``values`` — asked before anything is appended, tombstoned
+        or logged, so a refused row leaves no trace."""
+        for (owner, column_name), path in self._database._access_paths.items():
+            if (owner == table and path.supports_updates
+                    and column_name in values):
+                path.check_insertable(values[column_name])
+
+    def _insert(
+        self,
+        table: str,
+        values: Mapping[str, Union[int, float]],
+        counters: Optional[CostCounters],
+    ) -> int:
+        """Append one row; the caller holds the table's write gate.
+
+        The row is appended to every column of the table, so existing row
+        positions never shift.  Every configured access path stays
+        consistent: strategies that support updates absorb the insert
+        through their pending queues (merge on demand); every other one
+        is replaced by what its ``rebuilt`` returns over the grown column —
+        the honest cost of a physical design without update support, and
+        exactly what the updatable strategies avoid.
+        """
+        database = self._database
+        owning_table = database.table(table)
+        self._check_row_absorbable(table, values)
+        rowid = owning_table.row_count
+        owning_table.append_rows(dict(values), counters=counters)
+        database.memory.set_usage(f"table:{table}", owning_table.nbytes)
+        paths = database._access_paths
+        for (owner, column_name), path in list(paths.items()):
+            if owner != table:
+                continue
+            # the absorb/rebuild additionally holds the owning access-path
+            # lock, so even a caller that bypasses the gates cannot race a
+            # selection through this path
+            with database._path_locks.lock_for(("path", table, column_name)):
+                if path.supports_updates:
+                    path.insert(values[column_name], counters, rowid=rowid)
+                else:
+                    paths[(table, column_name)] = path.rebuilt(
+                        owning_table.column(column_name)
+                    )
+                    path.close()
+                # absorbing (and possibly repartitioning) or rebuilding
+                # changes the auxiliary footprint
+                database._record_index_memory(table, column_name)
+        with database._engine_stats_lock:
+            database.rows_inserted += 1
+        return rowid
+
+    def _delete(
+        self, table: str, rowid: int, counters: Optional[CostCounters]
+    ) -> bool:
+        """Tombstone one row; the caller holds the table's write gate.
+        Returns False (and changes nothing) when it already was deleted.
+
+        The base columns are not compacted — the table tombstones the
+        position, so every other rowid stays stable — and updatable access
+        paths queue a pending delete, merged on demand by the next query
+        that touches the deleted value's range.  All other access paths are
+        filtered against the tombstones at query time.
+        """
+        database = self._database
+        if not database.table(table).delete(rowid):
+            return False
+        for (owner, column_name), path in database._access_paths.items():
+            if owner != table:
+                continue
+            if path.supports_updates:
+                with database._path_locks.lock_for(("path", table, column_name)):
+                    path.delete(rowid, counters)
+            database._record_index_memory(table, column_name)
+        if counters is not None:
+            counters.record_move(1)
+        with database._engine_stats_lock:
+            database.rows_deleted += 1
+        return True
 
     def insert_row(
         self,
@@ -405,11 +516,11 @@ class Session:
         per-path mutation additionally holds that path's lock.
         """
         row = dict(values)
-        return self._commit_dml(
-            "insert", table,
-            lambda: self._database._insert_row_locked(table, values, counters),
-            row, "rows_inserted", values=row,
-        )
+        with self._commit_dml("insert", table, row, values=row) as commit:
+            commit.rowid = self._insert(table, row, counters)
+        with self._lock:
+            self._stats.rows_inserted += 1
+        return commit.rowid
 
     def delete_row(
         self,
@@ -417,12 +528,16 @@ class Session:
         rowid: int,
         counters: Optional[CostCounters] = None,
     ) -> None:
-        """Delete the row identified by ``rowid`` (idempotent), fenced."""
-        self._commit_dml(
-            "delete", table,
-            lambda: self._database._delete_row_locked(table, rowid, counters),
-            int(rowid), "rows_deleted", rowid=int(rowid),
-        )
+        """Delete the row identified by ``rowid`` (idempotent), fenced.
+
+        A repeated delete is journaled like the first but changes nothing,
+        so it is not counted in :meth:`stats`."""
+        rowid = int(rowid)
+        with self._commit_dml("delete", table, rowid, rowid=rowid):
+            deleted = self._delete(table, rowid, counters)
+        if deleted:
+            with self._lock:
+                self._stats.rows_deleted += 1
 
     def update_row(
         self,
@@ -431,16 +546,45 @@ class Session:
         values: Mapping[str, Union[int, float]],
         counters: Optional[CostCounters] = None,
     ) -> int:
-        """Update = delete + insert under one fence; returns the new rowid."""
+        """Update = delete + insert under one fence; returns the new rowid.
+
+        ``values`` names the columns to change; unmentioned columns keep the
+        old row's values.  This mirrors how the update machinery treats an
+        update as a delete/insert pair, so the row receives a fresh rowid.
+        """
+        rowid = int(rowid)
         changed = dict(values)
-        return self._commit_dml(
-            "update", table,
-            lambda: self._database._update_row_locked(
-                table, rowid, values, counters
-            ),
-            (int(rowid), changed), "rows_updated",
-            old_rowid=int(rowid), values=changed,
-        )
+        with self._commit_dml(
+            "update", table, (rowid, changed), old_rowid=rowid, values=changed
+        ) as commit:
+            owning_table = self._database.table(table)
+            if owning_table.is_deleted(rowid):
+                raise KeyError(f"row {rowid} of table {table!r} has been deleted")
+            if not 0 <= rowid < owning_table.row_count:
+                raise KeyError(f"unknown row identifier {rowid} in table {table!r}")
+            unknown = set(changed) - set(owning_table.column_names)
+            if unknown:
+                raise KeyError(f"no columns {sorted(unknown)} in table {table!r}")
+            row = {
+                name: values_array[0]
+                for name, values_array in owning_table.fetch_rows(
+                    [rowid], counters=counters
+                ).items()
+            }
+            row.update(changed)
+            # validate the merged row against every access path and column
+            # dtype *before* tombstoning, so a rejected value cannot
+            # silently lose the row
+            self._check_row_absorbable(table, row)
+            for name, value in row.items():
+                owning_table.column(name).dtype.validate_array(
+                    np.atleast_1d(np.asarray(value))
+                )
+            self._delete(table, rowid, counters)
+            commit.rowid = self._insert(table, row, counters)
+        with self._lock:
+            self._stats.rows_updated += 1
+        return commit.rowid
 
     def submit_insert(
         self,

@@ -70,7 +70,7 @@ class TestGuardedBy:
         from repro.engine.database import Database
 
         assert guarded_attributes(TableGate)["_active_readers"] == "_condition"
-        assert guarded_attributes(Database)["_deleted_rows"] == "_tombstone_lock"
+        assert guarded_attributes(Database)["rows_deleted"] == "_engine_stats_lock"
 
 
 class TestCharges:

@@ -55,21 +55,6 @@ class TestMutation:
         assert counters.tuples_moved == 10
         assert counters.bytes_allocated == 80
 
-    def test_delete_positions_compacts(self):
-        column = Column(np.array([10, 20, 30, 40, 50], dtype=np.int64))
-        column.delete_positions([1, 3])
-        assert np.array_equal(column.values, [10, 30, 50])
-
-    def test_delete_positions_out_of_range(self):
-        column = Column(np.array([1, 2], dtype=np.int64))
-        with pytest.raises(IndexError):
-            column.delete_positions([5])
-
-    def test_delete_empty_positions_is_noop(self):
-        column = Column(np.array([1, 2], dtype=np.int64))
-        column.delete_positions([])
-        assert len(column) == 2
-
     def test_copy_is_independent(self):
         column = Column(np.array([1, 2, 3], dtype=np.int64), name="orig")
         clone = column.copy(name="clone")

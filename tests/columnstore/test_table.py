@@ -64,12 +64,6 @@ class TestRowOperations:
         with pytest.raises(ValueError, match="equal length"):
             table.append_rows({"a": [5, 6], "b": [50.0]})
 
-    def test_delete_rows_keeps_alignment(self, table):
-        table.delete_rows([0, 2])
-        assert table.row_count == 2
-        assert np.array_equal(table["a"].values, [2, 4])
-        assert np.array_equal(table["b"].values, [20.0, 40.0])
-
     def test_fetch_rows(self, table):
         fetched = table.fetch_rows([1, 3], ["a"])
         assert np.array_equal(fetched["a"], [2, 4])
@@ -83,3 +77,58 @@ class TestRowOperations:
         exported = table.to_dict()
         exported["a"][0] = -1
         assert table["a"][0] == 1
+
+
+class TestTombstones:
+    def test_delete_tombstones_without_moving_rows(self, table):
+        assert table.delete(2) is True
+        assert table.delete(0) is True
+        assert table.tombstones.tolist() == [0, 2]
+        assert table.row_count == 4
+        assert table.visible_row_count == 2
+        assert np.array_equal(table["a"].values, [1, 2, 3, 4])
+        assert table.is_deleted(2) and not table.is_deleted(1)
+
+    def test_repeated_delete_changes_nothing(self, table):
+        table.delete(1)
+        before = table.tombstones
+        assert table.delete(1) is False
+        assert table.tombstones is before
+
+    def test_delete_out_of_range_raises(self, table):
+        with pytest.raises(KeyError, match="unknown row identifier 4"):
+            table.delete(4)
+        assert len(table.tombstones) == 0
+
+    def test_a_delete_publishes_a_new_read_only_array(self, table):
+        table.delete(3)
+        taken = table.tombstones
+        table.delete(1)
+        assert taken.tolist() == [3]
+        assert table.tombstones.tolist() == [1, 3]
+        with pytest.raises(ValueError):
+            table.tombstones[0] = 0
+
+    def test_delete_many_merges_into_one_sorted_array(self, table):
+        table.delete(2)
+        table.delete_many((3, 0, 2))
+        table.delete_many(())
+        assert table.tombstones.tolist() == [0, 2, 3]
+        assert not table.tombstones.flags.writeable
+        with pytest.raises(KeyError, match="out of range"):
+            table.delete_many([1, 4])
+        assert table.tombstones.tolist() == [0, 2, 3]
+
+    def test_appended_rows_are_live(self, table):
+        table.delete(3)
+        table.append_rows({"a": [5], "b": [50.0]})
+        assert table.tombstones.tolist() == [3]
+        assert table.visible_row_count == 4
+
+    def test_visible_positions_filters_aligned_columns(self, table):
+        table.delete(1)
+        positions = np.array([3, 1, 0], dtype=np.int64)
+        aligned = {"b": np.array([40.0, 20.0, 10.0])}
+        visible = table.visible_positions(positions, aligned)
+        assert visible.tolist() == [3, 0]
+        assert aligned["b"].tolist() == [40.0, 10.0]

@@ -69,8 +69,9 @@ def assert_same_database(recovered, original):
                 recovered.table(table)[name].values,
                 original.table(table)[name].values,
             ), f"{table}.{name} diverged"
-        assert recovered._deleted_rows.get(table, set()) == \
-            original._deleted_rows.get(table, set())
+        assert np.array_equal(
+            recovered.table(table).tombstones, original.table(table).tombstones
+        )
     query = Query.range_query("facts", "key", 0, DOMAIN // 2)
     with recovered.session() as replayed, original.session() as lived:
         assert np.array_equal(

@@ -8,6 +8,7 @@ lints dirty, the fixed tree lints clean" — live in
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -27,81 +28,64 @@ def database(rng):
     return db
 
 
-class _GatedLock:
-    """Lock wrapper that parks one named thread at the acquire point.
+class TestTombstonesDieWithTheirTable:
+    """Dropping and recreating a table can never leak old tombstones.
 
-    The thread named ``gated`` signals ``at_lock`` and waits for
-    ``proceed`` *before* acquiring the real lock; every other thread
-    passes straight through.  This makes a lost race deterministic.
+    The race this pins: a reader mid-read on the old table while the table
+    is dropped and recreated.  When the database kept tombstones per table
+    name, a reader could publish the old table's deleted positions for the
+    new, tombstone-free table and hide its rows.  The tombstones now live
+    on the :class:`Table`, so the old reader only ever sees the old array.
     """
 
-    def __init__(self, real_lock, gated_name: str):
-        self._real = real_lock
-        self._gated_name = gated_name
-        self.at_lock = threading.Event()
-        self.proceed = threading.Event()
-
-    def __enter__(self):
-        if threading.current_thread().name == self._gated_name:
-            self.at_lock.set()
-            assert self.proceed.wait(timeout=10.0)
-        return self._real.__enter__()
-
-    def __exit__(self, *exc):
-        return self._real.__exit__(*exc)
-
-
-class TestTombstonePublishAfterDrop:
-    """A tombstone rebuild must never publish for a dropped table.
-
-    The race: a batch worker passes ``_tombstones``'s unlocked staleness
-    check, then blocks on ``_tombstone_lock``; meanwhile the table is
-    dropped (and recreated).  Before the fix the worker would publish an
-    array built from the *old* table's tombstone set into the cache of
-    the new, tombstone-free table, hiding freshly inserted rows.
-    """
-
-    def test_rebuild_racing_drop_publishes_nothing(self, database, session, rng):
+    def test_reader_on_dropped_table_never_hides_recreated_rows(
+        self, database, session, rng
+    ):
         session.delete_row("facts", 7)
         session.delete_row("facts", 11)
-        # invalidate the cache so the next _tombstones call must rebuild
-        with database._tombstone_lock:
-            database._tombstone_cache.pop("facts", None)
-
-        gate = _GatedLock(database._tombstone_lock, "gated")
-        database._tombstone_lock = gate
+        taken = threading.Event()
+        proceed = threading.Event()
         results = {}
 
-        def rebuild():
-            results["value"] = database._tombstones("facts")
+        def reader():
+            table = database.table("facts")
+            tombstones = table.tombstones
+            taken.set()
+            assert proceed.wait(timeout=10.0)
+            results["tombstones"] = tombstones.tolist()
+            results["visible"] = len(
+                table.visible_positions(np.arange(2_000, dtype=np.int64))
+            )
 
-        worker = threading.Thread(target=rebuild, name="gated")
+        worker = threading.Thread(target=reader)
         worker.start()
-        assert gate.at_lock.wait(timeout=10.0)
-        # the worker is parked right before the lock: drop and recreate
+        assert taken.wait(timeout=10.0)
+        # the reader holds the old table's array: drop and recreate
         database.drop_table("facts")
         database.create_table(
             "facts",
             {"a": rng.integers(0, 10_000, size=500).astype(np.int64)},
         )
-        gate.proceed.set()
+        proceed.set()
         worker.join(timeout=10.0)
         assert not worker.is_alive()
 
-        assert results["value"] is None
-        assert "facts" not in database._tombstone_cache
+        # the old reader finished on a consistent view of the old table
+        assert results == {"tombstones": [7, 11], "visible": 1_998}
         # the recreated table must see every one of its rows
+        assert len(database.table("facts").tombstones) == 0
         positions = np.arange(500, dtype=np.int64)
         visible = database.visible_positions("facts", positions)
         assert len(visible) == 500
 
 
 class TestConcurrentDeleteAndTombstoneReads:
-    """DML deletes racing cache rebuilds must stay internally consistent."""
+    """Ungated readers racing DML deletes see a consistent array."""
 
     def test_reader_hammer_during_deletes(self, database, session):
         stop = threading.Event()
         errors = []
+        table = database.table("facts")
 
         def reader():
             positions = np.arange(2_000, dtype=np.int64)
@@ -109,31 +93,33 @@ class TestConcurrentDeleteAndTombstoneReads:
                 try:
                     # deletes only accumulate, so the visible count must sit
                     # between the tombstone counts sampled around the read
-                    before = database._tombstones("facts")
+                    before = table.tombstones
                     visible = database.visible_positions("facts", positions)
-                    after = database._tombstones("facts")
-                    low = 0 if before is None else len(before)
-                    high = 0 if after is None else len(after)
-                    assert 2_000 - high <= len(visible) <= 2_000 - low
+                    after = table.tombstones
+                    assert 2_000 - len(after) <= len(visible) <= 2_000 - len(before)
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(exc)
                     return
 
         readers = [threading.Thread(target=reader) for _ in range(4)]
-        for thread in readers:
-            thread.start()
+        interval = sys.getswitchinterval()
+        # switch threads often so reads interleave with each publication
+        sys.setswitchinterval(1e-6)
         try:
+            for thread in readers:
+                thread.start()
             for rowid in range(0, 600, 3):
                 session.delete_row("facts", rowid)
         finally:
             stop.set()
             for thread in readers:
                 thread.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
         assert not errors
-        assert database._deleted_rows["facts"] == set(range(0, 600, 3))
-        tombstones = database._tombstones("facts")
-        assert tombstones is not None
-        assert tombstones.tolist() == sorted(range(0, 600, 3))
+        assert table.tombstones.tolist() == list(range(0, 600, 3))
+        # a published array is never written to
+        assert not table.tombstones.flags.writeable
 
 
 class TestReorganizesOnReadDeclarations:

@@ -156,6 +156,18 @@ class TestSessionExecution:
         assert stats.rows_updated == 1
         assert stats.rows_deleted == 1
 
+    def test_repeated_delete_is_counted_once(self, database):
+        database.record_journal = True
+        with database.session() as session:
+            session.delete_row("facts", 5)
+            session.delete_row("facts", 5)
+            stats = session.stats()
+        assert stats.rows_deleted == database.rows_deleted == 1
+        # the repeat still reaches the journal: replaying it is a no-op
+        assert [record.kind for record in database.operation_journal()] == [
+            "delete", "delete",
+        ]
+
     def test_submitted_dml_applies(self, database):
         database.set_indexing("facts", "a", "updatable-cracking")
         with database.session() as session:
@@ -396,3 +408,40 @@ class TestDMLFencing:
         finally:
             del path.insert
         assert observed["locked"] is True
+
+
+class TestDDLFencing:
+    """DDL takes the table's write gate (inside the schema lock), so a mode
+    switch or a drop waits for the queries in flight on the table."""
+
+    @pytest.mark.parametrize(
+        "ddl",
+        [
+            lambda db: db.set_indexing("facts", "a", "cracking"),
+            lambda db: db.drop_table("facts"),
+        ],
+        ids=["set_indexing", "drop_table"],
+    )
+    def test_ddl_blocks_until_inflight_queries_drain(self, database, ddl):
+        holding, release, done = (threading.Event() for _ in range(3))
+
+        def in_flight_query():
+            with database._table_gates.read(["facts"]):
+                holding.set()
+                assert release.wait(5.0)
+
+        def run_ddl():
+            ddl(database)
+            done.set()
+
+        reader = threading.Thread(target=in_flight_query)
+        reader.start()
+        assert holding.wait(2.0)
+        writer = threading.Thread(target=run_ddl)
+        writer.start()
+        assert not done.wait(0.1), "DDL ran beside an in-flight query"
+        release.set()
+        assert done.wait(5.0)
+        reader.join()
+        writer.join()
+        assert database.table_gate("facts").fenced_writes == 1

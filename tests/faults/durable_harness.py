@@ -127,8 +127,9 @@ def assert_same_logical_state(recovered, oracle, context):
             recovered.table("facts")[name].values,
             oracle.table("facts")[name].values,
         ), f"{context}: column {name} diverged"
-    assert recovered._deleted_rows.get("facts", set()) == \
-        oracle._deleted_rows.get("facts", set()), context
+    assert np.array_equal(
+        recovered.table("facts").tombstones, oracle.table("facts").tombstones
+    ), context
     with recovered.session() as replayed, oracle.session() as expected:
         for low in (0, 1_200, 3_300):
             query = Query.range_query("facts", "key", low, low + 900)

@@ -110,8 +110,9 @@ def assert_same_final_state(concurrent, oracle, context):
             concurrent.table("facts")[name].values,
             oracle.table("facts")[name].values,
         ), f"{context}: column {name} diverged"
-    assert concurrent._deleted_rows.get("facts", set()) == \
-        oracle._deleted_rows.get("facts", set()), context
+    assert np.array_equal(
+        concurrent.table("facts").tombstones, oracle.table("facts").tombstones
+    ), context
 
 
 def session_worker(database, worker_index, use_submit_dml, errors):
