@@ -754,8 +754,11 @@ def test_merge_stream_matches_recorded_literals(name):
 
 SIDEWAYS_ROWS = 200
 
-#: label -> (sort_threshold, budget in bytes)
-SIDEWAYS_CASES = {"unlimited": (0, None), "budget-1.5-maps": (8, 7_200)}
+#: (label, sort_threshold) -> budget in bytes
+SIDEWAYS_CASES = {
+    ("unlimited", 0): None, ("budget-1.5-maps", 8): 7_200,
+    ("budget-1.5-maps", 0): 7_200,
+}
 
 
 #: (selections, projections, aggregates) | ("insert", row) | ("delete", rowid)
@@ -779,10 +782,10 @@ SIDEWAYS_STREAM = (
 )
 
 
-def run_sideways_stream(label):
+def run_sideways_stream(label, sort_threshold):
     """Per operation ``(counter tuple, maps' nbytes, map names)``, plus a hash
     of the answers (positions, projected columns, aggregates)."""
-    sort_threshold, budget = SIDEWAYS_CASES[label]
+    budget = SIDEWAYS_CASES[label, sort_threshold]
     rng = np.random.default_rng(SEED + 4)
     database = Database("golden-sideways")
     table = database.create_table("T", {
@@ -849,7 +852,7 @@ def run_sideways_stream(label):
 
 
 SIDEWAYS_GOLDEN = {
-    'unlimited': {
+    ('unlimited', 0): {
         'operations': [
             ((848, 782, 389, 0, 4800, 2), 4800, ('c',)),
             ((1312, 1146, 771, 0, 4800, 6), 9600, ('b', 'c')),
@@ -870,7 +873,28 @@ SIDEWAYS_GOLDEN = {
         ],
         'answers': '2f0fd3f73f653a68',
     },
-    'budget-1.5-maps': {
+    ('budget-1.5-maps', 8): {
+        'operations': [
+            ((848, 782, 389, 0, 4800, 2), 4800, ('c',)),
+            ((2094, 1928, 1156, 0, 9600, 8), 4800, ('c',)),
+            ((2164, 1928, 1274, 0, 9600, 8), 4800, ('c',)),
+            ((2414, 2092, 1654, 0, 9600, 12), 4800, ('c',)),
+            ((197, 83, 98, 0, 0, 2), 4800, ('c',)),
+            ((2704, 2350, 1725, 0, 9600, 20), 4800, ('c',)),
+            ((1213, 1205, 850, 0, 4800, 12), 4800, ('b',)),
+            ((0, 3, 0, 0, 24, 0), 0, ()),
+            ((1232, 1214, 857, 0, 4824, 12), 4824, ('c',)),
+            ((2666, 2428, 1833, 0, 9648, 24), 4824, ('c',)),
+            ((0, 1, 0, 0, 0, 0), 4824, ('c',)),
+            ((355, 0, 8, 0, 0, 0), 4824, ('c',)),
+            ((2554, 2428, 1706, 0, 9648, 24), 4824, ('c',)),
+            ((201, 0, 402, 20, 0, 0), 4824, ('c',)),
+            ((1374, 1214, 937, 0, 4824, 12), 4824, ('b',)),
+            ((1280, 1214, 857, 0, 4824, 12), 4824, ('c',)),
+        ],
+        'answers': '2f0fd3f73f653a68',
+    },
+    ('budget-1.5-maps', 0): {
         'operations': [
             ((848, 782, 389, 0, 4800, 2), 4800, ('c',)),
             ((2094, 1928, 1156, 0, 9600, 8), 4800, ('c',)),
@@ -894,9 +918,13 @@ SIDEWAYS_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(SIDEWAYS_CASES))
-def test_sideways_stream_matches_recorded_literals(label):
-    assert run_sideways_stream(label) == SIDEWAYS_GOLDEN[label]
+def _case_id(case):
+    return "-".join(str(part) for part in case)
+
+
+@pytest.mark.parametrize("case", sorted(SIDEWAYS_CASES), ids=_case_id)
+def test_sideways_stream_matches_recorded_literals(case):
+    assert run_sideways_stream(*case) == SIDEWAYS_GOLDEN[case]
 
 
 # ``PartialCrackedColumn`` searched directly over the drifting base column:
@@ -907,17 +935,22 @@ def test_sideways_stream_matches_recorded_literals(label):
 PARTIAL_FRAGMENTS = 8
 PARTIAL_QUERIES = 16
 
-#: label -> budget in bytes
-PARTIAL_CASES = {"unlimited": None, "quarter": 12_000, "below-one-fragment": 4_000}
+#: (label, sort_threshold) -> budget in bytes
+PARTIAL_CASES = {
+    (label, sort_threshold): budget
+    for sort_threshold in (16, 0)
+    for label, budget in (("unlimited", None), ("quarter", 12_000),
+                          ("below-one-fragment", 4_000))
+}
 
 
-def run_partial_stream(label):
+def run_partial_stream(label, sort_threshold):
     """Per query ``(counter tuple, nbytes, materialised fragments, evictions,
     fallback scans)``, plus a hash of the sorted answers."""
     values = base_values()
     strategy = create_strategy(
-        "partial-cracking", values, budget_bytes=PARTIAL_CASES[label],
-        fragments=PARTIAL_FRAGMENTS, sort_threshold=16,
+        "partial-cracking", values, budget_bytes=PARTIAL_CASES[label, sort_threshold],
+        fragments=PARTIAL_FRAGMENTS, sort_threshold=sort_threshold,
     )
     partial, search = strategy.partial, strategy.search
     rng = np.random.default_rng(SEED + 5)
@@ -941,7 +974,7 @@ def run_partial_stream(label):
 
 
 PARTIAL_GOLDEN = {
-    'unlimited': {
+    ('unlimited', 16): {
         'queries': [
             ((12742, 2968, 22973, 0, 35616, 15), 35616, 5, 0, 0),
             ((4497, 746, 8748, 0, 8952, 6), 44568, 7, 0, 0),
@@ -962,7 +995,7 @@ PARTIAL_GOLDEN = {
         ],
         'answers': 'e3ce4f1204021119',
     },
-    'quarter': {
+    ('quarter', 16): {
         'queries': [
             ((12742, 2968, 22973, 0, 35616, 15), 7488, 1, 4, 0),
             ((4497, 746, 8748, 0, 8952, 6), 8952, 2, 5, 0),
@@ -983,7 +1016,70 @@ PARTIAL_GOLDEN = {
         ],
         'answers': 'e3ce4f1204021119',
     },
-    'below-one-fragment': {
+    ('below-one-fragment', 16): {
+        'queries': [
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 1),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 2),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 3),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 4),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 5),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 6),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 7),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 8),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 9),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 10),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 11),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 12),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 13),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 14),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 15),
+            ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 16),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+    ('unlimited', 0): {
+        'queries': [
+            ((12742, 2968, 22973, 0, 35616, 15), 35616, 5, 0, 0),
+            ((4497, 746, 8748, 0, 8952, 6), 44568, 7, 0, 0),
+            ((3723, 765, 4783, 0, 3432, 5), 48000, 8, 0, 0),
+            ((722, 490, 500, 0, 0, 2), 48000, 8, 0, 0),
+            ((139, 123, 248, 0, 0, 2), 48000, 8, 0, 0),
+            ((175, 147, 297, 0, 0, 2), 48000, 8, 0, 0),
+            ((538, 292, 302, 0, 0, 2), 48000, 8, 0, 0),
+            ((625, 374, 386, 0, 0, 2), 48000, 8, 0, 0),
+            ((1683, 462, 489, 0, 0, 4), 48000, 8, 0, 0),
+            ((233, 117, 128, 0, 0, 2), 48000, 8, 0, 0),
+            ((76, 56, 115, 0, 0, 2), 48000, 8, 0, 0),
+            ((1161, 140, 170, 0, 0, 2), 48000, 8, 0, 0),
+            ((203, 188, 379, 0, 0, 2), 48000, 8, 0, 0),
+            ((299, 96, 109, 0, 0, 2), 48000, 8, 0, 0),
+            ((69, 57, 117, 0, 0, 2), 48000, 8, 0, 0),
+            ((703, 432, 445, 0, 0, 2), 48000, 8, 0, 0),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+    ('quarter', 0): {
+        'queries': [
+            ((12742, 2968, 22973, 0, 35616, 15), 7488, 1, 4, 0),
+            ((4497, 746, 8748, 0, 8952, 6), 8952, 2, 5, 0),
+            ((12416, 2630, 22635, 0, 31560, 15), 7224, 1, 11, 0),
+            ((4774, 1084, 9086, 0, 13008, 6), 7488, 1, 13, 0),
+            ((2172, 312, 4313, 0, 3744, 3), 11232, 2, 13, 0),
+            ((2329, 602, 4603, 0, 7224, 3), 10968, 2, 14, 0),
+            ((2746, 812, 4818, 0, 7488, 5), 7488, 1, 16, 0),
+            ((4793, 1084, 9086, 0, 13008, 6), 7488, 1, 18, 0),
+            ((10577, 2515, 18718, 0, 27816, 14), 5208, 1, 22, 0),
+            ((4489, 746, 8748, 0, 8952, 6), 8952, 2, 23, 0),
+            ((2332, 624, 4625, 0, 7488, 3), 7488, 1, 25, 0),
+            ((12336, 2630, 22635, 0, 31560, 15), 7224, 1, 30, 0),
+            ((2327, 624, 4625, 0, 7488, 3), 7488, 1, 31, 0),
+            ((2533, 547, 4663, 0, 5208, 5), 5208, 1, 32, 0),
+            ((2242, 460, 4461, 0, 5520, 3), 10728, 2, 32, 0),
+            ((4901, 1260, 9262, 0, 15120, 6), 7224, 1, 35, 0),
+        ],
+        'answers': 'e3ce4f1204021119',
+    },
+    ('below-one-fragment', 0): {
         'queries': [
             ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 1),
             ((2000, 0, 4000, 0, 0, 0), 0, 0, 0, 2),
@@ -1007,9 +1103,9 @@ PARTIAL_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("label", sorted(PARTIAL_CASES))
-def test_partial_stream_matches_recorded_literals(label):
-    assert run_partial_stream(label) == PARTIAL_GOLDEN[label]
+@pytest.mark.parametrize("case", sorted(PARTIAL_CASES), ids=_case_id)
+def test_partial_stream_matches_recorded_literals(case):
+    assert run_partial_stream(*case) == PARTIAL_GOLDEN[case]
 
 
 # -- the robustness claim: plain vs stochastic cracking per access pattern -----------
@@ -1113,9 +1209,9 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_g
         ("PARTIAL_GOLDEN", PARTIAL_CASES, run_partial_stream, "queries"),
     ):
         print(f"{title} = {{")
-        for label in cases:
-            recorded = run(label)
-            print(f"    {label!r}: {{")
+        for case in cases:
+            recorded = run(*case)
+            print(f"    {case!r}: {{")
             print(f"        {key!r}: [")
             for entry in recorded[key]:
                 print(f"            {entry!r},")
