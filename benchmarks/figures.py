@@ -389,8 +389,7 @@ def same_work(a: Cell, b: Cell) -> bool:
     return a.costs == b.costs and a.counters == b.counters
 
 
-HYBRIDS = ("hybrid-crack-crack", "hybrid-crack-sort", "hybrid-crack-radix",
-           "hybrid-sort-sort", "hybrid-radix-radix")
+HYBRIDS = ("hybrid-crack-crack", "hybrid-crack-sort", "hybrid-sort-sort")
 ADAPTIVE = ("cracking", "adaptive-merging", "hybrid-crack-sort")
 SELECTIVITIES = (0.0001, 0.001, 0.01, 0.1, 0.5)
 UPDATE_RATIOS = (0.0, 0.01, 0.1, 1.0)
@@ -646,8 +645,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                "EDBT 2010; the comparison framing of PVLDB 2011",
         rows=100_000, queries=400, gate=(10_000, 400),
         panels={"random": W("random", 0.02, seed=10)},
-        variants=names("cracking", "adaptive-merging",
-                       run_size=2_000),
+        variants={**names("cracking"), **names("adaptive-merging", run_size=2_000)},
         probes={"adaptive-merging": lambda strategy: {
             "merged_fraction": strategy.index.merged_count / len(strategy)}},
         derived={
@@ -761,7 +759,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         rows=100_000, queries=3 * SHIFT, gate=(10_000, 3 * SHIFT),
         panels={"shifting": W("piecewise", 0.02, seed=14, shift_every=SHIFT,
                               focus_fraction=0.08)},
-        variants=names("scan", *ADAPTIVE, run_size=2_000),
+        variants={**names("scan", *ADAPTIVE), **names("adaptive-merging", run_size=2_000)},
         derived={
             f"{phase}@{name}": (lambda r, name=name, window=window: _phase(r(name), *window))
             for name in ADAPTIVE

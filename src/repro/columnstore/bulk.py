@@ -211,31 +211,6 @@ def partition_three_way(
     return start + below_count, start + below_count + middle_count
 
 
-@typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
-              mutates=("values", "payload"))
-@charges("comparisons", "movements")
-def stable_sort_segment(
-    values: np.ndarray,
-    start: int,
-    end: int,
-    counters: Optional[CostCounters] = None,
-    payload=None,
-) -> None:
-    """Sort ``values[start:end]`` in place (mergesort), permuting ``payload`` alike."""
-    segment = values[start:end]
-    if len(segment) <= 1:
-        return
-    order = np.argsort(segment, kind="stable")
-    values[start:end] = segment[order]
-    for extra in _payload_list(payload):
-        extra[start:end] = extra[start:end][order]
-    if counters is not None:
-        n = len(segment)
-        # n log n comparisons, n moves: the standard accounting for a sort.
-        counters.record_comparisons(int(n * max(1.0, np.log2(n))))
-        counters.record_move(n)
-
-
 def sort_comparisons(size: int) -> int:
     """Comparisons charged for sorting ``size`` elements."""
     return int(size * max(1.0, np.log2(max(size, 2))))
@@ -305,61 +280,6 @@ def stable_sort_rows(
             n // width * sort_comparisons(width) + sort_comparisons(n - full))
         counters.record_move(n)
     return sorted_values, positions
-
-
-@charges("scans", "comparisons", "movements")
-def radix_cluster(
-    values: np.ndarray,
-    bits: int,
-    counters: Optional[CostCounters] = None,
-    payload: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cluster ``values`` into ``2**bits`` range buckets (out of place).
-
-    Used by the radix variants of the hybrid algorithms (PVLDB 2011).  The
-    clustering is value-range based (most-significant bits of the normalised
-    key), so each bucket covers a contiguous key range and buckets are
-    ordered by key range.
-
-    Returns ``(clustered_values, clustered_payload, bucket_offsets)`` where
-    ``bucket_offsets`` has ``2**bits + 1`` entries delimiting each bucket.
-    """
-    values = np.asarray(values)
-    n = len(values)
-    buckets = 1 << bits
-    if n == 0:
-        empty_payload = payload if payload is not None else np.empty(0, dtype=np.int64)
-        return values.copy(), np.asarray(empty_payload).copy(), np.zeros(
-            buckets + 1, dtype=np.int64
-        )
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        bucket_ids = np.zeros(n, dtype=np.int64)
-    else:
-        # normalise into [0, buckets) by value range; integer keys are taken
-        # apart from the minimum in integer space first (their distance to
-        # it fits uint64, whose wrap-around keeps the subtraction exact), so
-        # only the distances are rounded — monotonically — on the way to float
-        if values.dtype.kind in "iu":
-            offsets = np.subtract(values, lo, dtype=np.uint64, casting="unsafe")
-        else:
-            offsets = values.astype(np.float64) - lo
-        scaled = offsets / np.float64(hi.item() - lo.item())
-        bucket_ids = np.minimum((scaled * buckets).astype(np.int64), buckets - 1)
-    order = np.argsort(bucket_ids, kind="stable")
-    clustered = values[order]
-    clustered_payload = (
-        np.asarray(payload)[order] if payload is not None else order.astype(np.int64)
-    )
-    counts = np.bincount(bucket_ids, minlength=buckets)
-    offsets = np.zeros(buckets + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if counters is not None:
-        counters.record_scan(n)
-        counters.record_move(n)
-        counters.record_comparisons(n)
-    return clustered, clustered_payload, offsets
 
 
 @typed_kernel(buffers={"left_values": "numeric", "left_positions": "integer",

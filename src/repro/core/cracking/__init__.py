@@ -12,7 +12,7 @@ Modules
 -------
 ``cracker_index``
     The piece-boundary bookkeeping structure (an ordered map from key values
-    to array positions, with per-piece sortedness flags).
+    to array positions).
 ``crack_engine``
     The physical crack-in-two / crack-in-three kernels and the ripple
     insertion/deletion kernels.

@@ -22,10 +22,8 @@ import numpy as np
 from repro.analysis_tools.guards import charges, typed_kernel
 from repro.columnstore.bulk import (
     binary_search_count,
-    lower_bound,
     partition_three_way,
     partition_two_way,
-    stable_sort_segment,
 )
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.cost.counters import CostCounters
@@ -51,50 +49,24 @@ def crack_value(
     index: CrackerIndex,
     pivot: float,
     counters: Optional[CostCounters] = None,
-    sort_threshold: int = 0,
     extra_payload: Optional[np.ndarray] = None,
 ) -> int:
     """Ensure a boundary for ``pivot`` exists; return its position.
 
     If ``pivot`` is already a boundary the lookup is free of data movement.
     Otherwise the piece containing ``pivot`` is located and physically
-    partitioned around ``pivot`` (crack-in-two).  When the piece is already
-    sorted, a binary search replaces the physical crack.  When the piece is
-    smaller than ``sort_threshold`` it is sorted outright (and marked so),
-    which accelerates convergence at a small extra cost — the
-    "sort small pieces" optimisation discussed for the hybrid variants.
+    partitioned around ``pivot`` (crack-in-two).
     """
-    payload = _payloads(rowids, extra_payload)
     existing = index.position_of(pivot)
+    if counters is not None:
+        counters.record_comparisons(binary_search_count(index.piece_count))
     if existing is not None:
-        if counters is not None:
-            counters.record_comparisons(binary_search_count(index.piece_count))
         return existing
 
     piece = index.piece_for_value(pivot)
-    if counters is not None:
-        counters.record_comparisons(binary_search_count(index.piece_count))
-
-    if piece.sorted:
-        # no data movement needed: binary search inside the sorted piece
-        split = piece.start + lower_bound(values[piece.start : piece.end], pivot)
-        if counters is not None:
-            counters.record_comparisons(binary_search_count(piece.size))
-        index.add_boundary(pivot, split, left_sorted=True, right_sorted=True)
-        if counters is not None:
-            counters.record_pieces(1)
-        return split
-
-    if 0 < sort_threshold and piece.size <= sort_threshold and piece.size > 1:
-        stable_sort_segment(values, piece.start, piece.end, counters, payload=payload)
-        split = piece.start + lower_bound(values[piece.start : piece.end], pivot)
-        index.add_boundary(pivot, split, left_sorted=True, right_sorted=True)
-        if counters is not None:
-            counters.record_pieces(1)
-        return split
-
     split = partition_two_way(
-        values, piece.start, piece.end, pivot, counters, payload=payload
+        values, piece.start, piece.end, pivot, counters,
+        payload=_payloads(rowids, extra_payload),
     )
     index.add_boundary(pivot, split)
     if counters is not None:
@@ -113,32 +85,24 @@ def crack_range(
     low: Optional[float],
     high: Optional[float],
     counters: Optional[CostCounters] = None,
-    sort_threshold: int = 0,
     extra_payload: Optional[np.ndarray] = None,
 ) -> Tuple[int, int]:
     """Crack so that values in ``[low, high)`` occupy one contiguous region.
 
     Returns ``(start, end)`` positions of the qualifying region.  Uses
-    crack-in-three when both bounds fall inside the same (unsorted,
-    un-cracked-at-either-bound) piece, crack-in-two otherwise, mirroring the
-    original algorithm.
+    crack-in-three when both bounds fall inside the same
+    (un-cracked-at-either-bound) piece, crack-in-two otherwise, mirroring
+    the original algorithm.
     """
     if low is not None and high is not None and high < low:
         raise ValueError(f"empty range: high ({high}) < low ({low})")
-    payload = _payloads(rowids, extra_payload)
 
     if low is None and high is None:
         return 0, index.size
     if low is None:
-        end = crack_value(
-            values, rowids, index, high, counters, sort_threshold, extra_payload
-        )
-        return 0, end
+        return 0, crack_value(values, rowids, index, high, counters, extra_payload)
     if high is None:
-        start = crack_value(
-            values, rowids, index, low, counters, sort_threshold, extra_payload
-        )
-        return start, index.size
+        return crack_value(values, rowids, index, low, counters, extra_payload), index.size
 
     low_known = index.position_of(low) is not None
     high_known = index.position_of(high) is not None
@@ -149,9 +113,7 @@ def crack_range(
         same_piece = (
             low_piece.start == high_piece.start and low_piece.end == high_piece.end
         )
-        if same_piece and not low_piece.sorted and not (
-            0 < sort_threshold and low_piece.size <= sort_threshold
-        ):
+        if same_piece:
             # charge the piece lookup before the physical partition (as
             # crack_value does) so mid-query counter snapshots attribute the
             # navigation cost to navigation, not to data movement
@@ -159,7 +121,7 @@ def crack_range(
                 counters.record_comparisons(binary_search_count(index.piece_count))
             split_low, split_high = partition_three_way(
                 values, low_piece.start, low_piece.end, low, high, counters,
-                payload=payload,
+                payload=_payloads(rowids, extra_payload),
             )
             if counters is not None:
                 counters.record_pieces(2)
@@ -167,12 +129,8 @@ def crack_range(
             index.add_boundary(high, split_high)
             return split_low, split_high
 
-    start = crack_value(
-        values, rowids, index, low, counters, sort_threshold, extra_payload
-    )
-    end = crack_value(
-        values, rowids, index, high, counters, sort_threshold, extra_payload
-    )
+    start = crack_value(values, rowids, index, low, counters, extra_payload)
+    end = crack_value(values, rowids, index, high, counters, extra_payload)
     return start, end
 
 

@@ -80,11 +80,6 @@ class CrackedColumn:
         The base column (or a raw array).  The cracked column keeps its own
         copy — the cracker column — plus an aligned array of row
         identifiers, so search results identify rows of the *base* column.
-    sort_threshold:
-        When a crack targets a piece of at most this many elements, the
-        piece is sorted outright instead of partitioned, and marked sorted
-        so later cracks inside it need no data movement.  ``0`` disables the
-        optimisation (the classic CIDR 2007 algorithm).
     counters:
         Optional cost counters charged with the initial copy (the
         "initialization cost" of the first query is the copy plus the first
@@ -116,7 +111,6 @@ class CrackedColumn:
     def __init__(
         self,
         column: Union[Column, np.ndarray],
-        sort_threshold: int = 0,
         counters: Optional[CostCounters] = None,
         lazy_copy: bool = True,
         name: str = "",
@@ -132,7 +126,6 @@ class CrackedColumn:
         if merge_batch < 1:
             raise ValueError("merge_batch must be >= 1")
         self.name = name or (column.name if isinstance(column, Column) else "")
-        self.sort_threshold = int(sort_threshold)
         self.policy = policy
         self.merge_batch = int(merge_batch)
         self.rowid_base = int(rowid_base)
@@ -474,7 +467,6 @@ class CrackedColumn:
         *,
         policy: str,
         merge_batch: int,
-        sort_threshold: int,
         next_rowid: int,
         pending_inserts: Sequence[Tuple[float, int]],
         pending_deletes: Dict[int, float],
@@ -492,10 +484,7 @@ class CrackedColumn:
         """
         if len(values) != len(rowids) or index.size != len(values):
             raise ValueError("fragment arrays and index sizes must agree")
-        fragment = cls(
-            values[:0], sort_threshold=sort_threshold, name=name,
-            policy=policy, merge_batch=merge_batch,
-        )
+        fragment = cls(values[:0], name=name, policy=policy, merge_batch=merge_batch)
         fragment._original_rowids = set(int(r) for r in original_rowids)
         fragment._next_rowid = int(next_rowid)
         fragment.index = index
@@ -575,7 +564,7 @@ class CrackedColumn:
         }
         common = dict(
             policy=self.policy, merge_batch=self.merge_batch,
-            sort_threshold=self.sort_threshold, next_rowid=self._next_rowid,
+            next_rowid=self._next_rowid,
         )
         left = CrackedColumn._from_parts(
             left_values, left_rowids, self._original_rowid_subset(left_rowids),
@@ -631,7 +620,6 @@ class CrackedColumn:
         return cls._from_parts(
             values, rowids, original, index,
             policy=left.policy, merge_batch=left.merge_batch,
-            sort_threshold=left.sort_threshold,
             next_rowid=max(left._next_rowid, right._next_rowid),
             pending_inserts=pending_inserts, pending_deletes=pending_deletes,
             inserted_values=inserted,
@@ -670,10 +658,8 @@ class CrackedColumn:
                            counters: Optional[CostCounters]) -> None:
         """Physically place one value into its piece via ripple shifts."""
         self._ensure_capacity(1)
-        target_index = self.index.piece_index_for_value(value)
-        # content of target piece and of every piece after it will change
-        # order — and a sorted column stops being one
-        self.index.mark_pieces_unsorted_from(target_index)
+        # the pieces from the target on change order: a sorted column stops
+        # being one
         self._converged = False
         ripple_insert_value(
             self._values_buffer, self._rowids_buffer, self._length, value, rowid,
@@ -686,8 +672,7 @@ class CrackedColumn:
     def _ripple_delete_one(self, rowid: int, value: float,
                            counters: Optional[CostCounters]) -> bool:
         """Physically remove one row from its piece via ripple shifts."""
-        target_index = self.index.piece_index_for_value(value)
-        target = self.index.piece_at_index(target_index)
+        target = self.index.piece_for_value(value)
         segment_rowids = self.rowids[target.start : target.end]
         offsets = np.flatnonzero(segment_rowids == rowid)
         if counters is not None:
@@ -695,7 +680,6 @@ class CrackedColumn:
         if len(offsets) == 0:
             return False
         position = target.start + int(offsets[0])
-        self.index.mark_pieces_unsorted_from(target_index)
         self._converged = False
         # fill the hole with the last element of the target piece, then let
         # the hole ripple right through every subsequent piece.
@@ -866,13 +850,7 @@ class CrackedColumn:
             start, end = self._sorted_range(low, high, counters)
         else:
             start, end = crack_range(
-                self.values,
-                self.rowids,
-                self.index,
-                low,
-                high,
-                counters,
-                sort_threshold=self.sort_threshold,
+                self.values, self.rowids, self.index, low, high, counters
             )
         return start, max(start, end), extra, excluded
 
@@ -940,11 +918,10 @@ class CrackedColumn:
 
         The whole slice while unmaterialised (the first crack splits the one
         piece; the copy moves as many again), the sizes of the distinct
-        unsorted pieces holding a bound that is not yet a boundary after
-        that, 0 once converged.  It is what the cracks charge to
-        ``tuples_moved`` (bar a one-element piece under a sort threshold,
-        which may move twice); ripple merges of pending updates are not
-        counted.  The partitioned owner sizes its fan-out with it.
+        pieces holding a bound that is not yet a boundary after that, 0 once
+        converged.  It is what the cracks charge to ``tuples_moved``; ripple
+        merges of pending updates are not counted.  The partitioned owner
+        sizes its fan-out with it.
         """
         if not self.materialised:
             return len(self._base)
@@ -966,10 +943,7 @@ class CrackedColumn:
         """
         if not self.materialised:
             self._materialise(counters)
-        return crack_value(
-            self.values, self.rowids, self.index, pivot, counters,
-            sort_threshold=self.sort_threshold,
-        )
+        return crack_value(self.values, self.rowids, self.index, pivot, counters)
 
     def is_fully_sorted(self) -> bool:
         """True when the cracker column is completely sorted: the O(n) oracle
@@ -1032,5 +1006,3 @@ class CrackedColumn:
                 assert segment.min() >= piece.low, f"piece {piece} violates low bound"
             if piece.high is not None:
                 assert segment.max() < piece.high, f"piece {piece} violates high bound"
-            if piece.sorted and len(segment) > 1:
-                assert np.all(segment[:-1] <= segment[1:]), f"piece {piece} not sorted"

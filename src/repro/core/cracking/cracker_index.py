@@ -7,25 +7,22 @@ cracker column.  A boundary ``(value, position)`` asserts the invariant:
     every element at or after ``position`` is greater than or equal to
     ``value``.
 
-Consecutive boundaries delimit *pieces*.  The index additionally tracks, per
-piece, whether the piece happens to be fully sorted (pieces become sorted
-when a strategy decides to sort small pieces, or when hybrid algorithms sort
-merged pieces), because boundaries inside a sorted piece can be introduced
-with a binary search instead of a physical crack.
+Consecutive boundaries delimit *pieces*.  A piece carries no order of its
+own: a query bound inside it is a physical crack, and a column becomes
+sorted only by being cracked everywhere (``CrackedColumn.converged``).
 
-MonetDB implements this structure as an AVL tree; here three parallel
+MonetDB implements this structure as an AVL tree; here two parallel
 sequences ordered by boundary value give the same O(log #pieces) navigation
 through :mod:`bisect`.  They do not stay small — a query adds up to two
 boundaries, so 12 000 queries leave some 24 000 pieces — and every merged
 update moves each later boundary by one, so storage is chosen per sequence.
 Boundary **values** are a Python list: bisecting Python floats is the
 fastest navigation there is, and values never shift.  Boundary
-**positions** are an ``array('q')`` and the sortedness **flags** a
-``bytearray``: both read and insert like a list (scalar reads are Python
-``int``; an insert is one memmove with the interpreter lock held) and both
-export the buffer protocol, so the update path shifts and range-checks a
-suffix of positions and clears a suffix of flags as single vectorised
-operations on a zero-copy numpy view — no interpreter step per piece.
+**positions** are an ``array('q')``: it reads and inserts like a list
+(scalar reads are Python ``int``; an insert is one memmove with the
+interpreter lock held) and exports the buffer protocol, so the update path
+shifts and range-checks a suffix of positions as one vectorised operation
+on a zero-copy numpy view — no interpreter step per piece.
 
 An ``array`` cannot be resized while a view of it is alive, so a view is a
 local of the method that makes it, dropped before that method returns or
@@ -52,15 +49,13 @@ class Piece:
 
     ``low``/``high`` are value bounds: every value in ``[start, end)`` is
     ``>= low`` (if ``low`` is not ``None``) and ``< high`` (if ``high`` is
-    not ``None``).  ``sorted`` indicates the region is in non-decreasing
-    order.
+    not ``None``).
     """
 
     start: int
     end: int
     low: Optional[float]
     high: Optional[float]
-    sorted: bool = False
 
     @property
     def size(self) -> int:
@@ -69,8 +64,7 @@ class Piece:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lo = "-inf" if self.low is None else self.low
         hi = "+inf" if self.high is None else self.high
-        flag = ", sorted" if self.sorted else ""
-        return f"Piece([{self.start}:{self.end}), values [{lo}, {hi}){flag})"
+        return f"Piece([{self.start}:{self.end}), values [{lo}, {hi}))"
 
 
 class CrackerIndex:
@@ -83,9 +77,6 @@ class CrackerIndex:
         # boundary i: values[0.._positions[i]) < _values[i] <= values[_positions[i]..)
         self._values: List[float] = []
         self._positions = array("q")
-        # _sorted_flags[i] describes the piece *before* boundary i;
-        # _sorted_flags[len(_values)] describes the last piece.
-        self._sorted_flags = bytearray(1)
 
     # -- basic properties ---------------------------------------------------
 
@@ -141,25 +132,12 @@ class CrackerIndex:
         index = bisect.bisect_right(self._values, value)
         return self._piece_at(index)
 
-    def piece_index_for_value(self, value: float) -> int:
-        """Index (0-based) of the piece whose value range contains ``value``."""
-        return bisect.bisect_right(self._values, value)
-
-    def piece_at_index(self, index: int) -> Piece:
-        """The ``index``-th piece (0-based, left to right)."""
-        if not 0 <= index < self.piece_count:
-            raise IndexError(
-                f"piece index {index} out of range for {self.piece_count} pieces"
-            )
-        return self._piece_at(index)
-
     def _piece_at(self, index: int) -> Piece:
         start = self._positions[index - 1] if index > 0 else 0
         end = self._positions[index] if index < len(self._positions) else self.size
         low = self._values[index - 1] if index > 0 else None
         high = self._values[index] if index < len(self._values) else None
-        return Piece(start=start, end=end, low=low, high=high,
-                     sorted=bool(self._sorted_flags[index]))
+        return Piece(start=start, end=end, low=low, high=high)
 
     def pieces(self) -> List[Piece]:
         """All pieces, left to right."""
@@ -167,23 +145,22 @@ class CrackerIndex:
 
     def _piece_to_crack(self, bound: Optional[float]) -> int:
         """Index of the piece a crack at ``bound`` would physically partition;
-        -1 when it would move nothing (no bound, a registered boundary, or a
-        sorted piece, where the crack is a binary search)."""
+        -1 when it would move nothing (no bound, or a registered boundary)."""
         if bound is None:
             return -1
         values = self._values
         index = bisect.bisect_left(values, bound)
         if index < len(values) and values[index] == bound:
             return -1
-        return -1 if self._sorted_flags[index] else index
+        return index
 
     def crack_work(self, low: Optional[float], high: Optional[float]) -> int:
         """Elements a crack for ``[low, high)`` would move, without cracking.
 
-        The sizes of the distinct unsorted pieces holding a bound that is not
-        yet a boundary: both bounds in one piece move it once (crack-in-three,
-        or one sort under a sort threshold), bounds in two pieces move both.
-        Reads the flat buffers only — two bisects, no :class:`Piece`.
+        The sizes of the distinct pieces holding a bound that is not yet a
+        boundary: both bounds in one piece move it once (crack-in-three),
+        bounds in two pieces move both.  Reads the flat buffers only — two
+        bisects, no :class:`Piece`.
         """
         first = self._piece_to_crack(low)
         second = self._piece_to_crack(high)
@@ -197,25 +174,10 @@ class CrackerIndex:
         end = positions[index] if index < len(positions) else self.size
         return end - (positions[index - 1] if index else 0)
 
-    def lower_bound_position(self, value: float) -> Optional[int]:
-        """Position of the first element >= value, if derivable from boundaries.
-
-        Returns the exact position when ``value`` is a registered boundary,
-        otherwise None (a crack is needed to learn it).
-        """
-        return self.position_of(value)
-
     # -- mutation --------------------------------------------------------------
 
-    def add_boundary(self, value: float, position: int,
-                     left_sorted: Optional[bool] = None,
-                     right_sorted: Optional[bool] = None) -> None:
-        """Register that the first element >= ``value`` sits at ``position``.
-
-        ``left_sorted`` / ``right_sorted`` override the sortedness flags of
-        the two pieces the split produces; by default both inherit the flag
-        of the piece that was split.
-        """
+    def add_boundary(self, value: float, position: int) -> None:
+        """Register that the first element >= ``value`` sits at ``position``."""
         if not 0 <= position <= self.size:
             raise ValueError(
                 f"boundary position {position} outside column of size {self.size}"
@@ -228,10 +190,6 @@ class CrackerIndex:
                     f"conflicting boundary for value {value!r}: "
                     f"existing position {existing}, new position {position}"
                 )
-            if left_sorted is not None:
-                self._sorted_flags[index] = left_sorted
-            if right_sorted is not None:
-                self._sorted_flags[index + 1] = right_sorted
             return
         # monotonicity check against neighbours
         if index > 0 and self._positions[index - 1] > position:
@@ -244,20 +202,8 @@ class CrackerIndex:
                 f"boundary ({value}, {position}) violates ordering against "
                 f"({self._values[index]}, {self._positions[index]})"
             )
-        inherited = self._sorted_flags[index]
         self._values.insert(index, value)
         self._positions.insert(index, position)
-        self._sorted_flags.insert(
-            index, inherited if left_sorted is None else left_sorted
-        )
-        if right_sorted is not None:
-            self._sorted_flags[index + 1] = right_sorted
-
-    def mark_piece_sorted(self, piece_index: int, is_sorted: bool = True) -> None:
-        """Set the sortedness flag of the ``piece_index``-th piece."""
-        if not 0 <= piece_index < self.piece_count:
-            raise IndexError(f"piece index {piece_index} out of range")
-        self._sorted_flags[piece_index] = is_sorted
 
     def shift_positions(self, from_position: int, delta: int) -> None:
         """Shift every boundary at or after ``from_position`` by ``delta``.
@@ -293,20 +239,14 @@ class CrackerIndex:
         if out_of_range:
             raise ValueError("shift produced out-of-range boundaries")
 
-    def mark_pieces_unsorted_from(self, piece_index: int) -> None:
-        """Clear the sortedness flag of every piece at or after ``piece_index``."""
-        first = max(piece_index, 0)
-        self._sorted_flags[first:] = bytes(max(len(self._sorted_flags) - first, 0))
-
     def split_at_boundary(self, value: float) -> Tuple["CrackerIndex", "CrackerIndex"]:
         """Split the index at the existing boundary for ``value``.
 
         Returns two independent indexes: the left one describes positions
         ``[0, position)`` (every boundary strictly below ``value``), the
         right one positions ``[position, size)`` re-based at zero (every
-        boundary strictly above ``value``).  Piece sortedness flags are
-        carried over, so no refinement learned by earlier cracks is lost.
-        Used by adaptive repartitioning to split a partition at a crack
+        boundary strictly above ``value``), so no refinement learned by
+        earlier cracks is lost.  Used by adaptive repartitioning to split a partition at a crack
         boundary without re-reading the data.
         """
         position = self.position_of(value)
@@ -316,11 +256,9 @@ class CrackerIndex:
         left = CrackerIndex(position)
         left._values = self._values[:index]
         left._positions = self._positions[:index]
-        left._sorted_flags = self._sorted_flags[: index + 1]
         right = CrackerIndex(self.size)
         right._values = self._values[index + 1 :]
         right._positions = self._positions[index + 1 :]
-        right._sorted_flags = self._sorted_flags[index + 1 :]
         right._shift_from(0, -position)
         return left, right
 
@@ -336,14 +274,12 @@ class CrackerIndex:
         last = max(first, bisect.bisect_left(self._positions, end))
         del self._values[first:last]
         del self._positions[first:last]
-        del self._sorted_flags[first:last]
 
     # -- validation ----------------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Raise AssertionError when internal invariants are violated (tests)."""
         assert len(self._values) == len(self._positions)
-        assert len(self._sorted_flags) == len(self._values) + 1
         assert all(
             self._values[i] < self._values[i + 1] for i in range(len(self._values) - 1)
         ), "boundary values must be strictly increasing"

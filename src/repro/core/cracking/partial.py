@@ -67,7 +67,6 @@ class PartialCrackedColumn:
         column: Union[Column, np.ndarray],
         budget: Optional[StorageBudget] = None,
         fragments: int = 16,
-        sort_threshold: int = 0,
         name: str = "",
     ) -> None:
         if fragments < 1:
@@ -79,7 +78,6 @@ class PartialCrackedColumn:
         self._base = base
         self.budget = budget or StorageBudget(limit_bytes=None)
         self.fragment_count = int(fragments)
-        self.sort_threshold = int(sort_threshold)
         self._edges = _fragment_edges(base, self.fragment_count)
         self._fragments: Dict[int, _Fragment] = {}
         self.queries_processed = 0
@@ -135,7 +133,7 @@ class PartialCrackedColumn:
         if not self.budget.can_allocate(needed):
             return None
 
-        cracked = CrackedColumn(values, sort_threshold=self.sort_threshold, lazy_copy=False)
+        cracked = CrackedColumn(values, lazy_copy=False)
         fragment = _Fragment(
             fragment_index=index, cracked=cracked, rowids=rowids,
             last_used=self.queries_processed,

@@ -74,14 +74,12 @@ class SidewaysCracker:
         table: Table,
         head: str,
         budget: Optional[StorageBudget] = None,
-        sort_threshold: int = 0,
     ) -> None:
         if head not in table:
             raise KeyError(f"selection attribute {head!r} not in table {table.name!r}")
         self.table = table
         self.head = head
         self.budget = budget or StorageBudget(limit_bytes=None)
-        self.sort_threshold = int(sort_threshold)
         # full crack history of the head attribute: sequence of pivots
         self.crack_history: List[float] = []
         self.maps: Dict[str, CrackerMap] = {}
@@ -154,7 +152,6 @@ class SidewaysCracker:
                 cracker_map.index,
                 pivot,
                 counters,
-                sort_threshold=0,
                 extra_payload=cracker_map.tail_values,
             )
             cracker_map.applied_cracks += 1
@@ -220,7 +217,6 @@ class SidewaysCracker:
                 low,
                 high,
                 counters,
-                sort_threshold=self.sort_threshold,
                 extra_payload=cracker_map.tail_values,
             )
             if counters is not None:

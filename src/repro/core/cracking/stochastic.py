@@ -61,7 +61,6 @@ class StochasticCrackedColumn(CrackedColumn):
         variant: str = "ddr",
         size_threshold_fraction: float = 0.01,
         seed: Optional[int] = 0,
-        sort_threshold: int = 0,
         counters: Optional[CostCounters] = None,
         lazy_copy: bool = True,
         name: str = "",
@@ -71,13 +70,7 @@ class StochasticCrackedColumn(CrackedColumn):
             raise ValueError(f"unknown stochastic cracking variant {variant!r}")
         if not 0.0 < size_threshold_fraction <= 1.0:
             raise ValueError("size_threshold_fraction must be in (0, 1]")
-        super().__init__(
-            column,
-            sort_threshold=sort_threshold,
-            counters=counters,
-            lazy_copy=lazy_copy,
-            name=name,
-        )
+        super().__init__(column, counters=counters, lazy_copy=lazy_copy, name=name)
         self.variant = variant
         self.size_threshold_fraction = size_threshold_fraction
         self._rng = np.random.default_rng(seed)
@@ -109,7 +102,7 @@ class StochasticCrackedColumn(CrackedColumn):
         attempts = 1 if self.variant == "ddc" else _AUX_PIVOT_ATTEMPTS
         while True:
             piece = self.index.piece_for_value(bound)
-            if piece.sorted or piece.size <= threshold:
+            if piece.size <= threshold:
                 return
             # A pivot at the piece minimum (or an existing boundary) cannot
             # cut the piece — but for the random variants one unlucky draw
@@ -127,10 +120,7 @@ class StochasticCrackedColumn(CrackedColumn):
                 break
             if pivot is None:
                 return
-            crack_value(
-                self.values, self.rowids, self.index, pivot, counters,
-                sort_threshold=self.sort_threshold,
-            )
+            crack_value(self.values, self.rowids, self.index, pivot, counters)
             if not recursive:
                 return
 

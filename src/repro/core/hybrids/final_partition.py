@@ -9,9 +9,7 @@ each piece receives:
 * ``mode="crack"`` — the piece keeps the order it arrived in and is cracked
   further by later queries that partially overlap it (hybrid crack-crack);
 * ``mode="sort"``  — the piece is sorted on arrival, so later overlapping
-  queries only need binary searches (hybrid crack-sort / sort-sort);
-* ``mode="radix"`` — the piece is range-clustered on arrival, a middle
-  ground between the two.
+  queries only need binary searches (hybrid crack-sort / sort-sort).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.analysis_tools.guards import charges
-from repro.columnstore.bulk import binary_search_count, lower_bound, radix_cluster
+from repro.columnstore.bulk import binary_search_count, lower_bound
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range
 from repro.cost.counters import CostCounters
@@ -36,7 +34,7 @@ class _FinalPiece:
     high: float
     values: np.ndarray
     rowids: np.ndarray
-    index: Optional[CrackerIndex]  # present for mode="crack"/"radix"
+    index: Optional[CrackerIndex]  # present for mode="crack"
     sorted: bool
 
     def __len__(self) -> int:
@@ -50,11 +48,10 @@ class _FinalPiece:
 class FinalPartition:
     """Collection of value-disjoint pieces with a configurable organisation."""
 
-    def __init__(self, mode: str = "sort", radix_bits: int = 4) -> None:
-        if mode not in ("crack", "sort", "radix"):
+    def __init__(self, mode: str = "sort") -> None:
+        if mode not in ("crack", "sort"):
             raise ValueError(f"unknown final partition mode {mode!r}")
         self.mode = mode
-        self.radix_bits = int(radix_bits)
         self.pieces: List[_FinalPiece] = []
 
     def __len__(self) -> int:
@@ -95,14 +92,6 @@ class FinalPartition:
                 counters.record_comparisons(int(n * max(1.0, np.log2(max(n, 2)))))
                 counters.record_move(n)
             piece = _FinalPiece(low, high, values, rowids, index=None, sorted=True)
-        elif self.mode == "radix":
-            clustered_values, clustered_rowids, _ = radix_cluster(
-                values, self.radix_bits, counters, payload=rowids
-            )
-            index = CrackerIndex(len(clustered_values))
-            piece = _FinalPiece(
-                low, high, clustered_values, clustered_rowids, index=index, sorted=False
-            )
         else:  # crack: keep arrival order, crack lazily
             values = values.copy()
             rowids = rowids.copy()
@@ -174,7 +163,7 @@ class FinalPartition:
                 counters.record_comparisons(2 * binary_search_count(n))
                 counters.record_scan(end - begin)
             return piece.rowids[begin:end]
-        # crack / radix piece: crack it further (refining the final partition)
+        # crack piece: crack it further (refining the final partition)
         start, end = crack_range(
             piece.values, piece.rowids, piece.index, low, high, counters
         )

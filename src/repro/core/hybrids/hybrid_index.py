@@ -14,9 +14,7 @@ name                  initial_mode   final_mode
 ====================  =============  ===========
 hybrid-crack-crack    crack          crack
 hybrid-crack-sort     crack          sort
-hybrid-crack-radix    crack          radix
 hybrid-sort-sort      sort           sort
-hybrid-radix-radix    radix          radix
 ====================  =============  ===========
 
 ``hybrid-sort-sort`` is the main-memory formulation of adaptive merging;
@@ -34,11 +32,7 @@ import numpy as np
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
 from repro.core.hybrids.final_partition import FinalPartition
-from repro.core.hybrids.initial_partitions import (
-    CrackedInitialPartition,
-    InitialPartition,
-    RadixInitialPartition,
-)
+from repro.core.hybrids.initial_partitions import CrackedInitialPartition
 from repro.core.merging.intervals import IntervalSet, as_interval, as_selection
 from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
@@ -48,8 +42,8 @@ from repro.cost.counters import CostCounters
 class HybridIndex:
     """Adaptive index combining one initial-partition and one final-partition mode."""
 
-    INITIAL_MODES = ("crack", "sort", "radix")
-    FINAL_MODES = ("crack", "sort", "radix")
+    INITIAL_MODES = ("crack", "sort")
+    FINAL_MODES = ("crack", "sort")
 
     def __init__(
         self,
@@ -57,22 +51,22 @@ class HybridIndex:
         initial_mode: str = "crack",
         final_mode: str = "sort",
         partition_size: Optional[int] = None,
-        radix_bits: int = 4,
         name: str = "",
     ) -> None:
         if initial_mode not in self.INITIAL_MODES:
             raise ValueError(f"unknown initial_mode {initial_mode!r}")
         if final_mode not in self.FINAL_MODES:
             raise ValueError(f"unknown final_mode {final_mode!r}")
+        if partition_size is not None and partition_size < 1:
+            raise ValueError("partition_size must be >= 1")
         base = column.values if isinstance(column, Column) else np.asarray(column)
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.initial_mode = initial_mode
         self.final_mode = final_mode
         self.partition_size = partition_size
-        self.radix_bits = int(radix_bits)
-        self.partitions: List[Union[InitialPartition, RunSet]] = []
-        self.final = FinalPartition(mode=final_mode, radix_bits=radix_bits)
+        self.partitions: List[Union[CrackedInitialPartition, RunSet]] = []
+        self.final = FinalPartition(mode=final_mode)
         self.merged_ranges = IntervalSet()
         self.queries_processed = 0
         self.initialized = False
@@ -100,8 +94,8 @@ class HybridIndex:
         Requires convergence on both axes: every tuple has been merged into
         the final partition (no gap extraction left) *and* every final
         piece is sorted, so lookups are binary searches.  Pieces organised
-        by ``final_mode`` "crack"/"radix" keep cracking on partial overlap
-        and never satisfy the second condition.
+        by ``final_mode="crack"`` keep cracking on partial overlap and never
+        satisfy the second condition.
         """
         return self.fully_merged and all(
             piece.sorted for piece in self.final.pieces
@@ -112,24 +106,16 @@ class HybridIndex:
     def _initialize(self, counters: Optional[CostCounters]) -> None:
         n = len(self._base)
         size = self.partition_size or max(1, int(np.sqrt(n))) if n else 1
-        mode = self.initial_mode  # hoisted out of the partition loop (PF002)
-        if mode == "sort":
+        if self.initial_mode == "sort":
             # every sorted partition in one run set, extracted from at once
             self.partitions.append(RunSet(self._base, size, counters))
         else:
             for start in range(0, n, size):
                 end = min(start + size, n)
-                values = self._base[start:end]
-                rowids = np.arange(start, end, dtype=np.int64)
-                if mode == "crack":
-                    partition: InitialPartition = CrackedInitialPartition(
-                        values, rowids, counters
-                    )
-                else:
-                    partition = RadixInitialPartition(
-                        values, rowids, bits=self.radix_bits, counters=counters
-                    )
-                self.partitions.append(partition)
+                self.partitions.append(CrackedInitialPartition(
+                    self._base[start:end], np.arange(start, end, dtype=np.int64),
+                    counters,
+                ))
         self.initialized = True
 
     # -- the select operator ------------------------------------------------------------

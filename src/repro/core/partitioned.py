@@ -332,8 +332,8 @@ class ColumnPartition:
             def shard(start: int, end: int) -> "ColumnPartition":
                 return ColumnPartition(start, end, CrackedColumn(
                     cracked._base[start - self.start:end - self.start],
-                    rowid_base=start, sort_threshold=cracked.sort_threshold,
-                    policy=cracked.policy, merge_batch=cracked.merge_batch,
+                    rowid_base=start, policy=cracked.policy,
+                    merge_batch=cracked.merge_batch,
                     name=cracked.name,
                 ))
 
@@ -394,7 +394,7 @@ class PartitionedCrackedColumn:
     split_threshold:
         Relative skew trigger (> 1.0): a partition holding — or visited —
         more than ``split_threshold`` times the mean is split.
-    sort_threshold / policy / merge_batch / lazy_copy:
+    policy / merge_batch / lazy_copy:
         Forwarded to every partition's :class:`CrackedColumn`: with
         ``lazy_copy`` (the default) each partition copies its slice when it
         is first touched and charges that query; otherwise all copies are
@@ -421,7 +421,6 @@ class PartitionedCrackedColumn:
         repartition: bool = False,
         max_partition_rows: Optional[int] = None,
         split_threshold: float = 2.0,
-        sort_threshold: int = 0,
         max_workers: Optional[int] = None,
         name: str = "",
         policy: str = "ripple",
@@ -445,7 +444,6 @@ class PartitionedCrackedColumn:
         self.split_threshold = float(split_threshold)
         self.policy = policy
         self.merge_batch = int(merge_batch)
-        self.sort_threshold = int(sort_threshold)
         self.queries_processed = 0
         self.partition_splits = 0
         self.partition_merges = 0
@@ -453,8 +451,7 @@ class PartitionedCrackedColumn:
             ColumnPartition(
                 start, end,
                 CrackedColumn(
-                    base[start:end], rowid_base=start,
-                    sort_threshold=sort_threshold, policy=policy,
+                    base[start:end], rowid_base=start, policy=policy,
                     merge_batch=merge_batch, lazy_copy=lazy_copy,
                     name=f"{self.name}[{start}:{end}]" if self.name else "",
                 ),
@@ -551,7 +548,6 @@ class PartitionedCrackedColumn:
                         end=piece.end + start,
                         low=piece.low,
                         high=piece.high,
-                        sorted=piece.sorted,
                     )
                 )
         return result

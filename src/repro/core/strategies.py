@@ -50,8 +50,10 @@ def _as_array(column: Union[Column, np.ndarray]) -> np.ndarray:
     return column.values if isinstance(column, Column) else np.asarray(column)
 
 
-def _given(options: Dict[str, object], *keys: str) -> Dict[str, object]:
-    """The entries of ``options`` under ``keys`` that the caller supplied."""
+def _given(options: Mapping[str, object], keys: Sequence[str]) -> Dict[str, object]:
+    """The entries of ``options`` under ``keys`` that the caller supplied:
+    only those are forwarded, so the wrapped structures' own defaults cover
+    the rest."""
     return {key: options[key] for key in keys if key in options}
 
 
@@ -95,15 +97,27 @@ class SearchStrategy(ABC):
     #: read-only (:func:`_counted_by`)
     queries_processed: int = 0
 
+    #: every option the strategy takes (those its registrations fix
+    #: included); the constructor refuses any other, so an option that does
+    #: nothing is never kept in ``options`` and journaled
+    option_names: Tuple[str, ...] = ()
+
     def __init__(
         self, column: Union[Column, np.ndarray], table: Optional[Table] = None, **options
     ) -> None:
+        unknown = sorted(set(options).difference(self.option_names))
+        if unknown:
+            raise ValueError(
+                f"{self.name!r} takes no option {', '.join(map(repr, unknown))}; "
+                f"its options are {list(self.option_names)}"
+            )
         self._column = column
         self._array = _as_array(column)
         #: the table owning ``column`` — construction context handed over
         #: by ``Database.set_indexing`` for the paths that read the sibling
         #: attributes; deliberately not an option (options are journaled)
         self._table = table
+        #: the caller's options, every one of them in :attr:`option_names`
         self.options = options
         self._stats_lock = threading.Lock()
 
@@ -291,33 +305,28 @@ class CrackingStrategy(SearchStrategy):
       ``merge_batch`` per query — default ``"ripple"``) and ``merge_batch``
       (gradual-policy budget, default 16) choose how.  Updatable names copy
       the column up front and charge the copy to no query; the read-only
-      names charge it to the first query that touches it;
-    * ``sort_threshold`` — pieces at most this large are sorted outright.
+      names charge it to the first query that touches it.
     """
 
     name = "cracking"
+    #: forwarded to every cracked column, then the partitioned column's own
+    _COLUMN_OPTIONS = ("policy", "merge_batch")
+    _PARTITION_OPTIONS = ("partitions", "parallel", "max_workers", "repartition",
+                          "max_partition_rows", "split_threshold")
+    option_names = _COLUMN_OPTIONS + _PARTITION_OPTIONS
 
     def __init__(self, column, *, name="cracking", supports_updates=False,
                  **options):
-        if "executor" in options:
-            # retired with the process backend; refused here so it cannot be
-            # kept in ``options`` and journaled (recovery drops it from old logs)
-            raise ValueError("the 'executor' option was removed; use "
-                             "parallel=True/max_workers= for the thread pool")
-        super().__init__(column, **options)
         self.name = name
+        super().__init__(column, **options)
         self.supports_updates = supports_updates
-        # only what the caller gave is forwarded: the columns' own defaults
-        # cover the rest
-        column_options = _given(options, "sort_threshold", "policy", "merge_batch")
+        column_options = _given(options, self._COLUMN_OPTIONS)
         column_options["lazy_copy"] = not supports_updates
         if options.get("partitions") is None:
             self.cracked = CrackedColumn(column, **column_options)
         else:
             self.cracked = PartitionedCrackedColumn(
-                column, **column_options,
-                **_given(options, "partitions", "parallel", "max_workers",
-                         "repartition", "max_partition_rows", "split_threshold"),
+                column, **column_options, **_given(options, self._PARTITION_OPTIONS)
             )
 
     def close(self) -> None:
@@ -375,16 +384,11 @@ class StochasticCrackingStrategy(SearchStrategy):
     """Stochastic cracking (random auxiliary cuts; robust to adversarial patterns)."""
 
     name = "stochastic-cracking"
+    option_names = ("variant", "size_threshold_fraction", "seed")
 
     def __init__(self, column, **options):
         super().__init__(column, **options)
-        self.cracked = StochasticCrackedColumn(
-            column,
-            variant=options.get("variant", "ddr"),
-            size_threshold_fraction=options.get("size_threshold_fraction", 0.01),
-            seed=options.get("seed", 0),
-            sort_threshold=options.get("sort_threshold", 0),
-        )
+        self.cracked = StochasticCrackedColumn(column, **self.options)
 
     @property
     def reorganizes_on_read(self) -> bool:
@@ -410,12 +414,11 @@ class AdaptiveMergingStrategy(SearchStrategy):
     """Adaptive merging over sorted runs (EDBT 2010)."""
 
     name = "adaptive-merging"
+    option_names = ("run_size",)
 
     def __init__(self, column, **options):
         super().__init__(column, **options)
-        self.index = AdaptiveMergingIndex(
-            column, run_size=options.get("run_size")
-        )
+        self.index = AdaptiveMergingIndex(column, **self.options)
 
     @property
     def reorganizes_on_read(self) -> bool:
@@ -447,34 +450,28 @@ class HybridStrategy(SearchStrategy):
     registrations at the end of this module): how much order the initial
     partitions get at creation and how the final partition organises what
     is merged into it — ``crack``-``crack`` (HCC, lazy everywhere, closest
-    to plain cracking), ``crack``-``sort`` (HCS), ``crack``-``radix`` (HCR),
-    ``sort``-``sort`` (HSS, adaptive merging in main memory) and
-    ``radix``-``radix`` (HRR).  ``partition_size`` and ``radix_bits`` are
+    to plain cracking), ``crack``-``sort`` (HCS) and ``sort``-``sort``
+    (HSS, adaptive merging in main memory).  ``partition_size`` is
     forwarded to :class:`~repro.core.hybrids.hybrid_index.HybridIndex`.
     """
 
     name = "hybrid-crack-sort"
+    option_names = ("initial_mode", "final_mode", "partition_size")
 
     def __init__(self, column, *, name="hybrid-crack-sort", initial_mode="crack",
                  final_mode="sort", **options):
+        self.name = name
         # the modes are recorded with the options, like every option a
         # name fixes, so ``rebuilt`` keeps a caller's override of them
         super().__init__(column, initial_mode=initial_mode,
                          final_mode=final_mode, **options)
-        self.name = name
-        self.index = HybridIndex(
-            column,
-            initial_mode=initial_mode,
-            final_mode=final_mode,
-            partition_size=options.get("partition_size"),
-            radix_bits=options.get("radix_bits", 4),
-        )
+        self.index = HybridIndex(column, **self.options)
 
     @property
     def reorganizes_on_read(self) -> bool:
         """Mutating until the hybrid converges: all tuples merged into the
-        final partition *and* every final piece sorted (crack/radix final
-        pieces keep cracking on partial overlap and never converge)."""
+        final partition *and* every final piece sorted (crack final pieces
+        keep cracking on partial overlap and never converge)."""
         return not self.index.read_only_under_selection
 
     queries_processed = _counted_by("index")
@@ -502,10 +499,9 @@ class SidewaysCrackingStrategy(SearchStrategy):
     (:class:`~repro.core.cracking.sideways.SidewaysCracker`): a
     select-project cracks the maps of the attributes it needs on the head,
     so their values come back contiguous and aligned, with no random access
-    into the base table.  ``sort_threshold`` is forwarded to the cracks;
-    ``budget_bytes`` bounds the materialised maps (least recently used
-    evicted first, default unlimited).  Constructed over a bare array the
-    head is the only attribute of a one-column table.
+    into the base table.  ``budget_bytes`` bounds the materialised maps
+    (least recently used evicted first, default unlimited).  Constructed
+    over a bare array the head is the only attribute of a one-column table.
     """
 
     name = "sideways-cracking"
@@ -513,6 +509,7 @@ class SidewaysCrackingStrategy(SearchStrategy):
     selection_priority = -1
     #: maps are materialised, aligned and cracked by every select
     reorganizes_on_read = True
+    option_names = ("budget_bytes",)
 
     def __init__(self, column, **options):
         super().__init__(column, **options)
@@ -524,7 +521,6 @@ class SidewaysCrackingStrategy(SearchStrategy):
         self.cracker = SidewaysCracker(
             table, head,
             budget=StorageBudget(limit_bytes=options.get("budget_bytes")),
-            sort_threshold=options.get("sort_threshold", 0),
         )
 
     queries_processed = _counted_by("cracker")
@@ -565,22 +561,23 @@ class PartialCrackingStrategy(SearchStrategy):
 
     The value domain is cut into ``fragments``; a fragment is materialised
     when a query first touches its range, cracked independently from then
-    on (``sort_threshold``), and evicted least recently used first when the
-    materialised fragments would exceed ``budget_bytes`` (default
-    unlimited); ranges whose fragment cannot be held are scanned.  See
+    on, and evicted least recently used first when the materialised
+    fragments would exceed ``budget_bytes`` (default unlimited); ranges
+    whose fragment cannot be held are scanned.  See
     :class:`~repro.core.cracking.partial.PartialCrackedColumn`.
     """
 
     name = "partial-cracking"
     #: a select materialises, cracks or evicts fragments, converged or not
     reorganizes_on_read = True
+    option_names = ("budget_bytes", "fragments")
 
     def __init__(self, column, **options):
         super().__init__(column, **options)
         self.partial = PartialCrackedColumn(
             column,
             budget=StorageBudget(limit_bytes=options.get("budget_bytes")),
-            **_given(options, "fragments", "sort_threshold"),
+            **_given(options, ("fragments",)),
         )
 
     queries_processed = _counted_by("partial")
@@ -615,10 +612,10 @@ class _TunerStrategy(SearchStrategy):
     reorganizes_on_read = True
     selection_priority = 1
 
-    #: the wrapped select operator, the options it takes, and how its built
-    #: structure (and only that: the cost witness fingerprints it) is worded
+    #: the wrapped select operator (it takes every option of the strategy)
+    #: and how its built structure (and only that: the cost witness
+    #: fingerprints it) is worded
     tuner_class: Callable[..., object]
-    tuner_options: tuple = ()
     structure_template = ""
 
     def __init__(self, column, **options):
@@ -628,7 +625,7 @@ class _TunerStrategy(SearchStrategy):
             # the copy keeps the array's dtype (a uint64 key enters no table)
             self._column = Column(self._array, name=self.name,
                                   dtype=exact_type(self._array.dtype))
-        self.tuner = self.tuner_class(**_given(options, *self.tuner_options))
+        self.tuner = self.tuner_class(**self.options)
 
     queries_processed = _counted_by("tuner")
 
@@ -658,7 +655,7 @@ class OnlineTuningStrategy(_TunerStrategy):
 
     name = "online"
     tuner_class = OnlineIndexTuner
-    tuner_options = ("build_threshold_factor", "decay", "max_indexes")
+    option_names = ("build_threshold_factor", "decay", "max_indexes")
     structure_template = "online tuner ({} indexes built)"
 
 
@@ -667,7 +664,7 @@ class SoftIndexStrategy(_TunerStrategy):
 
     name = "soft"
     tuner_class = SoftIndexManager
-    tuner_options = ("recommendation_threshold",)
+    option_names = ("recommendation_threshold",)
     structure_template = "soft indexes ({} built)"
 
 
@@ -715,8 +712,6 @@ for _cls in (
 #: the cracking names: one wrapper, different fixed options
 for _name, _fixed in (
     ("cracking", {}),
-    # cracking that fully sorts pieces once they shrink below a threshold
-    ("cracking-sort-pieces", {"sort_threshold": 128}),
     ("partitioned-cracking", {"partitions": 4}),
     ("updatable-cracking", {"supports_updates": True}),
     ("partitioned-updatable-cracking",
@@ -725,10 +720,7 @@ for _name, _fixed in (
     register_strategy(_name, partial(CrackingStrategy, name=_name, **_fixed))
 
 #: the hybrid names: one wrapper, (initial, final) partition modes fixed
-for _initial, _final in (
-    ("crack", "crack"), ("crack", "sort"), ("crack", "radix"),
-    ("sort", "sort"), ("radix", "radix"),
-):
+for _initial, _final in (("crack", "crack"), ("crack", "sort"), ("sort", "sort")):
     _name = f"hybrid-{_initial}-{_final}"
     register_strategy(_name, partial(
         HybridStrategy, name=_name, initial_mode=_initial, final_mode=_final

@@ -82,16 +82,29 @@ class RecoveryReport:
 
 #: ``set_indexing`` options journaled by earlier versions that no longer
 #: exist; a data directory may still carry them.  ``executor`` chose the
-#: partition fan-out backend, and answers never depended on it.
-_RETIRED_MODE_OPTIONS = ("executor",)
+#: partition fan-out backend, ``sort_threshold`` sorted small cracker pieces
+#: outright and ``radix_bits`` sized the radix hybrids' clusters: answers
+#: never depended on any of them.
+_RETIRED_MODE_OPTIONS = ("executor", "sort_threshold", "radix_bits")
+
+#: registry names journaled by earlier versions that no longer exist, and
+#: the name each is recovered as: the one that answered the same queries
+#: without the retired refinement (sorted small pieces, radix clusters)
+_RETIRED_MODES = {
+    "cracking-sort-pieces": "cracking",
+    "hybrid-crack-radix": "hybrid-crack-crack",
+    "hybrid-radix-radix": "hybrid-crack-crack",
+}
 
 
-def _current_mode_options(options: Dict[str, object]) -> Dict[str, object]:
-    """Recorded ``set_indexing`` options minus the retired ones."""
-    return {
+def _current_mode(mode: str, options: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
+    """A recorded ``set_indexing`` mode and options as the registry takes
+    them today: a retired name is renamed, retired options are dropped."""
+    current = {
         key: value for key, value in options.items()
         if key not in _RETIRED_MODE_OPTIONS
     }
+    return _RETIRED_MODES.get(mode, mode), current
 
 
 def _choose_snapshot(
@@ -125,12 +138,8 @@ def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
     # modes go in after tombstones: updatable strategies re-absorb the
     # pending deletes inside set_indexing, exactly like a live mode switch
     for mode_state in state.modes:
-        database.set_indexing(
-            mode_state.table,
-            mode_state.column,
-            mode_state.mode,
-            **_current_mode_options(mode_state.options),
-        )
+        mode, options = _current_mode(mode_state.mode, mode_state.options)
+        database.set_indexing(mode_state.table, mode_state.column, mode, **options)
 
 
 def _replay_records(
@@ -186,12 +195,8 @@ def _replay_records(
             elif kind == "drop_table":
                 database.drop_table(record.table)
             else:  # set_indexing (WalRecord rejects unknown kinds on decode)
-                database.set_indexing(
-                    record.table,
-                    record.column,
-                    record.mode,
-                    **_current_mode_options(record.options),
-                )
+                mode, options = _current_mode(record.mode, record.options)
+                database.set_indexing(record.table, record.column, mode, **options)
             counts[kind] = counts.get(kind, 0) + 1
             replayed += 1
     return replayed, last_sequence

@@ -391,19 +391,20 @@ class Database:
                 # build first, swap second, release the old path last: a
                 # refused option must leave the installed path — its
                 # memory entry and its pool — exactly as it was
-                strategy = None
-                if mode != "scan":
-                    strategy = create_strategy(
-                        mode, owning_table.column(column), table=owning_table,
-                        **options,
-                    )
-                    if strategy.supports_updates:
-                        # the new column treats every base position as a
-                        # live row; replay the table's tombstones so rows
-                        # deleted under an earlier mode stay deleted (its
-                        # answers are not filtered)
-                        for rowid in owning_table.tombstones.tolist():
-                            strategy.delete(rowid)
+                strategy = create_strategy(
+                    mode, owning_table.column(column), table=owning_table, **options,
+                )
+                if mode == "scan":
+                    # built only to refuse options a scan does not take: a
+                    # scan installs no access path
+                    strategy = None
+                elif strategy.supports_updates:
+                    # the new column treats every base position as a live
+                    # row; replay the table's tombstones so rows deleted
+                    # under an earlier mode stay deleted (its answers are
+                    # not filtered)
+                    for rowid in owning_table.tombstones.tolist():
+                        strategy.delete(rowid)
                 previous = self._access_paths.get(key)
                 if strategy is None:
                     self._access_paths.pop(key, None)

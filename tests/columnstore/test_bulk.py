@@ -10,10 +10,8 @@ from repro.columnstore.bulk import (
     merge_sorted_with_positions,
     partition_three_way,
     partition_two_way,
-    radix_cluster,
     range_mask,
     scatter,
-    stable_sort_segment,
 )
 from repro.cost.counters import CostCounters
 
@@ -114,44 +112,6 @@ class TestPartitioning:
         partition_two_way(values, 0, 50, 25, counters)
         assert counters.tuples_scanned == 50
         assert counters.tuples_moved == 50
-
-
-class TestSortAndRadix:
-    def test_stable_sort_segment(self):
-        values = np.array([9, 3, 7, 1, 5])
-        payload = np.arange(5)
-        stable_sort_segment(values, 1, 4, payload=payload)
-        assert np.array_equal(values, [9, 1, 3, 7, 5])
-        original = np.array([9, 3, 7, 1, 5])
-        assert np.array_equal(original[payload], values)
-
-    def test_stable_sort_single_element_noop(self):
-        values = np.array([2, 1])
-        stable_sort_segment(values, 0, 1)
-        assert np.array_equal(values, [2, 1])
-
-    def test_radix_cluster_buckets_are_value_ordered(self):
-        rng = np.random.default_rng(0)
-        values = rng.integers(0, 1000, size=500)
-        clustered, payload, offsets = radix_cluster(values, bits=3)
-        assert len(offsets) == 9
-        assert offsets[-1] == 500
-        # every bucket's max is <= next bucket's min
-        for b in range(8):
-            left = clustered[offsets[b]:offsets[b + 1]]
-            for c in range(b + 1, 8):
-                right = clustered[offsets[c]:offsets[c + 1]]
-                if len(left) and len(right):
-                    assert left.max() <= right.min()
-        # payload maps back to original values
-        assert np.array_equal(values[payload], clustered)
-
-    def test_radix_cluster_empty_and_constant(self):
-        clustered, payload, offsets = radix_cluster(np.empty(0, dtype=np.int64), 2)
-        assert len(clustered) == 0 and offsets[-1] == 0
-        clustered, payload, offsets = radix_cluster(np.full(10, 7), 2)
-        assert len(clustered) == 10
-        assert offsets[-1] == 10
 
 
 class TestMergeAndSearchHelpers:

@@ -14,7 +14,6 @@ estimate to what the search then charges to ``tuples_moved``.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import partitioned
 from repro.core.cracking.cracked_column import CrackedColumn
@@ -84,11 +83,10 @@ def test_crack_work_is_what_the_search_charges_to_tuples_moved():
     assert readings[-1][0] < partitioned._POOL_MIN_WORK
 
 
-@pytest.mark.parametrize("sort_threshold", [0, 64])
-def test_crack_work_follows_known_bounds_and_sorted_pieces(sort_threshold):
+def test_crack_work_follows_known_bounds():
     rng = np.random.default_rng(5)
     values = rng.integers(0, DOMAIN, size=20_000).astype(np.int64)
-    column = CrackedColumn(values, sort_threshold=sort_threshold)
+    column = CrackedColumn(values)
     assert column.crack_work(10, 20) == len(values)  # unmaterialised: the slice
     column.search(None, None)
     assert column.crack_work(None, None) == 0
@@ -103,9 +101,9 @@ def test_crack_work_follows_known_bounds_and_sorted_pieces(sort_threshold):
 
 
 def test_crack_work_is_zero_on_a_sorted_column():
-    values = np.random.default_rng(6).integers(0, 1_000, size=500)
-    column = CrackedColumn(values, sort_threshold=1_000)
-    column.search(100, 200)  # one piece under the threshold: sorted outright
-    assert column.crack_work(300, 400) == 0  # the piece is flagged sorted
+    values = np.random.default_rng(6).permutation(64)
+    column = CrackedColumn(values)
+    for key in range(64):
+        column.search(key, key + 1)  # every key its own piece: sorted
     assert column.converged
-    assert column.crack_work(300, 400) == 0  # latched: the index is not read
+    assert column.crack_work(10, 20) == 0  # latched: the index is not read

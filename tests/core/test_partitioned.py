@@ -315,11 +315,11 @@ class TestPartitionedCrackingStrategy:
         values = rng.integers(0, 1000, size=600).astype(np.int64)
         strategy = create_strategy(
             "partitioned-cracking", values, partitions=6, parallel=True,
-            sort_threshold=32,
+            merge_batch=32,
         )
         assert strategy.cracked.partition_count == 6
         assert strategy.cracked.parallel is True
-        assert strategy.cracked.sort_threshold == 32
+        assert strategy.cracked.merge_batch == 32
         expected = reference(values, 100, 200)
         assert set(strategy.search(100, 200).tolist()) == expected
         strategy.cracked.close()

@@ -20,7 +20,6 @@ EXPECTED_STRATEGIES = {
     "online",
     "soft",
     "cracking",
-    "cracking-sort-pieces",
     "partitioned-cracking",
     "updatable-cracking",
     "partitioned-updatable-cracking",
@@ -30,16 +29,14 @@ EXPECTED_STRATEGIES = {
     "adaptive-merging",
     "hybrid-crack-crack",
     "hybrid-crack-sort",
-    "hybrid-crack-radix",
     "hybrid-sort-sort",
-    "hybrid-radix-radix",
 }
 
 
 class TestRegistry:
     def test_exactly_the_expected_strategies_registered(self):
         # every suite that iterates the registry (DML upkeep, the session and
-        # batch property suites) covers exactly these nineteen
+        # batch property suites) covers exactly these sixteen
         assert set(available_strategies()) == EXPECTED_STRATEGIES
 
     def test_create_unknown_strategy(self, small_values):
@@ -65,16 +62,17 @@ class TestRegistry:
         with pytest.raises(ValueError):
             register_strategy("", lambda column: None)
 
-    @pytest.mark.parametrize("name", [
-        "cracking", "cracking-sort-pieces", "updatable-cracking",
-        "partitioned-cracking", "partitioned-updatable-cracking",
+    @pytest.mark.parametrize("name", sorted(EXPECTED_STRATEGIES))
+    @pytest.mark.parametrize("option", [
+        "sort_threshold", "radix_bits", "executor", "bogus",
     ])
-    @pytest.mark.parametrize("executor", ["thread", "process", "fiber"])
-    def test_retired_executor_option_rejected(self, name, executor, small_values):
-        # the option went with the process backend; silently keeping it in
-        # ``options`` would let it reach new journals
-        with pytest.raises(ValueError, match="'executor' option was removed"):
-            create_strategy(name, small_values, executor=executor)
+    def test_an_option_the_strategy_does_not_take_is_refused(
+        self, name, option, small_values
+    ):
+        # retired options among them: kept silently in ``options`` they
+        # would reach new journals
+        with pytest.raises(ValueError, match=f"takes no option '{option}'"):
+            create_strategy(name, small_values, **{option: 0})
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_STRATEGIES))

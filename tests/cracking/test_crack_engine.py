@@ -42,26 +42,6 @@ class TestCrackValue:
         crack_value(values, rowids, index, 250, counters)
         assert counters.tuples_moved == 0
 
-    def test_crack_value_sorted_piece_no_movement(self, rng):
-        values, rowids, index = make_column(rng)
-        order = np.argsort(values, kind="stable")
-        values[:] = values[order]
-        rowids[:] = rowids[order]
-        index.mark_piece_sorted(0)
-        counters = CostCounters()
-        split = crack_value(values, rowids, index, 250, counters)
-        assert counters.tuples_moved == 0
-        assert np.all(values[:split] < 250)
-        assert np.all(values[split:] >= 250)
-
-    def test_crack_value_sort_threshold_sorts_small_piece(self, rng):
-        values, rowids, index = make_column(rng, n=50)
-        crack_value(values, rowids, index, 250, sort_threshold=100)
-        # the piece was sorted outright, so both halves are sorted
-        assert index.piece_at_index(0).sorted
-        assert index.piece_at_index(1).sorted
-        assert np.all(np.diff(values) >= 0)
-
     def test_multiple_cracks_refine(self, rng):
         values, rowids, index = make_column(rng)
         for pivot in [100, 400, 250, 50, 350]:

@@ -125,19 +125,6 @@ class TestAdaptiveBehaviour:
         assert np.all(cracked.values[:position] < 50)
         assert np.all(cracked.values[position:] >= 50)
 
-    def test_sort_threshold_accelerates_sortedness(self, medium_values):
-        plain = CrackedColumn(medium_values, sort_threshold=0)
-        sorting = CrackedColumn(medium_values, sort_threshold=4096)
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            low = int(rng.integers(0, 90_000))
-            plain.search(low, low + 2_000)
-            sorting.search(low, low + 2_000)
-        plain.check_invariants()
-        sorting.check_invariants()
-        sorted_pieces = sum(1 for piece in sorting.pieces() if piece.sorted)
-        assert sorted_pieces > 0
-
     def test_queries_processed_counter(self, small_values):
         cracked = CrackedColumn(small_values)
         cracked.search(0, 10)

@@ -72,49 +72,14 @@ class TestBoundaries:
         pieces = index.pieces()
         assert len(pieces) == 3
         assert [p.start for p in pieces] == [0, 20, 60]
-        assert index.piece_at_index(1).low == 10
-        assert index.piece_index_for_value(30) == 1
-        with pytest.raises(IndexError):
-            index.piece_at_index(3)
+        assert pieces[1].low == 10
+        assert index.piece_for_value(30) == pieces[1]
 
     def test_check_invariants_passes(self):
         index = CrackerIndex(100)
         index.add_boundary(10, 20)
         index.add_boundary(50, 60)
         index.check_invariants()
-
-
-class TestSortedFlags:
-    def test_mark_piece_sorted(self):
-        index = CrackerIndex(100)
-        index.add_boundary(50, 40)
-        index.mark_piece_sorted(0)
-        assert index.piece_at_index(0).sorted
-        assert not index.piece_at_index(1).sorted
-
-    def test_split_inherits_sorted_flag(self):
-        index = CrackerIndex(100)
-        index.mark_piece_sorted(0)
-        index.add_boundary(50, 40)
-        assert index.piece_at_index(0).sorted
-        assert index.piece_at_index(1).sorted
-
-    def test_split_flag_overrides(self):
-        index = CrackerIndex(100)
-        index.add_boundary(50, 40, left_sorted=True, right_sorted=False)
-        assert index.piece_at_index(0).sorted
-        assert not index.piece_at_index(1).sorted
-
-    def test_mark_pieces_unsorted_from(self):
-        index = CrackerIndex(100)
-        index.add_boundary(30, 30)
-        index.add_boundary(60, 60)
-        for piece_index in range(3):
-            index.mark_piece_sorted(piece_index)
-        index.mark_pieces_unsorted_from(1)
-        assert index.piece_at_index(0).sorted
-        assert not index.piece_at_index(1).sorted
-        assert not index.piece_at_index(2).sorted
 
 
 class TestShifts:

@@ -62,7 +62,7 @@ class TestInsertions:
         # it would qualify for no bounded range: pending for ever, so the
         # column could never be recognised as converged
         values = np.random.default_rng(3).uniform(0, 100, size=64)
-        column = UpdatableCrackedColumn(values, sort_threshold=64, name="price")
+        column = UpdatableCrackedColumn(values, name="price")
         with pytest.raises(ValueError, match="price"):
             column.insert(float("nan"))
         with pytest.raises(ValueError, match="price"):
@@ -70,7 +70,8 @@ class TestInsertions:
         assert column.pending_inserts == column.pending_deletes == 0
         assert len(column) == 64 and not column.converged
         assert sorted(column.search(None, None).tolist()) == list(range(64))
-        column.search(10.0, 60.0)  # sorts the one piece there is
+        for key in values.tolist():
+            column.crack_at(key)  # one key per piece: sorted
         assert column.converged
         column.check_invariants()
 
@@ -223,11 +224,10 @@ class TestConvergedLatch:
     @staticmethod
     def converged_column():
         rng = np.random.default_rng(5)
-        base = rng.integers(0, 60, size=200).astype(np.int64)
-        # one crack of a piece below the sort threshold sorts the whole
-        # column into three *wide* sorted pieces, so a ripple into any of
-        # them lands out of order
-        column = UpdatableCrackedColumn(base, sort_threshold=1_000)
+        # one crack of a sorted base leaves three *wide* sorted pieces, so
+        # a ripple into any of them lands out of order
+        base = np.sort(rng.integers(0, 60, size=200)).astype(np.int64)
+        column = UpdatableCrackedColumn(base)
         column.search(20, 40)
         assert column.piece_count == 3 and column.converged
         return column, {int(i): int(v) for i, v in enumerate(base)}

@@ -216,15 +216,20 @@ class TestOpenRecover:
         assert_same_database(recovered, database)
         recovered.close()
 
-    def test_retired_executor_option_never_reaches_a_new_journal(self, tmp_path):
+    @pytest.mark.parametrize("mode, options", [
+        ("partitioned-cracking", {"partitions": 3, "executor": "process"}),
+        ("cracking", {"sort_threshold": 64}),
+        ("hybrid-crack-crack", {"radix_bits": 4}),
+        ("scan", {"bogus": 1}),
+    ])
+    def test_an_option_the_mode_does_not_take_never_reaches_a_new_journal(
+        self, tmp_path, mode, options
+    ):
         database = make_database(tmp_path)
         database.set_indexing("facts", "key", "cracking")
         records = database.durability.stats()["appended_records"]
-        with pytest.raises(ValueError, match="'executor' option was removed"):
-            database.set_indexing(
-                "facts", "key", "partitioned-cracking",
-                partitions=3, executor="process",
-            )
+        with pytest.raises(ValueError, match="takes no option"):
+            database.set_indexing("facts", "key", mode, **options)
         # refused before anything was recorded: mode, options and journal
         assert database._modes[("facts", "key")] == "cracking"
         assert database._mode_options[("facts", "key")] == {}
@@ -232,7 +237,7 @@ class TestOpenRecover:
         database.close()
 
     @pytest.mark.parametrize("refused", [
-        ("cracking", {"executor": "process"}),
+        ("cracking", {"sort_threshold": 64}),
         ("online", {"build_threshold_factor": -1}),
     ])
     def test_refused_set_indexing_leaves_the_installed_path_intact(
@@ -266,6 +271,48 @@ class TestOpenRecover:
         assert pooled.cracked._pool is pool
         pool.submit(lambda: None).result(timeout=10)  # still accepting work
         database.close()
+
+    @pytest.mark.parametrize("retired, kept", [
+        (("cracking-sort-pieces", {"sort_threshold": 128}), ("cracking", {})),
+        (("cracking", {"sort_threshold": 64}), ("cracking", {})),
+        (("hybrid-crack-radix", {"radix_bits": 4}), ("hybrid-crack-crack", {})),
+        (("hybrid-radix-radix", {"partition_size": 50, "radix_bits": 3}),
+         ("hybrid-crack-crack", {"partition_size": 50})),
+    ], ids=["sort-pieces", "sort-threshold", "crack-radix", "radix-radix"])
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+    def test_retired_modes_reopen_as_the_name_that_answers_the_same(
+        self, tmp_path, retired, kept, snapshot
+    ):
+        """Data directories written before sorted small pieces and the radix
+        hybrids were removed carry those names and options in their
+        ``set_indexing`` records; they reopen under the kept name."""
+        database = make_database(tmp_path)
+        database.set_indexing("facts", "key", kept[0], **kept[1])
+        mode, options = retired
+        if snapshot:
+            key = ("facts", "key")
+            installed = database._modes[key], database._mode_options[key]
+            database._modes[key], database._mode_options[key] = mode, dict(options)
+            database.snapshot()
+            database._modes[key], database._mode_options[key] = installed
+        else:
+            database._durable_schema_record(
+                "set_indexing", "facts", column="key", mode=mode, options=options,
+            )
+        run_dml(database, steps=10)
+        database.close()
+
+        recovered = Database.open(tmp_path)
+        assert recovered._modes[("facts", "key")] == kept[0]
+        assert recovered._mode_options[("facts", "key")] == kept[1]
+        table = recovered.table("facts")
+        keys = table["key"].values
+        with recovered.session() as session:
+            for low, high in [(0, DOMAIN), (100, 2_000), (5_000, 5_001), (7_000, DOMAIN)]:
+                scan = table.visible_positions(np.flatnonzero((keys >= low) & (keys < high)))
+                got = session.execute(Query.range_query("facts", "key", low, high))
+                assert sorted(got.positions.tolist()) == scan.tolist()
+        recovered.close()
 
     def test_fresh_database_over_durable_state_is_refused(self, tmp_path):
         database = make_database(tmp_path)

@@ -41,6 +41,14 @@ def reference_positions(db, low, high, column="a", table="facts"):
     return set(np.flatnonzero((values >= low) & (values < high)).tolist())
 
 
+def crack_at_every_key(db, column="a", table="facts"):
+    """Converge a cracking access path: a boundary at every distinct key
+    leaves each piece holding one key, so the cracker column is sorted."""
+    cracked = db.access_path(table, column).cracked
+    for key in np.unique(db.table(table)[column].values).tolist():
+        cracked.crack_at(key)
+
+
 class TestReorganizesOnRead:
     """Classification of every access-path kind."""
 
@@ -71,11 +79,10 @@ class TestReorganizesOnRead:
         assert reorganizes_on_read(database, "facts", "a") is False
 
     def test_cracking_becomes_read_only_once_fully_sorted(self, database, session):
-        # a generous sort threshold makes the cracker column converge fast
-        database.set_indexing(
-            "facts", "a", "cracking", sort_threshold=10_000
-        )
+        database.set_indexing("facts", "a", "cracking")
         session.execute(Query.range_query("facts", "a", 2_000, 8_000))
+        assert reorganizes_on_read(database, "facts", "a") is True
+        crack_at_every_key(database)
         path = database.access_path("facts", "a")
         assert path.cracked.is_fully_sorted()
         assert reorganizes_on_read(database, "facts", "a") is False
@@ -251,10 +258,10 @@ class TestBatchFanOut:
             )
 
     def test_sequential_and_parallel_agree_after_convergence(self, database, session):
-        # converge the cracked column (the generous sort threshold sorts
-        # the whole piece on the first crack), then fan a batch out over it
-        database.set_indexing("facts", "a", "cracking", sort_threshold=10_000)
+        # converge the cracked column, then fan a batch out over it
+        database.set_indexing("facts", "a", "cracking")
         session.execute(Query.range_query("facts", "a", 0, 20_000))
+        crack_at_every_key(database)
         assert database.access_path("facts", "a").cracked.is_fully_sorted()
         queries = [
             Query.range_query("facts", "a", low, low + 700)

@@ -233,7 +233,7 @@ class TestExecution:
 
 #: options worth carrying across a rebuild, per registry name
 REBUILD_OPTIONS = {
-    "cracking": {"sort_threshold": 8},
+    "cracking": {"merge_batch": 8},
     "partitioned-cracking": {"partitions": 2},
     "partitioned-updatable-cracking": {"partitions": 2, "policy": "gradual"},
     "online": {"build_threshold_factor": 2.0},

@@ -14,7 +14,7 @@ def add_range_piece(partition, rng, low, high, count=200):
     return values, rowids
 
 
-@pytest.mark.parametrize("mode", ["crack", "sort", "radix"])
+@pytest.mark.parametrize("mode", ["crack", "sort"])
 class TestModes:
     def test_add_and_search_full_piece(self, rng, mode):
         partition = FinalPartition(mode=mode)

@@ -9,9 +9,7 @@ from repro.cost.counters import CostCounters
 CANONICAL = [
     ("crack", "crack"),
     ("crack", "sort"),
-    ("crack", "radix"),
     ("sort", "sort"),
-    ("radix", "radix"),
 ]
 
 
@@ -49,6 +47,17 @@ class TestBehaviour:
         with pytest.raises(ValueError):
             HybridIndex(small_values, final_mode="zip")
 
+    @pytest.mark.parametrize("initial_mode", HybridIndex.INITIAL_MODES)
+    @pytest.mark.parametrize("partition_size", [0, -5])
+    def test_partition_size_below_one_rejected(
+        self, small_values, initial_mode, partition_size
+    ):
+        # a negative step makes no crack partitions at all: the empty
+        # partition list would read as fully merged, every answer empty
+        with pytest.raises(ValueError, match="partition_size must be >= 1"):
+            HybridIndex(small_values, initial_mode=initial_mode,
+                        partition_size=partition_size)
+
     def test_empty_column(self):
         index = HybridIndex(np.empty(0, dtype=np.int64))
         assert len(index.search(0, 10)) == 0
@@ -69,7 +78,7 @@ class TestBehaviour:
         assert counters.tuples_moved == 0 or index.final.mode == "crack"
 
     def test_initialization_cost_ordering(self, medium_values):
-        """First-query cost: crack-initial < radix-initial < sort-initial."""
+        """First-query cost: crack-initial < sort-initial."""
         def first_query_comparisons(initial_mode):
             counters = CostCounters()
             HybridIndex(
@@ -78,11 +87,7 @@ class TestBehaviour:
             ).search(0, 1000, counters)
             return counters.comparisons
 
-        crack_cost = first_query_comparisons("crack")
-        radix_cost = first_query_comparisons("radix")
-        sort_cost = first_query_comparisons("sort")
-        assert crack_cost < sort_cost
-        assert radix_cost < sort_cost
+        assert first_query_comparisons("crack") < first_query_comparisons("sort")
 
     def test_crack_sort_converges_faster_than_crack_crack(self, medium_values):
         """Sorted final pieces answer later overlapping queries with binary search."""

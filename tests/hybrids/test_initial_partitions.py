@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.hybrids.initial_partitions import (
-    CrackedInitialPartition,
-    RadixInitialPartition,
-)
+from repro.core.hybrids.initial_partitions import CrackedInitialPartition
 from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
@@ -19,18 +16,13 @@ def SortedInitialPartition(values, rowids, counters=None):
     return RunSet(values, run_size=len(values), counters=counters)
 
 
-CARVING = [CrackedInitialPartition, RadixInitialPartition]
-
-
 def make_partition(cls, rng, n=500, **kwargs):
     values = rng.integers(0, 1000, size=n).astype(np.int64)
     rowids = np.arange(n, dtype=np.int64)
     return values, cls(values, rowids, **kwargs)
 
 
-@pytest.mark.parametrize(
-    "cls", [CrackedInitialPartition, SortedInitialPartition, RadixInitialPartition]
-)
+@pytest.mark.parametrize("cls", [CrackedInitialPartition, SortedInitialPartition])
 class TestExtractRange:
     def test_extract_returns_exactly_the_range(self, rng, cls):
         base, partition = make_partition(cls, rng)
@@ -68,12 +60,12 @@ class TestExtractRange:
 
 
 class TestSpecificBehaviour:
-    @pytest.mark.parametrize("cls", CARVING)
-    def test_carved_out_range_is_gone(self, rng, cls):
-        """The partitions that physically carve tuples out answer a repeated
-        range with nothing; the run set leaves its runs in place and relies
-        on the caller (the merged-range bookkeeping) never to repeat one."""
-        _, partition = make_partition(cls, rng)
+    def test_carved_out_range_is_gone(self, rng):
+        """The cracked partition physically carves tuples out, so it answers
+        a repeated range with nothing; the run set leaves its runs in place
+        and relies on the caller (the merged-range bookkeeping) never to
+        repeat one."""
+        _, partition = make_partition(CrackedInitialPartition, rng)
         partition.extract_range(200, 400)
         again_values, _ = partition.extract_range(200, 400)
         assert len(again_values) == 0
@@ -97,11 +89,6 @@ class TestSpecificBehaviour:
         cracked_counters = CostCounters()
         CrackedInitialPartition(values, rowids, counters=cracked_counters)
         assert sorted_counters.comparisons > cracked_counters.comparisons
-
-    def test_radix_rejects_bad_bits(self, rng):
-        values = rng.integers(0, 10, size=10)
-        with pytest.raises(ValueError):
-            RadixInitialPartition(values, np.arange(10), bits=0)
 
     def test_cracked_partition_empty(self):
         partition = CrackedInitialPartition(

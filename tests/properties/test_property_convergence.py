@@ -83,7 +83,6 @@ operations = st.lists(
 update_options = st.fixed_dictionaries({
     "policy": st.sampled_from(["ripple", "gradual"]),
     "merge_batch": st.integers(min_value=1, max_value=3),
-    "sort_threshold": st.sampled_from([0, 8, 2000]),
     "lazy_copy": st.booleans(),
 })
 
@@ -186,13 +185,13 @@ def test_cracked_column_converged_is_exact_after_every_step(values, ops, options
 
 @given(values=inputs, ops=operations,
        variant=st.sampled_from(["ddr", "ddc", "mdd1r"]),
-       sort_threshold=st.sampled_from([0, 8]), lazy_copy=st.booleans())
+       lazy_copy=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_stochastic_column_converged_is_exact_after_every_step(
-        values, ops, variant, sort_threshold, lazy_copy):
+        values, ops, variant, lazy_copy):
     column = StochasticCrackedColumn(
         values, variant=variant, size_threshold_fraction=0.05, seed=1,
-        sort_threshold=sort_threshold, lazy_copy=lazy_copy,
+        lazy_copy=lazy_copy,
     )
     drive(column, values, ops)
 

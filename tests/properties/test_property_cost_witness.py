@@ -39,7 +39,6 @@ ALL_STRATEGIES = [
     "sort-first",
     "full-index",
     "cracking",
-    "cracking-sort-pieces",
     "stochastic-cracking",
     "sideways-cracking",
     "partial-cracking",
@@ -47,9 +46,7 @@ ALL_STRATEGIES = [
     "adaptive-merging",
     "hybrid-crack-crack",
     "hybrid-crack-sort",
-    "hybrid-crack-radix",
     "hybrid-sort-sort",
-    "hybrid-radix-radix",
     "partitioned-cracking",
     "partitioned-updatable-cracking",
 ]

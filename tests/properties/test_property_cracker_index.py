@@ -1,6 +1,6 @@
 """The cracker index and the ripple kernels against textbook models.
 
-``ListModel`` below is the cracker index as three Python lists — the
+``ListModel`` below is the cracker index as two Python lists — the
 formulation the package started from, transcribed — and the machine drives a
 :class:`CrackerIndex` and the model through the same random mutations.
 Whatever storage the package uses must show, after **every** step, the
@@ -32,18 +32,17 @@ PROBES = [v / 2 for v in range(-2, 2 * DOMAIN + 3)]
 
 
 class ListModel:
-    """The cracker index as three lists (see ``CrackerIndex`` for the terms)."""
+    """The cracker index as two lists (see ``CrackerIndex`` for the terms)."""
 
-    def __init__(self, size, values=(), positions=(), flags=(False,)):
+    def __init__(self, size, values=(), positions=()):
         self.size = size
         self.values, self.positions = list(values), list(positions)
-        self.flags = list(flags)
 
-    def add_boundary(self, value, position, left_sorted, right_sorted):
+    def add_boundary(self, value, position):
         if not 0 <= position <= self.size:
             raise ValueError(
                 f"boundary position {position} outside column of size {self.size}")
-        values, positions, flags = self.values, self.positions, self.flags
+        values, positions = self.values, self.positions
         i = bisect.bisect_left(values, value)
         if i < len(values) and values[i] == value:
             if positions[i] != position:
@@ -59,11 +58,6 @@ class ListModel:
                         f"against ({values[j]}, {positions[j]})")
             values.insert(i, value)
             positions.insert(i, position)
-            flags.insert(i, flags[i])
-        if left_sorted is not None:
-            flags[i] = left_sorted
-        if right_sorted is not None:
-            flags[i + 1] = right_sorted
 
     def shifted(self, first, delta):
         """The model after boundaries ``first..`` moved by ``delta``, or None
@@ -73,7 +67,7 @@ class ListModel:
         size = self.size + delta
         if size < 0 or any(p < 0 or p > size for p in positions):
             return None
-        return ListModel(size, self.values, positions, self.flags)
+        return ListModel(size, self.values, positions)
 
     def piece(self, i):
         return Piece(
@@ -81,31 +75,26 @@ class ListModel:
             end=self.positions[i] if i < len(self.positions) else self.size,
             low=self.values[i - 1] if i > 0 else None,
             high=self.values[i] if i < len(self.values) else None,
-            sorted=self.flags[i],
         )
 
     def split(self, i):
         cut = self.positions[i]
         return (
-            ListModel(cut, self.values[:i], self.positions[:i], self.flags[:i + 1]),
+            ListModel(cut, self.values[:i], self.positions[:i]),
             ListModel(self.size - cut, self.values[i + 1:],
-                      [p - cut for p in self.positions[i + 1:]],
-                      self.flags[i + 1:]),
+                      [p - cut for p in self.positions[i + 1:]]),
         )
 
     def drop(self, start, end):
         keep = [i for i, p in enumerate(self.positions) if not start < p < end]
         self.values = [self.values[i] for i in keep]
         self.positions = [self.positions[i] for i in keep]
-        self.flags = [self.flags[i] for i in keep] + [self.flags[-1]]
 
     def build(self):
         """A :class:`CrackerIndex` in this state, through its public surface."""
         index = CrackerIndex(self.size)
         for value, position in zip(self.values, self.positions):
             index.add_boundary(value, position)
-        for i, flag in enumerate(self.flags):
-            index.mark_piece_sorted(i, flag)
         return index
 
 
@@ -115,29 +104,25 @@ def ordered(positions):
 
 key = st.one_of(st.integers(0, DOMAIN),
                 st.integers(0, 2 * DOMAIN).map(lambda v: v / 2))
-flag = st.one_of(st.none(), st.booleans())
 
 
 class CrackerIndexMachine(RuleBasedStateMachine):
 
     @initialize(size=st.integers(0, 60),
-                cuts=st.lists(st.tuples(key, st.integers(0, 60), st.booleans()),
-                              max_size=12, unique_by=lambda cut: cut[0]),
-                last=st.booleans())
-    def start(self, size, cuts, last):
+                cuts=st.lists(st.tuples(key, st.integers(0, 60)),
+                              max_size=12, unique_by=lambda cut: cut[0]))
+    def start(self, size, cuts):
         """Some index over ``size`` elements: distinct values, positions in
         the same order (repeats — empty pieces — included)."""
-        positions = sorted(min(position, size) for _, position, _ in cuts)
-        self.model = ListModel(
-            size, sorted(value for value, _, _ in cuts), positions,
-            [is_sorted for _, _, is_sorted in cuts] + [last])
+        positions = sorted(min(position, size) for _, position in cuts)
+        self.model = ListModel(size, sorted(value for value, _ in cuts), positions)
         self.index = self.model.build()
 
     def position(self):
         return st.integers(-2, self.model.size + 2)
 
-    @rule(value=key, data=st.data(), left=flag, right=flag)
-    def add_boundary(self, value, data, left, right):
+    @rule(value=key, data=st.data())
+    def add_boundary(self, value, data):
         # a position near the slot the value belongs to is mostly accepted,
         # any position at all is mostly refused: both matter
         model = self.model
@@ -147,13 +132,13 @@ class CrackerIndexMachine(RuleBasedStateMachine):
         position = data.draw(st.one_of(st.integers(low, max(low, high)),
                                        self.position()))
         try:
-            model.add_boundary(value, position, left, right)
+            model.add_boundary(value, position)
         except ValueError as expected:
             with pytest.raises(ValueError) as refused:
-                self.index.add_boundary(value, position, left, right)
+                self.index.add_boundary(value, position)
             assert str(refused.value) == str(expected)
         else:
-            self.index.add_boundary(value, position, left, right)
+            self.index.add_boundary(value, position)
 
     @rule(value=key)
     def repeat_a_boundary(self, value):
@@ -186,21 +171,6 @@ class CrackerIndexMachine(RuleBasedStateMachine):
         self.shift(first, delta, lambda: self.index
                    .shift_positions_for_values_above(value, delta))
 
-    @rule(piece=st.integers(-1, 12), is_sorted=st.booleans())
-    def mark_piece_sorted(self, piece, is_sorted):
-        if 0 <= piece < len(self.model.flags):
-            self.model.flags[piece] = is_sorted
-            self.index.mark_piece_sorted(piece, is_sorted)
-        else:
-            with pytest.raises(IndexError):
-                self.index.mark_piece_sorted(piece, is_sorted)
-
-    @rule(piece=st.integers(-2, 12))
-    def mark_pieces_unsorted_from(self, piece):
-        first = max(piece, 0)
-        self.model.flags[first:] = [False] * len(self.model.flags[first:])
-        self.index.mark_pieces_unsorted_from(piece)
-
     @rule(data=st.data(), keep_left=st.booleans())
     def split_at_boundary(self, data, keep_left):
         value = data.draw(st.sampled_from(self.model.values + [-1, 7, 7.5]))
@@ -214,7 +184,7 @@ class CrackerIndexMachine(RuleBasedStateMachine):
             assert_same(half, model)
         # the halves are independent of their parent: mutate it, then go on
         # with one of them
-        self.index.mark_pieces_unsorted_from(0)
+        self.index.add_boundary(-1, 0)
         self.index.shift_positions(0, +1)
         side = 0 if keep_left else 1
         self.index, self.model = halves[side], models[side]
@@ -234,19 +204,16 @@ def assert_same(index, model):
     index.check_invariants()
     assert index.size == model.size and type(index.size) is int
     assert len(index) == len(model.values)
-    assert index.piece_count == len(model.flags)
+    assert index.piece_count == len(model.values) + 1
     assert index.boundary_values == model.values
     assert index.boundary_positions == model.positions
     assert all(type(p) is int for p in index.boundary_positions)
     pieces = index.pieces()
-    assert pieces == [model.piece(i) for i in range(len(model.flags))]
-    for i, piece in enumerate(pieces):
+    assert pieces == [model.piece(i) for i in range(len(model.values) + 1)]
+    for piece in pieces:
         assert type(piece.start) is int and type(piece.end) is int
-        assert type(piece.sorted) is bool
-        assert index.piece_at_index(i) == piece
     for probe in PROBES:
         i = bisect.bisect_right(model.values, probe)
-        assert index.piece_index_for_value(probe) == i
         assert index.piece_for_value(probe) == model.piece(i)
         known = probe in model.values
         assert index.has_boundary(probe) is known

@@ -42,18 +42,6 @@ class TestCrackedColumnProperties:
             cracked.search(low, high)
         cracked.check_invariants()
 
-    @given(values=values_arrays, queries=query_lists,
-           threshold=st.integers(min_value=0, max_value=64))
-    @settings(max_examples=40, deadline=None)
-    def test_sort_threshold_never_changes_answers(self, values, queries, threshold):
-        plain = CrackedColumn(values, sort_threshold=0)
-        sorting = CrackedColumn(values, sort_threshold=threshold)
-        for low, high in queries:
-            assert set(plain.search(low, high).tolist()) == set(
-                sorting.search(low, high).tolist()
-            )
-        sorting.check_invariants()
-
     @given(values=values_arrays, queries=query_lists)
     @settings(max_examples=40, deadline=None)
     def test_piece_count_bounded_by_two_per_query(self, values, queries):

@@ -177,7 +177,7 @@ def test_parallel_batches_bit_identical_across_modes(mode, options,
         assert parallel_db.access_path("facts", "key").cracked._pool is not None
 
 
-@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking-sort-pieces"])
+@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking"])
 def test_interleaved_dml_and_batches_stay_consistent(mode):
     """DML between batches (never during) keeps parallel runs identical."""
     sequential_db = build_database(mode, {})

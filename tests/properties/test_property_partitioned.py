@@ -61,22 +61,6 @@ def test_partitioned_matches_cracked_column(partitions, parallel, seed,
         assert (partitioned._pool is not None) == (parallel and partitions > 1)
 
 
-@pytest.mark.parametrize("partitions", PARTITION_COUNTS)
-def test_sort_threshold_preserves_answers(partitions):
-    rng = np.random.default_rng(9)
-    values = rng.integers(0, 300, size=900).astype(np.int64)
-    plain = PartitionedCrackedColumn(values, partitions=partitions)
-    sorting = PartitionedCrackedColumn(
-        values, partitions=partitions, sort_threshold=64
-    )
-    for low, high in random_workload(rng, 300, count=30):
-        assert set(plain.search(low, high).tolist()) == set(
-            sorting.search(low, high).tolist()
-        )
-    plain.check_invariants()
-    sorting.check_invariants()
-
-
 values_arrays = st.lists(
     st.integers(min_value=-500, max_value=500), min_size=0, max_size=200
 ).map(lambda xs: np.asarray(xs, dtype=np.int64))

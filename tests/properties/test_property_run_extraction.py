@@ -201,14 +201,14 @@ def hybrid_sort_sort_subject(base, run_size):
                            ReferenceModel(base, run_size, "sort"))
 
 
-def hybrid_sort_radix_subject(base, run_size):
-    index = HybridIndex(base, initial_mode="sort", final_mode="radix",
+def hybrid_sort_crack_subject(base, run_size):
+    index = HybridIndex(base, initial_mode="sort", final_mode="crack",
                         partition_size=run_size)
-    return _hybrid_subject(index, index, "sort-radix",
-                           ReferenceModel(base, run_size, "radix"))
+    return _hybrid_subject(index, index, "sort-crack",
+                           ReferenceModel(base, run_size, "crack"))
 
 
-SUBJECTS = (merging_subject, hybrid_sort_sort_subject, hybrid_sort_radix_subject)
+SUBJECTS = (merging_subject, hybrid_sort_sort_subject, hybrid_sort_crack_subject)
 
 
 def assert_stream_matches_model(make_subject, base, run_size, queries):
@@ -261,7 +261,7 @@ run_size = st.one_of(st.none(), st.integers(1, 100))
 @example(subject=hybrid_sort_sort_subject, base=np.arange(11, dtype=np.int64)[::-1].copy(),
          run_size=4, queries=[(2.5, 6.5), (3, 4), (0.5, 9.5), (None, None), (1, 2)])
 # one run holding everything, one row per run, nothing at all, one row
-@example(subject=hybrid_sort_radix_subject, base=np.array([3, 1, 2, 1], dtype=np.int64),
+@example(subject=hybrid_sort_crack_subject, base=np.array([3, 1, 2, 1], dtype=np.int64),
          run_size=100, queries=[(1, 2), (1, 1), (None, 3), (3, None)])
 @example(subject=merging_subject, base=np.array([2.5, 0.25, 2.5, 1.0]),
          run_size=1, queries=[(0.25, 2.5), (2.5, 0.25), (2.5, 2.75), (None, None), (0, 9)])
@@ -284,7 +284,7 @@ def test_narrow_integer_columns_match_the_per_run_model(
 
 
 def assert_generated_stream_matches_model(subject, base, run_size, queries):
-    if subject is hybrid_sort_radix_subject:
+    if subject is hybrid_sort_crack_subject:
         # a cracked final piece refuses an inverted range (crack_range raises),
         # which is the final partition's business, not run extraction's
         queries = [(low, high) if None in (low, high) else (min(low, high), max(low, high))

@@ -26,13 +26,11 @@ def reference(values, low, high):
 
 ADAPTIVE_STRATEGIES = [
     "cracking",
-    "cracking-sort-pieces",
     "stochastic-cracking",
     "adaptive-merging",
     "hybrid-crack-crack",
     "hybrid-crack-sort",
     "hybrid-sort-sort",
-    "hybrid-radix-radix",
     "sort-first",
     "full-index",
 ]

@@ -17,6 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 
 import figures  # noqa: E402
+from repro.core.strategies import available_strategies  # noqa: E402
 
 RECORDED = json.loads(figures.FIGURES_PATH.read_text())
 
@@ -35,6 +36,14 @@ def test_row_has_its_shape_and_its_recorded_counters(experiment, pool_submits):
     # the column's own decision would make it one more sequential cell
     assert bool(pool_submits) == any(
         options.get("parallel") for _, options in experiment.variants.values())
+
+
+def test_every_registry_name_earns_a_row():
+    """A registered strategy no row compares has no claim it demonstrates
+    and goes; a variant names nothing but a registered strategy."""
+    variants = {name for experiment in figures.EXPERIMENTS
+                for name, _ in experiment.variants.values()}
+    assert variants == set(available_strategies())
 
 
 def test_a_drifted_counter_is_reported_with_its_path():
