@@ -5,13 +5,17 @@ import pytest
 
 from repro.columnstore.bulk import (
     binary_search_count,
+    binary_search_counts,
     filter_range,
     gather,
+    lower_bound,
     merge_sorted_with_positions,
     partition_three_way,
     partition_two_way,
     range_mask,
     scatter,
+    sort_comparisons,
+    stable_sort_rows,
 )
 from repro.cost.counters import CostCounters
 
@@ -114,6 +118,46 @@ class TestPartitioning:
         assert counters.tuples_moved == 50
 
 
+class TestSort:
+    def test_stable_sort_rows_sorts_each_row(self):
+        values = np.array([9, 3, 7, 1, 5])
+        sorted_values, positions = stable_sort_rows(values, 2)
+        # rows [9, 3], [7, 1] and the ragged tail [5]
+        assert np.array_equal(sorted_values, [3, 9, 1, 7, 5])
+        assert np.array_equal(positions, [1, 0, 1, 0, 0])
+        assert np.array_equal(values, [9, 3, 7, 1, 5])  # out of place
+
+    def test_stable_sort_rows_keeps_ties_in_order(self):
+        sorted_values, positions = stable_sort_rows(np.array([2, 1, 2, 1]), 4)
+        assert np.array_equal(sorted_values, [1, 1, 2, 2])
+        assert np.array_equal(positions, [1, 3, 0, 2])
+
+    @pytest.mark.parametrize("values", [
+        np.array([0.5, -1.5, 0.5, 2.0, -3.0]),
+        # a span past 63 bits cannot be packed beside the positions
+        np.array([2**62, -2**62, 0, 2**62, -1], dtype=np.int64),
+    ], ids=["float", "wide-int"])
+    def test_stable_sort_rows_unpackable_keys(self, values):
+        sorted_values, positions = stable_sort_rows(values, 3)
+        for begin in (0, 3):
+            row = values[begin:begin + 3]
+            order = np.argsort(row, kind="stable")
+            assert np.array_equal(positions[begin:begin + 3], order)
+            assert np.array_equal(sorted_values[begin:begin + 3], row[order])
+
+    def test_stable_sort_single_element_noop(self):
+        values = np.array([2, 1])
+        sorted_values, positions = stable_sort_rows(values, 1)
+        assert np.array_equal(sorted_values, [2, 1])
+        assert np.array_equal(positions, [0, 0])
+
+    def test_stable_sort_rows_counts_work(self):
+        counters = CostCounters()
+        stable_sort_rows(np.arange(10)[::-1].copy(), 4, counters)
+        assert counters.comparisons == 2 * sort_comparisons(4) + sort_comparisons(2)
+        assert counters.tuples_moved == 10
+
+
 class TestMergeAndSearchHelpers:
     def test_merge_sorted_with_positions(self):
         left_v = np.array([1, 4, 9])
@@ -128,3 +172,17 @@ class TestMergeAndSearchHelpers:
         assert binary_search_count(0) == 0
         assert binary_search_count(1) == 1
         assert binary_search_count(1024) == 11
+
+    def test_binary_search_counts_match_the_scalar_count(self):
+        sizes = np.array([0, 1, 2, 3, 7, 8, 1023, 1024])
+        assert binary_search_counts(sizes).tolist() == [
+            binary_search_count(int(n)) for n in sizes
+        ]
+
+    def test_lower_bound_searches_uint64_keys_exactly(self):
+        # past 2**53 a Python int searched as float64 would round
+        top = 2**64 - 1
+        values = np.array([2**53, 2**53 + 1, top - 1, top], dtype=np.uint64)
+        assert lower_bound(values, 2**53 + 1) == 1
+        assert lower_bound(values, top) == 3
+        assert lower_bound(values, 0) == 0

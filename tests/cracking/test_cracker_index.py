@@ -116,3 +116,34 @@ class TestShifts:
         assert index.position_of(30) is None
         assert index.position_of(50) == 60
         index.check_invariants()
+
+
+class TestSplit:
+    def make_index(self):
+        index = CrackerIndex(100)
+        index.add_boundary(10, 20)
+        index.add_boundary(30, 40)
+        index.add_boundary(50, 60)
+        return index
+
+    def test_split_at_boundary_keeps_both_sides(self):
+        left, right = self.make_index().split_at_boundary(30)
+        assert left.size == 40
+        assert left.boundary_values == [10] and left.boundary_positions == [20]
+        # the right half is re-based at the split position
+        assert right.size == 60
+        assert right.boundary_values == [50] and right.boundary_positions == [20]
+        left.check_invariants()
+        right.check_invariants()
+
+    def test_split_halves_are_independent(self):
+        index = self.make_index()
+        left, right = index.split_at_boundary(30)
+        index.add_boundary(5, 10)
+        index.shift_positions(0, +3)
+        assert left.boundary_values == [10] and left.boundary_positions == [20]
+        assert right.boundary_positions == [20] and right.size == 60
+
+    def test_split_without_a_boundary_rejected(self):
+        with pytest.raises(ValueError, match="no boundary for value 40"):
+            self.make_index().split_at_boundary(40)

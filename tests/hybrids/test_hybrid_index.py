@@ -1,19 +1,18 @@
 """Unit tests for the hybrid adaptive index."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.hybrids.hybrid_index import HybridIndex
 from repro.cost.counters import CostCounters
 
-CANONICAL = [
-    ("crack", "crack"),
-    ("crack", "sort"),
-    ("sort", "sort"),
-]
+#: every (initial, final) pair the index takes; the registry names three
+MODE_PAIRS = list(itertools.product(HybridIndex.INITIAL_MODES, HybridIndex.FINAL_MODES))
 
 
-@pytest.mark.parametrize("initial_mode,final_mode", CANONICAL)
+@pytest.mark.parametrize("initial_mode,final_mode", MODE_PAIRS)
 class TestCorrectness:
     def test_results_match_reference(self, medium_values, reference, initial_mode, final_mode):
         index = HybridIndex(
@@ -57,6 +56,17 @@ class TestBehaviour:
         with pytest.raises(ValueError, match="partition_size must be >= 1"):
             HybridIndex(small_values, initial_mode=initial_mode,
                         partition_size=partition_size)
+
+    @pytest.mark.parametrize("partition_size,partitions", [
+        (None, 10),  # the default: the square root of the column size
+        (1, 100),
+        (1000, 1),
+    ])
+    def test_partition_size_sets_the_crack_partitions(self, partition_size, partitions):
+        index = HybridIndex(np.arange(100, dtype=np.int64), initial_mode="crack",
+                            partition_size=partition_size)
+        assert sorted(index.search(10, 20).tolist()) == list(range(10, 20))
+        assert len(index.partitions) == partitions
 
     def test_empty_column(self):
         index = HybridIndex(np.empty(0, dtype=np.int64))

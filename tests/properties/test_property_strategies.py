@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.strategies import create_strategy
+from repro.core.strategies import available_strategies, create_strategy
 
 
 values_arrays = st.lists(
@@ -24,19 +24,7 @@ def reference(values, low, high):
     return set(np.flatnonzero((values >= low) & (values < high)).tolist())
 
 
-ADAPTIVE_STRATEGIES = [
-    "cracking",
-    "stochastic-cracking",
-    "adaptive-merging",
-    "hybrid-crack-crack",
-    "hybrid-crack-sort",
-    "hybrid-sort-sort",
-    "sort-first",
-    "full-index",
-]
-
-
-@pytest.mark.parametrize("name", ADAPTIVE_STRATEGIES)
+@pytest.mark.parametrize("name", available_strategies())
 @given(values=values_arrays, queries=query_lists)
 @settings(max_examples=25, deadline=None)
 def test_strategy_equivalent_to_scan(name, values, queries):
@@ -47,6 +35,7 @@ def test_strategy_equivalent_to_scan(name, values, queries):
         assert got == reference(values, low, high), (
             f"{name} diverged from the scan answer on [{low}, {high})"
         )
+    strategy.close()
 
 
 @given(values=values_arrays, queries=query_lists)
