@@ -39,6 +39,12 @@ def _payloads(rowids, extra_payload):
     return payloads or None
 
 
+def check_range(low: Optional[float], high: Optional[float]) -> None:
+    """Raise ``ValueError`` for an inverted range (``None`` is unbounded)."""
+    if low is not None and high is not None and high < low:
+        raise ValueError(f"empty range: high ({high}) < low ({low})")
+
+
 @typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
                        "extra_payload": "numeric?"},
               mutates=("values", "rowids", "extra_payload"))
@@ -94,8 +100,7 @@ def crack_range(
     (un-cracked-at-either-bound) piece, crack-in-two otherwise, mirroring
     the original algorithm.
     """
-    if low is not None and high is not None and high < low:
-        raise ValueError(f"empty range: high ({high}) < low ({low})")
+    check_range(low, high)
 
     if low is None and high is None:
         return 0, index.size

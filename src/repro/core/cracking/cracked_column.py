@@ -48,6 +48,7 @@ from repro.columnstore.column import Column
 from repro.columnstore.types import exact_key
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.core.cracking.crack_engine import (
+    check_range,
     crack_range,
     crack_value,
     ripple_delete_position,
@@ -838,8 +839,10 @@ class CrackedColumn:
         the qualifying region ``[start, end)`` of the cracker column plus
         what the pending structures still hold inside the range (only
         under the gradual policy): indices of qualifying pending inserts
-        and rowids of qualifying pending deletes.
+        and rowids of qualifying pending deletes.  An inverted range raises
+        before anything is counted, copied or merged.
         """
+        check_range(low, high)
         self._count_query()
         if not self.materialised:
             self._materialise(counters)
@@ -872,6 +875,21 @@ class CrackedColumn:
         selection = self._select(low, high, counters)  # may rebind the arrays
         return self._gather(self.rowids, self._pending_insert_rowids,
                             selection, counters)
+
+    def search_many(
+        self,
+        ranges: Sequence[Tuple[Optional[float], Optional[float]]],
+        counters_list: Optional[Sequence[Optional[CostCounters]]] = None,
+    ) -> List[np.ndarray]:
+        """What ``search(low, high, counters)`` returns for each range in
+        turn, with ``counters_list[i]`` charged for range ``i``."""
+        ranges = list(ranges)
+        for low, high in ranges:
+            check_range(low, high)
+        if counters_list is None:
+            counters_list = [None] * len(ranges)
+        return [self.search(low, high, counters)
+                for (low, high), counters in zip(ranges, counters_list)]
 
     def search_values(
         self,

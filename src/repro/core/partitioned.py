@@ -99,6 +99,7 @@ import numpy as np
 
 from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.column import Column
+from repro.core.cracking.crack_engine import check_range
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.cost.counters import CostCounters
@@ -851,8 +852,10 @@ class PartitionedCrackedColumn:
         sub-selection.  Rowids are returned in partition order (ascending
         partition, cracker order within each partition); the *set* of
         rowids is identical to what a whole-column :class:`CrackedColumn`
-        would return.
+        would return.  An inverted range raises ``ValueError``, as it does
+        on the whole column, before any partition is pruned or touched.
         """
+        check_range(low, high)
         self._maybe_split(counters)
         targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
         with self._stats_lock:
@@ -865,6 +868,21 @@ class PartitionedCrackedColumn:
         if len(chunks) == 1:
             return chunks[0]
         return np.concatenate(chunks)
+
+    def search_many(
+        self,
+        ranges: Sequence[Tuple[Optional[float], Optional[float]]],
+        counters_list: Optional[Sequence[Optional[CostCounters]]] = None,
+    ) -> List[np.ndarray]:
+        """What ``search(low, high, counters)`` returns for each range in
+        turn, with ``counters_list[i]`` charged for range ``i``."""
+        ranges = list(ranges)
+        for low, high in ranges:
+            check_range(low, high)
+        if counters_list is None:
+            counters_list = [None] * len(ranges)
+        return [self.search(low, high, counters)
+                for (low, high), counters in zip(ranges, counters_list)]
 
     # -- maintenance / inspection ----------------------------------------------
 

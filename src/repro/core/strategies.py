@@ -159,6 +159,18 @@ class SearchStrategy(ABC):
     ) -> np.ndarray:
         """Positions (into the base column) of rows with ``low <= value < high``."""
 
+    def search_many(
+        self,
+        ranges: Sequence[Tuple[Optional[float], Optional[float]]],
+        counters_list: Sequence[Optional[CostCounters]],
+    ) -> List[np.ndarray]:
+        """``search(low, high, counters_list[i])`` for every range ``i`` of a
+        batch, in order: answers, counters and the state left behind are
+        those of the sequential calls.  A strategy that can crack a batch in
+        one pass overrides this."""
+        return [self.search(low, high, counters)
+                for (low, high), counters in zip(ranges, counters_list)]
+
     def select_project(
         self,
         low: Optional[float],
@@ -346,6 +358,9 @@ class CrackingStrategy(SearchStrategy):
 
     def search(self, low, high, counters=None):
         return self.cracked.search(low, high, counters)
+
+    def search_many(self, ranges, counters_list):
+        return self.cracked.search_many(ranges, counters_list)
 
     def check_insertable(self, value):
         """Raise when :meth:`insert` would refuse ``value`` (the engine asks

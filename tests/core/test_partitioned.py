@@ -205,6 +205,20 @@ class TestPartitionedCrackedColumn:
         description = column.structure_description
         assert "4 partitions" in description
 
+    @pytest.mark.parametrize("partitions", [None, 1, 4])
+    def test_an_inverted_range_raises_before_anything_is_touched(self, partitions):
+        """As on the whole column: pruning must not turn ``high < low`` into
+        an empty answer, and a batch checks every range before it cracks."""
+        values = np.arange(100, dtype=np.int64)
+        column = (CrackedColumn(values) if partitions is None
+                  else PartitionedCrackedColumn(values, partitions=partitions))
+        with pytest.raises(ValueError, match="empty range"):
+            column.search(50, 40)
+        with pytest.raises(ValueError, match="empty range"):
+            column.search_many([(10, 20), (50, 40)], [None, None])
+        assert column.queries_processed == 0
+        assert not column.materialised
+
 
 @pytest.mark.usefixtures("pooled_fan_out")
 class TestSequentialThreadEquivalence:
