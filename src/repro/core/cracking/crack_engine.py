@@ -4,9 +4,12 @@ The crack functions combine the bulk partitioning primitives of
 :mod:`repro.columnstore.bulk` with the bookkeeping of
 :class:`~repro.core.cracking.cracker_index.CrackerIndex`.  They are shared by
 plain cracking, stochastic cracking, the update machinery, sideways cracking
-and the hybrid algorithms (which crack their initial partitions).  The two
-ripple kernels at the end physically merge one pending insert or delete into
-a cracked column at a cost of one relocated element per later piece.
+and the hybrid algorithms (which crack their initial partitions).
+:func:`crack_many` answers a batch of range selections with one pass over
+the pieces they touch, exactly as the same :func:`crack_range` calls in
+turn would.  The two ripple kernels at the end physically merge one pending
+insert or delete into a cracked column at a cost of one relocated element
+per later piece.
 
 ``rowids`` is the aligned row-identifier array of the cracker column;
 ``extra_payload`` is an optional additional aligned array (the dragged tail
@@ -15,13 +18,15 @@ attribute of a sideways cracker map) permuted identically.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis_tools.guards import charges, typed_kernel
 from repro.columnstore.bulk import (
     binary_search_count,
+    binary_search_counts,
     partition_three_way,
     partition_two_way,
 )
@@ -43,6 +48,17 @@ def check_range(low: Optional[float], high: Optional[float]) -> None:
     """Raise ``ValueError`` for an inverted range (``None`` is unbounded)."""
     if low is not None and high is not None and high < low:
         raise ValueError(f"empty range: high ({high}) < low ({low})")
+
+
+def check_ranges(ranges: Sequence[Tuple[Optional[float], Optional[float]]]) -> None:
+    """:func:`check_range` of every range of a batch, before anything is
+    cracked."""
+    for low, high in ranges:
+        if low is not None and high is not None and high < low:
+            break
+    else:
+        return
+    check_range(low, high)
 
 
 @typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
@@ -137,6 +153,232 @@ def crack_range(
     start = crack_value(values, rowids, index, low, counters, extra_payload)
     end = crack_value(values, rowids, index, high, counters, extra_payload)
     return start, end
+
+
+# -- a batch of selections in one pass ---------------------------------------------
+#
+# k range selections answered one after the other crack each piece they touch
+# once per new bound.  Both partition kernels are stable, so the pieces of a
+# pre-batch piece always hold its elements in pre-batch order, grouped by
+# which of the bounds cracked so far they lie between; and a boundary's
+# position is a count (the elements below its value).  Cracking a piece at
+# all the batch's new bounds with one stable sort on that group number
+# therefore leaves the arrays and the index the k cracks leave, and every
+# boundary's position can be read off the group sizes.  What each query saw
+# and paid at its turn is recomputed from the same numbers.
+
+#: the per-query charge columns of a batched crack (:func:`charge_batch`)
+CHARGE_COLUMNS = ("scans", "moves", "comparisons", "pieces", "allocations")
+
+
+class BatchBounds(NamedTuple):
+    """Where the bounds of a batch fall before it runs (:func:`locate_bounds`)."""
+
+    ranges: List[Tuple[Optional[float], Optional[float]]]
+    #: the distinct bounds, ascending
+    keys: List[float]
+    #: per query, its low / high bound as an index into ``keys`` (-1: None)
+    low_keys: np.ndarray
+    high_keys: np.ndarray
+    #: per key, the first query it bounds
+    first_query: np.ndarray
+    #: per key, as :meth:`CrackerIndex.locate` gives them
+    slots: np.ndarray
+    known: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    #: elements the pass moves: every piece holding a new bound, once
+    work: int
+
+
+def locate_bounds(index: CrackerIndex,
+                  ranges: Sequence[Tuple[Optional[float], Optional[float]]]
+                  ) -> BatchBounds:
+    """One bisect per distinct bound of ``ranges`` (valid, typed ranges)."""
+    first: Dict[object, int] = {}
+    for query, (low, high) in enumerate(ranges):
+        first.setdefault(low, query)
+        first.setdefault(high, query)
+    first.pop(None, None)
+    keys = sorted(first)
+    number: Dict[object, int] = {key: j for j, key in enumerate(keys)}
+    number[None] = -1
+    slots, known, starts, ends = index.locate(keys)
+    new = ~known
+    new_slots = slots[new]
+    first_of_piece = np.ones(len(new_slots), dtype=bool)
+    np.not_equal(new_slots[1:], new_slots[:-1], out=first_of_piece[1:])
+    return BatchBounds(
+        ranges=list(ranges), keys=keys,
+        low_keys=np.array([number[low] for low, _ in ranges], dtype=np.int64),
+        high_keys=np.array([number[high] for _, high in ranges], dtype=np.int64),
+        first_query=np.array([first[key] for key in keys], dtype=np.int64),
+        slots=slots, known=known, starts=starts, ends=ends,
+        work=int((ends[new] - starts[new])[first_of_piece].sum()),
+    )
+
+
+def _at(array: np.ndarray, indices: np.ndarray, default) -> np.ndarray:
+    """``array[indices]``, ``default`` where an index is -1."""
+    return np.where(indices >= 0, array.take(indices, mode="clip"), default) \
+        if len(array) else np.full(len(indices), default, dtype=np.int64)
+
+
+@typed_kernel(buffers={"values": "numeric", "rowids": "integer"},
+              mutates=("values", "rowids"))
+def crack_many(
+    values: np.ndarray,
+    rowids: np.ndarray,
+    index: CrackerIndex,
+    bounds: BatchBounds,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Crack for every range of a batch at once: ``(answers, charges)``.
+
+    Returns what ``crack_range`` followed by a gather of ``rowids`` gives
+    for each range in turn, order included, and leaves ``values``,
+    ``rowids`` and ``index`` as those k calls leave them.  ``charges`` has
+    one row per query and the :data:`CHARGE_COLUMNS`: what the query's own
+    crack and gather would have charged.  At query ``i`` a new bound's piece
+    is bounded by its nearest neighbours among the pre-batch boundaries and
+    the bounds of the queries before ``i``, all of whose final positions are
+    known; navigation costs a binary search over the piece count of the
+    moment, crack-in-two n/n/n (scans/moves/comparisons), crack-in-three
+    n/n/2n.  Every range is valid (``low <= high``) and typed.
+
+    A range that a later query splits again ends the pass in the later
+    query's order; its answer is re-ordered by what it was at its own turn
+    (the group under the bounds cracked by then, then the pre-batch
+    position), which the pass knows for every element it moved.
+    """
+    size = index.size
+    count = len(bounds.ranges)
+    new = ~bounds.known
+    new_keys = np.flatnonzero(new)
+    # the new bounds (pivots), ascending, with their pre-batch pieces
+    pivots = np.array(bounds.keys, dtype=values.dtype)[new_keys]
+    turns = bounds.first_query[new_keys]
+    slots = bounds.slots[new_keys]
+    starts = bounds.starts[new_keys]
+    ends = bounds.ends[new_keys]
+    piece_count = index.piece_count
+
+    # -- the pass: gather the touched pieces, one stable sort by group --------
+    first_of_piece = np.ones(len(slots), dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=first_of_piece[1:])
+    piece_of = np.cumsum(first_of_piece) - 1
+    piece_sizes = (ends - starts)[first_of_piece]
+    offsets = np.cumsum(piece_sizes) - piece_sizes
+    moved = np.repeat(starts[first_of_piece] - offsets, piece_sizes) \
+        + np.arange(piece_sizes.sum())
+    gathered = values[moved]
+    groups = np.searchsorted(pivots, gathered, side="right")
+    below = np.cumsum(np.bincount(groups, minlength=len(pivots) + 1))[:-1]
+    order = np.argsort(groups.astype(np.min_scalar_type(len(pivots))), kind="stable")
+    del groups
+    values[moved] = gathered[order]
+    del gathered
+    rowids[moved] = rowids[moved][order]
+    positions = starts + below - offsets[piece_of]
+    if len(new_keys):
+        index.add_boundaries(slots, [bounds.keys[j] for j in new_keys.tolist()],
+                             positions)
+
+    # -- each query's region --------------------------------------------------
+    key_positions = bounds.ends.copy()
+    key_positions[new_keys] = positions
+    low_keys, high_keys = bounds.low_keys, bounds.high_keys
+    region_starts = _at(key_positions, low_keys, 0)
+    region_ends = _at(key_positions, high_keys, size)
+
+    # -- the piece each new bound cracked at its turn --------------------------
+    lefts, rights = starts.copy(), ends.copy()
+    crowded = np.bincount(piece_of)[piece_of] > 1
+    if crowded.any():
+        # pivots sharing a pre-batch piece: the nearest ones cracked at an
+        # earlier turn bound it (cross-piece neighbours are clamped away)
+        candidates = np.flatnonzero(crowded)
+        cracked: List[int] = []
+        waiting: List[int] = []
+        turn = -1
+        turn_of, position_of = turns.tolist(), positions.tolist()
+        for pivot in candidates[np.argsort(turns[candidates], kind="stable")].tolist():
+            if turn_of[pivot] != turn:
+                for earlier in waiting:
+                    insort(cracked, earlier)
+                waiting.clear()
+                turn = turn_of[pivot]
+            at = bisect_left(cracked, pivot)
+            if at:
+                lefts[pivot] = max(lefts[pivot], position_of[cracked[at - 1]])
+            if at < len(cracked):
+                rights[pivot] = min(rights[pivot], position_of[cracked[at]])
+            waiting.append(pivot)
+    sizes = rights - lefts
+
+    # -- what each query charged -----------------------------------------------
+    queries = np.arange(count)
+    pivot_of = np.full(len(bounds.keys), -1, dtype=np.int64)
+    pivot_of[new_keys] = np.arange(len(new_keys))
+    low_pivots = _at(pivot_of, low_keys, -1)
+    high_pivots = _at(pivot_of, high_keys, -1)
+    low_new = (low_pivots >= 0) & (_at(turns, low_pivots, -1) == queries)
+    high_new = (high_pivots >= 0) & (_at(turns, high_pivots, -1) == queries)
+    low_sizes = np.where(low_new, _at(sizes, low_pivots, 0), 0)
+    high_sizes = np.where(high_new, _at(sizes, high_pivots, 0), 0)
+    # crack-in-three: both bounds new and in one piece of the moment
+    same = low_new & high_new \
+        & (_at(lefts, low_pivots, 0) == _at(lefts, high_pivots, 0)) \
+        & (_at(rights, low_pivots, 0) == _at(rights, high_pivots, 0))
+    pieces_then = piece_count + np.concatenate(
+        ([0], np.cumsum(np.bincount(turns, minlength=count))[:-1]))
+    both = (low_keys >= 0) & (high_keys >= 0)
+    navigation = np.where(
+        (low_keys >= 0) | (high_keys >= 0), binary_search_counts(pieces_then), 0)
+    navigation += np.where(
+        both & ~same, binary_search_counts(pieces_then + low_new), 0)
+    cracked_sizes = np.where(same, low_sizes, low_sizes + high_sizes)
+    charges = np.zeros((count, len(CHARGE_COLUMNS)), dtype=np.int64)
+    charges[:, 0] = cracked_sizes + region_ends - region_starts
+    charges[:, 1] = cracked_sizes
+    charges[:, 2] = navigation + np.where(same, 2 * low_sizes, cracked_sizes)
+    charges[:, 3] = np.where(same, 2, low_new.astype(np.int64) + high_new)
+
+    # -- answers, re-ordered where a later query split the region ---------------
+    cumulative_new = np.cumsum(new)
+    first_inside = _at(cumulative_new, low_keys, 0)
+    past_inside = _at(cumulative_new - new, high_keys, len(new_keys))
+    latest = np.maximum.reduceat(
+        np.append(turns, -1),
+        np.column_stack((first_inside, past_inside)).ravel())[::2]
+    resplit = (first_inside < past_inside) & (latest > queries)
+    answers = []
+    for query, start, end, again in zip(queries.tolist(), region_starts.tolist(),
+                                        region_ends.tolist(), resplit.tolist()):
+        if not again:
+            answers.append(rowids[start:end].copy())
+            continue
+        origin = np.arange(start, end)
+        first, last = np.searchsorted(moved, (start, end))
+        origin[moved[first:last] - start] = moved[order[first:last]]
+        group_then = np.searchsorted(pivots[turns <= query], values[start:end],
+                                     side="right")
+        answers.append(rowids[start:end][np.lexsort((origin, group_then))])
+    return answers, charges
+
+
+@charges("scans", "movements", "comparisons", "pieces", "allocations")
+def charge_batch(counters_list: Sequence[Optional[CostCounters]],
+                 charges: np.ndarray) -> None:
+    """Record each row of a :func:`crack_many` charge matrix on its query's
+    counters (``None`` records nothing)."""
+    for counters, (scans, moves, comparisons, pieces, allocated) in zip(
+            counters_list, charges.tolist()):
+        if counters is not None:
+            counters.record_scan(scans)
+            counters.record_move(moves)
+            counters.record_comparisons(comparisons)
+            counters.record_pieces(pieces)
+            counters.record_allocation(allocated)
 
 
 @typed_kernel(buffers={"boundary_positions": "int64"})

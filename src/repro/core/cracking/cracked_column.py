@@ -48,9 +48,14 @@ from repro.columnstore.column import Column
 from repro.columnstore.types import exact_key
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.core.cracking.crack_engine import (
+    BatchBounds,
+    charge_batch,
     check_range,
+    check_ranges,
+    crack_many,
     crack_range,
     crack_value,
+    locate_bounds,
     ripple_delete_position,
     ripple_insert_value,
 )
@@ -879,17 +884,54 @@ class CrackedColumn:
     def search_many(
         self,
         ranges: Sequence[Tuple[Optional[float], Optional[float]]],
-        counters_list: Optional[Sequence[Optional[CostCounters]]] = None,
+        counters_list: Sequence[Optional[CostCounters]],
     ) -> List[np.ndarray]:
         """What ``search(low, high, counters)`` returns for each range in
-        turn, with ``counters_list[i]`` charged for range ``i``."""
+        turn, with ``counters_list[i]`` charged for range ``i`` — answers in
+        order, counters and the state left behind included — from one pass
+        over the pieces the batch touches (:func:`crack_many`).
+
+        Every range is checked before anything is cracked.  A column with
+        pending updates or recognised as converged answers range by range.
+        """
         ranges = list(ranges)
-        for low, high in ranges:
-            check_range(low, high)
-        if counters_list is None:
-            counters_list = [None] * len(ranges)
-        return [self.search(low, high, counters)
-                for (low, high), counters in zip(ranges, counters_list)]
+        check_ranges(ranges)
+        if not ranges or not self.batchable:
+            return [self.search(low, high, counters)
+                    for (low, high), counters in zip(ranges, counters_list)]
+        answers, charged = self.crack_batch(self.locate_batch(ranges))
+        charge_batch(counters_list, charged)
+        return answers
+
+    @property
+    def batchable(self) -> bool:
+        """True when :meth:`crack_batch` can answer a batch: nothing pending
+        to merge and not answering by binary search."""
+        return not (self._converged or self._pending_insert_values
+                    or self._delete_queue_rowids)
+
+    def locate_batch(self, ranges: Sequence[Tuple[Optional[float], Optional[float]]]
+                     ) -> BatchBounds:
+        """Where a batch's bounds fall; reads the index, changes nothing.
+        Its ``work`` is what :meth:`crack_work` is to one search: the whole
+        slice while unmaterialised, else every piece holding a new bound."""
+        bounds = locate_bounds(self.index, ranges)
+        if not self.materialised:
+            bounds = bounds._replace(work=len(self._base))
+        return bounds
+
+    def crack_batch(self, bounds: BatchBounds) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Answer a located batch of a :attr:`batchable` column in one pass:
+        the answers and the :data:`CHARGE_COLUMNS` charge matrix, with the
+        copy of an unmaterialised column charged to the first query."""
+        with self._stats_lock:
+            self.queries_processed += len(bounds.ranges)
+        copy = CostCounters()
+        self._materialise(copy)
+        answers, charged = crack_many(self.values, self.rowids, self.index, bounds)
+        charged[0] += (copy.tuples_scanned, copy.tuples_moved, 0, 0,
+                       copy.bytes_allocated)
+        return answers, charged
 
     def search_values(
         self,

@@ -38,7 +38,8 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -174,6 +175,30 @@ class CrackerIndex:
         end = positions[index] if index < len(positions) else self.size
         return end - (positions[index - 1] if index else 0)
 
+    def locate(self, keys: Sequence[float]) -> Tuple[np.ndarray, np.ndarray,
+                                                      np.ndarray, np.ndarray]:
+        """Where ascending ``keys`` fall, one bisect each, as int64 arrays:
+        ``(slots, known, starts, ends)``.
+
+        ``slots[j]`` is the insertion point of ``keys[j]`` among the
+        boundary values and ``known[j]`` whether it is one.  A known key's
+        position is ``ends[j]``; any other key lies in the piece ``[starts[j],
+        ends[j])``, the ``slots[j]``-th.
+        """
+        values = self._values
+        count = len(keys)
+        slots = np.fromiter(map(partial(bisect.bisect_left, values), keys),
+                            dtype=np.int64, count=count)
+        after = np.fromiter(map(partial(bisect.bisect_right, values), keys),
+                            dtype=np.int64, count=count)
+        positions = np.frombuffer(self._positions, dtype=np.int64)
+        starts = np.where(slots > 0, positions.take(slots - 1, mode="clip"), 0) \
+            if len(positions) else np.zeros(count, dtype=np.int64)
+        ends = np.where(slots < len(positions), positions.take(slots, mode="clip"),
+                        self.size) if len(positions) else np.full(count, self.size)
+        del positions
+        return slots, after > slots, starts, ends
+
     # -- mutation --------------------------------------------------------------
 
     def add_boundary(self, value: float, position: int) -> None:
@@ -204,6 +229,33 @@ class CrackerIndex:
             )
         self._values.insert(index, value)
         self._positions.insert(index, position)
+
+    def add_boundaries(self, slots: np.ndarray, values: Sequence[float],
+                       positions: np.ndarray) -> None:
+        """Register many new boundaries in one merge: ascending ``values``,
+        none of them a boundary yet, at their ``slots`` (insertion points
+        among the current boundary values, as :meth:`locate` gives them).
+
+        One pass over each sequence instead of one insert per boundary;
+        ``positions`` must keep the positions non-decreasing.
+        """
+        old = self._values
+        merged: List[float] = []
+        previous = 0
+        for slot, value in zip(slots.tolist(), values):
+            merged += old[previous:slot]
+            merged.append(value)
+            previous = slot
+        merged += old[previous:]
+        current = np.frombuffer(self._positions, dtype=np.int64)
+        combined = np.insert(current, slots, positions)
+        del current
+        if len(combined) and (combined[0] < 0 or combined[-1] > self.size
+                              or np.any(combined[1:] < combined[:-1])):
+            raise ValueError("new boundaries violate the position ordering")
+        self._values = merged
+        self._positions = array("q")
+        self._positions.frombytes(combined.view(np.uint8))
 
     def shift_positions(self, from_position: int, delta: int) -> None:
         """Shift every boundary at or after ``from_position`` by ``delta``.

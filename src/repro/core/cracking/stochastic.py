@@ -55,6 +55,10 @@ class StochasticCrackedColumn(CrackedColumn):
         Seed of the private random generator (for reproducible runs).
     """
 
+    #: the random cuts come before each query's own cracks, so a batch is
+    #: answered range by range (``search_many`` loops over :meth:`search`)
+    batchable = False
+
     def __init__(
         self,
         column: Union[Column, np.ndarray],

@@ -93,13 +93,18 @@ import threading
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.column import Column
-from repro.core.cracking.crack_engine import check_range
+from repro.core.cracking.crack_engine import (
+    CHARGE_COLUMNS,
+    charge_batch,
+    check_range,
+    check_ranges,
+)
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.cost.counters import CostCounters
@@ -609,32 +614,50 @@ class PartitionedCrackedColumn:
         order once all are done — workers never share a mutable counter
         instance, and the totals do not depend on the dispatch.
         """
-        searches = [target.cracked.search for target in targets]
-        pooled = [
-            target.cracked.crack_work(low, high) >= _POOL_MIN_WORK
-            for target in targets
-        ] if self.parallel and len(targets) > 1 else ()
-        if sum(pooled) < 2:
-            return [search(low, high, counters) for search in searches]
+        handed = self._hand_offs(
+            target.cracked.crack_work(low, high) for target in targets)
+        if not handed:
+            return [target.cracked.search(low, high, counters) for target in targets]
         privates = [CostCounters() if counters is not None else None
                     for _ in targets]
-        pool = self._executor()
-        futures = [
-            pool.submit(search, low, high, private) if handed else None
-            for search, private, handed in zip(searches, privates, pooled)
-        ]
-        inline = [
-            None if handed else search(low, high, private)
-            for search, private, handed in zip(searches, privates, pooled)
-        ]
-        results = [
-            chunk if future is None else future.result()
-            for future, chunk in zip(futures, inline)
-        ]
+        results = self._dispatch(
+            [(target.cracked.search, (low, high, private))
+             for target, private in zip(targets, privates)], handed)
         if counters is not None:
             for private in privates:
                 counters += private
         return results
+
+    def _hand_offs(self, works: Iterable[int]) -> List[bool]:
+        """Which of these sub-selections go to the pool, given the elements
+        each is about to move: on a ``parallel`` column those moving at
+        least :data:`_POOL_MIN_WORK`, provided two of them do ([] when none
+        go; ``works`` is not read on a sequential column)."""
+        if not self.parallel:
+            return []
+        handed = [work >= _POOL_MIN_WORK for work in works]
+        return handed if sum(handed) >= 2 else []
+
+    def _dispatch(self, calls: Sequence[Tuple[Callable, tuple]],
+                  handed: Sequence[bool]) -> list:
+        """Results of ``(function, arguments)`` calls, in order: the
+        ``handed`` ones run on the pool, the others here while those are in
+        flight."""
+        if not handed:
+            return [function(*arguments) for function, arguments in calls]
+        pool = self._executor()
+        futures = [
+            pool.submit(function, *arguments) if hand else None
+            for (function, arguments), hand in zip(calls, handed)
+        ]
+        inline = [
+            None if hand else function(*arguments)
+            for (function, arguments), hand in zip(calls, handed)
+        ]
+        return [
+            result if future is None else future.result()
+            for future, result in zip(futures, inline)
+        ]
 
     # -- update routing ---------------------------------------------------------
 
@@ -872,17 +895,71 @@ class PartitionedCrackedColumn:
     def search_many(
         self,
         ranges: Sequence[Tuple[Optional[float], Optional[float]]],
-        counters_list: Optional[Sequence[Optional[CostCounters]]] = None,
+        counters_list: Sequence[Optional[CostCounters]],
     ) -> List[np.ndarray]:
         """What ``search(low, high, counters)`` returns for each range in
-        turn, with ``counters_list[i]`` charged for range ``i``."""
+        turn, with ``counters_list[i]`` charged for range ``i`` — answers in
+        order, counters, visits and the state left behind included.
+
+        Every range is checked first; then pruning and visits go query by
+        query, in order (a partition's first-touch bounds scan is charged to
+        the first query that reaches it), and each partition answers its
+        share of the batch in one pass
+        (:meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_batch`)
+        — or range by range while it has pending updates or is converged.
+        A pass goes to the pool under the rule of :meth:`_fan_out`
+        (:meth:`_hand_offs`), its ``work`` being the pieces it touches.  A repartitioning column, which
+        may split before any query, answers range by range.
+        """
         ranges = list(ranges)
-        for low, high in ranges:
-            check_range(low, high)
-        if counters_list is None:
-            counters_list = [None] * len(ranges)
-        return [self.search(low, high, counters)
-                for (low, high), counters in zip(ranges, counters_list)]
+        check_ranges(ranges)
+        if self.repartition or not ranges:
+            return [self.search(low, high, counters)
+                    for (low, high), counters in zip(ranges, counters_list)]
+        partitions = self._partitions
+        overlapping = [
+            [partition.overlaps(low, high, counters) for partition in partitions]
+            for (low, high), counters in zip(ranges, counters_list)
+        ]
+        shares = [[query for query, row in enumerate(overlapping) if row[column]]
+                  for column in range(len(partitions))]
+        with self._stats_lock:
+            self.queries_processed += len(ranges)
+            for partition, share in zip(partitions, shares):
+                partition.visits += len(share)
+        columns = range(len(partitions))
+        crackers = [partition.cracked for partition in partitions]
+        batched = [column for column in columns
+                   if shares[column] and crackers[column].batchable]
+        # per partition, its answers aligned with its share of the batch: a
+        # partition with pending updates, or converged, answers range by range
+        answers = {
+            column: [crackers[column].search(*ranges[query], counters_list[query])
+                     for query in shares[column]]
+            for column in columns if column not in batched
+        }
+        passes = [
+            (crackers[column],
+             crackers[column].locate_batch([ranges[query] for query in shares[column]]))
+            for column in batched
+        ]
+        charged = np.zeros((len(ranges), len(CHARGE_COLUMNS)), dtype=np.int64)
+        done = self._dispatch(
+            [(cracked.crack_batch, (bounds,)) for cracked, bounds in passes],
+            self._hand_offs(bounds.work for _, bounds in passes))
+        for column, (chunks, charges) in zip(batched, done):
+            answers[column] = chunks
+            charged[shares[column]] += charges
+        charge_batch(counters_list, charged)
+        results: List[List[np.ndarray]] = [[] for _ in ranges]
+        for column in columns:
+            for query, chunk in zip(shares[column], answers[column]):
+                results[query].append(chunk)
+        return [
+            chunks[0] if len(chunks) == 1
+            else np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+            for chunks in results
+        ]
 
     # -- maintenance / inspection ----------------------------------------------
 

@@ -454,8 +454,11 @@ class Database:
         low: Optional[float],
         high: Optional[float],
         counters: CostCounters,
+        answer: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Answer a selection through the configured access path."""
+        """Answer a selection through the configured access path, or take
+        the ``answer`` the path already gave for it (a batch pass) through
+        the same tombstone filter."""
         path = self._access_paths.get((table, column))
         if path is None:
             positions = scan_select(
@@ -463,7 +466,7 @@ class Database:
                 counters,
             )
         else:
-            positions = path.search(low, high, counters)
+            positions = path.search(low, high, counters) if answer is None else answer
             if path.supports_updates:
                 # updatable strategies receive every DML delete themselves,
                 # so their answers already exclude tombstoned rows

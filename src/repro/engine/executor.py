@@ -47,8 +47,15 @@ class Executor:
     def __init__(self, database) -> None:
         self.database = database
 
-    def execute(self, plan: Plan, counters: Optional[CostCounters] = None) -> QueryResult:
-        """Run every plan step, threading the candidate position list through."""
+    def execute(self, plan: Plan, counters: Optional[CostCounters] = None,
+                selection: Optional[np.ndarray] = None) -> QueryResult:
+        """Run every plan step, threading the candidate position list through.
+
+        ``selection`` is what the access path already answered for the
+        plan's leading ``index_select`` (a batch's one-pass crack, whose
+        cost is on ``counters``); it goes through the same tombstone filter
+        as a search made here.
+        """
         counters = counters if counters is not None else CostCounters()
         table = self.database.table(plan.query.table)
         positions: Optional[np.ndarray] = None
@@ -67,7 +74,8 @@ class Executor:
                 if not step.columns:
                     # one dispatch: a column without an access path is scanned
                     positions = self.database.index_select(
-                        plan.query.table, step.column, step.low, step.high, counters
+                        plan.query.table, step.column, step.low, step.high,
+                        counters, selection,
                     )
                 else:
                     # the path covers the projection: it refines on the other

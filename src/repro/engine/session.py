@@ -44,6 +44,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -266,30 +267,93 @@ class Session:
         :mod:`repro.cost.witness`) fingerprints every access path the plan
         dispatches through before and after the executor runs and checks
         the structural delta against the query's counters."""
+        with self._database._path_locks.locked(claims):
+            return self._execute_locked(query, plan, CostCounters())
+
+    def _execute_locked(
+        self, query: Query, plan: Plan, counters: CostCounters,
+        selection: Optional[np.ndarray] = None,
+    ) -> QueryResult:
+        """Execute and journal one query whose path locks the caller holds;
+        ``selection`` is its leading ``index_select``'s answer when a batch
+        pass already computed it (charged to ``counters``)."""
         database = self._database
-        with database._path_locks.locked(claims):
-            counters = CostCounters()
-            timer = Timer()
-            witness = cost_witness()
+        timer = Timer()
+        witness = cost_witness()
+        snapshots = None
+        if witness is not None:
+            snapshots = witness.before(
+                (step.table, step.column,
+                 database.access_path(step.table, step.column))
+                for step in plan.access_path_steps()
+            )
+        with timer:
+            result = database.executor.execute(plan, counters, selection)
+        if witness is not None:
+            witness.after(
+                query.description or query.table, snapshots, result.counters
+            )
+        result.elapsed_seconds = timer.elapsed
+        result.worker = threading.current_thread().name
+        result.sequence = database._journal_record(
+            "query", query.table, query, result, session=self.name
+        )
+        return result
+
+    def _run_task(
+        self, queries: Sequence[Query], plans: Sequence[Plan],
+        claims: Sequence[Sequence[AccessPathClaim]], positions: Sequence[int],
+        results: List[Optional[QueryResult]],
+    ) -> None:
+        """Run one task of a batch: hold the exclusive locks of all its
+        queries from the first search to the last journal record, crack
+        each path the task selects through in one ``search_many`` call, then
+        execute and journal the queries in order.  No other query can take
+        a path lock — or a sequence number — in between, so the journal
+        still orders every path's queries as they cracked it."""
+        database = self._database
+        held = [claim for position in positions for claim in claims[position]]
+        with database._path_locks.locked(held):
+            counters = {position: CostCounters() for position in positions}
+            selections = self._batch_selections(
+                [(position, plans[position]) for position in positions], counters)
+            for position in positions:
+                results[position] = self._execute_locked(
+                    queries[position], plans[position], counters[position],
+                    selections.get(position),
+                )
+
+    def _batch_selections(self, planned, counters) -> dict:
+        """Leading-selection answers, by batch position, from one
+        ``search_many`` call per access path that two or more queries of a
+        task select through and that only plain ``index_select`` steps use
+        (a covering selection or a scan keeps its path on the query path).
+        The cost witness brackets each call as one operation."""
+        database = self._database
+        uses: dict = {}
+        for position, plan in planned:
+            for step in plan.access_path_steps():
+                key = (step.table, step.column)
+                plain = step.operator == "index_select" and not step.columns
+                uses.setdefault(key, []).append((position, step) if plain else None)
+        selections = {}
+        witness = cost_witness()
+        for (table, column), steps in uses.items():
+            if len(steps) < 2 or None in steps:
+                continue
+            path = database.access_path(table, column)
+            batch = [counters[position] for position, _ in steps]
             snapshots = None
             if witness is not None:
-                snapshots = witness.before(
-                    (step.table, step.column,
-                     database.access_path(step.table, step.column))
-                    for step in plan.access_path_steps()
-                )
-            with timer:
-                result = database.executor.execute(plan, counters)
+                snapshots = witness.before([(table, column, path)])
+            answers = path.search_many(
+                [(step.low, step.high) for _, step in steps], batch)
             if witness is not None:
-                witness.after(
-                    query.description or query.table, snapshots, result.counters
-                )
-            result.elapsed_seconds = timer.elapsed
-            result.worker = threading.current_thread().name
-            result.sequence = database._journal_record(
-                "query", query.table, query, result, session=self.name
-            )
-        return result
+                witness.after(f"batch of {len(steps)} on {table}.{column}",
+                              snapshots, sum(batch, CostCounters()))
+            for (position, _), answer in zip(steps, answers):
+                selections[position] = answer
+        return selections
 
     def submit(self, query: Query) -> Future:
         """Pipeline one query; returns a future resolving to its result.
@@ -312,12 +376,20 @@ class Session:
         The batch holds the gates of every referenced table shared for
         its whole duration: DML issued meanwhile queues on the gates
         (fenced) and the batch's up-front classification stays valid
-        until the last query finishes.  Queries through read-only paths
-        fan out over a thread pool (``parallel=True``); queries through
-        mutating paths serialize per access path in submission order, so
-        results and cost counters are bit-identical to sequential
-        execution.  See :class:`BatchExecutionReport` for the observed
-        decomposition, reported as ``stats().last_batch_report``.
+        until the last query finishes.  :func:`schedule_batch` splits it
+        into tasks: queries through mutating paths stay on one task in
+        submission order, queries through read-only paths become tasks of
+        their own, which fan out over a thread pool (``parallel=True``).
+
+        A task holds the exclusive locks of all its queries from start to
+        end.  Every access path that two or more of its queries select
+        through — by plain ``index_select`` steps only — answers their
+        ranges in one ``search_many`` call (a cracked column cracks each
+        touched piece once for all of them); the queries then run and are
+        journaled in order, each taking its precomputed answer.  Results,
+        cost counters and the journal are bit-identical to executing the
+        queries one by one.  See :class:`BatchExecutionReport` for the
+        observed decomposition, reported as ``stats().last_batch_report``.
         """
         self._check_open()
         database = self._database
@@ -333,13 +405,8 @@ class Session:
             plans = [database.planner.plan(query) for query in queries]
             schedule = schedule_batch(database, plans)
             results: List[Optional[QueryResult]] = [None] * len(queries)
-
-            def run_task(positions: List[int]) -> None:
-                for position in positions:
-                    results[position] = self._execute_claimed(
-                        queries[position], plans[position],
-                        schedule.claims[position],
-                    )
+            run_task = partial(self._run_task, queries, plans, schedule.claims,
+                               results=results)
 
             if not parallel or len(schedule.tasks) <= 1:
                 for task in schedule.tasks:

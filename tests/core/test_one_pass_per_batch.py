@@ -1,0 +1,101 @@
+"""A batch cracks each partition once, and nothing else changes route.
+
+``Session.execute_many`` hands the ranges a task selects through one access
+path to ``search_many``, and a partitioned cracked column answers its share
+of them with one ``crack_many`` pass per partition instead of one
+crack-in-two or crack-in-three per range.  Whether that route is taken shows
+without a clock, in the style of ``tests/engine/test_no_full_column_pass.py``:
+the tests count calls to the two partition kernels and to ``crack_many``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.cracking import crack_engine, cracked_column
+from repro.engine.database import Database
+from repro.engine.query import Aggregate, Query, RangeSelection
+
+ROWS = 80_000
+PARTITIONS = 8
+DOMAIN = 10_000_000
+WIDTH = 10_000
+BATCH = 64
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls made to each crack kernel while the test runs, by name."""
+    calls = {"partition_two_way": 0, "partition_three_way": 0, "crack_many": 0}
+
+    def counting(module, name):
+        kernel = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(crack_engine, "partition_two_way")
+    counting(crack_engine, "partition_three_way")
+    counting(cracked_column, "crack_many")
+    return calls
+
+
+def counted_from_here(calls):
+    """Forget the calls made while the database was being set up."""
+    calls.update(dict.fromkeys(calls, 0))
+
+
+def query(low):
+    return Query(table="t", selections=[RangeSelection("key", low, low + WIDTH)],
+                 aggregates=[Aggregate("pay", "sum")])
+
+
+def steady_database(mode="partitioned-cracking"):
+    """1 000 queries into the stream, as the batch workload's steady phase."""
+    rng = np.random.default_rng(34)
+    database = Database("one-pass")
+    database.create_table("t", {
+        "key": rng.integers(0, DOMAIN, ROWS).astype(np.int64),
+        "pay": rng.random(ROWS),
+    })
+    database.set_indexing("t", "key", mode, partitions=PARTITIONS)
+    with database.session() as session:
+        for _ in range(16):
+            session.execute_many([query(low) for low in rng.integers(0, DOMAIN, BATCH)])
+    return database, rng
+
+
+def test_a_steady_batch_makes_one_pass_per_partition(kernel_calls):
+    database, rng = steady_database()
+    counted_from_here(kernel_calls)
+    with database.session() as session:
+        results = session.execute_many(
+            [query(low) for low in rng.integers(0, DOMAIN, BATCH)])
+    assert len(results) == BATCH
+    assert kernel_calls == {"partition_two_way": 0, "partition_three_way": 0,
+                            "crack_many": PARTITIONS}
+
+
+def test_a_partition_with_pending_updates_answers_range_by_range(kernel_calls):
+    database, rng = steady_database("partitioned-updatable-cracking")
+    lows = rng.integers(0, DOMAIN - WIDTH, BATCH)
+    counted_from_here(kernel_calls)
+    with database.session() as session:
+        # a pending insert inside the first range: one partition queues it
+        session.insert_row("t", {"key": int(lows[0]) + 1, "pay": 0.5})
+        session.execute_many([query(low) for low in lows])
+    assert kernel_calls["crack_many"] == PARTITIONS - 1
+    assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] > 0
+
+
+def test_a_single_execute_keeps_its_kernels(kernel_calls):
+    database, rng = steady_database()
+    counted_from_here(kernel_calls)
+    with database.session() as session:
+        for low in rng.integers(0, DOMAIN, 4):
+            session.execute(query(low))
+    assert kernel_calls["crack_many"] == 0
+    assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] \
+        >= PARTITIONS

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cracking.cracked_column import CrackedColumn
 from repro.cost import witness as cost_witness_module
 from repro.cost.counters import CostCounters
 from repro.engine.database import Database
@@ -129,6 +130,38 @@ def test_updatable_strategies_conform_under_dml(mode, bounds, seed):
                 session.delete_row("facts", inserted.pop())
             session.execute(Query.range_query("facts", "key", low, high))
         assert witness.violations() == []
+
+
+@pytest.mark.parametrize("mode", ALL_STRATEGIES)
+@given(bounds=query_bounds)
+@settings(max_examples=10, deadline=None)
+def test_batches_conform(mode, bounds):
+    """A batch's one-pass crack is one witnessed operation: the task's paths
+    are fingerprinted before it and checked against the summed counters of
+    its queries after it; each query is then witnessed as always."""
+    queries = [Query.range_query("facts", "key", low, high) for low, high in bounds]
+    with fresh_witness() as witness, build_database(mode).session() as session:
+        for _ in range(2):
+            session.execute_many(queries + queries[:1])
+        assert witness.violations() == []
+        assert witness.queries_checked >= 2 * len(bounds)
+
+
+def test_a_batch_pass_that_charges_nothing_trips_the_witness(monkeypatch):
+    """Without the bracket a free pass would go unseen: the queries behind
+    it only read the answers it left, so their own fingerprints never move."""
+    crack_for_free = CrackedColumn.search_many
+    monkeypatch.setattr(
+        CrackedColumn, "search_many",
+        lambda column, ranges, counters_list: crack_for_free(
+            column, ranges, [None] * len(ranges)))
+    queries = [Query.range_query("facts", "key", low, low + 40)
+               for low in range(0, DOMAIN, 100)]
+    with fresh_witness() as witness, build_database("cracking").session() as session:
+        with pytest.raises(cost_witness_module.CostConformanceViolation):
+            session.execute_many(queries)
+        assert "reorganized for free" in witness.violations()[0]
+        assert "batch of 10 on facts.key" in witness.violations()[0]
 
 
 # -- witness mechanism ---------------------------------------------------------

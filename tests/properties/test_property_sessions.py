@@ -226,10 +226,15 @@ def test_dml_during_parallel_batches_hammer(mode):
 
     def mixed_batch(seed):
         rng = np.random.default_rng(seed)
-        queries = []
-        for _ in range(5):
+        ranges = []
+        for _ in range(2):
             low = int(rng.integers(0, DOMAIN - 1_500))
-            queries.append(Query.range_query("facts", "key", low, low + 1_500))
+            ranges.append((low, low + 1_500))
+        # a duplicate, a nested and a touching range: one pass cracks them all
+        low, high = ranges[0]
+        ranges += [ranges[1], (low + 300, high - 300), (high, high + 700)]
+        queries = [Query.range_query("facts", "key", low, high)
+                   for low, high in ranges]
         for _ in range(2):
             low = int(rng.integers(0, 800))
             queries.append(Query.range_query("facts", "aux", low, low + 150))
@@ -305,6 +310,54 @@ def test_dml_during_parallel_batches_hammer(mode):
     )
 
     context = f"hammer mode={mode}"
+    oracle = build_database(mode, options)
+    replay_journal(journal, oracle, context)
+    assert_same_final_state(database, oracle, context)
+
+
+@pytest.mark.parametrize("mode", ["cracking", "partitioned-cracking"])
+def test_concurrent_batches_on_one_column_replay(mode):
+    """Two sessions crack one column with batches at the same time.
+
+    A task holds its path lock from its one-pass crack until its last
+    query is journaled, so no query of the other batch can take a sequence
+    number in between: each batch is one contiguous run of the journal, and
+    the journal replays bit for bit.
+    """
+    options = MODE_OPTIONS.get(mode, {})
+    database = build_database(mode, options)
+    database.record_journal = True
+    errors = []
+    rounds, size = 5, 6
+
+    def batch_worker(worker):
+        rng = np.random.default_rng(40 + worker)
+        try:
+            with database.session(name=f"batches-{worker}") as session:
+                for _ in range(rounds):
+                    lows = rng.integers(0, DOMAIN - 1_500, size).tolist()
+                    session.execute_many(
+                        [Query.range_query("facts", "key", low, low + 1_500)
+                         for low in lows])
+        except Exception as error:  # noqa: BLE001
+            errors.append(error)
+
+    threads = [threading.Thread(target=batch_worker, args=(worker,))
+               for worker in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors, f"mode={mode}: batch threads failed: {errors}"
+
+    journal = database.operation_journal()
+    assert len(journal) == 2 * rounds * size
+    for worker in range(2):
+        sequences = np.asarray([record.sequence for record in journal
+                                if record.session == f"batches-{worker}"])
+        assert len(np.flatnonzero(np.diff(sequences) != 1)) <= rounds - 1, (
+            f"mode={mode}: another batch took a sequence number inside a task")
+    context = f"concurrent batches mode={mode}"
     oracle = build_database(mode, options)
     replay_journal(journal, oracle, context)
     assert_same_final_state(database, oracle, context)
