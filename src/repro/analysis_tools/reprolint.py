@@ -33,7 +33,7 @@ that discipline:
     updates under concurrent readers.
 ``RL005`` blocking call while a path lock or table gate is statically held
     ``Future.result()`` / ``.join()`` / gate acquisition inside a ``with
-    <path lock>`` block can deadlock against the batch scheduler.
+    <path lock>`` block can deadlock against the path-lock protocol.
     Additionally, synchronous file I/O (``open``/``write``/``fsync``/
     ``os.replace``/... and the durability entry points ``append_record``/
     ``write_snapshot``) inside a path-lock *or* gate critical section
@@ -386,7 +386,7 @@ class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
                 f"strategy {name} relies on the implicit SearchStrategy "
                 f"default for reorganizes_on_read",
                 hint="declare `reorganizes_on_read = True/False` (or a "
-                     "property) on the class so the batch scheduler's "
+                     "property) on the class so the path-lock protocol's "
                      "contract is explicit",
                 attribute="reorganizes_on_read",
             )
@@ -592,8 +592,8 @@ class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
                     "RL005",
                     node,
                     f"blocking call .{method}() while path lock held "
-                    f"(since line {holder.line}) can deadlock the batch "
-                    f"scheduler",
+                    f"(since line {holder.line}) can deadlock the path-lock "
+                    f"protocol",
                     hint="collect futures/gate work outside the path-lock "
                          "critical section and block on them after release",
                 )

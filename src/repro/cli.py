@@ -15,11 +15,6 @@ writing any Python:
     session front door (``Database.session()`` — queries via the fluent
     builder, DML fenced on the table gate) for any indexing strategy and
     report update throughput and per-query cost;
-``python -m repro batch``
-    execute a batch of same-table range queries through
-    ``Session.execute_many`` sequentially and (with ``--parallel``) under
-    per-access-path concurrency control, verify the answers are identical,
-    and report wall-clock plus the observed worker fan-out;
 ``python -m repro snapshot``
     recover a durable data directory and write a fresh column-store
     snapshot (truncating the journal it covers);
@@ -32,7 +27,7 @@ writing any Python:
     kernels) over the tree against their checked-in baselines; ``--format json`` prints
     one document keyed by analyzer.
 
-Durability: ``updates`` and ``batch`` accept ``--data-dir`` (journal every
+Durability: ``updates`` accepts ``--data-dir`` (journal every
 DML to a write-ahead log under that directory) and ``--sync`` (the fsync
 policy: ``always``, ``batch`` group commit, or ``off``).  A directory
 written by one run is reopened with ``repro recover``.
@@ -79,8 +74,6 @@ _EXAMPLES = """examples:
   repro compare --strategies partitioned-cracking --repartition --pattern skewed
   repro updates --strategy partitioned-updatable-cracking --repartition \\
       --max-partition-rows 50000 --updates-per-query 4
-  repro batch --mode scan --queries 16 --parallel --max-workers 4
-  repro batch --mode cracking --parallel   # mutating path: serialized per path
   repro updates --strategy cracking --data-dir ./state --sync batch
   repro recover --data-dir ./state         # replay the journal, report counts
   repro snapshot --data-dir ./state        # compact the journal into a snapshot
@@ -193,34 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_durability_arguments(updates)
     updates.add_argument("--seed", type=int, default=0, help="random seed")
 
-    batch = subparsers.add_parser(
-        "batch",
-        help="run a query batch through execute_many (sequential vs parallel)",
-    )
-    batch.add_argument("--rows", type=int, default=200_000, help="table size")
-    batch.add_argument(
-        "--queries", type=int, default=16, help="number of range queries in the batch"
-    )
-    batch.add_argument(
-        "--selectivity", type=float, default=0.05, help="per-query selectivity"
-    )
-    batch.add_argument(
-        "--mode", default="scan",
-        help="indexing mode for the key column (any registered strategy)",
-    )
-    batch.add_argument(
-        "--parallel", action="store_true",
-        help="also run the batch with parallel=True and compare against the "
-             "sequential run",
-    )
-    batch.add_argument(
-        "--max-workers", type=int, default=None, metavar="N",
-        help="thread-pool size for the parallel run (default: one worker "
-             "per independent task, capped at the CPU count)",
-    )
-    _add_durability_arguments(batch)
-    batch.add_argument("--seed", type=int, default=0, help="random seed")
-
     snapshot = subparsers.add_parser(
         "snapshot",
         help="recover a durable data directory and write a fresh snapshot",
@@ -282,7 +247,7 @@ def _add_repartition_arguments(subparser: argparse.ArgumentParser) -> None:
 
 
 def _add_durability_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Write-ahead-journal knobs shared by the DML-driving subcommands."""
+    """Write-ahead-journal knobs of the DML-driving ``updates`` subcommand."""
     subparser.add_argument(
         "--data-dir", default=None, metavar="DIR",
         help="journal every DML to a write-ahead log under DIR (the "
@@ -508,86 +473,7 @@ def _command_updates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_batch(args: argparse.Namespace) -> int:
-    from repro.engine.session import validate_max_workers
-
-    if args.mode not in available_strategies():
-        print(
-            f"unknown mode {args.mode!r}; available: "
-            f"{', '.join(available_strategies())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.rows < 1 or args.queries < 1:
-        print("--rows and --queries must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        # the same validation the session applies, surfaced as a CLI error
-        validate_max_workers(args.max_workers)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-
-    values = generate_column_data(args.rows, 0, 1_000_000, seed=args.seed)
-    queries = random_workload(WorkloadSpec(
-        query_count=args.queries, selectivity=args.selectivity, seed=args.seed + 1
-    ))
-
-    def run(parallel: bool):
-        # each run gets its own journal directory: a data directory may
-        # only ever be seeded once (reopening requires Database.open)
-        label = "parallel" if parallel else "sequential"
-        database = _make_database("batch-demo", args, subdirectory=label)
-        database.create_table("data", {"key": values})
-        if args.mode != "scan":
-            database.set_indexing("data", "key", args.mode)
-        with database.session(name="batch-cli") as session:
-            statistics = run_operations(
-                session, [queries], label,
-                parallel=parallel, max_workers=args.max_workers,
-            )
-            report = session.stats().last_batch_report
-        _report_durability(database, args)
-        database.close()
-        return statistics, report
-
-    try:
-        sequential, report = run(parallel=False)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    print(
-        f"table: {args.rows:,} rows | mode: {args.mode} | "
-        f"{args.queries} queries at {args.selectivity:.2%} selectivity"
-    )
-    print(
-        f"schedule          : {report.task_count} tasks "
-        f"({report.read_only_queries} read-only queries, "
-        f"{report.exclusive_groups} serialized groups)"
-    )
-    print(f"sequential        : {sequential.wall_seconds * 1e3:8.1f} ms")
-    if not args.parallel:
-        return 0
-
-    try:
-        concurrent, report = run(parallel=True)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    identical = sequential.answers_crc == concurrent.answers_crc and all(
-        (one.counters, one.result_count) == (other.counters, other.result_count)
-        for one, other in zip(sequential, concurrent)
-    )
-    speedup = sequential.wall_seconds / max(concurrent.wall_seconds, 1e-9)
-    print(
-        f"parallel          : {concurrent.wall_seconds * 1e3:8.1f} ms "
-        f"({speedup:.2f}x, {report.workers_used} workers observed)"
-    )
-    print(f"results identical : {'yes' if identical else 'NO — BUG'}")
-    return 0 if identical else 1
-
-
-def _make_database(name: str, args: argparse.Namespace, subdirectory: str = ""):
+def _make_database(name: str, args: argparse.Namespace):
     """A Database honouring the shared ``--data-dir`` / ``--sync`` flags.
 
     Raises ``ValueError`` when the directory already holds durable state
@@ -600,12 +486,9 @@ def _make_database(name: str, args: argparse.Namespace, subdirectory: str = ""):
 
     if args.data_dir is None:
         return Database(name)
-    data_dir = Path(args.data_dir)
-    if subdirectory:
-        data_dir = data_dir / subdirectory
     return Database(
         name,
-        data_dir=data_dir,
+        data_dir=Path(args.data_dir),
         durability=DurabilityConfig(sync=args.sync),
     )
 
@@ -736,8 +619,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_demo(args)
     if args.command == "updates":
         return _command_updates(args)
-    if args.command == "batch":
-        return _command_batch(args)
     if args.command == "snapshot":
         return _command_snapshot(args)
     if args.command == "recover":

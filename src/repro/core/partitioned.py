@@ -469,8 +469,8 @@ class PartitionedCrackedColumn:
         # task finds none idle, so a width above the partition count is free
         self._max_workers = max_workers or os.cpu_count() or 1
         # the two locks make a *converged* (read-only) column safe under the
-        # concurrent readers the batch scheduler fans out: ``_pool_lock``
-        # keeps the lazy thread pool from being created twice,
+        # concurrent readers the session lets in without a path lock:
+        # ``_pool_lock`` keeps the lazy thread pool from being created twice,
         # ``_stats_lock`` keeps shared visit/query counters from losing
         # increments
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -528,8 +528,9 @@ class PartitionedCrackedColumn:
         adaptive repartitioning to be off (a repartitioning column may still
         split on any query).  A converged partitioned column is read-only
         under selection — the remaining per-query bookkeeping (visit and
-        query counters) is guarded by ``_stats_lock``, so concurrent readers
-        are safe.
+        query counters) is guarded by ``_stats_lock``, so the concurrent
+        ``execute``/``submit`` callers that read it without a path lock are
+        safe.
         """
         if self.repartition:
             return False

@@ -125,12 +125,12 @@ class SearchStrategy(ABC):
     def reorganizes_on_read(self) -> bool:
         """True when :meth:`search` can still mutate physical state.
 
-        This is the capability flag the batch scheduler
+        This is the capability flag the session's lock protocol
         (:mod:`repro.engine.concurrency`) consults: a strategy that
         reorganises on read (cracking, merging, pending-update absorption)
         must serialize concurrent selections per access path, while a
         read-only strategy (a scan, a built full index, a converged
-        adaptive structure) fans out freely.  The base class answers True —
+        adaptive structure) is read by concurrent queries without a lock.  The base class answers True —
         the conservative default for any adaptive technique; subclasses
         that are (or become) pure readers override it.  Once a strategy
         reports False it must keep reporting False, and its ``search`` must

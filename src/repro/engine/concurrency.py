@@ -1,4 +1,4 @@
-"""Per-access-path concurrency control for batch execution.
+"""Per-access-path concurrency control for the session's queries.
 
 The tutorial's central premise is that adaptive indexes physically
 reorganise *during reads*: a selection through cracking, adaptive merging, a
@@ -8,9 +8,9 @@ therefore never run concurrently.  But the opposite is just as important:
 an access path that does **not** reorganise on read — a plain scan, a full
 offline index, a cracked column that has become fully sorted, an adaptive
 merging index whose runs are drained, a converged hybrid — is a pure reader
-and any number of queries may fan out over it at once.
+and any number of concurrent queries may read it at once.
 
-This module gives :meth:`~repro.engine.session.Session.execute_many` that
+This module gives the session (:mod:`repro.engine.session`) that
 distinction:
 
 * :func:`reorganizes_on_read` asks the access path installed for one
@@ -20,18 +20,17 @@ distinction:
 * :func:`classify_plan` turns a planned query into
   :class:`AccessPathClaim` records — one per access path the plan
   dispatches through, shared (read-only) or exclusive (mutating);
-* :func:`schedule_batch` partitions a batch into tasks: queries claiming
-  the same exclusive access path stay on one task in submission order
-  (so the physical reorganisation sequence — and with it every answer and
-  every cost counter — is identical to sequential execution), while
-  read-only queries become singleton tasks that fan out freely;
-* :class:`AccessPathLockManager` hands out one lock per access-path key so
-  exclusive execution is also protected against concurrent batches.
+* :func:`schedule_batch` classifies every plan of a batch with one
+  exclusivity cache;
+* :class:`AccessPathLockManager` hands out one lock per access-path key;
+  a query holds the locks of its exclusive claims, a batch those of all
+  its queries, so mutating selections serialize per path across
+  concurrent queries and batches while shared claims take no lock.
 
-Classification happens once per batch, before any query runs: a path that
-converges (for example, a cracked column that becomes fully sorted) in the
-middle of a batch keeps its exclusive claim until the batch ends, which is
-conservative but keeps scheduling deterministic.
+A batch is classified once, before any query runs: a path that converges
+(for example, a cracked column that becomes fully sorted) in the middle of
+a batch keeps its exclusive claim until the batch ends, which is
+conservative but deterministic.
 
 Scope of the protection: since the session front door
 (:mod:`repro.engine.session`) every entry point — single-query
@@ -52,7 +51,7 @@ from __future__ import annotations
 import threading
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis_tools.guards import LOCK_RANK, guarded_by
@@ -296,39 +295,6 @@ class AccessPathClaim:
     exclusive: bool
 
 
-@dataclass
-class BatchSchedule:
-    """The task decomposition of one batch (see :func:`schedule_batch`)."""
-
-    #: query positions per task; exclusive tasks preserve submission order
-    tasks: List[List[int]] = field(default_factory=list)
-    #: claims per query position (aligned with the submitted batch)
-    claims: List[List[AccessPathClaim]] = field(default_factory=list)
-    #: number of tasks serialized by at least one exclusive access path
-    exclusive_groups: int = 0
-    #: number of queries that claim no exclusive access path
-    read_only_queries: int = 0
-
-    @property
-    def max_concurrency(self) -> int:
-        """Number of tasks that could run at the same time."""
-        return len(self.tasks)
-
-
-@dataclass
-class BatchExecutionReport:
-    """Introspection record of the last ``execute_many`` call."""
-
-    query_count: int = 0
-    task_count: int = 0
-    exclusive_groups: int = 0
-    read_only_queries: int = 0
-    parallel: bool = False
-    workers_used: int = 0
-    #: distinct worker thread names that executed at least one query
-    worker_names: Tuple[str, ...] = ()
-
-
 def reorganizes_on_read(database, table: str, column: str) -> bool:
     """True when a selection on ``table.column`` can mutate its access path.
 
@@ -376,64 +342,26 @@ def classify_plan(
     return list(claims.values())
 
 
-def schedule_batch(database, plans: Sequence) -> BatchSchedule:
-    """Partition a batch of plans into independently executable tasks.
+def schedule_batch(database, plans: Sequence) -> List[List[AccessPathClaim]]:
+    """The access-path claims of every plan of a batch, in order.
 
-    Queries whose exclusive claims touch a common access path land on the
-    same task, in submission order (transitively: a query claiming two
-    paths merges their tasks), so per-path execution order — and with it
-    the reorganisation sequence — matches sequential execution exactly.
-    Queries with only shared claims become singleton tasks.
+    Each path is classified once per batch (one exclusivity cache for all
+    the plans), so every query of the batch sees the same answer for it.
     """
     cache: Dict[PathKey, bool] = {}
-    schedule = BatchSchedule()
-    schedule.claims = [classify_plan(database, plan, cache) for plan in plans]
-
-    # union-find over exclusive path keys: one component = one task
-    parent: Dict[PathKey, PathKey] = {}
-
-    def find(key: PathKey) -> PathKey:
-        root = key
-        while parent[root] != root:
-            root = parent[root]
-        while parent[key] != root:  # path compression
-            parent[key], key = root, parent[key]
-        return root
-
-    for claims in schedule.claims:
-        exclusive_keys = [c.key for c in claims if c.exclusive]
-        for key in exclusive_keys:
-            parent.setdefault(key, key)
-        for left, right in zip(exclusive_keys, exclusive_keys[1:]):
-            parent[find(left)] = find(right)
-
-    groups: Dict[PathKey, List[int]] = {}
-    for position, claims in enumerate(schedule.claims):
-        exclusive_keys = [c.key for c in claims if c.exclusive]
-        if not exclusive_keys:
-            schedule.tasks.append([position])
-            schedule.read_only_queries += 1
-            continue
-        root = find(exclusive_keys[0])
-        group = groups.get(root)
-        if group is None:
-            group = groups[root] = []
-            schedule.tasks.append(group)
-            schedule.exclusive_groups += 1
-        group.append(position)
-    return schedule
+    return [classify_plan(database, plan, cache) for plan in plans]
 
 
 @guarded_by(_locks="_registry_guard", _witnessed="_registry_guard")
 class AccessPathLockManager:
     """One lock per access-path key, created on first use.
 
-    The scheduler already keeps exclusive claims of one batch on disjoint
-    tasks, so within a batch these locks never contend; they additionally
-    serialize mutating access across *concurrent* batches issued from
-    different threads.  Keys are never removed: the registry stays small
-    (one entry per (table, column) ever claimed) and a lock outliving a
-    dropped table is harmless.
+    A query holds the locks of its exclusive claims, a batch those of all
+    its queries at once (through :meth:`locked`, which sorts them); the
+    locks serialize mutating selections across concurrent queries and
+    batches issued from different threads.  Keys are never removed: the
+    registry stays small (one entry per (table, column) ever claimed) and
+    a lock outliving a dropped table is harmless.
     """
 
     def __init__(self) -> None:

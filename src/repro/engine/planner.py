@@ -57,7 +57,7 @@ class Plan:
         """Steps that dispatch through a (table, column) access path.
 
         These are the steps whose execution can touch a shared physical
-        structure — the batch scheduler
+        structure — the session's lock protocol
         (:mod:`repro.engine.concurrency`) classifies a query's concurrency
         claims from exactly this list.  Refinement, reconstruction and
         aggregation steps read immutable base columns only and are absent.

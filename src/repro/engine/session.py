@@ -42,9 +42,8 @@ import itertools
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -54,12 +53,7 @@ from repro.cost.counters import CostCounters
 from repro.cost.timer import Timer
 from repro.cost.witness import cost_witness
 from repro.durability.record import WalRecord
-from repro.engine.concurrency import (
-    AccessPathClaim,
-    BatchExecutionReport,
-    classify_plan,
-    schedule_batch,
-)
+from repro.engine.concurrency import AccessPathClaim, classify_plan, schedule_batch
 from repro.engine.executor import QueryResult
 from repro.engine.planner import Plan
 from repro.engine.query import Query, QueryBuilder
@@ -97,8 +91,6 @@ class SessionStats:
     rows_inserted: int = 0
     rows_deleted: int = 0
     rows_updated: int = 0
-    #: introspection record of this session's most recent execute_many
-    last_batch_report: Optional[BatchExecutionReport] = None
 
 
 @dataclass
@@ -112,19 +104,11 @@ class _Commit:
 _SESSION_IDS = itertools.count(1)
 
 
-def default_worker_count(tasks: Optional[int] = None) -> int:
-    """Default worker count for session pools and parallel batches.
-
-    One machine-derived default shared by every fan-out entry point: at
+def default_worker_count() -> int:
+    """Default worker count of a session's :meth:`Session.submit` pool: at
     least 2 workers (pipelining needs overlap even on a single core),
-    scaling with the cores actually present.  When ``tasks`` is given the
-    count is additionally capped by it — a pool never holds more workers
-    than it has tasks to run.
-    """
-    base = max(2, os.cpu_count() or 2)
-    if tasks is None:
-        return base
-    return max(1, min(int(tasks), base))
+    scaling with the cores actually present."""
+    return max(2, os.cpu_count() or 2)
 
 
 def validate_max_workers(max_workers: Optional[int]) -> Optional[int]:
@@ -300,38 +284,17 @@ class Session:
         )
         return result
 
-    def _run_task(
-        self, queries: Sequence[Query], plans: Sequence[Plan],
-        claims: Sequence[Sequence[AccessPathClaim]], positions: Sequence[int],
-        results: List[Optional[QueryResult]],
-    ) -> None:
-        """Run one task of a batch: hold the exclusive locks of all its
-        queries from the first search to the last journal record, crack
-        each path the task selects through in one ``search_many`` call, then
-        execute and journal the queries in order.  No other query can take
-        a path lock — or a sequence number — in between, so the journal
-        still orders every path's queries as they cracked it."""
-        database = self._database
-        held = [claim for position in positions for claim in claims[position]]
-        with database._path_locks.locked(held):
-            counters = {position: CostCounters() for position in positions}
-            selections = self._batch_selections(
-                [(position, plans[position]) for position in positions], counters)
-            for position in positions:
-                results[position] = self._execute_locked(
-                    queries[position], plans[position], counters[position],
-                    selections.get(position),
-                )
-
-    def _batch_selections(self, planned, counters) -> dict:
+    def _batch_selections(
+        self, plans: Sequence[Plan], counters: Sequence[CostCounters]
+    ) -> dict:
         """Leading-selection answers, by batch position, from one
-        ``search_many`` call per access path that two or more queries of a
-        task select through and that only plain ``index_select`` steps use
+        ``search_many`` call per access path that two or more queries of the
+        batch select through and that only plain ``index_select`` steps use
         (a covering selection or a scan keeps its path on the query path).
         The cost witness brackets each call as one operation."""
         database = self._database
         uses: dict = {}
-        for position, plan in planned:
+        for position, plan in enumerate(plans):
             for step in plan.access_path_steps():
                 key = (step.table, step.column)
                 plain = step.operator == "index_select" and not step.columns
@@ -371,74 +334,49 @@ class Session:
         parallel: bool = False,
         max_workers: Optional[int] = None,
     ) -> List[QueryResult]:
-        """Execute a batch under per-access-path concurrency control.
+        """Execute a batch as one unit, on the calling thread.
 
         The batch holds the gates of every referenced table shared for
         its whole duration: DML issued meanwhile queues on the gates
-        (fenced) and the batch's up-front classification stays valid
-        until the last query finishes.  :func:`schedule_batch` splits it
-        into tasks: queries through mutating paths stay on one task in
-        submission order, queries through read-only paths become tasks of
-        their own, which fan out over a thread pool (``parallel=True``).
+        (fenced) and the batch's up-front classification
+        (:func:`schedule_batch`) stays valid until the last query
+        finishes.  It then takes the exclusive path locks of all its
+        queries at once (sorted, so concurrent batches cannot deadlock).
+        Every access path that two or more of its queries select through
+        — by plain ``index_select`` steps only — answers their ranges in
+        one ``search_many`` call (a cracked column cracks each touched
+        piece once for all of them); the queries then run and are
+        journaled in submission order, each taking its precomputed
+        answer, and the locks release after the last journal record.  A
+        batch over two mutating paths therefore holds both until it ends,
+        and no query of another session touches either path in between, so
+        the journal orders every path's queries as they cracked it.
+        Results, cost counters and the journal are bit-identical to
+        executing the queries one by one.
 
-        A task holds the exclusive locks of all its queries from start to
-        end.  Every access path that two or more of its queries select
-        through — by plain ``index_select`` steps only — answers their
-        ranges in one ``search_many`` call (a cracked column cracks each
-        touched piece once for all of them); the queries then run and are
-        journaled in order, each taking its precomputed answer.  Results,
-        cost counters and the journal are bit-identical to executing the
-        queries one by one.  See :class:`BatchExecutionReport` for the
-        observed decomposition, reported as ``stats().last_batch_report``.
+        ``parallel`` and ``max_workers`` are accepted and ignored (they are
+        not validated either): a batch starts no thread.
         """
         self._check_open()
         database = self._database
-        validate_max_workers(max_workers)
         queries = list(queries)
-        if not queries:
-            return self._finish_batch(BatchExecutionReport(parallel=parallel), [])
-
-        with ExitStack() as stack:
-            stack.enter_context(
-                database._table_gates.read([q.table for q in queries])
-            )
-            plans = [database.planner.plan(query) for query in queries]
-            schedule = schedule_batch(database, plans)
-            results: List[Optional[QueryResult]] = [None] * len(queries)
-            run_task = partial(self._run_task, queries, plans, schedule.claims,
-                               results=results)
-
-            if not parallel or len(schedule.tasks) <= 1:
-                for task in schedule.tasks:
-                    run_task(task)
-            else:
-                workers = max_workers or default_worker_count(len(schedule.tasks))
-                with ThreadPoolExecutor(
-                    max_workers=max(1, workers), thread_name_prefix="repro-batch"
-                ) as pool:
-                    futures = [pool.submit(run_task, task) for task in schedule.tasks]
-                    for future in futures:
-                        future.result()
-
-        worker_names = tuple(sorted({r.worker for r in results if r is not None}))
-        report = BatchExecutionReport(
-            query_count=len(queries),
-            task_count=len(schedule.tasks),
-            exclusive_groups=schedule.exclusive_groups,
-            read_only_queries=schedule.read_only_queries,
-            parallel=parallel,
-            workers_used=len(worker_names),
-            worker_names=worker_names,
-        )
-        return self._finish_batch(report, results)
-
-    def _finish_batch(
-        self, report: BatchExecutionReport, results: List[QueryResult]
-    ) -> List[QueryResult]:
+        results: List[QueryResult] = []
+        if queries:
+            with database._table_gates.read([q.table for q in queries]):
+                plans = [database.planner.plan(query) for query in queries]
+                claims = schedule_batch(database, plans)
+                held = [claim for plan_claims in claims for claim in plan_claims]
+                with database._path_locks.locked(held):
+                    counters = [CostCounters() for _ in plans]
+                    selections = self._batch_selections(plans, counters)
+                    results = [
+                        self._execute_locked(query, plan, counters[position],
+                                             selections.get(position))
+                        for position, (query, plan) in enumerate(zip(queries, plans))
+                    ]
         with self._lock:
             self._stats.batches_executed += 1
             self._stats.queries_executed += len(results)
-            self._stats.last_batch_report = report
         return results
 
     # -- DML -----------------------------------------------------------------------
@@ -694,7 +632,6 @@ class Session:
                 rows_inserted=self._stats.rows_inserted,
                 rows_deleted=self._stats.rows_deleted,
                 rows_updated=self._stats.rows_updated,
-                last_batch_report=self._stats.last_batch_report,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -7,8 +7,8 @@ session and records per-query logical costs and wall-clock times.
 :class:`AdaptiveIndexingBenchmark` runs several strategies over one column
 and one stream through it and reports the benchmark's two metrics
 (initialization cost of the first query, convergence point) plus total
-cost.  The CLI's ``compare`` / ``updates`` / ``batch`` / ``demo`` and every
-row of the figure table in ``benchmarks/figures.py`` measure through here.
+cost.  The CLI's ``compare`` / ``updates`` / ``demo`` and every row of the
+figure table in ``benchmarks/figures.py`` measure through here.
 """
 
 from __future__ import annotations
@@ -63,14 +63,13 @@ def run_operations(
     column: str = "key",
     rows: Optional[int] = None,
     victim_seed: int = 0,
-    **batch_options,
 ) -> WorkloadStatistics:
     """Replay ``operations`` against a strategy or a session, one at a time.
 
     An operation is a :class:`RangeQuery` (on a session: a selection on
-    ``table.column``), an engine :class:`Query`, a list of either (a batch
-    for ``Session.execute_many``, given ``batch_options``; sessions only), or
-    an :class:`UpdateOperation`.  Deletes and updates name no row: the victim
+    ``table.column``), an engine :class:`Query`, a list of either (one
+    ``Session.execute_many`` batch; sessions only), or an
+    :class:`UpdateOperation`.  Deletes and updates name no row: the victim
     is drawn with ``victim_seed`` from the live rowids — ``rows`` base rows
     (default: a strategy's length, none of a session's table) plus what the
     stream inserted — and skipped when none is left.  Only the call into the
@@ -104,7 +103,7 @@ def run_operations(
             ]
         with timer:
             if kind == "batch":
-                results = session.execute_many(queries, **batch_options)
+                results = session.execute_many(queries)
             elif kind == "query" and session is not None:
                 results = [session.execute(queries[0])]
             elif kind == "query":
@@ -132,7 +131,7 @@ def run_operations(
             )
             statistics.append(QueryStatistics(
                 query_index=len(statistics),
-                # a batch overlaps its queries: each keeps the engine's own time
+                # a batch is one timed call: each query keeps the engine's own time
                 elapsed_seconds=(result.elapsed_seconds if kind == "batch"
                                  else timer.elapsed),
                 counters=result.counters,

@@ -6,7 +6,10 @@ of them with one ``crack_many`` pass per partition instead of one
 crack-in-two or crack-in-three per range.  Whether that route is taken shows
 without a clock, in the style of ``tests/engine/test_no_full_column_pass.py``:
 the tests count calls to the two partition kernels and to ``crack_many``.
+A batch is one unit on the calling thread: it starts no thread of its own.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -99,3 +102,31 @@ def test_a_single_execute_keeps_its_kernels(kernel_calls):
     assert kernel_calls["crack_many"] == 0
     assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] \
         >= PARTITIONS
+
+
+def test_a_batch_starts_no_thread(monkeypatch):
+    """A batch over a cracking, a full-index and a scanned column runs on
+    the calling thread, whatever ``parallel`` and ``max_workers`` say."""
+    rng = np.random.default_rng(35)
+    database = Database("one-unit")
+    database.create_table("t", {
+        name: rng.integers(0, DOMAIN, ROWS // 8).astype(np.int64)
+        for name in ("cracked", "indexed", "scanned")
+    })
+    database.set_indexing("t", "cracked", "cracking")
+    database.set_indexing("t", "indexed", "full-index")
+    queries = [Query.range_query("t", name, low, low + WIDTH)
+               for low in rng.integers(0, DOMAIN, 4).tolist()
+               for name in ("cracked", "indexed", "scanned")]
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    with database.session() as session:
+        results = session.execute_many(queries, parallel=True, max_workers=4)
+    assert started == []
+    assert {result.worker for result in results} == {threading.current_thread().name}

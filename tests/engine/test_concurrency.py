@@ -1,9 +1,9 @@
 """Tests for per-access-path batch concurrency (repro.engine.concurrency).
 
 Covers the classification of access paths as read-only vs mutating under
-selection (the ``reorganizes_on_read`` capability flag), the batch
-scheduler's task decomposition, the lock manager, ``execute_many``
-argument validation, and tombstone reads racing a delete stream.
+selection (the ``reorganizes_on_read`` capability flag), a batch's claims,
+the lock manager, batch answers, concurrent readers of a converged path,
+and tombstone reads racing a delete stream.
 """
 
 import threading
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.engine.concurrency import (
+    AccessPathClaim,
     AccessPathLockManager,
     classify_plan,
     reorganizes_on_read,
@@ -122,29 +123,27 @@ class TestReorganizesOnRead:
 
 
 class TestClassifyAndSchedule:
-    def test_scan_queries_fan_out_as_singletons(self, database):
-        queries = [
+    """``schedule_batch`` is each plan's claims, classified once per batch."""
+
+    def ranges_on_a(self):
+        return [
             Query.range_query("facts", "a", low, low + 500)
             for low in range(0, 4_000, 500)
         ]
-        plans = [database.plan(q) for q in queries]
-        schedule = schedule_batch(database, plans)
-        assert schedule.read_only_queries == len(queries)
-        assert schedule.exclusive_groups == 0
-        assert [task for task in schedule.tasks] == [[i] for i in range(len(queries))]
 
-    def test_mutating_queries_group_in_submission_order(self, database):
+    def test_scan_claims_are_shared(self, database):
+        queries = self.ranges_on_a()
+        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        assert claims == [[AccessPathClaim(("path", "facts", "a"), False)]] * len(queries)
+
+    def test_cracking_claims_are_exclusive(self, database):
         database.set_indexing("facts", "a", "cracking")
-        queries = [
-            Query.range_query("facts", "a", low, low + 500)
-            for low in range(0, 4_000, 500)
-        ]
-        schedule = schedule_batch(database, [database.plan(q) for q in queries])
-        assert schedule.exclusive_groups == 1
-        assert schedule.tasks == [list(range(len(queries)))]
+        queries = self.ranges_on_a()
+        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        assert claims == [[AccessPathClaim(("path", "facts", "a"), True)]] * len(queries)
 
-    def test_mixed_same_table_batch_splits_by_access_path(self, database):
-        # cracking on "a" serializes; scans on "b" fan out — same table
+    def test_a_mixed_batch_has_both_claims(self, database):
+        # cracking on "a" is exclusive, scans on "b" are shared — same table
         database.set_indexing("facts", "a", "cracking")
         queries = [
             Query.range_query("facts", "a", 0, 500),
@@ -152,11 +151,10 @@ class TestClassifyAndSchedule:
             Query.range_query("facts", "a", 500, 900),
             Query.range_query("facts", "b", 100, 300),
         ]
-        schedule = schedule_batch(database, [database.plan(q) for q in queries])
-        assert schedule.exclusive_groups == 1
-        assert schedule.read_only_queries == 2
-        assert [0, 2] in schedule.tasks  # cracking queries, submission order
-        assert [1] in schedule.tasks and [3] in schedule.tasks
+        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        assert [[(c.key[2], c.exclusive) for c in plan] for plan in claims] == [
+            [("a", True)], [("b", False)], [("a", True)], [("b", False)]
+        ]
 
     def test_sideways_queries_claim_exclusively(self, database):
         database.set_indexing("facts", "a", "sideways-cracking")
@@ -193,31 +191,18 @@ class TestLockManager:
             Query.range_query("facts", "a", 0, 500),
             Query.range_query("facts", "b", 0, 100),
         ]
-        schedule = schedule_batch(database, [database.plan(q) for q in queries])
+        claims = schedule_batch(database, [database.plan(q) for q in queries])
         manager = AccessPathLockManager()
-        with manager.locked(schedule.claims[0]):
+        with manager.locked(claims[0]):
             assert manager.lock_for(("path", "facts", "a")).locked()
             assert not manager.lock_for(("path", "facts", "b")).locked()
         assert not manager.lock_for(("path", "facts", "a")).locked()
-        with manager.locked(schedule.claims[1]):  # read-only: no lock taken
+        with manager.locked(claims[1]):  # read-only: no lock taken
             assert not manager.lock_for(("path", "facts", "b")).locked()
 
 
-class TestExecuteManyValidation:
-    @pytest.mark.parametrize("workers", [0, -1, -7])
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_non_positive_max_workers_rejected(self, database, session, workers, parallel):
-        queries = [Query.range_query("facts", "a", 0, 100)] * 3
-        with pytest.raises(ValueError, match="max_workers"):
-            session.execute_many(queries, parallel=parallel, max_workers=workers)
-
-    def test_empty_batch_still_reports(self, database, session):
-        assert session.execute_many([], parallel=True) == []
-        assert session.stats().last_batch_report.query_count == 0
-
-
-class TestBatchFanOut:
-    def test_read_only_same_table_batch_fans_out(self, database, session):
+class TestBatchAnswers:
+    def test_read_only_same_table_batch(self, database, session):
         database.set_indexing("facts", "b", "full-index")
         queries = []
         for low in range(0, 4_000, 400):
@@ -225,19 +210,14 @@ class TestBatchFanOut:
             queries.append(
                 Query.range_query("facts", "b", low // 10, low // 10 + 50)
             )
-        results = session.execute_many(queries, parallel=True, max_workers=4)
-        report = session.stats().last_batch_report
-        assert report.read_only_queries == len(queries)
-        assert report.task_count == len(queries)
-        assert report.parallel is True
+        results = session.execute_many(queries)
         for query, result in zip(queries, results):
             selection = query.selections[0]
             assert set(result.positions.tolist()) == reference_positions(
                 database, selection.low, selection.high, column=selection.column
             )
-            assert result.worker  # every result is stamped with its worker
 
-    def test_mutating_path_does_not_block_other_columns(self, database, session):
+    def test_mutating_path_beside_other_columns(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         queries = [
             Query.range_query("facts", "a", 0, 2_000),
@@ -245,20 +225,14 @@ class TestBatchFanOut:
             Query.range_query("facts", "c", 0.0, 50.0),
             Query.range_query("facts", "a", 2_000, 4_000),
         ]
-        results = session.execute_many(queries, parallel=True, max_workers=3)
-        report = session.stats().last_batch_report
-        # three independent tasks: the two cracking queries share one
-        assert report.task_count == 3
-        assert report.exclusive_groups == 1
-        assert report.read_only_queries == 2
+        results = session.execute_many(queries)
         for query, result in zip(queries, results):
             selection = query.selections[0]
             assert set(result.positions.tolist()) == reference_positions(
                 database, selection.low, selection.high, column=selection.column
             )
 
-    def test_sequential_and_parallel_agree_after_convergence(self, database, session):
-        # converge the cracked column, then fan a batch out over it
+    def test_a_converged_column_answers_a_repeated_batch_alike(self, database, session):
         database.set_indexing("facts", "a", "cracking")
         session.execute(Query.range_query("facts", "a", 0, 20_000))
         crack_at_every_key(database)
@@ -267,28 +241,29 @@ class TestBatchFanOut:
             Query.range_query("facts", "a", low, low + 700)
             for low in range(0, 7_000, 700)
         ]
-        sequential = session.execute_many(queries, parallel=False)
-        parallel = session.execute_many(queries, parallel=True, max_workers=4)
-        report = session.stats().last_batch_report
-        assert report.read_only_queries == len(queries)
-        for left, right in zip(sequential, parallel):
+        first = session.execute_many(queries)
+        second = session.execute_many(queries)
+        for left, right in zip(first, second):
             assert np.array_equal(left.positions, right.positions)
             assert left.counters == right.counters
 
-    def test_query_counter_survives_concurrent_readers(self, database, session):
+    def test_query_counter_survives_concurrent_readers(self, database):
         # sort-first is read-only once built, and (unlike the managed
-        # full-index mode) its strategy object carries a query counter
+        # full-index mode) its strategy object carries a query counter;
+        # submitted queries on a converged path take no path lock
         database.set_indexing("facts", "a", "sort-first")
-        session.execute(Query.range_query("facts", "a", 0, 100))
-        path = database.access_path("facts", "a")
-        assert path.reorganizes_on_read is False
-        queries = [
-            Query.range_query("facts", "a", low, low + 50)
-            for low in range(0, 4_000, 50)
-        ]
-        before = path.queries_processed
-        session.execute_many(queries, parallel=True, max_workers=8)
-        assert path.queries_processed == before + len(queries)
+        with database.session(max_workers=8) as readers:
+            readers.execute(Query.range_query("facts", "a", 0, 100))
+            path = database.access_path("facts", "a")
+            assert path.reorganizes_on_read is False
+            before = path.queries_processed
+            futures = [
+                readers.submit(Query.range_query("facts", "a", low, low + 50))
+                for low in range(0, 4_000, 50)
+            ]
+            for future in futures:
+                future.result()
+        assert path.queries_processed == before + len(futures)
 
 
 class TestTombstoneReadsRacingDeletes:
@@ -316,9 +291,7 @@ class TestTombstoneReadsRacingDeletes:
             ]
             try:
                 while not stop.is_set():
-                    results = session.execute_many(
-                        queries, parallel=True, max_workers=4
-                    )
+                    results = session.execute_many(queries)
                     for query, result in zip(queries, results):
                         low, high = query.selections[0].bounds
                         positions = set(result.positions.tolist())

@@ -72,15 +72,12 @@ class TestSessionWorkerDefaults:
     def test_default_scales_with_cpu_count(self, monkeypatch):
         monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
         assert default_worker_count() == 16
-        assert default_worker_count(tasks=4) == 4
-        assert default_worker_count(tasks=100) == 16
 
     def test_default_floor_is_two_workers(self, monkeypatch):
         monkeypatch.setattr(session_module.os, "cpu_count", lambda: None)
         assert default_worker_count() == 2
         monkeypatch.setattr(session_module.os, "cpu_count", lambda: 1)
         assert default_worker_count() == 2
-        assert default_worker_count(tasks=1) == 1
 
     def test_submit_pool_uses_machine_default(self, monkeypatch, rng):
         monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
@@ -134,11 +131,11 @@ class TestSessionExecution:
             for low in range(0, 2000, 500)
         ]
         with database.session() as session, database.session() as idle:
-            results = session.execute_many(queries, parallel=True)
-            report = session.stats().last_batch_report
+            results = session.execute_many(queries)
+            stats, idle_stats = session.stats(), idle.stats()
         assert len(results) == len(queries)
-        assert report.query_count == len(queries)
-        assert idle.stats().last_batch_report is None
+        assert (stats.batches_executed, stats.queries_executed) == (1, len(queries))
+        assert (idle_stats.batches_executed, idle_stats.queries_executed) == (0, 0)
 
     def test_session_stats_count_operations(self, database):
         with database.session() as session:

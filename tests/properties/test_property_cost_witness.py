@@ -136,7 +136,7 @@ def test_updatable_strategies_conform_under_dml(mode, bounds, seed):
 @given(bounds=query_bounds)
 @settings(max_examples=10, deadline=None)
 def test_batches_conform(mode, bounds):
-    """A batch's one-pass crack is one witnessed operation: the task's paths
+    """A batch's one-pass crack is one witnessed operation: the batch's paths
     are fingerprinted before it and checked against the summed counters of
     its queries after it; each query is then witnessed as always."""
     queries = [Query.range_query("facts", "key", low, high) for low, high in bounds]

@@ -1,16 +1,17 @@
 """Property suite: ``execute_many`` is bit-identical to sequential execution.
 
-For every registered indexing mode (managed and adaptive), two identically
-seeded databases receive the same DML stream and the same mixed same-table
-batches — queries over the mode-under-test column interleaved with scans
-and full-index lookups over sibling columns, so read-only fan-out and
-per-access-path serialization are both exercised.  One database executes
-every batch with ``parallel=True``, the other sequentially; every result
-must match **bit for bit**: positions (order included), projected columns,
-aggregates and cost counters.  A scan-based model additionally pins
-post-DML tombstone visibility.  A batch, which cracks each path its queries
-select through in one pass, must also equal the same queries issued one
-``execute`` at a time.
+For every registered indexing mode, plus repartitioning columns and the
+partitioned column's own thread pool, two identically seeded databases
+receive the same DML stream before the first round and between rounds, and
+the same mixed same-table batches — queries over the mode-under-test column
+interleaved with scans and full-index lookups over sibling columns.  One
+database runs each batch through one ``execute_many``, which cracks each
+path its queries select through in one pass; the other issues the same
+queries one ``execute`` at a time.  Every result must match **bit for
+bit**: positions (order included), projected columns, aggregates and cost
+counters, and a scan-based model pins post-DML tombstone visibility.  A
+batch over two cracking paths journals its queries in submission order,
+and its journal replays bit for bit.
 """
 
 import numpy as np
@@ -23,8 +24,7 @@ from repro.engine.query import Aggregate, Query, RangeSelection
 SIZE = 2_000
 DOMAIN = 10_000
 
-#: options per mode (defaults empty); repartition variants ride along to
-#: pin the always-exclusive classification of repartitioning columns
+#: options per mode (defaults empty)
 MODE_OPTIONS = {
     "partitioned-cracking": {"partitions": 3},
     "partitioned-updatable-cracking": {"partitions": 3},
@@ -36,9 +36,9 @@ EXTRA_CASES = [
                               "max_partition_rows": 1_200}),
     ("partitioned-updatable-cracking", {"partitions": 3, "repartition": True,
                                         "max_partition_rows": 1_200}),
-    # thread fan-out inside the partitioned column: the same sequential-vs-
-    # parallel bit-identity (answers and counters) must hold when partition
-    # work runs on the column's own pool, with and without repartitioning
+    # thread fan-out inside the partitioned column: the same bit-identity
+    # (answers and counters) must hold when partition work runs on the
+    # column's own pool, with and without repartitioning
     ("partitioned-cracking", {"partitions": 3, "parallel": True}),
     ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True,
                                         "repartition": True,
@@ -47,10 +47,14 @@ EXTRA_CASES = [
 
 
 def all_modes():
-    managed = ["scan", "full-index", "online", "soft"]
-    adaptive = [name for name in available_strategies() if name not in managed]
-    cases = [(mode, MODE_OPTIONS.get(mode, {})) for mode in managed + adaptive]
-    return cases + EXTRA_CASES
+    """Every registry name at its options (the id is the name), then the
+    extra cases (the id adds the options they switch on)."""
+    cases = [pytest.param(mode, MODE_OPTIONS.get(mode, {}), id=mode)
+             for mode in available_strategies()]
+    for mode, options in EXTRA_CASES:
+        switched = [name for name in ("parallel", "repartition") if options.get(name)]
+        cases.append(pytest.param(mode, options, id="-".join([mode] + switched)))
+    return cases
 
 
 def build_database(mode, options, rng_seed=999):
@@ -87,9 +91,26 @@ def apply_dml(database, rng):
     return model
 
 
-def run_batch(database, queries, **fan_out):
+def dml_between_rounds(database, round_index):
+    """One insert and one delete; returns ``(rowid, value, victim)``."""
+    value = int(np.random.default_rng(7_000 + round_index).integers(0, DOMAIN))
+    victim = round_index * 3
     with database.session() as session:
-        return session.execute_many(queries, **fan_out)
+        rowid = session.insert_row("facts", {"key": value, "aux": 2, "payload": 1.5})
+        session.delete_row("facts", victim)
+    return rowid, value, victim
+
+
+def two_path_database():
+    """Cracking on both ``key`` and ``aux``."""
+    database = build_database("cracking", {})
+    database.set_indexing("facts", "aux", "cracking")
+    return database
+
+
+def run_batch(database, queries):
+    with database.session() as session:
+        return session.execute_many(queries)
 
 
 def key_ranges(rng, count=6):
@@ -125,9 +146,9 @@ def mixed_batch(rng):
     return queries
 
 
-def assert_bit_identical(sequential, parallel, context):
-    assert len(sequential) == len(parallel)
-    for position, (left, right) in enumerate(zip(sequential, parallel)):
+def assert_bit_identical(expected, actual, context):
+    assert len(expected) == len(actual)
+    for position, (left, right) in enumerate(zip(expected, actual)):
         label = f"{context}, query {position}"
         assert np.array_equal(left.positions, right.positions), label
         assert set(left.columns) == set(right.columns), label
@@ -140,92 +161,75 @@ def assert_bit_identical(sequential, parallel, context):
         assert left.counters == right.counters, label
 
 
-@pytest.mark.parametrize(
-    "mode,options", all_modes(), ids=lambda value: str(value)
-)
-def test_parallel_batches_bit_identical_across_modes(mode, options,
-                                                     pooled_fan_out):
-    sequential_db = build_database(mode, options)
-    parallel_db = build_database(mode, options)
-
-    dml_rng_a = np.random.default_rng(4242)
-    dml_rng_b = np.random.default_rng(4242)
-    model = apply_dml(sequential_db, dml_rng_a)
-    model_check = apply_dml(parallel_db, dml_rng_b)
-    assert model == model_check
-
-    # several consecutive batches: the first ones crack/merge/build, later
-    # ones may hit converged (read-only) structures — classification is
-    # re-derived per batch and must agree between the two databases
-    for round_index in range(3):
-        batch_rng_a = np.random.default_rng(100 + round_index)
-        batch_rng_b = np.random.default_rng(100 + round_index)
-        queries_a = mixed_batch(batch_rng_a)
-        queries_b = mixed_batch(batch_rng_b)
-        sequential = run_batch(sequential_db, queries_a, parallel=False)
-        parallel = run_batch(
-            parallel_db, queries_b, parallel=True, max_workers=4
-        )
-        assert_bit_identical(
-            sequential, parallel, f"mode={mode}, options={options}, "
-            f"batch={round_index}"
-        )
-        # tombstone visibility: every key-column answer matches the model
-        for query, result in zip(queries_a, sequential):
-            selections = {
-                s.column: s.bounds for s in query.selections
-            }
-            if list(selections) != ["key"]:
-                continue
-            low, high = selections["key"]
-            expected = {
-                rowid for rowid, value in model.items()
-                if (low is None or value >= low) and (high is None or value < high)
-            }
-            assert set(result.positions.tolist()) == expected, (
-                f"mode={mode}: tombstone-inconsistent answer on [{low}, {high})"
-            )
-    if options.get("parallel"):
-        assert parallel_db.access_path("facts", "key").cracked._pool is not None
-
-
-@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking"])
-def test_interleaved_dml_and_batches_stay_consistent(mode):
-    """DML between batches (never during) keeps parallel runs identical."""
-    sequential_db = build_database(mode, {})
-    parallel_db = build_database(mode, {})
-    for round_index in range(3):
-        for db in (sequential_db, parallel_db):
-            rng = np.random.default_rng(7_000 + round_index)
-            value = int(rng.integers(0, DOMAIN))
-            with db.session() as session:
-                session.insert_row("facts", {"key": value, "aux": 2, "payload": 1.5})
-                session.delete_row("facts", round_index * 3)
-        rng_a = np.random.default_rng(500 + round_index)
-        rng_b = np.random.default_rng(500 + round_index)
-        sequential = run_batch(sequential_db, mixed_batch(rng_a), parallel=False)
-        parallel = run_batch(
-            parallel_db, mixed_batch(rng_b), parallel=True, max_workers=3
-        )
-        assert_bit_identical(
-            sequential, parallel, f"mode={mode}, round={round_index}"
+def assert_matches_model(queries, results, model, context):
+    """Every answer selecting on the key column alone is the model's."""
+    for query, result in zip(queries, results):
+        if [selection.column for selection in query.selections] != ["key"]:
+            continue
+        low, high = query.selections[0].bounds
+        expected = {
+            rowid for rowid, value in model.items()
+            if (low is None or value >= low) and (high is None or value < high)
+        }
+        assert set(result.positions.tolist()) == expected, (
+            f"{context}: tombstone-inconsistent answer on [{low}, {high})"
         )
 
 
-@pytest.mark.parametrize("mode", available_strategies())
-def test_batch_equals_single_executes(mode):
+@pytest.mark.parametrize("mode,options", all_modes())
+def test_batch_equals_single_executes(mode, options, pooled_fan_out):
     """One ``execute_many`` per interaction against one ``execute`` per query
-    on a twin, after the same DML: answers in order, aggregates and counters
-    bit for bit, every round (cold, adapting, and mostly cracked)."""
-    options = MODE_OPTIONS.get(mode, {})
+    on a twin, with the same DML before the first round and between rounds:
+    answers in order, aggregates and counters bit for bit, every round
+    (cold, adapting, and mostly cracked), and every key-column answer equal
+    to the tombstone model's."""
     batched_db = build_database(mode, options)
     single_db = build_database(mode, options)
-    assert apply_dml(batched_db, np.random.default_rng(77)) == \
-        apply_dml(single_db, np.random.default_rng(77))
+    model = apply_dml(batched_db, np.random.default_rng(77))
+    assert model == apply_dml(single_db, np.random.default_rng(77))
     for round_index in range(4):
+        if round_index:
+            changes = [dml_between_rounds(db, round_index)
+                       for db in (batched_db, single_db)]
+            assert changes[0] == changes[1]
+            rowid, value, victim = changes[0]
+            model[rowid] = value
+            model.pop(victim, None)
         queries = mixed_batch(np.random.default_rng(900 + round_index))
         batched = run_batch(batched_db, queries)
         with single_db.session() as session:
             singles = [session.execute(query) for query in queries]
-        assert_bit_identical(singles, batched,
-                             f"mode={mode}, round={round_index}")
+        context = f"mode={mode}, options={options}, round={round_index}"
+        assert_bit_identical(singles, batched, context)
+        assert_matches_model(queries, batched, model, context)
+    if options.get("parallel"):
+        assert batched_db.access_path("facts", "key").cracked._pool is not None
+
+
+def test_a_two_path_batch_journals_in_submission_order():
+    """A batch that cracks both ``key`` and ``aux`` holds both path locks
+    until its last journal record and journals its queries in submission
+    order (not path by path); the journal replays bit for bit."""
+    database = two_path_database()
+    database.record_journal = True
+    submitted = []
+    with database.session() as session:
+        for round_index in range(3):
+            rng = np.random.default_rng(600 + round_index)
+            keys = [Query.range_query("facts", "key", low, high)
+                    for low, high in key_ranges(rng)]
+            lows = rng.integers(0, 800, 4).tolist()
+            auxes = [Query.range_query("facts", "aux", low, low + 150)
+                     for low in lows]
+            queries = [query for pair in zip(keys, auxes) for query in pair]
+            queries += keys[len(auxes):]
+            submitted += zip(queries, session.execute_many(queries))
+    journal = database.operation_journal()
+    assert len(journal) == len(submitted)
+    for record, (query, result) in zip(journal, submitted):
+        assert record.payload is query and record.result is result
+    replay = two_path_database()
+    with replay.session() as session:
+        replayed = [session.execute(record.payload) for record in journal]
+    assert_bit_identical(replayed, [record.result for record in journal],
+                         "two-path batch replay")

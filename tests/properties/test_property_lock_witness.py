@@ -4,7 +4,7 @@ The two-level protocol (table gates before path locks, each level in
 sorted order) is deadlock-free by construction; the witness checks the
 *implementation* against that claim at runtime.  These tests arm a fresh
 witness, drive the session front door hard — concurrent sessions mixing
-queries, pipelined futures, parallel ``execute_many`` batches and DML
+queries, pipelined futures, ``execute_many`` batches and DML
 across two tables — then demand that the observed acquisition-order graph
 is acyclic, that not a single violation was recorded, and that every
 edge respects gate-before-path ranking.
@@ -57,7 +57,7 @@ def build_database(seed=2027):
 
 
 def hammer(database, errors):
-    """Four scripted sessions: queries, batches (parallel), DML, cross-table."""
+    """Four scripted sessions: queries, batches, DML, cross-table."""
 
     def queries(worker):
         rng = np.random.default_rng(100 + worker)
@@ -79,8 +79,7 @@ def hammer(database, errors):
                             "key", int(low), int(low) + 1_000,
                         )
                         for i, low in enumerate(lows)
-                    ],
-                    parallel=True,
+                    ]
                 )
 
     def dml(worker):

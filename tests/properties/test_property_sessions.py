@@ -10,7 +10,7 @@ then replay the journal **sequentially** on a fresh, identically seeded
 database and demand that every query reproduces its positions, projected
 columns, aggregates and cost counters bit for bit, and every DML op lands
 on its recorded rowid.  Exercised across every registered indexing mode,
-plus a hammer that streams DML against parallel ``execute_many`` batches
+plus a hammer that streams DML against ``execute_many`` batches
 (the fence the ROADMAP called out as the last open concurrency gap).
 """
 
@@ -212,7 +212,7 @@ def test_concurrent_sessions_replay_sequentially(mode, options):
     "mode", ["scan", "full-index", "cracking", "partitioned-updatable-cracking"]
 )
 def test_dml_during_parallel_batches_hammer(mode):
-    """A DML stream hammers the gate while parallel batches run.
+    """A DML stream hammers the gate while batches run.
 
     Inserts and deletes issued mid-batch must fence behind the in-flight
     cracks (never racing the access-path rebuild) and the whole history
@@ -251,11 +251,7 @@ def test_dml_during_parallel_batches_hammer(mode):
         try:
             with database.session(name="batches") as session:
                 for round_index in range(rounds):
-                    session.execute_many(
-                        mixed_batch(300 + round_index),
-                        parallel=True,
-                        max_workers=4,
-                    )
+                    session.execute_many(mixed_batch(300 + round_index))
         except Exception as error:  # noqa: BLE001
             errors.append(error)
 
@@ -319,7 +315,7 @@ def test_dml_during_parallel_batches_hammer(mode):
 def test_concurrent_batches_on_one_column_replay(mode):
     """Two sessions crack one column with batches at the same time.
 
-    A task holds its path lock from its one-pass crack until its last
+    A batch holds its path lock from its one-pass crack until its last
     query is journaled, so no query of the other batch can take a sequence
     number in between: each batch is one contiguous run of the journal, and
     the journal replays bit for bit.
@@ -356,7 +352,7 @@ def test_concurrent_batches_on_one_column_replay(mode):
         sequences = np.asarray([record.sequence for record in journal
                                 if record.session == f"batches-{worker}"])
         assert len(np.flatnonzero(np.diff(sequences) != 1)) <= rounds - 1, (
-            f"mode={mode}: another batch took a sequence number inside a task")
+            f"mode={mode}: another batch took a sequence number inside a batch")
     context = f"concurrent batches mode={mode}"
     oracle = build_database(mode, options)
     replay_journal(journal, oracle, context)

@@ -124,48 +124,6 @@ class TestUpdatesCommand:
         assert "merge-batch" in capsys.readouterr().err
 
 
-class TestBatchCommand:
-    def test_batch_sequential_only(self, capsys):
-        code = main(["batch", "--rows", "5000", "--queries", "8",
-                     "--mode", "scan"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "sequential" in output
-        assert "8 read-only queries" in output
-        assert "parallel" not in output
-
-    def test_batch_parallel_read_only_mode(self, capsys):
-        code = main(["batch", "--rows", "5000", "--queries", "8",
-                     "--mode", "full-index", "--parallel",
-                     "--max-workers", "3"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "results identical : yes" in output
-        assert "workers observed" in output
-
-    def test_batch_parallel_mutating_mode_serializes(self, capsys):
-        code = main(["batch", "--rows", "5000", "--queries", "8",
-                     "--mode", "cracking", "--parallel"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "1 serialized groups" in output
-        assert "results identical : yes" in output
-
-    def test_batch_unknown_mode(self, capsys):
-        code = main(["batch", "--mode", "quantum"])
-        assert code == 2
-        assert "unknown mode" in capsys.readouterr().err
-
-    def test_batch_validates_workers(self, capsys):
-        code = main(["batch", "--rows", "100", "--queries", "2",
-                     "--max-workers", "0"])
-        assert code == 2
-        # the session's own validation message, surfaced as the CLI error
-        assert "max_workers must be a positive worker count" in (
-            capsys.readouterr().err
-        )
-
-
 class TestDemoAndDefaults:
     def test_demo_runs(self, capsys):
         assert main(["demo", "--rows", "5000", "--queries", "20"]) == 0

@@ -197,9 +197,7 @@ class TestRunOperations:
                             selectivity=0.05, seed=2)
         queries = random_workload(spec)
         one_by_one = self.through_a_session(values, queries, "scan")
-        batched = self.through_a_session(
-            values, [queries], "scan", parallel=True, max_workers=2
-        )
+        batched = self.through_a_session(values, [queries], "scan")
         assert len(batched) == 8
         assert batched.answers_crc == one_by_one.answers_crc
         assert [q.counters for q in batched] == [q.counters for q in one_by_one]
