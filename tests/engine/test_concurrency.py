@@ -2,8 +2,9 @@
 
 Covers the classification of access paths as read-only vs mutating under
 selection (the ``reorganizes_on_read`` capability flag), a batch's claims,
-the lock manager, batch answers, concurrent readers of a converged path,
-and tombstone reads racing a delete stream.
+the lock manager and the locks a batch holds, the batch arguments it
+ignores, batch answers, concurrent readers of a converged path, and
+tombstone reads racing a delete stream.
 """
 
 import threading
@@ -20,6 +21,7 @@ from repro.engine.concurrency import (
 )
 from repro.engine.database import Database
 from repro.engine.query import Query, RangeSelection
+from repro.engine.session import Session
 
 
 @pytest.fixture
@@ -199,6 +201,87 @@ class TestLockManager:
         assert not manager.lock_for(("path", "facts", "a")).locked()
         with manager.locked(claims[1]):  # read-only: no lock taken
             assert not manager.lock_for(("path", "facts", "b")).locked()
+
+    def test_a_two_path_batch_holds_both_locks_until_it_ends(
+        self, database, session, monkeypatch
+    ):
+        database.set_indexing("facts", "a", "cracking")
+        database.set_indexing("facts", "b", "cracking")
+        locks = [database._path_locks.lock_for(("path", "facts", column))
+                 for column in ("a", "b")]
+        held = []
+        execute_locked = Session._execute_locked
+
+        def recording(self, *args, **kwargs):
+            held.append([lock.locked() for lock in locks])
+            return execute_locked(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "_execute_locked", recording)
+        session.execute_many([
+            Query.range_query("facts", "a", 0, 2_000),
+            Query.range_query("facts", "b", 0, 500),
+            Query.range_query("facts", "a", 2_000, 4_000),
+            Query.range_query("facts", "b", 500, 900),
+        ])
+        assert held == [[True, True]] * 4
+        assert not any(lock.locked() for lock in locks)
+
+    def test_a_failing_batch_releases_its_locks_and_gate(
+        self, database, session, monkeypatch
+    ):
+        database.set_indexing("facts", "a", "cracking")
+        execute_locked = Session._execute_locked
+        calls = []
+
+        def failing_second(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("query failed")
+            return execute_locked(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "_execute_locked", failing_second)
+        queries = [Query.range_query("facts", "a", low, low + 1_000)
+                   for low in range(0, 4_000, 1_000)]
+        with pytest.raises(RuntimeError, match="query failed"):
+            session.execute_many(queries)
+        assert not database._path_locks.lock_for(("path", "facts", "a")).locked()
+        gate = database._table_gates.gate("facts")
+        session.insert_row("facts", {"a": 5, "b": 5, "c": 5.0})
+        assert gate.fenced_writes == 0  # the insert found the gate free
+        monkeypatch.setattr(Session, "_execute_locked", execute_locked)
+        results = session.execute_many(queries)
+        for query, result in zip(queries, results):
+            low, high = query.selections[0].bounds
+            assert set(result.positions.tolist()) == reference_positions(
+                database, low, high
+            )
+
+
+class TestExecuteManyIgnoredArguments:
+    """``parallel`` and ``max_workers`` stay in the signature only for
+    positional callers; a batch accepts and ignores them, unvalidated."""
+
+    @pytest.mark.parametrize("workers", [0, -1, -7])
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_non_positive_max_workers_is_ignored(
+        self, database, session, workers, parallel
+    ):
+        database.set_indexing("facts", "a", "cracking")
+        queries = [Query.range_query("facts", "a", low, low + 100)
+                   for low in (0, 50, 5_000)]
+        results = session.execute_many(queries, parallel, workers)
+        for query, result in zip(queries, results):
+            low, high = query.selections[0].bounds
+            assert set(result.positions.tolist()) == reference_positions(
+                database, low, high
+            )
+            assert result.worker == threading.current_thread().name
+
+    def test_empty_batch_still_counts(self, database, session):
+        assert session.execute_many([], True, 0) == []
+        stats = session.stats()
+        assert stats.batches_executed == 1
+        assert stats.queries_executed == 0
 
 
 class TestBatchAnswers:

@@ -10,6 +10,9 @@ path its queries select through in one pass; the other issues the same
 queries one ``execute`` at a time.  Every result must match **bit for
 bit**: positions (order included), projected columns, aggregates and cost
 counters, and a scan-based model pins post-DML tombstone visibility.  A
+batch called as the e21 ladder calls it, ``execute_many(queries, True,
+workers)``, equals a plain ``execute_many`` bit for bit in every mode and
+across DML between batches: those arguments are accepted and ignored.  A
 batch over two cracking paths journals its queries in submission order,
 and its journal replays bit for bit.
 """
@@ -113,6 +116,13 @@ def run_batch(database, queries):
         return session.execute_many(queries)
 
 
+def run_parallel_batch(database, queries, max_workers=4):
+    """The e21 ladder's call, positional: ``execute_many(queries, True,
+    max_workers)`` — arguments a batch accepts and ignores."""
+    with database.session() as session:
+        return session.execute_many(queries, True, max_workers)
+
+
 def key_ranges(rng, count=6):
     """Ranges over the key column as one interaction issues them: fresh
     ones, plus a duplicate, a nested and a touching one of those."""
@@ -204,6 +214,41 @@ def test_batch_equals_single_executes(mode, options, pooled_fan_out):
         assert_matches_model(queries, batched, model, context)
     if options.get("parallel"):
         assert batched_db.access_path("facts", "key").cracked._pool is not None
+
+
+@pytest.mark.parametrize("mode,options", all_modes())
+def test_parallel_batches_bit_identical_across_modes(mode, options,
+                                                     pooled_fan_out):
+    """A batch asked for ``parallel=True`` with workers is the same batch:
+    after the same DML, every round's answers, aggregates and counters equal
+    a plain ``execute_many`` on a twin bit for bit."""
+    plain_db = build_database(mode, options)
+    parallel_db = build_database(mode, options)
+    assert apply_dml(plain_db, np.random.default_rng(4242)) == \
+        apply_dml(parallel_db, np.random.default_rng(4242))
+    for round_index in range(3):
+        queries = mixed_batch(np.random.default_rng(100 + round_index))
+        assert_bit_identical(
+            run_batch(plain_db, queries), run_parallel_batch(parallel_db, queries),
+            f"mode={mode}, options={options}, batch={round_index}",
+        )
+
+
+@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking"])
+def test_interleaved_dml_and_batches_stay_consistent(mode):
+    """DML between batches (never during) keeps batches asked for
+    ``parallel=True`` identical to plain ones."""
+    plain_db = build_database(mode, {})
+    parallel_db = build_database(mode, {})
+    for round_index in range(3):
+        assert dml_between_rounds(plain_db, round_index) == \
+            dml_between_rounds(parallel_db, round_index)
+        queries = mixed_batch(np.random.default_rng(500 + round_index))
+        assert_bit_identical(
+            run_batch(plain_db, queries),
+            run_parallel_batch(parallel_db, queries, max_workers=3),
+            f"mode={mode}, round={round_index}",
+        )
 
 
 def test_a_two_path_batch_journals_in_submission_order():

@@ -135,6 +135,13 @@ class TestDemoAndDefaults:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
 
+    def test_batch_is_not_a_command(self, capsys):
+        # a batch runs on one thread: there is no parallel run to compare
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--parallel"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
 
 class TestLintCommand:
     """``repro lint`` is the one way to run the two static analyzers."""
