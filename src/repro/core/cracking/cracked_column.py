@@ -50,7 +50,6 @@ from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.core.cracking.crack_engine import (
     BatchBounds,
     charge_batch,
-    check_range,
     check_ranges,
     crack_many,
     crack_range,
@@ -836,7 +835,7 @@ class CrackedColumn:
         high: Optional[float],
         counters: Optional[CostCounters],
     ) -> Tuple[int, int, np.ndarray, np.ndarray]:
-        """One range selection, shared by the three public operators.
+        """One range selection (a checked range) of :meth:`search_many`.
 
         Materialises the cracker column if need be, merges the qualifying
         pending updates (per the configured policy), then cracks — or, on a
@@ -844,10 +843,8 @@ class CrackedColumn:
         the qualifying region ``[start, end)`` of the cracker column plus
         what the pending structures still hold inside the range (only
         under the gradual policy): indices of qualifying pending inserts
-        and rowids of qualifying pending deletes.  An inverted range raises
-        before anything is counted, copied or merged.
+        and rowids of qualifying pending deletes.
         """
-        check_range(low, high)
         self._count_query()
         if not self.materialised:
             self._materialise(counters)
@@ -875,33 +872,36 @@ class CrackedColumn:
         pure binary search with no physical reorganisation.  Either bound
         may be ``None`` (unbounded).  For a column that was never updated
         the identifiers are positions into the base column (shifted by
-        ``rowid_base``).
+        ``rowid_base``).  A batch of one: :meth:`search_many`.
         """
-        selection = self._select(low, high, counters)  # may rebind the arrays
-        return self._gather(self.rowids, self._pending_insert_rowids,
-                            selection, counters)
+        return self.search_many([(low, high)], [counters])[0]
 
     def search_many(
         self,
         ranges: Sequence[Tuple[Optional[float], Optional[float]]],
         counters_list: Sequence[Optional[CostCounters]],
     ) -> List[np.ndarray]:
-        """What ``search(low, high, counters)`` returns for each range in
-        turn, with ``counters_list[i]`` charged for range ``i`` — answers in
-        order, counters and the state left behind included — from one pass
-        over the pieces the batch touches (:func:`crack_many`).
+        """The answers to ``ranges`` in order, with ``counters_list[i]``
+        charged for range ``i``: the select operator, and the one place that
+        chooses its kernel.
 
-        Every range is checked before anything is cracked.  A column with
-        pending updates or recognised as converged answers range by range.
+        Every range is checked before anything is cracked.  Two or more
+        ranges on a :attr:`batchable` column are answered by one pass over
+        the pieces they touch (:func:`crack_many`); a lone range, a column
+        with pending updates and a converged one go range by range
+        (:meth:`_select`: a crack-in-two or crack-in-three per range, or a
+        binary search).  Answers, counters and the state left behind are
+        the same either way.
         """
         ranges = list(ranges)
         check_ranges(ranges)
-        if not ranges or not self.batchable:
-            return [self.search(low, high, counters)
-                    for (low, high), counters in zip(ranges, counters_list)]
-        answers, charged = self.crack_batch(self.locate_batch(ranges))
-        charge_batch(counters_list, charged)
-        return answers
+        if len(ranges) > 1 and self.batchable:
+            answers, charged = self.crack_batch(self.locate_batch(ranges))
+            charge_batch(counters_list, charged)
+            return answers
+        # each selection may rebind the arrays its gather reads
+        return [self._gather(self._select(low, high, counters), counters)
+                for (low, high), counters in zip(ranges, counters_list)]
 
     @property
     def batchable(self) -> bool:
@@ -933,44 +933,20 @@ class CrackedColumn:
                        copy.bytes_allocated)
         return answers, charged
 
-    def search_values(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
-        """Qualifying *values* rather than row identifiers (cracks as a side effect)."""
-        selection = self._select(low, high, counters)  # may rebind the arrays
-        return self._gather(self.values, self._pending_insert_values,
-                            selection, counters)
-
-    def _gather(self, merged: np.ndarray, pending: array,
-                selection: Tuple[int, int, np.ndarray, np.ndarray],
+    def _gather(self, selection: Tuple[int, int, np.ndarray, np.ndarray],
                 counters: Optional[CostCounters]) -> np.ndarray:
-        """Copy one attribute (rowids or values) of a :meth:`_select` result:
-        the qualifying region minus pending deletes plus pending inserts."""
+        """The row identifiers of a :meth:`_select` result: the qualifying
+        region minus pending deletes plus pending inserts."""
         start, end, extra, excluded = selection
         if counters is not None:
             counters.record_scan(end - start)
-        result = merged[start:end]
+        result = self.rowids[start:end]
         if len(excluded):
-            result = result[~np.isin(self.rowids[start:end], excluded)]
+            result = result[~np.isin(result, excluded)]
         if len(extra):
-            queued = np.frombuffer(pending, dtype=pending.typecode)
-            result = np.concatenate(
-                [result, queued[extra].astype(result.dtype, copy=False)]
-            )
+            queued = np.frombuffer(self._pending_insert_rowids, dtype=np.int64)
+            result = np.concatenate([result, queued[extra]])
         return result.copy()
-
-    def count(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Number of qualifying rows (cracks as a side effect)."""
-        start, end, extra, excluded = self._select(low, high, counters)
-        return end - start - len(excluded) + len(extra)
 
     def crack_work(self, low: Optional[float], high: Optional[float]) -> int:
         """Elements a :meth:`search` for ``[low, high)`` would physically

@@ -24,7 +24,7 @@ cannot survive long.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class StochasticCrackedColumn(CrackedColumn):
     """
 
     #: the random cuts come before each query's own cracks, so a batch is
-    #: answered range by range (``search_many`` loops over :meth:`search`)
+    #: answered range by range (``search_many`` loops over :meth:`_select`)
     batchable = False
 
     def __init__(
@@ -128,12 +128,12 @@ class StochasticCrackedColumn(CrackedColumn):
             if not recursive:
                 return
 
-    def search(
+    def _select(
         self,
         low: Optional[float],
         high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
+        counters: Optional[CostCounters],
+    ) -> Tuple[int, int, np.ndarray, np.ndarray]:
         """Range selection with auxiliary stochastic cuts before the query cracks."""
         if not self.materialised:
             self._materialise(counters)
@@ -145,4 +145,4 @@ class StochasticCrackedColumn(CrackedColumn):
                 self._shrink_piece_containing(low, counters, recursive)
             if high is not None:
                 self._shrink_piece_containing(high, counters, recursive)
-        return super().search(low, high, counters)
+        return super()._select(low, high, counters)

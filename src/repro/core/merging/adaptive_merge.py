@@ -184,16 +184,6 @@ class AdaptiveMergingIndex:
             counters.record_scan(end - begin)
         return self._final_rowids[begin:end].copy()
 
-    def search_values(
-        self,
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters] = None,
-    ) -> np.ndarray:
-        """Qualifying values in sorted order (merging as a side effect)."""
-        positions = self.search(low, high, counters)
-        return self._base[positions]
-
     # -- verification ----------------------------------------------------------------------
 
     def check_invariants(self) -> None:

@@ -91,8 +91,9 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
+from itertools import starmap
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,7 +103,6 @@ from repro.columnstore.column import Column
 from repro.core.cracking.crack_engine import (
     CHARGE_COLUMNS,
     charge_batch,
-    check_range,
     check_ranges,
 )
 from repro.core.cracking.cracked_column import CrackedColumn
@@ -160,6 +160,17 @@ def partition_bounds(size: int, partitions: int) -> List[Tuple[int, int]]:
         bounds.append((start, end))
         start = end
     return bounds
+
+
+def _called(function: Callable, arguments: tuple) -> Future:
+    """A finished future holding what ``function(*arguments)`` returned or
+    raised."""
+    future: Future = Future()
+    try:
+        future.set_result(function(*arguments))
+    except BaseException as error:  # re-raised, in call order, by the caller
+        future.set_exception(error)
+    return future
 
 
 def _content_bounds(
@@ -598,37 +609,6 @@ class PartitionedCrackedColumn:
         if pool is not None:
             pool.shutdown(wait=False)
 
-    def _fan_out(
-        self,
-        targets: Sequence[ColumnPartition],
-        low: Optional[float],
-        high: Optional[float],
-        counters: Optional[CostCounters],
-    ) -> List[np.ndarray]:
-        """Search every target partition; results come in partition order.
-
-        On a ``parallel`` column a sub-selection whose crack is about to move
-        at least :data:`_POOL_MIN_WORK` elements goes to the pool, provided
-        there are two of them to overlap; the others run here, on the caller,
-        while those are in flight.  Whoever runs it, each sub-selection then
-        writes to private counters, merged into ``counters`` in partition
-        order once all are done — workers never share a mutable counter
-        instance, and the totals do not depend on the dispatch.
-        """
-        handed = self._hand_offs(
-            target.cracked.crack_work(low, high) for target in targets)
-        if not handed:
-            return [target.cracked.search(low, high, counters) for target in targets]
-        privates = [CostCounters() if counters is not None else None
-                    for _ in targets]
-        results = self._dispatch(
-            [(target.cracked.search, (low, high, private))
-             for target, private in zip(targets, privates)], handed)
-        if counters is not None:
-            for private in privates:
-                counters += private
-        return results
-
     def _hand_offs(self, works: Iterable[int]) -> List[bool]:
         """Which of these sub-selections go to the pool, given the elements
         each is about to move: on a ``parallel`` column those moving at
@@ -643,7 +623,9 @@ class PartitionedCrackedColumn:
                   handed: Sequence[bool]) -> list:
         """Results of ``(function, arguments)`` calls, in order: the
         ``handed`` ones run on the pool, the others here while those are in
-        flight."""
+        flight.  Nothing is left running when this returns or raises: every
+        call finishes first, then the first failure in call order is
+        raised."""
         if not handed:
             return [function(*arguments) for function, arguments in calls]
         pool = self._executor()
@@ -651,14 +633,12 @@ class PartitionedCrackedColumn:
             pool.submit(function, *arguments) if hand else None
             for (function, arguments), hand in zip(calls, handed)
         ]
-        inline = [
-            None if hand else function(*arguments)
-            for (function, arguments), hand in zip(calls, handed)
+        futures = [
+            _called(function, arguments) if future is None else future
+            for (function, arguments), future in zip(calls, futures)
         ]
-        return [
-            result if future is None else future.result()
-            for future, result in zip(futures, inline)
-        ]
+        wait(futures)
+        return [future.result() for future in futures]
 
     # -- update routing ---------------------------------------------------------
 
@@ -877,85 +857,103 @@ class PartitionedCrackedColumn:
         partition, cracker order within each partition); the *set* of
         rowids is identical to what a whole-column :class:`CrackedColumn`
         would return.  An inverted range raises ``ValueError``, as it does
-        on the whole column, before any partition is pruned or touched.
+        on the whole column, before any partition is pruned or touched.  A
+        batch of one: :meth:`search_many`.
         """
-        check_range(low, high)
-        self._maybe_split(counters)
-        targets = [p for p in self._partitions if p.overlaps(low, high, counters)]
-        with self._stats_lock:
-            self.queries_processed += 1
-            for target in targets:
-                target.visits += 1
-        if not targets:
-            return np.empty(0, dtype=np.int64)
-        chunks = self._fan_out(targets, low, high, counters)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        return self.search_many([(low, high)], [counters])[0]
 
     def search_many(
         self,
         ranges: Sequence[Tuple[Optional[float], Optional[float]]],
         counters_list: Sequence[Optional[CostCounters]],
     ) -> List[np.ndarray]:
-        """What ``search(low, high, counters)`` returns for each range in
-        turn, with ``counters_list[i]`` charged for range ``i`` — answers in
-        order, counters, visits and the state left behind included.
+        """The answers to ``ranges`` in order, with ``counters_list[i]``
+        charged for range ``i`` — answers, counters, visits and the state
+        left behind are those of one :meth:`search` per range in turn.
 
-        Every range is checked first; then pruning and visits go query by
-        query, in order (a partition's first-touch bounds scan is charged to
-        the first query that reaches it), and each partition answers its
-        share of the batch in one pass
-        (:meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_batch`)
-        — or range by range while it has pending updates or is converged.
-        A pass goes to the pool under the rule of :meth:`_fan_out`
-        (:meth:`_hand_offs`), its ``work`` being the pieces it touches.  A repartitioning column, which
-        may split before any query, answers range by range.
+        Every range is checked first.  A repartitioning column, which may
+        split before any query, answers range by range; any other answers
+        the whole batch in one :meth:`_answer`.
         """
         ranges = list(ranges)
         check_ranges(ranges)
-        if self.repartition or not ranges:
-            return [self.search(low, high, counters)
-                    for (low, high), counters in zip(ranges, counters_list)]
+        if not self.repartition:
+            return self._answer(ranges, counters_list)
+        return [answer for bounds, counters in zip(ranges, counters_list)
+                for answer in self._answer([bounds], [counters])]
+
+    def _answer(
+        self,
+        ranges: List[Tuple[Optional[float], Optional[float]]],
+        counters_list: Sequence[Optional[CostCounters]],
+    ) -> List[np.ndarray]:
+        """Checked ranges answered by the partitions.
+
+        A repartitioning column first checks for a split (charged to the
+        first range).  Then pruning and visits: a partition's first-touch
+        bounds scan is charged to the first query, the first to ask it.
+        Each partition answers its share in one call: one
+        :meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_batch`
+        pass for two or more ranges on a batchable partition, its own
+        ``search_many`` otherwise — range by range, a lone range on
+        ``crack_range``.  Given the elements each call is about to move (the
+        pieces the pass touches, or ``crack_work`` per range), a
+        ``parallel`` column hands some to the pool (:meth:`_hand_offs`),
+        where a ``search_many`` charges private counters.  Once all calls
+        are done the charges merge into ``counters_list``.
+        """
+        if ranges:
+            self._maybe_split(counters_list[0])
         partitions = self._partitions
-        overlapping = [
-            [partition.overlaps(low, high, counters) for partition in partitions]
-            for (low, high), counters in zip(ranges, counters_list)
-        ]
-        shares = [[query for query, row in enumerate(overlapping) if row[column]]
-                  for column in range(len(partitions))]
+        queries = list(enumerate(zip(ranges, counters_list)))
+        # per partition, the queries of the batch it answers
+        shares = [[query for query, ((low, high), counters) in queries
+                   if partition.overlaps(low, high, counters)]
+                  for partition in partitions]
         with self._stats_lock:
             self.queries_processed += len(ranges)
             for partition, share in zip(partitions, shares):
                 partition.visits += len(share)
-        columns = range(len(partitions))
-        crackers = [partition.cracked for partition in partitions]
-        batched = [column for column in columns
-                   if shares[column] and crackers[column].batchable]
-        # per partition, its answers aligned with its share of the batch: a
-        # partition with pending updates, or converged, answers range by range
-        answers = {
-            column: [crackers[column].search(*ranges[query], counters_list[query])
-                     for query in shares[column]]
-            for column in columns if column not in batched
-        }
-        passes = [
-            (crackers[column],
-             crackers[column].locate_batch([ranges[query] for query in shares[column]]))
-            for column in batched
+        count = len(ranges)
+        # per touched partition: its column, share, and the share's ranges
+        # and counters (the batch's own lists when the share is all of it)
+        jobs = [
+            (partition.cracked, share,
+             ranges if len(share) == count else [ranges[query] for query in share],
+             counters_list if len(share) == count
+             else [counters_list[query] for query in share])
+            for partition, share in zip(partitions, shares) if share
         ]
-        charged = np.zeros((len(ranges), len(CHARGE_COLUMNS)), dtype=np.int64)
-        done = self._dispatch(
-            [(cracked.crack_batch, (bounds,)) for cracked, bounds in passes],
-            self._hand_offs(bounds.work for _, bounds in passes))
-        for column, (chunks, charges) in zip(batched, done):
-            answers[column] = chunks
-            charged[shares[column]] += charges
-        charge_batch(counters_list, charged)
+        located = [cracked.locate_batch(mine) if len(share) > 1 and cracked.batchable
+                   else None for cracked, share, mine, _ in jobs]
+        handed = self._hand_offs(
+            sum(starmap(cracked.crack_work, mine)) if bounds is None else bounds.work
+            for (cracked, _, mine, _), bounds in zip(jobs, located))
+        # on the pool a search_many charges private counters, merged below
+        charged_to = [[None if counters is None else CostCounters() for counters in theirs]
+                      if handed else theirs for _, _, _, theirs in jobs]
+        done = self._dispatch([
+            (cracked.search_many, (mine, counters)) if bounds is None
+            else (cracked.crack_batch, (bounds,))
+            for (cracked, _, mine, _), bounds, counters in zip(jobs, located, charged_to)
+        ], handed)
+        charged = (np.zeros((count, len(CHARGE_COLUMNS)), dtype=np.int64)
+                   if located.count(None) < len(located) else None)
         results: List[List[np.ndarray]] = [[] for _ in ranges]
-        for column in columns:
-            for query, chunk in zip(shares[column], answers[column]):
+        for (_, share, _, _), bounds, privates, answers in zip(
+                jobs, located, charged_to, done):
+            if bounds is not None:
+                answers, charges = answers
+                charged[share] += charges
+            elif handed:
+                for query, private in zip(share, privates):
+                    if private is not None:
+                        counters = counters_list[query]
+                        counters += private
+            for query, chunk in zip(share, answers):
                 results[query].append(chunk)
+        if charged is not None:
+            charge_batch(counters_list, charged)
         return [
             chunks[0] if len(chunks) == 1
             else np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)

@@ -21,9 +21,11 @@ Off by default with zero overhead beyond one global read per query; enabled
 by ``REPRO_COST_WITNESS=1`` or programmatically via
 :func:`enable_cost_witness`.  A violation raises
 :class:`CostConformanceViolation` (see :mod:`repro.analysis_tools.witness`
-for the shared scaffold).  The hook site is
-``Session._execute_claimed``, the one query path, which runs under the
-plan's path locks, so fingerprints are race-free snapshots.
+for the shared scaffold).  The hook sites are in the session's one query
+path, which runs every query, a lone one included, as a batch under the
+plans' path locks, so fingerprints are race-free snapshots:
+``Session._execute_locked`` brackets each query, and
+``Session._batch_selections`` each ``search_many`` pass of a batch.
 """
 
 from __future__ import annotations

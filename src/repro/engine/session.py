@@ -53,7 +53,7 @@ from repro.cost.counters import CostCounters
 from repro.cost.timer import Timer
 from repro.cost.witness import cost_witness
 from repro.durability.record import WalRecord
-from repro.engine.concurrency import AccessPathClaim, classify_plan, schedule_batch
+from repro.engine.concurrency import schedule_batch
 from repro.engine.executor import QueryResult
 from repro.engine.planner import Plan
 from repro.engine.query import Query, QueryBuilder
@@ -221,38 +221,14 @@ class Session:
         return QueryBuilder(table, runner=self.execute, submitter=self.submit)
 
     def execute(self, query: Query) -> QueryResult:
-        """Plan and execute one query under the full locking protocol.
+        """Plan and execute one query under the full locking protocol: a
+        batch of one (:meth:`execute_many`), counted as a query and not as
+        a batch.
 
-        Holds the table gate shared (fencing out DML), classifies the
-        plan's access-path claims, and serializes on the exclusive ones —
-        so this is safe to call concurrently with batches, pipelined
-        futures and DML from any session or thread.
+        Safe to call concurrently with batches, pipelined futures and DML
+        from any session or thread.
         """
-        self._check_open()
-        database = self._database
-        with database._table_gates.read([query.table]):
-            plan = database.planner.plan(query)
-            result = self._execute_claimed(
-                query, plan, classify_plan(database, plan)
-            )
-        with self._lock:
-            self._stats.queries_executed += 1
-        return result
-
-    def _execute_claimed(
-        self, query: Query, plan: Plan, claims: Sequence[AccessPathClaim]
-    ) -> QueryResult:
-        """The one query path: hold the plan's exclusive path locks, execute,
-        stamp the executing thread and the linearization sequence before
-        they release.
-
-        Every query passes here holding its locks, which makes this the
-        cost-conformance hook site: the witness (when armed, see
-        :mod:`repro.cost.witness`) fingerprints every access path the plan
-        dispatches through before and after the executor runs and checks
-        the structural delta against the query's counters."""
-        with self._database._path_locks.locked(claims):
-            return self._execute_locked(query, plan, CostCounters())
+        return self._execute_batch([query])[0]
 
     def _execute_locked(
         self, query: Query, plan: Plan, counters: CostCounters,
@@ -260,7 +236,13 @@ class Session:
     ) -> QueryResult:
         """Execute and journal one query whose path locks the caller holds;
         ``selection`` is its leading ``index_select``'s answer when a batch
-        pass already computed it (charged to ``counters``)."""
+        pass already computed it (charged to ``counters``).
+
+        Every query passes here holding its locks, which makes this the
+        cost-conformance hook site: the witness (when armed, see
+        :mod:`repro.cost.witness`) fingerprints every access path the plan
+        dispatches through before and after the executor runs and checks
+        the structural delta against the query's counters."""
         database = self._database
         timer = Timer()
         witness = cost_witness()
@@ -286,12 +268,15 @@ class Session:
 
     def _batch_selections(
         self, plans: Sequence[Plan], counters: Sequence[CostCounters]
-    ) -> dict:
-        """Leading-selection answers, by batch position, from one
+    ) -> List[Optional[np.ndarray]]:
+        """Per batch position, the leading selection's answer from one
         ``search_many`` call per access path that two or more queries of the
         batch select through and that only plain ``index_select`` steps use
-        (a covering selection or a scan keeps its path on the query path).
-        The cost witness brackets each call as one operation."""
+        (a covering selection or a scan keeps its path on the query path:
+        None).  The cost witness brackets each call as one operation."""
+        selections: List[Optional[np.ndarray]] = [None] * len(plans)
+        if len(plans) < 2:
+            return selections  # a lone query selects on the query path
         database = self._database
         uses: dict = {}
         for position, plan in enumerate(plans):
@@ -299,7 +284,6 @@ class Session:
                 key = (step.table, step.column)
                 plain = step.operator == "index_select" and not step.columns
                 uses.setdefault(key, []).append((position, step) if plain else None)
-        selections = {}
         witness = cost_witness()
         for (table, column), steps in uses.items():
             if len(steps) < 2 or None in steps:
@@ -357,9 +341,17 @@ class Session:
         ``parallel`` and ``max_workers`` are accepted and ignored (they are
         not validated either): a batch starts no thread.
         """
+        results = self._execute_batch(list(queries))
+        with self._lock:
+            self._stats.batches_executed += 1
+        return results
+
+    def _execute_batch(self, queries: List[Query]) -> List[QueryResult]:
+        """The one query path (the body :meth:`execute_many` describes),
+        counting the queries it ran; :meth:`execute_many` also counts a
+        batch."""
         self._check_open()
         database = self._database
-        queries = list(queries)
         results: List[QueryResult] = []
         if queries:
             with database._table_gates.read([q.table for q in queries]):
@@ -368,14 +360,9 @@ class Session:
                 held = [claim for plan_claims in claims for claim in plan_claims]
                 with database._path_locks.locked(held):
                     counters = [CostCounters() for _ in plans]
-                    selections = self._batch_selections(plans, counters)
-                    results = [
-                        self._execute_locked(query, plan, counters[position],
-                                             selections.get(position))
-                        for position, (query, plan) in enumerate(zip(queries, plans))
-                    ]
+                    results = list(map(self._execute_locked, queries, plans, counters,
+                                       self._batch_selections(plans, counters)))
         with self._lock:
-            self._stats.batches_executed += 1
             self._stats.queries_executed += len(results)
         return results
 

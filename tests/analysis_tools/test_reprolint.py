@@ -106,15 +106,15 @@ class TestRealTree:
         assert by_rule == {"RL005": 2}
 
     def test_acquisition_graph_records_gate_before_wal_order_lock(self):
-        # The analyzer is lexical.  The session takes the path locks in its
-        # one query path (``_execute_claimed``), a call below the function
-        # that holds the gate, so gate -> path is observed by the runtime
-        # witness (tests/properties/test_property_lock_witness.py) and by
-        # the rl002 fixtures, not here; the gate -> WAL-order edge of the
-        # one commit path is lexical and must stay visible.
+        # The analyzer is lexical.  The session's one query path
+        # (``_execute_batch``, a lone query included) takes the path locks
+        # inside the read gate in one body, and the one commit path takes
+        # the WAL-order lock inside the write gate: both edges must stay
+        # visible.
         _findings, graph = reprolint.analyze_paths(
             [str(REPO_ROOT / "src" / "repro" / "engine")]
         )
+        assert ("gate.read", "path") in graph
         assert ("gate.write", "wal_order._wal_order_lock") in graph
         # and the schema lock is taken ahead of the gates, never after
         assert ("schema._schema_lock", "gate.write_all") in graph

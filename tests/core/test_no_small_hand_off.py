@@ -50,7 +50,7 @@ def test_the_first_query_hands_off_every_partition_a_late_one_none(pool_submits)
     with column:
         (first, *later), probe = random_ranges(rng, 301), (DOMAIN // 3, DOMAIN // 2)
         column.search(*first)
-        assert pool_submits == [p.cracked.search for p in column.partitions]
+        assert pool_submits == [p.cracked.search_many for p in column.partitions]
         for low, high in later:
             column.search(low, high)
         del pool_submits[:]

@@ -6,7 +6,10 @@ of them with one ``crack_many`` pass per partition instead of one
 crack-in-two or crack-in-three per range.  Whether that route is taken shows
 without a clock, in the style of ``tests/engine/test_no_full_column_pass.py``:
 the tests count calls to the two partition kernels and to ``crack_many``.
-A batch is one unit on the calling thread: it starts no thread of its own.
+A lone range is a batch of one and keeps the per-range kernels, so the
+sequential twin of ``tests/properties/test_property_search_many.py`` runs
+``crack_range``, not ``search_many`` checked against itself.  A batch is one
+unit on the calling thread: it starts no thread of its own.
 """
 
 import threading
@@ -56,14 +59,16 @@ def query(low):
 
 
 def steady_database(mode="partitioned-cracking"):
-    """1 000 queries into the stream, as the batch workload's steady phase."""
+    """1 000 queries into the stream, as the batch workload's steady phase
+    (``cracking`` is the whole column, the other modes have partitions)."""
     rng = np.random.default_rng(34)
     database = Database("one-pass")
     database.create_table("t", {
         "key": rng.integers(0, DOMAIN, ROWS).astype(np.int64),
         "pay": rng.random(ROWS),
     })
-    database.set_indexing("t", "key", mode, partitions=PARTITIONS)
+    options = {} if mode == "cracking" else {"partitions": PARTITIONS}
+    database.set_indexing("t", "key", mode, **options)
     with database.session() as session:
         for _ in range(16):
             session.execute_many([query(low) for low in rng.integers(0, DOMAIN, BATCH)])
@@ -93,15 +98,24 @@ def test_a_partition_with_pending_updates_answers_range_by_range(kernel_calls):
     assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] > 0
 
 
-def test_a_single_execute_keeps_its_kernels(kernel_calls):
-    database, rng = steady_database()
+@pytest.mark.parametrize("mode", ["partitioned-cracking", "cracking"])
+@pytest.mark.parametrize("entry", ["execute", "search_many"])
+def test_a_single_execute_keeps_its_kernels(kernel_calls, mode, entry):
+    """One range through ``Session.execute`` or a direct one-range
+    ``search_many`` call, on a partitioned or a whole column: a crack-in-two
+    or crack-in-three per new bound, never the one-pass kernel."""
+    database, rng = steady_database(mode)
+    path = database.access_path("t", "key")
     counted_from_here(kernel_calls)
     with database.session() as session:
-        for low in rng.integers(0, DOMAIN, 4):
-            session.execute(query(low))
+        for low in rng.integers(0, DOMAIN, 4).tolist():
+            if entry == "execute":
+                session.execute(query(low))
+            else:
+                path.search_many([(low, low + WIDTH)], [None])
     assert kernel_calls["crack_many"] == 0
     assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] \
-        >= PARTITIONS
+        >= (PARTITIONS if mode == "partitioned-cracking" else 4)
 
 
 def test_a_batch_starts_no_thread(monkeypatch):

@@ -1,5 +1,8 @@
 """Unit tests for the partitioned parallel cracking subsystem."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -162,7 +165,7 @@ class TestPartitionedCrackedColumn:
             assert work == [400, 400, 500, 500]
             expected = sequential.search(150, 1900, seq_counters)
             actual = mixed.search(150, 1900, mixed_counters)
-            assert pool_submits == [p.cracked.search for p in mixed.partitions[2:]]
+            assert pool_submits == [p.cracked.search_many for p in mixed.partitions[2:]]
             # rowids in partition order, whoever ran the partition
             assert np.array_equal(actual, expected)
             assert set(actual.tolist()) == reference(values, 150, 1900)
@@ -282,6 +285,59 @@ class TestFanOutPoolSizing:
             column.search(0, 1000)
         assert column._max_workers == 3  # an explicit cap never auto-resizes
         column.close()
+
+
+@pytest.mark.usefixtures("pooled_fan_out")
+class TestFailedSubSelection:
+    """A sub-selection that raises reaches the caller only once every other
+    one has finished, the first failure in partition order first."""
+
+    def two_partitions(self):
+        return PartitionedCrackedColumn(np.arange(1000, dtype=np.int64),
+                                        partitions=2, parallel=True, max_workers=2)
+
+    def test_the_other_sub_selections_finish_before_it_raises(self):
+        """Regression: the column re-raised while another partition was still
+        cracking on the pool, so a session released the path lock with a
+        worker still moving that partition's data."""
+        with self.two_partitions() as column:
+            first, second = (partition.cracked for partition in column.partitions)
+            started, finished = threading.Event(), []
+            select = second._select
+
+            def failing(low, high, counters):
+                started.wait(5)
+                raise RuntimeError("sub-selection failed")
+
+            def slow(low, high, counters):
+                started.set()
+                time.sleep(0.1)
+                region = select(low, high, counters)
+                finished.append(True)
+                return region
+
+            first._select, second._select = failing, slow
+            with pytest.raises(RuntimeError, match="sub-selection failed"):
+                column.search(0, 1000)
+            assert finished == [True]
+            column.check_invariants()
+
+    def test_the_first_failure_in_partition_order_is_raised(self):
+        with self.two_partitions() as column:
+            first, second = (partition.cracked for partition in column.partitions)
+            raised = threading.Event()
+
+            def late(low, high, counters):
+                raised.wait(5)
+                raise RuntimeError("first partition")
+
+            def early(low, high, counters):
+                raised.set()
+                raise RuntimeError("second partition")
+
+            first._select, second._select = late, early
+            with pytest.raises(RuntimeError, match="first partition"):
+                column.search(0, 1000)
 
 
 class TestFinalizer:

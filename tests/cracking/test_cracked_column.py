@@ -16,15 +16,15 @@ class TestBasics:
             )
         cracked.check_invariants()
 
-    def test_search_values_returns_values(self, small_values, reference):
+    def test_search_rows_hold_the_qualifying_values(self, small_values, reference):
         cracked = CrackedColumn(small_values)
-        result = cracked.search_values(10, 40)
+        result = small_values[cracked.search(10, 40)]
         expected = sorted(small_values[list(reference(small_values, 10, 40))])
         assert sorted(result.tolist()) == expected
 
-    def test_count(self, small_values, reference):
+    def test_search_counts_every_qualifying_row(self, small_values, reference):
         cracked = CrackedColumn(small_values)
-        assert cracked.count(20, 80) == len(reference(small_values, 20, 80))
+        assert len(cracked.search(20, 80)) == len(reference(small_values, 20, 80))
 
     def test_accepts_column_objects(self, small_column):
         cracked = CrackedColumn(small_column)
@@ -129,8 +129,8 @@ class TestAdaptiveBehaviour:
         cracked = CrackedColumn(small_values)
         cracked.search(0, 10)
         cracked.search(5, 20)
-        cracked.count(3, 8)
-        assert cracked.queries_processed >= 2
+        cracked.search_many([(3, 8)], [None])
+        assert cracked.queries_processed == 3
 
     def test_converges_to_fully_sorted_with_many_queries(self):
         rng = np.random.default_rng(11)
@@ -144,25 +144,27 @@ class TestAdaptiveBehaviour:
         assert cracked.is_fully_sorted()
 
 
-class TestCountAccounting:
-    def test_count_increments_queries_processed(self, small_values):
-        """Regression: count() used to skip the queries_processed counter."""
+class TestQueryAccounting:
+    def test_every_range_increments_queries_processed(self, small_values):
+        """Regression: a select entry (``count``, since deleted) used to skip
+        the queries_processed counter; every range answered counts, on the
+        one-range route and on the one-pass batch alike."""
         cracked = CrackedColumn(small_values)
         assert cracked.queries_processed == 0
-        cracked.count(0, 10)
-        assert cracked.queries_processed == 1
         cracked.search(0, 10)
-        cracked.search_values(0, 10)
-        cracked.count(5, 15)
+        assert cracked.queries_processed == 1
+        cracked.search_many([(0, 10)], [None])
+        cracked.search_many([(5, 15), (20, 30)], [None, None])
         assert cracked.queries_processed == 4
 
-    def test_count_matches_search_length(self, medium_values):
-        counting = CrackedColumn(medium_values)
+    def test_a_batch_answers_what_single_searches_answer(self, medium_values):
+        batched = CrackedColumn(medium_values)
         searching = CrackedColumn(medium_values)
         rng = np.random.default_rng(17)
-        for _ in range(20):
-            low = int(rng.integers(0, 90_000))
-            assert counting.count(low, low + 1_000) == len(
-                searching.search(low, low + 1_000)
-            )
-        assert counting.queries_processed == searching.queries_processed
+        for _ in range(10):
+            ranges = [(low, low + 1_000)
+                      for low in rng.integers(0, 90_000, 2).tolist()]
+            answers = batched.search_many(ranges, [None, None])
+            for answer, (low, high) in zip(answers, ranges):
+                assert np.array_equal(answer, searching.search(low, high))
+        assert batched.queries_processed == searching.queries_processed == 20
