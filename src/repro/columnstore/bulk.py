@@ -144,7 +144,8 @@ def partition_two_way(
 
     The layout produced — qualifying elements first, original order
     preserved within each side — is exactly a stable partition, computed
-    with two mask selections in O(n).
+    with one comparison pass and two ``nonzero`` selections in O(n); the
+    split is the length of the first selection.
 
     Returns the absolute index of the first element >= pivot.
     """
@@ -152,10 +153,10 @@ def partition_two_way(
     if len(segment) == 0:
         return start
     mask = segment < pivot
-    left_count = int(mask.sum())
+    left = mask.nonzero()[0]
     # one O(n) stable permutation (qualifying positions first, original
     # order kept within each side), applied to values and every payload
-    order = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
+    order = np.concatenate((left, (~mask).nonzero()[0]))
     values[start:end] = segment[order]
     for extra in _payload_list(payload):
         extra[start:end] = extra[start:end][order]
@@ -163,7 +164,7 @@ def partition_two_way(
         counters.record_scan(len(segment))
         counters.record_comparisons(len(segment))
         counters.record_move(len(segment))
-    return start + left_count
+    return start + len(left)
 
 
 @typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
@@ -184,31 +185,29 @@ def partition_three_way(
     element >= low and the first element >= high respectively.  This is the
     kernel behind crack-in-three.  ``payload`` may be one aligned array or a
     sequence of aligned arrays, permuted identically.  Like the two-way
-    kernel, the grouping is a stable partition computed with three mask
-    selections in O(n).
+    kernel, the grouping is a stable partition computed with three
+    ``nonzero`` selections in O(n), the splits read off their lengths.
     """
     if high < low:
         raise ValueError("high must be >= low for three-way partitioning")
     segment = values[start:end]
     if len(segment) == 0:
         return start, start
-    below = segment < low
-    above = segment >= high
-    middle = ~(below | above)
+    below_mask = segment < low
+    above_mask = segment >= high
+    below = below_mask.nonzero()[0]
+    middle = (~(below_mask | above_mask)).nonzero()[0]
     # stable grouping (below, middle, above) as one O(n) permutation
-    order = np.concatenate(
-        [np.flatnonzero(below), np.flatnonzero(middle), np.flatnonzero(above)]
-    )
+    order = np.concatenate((below, middle, above_mask.nonzero()[0]))
     values[start:end] = segment[order]
     for extra in _payload_list(payload):
         extra[start:end] = extra[start:end][order]
-    below_count = int(below.sum())
-    middle_count = int(middle.sum())
     if counters is not None:
         counters.record_scan(len(segment))
         counters.record_comparisons(2 * len(segment))
         counters.record_move(len(segment))
-    return start + below_count, start + below_count + middle_count
+    split_low = start + len(below)
+    return split_low, split_low + len(middle)
 
 
 def sort_comparisons(size: int) -> int:
@@ -305,16 +304,24 @@ def merge_sorted_with_positions(
 
 
 def binary_search_count(n: int) -> int:
-    """Number of comparisons a binary search over ``n`` elements performs."""
+    """Number of comparisons a binary search over ``n`` elements performs:
+    ``ceil(log2(n + 1))``, which is the bit length of ``n`` (0 for an empty
+    structure), read exactly from the integer."""
     if n <= 0:
         return 0
-    return int(np.ceil(np.log2(n + 1)))
+    return int(n).bit_length()
 
 
 def binary_search_counts(sizes: np.ndarray) -> np.ndarray:
-    """:func:`binary_search_count` of every entry of an integer array.
+    """:func:`binary_search_count` of every entry of a non-negative integer
+    array.
 
-    ``ceil(log2(n + 1))`` is the bit length of ``n``, which ``frexp`` reads
-    off exactly (0 for an empty structure).
+    ``frexp`` reads the bit length off each entry's float64 value, which is
+    exact below 2**53; past it the conversion may round ``2**k - 1`` up to
+    ``2**k``, so those few entries are counted as integers instead.
     """
-    return np.frexp(sizes)[1]
+    lengths = np.frexp(sizes)[1]
+    wide = lengths > 53
+    if wide.any():
+        lengths[wide] = [int(n).bit_length() for n in sizes[wide].tolist()]
+    return lengths

@@ -65,6 +65,39 @@ def check_ranges(ranges: Sequence[Tuple[Optional[float], Optional[float]]]) -> N
                        "extra_payload": "numeric?"},
               mutates=("values", "rowids", "extra_payload"))
 @charges("comparisons", "pieces")
+def _crack_in_two(
+    values: np.ndarray,
+    rowids: Optional[np.ndarray],
+    index: CrackerIndex,
+    pivot: float,
+    located: Tuple[int, int, int],
+    counters: Optional[CostCounters],
+    extra_payload: Optional[np.ndarray],
+) -> int:
+    """Crack-in-two at ``pivot``, which ``located`` places as
+    :meth:`CrackerIndex.lookup` does; return the boundary's position.
+
+    Navigation is charged as a binary search over the pieces of the moment;
+    a known boundary moves nothing, any other pivot partitions its piece.
+    """
+    slot, start, end = located
+    if counters is not None:
+        counters.record_comparisons(binary_search_count(index.piece_count))
+    if slot < 0:
+        return start
+    split = partition_two_way(
+        values, start, end, pivot, counters,
+        payload=_payloads(rowids, extra_payload),
+    )
+    index.add_boundary(pivot, split, slot)
+    if counters is not None:
+        counters.record_pieces(1)
+    return split
+
+
+@typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
+                       "extra_payload": "numeric?"},
+              mutates=("values", "rowids", "extra_payload"))
 def crack_value(
     values: np.ndarray,
     rowids: Optional[np.ndarray],
@@ -76,24 +109,11 @@ def crack_value(
     """Ensure a boundary for ``pivot`` exists; return its position.
 
     If ``pivot`` is already a boundary the lookup is free of data movement.
-    Otherwise the piece containing ``pivot`` is located and physically
-    partitioned around ``pivot`` (crack-in-two).
+    Otherwise the piece containing ``pivot`` is physically partitioned
+    around ``pivot`` (crack-in-two).  One bisect either way.
     """
-    existing = index.position_of(pivot)
-    if counters is not None:
-        counters.record_comparisons(binary_search_count(index.piece_count))
-    if existing is not None:
-        return existing
-
-    piece = index.piece_for_value(pivot)
-    split = partition_two_way(
-        values, piece.start, piece.end, pivot, counters,
-        payload=_payloads(rowids, extra_payload),
-    )
-    index.add_boundary(pivot, split)
-    if counters is not None:
-        counters.record_pieces(1)
-    return split
+    return _crack_in_two(values, rowids, index, pivot, index.lookup(pivot),
+                         counters, extra_payload)
 
 
 @typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
@@ -114,7 +134,7 @@ def crack_range(
     Returns ``(start, end)`` positions of the qualifying region.  Uses
     crack-in-three when both bounds fall inside the same
     (un-cracked-at-either-bound) piece, crack-in-two otherwise, mirroring
-    the original algorithm.
+    the original algorithm.  Each bound is looked up once.
     """
     check_range(low, high)
 
@@ -125,33 +145,32 @@ def crack_range(
     if high is None:
         return crack_value(values, rowids, index, low, counters, extra_payload), index.size
 
-    low_known = index.position_of(low) is not None
-    high_known = index.position_of(high) is not None
-
-    if not low_known and not high_known:
-        low_piece = index.piece_for_value(low)
-        high_piece = index.piece_for_value(high)
-        same_piece = (
-            low_piece.start == high_piece.start and low_piece.end == high_piece.end
-        )
-        if same_piece:
+    low_slot, low_start, low_end = low_at = index.lookup(low)
+    high_slot, high_start, high_end = high_at = index.lookup(high)
+    if low_slot >= 0 and high_slot >= 0:
+        # one piece is one span, not one slot: two empty pieces at the same
+        # position are cracked in three like a single piece
+        if low_start == high_start and low_end == high_end:
             # charge the piece lookup before the physical partition (as
-            # crack_value does) so mid-query counter snapshots attribute the
-            # navigation cost to navigation, not to data movement
+            # crack-in-two does) so mid-query counter snapshots attribute
+            # the navigation cost to navigation, not to data movement
             if counters is not None:
                 counters.record_comparisons(binary_search_count(index.piece_count))
             split_low, split_high = partition_three_way(
-                values, low_piece.start, low_piece.end, low, high, counters,
+                values, low_start, low_end, low, high, counters,
                 payload=_payloads(rowids, extra_payload),
             )
             if counters is not None:
                 counters.record_pieces(2)
-            index.add_boundary(low, split_low)
-            index.add_boundary(high, split_high)
+            index.add_boundary(low, split_low, low_slot)
+            # a high bound equal to the low one is now that boundary
+            index.add_boundary(high, split_high, high_slot + (low < high))
             return split_low, split_high
+        # the low crack inserts its boundary ahead of the high bound's slot
+        high_at = high_slot + 1, high_start, high_end
 
-    start = crack_value(values, rowids, index, low, counters, extra_payload)
-    end = crack_value(values, rowids, index, high, counters, extra_payload)
+    start = _crack_in_two(values, rowids, index, low, low_at, counters, extra_payload)
+    end = _crack_in_two(values, rowids, index, high, high_at, counters, extra_payload)
     return start, end
 
 
@@ -300,7 +319,7 @@ def crack_many(
         cracked: List[int] = []
         waiting: List[int] = []
         turn = -1
-        turn_of, position_of = turns.tolist(), positions.tolist()
+        turn_of, placed = turns.tolist(), positions.tolist()
         for pivot in candidates[np.argsort(turns[candidates], kind="stable")].tolist():
             if turn_of[pivot] != turn:
                 for earlier in waiting:
@@ -309,9 +328,9 @@ def crack_many(
                 turn = turn_of[pivot]
             at = bisect_left(cracked, pivot)
             if at:
-                lefts[pivot] = max(lefts[pivot], position_of[cracked[at - 1]])
+                lefts[pivot] = max(lefts[pivot], placed[cracked[at - 1]])
             if at < len(cracked):
-                rights[pivot] = min(rights[pivot], position_of[cracked[at]])
+                rights[pivot] = min(rights[pivot], placed[cracked[at]])
             waiting.append(pivot)
     sizes = rights - lefts
 

@@ -13,9 +13,12 @@ sorted only by being cracked everywhere (``CrackedColumn.converged``).
 
 MonetDB implements this structure as an AVL tree; here two parallel
 sequences ordered by boundary value give the same O(log #pieces) navigation
-through :mod:`bisect`.  They do not stay small — a query adds up to two
-boundaries, so 12 000 queries leave some 24 000 pieces — and every merged
-update moves each later boundary by one, so storage is chosen per sequence.
+through :mod:`bisect`, one bisect per query bound: :meth:`CrackerIndex.lookup`
+answers both "is this a boundary, and where" and "which piece holds it", and
+:meth:`CrackerIndex.add_boundary` inserts at the slot it found.  The
+sequences do not stay small — a query adds up to two boundaries, so 12 000
+queries leave some 24 000 pieces — and every merged update moves each later
+boundary by one, so storage is chosen per sequence.
 Boundary **values** are a Python list: bisecting Python floats is the
 fastest navigation there is, and values never shift.  Boundary
 **positions** are an ``array('q')``: it reads and inserts like a list
@@ -117,6 +120,26 @@ class CrackerIndex:
 
     # -- lookups --------------------------------------------------------------
 
+    def lookup(self, value: float) -> Tuple[int, int, int]:
+        """Where ``value`` falls, with one bisect: ``(slot, start, end)``.
+
+        A boundary value gives slot ``-1`` and its position as ``start ==
+        end``.  Any other value lies in the piece ``[start, end)`` and would
+        be inserted at ``slot`` among the boundary values — what
+        :meth:`add_boundary` takes.  An empty piece has ``start == end``
+        too, so only the slot tells the two apart.
+        """
+        values = self._values
+        positions = self._positions
+        slot = bisect.bisect_left(values, value)
+        if slot < len(values):
+            end = positions[slot]
+            if values[slot] == value:
+                return -1, end, end
+        else:
+            end = self.size
+        return slot, positions[slot - 1] if slot else 0, end
+
     def position_of(self, value: float) -> Optional[int]:
         """Position registered for ``value``, or None when not a boundary."""
         index = bisect.bisect_left(self._values, value)
@@ -144,36 +167,24 @@ class CrackerIndex:
         """All pieces, left to right."""
         return [self._piece_at(i) for i in range(self.piece_count)]
 
-    def _piece_to_crack(self, bound: Optional[float]) -> int:
-        """Index of the piece a crack at ``bound`` would physically partition;
-        -1 when it would move nothing (no bound, or a registered boundary)."""
-        if bound is None:
-            return -1
-        values = self._values
-        index = bisect.bisect_left(values, bound)
-        if index < len(values) and values[index] == bound:
-            return -1
-        return index
-
     def crack_work(self, low: Optional[float], high: Optional[float]) -> int:
         """Elements a crack for ``[low, high)`` would move, without cracking.
 
         The sizes of the distinct pieces holding a bound that is not yet a
         boundary: both bounds in one piece move it once (crack-in-three),
-        bounds in two pieces move both.  Reads the flat buffers only — two
-        bisects, no :class:`Piece`.
+        bounds in two pieces move both.  Reads the flat buffers only — one
+        :meth:`lookup` per bound, no :class:`Piece`.
         """
-        first = self._piece_to_crack(low)
-        second = self._piece_to_crack(high)
-        work = self._piece_size(first) if first >= 0 else 0
-        if second >= 0 and second != first:
-            work += self._piece_size(second)
+        work = 0
+        first = -1
+        if low is not None:
+            first, start, end = self.lookup(low)
+            work = end - start
+        if high is not None:
+            second, start, end = self.lookup(high)
+            if second != first:
+                work += end - start
         return work
-
-    def _piece_size(self, index: int) -> int:
-        positions = self._positions
-        end = positions[index] if index < len(positions) else self.size
-        return end - (positions[index - 1] if index else 0)
 
     def locate(self, keys: Sequence[float]) -> Tuple[np.ndarray, np.ndarray,
                                                       np.ndarray, np.ndarray]:
@@ -201,15 +212,24 @@ class CrackerIndex:
 
     # -- mutation --------------------------------------------------------------
 
-    def add_boundary(self, value: float, position: int) -> None:
-        """Register that the first element >= ``value`` sits at ``position``."""
+    def add_boundary(self, value: float, position: int,
+                     slot: Optional[int] = None) -> None:
+        """Register that the first element >= ``value`` sits at ``position``.
+
+        ``slot`` is ``value``'s insertion point among the boundary values
+        when the caller already has it from :meth:`lookup`; otherwise it
+        is bisected here.
+        """
         if not 0 <= position <= self.size:
             raise ValueError(
                 f"boundary position {position} outside column of size {self.size}"
             )
-        index = bisect.bisect_left(self._values, value)
-        if index < len(self._values) and self._values[index] == value:
-            existing = self._positions[index]
+        values = self._values
+        positions = self._positions
+        if slot is None:
+            slot = bisect.bisect_left(values, value)
+        if slot < len(values) and values[slot] == value:
+            existing = positions[slot]
             if existing != position:
                 raise ValueError(
                     f"conflicting boundary for value {value!r}: "
@@ -217,18 +237,18 @@ class CrackerIndex:
                 )
             return
         # monotonicity check against neighbours
-        if index > 0 and self._positions[index - 1] > position:
+        if slot > 0 and positions[slot - 1] > position:
             raise ValueError(
                 f"boundary ({value}, {position}) violates ordering against "
-                f"({self._values[index - 1]}, {self._positions[index - 1]})"
+                f"({values[slot - 1]}, {positions[slot - 1]})"
             )
-        if index < len(self._positions) and self._positions[index] < position:
+        if slot < len(positions) and positions[slot] < position:
             raise ValueError(
                 f"boundary ({value}, {position}) violates ordering against "
-                f"({self._values[index]}, {self._positions[index]})"
+                f"({values[slot]}, {positions[slot]})"
             )
-        self._values.insert(index, value)
-        self._positions.insert(index, position)
+        values.insert(slot, value)
+        positions.insert(slot, position)
 
     def add_boundaries(self, slots: np.ndarray, values: Sequence[float],
                        positions: np.ndarray) -> None:

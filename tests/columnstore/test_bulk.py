@@ -118,6 +118,91 @@ class TestPartitioning:
         assert counters.tuples_moved == 50
 
 
+def _reference_partition(values, start, end, pivots, payloads):
+    """A partition kernel's expected result: the segment and its payloads
+    in stable-argsort order of each element's group (how many of the
+    ascending ``pivots`` it is at or above), and the absolute position
+    where each group after the first begins."""
+    segment = values[start:end]
+    groups = np.searchsorted(np.asarray(pivots, dtype=values.dtype), segment,
+                             side="right")
+    order = np.argsort(groups, kind="stable")
+    expected = values.copy()
+    expected[start:end] = segment[order]
+    moved = []
+    for payload in payloads:
+        shuffled = payload.copy()
+        shuffled[start:end] = payload[start:end][order]
+        moved.append(shuffled)
+    splits = [start + int(np.count_nonzero(groups < g)) for g in range(1, len(pivots) + 1)]
+    return expected, moved, splits
+
+
+def _segment(dtype, case):
+    """A 12-element column whose segment ``[2, 10)`` is ``case``; the pivots
+    are 40 and 60 of ``dtype`` (``top`` puts uint64 keys past 2**63)."""
+    top = 2**63 if np.dtype(dtype) == np.uint64 else 0
+    inner = {
+        # ties at both pivots, mixed order
+        "ties": [60, 10, 40, 70, 40, 60, 5, 45],
+        "all_below": [1, 9, 3, 7, 3, 2, 8, 0],
+        "all_above": [90, 60, 71, 60, 99, 80, 61, 75],
+        "all_middle": [40, 59, 41, 40, 50, 58, 42, 55],
+        "empty": [],
+    }[case]
+    column = [33] * 2 + inner + [33] * 2
+    values = np.array([top + v for v in column], dtype=dtype)
+    end = 2 + len(inner)
+    pivots = (np.dtype(dtype).type(top + 40), np.dtype(dtype).type(top + 60))
+    return values, end, pivots
+
+
+PARTITION_DTYPES = [np.int64, np.uint64, np.float64]
+PARTITION_CASES = ["ties", "all_below", "all_above", "all_middle", "empty"]
+
+
+class TestPartitionAgainstStableArgsort:
+    """Both partition kernels equal a stable argsort of the group keys —
+    layout, payloads, split positions and charges — on every column type."""
+
+    @pytest.mark.parametrize("payload_count", [0, 1, 2])
+    @pytest.mark.parametrize("case", PARTITION_CASES)
+    @pytest.mark.parametrize("dtype", PARTITION_DTYPES)
+    @pytest.mark.parametrize("ways", [2, 3])
+    def test_partition_kernel(self, ways, dtype, case, payload_count):
+        values, end, pivots = _segment(dtype, case)
+        pivots = pivots[:ways - 1]
+        payloads = [np.arange(len(values), dtype=np.int64) * (k + 1)
+                    for k in range(payload_count)]
+        expected, moved, splits = _reference_partition(values, 2, end, pivots, payloads)
+        payload = None if not payloads else payloads[0] if payload_count == 1 else payloads
+        counters = CostCounters()
+        if ways == 2:
+            result = (partition_two_way(values, 2, end, *pivots, counters, payload=payload),)
+        else:
+            result = partition_three_way(values, 2, end, *pivots, counters, payload=payload)
+        assert result == tuple(splits)
+        assert values.dtype == dtype and np.array_equal(values, expected)
+        for actual, reference in zip(payloads, moved):
+            assert np.array_equal(actual, reference)
+        n = end - 2
+        assert (counters.tuples_scanned, counters.comparisons,
+                counters.tuples_moved) == (n, (ways - 1) * n, n)
+
+    @pytest.mark.parametrize("dtype", PARTITION_DTYPES)
+    def test_partition_three_way_with_equal_bounds(self, dtype):
+        values, end, (pivot, _) = _segment(dtype, "ties")
+        expected, _, (split,) = _reference_partition(values, 2, end, [pivot], [])
+        assert partition_three_way(values, 2, end, pivot, pivot) == (split, split)
+        assert np.array_equal(values, expected)
+
+    def test_splits_are_python_ints(self):
+        values, end, (low, high) = _segment(np.int64, "ties")
+        split = partition_two_way(values.copy(), 2, end, low)
+        splits = partition_three_way(values, 2, end, low, high)
+        assert all(type(s) is int for s in (split, *splits))
+
+
 class TestSort:
     def test_stable_sort_rows_sorts_each_row(self):
         values = np.array([9, 3, 7, 1, 5])
@@ -178,6 +263,19 @@ class TestMergeAndSearchHelpers:
         assert binary_search_counts(sizes).tolist() == [
             binary_search_count(int(n)) for n in sizes
         ]
+
+    def test_both_counts_are_the_bit_length_at_every_size(self):
+        # float64 rounds log2(n + 1) and int -> float conversions from 2**53
+        # on; the counts are ceil(log2(n + 1)) = n.bit_length() exactly
+        wide = [2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1, 2**60 - 1, 2**60,
+                2**63 - 1]
+        sizes = np.concatenate((np.arange(2**16 + 1), np.array(wide)))
+        expected = [n.bit_length() for n in sizes.tolist()]
+        assert binary_search_counts(sizes).tolist() == expected
+        assert [binary_search_count(n) for n in sizes.tolist()] == expected
+        assert [binary_search_count(n) for n in sizes] == expected  # numpy ints
+        assert binary_search_count(2**53) == 54
+        assert binary_search_count(2**60) == 61
 
     def test_lower_bound_searches_uint64_keys_exactly(self):
         # past 2**53 a Python int searched as float64 would round

@@ -22,7 +22,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from repro.core.cracking.crack_engine import (ripple_delete_position,
+from repro.core.cracking.crack_engine import (crack_range,
+                                              ripple_delete_position,
                                               ripple_insert_value)
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.cost.counters import CostCounters
@@ -131,14 +132,17 @@ class CrackerIndexMachine(RuleBasedStateMachine):
         high = model.positions[i] if i < len(model.positions) else model.size
         position = data.draw(st.one_of(st.integers(low, max(low, high)),
                                        self.position()))
+        # a new value may be registered at the slot lookup found for it
+        slot = self.index.lookup(value)[0] if data.draw(st.booleans()) else -1
+        arguments = (value, position) if slot < 0 else (value, position, slot)
         try:
             model.add_boundary(value, position)
         except ValueError as expected:
             with pytest.raises(ValueError) as refused:
-                self.index.add_boundary(value, position)
+                self.index.add_boundary(*arguments)
             assert str(refused.value) == str(expected)
         else:
-            self.index.add_boundary(value, position)
+            self.index.add_boundary(*arguments)
 
     @rule(value=key)
     def repeat_a_boundary(self, value):
@@ -215,6 +219,7 @@ def assert_same(index, model):
     for probe in PROBES:
         i = bisect.bisect_right(model.values, probe)
         assert index.piece_for_value(probe) == model.piece(i)
+        assert_lookup(index, probe)
         known = probe in model.values
         assert index.has_boundary(probe) is known
         position = index.position_of(probe)
@@ -225,6 +230,77 @@ def assert_same(index, model):
             assert position is None
         above = index.positions_for_values_above(probe)
         assert above.dtype == np.int64 and above.tolist() == model.positions[i:]
+
+
+def assert_lookup(index, probe):
+    """:meth:`CrackerIndex.lookup` says what ``position_of`` and
+    ``piece_for_value`` say together, and gives the insertion point."""
+    slot, start, end = index.lookup(probe)
+    assert all(type(x) is int for x in (slot, start, end))
+    position = index.position_of(probe)
+    if position is not None:
+        assert (slot, start, end) == (-1, position, position)
+    else:
+        piece = index.piece_for_value(probe)
+        assert (start, end) == (piece.start, piece.end)
+        assert slot == bisect.bisect_left(index.boundary_values, probe)
+
+
+@st.composite
+def boundary_sets(draw):
+    """An index over ``size`` elements with distinct boundary values and
+    non-decreasing positions, runs of equal positions (empty pieces) among
+    them."""
+    size = draw(st.integers(0, 40))
+    values = sorted(draw(st.lists(key, max_size=12, unique=True)))
+    positions = sorted(draw(st.lists(st.integers(0, size), min_size=len(values),
+                                     max_size=len(values))))
+    return ListModel(size, values, positions).build()
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=boundary_sets(), probes=st.lists(key, max_size=8))
+@example(index=ListModel(6, [2, 3, 4], [3, 3, 3]).build(), probes=[2.5, 3, 3.5, 9])
+@example(index=ListModel(0, [1, 5], [0, 0]).build(), probes=[0, 1, 3, 5, 6])
+@example(index=CrackerIndex(4), probes=[0, 7])
+def test_lookup_is_position_of_and_piece_for_value(index, probes):
+    """On random boundary sets, a probe on a boundary and one in an empty
+    piece included, one lookup equals the two older lookups; a new value
+    registered at the slot it reports lands where a bisect would put it."""
+    for probe in probes + index.boundary_values:
+        assert_lookup(index, probe)
+    for probe in probes:
+        slot, start, end = index.lookup(probe)
+        if slot >= 0:
+            model = ListModel(index.size, index.boundary_values,
+                              index.boundary_positions)
+            model.add_boundary(probe, start)
+            index.add_boundary(probe, start, slot)
+            assert index.boundary_values == model.values
+            assert index.boundary_positions == model.positions
+            index.check_invariants()
+
+
+def test_bounds_in_two_empty_pieces_of_one_span_crack_in_three():
+    """Bounds in two distinct empty pieces that share a span are one piece
+    to crack: crack-in-three on the empty span, one navigation charge (two
+    crack-in-twos would charge a second)."""
+    values = np.array([7, 1, 9, 3, 8, 2], dtype=np.float64)
+    rowids = np.arange(6, dtype=np.int64)
+    index = CrackerIndex(6)
+    crack_range(values, rowids, index, 4.0, 5.0)        # empty piece [3, 3)
+    crack_range(values, rowids, index, 5.0, 6.0)        # another at [3, 3)
+    before_values, before_rowids = values.copy(), rowids.copy()
+    assert index.pieces()[1:3] == [Piece(3, 3, 4.0, 5.0), Piece(3, 3, 5.0, 6.0)]
+    counters = CostCounters()
+    assert crack_range(values, rowids, index, 4.5, 5.5, counters) == (3, 3)
+    assert rowids[3:3].size == 0
+    assert counters.as_dict() == {**CostCounters().as_dict(),
+                                  "comparisons": 3, "pieces_created": 2}
+    assert index.boundary_values == [4.0, 4.5, 5.0, 5.5, 6.0]
+    assert index.boundary_positions == [3, 3, 3, 3, 3]
+    assert np.array_equal(values, before_values)
+    assert np.array_equal(rowids, before_rowids)
 
 
 CrackerIndexMachine.TestCase.settings = settings(
