@@ -10,13 +10,12 @@ provides exactly that substrate:
   MonetDB's Binary Association Tables (BATs);
 * :class:`~repro.columnstore.table.Table` — a set of aligned columns;
 * :mod:`~repro.columnstore.bulk` — vectorised physical kernels (range
-  filters, gathers, in-place two/three-way partitioning) used by scans and
-  by the cracking/merging algorithms;
+  filters, in-place two/three-way partitioning, row sorts) used by scans
+  and by the cracking/merging algorithms;
 * :mod:`~repro.columnstore.select` — bulk select operators returning
   position lists (late materialisation);
-* :mod:`~repro.columnstore.reconstruct` — early and late tuple
-  reconstruction;
-* :mod:`~repro.columnstore.operators` — joins, aggregation, projection;
+* :mod:`~repro.columnstore.reconstruct` — late tuple reconstruction;
+* :mod:`~repro.columnstore.operators` — aggregation;
 * :mod:`~repro.columnstore.storage` — memory accounting and storage budgets
   (used by partial cracking).
 """

@@ -84,34 +84,6 @@ def lower_bound(values: np.ndarray, bound) -> int:
     return int(np.searchsorted(values, bound))
 
 
-@charges("random_accesses")
-def gather(
-    values: np.ndarray,
-    positions: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> np.ndarray:
-    """Fetch ``values[positions]`` (random-access gather)."""
-    positions = np.asarray(positions)
-    if counters is not None:
-        counters.record_random_access(len(positions))
-    return np.asarray(values)[positions]
-
-
-@charges("random_accesses", "movements")
-def scatter(
-    target: np.ndarray,
-    positions: np.ndarray,
-    source: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> None:
-    """Write ``source`` into ``target`` at ``positions`` (random scatter)."""
-    positions = np.asarray(positions)
-    target[positions] = source
-    if counters is not None:
-        counters.record_random_access(len(positions))
-        counters.record_move(len(positions))
-
-
 @typed_kernel(buffers={"payload": "numeric*?"})
 def _payload_list(payload) -> list:
     """Normalise the ``payload`` argument to a list of aligned arrays."""
@@ -279,28 +251,6 @@ def stable_sort_rows(
             n // width * sort_comparisons(width) + sort_comparisons(n - full))
         counters.record_move(n)
     return sorted_values, positions
-
-
-@typed_kernel(buffers={"left_values": "numeric", "left_positions": "integer",
-                       "right_values": "numeric", "right_positions": "integer"})
-@charges("scans", "comparisons", "movements")
-def merge_sorted_with_positions(
-    left_values: np.ndarray,
-    left_positions: np.ndarray,
-    right_values: np.ndarray,
-    right_positions: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Merge two sorted (values, positions) pairs into one sorted pair."""
-    merged_values = np.concatenate([left_values, right_values])
-    merged_positions = np.concatenate([left_positions, right_positions])
-    order = np.argsort(merged_values, kind="stable")
-    if counters is not None:
-        n = len(merged_values)
-        counters.record_scan(n)
-        counters.record_move(n)
-        counters.record_comparisons(n)
-    return merged_values[order], merged_positions[order]
 
 
 def binary_search_count(n: int) -> int:

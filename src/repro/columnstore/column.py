@@ -112,23 +112,9 @@ class Column:
         """Raw bytes of the valid region, in the dtype's native layout.
 
         Always materialises a contiguous copy, so it works no matter what
-        buffer backs the array.  The inverse is :meth:`from_bytes`.
+        buffer backs the array.
         """
         return np.ascontiguousarray(self.values).tobytes()
-
-    @classmethod
-    def from_bytes(
-        cls, raw: bytes, name: str, dtype: DataType, rows: int
-    ) -> "Column":
-        """Rebuild a column from :meth:`tobytes` output."""
-        expected = rows * dtype.width_bytes
-        if len(raw) < expected:
-            raise ValueError(
-                f"column {name!r} needs {expected} bytes for {rows} rows "
-                f"of {dtype.name}, got {len(raw)}"
-            )
-        values = np.frombuffer(raw, dtype=dtype.numpy_dtype, count=rows)
-        return cls(values, name=name, dtype=dtype)
 
     # -- statistics ----------------------------------------------------------
 
@@ -143,16 +129,3 @@ class Column:
         if self._length == 0:
             raise ValueError("empty column has no maximum")
         return self.values.max()
-
-    def distinct_count(self) -> int:
-        """Number of distinct values in the column."""
-        if self._length == 0:
-            return 0
-        return len(np.unique(self.values))
-
-    def is_sorted(self) -> bool:
-        """True when the column is in non-decreasing order."""
-        values = self.values
-        if len(values) <= 1:
-            return True
-        return bool(np.all(values[:-1] <= values[1:]))

@@ -1,141 +1,16 @@
-"""Bulk relational operators: joins, aggregation, projection, group-by.
+"""Bulk aggregation over the values a plan's selection produced.
 
-These operators complete the column-store substrate so the engine can run
-multi-operator query plans (selections feeding joins feeding aggregations),
-which is the setting in which sideways cracking and adaptive indexing for
-"joins, selects and tuple reconstruction" (tutorial, Section 2) are studied.
-All operators consume and produce position lists or plain arrays and record
-their work on cost counters.
+The engine's executor folds a query's selected values with
+:func:`aggregate` and records the pass on the cost counters it was given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.columnstore.column import Column
 from repro.cost.counters import CostCounters
-
-
-@dataclass(frozen=True)
-class JoinResult:
-    """Positions of matching rows on both sides of a join."""
-
-    left_positions: np.ndarray
-    right_positions: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.left_positions)
-
-
-def hash_join(
-    left: Column,
-    right: Column,
-    counters: Optional[CostCounters] = None,
-    left_candidates: Optional[np.ndarray] = None,
-    right_candidates: Optional[np.ndarray] = None,
-) -> JoinResult:
-    """Equi-join two columns, returning matching position pairs.
-
-    The smaller input builds the hash table, the larger probes.  Candidate
-    position lists restrict either side (late-materialisation joins after a
-    selection).
-    """
-    left_positions = (
-        np.arange(len(left), dtype=np.int64)
-        if left_candidates is None
-        else np.asarray(left_candidates, dtype=np.int64)
-    )
-    right_positions = (
-        np.arange(len(right), dtype=np.int64)
-        if right_candidates is None
-        else np.asarray(right_candidates, dtype=np.int64)
-    )
-    left_values = left.values[left_positions]
-    right_values = right.values[right_positions]
-    if counters is not None:
-        counters.record_scan(len(left_values) + len(right_values))
-
-    # Build on the smaller side.
-    if len(left_values) <= len(right_values):
-        build_values, build_positions = left_values, left_positions
-        probe_values, probe_positions = right_values, right_positions
-        build_is_left = True
-    else:
-        build_values, build_positions = right_values, right_positions
-        probe_values, probe_positions = left_values, left_positions
-        build_is_left = False
-
-    table: Dict[float, list] = {}
-    for value, position in zip(build_values.tolist(), build_positions.tolist()):
-        table.setdefault(value, []).append(position)
-    if counters is not None:
-        counters.record_random_access(len(build_values))
-
-    out_build = []
-    out_probe = []
-    for value, position in zip(probe_values.tolist(), probe_positions.tolist()):
-        matches = table.get(value)
-        if matches:
-            out_build.extend(matches)
-            out_probe.extend([position] * len(matches))
-    if counters is not None:
-        counters.record_random_access(len(probe_values))
-        counters.record_comparisons(len(probe_values))
-
-    build_array = np.asarray(out_build, dtype=np.int64)
-    probe_array = np.asarray(out_probe, dtype=np.int64)
-    if build_is_left:
-        return JoinResult(left_positions=build_array, right_positions=probe_array)
-    return JoinResult(left_positions=probe_array, right_positions=build_array)
-
-
-def merge_join_sorted(
-    left_values: np.ndarray,
-    right_values: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> JoinResult:
-    """Equi-join two *sorted* value arrays via a merge pass.
-
-    Used when both inputs are already ordered (e.g. both sides come out of a
-    full index or a converged adaptive index); its cost is linear in the
-    inputs, which is what makes sorted representations attractive for joins.
-    """
-    left_values = np.asarray(left_values)
-    right_values = np.asarray(right_values)
-    if counters is not None:
-        counters.record_scan(len(left_values) + len(right_values))
-        counters.record_comparisons(len(left_values) + len(right_values))
-    # np.searchsorted based merge for equal keys with duplicates
-    out_left = []
-    out_right = []
-    i = j = 0
-    nl, nr = len(left_values), len(right_values)
-    while i < nl and j < nr:
-        lv, rv = left_values[i], right_values[j]
-        if lv < rv:
-            i += 1
-        elif lv > rv:
-            j += 1
-        else:
-            # gather runs of equal values on both sides
-            i_end = i
-            while i_end < nl and left_values[i_end] == lv:
-                i_end += 1
-            j_end = j
-            while j_end < nr and right_values[j_end] == rv:
-                j_end += 1
-            for a in range(i, i_end):
-                for b in range(j, j_end):
-                    out_left.append(a)
-                    out_right.append(b)
-            i, j = i_end, j_end
-    return JoinResult(
-        left_positions=np.asarray(out_left, dtype=np.int64),
-        right_positions=np.asarray(out_right, dtype=np.int64),
-    )
 
 
 def aggregate(
@@ -163,51 +38,3 @@ def aggregate(
         raise ValueError(
             f"unknown aggregate {function!r}; supported: count, sum, min, max, mean"
         ) from None
-
-
-def group_by_aggregate(
-    keys: np.ndarray,
-    values: np.ndarray,
-    function: str = "sum",
-    counters: Optional[CostCounters] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group ``values`` by ``keys`` and aggregate each group.
-
-    Returns ``(unique_keys, aggregated_values)`` with keys in sorted order.
-    """
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    if len(keys) != len(values):
-        raise ValueError("keys and values must have equal length")
-    if counters is not None:
-        counters.record_scan(2 * len(keys))
-        counters.record_comparisons(int(len(keys) * max(1.0, np.log2(max(len(keys), 2)))))
-    if len(keys) == 0:
-        return np.empty(0, dtype=keys.dtype), np.empty(0, dtype=np.float64)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    sorted_values = values[order]
-    unique_keys, starts = np.unique(sorted_keys, return_index=True)
-    boundaries = np.append(starts, len(sorted_keys))
-    aggregated = np.empty(len(unique_keys), dtype=np.float64)
-    for index in range(len(unique_keys)):
-        segment = sorted_values[boundaries[index] : boundaries[index + 1]]
-        aggregated[index] = aggregate(segment, function)
-    return unique_keys, aggregated
-
-
-def project(
-    columns: Dict[str, Column],
-    positions: np.ndarray,
-    names: Iterable[str],
-    counters: Optional[CostCounters] = None,
-) -> Dict[str, np.ndarray]:
-    """Materialise a projection of ``names`` at ``positions``."""
-    positions = np.asarray(positions, dtype=np.int64)
-    result = {}
-    for name in names:
-        column = columns[name]
-        if counters is not None:
-            counters.record_random_access(len(positions))
-        result[name] = column.values[positions]
-    return result

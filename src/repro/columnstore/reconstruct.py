@@ -1,20 +1,19 @@
-"""Tuple reconstruction (early and late materialisation).
+"""Late tuple reconstruction.
 
 Column-stores answer multi-attribute queries by stitching columns back
 together.  *Late* reconstruction carries position lists through the plan and
-fetches payload columns only at the end; *early* reconstruction materialises
-row tuples up front.  Sideways cracking (Idreos et al., SIGMOD 2009) exists
-precisely because late reconstruction over cracked columns degenerates into
-random access — these operators provide the baselines it is compared with.
+fetches payload columns only at the end.  Sideways cracking (Idreos et al.,
+SIGMOD 2009) exists precisely because late reconstruction over cracked
+columns degenerates into random access; :func:`late_reconstruct` is the
+baseline it is compared with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.columnstore.column import Column
 from repro.columnstore.table import Table
 from repro.cost.counters import CostCounters
 
@@ -39,66 +38,3 @@ def late_reconstruct(
             counters.record_random_access(len(positions))
         result[name] = column.values[positions]
     return result
-
-
-def early_reconstruct(
-    table: Table,
-    column_names: Iterable[str],
-    counters: Optional[CostCounters] = None,
-) -> np.ndarray:
-    """Materialise the requested columns as a row-major record array.
-
-    Early materialisation reads every requested column fully; it is the
-    n-ary (row-store-like) processing model and pays the full width of the
-    projection for every row regardless of selectivity.
-    """
-    names: List[str] = list(column_names)
-    arrays = []
-    for name in names:
-        column = table.column(name)
-        if counters is not None:
-            counters.record_scan(len(column))
-        arrays.append(column.values)
-    if not arrays:
-        return np.empty((table.row_count, 0))
-    return np.column_stack(arrays)
-
-
-def positions_to_values(
-    column: Column,
-    positions: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> np.ndarray:
-    """Fetch a single column's values for a position list."""
-    positions = np.asarray(positions, dtype=np.int64)
-    if counters is not None:
-        counters.record_random_access(len(positions))
-    return column.values[positions]
-
-
-def intersect_positions(
-    left: np.ndarray,
-    right: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> np.ndarray:
-    """Intersect two sorted-or-unsorted position lists (conjunction)."""
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    if counters is not None:
-        counters.record_scan(len(left) + len(right))
-        counters.record_comparisons(len(left) + len(right))
-    return np.intersect1d(left, right, assume_unique=False)
-
-
-def union_positions(
-    left: np.ndarray,
-    right: np.ndarray,
-    counters: Optional[CostCounters] = None,
-) -> np.ndarray:
-    """Union two position lists (disjunction)."""
-    left = np.asarray(left, dtype=np.int64)
-    right = np.asarray(right, dtype=np.int64)
-    if counters is not None:
-        counters.record_scan(len(left) + len(right))
-        counters.record_comparisons(len(left) + len(right))
-    return np.union1d(left, right)

@@ -52,20 +52,6 @@ class StorageBudget:
             raise ValueError("cannot release a negative number of bytes")
         self.used_bytes = max(0, self.used_bytes - nbytes)
 
-    @property
-    def remaining_bytes(self) -> int:
-        """Remaining budget (a very large number when unlimited)."""
-        if self.limit_bytes is None:
-            return 2**63 - 1
-        return max(0, self.limit_bytes - self.used_bytes)
-
-    @property
-    def utilisation(self) -> float:
-        """Fraction of the budget in use (0.0 when unlimited)."""
-        if self.limit_bytes in (None, 0):
-            return 0.0
-        return self.used_bytes / self.limit_bytes
-
 
 @dataclass
 class MemoryTracker:
@@ -78,10 +64,6 @@ class MemoryTracker:
         if nbytes < 0:
             raise ValueError("memory usage cannot be negative")
         self.components[component] = int(nbytes)
-
-    def add_usage(self, component: str, nbytes: int) -> None:
-        """Add to the recorded footprint of a component."""
-        self.components[component] = self.components.get(component, 0) + int(nbytes)
 
     def remove(self, component: str) -> None:
         """Forget a component (e.g. a dropped index)."""

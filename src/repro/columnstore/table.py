@@ -54,12 +54,6 @@ class Table:
         self._columns[name] = column
         return column
 
-    def drop_column(self, name: str) -> None:
-        """Remove a column from the table."""
-        if name not in self._columns:
-            raise KeyError(f"no column {name!r} in table {self.name!r}")
-        del self._columns[name]
-
     def column(self, name: str) -> Column:
         """Return the column named ``name``."""
         try:
@@ -146,10 +140,6 @@ class Table:
                 counters.record_random_access(len(positions))
             result[name] = column.values[positions]
         return result
-
-    def to_dict(self) -> Dict[str, np.ndarray]:
-        """Export all columns as a dict of NumPy arrays (copies)."""
-        return {name: column.values.copy() for name, column in self._columns.items()}
 
     # -- tombstones --------------------------------------------------------------
 

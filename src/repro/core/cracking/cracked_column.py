@@ -891,11 +891,13 @@ class CrackedColumn:
         with pending updates and a converged one go range by range
         (:meth:`_select`: a crack-in-two or crack-in-three per range, or a
         binary search).  Answers, counters and the state left behind are
-        the same either way.
+        the same either way.  :attr:`converged` is asked before anything
+        moves, whoever calls: a sorted column latches here, not only when
+        a session's lock classifier happened to ask first.
         """
         ranges = list(ranges)
         check_ranges(ranges)
-        if len(ranges) > 1 and self.batchable:
+        if not self.converged and len(ranges) > 1 and self.batchable:
             answers, charged = self.crack_batch(self.locate_batch(ranges))
             charge_batch(counters_list, charged)
             return answers
@@ -906,8 +908,9 @@ class CrackedColumn:
     @property
     def batchable(self) -> bool:
         """True when :meth:`crack_batch` can answer a batch: nothing pending
-        to merge and not answering by binary search."""
-        return not (self._converged or self._pending_insert_values
+        to merge and not answering by binary search (asks, and so latches,
+        :attr:`converged`)."""
+        return not (self.converged or self._pending_insert_values
                     or self._delete_queue_rowids)
 
     def locate_batch(self, ranges: Sequence[Tuple[Optional[float], Optional[float]]]

@@ -39,6 +39,10 @@ from repro.cost.counters import CostCounters
 #: it may simply be an unlucky draw)
 _AUX_PIVOT_ATTEMPTS = 8
 
+#: a piece is "oversized" when it holds more than this fraction of the
+#: column; oversized pieces touched by a query receive auxiliary cuts
+_SIZE_THRESHOLD_FRACTION = 0.01
+
 
 class StochasticCrackedColumn(CrackedColumn):
     """Cracked column with auxiliary random cuts on oversized pieces.
@@ -48,9 +52,6 @@ class StochasticCrackedColumn(CrackedColumn):
     variant:
         ``"ddr"`` (random pivot, default), ``"ddc"`` (centre pivot) or
         ``"mdd1r"`` (one random cut per oversized piece per query).
-    size_threshold_fraction:
-        A piece is "oversized" when it is larger than this fraction of the
-        column; oversized pieces touched by a query receive auxiliary cuts.
     seed:
         Seed of the private random generator (for reproducible runs).
     """
@@ -63,7 +64,6 @@ class StochasticCrackedColumn(CrackedColumn):
         self,
         column: Union[Column, np.ndarray],
         variant: str = "ddr",
-        size_threshold_fraction: float = 0.01,
         seed: Optional[int] = 0,
         counters: Optional[CostCounters] = None,
         lazy_copy: bool = True,
@@ -72,17 +72,11 @@ class StochasticCrackedColumn(CrackedColumn):
         variant = variant.lower()
         if variant not in ("ddr", "ddc", "mdd1r"):
             raise ValueError(f"unknown stochastic cracking variant {variant!r}")
-        if not 0.0 < size_threshold_fraction <= 1.0:
-            raise ValueError("size_threshold_fraction must be in (0, 1]")
         super().__init__(column, counters=counters, lazy_copy=lazy_copy, name=name)
         self.variant = variant
-        self.size_threshold_fraction = size_threshold_fraction
         self._rng = np.random.default_rng(seed)
 
     # -- auxiliary cuts ------------------------------------------------------------
-
-    def _piece_size_threshold(self) -> int:
-        return max(2, int(len(self) * self.size_threshold_fraction))
 
     def _auxiliary_pivot(self, start: int, end: int) -> float:
         """Pick the auxiliary cut value for the piece [start, end): a key of
@@ -100,7 +94,7 @@ class StochasticCrackedColumn(CrackedColumn):
         recursive: bool,
     ) -> None:
         """Apply auxiliary cuts to the piece containing ``bound``."""
-        threshold = self._piece_size_threshold()
+        threshold = max(2, int(len(self) * _SIZE_THRESHOLD_FRACTION))
         # the centre pivot of DDC is deterministic: retrying it would only
         # re-derive the same value, so a single attempt suffices there
         attempts = 1 if self.variant == "ddc" else _AUX_PIVOT_ATTEMPTS

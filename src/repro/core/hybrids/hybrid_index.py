@@ -50,21 +50,17 @@ class HybridIndex:
         column: Union[Column, np.ndarray],
         initial_mode: str = "crack",
         final_mode: str = "sort",
-        partition_size: Optional[int] = None,
         name: str = "",
     ) -> None:
         if initial_mode not in self.INITIAL_MODES:
             raise ValueError(f"unknown initial_mode {initial_mode!r}")
         if final_mode not in self.FINAL_MODES:
             raise ValueError(f"unknown final_mode {final_mode!r}")
-        if partition_size is not None and partition_size < 1:
-            raise ValueError("partition_size must be >= 1")
         base = column.values if isinstance(column, Column) else np.asarray(column)
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.initial_mode = initial_mode
         self.final_mode = final_mode
-        self.partition_size = partition_size
         self.partitions: List[Union[CrackedInitialPartition, RunSet]] = []
         self.final = FinalPartition(mode=final_mode)
         self.merged_ranges = IntervalSet()
@@ -105,7 +101,8 @@ class HybridIndex:
 
     def _initialize(self, counters: Optional[CostCounters]) -> None:
         n = len(self._base)
-        size = self.partition_size or max(1, int(np.sqrt(n))) if n else 1
+        # sqrt(n) partitions of sqrt(n) tuples each
+        size = max(1, int(np.sqrt(n)))
         if self.initial_mode == "sort":
             # every sorted partition in one run set, extracted from at once
             self.partitions.append(RunSet(self._base, size, counters))

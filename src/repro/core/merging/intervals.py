@@ -64,13 +64,6 @@ class IntervalSet:
         """The position span of every interval, in interval order (copy)."""
         return list(self._spans)
 
-    def is_empty(self) -> bool:
-        return not self._lows
-
-    def total_length(self) -> float:
-        """Sum of interval lengths."""
-        return sum(high - low for low, high in zip(self._lows, self._highs))
-
     def add(self, low: float, high: float, start: int = 0, stop: int = 0) -> None:
         """Add ``[low, high)``, which occupies positions ``[start, stop)``,
         merging with overlapping or adjacent intervals (and their spans)."""

@@ -399,7 +399,7 @@ class StochasticCrackingStrategy(SearchStrategy):
     """Stochastic cracking (random auxiliary cuts; robust to adversarial patterns)."""
 
     name = "stochastic-cracking"
-    option_names = ("variant", "size_threshold_fraction", "seed")
+    option_names = ("variant", "seed")
 
     def __init__(self, column, **options):
         super().__init__(column, **options)
@@ -466,12 +466,12 @@ class HybridStrategy(SearchStrategy):
     partitions get at creation and how the final partition organises what
     is merged into it — ``crack``-``crack`` (HCC, lazy everywhere, closest
     to plain cracking), ``crack``-``sort`` (HCS) and ``sort``-``sort``
-    (HSS, adaptive merging in main memory).  ``partition_size`` is
-    forwarded to :class:`~repro.core.hybrids.hybrid_index.HybridIndex`.
+    (HSS, adaptive merging in main memory).  The initial partitions hold
+    √n tuples each.
     """
 
     name = "hybrid-crack-sort"
-    option_names = ("initial_mode", "final_mode", "partition_size")
+    option_names = ("initial_mode", "final_mode")
 
     def __init__(self, column, *, name="hybrid-crack-sort", initial_mode="crack",
                  final_mode="sort", **options):
@@ -618,9 +618,8 @@ class _TunerStrategy(SearchStrategy):
     """A monitor-and-tune select operator behind the strategy contract.
 
     The tuner classes keep their own defaults: only the options the caller
-    gave are forwarded.  One tuner serves one column here, so the
-    ``max_indexes`` budget of the online tuner only matters as 0 ("never
-    build").
+    gave are forwarded.  One tuner serves one column here, and an index it
+    built stays until the column is rebuilt.
     """
 
     #: every select updates the monitoring statistics and may build the index
@@ -670,7 +669,7 @@ class OnlineTuningStrategy(_TunerStrategy):
 
     name = "online"
     tuner_class = OnlineIndexTuner
-    option_names = ("build_threshold_factor", "decay", "max_indexes")
+    option_names = ("build_threshold_factor",)
     structure_template = "online tuner ({} indexes built)"
 
 

@@ -13,7 +13,7 @@ snapshots and dictionary export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -49,8 +49,6 @@ class CostCounters:
     bytes_allocated: int = 0
     pieces_created: int = 0
 
-    extra: dict = field(default_factory=dict)
-
     # -- recording helpers -------------------------------------------------
 
     def record_scan(self, count: int) -> None:
@@ -77,79 +75,43 @@ class CostCounters:
         """Record creation of ``count`` new index pieces."""
         self.pieces_created += int(count)
 
-    def record_extra(self, name: str, count: int = 1) -> None:
-        """Record an ad-hoc named counter (kept in :attr:`extra`)."""
-        self.extra[name] = self.extra.get(name, 0) + int(count)
-
     # -- arithmetic --------------------------------------------------------
-
-    def _numeric_fields(self):
-        return [f.name for f in fields(self) if f.name != "extra"]
 
     def copy(self) -> "CostCounters":
         """Return an independent snapshot of the current counters."""
-        snapshot = CostCounters(
-            **{name: getattr(self, name) for name in self._numeric_fields()}
-        )
-        snapshot.extra = dict(self.extra)
-        return snapshot
+        return CostCounters(**self.as_dict())
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for name in self._numeric_fields():
+        for name in _FIELDS:
             setattr(self, name, 0)
-        self.extra.clear()
 
     def __add__(self, other: "CostCounters") -> "CostCounters":
         if not isinstance(other, CostCounters):
             return NotImplemented
-        result = CostCounters(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self._numeric_fields()
-            }
+        return CostCounters(
+            **{name: getattr(self, name) + getattr(other, name) for name in _FIELDS}
         )
-        result.extra = dict(self.extra)
-        for key, value in other.extra.items():
-            result.extra[key] = result.extra.get(key, 0) + value
-        return result
 
     def __sub__(self, other: "CostCounters") -> "CostCounters":
         if not isinstance(other, CostCounters):
             return NotImplemented
-        result = CostCounters(
-            **{
-                name: getattr(self, name) - getattr(other, name)
-                for name in self._numeric_fields()
-            }
+        return CostCounters(
+            **{name: getattr(self, name) - getattr(other, name) for name in _FIELDS}
         )
-        result.extra = {
-            key: self.extra.get(key, 0) - other.extra.get(key, 0)
-            for key in set(self.extra) | set(other.extra)
-        }
-        return result
 
     def __iadd__(self, other: "CostCounters") -> "CostCounters":
         if not isinstance(other, CostCounters):
             return NotImplemented
-        for name in self._numeric_fields():
+        for name in _FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for key, value in other.extra.items():
-            self.extra[key] = self.extra.get(key, 0) + value
         return self
 
     # -- export ------------------------------------------------------------
 
-    def total_touched(self) -> int:
-        """Total tuples touched: scanned plus moved plus random accesses."""
-        return self.tuples_scanned + self.tuples_moved + self.random_accesses
-
     def as_dict(self) -> dict:
-        """Export all counters (including extras) as a flat dictionary."""
-        result = {name: getattr(self, name) for name in self._numeric_fields()}
-        result.update(self.extra)
-        return result
+        """Export every counter as a flat dictionary, in field order."""
+        return {name: getattr(self, name) for name in _FIELDS}
 
-    def is_zero(self) -> bool:
-        """Return True when every counter (including extras) is zero."""
-        return all(value == 0 for value in self.as_dict().values())
+
+_FIELDS = tuple(f.name for f in fields(CostCounters))

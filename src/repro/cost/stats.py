@@ -10,7 +10,7 @@ counters, and the result cardinality — everything the figure table in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.cost.counters import CostCounters
 from repro.cost.model import CostModel, DEFAULT_MAIN_MEMORY_MODEL
@@ -30,17 +30,6 @@ class QueryStatistics:
     def logical_cost(self, model: CostModel = DEFAULT_MAIN_MEMORY_MODEL) -> float:
         """Weighted logical cost under the given cost model."""
         return model.cost(self.counters)
-
-    def as_dict(self) -> dict:
-        record = {
-            "query_index": self.query_index,
-            "elapsed_seconds": self.elapsed_seconds,
-            "result_count": self.result_count,
-            "strategy": self.strategy,
-            "description": self.description,
-        }
-        record.update(self.counters.as_dict())
-        return record
 
 
 @dataclass
@@ -140,29 +129,3 @@ class WorkloadStatistics:
             else:
                 run = 0
         return None
-
-    def as_records(self) -> List[dict]:
-        """Export one dictionary per query (for tabular output)."""
-        return [q.as_dict() for q in self.queries]
-
-
-def merge_workload_statistics(
-    parts: Iterable[WorkloadStatistics], strategy: str = ""
-) -> WorkloadStatistics:
-    """Concatenate several workload statistics into one (re-indexing queries)."""
-    merged = WorkloadStatistics(strategy=strategy)
-    index = 0
-    for part in parts:
-        for query in part.queries:
-            merged.append(
-                QueryStatistics(
-                    query_index=index,
-                    elapsed_seconds=query.elapsed_seconds,
-                    counters=query.counters.copy(),
-                    result_count=query.result_count,
-                    strategy=strategy or query.strategy,
-                    description=query.description,
-                )
-            )
-            index += 1
-    return merged

@@ -83,9 +83,14 @@ class RecoveryReport:
 #: ``set_indexing`` options journaled by earlier versions that no longer
 #: exist; a data directory may still carry them.  ``executor`` chose the
 #: partition fan-out backend, ``sort_threshold`` sorted small cracker pieces
-#: outright and ``radix_bits`` sized the radix hybrids' clusters: answers
-#: never depended on any of them.
-_RETIRED_MODE_OPTIONS = ("executor", "sort_threshold", "radix_bits")
+#: outright and ``radix_bits`` sized the radix hybrids' clusters; stochastic
+#: cracking's ``size_threshold_fraction``, the online tuner's ``decay`` and
+#: ``max_indexes`` and the hybrids' ``partition_size`` are now the constants
+#: their defaults were.  Answers never depended on any of them.
+_RETIRED_MODE_OPTIONS = (
+    "executor", "sort_threshold", "radix_bits", "size_threshold_fraction",
+    "decay", "max_indexes", "partition_size",
+)
 
 #: registry names journaled by earlier versions that no longer exist, and
 #: the name each is recovered as: the one that answered the same queries

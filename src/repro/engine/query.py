@@ -82,20 +82,6 @@ class Query:
                 )
             seen.add(selection.column)
 
-    @property
-    def selection_columns(self) -> List[str]:
-        return [selection.column for selection in self.selections]
-
-    @property
-    def referenced_columns(self) -> List[str]:
-        """All columns the query touches (selection + projection + aggregates)."""
-        names: List[str] = []
-        for selection in self.selections:
-            names.append(selection.column)
-        names.extend(self.projections)
-        names.extend(a.column for a in self.aggregates)
-        return list(dict.fromkeys(names))
-
     @classmethod
     def range_query(
         cls,

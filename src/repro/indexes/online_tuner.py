@@ -5,8 +5,7 @@ processing queries the system monitors which columns are touched and how
 much an index would have helped; once the accumulated estimated benefit of a
 candidate index exceeds its build cost (times a configurable factor), the
 index is built — interrupting, and being paid for by, the query that crossed
-the threshold.  Indexes whose recent benefit drops can be dropped again under
-a storage budget.
+the threshold.  A built index is never dropped.
 
 This reproduces the behavioural envelope of COLT (Schnaitter et al., SIGMOD
 2006) and the online physical-design work of Bruno & Chaudhuri (ICDE 2007):
@@ -33,12 +32,11 @@ class CandidateStatistics:
 
     queries_observed: int = 0
     accumulated_benefit: float = 0.0
-    recent_benefit: float = 0.0
     last_query_seen: int = 0
 
 
 class OnlineIndexTuner:
-    """Monitors per-column query benefit and builds/drops full indexes online.
+    """Monitors per-column query benefit and builds full indexes online.
 
     Parameters
     ----------
@@ -47,31 +45,16 @@ class OnlineIndexTuner:
         ``build_threshold_factor`` times the estimated build cost.  A factor
         of 1.0 means "build as soon as the index would have paid for
         itself"; larger factors are more conservative.
-    decay:
-        Exponential decay applied to the recent-benefit tracker per query;
-        used to decide drops when a storage budget is in place.
-    max_indexes:
-        Optional cap on the number of concurrently materialised indexes.
     """
 
-    def __init__(
-        self,
-        build_threshold_factor: float = 1.0,
-        decay: float = 0.995,
-        max_indexes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, build_threshold_factor: float = 1.0) -> None:
         if build_threshold_factor <= 0:
             raise ValueError("build_threshold_factor must be positive")
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
         self.build_threshold_factor = build_threshold_factor
-        self.decay = decay
-        self.max_indexes = max_indexes
         self.candidates: Dict[str, CandidateStatistics] = {}
         self.indexes: Dict[str, FullIndex] = {}
         self.queries_processed = 0
         self.builds: list = []
-        self.drops: list = []
 
     # -- cost estimates --------------------------------------------------------
 
@@ -107,19 +90,11 @@ class OnlineIndexTuner:
         name = column.name or str(id(column))
         rows = len(column)
 
-        # decay all recent-benefit trackers
-        for stats in self.candidates.values():
-            stats.recent_benefit *= self.decay
-
         if name in self.indexes:
-            index = self.indexes[name]
             stats = self.candidates.setdefault(name, CandidateStatistics())
             stats.queries_observed += 1
             stats.last_query_seen = self.queries_processed
-            positions = index.search(predicate.low, predicate.high, counters)
-            benefit = self._scan_cost(rows) - self._indexed_cost(rows, len(positions))
-            stats.recent_benefit += max(benefit, 0.0)
-            return positions
+            return self.indexes[name].search(predicate.low, predicate.high, counters)
 
         # no index: scan, then update monitoring state
         positions = scan_select(column, predicate, counters)
@@ -128,7 +103,6 @@ class OnlineIndexTuner:
         stats.last_query_seen = self.queries_processed
         benefit = self._scan_cost(rows) - self._indexed_cost(rows, len(positions))
         stats.accumulated_benefit += max(benefit, 0.0)
-        stats.recent_benefit += max(benefit, 0.0)
 
         if stats.accumulated_benefit >= self.build_threshold_factor * self._build_cost(rows):
             self._build_index(name, column, counters)
@@ -137,33 +111,9 @@ class OnlineIndexTuner:
     # -- index lifecycle -----------------------------------------------------------
 
     def _build_index(self, name: str, column: Column, counters: CostCounters) -> None:
-        if self.max_indexes is not None and len(self.indexes) >= self.max_indexes:
-            victim = self._pick_drop_victim()
-            if victim is None:
-                return
-            self.drop_index(victim)
         self.indexes[name] = FullIndex(column, counters=counters, name=name)
         self.builds.append((self.queries_processed, name))
-
-    def _pick_drop_victim(self) -> Optional[str]:
-        """Materialised index with the lowest recent benefit (None if none)."""
-        if not self.indexes:
-            return None
-        return min(
-            self.indexes,
-            key=lambda name: self.candidates.get(name, CandidateStatistics()).recent_benefit,
-        )
-
-    def drop_index(self, name: str) -> None:
-        """Drop a materialised index (its statistics are kept)."""
-        if name in self.indexes:
-            del self.indexes[name]
-            self.drops.append((self.queries_processed, name))
 
     def has_index(self, name: str) -> bool:
         """True when a full index on ``name`` is currently materialised."""
         return name in self.indexes
-
-    def build_query_numbers(self) -> Dict[str, int]:
-        """Query number at which each index was (last) built."""
-        return {name: query for query, name in self.builds}

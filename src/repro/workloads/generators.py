@@ -18,7 +18,7 @@ across the adaptive-indexing papers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class RangeQuery:
     @property
     def width(self) -> float:
         return self.high - self.low
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.low, self.high)
 
 
 @dataclass(frozen=True)

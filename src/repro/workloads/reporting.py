@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict
 
 from repro.cost.model import CostModel, DEFAULT_MAIN_MEMORY_MODEL
 from repro.workloads.benchmark import BenchmarkResult
@@ -107,25 +106,3 @@ def summary_csv(result: BenchmarkResult) -> str:
     for row in rows:
         writer.writerow([_format_value(row[key]) for key, _ in _SUMMARY_COLUMNS])
     return buffer.getvalue()
-
-
-def compare_results(
-    baseline: BenchmarkResult,
-    candidate: BenchmarkResult,
-    metric: str = "total_logical_cost",
-) -> Dict[str, float]:
-    """Ratio candidate/baseline of one summary metric per shared strategy.
-
-    Useful for ablation studies: run the same workload with a design knob
-    flipped and report the relative change per strategy.
-    """
-    baseline_rows = {row["strategy"]: row for row in baseline.summary_table()}
-    candidate_rows = {row["strategy"]: row for row in candidate.summary_table()}
-    ratios: Dict[str, float] = {}
-    for name in sorted(set(baseline_rows) & set(candidate_rows)):
-        base_value = baseline_rows[name][metric]
-        new_value = candidate_rows[name][metric]
-        if base_value in (None, 0) or new_value is None:
-            continue
-        ratios[name] = float(new_value) / float(base_value)
-    return ratios

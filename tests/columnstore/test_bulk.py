@@ -7,13 +7,10 @@ from repro.columnstore.bulk import (
     binary_search_count,
     binary_search_counts,
     filter_range,
-    gather,
     lower_bound,
-    merge_sorted_with_positions,
     partition_three_way,
     partition_two_way,
     range_mask,
-    scatter,
     sort_comparisons,
     stable_sort_rows,
 )
@@ -41,21 +38,6 @@ class TestRangeFilters:
         filter_range(np.arange(100), 10, 20, counters)
         assert counters.tuples_scanned == 100
         assert counters.comparisons == 200
-
-
-class TestGatherScatter:
-    def test_gather(self):
-        values = np.array([10, 20, 30])
-        counters = CostCounters()
-        assert np.array_equal(gather(values, [2, 0], counters), [30, 10])
-        assert counters.random_accesses == 2
-
-    def test_scatter(self):
-        target = np.zeros(4)
-        counters = CostCounters()
-        scatter(target, np.array([1, 3]), np.array([7.0, 9.0]), counters)
-        assert np.array_equal(target, [0.0, 7.0, 0.0, 9.0])
-        assert counters.tuples_moved == 2
 
 
 class TestPartitioning:
@@ -244,15 +226,6 @@ class TestSort:
 
 
 class TestMergeAndSearchHelpers:
-    def test_merge_sorted_with_positions(self):
-        left_v = np.array([1, 4, 9])
-        left_p = np.array([0, 1, 2])
-        right_v = np.array([2, 5])
-        right_p = np.array([3, 4])
-        merged_v, merged_p = merge_sorted_with_positions(left_v, left_p, right_v, right_p)
-        assert np.array_equal(merged_v, [1, 2, 4, 5, 9])
-        assert np.array_equal(merged_p, [0, 3, 1, 4, 2])
-
     def test_binary_search_count(self):
         assert binary_search_count(0) == 0
         assert binary_search_count(1) == 1

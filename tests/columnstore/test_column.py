@@ -75,13 +75,3 @@ class TestStatistics:
             column.min()
         with pytest.raises(ValueError):
             column.max()
-
-    def test_distinct_count(self):
-        column = Column(np.array([1, 1, 2, 3, 3, 3], dtype=np.int64))
-        assert column.distinct_count() == 3
-        assert Column(np.empty(0, dtype=np.int64)).distinct_count() == 0
-
-    def test_is_sorted(self):
-        assert Column(np.array([1, 2, 2, 3], dtype=np.int64)).is_sorted()
-        assert not Column(np.array([3, 1], dtype=np.int64)).is_sorted()
-        assert Column(np.empty(0, dtype=np.int64)).is_sorted()

@@ -1,64 +1,9 @@
-"""Unit tests for joins, aggregation and projection."""
+"""Unit tests for aggregation."""
 
 import numpy as np
 import pytest
 
-from repro.columnstore.column import Column
-from repro.columnstore.operators import (
-    aggregate,
-    group_by_aggregate,
-    hash_join,
-    merge_join_sorted,
-    project,
-)
-from repro.cost.counters import CostCounters
-
-
-class TestHashJoin:
-    def test_basic_equijoin(self):
-        left = Column(np.array([1, 2, 3, 2], dtype=np.int64))
-        right = Column(np.array([2, 4, 1], dtype=np.int64))
-        result = hash_join(left, right)
-        pairs = set(zip(result.left_positions.tolist(), result.right_positions.tolist()))
-        assert pairs == {(0, 2), (1, 0), (3, 0)}
-        assert len(result) == 3
-
-    def test_join_respects_candidates(self):
-        left = Column(np.array([1, 2, 3], dtype=np.int64))
-        right = Column(np.array([1, 2, 3], dtype=np.int64))
-        result = hash_join(left, right, left_candidates=np.array([0]),
-                           right_candidates=np.array([0, 1, 2]))
-        assert set(result.left_positions.tolist()) == {0}
-        assert set(result.right_positions.tolist()) == {0}
-
-    def test_join_no_matches(self):
-        left = Column(np.array([1], dtype=np.int64))
-        right = Column(np.array([2], dtype=np.int64))
-        assert len(hash_join(left, right)) == 0
-
-    def test_join_against_reference(self, rng):
-        left_values = rng.integers(0, 50, size=200)
-        right_values = rng.integers(0, 50, size=150)
-        result = hash_join(Column(left_values), Column(right_values))
-        expected = sum(
-            int((right_values == value).sum()) for value in left_values
-        )
-        assert len(result) == expected
-        # every returned pair actually matches
-        assert np.array_equal(
-            left_values[result.left_positions], right_values[result.right_positions]
-        )
-
-    def test_merge_join_sorted_matches_hash_join(self, rng):
-        left_values = np.sort(rng.integers(0, 30, size=100))
-        right_values = np.sort(rng.integers(0, 30, size=80))
-        merge_result = merge_join_sorted(left_values, right_values)
-        hash_result = hash_join(Column(left_values), Column(right_values))
-        assert len(merge_result) == len(hash_result)
-        assert np.array_equal(
-            left_values[merge_result.left_positions],
-            right_values[merge_result.right_positions],
-        )
+from repro.columnstore.operators import aggregate
 
 
 class TestAggregation:
@@ -78,30 +23,3 @@ class TestAggregation:
     def test_aggregate_unknown_function(self):
         with pytest.raises(ValueError, match="unknown aggregate"):
             aggregate(np.array([1.0]), "median")
-
-    def test_group_by_aggregate(self):
-        keys = np.array([2, 1, 2, 1, 3])
-        values = np.array([10.0, 1.0, 20.0, 2.0, 5.0])
-        unique_keys, sums = group_by_aggregate(keys, values, "sum")
-        assert np.array_equal(unique_keys, [1, 2, 3])
-        assert np.array_equal(sums, [3.0, 30.0, 5.0])
-
-    def test_group_by_aggregate_empty(self):
-        unique_keys, sums = group_by_aggregate(np.array([]), np.array([]))
-        assert len(unique_keys) == 0 and len(sums) == 0
-
-    def test_group_by_rejects_misaligned(self):
-        with pytest.raises(ValueError):
-            group_by_aggregate(np.array([1]), np.array([1.0, 2.0]))
-
-
-class TestProject:
-    def test_project(self):
-        columns = {
-            "a": Column(np.array([1, 2, 3], dtype=np.int64)),
-            "b": Column(np.array([9, 8, 7], dtype=np.int64)),
-        }
-        counters = CostCounters()
-        result = project(columns, np.array([2, 0]), ["b"], counters)
-        assert np.array_equal(result["b"], [7, 9])
-        assert counters.random_accesses == 2

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from repro.columnstore.column import Column
-from repro.columnstore.reconstruct import (
-    early_reconstruct,
-    intersect_positions,
-    late_reconstruct,
-    positions_to_values,
-    union_positions,
-)
+from repro.columnstore.reconstruct import late_reconstruct
 from repro.columnstore.select import RangePredicate, refine_select, scan_select
 from repro.cost.counters import CostCounters
 
@@ -62,21 +56,3 @@ class TestReconstruction:
         counters = CostCounters()
         late_reconstruct(sample_table, np.arange(10), ["a", "b"], counters)
         assert counters.random_accesses == 20
-
-    def test_early_reconstruct_shape(self, sample_table):
-        block = early_reconstruct(sample_table, ["a", "b", "d"])
-        assert block.shape == (sample_table.row_count, 3)
-
-    def test_early_reconstruct_no_columns(self, sample_table):
-        block = early_reconstruct(sample_table, [])
-        assert block.shape[1] == 0
-
-    def test_positions_to_values(self, sample_table):
-        values = positions_to_values(sample_table["a"], np.array([3, 1]))
-        assert np.array_equal(values, sample_table["a"].values[[3, 1]])
-
-    def test_intersect_and_union_positions(self):
-        left = np.array([5, 1, 3])
-        right = np.array([3, 5, 9])
-        assert np.array_equal(intersect_positions(left, right), [3, 5])
-        assert np.array_equal(union_positions(left, right), [1, 3, 5, 9])

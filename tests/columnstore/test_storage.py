@@ -10,14 +10,13 @@ class TestStorageBudget:
         budget = StorageBudget()
         assert budget.can_allocate(10**12)
         budget.reserve(10**9)
-        assert budget.utilisation == 0.0
-        assert budget.remaining_bytes > 10**15
+        assert budget.can_allocate(10**15)
 
     def test_reserve_and_release(self):
         budget = StorageBudget(limit_bytes=100)
         budget.reserve(60)
         assert budget.used_bytes == 60
-        assert budget.remaining_bytes == 40
+        assert budget.can_allocate(40) and not budget.can_allocate(41)
         budget.release(20)
         assert budget.used_bytes == 40
 
@@ -39,17 +38,11 @@ class TestStorageBudget:
         with pytest.raises(ValueError):
             budget.release(-1)
 
-    def test_utilisation(self):
-        budget = StorageBudget(limit_bytes=200)
-        budget.reserve(50)
-        assert budget.utilisation == pytest.approx(0.25)
-
-
 class TestMemoryTracker:
     def test_set_add_remove(self):
         tracker = MemoryTracker()
         tracker.set_usage("table:t", 100)
-        tracker.add_usage("table:t", 50)
+        tracker.set_usage("table:t", 150)
         tracker.set_usage("index:i", 10)
         assert tracker.total_bytes == 160
         tracker.remove("index:i")

@@ -33,12 +33,6 @@ class TestSchema:
         with pytest.raises(ValueError, match="already exists"):
             table.add_column("a", np.zeros(4))
 
-    def test_drop_column(self, table):
-        table.drop_column("b")
-        assert "b" not in table
-        with pytest.raises(KeyError):
-            table.drop_column("b")
-
     def test_unknown_column_lookup(self, table):
         with pytest.raises(KeyError, match="available"):
             table.column("zzz")
@@ -72,11 +66,6 @@ class TestRowOperations:
     def test_fetch_rows_all_columns_by_default(self, table):
         fetched = table.fetch_rows([0])
         assert set(fetched) == {"a", "b"}
-
-    def test_to_dict_copies(self, table):
-        exported = table.to_dict()
-        exported["a"][0] = -1
-        assert table["a"][0] == 1
 
 
 class TestTombstones:

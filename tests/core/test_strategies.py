@@ -64,7 +64,8 @@ class TestRegistry:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_STRATEGIES))
     @pytest.mark.parametrize("option", [
-        "sort_threshold", "radix_bits", "executor", "bogus",
+        "sort_threshold", "radix_bits", "executor", "size_threshold_fraction",
+        "decay", "max_indexes", "partition_size", "bogus",
     ])
     def test_an_option_the_strategy_does_not_take_is_refused(
         self, name, option, small_values
@@ -278,14 +279,10 @@ class TestTunerStrategies:
 
 def test_tuner_options_are_forwarded_only_when_given(small_values):
     online = create_strategy("online", small_values)
-    assert (online.tuner.build_threshold_factor, online.tuner.decay,
-            online.tuner.max_indexes) == (1.0, 0.995, None)
+    assert online.tuner.build_threshold_factor == 1.0
     assert create_strategy("soft", small_values).tuner.recommendation_threshold == 3
-    tuned = create_strategy(
-        "online", small_values, build_threshold_factor=2.5, decay=0.9, max_indexes=0
-    )
-    assert (tuned.tuner.build_threshold_factor, tuned.tuner.decay,
-            tuned.tuner.max_indexes) == (2.5, 0.9, 0)
+    tuned = create_strategy("online", small_values, build_threshold_factor=2.5)
+    assert tuned.tuner.build_threshold_factor == 2.5
     # the tuners validate their own options
     with pytest.raises(ValueError):
         create_strategy("online", small_values, build_threshold_factor=-1)

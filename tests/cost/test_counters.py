@@ -8,8 +8,7 @@ from repro.cost.counters import CostCounters
 class TestRecording:
     def test_new_counters_are_zero(self):
         counters = CostCounters()
-        assert counters.is_zero()
-        assert counters.total_touched() == 0
+        assert set(counters.as_dict().values()) == {0}
 
     def test_record_scan_accumulates(self):
         counters = CostCounters()
@@ -36,32 +35,14 @@ class TestRecording:
         assert counters.bytes_allocated == 1024
         assert counters.pieces_created == 2
 
-    def test_record_extra_named_counter(self):
-        counters = CostCounters()
-        counters.record_extra("merges", 3)
-        counters.record_extra("merges")
-        assert counters.extra["merges"] == 4
-
-    def test_total_touched_combines_scan_move_random(self):
-        counters = CostCounters()
-        counters.record_scan(10)
-        counters.record_move(5)
-        counters.record_random_access(2)
-        assert counters.total_touched() == 17
-
-
 class TestArithmetic:
-    def test_addition_adds_fields_and_extras(self):
+    def test_addition_adds_fields(self):
         a = CostCounters(tuples_scanned=5, comparisons=2)
-        a.record_extra("x", 1)
         b = CostCounters(tuples_scanned=3, tuples_moved=7)
-        b.record_extra("x", 2)
-        b.record_extra("y", 4)
         total = a + b
         assert total.tuples_scanned == 8
         assert total.tuples_moved == 7
         assert total.comparisons == 2
-        assert total.extra == {"x": 3, "y": 4}
 
     def test_subtraction_gives_deltas(self):
         before = CostCounters(tuples_scanned=5)
@@ -83,31 +64,26 @@ class TestArithmetic:
 
     def test_copy_is_independent(self):
         original = CostCounters(tuples_scanned=5)
-        original.record_extra("k", 1)
         snapshot = original.copy()
         original.record_scan(10)
-        original.record_extra("k", 1)
         assert snapshot.tuples_scanned == 5
-        assert snapshot.extra == {"k": 1}
+        assert original.tuples_scanned == 15
 
     def test_reset_zeroes_everything(self):
-        counters = CostCounters(tuples_scanned=5, comparisons=3)
-        counters.record_extra("z", 9)
+        counters = CostCounters(tuples_scanned=5, comparisons=3, pieces_created=2)
         counters.reset()
-        assert counters.is_zero()
+        assert counters == CostCounters()
 
 
 class TestExport:
     def test_as_dict_contains_all_fields(self):
         counters = CostCounters(tuples_scanned=1, tuples_moved=2, comparisons=3)
-        counters.record_extra("special", 4)
-        exported = counters.as_dict()
-        assert exported["tuples_scanned"] == 1
-        assert exported["tuples_moved"] == 2
-        assert exported["comparisons"] == 3
-        assert exported["special"] == 4
+        assert counters.as_dict() == {
+            "tuples_scanned": 1,
+            "tuples_moved": 2,
+            "comparisons": 3,
+            "random_accesses": 0,
+            "bytes_allocated": 0,
+            "pieces_created": 0,
+        }
 
-    def test_is_zero_detects_extras(self):
-        counters = CostCounters()
-        counters.record_extra("hidden", 1)
-        assert not counters.is_zero()

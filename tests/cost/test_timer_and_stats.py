@@ -6,11 +6,7 @@ import pytest
 
 from repro.cost.counters import CostCounters
 from repro.cost.model import CostModel
-from repro.cost.stats import (
-    QueryStatistics,
-    WorkloadStatistics,
-    merge_workload_statistics,
-)
+from repro.cost.stats import QueryStatistics, WorkloadStatistics
 from repro.cost.timer import Timer
 
 
@@ -108,15 +104,3 @@ class TestWorkloadStatistics:
             workload.convergence_query(reference_cost=0)
         with pytest.raises(ValueError):
             workload.convergence_query(reference_cost=1, consecutive=0)
-
-    def test_as_records_round_trip(self):
-        workload = _stats([4])
-        records = workload.as_records()
-        assert records[0]["tuples_scanned"] == 4
-        assert records[0]["query_index"] == 0
-
-    def test_merge_workload_statistics_reindexes(self):
-        merged = merge_workload_statistics([_stats([1, 2]), _stats([3])], strategy="m")
-        assert len(merged) == 3
-        assert [q.query_index for q in merged] == [0, 1, 2]
-        assert merged.strategy == "m"

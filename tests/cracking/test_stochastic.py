@@ -24,10 +24,6 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             StochasticCrackedColumn(small_values, variant="bogus")
 
-    def test_invalid_threshold_rejected(self, small_values):
-        with pytest.raises(ValueError):
-            StochasticCrackedColumn(small_values, size_threshold_fraction=0.0)
-
     def test_deterministic_given_seed(self, small_values):
         a = StochasticCrackedColumn(small_values, seed=7)
         b = StochasticCrackedColumn(small_values, seed=7)
@@ -62,7 +58,7 @@ class TestAuxiliaryPivotRetry:
             [50, 10, 60, 10, 70, 80, 90, 95, 85, 75, 65, 55], dtype=np.int64
         )
         cracked = StochasticCrackedColumn(
-            values, variant="mdd1r", size_threshold_fraction=0.2, seed=0
+            values, variant="mdd1r", seed=0
         )
         cracked.search(None, None)  # materialise without cracking
         cracked.crack_at(10.0)  # bounded piece: low becomes the minimum value
@@ -98,7 +94,7 @@ class TestAuxiliaryPivotRetry:
     def test_degenerate_piece_terminates(self):
         values = np.full(200, 42, dtype=np.int64)
         cracked = StochasticCrackedColumn(
-            values, variant="ddr", size_threshold_fraction=0.01, seed=5
+            values, variant="ddr", seed=5
         )
         result = cracked.search(10, 50)  # must not loop forever
         assert len(result) == 200
@@ -136,10 +132,10 @@ class TestRobustness:
 
     def test_extra_cuts_bound_piece_sizes(self, medium_values):
         cracked = StochasticCrackedColumn(
-            medium_values, variant="ddr", size_threshold_fraction=0.05, seed=3
+            medium_values, variant="ddr", seed=3
         )
         cracked.search(10_000, 11_000)
-        threshold = int(len(medium_values) * 0.05)
+        threshold = int(len(medium_values) * 0.01)
         touched_pieces = [
             piece for piece in cracked.pieces()
             if piece.low is not None or piece.high is not None
@@ -164,7 +160,7 @@ class TestRobustness:
         values = rng.integers(0, 50_000, size=50_000)
         plain = CrackedColumn(values)
         stochastic = StochasticCrackedColumn(
-            values, variant="ddr", size_threshold_fraction=0.01, seed=4
+            values, variant="ddr", seed=4
         )
         plain_costs = self._sequential_costs(plain, n_queries=50, width=500)
         stochastic_costs = self._sequential_costs(stochastic, n_queries=50, width=500)

@@ -227,7 +227,9 @@ class TestConvergedLatch:
         # one crack of a sorted base leaves three *wide* sorted pieces, so
         # a ripple into any of them lands out of order
         base = np.sort(rng.integers(0, 60, size=200)).astype(np.int64)
-        column = UpdatableCrackedColumn(base)
+        # lazy: the first search copies it, so it is not yet sorted when
+        # asked, and cracks it into three pieces
+        column = CrackedColumn(base)
         column.search(20, 40)
         assert column.piece_count == 3 and column.converged
         return column, {int(i): int(v) for i, v in enumerate(base)}

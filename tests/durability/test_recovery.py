@@ -221,6 +221,10 @@ class TestOpenRecover:
         ("cracking", {"sort_threshold": 64}),
         ("hybrid-crack-crack", {"radix_bits": 4}),
         ("scan", {"bogus": 1}),
+        ("stochastic-cracking", {"size_threshold_fraction": 0.05}),
+        ("online", {"decay": 0.9}),
+        ("online", {"max_indexes": 1}),
+        ("hybrid-sort-sort", {"partition_size": 50}),
     ])
     def test_an_option_the_mode_does_not_take_never_reaches_a_new_journal(
         self, tmp_path, mode, options
@@ -277,15 +281,23 @@ class TestOpenRecover:
         (("cracking", {"sort_threshold": 64}), ("cracking", {})),
         (("hybrid-crack-radix", {"radix_bits": 4}), ("hybrid-crack-crack", {})),
         (("hybrid-radix-radix", {"partition_size": 50, "radix_bits": 3}),
-         ("hybrid-crack-crack", {"partition_size": 50})),
-    ], ids=["sort-pieces", "sort-threshold", "crack-radix", "radix-radix"])
+         ("hybrid-crack-crack", {})),
+        (("stochastic-cracking", {"variant": "ddc", "size_threshold_fraction": 0.05}),
+         ("stochastic-cracking", {"variant": "ddc"})),
+        (("online", {"build_threshold_factor": 2.0, "decay": 0.9}),
+         ("online", {"build_threshold_factor": 2.0})),
+        (("online", {"max_indexes": 0}), ("online", {})),
+        (("hybrid-sort-sort", {"partition_size": 50}), ("hybrid-sort-sort", {})),
+    ], ids=["sort-pieces", "sort-threshold", "crack-radix", "radix-radix",
+            "size-threshold-fraction", "decay", "max-indexes", "partition-size"])
     @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
     def test_retired_modes_reopen_as_the_name_that_answers_the_same(
         self, tmp_path, retired, kept, snapshot
     ):
-        """Data directories written before sorted small pieces and the radix
-        hybrids were removed carry those names and options in their
-        ``set_indexing`` records; they reopen under the kept name."""
+        """Data directories written before sorted small pieces, the radix
+        hybrids and the four options only tests set were removed carry
+        those names and options in their ``set_indexing`` records; they
+        reopen under the kept name with the options that remain."""
         database = make_database(tmp_path)
         database.set_indexing("facts", "key", kept[0], **kept[1])
         mode, options = retired

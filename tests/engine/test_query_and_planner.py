@@ -38,16 +38,6 @@ class TestQuery:
                 selections=[RangeSelection("a", 0, 1), RangeSelection("a", 2, 3)],
             )
 
-    def test_referenced_columns(self):
-        query = Query(
-            table="t",
-            selections=[RangeSelection("a", 0, 1)],
-            projections=["b"],
-            aggregates=[Aggregate("c", "sum")],
-        )
-        assert query.referenced_columns == ["a", "b", "c"]
-        assert query.selection_columns == ["a"]
-
     def test_range_query_constructor(self):
         query = Query.range_query("t", "a", 0, 10, projections=["b"])
         assert query.selections[0].bounds == (0, 10)

@@ -16,8 +16,7 @@ MODE_PAIRS = list(itertools.product(HybridIndex.INITIAL_MODES, HybridIndex.FINAL
 class TestCorrectness:
     def test_results_match_reference(self, medium_values, reference, initial_mode, final_mode):
         index = HybridIndex(
-            medium_values, initial_mode=initial_mode, final_mode=final_mode,
-            partition_size=2000,
+            medium_values, initial_mode=initial_mode, final_mode=final_mode
         )
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -30,8 +29,7 @@ class TestCorrectness:
 
     def test_unbounded_queries(self, small_values, reference, initial_mode, final_mode):
         index = HybridIndex(
-            small_values, initial_mode=initial_mode, final_mode=final_mode,
-            partition_size=64,
+            small_values, initial_mode=initial_mode, final_mode=final_mode
         )
         assert set(index.search(None, 50).tolist()) == reference(small_values, None, 50)
         assert set(index.search(20, None).tolist()) == reference(small_values, 20, None)
@@ -46,26 +44,12 @@ class TestBehaviour:
         with pytest.raises(ValueError):
             HybridIndex(small_values, final_mode="zip")
 
-    @pytest.mark.parametrize("initial_mode", HybridIndex.INITIAL_MODES)
-    @pytest.mark.parametrize("partition_size", [0, -5])
-    def test_partition_size_below_one_rejected(
-        self, small_values, initial_mode, partition_size
+    @pytest.mark.parametrize("rows,partitions", [(1, 1), (100, 10), (1000, 33)])
+    def test_crack_partitions_hold_the_square_root_of_the_column(
+        self, rows, partitions
     ):
-        # a negative step makes no crack partitions at all: the empty
-        # partition list would read as fully merged, every answer empty
-        with pytest.raises(ValueError, match="partition_size must be >= 1"):
-            HybridIndex(small_values, initial_mode=initial_mode,
-                        partition_size=partition_size)
-
-    @pytest.mark.parametrize("partition_size,partitions", [
-        (None, 10),  # the default: the square root of the column size
-        (1, 100),
-        (1000, 1),
-    ])
-    def test_partition_size_sets_the_crack_partitions(self, partition_size, partitions):
-        index = HybridIndex(np.arange(100, dtype=np.int64), initial_mode="crack",
-                            partition_size=partition_size)
-        assert sorted(index.search(10, 20).tolist()) == list(range(10, 20))
+        index = HybridIndex(np.arange(rows, dtype=np.int64), initial_mode="crack")
+        assert sorted(index.search(10, 20).tolist()) == list(range(10, min(rows, 20)))
         assert len(index.partitions) == partitions
 
     def test_empty_column(self):
@@ -73,13 +57,13 @@ class TestBehaviour:
         assert len(index.search(0, 10)) == 0
 
     def test_only_queried_ranges_move_to_final(self, medium_values):
-        index = HybridIndex(medium_values, partition_size=2000)
+        index = HybridIndex(medium_values)
         index.search(10_000, 20_000)
         assert 0 < len(index.final) < len(medium_values) / 2
         assert not index.fully_merged
 
     def test_repeat_query_does_not_touch_initial_partitions(self, medium_values):
-        index = HybridIndex(medium_values, partition_size=2000)
+        index = HybridIndex(medium_values)
         index.search(10_000, 20_000)
         sizes_before = [len(p) for p in index.partitions]
         counters = CostCounters()
@@ -92,8 +76,7 @@ class TestBehaviour:
         def first_query_comparisons(initial_mode):
             counters = CostCounters()
             HybridIndex(
-                medium_values, initial_mode=initial_mode, final_mode="sort",
-                partition_size=2000,
+                medium_values, initial_mode=initial_mode, final_mode="sort"
             ).search(0, 1000, counters)
             return counters.comparisons
 
@@ -106,8 +89,7 @@ class TestBehaviour:
 
         def tail_cost(final_mode):
             index = HybridIndex(
-                medium_values, initial_mode="crack", final_mode=final_mode,
-                partition_size=2000,
+                medium_values, initial_mode="crack", final_mode=final_mode
             )
             costs = []
             for low, high in queries:
@@ -119,7 +101,7 @@ class TestBehaviour:
         assert tail_cost("sort") <= tail_cost("crack") * 1.5
 
     def test_structure_grows_monotonically(self, medium_values):
-        index = HybridIndex(medium_values, partition_size=2000)
+        index = HybridIndex(medium_values)
         merged_sizes = []
         rng = np.random.default_rng(2)
         for _ in range(20):

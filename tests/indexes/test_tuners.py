@@ -63,21 +63,9 @@ class TestOnlineTuner:
         assert eager_build is not None and lazy_build is not None
         assert eager_build < lazy_build
 
-    def test_max_indexes_drops_least_useful(self, rng):
-        column_a = Column(rng.integers(0, 1000, size=2000), name="a")
-        column_b = Column(rng.integers(0, 1000, size=2000), name="b")
-        tuner = OnlineIndexTuner(build_threshold_factor=0.1, max_indexes=1)
-        for _ in range(50):
-            tuner.select(column_a, RangePredicate(0, 10))
-        for _ in range(50):
-            tuner.select(column_b, RangePredicate(0, 10))
-        assert len(tuner.indexes) == 1
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             OnlineIndexTuner(build_threshold_factor=0)
-        with pytest.raises(ValueError):
-            OnlineIndexTuner(decay=1.5)
 
 
 class TestSoftIndexes:

@@ -12,7 +12,6 @@ class TestAdd:
         intervals.add(30, 40)
         assert intervals.intervals == [(10, 20), (30, 40)]
         assert len(intervals) == 2
-        assert not intervals.is_empty()
 
     def test_add_merges_overlapping(self):
         intervals = IntervalSet()
@@ -45,15 +44,9 @@ class TestAdd:
     def test_zero_width_ignored_and_invalid_rejected(self):
         intervals = IntervalSet()
         intervals.add(5, 5)
-        assert intervals.is_empty()
+        assert len(intervals) == 0
         with pytest.raises(ValueError):
             intervals.add(10, 5)
-
-    def test_total_length(self):
-        intervals = IntervalSet()
-        intervals.add(0, 10)
-        intervals.add(20, 25)
-        assert intervals.total_length() == 15
 
 
 class TestQueries:

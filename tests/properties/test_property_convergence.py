@@ -190,7 +190,7 @@ def test_cracked_column_converged_is_exact_after_every_step(values, ops, options
 def test_stochastic_column_converged_is_exact_after_every_step(
         values, ops, variant, lazy_copy):
     column = StochasticCrackedColumn(
-        values, variant=variant, size_threshold_fraction=0.05, seed=1,
+        values, variant=variant, seed=1,
         lazy_copy=lazy_copy,
     )
     drive(column, values, ops)

@@ -30,7 +30,6 @@ class TestSpecAndQuery:
         with pytest.raises(ValueError):
             RangeQuery(10, 5)
         assert RangeQuery(5, 10).width == 5
-        assert RangeQuery(5, 10).as_tuple() == (5, 10)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ import pytest
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark
 from repro.workloads.generators import WorkloadSpec, random_workload
 from repro.workloads.reporting import (
-    compare_results,
     per_query_series_csv,
     render_markdown_table,
     render_text_table,
@@ -73,20 +72,3 @@ class TestCsv:
         write_csv(str(path), result)
         assert path.exists()
         assert path.read_text().startswith("query,")
-
-
-class TestCompare:
-    def test_compare_results_ratios(self, result):
-        ratios = compare_results(result, result)
-        assert set(ratios) == {"scan", "cracking"}
-        assert all(value == pytest.approx(1.0) for value in ratios.values())
-
-    def test_compare_results_ignores_missing_strategies(self, result):
-        rng = np.random.default_rng(1)
-        values = rng.integers(0, 10_000, size=5_000)
-        spec = WorkloadSpec(domain_low=0, domain_high=10_000, query_count=40,
-                            selectivity=0.02, seed=2)
-        harness = AdaptiveIndexingBenchmark(values, random_workload(spec))
-        other = harness.run(["cracking"])
-        ratios = compare_results(result, other)
-        assert set(ratios) == {"cracking"}
