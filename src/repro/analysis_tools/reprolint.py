@@ -87,7 +87,7 @@ LEVEL_GATE, LEVEL_PATH, LEVEL_STATS = (
 #: how a lock registry at a non-leaf level is entered: level -> method names
 _REGISTRY_ENTRIES = {
     "gate": ("read", "write", "write_all"),
-    "path": ("locked", "lock_for"),
+    "path": ("locked", "claimed", "lock_for"),
 }
 
 #: method names that mutate their receiver (list/dict/set mutators)

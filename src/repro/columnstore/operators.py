@@ -13,6 +13,10 @@ import numpy as np
 from repro.cost.counters import CostCounters
 
 
+#: the aggregates besides ``count``, each an ndarray method of that name
+_METHODS = frozenset(("sum", "min", "max", "mean"))
+
+
 def aggregate(
     values: np.ndarray,
     function: str,
@@ -26,15 +30,8 @@ def aggregate(
         return float(len(values))
     if len(values) == 0:
         raise ValueError(f"cannot compute {function!r} of an empty input")
-    functions = {
-        "sum": np.sum,
-        "min": np.min,
-        "max": np.max,
-        "mean": np.mean,
-    }
-    try:
-        return float(functions[function](values))
-    except KeyError:
+    if function not in _METHODS:
         raise ValueError(
             f"unknown aggregate {function!r}; supported: count, sum, min, max, mean"
-        ) from None
+        )
+    return float(getattr(values, function)())

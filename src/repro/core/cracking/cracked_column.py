@@ -893,7 +893,10 @@ class CrackedColumn:
         binary search).  Answers, counters and the state left behind are
         the same either way.  :attr:`converged` is asked before anything
         moves, whoever calls: a sorted column latches here, not only when
-        a session's lock classifier happened to ask first.
+        a session's lock classifier happened to ask first.  Range by range
+        it is asked again before every range, where the next ``search``
+        would ask it: a merge that drains the pending queues mid-batch
+        lets the column latch at the same range as in k searches.
         """
         ranges = list(ranges)
         check_ranges(ranges)
@@ -903,7 +906,16 @@ class CrackedColumn:
             return answers
         # each selection may rebind the arrays its gather reads
         return [self._gather(self._select(low, high, counters), counters)
-                for (low, high), counters in zip(ranges, counters_list)]
+                for (low, high), counters in self._in_turn(ranges, counters_list)]
+
+    def _in_turn(self, ranges, counters_list):
+        """``zip(ranges, counters_list)`` for a range-by-range batch, asking
+        :attr:`converged` (for its latch) before every range but the first,
+        which :meth:`search_many` asked already."""
+        for position, item in enumerate(zip(ranges, counters_list)):
+            if position:
+                self.converged
+            yield item
 
     @property
     def batchable(self) -> bool:

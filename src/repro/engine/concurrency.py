@@ -23,14 +23,17 @@ distinction:
 * :func:`schedule_batch` classifies every plan of a batch with one
   exclusivity cache;
 * :class:`AccessPathLockManager` hands out one lock per access-path key;
-  a query holds the locks of its exclusive claims, a batch those of all
-  its queries, so mutating selections serialize per path across
-  concurrent queries and batches while shared claims take no lock.
+  a batch (a lone query is a batch of one) enters
+  :meth:`AccessPathLockManager.claimed`, which takes the lock of every
+  path its plans select through, in sorted key order, asks
+  :func:`reorganizes_on_read` under it and keeps only the mutating ones,
+  so mutating selections serialize per path across concurrent queries
+  and batches while shared claims hold no lock.
 
-A batch is classified once, before any query runs: a path that converges
-(for example, a cracked column that becomes fully sorted) in the middle of
-a batch keeps its exclusive claim until the batch ends, which is
-conservative but deterministic.
+A batch is classified under the lock it takes, each path once, before any
+query runs: a path that converges (for example, a cracked column that
+becomes fully sorted) in the middle of a batch keeps its exclusive claim
+until the batch ends, which is conservative but deterministic.
 
 Scope of the protection: since the session front door
 (:mod:`repro.engine.session`) every entry point — single-query
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import threading
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -352,16 +354,62 @@ def schedule_batch(database, plans: Sequence) -> List[List[AccessPathClaim]]:
     return [classify_plan(database, plan, cache) for plan in plans]
 
 
+class _Held:
+    """What a gate or a path lock is entered through: ``with`` it, and the
+    acquisitions :meth:`__enter__` makes hold until the block ends.  Each
+    acquisition that succeeds pushes its release onto ``_held``; leaving
+    pops and calls them, and an entry that raises part way leaves at
+    once, so it never keeps what it took."""
+
+    __slots__ = ("_held",)
+
+    def __init__(self) -> None:
+        self._held: List = []
+
+    def __exit__(self, *exc) -> None:
+        held = self._held
+        while held:
+            held.pop()()
+
+
+class _HeldPathLocks(_Held):
+    """The path locks of ``keys`` (sorted): :meth:`AccessPathLockManager.locked`
+    keeps them all, :meth:`AccessPathLockManager.claimed` only those whose
+    path reorganises on read (``database`` is then the one it asks)."""
+
+    __slots__ = ("_lock_for", "_keys", "_database")
+
+    def __init__(self, manager, keys: List[PathKey], database=None) -> None:
+        super().__init__()
+        self._lock_for = manager.lock_for
+        self._keys = keys
+        self._database = database
+
+    def __enter__(self) -> None:
+        lock_for, database, held = self._lock_for, self._database, self._held
+        try:
+            for key in self._keys:
+                lock = lock_for(key)
+                lock.acquire()
+                held.append(lock.release)
+                if database is not None and not reorganizes_on_read(
+                        database, key[1], key[2]):
+                    held.pop()()
+        except BaseException:
+            self.__exit__()
+            raise
+
+
 @guarded_by(_locks="_registry_guard", _witnessed="_registry_guard")
 class AccessPathLockManager:
     """One lock per access-path key, created on first use.
 
-    A query holds the locks of its exclusive claims, a batch those of all
-    its queries at once (through :meth:`locked`, which sorts them); the
-    locks serialize mutating selections across concurrent queries and
-    batches issued from different threads.  Keys are never removed: the
-    registry stays small (one entry per (table, column) ever claimed) and
-    a lock outliving a dropped table is harmless.
+    A batch holds the locks of the paths it mutates at once, taken in
+    sorted key order (through :meth:`claimed`, or :meth:`locked` given
+    claims); the locks serialize mutating selections across concurrent
+    queries and batches issued from different threads.  Keys are never
+    removed: the registry stays small (one entry per (table, column) ever
+    claimed) and a lock outliving a dropped table is harmless.
     """
 
     def __init__(self) -> None:
@@ -389,18 +437,23 @@ class AccessPathLockManager:
                 wrapped = self._witnessed[key] = _WitnessedLock(lock, name)
             return wrapped
 
-    @contextmanager
-    def locked(self, claims: Sequence[AccessPathClaim]):
+    def locked(self, claims: Sequence[AccessPathClaim]) -> _HeldPathLocks:
         """Hold the locks of every exclusive claim (sorted, deadlock-free)."""
-        keys = sorted({claim.key for claim in claims if claim.exclusive})
-        locks = [self.lock_for(key) for key in keys]
-        for lock in locks:
-            lock.acquire()
-        try:
-            yield
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+        return _HeldPathLocks(
+            self, sorted({claim.key for claim in claims if claim.exclusive}))
+
+    def claimed(self, database, plans: Sequence) -> _HeldPathLocks:
+        """Hold the locks of the paths ``plans`` mutate: each path an
+        ``index_select`` step dispatches through is locked in sorted key
+        order and asked :func:`reorganizes_on_read` under its lock, which
+        it keeps only when the answer is yes — so a batch takes each path
+        lock once, and a read-only path is free again before any query
+        runs.  (A ``scan_select`` reads the base column: no lock.)"""
+        return _HeldPathLocks(self, sorted({
+            ("path", step.table, step.column)
+            for plan in plans for step in plan.access_path_steps()
+            if step.operator == "index_select"
+        }), database)
 
 
 @guarded_by(
@@ -461,7 +514,9 @@ class TableGate:
             witness.released(self._witness_name)
         with self._condition:
             self._active_readers -= 1
-            if self._active_readers == 0:
+            # only a writer can be waiting for the last reader to leave (a
+            # reader waits for writers only)
+            if self._active_readers == 0 and self._waiting_writers:
                 self._condition.notify_all()
 
     def acquire_write(self) -> None:
@@ -491,23 +546,13 @@ class TableGate:
             self._writer_active = False
             self._condition.notify_all()
 
-    @contextmanager
-    def read(self):
+    def read(self) -> "_HeldGates":
         """Hold the gate shared (query side)."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        return _HeldGates((self,), exclusive=False)
 
-    @contextmanager
-    def write(self):
+    def write(self) -> "_HeldGates":
         """Hold the gate exclusive (DML side)."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        return _HeldGates((self,), exclusive=True)
 
     @property
     def pending_writers(self) -> int:
@@ -537,28 +582,16 @@ class TableGateRegistry:
                 gate = self._gates[table] = TableGate(name=table)
             return gate
 
-    @contextmanager
-    def read(self, tables: Sequence[str]):
+    def read(self, tables: Sequence[str]) -> "_HeldGates":
         """Hold the gates of ``tables`` shared (sorted, deadlock-free)."""
-        gates = [self.gate(name) for name in sorted(set(tables))]
-        entered: List[TableGate] = []
-        try:
-            for gate in gates:
-                gate.acquire_read()
-                entered.append(gate)
-            yield
-        finally:
-            for gate in reversed(entered):
-                gate.release_read()
+        return _HeldGates([self.gate(name) for name in sorted(set(tables))],
+                          exclusive=False)
 
-    @contextmanager
-    def write(self, table: str):
+    def write(self, table: str) -> "_HeldGates":
         """Hold one table's gate exclusive (the DML side)."""
-        with self.gate(table).write():
-            yield
+        return _HeldGates((self.gate(table),), exclusive=True)
 
-    @contextmanager
-    def write_all(self, tables: Sequence[str]):
+    def write_all(self, tables: Sequence[str]) -> "_HeldGates":
         """Hold every listed gate exclusive (sorted, deadlock-free).
 
         The snapshot writer uses this to quiesce the whole store: with
@@ -566,13 +599,31 @@ class TableGateRegistry:
         the captured column arrays, tombstones and high-water sequence
         are one consistent cut of the database.
         """
-        gates = [self.gate(name) for name in sorted(set(tables))]
-        entered: List[TableGate] = []
+        return _HeldGates([self.gate(name) for name in sorted(set(tables))],
+                          exclusive=True)
+
+
+class _HeldGates(_Held):
+    """Table gates held shared or exclusive, entered in the given (sorted)
+    order."""
+
+    __slots__ = ("_gates", "_exclusive")
+
+    def __init__(self, gates: Sequence[TableGate], exclusive: bool) -> None:
+        super().__init__()
+        self._gates = gates
+        self._exclusive = exclusive
+
+    def __enter__(self) -> None:
+        held = self._held
         try:
-            for gate in gates:
-                gate.acquire_write()
-                entered.append(gate)
-            yield
-        finally:
-            for gate in reversed(entered):
-                gate.release_write()
+            for gate in self._gates:
+                if self._exclusive:
+                    gate.acquire_write()
+                    held.append(gate.release_write)
+                else:
+                    gate.acquire_read()
+                    held.append(gate.release_read)
+        except BaseException:
+            self.__exit__()
+            raise

@@ -62,14 +62,6 @@ class Executor:
         positions: Optional[np.ndarray] = None
         columns: Dict[str, np.ndarray] = {}
         aggregates: Dict[str, float] = {}
-
-        def all_positions() -> np.ndarray:
-            if counters is not None:
-                counters.record_scan(table.row_count)
-            return table.visible_positions(
-                np.arange(table.row_count, dtype=np.int64)
-            )
-
         for step in plan.steps:
             if step.operator in ("scan_select", "index_select"):
                 if not step.columns:
@@ -107,14 +99,14 @@ class Executor:
             elif step.operator == "reconstruct":
                 if positions is None:
                     # projection without any selection: all rows qualify
-                    positions = all_positions()
+                    positions = _all_positions(table, counters)
                 needed = [name for name in step.columns if name not in columns]
                 fetched = late_reconstruct(table, positions, needed, counters)
                 columns.update(fetched)
             elif step.operator == "aggregate":
                 if positions is None:
                     # aggregation without any selection: all rows qualify
-                    positions = all_positions()
+                    positions = _all_positions(table, counters)
                 if step.column in columns:
                     values = columns[step.column]
                 else:
@@ -130,14 +122,22 @@ class Executor:
                 raise ValueError(f"unknown plan operator {step.operator!r}")
 
         if positions is None:
-            positions = all_positions()
-
-        # keep only the requested projections in the result columns
-        requested = set(plan.query.projections)
-        columns = {name: values for name, values in columns.items() if name in requested}
+            positions = _all_positions(table, counters)
+        if columns:
+            # keep only the requested projections in the result columns
+            requested = plan.query.projections
+            columns = {name: values for name, values in columns.items()
+                       if name in requested}
         return QueryResult(
             positions=positions,
             columns=columns,
             aggregates=aggregates,
             counters=counters,
         )
+
+
+def _all_positions(table, counters: CostCounters) -> np.ndarray:
+    """Every visible row of ``table``, charged as a scan: what a plan with
+    no selection step hands its projections and aggregates."""
+    counters.record_scan(table.row_count)
+    return table.visible_positions(np.arange(table.row_count, dtype=np.int64))

@@ -21,15 +21,15 @@ The planner is also where bounds become keys of their column's type
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.columnstore.types import exact_bounds
 from repro.engine.query import Query, RangeSelection
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One step of a physical plan."""
+class PlanStep(NamedTuple):
+    """One step of a physical plan (a named tuple: immutable, and cheap to
+    build for every query)."""
 
     operator: str  # index_select | scan_select | refine | reconstruct |
     #               aggregate
@@ -92,13 +92,6 @@ class Planner:
     def __init__(self, database) -> None:
         self.database = database
 
-    # -- selection ordering -----------------------------------------------------------
-
-    def _selection_priority(self, table: str, selection: RangeSelection) -> int:
-        """Lower is better: indexed columns first, then tuners, then scans."""
-        path = self.database.access_path(table, selection.column)
-        return 2 if path is None else path.selection_priority
-
     def _typed(self, query: Query) -> Query:
         """``query`` with each selection's bounds as keys of its column —
         ``query`` itself when they already are."""
@@ -120,19 +113,24 @@ class Planner:
         query = self._typed(query)
         table = query.table
         plan = Plan(query=query)
-        ordered = sorted(
-            query.selections, key=lambda s: self._selection_priority(table, s)
-        )
+        # selection order: lower priority first — a path that covers the
+        # projection, an index, a tuner, then a scan (2) — stable, so one
+        # selection needs no sort
+        access_path = self.database.access_path
+        ordered = [(selection, access_path(table, selection.column))
+                   for selection in query.selections]
+        if len(ordered) > 1:
+            ordered.sort(key=lambda pair: 2 if pair[1] is None
+                         else pair[1].selection_priority)
         covered = ()
-        for index, selection in enumerate(ordered):
+        for index, (selection, path) in enumerate(ordered):
             if index == 0:
-                path = self.database.access_path(table, selection.column)
                 if path is not None and path.covers_projection:
                     # the path refines and projects from its own aligned
                     # copies: every other attribute the query touches
                     # rides on this step, none gets a step of its own
                     covered = tuple(dict.fromkeys(
-                        [s.column for s in ordered[1:]]
+                        [s.column for s, _ in ordered[1:]]
                         + list(query.projections)
                         + [a.column for a in query.aggregates]
                     ))

@@ -53,7 +53,6 @@ from repro.cost.counters import CostCounters
 from repro.cost.timer import Timer
 from repro.cost.witness import cost_witness
 from repro.durability.record import WalRecord
-from repro.engine.concurrency import schedule_batch
 from repro.engine.executor import QueryResult
 from repro.engine.planner import Plan
 from repro.engine.query import Query, QueryBuilder
@@ -322,10 +321,12 @@ class Session:
 
         The batch holds the gates of every referenced table shared for
         its whole duration: DML issued meanwhile queues on the gates
-        (fenced) and the batch's up-front classification
-        (:func:`schedule_batch`) stays valid until the last query
-        finishes.  It then takes the exclusive path locks of all its
-        queries at once (sorted, so concurrent batches cannot deadlock).
+        (fenced) and the batch's up-front classification stays valid
+        until the last query finishes.  It then takes the path lock of
+        every access path its queries select through, once each (sorted,
+        so concurrent batches cannot deadlock), asks under it whether the
+        path reorganises on read and keeps the locks of those that do
+        (:meth:`~repro.engine.concurrency.AccessPathLockManager.claimed`).
         Every access path that two or more of its queries select through
         — by plain ``index_select`` steps only — answers their ranges in
         one ``search_many`` call (a cracked column cracks each touched
@@ -356,9 +357,7 @@ class Session:
         if queries:
             with database._table_gates.read([q.table for q in queries]):
                 plans = [database.planner.plan(query) for query in queries]
-                claims = schedule_batch(database, plans)
-                held = [claim for plan_claims in claims for claim in plan_claims]
-                with database._path_locks.locked(held):
+                with database._path_locks.claimed(database, plans):
                     counters = [CostCounters() for _ in plans]
                     results = list(map(self._execute_locked, queries, plans, counters,
                                        self._batch_selections(plans, counters)))

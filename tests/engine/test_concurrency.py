@@ -15,6 +15,7 @@ import pytest
 from repro.engine.concurrency import (
     AccessPathClaim,
     AccessPathLockManager,
+    LockOrderViolation,
     classify_plan,
     reorganizes_on_read,
     schedule_batch,
@@ -255,6 +256,78 @@ class TestLockManager:
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
+
+
+class RaisingLock:
+    """A path lock whose acquisition fails: a lock-witness violation, or an
+    interrupt while waiting."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def acquire(self, blocking=True, timeout=-1):
+        raise self.error
+
+    def locked(self):
+        return False
+
+
+class TestAFailedEntryReleasesWhatItTook:
+    """Entering the path locks acquires them one by one; whatever raises
+    part way, the locks taken before it are released."""
+
+    errors = [LockOrderViolation("rank regression"), KeyboardInterrupt()]
+
+    def failing_on_b(self, manager, monkeypatch, error):
+        lock_for = manager.lock_for
+        monkeypatch.setattr(manager, "lock_for", lambda key: (
+            RaisingLock(error) if key == ("path", "facts", "b") else lock_for(key)))
+
+    @pytest.mark.parametrize("error", errors, ids=type)
+    def test_locked(self, error, monkeypatch):
+        manager = AccessPathLockManager()
+        self.failing_on_b(manager, monkeypatch, error)
+        claims = [AccessPathClaim(("path", "facts", column), True) for column in "ab"]
+        with pytest.raises(type(error)):
+            with manager.locked(claims):
+                pass
+        assert not manager.lock_for(("path", "facts", "a")).locked()
+
+    @pytest.mark.parametrize("error", errors, ids=type)
+    def test_claimed(self, database, error, monkeypatch):
+        database.set_indexing("facts", "a", "cracking")
+        database.set_indexing("facts", "b", "cracking")
+        manager = database._path_locks
+        self.failing_on_b(manager, monkeypatch, error)
+        plans = [database.plan(Query.range_query("facts", column, 0, 500))
+                 for column in "ab"]
+        with pytest.raises(type(error)):
+            with manager.claimed(database, plans):
+                pass
+        assert not manager.lock_for(("path", "facts", "a")).locked()
+
+    def test_claimed_when_the_question_raises_under_a_held_lock(
+            self, database, monkeypatch):
+        import repro.engine.concurrency as concurrency
+
+        database.set_indexing("facts", "a", "cracking")
+        database.set_indexing("facts", "b", "cracking")
+        asked = concurrency.reorganizes_on_read
+
+        def failing_on_b(database, table, column):
+            if column == "b":
+                raise RuntimeError("classification failed")
+            return asked(database, table, column)
+
+        monkeypatch.setattr(concurrency, "reorganizes_on_read", failing_on_b)
+        manager = database._path_locks
+        plans = [database.plan(Query.range_query("facts", column, 0, 500))
+                 for column in "ab"]
+        with pytest.raises(RuntimeError, match="classification failed"):
+            with manager.claimed(database, plans):
+                pass
+        assert not manager.lock_for(("path", "facts", "a")).locked()
+        assert not manager.lock_for(("path", "facts", "b")).locked()
 
 
 class TestExecuteManyIgnoredArguments:

@@ -195,3 +195,17 @@ def test_a_pooled_batch_is_its_searches_in_order(state, data, seed, pooled_fan_o
         lambda: build("8 partitions", kind, state, seed, parallel=True,
                       max_workers=2),
         ranges, f"parallel, {state}")
+
+
+def test_a_partition_converging_mid_batch_latches_at_the_same_range():
+    """A once-flaky draw, pinned: the gradual policy drains partition 6's
+    queues in the middle of this batch, after which the next ``search``
+    asks ``converged``, latches and binary-searches query 8.  The batch has
+    to ask at the same point, or it charges query 8 one random access
+    less (30 instead of 31) for an equal answer."""
+    key = 2**63 - 392
+    ranges = [(key, None), (key, key), (key, key), (key, key), (key, None),
+              (key, key), (key, key), (key + 8, key + 434), (key, None)]
+    assert_batch_is_sequential(
+        lambda: build("8 partitions", "uint64 past 2**63", "gradual pending", 2096),
+        ranges, "8 partitions, uint64 past 2**63, gradual pending")
