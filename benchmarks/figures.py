@@ -341,12 +341,12 @@ def run_experiment(experiment: Experiment, rows: int, queries: int) -> Results:
 
 
 def merges(strategy) -> Dict[str, float]:
-    return stats_snapshot(strategy.cracked, "merges_performed")
+    return stats_snapshot(strategy, "merges_performed")
 
 
 def hot_cold_pieces(strategy) -> Dict[str, float]:
     """Cracker pieces inside / outside the bottom tenth of the key domain."""
-    pieces = strategy.cracked.pieces()
+    pieces = strategy.pieces()
     edge = DOMAIN / 10
     return {
         "hot_pieces": sum(1 for p in pieces if p.high is not None and p.high <= edge),
@@ -354,8 +354,7 @@ def hot_cold_pieces(strategy) -> Dict[str, float]:
     }
 
 
-def partition_skew(strategy) -> Dict[str, float]:
-    column = strategy.cracked
+def partition_skew(column) -> Dict[str, float]:
     sizes = [len(partition) for partition in column.partitions]
     return {
         "max_rows": max(sizes),
@@ -647,7 +646,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         panels={"random": W("random", 0.02, seed=10)},
         variants={**names("cracking"), **names("adaptive-merging", run_size=2_000)},
         probes={"adaptive-merging": lambda strategy: {
-            "merged_fraction": strategy.index.merged_count / len(strategy)}},
+            "merged_fraction": strategy.merged_count / len(strategy)}},
         derived={
             # queries until cost stays at a few times the average result size
             f"index_like_from@{name}": (
@@ -699,8 +698,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                           {"budget_bytes": _budget_bytes(fraction), "fragments": 16})
                   for label, fraction in BUDGETS.items()},
         probes={"partial-cracking": lambda strategy: {
-            "evictions": strategy.partial.evictions,
-            "fallback_scans": strategy.partial.fallback_scans}},
+            "evictions": strategy.evictions,
+            "fallback_scans": strategy.fallback_scans}},
         expect={
             "cost_grows_as_the_budget_shrinks": lambda r: (
                 r("100%").total <= r("25%").total * 1.1

@@ -71,7 +71,7 @@ def main() -> None:
 
         stats = session.stats()
 
-    column = db.access_path("readings", "key").cracked
+    column = db.access_path("readings", "key")
     print(
         f"\nprocessed {stats.queries_executed} queries with "
         f"{stats.rows_inserted} inserts and {stats.rows_deleted} deletes "

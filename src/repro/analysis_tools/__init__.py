@@ -13,9 +13,9 @@ decision:
 * :mod:`repro.analysis_tools.common` — how a contract is checked
   statically: the one analyzer driver (files → ``ast`` → rules → inline
   suppressions → baseline → text/JSON report → exit status);
-* :mod:`~repro.analysis_tools.reprolint` (concurrency invariants,
-  RL001–RL005) and :mod:`~repro.analysis_tools.reproperf` (the kernels:
-  hot loops and ``@charges`` soundness, PF001–PF005, and the
+* :mod:`~repro.analysis_tools.reprolint` (concurrency invariants, RL001,
+  RL002, RL004, RL005) and :mod:`~repro.analysis_tools.reproperf` (the
+  kernels: hot loops and ``@charges`` soundness, PF001–PF005, and the
   ``@typed_kernel`` contract, TB001–TB005) — the rules.  ``python -m
   repro lint`` runs both; ``python -m repro.analysis_tools.<tool>`` runs
   one;

@@ -21,11 +21,6 @@ that discipline:
     acquisition must go through the sorting helpers
     (``TableGateRegistry.read`` / ``AccessPathLockManager.locked``), never
     through nested ``with`` blocks.
-``RL003`` ``SearchStrategy`` subclass without an explicit
-    ``reorganizes_on_read`` declaration: every registered strategy (a
-    subclass defining a non-empty ``name``) must declare the capability
-    flag itself or inherit it from an intermediate base — silently relying
-    on the ``SearchStrategy`` default hides the scheduling contract.
 ``RL004`` counter attribute mutated via ``+=`` outside any lock
     In classes that own (or inherit) a lock — the marker that instances are
     shared across threads — bare increments of counter-shaped attributes
@@ -74,7 +69,6 @@ __all__ = ["RULES", "ANALYZER", "Finding", "analyze_paths", "load_baseline", "ma
 RULES = {
     "RL001": "guarded attribute written outside its declared lock",
     "RL002": "lock acquisition violates the declared lock order",
-    "RL003": "SearchStrategy subclass without explicit reorganizes_on_read",
     "RL004": "counter attribute mutated via += outside any lock",
     "RL005": "blocking or file-I/O call while a path lock or gate is held",
 }
@@ -137,8 +131,6 @@ class ClassInfo:
     guards: Dict[str, str] = field(default_factory=dict)
     #: lock attributes created in the class body (self._x = threading.Lock())
     own_locks: Set[str] = field(default_factory=set)
-    #: names assigned or defined directly in the class body
-    declared: Set[str] = field(default_factory=set)
 
 
 def _attr_chain_root(node: ast.expr) -> Tuple[Optional[ast.expr], List[str]]:
@@ -229,16 +221,6 @@ class _ClassIndexer(ast.NodeVisitor):
                 keyword.value, ast.Constant
             ) and isinstance(keyword.value.value, str):
                 info.guards[keyword.arg] = keyword.value.value
-        for statement in node.body:
-            if isinstance(statement, ast.Assign):
-                for target in statement.targets:
-                    if isinstance(target, ast.Name):
-                        info.declared.add(target.id)
-            elif isinstance(statement, ast.AnnAssign):
-                if isinstance(statement.target, ast.Name):
-                    info.declared.add(statement.target.id)
-            elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.declared.add(statement.name)
         for sub in ast.walk(node):
             if isinstance(sub, ast.Assign) and _is_lock_factory(sub.value):
                 for target in sub.targets:
@@ -281,19 +263,6 @@ class ClassRegistry:
         return any(
             info.own_locks or info.guards for info in self._ancestors(name)
         )
-
-    def is_subclass_of(self, name: str, base: str) -> bool:
-        return any(info.name == base for info in self._ancestors(name)[1:])
-
-    def declares_below(self, name: str, attribute: str, stop: str) -> bool:
-        """True when ``name`` or an ancestor strictly below ``stop`` declares
-        ``attribute`` in its own body."""
-        for info in self._ancestors(name):
-            if info.name == stop:
-                continue
-            if attribute in info.declared:
-                return True
-        return False
 
     def global_guard_locks(self, attribute: str) -> Set[str]:
         """Every lock name any class declares for ``attribute``."""
@@ -365,31 +334,8 @@ class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
         self.class_stack.append(
             info if info is not None else ClassInfo(node.name)
         )
-        self._check_strategy_declaration(node)
         self.generic_visit(node)
         self.class_stack.pop()
-
-    def _check_strategy_declaration(self, node: ast.ClassDef) -> None:
-        name = node.name
-        if not self.registry.is_subclass_of(name, "SearchStrategy"):
-            return
-        info = self.registry.by_name.get(name)
-        has_name = info is not None and "name" in info.declared
-        if not has_name:
-            return  # abstract intermediates don't register themselves
-        if not self.registry.declares_below(
-            name, "reorganizes_on_read", stop="SearchStrategy"
-        ):
-            self._report(
-                "RL003",
-                node,
-                f"strategy {name} relies on the implicit SearchStrategy "
-                f"default for reorganizes_on_read",
-                hint="declare `reorganizes_on_read = True/False` (or a "
-                     "property) on the class so the path-lock protocol's "
-                     "contract is explicit",
-                attribute="reorganizes_on_read",
-            )
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.function_stack.append(node.name)

@@ -14,8 +14,11 @@ query execution*.
 * :mod:`repro.core.partitioned` — partitioned (and optionally parallel)
   cracking: contiguous shards cracked independently, with thread-pool
   fan-out for queries spanning several shards;
-* :mod:`repro.core.strategies` — a uniform registry so that baselines and
-  adaptive strategies are interchangeable in the engine and the benchmark
+* :mod:`repro.core.access_path` — the access-path contract
+  (:class:`SearchStrategy`) every registered structure satisfies itself;
+* :mod:`repro.core.strategies` — the one registry table naming those
+  structures, so that baselines and adaptive structures are
+  interchangeable in the engine and the benchmark
   (``create_strategy(name, values).search(low, high, counters)`` is the
   kernel-level way in).
 """
@@ -24,12 +27,8 @@ from repro.core.partitioned import (
     PartitionedCrackedColumn,
     PartitionedUpdatableCrackedColumn,
 )
-from repro.core.strategies import (
-    SearchStrategy,
-    available_strategies,
-    create_strategy,
-    register_strategy,
-)
+from repro.core.access_path import SearchStrategy
+from repro.core.strategies import available_strategies, create_strategy
 
 __all__ = [
     "PartitionedCrackedColumn",
@@ -37,5 +36,4 @@ __all__ = [
     "SearchStrategy",
     "available_strategies",
     "create_strategy",
-    "register_strategy",
 ]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_right
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,6 +47,7 @@ from repro.analysis_tools.guards import charges, guarded_by, typed_kernel
 from repro.columnstore.bulk import binary_search_count, filter_range, lower_bound
 from repro.columnstore.column import Column
 from repro.columnstore.types import exact_key
+from repro.core.access_path import SearchStrategy
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.core.cracking.crack_engine import (
     BatchBounds,
@@ -75,8 +77,16 @@ def _value_queue(dtype: np.dtype) -> array:
     return array(dtype.char if dtype.char in "bBhHiIlLqQfd" else "d")
 
 
+def describe_pending(column) -> str:
+    """An updatable column's pending inserts/deletes and merge policy, for
+    its structure description (nothing for a read-only column)."""
+    if not column.supports_updates:
+        return ""
+    return f", {column.pending_inserts}+{column.pending_deletes} pending ({column.policy})"
+
+
 @guarded_by(queries_processed="_stats_lock")
-class CrackedColumn:
+class CrackedColumn(SearchStrategy):
     """Cracker column + cracker index + adaptive select operator + pending updates.
 
     Parameters
@@ -94,7 +104,10 @@ class CrackedColumn:
         When True, the cracker column copy is deferred to the first
         operation that needs it (a :meth:`search`, a crack, or an update)
         and charged to that operation's counters, matching how the
-        literature accounts the first-query overhead.
+        literature accounts the first-query overhead.  When False the
+        column is an updatable access path (:attr:`supports_updates`): the
+        engine routes inserts, deletes and updates into its pending queues
+        instead of rebuilding it after DML.
     policy / merge_batch:
         How pending updates are merged: ``"ripple"`` merges every pending
         update a query's range qualifies, ``"gradual"`` at most
@@ -131,6 +144,7 @@ class CrackedColumn:
         if merge_batch < 1:
             raise ValueError("merge_batch must be >= 1")
         self.name = name or (column.name if isinstance(column, Column) else "")
+        self.supports_updates = not lazy_copy
         self.policy = policy
         self.merge_batch = int(merge_batch)
         self.rowid_base = int(rowid_base)
@@ -269,24 +283,43 @@ class CrackedColumn:
             self._converged = True
         return self._converged
 
-    def _has_descent(self) -> bool:
-        """True when some adjacent pair is out of order; remembers where.
+    @property
+    def reorganizes_on_read(self) -> bool:
+        """Mutating until the cracker column is fully sorted.  An updatable
+        column answers True for good: pending insert/delete queues merge on
+        demand during any search."""
+        return self.supports_updates or not self.converged
+
+    #: the column itself, as ``benchmarks/e21_layers`` reads its piece count
+    cracked = property(lambda self: self)
+
+    def _has_descent(self, keys: Sequence[float] = ()) -> bool:
+        """True when some adjacent pair is out of order with no key of
+        ``keys`` (ascending) in ``(right, left]``; remembers where.  A pass
+        cracking at the keys keeps such a pair adjacent and out of order.
 
         The search resumes at the old witness and wraps around, in windows
         that double in size: near a stale witness the next descent is
         usually a few elements away, and a full pass (a sorted column's
         first classification) costs no more than one vectorised comparison.
         """
-        values = self.values
+        values = self.values if self.materialised else self._base
         pairs = len(values) - 1
         witness = self._descent if 0 <= self._descent < pairs else 0
-        if pairs > 0 and not values[witness] <= values[witness + 1]:
+        if pairs > 0 and not values[witness] <= values[witness + 1] and (
+                not keys or bisect_right(keys, values[witness].item())
+                == bisect_right(keys, values[witness + 1].item())):
             return True
+        pivots = np.array(keys, dtype=values.dtype) if keys else None
         for start, stop in ((witness + 1, pairs), (0, witness)):
             width = 64
             while start < stop:
                 end = min(start + width, stop)
-                ordered = values[start:end] <= values[start + 1:end + 1]
+                left, right = values[start:end], values[start + 1:end + 1]
+                ordered = left <= right  # or split apart by a key
+                if keys:
+                    ordered |= (np.searchsorted(pivots, left, side="right")
+                                != np.searchsorted(pivots, right, side="right"))
                 first = int(np.argmin(ordered))  # the first False, if any
                 if not ordered[first]:
                     self._descent = start + first
@@ -887,8 +920,10 @@ class CrackedColumn:
 
         Every range is checked before anything is cracked.  Two or more
         ranges on a :attr:`batchable` column are answered by one pass over
-        the pieces they touch (:func:`crack_many`); a lone range, a column
-        with pending updates and a converged one go range by range
+        the pieces they touch (:func:`crack_many`) unless the pass might
+        sort the column before the last range (:meth:`locate_batch`); that
+        batch, a lone range, a column with pending updates and a converged
+        one go range by range
         (:meth:`_select`: a crack-in-two or crack-in-three per range, or a
         binary search).  Answers, counters and the state left behind are
         the same either way.  :attr:`converged` is asked before anything
@@ -900,8 +935,10 @@ class CrackedColumn:
         """
         ranges = list(ranges)
         check_ranges(ranges)
-        if not self.converged and len(ranges) > 1 and self.batchable:
-            answers, charged = self.crack_batch(self.locate_batch(ranges))
+        bounds = (self.locate_batch(ranges)
+                  if not self.converged and len(ranges) > 1 and self.batchable else None)
+        if bounds is not None:
+            answers, charged = self.crack_batch(bounds)
             charge_batch(counters_list, charged)
             return answers
         # each selection may rebind the arrays its gather reads
@@ -926,11 +963,18 @@ class CrackedColumn:
                     or self._delete_queue_rowids)
 
     def locate_batch(self, ranges: Sequence[Tuple[Optional[float], Optional[float]]]
-                     ) -> BatchBounds:
+                     ) -> Optional[BatchBounds]:
         """Where a batch's bounds fall; reads the index, changes nothing.
         Its ``work`` is what :meth:`crack_work` is to one search: the whole
-        slice while unmaterialised, else every piece holding a new bound."""
+        slice while unmaterialised, else every piece holding a new bound.
+        None when the batch might sort the column before its last range,
+        where k searches would latch :attr:`converged`: no pair out of order
+        survives the pass (:meth:`_has_descent` of the bounds), and a column
+        unsorted after the pass was unsorted at every range (cracks only add
+        order)."""
         bounds = locate_bounds(self.index, ranges)
+        if not self._has_descent(bounds.keys):
+            return None
         if not self.materialised:
             bounds = bounds._replace(work=len(self._base))
         return bounds
@@ -1015,7 +1059,7 @@ class CrackedColumn:
 
     @property
     def structure_description(self) -> str:
-        return f"cracking: {self.piece_count} pieces"
+        return f"cracking: {self.piece_count} pieces" + describe_pending(self)
 
     def check_invariants(self) -> None:
         """Verify piece bounds, rowid alignment and content preservation (test helper)."""

@@ -25,6 +25,7 @@ import numpy as np
 from repro.columnstore.bulk import range_mask
 from repro.columnstore.column import Column
 from repro.columnstore.storage import StorageBudget
+from repro.core.access_path import SearchStrategy
 from repro.core.cracking.cracked_column import CrackedColumn
 from repro.cost.counters import CostCounters
 
@@ -59,22 +60,30 @@ def _fragment_edges(base: np.ndarray, count: int) -> List[Optional[float]]:
     return [lowest, *inner, None]
 
 
-class PartialCrackedColumn:
-    """Cracking with partially materialised, storage-bounded structures."""
+class PartialCrackedColumn(SearchStrategy):
+    """Cracking with partially materialised, storage-bounded structures.
+
+    The value domain is cut into ``fragments``; a fragment is materialised
+    when a query first touches its range, cracked independently from then
+    on, and evicted least recently used first when the materialised
+    fragments would exceed the ``budget``; ranges whose fragment cannot be
+    held are scanned.
+    """
+
+    #: a select materialises, cracks or evicts fragments, converged or not
+    reorganizes_on_read = True
 
     def __init__(
         self,
         column: Union[Column, np.ndarray],
         budget: Optional[StorageBudget] = None,
         fragments: int = 16,
-        name: str = "",
     ) -> None:
         if fragments < 1:
             raise ValueError("fragments must be >= 1")
         base = column.values if isinstance(column, Column) else np.asarray(column)
         if len(base) == 0:
             raise ValueError("cannot build a partial cracked column over an empty column")
-        self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.budget = budget or StorageBudget(limit_bytes=None)
         self.fragment_count = int(fragments)
@@ -96,6 +105,14 @@ class PartialCrackedColumn:
     def nbytes(self) -> int:
         """Auxiliary storage currently held by all materialised fragments."""
         return sum(f.nbytes for f in self._fragments.values())
+
+    @property
+    def structure_description(self) -> str:
+        return (
+            f"partial cracking: {self.materialised_fragments} of "
+            f"{self.fragment_count} fragments held, {self.evictions} "
+            f"evictions, {self.fallback_scans} fallback scans"
+        )
 
     # -- materialisation and eviction ---------------------------------------------------
 

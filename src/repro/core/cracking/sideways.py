@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.columnstore.storage import StorageBudget
 from repro.columnstore.table import Table
+from repro.core.access_path import SearchStrategy
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range, crack_value
 from repro.cost.counters import CostCounters
@@ -54,8 +55,13 @@ class CrackerMap:
         )
 
 
-class SidewaysCracker:
+class SidewaysCracker(SearchStrategy):
     """Cracker-map manager for one table and one selection attribute.
+
+    As an access path the head column answers whole select-projects from
+    its maps (:attr:`covers_projection`): a select-project cracks the maps
+    of the attributes it needs on the head, so their values come back
+    contiguous and aligned, with no random access into the base table.
 
     Parameters
     ----------
@@ -68,6 +74,11 @@ class SidewaysCracker:
         cracking); least-recently-used maps are evicted under pressure and
         re-materialised on demand.
     """
+
+    covers_projection = True
+    selection_priority = -1
+    #: maps are materialised, aligned and cracked by every select
+    reorganizes_on_read = True
 
     def __init__(
         self,
@@ -85,6 +96,9 @@ class SidewaysCracker:
         self.maps: Dict[str, CrackerMap] = {}
         self.queries_processed = 0
         self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self.table)
 
     # -- map lifecycle -----------------------------------------------------------
 
@@ -162,32 +176,32 @@ class SidewaysCracker:
 
     # -- the select/project operator ----------------------------------------------------
 
+    def search(self, low, high, counters=None):
+        return self.select_project(low, high, {}, (), counters)[0]
+
     def select_project(
         self,
         low: Optional[float],
         high: Optional[float],
+        refinements: Mapping[str, Tuple[Optional[float], Optional[float]]],
         projections: Sequence[str],
         counters: Optional[CostCounters] = None,
-        extra_predicates: Optional[
-            Mapping[str, Tuple[Optional[float], Optional[float]]]
-        ] = None,
-    ) -> Dict[str, np.ndarray]:
+    ) -> Tuple[np.ndarray, Dict[str, np.ndarray]]:
         """Select on the head attribute, refine and project sideways.
 
-        ``extra_predicates`` maps other attributes to ``(low, high)``
-        half-open ranges the qualifying rows must also satisfy; they are
-        checked on the sideways maps of those attributes, so neither
-        refinement nor projection needs random access into the base table.
-        Returns a dict column-name -> values of qualifying rows for every
-        name in ``projections``, plus the special key ``"__rowids__"`` with
-        the base row positions.  All returned arrays are aligned with each
-        other.
+        ``refinements`` maps other attributes to ``(low, high)`` half-open
+        ranges the qualifying rows must also satisfy; they are checked on
+        the sideways maps of those attributes, so neither refinement nor
+        projection needs random access into the base table.  Returns the
+        base row positions of the qualifying rows and a dict column-name ->
+        their values for every name in ``projections``, all aligned with
+        each other.
         """
         self.queries_processed += 1
         requested = list(projections)
         refinements = {
             attribute: bounds
-            for attribute, bounds in (extra_predicates or {}).items()
+            for attribute, bounds in refinements.items()
             if attribute != self.head
         }
         tails = [
@@ -238,9 +252,8 @@ class SidewaysCracker:
             if counters is not None:
                 counters.record_comparisons(len(values))
 
-        result = {name: segments[name][keep].copy() for name in requested}
-        result["__rowids__"] = rowids[keep].copy()
-        return result
+        columns = {name: segments[name][keep].copy() for name in requested}
+        return rowids[keep].copy(), columns
 
     # -- inspection ---------------------------------------------------------------------
 
@@ -248,6 +261,15 @@ class SidewaysCracker:
     def nbytes(self) -> int:
         """Total auxiliary storage held by all materialised maps."""
         return sum(m.nbytes for m in self.maps.values())
+
+    @property
+    def structure_description(self) -> str:
+        return f"{len(self.maps)} cracker maps"
+
+    def close(self) -> None:
+        """Drop the maps and hand their bytes back to the budget."""
+        self.budget.release(self.nbytes)
+        self.maps.clear()
 
     def map_names(self) -> List[str]:
         """Tail attributes for which a map is currently materialised."""

@@ -76,6 +76,10 @@ class StochasticCrackedColumn(CrackedColumn):
         self.variant = variant
         self._rng = np.random.default_rng(seed)
 
+    @property
+    def structure_description(self) -> str:
+        return f"stochastic cracking ({self.variant}): {self.piece_count} pieces"
+
     # -- auxiliary cuts ------------------------------------------------------------
 
     def _auxiliary_pivot(self, start: int, end: int) -> float:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
+from repro.core.access_path import SearchStrategy
 from repro.core.hybrids.final_partition import FinalPartition
 from repro.core.hybrids.initial_partitions import CrackedInitialPartition
 from repro.core.merging.intervals import IntervalSet, as_interval, as_selection
@@ -39,7 +40,7 @@ from repro.cost.counters import CostCounters
 
 
 @guarded_by(queries_processed="_stats_lock")
-class HybridIndex:
+class HybridIndex(SearchStrategy):
     """Adaptive index combining one initial-partition and one final-partition mode."""
 
     INITIAL_MODES = ("crack", "sort")
@@ -50,14 +51,12 @@ class HybridIndex:
         column: Union[Column, np.ndarray],
         initial_mode: str = "crack",
         final_mode: str = "sort",
-        name: str = "",
     ) -> None:
         if initial_mode not in self.INITIAL_MODES:
             raise ValueError(f"unknown initial_mode {initial_mode!r}")
         if final_mode not in self.FINAL_MODES:
             raise ValueError(f"unknown final_mode {final_mode!r}")
         base = column.values if isinstance(column, Column) else np.asarray(column)
-        self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.initial_mode = initial_mode
         self.final_mode = final_mode
@@ -84,17 +83,20 @@ class HybridIndex:
         return self.initialized and all(len(p) == 0 for p in self.partitions)
 
     @property
-    def read_only_under_selection(self) -> bool:
-        """True when a search can no longer reorganise any physical state.
+    def reorganizes_on_read(self) -> bool:
+        """False once a search can no longer reorganise any physical state:
+        every tuple merged into the final partition (no gap extraction
+        left) *and* every final piece sorted, so lookups are binary
+        searches.  Pieces organised by ``final_mode="crack"`` keep cracking
+        on partial overlap and never get there."""
+        return not (self.fully_merged
+                    and all(piece.sorted for piece in self.final.pieces))
 
-        Requires convergence on both axes: every tuple has been merged into
-        the final partition (no gap extraction left) *and* every final
-        piece is sorted, so lookups are binary searches.  Pieces organised
-        by ``final_mode="crack"`` keep cracking on partial overlap and never
-        satisfy the second condition.
-        """
-        return self.fully_merged and all(
-            piece.sorted for piece in self.final.pieces
+    @property
+    def structure_description(self) -> str:
+        return (
+            f"hybrid-{self.initial_mode}-{self.final_mode}: {len(self.final)} "
+            f"tuples in final partition ({self.final.piece_count} pieces)"
         )
 
     # -- initialization --------------------------------------------------------------

@@ -41,23 +41,22 @@ import numpy as np
 from repro.analysis_tools.guards import charges, guarded_by
 from repro.columnstore.bulk import binary_search_count, sort_comparisons
 from repro.columnstore.column import Column
+from repro.core.access_path import SearchStrategy
 from repro.core.merging.intervals import IntervalSet, as_interval, as_selection
 from repro.core.merging.runs import RunSet
 from repro.cost.counters import CostCounters
 
 
 @guarded_by(queries_processed="_stats_lock")
-class AdaptiveMergingIndex:
+class AdaptiveMergingIndex(SearchStrategy):
     """Adaptive merging over sorted runs with a growing final partition."""
 
     def __init__(
         self,
         column: Union[Column, np.ndarray],
         run_size: Optional[int] = None,
-        name: str = "",
     ) -> None:
         base = column.values if isinstance(column, Column) else np.asarray(column)
-        self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.run_size = run_size
         #: the sorted runs; generated by the first query
@@ -96,6 +95,21 @@ class AdaptiveMergingIndex:
     def fully_merged(self) -> bool:
         """True once every tuple has moved into the final partition."""
         return self.initialized and len(self.runs) == 0
+
+    @property
+    def reorganizes_on_read(self) -> bool:
+        """Mutating until every run has drained into the final partition."""
+        return not self.fully_merged
+
+    #: the index itself, as ``benchmarks/e21_layers`` reads its run count
+    index = property(lambda self: self)
+
+    @property
+    def structure_description(self) -> str:
+        return (
+            f"adaptive merging: {self.run_count} runs left, "
+            f"{self.merged_count} tuples merged"
+        )
 
     # -- initialization --------------------------------------------------------------
 

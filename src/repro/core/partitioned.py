@@ -105,7 +105,8 @@ from repro.core.cracking.crack_engine import (
     charge_batch,
     check_ranges,
 )
-from repro.core.cracking.cracked_column import CrackedColumn
+from repro.core.access_path import SearchStrategy
+from repro.core.cracking.cracked_column import CrackedColumn, describe_pending
 from repro.core.cracking.cracker_index import CrackerIndex, Piece
 from repro.cost.counters import CostCounters
 
@@ -379,7 +380,7 @@ class ColumnPartition:
     partition_splits="_stats_lock",
     partition_merges="_stats_lock",
 )
-class PartitionedCrackedColumn:
+class PartitionedCrackedColumn(SearchStrategy):
     """A column sharded into contiguous partitions, each cracked independently.
 
     Parameters
@@ -415,7 +416,8 @@ class PartitionedCrackedColumn:
         Forwarded to every partition's :class:`CrackedColumn`: with
         ``lazy_copy`` (the default) each partition copies its slice when it
         is first touched and charges that query; otherwise all copies are
-        made up front and charged to nobody.  Under the gradual policy each
+        made up front and charged to nobody, and the column is an updatable
+        access path (:attr:`supports_updates`).  Under the gradual policy each
         *partition* merges at most ``merge_batch`` pending updates per query
         it participates in.
     max_workers:
@@ -461,6 +463,7 @@ class PartitionedCrackedColumn:
         self.split_threshold = float(split_threshold)
         self.policy = policy
         self.merge_batch = int(merge_batch)
+        self.supports_updates = not lazy_copy
         self.queries_processed = 0
         self.partition_splits = 0
         self.partition_merges = 0
@@ -548,6 +551,15 @@ class PartitionedCrackedColumn:
         return all(
             p._bounds_known and p.cracked.converged for p in self._partitions
         )
+
+    @property
+    def reorganizes_on_read(self) -> bool:
+        """Mutating until :attr:`converged`; for good when updatable (pending
+        queues merge on demand during any search)."""
+        return self.supports_updates or not self.converged
+
+    #: the column itself, as ``benchmarks/e21_layers`` reads its piece count
+    cracked = property(lambda self: self)
 
     def pieces(self) -> List[Piece]:
         """All pieces across partitions, positions shifted by the partition start.
@@ -894,8 +906,9 @@ class PartitionedCrackedColumn:
         bounds scan is charged to the first query, the first to ask it.
         Each partition answers its share in one call: one
         :meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_batch`
-        pass for two or more ranges on a batchable partition, its own
-        ``search_many`` otherwise — range by range, a lone range on
+        pass for two or more ranges a batchable partition locates
+        (:meth:`~repro.core.cracking.cracked_column.CrackedColumn.locate_batch`),
+        its own ``search_many`` otherwise — range by range, a lone range on
         ``crack_range``.  Given the elements each call is about to move (the
         pieces the pass touches, or ``crack_work`` per range), a
         ``parallel`` column hands some to the pool (:meth:`_hand_offs`),
@@ -1067,7 +1080,7 @@ class PartitionedCrackedColumn:
                 f", {self.partition_splits} splits/"
                 f"{self.partition_merges} merges"
             )
-        return description
+        return description + describe_pending(self)
 
 
 #: the historical name of the column with every partition copied up front

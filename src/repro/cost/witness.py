@@ -66,7 +66,8 @@ def _fingerprint(path: object) -> Optional[Tuple[str, int, int]]:
     reorganisation the library performs (cracking a piece, merging a range,
     splitting a partition, rippling a pending update, a tuner building its
     index) changes at least one component.  Every installed access path is
-    a :class:`~repro.core.strategies.SearchStrategy` and exposes all three;
+    a structure satisfying :class:`~repro.core.access_path.SearchStrategy`
+    and exposes all three;
     None stands for "no access path" (a plain scan has no auxiliary
     structure to fingerprint).
     """

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.columnstore.column import Column
+from repro.core.strategies import accepted_options
 from repro.durability.faults import FaultInjector
 from repro.durability.manager import (
     DurabilityConfig,
@@ -80,18 +81,6 @@ class RecoveryReport:
         return sum(self.replayed_operations.values())
 
 
-#: ``set_indexing`` options journaled by earlier versions that no longer
-#: exist; a data directory may still carry them.  ``executor`` chose the
-#: partition fan-out backend, ``sort_threshold`` sorted small cracker pieces
-#: outright and ``radix_bits`` sized the radix hybrids' clusters; stochastic
-#: cracking's ``size_threshold_fraction``, the online tuner's ``decay`` and
-#: ``max_indexes`` and the hybrids' ``partition_size`` are now the constants
-#: their defaults were.  Answers never depended on any of them.
-_RETIRED_MODE_OPTIONS = (
-    "executor", "sort_threshold", "radix_bits", "size_threshold_fraction",
-    "decay", "max_indexes", "partition_size",
-)
-
 #: registry names journaled by earlier versions that no longer exist, and
 #: the name each is recovered as: the one that answered the same queries
 #: without the retired refinement (sorted small pieces, radix clusters)
@@ -104,12 +93,12 @@ _RETIRED_MODES = {
 
 def _current_mode(mode: str, options: Dict[str, object]) -> Tuple[str, Dict[str, object]]:
     """A recorded ``set_indexing`` mode and options as the registry takes
-    them today: a retired name is renamed, retired options are dropped."""
-    current = {
-        key: value for key, value in options.items()
-        if key not in _RETIRED_MODE_OPTIONS
-    }
-    return _RETIRED_MODES.get(mode, mode), current
+    them today: a retired name is renamed, and only the options its row
+    accepts are kept (earlier versions journaled retired options and ones
+    that built another name's structure: a hybrid's modes, partitions)."""
+    mode = _RETIRED_MODES.get(mode, mode)
+    accepted = accepted_options(mode)
+    return mode, {key: value for key, value in options.items() if key in accepted}
 
 
 def _choose_snapshot(

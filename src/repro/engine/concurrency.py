@@ -15,8 +15,9 @@ distinction:
 
 * :func:`reorganizes_on_read` asks the access path installed for one
   ``(table, column)`` whether a selection can still mutate it: the
-  ``reorganizes_on_read`` capability flag every
-  :class:`~repro.core.strategies.SearchStrategy` carries;
+  ``reorganizes_on_read`` capability flag every registered structure
+  declares itself (:class:`~repro.core.access_path.SearchStrategy` gives
+  it no default);
 * :func:`classify_plan` turns a planned query into
   :class:`AccessPathClaim` records — one per access path the plan
   dispatches through, shared (read-only) or exclusive (mutating);

@@ -6,11 +6,14 @@ mode*: a name from the one strategy registry
 the tutorial compares, from the offline full index over online tuning and
 soft indexes to the cracking family, adaptive merging and the hybrids.
 :meth:`Database.set_indexing` is the only physical-design switch: it
-installs the :class:`~repro.core.strategies.SearchStrategy` registered
-under that name as the column's *access path*, and the engine queries,
-updates, reports on and releases it through that contract only and never
-asks which technique is behind it.  ``"scan"`` (the default) means "no
-access path": there is nothing to build, and selections scan the base column.
+installs the structure registered under that name as the column's *access
+path* and records the mode and its options, which the database alone owns.
+Every structure satisfies the access-path contract
+(:class:`~repro.core.access_path.SearchStrategy`) itself, and the engine
+queries, updates, reports on, rebuilds and releases it through that
+contract only and never asks which technique is behind it.  ``"scan"`` (the
+default) means "no access path": there is nothing to build, and selections
+scan the base column.
 
 The database executes nothing itself.  Every operation enters through a
 :class:`~repro.engine.session.Session` (``db.session()``), which holds the
@@ -35,12 +38,13 @@ from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
 from repro.columnstore.storage import MemoryTracker
 from repro.columnstore.table import Table
+from repro.core.access_path import SearchStrategy
 from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import (
-    CrackingStrategy,
-    SearchStrategy,
     available_strategies,
+    check_options,
     create_strategy,
+    rebuild,
 )
 from repro.cost.counters import CostCounters
 from repro.durability.manager import (
@@ -86,7 +90,7 @@ class Database:
         self._modes: Dict[Tuple[str, str], str] = {}
         # (table, column) -> options passed to set_indexing (for rebuilds)
         self._mode_options: Dict[Tuple[str, str], Dict] = {}
-        # (table, column) -> the strategy installed for that mode
+        # (table, column) -> the access path installed for that mode
         self._access_paths: Dict[Tuple[str, str], SearchStrategy] = {}
         # per-access-path execution locks shared by every session
         self._path_locks = AccessPathLockManager()
@@ -378,6 +382,9 @@ class Database:
         known = available_strategies()
         if mode not in known:
             raise ValueError(f"unknown indexing mode {mode!r}; available: {known}")
+        # a refused option leaves the installed path — its memory entry and
+        # its pool — and the journal exactly as they were
+        check_options(mode, options)
         # under the schema lock so a concurrent snapshot's captured mode
         # set stays consistent with its high-water mark (see create_table),
         # and under the table's write gate so the switch cannot land
@@ -389,16 +396,13 @@ class Database:
             key = (table, column)
             with self._table_gates.write(table):
                 # build first, swap second, release the old path last: a
-                # refused option must leave the installed path — its
-                # memory entry and its pool — exactly as it was
-                strategy = create_strategy(
+                # structure refusing an option's value must leave the
+                # installed path exactly as it was.  A scan installs no
+                # access path.
+                strategy = None if mode == "scan" else create_strategy(
                     mode, owning_table.column(column), table=owning_table, **options,
                 )
-                if mode == "scan":
-                    # built only to refuse options a scan does not take: a
-                    # scan installs no access path
-                    strategy = None
-                elif strategy.supports_updates:
+                if strategy is not None and strategy.supports_updates:
                     # the new column treats every base position as a live
                     # row; replay the table's tombstones so rows deleted
                     # under an earlier mode stay deleted (its answers are
@@ -432,6 +436,17 @@ class Database:
     def access_path(self, table: str, column: str):
         """The physical access-path object for ``table.column`` (or None)."""
         return self._access_paths.get((table, column))
+
+    def _rebuilt_path(self, table: str, column: str) -> SearchStrategy:
+        """The access path to install over ``table.column`` after DML its path
+        cannot absorb: the recorded mode and options over the changed column,
+        plus what the mode carries across.  The caller closes the old path."""
+        key = (table, column)
+        owning_table = self._tables[table]
+        return rebuild(
+            self._modes[key], self._access_paths[key], owning_table.column(column),
+            table=owning_table, **self._mode_options[key],
+        )
 
     # -- visibility (each table keeps its tombstones) ------------------------------------
 
@@ -563,11 +578,9 @@ class Database:
         adaptive-repartitioning counters (splits, merges, row skew)."""
         report: List[Dict[str, object]] = []
         for (table, column), mode in sorted(self._modes.items()):
-            path = self._access_paths.get((table, column))
-            if not (isinstance(path, CrackingStrategy)
-                    and isinstance(path.cracked, PartitionedCrackedColumn)):
+            cracked = self._access_paths.get((table, column))
+            if not isinstance(cracked, PartitionedCrackedColumn):
                 continue
-            cracked = path.cracked
             loads = cracked.partition_loads()
             sizes = [load["rows"] for load in loads]
             mean_rows = (sum(sizes) / len(sizes)) if sizes else 0.0

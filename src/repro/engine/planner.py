@@ -4,10 +4,12 @@ The planner's job mirrors what the tutorial calls the "optimizer rules"
 needed by an auto-tuning kernel: for each selection it picks the best
 available access path for that column *right now* —
 
-* the :class:`~repro.core.strategies.SearchStrategy` installed for the
-  column, ranked by its ``selection_priority`` (a path that covers the
-  projection first, then an index — offline, sort-first or adaptive —
-  before a tuner that may not have built yet), or
+* the access path installed for the column — the structure itself,
+  satisfying :class:`~repro.core.access_path.SearchStrategy` and labelled
+  in the plan with the column's indexing mode — ranked by its
+  ``selection_priority`` (a path that covers the projection first, then
+  an index — offline, sort-first or adaptive — before a tuner that may
+  not have built yet), or
 * a plain scan —
 
 and orders the remaining work (predicate refinement, tuple reconstruction,
@@ -142,7 +144,8 @@ class Planner:
                         low=selection.low,
                         high=selection.high,
                         columns=covered,
-                        access_path="scan" if path is None else path.name,
+                        access_path=self.database.indexing_mode(
+                            table, selection.column) or "scan",
                     )
                 )
             elif not covered:

@@ -432,11 +432,11 @@ class Session:
 
         The row is appended to every column of the table, so existing row
         positions never shift.  Every configured access path stays
-        consistent: strategies that support updates absorb the insert
-        through their pending queues (merge on demand); every other one
-        is replaced by what its ``rebuilt`` returns over the grown column —
-        the honest cost of a physical design without update support, and
-        exactly what the updatable strategies avoid.
+        consistent: paths that support updates absorb the insert through
+        their pending queues (merge on demand); every other one is rebuilt
+        over the grown column from its recorded mode and options — the
+        honest cost of a physical design without update support, and
+        exactly what the updatable paths avoid.
         """
         database = self._database
         owning_table = database.table(table)
@@ -455,8 +455,8 @@ class Session:
                 if path.supports_updates:
                     path.insert(values[column_name], counters, rowid=rowid)
                 else:
-                    paths[(table, column_name)] = path.rebuilt(
-                        owning_table.column(column_name)
+                    paths[(table, column_name)] = database._rebuilt_path(
+                        table, column_name
                     )
                     path.close()
                 # absorbing (and possibly repartitioning) or rebuilding

@@ -94,7 +94,7 @@ class OnlineIndexTuner:
             stats = self.candidates.setdefault(name, CandidateStatistics())
             stats.queries_observed += 1
             stats.last_query_seen = self.queries_processed
-            return self.indexes[name].search(predicate.low, predicate.high, counters)
+            return self.indexes[name].lookup(predicate.low, predicate.high, counters)
 
         # no index: scan, then update monitoring state
         positions = scan_select(column, predicate, counters)

@@ -60,7 +60,7 @@ class SoftIndexManager:
         name = column.name or str(id(column))
 
         if name in self.indexes:
-            return self.indexes[name].search(predicate.low, predicate.high, counters)
+            return self.indexes[name].lookup(predicate.low, predicate.high, counters)
 
         candidate = self.candidates.setdefault(name, SoftIndexCandidate())
         candidate.scans_observed += 1

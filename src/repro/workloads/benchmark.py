@@ -20,7 +20,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.columnstore.column import Column
-from repro.core.strategies import SearchStrategy, create_strategy
+from repro.core.access_path import SearchStrategy
+from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.cost.model import CostModel, DEFAULT_MAIN_MEMORY_MODEL
 from repro.cost.stats import QueryStatistics, WorkloadStatistics

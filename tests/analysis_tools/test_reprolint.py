@@ -13,7 +13,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _EXPECT = re.compile(r"#\s*expect\[(RL\d{3})\]")
 
-RULES = ["RL001", "RL002", "RL003", "RL004", "RL005"]
+RULES = ["RL001", "RL002", "RL004", "RL005"]
 
 
 def expected_findings(fixture: Path):

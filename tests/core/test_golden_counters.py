@@ -86,9 +86,9 @@ def base_values() -> np.ndarray:
 def run_stream(name, partitions, policy, parallel):
     """Drive the seeded stream; returns the tuple pinned in ``GOLDEN``."""
     values = base_values()
-    options = {"repartition": False}
+    options = {}
     if partitions is not None:
-        options.update(partitions=partitions, parallel=parallel)
+        options.update(partitions=partitions, parallel=parallel, repartition=False)
     if policy is not None:
         options.update(policy=policy, merge_batch=MERGE_BATCH)
     strategy = create_strategy(name, values, **options)
@@ -128,7 +128,7 @@ def run_stream(name, partitions, policy, parallel):
             else:
                 del visible[victim]
                 visible[strategy.update(victim, value, counters)] = value
-        cracked = strategy.cracked
+        cracked = strategy
         return (
             counters.tuples_scanned, counters.tuples_moved,
             counters.comparisons, counters.random_accesses,
@@ -730,7 +730,7 @@ def run_sideways_stream(label):
     database.set_indexing("T", "a", "sideways-cracking", budget_bytes=budget)
 
     def cracker():  # looked up per operation: an insert may replace it
-        return database.access_path("T", "a").cracker
+        return database.access_path("T", "a")
 
     recorded = []
     digest = hashlib.sha256()
@@ -853,7 +853,7 @@ def run_partial_stream(label):
         "partial-cracking", values, budget_bytes=PARTIAL_CASES[label],
         fragments=PARTIAL_FRAGMENTS,
     )
-    partial, search = strategy.partial, strategy.search
+    partial, search = strategy, strategy.search
     rng = np.random.default_rng(SEED + 5)
     digest = hashlib.sha256()
     recorded = []
@@ -978,7 +978,7 @@ def run_pattern_stream(name, pattern):
         expected = np.flatnonzero((values >= query.low) & (values < query.high))
         assert answer.tolist() == expected.tolist()
         digest.update(answer.astype(np.int64).tobytes())
-    return (_counter_tuple(counters), strategy.cracked.piece_count,
+    return (_counter_tuple(counters), strategy.piece_count,
             digest.hexdigest()[:16])
 
 

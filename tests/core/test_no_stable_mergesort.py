@@ -56,7 +56,7 @@ def first_merging_query(column):
     database.set_indexing("t", "key", "adaptive-merging")
     with database.session() as session:
         session.execute(Query.range_query("t", "key", 1_000.0, 3_000.0))
-    assert database.access_path("t", "key").index.run_count > 1
+    assert database.access_path("t", "key").run_count > 1
     database.close()
 
 

@@ -191,11 +191,11 @@ class TestOptionValidation:
             name, values, partitions=2, repartition=True,
             max_partition_rows=100, split_threshold=3.0,
         )
-        assert strategy.cracked.repartition is True
-        assert strategy.cracked.max_partition_rows == 100
-        assert strategy.cracked.split_threshold == 3.0
-        assert strategy.cracked.partition_splits == 0
-        assert strategy.cracked.partition_merges == 0
+        assert strategy.repartition is True
+        assert strategy.max_partition_rows == 100
+        assert strategy.split_threshold == 3.0
+        assert strategy.partition_splits == 0
+        assert strategy.partition_merges == 0
 
 
 class TestRebalanceSurfacing:

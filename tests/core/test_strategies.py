@@ -1,17 +1,27 @@
-"""Unit tests for the strategy registry and the strategy wrappers."""
+"""Unit tests for the strategy registry and the access-path contract."""
 
 import numpy as np
 import pytest
 
-import repro.core.strategies as strategies_module
 from repro.columnstore.column import Column
+from repro.core.access_path import SearchStrategy
+from repro.core.cracking.cracked_column import CrackedColumn
+from repro.core.cracking.partial import PartialCrackedColumn
+from repro.core.cracking.sideways import SidewaysCracker
+from repro.core.cracking.stochastic import StochasticCrackedColumn
+from repro.core.hybrids.hybrid_index import HybridIndex
+from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
+from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import (
-    SearchStrategy,
+    ScanColumn,
+    SortFirstColumn,
+    TunedColumn,
     available_strategies,
     create_strategy,
-    register_strategy,
+    rebuild,
 )
 from repro.cost.counters import CostCounters
+from repro.indexes.full_index import FullIndex
 
 EXPECTED_STRATEGIES = {
     "scan",
@@ -42,25 +52,6 @@ class TestRegistry:
     def test_create_unknown_strategy(self, small_values):
         with pytest.raises(ValueError, match="unknown strategy"):
             create_strategy("btree-of-doom", small_values)
-
-    def test_register_custom_strategy(self, small_values):
-        class EchoStrategy(SearchStrategy):
-            name = "echo"
-
-            def search(self, low, high, counters=None):
-                return np.empty(0, dtype=np.int64)
-
-        register_strategy("echo", EchoStrategy)
-        try:
-            strategy = create_strategy("echo", small_values)
-            assert isinstance(strategy, EchoStrategy)
-            assert "echo" in available_strategies()
-        finally:
-            del strategies_module._REGISTRY["echo"]
-
-    def test_register_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_strategy("", lambda column: None)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_STRATEGIES))
     @pytest.mark.parametrize("option", [
@@ -106,17 +97,57 @@ class TestAllStrategies:
         assert strategy.nbytes >= 0
 
     def test_queries_processed_has_one_owner(self, name, small_values):
-        """A strategy that forwards to a counting structure reports that
-        structure's count and cannot be bumped beside it."""
+        """A path counts each of its searches once, whatever structure
+        inside it answers."""
         strategy = create_strategy(name, small_values)
         strategy.search(0, 10)
-        if name in ("scan", "full-index", "sort-first"):
-            strategy.note_query()
-            assert strategy.queries_processed == 2
-        else:
-            with pytest.raises(AttributeError):
-                strategy.note_query()
-            assert strategy.queries_processed == 1
+        assert strategy.queries_processed == 1
+
+
+@pytest.mark.parametrize("name", available_strategies())
+def test_the_structure_declares_whether_reads_reorganize(name, small_values):
+    """The access-path protocol gives ``reorganizes_on_read`` no default:
+    the first class of the path's MRO that defines it is the structure's
+    own, never the protocol."""
+    path = create_strategy(name, small_values)
+    declaring = next((cls for cls in type(path).__mro__
+                      if "reorganizes_on_read" in vars(cls)), None)
+    assert declaring is not None and declaring is not SearchStrategy
+    assert isinstance(path.reorganizes_on_read, bool)
+
+
+#: the structure each name builds: the path is the structure itself
+STRUCTURES = {
+    "scan": ScanColumn,
+    "full-index": FullIndex,
+    "sort-first": SortFirstColumn,
+    "online": TunedColumn,
+    "soft": TunedColumn,
+    "cracking": CrackedColumn,
+    "updatable-cracking": CrackedColumn,
+    "partitioned-cracking": PartitionedCrackedColumn,
+    "partitioned-updatable-cracking": PartitionedCrackedColumn,
+    "stochastic-cracking": StochasticCrackedColumn,
+    "sideways-cracking": SidewaysCracker,
+    "partial-cracking": PartialCrackedColumn,
+    "adaptive-merging": AdaptiveMergingIndex,
+    "hybrid-crack-crack": HybridIndex,
+    "hybrid-crack-sort": HybridIndex,
+    "hybrid-sort-sort": HybridIndex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_a_name_builds_its_structure(name, small_values):
+    path = create_strategy(name, small_values)
+    assert type(path) is STRUCTURES[name]
+    assert SearchStrategy in type(path).__mro__
+    assert path.supports_updates is name.endswith("updatable-cracking")
+    path.close()
+
+
+def test_the_table_covers_the_registry():
+    assert set(STRUCTURES) == EXPECTED_STRATEGIES
 
 
 class TestCoveringStrategy:
@@ -128,7 +159,9 @@ class TestCoveringStrategy:
             if create_strategy(name, small_values).covers_projection
         }
         assert covering == {"sideways-cracking"}
-        with pytest.raises(NotImplementedError, match="cracking does not cover"):
+        with pytest.raises(
+            NotImplementedError, match="CrackedColumn does not cover projections"
+        ):
             create_strategy("cracking", small_values).select_project(
                 0, 10, {}, [], None
             )
@@ -137,7 +170,6 @@ class TestCoveringStrategy:
         strategy = create_strategy(
             "sideways-cracking", sample_table.column("a"), table=sample_table
         )
-        assert "table" not in strategy.options  # options are journaled
         counters = CostCounters()
         rowids, columns = strategy.select_project(
             1000, 6000, {"b": (100, 500)}, ["a", "c"], counters
@@ -149,13 +181,13 @@ class TestCoveringStrategy:
         assert np.array_equal(columns["a"], a[rowids])
         assert np.array_equal(columns["c"], sample_table["c"].values[rowids])
         assert counters.random_accesses == 0
-        assert strategy.cracker.map_names() == ["b", "c"]
+        assert strategy.map_names() == ["b", "c"]
 
     def test_bare_array_is_a_one_column_table(self, small_values):
         strategy = create_strategy("sideways-cracking", small_values)
         rowids, columns = strategy.select_project(10, 60, {}, ["value"])
         assert np.array_equal(columns["value"], small_values[rowids])
-        assert strategy.cracker.map_names() == ["value"]
+        assert strategy.map_names() == ["value"]
 
     def test_rebuilt_keeps_the_crack_history_and_drops_the_maps(self, sample_table):
         strategy = create_strategy(
@@ -164,15 +196,18 @@ class TestCoveringStrategy:
         )
         strategy.select_project(1000, 6000, {}, ["c"])
         sample_table.append_rows({"a": 1500, "b": 1, "c": 0.5, "d": 2})
-        fresh = strategy.rebuilt(sample_table.column("a"))
+        fresh = rebuild(
+            "sideways-cracking", strategy, sample_table.column("a"),
+            table=sample_table, budget_bytes=10**6,
+        )
         strategy.close()
-        assert strategy.nbytes == 0 and strategy.cracker.budget.used_bytes == 0
-        assert fresh.options == strategy.options == {"budget_bytes": 10**6}
-        assert fresh.cracker.crack_history == [1000, 6000] and fresh.nbytes == 0
+        assert strategy.nbytes == 0 and strategy.budget.used_bytes == 0
+        assert fresh.budget.limit_bytes == 10**6
+        assert fresh.crack_history == [1000, 6000] and fresh.nbytes == 0
         rowids, columns = fresh.select_project(1000, 2000, {}, ["c"])
         assert len(sample_table) - 1 in rowids.tolist()
-        fresh.cracker.check_invariants()
-        assert fresh.cracker.budget.used_bytes == fresh.nbytes > 0
+        fresh.check_invariants()
+        assert fresh.budget.used_bytes == fresh.nbytes > 0
 
 
 class TestPartialCrackingStrategy:
@@ -187,12 +222,12 @@ class TestPartialCrackingStrategy:
                 medium_values, low, low + 30_000
             )
             assert 0 < strategy.nbytes <= budget
-        strategy.partial.check_invariants()
-        assert strategy.partial.evictions > 0
+        strategy.check_invariants()
+        assert strategy.evictions > 0
         assert strategy.structure_description == (
-            f"partial cracking: {strategy.partial.materialised_fragments} of 8 "
-            f"fragments held, {strategy.partial.evictions} evictions, "
-            f"{strategy.partial.fallback_scans} fallback scans"
+            f"partial cracking: {strategy.materialised_fragments} of 8 "
+            f"fragments held, {strategy.evictions} evictions, "
+            f"{strategy.fallback_scans} fallback scans"
         )
 
 
@@ -207,7 +242,7 @@ class TestTunerStrategies:
     """``online`` and ``soft`` are the tuner classes behind the one contract."""
 
     def test_answers_and_the_build_is_charged_to_its_query(
-        self, name, options, build_query, as_column, small_values
+        self, name, options, build_query, as_column, small_values, reference
     ):
         source = Column(small_values, name="key") if as_column else small_values
         strategy = create_strategy(name, source, **options)
@@ -221,7 +256,7 @@ class TestTunerStrategies:
             before = strategy.structure_description
             answer = strategy.search(low, low + 10, counters)
             assert sorted(answer.tolist()) == sorted(
-                strategy.reference_search(low, low + 10).tolist()
+                reference(small_values, low, low + 10)
             )
             if strategy.structure_description != before:
                 # the structure string reflects built structure only, so it
@@ -241,7 +276,7 @@ class TestTunerStrategies:
         self, name, options, build_query, as_column, small_values
     ):
         strategy = create_strategy(name, small_values, **options)
-        # declared on the class (RL003), not inherited from the base default
+        # declared on the class: the protocol gives the flag no default
         declaring = [
             cls for cls in type(strategy).__mro__
             if "reorganizes_on_read" in vars(cls)
@@ -254,25 +289,24 @@ class TestTunerStrategies:
         ).selection_priority
 
     def test_rebuilt_keeps_statistics_and_drops_the_index(
-        self, name, options, build_query, as_column, small_values
+        self, name, options, build_query, as_column, small_values, reference
     ):
         source = Column(small_values, name="key") if as_column else small_values
         strategy = create_strategy(name, source, **options)
         while not strategy.nbytes:
             strategy.search(40, 60)
         grown = np.append(small_values, 50)
-        fresh = strategy.rebuilt(
-            Column(grown, name="key") if as_column else grown
+        fresh = rebuild(
+            name, strategy, Column(grown, name="key") if as_column else grown,
+            **options,
         )
         assert fresh is not strategy and type(fresh) is type(strategy)
-        assert fresh.options == options and len(fresh) == len(grown)
+        assert len(fresh) == len(grown)
         assert fresh.nbytes == 0
         # the statistics came along: the very next query rebuilds
         counters = CostCounters()
         answer = fresh.search(40, 60, counters)
-        assert sorted(answer.tolist()) == sorted(
-            fresh.reference_search(40, 60).tolist()
-        )
+        assert sorted(answer.tolist()) == sorted(reference(grown, 40, 60))
         assert len(small_values) in answer.tolist()
         assert fresh.nbytes and counters.tuples_moved == len(grown)
 

@@ -164,9 +164,8 @@ class TestOpenRecover:
         closed.close()
 
         reopened = Database.open(tmp_path / "closed")
-        path = reopened.access_path("facts", "key")
-        assert path.name == "sideways-cracking"
-        assert path.options == {"budget_bytes": 50_000}
+        assert reopened.indexing_mode("facts", "key") == "sideways-cracking"
+        assert reopened._mode_options[("facts", "key")] == {"budget_bytes": 50_000}
         plan = reopened.plan(query)
         assert [step.operator for step in plan.steps] == ["index_select", "aggregate"]
         assert plan.steps[0].columns == ("payload",)
@@ -212,7 +211,7 @@ class TestOpenRecover:
         assert recovered._mode_options[("facts", "key")] == {
             "partitions": 3, "parallel": True,
         }
-        assert recovered.access_path("facts", "key").cracked.parallel is True
+        assert recovered.access_path("facts", "key").parallel is True
         assert_same_database(recovered, database)
         recovered.close()
 
@@ -267,12 +266,12 @@ class TestOpenRecover:
         pooled = database.access_path("facts", "key")
         with database.session() as session:
             session.execute(Query.range_query("facts", "key", 10, 5_000))
-        pool = pooled.cracked._pool
+        pool = pooled._pool
         assert pool is not None
         with pytest.raises(ValueError):
             database.set_indexing("facts", "key", mode, **options)
         assert database.access_path("facts", "key") is pooled
-        assert pooled.cracked._pool is pool
+        assert pooled._pool is pool
         pool.submit(lambda: None).result(timeout=10)  # still accepting work
         database.close()
 
@@ -324,6 +323,48 @@ class TestOpenRecover:
                 scan = table.visible_positions(np.flatnonzero((keys >= low) & (keys < high)))
                 got = session.execute(Query.range_query("facts", "key", low, high))
                 assert sorted(got.positions.tolist()) == scan.tolist()
+        recovered.close()
+
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+    def test_options_that_built_another_names_structure_are_dropped(
+        self, tmp_path, snapshot
+    ):
+        """A name fixes what it names: data directories written while a
+        hybrid still took its modes, and ``cracking`` its partition and
+        update options, reopen under the same names without them and answer
+        the same rows."""
+        database = make_database(tmp_path)
+        recorded = {
+            "key": ("hybrid-crack-crack", {"final_mode": "sort"}),
+            "payload": ("cracking", {"partitions": 4, "policy": "gradual"}),
+        }
+        for column, (mode, options) in recorded.items():
+            database.set_indexing("facts", column, mode)
+            if snapshot:
+                database._mode_options[("facts", column)] = dict(options)
+            else:
+                database._durable_schema_record(
+                    "set_indexing", "facts", column=column, mode=mode, options=options,
+                )
+        if snapshot:
+            database.snapshot()
+            for column in recorded:
+                database._mode_options[("facts", column)] = {}
+        run_dml(database, steps=10)
+        database.close()
+
+        recovered = Database.open(tmp_path)
+        for column, (mode, _) in recorded.items():
+            assert recovered._modes[("facts", column)] == mode
+            assert recovered._mode_options[("facts", column)] == {}
+        queries = [Query.range_query("facts", "key", low, high)
+                   for low, high in [(0, DOMAIN), (100, 2_000), (5_000, 5_001)]]
+        queries += [Query.range_query("facts", "payload", low, high)
+                    for low, high in [(0.0, 100.0), (10.0, 20.0), (42.5, 42.6)]]
+        with recovered.session() as replayed, database.session() as lived:
+            for query in queries:
+                assert (set(replayed.execute(query).positions.tolist())
+                        == set(lived.execute(query).positions.tolist()))
         recovered.close()
 
     def test_fresh_database_over_durable_state_is_refused(self, tmp_path):
@@ -454,7 +495,7 @@ class TestClose:
         database.set_indexing(
             "facts", "key", "partitioned-cracking", partitions=3, parallel=True,
         )
-        column = database.access_path("facts", "key").cracked
+        column = database.access_path("facts", "key")
         session = database.session()
         session.query("facts").where("key", 10, 4_000).run()
         assert column._pool is not None, "the thread fan-out should be live"

@@ -48,7 +48,7 @@ def reference_positions(db, low, high, column="a", table="facts"):
 def crack_at_every_key(db, column="a", table="facts"):
     """Converge a cracking access path: a boundary at every distinct key
     leaves each piece holding one key, so the cracker column is sorted."""
-    cracked = db.access_path(table, column).cracked
+    cracked = db.access_path(table, column)
     for key in np.unique(db.table(table)[column].values).tolist():
         cracked.crack_at(key)
 
@@ -88,21 +88,21 @@ class TestReorganizesOnRead:
         assert reorganizes_on_read(database, "facts", "a") is True
         crack_at_every_key(database)
         path = database.access_path("facts", "a")
-        assert path.cracked.is_fully_sorted()
+        assert path.is_fully_sorted()
         assert reorganizes_on_read(database, "facts", "a") is False
         # converged answers keep matching the reference and stay pure
-        pieces_before = path.cracked.piece_count
+        pieces_before = path.piece_count
         result = session.execute(Query.range_query("facts", "a", 1_000, 3_000))
         assert set(result.positions.tolist()) == reference_positions(
             database, 1_000, 3_000
         )
-        assert path.cracked.piece_count == pieces_before
+        assert path.piece_count == pieces_before
 
     def test_adaptive_merging_becomes_read_only_when_fully_merged(self, database, session):
         database.set_indexing("facts", "a", "adaptive-merging")
         session.execute(Query.range_query("facts", "a", None, None))
         path = database.access_path("facts", "a")
-        assert path.index.fully_merged
+        assert path.fully_merged
         assert reorganizes_on_read(database, "facts", "a") is False
         result = session.execute(Query.range_query("facts", "a", 500, 700))
         assert set(result.positions.tolist()) == reference_positions(
@@ -392,7 +392,7 @@ class TestBatchAnswers:
         database.set_indexing("facts", "a", "cracking")
         session.execute(Query.range_query("facts", "a", 0, 20_000))
         crack_at_every_key(database)
-        assert database.access_path("facts", "a").cracked.is_fully_sorted()
+        assert database.access_path("facts", "a").is_fully_sorted()
         queries = [
             Query.range_query("facts", "a", low, low + 700)
             for low in range(0, 7_000, 700)

@@ -234,7 +234,7 @@ class TestExecution:
 
 #: options worth carrying across a rebuild, per registry name
 REBUILD_OPTIONS = {
-    "cracking": {"merge_batch": 8},
+    "updatable-cracking": {"merge_batch": 8},
     "partitioned-cracking": {"partitions": 2},
     "partitioned-updatable-cracking": {"partitions": 2, "policy": "gradual"},
     "online": {"build_threshold_factor": 2.0},
@@ -260,8 +260,9 @@ def test_insert_keeps_or_rebuilds_every_access_path(database, session, mode):
         assert after is before
     else:
         assert after is not before and type(after) is type(before)
-        assert after.name == mode
-        assert {key: after.options[key] for key in options} == options
+        assert database.indexing_mode("facts", "a") == mode
+        assert {key: database._mode_options[("facts", "a")][key]
+                for key in options} == options
         assert len(after) == database.table("facts").row_count
     result = session.execute(Query.range_query("facts", "a", 1000, 3000))
     assert set(result.positions.tolist()) == reference_positions(
@@ -318,12 +319,12 @@ class TestMemoryAccounting:
         )
         session.execute(covering)
         session.delete_row("facts", 7)
-        cracker = database.access_path("facts", "a").cracker
+        cracker = database.access_path("facts", "a")
         assert cracker.map_names() == ["b", "c"]
         assert database.memory.breakdown()["index:facts.a"] == cracker.nbytes == 240_000
         # an insert drops every map (they re-materialise on demand) ...
         session.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
-        rebuilt = database.access_path("facts", "a").cracker
+        rebuilt = database.access_path("facts", "a")
         assert rebuilt is not cracker and cracker.budget.used_bytes == 0
         assert "index:facts.a" not in database.memory.breakdown()
         # ... and the next DML operation reads the re-materialised ones
@@ -348,11 +349,11 @@ class TestMemoryAccounting:
         )
         session.execute(Query.range_query("facts", "a", 0, 9_000))
         replaced = database.access_path("facts", "a")
-        assert replaced.cracked._pool is not None
+        assert replaced._pool is not None
         assert "index:facts.a" in database.memory.breakdown()
         database.set_indexing("facts", "a", "sideways-cracking")
-        assert replaced.cracked._pool is None
-        assert database.access_path("facts", "a").name == "sideways-cracking"
+        assert replaced._pool is None
+        assert database.indexing_mode("facts", "a") == "sideways-cracking"
         assert "index:facts.a" not in database.memory.breakdown()
         assert [(r["column"], r["mode"], r["structure"])
                 for r in database.physical_design_report()] == [
@@ -368,7 +369,7 @@ class TestPartitionedMode:
             result = session.execute(Query.range_query("facts", "a", 1000, 3000))
             assert set(result.positions.tolist()) == expected
         path = database.access_path("facts", "a")
-        assert path.cracked.partition_count == 4
+        assert path.partition_count == 4
         report = database.physical_design_report()
         assert any(
             r["mode"] == "partitioned-cracking" and "partitions" in r["structure"]
@@ -496,7 +497,7 @@ class TestDML:
             "v": rng.uniform(0, 1, size=100),
         })
         database.set_indexing("t", "k", "updatable-cracking")
-        cracked = database.access_path("t", "k").cracked
+        cracked = database.access_path("t", "k")
 
         def rows(low, high):
             return session.execute(
@@ -532,7 +533,7 @@ class TestDML:
         database.set_indexing(
             "t", "k", "partitioned-updatable-cracking", partitions=2, **options
         )
-        column = database.access_path("t", "k").cracked
+        column = database.access_path("t", "k")
         with database.session() as session:
             rowid = session.insert_row("t", {"k": big})
             for round in range(3):  # pending; merged; merged into a split fragment
@@ -601,8 +602,8 @@ class TestDML:
                 durability.stats()["appended_records"] if durability else None,
                 database.rows_inserted, database.rows_deleted,
                 session.stats().rows_inserted, session.stats().rows_updated,
-                [(database.access_path("t", name).cracked.pending_inserts,
-                  database.access_path("t", name).cracked.pending_deletes)
+                [(database.access_path("t", name).pending_inserts,
+                  database.access_path("t", name).pending_deletes)
                  for name in ("k", "c")],
             )
 
@@ -680,7 +681,7 @@ class TestDML:
         path = database.access_path("facts", "a")
         session.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
         assert database.access_path("facts", "a") is path  # same object
-        assert path.cracked.pending_inserts == 1
+        assert path.pending_inserts == 1
 
     def test_non_updatable_strategy_rebuilt_with_options(self, database, session):
         database.set_indexing("facts", "a", "partitioned-cracking", partitions=8)
@@ -688,7 +689,7 @@ class TestDML:
         session.insert_row("facts", {"a": 4242, "b": 0, "c": 0.0})
         new_path = database.access_path("facts", "a")
         assert new_path is not old_path
-        assert new_path.cracked.partition_count == 8  # options preserved
+        assert new_path.partition_count == 8  # options preserved
         result = session.execute(Query.range_query("facts", "a", 4242, 4243))
         assert 5000 in result.positions.tolist()
 

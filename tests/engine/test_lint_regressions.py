@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.engine.database import Database
-from repro.core.strategies import CrackingStrategy, create_strategy
+from repro.core.cracking.cracked_column import CrackedColumn
+from repro.core.partitioned import PartitionedCrackedColumn
+from repro.core.strategies import create_strategy
 
 
 @pytest.fixture
@@ -126,15 +128,16 @@ class TestReorganizesOnReadDeclarations:
     """Updatable strategies must *declare* that their reads reorganize.
 
     Batch scheduling gives shared claims to strategies whose reads do not
-    reorganize; an updatable strategy silently inheriting the default
+    reorganize; an updatable strategy silently inheriting a default
     would be one refactor away from data races, so the flag must be an
-    explicit declaration on the wrapper class (reprolint rule RL003), and
-    the updatable names must answer True even when the column itself has
-    converged.
+    explicit declaration on the structure's class (the access-path
+    protocol gives it no default), and the updatable names must answer
+    True even when the column itself has converged.
     """
 
     def test_flag_declared_on_the_class_itself(self):
-        assert "reorganizes_on_read" in CrackingStrategy.__dict__
+        for cls in (CrackedColumn, PartitionedCrackedColumn):
+            assert "reorganizes_on_read" in cls.__dict__
 
     @pytest.mark.parametrize(
         "name", ["updatable-cracking", "partitioned-updatable-cracking"]
@@ -143,5 +146,5 @@ class TestReorganizesOnReadDeclarations:
         strategy = create_strategy(name, np.arange(64, dtype=np.int64))
         for low in range(64):
             strategy.search(low, low + 1)
-        assert strategy.cracked.converged
+        assert strategy.converged
         assert strategy.reorganizes_on_read is True

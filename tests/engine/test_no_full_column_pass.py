@@ -103,7 +103,7 @@ def test_deleting_a_base_row_allocates_no_mask():
         for rowid in rng.choice(ROWS, size=200, replace=False).tolist():
             peak = max(peak, traced_peak(
                 lambda: session.delete_row("t", rowid)))
-        assert database.access_path("t", "key").cracked.pending_deletes == 200
+        assert database.access_path("t", "key").pending_deletes == 200
     database.close()
     assert peak < BUDGET, f"a base-row delete allocated {peak} B on {ROWS} rows"
 
@@ -123,7 +123,7 @@ def test_reabsorbing_tombstones_costs_no_pass_per_tombstone():
                 session.delete_row("t", rowid)
         peaks[tombstones] = traced_peak(
             lambda: database.set_indexing("t", "key", "updatable-cracking"))
-        cracked = database.access_path("t", "key").cracked
+        cracked = database.access_path("t", "key")
         assert cracked.pending_deletes == tombstones
         database.close()
     extra = peaks[TOMBSTONES] - peaks[0]
@@ -165,7 +165,7 @@ def test_a_merging_query_makes_no_call_per_run():
         database, _ = build_database("adaptive-merging", run_size=ROWS // runs)
         with database.session() as session:
             session.execute(Query.range_query("t", "key", 0.0, 2_000.0))
-            assert database.access_path("t", "key").index.run_count == runs
+            assert database.access_path("t", "key").run_count == runs
             query = Query.range_query("t", "key", 500_000.0, 502_000.0)
             events[runs] = call_events(lambda: session.execute(query))
         database.close()
@@ -180,7 +180,7 @@ def test_merging_a_pending_update_makes_no_call_per_piece():
     events = {}
     for pieces in (1_000, 16_000):
         database, rng = build_database("updatable-cracking")
-        cracked = database.access_path("t", "key").cracked
+        cracked = database.access_path("t", "key")
         # in random order, so that each crack splits a piece, not the rest
         for pivot in rng.permutation(
                 np.linspace(0, DOMAIN, pieces, endpoint=False)[1:]):
@@ -214,7 +214,7 @@ def test_a_query_converts_no_pending_entry_it_does_not_merge():
             session.delete_row("t", rowid)
         peak = max(traced_peak(lambda: session.execute(query))
                    for _ in range(3))
-        cracked = database.access_path("t", "key").cracked
+        cracked = database.access_path("t", "key")
         assert cracked.pending_deletes == pending
     database.close()
     assert peak < 16 * pending, (

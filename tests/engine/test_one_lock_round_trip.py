@@ -100,7 +100,7 @@ def test_a_lone_query_acquires_its_path_lock_once(database, session, counted):
 def test_a_converged_column_is_read_without_its_lock(
         database, session, counted, monkeypatch):
     database.set_indexing("facts", "a", "cracking")
-    cracked = database.access_path("facts", "a").cracked
+    cracked = database.access_path("facts", "a")
     for key in np.unique(database.table("facts")["a"].values).tolist():
         cracked.crack_at(key)
     assert cracked.converged
@@ -176,5 +176,5 @@ def test_threads_cracking_one_column_stay_exact_under_fast_switching(database):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[:3]
-    database.access_path("facts", "a").cracked.check_invariants()
+    database.access_path("facts", "a").check_invariants()
     assert not database._path_locks.lock_for(KEY_A).locked()

@@ -107,7 +107,7 @@ def test_a_raising_kernel_leaves_nothing_held_or_running(
         assert kernels["in_flight"] == 0
         if mode == "partitioned-cracking":
             assert pool_submits  # the failing call had pooled siblings
-        path.cracked.check_invariants()
+        path.check_invariants()
         assert not lock.locked()
         with gate._condition:
             assert gate._active_readers == 0 and not gate._writer_active

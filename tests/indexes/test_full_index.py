@@ -50,6 +50,15 @@ class TestSearch:
         assert set(index.search(50, None).tolist()) == reference(small_values, 50, None)
         assert set(index.search(None, None).tolist()) == set(range(len(small_values)))
 
+    def test_lookup_answers_like_search_without_counting(self, small_values):
+        """The paths that build a full index (sort-first, the tuners) count
+        their own queries and look up through the uncounted entry."""
+        index = FullIndex(small_values)
+        looked_up = index.lookup(20, 40)
+        assert index.queries_processed == 0
+        assert np.array_equal(index.search(20, 40), looked_up)
+        assert index.queries_processed == 1
+
     def test_search_cost_much_cheaper_than_scan(self, medium_values):
         index = FullIndex(medium_values)
         counters = CostCounters()

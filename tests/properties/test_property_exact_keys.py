@@ -203,7 +203,7 @@ def test_repartitioning_keeps_wide_inserts_where_they_are_known():
             assert sorted(got.tolist()) == sorted(
                 row for row, key in visible.items()
                 if (raw[0] is None or raw[0] <= key) and (raw[1] is None or key < raw[1]))
-        assert strategy.cracked.partition_splits > 0
-        strategy.cracked.check_invariants()
+        assert strategy.partition_splits > 0
+        strategy.check_invariants()
     finally:
         strategy.close()

@@ -213,7 +213,7 @@ def test_batch_equals_single_executes(mode, options, pooled_fan_out):
         assert_bit_identical(singles, batched, context)
         assert_matches_model(queries, batched, model, context)
     if options.get("parallel"):
-        assert batched_db.access_path("facts", "key").cracked._pool is not None
+        assert batched_db.access_path("facts", "key")._pool is not None
 
 
 @pytest.mark.parametrize("mode,options", all_modes())

@@ -174,7 +174,7 @@ def merging_subject(base, run_size):
     strategy = create_strategy("adaptive-merging", base, run_size=run_size)
     model = ReferenceModel(base, run_size)
     return strategy, model, lambda: (
-        strategy.nbytes, strategy.index.run_count, strategy.index.fully_merged,
+        strategy.nbytes, strategy.run_count, strategy.fully_merged,
         strategy.structure_description,
     ), lambda: (
         model.nbytes, model.run_count, model.fully_merged,
@@ -189,7 +189,7 @@ def _hybrid_subject(searcher, index, name, model):
                 f"({final.piece_count} pieces)")
     return searcher, model, lambda: (
         index.nbytes, sum(len(p) for p in index.partitions), index.fully_merged,
-        getattr(searcher, "structure_description", describe(index.final)),
+        searcher.structure_description,
     ), lambda: (
         model.nbytes, model.live, model.fully_merged, describe(model.pieces),
     )
@@ -200,13 +200,13 @@ def _hybrid_subject(searcher, index, name, model):
 
 def hybrid_sort_sort_subject(base, run_size):
     strategy = create_strategy("hybrid-sort-sort", base)
-    return _hybrid_subject(strategy, strategy.index, "hybrid-sort-sort",
+    return _hybrid_subject(strategy, strategy, "hybrid-sort-sort",
                            ReferenceModel(base, None, "sort"))
 
 
 def hybrid_sort_crack_subject(base, run_size):
     index = HybridIndex(base, initial_mode="sort", final_mode="crack")
-    return _hybrid_subject(index, index, "sort-crack",
+    return _hybrid_subject(index, index, "hybrid-sort-crack",
                            ReferenceModel(base, None, "crack"))
 
 

@@ -197,6 +197,20 @@ def test_a_pooled_batch_is_its_searches_in_order(state, data, seed, pooled_fan_o
         ranges, f"parallel, {state}")
 
 
+def test_a_batch_that_sorts_a_partition_is_answered_in_turn():
+    """A once-flaky draw, pinned: partition 1 of this column is sorted by
+    queries 0 and 3, so the next ``search`` latches and binary-searches
+    query 4.  One pass would crack it instead and charge it no random
+    access (0 instead of 2) for an equal answer, so the partition answers
+    the batch range by range."""
+    key = 2**63 - 400
+    ranges = [(key, key + 577), (key, key), (key, key), (key, key + 38),
+              (key, key + 577)]
+    assert_batch_is_sequential(
+        lambda: build("8 partitions", "uint64 past 2**63", "refined", 156),
+        ranges, "8 partitions, uint64 past 2**63, refined")
+
+
 def test_a_partition_converging_mid_batch_latches_at_the_same_range():
     """A once-flaky draw, pinned: the gradual policy drains partition 6's
     queues in the middle of this batch, after which the next ``search``

@@ -126,7 +126,7 @@ class TestBenchmarkHarness:
         })
         assert list(result.runs) == ["p2", "p4"]
         assert result.runs["p2"].strategy == "p2"
-        assert result.runs["p4"].path.cracked.partition_count == 4
+        assert result.runs["p4"].path.partition_count == 4
         assert (result.runs["p2"].statistics.answers_crc
                 == result.runs["p4"].statistics.answers_crc)
 
