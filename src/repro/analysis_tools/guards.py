@@ -1,5 +1,5 @@
-"""Structured invariant declarations: ``@guarded_by``, ``@charges``,
-``@typed_kernel`` and the lock order.
+"""Structured invariant declarations: ``@guarded_by``, ``@typed_kernel``
+and the lock order.
 
 The engine's concurrency protocol guards shared mutable state with layered
 locks (the schema lock, table gates, access-path locks, the WAL-order
@@ -23,47 +23,29 @@ Usage::
     class PartitionedCrackedColumn:
         ...
 
-``@charges`` applies the same pattern to the cost model: a kernel that
-physically compares or moves elements must charge the matching
-:class:`~repro.cost.counters.CostCounters` channel, or every paper figure
-built on those counters silently under-reports.  The decorator declares
-which channels a kernel touches::
-
-    @charges("comparisons", "movements")
-    def partition_two_way(values, rowids, pivot, counters):
-        ...
-
-and :mod:`repro.analysis_tools.reproperf` (rule PF003) checks the body
-actually records them.  Valid channel names are the logical cost channels
-of the reproduction: ``comparisons`` (value comparisons against pivots or
-bounds), ``movements`` (tuple moves/swaps, ``CostCounters.tuples_moved``),
-``scans`` (sequential touches), ``random_accesses`` and ``allocations``.
-
-``@typed_kernel`` completes the set for the typed-buffer migration: it
-declares which parameters of a kernel are flat numpy buffers (and their
-dtype contract), so :mod:`repro.analysis_tools.reproperf` can verify the
-body stays vectorized (rules TB001–TB005) and the
-:class:`~repro.analysis_tools.type_witness.TypeConformanceWitness` can
-assert dtype/contiguity/no-object-escape at the call boundary::
+``@typed_kernel`` declares which parameters of a kernel are flat numpy
+buffers (and their dtype contract) and which of them it writes in place, so
+the :class:`~repro.analysis_tools.type_witness.TypeConformanceWitness` can
+check dtype, contiguity, ownership and the absence of object escapes at the
+call boundary::
 
     @typed_kernel(buffers={"segment": "numeric", "rowids": "int64",
                            "payload": "numeric*"},
-                  mutates=())
-    @charges("comparisons", "movements")
+                  mutates=("segment", "rowids", "payload"))
     def partition_two_way(segment, rowids, pivot, counters, payload=None):
         ...
 
 Buffer specs are dtype names (``"int64"``) or kind classes (``"numeric"``
 = any int/float column dtype); a ``?`` suffix allows None, a ``*`` suffix
 declares a list/tuple of buffers.  ``mutates`` names the buffers the
-kernel writes in place — ownership the reproperf TB005 rule checks
-against aliased views.
+kernel writes in place; the armed witness reports a write to any other
+declared buffer.
 
-``@guarded_by`` and ``@charges`` are free of runtime enforcement: the
-point is a single, checkable source of truth, not per-access overhead on
-hot paths.  ``@typed_kernel`` follows the same philosophy — its wrapper
-is one global read per call — unless the type witness is armed
-(``REPRO_TYPE_WITNESS=1``), when every declared buffer is checked.
+``@guarded_by`` has no runtime enforcement: the point is a single,
+checkable source of truth, not per-access overhead on hot paths.
+``@typed_kernel`` follows the same philosophy — its wrapper is one global
+read per call — unless the type witness is armed (``REPRO_TYPE_WITNESS=1``),
+when every declared buffer is checked.
 """
 
 from __future__ import annotations
@@ -75,16 +57,6 @@ from typing import Callable, Dict, Sequence, Tuple, Type, TypeVar, Union
 from repro.analysis_tools.type_witness import parse_buffer_spec, type_witness
 
 T = TypeVar("T")
-
-#: channel name -> the CostCounters recording method PF003 accepts for it
-CHARGE_CHANNELS: Dict[str, Tuple[str, ...]] = {
-    "comparisons": ("record_comparisons",),
-    "movements": ("record_move",),
-    "scans": ("record_scan",),
-    "random_accesses": ("record_random_access",),
-    "allocations": ("record_allocation",),
-    "pieces": ("record_pieces",),
-}
 
 #: The engine's lock order, outermost first: a thread may acquire a lock only
 #: at a level strictly after every level it already holds.  The static rule
@@ -141,39 +113,6 @@ def guarded_attributes(cls: type) -> Dict[str, str]:
     return dict(getattr(cls, "__guarded_attributes__", {}))
 
 
-def charges(*channels: str) -> Callable[[T], T]:
-    """Declare the cost channels a kernel must charge on every mutating path.
-
-    Applies to functions and methods alike; on classes the declarations of
-    an overriding method replace (not merge with) the base method's, since
-    the attribute lives on the function object itself.  The declared tuple
-    is normalized (deduplicated, declaration order preserved) and attached
-    as ``__charged_counters__``.
-    """
-    if not channels:
-        raise ValueError("charges() needs at least one cost channel name")
-    normalized = []
-    for channel in channels:
-        if not isinstance(channel, str) or channel not in CHARGE_CHANNELS:
-            raise ValueError(
-                f"charges() got unknown cost channel {channel!r}; "
-                f"valid channels: {', '.join(sorted(CHARGE_CHANNELS))}"
-            )
-        if channel not in normalized:
-            normalized.append(channel)
-
-    def decorate(func: T) -> T:
-        func.__charged_counters__ = tuple(normalized)
-        return func
-
-    return decorate
-
-
-def charged_counters(func: Union[Callable, type]) -> Tuple[str, ...]:
-    """The channels ``func`` declares via ``@charges`` (empty if undeclared)."""
-    return tuple(getattr(func, "__charged_counters__", ()))
-
-
 def typed_kernel(
     *, buffers: Dict[str, str], mutates: Sequence[str] = ()
 ) -> Callable[[Callable], Callable]:
@@ -184,16 +123,15 @@ def typed_kernel(
     integer/float dtype, ``"integer"``, ``"float"``) plus optional
     suffixes: ``?`` allows None, ``*`` declares a list/tuple of buffers
     (e.g. a payload-column container).  ``mutates`` names the declared
-    buffers the kernel writes in place — the ownership declaration
-    reproperf's TB005 rule checks mutations against.
+    buffers the kernel writes in place.
 
     The declaration is attached as ``__typed_buffers__`` /
-    ``__typed_mutates__`` / ``__typed_kernel__`` for introspection; the
-    static check reads the decorator call itself.  At runtime the wrapper
-    costs one module-global read per call; when the
+    ``__typed_mutates__`` / ``__typed_kernel__`` for introspection.  At
+    runtime the wrapper costs one module-global read per call; when the
     :mod:`~repro.analysis_tools.type_witness` is armed it checks every
     declared buffer (dtype, 1-D, contiguity, writeability for mutated
-    buffers) and the return value (no object-dtype escape).
+    buffers), the return value (no object-dtype escape) and that no buffer
+    outside ``mutates`` changed during the call.
     """
     normalized = dict(buffers)
     if not normalized:
@@ -235,11 +173,11 @@ def typed_kernel(
                 return func(*args, **kwargs)
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            witness.check_call(
+            untouched = witness.check_call(
                 func.__qualname__, normalized, mutated, bound.arguments
             )
             result = func(*args, **kwargs)
-            witness.check_result(func.__qualname__, result)
+            witness.check_result(func.__qualname__, result, untouched)
             return result
 
         wrapper.__typed_kernel__ = True

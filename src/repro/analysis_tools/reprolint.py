@@ -19,7 +19,7 @@ that discipline:
     increase the declared lock level; stats locks are leaves
     under which nothing may be acquired, and multi-gate / multi-path
     acquisition must go through the sorting helpers
-    (``TableGateRegistry.read`` / ``AccessPathLockManager.locked``), never
+    (``TableGateRegistry.read`` / ``AccessPathLockManager.claimed``), never
     through nested ``with`` blocks.
 ``RL004`` counter attribute mutated via ``+=`` outside any lock
     In classes that own (or inherit) a lock — the marker that instances are
@@ -34,44 +34,50 @@ that discipline:
     ``write_snapshot``) inside a path-lock *or* gate critical section
     stalls every operation queued on that lock for a disk round-trip —
     allowed only where the write-ahead contract requires it (the journal
-    append *is* the commit point), recorded as a reasoned baseline entry.
+    append *is* the commit point), recorded as a reasoned inline ignore.
+``RL000`` the analyzer's own contract
+    A file that does not parse, and an inline ignore that carries no reason
+    or silences no finding on its line.
 
-Suppressions are ``reprolint.toml`` entries or inline
-``# reprolint: ignore[RL00x]`` comments; findings, output formats and exit
-status follow the contract in :mod:`repro.analysis_tools.common`.  Run
-``python -m repro lint``, or this analyzer alone with
-``python -m repro.analysis_tools.reprolint [paths] [--format=text|json]``.
+A finding is silenced only by ``# reprolint: ignore[RL00x] <reason>`` on
+its own line; findings, output formats and exit status follow the contract
+in :mod:`repro.analysis_tools.common`.  Run ``python -m repro lint``
+(equivalently ``python -m repro.analysis_tools.reprolint [paths]
+[--format=text|json]``).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis_tools.common import (
-    Analyzer,
     Finding,
     Reporter,
     analyze_modules,
     decorator_call,
     expr_text,
-    load_baseline,
-    run_cli,
     simple_name,
 )
 from repro.analysis_tools.guards import LOCK_LEVELS, LOCK_ORDER, LOCK_RANK
 
-__all__ = ["RULES", "ANALYZER", "Finding", "analyze_paths", "load_baseline", "main"]
+__all__ = ["RULES", "Finding", "analyze_paths", "report", "main"]
 
 
 RULES = {
+    "RL000": "unparsable file, or an inline ignore with no reason or nothing to silence",
     "RL001": "guarded attribute written outside its declared lock",
     "RL002": "lock acquisition violates the declared lock order",
     "RL004": "counter attribute mutated via += outside any lock",
     "RL005": "blocking or file-I/O call while a path lock or gate is held",
 }
+
+#: the declared order as messages spell it, outermost first
+_ORDER_TEXT = " → ".join(LOCK_ORDER)
 
 #: ranks of the declared levels the rules single out (lower acquires first)
 LEVEL_GATE, LEVEL_PATH, LEVEL_STATS = (
@@ -370,11 +376,11 @@ class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
                     f"acquiring {LOCK_ORDER[level]}-level {token} while "
                     f"holding {LOCK_ORDER[top.level]}-level {top.token} "
                     f"(held since line {top.line}) — back-edge in the "
-                    f"gate → path → stats order",
-                    hint="acquire gates before path locks before stats "
-                         "locks; multi-gate/multi-path acquisition must go "
-                         "through TableGateRegistry.read / "
-                         "AccessPathLockManager.locked (which sort)",
+                    f"{_ORDER_TEXT} order",
+                    hint=f"acquire locks in the declared order ({_ORDER_TEXT}); "
+                         f"multi-gate/multi-path acquisition must go through "
+                         f"TableGateRegistry.read / "
+                         f"AccessPathLockManager.claimed (which sort)",
                 )
         held = _HeldLock(level=level, token=token, base=base, line=line)
         self.held.append(held)
@@ -574,7 +580,7 @@ class _FunctionAnalyzer(Reporter, ast.NodeVisitor):
             f"{holder.line}) stalls every operation queued on that lock "
             f"for a disk round-trip",
             hint="move the durable write outside the critical section, or "
-                 "baseline it with the group-commit reasoning when the "
+                 "ignore it inline with the group-commit reasoning when the "
                  "journal append is the commit point itself",
         )
 
@@ -601,31 +607,68 @@ def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], AcquisitionGraph
     return analyze_modules(paths, "reprolint", "RL000", check), graph
 
 
-def _graph_payload(graph: AcquisitionGraph) -> Dict[str, object]:
-    return {
-        "acquisition_graph": [
-            {
-                "from": source,
-                "to": destination,
-                "first_seen": {"path": where[0], "line": where[1]},
-            }
-            for (source, destination), where in sorted(graph.items())
-        ],
-    }
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The options of this analyzer's main and of ``repro lint``."""
+    parser.add_argument(
+        "paths", nargs="*",
+        help="files or directories to analyze (default: src/repro)",
+    )
+    parser.add_argument(
+        "--format", default="text", choices=["text", "json"],
+        help="finding output format",
+    )
 
 
-ANALYZER = Analyzer(
-    tool="reprolint",
-    description="concurrency-invariant static analysis for the repro engine",
-    default_paths=("src/repro",),
-    analyze=analyze_paths,
-    extra_payload=_graph_payload,
-    summary=lambda graph: f"{len(graph)} acquisition edge(s) observed",
-)
+def report(paths: Sequence[str] = (), output_format: str = "text") -> int:
+    """Analyze ``paths`` (default ``src/repro``) and print the report.
+
+    Text puts active findings on stdout and the summary on stderr; JSON is
+    one document (findings, the acquisition graph, a summary).  Returns the
+    exit status: 0 clean, 1 active findings, 2 a path that cannot be read.
+    """
+    try:
+        findings, graph = analyze_paths(list(paths) or ["src/repro"])
+    except FileNotFoundError as error:
+        print(f"reprolint: {error}", file=sys.stderr)
+        return 2
+    active = [finding for finding in findings if not finding.suppressed_by]
+    if output_format == "json":
+        print(json.dumps({
+            "findings": [asdict(finding) for finding in findings],
+            "acquisition_graph": [
+                {
+                    "from": source,
+                    "to": destination,
+                    "first_seen": {"path": where[0], "line": where[1]},
+                }
+                for (source, destination), where in sorted(graph.items())
+            ],
+            "summary": {
+                "total": len(findings),
+                "active": len(active),
+                "suppressed": len(findings) - len(active),
+            },
+        }, indent=2))
+    else:
+        for finding in active:
+            print(finding.render())
+        print(
+            f"reprolint: {len(active)} finding(s) "
+            f"({len(findings) - len(active)} suppressed, "
+            f"{len(graph)} acquisition edge(s) observed)",
+            file=sys.stderr,
+        )
+    return int(bool(active))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(ANALYZER, argv)
+    parser = argparse.ArgumentParser(
+        prog="reprolint",
+        description="concurrency-invariant static analysis for the repro engine",
+    )
+    add_arguments(parser)
+    args = parser.parse_args(argv)
+    return report(args.paths, args.format)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,6 @@
 """Runtime type-conformance witness for ``@typed_kernel`` boundaries.
 
-:mod:`repro.analysis_tools.reproperf` checks the typed-buffer contract
-lexically (rules TB001–TB005); this witness checks it *dynamically* at
-every kernel call boundary.  When armed, each call to a
+When armed, each call to a
 :func:`repro.analysis_tools.guards.typed_kernel`-decorated function
 asserts, for every declared buffer argument:
 
@@ -16,7 +14,12 @@ asserts, for every declared buffer argument:
   view reached a mutating kernel without ownership);
 
 and, after the call, that no ``object``-dtype array escapes through the
-return value (tuples/lists are walked one level deep).
+return value (tuples/lists are walked one level deep) and that every
+declared buffer *not* in ``mutates`` — each element of a ``*`` container
+included — holds the bytes it held before the call: the witness keeps a
+copy of each one, so an undeclared in-place write is caught wherever the
+array came from.  (A read-only view would not do: a kernel may hand its
+input back, and the view would leak into the caller's next kernel.)
 
 Off by default with zero overhead beyond one global read per kernel call;
 enabled by ``REPRO_TYPE_WITNESS=1`` or programmatically via
@@ -27,7 +30,7 @@ enabled by ``REPRO_TYPE_WITNESS=1`` or programmatically via
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,10 +102,15 @@ class TypeConformanceWitness(Witness):
         buffers: Mapping[str, str],
         mutates: Tuple[str, ...],
         bound: Mapping[str, object],
-    ) -> None:
-        """Check every declared buffer argument of one kernel call."""
+    ) -> List[Tuple[str, np.ndarray, bytes]]:
+        """Check every declared buffer argument of one kernel call.
+
+        Returns ``(name, buffer, its bytes)`` for every buffer outside
+        ``mutates``, for :meth:`check_result` to compare after the call.
+        """
         with self._lock:
             self.calls_checked += 1
+        untouched: List[Tuple[str, np.ndarray, bytes]] = []
         for name, spec in buffers.items():
             if name not in bound:
                 continue
@@ -133,9 +141,24 @@ class TypeConformanceWitness(Witness):
             writeable_needed = name in mutates
             for element in elements:
                 self._check_buffer(kernel, name, base, element, writeable_needed)
+                if not writeable_needed:
+                    untouched.append((name, element, element.tobytes()))
+        return untouched
 
-    def check_result(self, kernel: str, result: object) -> None:
-        """No object-dtype array may escape a typed kernel's return value."""
+    def check_result(
+        self,
+        kernel: str,
+        result: object,
+        untouched: Sequence[Tuple[str, np.ndarray, bytes]] = (),
+    ) -> None:
+        """No object-dtype array may escape a typed kernel's return value,
+        and no buffer outside ``mutates`` may have changed."""
+        for name, buffer, before in untouched:
+            if buffer.tobytes() != before:
+                self._report(
+                    f"type-conformance violation: {kernel} wrote buffer "
+                    f"{name!r}, which it does not list in mutates="
+                )
         values = (
             list(result) if isinstance(result, (tuple, list)) else [result]
         )

@@ -23,9 +23,9 @@ writing any Python:
     the snapshot used, replayed operation counts, journal records scanned,
     whether a torn tail was tolerated, and the wall-clock time;
 ``python -m repro lint``
-    run the two static analyzers (reprolint, and reproperf for the
-    kernels) over the tree against their checked-in baselines; ``--format json`` prints
-    one document keyed by analyzer.
+    run the static analyzer, reprolint (the concurrency invariants), over
+    the tree; a finding is silenced only by a reasoned inline ignore, and
+    ``--format json`` prints one document.
 
 Durability: ``updates`` accepts ``--data-dir`` (journal every
 DML to a write-ahead log under that directory) and ``--sync`` (the fsync
@@ -52,7 +52,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis_tools.common import add_arguments as add_analyzer_arguments
+from repro.analysis_tools import reprolint
 from repro.core.strategies import available_strategies
 from repro.version import __version__
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark, run_operations
@@ -77,7 +77,7 @@ _EXAMPLES = """examples:
   repro updates --strategy cracking --data-dir ./state --sync batch
   repro recover --data-dir ./state         # replay the journal, report counts
   repro snapshot --data-dir ./state        # compact the journal into a snapshot
-  repro lint --strict-baseline             # both static analyzers, as CI runs them
+  repro lint --format json                 # the static analyzer, as CI runs it
 
 Adaptive repartitioning (--repartition) lets the partitioned strategies
 split hot partitions at crack boundaries (and merge cold siblings) so a
@@ -216,15 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the two static analyzers: reprolint (concurrency "
-             "invariants) and reproperf (kernels: hot paths, cost model, "
-             "typed buffers), each against its checked-in ./<tool>.toml "
-             "baseline; --format json prints one document keyed by analyzer",
+        help="run reprolint, the static analyzer of the concurrency "
+             "invariants; --format json prints one document",
     )
-    add_analyzer_arguments(
-        lint, "each analyzer's own scope: src/repro for reprolint, the kernel "
-              "modules for reproperf",
-    )
+    reprolint.add_arguments(lint)
     return parser
 
 
@@ -583,28 +578,8 @@ def _command_snapshot(args: argparse.Namespace) -> int:
 
 
 def _command_lint(args) -> int:
-    """Run reprolint and reproperf; the worst exit status wins."""
-    import json
-
-    from repro.analysis_tools import common, reprolint, reproperf
-
-    reports = {}
-    for analyzer in (reprolint.ANALYZER, reproperf.ANALYZER):
-        try:
-            reports[analyzer.tool] = common.run_analyzer(
-                analyzer, args.paths, no_baseline=args.no_baseline
-            )
-        except common.UsageError as error:
-            print(f"{analyzer.tool}: {error}", file=sys.stderr)
-            return 2
-    if args.format == "json":
-        print(json.dumps(
-            {tool: report.payload() for tool, report in reports.items()}, indent=2
-        ))
-    else:
-        for report in reports.values():
-            report.print_text(args.strict_baseline)
-    return max(report.status(args.strict_baseline) for report in reports.values())
+    """Run reprolint; its exit status is the command's."""
+    return reprolint.report(args.paths, args.format)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

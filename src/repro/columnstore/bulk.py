@@ -12,8 +12,7 @@ return the resulting boundary positions, which is exactly what crack-in-two
 and crack-in-three need.
 
 The reorganisation kernels carry ``@typed_kernel`` declarations: their
-buffer parameters are flat numeric ndarrays, checked statically by
-:mod:`repro.analysis_tools.reproperf` and dynamically by the type witness
+buffer parameters are flat numeric ndarrays, checked by the type witness
 (``REPRO_TYPE_WITNESS=1``).  Both partition kernels are single-pass mask
 selections (O(n)), not argsorts — the produced layout is identical to a
 stable argsort of the group keys, without the O(n log n) sort.  The one
@@ -28,11 +27,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges, typed_kernel
+from repro.analysis_tools.guards import typed_kernel
 from repro.cost.counters import CostCounters
 
 
-@charges("scans", "comparisons")
 def range_mask(
     values: np.ndarray,
     low: Optional[float],
@@ -96,7 +94,6 @@ def _payload_list(payload) -> list:
 
 @typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
               mutates=("values", "payload"))
-@charges("scans", "comparisons", "movements")
 def partition_two_way(
     values: np.ndarray,
     start: int,
@@ -141,7 +138,6 @@ def partition_two_way(
 
 @typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
               mutates=("values", "payload"))
-@charges("scans", "comparisons", "movements")
 def partition_three_way(
     values: np.ndarray,
     start: int,
@@ -188,7 +184,6 @@ def sort_comparisons(size: int) -> int:
 
 
 @typed_kernel(buffers={"values": "numeric"})
-@charges("comparisons", "movements")
 def stable_sort_rows(
     values: np.ndarray,
     width: int,

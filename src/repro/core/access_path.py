@@ -3,21 +3,22 @@
 What the engine asks of an access path — answer a range or a batch of
 ranges, say whether a read still reorganises it, answer a whole
 select-project when it covers projections, absorb DML or be rebuilt, report
-its bytes and structure, release resources — is :class:`SearchStrategy`.
-The structures inherit it directly; this module imports none of them (they
+its bytes and structure, release resources — is :class:`SearchStrategy`,
+a plain base class: every structure inherits it by name, so nothing checks
+a path structurally.  This module imports none of the structures (they
 import it, and :mod:`repro.core.strategies` imports them).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cost.counters import CostCounters
 
 
-class SearchStrategy(Protocol):
+class SearchStrategy:
     """A range-search access path over one column."""
 
     #: True when the path absorbs inserts/deletes/updates adaptively
@@ -43,7 +44,7 @@ class SearchStrategy(Protocol):
     #: consults: a mutating path serializes concurrent selections, a
     #: read-only one is read without a lock.  Once False it stays False,
     #: and ``search`` has no side effects beyond lock-guarded statistics.
-    #: No default: every structure declares it.
+    #: No default (an annotation only): every structure declares it.
     reorganizes_on_read: bool
 
     #: queries answered so far, counted by the path itself

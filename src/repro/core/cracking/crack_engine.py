@@ -23,7 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges, typed_kernel
+from repro.analysis_tools.guards import typed_kernel
 from repro.columnstore.bulk import (
     binary_search_count,
     binary_search_counts,
@@ -64,7 +64,6 @@ def check_ranges(ranges: Sequence[Tuple[Optional[float], Optional[float]]]) -> N
 @typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
                        "extra_payload": "numeric?"},
               mutates=("values", "rowids", "extra_payload"))
-@charges("comparisons", "pieces")
 def _crack_in_two(
     values: np.ndarray,
     rowids: Optional[np.ndarray],
@@ -119,7 +118,6 @@ def crack_value(
 @typed_kernel(buffers={"values": "numeric", "rowids": "integer?",
                        "extra_payload": "numeric?"},
               mutates=("values", "rowids", "extra_payload"))
-@charges("comparisons", "pieces")
 def crack_range(
     values: np.ndarray,
     rowids: Optional[np.ndarray],
@@ -385,7 +383,6 @@ def crack_many(
     return answers, charges
 
 
-@charges("scans", "movements", "comparisons", "pieces", "allocations")
 def charge_batch(counters_list: Sequence[Optional[CostCounters]],
                  charges: np.ndarray) -> None:
     """Record each row of a :func:`crack_many` charge matrix on its query's
@@ -418,7 +415,6 @@ def _piece_edges(boundary_positions: np.ndarray, length: int) -> np.ndarray:
 @typed_kernel(buffers={"values": "numeric", "rowids": "int64",
                        "boundary_positions": "int64"},
               mutates=("values", "rowids"))
-@charges("movements", "random_accesses")
 def ripple_insert_value(
     values: np.ndarray,
     rowids: np.ndarray,
@@ -455,7 +451,6 @@ def ripple_insert_value(
 @typed_kernel(buffers={"values": "numeric", "rowids": "int64",
                        "boundary_positions": "int64"},
               mutates=("values", "rowids"))
-@charges("movements", "random_accesses")
 def ripple_delete_position(
     values: np.ndarray,
     rowids: np.ndarray,

@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges, guarded_by, typed_kernel
+from repro.analysis_tools.guards import guarded_by, typed_kernel
 from repro.columnstore.bulk import binary_search_count, filter_range, lower_bound
 from repro.columnstore.column import Column
 from repro.columnstore.types import exact_key
@@ -546,7 +546,6 @@ class CrackedColumn(SearchStrategy):
         )
         return set(rowids[mask].tolist())
 
-    @charges("comparisons", "movements", "allocations")
     def split_at(
         self, pivot: float, counters: Optional[CostCounters] = None
     ) -> Tuple["CrackedColumn", "CrackedColumn"]:
@@ -586,7 +585,7 @@ class CrackedColumn(SearchStrategy):
             side = left_pending_inserts if value < pivot else right_pending_inserts
             # routing a pending entry re-queues it, it does not touch the
             # cracker arrays (the record_move(length) above covers the carve)
-            side.append((value, rowid))  # reproperf: ignore[PF001, PF003]
+            side.append((value, rowid))
         pending_deletes = self._pending_delete_rowids
         left_pending_deletes = {
             r: v for r, v in pending_deletes.items() if v < pivot
@@ -620,7 +619,6 @@ class CrackedColumn(SearchStrategy):
         return left, right
 
     @classmethod
-    @charges("movements", "allocations")
     def merged(
         cls,
         left: "CrackedColumn",
@@ -706,7 +704,6 @@ class CrackedColumn(SearchStrategy):
         self._set_length(self._length + 1)
         self.index.shift_positions_for_values_above(value, +1)
 
-    @charges("scans")
     def _ripple_delete_one(self, rowid: int, value: float,
                            counters: Optional[CostCounters]) -> bool:
         """Physically remove one row from its piece via ripple shifts."""
@@ -803,13 +800,12 @@ class CrackedColumn(SearchStrategy):
         """Dispatch one interleaved batch of pending updates to the ripple
         kernels; returns how many of them were merged.
 
-        Deliberately per-element (the one reasoned TB001 baseline entry):
-        each queue entry is a distinct physical reorganisation whose target
-        piece depends on the value being merged — and changes the piece
-        layout the next entry sees — so the dispatch cannot be batched
-        without replaying the ripple dependency chain.  The per-piece data
-        movement inside each step *is* vectorized (the ripple kernels of
-        :mod:`~repro.core.cracking.crack_engine`).
+        Deliberately per-element: each queue entry is a distinct physical
+        reorganisation whose target piece depends on the value being merged
+        — and changes the piece layout the next entry sees — so the dispatch
+        cannot be batched without replaying the ripple dependency chain.
+        The per-piece data movement inside each step *is* vectorized (the
+        ripple kernels of :mod:`~repro.core.cracking.crack_engine`).
 
         Under the gradual policy one ``merge_batch`` budget is shared by
         inserts and deletes, served round-robin — at most ``merge_batch``
@@ -822,7 +818,7 @@ class CrackedColumn(SearchStrategy):
         # the indices in ``items`` stay valid while it runs
         merged_inserts: List[int] = []
         merged_deletes: List[int] = []
-        pending_deletes = self._pending_delete_rowid_set  # hoisted (PF002)
+        pending_deletes = self._pending_delete_rowid_set
         for position in range(len(kinds)):
             if budget <= 0:
                 break

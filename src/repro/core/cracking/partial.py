@@ -217,7 +217,7 @@ class PartialCrackedColumn(SearchStrategy):
         if fallback_ranges:
             # one shared scan answers every non-materialisable fragment range
             self.fallback_scans += 1
-            base = self._base  # hoisted out of the range loop (PF002)
+            base = self._base  # hoisted out of the range loop
             mask = np.zeros(len(base), dtype=bool)
             for effective_low, effective_high in fallback_ranges:
                 mask |= range_mask(base, effective_low, effective_high)

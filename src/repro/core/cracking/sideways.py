@@ -155,7 +155,7 @@ class SidewaysCracker(SearchStrategy):
     def _align(self, cracker_map: CrackerMap, counters: Optional[CostCounters]) -> None:
         """Replay missed cracks so this map catches up with the history."""
         # replaying cracks never appends to the history, so its length is
-        # loop-invariant (PF004) — measure once, index through a local
+        # loop-invariant — measure once, index through a local
         history = self.crack_history
         total = len(history)
         while cracker_map.applied_cracks < total:

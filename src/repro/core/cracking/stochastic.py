@@ -111,7 +111,7 @@ class StochasticCrackedColumn(CrackedColumn):
             # does not prove the piece degenerate: probe a bounded number
             # of alternate positions before giving up on this piece.
             pivot = None
-            piece_low = piece.low  # hoisted out of the probe loop (PF002)
+            piece_low = piece.low  # hoisted out of the probe loop
             for _ in range(attempts):
                 candidate = self._auxiliary_pivot(piece.start, piece.end)
                 if piece_low is not None and candidate <= piece_low:

@@ -19,7 +19,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges
 from repro.columnstore.bulk import binary_search_count, lower_bound
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range
@@ -67,7 +66,6 @@ class FinalPartition:
 
     # -- adding merged pieces -----------------------------------------------------
 
-    @charges("comparisons", "movements", "allocations", "pieces")
     def add_piece(
         self,
         low: float,
@@ -110,7 +108,7 @@ class FinalPartition:
         else:
             insert_at = len(self.pieces)
         # ordering the piece list is bookkeeping, not tuple movement
-        self.pieces.insert(insert_at, piece)  # reproperf: ignore[PF003]
+        self.pieces.insert(insert_at, piece)
 
     # -- lookups -------------------------------------------------------------------
 

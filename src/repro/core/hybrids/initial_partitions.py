@@ -21,7 +21,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges
 from repro.core.cracking.cracker_index import CrackerIndex
 from repro.core.cracking.crack_engine import crack_range
 from repro.cost.counters import CostCounters
@@ -48,7 +47,6 @@ class CrackedInitialPartition:
     def nbytes(self) -> int:
         return int(self.values.nbytes + self.rowids.nbytes)
 
-    @charges("movements")
     def extract_range(
         self,
         low: Optional[float],

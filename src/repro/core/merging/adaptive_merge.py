@@ -38,7 +38,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges, guarded_by
+from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.bulk import binary_search_count, sort_comparisons
 from repro.columnstore.column import Column
 from repro.core.access_path import SearchStrategy
@@ -123,7 +123,6 @@ class AdaptiveMergingIndex(SearchStrategy):
 
     # -- merging -----------------------------------------------------------------------
 
-    @charges("comparisons", "movements")
     def _merge_range(
         self,
         low: float,

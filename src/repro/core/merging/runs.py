@@ -57,7 +57,6 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges
 from repro.columnstore.bulk import binary_search_counts, stable_sort_rows
 from repro.columnstore.column import Column
 from repro.cost.counters import CostCounters
@@ -149,7 +148,6 @@ class RunSet:
             step >>= 1
         return found
 
-    @charges("scans", "comparisons", "movements", "random_accesses")
     def extract_ranked(
         self,
         low: Optional[float],

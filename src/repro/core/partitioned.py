@@ -98,7 +98,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis_tools.guards import charges, guarded_by
+from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
 from repro.core.cracking.crack_engine import (
     CHARGE_COLUMNS,
@@ -271,7 +271,6 @@ class ColumnPartition:
         """Number of currently visible rows in this partition."""
         return len(self.cracked)
 
-    @charges("scans", "comparisons")
     def _ensure_bounds(self, counters: Optional[CostCounters]) -> None:
         """Learn the base slice's value range (one scan, charged once)."""
         if self._bounds_known:
@@ -328,7 +327,6 @@ class ColumnPartition:
             "pieces": self.cracked.piece_count,
         }
 
-    @charges("scans", "comparisons")
     def split(
         self, counters: Optional[CostCounters]
     ) -> Optional[Tuple["ColumnPartition", "ColumnPartition"]]:
@@ -570,7 +568,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         """
         result: List[Piece] = []
         for partition in self._partitions:
-            start = partition.start  # hoisted out of the piece loop (PF002)
+            start = partition.start  # hoisted out of the piece loop
             for piece in partition.cracked.pieces():
                 result.append(
                     Piece(
@@ -747,7 +745,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         """Split skewed partitions (bounded work per call; main thread only)."""
         if not self.repartition:
             return
-        partitions = self._partitions  # hoisted out of the split loop (PF002)
+        partitions = self._partitions  # hoisted out of the split loop
         # a candidate without a pivot (one value, however often) is passed
         # over for the rest of the call, or it would be chosen again at once
         # and no other partition would ever be split
@@ -779,7 +777,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         """
         if not self.repartition or len(self._partitions) < 2:
             return
-        partitions = self._partitions  # hoisted out of the merge loop (PF002)
+        partitions = self._partitions  # hoisted out of the merge loop
         sizes = [len(p) for p in partitions]
         mean_rows = sum(sizes) / len(sizes)
         for i in range(len(partitions) - 1):

@@ -1,8 +1,8 @@
 """Runtime cost-conformance witness.
 
-The static analyzer (:mod:`repro.analysis_tools.reproperf`, rule PF003)
-checks the ``@charges`` contracts lexically; the witness checks the cost
-model *dynamically*, across every call boundary at once.  Around each query
+The exact counters are pinned per kernel by the golden-counter literals and
+``FIGURES.json``; the witness checks the cost model *dynamically*, across
+every call boundary at once, on any query stream.  Around each query
 the engine executes, the witness fingerprints the physical structures the
 plan dispatches through (structure description, auxiliary bytes, row count)
 and compares the fingerprints with the query's
@@ -137,8 +137,8 @@ class CostConformanceWitness(Witness):
                     f"cost-conformance violation: access path {key} "
                     f"reorganized for free during query {description!r}: "
                     f"{before!r} -> {after!r} with zero comparisons and zero "
-                    f"tuple movements charged (some kernel forgot its "
-                    f"@charges bill)"
+                    f"tuple movements charged (some kernel forgot to "
+                    f"charge its work)"
                 )
 
 

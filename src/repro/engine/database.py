@@ -201,10 +201,9 @@ class Database:
             with self._table_gates.write_all(self.table_names):
                 state = self._capture_snapshot_state()
                 # the dump (and its fsyncs) runs inside the quiesced section
-                # by design: a consistent cut needs no concurrent DML —
-                # flagged by reprolint RL005 and baselined with this
-                # reasoning
-                path = manager.write_snapshot(state)
+                # by design: a consistent cut needs no concurrent DML, and
+                # it runs only on explicit or thresholded snapshot requests
+                path = manager.write_snapshot(state)  # reprolint: ignore[RL005] a consistent cut
                 self._trim_journal(state.high_water)
         return path
 

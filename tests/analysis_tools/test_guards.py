@@ -1,14 +1,11 @@
-"""Tests for the @guarded_by and @charges declaration decorators."""
+"""Tests for the @guarded_by declaration decorator and the lock order."""
 
 import pytest
 
 from repro.analysis_tools.guards import (
-    CHARGE_CHANNELS,
     LOCK_LEVELS,
     LOCK_ORDER,
     LOCK_RANK,
-    charged_counters,
-    charges,
     guarded_attributes,
     guarded_by,
 )
@@ -71,52 +68,6 @@ class TestGuardedBy:
 
         assert guarded_attributes(TableGate)["_active_readers"] == "_condition"
         assert guarded_attributes(Database)["rows_deleted"] == "_engine_stats_lock"
-
-
-class TestCharges:
-    def test_declared_channels_are_attached_in_order(self):
-        @charges("movements", "comparisons")
-        def kernel(values, counters):
-            return values
-
-        assert charged_counters(kernel) == ("movements", "comparisons")
-
-    def test_duplicate_channels_are_deduplicated(self):
-        @charges("comparisons", "movements", "comparisons")
-        def kernel(values, counters):
-            return values
-
-        assert charged_counters(kernel) == ("comparisons", "movements")
-
-    def test_unknown_channel_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown cost channel"):
-            charges("teleports")
-
-    def test_empty_declaration_is_rejected(self):
-        with pytest.raises(ValueError):
-            charges()
-
-    def test_undecorated_function_declares_nothing(self):
-        def kernel(values):
-            return values
-
-        assert charged_counters(kernel) == ()
-
-    def test_decorator_is_transparent(self):
-        @charges("scans")
-        def kernel(values):
-            return len(values)
-
-        assert kernel([1, 2, 3]) == 3
-        assert kernel.__name__ == "kernel"
-
-    def test_every_channel_maps_to_a_counters_method(self):
-        from repro.cost.counters import CostCounters
-
-        for channel, methods in CHARGE_CHANNELS.items():
-            assert methods, channel
-            for method in methods:
-                assert callable(getattr(CostCounters, method))
 
 
 class TestLockOrder:

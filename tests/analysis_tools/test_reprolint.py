@@ -1,4 +1,4 @@
-"""Self-tests for reprolint: fixtures, baseline mechanics, CLI contract."""
+"""Self-tests for reprolint: fixtures, inline suppressions, CLI contract."""
 
 import json
 import re
@@ -47,7 +47,7 @@ class TestFixtures:
     @pytest.mark.parametrize("rule", RULES)
     def test_bad_fixture_exits_nonzero(self, rule):
         fixture = FIXTURES / f"{rule.lower()}_bad.py"
-        assert reprolint.main([str(fixture), "--no-baseline"]) == 1
+        assert reprolint.main([str(fixture)]) == 1
 
     def test_declared_order_is_clean_outermost_first(self):
         # schema lock -> gate -> path -> WAL-order -> leaf, read from
@@ -71,14 +71,10 @@ class TestFixtures:
 
 
 class TestRealTree:
-    def test_engine_tree_is_clean_under_checked_in_baseline(self):
-        assert reprolint.main([
-            str(REPO_ROOT / "src" / "repro"),
-            "--baseline", str(REPO_ROOT / "reprolint.toml"),
-            "--strict-baseline",
-        ]) == 0
+    def test_engine_tree_is_clean_under_its_inline_ignores(self):
+        assert reprolint.main([str(REPO_ROOT / "src" / "repro")]) == 0
 
-    def test_only_durability_write_ahead_findings_are_baselined(self):
+    def test_only_durability_write_ahead_findings_are_ignored(self):
         # The only findings the analyzer is allowed to raise on the real
         # tree are the deliberate durability exceptions: the WAL append
         # under the DML gate (the one commit path every insert, delete and
@@ -94,16 +90,7 @@ class TestRealTree:
             ("RL005", "Session._commit_dml"),
             ("RL005", "Database.snapshot"),
         }
-
-    def test_checked_in_baseline_entries_are_reasoned(self):
-        entries = reprolint.load_baseline(REPO_ROOT / "reprolint.toml")
-        assert len(entries) == 2
-        by_rule = {}
-        for entry in entries:
-            by_rule.setdefault(entry["rule"], 0)
-            by_rule[entry["rule"]] += 1
-            assert len(entry["reason"]) > 40
-        assert by_rule == {"RL005": 2}
+        assert all(f.suppressed_by == "inline" for f in findings)
 
     def test_acquisition_graph_records_gate_before_wal_order_lock(self):
         # The analyzer is lexical.  The session's one query path
@@ -120,79 +107,55 @@ class TestRealTree:
         assert ("schema._schema_lock", "gate.write_all") in graph
 
 
+def _with_ignore(tmp_path, fixture, marker):
+    """``fixture`` with every ``# expect[...]`` marker replaced by ``marker``."""
+    target = tmp_path / fixture
+    target.write_text(
+        re.sub(r"# expect\[RL\d{3}\]", marker, (FIXTURES / fixture).read_text())
+    )
+    findings, _ = reprolint.analyze_paths([str(target)])
+    return findings
+
+
 class TestSuppression:
-    def test_inline_ignore_silences_one_line(self, tmp_path):
-        source = (FIXTURES / "rl004_bad.py").read_text().replace(
-            "# expect[RL004]", "# reprolint: ignore[RL004]"
+    def test_reasoned_inline_ignore_silences_one_line(self, tmp_path):
+        findings = _with_ignore(
+            tmp_path, "rl004_bad.py",
+            "# reprolint: ignore[RL004] the fixture increments unlocked on purpose",
         )
-        target = tmp_path / "inline.py"
-        target.write_text(source)
-        findings, _ = reprolint.analyze_paths([str(target)])
         active = [f for f in findings if not f.suppressed_by]
         suppressed = [f for f in findings if f.suppressed_by]
         assert active == []
         assert len(suppressed) == 1
 
-    def test_baseline_suppresses_matching_finding(self, tmp_path):
-        baseline = tmp_path / "baseline.toml"
-        baseline.write_text(
-            '[[suppress]]\n'
-            'rule = "RL004"\n'
-            'path = "rl004_bad.py"\n'
-            'reason = "fixture exercises the unlocked increment on purpose"\n'
-        )
-        status = reprolint.main(
-            [str(FIXTURES / "rl004_bad.py"), "--baseline", str(baseline)]
-        )
-        assert status == 0
+    def test_an_ignore_without_a_reason_is_a_finding(self, tmp_path):
+        findings = _with_ignore(tmp_path, "rl004_bad.py", "# reprolint: ignore[RL004]")
+        active = [f for f in findings if not f.suppressed_by]
+        assert [(f.rule, f.message) for f in active] == [
+            ("RL000", "inline ignore[RL004] carries no reason"),
+        ]
 
-    def test_baseline_entry_requires_reason(self, tmp_path):
-        baseline = tmp_path / "noreason.toml"
-        baseline.write_text(
-            '[[suppress]]\nrule = "RL004"\npath = "rl004_bad.py"\nreason = ""\n'
+    def test_an_ignore_that_silences_nothing_is_a_finding(self, tmp_path):
+        findings = _with_ignore(
+            tmp_path, "rl004_bad.py", "# reprolint: ignore[RL001] wrong rule named",
         )
-        status = reprolint.main(
-            [str(FIXTURES / "rl004_bad.py"), "--baseline", str(baseline)]
-        )
-        assert status == 2
+        assert sorted((f.rule, f.suppressed_by) for f in findings) == [
+            ("RL000", ""), ("RL004", ""),
+        ]
+        stale = next(f for f in findings if f.rule == "RL000")
+        assert stale.message == "inline ignore[RL001] silences no finding on its line"
 
-    def test_unused_baseline_entry_is_reported(self, tmp_path, capsys):
-        baseline = tmp_path / "stale.toml"
-        baseline.write_text(
-            '[[suppress]]\n'
-            'rule = "RL001"\n'
-            'path = "no/such/file.py"\n'
-            'reason = "stale entry"\n'
-        )
-        status = reprolint.main(
-            [str(FIXTURES / "rl001_good.py"), "--baseline", str(baseline)]
-        )
-        assert status == 0
-        assert "unused baseline entr" in capsys.readouterr().err
-
-    def test_strict_baseline_fails_on_unused_entries(self, tmp_path, capsys):
-        baseline = tmp_path / "stale.toml"
-        baseline.write_text(
-            '[[suppress]]\n'
-            'rule = "RL001"\n'
-            'path = "no/such/file.py"\n'
-            'reason = "stale entry"\n'
-        )
-        status = reprolint.main(
-            [
-                str(FIXTURES / "rl001_good.py"),
-                "--baseline", str(baseline),
-                "--strict-baseline",
-            ]
-        )
-        assert status == 1
-        assert "error" in capsys.readouterr().err
+    def test_a_quoted_marker_is_not_an_ignore(self, tmp_path):
+        target = tmp_path / "quoted.py"
+        target.write_text('"""Silence with ``# reprolint: ignore[RL005] why``."""\n')
+        findings, _ = reprolint.analyze_paths([str(target)])
+        assert findings == []
 
 
 class TestJsonOutput:
     def test_json_shape_and_exit_code(self, capsys):
         status = reprolint.main(
-            [str(FIXTURES / "rl002_bad.py"), "--no-baseline", "--format=json"]
+            [str(FIXTURES / "rl002_bad.py"), "--format=json"]
         )
         assert status == 1
         payload = json.loads(capsys.readouterr().out)
@@ -207,7 +170,7 @@ class TestJsonOutput:
 
     def test_clean_json_run_exits_zero(self, capsys):
         status = reprolint.main(
-            [str(FIXTURES / "rl002_good.py"), "--no-baseline", "--format=json"]
+            [str(FIXTURES / "rl002_good.py"), "--format=json"]
         )
         assert status == 0
         payload = json.loads(capsys.readouterr().out)

@@ -138,3 +138,40 @@ class TestWitnessRaise:
 
         with pytest.raises(TypeConformanceViolation, match="escaped"):
             boxes(np.array([1.0]))
+
+    def test_writing_a_buffer_outside_mutates_raises(self):
+        enable_type_witness()
+
+        @typed_kernel(buffers={"values": "numeric", "rowids": "int64"},
+                      mutates=("values",))
+        def swap_first_two(values, rowids):
+            values[[0, 1]] = values[[1, 0]]
+            rowids[[0, 1]] = rowids[[1, 0]]
+
+        with pytest.raises(TypeConformanceViolation,
+                           match="wrote buffer 'rowids', which it does not "
+                                 "list in mutates="):
+            swap_first_two(np.array([2.0, 1.0]), np.array([0, 1]))
+
+    def test_writing_an_undeclared_container_element_raises(self):
+        enable_type_witness()
+
+        @typed_kernel(buffers={"values": "numeric", "payload": "numeric*"})
+        def zero_payload(values, payload):
+            payload[1][:] = 0
+            return float(values.sum())
+
+        payload = [np.array([1.0]), np.array([2.0])]
+        with pytest.raises(TypeConformanceViolation, match="'payload'"):
+            zero_payload(np.array([1.0]), payload)
+
+    def test_a_kernel_that_hands_its_input_back_unwritten_passes(self):
+        witness = enable_type_witness()
+
+        @typed_kernel(buffers={"values": "numeric"})
+        def identity(values):
+            return values
+
+        values = np.array([3.0, 1.0])
+        assert identity(values) is values
+        assert witness.violations() == []

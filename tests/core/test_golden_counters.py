@@ -1005,6 +1005,75 @@ def test_a_sequential_sweep_hurts_cracking_not_stochastic_cracking():
     assert moved["stochastic-cracking", "sequential"] < moved["cracking", "sequential"] / 2
 
 
+# -- adaptive repartitioning --------------------------------------------------------
+#
+# One seeded stream over a repartitioning partitioned column: queries, an insert
+# burst into the lowest partition's values (it outgrows ``max_partition_rows``
+# with inserts still pending and is split at a crack boundary), then deletes
+# of every row below 6 000 (the split's two children drain and merge back).
+# Pinned as ``(counters, piece_count, nbytes, pending inserts, pending
+# deletes, splits, merges, partition_count, answer hash)``, so every charge
+# of ``ColumnPartition.split``, ``CrackedColumn.split_at`` and
+# ``CrackedColumn.merged`` shows in the literal.  A merge fires only on a
+# delete, so the stream runs the updatable name.
+
+REPARTITION_INSERTS = 240
+REPARTITION_DRAIN_BELOW = 6_000
+
+
+def run_repartition_stream():
+    values = base_values()
+    strategy = create_strategy(
+        "partitioned-updatable-cracking", values, partitions=4,
+        repartition=True, max_partition_rows=600, policy="ripple",
+        merge_batch=MERGE_BATCH,
+    )
+    visible = dict(enumerate(values.tolist()))
+    rng = np.random.default_rng(SEED + 3)
+    counters = CostCounters()
+    digest = hashlib.sha256()
+
+    def query():
+        width = int(rng.choice([200, 2_000, DOMAIN]))
+        low = int(rng.integers(0, DOMAIN - width + 1))
+        answer = np.sort(strategy.search(low, low + width, counters))
+        expected = sorted(r for r, v in visible.items() if low <= v < low + width)
+        assert answer.tolist() == expected
+        digest.update(answer.astype(np.int64).tobytes())
+
+    for _ in range(20):
+        query()
+    for step in range(REPARTITION_INSERTS):
+        value = int(rng.integers(0, 4_000))
+        visible[strategy.insert(value, counters)] = value
+        if step % 10 == 9:
+            query()
+    drained = sorted(r for r, v in visible.items() if v < REPARTITION_DRAIN_BELOW)
+    for step, rowid in enumerate(drained):
+        strategy.delete(rowid, counters)
+        del visible[rowid]
+        if step % 25 == 24:
+            query()
+    for _ in range(10):
+        query()
+    return (
+        _counter_tuple(counters), strategy.piece_count, strategy.nbytes,
+        strategy.pending_inserts, strategy.pending_deletes,
+        strategy.partition_splits, strategy.partition_merges,
+        strategy.partition_count, digest.hexdigest()[:16],
+    )
+
+
+REPARTITION_GOLDEN = (
+    (115391, 25185, 28616, 9628, 16240, 226), 191, 30640, 0, 0, 1, 1, 4,
+    'a3c5d03d76e19453',
+)
+
+
+def test_a_repartitioning_stream_matches_recorded_literals():
+    assert run_repartition_stream() == REPARTITION_GOLDEN
+
+
 if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_golden_counters.py
     from repro.core import partitioned
     partitioned._POOL_MIN_WORK = 0  # as the ``pooled_fan_out`` fixture does
@@ -1062,3 +1131,4 @@ if __name__ == "__main__":  # re-record: PYTHONPATH=src python tests/core/test_g
         print(f"    {case!r}:")
         print(f"        {run_pattern_stream(*case)!r},")
     print("}")
+    print(f"REPARTITION_GOLDEN = {run_repartition_stream()!r}")

@@ -106,9 +106,9 @@ class TestAllStrategies:
 
 @pytest.mark.parametrize("name", available_strategies())
 def test_the_structure_declares_whether_reads_reorganize(name, small_values):
-    """The access-path protocol gives ``reorganizes_on_read`` no default:
+    """The access-path base class gives ``reorganizes_on_read`` no default:
     the first class of the path's MRO that defines it is the structure's
-    own, never the protocol."""
+    own, never ``SearchStrategy``."""
     path = create_strategy(name, small_values)
     declaring = next((cls for cls in type(path).__mro__
                       if "reorganizes_on_read" in vars(cls)), None)
@@ -276,7 +276,7 @@ class TestTunerStrategies:
         self, name, options, build_query, as_column, small_values
     ):
         strategy = create_strategy(name, small_values, **options)
-        # declared on the class: the protocol gives the flag no default
+        # declared on the class: the base class gives the flag no default
         declaring = [
             cls for cls in type(strategy).__mro__
             if "reorganizes_on_read" in vars(cls)

@@ -2,9 +2,9 @@
 
 The cost model's contract is that physical reorganisation is *paid for* out
 of query work: whenever an access path changes shape, the query that caused
-the change must charge comparisons and/or tuple movements.  The static
-analyzer (reproperf, rule PF003) checks the ``@charges`` declarations
-lexically; the witness checks the *implementation* at runtime by
+the change must charge comparisons and/or tuple movements.  The golden
+counter literals and ``FIGURES.json`` pin exact charges for fixed streams;
+the witness checks the contract on any stream, at runtime, by
 fingerprinting every access path around each query the engine executes.
 
 These tests arm a fresh witness and drive the full registered

@@ -144,53 +144,42 @@ class TestDemoAndDefaults:
 
 
 class TestLintCommand:
-    """``repro lint`` is the one way to run the two static analyzers."""
+    """``repro lint`` runs the one static analyzer, reprolint."""
 
     @pytest.fixture(autouse=True)
     def _from_the_repo_root(self, monkeypatch):
-        # default scopes and the ./<tool>.toml baselines are root-relative
+        # the default scope is root-relative
         monkeypatch.chdir(Path(__file__).resolve().parents[1])
 
-    def test_json_is_one_document_keyed_by_analyzer(self, capsys):
-        assert main(["lint", "--strict-baseline", "--format", "json"]) == 0
+    def test_json_is_reprolints_document(self, capsys):
+        assert main(["lint", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert list(document) == ["reprolint", "reproperf"]
-        for report in document.values():
-            assert report["summary"]["active"] == 0
-            assert report["summary"]["unused_baseline_entries"] == []
-        assert document["reprolint"]["acquisition_graph"]
-        assert document["reproperf"]["migration_worklist"]
-        assert document["reproperf"]["kernel_inventory"]
+        assert set(document) == {"findings", "acquisition_graph", "summary"}
+        assert document["summary"] == {"total": 2, "active": 0, "suppressed": 2}
+        assert {f["suppressed_by"] for f in document["findings"]} == {"inline"}
 
-    def test_without_the_baselines_the_accepted_findings_fail_the_run(self, capsys):
-        assert main(["lint", "--no-baseline", "--format", "json"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert all(report["summary"]["active"] > 0 for report in document.values())
-
-    def test_text_output_summarises_every_analyzer(self, capsys):
+    def test_text_output_summarises_the_run(self, capsys):
         assert main(["lint"]) == 0
-        summaries = capsys.readouterr().err
-        for tool in ("reprolint", "reproperf"):
-            assert f"{tool}: 0 finding(s)" in summaries
+        assert "reprolint: 0 finding(s) (2 suppressed" in capsys.readouterr().err
 
-    def test_explicit_paths_reach_all_three(self, capsys):
+    def test_explicit_paths_are_analyzed(self, capsys):
         fixtures = "tests/analysis_tools/fixtures"
         status = main([
-            "lint", f"{fixtures}/rl004_bad.py", f"{fixtures}/pf004_bad.py",
-            f"{fixtures}/tb001_bad.py", "--no-baseline", "--format", "json",
+            "lint", f"{fixtures}/rl004_bad.py", f"{fixtures}/rl005_bad.py",
+            "--format", "json",
         ])
         assert status == 1
         document = json.loads(capsys.readouterr().out)
-        assert {
-            tool: {finding["rule"][:2] for finding in report["findings"]}
-            for tool, report in document.items()
-        } == {"reprolint": {"RL"}, "reproperf": {"PF", "TB"}}
+        assert {f["rule"] for f in document["findings"]} == {"RL004", "RL005"}
 
     def test_a_missing_path_is_a_usage_error(self, capsys):
         assert main(["lint", "no/such/dir"]) == 2
         assert "reprolint: not a python file or directory" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--style", "--perf", "--types"])
+    @pytest.mark.parametrize(
+        "flag", ["--style", "--perf", "--types", "--baseline", "--no-baseline",
+                 "--strict-baseline"],
+    )
     def test_the_per_analyzer_switches_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["lint", flag])
