@@ -117,33 +117,68 @@ def _with_ignore(tmp_path, fixture, marker):
     return findings
 
 
+def _active(findings):
+    return sorted((f.rule, f.message) for f in findings if not f.suppressed_by)
+
+
 class TestSuppression:
-    def test_reasoned_inline_ignore_silences_one_line(self, tmp_path):
+    @pytest.mark.parametrize("rule", RULES)
+    def test_reasoned_inline_ignore_silences_every_flagged_line(self, rule, tmp_path):
+        fixture = f"{rule.lower()}_bad.py"
         findings = _with_ignore(
-            tmp_path, "rl004_bad.py",
-            "# reprolint: ignore[RL004] the fixture increments unlocked on purpose",
+            tmp_path, fixture,
+            f"# reprolint: ignore[{rule}] the fixture breaks the rule on purpose",
         )
-        active = [f for f in findings if not f.suppressed_by]
-        suppressed = [f for f in findings if f.suppressed_by]
-        assert active == []
-        assert len(suppressed) == 1
+        assert _active(findings) == []
+        assert sorted(f.line for f in findings) == sorted(
+            line for _rule, line in expected_findings(FIXTURES / fixture)
+        )
 
-    def test_an_ignore_without_a_reason_is_a_finding(self, tmp_path):
-        findings = _with_ignore(tmp_path, "rl004_bad.py", "# reprolint: ignore[RL004]")
-        active = [f for f in findings if not f.suppressed_by]
-        assert [(f.rule, f.message) for f in active] == [
-            ("RL000", "inline ignore[RL004] carries no reason"),
-        ]
+    @pytest.mark.parametrize("rule", RULES)
+    def test_an_ignore_without_a_reason_is_a_finding(self, rule, tmp_path):
+        fixture = f"{rule.lower()}_bad.py"
+        findings = _with_ignore(tmp_path, fixture, f"# reprolint: ignore[{rule}]")
+        flagged = len(expected_findings(FIXTURES / fixture))
+        assert _active(findings) == [
+            ("RL000", f"inline ignore[{rule}] carries no reason"),
+        ] * flagged
 
-    def test_an_ignore_that_silences_nothing_is_a_finding(self, tmp_path):
+    @pytest.mark.parametrize("rule", RULES)
+    def test_an_ignore_that_silences_nothing_is_a_finding(self, rule, tmp_path):
+        other = "RL005" if rule == "RL001" else "RL001"
+        fixture = f"{rule.lower()}_bad.py"
         findings = _with_ignore(
-            tmp_path, "rl004_bad.py", "# reprolint: ignore[RL001] wrong rule named",
+            tmp_path, fixture, f"# reprolint: ignore[{other}] wrong rule named",
         )
-        assert sorted((f.rule, f.suppressed_by) for f in findings) == [
-            ("RL000", ""), ("RL004", ""),
-        ]
-        stale = next(f for f in findings if f.rule == "RL000")
-        assert stale.message == "inline ignore[RL001] silences no finding on its line"
+        flagged = len(expected_findings(FIXTURES / fixture))
+        assert _active(findings) == sorted(
+            [("RL000", f"inline ignore[{other}] silences no finding on its line")]
+            * flagged
+            + [(f.rule, f.message) for f in findings if f.rule == rule]
+        )
+        assert sum(f.rule == rule for f in findings) == flagged
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_a_rule_list_ignore_silences_the_rule_it_names(self, rule, tmp_path):
+        other = "RL005" if rule == "RL001" else "RL001"
+        findings = _with_ignore(
+            tmp_path, f"{rule.lower()}_bad.py",
+            f"# reprolint: ignore[{other}, {rule}] listed with another rule",
+        )
+        assert _active(findings) == []
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_an_ignore_naming_no_rule_silences_nothing(self, rule, tmp_path):
+        fixture = f"{rule.lower()}_bad.py"
+        findings = _with_ignore(
+            tmp_path, fixture, "# reprolint: ignore every rule on this line",
+        )
+        active = _active(findings)
+        flagged = len(expected_findings(FIXTURES / fixture))
+        assert sum(r == rule for r, _message in active) == flagged
+        assert active.count(
+            ("RL000", "inline ignore[] silences no finding on its line")
+        ) == flagged
 
     def test_a_quoted_marker_is_not_an_ignore(self, tmp_path):
         target = tmp_path / "quoted.py"
