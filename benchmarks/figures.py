@@ -1,6 +1,6 @@
 """The tutorial's figure set: one declared table, one runner, one gate file.
 
-Every experiment of the reproduction (e01–e17 and e20) is one row of
+Every experiment of the reproduction (e01–e16 and e20) is one row of
 :data:`EXPERIMENTS`: the figure or claim it reproduces, the column it runs
 on, the named workload pattern(s) it replays, the strategy variants it
 compares (``label -> (registry name, options)``), the surface it drives (a
@@ -354,16 +354,6 @@ def hot_cold_pieces(strategy) -> Dict[str, float]:
     }
 
 
-def partition_skew(column) -> Dict[str, float]:
-    sizes = [len(partition) for partition in column.partitions]
-    return {
-        "max_rows": max(sizes),
-        "mean_rows": sum(sizes) / len(sizes),
-        "partitions": column.partition_count,
-        **stats_snapshot(column, "partition_splits", "partition_merges"),
-    }
-
-
 def index_like_from(cell: Cell, threshold: float, window: int = 10) -> int:
     """First query from which ``window`` queries average below ``threshold``
     (the number of queries when that never happens)."""
@@ -397,8 +387,6 @@ BUDGETS = {"unlimited": None, "100%": 1.0, "50%": 0.5, "25%": 0.25, "5%": 0.05}
 SHIFT = 150
 #: e16: the gradual policy's merge budget
 MERGE_BATCH = 16
-#: e17: a partition splits beyond this multiple of the mean load
-SPLIT = 2.0
 #: e20: journal records of the set-up (create_table, set_indexing), writes in
 #: the stream, and the group-commit size of ``sync="batch"``
 SETUP_RECORDS, WRITES, GROUP_COMMIT = 2, 300, 32
@@ -838,43 +826,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                 cell.tail < r.scan_cost / 5 for cell in r.cells["mixed"].values()),
             "parallel_fan_out_does_identical_logical_work": lambda r: same_work(
                 r("partitioned-8-parallel"), r("partitioned-8")),
-        },
-    ),
-    Experiment(
-        id="e17",
-        title="adaptive repartitioning under a skewed insert stream",
-        source="The paper's workload-driven reorganisation applied at the "
-               "partition layer (this reproduction)",
-        rows=30_000, queries=200, gate=(3_000, 30),
-        data=("uniform", 17), pool_min_work=0,
-        # twice the column arrives as inserts into the bottom tenth of the domain
-        panels={"skewed-inserts": W(
-            "mixed-updates", 0.01, seed=18, insert_fraction=1.0, hot_fraction=0.1,
-            updates_per_query=lambda rows, queries: 2 * rows / queries)},
-        variants={
-            "unpartitioned": ("updatable-cracking", {}),
-            **{label: ("partitioned-updatable-cracking", {"partitions": 4, **options})
-               for label, options in {
-                   "fixed": {},
-                   "adaptive": {"repartition": True, "split_threshold": SPLIT},
-                   "adaptive-parallel": {"repartition": True, "split_threshold": SPLIT,
-                                         "parallel": True},
-                   "adaptive-gradual": {"repartition": True, "split_threshold": SPLIT,
-                                        "policy": "gradual"},
-               }.items()},
-        },
-        probes={"partitioned-updatable-cracking": partition_skew},
-        expect={
-            "every_variant_returns_the_unpartitioned_rowid_sets": lambda r: (
-                same_answers(r, "unpartitioned")),
-            "fixed_partitions_bloat_under_the_skew": lambda r: (
-                r("fixed").max_rows > SPLIT * r("fixed").mean_rows),
-            "adaptive_repartitioning_bounds_the_skew": lambda r: all(
-                r(label).max_rows <= SPLIT * r(label).mean_rows + 1
-                and r(label).partition_splits > 0
-                for label in ("adaptive", "adaptive-parallel", "adaptive-gradual")),
-            "parallel_fan_out_does_identical_logical_work": lambda r: same_work(
-                r("adaptive-parallel"), r("adaptive")),
         },
     ),
     Experiment(

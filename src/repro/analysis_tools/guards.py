@@ -17,8 +17,8 @@ comments; this module makes it a structured declaration that is
 Usage::
 
     @guarded_by(
+        _pool="_pool_lock",
         queries_processed="_stats_lock",
-        partition_splits="_stats_lock",
     )
     class PartitionedCrackedColumn:
         ...

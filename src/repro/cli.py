@@ -31,17 +31,6 @@ Durability: ``updates`` accepts ``--data-dir`` (journal every
 DML to a write-ahead log under that directory) and ``--sync`` (the fsync
 policy: ``always``, ``batch`` group commit, or ``off``).  A directory
 written by one run is reopened with ``repro recover``.
-
-Adaptive repartitioning: the partitioned strategies accept
-``--repartition`` (plus ``--max-partition-rows`` / ``--split-threshold``)
-so a skewed insert or query stream cannot bloat one partition; the
-``updates`` subcommand reports per-strategy split/merge counts and the
-resulting partition row skew.  For example::
-
-    python -m repro updates --strategy partitioned-updatable-cracking \
-        --partitions 4 --repartition --updates-per-query 4
-    python -m repro compare --strategies cracking,partitioned-cracking \
-        --partitions 8 --parallel --repartition
 """
 
 from __future__ import annotations
@@ -71,18 +60,10 @@ from repro.workloads.reporting import (
 
 _EXAMPLES = """examples:
   repro compare --strategies cracking,partitioned-cracking --partitions 8 --parallel
-  repro compare --strategies partitioned-cracking --repartition --pattern skewed
-  repro updates --strategy partitioned-updatable-cracking --repartition \\
-      --max-partition-rows 50000 --updates-per-query 4
   repro updates --strategy cracking --data-dir ./state --sync batch
   repro recover --data-dir ./state         # replay the journal, report counts
   repro snapshot --data-dir ./state        # compact the journal into a snapshot
   repro lint --format json                 # the static analyzer, as CI runs it
-
-Adaptive repartitioning (--repartition) lets the partitioned strategies
-split hot partitions at crack boundaries (and merge cold siblings) so a
-skewed insert or query stream cannot bloat one partition; answers stay
-bit-identical to the unpartitioned strategies.
 
 --parallel lets a partitioned column hand sub-selections to a thread pool.
 The column decides per query: only a crack about to move 32k elements or more
@@ -137,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--merge-batch", type=int, default=16,
         help="gradual-policy merge budget for the updatable strategies",
     )
-    _add_repartition_arguments(compare)
     compare.add_argument(
         "--format", default="text", choices=["text", "markdown", "csv"],
         help="output format for the summary table",
@@ -182,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--parallel", action="store_true",
         help="fan partitioned sub-selections out over a worker pool",
     )
-    _add_repartition_arguments(updates)
     _add_durability_arguments(updates)
     updates.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -223,24 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_repartition_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Adaptive-repartitioning knobs shared by the partitioned strategies."""
-    subparser.add_argument(
-        "--repartition", action="store_true",
-        help="adaptively split hot partitions (and merge cold siblings) "
-             "in the partitioned strategies",
-    )
-    subparser.add_argument(
-        "--max-partition-rows", type=int, default=None, metavar="ROWS",
-        help="hard per-partition row cap enforced by adaptive repartitioning",
-    )
-    subparser.add_argument(
-        "--split-threshold", type=float, default=2.0, metavar="FACTOR",
-        help="split a partition once it exceeds FACTOR times the mean "
-             "partition load (> 1.0, default 2.0)",
-    )
-
-
 def _add_durability_arguments(subparser: argparse.ArgumentParser) -> None:
     """Write-ahead-journal knobs of the DML-driving ``updates`` subcommand."""
     subparser.add_argument(
@@ -256,27 +217,12 @@ def _add_durability_arguments(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _repartition_options(args: argparse.Namespace) -> dict:
-    """Strategy options derived from the repartitioning flags."""
-    options = {
-        "repartition": args.repartition,
-        "split_threshold": args.split_threshold,
-    }
-    if args.max_partition_rows is not None:
-        options["max_partition_rows"] = args.max_partition_rows
-    return options
-
-
 def _partition_flags_error(args: argparse.Namespace) -> Optional[str]:
     """Validation message for the shared partition/update flags, or None."""
     if args.partitions < 1:
         return "--partitions must be >= 1"
     if args.merge_batch < 1:
         return "--merge-batch must be >= 1"
-    if args.split_threshold <= 1.0:
-        return "--split-threshold must be > 1.0"
-    if args.max_partition_rows is not None and args.max_partition_rows < 1:
-        return "--max-partition-rows must be >= 1"
     return None
 
 
@@ -310,12 +256,10 @@ def _command_compare(args: argparse.Namespace) -> int:
     )
     queries = make_workload(args.pattern, spec)
     harness = AdaptiveIndexingBenchmark(values, queries)
-    repartition_options = _repartition_options(args)
     options = {
         "partitioned-cracking": {
             "partitions": args.partitions,
             "parallel": args.parallel,
-            **repartition_options,
         },
         "updatable-cracking": {
             "policy": args.policy,
@@ -326,7 +270,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             "parallel": args.parallel,
             "policy": args.policy,
             "merge_batch": args.merge_batch,
-            **repartition_options,
         },
     }
     result = harness.run(
@@ -412,11 +355,7 @@ def _command_updates(args: argparse.Namespace) -> int:
         if args.strategy in ("updatable-cracking", "partitioned-updatable-cracking"):
             options.update(policy=args.policy, merge_batch=args.merge_batch)
         if args.strategy in ("partitioned-cracking", "partitioned-updatable-cracking"):
-            options.update(
-                partitions=args.partitions,
-                parallel=args.parallel,
-            )
-            options.update(_repartition_options(args))
+            options.update(partitions=args.partitions, parallel=args.parallel)
         database.set_indexing("data", "key", args.strategy, **options)
 
     spec = WorkloadSpec(
@@ -456,13 +395,6 @@ def _command_updates(args: argparse.Namespace) -> int:
     print(f"query wall-clock  : {statistics.total_seconds * 1e3:.1f} ms total")
     for record in database.physical_design_report():
         print(f"physical design   : {record['mode']} — {record['structure']}")
-    for record in database.rebalance_stats():
-        print(
-            f"repartitioning    : {record['partitions']} partitions, "
-            f"{record['splits']} splits, {record['merges']} merges, "
-            f"max/mean rows = {record['skew']:.2f} "
-            f"(repartition {'on' if record['repartition'] else 'off'})"
-        )
     _report_durability(database, args)
     database.close()
     return 0

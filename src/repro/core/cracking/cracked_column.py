@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -151,11 +151,6 @@ class CrackedColumn(SearchStrategy):
         self._base = base
         # number of *merged* rows: the live length of the cracker column
         self._length = len(base)
-        # None = base rows are the contiguous identifier range
-        # [rowid_base, rowid_base + len(base)); a repartitioning split
-        # scatters a fragment's base rows, so fragments carry them as an
-        # explicit set instead (see :meth:`_from_parts`)
-        self._original_rowids: Optional[set] = None
         self._next_rowid = self.rowid_base + len(base)
         # the cracker column and its row identifiers (None until
         # materialised): ``values``/``rowids`` are the live region,
@@ -232,8 +227,7 @@ class CrackedColumn(SearchStrategy):
 
         Every queued delete targets a merged row (deleting a still-pending
         insert cancels it instead), so the pending-delete count is exactly
-        the number of merged-but-deleted rows — O(1), which matters because
-        adaptive repartitioning polls partition sizes on every update.
+        the number of merged-but-deleted rows — O(1).
         """
         return (self._length + len(self._pending_insert_values)
                 - len(self._delete_queue_rowids))
@@ -248,8 +242,7 @@ class CrackedColumn(SearchStrategy):
 
     @property
     def _pending_delete_rowids(self) -> Dict[int, float]:
-        """The queued deletes as rowid -> value, in arrival order (what a
-        split or a merge routes to the fragments; inspection)."""
+        """The queued deletes as rowid -> value, in arrival order (inspection)."""
         return dict(zip(self._delete_queue_rowids, self._delete_queue_values))
 
     @property
@@ -388,8 +381,6 @@ class CrackedColumn(SearchStrategy):
 
     def _is_original(self, rowid: int) -> bool:
         """True when ``rowid`` identifies a row of the base column."""
-        if self._original_rowids is not None:
-            return rowid in self._original_rowids
         return self.rowid_base <= rowid < self.rowid_base + len(self._base)
 
     def knows_rowid(self, rowid: int) -> bool:
@@ -403,16 +394,10 @@ class CrackedColumn(SearchStrategy):
 
     def _merged_value(self, rowid: int) -> float:
         """Value of a live base row: it can move around the cracker column
-        but never changes, so it is read from the base — except in a
-        fragment, whose base is empty and which looks the row up instead."""
-        if self._original_rowids is None:
-            if rowid in self._removed_base_rowids:
-                raise KeyError(f"unknown row identifier {rowid}")
-            return self._base.item(rowid - self.rowid_base)
-        positions = np.flatnonzero(self.rowids == rowid)
-        if len(positions) == 0:
+        but never changes, so it is read from the base."""
+        if rowid in self._removed_base_rowids:
             raise KeyError(f"unknown row identifier {rowid}")
-        return self.values[positions[0]].item()
+        return self._base.item(rowid - self.rowid_base)
 
     def value_of(self, rowid: int) -> float:
         """Current value of a visible row (base or inserted)."""
@@ -492,176 +477,6 @@ class CrackedColumn(SearchStrategy):
         self.check_insertable(new_value)
         self.delete(rowid, counters)
         return self.insert(new_value, counters)
-
-    # -- repartitioning support -----------------------------------------------------
-
-    @classmethod
-    def _from_parts(
-        cls,
-        values: np.ndarray,
-        rowids: np.ndarray,
-        original_rowids: Iterable[int],
-        index: CrackerIndex,
-        *,
-        policy: str,
-        merge_batch: int,
-        next_rowid: int,
-        pending_inserts: Sequence[Tuple[float, int]],
-        pending_deletes: Dict[int, float],
-        inserted_values: Dict[int, float],
-        merges_performed: int = 0,
-        name: str = "",
-    ) -> "CrackedColumn":
-        """Build a column fragment from pre-cracked state (split/merge helper).
-
-        ``values``/``rowids`` are the merged cracker arrays (globally
-        numbered), ``original_rowids`` the subset of rowids that identify
-        base rows, and ``index`` must describe exactly ``len(values)``
-        elements.  A fragment is materialised from birth and its own base
-        is empty: its base rows are an arbitrary subset of its ancestors'.
-        """
-        if len(values) != len(rowids) or index.size != len(values):
-            raise ValueError("fragment arrays and index sizes must agree")
-        fragment = cls(values[:0], name=name, policy=policy, merge_batch=merge_batch)
-        fragment._original_rowids = set(int(r) for r in original_rowids)
-        fragment._next_rowid = int(next_rowid)
-        fragment.index = index
-        fragment._set_arrays(values, rowids, len(values))
-        fragment._pending_insert_values.extend(v for v, _ in pending_inserts)
-        fragment._pending_insert_rowids.extend(r for _, r in pending_inserts)
-        fragment._pending_insert_rowid_set = set(fragment._pending_insert_rowids)
-        fragment._pending_delete_rowid_set = set(pending_deletes)
-        fragment._delete_queue_rowids.extend(pending_deletes)
-        fragment._delete_queue_values.extend(pending_deletes.values())
-        fragment._inserted_values = dict(inserted_values)
-        fragment.merges_performed = int(merges_performed)
-        return fragment
-
-    def _original_rowid_subset(self, rowids: np.ndarray) -> set:
-        """The base-row identifiers among ``rowids``."""
-        if self._original_rowids is not None:
-            return self._original_rowids.intersection(rowids.tolist())
-        mask = (rowids >= self.rowid_base) & (
-            rowids < self.rowid_base + len(self._base)
-        )
-        return set(rowids[mask].tolist())
-
-    def split_at(
-        self, pivot: float, counters: Optional[CostCounters] = None
-    ) -> Tuple["CrackedColumn", "CrackedColumn"]:
-        """Split into two independent columns around ``pivot``.
-
-        The merged region is cracked at ``pivot`` (values below it on the
-        left), the cracker index is cut at the resulting boundary, and every
-        pending insert/delete is routed to the side its value belongs to —
-        so the union of the two fragments is indistinguishable from the
-        parent: same visible rows, same rowids, same refinement.  The parent
-        must not be used afterwards.
-        """
-        length = self._length
-        mid = self.crack_at(pivot, counters)
-        left_index, right_index = self.index.split_at_boundary(pivot)
-        left_values = self.values[:mid].copy()
-        left_rowids = self.rowids[:mid].copy()
-        right_values = self.values[mid:].copy()
-        right_rowids = self.rowids[mid:].copy()
-        if counters is not None:
-            # carving the two fragments out touches every merged element
-            counters.record_move(length)
-            counters.record_allocation(
-                left_values.nbytes + left_rowids.nbytes
-                + right_values.nbytes + right_rowids.nbytes
-            )
-            pending_total = (
-                len(self._pending_insert_values) + len(self._delete_queue_rowids)
-            )
-            if pending_total:
-                counters.record_comparisons(pending_total)
-        # pending updates and live inserted rows are routed by value, which
-        # matches the crack: merged rows with value < pivot sit on the left
-        left_pending_inserts, right_pending_inserts = [], []
-        for value, rowid in zip(self._pending_insert_values,
-                                self._pending_insert_rowids):
-            side = left_pending_inserts if value < pivot else right_pending_inserts
-            # routing a pending entry re-queues it, it does not touch the
-            # cracker arrays (the record_move(length) above covers the carve)
-            side.append((value, rowid))
-        pending_deletes = self._pending_delete_rowids
-        left_pending_deletes = {
-            r: v for r, v in pending_deletes.items() if v < pivot
-        }
-        right_pending_deletes = {
-            r: v for r, v in pending_deletes.items() if v >= pivot
-        }
-        left_inserted = {
-            r: v for r, v in self._inserted_values.items() if v < pivot
-        }
-        right_inserted = {
-            r: v for r, v in self._inserted_values.items() if v >= pivot
-        }
-        common = dict(
-            policy=self.policy, merge_batch=self.merge_batch,
-            next_rowid=self._next_rowid,
-        )
-        left = CrackedColumn._from_parts(
-            left_values, left_rowids, self._original_rowid_subset(left_rowids),
-            left_index, pending_inserts=left_pending_inserts,
-            pending_deletes=left_pending_deletes, inserted_values=left_inserted,
-            merges_performed=self.merges_performed,
-            name=f"{self.name}<{pivot}" if self.name else "", **common,
-        )
-        right = CrackedColumn._from_parts(
-            right_values, right_rowids, self._original_rowid_subset(right_rowids),
-            right_index, pending_inserts=right_pending_inserts,
-            pending_deletes=right_pending_deletes, inserted_values=right_inserted,
-            name=f"{self.name}>={pivot}" if self.name else "", **common,
-        )
-        return left, right
-
-    @classmethod
-    def merged(
-        cls,
-        left: "CrackedColumn",
-        right: "CrackedColumn",
-        pivot: float,
-        counters: Optional[CostCounters] = None,
-    ) -> "CrackedColumn":
-        """Concatenate two *value-disjoint* columns back into one.
-
-        Every value of ``left`` (merged or pending) must be strictly below
-        ``pivot`` and every value of ``right`` at or above it; the merged
-        column keeps one boundary at ``pivot`` (the per-side refinement is
-        deliberately dropped — merges target cold partitions, whose
-        refinement is no longer paying for itself).
-        """
-        left._materialise(counters)
-        right._materialise(counters)
-        values = np.concatenate([left.values, right.values])
-        rowids = np.concatenate([left.rowids, right.rowids])
-        index = CrackerIndex(len(values))
-        if len(left.values) and len(right.values):
-            index.add_boundary(pivot, len(left.values))
-        if counters is not None:
-            counters.record_move(len(values))
-            counters.record_allocation(values.nbytes + rowids.nbytes)
-        original = left._original_rowid_subset(left.rowids)
-        original |= right._original_rowid_subset(right.rowids)
-        pending_inserts = list(
-            zip(left._pending_insert_values, left._pending_insert_rowids)
-        ) + list(zip(right._pending_insert_values, right._pending_insert_rowids))
-        pending_deletes = left._pending_delete_rowids
-        pending_deletes.update(right._pending_delete_rowids)
-        inserted = dict(left._inserted_values)
-        inserted.update(right._inserted_values)
-        return cls._from_parts(
-            values, rowids, original, index,
-            policy=left.policy, merge_batch=left.merge_batch,
-            next_rowid=max(left._next_rowid, right._next_rowid),
-            pending_inserts=pending_inserts, pending_deletes=pending_deletes,
-            inserted_values=inserted,
-            merges_performed=left.merges_performed + right.merges_performed,
-            name=left.name or right.name,
-        )
 
     # -- ripple merges --------------------------------------------------------------
 
@@ -838,10 +653,8 @@ class CrackedColumn(SearchStrategy):
                 # a merged delete of an inserted row removes the row for
                 # good: forget its value so the rowid becomes unknown (and
                 # the bookkeeping doesn't grow with every insert ever made);
-                # a base row is remembered as gone instead (a fragment
-                # finds out by looking: see :meth:`_merged_value`)
-                if (self._inserted_values.pop(rowid, None) is None
-                        and self._original_rowids is None):
+                # a base row is remembered as gone instead
+                if self._inserted_values.pop(rowid, None) is None:
                     self._removed_base_rowids.add(rowid)
                 merged_deletes.append(item)
             self.merges_performed += 1
@@ -1027,11 +840,8 @@ class CrackedColumn(SearchStrategy):
         pivot: float,
         counters: Optional[CostCounters] = None,
     ) -> int:
-        """Introduce a boundary at ``pivot`` without answering a query.
-
-        Used by repartitioning splits, and by tests that need a particular
-        piece layout.
-        """
+        """Introduce a boundary at ``pivot`` without answering a query
+        (tests that need a particular piece layout)."""
         if not self.materialised:
             self._materialise(counters)
         return crack_value(self.values, self.rowids, self.index, pivot, counters)
@@ -1067,19 +877,18 @@ class CrackedColumn(SearchStrategy):
         assert len(np.unique(self.rowids)) == self._length, (
             "rowids contain duplicates"
         )
-        if self._original_rowids is None:
-            # every base row still merged holds its base value ...
-            original = (self.rowids >= self.rowid_base) & (
-                self.rowids < self.rowid_base + len(self._base)
-            )
-            assert np.array_equal(
-                self.values[original],
-                self._base[self.rowids[original] - self.rowid_base],
-            ), "cracker column misaligned with the base column"
-            if not self.merges_performed:
-                # ... and until an update is merged the cracker column is a
-                # permutation of the base: same values, every rowid once
-                assert original.all() and self._length == len(self._base)
+        # every base row still merged holds its base value ...
+        original = (self.rowids >= self.rowid_base) & (
+            self.rowids < self.rowid_base + len(self._base)
+        )
+        assert np.array_equal(
+            self.values[original],
+            self._base[self.rowids[original] - self.rowid_base],
+        ), "cracker column misaligned with the base column"
+        if not self.merges_performed:
+            # ... and until an update is merged the cracker column is a
+            # permutation of the base: same values, every rowid once
+            assert original.all() and self._length == len(self._base)
         # every merged inserted row holds the value it was inserted with
         for position in np.flatnonzero(
             np.isin(self.rowids, np.fromiter(self._inserted_values.keys(),

@@ -311,29 +311,6 @@ class CrackerIndex:
         if out_of_range:
             raise ValueError("shift produced out-of-range boundaries")
 
-    def split_at_boundary(self, value: float) -> Tuple["CrackerIndex", "CrackerIndex"]:
-        """Split the index at the existing boundary for ``value``.
-
-        Returns two independent indexes: the left one describes positions
-        ``[0, position)`` (every boundary strictly below ``value``), the
-        right one positions ``[position, size)`` re-based at zero (every
-        boundary strictly above ``value``), so no refinement learned by
-        earlier cracks is lost.  Used by adaptive repartitioning to split a partition at a crack
-        boundary without re-reading the data.
-        """
-        position = self.position_of(value)
-        if position is None:
-            raise ValueError(f"no boundary for value {value!r} to split at")
-        index = bisect.bisect_left(self._values, value)
-        left = CrackerIndex(position)
-        left._values = self._values[:index]
-        left._positions = self._positions[:index]
-        right = CrackerIndex(self.size)
-        right._values = self._values[index + 1 :]
-        right._positions = self._positions[index + 1 :]
-        right._shift_from(0, -position)
-        return left, right
-
     def drop_boundaries_in_position_range(self, start: int, end: int) -> None:
         """Remove boundaries whose position lies in ``(start, end)`` exclusive.
 

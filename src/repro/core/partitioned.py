@@ -54,43 +54,14 @@ bounds (best fit) — and the partition bounds are widened whenever an insert
 lands outside them, so bounds pruning never hides a pending update.  Row
 identifiers are assigned globally (base rows keep their base position,
 inserted rows receive fresh identifiers starting at the base length).
-
-Adaptive repartitioning
------------------------
-
-With ``repartition=True`` the column monitors per-partition load and
-reorganises the partitioning itself, in the same adaptive philosophy as
-cracking: physical reorganisation happens only where, and when, the
-workload proves it worthwhile.  One policy decides which partition to
-split, checked in this order:
-
-* **row cap** — a partition holding more than ``max_partition_rows``
-  visible rows (merged plus pending);
-* **row skew** — with more than one partition, a partition holding more
-  than ``split_threshold`` times the mean partition size, so a skewed
-  insert stream cannot bloat one partition and degenerate the parallel
-  fan-out to a single worker;
-* **visit skew** — a partition absorbing more than ``split_threshold``
-  times the mean visits (a zoom-in query stream), rebalancing future crack
-  work.
-
-The chosen partition is split at a crack boundary near its middle (or at
-the median value when no useful boundary exists).  Conversely, partitions
-drained by deletes are merged back into a value-adjacent sibling once their
-combined size drops below the mean.
-
-Splits cut the cracker arrays at an existing crack boundary, route pending
-updates by value, and keep global rowids untouched, so answers stay
-bit-identical to the unpartitioned column — repartitioning changes load
-spread, never results.  Split and merge counts are exposed as
-:attr:`partition_splits` / :attr:`partition_merges`.
+The partitions are the ones :func:`partition_bounds` cuts, for the
+column's whole life.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from bisect import bisect_left
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
 from itertools import starmap
@@ -107,7 +78,7 @@ from repro.core.cracking.crack_engine import (
 )
 from repro.core.access_path import SearchStrategy
 from repro.core.cracking.cracked_column import CrackedColumn, describe_pending
-from repro.core.cracking.cracker_index import CrackerIndex, Piece
+from repro.core.cracking.cracker_index import Piece
 from repro.cost.counters import CostCounters
 
 __all__ = [
@@ -116,12 +87,6 @@ __all__ = [
     "PartitionedUpdatableCrackedColumn",
     "partition_bounds",
 ]
-
-#: a partition must have been visited this often before query-skew splits it
-_MIN_SPLIT_VISITS = 8
-
-#: safety bound on splits performed per trigger check
-_MAX_SPLITS_PER_CHECK = 8
 
 #: a sub-selection is handed to the thread pool only when its crack is about
 #: to move at least this many elements.  Not an option: set from this sweep
@@ -190,41 +155,6 @@ def _content_bounds(
     return min(lows), max(highs)
 
 
-def _choose_split_pivot(
-    values: np.ndarray, index: CrackerIndex, pending: Sequence[float] = ()
-) -> Optional[float]:
-    """A pivot that splits a partition into two non-empty halves, or None.
-
-    ``values`` is the merged region, ``pending`` the queued insert values:
-    they follow their value's side of the split, so both count toward the
-    halves — a partition whose load is pending inserts has to be splittable.
-    Prefers the existing crack boundary closest to the middle (free: no
-    data movement beyond the cut), falling back to a key of the column's
-    type near the median when no boundary separates anything yet.  Returns
-    None when every element is equal (nothing can split the partition).
-    """
-    queued = sorted(pending)
-    total = len(values) + len(queued)
-    if total < 2:
-        return None
-    best = None  # (distance from the middle, boundary value)
-    for value, position in zip(index.boundary_values, index.boundary_positions):
-        below = position + bisect_left(queued, value)  # queued < value
-        if 0 < below < total:
-            candidate = (abs(below - total / 2), value)
-            best = candidate if best is None else min(best, candidate)
-    if best is not None:
-        return best[1]
-    values = np.concatenate([values, np.asarray(queued, dtype=values.dtype)])
-    above = values[values > values.min()]
-    if not len(above):
-        return None
-    # the upper middle key splits as the median does (no key lies between
-    # the two middle ones), unless it is the minimum
-    pivot = np.partition(values, len(values) // 2)[len(values) // 2]
-    return max(pivot, above.min()).item()
-
-
 class ColumnPartition:
     """One contiguous shard of a partitioned cracked column.
 
@@ -237,35 +167,21 @@ class ColumnPartition:
     the partition.  Bounds are never narrowed — deleting the extreme value
     leaves them stale-wide, which only costs a spurious visit, never a
     missed row.
-
-    After an adaptive-repartitioning split (or merge) a partition becomes a
-    *fragment*: it owns an arbitrary value-contiguous subset of its parent's
-    rows (the underlying column carries its base rowids as an explicit set),
-    with exact value bounds set at split time; ``start``/``end`` keep naming
-    the parent's row range.  It behaves identically otherwise.
     """
 
     __slots__ = ("start", "end", "cracked", "min_value", "max_value",
-                 "_bounds_known", "_extra_min", "_extra_max", "visits")
+                 "_bounds_known", "_extra_min", "_extra_max")
 
-    def __init__(
-        self,
-        start: int,
-        end: int,
-        cracked: CrackedColumn,
-        bounds: Optional[Tuple[Optional[float], Optional[float]]] = None,
-    ) -> None:
-        """``cracked`` holds rows of ``base[start:end]``; ``bounds`` are its
-        exact value bounds when the caller knows them (fragments), else they
-        are learned from the column's base slice on the first visit."""
+    def __init__(self, start: int, end: int, cracked: CrackedColumn) -> None:
+        """``cracked`` holds the rows of ``base[start:end]``."""
         self.start = int(start)
         self.end = int(end)
         self.cracked = cracked
-        self._bounds_known = bounds is not None
-        self.min_value, self.max_value = bounds or (None, None)
+        self._bounds_known = False
+        self.min_value: Optional[float] = None
+        self.max_value: Optional[float] = None
         self._extra_min: Optional[float] = None
         self._extra_max: Optional[float] = None
-        self.visits = 0
 
     def __len__(self) -> int:
         """Number of currently visible rows in this partition."""
@@ -317,66 +233,9 @@ class ColumnPartition:
             self._extra_max = value
         return rowid
 
-    def load(self) -> dict:
-        """Per-partition load summary (rows, visits, pending depth, pieces)."""
-        return {
-            "rows": len(self),
-            "visits": self.visits,
-            "pending": (self.cracked.pending_inserts
-                        + self.cracked.pending_deletes),
-            "pieces": self.cracked.piece_count,
-        }
-
-    def split(
-        self, counters: Optional[CostCounters]
-    ) -> Optional[Tuple["ColumnPartition", "ColumnPartition"]]:
-        """Split into two partitions; None when no useful pivot exists.
-
-        A partition nobody touched yet is split by row range (two contiguous
-        sub-slices, nothing to move).  A materialised one is cut at an
-        existing crack boundary near the middle of the merged region (or at
-        the median value); pending updates follow their value's side, global
-        rowids are unchanged, and both fragments receive exact value bounds,
-        so bounds pruning and insert routing stay tight after the split.
-        """
-        cracked = self.cracked
-        if not cracked.materialised:
-            mid = self.start + len(cracked) // 2
-            if mid == self.start:
-                return None
-
-            def shard(start: int, end: int) -> "ColumnPartition":
-                return ColumnPartition(start, end, CrackedColumn(
-                    cracked._base[start - self.start:end - self.start],
-                    rowid_base=start, policy=cracked.policy,
-                    merge_batch=cracked.merge_batch,
-                    name=cracked.name,
-                ))
-
-            return shard(self.start, mid), shard(mid, self.end)
-        pivot = _choose_split_pivot(
-            cracked.values, cracked.index, cracked._pending_insert_values
-        )
-        if pivot is None:
-            return None
-        fragments = cracked.split_at(pivot, counters)
-        if counters is not None:
-            # exact bounds of both fragments cost one scan of their content
-            total = sum(len(fragment.values) for fragment in fragments)
-            counters.record_scan(total)
-            counters.record_comparisons(2 * total)
-        return tuple(
-            ColumnPartition(self.start, self.end, fragment,
-                            _content_bounds(fragment))
-            for fragment in fragments
-        )
-
-
 @guarded_by(
     _pool="_pool_lock",
     queries_processed="_stats_lock",
-    partition_splits="_stats_lock",
-    partition_merges="_stats_lock",
 )
 class PartitionedCrackedColumn(SearchStrategy):
     """A column sharded into contiguous partitions, each cracked independently.
@@ -397,19 +256,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         counters, merged into the caller's afterwards, so the fan-out is
         race-free and answers (and logical costs) are identical to the
         sequential run.
-    repartition:
-        Enable adaptive repartitioning: a partition over the row cap,
-        bloated by a skewed insert stream or absorbing a skewed share of the
-        visits is split at a crack boundary, and partitions drained by
-        deletes are merged back into a value-adjacent sibling.  Answers are
-        identical either way — repartitioning only changes load spread.
-    max_partition_rows:
-        Hard per-partition row cap enforced by repartitioning (None = no
-        cap; with more than one partition the relative ``split_threshold``
-        triggers apply as well).
-    split_threshold:
-        Relative skew trigger (> 1.0): a partition holding — or visited —
-        more than ``split_threshold`` times the mean is split.
     policy / merge_batch / lazy_copy:
         Forwarded to every partition's :class:`CrackedColumn`: with
         ``lazy_copy`` (the default) each partition copies its slice when it
@@ -420,7 +266,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         it participates in.
     max_workers:
         Width of that pool, fixed at construction (default:
-        ``os.cpu_count()``); repartitioning never resizes it.
+        ``os.cpu_count()``).
 
     Updates are routed to the owning partition: deletes by asking the
     partitions which one knows the rowid, and inserts to the *best-fit*
@@ -435,9 +281,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         column: Union[Column, np.ndarray],
         partitions: int = 4,
         parallel: bool = False,
-        repartition: bool = False,
-        max_partition_rows: Optional[int] = None,
-        split_threshold: float = 2.0,
         max_workers: Optional[int] = None,
         name: str = "",
         policy: str = "ripple",
@@ -447,25 +290,15 @@ class PartitionedCrackedColumn(SearchStrategy):
         base = column.values if isinstance(column, Column) else np.asarray(column)
         if base.ndim != 1:
             raise ValueError("partitioned cracked columns are one-dimensional")
-        if max_partition_rows is not None and max_partition_rows < 1:
-            raise ValueError("max_partition_rows must be >= 1")
-        if split_threshold <= 1.0:
-            raise ValueError("split_threshold must be > 1.0")
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.parallel = bool(parallel)
-        self.repartition = bool(repartition)
-        self.max_partition_rows = (
-            None if max_partition_rows is None else int(max_partition_rows)
-        )
-        self.split_threshold = float(split_threshold)
         self.policy = policy
         self.merge_batch = int(merge_batch)
         self.supports_updates = not lazy_copy
         self.queries_processed = 0
-        self.partition_splits = 0
-        self.partition_merges = 0
-        self._partitions: List[ColumnPartition] = [
+        # a tuple: the partitions are cut once, here, and never change
+        self._partitions: Tuple[ColumnPartition, ...] = tuple(
             ColumnPartition(
                 start, end,
                 CrackedColumn(
@@ -475,7 +308,7 @@ class PartitionedCrackedColumn(SearchStrategy):
                 ),
             )
             for start, end in partition_bounds(len(base), partitions)
-        ]
+        )
         self._next_rowid = len(base)
         # fixed for the column's life: the pool starts a thread only when a
         # task finds none idle, so a width above the partition count is free
@@ -483,7 +316,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         # the two locks make a *converged* (read-only) column safe under the
         # concurrent readers the session lets in without a path lock:
         # ``_pool_lock`` keeps the lazy thread pool from being created twice,
-        # ``_stats_lock`` keeps shared visit/query counters from losing
+        # ``_stats_lock`` keeps the shared query counter from losing
         # increments
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
@@ -500,9 +333,9 @@ class PartitionedCrackedColumn(SearchStrategy):
         return len(self._partitions)
 
     @property
-    def partitions(self) -> List[ColumnPartition]:
+    def partitions(self) -> Tuple[ColumnPartition, ...]:
         """The partitions, left to right (for inspection and tests)."""
-        return list(self._partitions)
+        return self._partitions
 
     @property
     def piece_count(self) -> int:
@@ -536,16 +369,12 @@ class PartitionedCrackedColumn(SearchStrategy):
         """True when a search can no longer reorganise any physical state.
 
         Requires every partition to be materialised with a fully sorted
-        cracker column, empty pending queues and known value bounds, and
-        adaptive repartitioning to be off (a repartitioning column may still
-        split on any query).  A converged partitioned column is read-only
-        under selection — the remaining per-query bookkeeping (visit and
-        query counters) is guarded by ``_stats_lock``, so the concurrent
-        ``execute``/``submit`` callers that read it without a path lock are
-        safe.
+        cracker column, empty pending queues and known value bounds.  A
+        converged partitioned column is read-only under selection — the
+        remaining per-query bookkeeping (the query counter) is guarded by
+        ``_stats_lock``, so the concurrent ``execute``/``submit`` callers
+        that read it without a path lock are safe.
         """
-        if self.repartition:
-            return False
         return all(
             p._bounds_known and p.cracked.converged for p in self._partitions
         )
@@ -560,12 +389,7 @@ class PartitionedCrackedColumn(SearchStrategy):
     cracked = property(lambda self: self)
 
     def pieces(self) -> List[Piece]:
-        """All pieces across partitions, positions shifted by the partition start.
-
-        After repartitioning splits, fragments of one parent share the
-        parent's coordinate frame, so their piece positions describe
-        per-partition regions rather than one global tiling.
-        """
+        """All pieces across partitions, positions shifted by the partition start."""
         result: List[Piece] = []
         for partition in self._partitions:
             start = partition.start  # hoisted out of the piece loop
@@ -579,10 +403,6 @@ class PartitionedCrackedColumn(SearchStrategy):
                     )
                 )
         return result
-
-    def partition_loads(self) -> List[dict]:
-        """Per-partition load summaries, left to right."""
-        return [p.load() for p in self._partitions]
 
     # -- the thread fan-out -----------------------------------------------------
 
@@ -656,8 +476,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         """The partition that should absorb an insert of ``value``.
 
         Best fit: among the partitions whose known bounds contain the value,
-        the one with the *tightest* bounds — after a split, the fragment
-        actually covering the hot range, not merely the leftmost partition
+        the one with the *tightest* bounds, not merely the leftmost partition
         whose (possibly stale-wide) bounds happen to contain it.  Failing
         that the partition nearest by value distance, and the last partition
         while no bounds are known at all.
@@ -686,8 +505,8 @@ class PartitionedCrackedColumn(SearchStrategy):
     def _owning_partition(self, rowid: int) -> ColumnPartition:
         """The partition owning ``rowid``.
 
-        Every partition can answer ownership in O(1) for base rows (range
-        or set membership) and for inserted rows (its insert registry), so
+        Every partition can answer ownership in O(1) for base rows (a range
+        check) and for inserted rows (its insert registry), so
         the lookup is a short scan over the partition list; fully removed
         rows are unknown everywhere and raise ``KeyError``, matching the
         unpartitioned column.
@@ -696,119 +515,6 @@ class PartitionedCrackedColumn(SearchStrategy):
             if partition.cracked.knows_rowid(rowid):
                 return partition
         raise KeyError(f"unknown row identifier {rowid}")
-
-    # -- adaptive repartitioning -------------------------------------------------
-
-    def _split_candidate(
-        self, unsplittable: Sequence[ColumnPartition] = ()
-    ) -> Optional[int]:
-        """Index of the partition most in need of a split, or None.
-
-        Row cap first, then row skew, then visit skew (see the module
-        docstring); partitions in ``unsplittable`` are passed over.
-        """
-        partitions = self._partitions
-        count = len(partitions)
-        sizes = [len(p) for p in partitions]
-        eligible = [
-            i for i in range(count)
-            if sizes[i] >= 2 and partitions[i] not in unsplittable
-        ]
-        if self.max_partition_rows is not None:
-            over = [
-                (sizes[i], i) for i in eligible
-                if sizes[i] > self.max_partition_rows
-            ]
-            if over:
-                return max(over)[1]
-        if count > 1:
-            mean_rows = sum(sizes) / count
-            big = [
-                (sizes[i], i) for i in eligible
-                if sizes[i] > self.split_threshold * mean_rows
-            ]
-            if big:
-                return max(big)[1]
-            visits = [p.visits for p in partitions]
-            mean_visits = sum(visits) / count
-            hot = [
-                (visits[i], i) for i in eligible
-                if visits[i] >= _MIN_SPLIT_VISITS
-                and visits[i] > self.split_threshold * mean_visits
-                and sizes[i] * self.split_threshold >= mean_rows
-            ]
-            if hot:
-                return max(hot)[1]
-        return None
-
-    def _maybe_split(self, counters: Optional[CostCounters]) -> None:
-        """Split skewed partitions (bounded work per call; main thread only)."""
-        if not self.repartition:
-            return
-        partitions = self._partitions  # hoisted out of the split loop
-        # a candidate without a pivot (one value, however often) is passed
-        # over for the rest of the call, or it would be chosen again at once
-        # and no other partition would ever be split
-        unsplittable: List[ColumnPartition] = []
-        for _ in range(_MAX_SPLITS_PER_CHECK):
-            candidate = self._split_candidate(unsplittable)
-            if candidate is None:
-                break
-            parent = partitions[candidate]
-            children = parent.split(counters)
-            if children is None:
-                unsplittable.append(parent)
-                continue
-            left, right = children
-            left.visits = right.visits = parent.visits // 2
-            partitions[candidate:candidate + 1] = [left, right]
-            with self._stats_lock:
-                self.partition_splits += 1
-
-    def _maybe_merge(self, counters: Optional[CostCounters]) -> None:
-        """Merge one pair of cold, value-adjacent partitions (main thread only).
-
-        Candidates are adjacent partitions whose combined visible rows have
-        dropped below the mean partition size and whose known value ranges
-        are provably disjoint (split descendants; a partition that never
-        held any value merges with either neighbour).  Conservative on
-        purpose: stale-wide bounds or unlearned bounds skip the merge, which
-        costs balance, never correctness.
-        """
-        if not self.repartition or len(self._partitions) < 2:
-            return
-        partitions = self._partitions  # hoisted out of the merge loop
-        sizes = [len(p) for p in partitions]
-        mean_rows = sum(sizes) / len(sizes)
-        for i in range(len(partitions) - 1):
-            left, right = partitions[i], partitions[i + 1]
-            if sizes[i] + sizes[i + 1] > mean_rows:
-                continue
-            if not left._bounds_known or not right._bounds_known:
-                continue
-            left_low, left_high = left.effective_bounds
-            right_low, right_high = right.effective_bounds
-            if left_low is not None and right_low is not None:
-                if left_high >= right_low:
-                    continue
-                pivot = right_low
-            else:
-                # one side never held a value: nothing constrains the merge
-                pivot = right_low if right_low is not None else 0.0
-            merged_column = CrackedColumn.merged(
-                left.cracked, right.cracked, pivot, counters
-            )
-            lows = [b for b in (left_low, right_low) if b is not None]
-            highs = [b for b in (left_high, right_high) if b is not None]
-            merged = ColumnPartition(
-                left.start, max(left.end, right.end), merged_column,
-                (min(lows) if lows else None, max(highs) if highs else None),
-            )
-            merged.visits = left.visits + right.visits
-            partitions[i:i + 2] = [merged]
-            with self._stats_lock:
-                self.partition_merges += 1
-            return
 
     # -- updates ----------------------------------------------------------------
 
@@ -831,13 +537,11 @@ class PartitionedCrackedColumn(SearchStrategy):
         partition = self._route_insert(value)
         rowid = partition.insert(value, counters, self._next_rowid)
         self._next_rowid += 1
-        self._maybe_split(counters)
         return rowid
 
     def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
         """Queue the deletion of the row identified by (global) ``rowid``."""
         self._owning_partition(rowid).cracked.delete(rowid, counters)
-        self._maybe_merge(counters)
 
     def update(self, rowid: int, new_value: float,
                counters: Optional[CostCounters] = None) -> int:
@@ -878,31 +582,12 @@ class PartitionedCrackedColumn(SearchStrategy):
         counters_list: Sequence[Optional[CostCounters]],
     ) -> List[np.ndarray]:
         """The answers to ``ranges`` in order, with ``counters_list[i]``
-        charged for range ``i`` — answers, counters, visits and the state
-        left behind are those of one :meth:`search` per range in turn.
+        charged for range ``i`` — answers, counters and the state left
+        behind are those of one :meth:`search` per range in turn.
 
-        Every range is checked first.  A repartitioning column, which may
-        split before any query, answers range by range; any other answers
-        the whole batch in one :meth:`_answer`.
-        """
-        ranges = list(ranges)
-        check_ranges(ranges)
-        if not self.repartition:
-            return self._answer(ranges, counters_list)
-        return [answer for bounds, counters in zip(ranges, counters_list)
-                for answer in self._answer([bounds], [counters])]
-
-    def _answer(
-        self,
-        ranges: List[Tuple[Optional[float], Optional[float]]],
-        counters_list: Sequence[Optional[CostCounters]],
-    ) -> List[np.ndarray]:
-        """Checked ranges answered by the partitions.
-
-        A repartitioning column first checks for a split (charged to the
-        first range).  Then pruning and visits: a partition's first-touch
-        bounds scan is charged to the first query, the first to ask it.
-        Each partition answers its share in one call: one
+        Every range is checked first.  Then pruning: a partition's
+        first-touch bounds scan is charged to the first query, the first to
+        ask it.  Each partition answers its share in one call: one
         :meth:`~repro.core.cracking.cracked_column.CrackedColumn.crack_batch`
         pass for two or more ranges a batchable partition locates
         (:meth:`~repro.core.cracking.cracked_column.CrackedColumn.locate_batch`),
@@ -913,8 +598,8 @@ class PartitionedCrackedColumn(SearchStrategy):
         where a ``search_many`` charges private counters.  Once all calls
         are done the charges merge into ``counters_list``.
         """
-        if ranges:
-            self._maybe_split(counters_list[0])
+        ranges = list(ranges)
+        check_ranges(ranges)
         partitions = self._partitions
         queries = list(enumerate(zip(ranges, counters_list)))
         # per partition, the queries of the batch it answers
@@ -923,8 +608,6 @@ class PartitionedCrackedColumn(SearchStrategy):
                   for partition in partitions]
         with self._stats_lock:
             self.queries_processed += len(ranges)
-            for partition, share in zip(partitions, shares):
-                partition.visits += len(share)
         count = len(ranges)
         # per touched partition: its column, share, and the share's ranges
         # and counters (the batch's own lists when the share is all of it)
@@ -987,33 +670,16 @@ class PartitionedCrackedColumn(SearchStrategy):
         """Per-partition invariants plus global rowid/layout consistency (tests)."""
         base_size = len(self._base)
         partitions = self._partitions
-        covered = np.zeros(base_size, dtype=bool)
+        # the partitions are still the ones the constructor cut
+        assert [(p.start, p.end) for p in partitions] == partition_bounds(
+            base_size, len(partitions)
+        ), "partition row ranges are not the contiguous cut of the base column"
         for partition in partitions:
             partition.cracked.check_invariants()
-            assert 0 <= partition.start <= partition.end <= base_size, (
-                f"row range [{partition.start}:{partition.end}) outside the base"
-            )
-            covered[partition.start:partition.end] = True
-        assert covered.all(), "partition row ranges do not cover the base column"
-        for left, right in zip(partitions, partitions[1:]):
-            assert left.start <= right.start, (
-                "partitions are not ordered by row-range start"
-            )
-            if not (left.start < right.end and right.start < left.end):
-                continue
-            # partitions sharing rows of the base (split descendants) must
-            # cover disjoint value ranges, in list order
-            left_high = left.effective_bounds[1]
-            right_low = right.effective_bounds[0]
-            if left_high is None or right_low is None:
-                continue
-            assert left_high < right_low, (
-                f"split siblings have overlapping value bounds: "
-                f"{left_high} !< {right_low}"
-            )
-        # every rowid lives in exactly one partition; base rows stay inside
-        # their partition's row range and keep their base value (a pristine
-        # partition contributes its row range as is)
+        # every rowid lives in exactly one partition and base rows stay
+        # inside their partition's row range (each partition's own check
+        # holds them to their base values; a pristine partition contributes
+        # its row range as is)
         chunks = []
         for partition in partitions:
             cracked = partition.cracked
@@ -1030,9 +696,6 @@ class PartitionedCrackedColumn(SearchStrategy):
                 f"base rows merged outside their partition row range "
                 f"[{partition.start}:{partition.end})"
             )
-            assert np.array_equal(
-                cracked.values[original], self._base[base_rowids]
-            ), f"partition [{partition.start}:{partition.end}) misaligned with base"
             for rowid in cracked.rowids[~original].tolist():
                 assert cracked.knows_rowid(rowid), (
                     f"inserted row {rowid} lives in a partition that does "
@@ -1069,16 +732,11 @@ class PartitionedCrackedColumn(SearchStrategy):
     @property
     def structure_description(self) -> str:
         touched = sum(1 for p in self._partitions if p.cracked.materialised)
-        description = (
+        return (
             f"partitioned cracking: {self.partition_count} partitions "
             f"({touched} touched), {self.piece_count} pieces"
+            + describe_pending(self)
         )
-        if self.repartition:
-            description += (
-                f", {self.partition_splits} splits/"
-                f"{self.partition_merges} merges"
-            )
-        return description + describe_pending(self)
 
 
 #: the historical name of the column with every partition copied up front

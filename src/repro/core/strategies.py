@@ -179,8 +179,7 @@ class _Row(NamedTuple):
 
 
 _UPDATES = ("policy", "merge_batch")
-_PARTITIONS = ("partitions", "parallel", "max_workers", "repartition",
-               "max_partition_rows", "split_threshold")
+_PARTITIONS = ("partitions", "parallel", "max_workers")
 _ONLINE = _tuned(OnlineIndexTuner, "online tuner ({} indexes built)")
 _SOFT = _tuned(SoftIndexManager, "soft indexes ({} built)")
 _EAGER_PARTITIONED = _over(PartitionedCrackedColumn, lazy_copy=False)

@@ -95,7 +95,9 @@ def _current_mode(mode: str, options: Dict[str, object]) -> Tuple[str, Dict[str,
     """A recorded ``set_indexing`` mode and options as the registry takes
     them today: a retired name is renamed, and only the options its row
     accepts are kept (earlier versions journaled retired options and ones
-    that built another name's structure: a hybrid's modes, partitions)."""
+    that built another name's structure: a hybrid's modes, partitions, and
+    the partitioned rows' ``repartition``, ``max_partition_rows`` and
+    ``split_threshold``)."""
     mode = _RETIRED_MODES.get(mode, mode)
     accepted = accepted_options(mode)
     return mode, {key: value for key, value in options.items() if key in accepted}

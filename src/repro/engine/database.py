@@ -39,7 +39,6 @@ from repro.columnstore.select import RangePredicate, scan_select
 from repro.columnstore.storage import MemoryTracker
 from repro.columnstore.table import Table
 from repro.core.access_path import SearchStrategy
-from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.strategies import (
     available_strategies,
     check_options,
@@ -571,33 +570,6 @@ class Database:
         """The readers-writer gate fencing DML on ``table`` (introspection:
         ``fenced_writes`` counts DML operations that had to wait)."""
         return self._table_gates.gate(table)
-
-    def rebalance_stats(self) -> List[Dict[str, object]]:
-        """One record per partitioned access path: partition load and
-        adaptive-repartitioning counters (splits, merges, row skew)."""
-        report: List[Dict[str, object]] = []
-        for (table, column), mode in sorted(self._modes.items()):
-            cracked = self._access_paths.get((table, column))
-            if not isinstance(cracked, PartitionedCrackedColumn):
-                continue
-            loads = cracked.partition_loads()
-            sizes = [load["rows"] for load in loads]
-            mean_rows = (sum(sizes) / len(sizes)) if sizes else 0.0
-            report.append(
-                {
-                    "table": table,
-                    "column": column,
-                    "mode": mode,
-                    "repartition": cracked.repartition,
-                    "partitions": cracked.partition_count,
-                    "splits": cracked.partition_splits,
-                    "merges": cracked.partition_merges,
-                    "max_rows": max(sizes) if sizes else 0,
-                    "mean_rows": mean_rows,
-                    "skew": (max(sizes) / mean_rows) if mean_rows else 0.0,
-                }
-            )
-        return report
 
     def physical_design_report(self) -> List[Dict[str, str]]:
         """One record per configured access path (for documentation / examples)."""

@@ -459,7 +459,7 @@ class Session:
                         table, column_name
                     )
                     path.close()
-                # absorbing (and possibly repartitioning) or rebuilding
+                # absorbing or rebuilding
                 # changes the auxiliary footprint
                 database._record_index_memory(table, column_name)
         with database._engine_stats_lock:

@@ -40,7 +40,7 @@ from repro.workloads.updates import UpdateOperation
 def stats_snapshot(column, *attributes: str) -> Dict[str, int]:
     """Atomically read a strategy's shared statistics counters.
 
-    Statistics like ``merges_performed`` / ``partition_splits`` are declared
+    Statistics like ``queries_processed`` / ``merges_performed`` are declared
     ``@guarded_by(..., "_stats_lock")``: with a parallel fan-out column pool
     workers update them under the object's stats lock, so reading them bare
     from the driver thread is a data race — individually torn reads, and

@@ -156,26 +156,10 @@ def _ripple_delete(counters):
     return moves, values[:9], rowids[:9]
 
 
-def _fragments(left, right):
-    return left.values, left.rowids, right.values, right.rowids
-
-
-def _split_at(counters):
-    return _fragments(*CrackedColumn(_column()).split_at(5, counters))
-
-
-def _split_at_with_pending(counters):
+def _first_search(counters):
     column = CrackedColumn(_column())
-    column.insert(4)
-    column.delete(2)
-    left, right = column.split_at(5, counters)
-    return (*_fragments(left, right), left.pending_inserts, right.pending_deletes)
-
-
-def _merged(counters):
-    left, right = CrackedColumn(_column()).split_at(5)
-    column = CrackedColumn.merged(left, right, 5, counters)
-    return column.values, column.rowids, column.index.boundary_positions
+    answer = column.search(3, 6, counters)
+    return answer, column.values, column.rowids, column.index.boundary_positions
 
 
 def _full_index_lookup(counters):
@@ -208,13 +192,9 @@ CASES = [
     Case("crack_many", _crack_many, (26, 17, 33, 0, 0, 4)),
     Case("ripple_insert_value", _ripple_insert, (0, 2, 0, 2, 0, 0)),
     Case("ripple_delete_position", _ripple_delete, (0, 2, 0, 2, 0, 0)),
-    # the first crack copies the base column (10 scans and moves, 160 bytes);
-    # carving the fragments moves 10 more and allocates 160 bytes
-    Case("split_at", _split_at, (20, 30, 11, 0, 320, 1)),
-    # the updates copied the column already; routing them costs one
-    # comparison each
-    Case("split_at-pending", _split_at_with_pending, (10, 20, 13, 0, 160, 1)),
-    Case("merged", _merged, (0, 10, 0, 0, 160, 0)),
+    # a lazy column's first search is charged the copy (10 scans and moves,
+    # 160 bytes), then the crack-in-three and the gather of 3 rowids
+    Case("first-search-copies", _first_search, (23, 20, 21, 0, 160, 2)),
     Case("full_index-lookup", _full_index_lookup, (3, 0, 8, 2, 0, 0)),
     # two known bounds (2 + 2), one pending entry to qualify; the ripple
     # moves one element plus the new one

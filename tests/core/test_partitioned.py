@@ -223,6 +223,49 @@ class TestPartitionedCrackedColumn:
         assert not column.materialised
 
 
+def _swap_base_rows(column):
+    left, right = column.partitions[0].cracked, column.partitions[1].cracked
+    position = int(np.flatnonzero(left.rowids < 10)[0])
+    left.rowids[position], right.rowids[0] = right.rowids[0], left.rowids[position]
+
+
+def _shrink_first_partition(column):
+    column.partitions[0].end -= 1
+
+
+def _shift_a_shard_value(column):
+    column.partitions[1].cracked.values[0] += 100
+
+
+def _narrow_bounds(column):
+    partition = column.partitions[2]
+    partition.max_value = partition.min_value
+
+
+class TestInvariantCheck:
+    """``check_invariants`` is the oracle the property suites lean on: each
+    corruption below must fail it, and say which rule it broke."""
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (_shift_a_shard_value, "misaligned with the base column"),
+        (_swap_base_rows, "outside their partition row range"),
+        (_shrink_first_partition, "not the contiguous cut"),
+        (_narrow_bounds, "content above its bounds"),
+    ], ids=["shard-value", "foreign-row", "recut", "bounds"])
+    def test_a_corruption_fails_the_check(self, corrupt, message):
+        column = PartitionedUpdatableCrackedColumn(
+            np.arange(40, dtype=np.int64), partitions=4)
+        column.search(0, 40)  # every partition learns its bounds
+        for value in (5, 15, 25, 35):  # one merged insert per partition
+            column.insert(value)
+        column.search(0, 40)
+        assert all(p.cracked.merges_performed == 1 for p in column.partitions)
+        column.check_invariants()
+        corrupt(column)
+        with pytest.raises(AssertionError, match=message):
+            column.check_invariants()
+
+
 @pytest.mark.usefixtures("pooled_fan_out")
 class TestSequentialThreadEquivalence:
     """Answers match the whole-column oracle whatever the fan-out; counters
@@ -274,16 +317,17 @@ class TestSequentialThreadEquivalence:
 class TestFanOutPoolSizing:
     """The pool's width is fixed when the column is built."""
 
-    def test_explicit_max_workers_is_respected_across_splits(self, rng):
+    def test_explicit_max_workers_is_respected(self, rng):
         values = rng.integers(0, 1000, size=300).astype(np.int64)
         column = PartitionedUpdatableCrackedColumn(
-            values, partitions=2, parallel=True, max_workers=3,
-            repartition=True, max_partition_rows=100,
+            values, partitions=8, parallel=True, max_workers=3,
         )
-        while column.partition_splits == 0:
+        for _ in range(3):
             column.insert(int(rng.integers(0, 1000)))
             column.search(0, 1000)
-        assert column._max_workers == 3  # an explicit cap never auto-resizes
+        # an explicit cap holds below the partition count, on the live pool
+        assert column._max_workers == 3
+        assert column._pool is not None and column._pool._max_workers == 3
         column.close()
 
 

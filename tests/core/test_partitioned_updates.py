@@ -4,16 +4,25 @@ The key contract: whatever the partition count, execution mode (sequential
 or parallel) and merge policy, the partitioned column returns exactly the
 rowid sets an unpartitioned :class:`UpdatableCrackedColumn` returns for the
 same mixed insert/delete/query stream — global rowids make partitioning
-invisible.  Plus the regression test for the gradual-policy budget bug:
-inserts and deletes share one ``merge_batch`` budget.
+invisible.  Inserts go to the best-fit partition, and the partitions stay
+the ones the column was cut into.  Plus the regression test for the
+gradual-policy budget bug: inserts and deletes share one ``merge_batch``
+budget.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.cracking.updates import UpdatableCrackedColumn
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn
+from repro.core.partitioned import (
+    PartitionedCrackedColumn,
+    PartitionedUpdatableCrackedColumn,
+    partition_bounds,
+)
+from repro.core.strategies import accepted_options, create_strategy
 from repro.cost.counters import CostCounters
+from repro.engine.database import Database
+from repro.engine.query import Query
 
 
 def run_mixed_stream(reference, partitioned, base, steps=300, seed=5):
@@ -119,6 +128,13 @@ class TestUpdateRouting:
         with pytest.raises(KeyError):
             column.delete(rowid)
 
+    def test_a_pending_delete_stays_in_the_partition_that_owns_the_row(self, rng):
+        base = rng.integers(0, 100, size=200).astype(np.int64)
+        column = PartitionedUpdatableCrackedColumn(base, partitions=3)
+        column.delete(150)  # a row of the last partition, [134, 200)
+        assert [p.cracked._pending_delete_rowids for p in column.partitions] == [
+            {}, {}, {150: int(base[150])}]
+
     def test_repeated_delete_is_idempotent(self, rng):
         base = rng.integers(0, 100, size=200).astype(np.int64)
         column = PartitionedUpdatableCrackedColumn(base, partitions=3)
@@ -168,6 +184,157 @@ class TestUpdateRouting:
         assert len(column) == len(base)
         value = int(base[10])
         assert 10 in column.search(value, value + 1).tolist()
+
+
+class TestBestFitInsertRouting:
+    """Inserts route to the tightest-bounds partition, not the leftmost."""
+
+    def test_insert_prefers_tightest_containing_partition(self):
+        # partition 0 spans the whole domain (0..999 present in its slice),
+        # partition 1 spans a narrow band; a value in the band must land in
+        # the narrow partition even though the leftmost also contains it
+        wide = np.array([0, 999, 400, 600], dtype=np.int64)
+        narrow = np.array([500, 510, 505, 507], dtype=np.int64)
+        base = np.concatenate([wide, narrow])
+        column = PartitionedUpdatableCrackedColumn(base, partitions=2)
+        column.search(0, 1_000)  # both partitions learn their bounds
+        assert column.partitions[0].effective_bounds == (0.0, 999.0)
+        assert column.partitions[1].effective_bounds == (500.0, 510.0)
+        column.insert(505)
+        assert column.partitions[0].cracked.pending_inserts == 0
+        assert column.partitions[1].cracked.pending_inserts == 1
+
+    def test_regression_leftmost_would_have_won(self):
+        # pin the exact shape of the old bug: leftmost-containing wins only
+        # when its bounds are at least as tight
+        base = np.concatenate([
+            np.array([100, 200], dtype=np.int64),   # bounds [100, 200]
+            np.array([0, 1_000], dtype=np.int64),   # bounds [0, 1000]
+        ])
+        column = PartitionedUpdatableCrackedColumn(base, partitions=2)
+        column.search(0, 2_000)
+        column.insert(150)  # contained by both; leftmost is tighter here
+        assert column.partitions[0].cracked.pending_inserts == 1
+        column.insert(900)  # only the wide partition contains it
+        assert column.partitions[1].cracked.pending_inserts == 1
+
+    def test_value_outside_all_bounds_goes_to_nearest(self):
+        base = np.concatenate([
+            np.arange(0, 100, dtype=np.int64),
+            np.arange(500, 600, dtype=np.int64),
+        ])
+        column = PartitionedUpdatableCrackedColumn(base, partitions=2)
+        column.search(0, 600)
+        column.insert(480)  # nearest to the [500, 599] partition
+        assert column.partitions[1].cracked.pending_inserts == 1
+        assert column.partitions[0].cracked.pending_inserts == 0
+
+    def test_drained_partition_still_receives_its_values(self):
+        # a partition with 0 visible rows is falsy (``__len__``) but keeps
+        # its bounds: routing by truthiness sent the insert to the sibling,
+        # whose bounds then widened over the drained partition's range
+        base = np.concatenate([
+            np.arange(0, 100, dtype=np.int64),
+            np.arange(500, 600, dtype=np.int64),
+        ])
+        column = PartitionedUpdatableCrackedColumn(base, partitions=2)
+        column.search(0, 600)
+        left, right = column.partitions
+        for rowid in range(100):
+            column.delete(rowid)
+        column.search(0, 100)  # merges the deletes
+        assert len(left) == 0 and column.partitions == (left, right)
+        column.insert(50)  # inside the drained partition's bounds
+        assert left.cracked.pending_inserts == 1
+        assert right.cracked.pending_inserts == 0
+        column.check_invariants()
+        assert column.search(0, 100).size == 1
+
+    def test_an_insert_flood_stays_in_the_partition_it_fits(self):
+        # the partitions stay as cut: a flood into the leftmost partition's
+        # value range grows that partition and no other
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 10_000, size=2_000).astype(np.int64)
+        column = PartitionedUpdatableCrackedColumn(base, partitions=4)
+        column.search(0, 10_000)
+        low, high = column.partitions[0].effective_bounds
+        for _ in range(1_500):
+            column.insert(int(rng.integers(low, high)))
+        assert [(p.start, p.end) for p in column.partitions] == partition_bounds(2_000, 4)
+        assert [len(p) for p in column.partitions] == [2_000, 500, 500, 500]
+        column.check_invariants()
+
+
+class TestOptions:
+    @pytest.mark.parametrize("make", [
+        PartitionedCrackedColumn, PartitionedUpdatableCrackedColumn,
+    ], ids=["read-only", "updatable"])
+    def test_bad_construction_rejected(self, make):
+        values = np.arange(100, dtype=np.int64)
+        with pytest.raises(ValueError, match="partitions must be >= 1"):
+            make(values, partitions=0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make(values.reshape(10, 10))
+
+    @pytest.mark.parametrize("name", [
+        "partitioned-cracking", "partitioned-updatable-cracking",
+    ])
+    def test_the_partition_options_are_count_and_pool(self, name):
+        # what a partitioned name takes beside its merge policy; an option
+        # outside the row is refused before anything is built
+        partition_options = [option for option in accepted_options(name)
+                             if option not in ("policy", "merge_batch")]
+        assert partition_options == ["partitions", "parallel", "max_workers"]
+        values = np.arange(500, dtype=np.int64)
+        for retired in ("repartition", "max_partition_rows", "split_threshold"):
+            with pytest.raises(ValueError, match=retired):
+                create_strategy(name, values, partitions=2, **{retired: 2})
+
+
+def test_an_engine_insert_flood_keeps_the_partitions():
+    # 1 200 inserts into the bottom tenth of the domain through a session:
+    # the path keeps the four partitions it was cut into, and says so
+    rng = np.random.default_rng(3)
+    database = Database("partitioned-flood")
+    database.create_table(
+        "facts", {"key": rng.integers(0, 1_000, size=1_500).astype(np.int64)}
+    )
+    database.set_indexing(
+        "facts", "key", "partitioned-updatable-cracking", partitions=4
+    )
+    path = database.access_path("facts", "key")
+    with database.session() as session:
+        session.execute(Query.range_query("facts", "key", 0, 1_000))
+        for _ in range(1_200):
+            session.insert_row("facts", {"key": int(rng.integers(0, 100))})
+        hot = session.execute(Query.range_query("facts", "key", 0, 100))
+    keys = database.table("facts")["key"].values
+    assert sorted(hot.positions.tolist()) == np.flatnonzero(keys < 100).tolist()
+    assert [(p.start, p.end) for p in path.partitions] == partition_bounds(1_500, 4)
+    [record] = database.physical_design_report()
+    assert record["structure"].startswith("partitioned cracking: 4 partitions (4 touched)")
+    path.check_invariants()
+    database.close()
+
+
+def test_memory_tracker_follows_dml():
+    rng = np.random.default_rng(3)
+    database = Database("partitioned-memory")
+    database.create_table(
+        "facts", {"key": rng.integers(0, 1_000, size=1_500).astype(np.int64)}
+    )
+    database.set_indexing(
+        "facts", "key", "partitioned-updatable-cracking", partitions=2
+    )
+    # the eager copy is held from the moment the path is installed
+    path = database.access_path("facts", "key")
+    assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+    with database.session() as session:
+        session.insert_row("facts", {"key": 7})
+        assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+        session.delete_row("facts", 0)
+        assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+    database.close()
 
 
 class TestGradualBudget:

@@ -288,25 +288,24 @@ class TestConvergedLatch:
 class TestDeleteAndValueOfExceptionMatrix:
     """What ``delete`` and ``value_of`` raise, ignore and accept — pinned.
 
-    The same script runs against a plain column, against the fragment a
-    ``split_at`` produces (explicit base-rowid set, empty base) and against
-    two such fragments ``merged`` back together.  Base values are distinct,
-    so a row is found by its value; every row the script touches has a
-    value below ``PIVOT`` and therefore lands in the left fragment.
+    The same script runs against a plain column, against a shard numbered
+    from ``rowid_base > 0`` (what every partition of a partitioned column
+    is) and against a lazy column, whose copy its first DML makes.  Base
+    values are distinct, so a row is found by its value; ``row(column, i)``
+    is the identifier of base position ``i``.
     """
 
     BASE = np.array([7, 3, 9, 1, 12, 5, 17, 0, 14, 8, 19, 2], dtype=np.int64)
-    PIVOT = 10
 
-    @pytest.fixture(params=["column", "split", "merged"])
+    @pytest.fixture(params=["column", "shard", "lazy"])
     def column(self, request):
-        column = CrackedColumn(self.BASE, lazy_copy=False)
-        if request.param == "column":
-            return column
-        left, right = column.split_at(self.PIVOT)
-        if request.param == "split":
-            return left
-        return CrackedColumn.merged(left, right, self.PIVOT)
+        if request.param == "shard":
+            return CrackedColumn(self.BASE, lazy_copy=False, rowid_base=1_000)
+        return CrackedColumn(self.BASE, lazy_copy=request.param == "lazy")
+
+    @staticmethod
+    def row(column, position):
+        return column.rowid_base + position
 
     @staticmethod
     def merge_everything(column):
@@ -323,36 +322,58 @@ class TestDeleteAndValueOfExceptionMatrix:
         assert column.pending_deletes == 0
 
     def test_base_row_is_read_and_deleted_by_its_rowid(self, column):
-        assert column.value_of(1) == 3.0 and column.value_of(7) == 0.0
+        one, seven = self.row(column, 1), self.row(column, 7)
+        assert column.value_of(one) == 3.0 and column.value_of(seven) == 0.0
+        copied = not column.materialised
         counters = CostCounters()
-        column.delete(1, counters)
-        assert counters.as_dict() == CostCounters(tuples_moved=1).as_dict()
-        assert column._pending_delete_rowids == {1: 3.0}
+        column.delete(one, counters)
+        expected = CostCounters(tuples_moved=1)
+        if copied:  # the first DML makes the copy and is charged for it
+            size = len(self.BASE)
+            expected = CostCounters(tuples_scanned=size, tuples_moved=size + 1,
+                                    bytes_allocated=16 * size)
+        assert counters.as_dict() == expected.as_dict()
+        assert column._pending_delete_rowids == {one: 3.0}
 
     def test_double_delete_while_pending_is_a_noop(self, column):
-        column.delete(1)
+        one = self.row(column, 1)
+        column.delete(one)
         counters = CostCounters()
-        column.delete(1, counters)
+        column.delete(one, counters)
         assert column.pending_deletes == 1
         assert counters.as_dict() == CostCounters().as_dict()
-        with pytest.raises(KeyError, match="row 1 has been deleted"):
-            column.value_of(1)
-        assert column.knows_rowid(1)
+        with pytest.raises(KeyError, match=f"row {one} has been deleted"):
+            column.value_of(one)
+        assert column.knows_rowid(one)
 
     def test_delete_of_a_base_row_after_its_delete_was_merged(self, column):
-        column.delete(1)
+        one = self.row(column, 1)
+        column.delete(one)
         self.merge_everything(column)
-        assert 1 not in column.rowids.tolist()
+        assert one not in column.rowids.tolist()
         # a base rowid stays "known" for good, yet the row is gone
-        assert column.knows_rowid(1)
-        with pytest.raises(KeyError, match="unknown row identifier 1"):
-            column.delete(1)
-        with pytest.raises(KeyError, match="unknown row identifier 1"):
-            column.value_of(1)
+        assert column.knows_rowid(one)
+        with pytest.raises(KeyError, match=f"unknown row identifier {one}"):
+            column.delete(one)
+        with pytest.raises(KeyError, match=f"unknown row identifier {one}"):
+            column.value_of(one)
         assert column.pending_deletes == 0
         # its neighbours are untouched
-        assert column.value_of(0) == 7.0 and column.value_of(5) == 5.0
+        assert column.value_of(self.row(column, 0)) == 7.0
+        assert column.value_of(self.row(column, 5)) == 5.0
         column.check_invariants()
+
+    def test_a_shard_never_knows_a_row_outside_its_range(self):
+        # a base row is a range check on ``rowid_base``: the rows either
+        # side of a shard belong to its neighbours
+        shard = CrackedColumn(self.BASE, lazy_copy=False, rowid_base=1_000)
+        for rowid in (999, 1_000 + len(self.BASE)):
+            assert not shard.knows_rowid(rowid)
+            with pytest.raises(KeyError, match=f"unknown row identifier {rowid}"):
+                shard.delete(rowid)
+            with pytest.raises(KeyError, match=f"row {rowid} not found"):
+                shard.value_of(rowid)
+        assert shard.pending_deletes == 0
 
     def test_delete_cancels_a_pending_insert(self, column):
         rowid = column.insert(4)
@@ -382,29 +403,3 @@ class TestDeleteAndValueOfExceptionMatrix:
         with pytest.raises(KeyError, match=f"row {rowid} not found"):
             column.value_of(rowid)
         column.check_invariants()
-
-    def test_a_fragment_never_knew_a_row_merged_out_of_its_parent(self):
-        parent = CrackedColumn(self.BASE)
-        parent.delete(1)
-        self.merge_everything(parent)
-        left, right = parent.split_at(self.PIVOT)
-        for fragment in (left, right, CrackedColumn.merged(left, right, self.PIVOT)):
-            assert not fragment.knows_rowid(1)
-            with pytest.raises(KeyError, match="unknown row identifier 1"):
-                fragment.delete(1)
-            with pytest.raises(KeyError, match="row 1 not found"):
-                fragment.value_of(1)
-
-    def test_a_pending_delete_follows_its_value_through_split_and_merge(self):
-        parent = CrackedColumn(self.BASE)
-        parent.delete(1)    # value 3: left of the pivot
-        parent.delete(4)    # value 12: right of it
-        left, right = parent.split_at(self.PIVOT)
-        assert left._pending_delete_rowids == {1: 3.0}
-        assert right._pending_delete_rowids == {4: 12.0}
-        left.delete(1)      # still a no-op
-        assert left.pending_deletes == 1
-        whole = CrackedColumn.merged(left, right, self.PIVOT)
-        assert whole._pending_delete_rowids == {1: 3.0, 4: 12.0}
-        with pytest.raises(KeyError, match="row 4 has been deleted"):
-            whole.value_of(4)

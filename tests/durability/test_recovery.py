@@ -287,16 +287,25 @@ class TestOpenRecover:
          ("online", {"build_threshold_factor": 2.0})),
         (("online", {"max_indexes": 0}), ("online", {})),
         (("hybrid-sort-sort", {"partition_size": 50}), ("hybrid-sort-sort", {})),
+        (("partitioned-cracking", {"partitions": 3, "parallel": True, "repartition": True,
+                                   "max_partition_rows": 500, "split_threshold": 1.5}),
+         ("partitioned-cracking", {"partitions": 3, "parallel": True})),
+        (("partitioned-updatable-cracking",
+          {"partitions": 3, "parallel": True, "repartition": True,
+           "max_partition_rows": 500, "split_threshold": 1.5}),
+         ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True})),
     ], ids=["sort-pieces", "sort-threshold", "crack-radix", "radix-radix",
-            "size-threshold-fraction", "decay", "max-indexes", "partition-size"])
+            "size-threshold-fraction", "decay", "max-indexes", "partition-size",
+            "repartition", "repartition-updatable"])
     @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
     def test_retired_modes_reopen_as_the_name_that_answers_the_same(
         self, tmp_path, retired, kept, snapshot
     ):
         """Data directories written before sorted small pieces, the radix
-        hybrids and the four options only tests set were removed carry
-        those names and options in their ``set_indexing`` records; they
-        reopen under the kept name with the options that remain."""
+        hybrids, the four options only tests set and adaptive repartitioning
+        were removed carry those names and options in their ``set_indexing``
+        records; they reopen under the kept name with the options that
+        remain."""
         database = make_database(tmp_path)
         database.set_indexing("facts", "key", kept[0], **kept[1])
         mode, options = retired

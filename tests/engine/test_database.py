@@ -522,9 +522,10 @@ class TestDML:
         database.close()
 
     @pytest.mark.parametrize("options", [
-        {}, {"repartition": True}, {"repartition": True, "max_partition_rows": 80},
-    ], ids=["fixed", "repartition", "repartition-splitting"])
-    def test_a_partition_does_not_prune_its_own_wide_key(self, options):
+        {}, {"parallel": True}, {"policy": "gradual", "merge_batch": 1},
+    ], ids=["fixed", "parallel", "gradual"])
+    def test_a_partition_does_not_prune_its_own_wide_key(self, options,
+                                                          pooled_fan_out):
         # the owning partition's bounds widened with float(2**60 + 1) == 2**60,
         # so the query below pruned it and the row was lost
         big = 2**60 + 1
@@ -536,18 +537,16 @@ class TestDML:
         column = database.access_path("t", "k")
         with database.session() as session:
             rowid = session.insert_row("t", {"k": big})
-            for round in range(3):  # pending; merged; merged into a split fragment
+            for round in range(3):  # pending; merged; merged beside more inserts
                 found = session.execute(Query.range_query("t", "k", big, big + 1))
                 assert found.positions.tolist() == [rowid]
-                if round == 1 and "max_partition_rows" in options:
-                    for key in range(40):  # overfill the partition holding it
+                if round == 1:
+                    for key in range(40):  # into the partition holding it
                         session.insert_row("t", {"k": 60 + key})
             assert session.execute(
                 Query.range_query("t", "k", big + 1, 2**61)).row_count == 0
             assert session.execute(
                 Query.range_query("t", "k", 2**60, big)).row_count == 0
-        if "max_partition_rows" in options:
-            assert column.partition_splits > 0
         column.check_invariants()
         database.close()
 
@@ -812,8 +811,7 @@ class TestExecuteManyWithDML:
     ):
         options = {}
         if mode.startswith("partitioned"):
-            options = {"partitions": 3, "repartition": True,
-                       "max_partition_rows": 4_000}
+            options = {"partitions": 3}
         database.set_indexing("facts", "a", mode, **options)
         model = self.apply_dml(database, session, rng)
         queries = [

@@ -90,7 +90,7 @@ update_options = st.fixed_dictionaries({
 def oracle(column) -> bool:
     """What ``column.converged`` must answer right now (never latches)."""
     if isinstance(column, PartitionedCrackedColumn):
-        return not column.repartition and all(
+        return all(
             p._bounds_known and oracle(p.cracked) for p in column.partitions
         )
     return (column.pending_inserts == 0 and column.pending_deletes == 0

@@ -78,14 +78,6 @@ class ListModel:
             high=self.values[i] if i < len(self.values) else None,
         )
 
-    def split(self, i):
-        cut = self.positions[i]
-        return (
-            ListModel(cut, self.values[:i], self.positions[:i]),
-            ListModel(self.size - cut, self.values[i + 1:],
-                      [p - cut for p in self.positions[i + 1:]]),
-        )
-
     def drop(self, start, end):
         keep = [i for i, p in enumerate(self.positions) if not start < p < end]
         self.values = [self.values[i] for i in keep]
@@ -174,24 +166,6 @@ class CrackerIndexMachine(RuleBasedStateMachine):
         first = bisect.bisect_right(self.model.values, value)
         self.shift(first, delta, lambda: self.index
                    .shift_positions_for_values_above(value, delta))
-
-    @rule(data=st.data(), keep_left=st.booleans())
-    def split_at_boundary(self, data, keep_left):
-        value = data.draw(st.sampled_from(self.model.values + [-1, 7, 7.5]))
-        if value not in self.model.values:
-            with pytest.raises(ValueError):
-                self.index.split_at_boundary(value)
-            return
-        halves = self.index.split_at_boundary(value)
-        models = self.model.split(self.model.values.index(value))
-        for half, model in zip(halves, models):
-            assert_same(half, model)
-        # the halves are independent of their parent: mutate it, then go on
-        # with one of them
-        self.index.add_boundary(-1, 0)
-        self.index.shift_positions(0, +1)
-        side = 0 if keep_left else 1
-        self.index, self.model = halves[side], models[side]
 
     @rule(data=st.data())
     def drop_boundaries_in_position_range(self, data):

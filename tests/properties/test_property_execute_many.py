@@ -1,7 +1,7 @@
 """Property suite: ``execute_many`` is bit-identical to sequential execution.
 
-For every registered indexing mode, plus repartitioning columns and the
-partitioned column's own thread pool, two identically seeded databases
+For every registered indexing mode, plus the partitioned columns' own
+thread pool and the gradual merge policy, two identically seeded databases
 receive the same DML stream before the first round and between rounds, and
 the same mixed same-table batches — queries over the mode-under-test column
 interleaved with scans and full-index lookups over sibling columns.  One
@@ -35,27 +35,27 @@ MODE_OPTIONS = {
 }
 
 EXTRA_CASES = [
-    ("partitioned-cracking", {"partitions": 3, "repartition": True,
-                              "max_partition_rows": 1_200}),
-    ("partitioned-updatable-cracking", {"partitions": 3, "repartition": True,
-                                        "max_partition_rows": 1_200}),
+    # partitions that merge at most two pending updates per query each
+    ("partitioned-updatable-cracking", {"partitions": 3, "policy": "gradual",
+                                        "merge_batch": 2}),
     # thread fan-out inside the partitioned column: the same bit-identity
     # (answers and counters) must hold when partition work runs on the
-    # column's own pool, with and without repartitioning
+    # column's own pool, also when one worker takes the hand-offs in turn
     ("partitioned-cracking", {"partitions": 3, "parallel": True}),
-    ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True,
-                                        "repartition": True,
-                                        "max_partition_rows": 1_200}),
+    ("partitioned-cracking", {"partitions": 3, "parallel": True, "max_workers": 1}),
+    ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True}),
 ]
 
 
 def all_modes():
     """Every registry name at its options (the id is the name), then the
-    extra cases (the id adds the options they switch on)."""
+    extra cases (the id adds what they switch on)."""
     cases = [pytest.param(mode, MODE_OPTIONS.get(mode, {}), id=mode)
              for mode in available_strategies()]
     for mode, options in EXTRA_CASES:
-        switched = [name for name in ("parallel", "repartition") if options.get(name)]
+        switched = ["parallel"] if options.get("parallel") else []
+        switched += ["one-worker"] if options.get("max_workers") == 1 else []
+        switched += [options["policy"]] if "policy" in options else []
         cases.append(pytest.param(mode, options, id="-".join([mode] + switched)))
     return cases
 

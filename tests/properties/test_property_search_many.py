@@ -5,13 +5,14 @@ partitioned — must be indistinguishable from calling ``search(low, high,
 counters)`` once per range, in order, on an identical twin: every answer
 equal *in order*, every query's counters equal, and the state left behind
 equal — cracker values and row identifiers, the cracker index's boundary
-values and positions, ``queries_processed`` and the partition visits.  A
-follow-up search on both then has to agree too.
+values and positions and ``queries_processed``.  A follow-up search on
+both then has to agree too.
 
 The columns are the ones where a key's type matters (int64 around
 ``2**60``, uint64 past ``2**63``, int32, float64), in every state a batch can
 meet: cold, mid-refinement, converged, with pending inserts and deletes
-under both merge policies, and repartitioning.  The batches hold the shapes
+under both merge policies, and copied up front with updates pending before
+any crack.  The batches hold the shapes
 a one-pass crack has to get right: duplicate, nested and touching ranges,
 empty ones (``low == high``) and half-open ones (``None``).
 """
@@ -52,7 +53,7 @@ SUBJECTS = {
 }
 
 STATES = ("cold", "refined", "converged", "ripple pending", "gradual pending",
-          "repartitioning")
+          "eager pending")
 
 
 def column_values(kind, seed):
@@ -73,8 +74,8 @@ def build(subject, kind, state, seed, **options):
     """A column of ``subject`` over ``kind`` keys, brought into ``state`` by
     a fixed stream of operations: two calls build two identical objects."""
     values = column_values(kind, seed)
-    if state == "repartitioning":
-        options.update(repartition=True, max_partition_rows=60)
+    if state == "eager pending":
+        options.update(lazy_copy=False)
     if state == "gradual pending":
         options.update(policy="gradual", merge_batch=3)
     column = SUBJECTS[subject](values, **options)
@@ -88,11 +89,11 @@ def build(subject, kind, state, seed, **options):
         column.search(keys[-1], None)
         assert column.converged  # latches every cracker column
         return column
-    if state != "cold":
+    if state not in ("cold", "eager pending"):
         for _ in range(12):
             low, high = sorted(keys[i] for i in rng.integers(0, len(keys), 2))
             column.search(low, high)
-    if state.endswith("pending") or state == "repartitioning":
+    if state.endswith("pending"):
         for index in rng.integers(0, len(keys), 25).tolist():
             column.insert(keys[index])
         for rowid in rng.choice(SIZE, 20, replace=False).tolist():
@@ -134,8 +135,8 @@ def batches(draw, keys):
 def cracker_state(column):
     """Everything a search may change, as comparable plain data."""
     if isinstance(column, PartitionedCrackedColumn):
-        return ([cracker_state(p.cracked) + (p.visits,) for p in column.partitions],
-                column.queries_processed, column.partition_splits)
+        return ([cracker_state(p.cracked) for p in column.partitions],
+                column.queries_processed)
     materialised = column.materialised
     return (
         column.values.tolist() if materialised else None,
@@ -172,8 +173,6 @@ def assert_batch_is_sequential(make, ranges, label):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("state,subject", [
     (state, subject) for state in STATES for subject in sorted(SUBJECTS)
-    # repartitioning is an option of the partitioned column only
-    if not (state == "repartitioning" and subject == "cracked")
 ])
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**16))
@@ -184,7 +183,7 @@ def test_a_batch_is_its_searches_in_order(state, subject, kind, data, seed):
         f"{subject}, {kind}, {state}")
 
 
-@pytest.mark.parametrize("state", ["cold", "refined", "ripple pending"])
+@pytest.mark.parametrize("state", ["cold", "refined", "ripple pending", "eager pending"])
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), seed=st.integers(0, 2**16))

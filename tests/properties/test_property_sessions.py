@@ -34,11 +34,11 @@ MODE_OPTIONS = {
     "stochastic-cracking": {"seed": 5},
 }
 
+#: the partitioned columns with their own pool (the test takes
+#: ``pooled_fan_out``, so the fan-out really runs on it)
 EXTRA_CASES = [
-    ("partitioned-cracking", {"partitions": 3, "repartition": True,
-                              "max_partition_rows": 700}),
-    ("partitioned-updatable-cracking", {"partitions": 3, "repartition": True,
-                                        "max_partition_rows": 700}),
+    ("partitioned-cracking", {"partitions": 3, "parallel": True}),
+    ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True}),
 ]
 
 
@@ -183,7 +183,7 @@ def session_worker(database, worker_index, use_submit_dml, errors):
 @pytest.mark.parametrize(
     "mode,options", all_modes(), ids=lambda value: str(value)
 )
-def test_concurrent_sessions_replay_sequentially(mode, options):
+def test_concurrent_sessions_replay_sequentially(mode, options, pooled_fan_out):
     database = build_database(mode, options)
     database.record_journal = True
     errors = []

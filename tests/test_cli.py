@@ -62,6 +62,19 @@ class TestCompareCommand:
         assert code == 2
         assert "unknown strategies" in capsys.readouterr().err
 
+    def test_partitioned_strategies_report_their_physical_state(self, capsys):
+        code = main([
+            "compare", "--rows", "3000", "--queries", "15", "--partitions", "3",
+            "--strategies", "partitioned-cracking,partitioned-updatable-cracking",
+            "--policy", "gradual",
+        ])
+        assert code == 0
+        states = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("physical state")]
+        assert len(states) == 2
+        assert all("3 partitions" in line for line in states)
+        assert states[1].endswith("(gradual)")
+
     def test_patterns_accepted(self, capsys):
         for pattern in ("skewed", "sequential", "periodic", "piecewise"):
             code = main([
@@ -90,8 +103,9 @@ class TestUpdatesCommand:
             "--partitions", "3",
         ])
         assert code == 0
-        output = capsys.readouterr().out
-        assert "3 partitions" in output
+        lines = capsys.readouterr().out.splitlines()
+        design = [line for line in lines if line.startswith("physical design")]
+        assert len(design) == 1 and "3 partitions" in design[0]
 
     def test_updates_scan_baseline(self, capsys):
         assert main(["updates", "--rows", "2000", "--queries", "10",
@@ -122,6 +136,61 @@ class TestUpdatesCommand:
         assert "non-negative" in capsys.readouterr().err
         assert main(["updates", "--rows", "100", "--merge-batch", "0"]) == 2
         assert "merge-batch" in capsys.readouterr().err
+
+
+class TestPartitionFlags:
+    """The flags ``compare`` and ``updates`` share for the partitioned names."""
+
+    @pytest.mark.parametrize("command", ["compare", "updates"])
+    def test_partition_flags_are_validated(self, command, capsys):
+        for flag, message in [("--partitions=0", "--partitions must be >= 1"),
+                              ("--merge-batch=0", "--merge-batch must be >= 1")]:
+            assert main([command, "--rows", "100", flag]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "updates"])
+    @pytest.mark.parametrize(
+        "flag", ["--repartition", "--max-partition-rows=100", "--split-threshold=2"],
+    )
+    def test_the_repartitioning_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--strategies" if command == "compare" else "--strategy",
+                  "partitioned-cracking", flag])
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestDurableCommands:
+    """``updates --data-dir`` writes a journal; ``recover`` and ``snapshot``
+    reopen it."""
+
+    UPDATES = ["updates", "--rows", "2000", "--queries", "10",
+               "--strategy", "partitioned-updatable-cracking", "--partitions", "3",
+               "--policy", "gradual", "--merge-batch", "4"]
+
+    def test_updates_journals_only_the_options_its_strategy_takes(self, tmp_path,
+                                                                  capsys):
+        from repro.engine.database import Database
+
+        assert main(self.UPDATES + ["--data-dir", str(tmp_path)]) == 0
+        assert "durability" in capsys.readouterr().out
+        database = Database.open(tmp_path)
+        assert database.indexing_mode("data", "key") == "partitioned-updatable-cracking"
+        assert database._mode_options[("data", "key")] == {
+            "policy": "gradual", "merge_batch": 4, "partitions": 3, "parallel": False}
+        database.close()
+
+    def test_recover_and_snapshot_reopen_what_updates_wrote(self, tmp_path, capsys):
+        assert main(self.UPDATES + ["--data-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "snapshot used     : none (journal only)" in output
+        assert "table             : data" in output
+        assert main(["snapshot", "--data-dir", str(tmp_path)]) == 0
+        assert "snapshot written" in capsys.readouterr().out
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 0
+        assert "replayed          : 0 operations" in capsys.readouterr().out
 
 
 class TestDemoAndDefaults:
