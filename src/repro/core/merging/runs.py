@@ -43,12 +43,22 @@ show.
 
 One kernel per gap
 ------------------
-Both bounds are located in all runs at once by a branch-free bisection over
-index vectors (``bit_length(S)`` rounds of a handful of array operations —
-no per-run Python), the qualifying entries are gathered in run order by one
-index, and the sum of the lower positions is the *global rank* of the gap's
-lower bound: the number of values in the column below it, which is where
-the sorted block belongs in a final partition laid out by rank.
+A gap is located by **one** bisection over ``2·runs`` lanes, one per (run,
+bound) pair; an open bound takes no lanes.  The bounds are typed once by
+:func:`~repro.columnstore.types.exact_bounds` and laid out as a vector of the
+column's own dtype, so every comparison is exact at any key width.  All runs
+but the last hold exactly ``S`` entries, so every lane takes the same
+``bit_length(S)`` steps: the first, ``S - P + 1`` (``P`` the largest power of
+two up to ``S``), leaves ``P`` candidate positions either way, and the powers
+of two below ``P`` halve them; no probe leaves its run.  Only the last run may
+be shorter, and its probes past its end are probes past the array's end,
+which ``take(mode="clip")`` answers with its maximum: the run reads as padded
+with copies of that entry, still sorted, and one ``np.minimum`` with the run
+ends removes the padding.  A round is five array calls and no per-run
+Python.  The qualifying entries are then gathered in run order by one index,
+and the sum of the lower positions is the *global rank* of the gap's lower
+bound: the number of values in the column below it, which is where the
+sorted block belongs in a final partition laid out by rank.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import numpy as np
 
 from repro.columnstore.bulk import binary_search_counts, stable_sort_rows
 from repro.columnstore.column import Column
+from repro.columnstore.types import Bound, exact_bounds
 from repro.cost.counters import CostCounters
 
 
@@ -91,17 +102,27 @@ class RunSet:
         if run_size < 1:
             raise ValueError("run_size must be >= 1")
         self.run_size = int(run_size)
-        self.starts = np.arange(0, n, self.run_size, dtype=np.int64)
-        self.ends = np.minimum(self.starts + self.run_size, n)
-        #: entries each run still holds
-        self.live = self.ends - self.starts
-        self._live_total = n
+        starts = np.arange(0, n, self.run_size, dtype=np.int64)
         # each run is a row of the kernel; its in-run positions become rowids
         self.values, self.rowids = stable_sort_rows(base, self.run_size, counters)
         full = n - n % self.run_size
         body = self.rowids[:full].reshape(-1, self.run_size)
-        body += self.starts[: len(body), None]
+        body += starts[: len(body), None]
         self.rowids[full:] += full
+        # one lane per (run, bound): the lower bound's lanes, then the upper's,
+        # whose first halves are the runs' own starts and ends
+        runs = len(starts)
+        self._lane_starts = np.tile(starts, 2)
+        self._lane_ends = np.minimum(self._lane_starts + self.run_size, n)
+        self.starts, self.ends = self._lane_starts[:runs], self._lane_ends[:runs]
+        # the bisection's steps (see the module docstring); none when empty
+        size = min(self.run_size, n)
+        top = (1 << size.bit_length()) >> 1  # the largest power of two up to size
+        self._steps = ((size - top + 1,) + tuple(top >> k for k in range(1, top.bit_length()))
+                       if size else ())
+        #: entries each run still holds
+        self.live = self.ends - self.starts
+        self._live_total = n
         if counters is not None:
             # the kernel charged the sorts, run by run; the pass is charged here
             counters.record_scan(n)
@@ -122,31 +143,24 @@ class RunSet:
         """Number of runs that still hold an entry."""
         return int(np.count_nonzero(self.live))
 
-    def _lower_bounds(self, bound: float) -> np.ndarray:
-        """Per run, the position of its first entry ``>= bound``.
-
-        ``np.searchsorted(run, bound, side="left")`` for every run at once:
-        ``found`` advances by halving steps while the entry it would skip
-        to is inside the run and below ``bound``.
-        """
-        values, ends = self.values, self.ends
-        found = self.starts.copy()
+    def _bisect(self, bounds: Tuple[Bound, ...]) -> np.ndarray:
+        """Per run and per bound, the position of the run's first entry
+        ``>= bound``: ``np.searchsorted(run, bound, side="left")`` for every
+        lane at once, the lanes of each bound in run order."""
+        values, runs = self.values, len(self.starts)
+        lanes = len(bounds) * runs
+        key = np.repeat(np.array(bounds, dtype=values.dtype), runs)
+        found = self._lane_starts[:lanes].copy()
         scratch = np.empty_like(found)
-        probe = np.empty(len(found), dtype=values.dtype)
-        inside = np.empty(len(found), dtype=bool)
-        below = np.empty(len(found), dtype=bool)
-        # the largest power of two a run can hold (0 for an empty column)
-        step = (1 << min(self.run_size, len(values)).bit_length()) >> 1
-        while step:
+        probe = np.empty(lanes, dtype=values.dtype)
+        below = np.empty(lanes, dtype=bool)
+        for step in self._steps:
             np.add(found, step - 1, out=scratch)  # the last entry a step skips
-            np.less(scratch, ends, out=inside)
             values.take(scratch, out=probe, mode="clip")
-            np.less(probe, bound, out=below)
-            below &= inside
+            np.less(probe, key, out=below)
             np.multiply(below, step, out=scratch)
             found += scratch
-            step >>= 1
-        return found
+        return np.minimum(found, self._lane_ends[:lanes], out=found)
 
     def extract_ranked(
         self,
@@ -167,14 +181,14 @@ class RunSet:
             # two binary searches in every run that still holds an entry
             counters.record_comparisons(2 * int(binary_search_counts(self.live).sum()))
             counters.record_random_access(2 * self.run_count)
-        begin = self.starts if low is None else self._lower_bounds(low)
+        low, high = exact_bounds(self.values.dtype, low, high)
+        found = self._bisect(tuple(bound for bound in (low, high) if bound is not None))
+        runs = len(self.starts)
+        begin = self.starts if low is None else found[:runs]
         rank = int((begin - self.starts).sum())
-        if high is None:
-            counts = self.ends - begin
-        else:
-            counts = self._lower_bounds(high)
-            counts -= begin
-            np.maximum(counts, 0, out=counts)
+        end = self.ends if high is None else found[len(found) - runs:]
+        counts = end - begin
+        np.maximum(counts, 0, out=counts)
         total = int(counts.sum())
         if counters is not None:
             counters.record_scan(total)

@@ -44,13 +44,17 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def call_events(call) -> int:
-    """Function calls, Python-level and C-level, made while ``call`` runs."""
+def call_events(call, name=None) -> int:
+    """Function calls, Python-level and C-level, made while ``call`` runs;
+    given a ``name``, only the C-level calls of functions of that name."""
     events = 0
 
     def count(frame, event, arg):
         nonlocal events
-        events += event in ("call", "c_call")
+        if name is None:
+            events += event in ("call", "c_call")
+        else:
+            events += event == "c_call" and arg.__name__ == name
 
     sys.setprofile(count)
     try:
@@ -140,8 +144,9 @@ def test_merging_queries_copy_neither_the_runs_nor_the_final_partition():
     stay within the budget: no rebuilt final partition (16 B per merged
     row), no rebuilt run, no cast of either to the bound's type.  What a
     query does allocate is its own block and a handful of index vectors of
-    8 B per run; 200 runs keep those a fraction of the budget, which at the
-    default √n runs they would mostly use up on a column this small."""
+    8 B per (run, bound) lane; 200 runs keep those a fraction of the budget,
+    which at the default √n runs they would mostly use up on a column this
+    small."""
     database, rng = build_database("adaptive-merging", run_size=1_000)
     width = DOMAIN // 1_000
     peak = 0
@@ -170,6 +175,21 @@ def test_a_merging_query_makes_no_call_per_run():
             events[runs] = call_events(lambda: session.execute(query))
         database.close()
     assert events[1_600] < 2 * events[100], events
+
+
+def test_a_gap_is_located_in_one_bisection():
+    """A merging query whose range is one gap locates both of its bounds in
+    every run with a single bisection: one gather of probes per round, and
+    ``bit_length(1 000)`` = 10 rounds — not ten rounds per bound."""
+    run_size = 1_000
+    database, _ = build_database("adaptive-merging", run_size=run_size)
+    with database.session() as session:
+        session.execute(Query.range_query("t", "key", 0.0, 2_000.0))
+        query = Query.range_query("t", "key", 500_000.0, 502_000.0)
+        takes = call_events(lambda: session.execute(query), "take")
+        assert len(database.access_path("t", "key").merged_ranges) == 2
+    database.close()
+    assert takes == run_size.bit_length(), takes
 
 
 def test_merging_a_pending_update_makes_no_call_per_piece():

@@ -11,18 +11,26 @@ and ``structure_description``.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.columnstore.bulk import binary_search_count, stable_sort_rows
+from repro.columnstore.types import exact_bounds
 from repro.core.hybrids.final_partition import FinalPartition
 from repro.core.hybrids.hybrid_index import HybridIndex
 from repro.core.merging.runs import RunSet
 from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 from repro.indexes.full_index import FullIndex
+
+
+def lower_bound(values, key):
+    """Where ``key`` goes in the sorted ``values``, compared as Python
+    compares them (exactly, where numpy may cast both sides to float64)."""
+    return bisect_left(values.tolist(), key)
 
 
 def sort_cost(size):
@@ -61,8 +69,8 @@ class ReferenceModel:
             values, rowids = run
             if len(values) == 0:
                 continue
-            begin = int(np.searchsorted(values, low, side="left"))
-            end = max(begin, int(np.searchsorted(values, high, side="left")))
+            begin = lower_bound(values, low)
+            end = max(begin, lower_bound(values, high))
             counters.record_comparisons(2 * binary_search_count(len(values)))
             counters.record_random_access(2)
             if begin == end:
@@ -154,9 +162,8 @@ class ReferenceModel:
         if self.pieces is not None:
             return self.pieces.search(low, high, counters)
         final = self.final_values
-        begin = 0 if low is None else int(np.searchsorted(final, low, side="left"))
-        end = len(final) if high is None else int(
-            np.searchsorted(final, high, side="left"))
+        begin = 0 if low is None else lower_bound(final, low)
+        end = len(final) if high is None else lower_bound(final, high)
         end = max(end, begin)
         counters.record_comparisons(2 * binary_search_count(len(final)))
         counters.record_scan(end - begin)
@@ -292,6 +299,74 @@ def assert_generated_stream_matches_model(subject, base, run_size, queries):
         queries = [(low, high) if None in (low, high) else (min(low, high), max(low, high))
                    for low, high in queries]
     assert_stream_matches_model(subject, base, run_size, queries)
+
+
+# -- wide keys: the columns a float cast gets wrong, under the planner's bounds ------
+#
+# The column kinds of ``test_property_exact_keys.py``: int64 keys around
+# ``2**60`` (256 apart as floats), int64 holding both ends of its range and
+# uint64 past ``2**63``.  The bounds are Python ints and half-integers near a
+# key, typed by ``exact_bounds`` as the planner types them.
+
+WIDE = 2**60
+INT64 = np.iinfo(np.int64)
+
+
+def _wide(rng, size):
+    return WIDE + rng.integers(-5_000, 5_001, size)
+
+
+def _extremes(rng, size):
+    ends = np.array([INT64.min, INT64.min + 1, -3, 0, 3, INT64.max - 1, INT64.max],
+                    dtype=np.int64)
+    return np.concatenate([ends, rng.choice(ends, size)])
+
+
+def _past_2_63(rng, size):
+    keys = rng.integers(2**63 - 5_000, 2**63 + 5_001, size, dtype=np.uint64)
+    return np.append(keys, np.uint64(np.iinfo(np.uint64).max))
+
+
+#: column kind -> (dtype, keys(rng, size))
+WIDE_KINDS = {
+    "int64 around 2**60": (np.int64, _wide),
+    "int64 at both ends": (np.int64, _extremes),
+    "uint64 past 2**63": (np.uint64, _past_2_63),
+}
+
+
+@st.composite
+def wide_bound(draw, keys):
+    """None, or a Python int or half-integer within two of a key of ``keys``."""
+    shape = draw(st.sampled_from(["none", "int", "half"]))
+    if shape == "none":
+        return None
+    whole = draw(st.sampled_from(keys.tolist())) + draw(st.integers(-2, 2))
+    return whole if shape == "int" else whole + 0.5
+
+
+@st.composite
+def wide_stream(draw):
+    """``(keys, queries)``: a wide-key column and an unordered query stream."""
+    dtype, make = WIDE_KINDS[draw(st.sampled_from(sorted(WIDE_KINDS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    keys = np.asarray(make(rng, draw(st.integers(1, 90))), dtype=dtype)
+    queries = draw(st.lists(st.tuples(wide_bound(keys), wide_bound(keys)),
+                            min_size=1, max_size=12))
+    return keys, queries + draw(st.sampled_from([[], [(None, None)]]))
+
+
+@given(subject=st.sampled_from(SUBJECTS), case=wide_stream(), run_size=run_size)
+@settings(max_examples=150, deadline=None)
+# the last run holds one entry and both bounds lie above it
+@example(subject=merging_subject,
+         case=(WIDE + np.array([5, 1, 3, 2, 9, 7, 4], dtype=np.int64),
+               [(WIDE + 6, WIDE + 10), (WIDE + 0.5, WIDE + 4), (None, None)]),
+         run_size=3)
+def test_wide_keys_match_the_per_run_model(subject, case, run_size):
+    keys, queries = case
+    typed = [exact_bounds(keys.dtype, low, high) for low, high in queries]
+    assert_generated_stream_matches_model(subject, keys, run_size, typed)
 
 
 # -- run generation and the full-index build alone, across dtypes and key spans ------
