@@ -2,8 +2,7 @@
 
 Creates a table of 500k random rows, puts its key column under the classic
 database-cracking strategy, and runs a stream of range queries through a
-:class:`Session` — the one lock-aware API for queries, pipelined futures,
-batches and DML.  Per-query cost falls as the column refines itself; no
+:class:`Session` — the one lock-aware API for queries, batches and DML.  Per-query cost falls as the column refines itself; no
 index was ever created explicitly.
 
 Run with:  python examples/quickstart.py

@@ -253,7 +253,7 @@ class CrackedColumn(SearchStrategy):
         values (see :meth:`_sorted_range`) and does not mutate itself:
         it is read-only under selection, which the session's lock protocol
         (:mod:`repro.engine.concurrency`) exploits to let concurrent
-        ``execute``/``submit`` callers read it without a path lock.  The answer is exact — what
+        ``execute`` callers read it without a path lock.  The answer is exact — what
         :meth:`is_fully_sorted` would say — yet cheap enough for the
         per-query classification: one adjacent pair out of order proves
         "not sorted", so the column keeps the position of one such pair (the

@@ -9,6 +9,10 @@ the injector drops *every* further write silently — the process is
 "dead", nothing after the crash point may reach the disk — so the files
 left behind are exactly what a real crash would leave.
 
+The directory fsync that makes a create, rename or unlink durable
+(:func:`fsync_directory`) lives here too: the WAL and the snapshot writer
+share this one copy.
+
 Corruption (bit rot, a misdirected write) is injected separately with
 :meth:`FaultInjector.corrupt_file` / post-hoc file edits in the tests:
 unlike a torn tail it must make recovery fail *loudly*.
@@ -200,6 +204,15 @@ def open_durable(path, mode: str, injector: Optional[FaultInjector]):
     if injector is not None:
         return injector.open(path, mode)
     return _DirectFile(open(path, mode, buffering=0))
+
+
+def fsync_directory(directory) -> None:
+    """Make a directory entry change (create/rename/unlink) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def kill_point(injector: Optional[FaultInjector], name: str) -> None:

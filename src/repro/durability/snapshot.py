@@ -37,7 +37,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.columnstore.types import dtype_by_name
-from repro.durability.faults import FaultInjector, kill_point, open_durable
+from repro.durability.faults import (
+    FaultInjector, fsync_directory, kill_point, open_durable,
+)
 from repro.durability.record import ColumnDump
 
 SNAPSHOT_MAGIC = b"RPSN"
@@ -92,14 +94,6 @@ def _snapshot_high_water(path: Path) -> Optional[int]:
         return None
     digits = name[len("snapshot-"):-len(".snap")]
     return int(digits) if digits.isdigit() else None
-
-
-def _fsync_directory(directory: Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def encode_snapshot(state: SnapshotState) -> bytes:
@@ -277,7 +271,7 @@ class SnapshotStore:
             handle.fsync()
         kill_point(self._injector, "snapshot.before_rename")
         os.replace(tmp_path, final_path)
-        _fsync_directory(self.directory)
+        fsync_directory(self.directory)
         kill_point(self._injector, "snapshot.after_rename")
         self._prune()
         return final_path
@@ -294,4 +288,4 @@ class SnapshotStore:
         for leftover in self.directory.glob("*.tmp"):
             leftover.unlink()
         if len(paths) > self.keep:
-            _fsync_directory(self.directory)
+            fsync_directory(self.directory)

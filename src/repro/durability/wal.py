@@ -39,14 +39,15 @@ loudly rather than silently drop committed operations.
 
 from __future__ import annotations
 
-import os
 import struct
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.durability.faults import FaultInjector, kill_point, open_durable
+from repro.durability.faults import (
+    FaultInjector, fsync_directory, kill_point, open_durable,
+)
 from repro.durability.record import (
     RecordFormatError,
     WalRecord,
@@ -136,15 +137,6 @@ def _read_segment_header(path: Path, data: bytes) -> int:
             f"{path}: unsupported segment version {version}"
         )
     return base_sequence
-
-
-def _fsync_directory(directory: Path) -> None:
-    """Make a directory entry change (create/rename/unlink) durable."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class WriteAheadLog:
@@ -277,7 +269,7 @@ class WriteAheadLog:
         )
         handle.write(header)
         handle.fsync()  # the header must survive before records rely on it
-        _fsync_directory(self.directory)
+        fsync_directory(self.directory)
         self._handle = handle
         self._segment_index = index
         self._segment_offset = len(header)
@@ -372,7 +364,7 @@ class WriteAheadLog:
                 del self._sealed_last[index]
                 removed += 1
             if removed:
-                _fsync_directory(self.directory)
+                fsync_directory(self.directory)
         return removed
 
     def close(self) -> None:

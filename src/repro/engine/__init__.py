@@ -9,8 +9,8 @@ regardless of the mode — physical design differences stay invisible to the
 query author, exactly as adaptive indexing promises.
 
 The one door is the :class:`~repro.engine.session.Session`
-(``db.session()``): one lock-aware API for single queries, pipelined
-futures, batches and DML, all interleaving safely across sessions and
+(``db.session()``): one lock-aware, thread-free API for single queries,
+batches and DML, all interleaving safely across sessions and caller
 threads with results bit-identical to a sequential per-access-path
 ordering.
 """

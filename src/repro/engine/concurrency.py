@@ -38,7 +38,7 @@ until the batch ends, which is conservative but deterministic.
 
 Scope of the protection: since the session front door
 (:mod:`repro.engine.session`) every entry point — single-query
-``execute``, pipelined ``submit``, batches and DML — runs under the same
+``execute``, batches and DML — runs under the same
 two-level protocol.  Level one is a per-table :class:`TableGate` (a fair
 readers-writer gate): queries hold it shared, DML (and the DDL that
 changes a table's design or drops it) holds it exclusive, so
@@ -466,7 +466,7 @@ class AccessPathLockManager:
 class TableGate:
     """A fair readers-writer gate fencing DML against in-flight queries.
 
-    Queries (single, pipelined, or whole batches) hold the gate *shared*:
+    Queries (single or whole batches) hold the gate *shared*:
     any number run at once, with the per-access-path locks arbitrating
     mutating selections among them.  DML holds the gate *exclusive*: an
     insert, delete or update waits until every in-flight query on the

@@ -71,7 +71,6 @@ from repro.engine.session import OperationRecord, Session
     rows_deleted="_engine_stats_lock",
     _journal="_engine_stats_lock",
     _op_sequence="_engine_stats_lock",
-    journal_retention="_engine_stats_lock",
 )
 class Database:
     """An in-memory column-store database with pluggable physical design."""
@@ -117,8 +116,6 @@ class Database:
         #: (the linearized history replayed by the sequential oracle)
         self.record_journal = False
         self._journal: List[OperationRecord] = []
-        #: in-memory journal bound (None = unbounded; see set_journal_retention)
-        self.journal_retention: Optional[int] = None
         self._op_sequence = 0
         self.memory = MemoryTracker()
         self.planner = Planner(self)
@@ -274,7 +271,8 @@ class Database:
 
         The in-memory state stays usable (paths re-create what they need
         lazily), but the journal stops: a closed database no longer
-        persists anything.  Sessions own their pools and close themselves.
+        persists anything.  Sessions hold no resources; closing one only
+        marks it closed.
         """
         for path in list(self._access_paths.values()):
             path.close()
@@ -290,11 +288,13 @@ class Database:
         """Open a lock-aware session handle, the one way operations enter
         the engine (use it context-managed).
 
-        All sessions on one database interleave safely: queries, pipelined
-        futures, batches and DML from any of them are equivalent to a
-        sequential per-access-path ordering of the same operations.
+        All sessions on one database interleave safely: queries, batches
+        and DML from any of them, on any caller threads, are equivalent to
+        a sequential per-access-path ordering of the same operations.
+        ``max_workers`` is accepted and ignored (not validated either): a
+        session starts no thread.
         """
-        return Session(self, name=name, max_workers=max_workers)
+        return Session(self, name=name)
 
     # -- schema management --------------------------------------------------------
 
@@ -523,9 +523,6 @@ class Database:
                         session=session,
                     )
                 )
-                retention = self.journal_retention
-                if retention is not None and len(self._journal) > retention:
-                    del self._journal[: len(self._journal) - retention]
         return sequence
 
     def operation_journal(self) -> List[OperationRecord]:
@@ -537,24 +534,6 @@ class Database:
         """Drop all recorded journal entries (the sequence keeps advancing)."""
         with self._engine_stats_lock:
             self._journal.clear()
-
-    def set_journal_retention(self, max_records: Optional[int]) -> None:
-        """Bound the in-memory journal to its newest ``max_records`` entries.
-
-        ``None`` (the default) keeps the journal unbounded — the property
-        suites rely on the complete history, so nothing changes unless a
-        bound is requested.  With durability enabled the journal is
-        additionally trimmed through each snapshot's high-water mark
-        (entries a snapshot covers are replayable from disk, not memory).
-        """
-        if max_records is not None and max_records < 0:
-            raise ValueError(
-                f"max_records must be >= 0 or None, got {max_records}"
-            )
-        with self._engine_stats_lock:
-            self.journal_retention = max_records
-            if max_records is not None and len(self._journal) > max_records:
-                del self._journal[: len(self._journal) - max_records]
 
     def _trim_journal(self, high_water: int) -> None:
         """Drop in-memory journal entries a snapshot now covers."""

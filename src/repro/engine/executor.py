@@ -29,9 +29,6 @@ class QueryResult:
     aggregates: Dict[str, float] = field(default_factory=dict)
     counters: CostCounters = field(default_factory=CostCounters)
     elapsed_seconds: float = 0.0
-    #: name of the thread that executed the query (the caller's, or a
-    #: session pool thread for a submitted query)
-    worker: str = ""
     #: engine-wide linearization stamp assigned by the session front door
     #: (-1 when the query bypassed it); orders this query against every
     #: other session operation per access path

@@ -10,8 +10,8 @@ current indexing mode.
 
     session.query("T").where("a", lo, hi).select("b").agg("sum", "b").run()
 
-It desugars to a plain :class:`Query`; ``run()``/``submit()`` hand the
-built query to the session the builder was obtained from.  A detached
+It desugars to a plain :class:`Query`; ``run()`` hands the built query to
+the session the builder was obtained from.  A detached
 builder (constructed directly) can still ``build()``.
 """
 
@@ -105,7 +105,7 @@ class QueryBuilder:
 
     Obtained from ``Session.query(table)``;
     every clause method returns the builder, ``build()`` produces the
-    immutable :class:`Query`, and ``run()`` / ``submit()`` execute it
+    immutable :class:`Query`, and ``run()`` executes it
     through the owning session's lock-aware front door.  Validation is
     eager: a duplicate ``where`` on one column or an unknown aggregate
     function raises at the clause, not deep inside the executor.
@@ -115,7 +115,6 @@ class QueryBuilder:
         self,
         table: str,
         runner: Optional[Callable[["Query"], object]] = None,
-        submitter: Optional[Callable[["Query"], object]] = None,
     ) -> None:
         if not table:
             raise ValueError("a query must name a table")
@@ -125,7 +124,6 @@ class QueryBuilder:
         self._aggregates: List[Aggregate] = []
         self._description = ""
         self._runner = runner
-        self._submitter = submitter
 
     def where(
         self,
@@ -183,12 +181,3 @@ class QueryBuilder:
                 "use build() and execute the query yourself"
             )
         return self._runner(self.build())
-
-    def submit(self):
-        """Build and pipeline through the bound session; returns a future."""
-        if self._submitter is None:
-            raise RuntimeError(
-                "this builder is not bound to a session; "
-                "use build() and submit the query yourself"
-            )
-        return self._submitter(self.build())

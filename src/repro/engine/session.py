@@ -4,9 +4,9 @@ Adaptive indexing's promise (EDBT 2012 tutorial, Section 3) is that index
 refinement rides along with *live* query traffic — there is no offline
 window in which the physical design is rebuilt.  That only works if the
 concurrent path is the default path: a :class:`Session` is the handle
-through which every operation — a single query, a pipelined future, a
-whole batch, an insert/delete/update — runs under the same two-level
-concurrency protocol (:mod:`repro.engine.concurrency`):
+through which every operation — a single query, a whole batch, an
+insert/delete/update — runs under the same two-level concurrency protocol
+(:mod:`repro.engine.concurrency`):
 
 * the **table gate** (a fair readers-writer gate per table): queries hold
   it shared, DML holds it exclusive, so updates issued mid-batch are
@@ -25,23 +25,22 @@ order.  The database records that order as an operation journal
 True``), which is exactly the sequential oracle the property suite
 replays.
 
-Sessions are cheap: they own no data, only a lazily created thread pool
-for :meth:`Session.submit` pipelining and a few statistics counters.  They
-are obtained from ``Database.session()`` and nowhere else — the database
-itself executes nothing.  Use them context-managed::
+Sessions are cheap: they own no data and start no thread, only a few
+statistics counters.  Every operation runs on the calling thread; callers
+who want overlap bring their own threads (a pool of theirs calling
+:meth:`Session.execute`), and one session may be shared across them.
+Sessions are obtained from ``Database.session()`` and nowhere else — the
+database itself executes nothing.  Use them context-managed::
 
     with db.session() as session:
-        future = session.query("T").where("a", lo, hi).agg("sum", "b").submit()
+        result = session.query("T").where("a", lo, hi).agg("sum", "b").run()
         session.insert_row("T", {"a": 7, "b": 1.5})   # fenced, not racing
-        result = future.result()
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence, Union
@@ -86,7 +85,6 @@ class SessionStats:
     name: str
     queries_executed: int = 0
     batches_executed: int = 0
-    operations_submitted: int = 0
     rows_inserted: int = 0
     rows_deleted: int = 0
     rows_updated: int = 0
@@ -103,49 +101,23 @@ class _Commit:
 _SESSION_IDS = itertools.count(1)
 
 
-def default_worker_count() -> int:
-    """Default worker count of a session's :meth:`Session.submit` pool: at
-    least 2 workers (pipelining needs overlap even on a single core),
-    scaling with the cores actually present."""
-    return max(2, os.cpu_count() or 2)
-
-
-def validate_max_workers(max_workers: Optional[int]) -> Optional[int]:
-    """Validate an optional explicit worker count (``None`` = use default)."""
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(
-            f"max_workers must be a positive worker count, got {max_workers}"
-        )
-    return max_workers
-
-
 @guarded_by(
-    _pool="_lock",
-    _futures="_lock",
     _closed="_lock",
     _stats="_lock",
 )
 class Session:
     """A lock-aware handle on a :class:`~repro.engine.database.Database`.
 
-    Thread-safe: one session may be shared across threads (its pipelined
-    futures already execute on pool threads), and any number of sessions
-    on one database interleave safely — equivalence to a sequential
-    per-access-path ordering is the invariant the property suite pins.
+    Thread-safe and thread-free: every operation runs on the calling
+    thread, one session may be shared across threads, and any number of
+    sessions on one database interleave safely — equivalence to a
+    sequential per-access-path ordering is the invariant the property
+    suite pins.
     """
 
-    def __init__(
-        self,
-        database,
-        name: Optional[str] = None,
-        max_workers: Optional[int] = None,
-    ) -> None:
-        validate_max_workers(max_workers)
+    def __init__(self, database, name: Optional[str] = None) -> None:
         self._database = database
         self.name = name or f"session-{next(_SESSION_IDS)}"
-        self._max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._futures: List[Future] = []
         self._closed = False
         self._lock = threading.Lock()
         self._stats = SessionStats(name=self.name)
@@ -159,73 +131,31 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        """Drain pipelined work and release the pool (idempotent)."""
-        self.drain()
+        """Mark the session closed (idempotent); later operations raise."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def drain(self) -> None:
-        """Block until every future submitted so far has completed.
-
-        Failures stay on their futures (re-raised by ``future.result()``);
-        draining only waits.
-        """
-        with self._lock:
-            pending, self._futures = self._futures, []
-        for future in pending:
-            try:
-                future.result()
-            except Exception:
-                pass  # the caller holds the future; don't swallow its result
-
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(f"session {self.name!r} is closed")
-
-    def _submit_task(self, fn, *args) -> Future:
-        """Queue work on the session pool, atomically with close().
-
-        The open-check, pool creation and hand-off happen under the
-        session lock, so a concurrent :meth:`close` either sees the task
-        (and drains it) or the submitter gets the session's own "closed"
-        error — never the pool's shutdown exception.
-        """
-        with self._lock:
-            self._check_open()
-            if self._pool is None:
-                workers = self._max_workers or default_worker_count()
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers,
-                    thread_name_prefix=f"repro-{self.name}",
-                )
-            future = self._pool.submit(fn, *args)
-            self._stats.operations_submitted += 1
-            self._futures = [f for f in self._futures if not f.done()]
-            self._futures.append(future)
-        return future
 
     # -- queries -------------------------------------------------------------------
 
     def query(self, table: str) -> QueryBuilder:
         """Fluent builder bound to this session's front door."""
-        return QueryBuilder(table, runner=self.execute, submitter=self.submit)
+        return QueryBuilder(table, runner=self.execute)
 
     def execute(self, query: Query) -> QueryResult:
         """Plan and execute one query under the full locking protocol: a
         batch of one (:meth:`execute_many`), counted as a query and not as
         a batch.
 
-        Safe to call concurrently with batches, pipelined futures and DML
-        from any session or thread.
+        Safe to call concurrently with batches and DML from any session or
+        thread.
         """
         return self._execute_batch([query])[0]
 
@@ -259,7 +189,6 @@ class Session:
                 query.description or query.table, snapshots, result.counters
             )
         result.elapsed_seconds = timer.elapsed
-        result.worker = threading.current_thread().name
         result.sequence = database._journal_record(
             "query", query.table, query, result, session=self.name
         )
@@ -300,16 +229,6 @@ class Session:
             for (position, _), answer in zip(steps, answers):
                 selections[position] = answer
         return selections
-
-    def submit(self, query: Query) -> Future:
-        """Pipeline one query; returns a future resolving to its result.
-
-        Submitted queries run on the session's pool through the same
-        locked :meth:`execute` path; their completion order is arbitrary,
-        but every physical reorganisation still serializes per access
-        path.
-        """
-        return self._submit_task(self.execute, query)
 
     def execute_many(
         self,
@@ -577,34 +496,6 @@ class Session:
             self._stats.rows_updated += 1
         return commit.rowid
 
-    def submit_insert(
-        self,
-        table: str,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> Future:
-        """Queue an insert on the session pipeline (fenced when it runs)."""
-        return self._submit_task(self.insert_row, table, values, counters)
-
-    def submit_delete(
-        self,
-        table: str,
-        rowid: int,
-        counters: Optional[CostCounters] = None,
-    ) -> Future:
-        """Queue a delete on the session pipeline (fenced when it runs)."""
-        return self._submit_task(self.delete_row, table, rowid, counters)
-
-    def submit_update(
-        self,
-        table: str,
-        rowid: int,
-        values: Mapping[str, Union[int, float]],
-        counters: Optional[CostCounters] = None,
-    ) -> Future:
-        """Queue an update on the session pipeline (fenced when it runs)."""
-        return self._submit_task(self.update_row, table, rowid, values, counters)
-
     # -- introspection -------------------------------------------------------------
 
     def stats(self) -> SessionStats:
@@ -614,7 +505,6 @@ class Session:
                 name=self._stats.name,
                 queries_executed=self._stats.queries_executed,
                 batches_executed=self._stats.batches_executed,
-                operations_submitted=self._stats.operations_submitted,
                 rows_inserted=self._stats.rows_inserted,
                 rows_deleted=self._stats.rows_deleted,
                 rows_updated=self._stats.rows_updated,

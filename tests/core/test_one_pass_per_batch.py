@@ -9,7 +9,8 @@ the tests count calls to the two partition kernels and to ``crack_many``.
 A lone range is a batch of one and keeps the per-range kernels, so the
 sequential twin of ``tests/properties/test_property_search_many.py`` runs
 ``crack_range``, not ``search_many`` checked against itself.  A batch is one
-unit on the calling thread: it starts no thread of its own.
+unit on the calling thread: it starts no thread of its own, and neither does
+a single query or a row change through a session.
 """
 
 import threading
@@ -118,20 +119,9 @@ def test_a_single_execute_keeps_its_kernels(kernel_calls, mode, entry):
         >= (PARTITIONS if mode == "partitioned-cracking" else 4)
 
 
-def test_a_batch_starts_no_thread(monkeypatch):
-    """A batch over a cracking, a full-index and a scanned column runs on
-    the calling thread, whatever ``parallel`` and ``max_workers`` say."""
-    rng = np.random.default_rng(35)
-    database = Database("one-unit")
-    database.create_table("t", {
-        name: rng.integers(0, DOMAIN, ROWS // 8).astype(np.int64)
-        for name in ("cracked", "indexed", "scanned")
-    })
-    database.set_indexing("t", "cracked", "cracking")
-    database.set_indexing("t", "indexed", "full-index")
-    queries = [Query.range_query("t", name, low, low + WIDTH)
-               for low in rng.integers(0, DOMAIN, 4).tolist()
-               for name in ("cracked", "indexed", "scanned")]
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The name of every thread started while the test runs."""
     started = []
     start = threading.Thread.start
 
@@ -140,7 +130,51 @@ def test_a_batch_starts_no_thread(monkeypatch):
         return start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def no_thread_database(rng, modes):
+    """One table with a column per entry of ``modes`` (None: scanned)."""
+    database = Database("one-unit")
+    database.create_table("t", {
+        name: rng.integers(0, DOMAIN, ROWS // 8).astype(np.int64)
+        for name in modes
+    })
+    for name, mode in modes.items():
+        if mode is not None:
+            database.set_indexing("t", name, mode)
+    return database
+
+
+def test_a_batch_starts_no_thread(thread_starts):
+    """A batch over a cracking, a full-index and a scanned column runs on
+    the calling thread, whatever ``parallel`` and ``max_workers`` say."""
+    rng = np.random.default_rng(35)
+    modes = {"cracked": "cracking", "indexed": "full-index", "scanned": None}
+    database = no_thread_database(rng, modes)
+    queries = [Query.range_query("t", name, low, low + WIDTH)
+               for low in rng.integers(0, DOMAIN, 4).tolist()
+               for name in modes]
     with database.session() as session:
-        results = session.execute_many(queries, parallel=True, max_workers=4)
-    assert started == []
-    assert {result.worker for result in results} == {threading.current_thread().name}
+        session.execute_many(queries, parallel=True, max_workers=4)
+    assert thread_starts == []
+
+
+def test_queries_and_dml_through_a_session_start_no_thread(thread_starts):
+    """Single queries, inserts, deletes and updates through a session run
+    on the calling thread on every kind of column: cracking, updatable
+    cracking, a full index and a scan (``max_workers`` is ignored)."""
+    rng = np.random.default_rng(36)
+    modes = {"cracked": "cracking", "updatable": "updatable-cracking",
+             "indexed": "full-index", "scanned": None}
+    database = no_thread_database(rng, modes)
+    with database.session(max_workers=4) as session:
+        for low in rng.integers(0, DOMAIN, 3).tolist():
+            for name in modes:
+                session.execute(Query.range_query("t", name, low, low + WIDTH))
+        rowid = session.insert_row("t", dict.fromkeys(modes, 7))
+        rowid = session.update_row("t", rowid, {"cracked": 8, "updatable": 9})
+        session.delete_row("t", rowid)
+        session.delete_row("t", 0)
+        session.query("t").where("updatable", 0, DOMAIN // 2).run()
+    assert thread_starts == []

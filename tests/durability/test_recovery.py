@@ -470,31 +470,6 @@ class TestThresholdsAndJournalBound:
         assert len(database.operation_journal()) > 0
         database.close()
 
-    def test_journal_retention_bounds_memory(self):
-        database = Database("bounded")
-        database.create_table("t", {"key": np.arange(10, dtype=np.int64)})
-        database.record_journal = True
-        database.set_journal_retention(5)
-        with database.session(name="s") as session:
-            for index in range(20):
-                session.insert_row("t", {"key": index})
-        journal = database.operation_journal()
-        assert len(journal) == 5
-        # the retained window is the newest suffix of the history
-        assert journal[-1].sequence - journal[0].sequence == 4
-
-    def test_retention_validation(self):
-        database = Database("bounded")
-        with pytest.raises(ValueError):
-            database.set_journal_retention(-1)
-        # zero is legal: retain nothing (pure durability, no oracle replay)
-        database.create_table("t", {"key": np.arange(4, dtype=np.int64)})
-        database.record_journal = True
-        database.set_journal_retention(0)
-        with database.session() as session:
-            session.insert_row("t", {"key": 9})
-        assert database.operation_journal() == []
-
 
 class TestClose:
     def test_close_releases_execution_resources(self, tmp_path, pooled_fan_out):

@@ -1,15 +1,14 @@
 """Unit tests for the session front door, the table gate and the builder."""
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.engine import session as session_module
 from repro.engine.concurrency import TableGate
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, QueryBuilder, RangeSelection
-from repro.engine.session import default_worker_count, validate_max_workers
 
 
 @pytest.fixture
@@ -51,54 +50,12 @@ class TestSessionLifecycle:
     def test_sessions_get_distinct_default_names(self, database):
         assert database.session().name != database.session().name
 
-    def test_max_workers_validated(self, database):
-        with pytest.raises(ValueError, match="positive worker count"):
-            database.session(max_workers=0)
-
-    def test_close_drains_submitted_work(self, database):
-        database.set_indexing("facts", "a", "cracking")
-        session = database.session()
-        futures = [
-            session.submit(Query.range_query("facts", "a", low, low + 500))
-            for low in range(0, 4000, 500)
-        ]
-        session.close()
-        assert all(future.done() for future in futures)
-
-
-class TestSessionWorkerDefaults:
-    """Regression: no hard cap at 4 workers."""
-
-    def test_default_scales_with_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
-        assert default_worker_count() == 16
-
-    def test_default_floor_is_two_workers(self, monkeypatch):
-        monkeypatch.setattr(session_module.os, "cpu_count", lambda: None)
-        assert default_worker_count() == 2
-        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 1)
-        assert default_worker_count() == 2
-
-    def test_submit_pool_uses_machine_default(self, monkeypatch, rng):
-        monkeypatch.setattr(session_module.os, "cpu_count", lambda: 16)
-        database = Database("sizing")
-        database.create_table(
-            "t", {"k": rng.integers(0, 100, size=50).astype(np.int64)}
-        )
-        with database.session() as session:
-            session.query("t").where("k", 10, 20).submit().result()
-            assert session._pool._max_workers == 16
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_validate_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError, match="positive worker count"):
-            validate_max_workers(bad)
-        with pytest.raises(ValueError, match="positive worker count"):
-            Database("v").session(max_workers=bad)
-
-    def test_validate_passes_none_and_positive_through(self):
-        assert validate_max_workers(None) is None
-        assert validate_max_workers(5) == 5
+    def test_max_workers_is_accepted_and_ignored(self, database):
+        for workers in (None, 0, -1, 4):
+            with database.session(max_workers=workers) as session:
+                assert session.execute(
+                    Query.range_query("facts", "a", 0, 10)
+                ).row_count == len(reference_positions(database, 0, 10))
 
 
 class TestSessionExecution:
@@ -111,9 +68,12 @@ class TestSessionExecution:
         )
 
     def test_submit_returns_future_with_same_answer(self, database):
+        # a caller-owned pool runs the query through the shared session
         database.set_indexing("facts", "a", "adaptive-merging")
-        with database.session() as session:
-            future = session.submit(Query.range_query("facts", "a", 500, 2500))
+        with database.session() as session, ThreadPoolExecutor(1) as pool:
+            future = pool.submit(
+                session.execute, Query.range_query("facts", "a", 500, 2500)
+            )
             result = future.result()
         assert set(result.positions.tolist()) == reference_positions(
             database, 500, 2500
@@ -140,15 +100,13 @@ class TestSessionExecution:
     def test_session_stats_count_operations(self, database):
         with database.session() as session:
             session.execute(Query.range_query("facts", "a", 0, 100))
-            session.submit(Query.range_query("facts", "a", 0, 100)).result()
             session.execute_many([Query.range_query("facts", "a", 0, 50)])
             rowid = session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
             session.update_row("facts", rowid, {"a": 2})
             session.delete_row("facts", 0)
             stats = session.stats()
-        assert stats.queries_executed == 3
+        assert stats.queries_executed == 2
         assert stats.batches_executed == 1
-        assert stats.operations_submitted == 1
         assert stats.rows_inserted == 1
         assert stats.rows_updated == 1
         assert stats.rows_deleted == 1
@@ -166,16 +124,17 @@ class TestSessionExecution:
         ]
 
     def test_submitted_dml_applies(self, database):
+        # DML handed to a caller-owned pool that shares the session
         database.set_indexing("facts", "a", "updatable-cracking")
-        with database.session() as session:
-            rowid = session.submit_insert(
-                "facts", {"a": 42_000, "b": 0, "c": 0.0}
+        with database.session() as session, ThreadPoolExecutor(2) as pool:
+            rowid = pool.submit(
+                session.insert_row, "facts", {"a": 42_000, "b": 0, "c": 0.0}
             ).result()
             assert rowid == 4000
-            new_rowid = session.submit_update(
-                "facts", rowid, {"a": 43_000}
+            new_rowid = pool.submit(
+                session.update_row, "facts", rowid, {"a": 43_000}
             ).result()
-            session.submit_delete("facts", 0).result()
+            pool.submit(session.delete_row, "facts", 0).result()
             result = session.query("facts").where("a", 42_000, 44_000).run()
         assert set(result.positions.tolist()) == {new_rowid}
         assert database.visible_row_count("facts") == 4000
@@ -227,7 +186,8 @@ class TestQueryBuilder:
         assert set(result.positions.tolist()) == reference_positions(
             database, 1000, 2000
         )
-        future = session.query("facts").where("a", 1000, 2000).submit()
+        with ThreadPoolExecutor(1) as pool:
+            future = pool.submit(session.query("facts").where("a", 1000, 2000).run)
         assert np.array_equal(future.result().positions, result.positions)
 
     def test_builder_on_session(self, database):
@@ -254,8 +214,6 @@ class TestQueryBuilder:
         assert builder.build().table == "facts"
         with pytest.raises(RuntimeError, match="not bound"):
             builder.run()
-        with pytest.raises(RuntimeError, match="not bound"):
-            builder.submit()
 
     def test_select_collapses_duplicates(self):
         query = QueryBuilder("facts").select("c", "b", "c").build()

@@ -1,7 +1,8 @@
 """Property suite: concurrent sessions replay sequentially, bit for bit.
 
 The session front door promises that any interleaving of sessions —
-single queries, pipelined futures, batches, DML — is equivalent to a
+single queries, queries and DML handed to caller-owned threads that
+share one session, batches, DML — is equivalent to a
 sequential ordering of the same operations per access path.  The engine
 records that ordering as the operation journal (sequence numbers stamped
 while each operation still holds its gate / path locks), so the oracle is
@@ -15,6 +16,7 @@ plus a hammer that streams DML against ``execute_many`` batches
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -115,8 +117,10 @@ def assert_same_final_state(concurrent, oracle, context):
     ), context
 
 
-def session_worker(database, worker_index, use_submit_dml, errors):
-    """One scripted session: queries, pipelined futures and DML.
+def session_worker(database, worker_index, use_pool_dml, errors):
+    """One scripted session: queries, queries on a worker-owned pool that
+    calls the same session, and DML (on that pool too when
+    ``use_pool_dml``).
 
     Each worker owns a disjoint slice of the initial rowids (plus every
     row it inserts itself), so deletes/updates never target a row another
@@ -127,7 +131,9 @@ def session_worker(database, worker_index, use_submit_dml, errors):
     own_rows = list(range(worker_index * (SIZE // WORKERS),
                           (worker_index + 1) * (SIZE // WORKERS)))
     try:
-        with database.session(name=f"worker-{worker_index}") as session:
+        with database.session(name=f"worker-{worker_index}") as session, \
+                ThreadPoolExecutor(max_workers=2) as pool:
+            futures = []
             for step in range(STEPS_PER_WORKER):
                 action = int(rng.integers(0, 6))
                 low = int(rng.integers(0, DOMAIN - 1_500))
@@ -136,15 +142,16 @@ def session_worker(database, worker_index, use_submit_dml, errors):
                         Query.range_query("facts", "key", low, low + 1_500)
                     )
                 elif action == 1:
-                    session.submit(
+                    futures.append(pool.submit(
+                        session.execute,
                         Query(
                             table="facts",
                             selections=[RangeSelection("key", low, low + 2_000)],
                             projections=["payload"],
                             aggregates=[Aggregate("payload", "sum"),
                                         Aggregate("payload", "count")],
-                        )
-                    )
+                        ),
+                    ))
                 elif action == 2:
                     aux_low = int(rng.integers(0, 800))
                     session.query("facts").where(
@@ -156,16 +163,16 @@ def session_worker(database, worker_index, use_submit_dml, errors):
                         "aux": worker_index,
                         "payload": 0.25,
                     }
-                    if use_submit_dml:
+                    if use_pool_dml:
                         own_rows.append(
-                            session.submit_insert("facts", values).result()
+                            pool.submit(session.insert_row, "facts", values).result()
                         )
                     else:
                         own_rows.append(session.insert_row("facts", values))
                 elif action == 4 and own_rows:
                     victim = own_rows.pop(int(rng.integers(0, len(own_rows))))
-                    if use_submit_dml:
-                        session.submit_delete("facts", victim).result()
+                    if use_pool_dml:
+                        pool.submit(session.delete_row, "facts", victim).result()
                     else:
                         session.delete_row("facts", victim)
                 elif own_rows:
@@ -176,6 +183,8 @@ def session_worker(database, worker_index, use_submit_dml, errors):
                             {"key": int(rng.integers(0, DOMAIN))},
                         )
                     )
+            for future in futures:
+                future.result()
     except Exception as error:  # noqa: BLE001 - surfaced by the test
         errors.append((worker_index, error))
 
