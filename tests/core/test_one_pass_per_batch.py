@@ -160,21 +160,23 @@ def test_a_batch_starts_no_thread(thread_starts):
     assert thread_starts == []
 
 
-def test_queries_and_dml_through_a_session_start_no_thread(thread_starts):
+@pytest.mark.parametrize("mode", ["cracking", "updatable-cracking",
+                                  "full-index", "scan"])
+def test_queries_and_dml_through_a_session_start_no_thread(thread_starts, mode):
     """Single queries, inserts, deletes and updates through a session run
     on the calling thread on every kind of column: cracking, updatable
     cracking, a full index and a scan (``max_workers`` is ignored)."""
     rng = np.random.default_rng(36)
-    modes = {"cracked": "cracking", "updatable": "updatable-cracking",
-             "indexed": "full-index", "scanned": None}
-    database = no_thread_database(rng, modes)
+    database = no_thread_database(
+        rng, {"key": None if mode == "scan" else mode, "other": None})
     with database.session(max_workers=4) as session:
         for low in rng.integers(0, DOMAIN, 3).tolist():
-            for name in modes:
-                session.execute(Query.range_query("t", name, low, low + WIDTH))
-        rowid = session.insert_row("t", dict.fromkeys(modes, 7))
-        rowid = session.update_row("t", rowid, {"cracked": 8, "updatable": 9})
+            session.execute(Query.range_query("t", "key", low, low + WIDTH))
+        rowid = session.insert_row("t", {"key": 7, "other": 7})
+        rowid = session.update_row("t", rowid, {"key": 8})
         session.delete_row("t", rowid)
         session.delete_row("t", 0)
-        session.query("t").where("updatable", 0, DOMAIN // 2).run()
+        result = session.query("t").where("key", 0, DOMAIN // 2).run()
     assert thread_starts == []
+    assert rowid not in result.positions.tolist()
+    assert 0 not in result.positions.tolist()

@@ -458,6 +458,23 @@ class TestThresholdsAndJournalBound:
         assert recovered.durability.snapshot_due()
         recovered.close()
 
+    def test_journal_keeps_every_record_until_a_snapshot(self):
+        # the journal is an opt-in oracle with no retention bound: only a
+        # snapshot trims it
+        database = Database("unbounded")
+        database.create_table("t", {"key": np.arange(10, dtype=np.int64)})
+        database.record_journal = True
+        with database.session(name="s") as session:
+            for index in range(20):
+                session.insert_row("t", {"key": index})
+        journal = database.operation_journal()
+        assert [record.payload for record in journal] == [
+            {"key": index} for index in range(20)
+        ]
+        assert [record.sequence for record in journal] == list(
+            range(journal[0].sequence, journal[0].sequence + 20)
+        )
+
     def test_snapshot_trims_in_memory_journal(self, tmp_path):
         database = make_database(tmp_path)
         database.record_journal = True

@@ -1,7 +1,11 @@
 """Write-ahead-log tests: append/scan, rotation, sync modes, corruption."""
 
+import os
+import stat
+
 import pytest
 
+from repro.durability import faults
 from repro.durability.faults import FaultInjector, KilledByFault
 from repro.durability.record import WalRecord
 from repro.durability.wal import (
@@ -221,3 +225,24 @@ class TestLifecycle:
         assert stats["rotations"] >= 1
         assert stats["fsync_calls"] >= 30
         wal.close()
+
+
+def test_fsync_directory_syncs_the_directory_and_closes_it(tmp_path, monkeypatch):
+    """The one directory fsync the WAL and the snapshot writer share opens
+    the directory itself, syncs that descriptor and closes it."""
+    synced, closed = [], []
+    fsync, close = os.fsync, os.close
+
+    def recording_fsync(fd):
+        synced.append((fd, stat.S_ISDIR(os.fstat(fd).st_mode)))
+        return fsync(fd)
+
+    def recording_close(fd):
+        closed.append(fd)
+        return close(fd)
+
+    monkeypatch.setattr(faults.os, "fsync", recording_fsync)
+    monkeypatch.setattr(faults.os, "close", recording_close)
+    faults.fsync_directory(tmp_path)
+    assert [is_directory for _, is_directory in synced] == [True]
+    assert closed == [synced[0][0]]

@@ -9,6 +9,7 @@ import pytest
 from repro.engine.concurrency import TableGate
 from repro.engine.database import Database
 from repro.engine.query import Aggregate, Query, QueryBuilder, RangeSelection
+from repro.engine.session import SessionStats
 
 
 @pytest.fixture
@@ -50,12 +51,34 @@ class TestSessionLifecycle:
     def test_sessions_get_distinct_default_names(self, database):
         assert database.session().name != database.session().name
 
-    def test_max_workers_is_accepted_and_ignored(self, database):
-        for workers in (None, 0, -1, 4):
-            with database.session(max_workers=workers) as session:
-                assert session.execute(
-                    Query.range_query("facts", "a", 0, 10)
-                ).row_count == len(reference_positions(database, 0, 10))
+    @pytest.mark.parametrize("workers", [None, 0, -1, 4])
+    def test_max_workers_is_accepted_and_ignored(self, database, workers):
+        with database.session(max_workers=workers) as session:
+            assert session.execute(
+                Query.range_query("facts", "a", 0, 10)
+            ).row_count == len(reference_positions(database, 0, 10))
+
+    @pytest.mark.parametrize("operation", [
+        lambda session: session.execute(Query.range_query("facts", "a", 0, 10)),
+        lambda session: session.execute_many([]),
+        lambda session: session.query("facts").where("a", 0, 10).run(),
+        lambda session: session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0}),
+        lambda session: session.delete_row("facts", 0),
+        lambda session: session.update_row("facts", 0, {"a": 5}),
+    ], ids=["execute", "execute_many", "builder", "insert", "delete", "update"])
+    def test_closed_session_refuses_every_operation(self, database, operation):
+        # close() only marks the session closed: every later operation
+        # raises before it touches a gate, a row or the journal
+        database.set_indexing("facts", "a", "updatable-cracking")
+        database.record_journal = True
+        session = database.session()
+        session.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            operation(session)
+        assert database.visible_row_count("facts") == 4000
+        assert database.table("facts").row_count == 4000
+        assert database.operation_journal() == []
+        assert session.stats() == SessionStats(name=session.name)
 
 
 class TestSessionExecution:
@@ -138,6 +161,32 @@ class TestSessionExecution:
             result = session.query("facts").where("a", 42_000, 44_000).run()
         assert set(result.positions.tolist()) == {new_rowid}
         assert database.visible_row_count("facts") == 4000
+
+    def test_shared_session_counts_every_caller_thread(self, database):
+        # four caller-owned threads share one session: every answer is
+        # right and the session's counters miss none of their operations
+        database.set_indexing("facts", "a", "cracking")
+        lows = list(range(0, 9_000, 150))
+        with database.session() as session, ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(
+                lambda low: session.execute(
+                    Query.range_query("facts", "a", low, low + 1000)),
+                lows,
+            ))
+            rowids = list(pool.map(
+                lambda key: session.insert_row(
+                    "facts", {"a": key, "b": 0, "c": 0.0}),
+                range(20_000, 20_012),
+            ))
+            stats = session.stats()
+        for low, result in zip(lows, results):
+            assert set(result.positions.tolist()) == reference_positions(
+                database, low, low + 1000
+            )
+        assert sorted(rowids) == list(range(4000, 4012))
+        assert stats.queries_executed == len(lows)
+        assert stats.rows_inserted == 12
+        assert database.rows_inserted == 12
 
     def test_concurrent_sessions_share_one_database(self, database):
         database.set_indexing("facts", "a", "cracking")
