@@ -63,10 +63,14 @@ class HybridIndex(SearchStrategy):
         self.partitions: List[Union[CrackedInitialPartition, RunSet]] = []
         self.final = FinalPartition(mode=final_mode)
         self.merged_ranges = IntervalSet()
+        #: tuples moved into the final partition so far (``_merge_gap``
+        #: advances it), so ``fully_merged`` visits no partition
+        self.merged_count = 0
         self.queries_processed = 0
         self.initialized = False
-        # guards the shared query counter: a converged hybrid serves
-        # concurrent readers, whose increments must not be lost
+        # guards the shared query counter (a converged hybrid serves
+        # concurrent readers, whose increments must not be lost) and the
+        # merged count
         self._stats_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -80,7 +84,7 @@ class HybridIndex(SearchStrategy):
     @property
     def fully_merged(self) -> bool:
         """True when every tuple has moved into the final partition."""
-        return self.initialized and all(len(p) == 0 for p in self.partitions)
+        return self.initialized and self.merged_count == len(self._base)
 
     @property
     def reorganizes_on_read(self) -> bool:
@@ -163,13 +167,12 @@ class HybridIndex(SearchStrategy):
                 rowid_parts.append(rowids)
         if not values_parts:
             return
+        values = np.concatenate(values_parts)
         self.final.add_piece(
-            gap_low,
-            gap_high,
-            np.concatenate(values_parts),
-            np.concatenate(rowid_parts),
-            counters,
+            gap_low, gap_high, values, np.concatenate(rowid_parts), counters
         )
+        with self._stats_lock:
+            self.merged_count += len(values)
 
     # -- verification --------------------------------------------------------------------
 
@@ -181,5 +184,6 @@ class HybridIndex(SearchStrategy):
         assert remaining + len(self.final) == len(self._base), (
             "tuples lost or duplicated during hybrid merging"
         )
+        assert self.merged_count == len(self.final), "merged count drifted"
         self.final.check_invariants()
         self.merged_ranges.check_invariants()

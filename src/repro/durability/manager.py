@@ -8,11 +8,10 @@ snapshot store.  The engine's contract with it is small:
   linearization sequence, *before* the gate is released.  That ordering
   is the whole WAL guarantee: once any other operation can observe the
   change, the journal already has it (to the configured sync level).
-* :meth:`snapshot_due` — a cheap threshold check sessions make *after*
-  releasing the gate, so the (expensive, all-table-gated) snapshot never
-  runs inside a DML critical section.
 * :meth:`write_snapshot` — persists a state dump, then truncates the
-  journal through its high-water mark and prunes old snapshots.
+  journal through its high-water mark and prunes old snapshots.  Only
+  ``Database.snapshot`` calls it: a snapshot is taken when asked, never
+  by a DML that crossed a threshold.
 
 Layout under ``data_dir``::
 
@@ -22,7 +21,6 @@ Layout under ``data_dir``::
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
@@ -39,7 +37,7 @@ from repro.durability.wal import WAL_SUBDIR, WalScan, WriteAheadLog
 
 @dataclass(frozen=True)
 class DurabilityConfig:
-    """Tuning knobs for the journal and the snapshot policy."""
+    """Tuning knobs for the journal."""
 
     #: fsync policy: "always" | "batch" | "off" (see wal.py)
     sync: str = "batch"
@@ -47,22 +45,6 @@ class DurabilityConfig:
     batch_size: int = 32
     #: rotate the journal segment once it exceeds this many bytes
     segment_bytes: int = 4 << 20
-    #: auto-snapshot after this many journaled operations (None = manual)
-    snapshot_every_ops: Optional[int] = None
-    #: auto-snapshot once the journal exceeds this many bytes (None = off)
-    snapshot_wal_bytes: Optional[int] = None
-    #: snapshots retained after a successful new one
-    keep_snapshots: int = 2
-
-    def __post_init__(self) -> None:
-        if self.snapshot_every_ops is not None and self.snapshot_every_ops < 1:
-            raise ValueError(
-                f"snapshot_every_ops must be >= 1, got {self.snapshot_every_ops}"
-            )
-        if self.snapshot_wal_bytes is not None and self.snapshot_wal_bytes < 1:
-            raise ValueError(
-                f"snapshot_wal_bytes must be >= 1, got {self.snapshot_wal_bytes}"
-            )
 
 
 def wal_directory(data_dir: Path) -> Path:
@@ -105,63 +87,24 @@ class DurabilityManager:
             scan=scan,
         )
         self.snapshots = SnapshotStore(
-            snapshot_directory(self.data_dir),
-            keep=self.config.keep_snapshots,
-            injector=injector,
+            snapshot_directory(self.data_dir), injector=injector
         )
-        # ops/bytes since the last snapshot drive the auto-snapshot policy;
-        # guarded by _lock (append runs under table gates, the snapshot
-        # writer runs under all of them — this mutex keeps the counters
-        # coherent without widening either critical section)
-        self._lock = threading.Lock()
-        self._ops_since_snapshot = 0
-        self._bytes_since_snapshot = 0
+        # only write_snapshot writes it, under Database.snapshot's schema
+        # lock, so it needs no lock of its own
         self._snapshots_written = 0
 
     # -- the engine-facing hooks ------------------------------------------
 
     def append_record(self, record: WalRecord) -> None:
         """Journal one operation (the caller holds the table write gate)."""
-        nbytes = self.wal.append(record)
-        with self._lock:
-            self._ops_since_snapshot += 1
-            self._bytes_since_snapshot += nbytes
-
-    def snapshot_due(self) -> bool:
-        """Cheap check: has a size/ops threshold been crossed?"""
-        config = self.config
-        with self._lock:
-            if (
-                config.snapshot_every_ops is not None
-                and self._ops_since_snapshot >= config.snapshot_every_ops
-            ):
-                return True
-            if (
-                config.snapshot_wal_bytes is not None
-                and self._bytes_since_snapshot >= config.snapshot_wal_bytes
-            ):
-                return True
-        return False
+        self.wal.append(record)
 
     def write_snapshot(self, state: SnapshotState) -> Path:
         """Persist ``state``, truncate the journal, prune old snapshots."""
         path = self.snapshots.write(state)
         self.wal.truncate_through(state.high_water)
-        with self._lock:
-            self._ops_since_snapshot = 0
-            self._bytes_since_snapshot = 0
-            self._snapshots_written += 1
+        self._snapshots_written += 1
         return path
-
-    def seed_backlog(self, ops: int, nbytes: int = 0) -> None:
-        """Count journal records that predate this manager (recovery
-        replayed them but no snapshot covers them yet) toward the
-        auto-snapshot thresholds — both the op count and the framed byte
-        size of the surviving WAL tail, so ``snapshot_wal_bytes`` does not
-        undercount until the first post-recovery snapshot."""
-        with self._lock:
-            self._ops_since_snapshot += int(ops)
-            self._bytes_since_snapshot += int(nbytes)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -174,7 +117,5 @@ class DurabilityManager:
 
     def stats(self) -> Dict[str, int]:
         report = self.wal.stats()
-        with self._lock:
-            report["ops_since_snapshot"] = self._ops_since_snapshot
-            report["snapshots_written"] = self._snapshots_written
+        report["snapshots_written"] = self._snapshots_written
         return report

@@ -42,7 +42,7 @@ from repro.durability.manager import (
     snapshot_directory,
     wal_directory,
 )
-from repro.durability.record import WalRecord, frame_record
+from repro.durability.record import WalRecord
 from repro.durability.snapshot import (
     SnapshotCorruptionError,
     SnapshotState,
@@ -143,13 +143,10 @@ def _replay_records(
     records: List[WalRecord],
     high_water: int,
     report: RecoveryReport,
-) -> Tuple[int, int]:
-    """Replay journal records past ``high_water`` through a real session.
-
-    Returns ``(replayed_count, last_sequence_seen)``.
-    """
+) -> int:
+    """Replay journal records past ``high_water`` through a real session;
+    returns the last sequence seen."""
     last_sequence = high_water
-    replayed = 0
     counts = report.replayed_operations
     with database.session(name="recovery") as session:
         for record in records:
@@ -194,8 +191,7 @@ def _replay_records(
                 mode, options = _current_mode(record.mode, record.options)
                 database.set_indexing(record.table, record.column, mode, **options)
             counts[kind] = counts.get(kind, 0) + 1
-            replayed += 1
-    return replayed, last_sequence
+    return last_sequence
 
 
 def recover(
@@ -219,13 +215,11 @@ def recover(
             "or snapshots/*.snap); seed a fresh directory with "
             "Database(data_dir=...) instead"
         )
-    config = config or DurabilityConfig()
     report = RecoveryReport(data_dir=str(data_dir))
 
-    store = SnapshotStore(
-        snapshot_directory(data_dir), keep=config.keep_snapshots
+    snapshot = _choose_snapshot(
+        SnapshotStore(snapshot_directory(data_dir)), report
     )
-    snapshot = _choose_snapshot(store, report)
     high_water = snapshot.high_water if snapshot is not None else -1
 
     try:
@@ -260,7 +254,7 @@ def recover(
         with database._engine_stats_lock:
             database._op_sequence = snapshot.op_sequence
 
-    replayed, last_sequence = _replay_records(
+    last_sequence = _replay_records(
         database, scan.records, high_water, report
     )
 
@@ -270,20 +264,10 @@ def recover(
         database._op_sequence = max(database._op_sequence, last_sequence + 1)
         report.next_sequence = database._op_sequence
 
-    manager = DurabilityManager(
+    # recovery's last step: from here on operations are journaled again
+    database._durability = DurabilityManager(
         data_dir, config=config, injector=injector, scan=scan
     )
-    # seed both auto-snapshot thresholds with the surviving journal tail:
-    # the replayed op count and the framed byte size of the records past
-    # the snapshot's high-water mark still sitting in the WAL
-    backlog_bytes = sum(
-        len(frame_record(record))
-        for record in scan.records
-        if record.sequence > high_water
-    )
-    manager.seed_backlog(replayed, backlog_bytes)
-    # recovery's last step: from here on operations are journaled again
-    database._durability = manager
 
     report.elapsed_seconds = time.perf_counter() - started
     database.recovery_report = report

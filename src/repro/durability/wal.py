@@ -304,11 +304,8 @@ class WriteAheadLog:
 
     # -- the appender ------------------------------------------------------
 
-    def append(self, record: WalRecord) -> int:
-        """Append one record; durable per the sync mode before returning.
-
-        Returns the framed byte length (the snapshot size policy sums it).
-        """
+    def append(self, record: WalRecord) -> None:
+        """Append one record; durable per the sync mode before returning."""
         frame = frame_record(record)
         with self._lock:
             self._check_open()
@@ -331,7 +328,6 @@ class WriteAheadLog:
                     self._unsynced_appends = 0
             if self._segment_offset >= self.segment_bytes:
                 self._rotate_locked(base_sequence=record.sequence + 1)
-        return len(frame)
 
     def sync(self) -> None:
         """Force an fsync of the active segment (any sync mode)."""

@@ -198,7 +198,7 @@ class Database:
                 state = self._capture_snapshot_state()
                 # the dump (and its fsyncs) runs inside the quiesced section
                 # by design: a consistent cut needs no concurrent DML, and
-                # it runs only on explicit or thresholded snapshot requests
+                # it runs only when a caller asks for a snapshot
                 path = manager.write_snapshot(state)  # reprolint: ignore[RL005] a consistent cut
                 self._trim_journal(state.high_water)
         return path

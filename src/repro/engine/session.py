@@ -327,8 +327,6 @@ class Session:
                         WalRecord(sequence=sequence, kind=kind, table=table,
                                   **wal_fields)
                     )
-        if durability is not None and durability.snapshot_due():
-            database.snapshot()
 
     def _check_row_absorbable(
         self, table: str, values: Mapping[str, Union[int, float]]

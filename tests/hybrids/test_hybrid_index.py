@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.hybrids.hybrid_index import HybridIndex
+from repro.core.strategies import create_strategy
 from repro.cost.counters import CostCounters
 
 #: every (initial, final) pair the index takes; the registry names three
@@ -110,3 +111,31 @@ class TestBehaviour:
             merged_sizes.append(len(index.final))
             index.check_invariants()
         assert all(b >= a for a, b in zip(merged_sizes, merged_sizes[1:]))
+
+
+@pytest.mark.parametrize("rows", [600, 0], ids=["600-rows", "empty"])
+@pytest.mark.parametrize(
+    "name", ["hybrid-crack-crack", "hybrid-crack-sort", "hybrid-sort-sort"]
+)
+def test_fully_merged_turns_true_on_the_query_that_extracts_the_last_tuple(
+    name, rows
+):
+    index = create_strategy(
+        name, np.random.default_rng(3).permutation(rows).astype(np.int64)
+    )
+    # twelve tiles cover every key but the last in a shuffled order, the
+    # thirteenth extracts that one tuple alone, then repeats
+    tiles = [(int(low), min(int(low) + 50, 599))
+             for low in np.random.default_rng(4).permutation(range(0, 600, 50))]
+    tiles.append((599, 600))
+    assert not index.fully_merged
+    flags = []
+    for low, high in tiles + tiles[:3] + [(None, None)]:
+        index.search(low, high)
+        # the oracle: no initial partition holds a tuple any more
+        remaining = sum(len(partition) for partition in index.partitions)
+        assert index.fully_merged == (remaining == 0)
+        flags.append(index.fully_merged)
+    first = flags.index(True)
+    assert all(flags[first:])
+    assert first == (len(tiles) - 1 if rows else 0)

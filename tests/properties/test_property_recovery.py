@@ -9,7 +9,7 @@ journal-replay machinery the session property suite uses
 every DML lands on its recorded rowid), so a recovery bug and a
 linearization bug are caught by the same net.  Swept across the
 sequential and thread-pool partitioned executions, and —
-without any crash — across snapshot-threshold churn with a clean close.
+without any crash — across snapshot churn with a clean close.
 """
 
 import sys
@@ -47,17 +47,20 @@ EXECUTOR_CASES = [
 ]
 
 
-def random_workload(database, rng, steps):
+def random_workload(database, rng, steps, snapshot_every=None):
     """Unscripted mixed stream (the property twin of the harness's
-    deterministic one)."""
+    deterministic one); with ``snapshot_every`` = n the caller takes a
+    snapshot after every n-th DML."""
     live = list(range(300))
+    dml = 0
     with database.session(name="chaos") as session:
         for _ in range(steps):
             roll = rng.random()
             low = int(rng.integers(0, DOMAIN - 900))
             if roll < 0.35:
                 session.query("facts").where("key", low, low + 900).run()
-            elif roll < 0.7 or not live:
+                continue
+            if roll < 0.7 or not live:
                 live.append(
                     session.insert_row(
                         "facts",
@@ -77,6 +80,9 @@ def random_workload(database, rng, steps):
                         {"key": int(rng.integers(0, DOMAIN))},
                     )
                 )
+            dml += 1
+            if snapshot_every is not None and dml % snapshot_every == 0:
+                database.snapshot()
 
 
 @pytest.mark.parametrize("mode,options", EXECUTOR_CASES)
@@ -116,30 +122,37 @@ def test_random_crash_recovers_prefix_consistent(tmp_path, mode, options,
     recovered.close()
 
 
+#: (seed, n): the churn test snapshots after every n-th DML; n = 13 keeps
+#: the bare seed as its id
+CHURN_CASES = [
+    pytest.param(seed, every, id=f"{seed}" if every == 13 else f"{seed}-every{every}")
+    for seed in (404, 505)
+    for every in (1, 13, 50)
+]
+
+
 @pytest.mark.parametrize("mode,options", EXECUTOR_CASES)
-@pytest.mark.parametrize("seed", [404, 505])
+@pytest.mark.parametrize("seed,every", CHURN_CASES)
 def test_snapshot_churn_then_clean_close_recovers_identically(
-    tmp_path, mode, options, seed
+    tmp_path, mode, options, seed, every
 ):
-    """No crash: threshold-triggered snapshots must never change what a
-    later recovery sees, and the full history must replay bit-identically
-    on the in-memory oracle."""
+    """No crash: snapshots the caller takes between DML must never change
+    what a later recovery sees, and the full history must replay
+    bit-identically on the in-memory oracle."""
     rng = np.random.default_rng(seed)
     data_dir = tmp_path / "churn"
-    database = build_durable(
-        data_dir, mode, options, sync="batch", snapshot_every_ops=13
-    )
+    database = build_durable(data_dir, mode, options, sync="batch")
     database.record_journal = True
-    random_workload(database, rng, steps=120)
+    random_workload(database, rng, steps=120, snapshot_every=every)
     snapshots = database.durability.stats()["snapshots_written"]
-    assert snapshots >= 1, "workload too small to trip the threshold"
+    assert snapshots >= 1, "workload too small to reach a snapshot"
     # the bounding satellite: each snapshot trims the in-memory journal
     # through its high-water mark, so only the un-snapshotted suffix stays
     assert len(database.operation_journal()) < 120
     database.close()
 
     recovered = Database.open(data_dir)
-    context = f"mode={mode} seed={seed} snapshots={snapshots}"
+    context = f"mode={mode} seed={seed} every={every} snapshots={snapshots}"
     assert recovered.recovery_report.snapshot_path is not None
     # only the post-snapshot tail replays from the journal on disk
     assert (
