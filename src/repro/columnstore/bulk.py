@@ -9,16 +9,18 @@ column-store substrate the tutorial describes.
 Physical reorganisation kernels (:func:`partition_two_way`,
 :func:`partition_three_way`) rearrange a slice of an array **in place** and
 return the resulting boundary positions, which is exactly what crack-in-two
-and crack-in-three need.
+and crack-in-three need; :func:`partition_copy` makes the same cut out of
+place, into fresh arrays, which is how a cold cracker column is built.
 
 The reorganisation kernels carry ``@typed_kernel`` declarations: their
 buffer parameters are flat numeric ndarrays, checked by the type witness
-(``REPRO_TYPE_WITNESS=1``).  Both partition kernels are single-pass mask
-selections (O(n)), not argsorts — the produced layout is identical to a
-stable argsort of the group keys, without the O(n log n) sort.  The one
-sort kernel that builds whole structures, :func:`stable_sort_rows` (run
-generation, full-index builds), likewise returns exactly a stable argsort's
-answer, sorting integer keys as packed (value, position) words.
+(``REPRO_TYPE_WITNESS=1``).  The three partition kernels share one
+grouping of single-pass mask selections (O(n)), not an argsort — the
+produced layout is identical to a stable argsort of the group keys, without
+the O(n log n) sort.  The one sort kernel that builds whole structures,
+:func:`stable_sort_rows` (run generation, full-index builds), likewise
+returns exactly a stable argsort's answer, sorting integer keys as packed
+(value, position) words.
 """
 
 from __future__ import annotations
@@ -92,6 +94,39 @@ def _payload_list(payload) -> list:
     return [payload]
 
 
+def _stable_grouping(
+    segment: np.ndarray,
+    low: float,
+    high: Optional[float],
+    counters: Optional[CostCounters],
+) -> Tuple[np.ndarray, int, int]:
+    """The stable permutation grouping ``segment`` into ``< low | [low, high)
+    | >= high`` (``< low | >= low`` when ``high`` is None), with the sizes
+    of the groups before the last as ``(order, below, below + middle)``.
+
+    One comparison pass per pivot and one ``nonzero`` selection per group,
+    in O(n): qualifying positions first, original order kept within each
+    group, which is exactly a stable argsort of the group keys.  Charges the
+    scan, the comparisons and the one move of every element that applying
+    the permutation costs.
+    """
+    below_mask = segment < low
+    below = below_mask.nonzero()[0]
+    if high is None:
+        order = np.concatenate((below, (~below_mask).nonzero()[0]))
+        middle = 0
+    else:
+        above_mask = segment >= high
+        middle_positions = (~(below_mask | above_mask)).nonzero()[0]
+        middle = len(middle_positions)
+        order = np.concatenate((below, middle_positions, above_mask.nonzero()[0]))
+    if counters is not None:
+        counters.record_scan(len(segment))
+        counters.record_comparisons((1 if high is None else 2) * len(segment))
+        counters.record_move(len(segment))
+    return order, len(below), len(below) + middle
+
+
 @typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
               mutates=("values", "payload"))
 def partition_two_way(
@@ -112,28 +147,20 @@ def partition_two_way(
     identically.
 
     The layout produced — qualifying elements first, original order
-    preserved within each side — is exactly a stable partition, computed
-    with one comparison pass and two ``nonzero`` selections in O(n); the
-    split is the length of the first selection.
+    preserved within each side — is exactly a stable partition
+    (:func:`_stable_grouping`), applied to values and every payload; the
+    split is the size of the first group.
 
     Returns the absolute index of the first element >= pivot.
     """
     segment = values[start:end]
     if len(segment) == 0:
         return start
-    mask = segment < pivot
-    left = mask.nonzero()[0]
-    # one O(n) stable permutation (qualifying positions first, original
-    # order kept within each side), applied to values and every payload
-    order = np.concatenate((left, (~mask).nonzero()[0]))
+    order, split, _ = _stable_grouping(segment, pivot, None, counters)
     values[start:end] = segment[order]
     for extra in _payload_list(payload):
         extra[start:end] = extra[start:end][order]
-    if counters is not None:
-        counters.record_scan(len(segment))
-        counters.record_comparisons(len(segment))
-        counters.record_move(len(segment))
-    return start + len(left)
+    return start + split
 
 
 @typed_kernel(buffers={"values": "numeric", "payload": "numeric*?"},
@@ -153,29 +180,43 @@ def partition_three_way(
     element >= low and the first element >= high respectively.  This is the
     kernel behind crack-in-three.  ``payload`` may be one aligned array or a
     sequence of aligned arrays, permuted identically.  Like the two-way
-    kernel, the grouping is a stable partition computed with three
-    ``nonzero`` selections in O(n), the splits read off their lengths.
+    kernel, the grouping is a stable partition (:func:`_stable_grouping`),
+    the splits read off its group sizes.
     """
     if high < low:
         raise ValueError("high must be >= low for three-way partitioning")
     segment = values[start:end]
     if len(segment) == 0:
         return start, start
-    below_mask = segment < low
-    above_mask = segment >= high
-    below = below_mask.nonzero()[0]
-    middle = (~(below_mask | above_mask)).nonzero()[0]
-    # stable grouping (below, middle, above) as one O(n) permutation
-    order = np.concatenate((below, middle, above_mask.nonzero()[0]))
+    order, split_low, split_high = _stable_grouping(segment, low, high, counters)
     values[start:end] = segment[order]
     for extra in _payload_list(payload):
         extra[start:end] = extra[start:end][order]
-    if counters is not None:
-        counters.record_scan(len(segment))
-        counters.record_comparisons(2 * len(segment))
-        counters.record_move(len(segment))
-    split_low = start + len(below)
-    return split_low, split_low + len(middle)
+    return start + split_low, start + split_high
+
+
+@typed_kernel(buffers={"source": "numeric"})
+def partition_copy(
+    source: np.ndarray,
+    low: float,
+    high: Optional[float] = None,
+    counters: Optional[CostCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """``source`` partitioned out of place: ``(values, order, split_low,
+    split_high)``.
+
+    A two-way cut at ``low`` when ``high`` is None (``split_high ==
+    split_low``), else a three-way cut ``< low | [low, high) | >= high``.
+    ``order`` is the stable grouping permutation and ``values`` is
+    ``source[order]``, both fresh: what copying ``source``, numbering its
+    elements and partitioning both in place leaves, and the same charge as
+    that partition, without the copy, the numbering or the copies back.
+    ``source`` is only read.
+    """
+    if high is not None and high < low:
+        raise ValueError("high must be >= low for three-way partitioning")
+    order, split_low, split_high = _stable_grouping(source, low, high, counters)
+    return source[order], order, split_low, split_high
 
 
 def sort_comparisons(size: int) -> int:

@@ -5,11 +5,12 @@ The crack functions combine the bulk partitioning primitives of
 :class:`~repro.core.cracking.cracker_index.CrackerIndex`.  They are shared by
 plain cracking, stochastic cracking, the update machinery, sideways cracking
 and the hybrid algorithms (which crack their initial partitions).
-:func:`crack_many` answers a batch of range selections with one pass over
-the pieces they touch, exactly as the same :func:`crack_range` calls in
-turn would.  The two ripple kernels at the end physically merge one pending
-insert or delete into a cracked column at a cost of one relocated element
-per later piece.
+:func:`crack_cold` makes a column's first crack while building its cracker
+arrays from the base.  :func:`crack_many` answers a batch of range
+selections with one pass over the pieces they touch, exactly as the same
+:func:`crack_range` calls in turn would.  The two ripple kernels at the end
+physically merge one pending insert or delete into a cracked column at a
+cost of one relocated element per later piece.
 
 ``rowids`` is the aligned row-identifier array of the cracker column;
 ``extra_payload`` is an optional additional aligned array (the dragged tail
@@ -27,6 +28,7 @@ from repro.analysis_tools.guards import typed_kernel
 from repro.columnstore.bulk import (
     binary_search_count,
     binary_search_counts,
+    partition_copy,
     partition_three_way,
     partition_two_way,
 )
@@ -170,6 +172,46 @@ def crack_range(
     start = _crack_in_two(values, rowids, index, low, low_at, counters, extra_payload)
     end = _crack_in_two(values, rowids, index, high, high_at, counters, extra_payload)
     return start, end
+
+
+@typed_kernel(buffers={"base": "numeric"})
+def crack_cold(
+    base: np.ndarray,
+    index: CrackerIndex,
+    low: Optional[float],
+    high: Optional[float],
+    counters: Optional[CostCounters] = None,
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """The first crack of a column that has no cracker arrays yet, made
+    while building them: ``(values, order, start, end)``.
+
+    ``index`` is the column's one-piece index and at least one bound is
+    given.  ``values`` is the cracker column, ``order`` the stable grouping
+    permutation that built it from ``base`` (the row identifiers, numbered
+    from 0) and ``[start, end)`` the qualifying region.  Arrays, index and
+    charges are what copying ``base``, numbering its rows and
+    :func:`crack_range` on the copy give: one piece to navigate,
+    crack-in-three for two bounds, crack-in-two for one.  ``base`` is only
+    read.
+    """
+    check_range(low, high)
+    if counters is not None:
+        counters.record_comparisons(binary_search_count(index.piece_count))
+    # every key of a one-piece index falls in slot 0
+    if low is None or high is None:
+        pivot = high if low is None else low
+        values, order, split, _ = partition_copy(base, pivot, None, counters)
+        index.add_boundary(pivot, split, 0)
+        if counters is not None:
+            counters.record_pieces(1)
+        return (values, order, 0, split) if low is None else (values, order, split, index.size)
+    values, order, split_low, split_high = partition_copy(base, low, high, counters)
+    if counters is not None:
+        counters.record_pieces(2)
+    index.add_boundary(low, split_low, 0)
+    # a high bound equal to the low one is now that boundary
+    index.add_boundary(high, split_high, int(low < high))
+    return values, order, split_low, split_high
 
 
 # -- a batch of selections in one pass ---------------------------------------------

@@ -53,6 +53,7 @@ from repro.core.cracking.crack_engine import (
     BatchBounds,
     charge_batch,
     check_ranges,
+    crack_cold,
     crack_many,
     crack_range,
     crack_value,
@@ -96,18 +97,22 @@ class CrackedColumn(SearchStrategy):
         copy — the cracker column — plus an aligned array of row
         identifiers, so search results identify rows of the *base* column.
     counters:
-        Optional cost counters charged with the initial copy (the
-        "initialization cost" of the first query is the copy plus the first
-        crack; callers that want to charge the copy to the first query pass
-        ``lazy_copy=True`` instead).
+        Optional cost counters charged with the copy a ``lazy_copy=False``
+        column makes at construction.
     lazy_copy:
-        When True, the cracker column copy is deferred to the first
-        operation that needs it (a :meth:`search`, a crack, or an update)
-        and charged to that operation's counters, matching how the
-        literature accounts the first-query overhead.  When False the
-        column is an updatable access path (:attr:`supports_updates`): the
-        engine routes inserts, deletes and updates into its pending queues
-        instead of rebuilding it after DML.
+        When True (the default), the cracker column is built by the first
+        operation that needs it (a :meth:`search`, a crack, or an update),
+        and that operation is charged for the copy — a scan and a move of
+        every row plus the bytes of the two arrays — because the
+        literature's cost model charges the copy to the first query.  The
+        copy is not a pass of its own: a first crack builds the arrays from
+        the base already cracked (:func:`crack_cold`: the stable grouping of
+        the base is the rowid column, the values one gather through it).
+        Only what cracks nothing after it copies the base as it is
+        (:meth:`_materialise`).  When False the column copies at
+        construction and is an updatable access path
+        (:attr:`supports_updates`): the engine routes inserts, deletes and
+        updates into its pending queues instead of rebuilding it after DML.
     policy / merge_batch:
         How pending updates are merged: ``"ripple"`` merges every pending
         update a query's range qualifies, ``"gradual"`` at most
@@ -209,6 +214,9 @@ class CrackedColumn(SearchStrategy):
         self.rowids = self._rowids_buffer[:length]
 
     def _materialise(self, counters: Optional[CostCounters]) -> None:
+        """Copy the base as it is and number its rows, for what cracks
+        nothing after it: an update of a lazy column, an eager column's
+        construction, a fully open range and a batch's first pass."""
         if self.materialised:
             return
         size = len(self._base)
@@ -217,9 +225,28 @@ class CrackedColumn(SearchStrategy):
             np.arange(self.rowid_base, self.rowid_base + size, dtype=np.int64),
             size,
         )
+        self._charge_copy(counters)
+
+    def _crack_cold(self, low: Optional[float], high: Optional[float],
+                    counters: Optional[CostCounters]) -> Tuple[int, int]:
+        """The first crack of an unmaterialised column (at least one bound),
+        building the cracker arrays from the base already cracked; returns
+        the qualifying region.  Arrays, index and charges are those of
+        :meth:`_materialise` followed by ``crack_range``."""
+        values, rowids, start, end = crack_cold(self._base, self.index, low, high,
+                                                counters)
+        if self.rowid_base:
+            rowids += self.rowid_base
+        self._set_arrays(values, rowids, len(values))
+        self._charge_copy(counters)
+        return start, end
+
+    def _charge_copy(self, counters: Optional[CostCounters]) -> None:
+        """What the cracker column's copy of the base costs, charged once
+        its arrays are built."""
         if counters is not None:
-            counters.record_scan(size)
-            counters.record_move(size)
+            counters.record_scan(self._length)
+            counters.record_move(self._length)
             counters.record_allocation(self.values.nbytes + self.rowids.nbytes)
 
     def __len__(self) -> int:
@@ -679,7 +706,8 @@ class CrackedColumn(SearchStrategy):
     ) -> Tuple[int, int, np.ndarray, np.ndarray]:
         """One range selection (a checked range) of :meth:`search_many`.
 
-        Materialises the cracker column if need be, merges the qualifying
+        Builds the cracker column if need be — an unmaterialised column's
+        first crack builds it (:meth:`_crack_cold`) — merges the qualifying
         pending updates (per the configured policy), then cracks — or, on a
         column recognised as :attr:`converged`, binary-searches.  Returns
         the qualifying region ``[start, end)`` of the cracker column plus
@@ -689,6 +717,9 @@ class CrackedColumn(SearchStrategy):
         """
         self._count_query()
         if not self.materialised:
+            if low is not None or high is not None:
+                start, end = self._crack_cold(low, high, counters)
+                return start, end, _NOTHING_PENDING, _NOTHING_PENDING
             self._materialise(counters)
         extra = excluded = _NOTHING_PENDING
         if self._pending_insert_values or self._delete_queue_rowids:
@@ -821,7 +852,8 @@ class CrackedColumn(SearchStrategy):
         move in the cracker column; reads the index, changes nothing.
 
         The whole slice while unmaterialised (the first crack splits the one
-        piece; the copy moves as many again), the sizes of the distinct
+        piece while building the cracker column; the copy charged beside it
+        is no pass of its own), the sizes of the distinct
         pieces holding a bound that is not yet a boundary after that, 0 once
         converged.  It is what the cracks charge to ``tuples_moved``; ripple
         merges of pending updates are not counted.  The partitioned owner
@@ -843,7 +875,7 @@ class CrackedColumn(SearchStrategy):
         """Introduce a boundary at ``pivot`` without answering a query
         (tests that need a particular piece layout)."""
         if not self.materialised:
-            self._materialise(counters)
+            return self._crack_cold(pivot, None, counters)[0]
         return crack_value(self.values, self.rowids, self.index, pivot, counters)
 
     def is_fully_sorted(self) -> bool:
@@ -854,8 +886,11 @@ class CrackedColumn(SearchStrategy):
         return bool(np.all(self.values[:-1] <= self.values[1:])) if len(self.values) > 1 else True
 
     def visible_values(self) -> np.ndarray:
-        """Multiset of currently visible values (reference for tests)."""
-        self._materialise(None)
+        """Multiset of currently visible values (reference for tests).  An
+        unmaterialised column answers from its base: nothing can be pending
+        on it."""
+        if not self.materialised:
+            return self._base.copy()
         merged_mask = ~np.isin(
             self.rowids, np.frombuffer(self._delete_queue_rowids, dtype=np.int64)
         )

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.columnstore.column import Column
 from repro.core.cracking.cracked_column import CrackedColumn
-from repro.core.cracking.crack_engine import crack_value
 from repro.cost.counters import CostCounters
 
 #: how many alternate random positions a DDR/MDD1R cut may probe before
@@ -84,12 +83,13 @@ class StochasticCrackedColumn(CrackedColumn):
 
     def _auxiliary_pivot(self, start: int, end: int) -> float:
         """Pick the auxiliary cut value for the piece [start, end): a key of
-        the piece, as the column stores it."""
+        the piece, as the column stores it (an unmaterialised column's one
+        piece is its base, which its cracker column would copy)."""
         if self.variant == "ddc":
             position = (start + end) // 2
         else:  # ddr and mdd1r use a random position
             position = int(self._rng.integers(start, end))
-        return self.values[position].item()
+        return (self.values if self.materialised else self._base)[position].item()
 
     def _shrink_piece_containing(
         self,
@@ -122,7 +122,8 @@ class StochasticCrackedColumn(CrackedColumn):
                 break
             if pivot is None:
                 return
-            crack_value(self.values, self.rowids, self.index, pivot, counters)
+            # a cold column's first cut builds its cracker arrays
+            self.crack_at(pivot, counters)
             if not recursive:
                 return
 
@@ -133,8 +134,6 @@ class StochasticCrackedColumn(CrackedColumn):
         counters: Optional[CostCounters],
     ) -> Tuple[int, int, np.ndarray, np.ndarray]:
         """Range selection with auxiliary stochastic cuts before the query cracks."""
-        if not self.materialised:
-            self._materialise(counters)
         # a converged (fully sorted) column takes the pure binary-search
         # path in the parent class; auxiliary cuts could only mutate it
         if not self._converged:

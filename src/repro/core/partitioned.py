@@ -258,8 +258,9 @@ class PartitionedCrackedColumn(SearchStrategy):
         sequential run.
     policy / merge_batch / lazy_copy:
         Forwarded to every partition's :class:`CrackedColumn`: with
-        ``lazy_copy`` (the default) each partition copies its slice when it
-        is first touched and charges that query; otherwise all copies are
+        ``lazy_copy`` (the default) each partition builds its cracker column
+        from its slice when it is first touched, cracked as it is built, and
+        charges that query the copy; otherwise all copies are
         made up front and charged to nobody, and the column is an updatable
         access path (:attr:`supports_updates`).  Under the gradual policy each
         *partition* merges at most ``merge_batch`` pending updates per query

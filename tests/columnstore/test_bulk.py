@@ -8,6 +8,7 @@ from repro.columnstore.bulk import (
     binary_search_counts,
     filter_range,
     lower_bound,
+    partition_copy,
     partition_three_way,
     partition_two_way,
     range_mask,
@@ -144,8 +145,9 @@ PARTITION_CASES = ["ties", "all_below", "all_above", "all_middle", "empty"]
 
 
 class TestPartitionAgainstStableArgsort:
-    """Both partition kernels equal a stable argsort of the group keys —
-    layout, payloads, split positions and charges — on every column type."""
+    """The partition kernels equal a stable argsort of the group keys —
+    layout, payloads, split positions and charges — on every column type,
+    in place and out of place."""
 
     @pytest.mark.parametrize("payload_count", [0, 1, 2])
     @pytest.mark.parametrize("case", PARTITION_CASES)
@@ -168,6 +170,30 @@ class TestPartitionAgainstStableArgsort:
         for actual, reference in zip(payloads, moved):
             assert np.array_equal(actual, reference)
         n = end - 2
+        assert (counters.tuples_scanned, counters.comparisons,
+                counters.tuples_moved) == (n, (ways - 1) * n, n)
+
+    @pytest.mark.parametrize("case", PARTITION_CASES)
+    @pytest.mark.parametrize("dtype", PARTITION_DTYPES)
+    @pytest.mark.parametrize("ways", [2, 3])
+    def test_partition_copy(self, ways, dtype, case):
+        # the segment alone, out of place: its grouped values, the
+        # permutation as the positions an aligned arange would hold, and the
+        # in-place kernel's splits and charges
+        values, end, pivots = _segment(dtype, case)
+        source = values[2:end].copy()
+        before = source.copy()
+        expected, (order,), splits = _reference_partition(
+            source, 0, len(source), pivots[:ways - 1],
+            [np.arange(len(source), dtype=np.int64)])
+        counters = CostCounters()
+        copied, permutation, *result = partition_copy(
+            source, *pivots[:ways - 1], counters=counters)
+        assert result == (splits * 2)[:2] and all(type(s) is int for s in result)
+        assert copied.dtype == dtype and np.array_equal(copied, expected)
+        assert permutation.dtype == np.int64 and np.array_equal(permutation, order)
+        assert np.array_equal(source, before)
+        n = len(source)
         assert (counters.tuples_scanned, counters.comparisons,
                 counters.tuples_moved) == (n, (ways - 1) * n, n)
 

@@ -85,6 +85,21 @@ class TestLazyCopy:
         assert charged.tuples_scanned >= len(small_values) <= charged.tuples_moved
         assert charged.bytes_allocated == asked.values.nbytes + asked.rowids.nbytes
 
+    def test_visible_values_leave_the_copy_to_the_first_search(self):
+        """``visible_values`` of a lazy column answers from the base: nothing
+        can be pending on it, so the first search still builds the cracker
+        column and is charged for it (it used to be built here, charged to
+        no one)."""
+        values = np.random.default_rng(5).integers(0, 500, 1_000)
+        asked, untouched = CrackedColumn(values), CrackedColumn(values)
+        assert np.array_equal(asked.visible_values(), values)
+        assert not asked.materialised and asked.nbytes == 0
+        charged, expected = CostCounters(), CostCounters()
+        assert np.array_equal(asked.search(100, 200, charged),
+                              untouched.search(100, 200, expected))
+        assert charged.as_dict() == expected.as_dict()
+        assert charged.tuples_moved == 2_000 and charged.bytes_allocated == 16_000
+
 
 class TestAdaptiveBehaviour:
     def test_piece_count_grows_with_queries(self, medium_values):
