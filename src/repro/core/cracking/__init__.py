@@ -25,7 +25,8 @@ Modules
     adversarial query patterns.
 ``updates``
     ``UpdatableCrackedColumn``, the historical name of :class:`CrackedColumn`
-    with its copy made up front.
+    as an updatable access path (its copy, built on first use, is charged
+    to no operation).
 ``partial``
     :class:`PartialCrackedColumn`: cracking under a storage budget, with
     on-demand materialisation and eviction of value-range fragments.

@@ -96,23 +96,23 @@ class CrackedColumn(SearchStrategy):
         The base column (or a raw array).  The cracked column keeps its own
         copy — the cracker column — plus an aligned array of row
         identifiers, so search results identify rows of the *base* column.
-    counters:
-        Optional cost counters charged with the copy a ``lazy_copy=False``
-        column makes at construction.
-    lazy_copy:
-        When True (the default), the cracker column is built by the first
-        operation that needs it (a :meth:`search`, a crack, or an update),
-        and that operation is charged for the copy — a scan and a move of
+        Both are built by the first search or crack that needs them, never
+        by the constructor: a first crack builds them from the base already
+        cracked (:func:`crack_cold`: the stable grouping of the base is the
+        rowid column, the values one gather through it); a first search
+        with pending updates to merge, a fully open range, a batch and a
+        sorted base latching :attr:`converged` copy the base as it is
+        (:meth:`_materialise`).  Inserts and deletes only queue.
+    supports_updates:
+        When False (the default) the column is a read-only access path and
+        its first search is charged for the copy — a scan and a move of
         every row plus the bytes of the two arrays — because the
-        literature's cost model charges the copy to the first query.  The
-        copy is not a pass of its own: a first crack builds the arrays from
-        the base already cracked (:func:`crack_cold`: the stable grouping of
-        the base is the rowid column, the values one gather through it).
-        Only what cracks nothing after it copies the base as it is
-        (:meth:`_materialise`).  When False the column copies at
-        construction and is an updatable access path
-        (:attr:`supports_updates`): the engine routes inserts, deletes and
-        updates into its pending queues instead of rebuilding it after DML.
+        literature's cost model charges the copy to the first query.  When
+        True it is an updatable access path: the engine routes inserts,
+        deletes and updates into its pending queues instead of rebuilding it
+        after DML, and the copy is charged to no operation.  Either way the
+        column is observably the one that copied at construction: the same
+        arrays, answers, counters and :attr:`converged` latch.
     policy / merge_batch:
         How pending updates are merged: ``"ripple"`` merges every pending
         update a query's range qualifies, ``"gradual"`` at most
@@ -134,8 +134,7 @@ class CrackedColumn(SearchStrategy):
     def __init__(
         self,
         column: Union[Column, np.ndarray],
-        counters: Optional[CostCounters] = None,
-        lazy_copy: bool = True,
+        supports_updates: bool = False,
         name: str = "",
         policy: str = "ripple",
         merge_batch: int = 16,
@@ -149,7 +148,7 @@ class CrackedColumn(SearchStrategy):
         if merge_batch < 1:
             raise ValueError("merge_batch must be >= 1")
         self.name = name or (column.name if isinstance(column, Column) else "")
-        self.supports_updates = not lazy_copy
+        self.supports_updates = bool(supports_updates)
         self.policy = policy
         self.merge_batch = int(merge_batch)
         self.rowid_base = int(rowid_base)
@@ -165,9 +164,8 @@ class CrackedColumn(SearchStrategy):
         self._values_buffer: Optional[np.ndarray] = None
         self._rowids_buffer: Optional[np.ndarray] = None
         self.index = CrackerIndex(len(base))
-        # pending structures (only ever non-empty on a materialised column):
-        # typed queues in arrival order, which is the merge order, each
-        # beside a set that answers membership in O(1)
+        # pending structures: typed queues in arrival order, which is the
+        # merge order, each beside a set that answers membership in O(1)
         self._pending_insert_values = _value_queue(base.dtype)
         self._pending_insert_rowids = array("q")
         self._pending_insert_rowid_set: set = set()
@@ -191,8 +189,6 @@ class CrackedColumn(SearchStrategy):
         # guards the shared query counter: converged columns serve
         # concurrent readers, whose increments must not be lost
         self._stats_lock = threading.Lock()
-        if not lazy_copy:
-            self._materialise(counters)
 
     # -- materialisation ---------------------------------------------------------
 
@@ -214,9 +210,10 @@ class CrackedColumn(SearchStrategy):
         self.rowids = self._rowids_buffer[:length]
 
     def _materialise(self, counters: Optional[CostCounters]) -> None:
-        """Copy the base as it is and number its rows, for what cracks
-        nothing after it: an update of a lazy column, an eager column's
-        construction, a fully open range and a batch's first pass."""
+        """Copy the base as it is and number its rows, for a first use that
+        is not one crack: pending updates to merge first, a fully open
+        range, a batch's first pass and a sorted base latching
+        :attr:`converged`."""
         if self.materialised:
             return
         size = len(self._base)
@@ -243,8 +240,9 @@ class CrackedColumn(SearchStrategy):
 
     def _charge_copy(self, counters: Optional[CostCounters]) -> None:
         """What the cracker column's copy of the base costs, charged once
-        its arrays are built."""
-        if counters is not None:
+        its arrays are built: to the operation that built them on a
+        read-only column, to none on an updatable one."""
+        if counters is not None and not self.supports_updates:
             counters.record_scan(self._length)
             counters.record_move(self._length)
             counters.record_allocation(self.values.nbytes + self.rowids.nbytes)
@@ -295,11 +293,17 @@ class CrackedColumn(SearchStrategy):
         witness and the latch, so callers that may race a crack of this
         column (batch classification across concurrently issued batches)
         must evaluate it under the column's access-path lock — the
-        sortedness of a mid-crack array is not meaningful.
+        sortedness of a mid-crack array is not meaningful.  An updatable
+        column reads its base while unmaterialised, as the eager copy of it
+        would read, and builds its arrays when it latches (a sorted base
+        answers by binary search from then on); a read-only one latches
+        only once its first query has built them.
         """
         if self._pending_insert_values or self._delete_queue_rowids:
             return False
-        if not self._converged and self.materialised and not self._has_descent():
+        if (not self._converged and (self.materialised or self.supports_updates)
+                and not self._has_descent()):
+            self._materialise(None)
             self._converged = True
         return self._converged
 
@@ -386,13 +390,14 @@ class CrackedColumn(SearchStrategy):
     def nbytes(self) -> int:
         """Bytes of auxiliary storage held (cracker column, rowids, queues).
 
-        The arrays are exactly column-sized until the first pending insert
-        is merged; from then on they carry spare capacity for the next ones.
+        The arrays count from the operation that builds them; they are
+        exactly column-sized until the first pending insert is merged, and
+        from then on carry spare capacity for the next ones.
         """
-        if not self.materialised:
-            return 0
         pending = (len(self._pending_insert_values) + len(self._delete_queue_rowids)
                    + len(self._inserted_values)) * 16
+        if not self.materialised:
+            return pending
         return int(self._values_buffer.nbytes + self._rowids_buffer.nbytes + pending)
 
     @property
@@ -461,7 +466,6 @@ class CrackedColumn(SearchStrategy):
             if self.knows_rowid(rowid):
                 raise ValueError(f"row identifier {rowid} is already in use")
             self._next_rowid = max(self._next_rowid, rowid + 1)
-        self._materialise(counters)
         self._pending_insert_values.append(value)
         self._pending_insert_rowids.append(rowid)
         self._pending_insert_rowid_set.add(rowid)
@@ -484,7 +488,6 @@ class CrackedColumn(SearchStrategy):
             self._pending_insert_rowid_set.discard(rowid)
             del self._inserted_values[rowid]
             return
-        self._materialise(counters)
         value = self._inserted_values.get(rowid)
         if value is None:
             value = self._merged_value(rowid)
@@ -706,23 +709,25 @@ class CrackedColumn(SearchStrategy):
     ) -> Tuple[int, int, np.ndarray, np.ndarray]:
         """One range selection (a checked range) of :meth:`search_many`.
 
-        Builds the cracker column if need be — an unmaterialised column's
-        first crack builds it (:meth:`_crack_cold`) — merges the qualifying
-        pending updates (per the configured policy), then cracks — or, on a
-        column recognised as :attr:`converged`, binary-searches.  Returns
+        Builds the cracker column if need be — cracked as it is built
+        (:meth:`_crack_cold`) when nothing is pending and a bound is given —
+        merges the qualifying pending updates (per the configured policy),
+        then cracks — or, on a column recognised as :attr:`converged`,
+        binary-searches.  Returns
         the qualifying region ``[start, end)`` of the cracker column plus
         what the pending structures still hold inside the range (only
         under the gradual policy): indices of qualifying pending inserts
         and rowids of qualifying pending deletes.
         """
         self._count_query()
+        pending = bool(self._pending_insert_values or self._delete_queue_rowids)
         if not self.materialised:
-            if low is not None or high is not None:
+            if not pending and (low is not None or high is not None):
                 start, end = self._crack_cold(low, high, counters)
                 return start, end, _NOTHING_PENDING, _NOTHING_PENDING
             self._materialise(counters)
         extra = excluded = _NOTHING_PENDING
-        if self._pending_insert_values or self._delete_queue_rowids:
+        if pending:
             extra, excluded = self._merge_pending(low, high, counters)
         if self._converged:
             start, end = self._sorted_range(low, high, counters)
@@ -880,21 +885,23 @@ class CrackedColumn(SearchStrategy):
 
     def is_fully_sorted(self) -> bool:
         """True when the cracker column is completely sorted: the O(n) oracle
-        for what :attr:`converged` answers without a pass (tests, inspection)."""
-        if not self.materialised:
+        for what :attr:`converged` answers without a pass (tests, inspection).
+        An unmaterialised updatable column reads its base, as
+        :attr:`converged` does."""
+        if not self.materialised and not self.supports_updates:
             return False
-        return bool(np.all(self.values[:-1] <= self.values[1:])) if len(self.values) > 1 else True
+        values = self.values if self.materialised else self._base
+        return bool(np.all(values[:-1] <= values[1:])) if len(values) > 1 else True
 
     def visible_values(self) -> np.ndarray:
         """Multiset of currently visible values (reference for tests).  An
-        unmaterialised column answers from its base: nothing can be pending
-        on it."""
-        if not self.materialised:
-            return self._base.copy()
-        merged_mask = ~np.isin(
-            self.rowids, np.frombuffer(self._delete_queue_rowids, dtype=np.int64)
-        )
-        merged = self.values[merged_mask]
+        unmaterialised column answers from its base, whose rows are the
+        merged ones (every queued delete is of a base row there)."""
+        deleted = np.frombuffer(self._delete_queue_rowids, dtype=np.int64)
+        if self.materialised:
+            merged = self.values[~np.isin(self.rowids, deleted)]
+        else:
+            merged = np.delete(self._base, deleted - self.rowid_base)
         pending = np.asarray(self._pending_insert_values, dtype=merged.dtype)
         return np.concatenate([merged, pending]) if len(pending) else merged.copy()
 

@@ -150,7 +150,9 @@ class PartialCrackedColumn(SearchStrategy):
         if not self.budget.can_allocate(needed):
             return None
 
-        cracked = CrackedColumn(values, lazy_copy=False)
+        # built from ``values`` by its first search, which charges no copy:
+        # the fragment's build is charged below
+        cracked = CrackedColumn(values, supports_updates=True)
         fragment = _Fragment(
             fragment_index=index, cracked=cracked, rowids=rowids,
             last_used=self.queries_processed,

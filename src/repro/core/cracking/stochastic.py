@@ -64,14 +64,13 @@ class StochasticCrackedColumn(CrackedColumn):
         column: Union[Column, np.ndarray],
         variant: str = "ddr",
         seed: Optional[int] = 0,
-        counters: Optional[CostCounters] = None,
-        lazy_copy: bool = True,
+        supports_updates: bool = False,
         name: str = "",
     ) -> None:
         variant = variant.lower()
         if variant not in ("ddr", "ddc", "mdd1r"):
             raise ValueError(f"unknown stochastic cracking variant {variant!r}")
-        super().__init__(column, counters=counters, lazy_copy=lazy_copy, name=name)
+        super().__init__(column, supports_updates=supports_updates, name=name)
         self.variant = variant
         self._rng = np.random.default_rng(seed)
 

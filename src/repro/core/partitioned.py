@@ -144,9 +144,10 @@ def _content_bounds(
 ) -> Tuple[Optional[float], Optional[float]]:
     """Exact min/max over a column's merged values and pending inserts."""
     lows, highs = [], []
-    if len(column.values):
-        lows.append(column.values.min().item())
-        highs.append(column.values.max().item())
+    merged = column.values if column.materialised else column._base
+    if len(merged):
+        lows.append(merged.min().item())
+        highs.append(merged.max().item())
     if column._pending_insert_values:
         lows.append(min(column._pending_insert_values))
         highs.append(max(column._pending_insert_values))
@@ -256,15 +257,14 @@ class PartitionedCrackedColumn(SearchStrategy):
         counters, merged into the caller's afterwards, so the fan-out is
         race-free and answers (and logical costs) are identical to the
         sequential run.
-    policy / merge_batch / lazy_copy:
-        Forwarded to every partition's :class:`CrackedColumn`: with
-        ``lazy_copy`` (the default) each partition builds its cracker column
-        from its slice when it is first touched, cracked as it is built, and
-        charges that query the copy; otherwise all copies are
-        made up front and charged to nobody, and the column is an updatable
-        access path (:attr:`supports_updates`).  Under the gradual policy each
-        *partition* merges at most ``merge_batch`` pending updates per query
-        it participates in.
+    policy / merge_batch / supports_updates:
+        Forwarded to every partition's :class:`CrackedColumn`: each
+        partition builds its cracker column from its slice when a query
+        first needs it (cracked as it is built when nothing is pending) and
+        charges that query the copy, or charges it to nobody when the column
+        is an updatable access path (``supports_updates``).  Under the
+        gradual policy each *partition* merges at most ``merge_batch``
+        pending updates per query it participates in.
     max_workers:
         Width of that pool, fixed at construction (default:
         ``os.cpu_count()``).
@@ -286,7 +286,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         name: str = "",
         policy: str = "ripple",
         merge_batch: int = 16,
-        lazy_copy: bool = True,
+        supports_updates: bool = False,
     ) -> None:
         base = column.values if isinstance(column, Column) else np.asarray(column)
         if base.ndim != 1:
@@ -296,7 +296,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         self.parallel = bool(parallel)
         self.policy = policy
         self.merge_batch = int(merge_batch)
-        self.supports_updates = not lazy_copy
+        self.supports_updates = bool(supports_updates)
         self.queries_processed = 0
         # a tuple: the partitions are cut once, here, and never change
         self._partitions: Tuple[ColumnPartition, ...] = tuple(
@@ -304,7 +304,7 @@ class PartitionedCrackedColumn(SearchStrategy):
                 start, end,
                 CrackedColumn(
                     base[start:end], rowid_base=start, policy=policy,
-                    merge_batch=merge_batch, lazy_copy=lazy_copy,
+                    merge_batch=merge_batch, supports_updates=supports_updates,
                     name=f"{self.name}[{start}:{end}]" if self.name else "",
                 ),
             )
@@ -658,7 +658,8 @@ class PartitionedCrackedColumn(SearchStrategy):
     # -- maintenance / inspection ----------------------------------------------
 
     def is_fully_sorted(self) -> bool:
-        """True when every partition is materialised and fully sorted internally."""
+        """True when every partition is fully sorted internally (an
+        unmaterialised read-only partition is not)."""
         return all(p.cracked.is_fully_sorted() for p in self._partitions)
 
     def visible_values(self) -> np.ndarray:
@@ -684,25 +685,23 @@ class PartitionedCrackedColumn(SearchStrategy):
         chunks = []
         for partition in partitions:
             cracked = partition.cracked
-            if not cracked.materialised:
-                chunks.append(
-                    np.arange(partition.start, partition.end, dtype=np.int64)
-                )
-                continue
-            original = cracked.rowids < base_size
-            base_rowids = cracked.rowids[original]
+            # an unmaterialised partition's merged rows are its row range
+            rowids = (cracked.rowids if cracked.materialised
+                      else np.arange(partition.start, partition.end, dtype=np.int64))
+            original = rowids < base_size
+            base_rowids = rowids[original]
             assert np.all(
                 (base_rowids >= partition.start) & (base_rowids < partition.end)
             ), (
                 f"base rows merged outside their partition row range "
                 f"[{partition.start}:{partition.end})"
             )
-            for rowid in cracked.rowids[~original].tolist():
+            for rowid in rowids[~original].tolist():
                 assert cracked.knows_rowid(rowid), (
                     f"inserted row {rowid} lives in a partition that does "
                     f"not know it"
                 )
-            chunks.append(cracked.rowids)
+            chunks.append(rowids)
             chunks.append(np.asarray(cracked._pending_insert_rowids,
                                      dtype=np.int64))
             # everything a partition holds stays within its known bounds
@@ -732,7 +731,10 @@ class PartitionedCrackedColumn(SearchStrategy):
 
     @property
     def structure_description(self) -> str:
-        touched = sum(1 for p in self._partitions if p.cracked.materialised)
+        # an updatable column reads as the one that copied every partition at
+        # construction: when each copy is actually built is not its structure
+        touched = (self.partition_count if self.supports_updates else
+                   sum(1 for p in self._partitions if p.cracked.materialised))
         return (
             f"partitioned cracking: {self.partition_count} partitions "
             f"({touched} touched), {self.piece_count} pieces"
@@ -740,7 +742,9 @@ class PartitionedCrackedColumn(SearchStrategy):
         )
 
 
-#: the historical name of the column with every partition copied up front
-#: (and charged to no query) — the accounting the updatable registry name uses.
-#: A factory, not a type: ``isinstance`` and annotations take the class above.
-PartitionedUpdatableCrackedColumn = partial(PartitionedCrackedColumn, lazy_copy=False)
+#: the historical name of the updatable column, whose partitions' copies are
+#: built on first use and charged to no query — the accounting the updatable
+#: registry name uses.  A factory, not a type: ``isinstance`` and
+#: annotations take the class above.
+PartitionedUpdatableCrackedColumn = partial(PartitionedCrackedColumn,
+                                            supports_updates=True)

@@ -117,7 +117,6 @@ class Database:
         self.record_journal = False
         self._journal: List[OperationRecord] = []
         self._op_sequence = 0
-        self.memory = MemoryTracker()
         self.planner = Planner(self)
         self.executor = Executor(self)
         self.queries_executed = 0
@@ -311,7 +310,6 @@ class Database:
                 raise ValueError(f"table {name!r} already exists")
             table = Table(name, columns)
             self._tables[name] = table
-            self.memory.set_usage(f"table:{name}", table.nbytes)
             # a table born from data must be reconstructible from the
             # journal alone (no snapshot may ever cover it), so the record
             # carries the full initial column arrays
@@ -325,17 +323,22 @@ class Database:
             )
             return table
 
-    def _record_index_memory(self, table: str, column: str) -> None:
-        """The one memory rule: ``index:{table}.{column}`` is the auxiliary
-        bytes the installed path holds, read at install and after each DML
-        operation on its table; a path holding none (no path, a lazy copy
-        not yet taken, a tuner without an index) has no entry."""
-        path = self._access_paths.get((table, column))
-        nbytes = path.nbytes if path is not None else 0
-        if nbytes:
-            self.memory.set_usage(f"index:{table}.{column}", nbytes)
-        else:
-            self.memory.remove(f"index:{table}.{column}")
+    @property
+    def memory(self) -> MemoryTracker:
+        """What every table and installed access path holds right now, read
+        at call time under the schema lock: ``table:{name}`` per table and
+        ``index:{table}.{column}`` per path holding any auxiliary bytes (no
+        entry for a path holding none: a cracker column no query has built
+        yet, a tuner without an index)."""
+        memory = MemoryTracker()
+        with self._schema_lock:
+            for name, table in self._tables.items():
+                memory.set_usage(f"table:{name}", table.nbytes)
+            for (table, column), path in self._access_paths.items():
+                nbytes = path.nbytes
+                if nbytes:
+                    memory.set_usage(f"index:{table}.{column}", nbytes)
+        return memory
 
     def drop_table(self, name: str) -> None:
         """Drop a table and all physical structures attached to it (its
@@ -349,7 +352,6 @@ class Database:
             with self._table_gates.write(name):
                 del self._tables[name]
                 for key in [k for k in self._access_paths if k[0] == name]:
-                    self.memory.remove(f"index:{name}.{key[1]}")
                     self._access_paths.pop(key).close()
                 self._modes = {
                     k: v for k, v in self._modes.items() if k[0] != name
@@ -357,7 +359,6 @@ class Database:
                 self._mode_options = {
                     k: v for k, v in self._mode_options.items() if k[0] != name
                 }
-                self.memory.remove(f"table:{name}")
                 self._durable_schema_record("drop_table", name)
 
     def table(self, name: str) -> Table:
@@ -380,8 +381,8 @@ class Database:
         known = available_strategies()
         if mode not in known:
             raise ValueError(f"unknown indexing mode {mode!r}; available: {known}")
-        # a refused option leaves the installed path — its memory entry and
-        # its pool — and the journal exactly as they were
+        # a refused option leaves the installed path — its pool included —
+        # and the journal exactly as they were
         check_options(mode, options)
         # under the schema lock so a concurrent snapshot's captured mode
         # set stays consistent with its high-water mark (see create_table),
@@ -412,7 +413,6 @@ class Database:
                     self._access_paths.pop(key, None)
                 else:
                     self._access_paths[key] = strategy
-                self._record_index_memory(table, column)
                 if previous is not None:
                     previous.close()
                 # recorded only once the access path exists, so a rejected

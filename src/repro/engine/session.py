@@ -360,7 +360,6 @@ class Session:
         self._check_row_absorbable(table, values)
         rowid = owning_table.row_count
         owning_table.append_rows(dict(values), counters=counters)
-        database.memory.set_usage(f"table:{table}", owning_table.nbytes)
         paths = database._access_paths
         for (owner, column_name), path in list(paths.items()):
             if owner != table:
@@ -376,9 +375,6 @@ class Session:
                         table, column_name
                     )
                     path.close()
-                # absorbing or rebuilding
-                # changes the auxiliary footprint
-                database._record_index_memory(table, column_name)
         with database._engine_stats_lock:
             database.rows_inserted += 1
         return rowid
@@ -399,12 +395,9 @@ class Session:
         if not database.table(table).delete(rowid):
             return False
         for (owner, column_name), path in database._access_paths.items():
-            if owner != table:
-                continue
-            if path.supports_updates:
+            if owner == table and path.supports_updates:
                 with database._path_locks.lock_for(("path", table, column_name)):
                     path.delete(rowid, counters)
-            database._record_index_memory(table, column_name)
         if counters is not None:
             counters.record_move(1)
         with database._engine_stats_lock:

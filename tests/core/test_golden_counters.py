@@ -323,7 +323,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'online tuner (1 indexes built)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'online tuner (0 indexes built)',
                 {'table:T': 1616}),
@@ -332,7 +332,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'online tuner (1 indexes built)',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -351,7 +351,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'online tuner (1 indexes built)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'online tuner (0 indexes built)',
                 {'table:T': 1616}),
@@ -360,7 +360,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'online tuner (1 indexes built)',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -379,7 +379,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'soft indexes (1 built)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'soft indexes (0 built)',
                 {'table:T': 1616}),
@@ -388,7 +388,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'soft indexes (1 built)',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -407,7 +407,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'soft indexes (1 built)',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'soft indexes (0 built)',
                 {'table:T': 1616}),
@@ -416,7 +416,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'soft indexes (1 built)',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -435,7 +435,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'cracking: 17 pieces',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'cracking: 1 pieces',
                 {'table:T': 1616}),
@@ -444,7 +444,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'cracking: 17 pieces',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -463,7 +463,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1600}),
             'queried': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces',
-                {'table:T': 1600}),
+                {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
                 'partitioned cracking: 2 partitions (0 touched), 2 pieces',
                 {'table:T': 1616}),
@@ -472,7 +472,7 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces',
-                {'table:T': 1616}),
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -488,7 +488,7 @@ ENGINE_GOLDEN = {
         'stages': {
             'install': (
                 'cracking: 1 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600, 'index:T.a': 1600}),
+                {'table:T': 1600}),
             'queried': (
                 'cracking: 17 pieces, 0+0 pending (ripple)',
                 {'table:T': 1600, 'index:T.a': 1600}),
@@ -516,7 +516,7 @@ ENGINE_GOLDEN = {
         'stages': {
             'install': (
                 'partitioned cracking: 2 partitions (2 touched), 2 pieces, 0+0 pending (ripple)',
-                {'table:T': 1600, 'index:T.a': 1600}),
+                {'table:T': 1600}),
             'queried': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces, 0+0 pending (ripple)',
                 {'table:T': 1600, 'index:T.a': 1600}),

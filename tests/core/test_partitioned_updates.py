@@ -326,14 +326,19 @@ def test_memory_tracker_follows_dml():
     database.set_indexing(
         "facts", "key", "partitioned-updatable-cracking", partitions=2
     )
-    # the eager copy is held from the moment the path is installed
+    # nothing is built at install: no index entry until a query builds it
     path = database.access_path("facts", "key")
-    assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+    assert path.nbytes == 0
+    assert "index:facts.key" not in database.memory.breakdown()
     with database.session() as session:
         session.insert_row("facts", {"key": 7})
         assert database.memory.breakdown()["index:facts.key"] == path.nbytes
         session.delete_row("facts", 0)
         assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+        session.execute(Query.range_query("facts", "key", 0, 1_000))
+        assert path.materialised
+        assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+        assert path.nbytes >= 16 * 1_500
     database.close()
 
 
@@ -386,7 +391,7 @@ class TestGradualBudget:
         # not starve the pending deletes forever
         base = rng.integers(0, 100, size=400).astype(np.int64)
         column = UpdatableCrackedColumn(base, policy="gradual", merge_batch=4)
-        for victim in [int(r) for r in column.rowids[:20]]:
+        for victim in range(20):
             column.delete(victim)
         for _ in range(40):
             for _ in range(6):  # 6 qualifying inserts > merge_batch

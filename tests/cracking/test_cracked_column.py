@@ -54,8 +54,8 @@ class TestBasics:
 
 
 class TestLazyCopy:
-    def test_lazy_copy_deferred_to_first_query(self, small_values):
-        cracked = CrackedColumn(small_values, lazy_copy=True)
+    def test_copy_deferred_to_first_query(self, small_values):
+        cracked = CrackedColumn(small_values)
         assert not cracked.materialised
         assert cracked.nbytes == 0
         counters = CostCounters()
@@ -64,11 +64,22 @@ class TestLazyCopy:
         # the copy was charged to the first query
         assert counters.tuples_moved >= len(small_values)
 
-    def test_eager_copy_charged_at_construction(self, small_values):
-        counters = CostCounters()
-        cracked = CrackedColumn(small_values, lazy_copy=False, counters=counters)
+    def test_updatable_copy_charged_to_no_operation(self, small_values):
+        """An updatable column charges its copy to no operation, and its
+        first search builds it cracked: the arrays and the charges of one
+        that copied up front, the copy excepted."""
+        cracked = CrackedColumn(small_values, supports_updates=True)
+        assert not cracked.materialised and cracked.nbytes == 0
+        eager = CrackedColumn(small_values, supports_updates=True)
+        eager._materialise(None)
+        counters, expected = CostCounters(), CostCounters()
+        assert np.array_equal(cracked.search(10, 20, counters),
+                              eager.search(10, 20, expected))
         assert cracked.materialised
-        assert counters.tuples_moved == len(small_values)
+        assert counters.as_dict() == expected.as_dict()
+        assert counters.bytes_allocated == 0
+        assert np.array_equal(cracked.values, eager.values)
+        assert np.array_equal(cracked.rowids, eager.rowids)
 
     def test_value_of_a_base_row_leaves_the_copy_to_the_first_search(
             self, small_values):

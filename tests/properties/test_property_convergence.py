@@ -83,7 +83,7 @@ operations = st.lists(
 update_options = st.fixed_dictionaries({
     "policy": st.sampled_from(["ripple", "gradual"]),
     "merge_batch": st.integers(min_value=1, max_value=3),
-    "lazy_copy": st.booleans(),
+    "supports_updates": st.booleans(),
 })
 
 
@@ -185,13 +185,13 @@ def test_cracked_column_converged_is_exact_after_every_step(values, ops, options
 
 @given(values=inputs, ops=operations,
        variant=st.sampled_from(["ddr", "ddc", "mdd1r"]),
-       lazy_copy=st.booleans())
+       supports_updates=st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_stochastic_column_converged_is_exact_after_every_step(
-        values, ops, variant, lazy_copy):
+        values, ops, variant, supports_updates):
     column = StochasticCrackedColumn(
         values, variant=variant, seed=1,
-        lazy_copy=lazy_copy,
+        supports_updates=supports_updates,
     )
     drive(column, values, ops)
 
@@ -211,13 +211,13 @@ def test_sorted_input_latches_at_its_first_classification(shape):
     values = np.sort(make_values(shape, 300, seed=3))
     lazy = CrackedColumn(values)
     assert not lazy.converged, "an unmaterialised column has nothing sorted yet"
-    eager = CrackedColumn(values, lazy_copy=False)
+    eager = CrackedColumn(values, supports_updates=True)
     assert eager.converged and eager._converged
     assert eager.piece_count == 1, "recognised without a single crack"
 
 
 def test_never_cracked_random_input_says_false_and_stays_unlatched():
-    column = CrackedColumn(make_values("random", 300, seed=4), lazy_copy=False)
+    column = CrackedColumn(make_values("random", 300, seed=4), supports_updates=True)
     for _ in range(3):
         assert not column.converged
     assert not column._converged
@@ -228,7 +228,7 @@ def test_never_cracked_random_input_says_false_and_stays_unlatched():
     [float("nan"), float("nan")],
 ])
 def test_a_nan_never_converges(values):
-    column = CrackedColumn(np.asarray(values), lazy_copy=False)
+    column = CrackedColumn(np.asarray(values), supports_updates=True)
     assert not column.is_fully_sorted()
     assert not column.converged
 
@@ -239,7 +239,7 @@ def test_a_descent_left_behind_the_witness_is_still_found():
     must not read as "sorted"."""
     values = np.arange(500, dtype=np.int64)
     values[[498, 499]] = values[[499, 498]]
-    column = CrackedColumn(values, lazy_copy=False)
+    column = CrackedColumn(values, supports_updates=True)
     assert not column.converged
     column.insert(5)
     column.search(0, 10)        # merges the insert: ..., 8, 9, 5, 10, ...

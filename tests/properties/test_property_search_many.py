@@ -11,8 +11,8 @@ both then has to agree too.
 The columns are the ones where a key's type matters (int64 around
 ``2**60``, uint64 past ``2**63``, int32, float64), in every state a batch can
 meet: cold, mid-refinement, converged, with pending inserts and deletes
-under both merge policies, and copied up front with updates pending before
-any crack.  The batches hold the shapes
+under both merge policies, and updatable ("eager pending") with updates
+pending before any crack.  The batches hold the shapes
 a one-pass crack has to get right: duplicate, nested and touching ranges,
 empty ones (``low == high``) and half-open ones (``None``).
 """
@@ -75,7 +75,7 @@ def build(subject, kind, state, seed, **options):
     a fixed stream of operations: two calls build two identical objects."""
     values = column_values(kind, seed)
     if state == "eager pending":
-        options.update(lazy_copy=False)
+        options.update(supports_updates=True)
     if state == "gradual pending":
         options.update(policy="gradual", merge_batch=3)
     column = SUBJECTS[subject](values, **options)
