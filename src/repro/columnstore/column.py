@@ -54,6 +54,26 @@ class Column:
             column._length = 0
         return column
 
+    @classmethod
+    def adopt(cls, values: np.ndarray, name: str, dtype: DataType) -> "Column":
+        """A column around ``values`` itself, with no copy: the caller hands
+        over an array nothing else writes, such as one a snapshot section
+        or a journal record was just read into.  It must already be a
+        writable, contiguous one-dimensional array of ``dtype``."""
+        if values.dtype != dtype.numpy_dtype:
+            raise TypeError(
+                f"cannot adopt a {values.dtype} array as a {dtype.name} column")
+        if values.ndim != 1 or not values.flags.c_contiguous:
+            raise ValueError("an adopted column must be one contiguous dimension")
+        if not values.flags.writeable:
+            raise ValueError("an adopted column must be writable")
+        column = cls.__new__(cls)
+        column.name = name
+        column.dtype = dtype
+        column._data = values
+        column._length = len(values)
+        return column
+
     # -- basic protocol ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -105,16 +125,6 @@ class Column:
     def copy(self, name: Optional[str] = None) -> "Column":
         """Deep copy of this column."""
         return Column(self.values.copy(), name=name or self.name, dtype=self.dtype)
-
-    # -- serialization -------------------------------------------------------
-
-    def tobytes(self) -> bytes:
-        """Raw bytes of the valid region, in the dtype's native layout.
-
-        Always materialises a contiguous copy, so it works no matter what
-        buffer backs the array.
-        """
-        return np.ascontiguousarray(self.values).tobytes()
 
     # -- statistics ----------------------------------------------------------
 

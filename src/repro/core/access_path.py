@@ -22,9 +22,10 @@ class SearchStrategy:
     """A range-search access path over one column."""
 
     #: True when the path absorbs inserts/deletes/updates adaptively
-    #: (``insert``/``delete``/``update``, and ``check_insertable`` for the
-    #: engine to ask before it appends a row); the engine rebuilds a path
-    #: that doesn't after DML against its table
+    #: (``insert``/``delete``/``update``, ``check_insertable`` for the
+    #: engine to ask before it appends a row, and ``delete_base_rows`` for a
+    #: new path to queue its table's tombstones in one call); the engine
+    #: rebuilds a path that doesn't after DML against its table
     supports_updates: bool = False
 
     #: the planner's rank among one query's selections (lower drives the

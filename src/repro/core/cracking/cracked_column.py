@@ -497,6 +497,30 @@ class CrackedColumn(SearchStrategy):
         if counters is not None:
             counters.record_move(1)
 
+    def delete_base_rows(self, rowids: np.ndarray) -> None:
+        """Queue the deletion of the base rows ``rowids`` (sorted, distinct)
+        on a column nothing was queued in or merged into yet: the queues,
+        set and counters :meth:`delete` of each would leave, from one
+        gather of the base.  ``set_indexing`` hands it a table's
+        tombstones."""
+        rowids = np.asarray(rowids, dtype=np.int64)
+        if not len(rowids):
+            return
+        if self._pending_insert_values or self._delete_queue_rowids or self.merges_performed:
+            raise RuntimeError(
+                "delete_base_rows needs a column with nothing queued or merged")
+        if np.any(rowids[1:] <= rowids[:-1]):
+            raise ValueError("delete_base_rows takes sorted, distinct rowids")
+        first, last = int(rowids[0]), int(rowids[-1])
+        for rowid in (first, last):
+            if not self._is_original(rowid):
+                raise KeyError(f"unknown row identifier {rowid}")
+        queue = self._delete_queue_values
+        values = self._base[rowids - self.rowid_base].astype(queue.typecode, copy=False)
+        queue.frombytes(memoryview(values).cast("B"))
+        self._delete_queue_rowids.frombytes(memoryview(rowids).cast("B"))
+        self._pending_delete_rowid_set.update(rowids.tolist())
+
     def update(self, rowid: int, new_value: float,
                counters: Optional[CostCounters] = None) -> int:
         """Update = delete old row + insert new value; returns the new rowid.

@@ -544,6 +544,14 @@ class PartitionedCrackedColumn(SearchStrategy):
         """Queue the deletion of the row identified by (global) ``rowid``."""
         self._owning_partition(rowid).cracked.delete(rowid, counters)
 
+    def delete_base_rows(self, rowids: np.ndarray) -> None:
+        """:meth:`CrackedColumn.delete_base_rows` of the sorted base rowids,
+        each partition handed the slice its row range holds."""
+        rowids = np.asarray(rowids, dtype=np.int64)
+        cuts = np.searchsorted(rowids, [p.start for p in self._partitions[1:]])
+        for partition, shard in zip(self._partitions, np.split(rowids, cuts)):
+            partition.cracked.delete_base_rows(shard)
+
     def update(self, rowid: int, new_value: float,
                counters: Optional[CostCounters] = None) -> int:
         """Update = delete old row + insert new value; returns the new rowid.

@@ -268,6 +268,8 @@ def decode_record(payload: bytes) -> WalRecord:
                         f"{itemsize}-byte {dtype.name} need "
                         f"{rows * itemsize} bytes, section holds {nbytes}"
                     )
+                # the one copy: recovery adopts this owned array as the
+                # column itself
                 values = np.frombuffer(
                     payload, dtype=dtype.numpy_dtype, count=rows, offset=offset
                 )

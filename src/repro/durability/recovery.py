@@ -9,7 +9,8 @@ database from a data directory:
    otherwise recovery fails loudly with the corruption diagnostic;
 2. scan the journal (:meth:`WriteAheadLog.scan`): a torn final record is
    tolerated and truncated, any other damage raises;
-3. apply the snapshot (tables from raw column bytes, tombstones, then
+3. apply the snapshot (tables around the arrays its column sections were
+   read into, with no copy; tombstones, then
    ``set_indexing`` per recorded mode — adaptive structures are derived
    state and rebuild from the base columns, re-absorbing the tombstones);
 4. replay every journal record past the high-water mark **through the
@@ -125,7 +126,7 @@ def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
         table = database.create_table(
             table_state.name,
             {
-                dump.name: Column(dump.values, name=dump.name, dtype=dump.dtype)
+                dump.name: Column.adopt(dump.values, dump.name, dump.dtype)
                 for dump in table_state.columns
             },
         )
@@ -179,9 +180,7 @@ def _replay_records(
                 database.create_table(
                     record.table,
                     {
-                        dump.name: Column(
-                            dump.values, name=dump.name, dtype=dump.dtype
-                        )
+                        dump.name: Column.adopt(dump.values, dump.name, dump.dtype)
                         for dump in record.columns
                     },
                 )

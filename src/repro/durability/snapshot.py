@@ -17,22 +17,28 @@ File layout (``snapshots/snapshot-<high_water:020d>.snap``)::
     column sections, raw little-endian array bytes, in manifest order
 
 The manifest records each section's byte length and crc32, so any damage
-is pinpointed to a named table/column.  Writes are atomic: the dump goes
-to a ``*.tmp`` sibling, is fsynced, and only then renamed over the final
-name (``os.replace``) with a directory fsync — a crash leaves either the
-old snapshot set or the new one, never a half-written file under a valid
-name.  Stray ``*.tmp`` files are ignored (and cleaned) by the store.
+is pinpointed to a named table/column.  Neither direction copies a column:
+a write sends each section straight from the column's array, and a load
+reads each section straight into the array its recovered column keeps
+(:meth:`~repro.columnstore.column.Column.adopt`), checksumming it there.
+
+Writes are atomic: the dump goes to a ``*.tmp`` sibling, is fsynced, and
+only then renamed over the final name (``os.replace``) with a directory
+fsync — a crash leaves either the old snapshot set or the new one, never a
+half-written file under a valid name.  Stray ``*.tmp`` files are ignored
+(and cleaned) by the store.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,21 +102,22 @@ def _snapshot_high_water(path: Path) -> Optional[int]:
     return int(digits) if digits.isdigit() else None
 
 
-def encode_snapshot(state: SnapshotState) -> bytes:
-    """Serialize a snapshot to its full file bytes."""
-    sections: List[bytes] = []
+def _encode_parts(state: SnapshotState) -> Tuple[bytes, List[memoryview]]:
+    """The header and manifest bytes, and each column section as a byte
+    view of the column's own array (no copy of a contiguous array)."""
+    sections: List[memoryview] = []
     tables_manifest = []
     for table in state.tables:
         columns_manifest = []
         for dump in table.columns:
-            raw = np.ascontiguousarray(dump.values).tobytes()
+            raw = memoryview(np.ascontiguousarray(dump.values)).cast("B")
             sections.append(raw)
             columns_manifest.append(
                 {
                     "name": dump.name,
                     "dtype": dump.dtype.name,
                     "rows": int(len(dump.values)),
-                    "nbytes": len(raw),
+                    "nbytes": raw.nbytes,
                     "crc": zlib.crc32(raw),
                 }
             )
@@ -137,22 +144,35 @@ def encode_snapshot(state: SnapshotState) -> bytes:
         ],
     }
     manifest_bytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    parts = [
-        SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION),
-        MANIFEST_HEADER.pack(len(manifest_bytes), zlib.crc32(manifest_bytes)),
-        manifest_bytes,
-    ]
-    parts.extend(sections)
-    return b"".join(parts)
+    head = (
+        SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION)
+        + MANIFEST_HEADER.pack(len(manifest_bytes), zlib.crc32(manifest_bytes))
+        + manifest_bytes
+    )
+    return head, sections
 
 
-def decode_snapshot(data: bytes, source: str = "<snapshot>") -> SnapshotState:
-    """Validate and decode snapshot file bytes."""
-    if len(data) < SNAPSHOT_HEADER.size + MANIFEST_HEADER.size:
+def encode_snapshot(state: SnapshotState) -> bytes:
+    """Serialize a snapshot to its full file bytes."""
+    head, sections = _encode_parts(state)
+    return b"".join([head, *sections])
+
+
+def decode_snapshot(
+    data: Union[bytes, BinaryIO], source: str = "<snapshot>"
+) -> SnapshotState:
+    """Validate and decode a snapshot from its file bytes or from a binary
+    file holding it: each column section is read straight into the array
+    its column keeps, and checksummed there."""
+    stream = io.BytesIO(data) if isinstance(data, (bytes, bytearray)) else data
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    if size < SNAPSHOT_HEADER.size + MANIFEST_HEADER.size:
         raise SnapshotCorruptionError(
-            f"{source}: truncated snapshot header ({len(data)} bytes)"
+            f"{source}: truncated snapshot header ({size} bytes)"
         )
-    magic, version = SNAPSHOT_HEADER.unpack_from(data, 0)
+    header = stream.read(SNAPSHOT_HEADER.size + MANIFEST_HEADER.size)
+    magic, version = SNAPSHOT_HEADER.unpack_from(header, 0)
     if magic != SNAPSHOT_MAGIC:
         raise SnapshotCorruptionError(f"{source}: bad snapshot magic {magic!r}")
     if version != SNAPSHOT_VERSION:
@@ -160,16 +180,16 @@ def decode_snapshot(data: bytes, source: str = "<snapshot>") -> SnapshotState:
             f"{source}: unsupported snapshot version {version}"
         )
     manifest_length, manifest_crc = MANIFEST_HEADER.unpack_from(
-        data, SNAPSHOT_HEADER.size
+        header, SNAPSHOT_HEADER.size
     )
-    manifest_start = SNAPSHOT_HEADER.size + MANIFEST_HEADER.size
+    manifest_start = len(header)
     manifest_end = manifest_start + manifest_length
-    if manifest_end > len(data):
+    if manifest_end > size:
         raise SnapshotCorruptionError(
             f"{source}: truncated manifest "
-            f"({len(data) - manifest_start} of {manifest_length} bytes)"
+            f"({size - manifest_start} of {manifest_length} bytes)"
         )
-    manifest_bytes = data[manifest_start:manifest_end]
+    manifest_bytes = stream.read(manifest_length)
     if zlib.crc32(manifest_bytes) != manifest_crc:
         raise SnapshotCorruptionError(f"{source}: manifest checksum mismatch")
     manifest = json.loads(manifest_bytes.decode("utf-8"))
@@ -182,22 +202,30 @@ def decode_snapshot(data: bytes, source: str = "<snapshot>") -> SnapshotState:
             nbytes = int(column_entry["nbytes"])
             end = offset + nbytes
             section_name = f"{table_entry['name']}.{column_entry['name']}"
-            if end > len(data):
+            if end > size:
                 raise SnapshotCorruptionError(
                     f"{source}: truncated column section {section_name} "
-                    f"({len(data) - offset} of {nbytes} bytes)"
+                    f"({size - offset} of {nbytes} bytes)"
                 )
-            raw = data[offset:end]
-            if zlib.crc32(raw) != int(column_entry["crc"]):
+            dtype = dtype_by_name(column_entry["dtype"])
+            values = np.empty(int(column_entry["rows"]), dtype=dtype.numpy_dtype)
+            if values.nbytes != nbytes:
+                raise SnapshotCorruptionError(
+                    f"{source}: column section {section_name} at byte {offset} "
+                    f"holds {nbytes} bytes, not {len(values)} {dtype.name} rows"
+                )
+            read = stream.readinto(memoryview(values).cast("B"))
+            if read != nbytes:
+                raise SnapshotCorruptionError(
+                    f"{source}: truncated column section {section_name} "
+                    f"({read} of {nbytes} bytes)"
+                )
+            if zlib.crc32(values) != int(column_entry["crc"]):
                 raise SnapshotCorruptionError(
                     f"{source}: checksum mismatch in column section "
                     f"{section_name} at byte {offset}"
                 )
-            dtype = dtype_by_name(column_entry["dtype"])
-            values = np.frombuffer(
-                raw, dtype=dtype.numpy_dtype, count=int(column_entry["rows"])
-            )
-            dumps.append(ColumnDump(column_entry["name"], dtype, values.copy()))
+            dumps.append(ColumnDump(column_entry["name"], dtype, values))
             offset = end
         tables.append(
             TableState(
@@ -206,9 +234,9 @@ def decode_snapshot(data: bytes, source: str = "<snapshot>") -> SnapshotState:
                 deleted_rows=tuple(table_entry["deleted_rows"]),
             )
         )
-    if offset != len(data):
+    if offset != size:
         raise SnapshotCorruptionError(
-            f"{source}: {len(data) - offset} trailing bytes after the last "
+            f"{source}: {size - offset} trailing bytes after the last "
             "column section"
         )
     modes = tuple(
@@ -263,10 +291,14 @@ class SnapshotStore:
         """
         final_path = self.directory / _snapshot_name(state.high_water)
         tmp_path = final_path.with_suffix(".snap.tmp")
-        data = encode_snapshot(state)
+        head, sections = _encode_parts(state)
         kill_point(self._injector, "snapshot.before_write")
         with open_durable(tmp_path, "wb", self._injector) as handle:
-            handle.write(data)
+            # each section straight from its column's array: the bytes are
+            # encode_snapshot's, never joined into one buffer
+            handle.write(head)
+            for section in sections:
+                handle.write(section)
             kill_point(self._injector, "snapshot.before_sync")
             handle.fsync()
         kill_point(self._injector, "snapshot.before_rename")
@@ -278,7 +310,8 @@ class SnapshotStore:
 
     def load(self, path: Path) -> SnapshotState:
         """Load and fully validate one snapshot file."""
-        return decode_snapshot(Path(path).read_bytes(), source=str(path))
+        with open(path, "rb") as handle:
+            return decode_snapshot(handle, source=str(path))
 
     def _prune(self) -> None:
         """Drop all but the newest ``keep`` snapshots plus stray tmp files."""

@@ -209,14 +209,10 @@ class Database:
         tables = []
         for table_name in self.table_names:
             table = self._tables[table_name]
+            # the columns' own arrays: the caller's write gates keep every
+            # DML out until the dump is on disk
             dumps = tuple(
-                ColumnDump(
-                    column_name,
-                    column.dtype,
-                    np.frombuffer(
-                        column.tobytes(), dtype=column.dtype.numpy_dtype
-                    ),
-                )
+                ColumnDump(column_name, column.dtype, column.values)
                 for column_name, column in table.columns.items()
             )
             tables.append(
@@ -403,11 +399,10 @@ class Database:
                 )
                 if strategy is not None and strategy.supports_updates:
                     # the new column treats every base position as a live
-                    # row; replay the table's tombstones so rows deleted
-                    # under an earlier mode stay deleted (its answers are
-                    # not filtered)
-                    for rowid in owning_table.tombstones.tolist():
-                        strategy.delete(rowid)
+                    # row; queue the table's tombstones, in one call, so
+                    # rows deleted under an earlier mode stay deleted (its
+                    # answers are not filtered)
+                    strategy.delete_base_rows(owning_table.tombstones)
                 previous = self._access_paths.get(key)
                 if strategy is None:
                     self._access_paths.pop(key, None)

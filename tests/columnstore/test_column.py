@@ -75,3 +75,36 @@ class TestStatistics:
             column.min()
         with pytest.raises(ValueError):
             column.max()
+
+
+class TestAdopt:
+    """``Column.adopt`` keeps the array it is handed: no copy."""
+
+    def test_adopts_without_copying(self):
+        values = np.arange(10, dtype=np.int64)
+        column = Column.adopt(values, "key", INT64)
+        assert column.name == "key" and column.dtype is INT64
+        assert np.shares_memory(column.values, values)
+        assert len(column) == column.capacity == 10
+
+    def test_an_append_grows_out_of_the_adopted_array(self):
+        values = np.arange(4, dtype=np.int64)
+        column = Column.adopt(values, "key", INT64)
+        column.append([7, 8])
+        assert column.values.tolist() == [0, 1, 2, 3, 7, 8]
+        assert values.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("values, error", [
+        (np.arange(4, dtype=np.int32), TypeError),
+        (np.zeros((2, 2), dtype=np.int64), ValueError),
+        (np.arange(8, dtype=np.int64)[::2], ValueError),
+    ], ids=["dtype", "two-dimensional", "strided"])
+    def test_refuses_an_array_it_cannot_keep_as_is(self, values, error):
+        with pytest.raises(error):
+            Column.adopt(values, "key", INT64)
+
+    def test_refuses_a_read_only_array(self):
+        values = np.arange(4, dtype=np.int64)
+        values.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            Column.adopt(values, "key", INT64)

@@ -400,3 +400,45 @@ class TestDeleteAndValueOfExceptionMatrix:
         with pytest.raises(KeyError, match=f"row {rowid} not found"):
             column.value_of(rowid)
         column.check_invariants()
+
+
+class TestBulkBaseDelete:
+    """``delete_base_rows``: the one call that queues a table's tombstones
+    (the per-row equivalence is ``tests/properties/test_property_bulk_delete.py``)."""
+
+    def test_queues_every_rowid_in_order(self, small_values):
+        column = UpdatableCrackedColumn(small_values, rowid_base=10)
+        column.delete_base_rows(np.array([10, 13, 17], dtype=np.int64))
+        assert column._pending_delete_rowids == {
+            10: small_values[0], 13: small_values[3], 17: small_values[7]}
+        assert len(column) == len(small_values) - 3
+        assert not column.materialised
+
+    def test_nothing_to_queue_is_a_no_op(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
+        column.insert(5)
+        column.delete_base_rows(np.empty(0, dtype=np.int64))
+        assert column.pending_deletes == 0
+
+    @pytest.mark.parametrize("before", ["insert", "delete", "merge"])
+    def test_refuses_a_column_with_anything_queued_or_merged(self, small_values, before):
+        column = UpdatableCrackedColumn(small_values)
+        if before == "insert":
+            column.insert(5)
+        else:
+            column.delete(0)
+            if before == "merge":
+                column.search(None, None)
+        with pytest.raises(RuntimeError, match="nothing queued or merged"):
+            column.delete_base_rows(np.array([1], dtype=np.int64))
+
+    @pytest.mark.parametrize("rowids, error", [
+        ([3, 1], ValueError), ([2, 2], ValueError), ([-1, 2], KeyError),
+        ([1, 10_000], KeyError),
+    ])
+    def test_refuses_rowids_that_are_not_sorted_distinct_base_rows(
+            self, small_values, rowids, error):
+        column = UpdatableCrackedColumn(small_values)
+        with pytest.raises(error):
+            column.delete_base_rows(np.array(rowids, dtype=np.int64))
+        assert column.pending_deletes == 0
