@@ -1,6 +1,6 @@
 """The tutorial's figure set: one declared table, one runner, one gate file.
 
-Every experiment of the reproduction (e01–e16 and e20) is one row of
+Every experiment of the reproduction (e01–e15 and e20) is one row of
 :data:`EXPERIMENTS`: the figure or claim it reproduces, the column it runs
 on, the named workload pattern(s) it replays, the strategy variants it
 compares (``label -> (registry name, options)``), the surface it drives (a
@@ -385,8 +385,6 @@ UPDATE_RATIOS = (0.0, 0.01, 0.1, 1.0)
 BUDGETS = {"unlimited": None, "100%": 1.0, "50%": 0.5, "25%": 0.25, "5%": 0.05}
 #: e14 shifts its focus every this many queries
 SHIFT = 150
-#: e16: the gradual policy's merge budget
-MERGE_BATCH = 16
 #: e20: journal records of the set-up (create_table, set_indexing), writes in
 #: the stream, and the group-commit size of ``sync="batch"``
 SETUP_RECORDS, WRITES, GROUP_COMMIT = 2, 300, 32
@@ -797,38 +795,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         },
     ),
     Experiment(
-        id="e16",
-        title="partitioned updatable cracking: cost against shards",
-        source="Updates in the adaptive philosophy (SIGMOD 2007) composed with "
-               "partitioned cracking",
-        rows=50_000, queries=200, gate=(5_000, 30), pool_min_work=0,
-        panels={"mixed": W("mixed-updates", 0.01, seed=16, updates_per_query=2.0)},
-        variants={
-            "updatable": ("updatable-cracking", {"merge_batch": MERGE_BATCH}),
-            "updatable-gradual": ("updatable-cracking",
-                                  {"policy": "gradual", "merge_batch": MERGE_BATCH}),
-            **{f"partitioned-{count}": (
-                "partitioned-updatable-cracking",
-                {"partitions": count, "merge_batch": MERGE_BATCH})
-               for count in (1, 2, 4, 8)},
-            "partitioned-8-parallel": (
-                "partitioned-updatable-cracking",
-                {"partitions": 8, "parallel": True, "merge_batch": MERGE_BATCH}),
-            "partitioned-8-gradual": (
-                "partitioned-updatable-cracking",
-                {"partitions": 8, "policy": "gradual", "merge_batch": MERGE_BATCH}),
-        },
-        probes={"updatable-cracking": merges, "partitioned-updatable-cracking": merges},
-        expect={
-            "every_configuration_returns_the_same_rowid_sets": lambda r: (
-                same_answers(r, "updatable")),
-            "updates_stay_adaptive": lambda r: all(
-                cell.tail < r.scan_cost / 5 for cell in r.cells["mixed"].values()),
-            "parallel_fan_out_does_identical_logical_work": lambda r: same_work(
-                r("partitioned-8-parallel"), r("partitioned-8")),
-        },
-    ),
-    Experiment(
         id="e20",
         title="durability: what the journal takes and what recovery replays",
         source="Write-ahead journal and recovery (this reproduction); gate cells "
@@ -938,6 +904,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 status = 1
                 print(f"figures: {experiment.id}: {message}", file=sys.stderr)
     if args.record:
+        # a row deleted from the table leaves no stale entry behind
+        recorded = {key: row for key, row in recorded.items() if key in BY_ID}
         FIGURES_PATH.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
         print(f"figures: {FIGURES_PATH.name} written")
     elif status == 0:

@@ -104,19 +104,19 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=0, help="random seed")
     compare.add_argument(
         "--partitions", type=int, default=4,
-        help="shard count for the partitioned strategies",
+        help="shard count for partitioned-cracking",
     )
     compare.add_argument(
         "--parallel", action="store_true",
-        help="fan partitioned sub-selections out over a worker pool",
+        help="fan partitioned-cracking's sub-selections out over a worker pool",
     )
     compare.add_argument(
         "--policy", default="ripple", choices=["ripple", "gradual"],
-        help="pending-update merge policy for the updatable strategies",
+        help="pending-update merge policy for updatable-cracking",
     )
     compare.add_argument(
         "--merge-batch", type=int, default=16,
-        help="gradual-policy merge budget for the updatable strategies",
+        help="gradual-policy merge budget for updatable-cracking",
     )
     compare.add_argument(
         "--format", default="text", choices=["text", "markdown", "csv"],
@@ -148,19 +148,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     updates.add_argument(
         "--policy", default="ripple", choices=["ripple", "gradual"],
-        help="pending-update merge policy for the updatable strategies",
+        help="pending-update merge policy for updatable-cracking",
     )
     updates.add_argument(
         "--merge-batch", type=int, default=16,
-        help="gradual-policy merge budget for the updatable strategies",
+        help="gradual-policy merge budget for updatable-cracking",
     )
     updates.add_argument(
         "--partitions", type=int, default=4,
-        help="shard count for the partitioned strategies",
+        help="shard count for partitioned-cracking",
     )
     updates.add_argument(
         "--parallel", action="store_true",
-        help="fan partitioned sub-selections out over a worker pool",
+        help="fan partitioned-cracking's sub-selections out over a worker pool",
     )
     _add_durability_arguments(updates)
     updates.add_argument("--seed", type=int, default=0, help="random seed")
@@ -265,12 +265,6 @@ def _command_compare(args: argparse.Namespace) -> int:
             "policy": args.policy,
             "merge_batch": args.merge_batch,
         },
-        "partitioned-updatable-cracking": {
-            "partitions": args.partitions,
-            "parallel": args.parallel,
-            "policy": args.policy,
-            "merge_batch": args.merge_batch,
-        },
     }
     result = harness.run(
         {name: (name, options.get(name, {})) for name in strategies}
@@ -352,9 +346,9 @@ def _command_updates(args: argparse.Namespace) -> int:
     database.create_table("data", {"key": values})
     if args.strategy != "scan":
         options = {}
-        if args.strategy in ("updatable-cracking", "partitioned-updatable-cracking"):
+        if args.strategy == "updatable-cracking":
             options.update(policy=args.policy, merge_batch=args.merge_batch)
-        if args.strategy in ("partitioned-cracking", "partitioned-updatable-cracking"):
+        if args.strategy == "partitioned-cracking":
             options.update(partitions=args.partitions, parallel=args.parallel)
         database.set_indexing("data", "key", args.strategy, **options)
 

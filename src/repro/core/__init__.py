@@ -23,16 +23,12 @@ query execution*.
   kernel-level way in).
 """
 
-from repro.core.partitioned import (
-    PartitionedCrackedColumn,
-    PartitionedUpdatableCrackedColumn,
-)
+from repro.core.partitioned import PartitionedCrackedColumn
 from repro.core.access_path import SearchStrategy
 from repro.core.strategies import available_strategies, create_strategy
 
 __all__ = [
     "PartitionedCrackedColumn",
-    "PartitionedUpdatableCrackedColumn",
     "SearchStrategy",
     "available_strategies",
     "create_strategy",

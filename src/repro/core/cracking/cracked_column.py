@@ -78,14 +78,6 @@ def _value_queue(dtype: np.dtype) -> array:
     return array(dtype.char if dtype.char in "bBhHiIlLqQfd" else "d")
 
 
-def describe_pending(column) -> str:
-    """An updatable column's pending inserts/deletes and merge policy, for
-    its structure description (nothing for a read-only column)."""
-    if not column.supports_updates:
-        return ""
-    return f", {column.pending_inserts}+{column.pending_deletes} pending ({column.policy})"
-
-
 @guarded_by(queries_processed="_stats_lock")
 class CrackedColumn(SearchStrategy):
     """Cracker column + cracker index + adaptive select operator + pending updates.
@@ -122,10 +114,10 @@ class CrackedColumn(SearchStrategy):
         their position shifted by ``rowid_base`` as identifier; rows
         inserted later receive fresh identifiers starting at
         ``rowid_base + len(column)``, or an identifier supplied by the
-        caller.  A partitioned owner uses this to number every shard's rows
-        in global (base-column) coordinates, so per-partition answers need
-        no shifting and externally assigned insert identifiers stay
-        globally unique.
+        caller (the session passes the table's row position).  The
+        partitioned column uses this to number every shard's rows in global
+        (base-column) coordinates, so per-partition answers need no
+        shifting.
 
     :meth:`search` returns identifiers of all *visible* qualifying rows
     (base rows minus deleted plus inserted).
@@ -418,9 +410,9 @@ class CrackedColumn(SearchStrategy):
     def knows_rowid(self, rowid: int) -> bool:
         """True when ``rowid`` belongs to this column (a base row or a live insert).
 
-        Used by the partitioned owner to route deletes of inserted rows;
-        rowids of fully removed rows (cancelled pending inserts, merged
-        deletes) are unknown again.
+        :meth:`insert` refuses a ``rowid`` it knows and :meth:`delete` one
+        it does not; rowids of fully removed rows (cancelled pending
+        inserts, merged deletes) are unknown again.
         """
         return self._is_original(rowid) or rowid in self._inserted_values
 
@@ -453,9 +445,9 @@ class CrackedColumn(SearchStrategy):
                rowid: Optional[int] = None) -> int:
         """Queue the insertion of ``value``; returns its new row identifier.
 
-        ``rowid`` lets an external owner (the partitioned column) assign
-        globally unique identifiers; it must be fresh and outside the
-        base row range.
+        ``rowid`` lets the owner of the rows assign the identifier — the
+        session passes the row's position in its table; it must be fresh
+        and outside the base row range.
         """
         value = exact_key(self._base.dtype, value, self.name)
         if rowid is None:
@@ -931,7 +923,11 @@ class CrackedColumn(SearchStrategy):
 
     @property
     def structure_description(self) -> str:
-        return f"cracking: {self.piece_count} pieces" + describe_pending(self)
+        description = f"cracking: {self.piece_count} pieces"
+        if self.supports_updates:
+            description += (f", {self.pending_inserts}+{self.pending_deletes}"
+                            f" pending ({self.policy})")
+        return description
 
     def check_invariants(self) -> None:
         """Verify piece bounds, rowid alignment and content preservation (test helper)."""
@@ -954,7 +950,9 @@ class CrackedColumn(SearchStrategy):
         if not self.merges_performed:
             # ... and until an update is merged the cracker column is a
             # permutation of the base: same values, every rowid once
-            assert original.all() and self._length == len(self._base)
+            assert original.all() and self._length == len(self._base), (
+                "rows outside the column's base row range"
+            )
         # every merged inserted row holds the value it was inserted with
         for position in np.flatnonzero(
             np.isin(self.rowids, np.fromiter(self._inserted_values.keys(),

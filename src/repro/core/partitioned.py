@@ -44,18 +44,11 @@ Every partition's :class:`~repro.core.cracking.cracked_column.CrackedColumn`
 numbers its rows in global (base-column) coordinates, so per-partition
 answers need no shifting and the partitioned column is a drop-in
 replacement for the whole-column one: the answer to any query is the same
-set of row identifiers, whatever ``partitions`` is.
-
-Updates work as in the whole column, per partition: every partition's
-column owns its pending insert/delete queues (merged on demand by ripple
-movements), updates are routed to the owning partition — deletes by asking
-the partitions which one knows the rowid, inserts by the partition value
-bounds (best fit) — and the partition bounds are widened whenever an insert
-lands outside them, so bounds pruning never hides a pending update.  Row
-identifiers are assigned globally (base rows keep their base position,
-inserted rows receive fresh identifiers starting at the base length).
-The partitions are the ones :func:`partition_bounds` cuts, for the
-column's whole life.
+set of row identifiers, whatever ``partitions`` is.  The column is read-only:
+it takes no DML, so a session rebuilds it over the grown column after an
+insert and filters deleted rows against the table's tombstones.  The
+partitions are the ones :func:`partition_bounds` cuts, for the column's
+whole life.
 """
 
 from __future__ import annotations
@@ -63,7 +56,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from functools import partial
 from itertools import starmap
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -77,14 +69,13 @@ from repro.core.cracking.crack_engine import (
     check_ranges,
 )
 from repro.core.access_path import SearchStrategy
-from repro.core.cracking.cracked_column import CrackedColumn, describe_pending
+from repro.core.cracking.cracked_column import CrackedColumn
 from repro.core.cracking.cracker_index import Piece
 from repro.cost.counters import CostCounters
 
 __all__ = [
     "ColumnPartition",
     "PartitionedCrackedColumn",
-    "PartitionedUpdatableCrackedColumn",
     "partition_bounds",
 ]
 
@@ -139,39 +130,19 @@ def _called(function: Callable, arguments: tuple) -> Future:
     return future
 
 
-def _content_bounds(
-    column: CrackedColumn,
-) -> Tuple[Optional[float], Optional[float]]:
-    """Exact min/max over a column's merged values and pending inserts."""
-    lows, highs = [], []
-    merged = column.values if column.materialised else column._base
-    if len(merged):
-        lows.append(merged.min().item())
-        highs.append(merged.max().item())
-    if column._pending_insert_values:
-        lows.append(min(column._pending_insert_values))
-        highs.append(max(column._pending_insert_values))
-    if not lows:
-        return None, None
-    return min(lows), max(highs)
-
-
 class ColumnPartition:
     """One contiguous shard of a partitioned cracked column.
 
     Owns a private :class:`CrackedColumn` over ``base[start:end]`` numbered
     in global coordinates (``rowid_base=start``), so its answers need no
-    shifting.  The partition keeps conservative value bounds: the min/max of
-    the base slice — computed the first time the partition is visited and
-    charged to that query's counters, mirroring how the lazy cracker-column
-    copy charges the first query — widened by every value ever inserted into
-    the partition.  Bounds are never narrowed — deleting the extreme value
-    leaves them stale-wide, which only costs a spurious visit, never a
-    missed row.
+    shifting.  The partition keeps the value bounds of the base slice: its
+    min/max, computed the first time the partition is visited and charged to
+    that query's counters, mirroring how the cracker-column copy charges the
+    first query.
     """
 
     __slots__ = ("start", "end", "cracked", "min_value", "max_value",
-                 "_bounds_known", "_extra_min", "_extra_max")
+                 "_bounds_known")
 
     def __init__(self, start: int, end: int, cracked: CrackedColumn) -> None:
         """``cracked`` holds the rows of ``base[start:end]``."""
@@ -181,8 +152,6 @@ class ColumnPartition:
         self._bounds_known = False
         self.min_value: Optional[float] = None
         self.max_value: Optional[float] = None
-        self._extra_min: Optional[float] = None
-        self._extra_max: Optional[float] = None
 
     def __len__(self) -> int:
         """Number of currently visible rows in this partition."""
@@ -201,38 +170,18 @@ class ColumnPartition:
                 counters.record_comparisons(2 * len(base_slice))
         self._bounds_known = True
 
-    @property
-    def effective_bounds(self) -> Tuple[Optional[float], Optional[float]]:
-        """Known value bounds: base bounds (once learned) widened by inserts."""
-        low, high = self.min_value, self.max_value
-        if self._extra_min is not None:
-            low = self._extra_min if low is None else min(low, self._extra_min)
-            high = self._extra_max if high is None else max(high, self._extra_max)
-        return low, high
-
     def overlaps(self, low: Optional[float], high: Optional[float],
                  counters: Optional[CostCounters]) -> bool:
         """True when ``[low, high)`` can contain visible values of this partition."""
         self._ensure_bounds(counters)
-        bound_low, bound_high = self.effective_bounds
-        if bound_low is None:
+        if self.min_value is None:
             return False
-        if low is not None and bound_high < low:
+        if low is not None and self.max_value < low:
             return False
-        if high is not None and bound_low >= high:
+        if high is not None and self.min_value >= high:
             return False
         return True
 
-    def insert(self, value: float, counters: Optional[CostCounters],
-               rowid: int) -> int:
-        """Queue one insert (globally numbered) and widen the bounds."""
-        rowid = self.cracked.insert(value, counters, rowid=rowid)
-        value = self.cracked.value_of(rowid)  # as the column stored it
-        if self._extra_min is None or value < self._extra_min:
-            self._extra_min = value
-        if self._extra_max is None or value > self._extra_max:
-            self._extra_max = value
-        return rowid
 
 @guarded_by(
     _pool="_pool_lock",
@@ -252,29 +201,16 @@ class PartitionedCrackedColumn(SearchStrategy):
         more than one partition, the sub-selections with at least
         :data:`_POOL_MIN_WORK` elements to move go to it (when there are two
         or more), the rest run on the caller; the pool is created by the
-        first query that needs it.  Per-partition cracks and merges only
-        touch partition-private state and every sub-selection gets private
+        first query that needs it.  Per-partition cracks only touch
+        partition-private state and every sub-selection gets private
         counters, merged into the caller's afterwards, so the fan-out is
         race-free and answers (and logical costs) are identical to the
-        sequential run.
-    policy / merge_batch / supports_updates:
-        Forwarded to every partition's :class:`CrackedColumn`: each
-        partition builds its cracker column from its slice when a query
-        first needs it (cracked as it is built when nothing is pending) and
-        charges that query the copy, or charges it to nobody when the column
-        is an updatable access path (``supports_updates``).  Under the
-        gradual policy each *partition* merges at most ``merge_batch``
-        pending updates per query it participates in.
+        sequential run.  Each partition builds its cracker column from its
+        slice when a query first needs it (cracked as it is built) and
+        charges that query the copy.
     max_workers:
         Width of that pool, fixed at construction (default:
         ``os.cpu_count()``).
-
-    Updates are routed to the owning partition: deletes by asking the
-    partitions which one knows the rowid, and inserts to the *best-fit*
-    partition — the one with the tightest value bounds containing the value
-    (falling back to the nearest partition by value distance, then to the
-    last partition while no bounds are known).  Routing never affects
-    answers — rowids are global — only load spread.
     """
 
     def __init__(
@@ -284,9 +220,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         parallel: bool = False,
         max_workers: Optional[int] = None,
         name: str = "",
-        policy: str = "ripple",
-        merge_batch: int = 16,
-        supports_updates: bool = False,
     ) -> None:
         base = column.values if isinstance(column, Column) else np.asarray(column)
         if base.ndim != 1:
@@ -294,23 +227,18 @@ class PartitionedCrackedColumn(SearchStrategy):
         self.name = name or (column.name if isinstance(column, Column) else "")
         self._base = base
         self.parallel = bool(parallel)
-        self.policy = policy
-        self.merge_batch = int(merge_batch)
-        self.supports_updates = bool(supports_updates)
         self.queries_processed = 0
         # a tuple: the partitions are cut once, here, and never change
         self._partitions: Tuple[ColumnPartition, ...] = tuple(
             ColumnPartition(
                 start, end,
                 CrackedColumn(
-                    base[start:end], rowid_base=start, policy=policy,
-                    merge_batch=merge_batch, supports_updates=supports_updates,
+                    base[start:end], rowid_base=start,
                     name=f"{self.name}[{start}:{end}]" if self.name else "",
                 ),
             )
             for start, end in partition_bounds(len(base), partitions)
         )
-        self._next_rowid = len(base)
         # fixed for the column's life: the pool starts a thread only when a
         # task finds none idle, so a width above the partition count is free
         self._max_workers = max_workers or os.cpu_count() or 1
@@ -349,18 +277,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         return sum(p.cracked.nbytes for p in self._partitions)
 
     @property
-    def pending_inserts(self) -> int:
-        return sum(p.cracked.pending_inserts for p in self._partitions)
-
-    @property
-    def pending_deletes(self) -> int:
-        return sum(p.cracked.pending_deletes for p in self._partitions)
-
-    @property
-    def merges_performed(self) -> int:
-        return sum(p.cracked.merges_performed for p in self._partitions)
-
-    @property
     def materialised(self) -> bool:
         """True once at least one partition holds its cracker-column copy."""
         return any(p.cracked.materialised for p in self._partitions)
@@ -370,11 +286,11 @@ class PartitionedCrackedColumn(SearchStrategy):
         """True when a search can no longer reorganise any physical state.
 
         Requires every partition to be materialised with a fully sorted
-        cracker column, empty pending queues and known value bounds.  A
-        converged partitioned column is read-only under selection — the
-        remaining per-query bookkeeping (the query counter) is guarded by
-        ``_stats_lock``, so the concurrent ``execute``/``submit`` callers
-        that read it without a path lock are safe.
+        cracker column and known value bounds.  A converged partitioned
+        column is read-only under selection — the remaining per-query
+        bookkeeping (the query counter) is guarded by ``_stats_lock``, so the
+        concurrent ``execute`` callers that read it without a path lock are
+        safe.
         """
         return all(
             p._bounds_known and p.cracked.converged for p in self._partitions
@@ -382,9 +298,8 @@ class PartitionedCrackedColumn(SearchStrategy):
 
     @property
     def reorganizes_on_read(self) -> bool:
-        """Mutating until :attr:`converged`; for good when updatable (pending
-        queues merge on demand during any search)."""
-        return self.supports_updates or not self.converged
+        """Mutating until :attr:`converged`."""
+        return not self.converged
 
     #: the column itself, as ``benchmarks/e21_layers`` reads its piece count
     cracked = property(lambda self: self)
@@ -471,98 +386,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         wait(futures)
         return [future.result() for future in futures]
 
-    # -- update routing ---------------------------------------------------------
-
-    def _route_insert(self, value: float) -> ColumnPartition:
-        """The partition that should absorb an insert of ``value``.
-
-        Best fit: among the partitions whose known bounds contain the value,
-        the one with the *tightest* bounds, not merely the leftmost partition
-        whose (possibly stale-wide) bounds happen to contain it.  Failing
-        that the partition nearest by value distance, and the last partition
-        while no bounds are known at all.
-        """
-        best: Optional[ColumnPartition] = None
-        best_span: Optional[float] = None
-        nearest: Optional[ColumnPartition] = None
-        nearest_distance: Optional[float] = None
-        for partition in self._partitions:
-            low, high = partition.effective_bounds
-            if low is None:
-                continue
-            if low <= value <= high:
-                if best_span is None or high - low < best_span:
-                    best, best_span = partition, high - low
-            else:
-                distance = (low - value) if value < low else (value - high)
-                if nearest_distance is None or distance < nearest_distance:
-                    nearest, nearest_distance = partition, distance
-        # Identity tests, not truthiness: a partition drained by deletes has
-        # ``len() == 0`` and would read as falsy, yet still owns its bounds.
-        if best is not None:
-            return best
-        return nearest if nearest is not None else self._partitions[-1]
-
-    def _owning_partition(self, rowid: int) -> ColumnPartition:
-        """The partition owning ``rowid``.
-
-        Every partition can answer ownership in O(1) for base rows (a range
-        check) and for inserted rows (its insert registry), so
-        the lookup is a short scan over the partition list; fully removed
-        rows are unknown everywhere and raise ``KeyError``, matching the
-        unpartitioned column.
-        """
-        for partition in self._partitions:
-            if partition.cracked.knows_rowid(rowid):
-                return partition
-        raise KeyError(f"unknown row identifier {rowid}")
-
-    # -- updates ----------------------------------------------------------------
-
-    def check_insertable(self, value: float) -> None:
-        """Raise when ``value`` cannot be stored (every partition agrees)."""
-        self._partitions[0].cracked.check_insertable(value)
-
-    def insert(self, value: float, counters: Optional[CostCounters] = None,
-               rowid: Optional[int] = None) -> int:
-        """Queue the insertion of ``value``; returns its new (global) rowid.
-
-        Identifiers are assigned sequentially; a caller-supplied ``rowid``
-        is only checked against the one the insert is about to receive.
-        """
-        if rowid is not None and rowid != self._next_rowid:
-            raise ValueError(
-                "partitioned cracking assigns rowids sequentially; "
-                f"expected {self._next_rowid}, got {rowid}"
-            )
-        partition = self._route_insert(value)
-        rowid = partition.insert(value, counters, self._next_rowid)
-        self._next_rowid += 1
-        return rowid
-
-    def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
-        """Queue the deletion of the row identified by (global) ``rowid``."""
-        self._owning_partition(rowid).cracked.delete(rowid, counters)
-
-    def delete_base_rows(self, rowids: np.ndarray) -> None:
-        """:meth:`CrackedColumn.delete_base_rows` of the sorted base rowids,
-        each partition handed the slice its row range holds."""
-        rowids = np.asarray(rowids, dtype=np.int64)
-        cuts = np.searchsorted(rowids, [p.start for p in self._partitions[1:]])
-        for partition, shard in zip(self._partitions, np.split(rowids, cuts)):
-            partition.cracked.delete_base_rows(shard)
-
-    def update(self, rowid: int, new_value: float,
-               counters: Optional[CostCounters] = None) -> int:
-        """Update = delete old row + insert new value; returns the new rowid.
-
-        The new value is validated before the delete is queued, so a
-        rejected value leaves the old row untouched.
-        """
-        self.check_insertable(new_value)
-        self.delete(rowid, counters)
-        return self.insert(new_value, counters)
-
     # -- the adaptive select operator -----------------------------------------
 
     def search(
@@ -574,8 +397,7 @@ class PartitionedCrackedColumn(SearchStrategy):
         """Global rowids of visible rows with ``low <= value < high``.
 
         Only the partitions whose value range overlaps the predicate are
-        visited; each merges its own qualifying pending updates (per the
-        configured policy) and cracks itself as a side effect of its own
+        visited; each cracks itself as a side effect of its own
         sub-selection.  Rowids are returned in partition order (ascending
         partition, cracker order within each partition); the *set* of
         rowids is identical to what a whole-column :class:`CrackedColumn`
@@ -684,75 +506,23 @@ class PartitionedCrackedColumn(SearchStrategy):
         assert [(p.start, p.end) for p in partitions] == partition_bounds(
             base_size, len(partitions)
         ), "partition row ranges are not the contiguous cut of the base column"
-        for partition in partitions:
-            partition.cracked.check_invariants()
-        # every rowid lives in exactly one partition and base rows stay
-        # inside their partition's row range (each partition's own check
-        # holds them to their base values; a pristine partition contributes
-        # its row range as is)
+        # each partition's own check holds its rows to its row range and
+        # their base values; an unmaterialised partition's rows are its row
+        # range as is
         chunks = []
         for partition in partitions:
             cracked = partition.cracked
-            # an unmaterialised partition's merged rows are its row range
-            rowids = (cracked.rowids if cracked.materialised
-                      else np.arange(partition.start, partition.end, dtype=np.int64))
-            original = rowids < base_size
-            base_rowids = rowids[original]
-            assert np.all(
-                (base_rowids >= partition.start) & (base_rowids < partition.end)
-            ), (
-                f"base rows merged outside their partition row range "
-                f"[{partition.start}:{partition.end})"
-            )
-            for rowid in rowids[~original].tolist():
-                assert cracked.knows_rowid(rowid), (
-                    f"inserted row {rowid} lives in a partition that does "
-                    f"not know it"
-                )
-            chunks.append(rowids)
-            chunks.append(np.asarray(cracked._pending_insert_rowids,
-                                     dtype=np.int64))
-            # everything a partition holds stays within its known bounds
-            if partition._bounds_known:
-                low, high = partition.effective_bounds
-                content_low, content_high = _content_bounds(cracked)
-                if content_low is not None:
-                    assert low is not None and low <= content_low, (
-                        f"partition content below its bounds: "
-                        f"{content_low} < {low}"
-                    )
-                    assert high >= content_high, (
-                        f"partition content above its bounds: "
-                        f"{content_high} > {high}"
-                    )
-        all_rowids = np.concatenate(chunks)
-        assert len(np.unique(all_rowids)) == len(all_rowids), (
-            "a row appears in two partitions"
+            cracked.check_invariants()
+            chunks.append(cracked.rowids if cracked.materialised
+                          else np.arange(partition.start, partition.end, dtype=np.int64))
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(base_size)), (
+            "global rowids are not a permutation of the base positions"
         )
-        if not self.merges_performed:
-            # nothing inserted or deleted physically: the merged rowids are
-            # exactly the base positions
-            merged = all_rowids[all_rowids < base_size]
-            assert np.array_equal(np.sort(merged), np.arange(base_size)), (
-                "global rowids are not a permutation of the base positions"
-            )
 
     @property
     def structure_description(self) -> str:
-        # an updatable column reads as the one that copied every partition at
-        # construction: when each copy is actually built is not its structure
-        touched = (self.partition_count if self.supports_updates else
-                   sum(1 for p in self._partitions if p.cracked.materialised))
+        touched = sum(1 for p in self._partitions if p.cracked.materialised)
         return (
             f"partitioned cracking: {self.partition_count} partitions "
             f"({touched} touched), {self.piece_count} pieces"
-            + describe_pending(self)
         )
-
-
-#: the historical name of the updatable column, whose partitions' copies are
-#: built on first use and charged to no query — the accounting the updatable
-#: registry name uses.  A factory, not a type: ``isinstance`` and
-#: annotations take the class above.
-PartitionedUpdatableCrackedColumn = partial(PartitionedCrackedColumn,
-                                            supports_updates=True)

@@ -182,11 +182,10 @@ _UPDATES = ("policy", "merge_batch")
 _PARTITIONS = ("partitions", "parallel", "max_workers")
 _ONLINE = _tuned(OnlineIndexTuner, "online tuner ({} indexes built)")
 _SOFT = _tuned(SoftIndexManager, "soft indexes ({} built)")
-_UPDATABLE_PARTITIONED = _over(PartitionedCrackedColumn, supports_updates=True)
 
-#: Every cracking name builds its cracker column on first use; the updatable
-#: names charge that copy to no operation, the read-only ones to the first
-#: query that touches it.
+#: Every cracking name builds its cracker column on first use;
+#: ``updatable-cracking`` charges that copy to no operation, the read-only
+#: names to the first query that touches it.
 _REGISTRY: Dict[str, _Row] = {
     "scan": _Row(_over(ScanColumn)),
     "full-index": _Row(_over(FullIndex)),
@@ -196,7 +195,6 @@ _REGISTRY: Dict[str, _Row] = {
     "cracking": _Row(_over(CrackedColumn)),
     "updatable-cracking": _Row(_over(CrackedColumn, supports_updates=True), _UPDATES),
     "partitioned-cracking": _Row(_over(PartitionedCrackedColumn), _PARTITIONS),
-    "partitioned-updatable-cracking": _Row(_UPDATABLE_PARTITIONED, _UPDATES + _PARTITIONS),
     "stochastic-cracking": _Row(_over(StochasticCrackedColumn), ("variant", "seed")),
     "sideways-cracking": _Row(_sideways, ("budget_bytes",), _keep_crack_history),
     "partial-cracking": _Row(_partial, ("budget_bytes", "fragments")),

@@ -84,11 +84,13 @@ class RecoveryReport:
 
 #: registry names journaled by earlier versions that no longer exist, and
 #: the name each is recovered as: the one that answered the same queries
-#: without the retired refinement (sorted small pieces, radix clusters)
+#: without the retired refinement (sorted small pieces, radix clusters,
+#: row-position partitions under DML)
 _RETIRED_MODES = {
     "cracking-sort-pieces": "cracking",
     "hybrid-crack-radix": "hybrid-crack-crack",
     "hybrid-radix-radix": "hybrid-crack-crack",
+    "partitioned-updatable-cracking": "updatable-cracking",
 }
 
 

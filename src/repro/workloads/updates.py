@@ -32,34 +32,28 @@ def mixed_update_workload(
     updates_per_query: float = 0.1,
     insert_fraction: float = 0.5,
     integer_values: bool = True,
-    hot_fraction: float = 1.0,
 ) -> List[UpdateOperation]:
     """Interleave range queries with inserts and deletes.
 
     ``updates_per_query`` is the expected number of update operations issued
     between consecutive queries (the SIGMOD 2007 experiments use ratios from
     one update per hundred queries up to ten updates per query);
-    ``insert_fraction`` splits updates between inserts and deletes;
-    ``hot_fraction`` confines the inserted keys to that bottom share of the
-    domain (a skewed insert stream).  Delete operations carry no target row
-    (the harness picks a victim from the rows currently visible) — only
-    their position in the stream matters here.
+    ``insert_fraction`` splits updates between inserts and deletes.  Delete
+    operations carry no target row (the harness picks a victim from the rows
+    currently visible) — only their position in the stream matters here.
     """
     if updates_per_query < 0:
         raise ValueError("updates_per_query must be non-negative")
     if not 0.0 <= insert_fraction <= 1.0:
         raise ValueError("insert_fraction must be in [0, 1]")
-    if not 0.0 < hot_fraction <= 1.0:
-        raise ValueError("hot_fraction must be in (0, 1]")
     rng = np.random.default_rng(spec.seed + 1)
     queries = random_workload(spec)
-    insert_high = spec.domain_low + hot_fraction * spec.domain_width
     stream: List[UpdateOperation] = []
     for query in queries:
         update_count = rng.poisson(updates_per_query)
         for _ in range(update_count):
             if rng.random() < insert_fraction:
-                value = rng.uniform(spec.domain_low, insert_high)
+                value = rng.uniform(spec.domain_low, spec.domain_high)
                 if integer_values:
                     value = float(int(value))
                 stream.append(UpdateOperation(kind="insert", value=value))

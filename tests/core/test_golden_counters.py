@@ -51,16 +51,8 @@ GOLDEN = {
         (129329, 20621, 25353, 5108, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
     ('partitioned-cracking', 1, None):
         (202215, 19665, 32756, 0, 32000, 361, 362, 32000, 0, 0, '325c99bd6a15f014'),
-    ('partitioned-updatable-cracking', 1, 'ripple'):
-        (131502, 20291, 28821, 4751, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
-    ('partitioned-updatable-cracking', 1, 'gradual'):
-        (131329, 20621, 29353, 5108, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
     ('partitioned-cracking', 4, None):
         (200694, 18144, 33709, 0, 32000, 640, 644, 32000, 0, 0, '325c99bd6a15f014'),
-    ('partitioned-updatable-cracking', 4, 'ripple'):
-        (129691, 15957, 27817, 1885, 0, 392, 396, 39952, 1, 1, '30b0d8793f0d41d8'),
-    ('partitioned-updatable-cracking', 4, 'gradual'):
-        (129646, 15993, 27896, 1928, 0, 392, 396, 39952, 1, 1, '30b0d8793f0d41d8'),
 }
 
 
@@ -70,8 +62,6 @@ def _cases():
         yield ("updatable-cracking", None, policy)
     for partitions in (1, 4):
         yield ("partitioned-cracking", partitions, None)
-        for policy in ("ripple", "gradual"):
-            yield ("partitioned-updatable-cracking", partitions, policy)
 
 
 def base_values() -> np.ndarray:
@@ -134,7 +124,8 @@ def run_stream(name, partitions, policy, parallel):
             counters.comparisons, counters.random_accesses,
             counters.bytes_allocated, counters.pieces_created,
             cracked.piece_count, cracked.nbytes,
-            cracked.pending_inserts, cracked.pending_deletes,
+            *((cracked.pending_inserts, cracked.pending_deletes) if updatable
+              else (0, 0)),
             digest.hexdigest()[:16],
         )
     finally:
@@ -179,8 +170,8 @@ ENGINE_CASES = {
     "cracking": ("cracking", {}),
     "partitioned-cracking-2": ("partitioned-cracking", {"partitions": 2}),
     "updatable-cracking": ("updatable-cracking", {}),
-    "partitioned-updatable-cracking-2":
-        ("partitioned-updatable-cracking", {"partitions": 2}),
+    "updatable-cracking-gradual":
+        ("updatable-cracking", {"policy": "gradual", "merge_batch": 1}),
 }
 
 
@@ -504,30 +495,30 @@ ENGINE_GOLDEN = {
         },
         'answers': 'cb4529db5a25dab6',
     },
-    'partitioned-updatable-cracking-2': {
+    'updatable-cracking-gradual': {
         'operations': [
-            (204, 100, 402, 0, 0, 4), (56, 45, 94, 0, 0, 4), (59, 51, 108, 0, 0, 4),
-            (32, 25, 56, 0, 0, 4), (8, 4, 20, 0, 0, 4), (25, 13, 29, 0, 0, 4),
-            (35, 25, 41, 0, 0, 4), (35, 21, 39, 0, 0, 4), (0, 3, 0, 0, 16, 0),
-            (0, 2, 0, 0, 0, 0), (45, 38, 88, 0, 0, 4), (31, 24, 60, 0, 0, 4),
-            (25, 16, 38, 0, 0, 4), (31, 16, 38, 0, 0, 4), (27, 14, 36, 0, 0, 4),
-            (23, 15, 37, 0, 0, 4), (20, 10, 32, 0, 0, 4), (14, 9, 33, 0, 0, 4),
+            (104, 100, 201, 0, 0, 2), (56, 45, 92, 0, 0, 2), (59, 51, 105, 0, 0, 2),
+            (32, 25, 53, 0, 0, 2), (8, 4, 12, 0, 0, 2), (25, 13, 21, 0, 0, 2),
+            (35, 25, 33, 0, 0, 2), (35, 21, 30, 0, 0, 2), (0, 3, 0, 0, 16, 0),
+            (0, 2, 0, 0, 0, 0), (45, 38, 83, 0, 0, 2), (31, 24, 55, 0, 0, 2),
+            (25, 16, 28, 0, 0, 2), (31, 16, 28, 0, 0, 2), (27, 14, 26, 0, 0, 2),
+            (23, 15, 27, 0, 0, 2), (20, 10, 22, 0, 0, 2), (14, 9, 22, 0, 0, 2),
         ],
         'stages': {
             'install': (
-                'partitioned cracking: 2 partitions (2 touched), 2 pieces, 0+0 pending (ripple)',
+                'cracking: 1 pieces, 0+0 pending (gradual)',
                 {'table:T': 1600}),
             'queried': (
-                'partitioned cracking: 2 partitions (2 touched), 34 pieces, 0+0 pending (ripple)',
+                'cracking: 17 pieces, 0+0 pending (gradual)',
                 {'table:T': 1600, 'index:T.a': 1600}),
             'inserted': (
-                'partitioned cracking: 2 partitions (2 touched), 34 pieces, 1+0 pending (ripple)',
+                'cracking: 17 pieces, 1+0 pending (gradual)',
                 {'table:T': 1616, 'index:T.a': 1632}),
             'deleted': (
-                'partitioned cracking: 2 partitions (2 touched), 34 pieces, 1+1 pending (ripple)',
+                'cracking: 17 pieces, 1+1 pending (gradual)',
                 {'table:T': 1616, 'index:T.a': 1648}),
             'final': (
-                'partitioned cracking: 2 partitions (2 touched), 66 pieces, 1+1 pending (ripple)',
+                'cracking: 33 pieces, 1+1 pending (gradual)',
                 {'table:T': 1616, 'index:T.a': 1648}),
         },
         'answers': 'cb4529db5a25dab6',

@@ -6,7 +6,8 @@ of them with one ``crack_many`` pass per partition instead of one
 crack-in-two or crack-in-three per range.  Whether that route is taken shows
 without a clock, in the style of ``tests/engine/test_no_full_column_pass.py``:
 the tests count calls to the two partition kernels and to ``crack_many``.
-A lone range is a batch of one and keeps the per-range kernels, so the
+A column with pending updates answers a batch range by range, and a lone
+range is a batch of one and keeps the per-range kernels, so the
 sequential twin of ``tests/properties/test_property_search_many.py`` runs
 ``crack_range``, not ``search_many`` checked against itself.  A batch is one
 unit on the calling thread: it starts no thread of its own, and neither does
@@ -59,16 +60,18 @@ def query(low):
                  aggregates=[Aggregate("pay", "sum")])
 
 
-def steady_database(mode="partitioned-cracking"):
+def steady_database(mode="partitioned-cracking", **options):
     """1 000 queries into the stream, as the batch workload's steady phase
-    (``cracking`` is the whole column, the other modes have partitions)."""
+    (``partitioned-cracking`` has partitions, the other modes are the whole
+    column)."""
     rng = np.random.default_rng(34)
     database = Database("one-pass")
     database.create_table("t", {
         "key": rng.integers(0, DOMAIN, ROWS).astype(np.int64),
         "pay": rng.random(ROWS),
     })
-    options = {} if mode == "cracking" else {"partitions": PARTITIONS}
+    if mode == "partitioned-cracking":
+        options.update(partitions=PARTITIONS)
     database.set_indexing("t", "key", mode, **options)
     with database.session() as session:
         for _ in range(16):
@@ -87,24 +90,26 @@ def test_a_steady_batch_makes_one_pass_per_partition(kernel_calls):
                             "crack_many": PARTITIONS}
 
 
-def test_a_partition_with_pending_updates_answers_range_by_range(kernel_calls):
-    database, rng = steady_database("partitioned-updatable-cracking")
+@pytest.mark.parametrize("policy", ["ripple", "gradual"])
+def test_a_column_with_pending_updates_answers_range_by_range(kernel_calls, policy):
+    database, rng = steady_database("updatable-cracking", policy=policy)
     lows = rng.integers(0, DOMAIN - WIDTH, BATCH)
     counted_from_here(kernel_calls)
     with database.session() as session:
-        # a pending insert inside the first range: one partition queues it
+        # a pending insert inside the first range: the column queues it
         session.insert_row("t", {"key": int(lows[0]) + 1, "pay": 0.5})
         session.execute_many([query(low) for low in lows])
-    assert kernel_calls["crack_many"] == PARTITIONS - 1
+    assert kernel_calls["crack_many"] == 0
     assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] > 0
 
 
-@pytest.mark.parametrize("mode", ["partitioned-cracking", "cracking"])
+@pytest.mark.parametrize("mode", ["partitioned-cracking", "cracking", "updatable-cracking"])
 @pytest.mark.parametrize("entry", ["execute", "search_many"])
 def test_a_single_execute_keeps_its_kernels(kernel_calls, mode, entry):
     """One range through ``Session.execute`` or a direct one-range
-    ``search_many`` call, on a partitioned or a whole column: a crack-in-two
-    or crack-in-three per new bound, never the one-pass kernel."""
+    ``search_many`` call, on a partitioned or a whole column, read-only or
+    updatable: a crack-in-two or crack-in-three per new bound, never the
+    one-pass kernel."""
     database, rng = steady_database(mode)
     path = database.access_path("t", "key")
     counted_from_here(kernel_calls)

@@ -8,14 +8,11 @@ import pytest
 
 from repro.columnstore.column import Column
 from repro.core.cracking.cracked_column import CrackedColumn
-from repro.core.cracking.updates import UpdatableCrackedColumn
-from repro.core.partitioned import (
-    PartitionedCrackedColumn,
-    PartitionedUpdatableCrackedColumn,
-    partition_bounds,
-)
-from repro.core.strategies import available_strategies, create_strategy
+from repro.core.partitioned import PartitionedCrackedColumn, partition_bounds
+from repro.core.strategies import accepted_options, available_strategies, create_strategy
 from repro.cost.counters import CostCounters
+from repro.engine.database import Database
+from repro.engine.query import Query
 
 
 def reference(values, low, high):
@@ -237,9 +234,9 @@ def _shift_a_shard_value(column):
     column.partitions[1].cracked.values[0] += 100
 
 
-def _narrow_bounds(column):
-    partition = column.partitions[2]
-    partition.max_value = partition.min_value
+def _duplicate_a_row(column):
+    left = column.partitions[0].cracked
+    left.rowids[0], left.values[0] = left.rowids[1], left.values[1]
 
 
 class TestInvariantCheck:
@@ -248,18 +245,15 @@ class TestInvariantCheck:
 
     @pytest.mark.parametrize("corrupt, message", [
         (_shift_a_shard_value, "misaligned with the base column"),
-        (_swap_base_rows, "outside their partition row range"),
+        (_swap_base_rows, "outside the column's base row range"),
         (_shrink_first_partition, "not the contiguous cut"),
-        (_narrow_bounds, "content above its bounds"),
-    ], ids=["shard-value", "foreign-row", "recut", "bounds"])
+        (_duplicate_a_row, "rowids contain duplicates"),
+    ], ids=["shard-value", "foreign-row", "recut", "duplicate-row"])
     def test_a_corruption_fails_the_check(self, corrupt, message):
-        column = PartitionedUpdatableCrackedColumn(
+        column = PartitionedCrackedColumn(
             np.arange(40, dtype=np.int64), partitions=4)
-        column.search(0, 40)  # every partition learns its bounds
-        for value in (5, 15, 25, 35):  # one merged insert per partition
-            column.insert(value)
-        column.search(0, 40)
-        assert all(p.cracked.merges_performed == 1 for p in column.partitions)
+        column.search(5, 35)  # every partition is built and cracked
+        assert all(p.cracked.materialised for p in column.partitions)
         column.check_invariants()
         corrupt(column)
         with pytest.raises(AssertionError, match=message):
@@ -294,24 +288,6 @@ class TestSequentialThreadEquivalence:
             per_mode[parallel] = counters
         assert per_mode[True] == per_mode[False]
 
-    def test_updatable_matches_whole_column(self, values):
-        per_mode = {}
-        for parallel in (False, True):
-            whole = UpdatableCrackedColumn(values)
-            counters = CostCounters()
-            with PartitionedUpdatableCrackedColumn(
-                values, partitions=4, parallel=parallel
-            ) as column:
-                for step, (low, high) in enumerate(self.QUERIES):
-                    whole.insert(step * 10)
-                    column.insert(step * 10, counters)
-                    expected = whole.search(low, high)
-                    actual = column.search(low, high, counters)
-                    assert np.array_equal(np.sort(actual), np.sort(expected))
-                column.check_invariants()
-            per_mode[parallel] = counters
-        assert per_mode[True] == per_mode[False]
-
 
 @pytest.mark.usefixtures("pooled_fan_out")
 class TestFanOutPoolSizing:
@@ -319,12 +295,12 @@ class TestFanOutPoolSizing:
 
     def test_explicit_max_workers_is_respected(self, rng):
         values = rng.integers(0, 1000, size=300).astype(np.int64)
-        column = PartitionedUpdatableCrackedColumn(
+        column = PartitionedCrackedColumn(
             values, partitions=8, parallel=True, max_workers=3,
         )
         for _ in range(3):
-            column.insert(int(rng.integers(0, 1000)))
-            column.search(0, 1000)
+            low = int(rng.integers(0, 900))
+            column.search(low, low + 100)
         # an explicit cap holds below the partition count, on the live pool
         assert column._max_workers == 3
         assert column._pool is not None and column._pool._max_workers == 3
@@ -427,12 +403,61 @@ class TestPartitionedCrackingStrategy:
     def test_options_forwarded(self, rng):
         values = rng.integers(0, 1000, size=600).astype(np.int64)
         strategy = create_strategy(
-            "partitioned-updatable-cracking", values, partitions=6,
-            parallel=True, merge_batch=32,
+            "partitioned-cracking", values, partitions=6,
+            parallel=True, max_workers=3,
         )
         assert strategy.partition_count == 6
         assert strategy.parallel is True
-        assert strategy.merge_batch == 32
+        assert strategy._max_workers == 3
         expected = reference(values, 100, 200)
         assert set(strategy.search(100, 200).tolist()) == expected
         strategy.close()
+
+
+class TestOptions:
+    def test_bad_construction_rejected(self):
+        values = np.arange(100, dtype=np.int64)
+        with pytest.raises(ValueError, match="partitions must be >= 1"):
+            PartitionedCrackedColumn(values, partitions=0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            PartitionedCrackedColumn(values.reshape(10, 10))
+
+    def test_the_partition_options_are_count_and_pool(self):
+        # what the partitioned name takes; an option outside the row (a
+        # retired partitioning knob, a merge policy) is refused before
+        # anything is built
+        assert accepted_options("partitioned-cracking") == (
+            "partitions", "parallel", "max_workers")
+        values = np.arange(500, dtype=np.int64)
+        for retired in ("repartition", "max_partition_rows", "split_threshold",
+                        "policy", "merge_batch"):
+            with pytest.raises(ValueError, match=retired):
+                create_strategy("partitioned-cracking", values, partitions=2,
+                                **{retired: 2})
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_a_session_rebuilds_the_read_only_column_after_dml(parallel, pooled_fan_out):
+    """A partitioned column takes no DML: an insert through a session
+    replaces it with one cut over the grown column, under the same options
+    (the old pool released), and a delete is filtered against the table's
+    tombstones."""
+    values = np.arange(400, dtype=np.int64) % 97
+    database = Database("read-only-partitions")
+    database.create_table("t", {"k": values})
+    database.set_indexing("t", "k", "partitioned-cracking", partitions=3,
+                          parallel=parallel)
+    before = database.access_path("t", "k")
+    assert not before.supports_updates and not hasattr(before, "insert")
+    with database.session() as session:
+        session.execute(Query.range_query("t", "k", 10, 50))
+        rowid = session.insert_row("t", {"k": 20})
+        after = database.access_path("t", "k")
+        assert after is not before and before._pool is None
+        assert (after.partition_count, after.parallel, len(after)) == (3, parallel, 401)
+        session.delete_row("t", 5)
+        got = session.execute(Query.range_query("t", "k", 0, 97)).positions
+    assert sorted(got.tolist()) == [row for row in range(401) if row != 5]
+    assert rowid == 400
+    after.check_invariants()
+    database.close()

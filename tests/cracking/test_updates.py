@@ -8,14 +8,21 @@ from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
 
+#: every contract of an updatable column holds under both merge policies
+POLICIES = ["ripple", "gradual"]
+
+
 def visible_reference(column):
     """Rowid -> value mapping of everything currently visible."""
     return {int(r): float(v) for r, v in zip(column.rowids, column.values)}
 
 
 class TestInsertions:
-    def test_insert_is_pending_until_queried(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_insert_is_pending_until_queried(self, small_values, policy):
+        # nothing is built and no query ran: the first query that covers
+        # the value finds the pending insert
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         rowid = column.insert(42)
         assert rowid == len(small_values)
         assert column.pending_inserts == 1
@@ -24,14 +31,16 @@ class TestInsertions:
         assert rowid in result.tolist()
         assert column.pending_inserts == 0
 
-    def test_insert_outside_query_range_stays_pending(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_insert_outside_query_range_stays_pending(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         column.insert(99)
         column.search(0, 50)
         assert column.pending_inserts == 1
 
-    def test_inserted_rows_returned_by_later_queries(self, small_values, reference):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_inserted_rows_returned_by_later_queries(self, small_values, reference, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         new_ids = [column.insert(value) for value in (10, 20, 30)]
         expected = reference(small_values, 5, 35) | set(new_ids)
         assert set(column.search(5, 35).tolist()) == expected
@@ -39,13 +48,15 @@ class TestInsertions:
         assert set(column.search(5, 35).tolist()) == expected
         column.check_invariants()
 
-    def test_insert_type_validation(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_insert_type_validation(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         with pytest.raises(TypeError):
             column.insert(1.5)
 
-    def test_integer_validation_is_exact(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_integer_validation_is_exact(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         for value in (float("nan"), float("inf"), -float("inf"), np.float64(0.5)):
             with pytest.raises(TypeError):
                 column.insert(value)
@@ -58,11 +69,12 @@ class TestInsertions:
         assert all(type(column.value_of(rowid)) is int for rowid in rowids)
         assert column.pending_inserts == len(accepted)
 
-    def test_a_nan_key_is_refused(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_nan_key_is_refused(self, policy):
         # it would qualify for no bounded range: pending for ever, so the
         # column could never be recognised as converged
         values = np.random.default_rng(3).uniform(0, 100, size=64)
-        column = UpdatableCrackedColumn(values, name="price")
+        column = UpdatableCrackedColumn(values, name="price", policy=policy)
         with pytest.raises(ValueError, match="price"):
             column.insert(float("nan"))
         with pytest.raises(ValueError, match="price"):
@@ -75,8 +87,9 @@ class TestInsertions:
         assert column.converged
         column.check_invariants()
 
-    def test_many_inserts_preserve_content(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_many_inserts_preserve_content(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         rng = np.random.default_rng(0)
         inserted = []
         for _ in range(100):
@@ -90,9 +103,9 @@ class TestInsertions:
 
 
 class TestDeletions:
-    def test_delete_original_row(self, small_values, reference):
+    @pytest.mark.parametrize("victim", [0, 3, 499])  # both ends of the rows
+    def test_delete_original_row(self, small_values, reference, victim):
         column = UpdatableCrackedColumn(small_values)
-        victim = 3
         value = int(small_values[victim])
         column.delete(victim)
         assert column.pending_deletes == 1
@@ -100,36 +113,47 @@ class TestDeletions:
         assert victim not in result.tolist()
         column.check_invariants()
 
-    def test_delete_unknown_rowid_raises(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_delete_unknown_rowid_raises(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         with pytest.raises(KeyError):
             column.delete(10**9)
+        with pytest.raises(KeyError):
+            column.update(10**9, 5)
+        assert column.pending_inserts == column.pending_deletes == 0
 
-    def test_delete_pending_insert_cancels_it(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_delete_pending_insert_cancels_it(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         rowid = column.insert(55)
         column.delete(rowid)
         assert column.pending_inserts == 0
         assert rowid not in column.search(50, 60).tolist()
+        # the rowid no longer exists anywhere: deleting it again raises
+        with pytest.raises(KeyError):
+            column.delete(rowid)
 
-    def test_delete_merged_insert(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_delete_merged_insert(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         rowid = column.insert(55)
         column.search(50, 60)  # merge it
         column.delete(rowid)
         assert rowid not in column.search(50, 60).tolist()
         column.check_invariants()
 
-    def test_double_delete_is_idempotent(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_double_delete_is_idempotent(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         column.delete(0)
         column.delete(0)
         assert column.pending_deletes == 1
 
-    def test_merged_delete_of_insert_forgets_the_rowid(self, small_values):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_merged_delete_of_insert_forgets_the_rowid(self, small_values, policy):
         # once the delete of an inserted row has merged, the row is gone for
         # good: value_of raises and no per-insert bookkeeping is retained
-        column = UpdatableCrackedColumn(small_values)
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         rowid = column.insert(55)
         column.search(50, 60)  # merge the insert
         column.delete(rowid)
@@ -139,13 +163,26 @@ class TestDeletions:
         assert not column.knows_rowid(rowid)
         assert column._inserted_values == {}
 
-    def test_update_is_delete_plus_insert(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_update_is_delete_plus_insert(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         old_value = int(small_values[7])
         new_rowid = column.update(7, 77)
+        assert new_rowid == len(small_values)  # the row is renumbered
         low_result = column.search(old_value, old_value + 1).tolist()
         assert 7 not in low_result
         assert new_rowid in column.search(77, 78).tolist()
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_update_is_atomic_on_type_errors(self, small_values, policy):
+        # a rejected value must not tombstone the old row first
+        column = UpdatableCrackedColumn(small_values, policy=policy)
+        with pytest.raises(TypeError):
+            column.update(10, 2.5)
+        assert len(column) == len(small_values)
+        assert column.pending_deletes == 0
+        value = int(small_values[10])
+        assert 10 in column.search(value, value + 1).tolist()
 
 
 class TestMergePolicies:
@@ -173,13 +210,86 @@ class TestMergePolicies:
         with pytest.raises(ValueError):
             UpdatableCrackedColumn(small_values, policy="bogus")
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_non_qualifying_pending_still_charged(self, rng, policy):
+        # pending-structure scans are charged whether or not anything
+        # qualifies
+        base = rng.integers(0, 100, size=500).astype(np.int64)
+        quiet = UpdatableCrackedColumn(base, policy=policy)
+        busy = UpdatableCrackedColumn(base, policy=policy)
+        busy.insert(999)  # far outside the query range below
+        counters_quiet, counters_busy = CostCounters(), CostCounters()
+        quiet.search(0, 50, counters_quiet)
+        busy.search(0, 50, counters_busy)
+        # identical cracking work; the busy column pays exactly one extra
+        # comparison for scanning its (non-qualifying) pending insert
+        assert counters_busy.comparisons == counters_quiet.comparisons + 1
+
+
+class TestGradualBudget:
+    """Regression tests for the shared gradual-policy merge budget."""
+
+    @pytest.mark.parametrize("merge_batch", [1, 4])
+    def test_inserts_and_deletes_share_one_budget(self, rng, merge_batch):
+        # queue qualifying inserts AND deletes, then count merges of one
+        # query: the buggy version merged up to merge_batch of each
+        base = rng.integers(0, 100, size=500).astype(np.int64)
+        column = UpdatableCrackedColumn(base, policy="gradual", merge_batch=merge_batch)
+        for value in range(10, 20):
+            column.insert(value)
+        column.search(0, 100)  # merges a first batch of the inserts
+        merged_before = column.merges_performed
+        victims = [int(r) for r in column.rowids[:10]]
+        for victim in victims:
+            column.delete(victim)
+        column.search(0, 100)
+        assert column.merges_performed - merged_before <= merge_batch
+
+    @pytest.mark.parametrize("merge_batch", [1, 4, 16])
+    def test_budget_respected_over_random_stream(self, merge_batch, rng):
+        base = rng.integers(0, 100, size=500).astype(np.int64)
+        column = UpdatableCrackedColumn(
+            base, policy="gradual", merge_batch=merge_batch
+        )
+        model = dict(enumerate(base.tolist()))
+        for step in range(200):
+            action = int(rng.integers(0, 3))
+            if action == 0:
+                value = int(rng.integers(0, 100))
+                model[column.insert(value)] = value
+            elif action == 1 and model:
+                victim = int(rng.choice(list(model)))
+                column.delete(victim)
+                del model[victim]
+            else:
+                merges_before = column.merges_performed
+                low = int(rng.integers(0, 95))
+                got = set(column.search(low, low + 10).tolist())
+                assert column.merges_performed - merges_before <= merge_batch
+                assert got == {r for r, v in model.items() if low <= v < low + 10}
+
+    def test_deletes_drain_despite_steady_insert_pressure(self, rng):
+        # the shared budget is served round-robin: a stream that queues
+        # more qualifying inserts than the whole budget every query must
+        # not starve the pending deletes forever
+        base = rng.integers(0, 100, size=400).astype(np.int64)
+        column = UpdatableCrackedColumn(base, policy="gradual", merge_batch=4)
+        for victim in range(20):
+            column.delete(victim)
+        for _ in range(40):
+            for _ in range(6):  # 6 qualifying inserts > merge_batch
+                column.insert(int(rng.integers(0, 100)))
+            column.search(0, 100)
+        assert column.pending_deletes == 0
+
 
 class TestRippleCost:
-    def test_merge_cost_proportional_to_pieces_not_column(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_merge_cost_proportional_to_pieces_not_column(self, policy):
         """The ripple moves one tuple per piece, not the whole column."""
         rng = np.random.default_rng(1)
         values = rng.integers(0, 100_000, size=50_000)
-        column = UpdatableCrackedColumn(values)
+        column = UpdatableCrackedColumn(values, policy=policy)
         # crack into a handful of pieces first
         for low in (10_000, 30_000, 50_000, 70_000, 90_000):
             column.search(low, low + 1000)
@@ -192,13 +302,20 @@ class TestRippleCost:
         # but nothing resembling a full-column rebuild happened.
         assert counters.tuples_moved < len(values) / 2
 
-    def test_interleaved_updates_and_queries_stay_correct(self, rng):
+    @pytest.mark.parametrize("stream", ["alternating", "random"])
+    @pytest.mark.parametrize("policy, merge_batch", [
+        ("ripple", 16), ("gradual", 1), ("gradual", 4), ("gradual", 16),
+    ])
+    def test_interleaved_updates_and_queries_stay_correct(
+            self, rng, stream, policy, merge_batch):
+        # "alternating": insert, delete, two queries, in turn; "random": each
+        # step a random one of them (a query twice as likely)
         base = rng.integers(0, 1000, size=2000)
-        column = UpdatableCrackedColumn(base)
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=merge_batch)
         model = {int(i): int(v) for i, v in enumerate(base)}
         next_expected_id = len(base)
-        for step in range(200):
-            action = step % 4
+        for step in range(300):
+            action = step % 4 if stream == "alternating" else int(rng.integers(0, 4))
             if action == 0:
                 value = int(rng.integers(0, 1000))
                 rowid = column.insert(value)
@@ -216,6 +333,8 @@ class TestRippleCost:
                 expected = {r for r, v in model.items() if low <= v < high}
                 assert got == expected
         column.check_invariants()
+        assert sorted(column.visible_values().tolist()) == sorted(model.values())
+        assert len(column) == len(model)
 
 
 class TestConvergedLatch:
@@ -245,8 +364,10 @@ class TestConvergedLatch:
             assert set(column.search(low, high).tolist()) == expected
         column.check_invariants()
 
-    def test_pending_updates_suspend_convergence(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pending_updates_suspend_convergence(self, policy):
         column, _ = self.converged_column()
+        column.policy = policy
         column.insert(30)
         assert not column.converged
         column.search(30, 31)  # merges the insert
@@ -267,16 +388,20 @@ class TestConvergedLatch:
         assert counters.tuples_moved > 0  # the ripple really happened
         self.assert_matches_scan(column, model)
 
-    def test_delete_from_a_converged_column(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_delete_from_a_converged_column(self, policy):
         column, model = self.converged_column()
+        column.policy = policy
         victims = [r for r, v in model.items() if 10 <= v < 20][:3]
         for victim in victims:
             column.delete(victim)
             del model[victim]
         self.assert_matches_scan(column, model)
 
-    def test_column_converges_again_after_the_merge(self):
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_column_converges_again_after_the_merge(self, policy):
         column, model = self.converged_column()
+        column.policy = policy
         model[column.insert(12)] = 12
         column.search(10, 20)
         for low in range(60):
@@ -288,7 +413,8 @@ class TestConvergedLatch:
 class TestDeleteAndValueOfExceptionMatrix:
     """What ``delete`` and ``value_of`` raise, ignore and accept — pinned.
 
-    The same script runs against an updatable column, against a shard
+    The same script runs against an updatable column (under either merge
+    policy, the gradual one merging one update per query), against a shard
     numbered from ``rowid_base > 0`` (what every partition of a partitioned
     column is) and against a read-only ("lazy") one; DML builds the cracker
     column on none of them.  Base
@@ -298,10 +424,13 @@ class TestDeleteAndValueOfExceptionMatrix:
 
     BASE = np.array([7, 3, 9, 1, 12, 5, 17, 0, 14, 8, 19, 2], dtype=np.int64)
 
-    @pytest.fixture(params=["column", "shard", "lazy"])
+    @pytest.fixture(params=["column", "gradual", "shard", "lazy"])
     def column(self, request):
         if request.param == "shard":
             return CrackedColumn(self.BASE, supports_updates=True, rowid_base=1_000)
+        if request.param == "gradual":
+            return CrackedColumn(self.BASE, supports_updates=True, policy="gradual",
+                                 merge_batch=1)
         return CrackedColumn(self.BASE, supports_updates=request.param == "column")
 
     @staticmethod
@@ -406,16 +535,18 @@ class TestBulkBaseDelete:
     """``delete_base_rows``: the one call that queues a table's tombstones
     (the per-row equivalence is ``tests/properties/test_property_bulk_delete.py``)."""
 
-    def test_queues_every_rowid_in_order(self, small_values):
-        column = UpdatableCrackedColumn(small_values, rowid_base=10)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_queues_every_rowid_in_order(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, rowid_base=10, policy=policy)
         column.delete_base_rows(np.array([10, 13, 17], dtype=np.int64))
         assert column._pending_delete_rowids == {
             10: small_values[0], 13: small_values[3], 17: small_values[7]}
         assert len(column) == len(small_values) - 3
         assert not column.materialised
 
-    def test_nothing_to_queue_is_a_no_op(self, small_values):
-        column = UpdatableCrackedColumn(small_values)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_nothing_to_queue_is_a_no_op(self, small_values, policy):
+        column = UpdatableCrackedColumn(small_values, policy=policy)
         column.insert(5)
         column.delete_base_rows(np.empty(0, dtype=np.int64))
         assert column.pending_deletes == 0

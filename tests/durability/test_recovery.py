@@ -301,39 +301,49 @@ class TestOpenRecover:
         (("partitioned-updatable-cracking",
           {"partitions": 3, "parallel": True, "repartition": True,
            "max_partition_rows": 500, "split_threshold": 1.5}),
-         ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True})),
+         ("updatable-cracking", {})),
+        (("partitioned-updatable-cracking",
+          {"partitions": 3, "parallel": True, "policy": "gradual", "merge_batch": 8}),
+         ("updatable-cracking", {"policy": "gradual", "merge_batch": 8})),
     ], ids=["sort-pieces", "sort-threshold", "crack-radix", "radix-radix",
             "size-threshold-fraction", "decay", "max-indexes", "partition-size",
-            "repartition", "repartition-updatable"])
-    @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+            "repartition", "repartition-updatable", "partitioned-updatable"])
+    @pytest.mark.parametrize("snapshot", ["wal", "snapshot", "snapshot-tombstones"])
     def test_retired_modes_reopen_as_the_name_that_answers_the_same(
         self, tmp_path, retired, kept, snapshot
     ):
         """Data directories written before sorted small pieces, the radix
-        hybrids, the four options only tests set and adaptive repartitioning
-        were removed carry those names and options in their ``set_indexing``
-        records; they reopen under the kept name with the options that
-        remain."""
+        hybrids, the four options only tests set, adaptive repartitioning
+        and the partitioned updatable column were removed carry those names
+        and options in their ``set_indexing`` records; they reopen under
+        the kept name with the options that remain.  A snapshot taken after
+        the DML holds tombstones, which the kept path re-absorbs."""
         database = make_database(tmp_path)
         database.set_indexing("facts", "key", kept[0], **kept[1])
         mode, options = retired
-        if snapshot:
+        if snapshot == "wal":
+            database._durable_schema_record(
+                "set_indexing", "facts", column="key", mode=mode, options=options,
+            )
+        if snapshot == "snapshot-tombstones":
+            run_dml(database, steps=10)
+        if snapshot != "wal":
             key = ("facts", "key")
             installed = database._modes[key], database._mode_options[key]
             database._modes[key], database._mode_options[key] = mode, dict(options)
             database.snapshot()
             database._modes[key], database._mode_options[key] = installed
-        else:
-            database._durable_schema_record(
-                "set_indexing", "facts", column="key", mode=mode, options=options,
-            )
-        run_dml(database, steps=10)
+        if snapshot != "snapshot-tombstones":
+            run_dml(database, steps=10)
         database.close()
 
         recovered = Database.open(tmp_path)
         assert recovered._modes[("facts", "key")] == kept[0]
         assert recovered._mode_options[("facts", "key")] == kept[1]
         table = recovered.table("facts")
+        if snapshot == "snapshot-tombstones":
+            assert recovered.recovery_report.replayed_total == 0
+            assert len(table.tombstones) > 0
         keys = table["key"].values
         with recovered.session() as session:
             for low, high in [(0, DOMAIN), (100, 2_000), (5_000, 5_001), (7_000, DOMAIN)]:

@@ -70,7 +70,7 @@ class TestReorganizesOnRead:
     @pytest.mark.parametrize(
         "mode",
         ["cracking", "stochastic-cracking", "partitioned-cracking",
-         "updatable-cracking", "partitioned-updatable-cracking",
+         "updatable-cracking",
          "adaptive-merging", "hybrid-crack-sort", "hybrid-crack-crack"],
     )
     def test_adaptive_modes_start_mutating(self, database, mode):

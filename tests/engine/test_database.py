@@ -236,7 +236,6 @@ class TestExecution:
 REBUILD_OPTIONS = {
     "updatable-cracking": {"merge_batch": 8},
     "partitioned-cracking": {"partitions": 2},
-    "partitioned-updatable-cracking": {"partitions": 2, "policy": "gradual"},
     "online": {"build_threshold_factor": 2.0},
     "soft": {"recommendation_threshold": 4},
     "adaptive-merging": {"run_size": 500},
@@ -286,6 +285,29 @@ class TestMemoryAccounting:
         assert "index:facts.b" not in breakdown
         assert "table:facts" not in breakdown
         assert database.memory.total_bytes == 0
+
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_memory_tracker_follows_dml(self, policy):
+        rng = np.random.default_rng(3)
+        database = Database("updatable-memory")
+        database.create_table(
+            "facts", {"key": rng.integers(0, 1_000, size=1_500).astype(np.int64)}
+        )
+        database.set_indexing("facts", "key", "updatable-cracking", policy=policy)
+        # nothing is built at install: no index entry until a query builds it
+        path = database.access_path("facts", "key")
+        assert path.nbytes == 0
+        assert "index:facts.key" not in database.memory.breakdown()
+        with database.session() as session:
+            session.insert_row("facts", {"key": 7})
+            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            session.delete_row("facts", 0)
+            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            session.execute(Query.range_query("facts", "key", 0, 1_000))
+            assert path.materialised
+            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            assert path.nbytes >= 16 * 1_500
+        database.close()
 
     def test_mode_switch_away_from_full_index_removes_memory(self, database):
         database.set_indexing("facts", "a", "full-index")
@@ -344,8 +366,7 @@ class TestMemoryAccounting:
         """Installing sideways cracking replaces (and closes) what the
         column had; nothing is built and billed beside it."""
         database.set_indexing(
-            "facts", "a", "partitioned-updatable-cracking",
-            partitions=2, parallel=True,
+            "facts", "a", "partitioned-cracking", partitions=2, parallel=True,
         )
         session.execute(Query.range_query("facts", "a", 0, 9_000))
         replaced = database.access_path("facts", "a")
@@ -392,15 +413,18 @@ class TestDML:
     """insert_row/delete_row/update_row keep every access path consistent."""
 
     ALL_MODES = [
-        "scan", "full-index", "online", "soft", "cracking",
-        "partitioned-cracking", "updatable-cracking",
-        "partitioned-updatable-cracking", "adaptive-merging",
-    ]
+        pytest.param(mode, {}, id=mode) for mode in [
+            "scan", "full-index", "online", "soft", "cracking",
+            "partitioned-cracking", "updatable-cracking", "adaptive-merging",
+        ]
+    ] + [pytest.param("updatable-cracking", {"policy": "gradual", "merge_batch": 2},
+                      id="updatable-cracking-gradual")]
 
-    @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_mixed_dml_stays_correct_in_every_mode(self, database, session, rng, mode):
+    @pytest.mark.parametrize("mode, options", ALL_MODES)
+    def test_mixed_dml_stays_correct_in_every_mode(self, database, session, rng, mode,
+                                                   options):
         if mode != "scan":
-            database.set_indexing("facts", "a", mode)
+            database.set_indexing("facts", "a", mode, **options)
         table = database.table("facts")
         model = {
             i: int(v) for i, v in enumerate(table["a"].values)
@@ -453,15 +477,14 @@ class TestDML:
         result = session.execute(Query(table="facts", projections=["a"]))
         assert 5 in result.positions.tolist()
 
-    @pytest.mark.parametrize(
-        "mode", ["updatable-cracking", "partitioned-updatable-cracking"]
-    )
-    def test_tombstones_replayed_when_switching_to_updatable(self, database, session, mode):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_tombstones_replayed_when_switching_to_updatable(self, database, session,
+                                                              policy):
         # rows deleted under an earlier mode must stay deleted after the
         # switch: the new updatable column replays the tombstones
         value = int(database.table("facts")["a"].values[7])
         session.delete_row("facts", 7)
-        database.set_indexing("facts", "a", mode)
+        database.set_indexing("facts", "a", "updatable-cracking", policy=policy)
         result = session.execute(
             Query.range_query("facts", "a", value, value + 1)
         )
@@ -488,7 +511,8 @@ class TestDML:
         assert {len(table[name]) for name in table.column_names} == {5000}
         assert database.visible_row_count("facts") == 5000
 
-    def test_int64_keys_beyond_float_precision_are_exact(self, rng):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_int64_keys_beyond_float_precision_are_exact(self, rng, policy):
         # 2**60 + 1 has no float: judged, queued, merged and found as an int
         big = 2**60 + 1
         database = Database("wide-keys")
@@ -496,7 +520,7 @@ class TestDML:
             "k": rng.integers(0, 1_000, size=100).astype(np.int64),
             "v": rng.uniform(0, 1, size=100),
         })
-        database.set_indexing("t", "k", "updatable-cracking")
+        database.set_indexing("t", "k", "updatable-cracking", policy=policy)
         cracked = database.access_path("t", "k")
 
         def rows(low, high):
@@ -521,20 +545,20 @@ class TestDML:
             cracked.check_invariants()
         database.close()
 
-    @pytest.mark.parametrize("options", [
-        {}, {"parallel": True}, {"policy": "gradual", "merge_batch": 1},
-    ], ids=["fixed", "parallel", "gradual"])
-    def test_a_partition_does_not_prune_its_own_wide_key(self, options,
-                                                          pooled_fan_out):
-        # the owning partition's bounds widened with float(2**60 + 1) == 2**60,
-        # so the query below pruned it and the row was lost
+    @pytest.mark.parametrize("mode, options", [
+        ("updatable-cracking", {}),
+        ("updatable-cracking", {"policy": "gradual", "merge_batch": 1}),
+        ("partitioned-cracking", {"partitions": 2, "parallel": True}),
+    ], ids=["ripple", "gradual", "partitioned-rebuilt"])
+    def test_an_inserted_wide_key_is_never_pruned(self, mode, options,
+                                                  pooled_fan_out):
+        # a key the float bounds round (float(2**60 + 1) == 2**60) is found
+        # pending, merged and merged beside more inserts — or, on the
+        # read-only partitioned column, by the partitions rebuilt over it
         big = 2**60 + 1
-        database = Database("wide-keys-partitioned")
+        database = Database("wide-keys-inserted")
         database.create_table("t", {"k": np.arange(100, dtype=np.int64)})
-        database.set_indexing(
-            "t", "k", "partitioned-updatable-cracking", partitions=2, **options
-        )
-        column = database.access_path("t", "k")
+        database.set_indexing("t", "k", mode, **options)
         with database.session() as session:
             rowid = session.insert_row("t", {"k": big})
             for round in range(3):  # pending; merged; merged beside more inserts
@@ -547,7 +571,7 @@ class TestDML:
                 Query.range_query("t", "k", big + 1, 2**61)).row_count == 0
             assert session.execute(
                 Query.range_query("t", "k", 2**60, big)).row_count == 0
-        column.check_invariants()
+        database.access_path("t", "k").check_invariants()
         database.close()
 
     @pytest.mark.parametrize("partitions", [1, 2, 4])
@@ -785,9 +809,14 @@ class TestExecuteManyWithDML:
         "cracking",
         "updatable-cracking",
         "partitioned-cracking",
-        "partitioned-updatable-cracking",
         "adaptive-merging",
     ]
+    #: the options each mode is installed with, and the gradual updatable
+    #: column as one more case
+    CASES = [pytest.param(mode, {"partitions": 3} if mode == "partitioned-cracking" else {},
+                          id=mode) for mode in MODES] + [
+        pytest.param("updatable-cracking", {"policy": "gradual", "merge_batch": 2},
+                     id="updatable-cracking-gradual")]
 
     def apply_dml(self, database, session, rng):
         """Interleave inserts and deletes; returns the visible model."""
@@ -804,14 +833,11 @@ class TestExecuteManyWithDML:
             del model[int(victim)]
         return model
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode, options", CASES)
     @pytest.mark.parametrize("parallel", [False, True])
     def test_batch_after_dml_is_tombstone_consistent(
-        self, database, session, rng, mode, parallel
+        self, database, session, rng, mode, options, parallel
     ):
-        options = {}
-        if mode.startswith("partitioned"):
-            options = {"partitions": 3}
         database.set_indexing("facts", "a", mode, **options)
         model = self.apply_dml(database, session, rng)
         queries = [
@@ -826,13 +852,13 @@ class TestExecuteManyWithDML:
                 f"{mode} (parallel={parallel}) diverged on [{low}, {high})"
             )
 
-    def test_parallel_cross_table_batch_after_dml(self, database, session, rng):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_parallel_cross_table_batch_after_dml(self, database, session, rng, policy):
         database.create_table(
             "dim", {"k": rng.integers(0, 1_000, size=2_000).astype(np.int64)}
         )
         database.set_indexing("facts", "a", "updatable-cracking")
-        database.set_indexing("dim", "k", "partitioned-updatable-cracking",
-                              partitions=2)
+        database.set_indexing("dim", "k", "updatable-cracking", policy=policy)
         model = self.apply_dml(database, session, rng)
         dim_deleted = set()
         for victim in range(0, 50, 5):

@@ -139,11 +139,21 @@ class TestReorganizesOnReadDeclarations:
         for cls in (CrackedColumn, PartitionedCrackedColumn):
             assert "reorganizes_on_read" in cls.__dict__
 
-    @pytest.mark.parametrize(
-        "name", ["updatable-cracking", "partitioned-updatable-cracking"]
-    )
-    def test_updatable_names_always_reorganize(self, name):
-        strategy = create_strategy(name, np.arange(64, dtype=np.int64))
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_a_converged_partitioned_column_stops_reorganizing(self, partitions):
+        # read-only: once every partition is sorted a read moves nothing
+        strategy = create_strategy("partitioned-cracking", np.arange(64, dtype=np.int64),
+                                   partitions=partitions)
+        assert strategy.reorganizes_on_read is True
+        for low in range(64):
+            strategy.search(low, low + 1)
+        assert strategy.converged
+        assert strategy.reorganizes_on_read is False
+
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_updatable_names_always_reorganize(self, policy):
+        strategy = create_strategy("updatable-cracking", np.arange(64, dtype=np.int64),
+                                   policy=policy)
         for low in range(64):
             strategy.search(low, low + 1)
         assert strategy.converged

@@ -87,9 +87,10 @@ class TestDatabaseLifecycle:
             < scan_stats.total_counters().random_accesses
         )
 
-    def test_updatable_column_full_cycle(self, rng):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_updatable_column_full_cycle(self, rng, policy):
         base = rng.integers(0, 1000, size=5_000)
-        column = UpdatableCrackedColumn(base)
+        column = UpdatableCrackedColumn(base, policy=policy)
         workload = mixed_update_workload(
             WorkloadSpec(domain_low=0, domain_high=1000, query_count=50, seed=1),
             updates_per_query=1.0,

@@ -10,16 +10,15 @@ then K later operations — searches, batches, inserts and deletes of the
 rows still live — must answer the same rowids in the same order, charge the
 same six counters and leave the same state behind.
 
-Covered: a whole column numbered from 0 or from an offset, and one split
-into 1–4 partitions; both merge policies; int32, int64, float32 and
-float64 bases.
+Covered: a column numbered from 0 or from an offset and both merge
+policies, each its own case; int32, int64, float32 and float64 bases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cracking.updates import UpdatableCrackedColumn
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
 DOMAIN = 200
@@ -50,17 +49,6 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("insert"), key),
     st.tuples(st.just("delete"), st.integers(0)),
 ), max_size=12)
-options = st.fixed_dictionaries({
-    "policy": st.sampled_from(["ripple", "gradual"]),
-    "merge_batch": st.integers(1, 3),
-})
-
-
-def shards(column):
-    partitions = getattr(column, "partitions", None)
-    return [column] if partitions is None else [p.cracked for p in partitions]
-
-
 def state(shard):
     arrays = ((shard.values.tolist(), shard.rowids.tolist())
               if shard.materialised else None)
@@ -89,13 +77,13 @@ def step(column, op, argument, victim):
 
 def run(make, values, picks, stream):
     bulk, looped = make(), make()
-    first = shards(bulk)[0].rowid_base
+    first = bulk.rowid_base
     rowids = np.arange(first, first + len(values), dtype=np.int64)
     tombstones = rowids[np.array(picks[: len(values)], dtype=bool)]
     bulk.delete_base_rows(tombstones)
     for rowid in tombstones.tolist():
         looped.delete(rowid)
-    assert [state(s) for s in shards(bulk)] == [state(s) for s in shards(looped)]
+    assert state(bulk) == state(looped)
     assert bulk.pending_deletes == len(tombstones)
     live = sorted(set(rowids.tolist()) - set(tombstones.tolist()))
     for op, argument in stream:
@@ -108,7 +96,7 @@ def run(make, values, picks, stream):
         assert got == step(looped, op, argument, victim), (op, argument)
         if op == "insert":
             live.append(got[0])
-        assert [state(s) for s in shards(bulk)] == [state(s) for s in shards(looped)]
+        assert state(bulk) == state(looped)
     bulk.check_invariants()
     looped.check_invariants()
 
@@ -116,19 +104,12 @@ def run(make, values, picks, stream):
 picks = st.lists(st.booleans(), min_size=120, max_size=120)
 
 
-@given(values=bases, picks=picks, stream=steps, options=options,
-       rowid_base=st.sampled_from([0, 1_000]))
-@settings(max_examples=150, deadline=None)
-def test_bulk_delete_is_the_per_row_loop(values, picks, stream, options, rowid_base):
-    run(lambda: UpdatableCrackedColumn(values, rowid_base=rowid_base, **options),
-        values, picks, stream)
-
-
-@given(values=bases, picks=picks, stream=steps, options=options,
-       partitions=st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_partitioned_bulk_delete_is_the_per_row_loop(
-        values, picks, stream, options, partitions):
-    run(lambda: PartitionedUpdatableCrackedColumn(values, partitions=partitions,
-                                                  **options),
+@pytest.mark.parametrize("rowid_base", [0, 1_000])
+@pytest.mark.parametrize("policy", ["ripple", "gradual"])
+@given(values=bases, picks=picks, stream=steps, merge_batch=st.integers(1, 3))
+@settings(max_examples=65, deadline=None)
+def test_bulk_delete_is_the_per_row_loop(values, picks, stream, merge_batch,
+                                         rowid_base, policy):
+    run(lambda: UpdatableCrackedColumn(values, rowid_base=rowid_base, policy=policy,
+                                       merge_batch=merge_batch),
         values, picks, stream)

@@ -81,7 +81,6 @@ operations = st.lists(
 )
 
 update_options = st.fixed_dictionaries({
-    "policy": st.sampled_from(["ripple", "gradual"]),
     "merge_batch": st.integers(min_value=1, max_value=3),
     "supports_updates": st.booleans(),
 })
@@ -143,7 +142,7 @@ def latched_search(column, low, high):
     return answer
 
 
-def drive(column, values, ops, crack=True):
+def drive(column, values, ops):
     """Run ``ops`` against ``column`` and a rowid -> value model of it."""
     model = {rowid: int(v) for rowid, v in enumerate(values.tolist())}
     check_converged_everywhere(column)
@@ -162,8 +161,7 @@ def drive(column, values, ops, crack=True):
             assert set(answer.tolist()) == expected
             assert len(answer) == len(expected)
         elif kind == "crack":
-            if crack:
-                column.crack_at(op[1], CostCounters())
+            column.crack_at(op[1], CostCounters())
         elif kind == "insert":
             model[column.insert(op[1], CostCounters())] = op[1]
         elif model:
@@ -177,10 +175,11 @@ def drive(column, values, ops, crack=True):
     column.check_invariants()
 
 
+@pytest.mark.parametrize("policy", ["ripple", "gradual"])
 @given(values=inputs, ops=operations, options=update_options)
-@settings(max_examples=200, deadline=None)
-def test_cracked_column_converged_is_exact_after_every_step(values, ops, options):
-    drive(CrackedColumn(values, **options), values, ops)
+@settings(max_examples=100, deadline=None)
+def test_cracked_column_converged_is_exact_after_every_step(policy, values, ops, options):
+    drive(CrackedColumn(values, policy=policy, **options), values, ops)
 
 
 @given(values=inputs, ops=operations,
@@ -196,14 +195,12 @@ def test_stochastic_column_converged_is_exact_after_every_step(
     drive(column, values, ops)
 
 
-@given(values=inputs, ops=operations, options=update_options,
-       partitions=st.integers(min_value=1, max_value=5))
+@given(values=inputs, ops=operations, partitions=st.integers(min_value=1, max_value=5))
 @settings(max_examples=80, deadline=None)
-def test_partitioned_column_converged_is_exact_after_every_step(
-        values, ops, options, partitions):
-    with PartitionedCrackedColumn(values, partitions=partitions,
-                                  **options) as column:
-        drive(column, values, ops, crack=False)
+def test_partitioned_column_converged_is_exact_after_every_step(values, ops, partitions):
+    # a partitioned column takes searches only: no crack_at, no DML
+    with PartitionedCrackedColumn(values, partitions=partitions) as column:
+        drive(column, values, [op for op in ops if op[0] == "search"])
 
 
 @pytest.mark.parametrize("shape", ["sorted", "constant", "two-element"])

@@ -49,10 +49,7 @@ ALL_STRATEGIES = [
     "hybrid-crack-sort",
     "hybrid-sort-sort",
     "partitioned-cracking",
-    "partitioned-updatable-cracking",
 ]
-
-UPDATABLE_STRATEGIES = ["updatable-cracking", "partitioned-updatable-cracking"]
 
 
 @contextmanager
@@ -71,7 +68,7 @@ def fresh_witness():
         cost_witness_module._WITNESS = previous
 
 
-def build_database(mode, seed=7):
+def build_database(mode, seed=7, **options):
     rng = np.random.default_rng(seed)
     database = Database(f"cost-witnessed-{mode}")
     database.create_table(
@@ -81,7 +78,7 @@ def build_database(mode, seed=7):
             "payload": rng.uniform(0, 100, size=SIZE),
         },
     )
-    database.set_indexing("facts", "key", mode)
+    database.set_indexing("facts", "key", mode, **options)
     return database
 
 
@@ -112,12 +109,16 @@ def test_strategy_matrix_conforms(mode, bounds):
         assert witness.queries_checked >= 2 * len(bounds)
 
 
-@pytest.mark.parametrize("mode", UPDATABLE_STRATEGIES)
+@pytest.mark.parametrize("policy, merge_batch", [
+    ("ripple", 16), ("gradual", 1), ("gradual", 3),
+], ids=["ripple", "gradual-1", "gradual-3"])
 @given(bounds=query_bounds, seed=st.integers(0, 2**16))
 @settings(max_examples=10, deadline=None)
-def test_updatable_strategies_conform_under_dml(mode, bounds, seed):
-    """Pending-update merges (ripples) are paid for like any other query."""
-    database = build_database(mode, seed=seed % 13 + 1)
+def test_updatable_strategies_conform_under_dml(policy, merge_batch, bounds, seed):
+    """Pending-update merges (ripples) are paid for like any other query,
+    whole or budgeted."""
+    database = build_database("updatable-cracking", seed=seed % 13 + 1,
+                              policy=policy, merge_batch=merge_batch)
     with fresh_witness() as witness, database.session() as session:
         rng = np.random.default_rng(seed)
         inserted = []

@@ -180,14 +180,15 @@ def test_float_bounds_through_a_session_are_exact(name, queries):
         database.close()
 
 
-def test_wide_inserts_stay_in_the_partition_that_knows_them():
-    """Best-fit routing compares an insert with the partition bounds as keys
-    of the column's type, so a key beyond 2**53 lands in, widens and is
-    found through the partition that knows its row, queued or merged (the
-    full-range queries merge inserts without cracking)."""
+@pytest.mark.parametrize("policy", ["ripple", "gradual"])
+def test_wide_inserts_are_found_queued_or_merged(policy):
+    """An insert keeps its key's type, so a key beyond 2**53 is found
+    queued or merged, under either merge policy (the full-range queries
+    merge inserts without cracking)."""
     rng = np.random.default_rng(0)
     values = _wide(rng, 600).astype(np.int64)
-    strategy = create_strategy("partitioned-updatable-cracking", values)
+    strategy = create_strategy("updatable-cracking", values, policy=policy,
+                               merge_batch=4)
     visible = dict(enumerate(values.tolist()))
     try:
         for step in range(240):

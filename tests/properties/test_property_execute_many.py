@@ -30,20 +30,19 @@ DOMAIN = 10_000
 #: options per mode (defaults empty)
 MODE_OPTIONS = {
     "partitioned-cracking": {"partitions": 3},
-    "partitioned-updatable-cracking": {"partitions": 3},
     "stochastic-cracking": {"seed": 5},
 }
 
 EXTRA_CASES = [
-    # partitions that merge at most two pending updates per query each
-    ("partitioned-updatable-cracking", {"partitions": 3, "policy": "gradual",
-                                        "merge_batch": 2}),
+    # a column that merges at most two pending updates per query, and one
+    # that merges one
+    ("updatable-cracking", {"policy": "gradual", "merge_batch": 2}),
+    ("updatable-cracking", {"policy": "gradual", "merge_batch": 1}),
     # thread fan-out inside the partitioned column: the same bit-identity
     # (answers and counters) must hold when partition work runs on the
     # column's own pool, also when one worker takes the hand-offs in turn
     ("partitioned-cracking", {"partitions": 3, "parallel": True}),
     ("partitioned-cracking", {"partitions": 3, "parallel": True, "max_workers": 1}),
-    ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True}),
 ]
 
 
@@ -56,6 +55,7 @@ def all_modes():
         switched = ["parallel"] if options.get("parallel") else []
         switched += ["one-worker"] if options.get("max_workers") == 1 else []
         switched += [options["policy"]] if "policy" in options else []
+        switched += ["one-merge"] if options.get("merge_batch") == 1 else []
         cases.append(pytest.param(mode, options, id="-".join([mode] + switched)))
     return cases
 
@@ -234,12 +234,14 @@ def test_parallel_batches_bit_identical_across_modes(mode, options,
         )
 
 
-@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking"])
+@pytest.mark.parametrize("mode", ["scan", "full-index", "cracking", "updatable-cracking",
+                                  "partitioned-cracking"])
 def test_interleaved_dml_and_batches_stay_consistent(mode):
     """DML between batches (never during) keeps batches asked for
-    ``parallel=True`` identical to plain ones."""
-    plain_db = build_database(mode, {})
-    parallel_db = build_database(mode, {})
+    ``parallel=True`` identical to plain ones — on a path that absorbs the
+    DML and on the partitioned one, which is rebuilt after it."""
+    plain_db = build_database(mode, MODE_OPTIONS.get(mode, {}))
+    parallel_db = build_database(mode, MODE_OPTIONS.get(mode, {}))
     for round_index in range(3):
         assert dml_between_rounds(plain_db, round_index) == \
             dml_between_rounds(parallel_db, round_index)

@@ -1,8 +1,7 @@
 """Oracle: an updatable cracked column is observably the eager one.
 
-An updatable column (``UpdatableCrackedColumn``, and every shard of a
-``PartitionedUpdatableCrackedColumn``) builds its cracker arrays on first use
-and charges that copy to no operation.  The reference is the same column
+An updatable column (``UpdatableCrackedColumn``) builds its cracker arrays
+on first use and charges that copy to no operation.  The reference is the same column
 forced eager: ``_materialise(None)`` right after construction, which is the
 copy made up front, charged to nobody.  After every step of a random stream
 the two must hold the same arrays (an unmaterialised column's are its base,
@@ -12,15 +11,16 @@ order and charge the same six counters.
 
 The streams mix DML before the first query, open and one-sided ranges,
 batches, ``crack_at``, explicit ``converged`` questions and both merge
-policies over random, sorted, constant, duplicate-heavy, empty and one-row
-bases, numbered from 0 or from an offset, whole or in partitioned shards.
+policies over random, sorted, constant, duplicate-heavy, empty and
+one-row bases, numbered from 0 or from an offset (policy and offset each
+their own case).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cracking.updates import UpdatableCrackedColumn
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
 DOMAIN = 200
@@ -67,20 +67,10 @@ steps = st.lists(st.one_of(
     st.tuples(st.just("update"), st.tuples(st.integers(0), key)),
     st.tuples(st.just("ask"), st.none()),
 ), max_size=16)
-options = st.fixed_dictionaries({
-    "policy": st.sampled_from(["ripple", "gradual"]),
-    "merge_batch": st.integers(1, 3),
-})
-
-
-def shards(column):
-    partitions = getattr(column, "partitions", None)
-    return [column] if partitions is None else [p.cracked for p in partitions]
 
 
 def forced_eager(column):
-    for shard in shards(column):
-        shard._materialise(None)
+    column._materialise(None)
     return column
 
 
@@ -123,48 +113,36 @@ def step(column, op, argument, victim):
     return answer, charged([counters])
 
 
-def run(make, values, stream, crack=True):
+def run(make, values, stream):
     lazy, eager = make(), forced_eager(make())
-    assert [state(s) for s in shards(lazy)] == [state(s) for s in shards(eager)]
-    first = shards(lazy)[0].rowid_base
-    live = list(range(first, first + len(values)))
+    assert state(lazy) == state(eager)
+    live = list(range(lazy.rowid_base, lazy.rowid_base + len(values)))
     for op, argument in stream:
         victim = None
         if op in ("delete", "update"):
             if not live:
                 continue
             victim = live.pop((argument if op == "delete" else argument[0]) % len(live))
-        elif op == "crack" and not crack:
-            continue
         got = step(lazy, op, argument, victim)
         assert got == step(eager, op, argument, victim), (op, argument)
         if op in ("insert", "update"):
             live.append(got[0])
-        for mine, theirs in zip(shards(lazy), shards(eager)):
-            assert state(mine) == state(theirs), (op, argument)
+        assert state(lazy) == state(eager), (op, argument)
         assert len(lazy) == len(eager)
     assert lazy.converged == eager.converged
     lazy.check_invariants()
     eager.check_invariants()
 
 
-@given(values=bases, stream=steps, options=options,
-       rowid_base=st.sampled_from([0, 1_000]))
-@settings(max_examples=150, deadline=None)
-def test_updatable_column_is_the_eager_column(values, stream, options, rowid_base):
-    run(lambda: UpdatableCrackedColumn(values, rowid_base=rowid_base, **options),
+@pytest.mark.parametrize("rowid_base", [0, 1_000])
+@pytest.mark.parametrize("policy", ["ripple", "gradual"])
+@given(values=bases, stream=steps, merge_batch=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_updatable_column_is_the_eager_column(values, stream, merge_batch, rowid_base,
+                                              policy):
+    run(lambda: UpdatableCrackedColumn(values, rowid_base=rowid_base, policy=policy,
+                                       merge_batch=merge_batch),
         values, stream)
-
-
-@given(values=bases, stream=steps, options=options,
-       partitions=st.integers(1, 4))
-@settings(max_examples=80, deadline=None)
-def test_partitioned_updatable_column_is_the_eager_column(
-        values, stream, options, partitions):
-    def make():
-        return PartitionedUpdatableCrackedColumn(values, partitions=partitions,
-                                                 **options)
-    run(make, values, stream, crack=False)
 
 
 def test_a_latched_empty_base_then_an_insert():

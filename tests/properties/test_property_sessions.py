@@ -32,15 +32,15 @@ STEPS_PER_WORKER = 12
 
 MODE_OPTIONS = {
     "partitioned-cracking": {"partitions": 3},
-    "partitioned-updatable-cracking": {"partitions": 3},
     "stochastic-cracking": {"seed": 5},
 }
 
-#: the partitioned columns with their own pool (the test takes
-#: ``pooled_fan_out``, so the fan-out really runs on it)
+#: the partitioned column with its own pool (the test takes
+#: ``pooled_fan_out``, so the fan-out really runs on it), and the updatable
+#: column under the gradual policy
 EXTRA_CASES = [
     ("partitioned-cracking", {"partitions": 3, "parallel": True}),
-    ("partitioned-updatable-cracking", {"partitions": 3, "parallel": True}),
+    ("updatable-cracking", {"policy": "gradual", "merge_batch": 2}),
 ]
 
 
@@ -218,7 +218,7 @@ def test_concurrent_sessions_replay_sequentially(mode, options, pooled_fan_out):
 
 
 @pytest.mark.parametrize(
-    "mode", ["scan", "full-index", "cracking", "partitioned-updatable-cracking"]
+    "mode", ["scan", "full-index", "cracking", "updatable-cracking", "partitioned-cracking"]
 )
 def test_dml_during_parallel_batches_hammer(mode):
     """A DML stream hammers the gate while batches run.

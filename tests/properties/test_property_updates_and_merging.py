@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.core.merging.adaptive_merge import AdaptiveMergingIndex
 from repro.core.merging.intervals import IntervalSet
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn
+
+#: the merge policies, and the gradual one at three budgets: one pending
+#: update per query, a few, and the default
+POLICY_BUDGETS = [("ripple", 16), ("gradual", 1), ("gradual", 3), ("gradual", 16)]
+POLICY_IDS = ["ripple", "gradual-1", "gradual-3", "gradual-16"]
 
 
 class TestUpdatableColumnProperties:
@@ -21,16 +25,17 @@ class TestUpdatableColumnProperties:
         max_size=40,
     )
 
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
     @given(
         base=st.lists(st.integers(0, 200), min_size=1, max_size=150).map(
             lambda xs: np.asarray(xs, dtype=np.int64)
         ),
         ops=operations,
     )
-    @settings(max_examples=50, deadline=None)
-    def test_visible_rows_always_match_model(self, base, ops):
+    @settings(max_examples=25, deadline=None)
+    def test_visible_rows_always_match_model(self, policy, base, ops):
         """Any interleaving of inserts, deletes and queries stays consistent."""
-        column = UpdatableCrackedColumn(base)
+        column = UpdatableCrackedColumn(base, policy=policy)
         model = {int(i): int(v) for i, v in enumerate(base)}
         next_id = len(base)
         for kind, payload in ops:
@@ -53,7 +58,7 @@ class TestUpdatableColumnProperties:
 
 
 class TestUpdatePolicyOracleProperties:
-    """Both merge policies, unpartitioned and partitioned, against a
+    """Both merge policies, the gradual one at several budgets, against a
     brute-force visible-multiset oracle over interleaved streams.
 
     The operation alphabet deliberately includes ``delete_last_insert``
@@ -74,8 +79,7 @@ class TestUpdatePolicyOracleProperties:
         max_size=50,
     )
 
-    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
-    @pytest.mark.parametrize("partitions", [None, 3])
+    @pytest.mark.parametrize("policy, merge_batch", POLICY_BUDGETS, ids=POLICY_IDS)
     @given(
         base=st.lists(st.integers(0, 200), min_size=1, max_size=120).map(
             lambda xs: np.asarray(xs, dtype=np.int64)
@@ -83,13 +87,8 @@ class TestUpdatePolicyOracleProperties:
         ops=operations,
     )
     @settings(max_examples=25, deadline=None)
-    def test_visible_rows_always_match_oracle(self, policy, partitions, base, ops):
-        if partitions is None:
-            column = UpdatableCrackedColumn(base, policy=policy, merge_batch=3)
-        else:
-            column = PartitionedUpdatableCrackedColumn(
-                base, partitions=partitions, policy=policy, merge_batch=3
-            )
+    def test_visible_rows_always_match_oracle(self, policy, merge_batch, base, ops):
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=merge_batch)
         model = {int(i): int(v) for i, v in enumerate(base)}
         next_id = len(base)
         last_insert = None
@@ -129,6 +128,83 @@ class TestUpdatePolicyOracleProperties:
         column.check_invariants()
         assert sorted(column.visible_values().tolist()) == sorted(model.values())
         assert len(column) == len(model)
+
+
+#: action mixes for :func:`drive_mixed_stream` (0-1 insert, 2 delete, 3 update,
+#: 4-5 select): the balanced default, one where deletes outnumber inserts so
+#: the column drains while pending deletes pile up, and one where inserts
+#: outnumber every other operation so a merge budget falls behind
+MIXES = {"balanced": (0, 1, 2, 3, 4, 5), "delete-heavy": (0, 2, 2, 2, 3, 5),
+         "insert-heavy": (0, 0, 1, 1, 2, 5)}
+
+
+def drive_mixed_stream(column, base, *, skewed, steps, seed, mix):
+    """Interleave inserts/deletes/updates/selects on ``column``, checking
+    every answer and the rowid every insert or update hands out against a
+    dict model, then the visible multiset."""
+    model = {int(i): int(v) for i, v in enumerate(base)}
+    next_id = len(base)
+    rng = np.random.default_rng(seed)
+
+    def draw_value():
+        if skewed:
+            # hammer the bottom tenth of the domain
+            return int(rng.integers(0, 100))
+        return int(rng.integers(0, 1000))
+
+    for _ in range(steps):
+        action = mix[int(rng.integers(0, 6))]
+        if action <= 1:
+            value = draw_value()
+            assert column.insert(value) == next_id
+            model[next_id] = value
+            next_id += 1
+        elif action == 2 and model:
+            victim = int(rng.choice(list(model)))
+            column.delete(victim)
+            del model[victim]
+        elif action == 3 and model:
+            victim = int(rng.choice(list(model)))
+            value = draw_value()
+            assert column.update(victim, value) == next_id
+            del model[victim]
+            model[next_id] = value
+            next_id += 1
+        else:
+            low = int(rng.integers(0, 950))
+            high = low + int(rng.integers(1, 120))
+            expected = {r for r, v in model.items() if low <= v < high}
+            assert set(column.search(low, high).tolist()) == expected
+    column.check_invariants()
+    assert sorted(column.visible_values().tolist()) == sorted(model.values())
+    assert len(column) == len(model)
+
+
+class TestMixedStreamOracle:
+    """Seeded streams with updates, skewed or uniform inserts and a
+    balanced or delete-heavy mix, at every merge policy and budget."""
+
+    @pytest.mark.parametrize("mix", sorted(MIXES))
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    @pytest.mark.parametrize("policy, merge_batch", POLICY_BUDGETS, ids=POLICY_IDS)
+    def test_mixed_stream_matches_the_model(self, policy, merge_batch, skewed, mix):
+        rng = np.random.default_rng(17)
+        base = rng.integers(0, 1000, size=600).astype(np.int64)
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=merge_batch)
+        drive_mixed_stream(column, base, skewed=skewed, steps=400, seed=23,
+                           mix=MIXES[mix])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_a_drained_column_keeps_its_invariants(self, policy, seed):
+        # 120 rows under 400 steps in which deletes outrun inserts two to
+        # one: the column drains, merges its deletes and takes inserts
+        # again, with pending updates left over under either policy
+        rng = np.random.default_rng(40 + seed)
+        base = rng.integers(0, 100, size=120).astype(np.int64)
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=3)
+        drive_mixed_stream(column, base, skewed=True, steps=400, seed=seed,
+                           mix=MIXES["delete-heavy"])
 
 
 class TestIntervalSetProperties:

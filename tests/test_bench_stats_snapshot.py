@@ -13,7 +13,8 @@ import threading
 
 import numpy as np
 
-from repro.core.partitioned import PartitionedUpdatableCrackedColumn
+from repro.core.cracking.updates import UpdatableCrackedColumn
+from repro.core.partitioned import PartitionedCrackedColumn
 from repro.workloads.benchmark import stats_snapshot
 
 
@@ -72,10 +73,10 @@ def test_snapshot_reads_lockless_objects_directly():
     assert stats_snapshot(Plain(), "merges_performed") == {"merges_performed": 7}
 
 
-def test_snapshot_on_a_real_partitioned_column():
+def test_snapshot_on_a_real_updatable_column():
     rng = np.random.default_rng(3)
     values = rng.random(200)
-    column = PartitionedUpdatableCrackedColumn(values, partitions=4)
+    column = UpdatableCrackedColumn(values)
     # a delete inside the first range, merged by its query
     column.delete(int(np.flatnonzero((values >= 0.1) & (values < 0.3))[0]))
     for low in (0.1, 0.4, 0.7):
@@ -87,7 +88,7 @@ def test_snapshot_on_a_real_partitioned_column():
 
 def test_snapshot_does_not_deadlock_under_a_concurrent_writer():
     """The helper must come back even while a writer hammers the lock."""
-    column = PartitionedUpdatableCrackedColumn(
+    column = PartitionedCrackedColumn(
         np.arange(200, dtype=np.float64), partitions=2
     )
     stop = threading.Event()

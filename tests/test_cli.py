@@ -65,15 +65,14 @@ class TestCompareCommand:
     def test_partitioned_strategies_report_their_physical_state(self, capsys):
         code = main([
             "compare", "--rows", "3000", "--queries", "15", "--partitions", "3",
-            "--strategies", "partitioned-cracking,partitioned-updatable-cracking",
+            "--strategies", "partitioned-cracking,updatable-cracking",
             "--policy", "gradual",
         ])
         assert code == 0
         states = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("physical state")]
-        assert len(states) == 2
-        assert all("3 partitions" in line for line in states)
-        assert states[1].endswith("(gradual)")
+        assert len(states) == 1
+        assert "[partitioned-cracking]: partitioned cracking: 3 partitions" in states[0]
 
     def test_patterns_accepted(self, capsys):
         for pattern in ("skewed", "sequential", "periodic", "piecewise"):
@@ -99,7 +98,7 @@ class TestUpdatesCommand:
     def test_updates_runs_partitioned_strategy(self, capsys):
         code = main([
             "updates", "--rows", "3000", "--queries", "15",
-            "--strategy", "partitioned-updatable-cracking",
+            "--strategy", "partitioned-cracking",
             "--partitions", "3",
         ])
         assert code == 0
@@ -121,7 +120,7 @@ class TestUpdatesCommand:
         code = main([
             "updates", "--rows", "3000", "--queries", "10",
             "--updates-per-query", "1",
-            "--strategy", "partitioned-updatable-cracking",
+            "--strategy", "partitioned-cracking",
             "--partitions", "2", "--parallel",
         ])
         assert code == 0
@@ -165,7 +164,7 @@ class TestDurableCommands:
     reopen it."""
 
     UPDATES = ["updates", "--rows", "2000", "--queries", "10",
-               "--strategy", "partitioned-updatable-cracking", "--partitions", "3",
+               "--strategy", "updatable-cracking", "--partitions", "3",
                "--policy", "gradual", "--merge-batch", "4"]
 
     def test_updates_journals_only_the_options_its_strategy_takes(self, tmp_path,
@@ -175,9 +174,9 @@ class TestDurableCommands:
         assert main(self.UPDATES + ["--data-dir", str(tmp_path)]) == 0
         assert "durability" in capsys.readouterr().out
         database = Database.open(tmp_path)
-        assert database.indexing_mode("data", "key") == "partitioned-updatable-cracking"
+        assert database.indexing_mode("data", "key") == "updatable-cracking"
         assert database._mode_options[("data", "key")] == {
-            "policy": "gradual", "merge_batch": 4, "partitions": 3, "parallel": False}
+            "policy": "gradual", "merge_batch": 4}
         database.close()
 
     def test_recover_and_snapshot_reopen_what_updates_wrote(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ def test_row_has_its_shape_and_its_recorded_counters(experiment, pool_submits):
     results = figures.run_experiment(experiment, *experiment.gate)
     assert results.failed() == []
     assert figures.differences(RECORDED[experiment.id], results.record()) == []
-    # a ``parallel`` variant (e15, e16) really ran on its pool: at gate size
+    # a ``parallel`` variant (e15) really ran on its pool: at gate size
     # the column's own decision would make it one more sequential cell
     assert bool(pool_submits) == any(
         options.get("parallel") for _, options in experiment.variants.values())

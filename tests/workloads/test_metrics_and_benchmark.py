@@ -146,10 +146,10 @@ class TestRunOperations:
                             selectivity=0.02, seed=4)
         return write_workload(spec, writes=100)
 
-    def through_a_session(self, values, operations, mode, **kwargs):
+    def through_a_session(self, values, operations, mode, options=(), **kwargs):
         database = Database("surface")
         database.create_table("data", {"key": values})
-        database.set_indexing("data", "key", mode)
+        database.set_indexing("data", "key", mode, **dict(options))
         with database.session() as session:
             statistics = run_operations(
                 session, operations, mode, rows=len(values), **kwargs
@@ -169,25 +169,31 @@ class TestRunOperations:
         assert bare.update_count == engine.update_count == 0
         assert bare.wall_seconds >= bare.total_seconds > 0
 
-    def test_writes_reach_both_surfaces_with_the_same_victims(self, values, stream):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_writes_reach_both_surfaces_with_the_same_victims(self, values, stream,
+                                                              policy):
         bare = run_operations(
-            create_strategy("updatable-cracking", values), stream, victim_seed=9
+            create_strategy("updatable-cracking", values, policy=policy), stream,
+            victim_seed=9,
         )
         engine = self.through_a_session(
-            values, stream, "updatable-cracking", victim_seed=9
+            values, stream, "updatable-cracking", {"policy": policy}, victim_seed=9
         )
         assert bare.update_count == engine.update_count == 100
         assert len(bare) == len(engine) == 25
         assert bare.answers_crc == engine.answers_crc
         assert [q.result_count for q in bare] == [q.result_count for q in engine]
         other_victims = run_operations(
-            create_strategy("updatable-cracking", values), stream, victim_seed=10
+            create_strategy("updatable-cracking", values, policy=policy), stream,
+            victim_seed=10,
         )
         assert other_victims.answers_crc != bare.answers_crc
 
-    def test_the_answers_match_a_scan_over_the_same_writes(self, values, stream):
+    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    def test_the_answers_match_a_scan_over_the_same_writes(self, values, stream, policy):
         cracked = run_operations(
-            create_strategy("updatable-cracking", values), stream, victim_seed=9
+            create_strategy("updatable-cracking", values, policy=policy, merge_batch=1),
+            stream, victim_seed=9,
         )
         scanned = self.through_a_session(values, stream, "scan", victim_seed=9)
         assert cracked.answers_crc == scanned.answers_crc

@@ -60,21 +60,11 @@ class TestUpdateWorkload:
                 assert SPEC.domain_low <= operation.value <= SPEC.domain_high
                 assert operation.value == int(operation.value)
 
-    def test_hot_fraction_confines_the_inserts_and_nothing_else(self):
-        everywhere = mixed_update_workload(SPEC, updates_per_query=1.0)
-        hot = mixed_update_workload(SPEC, updates_per_query=1.0, hot_fraction=0.1)
-        assert [op.kind for op in hot] == [op.kind for op in everywhere]
-        assert [op.query for op in hot] == [op.query for op in everywhere]
-        inserted = [op.value for op in hot if op.kind == "insert"]
-        assert inserted and max(inserted) < 0.1 * SPEC.domain_high
-
     def test_validation(self):
         with pytest.raises(ValueError):
             mixed_update_workload(SPEC, updates_per_query=-1)
         with pytest.raises(ValueError):
             mixed_update_workload(SPEC, insert_fraction=2.0)
-        with pytest.raises(ValueError):
-            mixed_update_workload(SPEC, hot_fraction=0.0)
 
     def test_write_workload_has_exactly_the_writes_asked_for(self):
         spec = WorkloadSpec(domain_low=0, domain_high=10_000, query_count=30, seed=5)
