@@ -170,8 +170,6 @@ ENGINE_CASES = {
     "cracking": ("cracking", {}),
     "partitioned-cracking-2": ("partitioned-cracking", {"partitions": 2}),
     "updatable-cracking": ("updatable-cracking", {}),
-    "updatable-cracking-gradual":
-        ("updatable-cracking", {"policy": "gradual", "merge_batch": 1}),
 }
 
 
@@ -491,34 +489,6 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616, 'index:T.a': 1648}),
             'final': (
                 'cracking: 33 pieces, 1+1 pending (ripple)',
-                {'table:T': 1616, 'index:T.a': 1648}),
-        },
-        'answers': 'cb4529db5a25dab6',
-    },
-    'updatable-cracking-gradual': {
-        'operations': [
-            (104, 100, 201, 0, 0, 2), (56, 45, 92, 0, 0, 2), (59, 51, 105, 0, 0, 2),
-            (32, 25, 53, 0, 0, 2), (8, 4, 12, 0, 0, 2), (25, 13, 21, 0, 0, 2),
-            (35, 25, 33, 0, 0, 2), (35, 21, 30, 0, 0, 2), (0, 3, 0, 0, 16, 0),
-            (0, 2, 0, 0, 0, 0), (45, 38, 83, 0, 0, 2), (31, 24, 55, 0, 0, 2),
-            (25, 16, 28, 0, 0, 2), (31, 16, 28, 0, 0, 2), (27, 14, 26, 0, 0, 2),
-            (23, 15, 27, 0, 0, 2), (20, 10, 22, 0, 0, 2), (14, 9, 22, 0, 0, 2),
-        ],
-        'stages': {
-            'install': (
-                'cracking: 1 pieces, 0+0 pending (gradual)',
-                {'table:T': 1600}),
-            'queried': (
-                'cracking: 17 pieces, 0+0 pending (gradual)',
-                {'table:T': 1600, 'index:T.a': 1600}),
-            'inserted': (
-                'cracking: 17 pieces, 1+0 pending (gradual)',
-                {'table:T': 1616, 'index:T.a': 1632}),
-            'deleted': (
-                'cracking: 17 pieces, 1+1 pending (gradual)',
-                {'table:T': 1616, 'index:T.a': 1648}),
-            'final': (
-                'cracking: 33 pieces, 1+1 pending (gradual)',
                 {'table:T': 1616, 'index:T.a': 1648}),
         },
         'answers': 'cb4529db5a25dab6',

@@ -92,14 +92,18 @@ def test_a_steady_batch_makes_one_pass_per_partition(kernel_calls):
 
 @pytest.mark.parametrize("policy", ["ripple", "gradual"])
 def test_a_column_with_pending_updates_answers_range_by_range(kernel_calls, policy):
-    database, rng = steady_database("updatable-cracking", policy=policy)
+    database, rng = steady_database("updatable-cracking", policy=policy, merge_batch=1)
     lows = rng.integers(0, DOMAIN - WIDTH, BATCH)
     counted_from_here(kernel_calls)
     with database.session() as session:
-        # a pending insert inside the first range: the column queues it
-        session.insert_row("t", {"key": int(lows[0]) + 1, "pay": 0.5})
+        # two pending inserts inside the first range: the column queues
+        # them, and the gradual budget of one leaves one queued after it
+        for _ in range(2):
+            session.insert_row("t", {"key": int(lows[0]) + 1, "pay": 0.5})
         session.execute_many([query(low) for low in lows])
     assert kernel_calls["crack_many"] == 0
+    pending = database.access_path("t", "key").pending_inserts
+    assert pending == {"ripple": 0, "gradual": 1}[policy]
     assert kernel_calls["partition_two_way"] + kernel_calls["partition_three_way"] > 0
 
 

@@ -8,8 +8,14 @@ from repro.core.cracking.updates import UpdatableCrackedColumn
 from repro.cost.counters import CostCounters
 
 
-#: every contract of an updatable column holds under both merge policies
+#: the merge policies; ``updatable`` gives the gradual one a budget of one
+#: merge per query, so a query that meets two qualifying updates leaves one
+#: pending where the ripple policy merges both
 POLICIES = ["ripple", "gradual"]
+
+
+def updatable(values, policy, **options):
+    return UpdatableCrackedColumn(values, policy=policy, merge_batch=1, **options)
 
 
 def visible_reference(column):
@@ -21,26 +27,33 @@ class TestInsertions:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_insert_is_pending_until_queried(self, small_values, policy):
         # nothing is built and no query ran: the first query that covers
-        # the value finds the pending insert
-        column = UpdatableCrackedColumn(small_values, policy=policy)
-        rowid = column.insert(42)
-        assert rowid == len(small_values)
-        assert column.pending_inserts == 1
-        # a query over a range containing 42 merges and returns it
-        result = column.search(40, 45)
-        assert rowid in result.tolist()
-        assert column.pending_inserts == 0
+        # the values finds the pending inserts
+        column = updatable(small_values, policy)
+        rowids = [column.insert(42), column.insert(43)]
+        assert rowids == [len(small_values), len(small_values) + 1]
+        assert column.pending_inserts == 2
+        # a query over a range containing both returns both, merged or,
+        # past the gradual budget, still queued
+        result = column.search(40, 45).tolist()
+        assert set(rowids) <= set(result)
+        assert column.pending_inserts == {"ripple": 0, "gradual": 1}[policy]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_insert_outside_query_range_stays_pending(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        # queued first, yet the gradual budget goes to a qualifying insert
+        column = updatable(small_values, policy)
         column.insert(99)
+        column.insert(10)
+        column.insert(20)
+        column.search(0, 50)
+        assert column.pending_inserts == {"ripple": 1, "gradual": 2}[policy]
         column.search(0, 50)
         assert column.pending_inserts == 1
+        assert column.value_of(len(small_values)) == 99
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_inserted_rows_returned_by_later_queries(self, small_values, reference, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        column = updatable(small_values, policy)
         new_ids = [column.insert(value) for value in (10, 20, 30)]
         expected = reference(small_values, 5, 35) | set(new_ids)
         assert set(column.search(5, 35).tolist()) == expected
@@ -48,15 +61,13 @@ class TestInsertions:
         assert set(column.search(5, 35).tolist()) == expected
         column.check_invariants()
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_insert_type_validation(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_insert_type_validation(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         with pytest.raises(TypeError):
             column.insert(1.5)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_integer_validation_is_exact(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_integer_validation_is_exact(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         for value in (float("nan"), float("inf"), -float("inf"), np.float64(0.5)):
             with pytest.raises(TypeError):
                 column.insert(value)
@@ -69,12 +80,11 @@ class TestInsertions:
         assert all(type(column.value_of(rowid)) is int for rowid in rowids)
         assert column.pending_inserts == len(accepted)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_a_nan_key_is_refused(self, policy):
+    def test_a_nan_key_is_refused(self):
         # it would qualify for no bounded range: pending for ever, so the
         # column could never be recognised as converged
         values = np.random.default_rng(3).uniform(0, 100, size=64)
-        column = UpdatableCrackedColumn(values, name="price", policy=policy)
+        column = UpdatableCrackedColumn(values, name="price")
         with pytest.raises(ValueError, match="price"):
             column.insert(float("nan"))
         with pytest.raises(ValueError, match="price"):
@@ -89,14 +99,14 @@ class TestInsertions:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_many_inserts_preserve_content(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        column = updatable(small_values, policy)
         rng = np.random.default_rng(0)
         inserted = []
         for _ in range(100):
             value = int(rng.integers(0, 100))
             inserted.append(value)
             column.insert(value)
-        column.search(0, 100)  # merge everything
+        column.search(0, 100)  # merges all of them, or one
         expected = sorted(small_values.tolist() + inserted)
         assert sorted(column.visible_values().tolist()) == expected
         column.check_invariants()
@@ -113,18 +123,16 @@ class TestDeletions:
         assert victim not in result.tolist()
         column.check_invariants()
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_delete_unknown_rowid_raises(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_delete_unknown_rowid_raises(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         with pytest.raises(KeyError):
             column.delete(10**9)
         with pytest.raises(KeyError):
             column.update(10**9, 5)
         assert column.pending_inserts == column.pending_deletes == 0
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_delete_pending_insert_cancels_it(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_delete_pending_insert_cancels_it(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         rowid = column.insert(55)
         column.delete(rowid)
         assert column.pending_inserts == 0
@@ -135,25 +143,29 @@ class TestDeletions:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_delete_merged_insert(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        column = updatable(small_values, policy)
         rowid = column.insert(55)
         column.search(50, 60)  # merge it
+        other = column.insert(56)
         column.delete(rowid)
-        assert rowid not in column.search(50, 60).tolist()
+        # the gradual budget merges one of the two and answers the other
+        # from its queue
+        result = column.search(50, 60).tolist()
+        assert rowid not in result and other in result
+        pending = column.pending_inserts + column.pending_deletes
+        assert pending == {"ripple": 0, "gradual": 1}[policy]
         column.check_invariants()
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_double_delete_is_idempotent(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_double_delete_is_idempotent(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         column.delete(0)
         column.delete(0)
         assert column.pending_deletes == 1
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_merged_delete_of_insert_forgets_the_rowid(self, small_values, policy):
+    def test_merged_delete_of_insert_forgets_the_rowid(self, small_values):
         # once the delete of an inserted row has merged, the row is gone for
         # good: value_of raises and no per-insert bookkeeping is retained
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        column = UpdatableCrackedColumn(small_values)
         rowid = column.insert(55)
         column.search(50, 60)  # merge the insert
         column.delete(rowid)
@@ -163,9 +175,8 @@ class TestDeletions:
         assert not column.knows_rowid(rowid)
         assert column._inserted_values == {}
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_update_is_delete_plus_insert(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_update_is_delete_plus_insert(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         old_value = int(small_values[7])
         new_rowid = column.update(7, 77)
         assert new_rowid == len(small_values)  # the row is renumbered
@@ -173,10 +184,9 @@ class TestDeletions:
         assert 7 not in low_result
         assert new_rowid in column.search(77, 78).tolist()
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_update_is_atomic_on_type_errors(self, small_values, policy):
+    def test_update_is_atomic_on_type_errors(self, small_values):
         # a rejected value must not tombstone the old row first
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+        column = UpdatableCrackedColumn(small_values)
         with pytest.raises(TypeError):
             column.update(10, 2.5)
         assert len(column) == len(small_values)
@@ -210,13 +220,12 @@ class TestMergePolicies:
         with pytest.raises(ValueError):
             UpdatableCrackedColumn(small_values, policy="bogus")
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_non_qualifying_pending_still_charged(self, rng, policy):
+    def test_non_qualifying_pending_still_charged(self, rng):
         # pending-structure scans are charged whether or not anything
         # qualifies
         base = rng.integers(0, 100, size=500).astype(np.int64)
-        quiet = UpdatableCrackedColumn(base, policy=policy)
-        busy = UpdatableCrackedColumn(base, policy=policy)
+        quiet = UpdatableCrackedColumn(base)
+        busy = UpdatableCrackedColumn(base)
         busy.insert(999)  # far outside the query range below
         counters_quiet, counters_busy = CostCounters(), CostCounters()
         quiet.search(0, 50, counters_quiet)
@@ -284,12 +293,11 @@ class TestGradualBudget:
 
 
 class TestRippleCost:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_merge_cost_proportional_to_pieces_not_column(self, policy):
+    def test_merge_cost_proportional_to_pieces_not_column(self):
         """The ripple moves one tuple per piece, not the whole column."""
         rng = np.random.default_rng(1)
         values = rng.integers(0, 100_000, size=50_000)
-        column = UpdatableCrackedColumn(values, policy=policy)
+        column = UpdatableCrackedColumn(values)
         # crack into a handful of pieces first
         for low in (10_000, 30_000, 50_000, 70_000, 90_000):
             column.search(low, low + 1000)
@@ -303,8 +311,10 @@ class TestRippleCost:
         assert counters.tuples_moved < len(values) / 2
 
     @pytest.mark.parametrize("stream", ["alternating", "random"])
+    # no query here meets more than 16 qualifying updates, so at the default
+    # budget the gradual column would merge what the ripple one does
     @pytest.mark.parametrize("policy, merge_batch", [
-        ("ripple", 16), ("gradual", 1), ("gradual", 4), ("gradual", 16),
+        ("ripple", 16), ("gradual", 1), ("gradual", 4),
     ])
     def test_interleaved_updates_and_queries_stay_correct(
             self, rng, stream, policy, merge_batch):
@@ -367,13 +377,18 @@ class TestConvergedLatch:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_pending_updates_suspend_convergence(self, policy):
         column, _ = self.converged_column()
-        column.policy = policy
+        column.policy, column.merge_batch = policy, 1
+        column.insert(30)
         column.insert(30)
         assert not column.converged
-        column.search(30, 31)  # merges the insert
+        column.search(30, 31)  # merges both inserts, or one
+        assert column.pending_inserts == {"ripple": 0, "gradual": 1}[policy]
+        if policy == "gradual":
+            assert not column.converged  # one is still queued
+            column.search(30, 31)
         assert column.pending_inserts == 0
 
-    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
+    @pytest.mark.parametrize("policy", POLICIES)
     def test_inserts_inside_and_outside_the_queried_range(self, policy):
         column, model = self.converged_column()
         column.policy, column.merge_batch = policy, 1
@@ -390,8 +405,10 @@ class TestConvergedLatch:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_delete_from_a_converged_column(self, policy):
+        # under the gradual policy the scan's queries trickle the deletes in
+        # one at a time, answering the others from the queue
         column, model = self.converged_column()
-        column.policy = policy
+        column.policy, column.merge_batch = policy, 1
         victims = [r for r, v in model.items() if 10 <= v < 20][:3]
         for victim in victims:
             column.delete(victim)
@@ -401,9 +418,10 @@ class TestConvergedLatch:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_column_converges_again_after_the_merge(self, policy):
         column, model = self.converged_column()
-        column.policy = policy
+        column.policy, column.merge_batch = policy, 1
         model[column.insert(12)] = 12
-        column.search(10, 20)
+        model[column.insert(14)] = 14
+        column.search(10, 20)  # merges both, or one
         for low in range(60):
             column.search(low, low + 1)
         assert column.converged
@@ -413,8 +431,7 @@ class TestConvergedLatch:
 class TestDeleteAndValueOfExceptionMatrix:
     """What ``delete`` and ``value_of`` raise, ignore and accept — pinned.
 
-    The same script runs against an updatable column (under either merge
-    policy, the gradual one merging one update per query), against a shard
+    The same script runs against an updatable column, against a shard
     numbered from ``rowid_base > 0`` (what every partition of a partitioned
     column is) and against a read-only ("lazy") one; DML builds the cracker
     column on none of them.  Base
@@ -424,13 +441,10 @@ class TestDeleteAndValueOfExceptionMatrix:
 
     BASE = np.array([7, 3, 9, 1, 12, 5, 17, 0, 14, 8, 19, 2], dtype=np.int64)
 
-    @pytest.fixture(params=["column", "gradual", "shard", "lazy"])
+    @pytest.fixture(params=["column", "shard", "lazy"])
     def column(self, request):
         if request.param == "shard":
             return CrackedColumn(self.BASE, supports_updates=True, rowid_base=1_000)
-        if request.param == "gradual":
-            return CrackedColumn(self.BASE, supports_updates=True, policy="gradual",
-                                 merge_batch=1)
         return CrackedColumn(self.BASE, supports_updates=request.param == "column")
 
     @staticmethod
@@ -535,18 +549,16 @@ class TestBulkBaseDelete:
     """``delete_base_rows``: the one call that queues a table's tombstones
     (the per-row equivalence is ``tests/properties/test_property_bulk_delete.py``)."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_queues_every_rowid_in_order(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, rowid_base=10, policy=policy)
+    def test_queues_every_rowid_in_order(self, small_values):
+        column = UpdatableCrackedColumn(small_values, rowid_base=10)
         column.delete_base_rows(np.array([10, 13, 17], dtype=np.int64))
         assert column._pending_delete_rowids == {
             10: small_values[0], 13: small_values[3], 17: small_values[7]}
         assert len(column) == len(small_values) - 3
         assert not column.materialised
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_nothing_to_queue_is_a_no_op(self, small_values, policy):
-        column = UpdatableCrackedColumn(small_values, policy=policy)
+    def test_nothing_to_queue_is_a_no_op(self, small_values):
+        column = UpdatableCrackedColumn(small_values)
         column.insert(5)
         column.delete_base_rows(np.empty(0, dtype=np.int64))
         assert column.pending_deletes == 0

@@ -286,14 +286,13 @@ class TestMemoryAccounting:
         assert "table:facts" not in breakdown
         assert database.memory.total_bytes == 0
 
-    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
-    def test_memory_tracker_follows_dml(self, policy):
+    def test_memory_tracker_follows_dml(self):
         rng = np.random.default_rng(3)
         database = Database("updatable-memory")
         database.create_table(
             "facts", {"key": rng.integers(0, 1_000, size=1_500).astype(np.int64)}
         )
-        database.set_indexing("facts", "key", "updatable-cracking", policy=policy)
+        database.set_indexing("facts", "key", "updatable-cracking")
         # nothing is built at install: no index entry until a query builds it
         path = database.access_path("facts", "key")
         assert path.nbytes == 0
@@ -481,15 +480,22 @@ class TestDML:
     def test_tombstones_replayed_when_switching_to_updatable(self, database, session,
                                                               policy):
         # rows deleted under an earlier mode must stay deleted after the
-        # switch: the new updatable column replays the tombstones
-        value = int(database.table("facts")["a"].values[7])
-        session.delete_row("facts", 7)
-        database.set_indexing("facts", "a", "updatable-cracking", policy=policy)
-        result = session.execute(
-            Query.range_query("facts", "a", value, value + 1)
-        )
-        assert 7 not in result.positions.tolist()
-        assert database.visible_row_count("facts") == 4999
+        # switch: the new updatable column replays the tombstones, and the
+        # gradual one (one merge per query) answers the two it has not
+        # merged yet from its queue
+        victims = [7, 8, 9]
+        values = database.table("facts")["a"].values
+        low, high = int(values[victims].min()), int(values[victims].max()) + 1
+        for victim in victims:
+            session.delete_row("facts", victim)
+        database.set_indexing("facts", "a", "updatable-cracking", policy=policy,
+                              merge_batch=1)
+        result = session.execute(Query.range_query("facts", "a", low, high))
+        assert set(result.positions.tolist()) == (
+            reference_positions(database, low, high) - set(victims))
+        column = database.access_path("facts", "a")
+        assert column.pending_deletes == {"ripple": 0, "gradual": 2}[policy]
+        assert database.visible_row_count("facts") == 4997
 
     def test_delete_row_validates_and_is_idempotent(self, database, session):
         with pytest.raises(KeyError):
@@ -511,8 +517,7 @@ class TestDML:
         assert {len(table[name]) for name in table.column_names} == {5000}
         assert database.visible_row_count("facts") == 5000
 
-    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
-    def test_int64_keys_beyond_float_precision_are_exact(self, rng, policy):
+    def test_int64_keys_beyond_float_precision_are_exact(self, rng):
         # 2**60 + 1 has no float: judged, queued, merged and found as an int
         big = 2**60 + 1
         database = Database("wide-keys")
@@ -520,7 +525,7 @@ class TestDML:
             "k": rng.integers(0, 1_000, size=100).astype(np.int64),
             "v": rng.uniform(0, 1, size=100),
         })
-        database.set_indexing("t", "k", "updatable-cracking", policy=policy)
+        database.set_indexing("t", "k", "updatable-cracking")
         cracked = database.access_path("t", "k")
 
         def rows(low, high):
@@ -553,19 +558,21 @@ class TestDML:
     def test_an_inserted_wide_key_is_never_pruned(self, mode, options,
                                                   pooled_fan_out):
         # a key the float bounds round (float(2**60 + 1) == 2**60) is found
-        # pending, merged and merged beside more inserts — or, on the
-        # read-only partitioned column, by the partitions rebuilt over it
+        # pending, merged and merged beside more inserts (the gradual
+        # column, at one merge per query, holds one copy queued a query
+        # longer) — or, on the read-only partitioned column, by the
+        # partitions rebuilt over it
         big = 2**60 + 1
         database = Database("wide-keys-inserted")
         database.create_table("t", {"k": np.arange(100, dtype=np.int64)})
         database.set_indexing("t", "k", mode, **options)
         with database.session() as session:
-            rowid = session.insert_row("t", {"k": big})
+            rowids = [session.insert_row("t", {"k": big}) for _ in range(2)]
             for round in range(3):  # pending; merged; merged beside more inserts
                 found = session.execute(Query.range_query("t", "k", big, big + 1))
-                assert found.positions.tolist() == [rowid]
+                assert sorted(found.positions.tolist()) == rowids
                 if round == 1:
-                    for key in range(40):  # into the partition holding it
+                    for key in range(40):  # more inserts, none in the range
                         session.insert_row("t", {"k": 60 + key})
             assert session.execute(
                 Query.range_query("t", "k", big + 1, 2**61)).row_count == 0
@@ -857,8 +864,11 @@ class TestExecuteManyWithDML:
         database.create_table(
             "dim", {"k": rng.integers(0, 1_000, size=2_000).astype(np.int64)}
         )
-        database.set_indexing("facts", "a", "updatable-cracking")
-        database.set_indexing("dim", "k", "updatable-cracking", policy=policy)
+        # a hundred writes to facts: at one merge per query the gradual
+        # columns answer most of them from their queues
+        for table, column in (("facts", "a"), ("dim", "k")):
+            database.set_indexing(table, column, "updatable-cracking", policy=policy,
+                                  merge_batch=1)
         model = self.apply_dml(database, session, rng)
         dim_deleted = set()
         for victim in range(0, 50, 5):

@@ -150,10 +150,8 @@ class TestReorganizesOnReadDeclarations:
         assert strategy.converged
         assert strategy.reorganizes_on_read is False
 
-    @pytest.mark.parametrize("policy", ["ripple", "gradual"])
-    def test_updatable_names_always_reorganize(self, policy):
-        strategy = create_strategy("updatable-cracking", np.arange(64, dtype=np.int64),
-                                   policy=policy)
+    def test_updatable_names_always_reorganize(self):
+        strategy = create_strategy("updatable-cracking", np.arange(64, dtype=np.int64))
         for low in range(64):
             strategy.search(low, low + 1)
         assert strategy.converged

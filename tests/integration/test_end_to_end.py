@@ -90,7 +90,8 @@ class TestDatabaseLifecycle:
     @pytest.mark.parametrize("policy", ["ripple", "gradual"])
     def test_updatable_column_full_cycle(self, rng, policy):
         base = rng.integers(0, 1000, size=5_000)
-        column = UpdatableCrackedColumn(base, policy=policy)
+        # one update per query: the gradual budget of one falls behind
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=1)
         workload = mixed_update_workload(
             WorkloadSpec(domain_low=0, domain_high=1000, query_count=50, seed=1),
             updates_per_query=1.0,

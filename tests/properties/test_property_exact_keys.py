@@ -180,29 +180,39 @@ def test_float_bounds_through_a_session_are_exact(name, queries):
         database.close()
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("policy", ["ripple", "gradual"])
-def test_wide_inserts_are_found_queued_or_merged(policy):
-    """An insert keeps its key's type, so a key beyond 2**53 is found
-    queued or merged, under either merge policy (the full-range queries
-    merge inserts without cracking)."""
+def test_typed_updates_are_found_queued_or_merged(policy, kind):
+    """An insert keeps its key's type and a queued delete its row's, so a
+    key a float cast would round (beyond 2**53, past 2**63, at the ends of
+    int64) is found queued or merged, under either merge policy: at one
+    merge per query the gradual column answers most updates from its queues
+    (the full-range queries merge without cracking)."""
     rng = np.random.default_rng(0)
-    values = _wide(rng, 600).astype(np.int64)
+    values = column_of(kind, 0, 600)
+    fresh = iter(column_of(kind, 1, 300).tolist())
+    anchors = sorted(set(values.tolist()))
     strategy = create_strategy("updatable-cracking", values, policy=policy,
-                               merge_batch=4)
+                               merge_batch=1)
     visible = dict(enumerate(values.tolist()))
     try:
         for step in range(240):
-            if step % 3:
-                key = WIDE + int(rng.integers(-5_000, 5_001))
+            if step % 4 in (1, 2):
+                key = next(fresh)
                 visible[strategy.insert(key)] = key
                 continue
-            raw = (None, None) if step % 2 else ordered(
-                WIDE + int(rng.integers(-5_500, 5_500)),
-                WIDE + int(rng.integers(-5_500, 5_500)))
+            if step % 4 == 3:
+                victim = int(rng.choice(list(visible)))
+                strategy.delete(victim)
+                del visible[victim]
+                continue
+            low, high = (anchors[i] for i in rng.integers(0, len(anchors), 2))
+            raw = [(None, None), ordered(low, high), (low, None)][step // 4 % 3]
             got = strategy.search(*exact_bounds(values.dtype, *raw))
             assert sorted(got.tolist()) == sorted(
                 row for row, key in visible.items()
-                if (raw[0] is None or raw[0] <= key) and (raw[1] is None or key < raw[1]))
+                if (raw[0] is None or raw[0] <= key) and (raw[1] is None or key < raw[1])
+            ), f"{kind}, {policy}: {raw}"
         strategy.check_invariants()
     finally:
         strategy.close()

@@ -224,3 +224,38 @@ def test_a_batch_that_sorts_a_partition_is_answered_in_turn():
     assert_batch_is_sequential(
         lambda: build("8 partitions", "uint64 past 2**63", "refined", 156),
         ranges, "8 partitions, uint64 past 2**63, refined")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("queue", ["inserts", "deletes"])
+@pytest.mark.parametrize("policy, latch", [("ripple", 1), ("gradual", 2)])
+def test_a_column_converging_mid_batch_latches_at_the_same_range(
+        policy, latch, queue, kind):
+    """A sorted updatable column holds two pending updates that keep it
+    sorted once merged: two inserts of its largest key, or deletes of its
+    two largest rows.  The first ranges of the batch merge them — both at
+    once under the ripple policy, one per search under the gradual one at a
+    budget of one — and the next ``search`` asks ``converged``, latches and
+    binary-searches range ``latch``.  The batch has to ask at the same
+    range, or it cracks that range instead and charges it otherwise for an
+    equal answer."""
+    values = np.sort(column_values(kind, 7))
+    keys = sorted(set(values.tolist()))
+    top = keys[-1] if queue == "inserts" else values.tolist()[-2]
+
+    def make():
+        column = CrackedColumn(values, supports_updates=True, policy=policy,
+                               merge_batch=1)
+        for step in (1, 2):
+            if queue == "inserts":
+                column.insert(top)
+            else:
+                column.delete(SIZE - step)  # the last rows hold the largest keys
+        return column
+
+    ranges = [(top, None), (top, None), (keys[10], keys[40]), (keys[60], keys[61])]
+    column = make()
+    for position, (low, high) in enumerate(ranges):
+        assert column.converged == (position >= latch), position
+        column.search(low, high)
+    assert_batch_is_sequential(make, ranges, f"updatable, {kind}, {policy}, {queue}")

@@ -34,8 +34,9 @@ class TestUpdatableColumnProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_visible_rows_always_match_model(self, policy, base, ops):
-        """Any interleaving of inserts, deletes and queries stays consistent."""
-        column = UpdatableCrackedColumn(base, policy=policy)
+        """Any interleaving of inserts, deletes and queries stays consistent
+        (the gradual column merging one update per query)."""
+        column = UpdatableCrackedColumn(base, policy=policy, merge_batch=1)
         model = {int(i): int(v) for i, v in enumerate(base)}
         next_id = len(base)
         for kind, payload in ops:

@@ -172,19 +172,22 @@ class TestRunOperations:
     @pytest.mark.parametrize("policy", ["ripple", "gradual"])
     def test_writes_reach_both_surfaces_with_the_same_victims(self, values, stream,
                                                               policy):
+        # four writes per query: at one merge per query the gradual column
+        # answers more of them from its queues
+        options = {"policy": policy, "merge_batch": 1}
         bare = run_operations(
-            create_strategy("updatable-cracking", values, policy=policy), stream,
+            create_strategy("updatable-cracking", values, **options), stream,
             victim_seed=9,
         )
         engine = self.through_a_session(
-            values, stream, "updatable-cracking", {"policy": policy}, victim_seed=9
+            values, stream, "updatable-cracking", options, victim_seed=9
         )
         assert bare.update_count == engine.update_count == 100
         assert len(bare) == len(engine) == 25
         assert bare.answers_crc == engine.answers_crc
         assert [q.result_count for q in bare] == [q.result_count for q in engine]
         other_victims = run_operations(
-            create_strategy("updatable-cracking", values, policy=policy), stream,
+            create_strategy("updatable-cracking", values, **options), stream,
             victim_seed=10,
         )
         assert other_victims.answers_crc != bare.answers_crc
