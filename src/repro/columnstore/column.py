@@ -55,11 +55,14 @@ class Column:
         return column
 
     @classmethod
-    def adopt(cls, values: np.ndarray, name: str, dtype: DataType) -> "Column":
+    def adopt(cls, values: np.ndarray, name: str, dtype: DataType,
+              length: Optional[int] = None) -> "Column":
         """A column around ``values`` itself, with no copy: the caller hands
         over an array nothing else writes, such as one a snapshot section
         or a journal record was just read into.  It must already be a
-        writable, contiguous one-dimensional array of ``dtype``."""
+        writable, contiguous one-dimensional array of ``dtype``.  The
+        column holds its first ``length`` elements (all of them by
+        default); the rest is room its appends fill before it grows."""
         if values.dtype != dtype.numpy_dtype:
             raise TypeError(
                 f"cannot adopt a {values.dtype} array as a {dtype.name} column")
@@ -67,11 +70,15 @@ class Column:
             raise ValueError("an adopted column must be one contiguous dimension")
         if not values.flags.writeable:
             raise ValueError("an adopted column must be writable")
+        length = len(values) if length is None else int(length)
+        if not 0 <= length <= len(values):
+            raise ValueError(
+                f"cannot adopt {length} rows of a {len(values)}-element array")
         column = cls.__new__(cls)
         column.name = name
         column.dtype = dtype
         column._data = values
-        column._length = len(values)
+        column._length = length
         return column
 
     # -- basic protocol ------------------------------------------------------

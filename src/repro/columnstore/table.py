@@ -106,6 +106,17 @@ class Table:
         Every column of the table must be present and all value arrays must
         have the same length (scalars are broadcast to length one).
         """
+        # every value is validated *before* anything is mutated, so a failed
+        # conversion cannot leave columns with unequal lengths (the append
+        # below must be all-or-nothing)
+        for name, array in self.validate_rows(rows).items():
+            self._columns[name].append(array, counters=counters)
+
+    def validate_rows(
+        self, rows: Mapping[str, Union[np.ndarray, Iterable, int, float]]
+    ) -> Dict[str, np.ndarray]:
+        """``rows`` as :meth:`append_rows` would store them — one array of
+        its column's type per column — or the error it would raise."""
         if set(rows) != set(self._columns):
             missing = set(self._columns) - set(rows)
             extra = set(rows) - set(self._columns)
@@ -117,15 +128,10 @@ class Table:
         lengths = {len(a) for a in arrays.values()}
         if len(lengths) != 1:
             raise ValueError(f"all appended columns must have equal length, got {lengths}")
-        # validate every value against its column's dtype *before* mutating
-        # anything, so a failed conversion cannot leave columns with unequal
-        # lengths (the append below must be all-or-nothing)
-        arrays = {
+        return {
             name: self._columns[name].dtype.validate_array(array)
             for name, array in arrays.items()
         }
-        for name, array in arrays.items():
-            self._columns[name].append(array, counters=counters)
 
     def fetch_rows(self, positions: Union[np.ndarray, Iterable[int]],
                    column_names: Optional[Iterable[str]] = None,

@@ -24,7 +24,8 @@ Two merging policies are provided:
   (the default, complete-merge policy);
 * ``"gradual"`` — merge at most ``merge_batch`` pending updates *in total*
   per query — inserts and deletes share the one budget and are served
-  round-robin, so neither class can starve the other — and answer the
+  round-robin, the leading kind alternating from batch to batch, so neither
+  class can starve the other even at a budget of one — and answer the
   remainder directly from the pending structures, spreading the
   maintenance cost over more queries.
 
@@ -172,6 +173,10 @@ class CrackedColumn(SearchStrategy):
 
         self.queries_processed = 0
         self.merges_performed = 0
+        # which kind leads the next interleaved merge batch; the gradual
+        # policy alternates it (see _merge_pending), the ripple one merges
+        # every qualifying entry and always leads with the inserts
+        self._deletes_lead = False
         # once True, search answers by pure binary search and never mutates
         # the cracker column again (see :attr:`converged`)
         self._converged = False
@@ -624,25 +629,30 @@ class CrackedColumn(SearchStrategy):
         # insert cancels it instead)
         insert_indices, delete_indices = self._qualifying_pending(low, high)
 
-        # round-robin interleave: insert[0], delete[0], insert[1], ... with
-        # the longer queue's tail appended once the shorter runs out
+        # round-robin interleave: lead[0], follow[0], lead[1], ... with the
+        # longer queue's tail appended once the shorter runs out
         insert_count = len(insert_indices)
         delete_count = len(delete_indices)
         if not insert_count + delete_count:
             return _NOTHING_PENDING, _NOTHING_PENDING
         paired = min(insert_count, delete_count)
+        lead, follow = (_KIND_INSERT, insert_indices), (_KIND_DELETE, delete_indices)
+        if self._deletes_lead:
+            lead, follow = follow, lead
+        if self.policy == "gradual" and paired:
+            # the next batch leads with the other kind: at a budget of one,
+            # qualifying inserts every query would otherwise starve deletes
+            self._deletes_lead = not self._deletes_lead
         kinds = np.empty(insert_count + delete_count, dtype=np.int8)
         items = np.empty(insert_count + delete_count, dtype=np.int64)
-        kinds[0 : 2 * paired : 2] = _KIND_INSERT
-        kinds[1 : 2 * paired : 2] = _KIND_DELETE
-        items[0 : 2 * paired : 2] = insert_indices[:paired]
-        items[1 : 2 * paired : 2] = delete_indices[:paired]
-        if insert_count > paired:
-            kinds[2 * paired :] = _KIND_INSERT
-            items[2 * paired :] = insert_indices[paired:]
-        elif delete_count > paired:
-            kinds[2 * paired :] = _KIND_DELETE
-            items[2 * paired :] = delete_indices[paired:]
+        kinds[0 : 2 * paired : 2] = lead[0]
+        kinds[1 : 2 * paired : 2] = follow[0]
+        items[0 : 2 * paired : 2] = lead[1][:paired]
+        items[1 : 2 * paired : 2] = follow[1][:paired]
+        for kind, indices in (lead, follow):
+            if len(indices) > paired:
+                kinds[2 * paired :] = kind
+                items[2 * paired :] = indices[paired:]
 
         if self._apply_ripple_batch(kinds, items, counters) == len(kinds):
             return _NOTHING_PENDING, _NOTHING_PENDING
@@ -669,7 +679,8 @@ class CrackedColumn(SearchStrategy):
         ripple kernels of :mod:`~repro.core.cracking.crack_engine`).
 
         Under the gradual policy one ``merge_batch`` budget is shared by
-        inserts and deletes, served round-robin — at most ``merge_batch``
+        inserts and deletes, served round-robin with the leading kind
+        alternating between batches — at most ``merge_batch``
         pending updates in total are merged per query, and a steady stream
         of qualifying inserts cannot starve the pending deletes (or vice
         versa), so both queues always drain.

@@ -4,12 +4,15 @@ The engine stays purely in-memory by default; passing ``data_dir`` to
 :class:`~repro.engine.database.Database` (or opening one with
 ``Database.open``) attaches this subsystem — every DML and schema
 operation is journaled in linearization order *before* its commit
-releases the table gate, snapshots bound replay time, and recovery
-rebuilds bit-identical state through the ordinary session path.  See
+releases the table gate, snapshots bound replay time, one process owns a
+data directory at a time (a lock file with a pid stamp), and recovery
+rebuilds bit-identical state by replaying the journal tail in runs through
+the session's bulk DML body, into columns already sized for it.  See
 ``docs/DURABILITY.md``.
 """
 
 from repro.durability.faults import FaultInjector, FaultyFile, KilledByFault
+from repro.durability.lock import DataDirectoryLocked
 from repro.durability.manager import (
     DurabilityConfig,
     DurabilityManager,
@@ -26,6 +29,7 @@ from repro.durability.wal import WalCorruptionError, WriteAheadLog
 
 __all__ = [
     "ColumnDump",
+    "DataDirectoryLocked",
     "DurabilityConfig",
     "DurabilityManager",
     "FaultInjector",

@@ -15,6 +15,7 @@ snapshot store.  The engine's contract with it is small:
 
 Layout under ``data_dir``::
 
+    LOCK                            the owning process's pid (lock.py)
     wal/wal-00000000.seg ...        the journal segments
     snapshots/snapshot-....snap     full-state dumps
 """
@@ -26,6 +27,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.durability.faults import FaultInjector
+from repro.durability.lock import DirectoryLock
 from repro.durability.record import WalRecord
 from repro.durability.snapshot import (
     SNAPSHOT_SUBDIR,
@@ -78,6 +80,9 @@ class DurabilityManager:
         self.data_dir = Path(data_dir)
         self.config = config or DurabilityConfig()
         self.data_dir.mkdir(parents=True, exist_ok=True)
+        # before the journal opens a segment: another process's database
+        # over this directory is refused here
+        self.directory_lock = DirectoryLock(self.data_dir)
         self.wal = WriteAheadLog(
             wal_directory(self.data_dir),
             sync=self.config.sync,
@@ -114,6 +119,7 @@ class DurabilityManager:
 
     def close(self) -> None:
         self.wal.close()
+        self.directory_lock.release()
 
     def stats(self) -> Dict[str, int]:
         report = self.wal.stats()

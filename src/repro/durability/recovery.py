@@ -1,22 +1,31 @@
 """Crash recovery: latest valid snapshot + journal tail replay.
 
 :func:`recover` (the engine calls it through ``Database.open``) rebuilds a
-database from a data directory:
+database from a data directory, holding the directory's lock
+(:mod:`repro.durability.lock`) while it reads it:
 
-1. pick the newest snapshot that validates (checksums, structure); a
-   corrupt newer snapshot is skipped *only* when the surviving journal
-   still covers everything past the older snapshot's high-water mark —
+1. scan the journal (:meth:`WriteAheadLog.scan`): a torn final record is
+   tolerated and truncated, any other damage raises.  The scan does not
+   depend on the snapshot, and it says how many rows the tail past each
+   snapshot's high-water mark appends to each table;
+2. pick the newest snapshot that validates (checksums, structure), its
+   sections read into arrays with room for exactly those rows; a corrupt
+   newer snapshot is skipped *only* when the surviving journal still
+   covers everything past the older snapshot's high-water mark —
    otherwise recovery fails loudly with the corruption diagnostic;
-2. scan the journal (:meth:`WriteAheadLog.scan`): a torn final record is
-   tolerated and truncated, any other damage raises;
 3. apply the snapshot (tables around the arrays its column sections were
-   read into, with no copy; tombstones, then
+   read into, with no copy, holding the section's rows; tombstones, then
    ``set_indexing`` per recorded mode — adaptive structures are derived
    state and rebuild from the base columns, re-absorbing the tombstones);
-4. replay every journal record past the high-water mark **through the
-   ordinary session path**, asserting that each insert/update lands on
-   the rowid the original execution recorded — the recovered state is the
-   sequential oracle's state, not a lookalike;
+4. replay every journal record past the high-water mark **in runs**: each
+   maximal run of consecutive DML records on one table is one unit of the
+   session's bulk DML body (one append, one tombstone merge, the updatable
+   paths' queues in record order, one rebuild of any other path), and a
+   schema record is applied on its own (a journaled ``create_table`` with
+   room for the rows the tail appends to it).  Every insert/update must
+   land on the rowid the original execution recorded (one comparison per
+   run) — the recovered state is the per-record replay's state, which is
+   the sequential oracle's state, not a lookalike;
 5. resume the linearization counter past everything replayed and attach a
    live :class:`DurabilityManager` so the database journals again.
 
@@ -33,9 +42,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.columnstore.column import Column
 from repro.core.strategies import accepted_options
 from repro.durability.faults import FaultInjector
+from repro.durability.lock import DirectoryLock
 from repro.durability.manager import (
     DurabilityConfig,
     DurabilityManager,
@@ -48,6 +60,7 @@ from repro.durability.snapshot import (
     SnapshotCorruptionError,
     SnapshotState,
     SnapshotStore,
+    snapshot_high_water,
 )
 from repro.durability.wal import WalCorruptionError, WriteAheadLog
 
@@ -106,13 +119,37 @@ def _current_mode(mode: str, options: Dict[str, object]) -> Tuple[str, Dict[str,
     return mode, {key: value for key, value in options.items() if key in accepted}
 
 
+_DML_KINDS = ("insert", "delete", "update")
+
+
+def _tail_growth(records: List[WalRecord], high_water: int) -> Dict[object, int]:
+    """Rows the journal tail past ``high_water`` appends to each table (one
+    per insert and per update): keyed by name for a table the snapshot
+    holds, and by the sequence of its ``create_table`` record for a table
+    the tail creates."""
+    growth: Dict[object, int] = {}
+    born: Dict[str, int] = {}
+    for record in records:
+        if record.sequence <= high_water:
+            continue
+        if record.kind == "create_table":
+            born[record.table] = record.sequence
+        elif record.kind in ("insert", "update"):
+            key = born.get(record.table, record.table)
+            growth[key] = growth.get(key, 0) + 1
+    return growth
+
+
 def _choose_snapshot(
-    store: SnapshotStore, report: RecoveryReport
+    store: SnapshotStore, records: List[WalRecord], report: RecoveryReport
 ) -> Optional[SnapshotState]:
-    """Newest snapshot that validates; records skipped ones' diagnostics."""
+    """Newest snapshot that validates, its sections read with room for the
+    rows the journal tail past its high-water mark (the one its file name
+    carries) appends; records skipped ones' diagnostics."""
     for path in reversed(store.paths()):
+        growth = _tail_growth(records, snapshot_high_water(path))
         try:
-            state = store.load(path)
+            state = store.load(path, spare=growth)
         except SnapshotCorruptionError as exc:
             report.skipped_snapshots.append(str(exc))
             continue
@@ -122,16 +159,30 @@ def _choose_snapshot(
     return None
 
 
+def _journal_columns(dumps, spare: int) -> Dict[str, Column]:
+    """Columns around a ``create_table`` record's arrays, copied into ones
+    with ``spare`` rows of room when the journal tail appends to them."""
+    columns = {}
+    for dump in dumps:
+        values = dump.values
+        if spare:
+            values = dump.dtype.empty(len(dump.values) + spare)
+            values[: len(dump.values)] = dump.values
+        columns[dump.name] = Column.adopt(
+            values, dump.name, dump.dtype, length=len(dump.values))
+    return columns
+
+
 def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
     """Install a snapshot's tables, tombstones and indexing modes."""
     for table_state in state.tables:
-        table = database.create_table(
-            table_state.name,
-            {
-                dump.name: Column.adopt(dump.values, dump.name, dump.dtype)
-                for dump in table_state.columns
-            },
-        )
+        # each section is a prefix view of the array it was read into,
+        # whose rest is the room the journal tail appends into
+        table = database.create_table(table_state.name, {
+            dump.name: Column.adopt(
+                dump.values.base, dump.name, dump.dtype, length=len(dump.values))
+            for dump in table_state.columns
+        })
         # nothing else can see the table yet: no gate is needed
         table.delete_many(table_state.deleted_rows)
     # modes go in after tombstones: updatable strategies re-absorb the
@@ -141,58 +192,78 @@ def _apply_snapshot(database: "Database", state: SnapshotState) -> None:
         database.set_indexing(mode_state.table, mode_state.column, mode, **options)
 
 
+def _replay_run(session, run: List[WalRecord]) -> None:
+    """Apply a run of DML records on one table in one unit
+    (:meth:`Session._apply_dml_run`) and check, in one comparison, that
+    every insert and update landed on the rowid the journal recorded."""
+    assigned = session._apply_dml_run(
+        run[0].table,
+        [(record.kind, record.old_rowid if record.kind == "update" else record.rowid,
+          record.values) for record in run],
+    )
+    landing = [(record, rowid) for record, rowid in zip(run, assigned)
+               if record.kind != "delete"]
+    if not landing:
+        return
+    diverged = np.flatnonzero(
+        np.array([rowid for _, rowid in landing], dtype=np.int64)
+        != np.array([record.rowid for record, _ in landing], dtype=np.int64)
+    )
+    if not len(diverged):
+        return
+    record, rowid = landing[int(diverged[0])]
+    if record.kind == "insert":
+        raise RecoveryError(
+            f"replay diverged at sequence {record.sequence}: "
+            f"insert into {record.table!r} landed on rowid "
+            f"{rowid}, journal recorded {record.rowid}"
+        )
+    raise RecoveryError(
+        f"replay diverged at sequence {record.sequence}: "
+        f"update of {record.table!r} rowid {record.old_rowid} "
+        f"landed on rowid {rowid}, journal recorded "
+        f"{record.rowid}"
+    )
+
+
 def _replay_records(
     database: "Database",
     records: List[WalRecord],
     high_water: int,
     report: RecoveryReport,
 ) -> int:
-    """Replay journal records past ``high_water`` through a real session;
-    returns the last sequence seen."""
-    last_sequence = high_water
+    """Replay journal records past ``high_water``; returns the last
+    sequence seen.  Each maximal run of consecutive DML records on one
+    table is applied as one unit through the session's bulk body (a schema
+    record, or DML on another table, ends a run); a ``create_table`` is
+    built with room for the rows the tail appends to it."""
+    tail = [record for record in records if record.sequence > high_water]
+    growth = _tail_growth(tail, high_water)
     counts = report.replayed_operations
     with database.session(name="recovery") as session:
-        for record in records:
-            if record.sequence <= high_water:
-                continue
-            last_sequence = record.sequence
-            kind = record.kind
-            if kind == "insert":
-                rowid = session.insert_row(record.table, record.values)
-                if rowid != record.rowid:
-                    raise RecoveryError(
-                        f"replay diverged at sequence {record.sequence}: "
-                        f"insert into {record.table!r} landed on rowid "
-                        f"{rowid}, journal recorded {record.rowid}"
-                    )
-            elif kind == "delete":
-                session.delete_row(record.table, record.rowid)
-            elif kind == "update":
-                rowid = session.update_row(
-                    record.table, record.old_rowid, record.values
-                )
-                if rowid != record.rowid:
-                    raise RecoveryError(
-                        f"replay diverged at sequence {record.sequence}: "
-                        f"update of {record.table!r} rowid {record.old_rowid} "
-                        f"landed on rowid {rowid}, journal recorded "
-                        f"{record.rowid}"
-                    )
-            elif kind == "create_table":
+        start = 0
+        while start < len(tail):
+            record = tail[start]
+            end = start + 1
+            if record.kind in _DML_KINDS:
+                while (end < len(tail) and tail[end].kind in _DML_KINDS
+                       and tail[end].table == record.table):
+                    end += 1
+                _replay_run(session, tail[start:end])
+            elif record.kind == "create_table":
                 database.create_table(
                     record.table,
-                    {
-                        dump.name: Column.adopt(dump.values, dump.name, dump.dtype)
-                        for dump in record.columns
-                    },
+                    _journal_columns(record.columns, growth.get(record.sequence, 0)),
                 )
-            elif kind == "drop_table":
+            elif record.kind == "drop_table":
                 database.drop_table(record.table)
             else:  # set_indexing (WalRecord rejects unknown kinds on decode)
                 mode, options = _current_mode(record.mode, record.options)
                 database.set_indexing(record.table, record.column, mode, **options)
-            counts[kind] = counts.get(kind, 0) + 1
-    return last_sequence
+            for replayed in tail[start:end]:
+                counts[replayed.kind] = counts.get(replayed.kind, 0) + 1
+            start = end
+    return tail[-1].sequence if tail else high_water
 
 
 def recover(
@@ -202,10 +273,6 @@ def recover(
     injector: Optional[FaultInjector] = None,
 ) -> Tuple["Database", RecoveryReport]:
     """Rebuild a :class:`Database` from ``data_dir`` (see module docs)."""
-    # imported here, not at module top: the engine imports durability
-    # submodules, so a top-level import would be circular
-    from repro.engine.database import Database
-
     started = time.perf_counter()
     data_dir = Path(data_dir)
     if not has_durable_state(data_dir):
@@ -217,18 +284,43 @@ def recover(
             "Database(data_dir=...) instead"
         )
     report = RecoveryReport(data_dir=str(data_dir))
+    # held until the recovered database's manager holds it too: no other
+    # process writes the directory while it is read
+    directory_lock = DirectoryLock(data_dir)
+    try:
+        database = _recover_locked(data_dir, name, config, injector, report)
+    finally:
+        directory_lock.release()
+    report.elapsed_seconds = time.perf_counter() - started
+    database.recovery_report = report
+    return database, report
 
-    snapshot = _choose_snapshot(
-        SnapshotStore(snapshot_directory(data_dir)), report
-    )
-    high_water = snapshot.high_water if snapshot is not None else -1
 
+def _recover_locked(
+    data_dir: Path,
+    name: Optional[str],
+    config: Optional[DurabilityConfig],
+    injector: Optional[FaultInjector],
+    report: RecoveryReport,
+) -> "Database":
+    """:func:`recover`'s body, run holding the directory lock."""
+    # imported here, not at module top: the engine imports durability
+    # submodules, so a top-level import would be circular
+    from repro.engine.database import Database
+
+    # the journal first: it does not depend on the snapshot, and the rows
+    # its tail appends size the arrays the snapshot is read into
     try:
         scan = WriteAheadLog.scan(wal_directory(data_dir))
     except WalCorruptionError as exc:
         raise RecoveryError(str(exc)) from exc
     report.wal_records = len(scan.records)
     report.torn_tail = scan.torn_tail
+
+    snapshot = _choose_snapshot(
+        SnapshotStore(snapshot_directory(data_dir)), scan.records, report
+    )
+    high_water = snapshot.high_water if snapshot is not None else -1
 
     # coverage proof: the earliest surviving journal segment must start at
     # or before the first sequence the snapshot does not cover.  This is
@@ -269,7 +361,4 @@ def recover(
     database._durability = DurabilityManager(
         data_dir, config=config, injector=injector, scan=scan
     )
-
-    report.elapsed_seconds = time.perf_counter() - started
-    database.recovery_report = report
-    return database, report
+    return database

@@ -20,7 +20,8 @@ The manifest records each section's byte length and crc32, so any damage
 is pinpointed to a named table/column.  Neither direction copies a column:
 a write sends each section straight from the column's array, and a load
 reads each section straight into the array its recovered column keeps
-(:meth:`~repro.columnstore.column.Column.adopt`), checksumming it there.
+(:meth:`~repro.columnstore.column.Column.adopt`), checksumming it there —
+an array recovery sizes with room for the rows its journal tail appends.
 
 Writes are atomic: the dump goes to a ``*.tmp`` sibling, is fsynced, and
 only then renamed over the final name (``os.replace``) with a directory
@@ -38,7 +39,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def _snapshot_name(high_water: int) -> str:
     return f"snapshot-{high_water:020d}.snap"
 
 
-def _snapshot_high_water(path: Path) -> Optional[int]:
+def snapshot_high_water(path: Path) -> Optional[int]:
     name = path.name
     if not (name.startswith("snapshot-") and name.endswith(".snap")):
         return None
@@ -159,11 +160,18 @@ def encode_snapshot(state: SnapshotState) -> bytes:
 
 
 def decode_snapshot(
-    data: Union[bytes, BinaryIO], source: str = "<snapshot>"
+    data: Union[bytes, BinaryIO], source: str = "<snapshot>",
+    spare: Optional[Mapping[str, int]] = None,
 ) -> SnapshotState:
     """Validate and decode a snapshot from its file bytes or from a binary
     file holding it: each column section is read straight into the array
-    its column keeps, and checksummed there."""
+    its column keeps, and checksummed there.
+
+    Each column's ``values`` is a prefix view of that array (its ``base``),
+    which holds ``spare[table]`` more rows (none by default): the room
+    recovery's journal tail appends into
+    (``Column.adopt(values.base, …, length=len(values))``)."""
+    spare = spare or {}
     stream = io.BytesIO(data) if isinstance(data, (bytes, bytearray)) else data
     size = stream.seek(0, io.SEEK_END)
     stream.seek(0)
@@ -208,7 +216,10 @@ def decode_snapshot(
                     f"({size - offset} of {nbytes} bytes)"
                 )
             dtype = dtype_by_name(column_entry["dtype"])
-            values = np.empty(int(column_entry["rows"]), dtype=dtype.numpy_dtype)
+            rows = int(column_entry["rows"])
+            values = np.empty(
+                rows + spare.get(table_entry["name"], 0), dtype=dtype.numpy_dtype
+            )[:rows]
             if values.nbytes != nbytes:
                 raise SnapshotCorruptionError(
                     f"{source}: column section {section_name} at byte {offset} "
@@ -277,7 +288,7 @@ class SnapshotStore:
         """Snapshot files, oldest first (by embedded high-water mark)."""
         found = []
         for path in self.directory.iterdir():
-            high_water = _snapshot_high_water(path)
+            high_water = snapshot_high_water(path)
             if high_water is not None:
                 found.append((high_water, path))
         return [path for _, path in sorted(found)]
@@ -308,10 +319,13 @@ class SnapshotStore:
         self._prune()
         return final_path
 
-    def load(self, path: Path) -> SnapshotState:
-        """Load and fully validate one snapshot file."""
+    def load(
+        self, path: Path, spare: Optional[Mapping[str, int]] = None
+    ) -> SnapshotState:
+        """Load and fully validate one snapshot file (``spare``: see
+        :func:`decode_snapshot`)."""
         with open(path, "rb") as handle:
-            return decode_snapshot(handle, source=str(path))
+            return decode_snapshot(handle, source=str(path), spare=spare)
 
     def _prune(self) -> None:
         """Drop all but the newest ``keep`` snapshots plus stray tmp files."""

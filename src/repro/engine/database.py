@@ -150,14 +150,18 @@ class Database:
     ) -> "Database":
         """Recover a database from ``data_dir`` (crash-safe open).
 
-        Loads the newest valid snapshot, replays the surviving journal
-        tail through the ordinary session path (tolerating a torn final
-        record), resumes the linearization counter, and re-attaches the
-        durability layer.  The recovery details — snapshot used, replayed
-        operation counts, elapsed time, any tolerated torn tail — are on
+        Scans the journal, loads the newest valid snapshot into columns
+        with room for the rows the surviving journal tail appends, replays
+        that tail in runs of DML on one table through the session's bulk
+        DML body (tolerating a torn final record), resumes the
+        linearization counter, and re-attaches the durability layer.  The
+        recovery details — snapshot used, replayed operation counts,
+        elapsed time, any tolerated torn tail — are on
         :attr:`recovery_report`.  Raises
         :class:`~repro.durability.recovery.RecoveryError` instead of ever
-        building a silently incomplete state.
+        building a silently incomplete state, and
+        :class:`~repro.durability.lock.DataDirectoryLocked` while another
+        process holds ``data_dir`` (so does ``Database(data_dir=...)``).
         """
         # imported lazily: recovery sits above the engine in the layering
         from repro.durability.recovery import recover

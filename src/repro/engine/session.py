@@ -43,7 +43,7 @@ import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,10 +92,16 @@ class SessionStats:
 
 @dataclass
 class _Commit:
-    """What a DML body hands :meth:`Session._commit_dml` to journal: the
-    row identifier it assigned (None for a delete)."""
+    """What a DML body hands :meth:`Session._commit_dml` to journal: per
+    operation, the row identifier it assigned (None for a delete; no list
+    at all for a lone delete)."""
 
-    rowid: Optional[int] = None
+    rowids: Optional[List[Optional[int]]] = None
+
+
+#: one operation of a DML unit, as :meth:`Session._commit_dml` journals it:
+#: (kind, in-memory journal payload, durable record fields)
+_Journaled = Tuple[str, object, Dict[str, object]]
 
 
 _SESSION_IDS = itertools.count(1)
@@ -287,15 +293,16 @@ class Session:
     # -- DML -----------------------------------------------------------------------
 
     @contextmanager
-    def _commit_dml(self, kind: str, table: str, payload: object, **wal_fields):
+    def _commit_dml(self, table: str, operations: Sequence[_Journaled]):
         """The one DML commit path: fence, apply, journal.
 
-        The ``with`` block applies the operation under the table's write
-        gate and sets ``rowid`` on the yielded :class:`_Commit` to the row
-        identifier it assigned (a delete assigns none); ``payload`` is the
-        operation input the in-memory journal keeps, ``wal_fields`` what
-        the durable record carries beside ``rowid`` (the assigned
-        identifier unless the caller names one).
+        The ``with`` block applies ``operations`` under the table's write
+        gate and sets ``rowids`` on the yielded :class:`_Commit` to the row
+        identifier each assigned (a delete assigns none).  Each operation
+        is then journaled as its own record with its own sequence, in
+        order: its kind, the payload the in-memory journal keeps and the
+        fields the durable record carries beside ``rowid`` (the assigned
+        identifier unless the operation names one).
         """
         self._check_open()
         database = self._database
@@ -303,12 +310,13 @@ class Session:
         commit = _Commit()
         with database._table_gates.write(table):
             yield commit
-            result = commit.rowid
-            if durability is None:
-                database._journal_record(
-                    kind, table, payload, result, session=self.name
-                )
-            else:
+            rowids = commit.rowids or [None] * len(operations)
+            for (kind, payload, wal_fields), result in zip(operations, rowids):
+                if durability is None:
+                    database._journal_record(
+                        kind, table, payload, result, session=self.name
+                    )
+                    continue
                 # write-ahead contract: the journal append (and its group
                 # commit) completes before the gate releases, i.e. before
                 # any other operation can observe the change — the file
@@ -322,10 +330,9 @@ class Session:
                     sequence = database._journal_record(
                         kind, table, payload, result, session=self.name
                     )
-                    wal_fields.setdefault("rowid", result)
                     durability.append_record(  # reprolint: ignore[RL005] the commit point
                         WalRecord(sequence=sequence, kind=kind, table=table,
-                                  **wal_fields)
+                                  **{"rowid": result, **wal_fields})
                     )
 
     def _check_row_absorbable(
@@ -417,11 +424,11 @@ class Session:
         per-path mutation additionally holds that path's lock.
         """
         row = dict(values)
-        with self._commit_dml("insert", table, row, values=row) as commit:
-            commit.rowid = self._insert(table, row, counters)
+        with self._commit_dml(table, [("insert", row, {"values": row})]) as commit:
+            commit.rowids = [self._insert(table, row, counters)]
         with self._lock:
             self._stats.rows_inserted += 1
-        return commit.rowid
+        return commit.rowids[0]
 
     def delete_row(
         self,
@@ -434,7 +441,7 @@ class Session:
         A repeated delete is journaled like the first but changes nothing,
         so it is not counted in :meth:`stats`."""
         rowid = int(rowid)
-        with self._commit_dml("delete", table, rowid, rowid=rowid):
+        with self._commit_dml(table, [("delete", rowid, {"rowid": rowid})]):
             deleted = self._delete(table, rowid, counters)
         if deleted:
             with self._lock:
@@ -455,9 +462,9 @@ class Session:
         """
         rowid = int(rowid)
         changed = dict(values)
-        with self._commit_dml(
-            "update", table, (rowid, changed), old_rowid=rowid, values=changed
-        ) as commit:
+        with self._commit_dml(table, [(
+            "update", (rowid, changed), {"old_rowid": rowid, "values": changed}
+        )]) as commit:
             owning_table = self._database.table(table)
             if owning_table.is_deleted(rowid):
                 raise KeyError(f"row {rowid} of table {table!r} has been deleted")
@@ -482,10 +489,123 @@ class Session:
                     np.atleast_1d(np.asarray(value))
                 )
             self._delete(table, rowid, counters)
-            commit.rowid = self._insert(table, row, counters)
+            commit.rowids = [self._insert(table, row, counters)]
         with self._lock:
             self._stats.rows_updated += 1
-        return commit.rowid
+        return commit.rowids[0]
+
+    def _apply_dml_run(
+        self,
+        table: str,
+        operations: Sequence[Tuple[str, Optional[int], Optional[Mapping]]],
+    ) -> List[Optional[int]]:
+        """Apply consecutive DML operations on ``table`` as one unit under
+        its write gate; returns the rowid each assigned (None for a delete).
+
+        An operation is ``("insert", None, row)``, ``("delete", rowid,
+        None)`` or ``("update", old rowid, changed columns)``, meaning what
+        :meth:`insert_row`, :meth:`delete_row` and :meth:`update_row` mean,
+        and the state left is the one they leave applied one by one.  Every
+        row is checked first (the access paths' ``check_insertable``, the
+        columns' types, a deleted or unknown rowid), so a refused one
+        changes nothing.  Then the table takes one ``append_rows`` and one
+        ``delete_many``, each updatable access path queues the inserts and
+        deletes in operation order (a repeated delete changes nothing, as
+        in :meth:`delete_row`), every other path is rebuilt once, and each
+        operation is journaled as its own record.  Recovery replays its
+        journal tail through here.
+        """
+        database = self._database
+        journaled: List[_Journaled] = []
+        for kind, rowid, values in operations:
+            values = None if values is None else dict(values)
+            if kind == "insert":
+                journaled.append((kind, values, {"values": values}))
+            elif kind == "delete":
+                journaled.append((kind, int(rowid), {"rowid": int(rowid)}))
+            else:
+                journaled.append((kind, (int(rowid), values),
+                                  {"old_rowid": int(rowid), "values": values}))
+        with self._commit_dml(table, journaled) as commit:
+            owning_table = database.table(table)
+            first_rowid = owning_table.row_count
+            appended: List[dict] = []  # per new row: column -> 1-element array
+            queued: List[Tuple[int, Optional[dict]]] = []  # (rowid, row or None = delete)
+            deleted: set = set()
+            rowids: List[Optional[int]] = []
+            stats = {"insert": 0, "delete": 0, "update": 0}
+
+            def is_deleted(rowid: int) -> bool:
+                return rowid in deleted or owning_table.is_deleted(rowid)
+
+            for kind, payload, _ in journaled:
+                if kind == "delete":
+                    if not 0 <= payload < first_rowid + len(appended):
+                        raise KeyError(
+                            f"unknown row identifier {payload} in table {table!r}")
+                    if not is_deleted(payload):
+                        deleted.add(payload)
+                        queued.append((payload, None))
+                        stats[kind] += 1
+                    rowids.append(None)
+                    continue
+                if kind == "insert":
+                    row = payload
+                else:
+                    rowid, changed = payload
+                    if is_deleted(rowid):
+                        raise KeyError(
+                            f"row {rowid} of table {table!r} has been deleted")
+                    if not 0 <= rowid < first_rowid + len(appended):
+                        raise KeyError(
+                            f"unknown row identifier {rowid} in table {table!r}")
+                    unknown = set(changed) - set(owning_table.column_names)
+                    if unknown:
+                        raise KeyError(f"no columns {sorted(unknown)} in table {table!r}")
+                    old = (owning_table.fetch_rows([rowid]) if rowid < first_rowid
+                           else appended[rowid - first_rowid])
+                    row = {name: values_array[0] for name, values_array in old.items()}
+                    row.update(changed)
+                    deleted.add(rowid)
+                    queued.append((rowid, None))
+                self._check_row_absorbable(table, row)
+                appended.append(owning_table.validate_rows(row))
+                rowids.append(first_rowid + len(appended) - 1)
+                queued.append((rowids[-1], row))
+                stats[kind] += 1
+
+            if appended:
+                owning_table.append_rows({
+                    name: np.concatenate([row[name] for row in appended])
+                    for name in owning_table.column_names
+                })
+            if deleted:
+                owning_table.delete_many(sorted(deleted))
+            paths = database._access_paths
+            for (owner, column_name), path in list(paths.items()):
+                if owner != table or not (appended or path.supports_updates):
+                    continue
+                with database._path_locks.lock_for(("path", table, column_name)):
+                    if not path.supports_updates:
+                        paths[(table, column_name)] = database._rebuilt_path(
+                            table, column_name
+                        )
+                        path.close()
+                        continue
+                    for rowid, row in queued:
+                        if row is None:
+                            path.delete(rowid, None)
+                        else:
+                            path.insert(row[column_name], None, rowid=rowid)
+            with database._engine_stats_lock:
+                database.rows_inserted += len(appended)
+                database.rows_deleted += len(deleted)
+            commit.rowids = rowids
+        with self._lock:
+            self._stats.rows_inserted += stats["insert"]
+            self._stats.rows_deleted += stats["delete"]
+            self._stats.rows_updated += stats["update"]
+        return rowids
 
     # -- introspection -------------------------------------------------------------
 

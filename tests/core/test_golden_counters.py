@@ -48,7 +48,7 @@ GOLDEN = {
     ('updatable-cracking', None, 'ripple'):
         (129502, 20291, 24821, 4751, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
     ('updatable-cracking', None, 'gradual'):
-        (129329, 20621, 25353, 5108, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
+        (129329, 20620, 25353, 5107, 0, 209, 210, 39952, 1, 1, '30b0d8793f0d41d8'),
     ('partitioned-cracking', 1, None):
         (202215, 19665, 32756, 0, 32000, 361, 362, 32000, 0, 0, '325c99bd6a15f014'),
     ('partitioned-cracking', 4, None):
@@ -151,9 +151,10 @@ def test_stream_matches_recorded_literals(case, parallel, pooled_fan_out):
 # the online and soft tuners to build, one insert, one delete, then the same
 # number of queries again — so "a tuner keeps its statistics across an insert,
 # drops its index and rebuilds on the next qualifying query", "a full index
-# is rebuilt", "an updatable column absorbs" are pinned per query.  Beside the
-# per-operation counters every stage pins the ``physical_design_report()``
-# structure string and ``memory.breakdown()``.
+# is rebuilt", "an updatable column absorbs" are pinned per query — and last
+# one full-domain query, which merges the updatable column's queued insert
+# and delete.  Beside the per-operation counters every stage pins the
+# ``physical_design_report()`` structure string and ``memory.breakdown()``.
 
 ENGINE_ROWS = 100
 ENGINE_DOMAIN = 1_000
@@ -231,6 +232,15 @@ def run_engine_stream(label):
             stage("deleted")
             queries(session)
             stage("final")
+            # a full-domain query merges what the DML queued on an updatable
+            # column (the stages above each read 1+1 pending): one ripple
+            # merge after session DML, checked but kept out of the digest
+            result = session.execute(Query.range_query("T", "a", 0, ENGINE_DOMAIN))
+            expected = database.visible_positions(
+                "T", np.arange(ENGINE_ROWS + 1, dtype=np.int64))
+            assert np.sort(result.positions).tolist() == expected.tolist()
+            operations.append(_counter_tuple(result.counters))
+            stage("merged")
     finally:
         database.close()
     return {
@@ -249,6 +259,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (101, 0, 202, 0, 0, 0), (101, 0, 202, 0, 0, 0),
             (101, 0, 202, 0, 0, 0), (101, 0, 202, 0, 0, 0), (101, 0, 202, 0, 0, 0),
             (101, 0, 202, 0, 0, 0), (101, 0, 202, 0, 0, 0), (101, 0, 202, 0, 0, 0),
+            (101, 0, 202, 0, 0, 0),
         ],
         'stages': {
             'install': (
@@ -264,6 +275,9 @@ ENGINE_GOLDEN = {
                 '',
                 {'table:T': 1616}),
             'final': (
+                '',
+                {'table:T': 1616}),
+            'merged': (
                 '',
                 {'table:T': 1616}),
         },
@@ -277,6 +291,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (7, 0, 14, 2, 0, 0), (7, 0, 14, 2, 0, 0),
             (9, 0, 14, 2, 0, 0), (15, 0, 14, 2, 0, 0), (13, 0, 14, 2, 0, 0),
             (8, 0, 14, 2, 0, 0), (10, 0, 14, 2, 0, 0), (5, 0, 14, 2, 0, 0),
+            (101, 0, 14, 2, 0, 0),
         ],
         'stages': {
             'install': (
@@ -292,6 +307,9 @@ ENGINE_GOLDEN = {
                 'full index (1616 bytes)',
                 {'table:T': 1616, 'index:T.a': 1616}),
             'final': (
+                'full index (1616 bytes)',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
                 'full index (1616 bytes)',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
@@ -305,6 +323,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (202, 101, 874, 0, 1616, 1), (7, 0, 14, 2, 0, 0),
             (9, 0, 14, 2, 0, 0), (15, 0, 14, 2, 0, 0), (13, 0, 14, 2, 0, 0),
             (8, 0, 14, 2, 0, 0), (10, 0, 14, 2, 0, 0), (5, 0, 14, 2, 0, 0),
+            (101, 0, 14, 2, 0, 0),
         ],
         'stages': {
             'install': (
@@ -320,6 +339,9 @@ ENGINE_GOLDEN = {
                 'online tuner (0 indexes built)',
                 {'table:T': 1616}),
             'final': (
+                'online tuner (1 indexes built)',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
                 'online tuner (1 indexes built)',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
@@ -333,6 +355,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (202, 101, 874, 0, 1616, 1), (7, 0, 14, 2, 0, 0),
             (9, 0, 14, 2, 0, 0), (15, 0, 14, 2, 0, 0), (13, 0, 14, 2, 0, 0),
             (8, 0, 14, 2, 0, 0), (10, 0, 14, 2, 0, 0), (5, 0, 14, 2, 0, 0),
+            (101, 0, 14, 2, 0, 0),
         ],
         'stages': {
             'install': (
@@ -348,6 +371,9 @@ ENGINE_GOLDEN = {
                 'online tuner (0 indexes built)',
                 {'table:T': 1616}),
             'final': (
+                'online tuner (1 indexes built)',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
                 'online tuner (1 indexes built)',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
@@ -361,6 +387,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (101, 101, 874, 0, 1616, 1), (7, 0, 14, 2, 0, 0),
             (9, 0, 14, 2, 0, 0), (15, 0, 14, 2, 0, 0), (13, 0, 14, 2, 0, 0),
             (8, 0, 14, 2, 0, 0), (10, 0, 14, 2, 0, 0), (5, 0, 14, 2, 0, 0),
+            (101, 0, 14, 2, 0, 0),
         ],
         'stages': {
             'install': (
@@ -376,6 +403,9 @@ ENGINE_GOLDEN = {
                 'soft indexes (0 built)',
                 {'table:T': 1616}),
             'final': (
+                'soft indexes (1 built)',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
                 'soft indexes (1 built)',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
@@ -389,6 +419,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (101, 101, 874, 0, 1616, 1), (7, 0, 14, 2, 0, 0),
             (9, 0, 14, 2, 0, 0), (15, 0, 14, 2, 0, 0), (13, 0, 14, 2, 0, 0),
             (8, 0, 14, 2, 0, 0), (10, 0, 14, 2, 0, 0), (5, 0, 14, 2, 0, 0),
+            (101, 0, 14, 2, 0, 0),
         ],
         'stages': {
             'install': (
@@ -404,6 +435,9 @@ ENGINE_GOLDEN = {
                 'soft indexes (0 built)',
                 {'table:T': 1616}),
             'final': (
+                'soft indexes (1 built)',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
                 'soft indexes (1 built)',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
@@ -417,6 +451,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (209, 202, 203, 0, 1616, 2), (94, 87, 176, 0, 0, 2),
             (81, 72, 147, 0, 0, 2), (70, 55, 113, 0, 0, 2), (27, 14, 22, 0, 0, 2),
             (25, 17, 25, 0, 0, 2), (20, 10, 18, 0, 0, 2), (29, 24, 52, 0, 0, 2),
+            (119, 18, 28, 0, 0, 2),
         ],
         'stages': {
             'install': (
@@ -433,6 +468,9 @@ ENGINE_GOLDEN = {
                 {'table:T': 1616}),
             'final': (
                 'cracking: 17 pieces',
+                {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
+                'cracking: 19 pieces',
                 {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
@@ -445,6 +483,7 @@ ENGINE_GOLDEN = {
             (0, 1, 0, 0, 0, 0), (310, 202, 406, 0, 1616, 4), (94, 87, 178, 0, 0, 4),
             (81, 72, 150, 0, 0, 4), (70, 55, 116, 0, 0, 4), (27, 14, 30, 0, 0, 4),
             (25, 17, 33, 0, 0, 4), (20, 10, 26, 0, 0, 4), (29, 24, 56, 0, 0, 4),
+            (119, 18, 38, 0, 0, 4),
         ],
         'stages': {
             'install': (
@@ -462,6 +501,9 @@ ENGINE_GOLDEN = {
             'final': (
                 'partitioned cracking: 2 partitions (2 touched), 34 pieces',
                 {'table:T': 1616, 'index:T.a': 1616}),
+            'merged': (
+                'partitioned cracking: 2 partitions (2 touched), 38 pieces',
+                {'table:T': 1616, 'index:T.a': 1616}),
         },
         'answers': 'cb4529db5a25dab6',
     },
@@ -473,6 +515,7 @@ ENGINE_GOLDEN = {
             (0, 2, 0, 0, 0, 0), (45, 38, 83, 0, 0, 2), (31, 24, 55, 0, 0, 2),
             (25, 16, 28, 0, 0, 2), (31, 16, 28, 0, 0, 2), (27, 14, 26, 0, 0, 2),
             (23, 15, 27, 0, 0, 2), (20, 10, 22, 0, 0, 2), (14, 9, 22, 0, 0, 2),
+            (119, 24, 24, 14, 0, 2),
         ],
         'stages': {
             'install': (
@@ -490,6 +533,9 @@ ENGINE_GOLDEN = {
             'final': (
                 'cracking: 33 pieces, 1+1 pending (ripple)',
                 {'table:T': 1616, 'index:T.a': 1648}),
+            'merged': (
+                'cracking: 35 pieces, 0+0 pending (ripple)',
+                {'table:T': 1616, 'index:T.a': 1936}),
         },
         'answers': 'cb4529db5a25dab6',
     },

@@ -291,6 +291,21 @@ class TestGradualBudget:
             column.search(0, 100)
         assert column.pending_deletes == 0
 
+    @pytest.mark.parametrize("merge_batch", [1, 2])
+    def test_deletes_drain_at_a_budget_of_one(self, rng, merge_batch):
+        # at a budget of one a batch that always led with an insert never
+        # merged a delete while an insert qualified: the leading kind
+        # alternates, so 20 deletes drain within 40 such queries
+        base = rng.integers(0, 100, size=400).astype(np.int64)
+        column = UpdatableCrackedColumn(base, policy="gradual", merge_batch=merge_batch)
+        for victim in range(20):
+            column.delete(victim)
+        for _ in range(40):
+            for _ in range(6):
+                column.insert(int(rng.integers(0, 100)))
+            column.search(0, 100)
+        assert column.pending_deletes == 0
+
 
 class TestRippleCost:
     def test_merge_cost_proportional_to_pieces_not_column(self):

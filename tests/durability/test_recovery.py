@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.durability.manager import DurabilityConfig, has_durable_state
+from repro.durability.record import WalRecord
 from repro.durability.recovery import RecoveryError
 from repro.durability.wal import SEGMENT_HEADER
 from repro.durability.faults import FaultInjector
@@ -404,6 +405,49 @@ class TestOpenRecover:
     def test_open_without_state_is_a_recovery_error(self, tmp_path):
         with pytest.raises(RecoveryError):
             Database.open(tmp_path / "nothing-here")
+
+
+class TestReplayInRuns:
+    @pytest.mark.parametrize("snapshot", [True, False], ids=["snapshot", "journal-only"])
+    def test_the_tail_fills_the_room_the_open_sized_for_it(self, tmp_path, snapshot):
+        database = make_database(tmp_path)
+        if snapshot:
+            database.snapshot()
+        run_dml(database)
+        rows = database.table("facts").row_count
+        database.close()
+        recovered = Database.open(tmp_path)
+        assert recovered.table("facts").row_count == rows > ROWS
+        for column in recovered.table("facts").columns.values():
+            assert column.capacity == rows  # no regrowth, no slack
+        recovered.close()
+
+    @pytest.mark.parametrize("kind", ["insert", "update"])
+    def test_a_diverging_rowid_names_the_first_sequence_that_diverged(self, tmp_path, kind):
+        database = make_database(tmp_path)
+        with database.session() as session:
+            session.insert_row("facts", {"key": 1, "payload": 0.5})  # rowid ROWS
+        first = database._op_sequence
+        manager = database.durability
+        # one run: a good insert, the diverging record, another diverging one
+        manager.append_record(WalRecord(first, "insert", "facts", rowid=ROWS + 1,
+                                        values={"key": 2, "payload": 0.5}))
+        if kind == "insert":
+            manager.append_record(WalRecord(first + 1, "insert", "facts", rowid=ROWS + 9,
+                                            values={"key": 3, "payload": 0.5}))
+            expected = (f"replay diverged at sequence {first + 1}: insert into 'facts' "
+                        f"landed on rowid {ROWS + 2}, journal recorded {ROWS + 9}")
+        else:
+            manager.append_record(WalRecord(first + 1, "update", "facts", rowid=ROWS + 9,
+                                            old_rowid=0, values={"key": 3}))
+            expected = (f"replay diverged at sequence {first + 1}: update of 'facts' "
+                        f"rowid 0 landed on rowid {ROWS + 2}, journal recorded {ROWS + 9}")
+        manager.append_record(WalRecord(first + 2, "insert", "facts", rowid=0,
+                                        values={"key": 4, "payload": 0.5}))
+        database.close()
+        with pytest.raises(RecoveryError) as raised:
+            Database.open(tmp_path)
+        assert str(raised.value) == expected
 
 
 class TestCorruption:
