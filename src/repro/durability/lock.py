@@ -23,7 +23,7 @@ import os
 import threading
 import weakref
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 try:
     import fcntl
@@ -31,18 +31,21 @@ except ImportError:  # pragma: no cover - not a POSIX host
     fcntl = None
 
 LOCK_NAME = "LOCK"
+#: characters of the pid stamp, padded with spaces (a pid has at most 7)
+_STAMP_WIDTH = 20
 
 
 class DataDirectoryLocked(RuntimeError):
     """Another process holds the data directory."""
 
 
-#: lock path -> [file descriptor, holders in this process]
-_HELD: Dict[str, List[int]] = {}
+#: (device, inode) of a data directory -> [file descriptor, holders in
+#: this process]; a directory removed and made again is a new one
+_HELD: Dict[Tuple[int, int], List[int]] = {}
 _HELD_MUTEX = threading.Lock()
 
 
-def _release(key: str) -> None:
+def _release(key: Tuple[int, int]) -> None:
     with _HELD_MUTEX:
         held = _HELD.get(key)
         if held is None:
@@ -58,10 +61,10 @@ class DirectoryLock:
     :meth:`release` is idempotent, and collection releases too."""
 
     def __init__(self, data_dir: Path) -> None:
+        """``data_dir`` must exist."""
+        directory = os.stat(data_dir)
+        key = (directory.st_dev, directory.st_ino)
         path = Path(data_dir) / LOCK_NAME
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self.path = path
-        key = os.path.realpath(path)
         with _HELD_MUTEX:
             held = _HELD.get(key)
             if held is None and fcntl is not None:
@@ -91,7 +94,11 @@ def _take(path: Path) -> int:
     except BaseException:
         os.close(fd)
         raise
-    # the previous owner's stamp (a process that died holding it) is replaced
-    os.ftruncate(fd, 0)
-    os.pwrite(fd, f"{os.getpid()}\n".encode("ascii"), 0)
+    # the previous owner's stamp (a process that died holding it) is
+    # overwritten in place — every stamp has one width, so nothing is
+    # truncated — and a reopen in the same process writes nothing: a
+    # truncate or a write costs a filesystem round trip on every open
+    stamp = f"{os.getpid():<{_STAMP_WIDTH}}\n".encode("ascii")
+    if os.pread(fd, len(stamp), 0) != stamp:
+        os.pwrite(fd, stamp, 0)
     return fd

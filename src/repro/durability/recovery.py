@@ -37,6 +37,7 @@ the damaged file and byte — never a silently wrong database.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -240,16 +241,16 @@ def _replay_records(
     tail = [record for record in records if record.sequence > high_water]
     growth = _tail_growth(tail, high_water)
     counts = report.replayed_operations
+    # consecutive DML records on one table share a key; a schema record's
+    # key is its own sequence
+    runs = itertools.groupby(tail, key=lambda record: (
+        record.table if record.kind in _DML_KINDS else record.sequence))
     with database.session(name="recovery") as session:
-        start = 0
-        while start < len(tail):
-            record = tail[start]
-            end = start + 1
+        for _, run in runs:
+            run = list(run)
+            record = run[0]
             if record.kind in _DML_KINDS:
-                while (end < len(tail) and tail[end].kind in _DML_KINDS
-                       and tail[end].table == record.table):
-                    end += 1
-                _replay_run(session, tail[start:end])
+                _replay_run(session, run)
             elif record.kind == "create_table":
                 database.create_table(
                     record.table,
@@ -260,9 +261,8 @@ def _replay_records(
             else:  # set_indexing (WalRecord rejects unknown kinds on decode)
                 mode, options = _current_mode(record.mode, record.options)
                 database.set_indexing(record.table, record.column, mode, **options)
-            for replayed in tail[start:end]:
+            for replayed in run:
                 counts[replayed.kind] = counts.get(replayed.kind, 0) + 1
-            start = end
     return tail[-1].sequence if tail else high_water
 
 
