@@ -306,6 +306,9 @@ class TestStreamDecoder:
                 for name, column in tables["facts"].items():
                     assert np.array_equal(
                         recovered.table("facts")[name].values, column.values), case
+                    # the older snapshot was read with room for its own tail
+                    reopened = recovered.table("facts")[name]
+                    assert reopened.capacity == len(reopened), case
                 assert np.array_equal(recovered.table("facts").tombstones, tombstones)
             finally:
                 recovered.close()
