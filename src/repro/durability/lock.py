@@ -13,6 +13,10 @@ abandoned one, as a restarted process would).  The process keeps the
 collected — releases it.  A holder that died without closing (``kill -9``)
 leaves its stamp behind but not its ``flock``, which the kernel drops with
 the process: the next opener takes the lock over and rewrites the stamp.
+The process's hold is found by the directory's device and inode, and it is
+trusted only while its descriptor is still the file ``data_dir/LOCK``
+names and this process took it: a directory made where an abandoned one
+was removed, or a forked child, takes the lock afresh.
 
 Where ``fcntl`` does not exist, nothing is locked.
 """
@@ -23,7 +27,7 @@ import os
 import threading
 import weakref
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 try:
     import fcntl
@@ -39,21 +43,45 @@ class DataDirectoryLocked(RuntimeError):
     """Another process holds the data directory."""
 
 
-#: (device, inode) of a data directory -> [file descriptor, holders in
-#: this process]; a directory removed and made again is a new one
-_HELD: Dict[Tuple[int, int], List[int]] = {}
+class _Hold:
+    """This process's ``flock``-ed descriptor of one LOCK file, and how
+    many holders share it."""
+
+    __slots__ = ("fd", "holders", "pid")
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.holders = 0
+        self.pid = os.getpid()
+
+    def covers(self, path: Path) -> bool:
+        """Whether this hold is this process's, on the file ``path`` names
+        now.  A registry entry outlives its directory while an abandoned
+        holder lives, and a directory made later may reuse the inode it is
+        keyed by; a forked child inherits the registry but not the lock."""
+        if self.pid != os.getpid():
+            return False
+        try:
+            named = os.stat(path)
+        except FileNotFoundError:
+            return False
+        held = os.fstat(self.fd)
+        return (held.st_dev, held.st_ino) == (named.st_dev, named.st_ino)
+
+
+#: (device, inode) of a data directory -> this process's hold on it
+_HELD: Dict[Tuple[int, int], _Hold] = {}
 _HELD_MUTEX = threading.Lock()
 
 
-def _release(key: Tuple[int, int]) -> None:
+def _release(key: Tuple[int, int], hold: _Hold) -> None:
     with _HELD_MUTEX:
-        held = _HELD.get(key)
-        if held is None:
+        hold.holders -= 1
+        if hold.holders:
             return
-        held[1] -= 1
-        if held[1] == 0:
+        if _HELD.get(key) is hold:
             del _HELD[key]
-            os.close(held[0])  # closing the descriptor drops the flock
+        os.close(hold.fd)  # closing the descriptor drops the flock
 
 
 class DirectoryLock:
@@ -65,14 +93,16 @@ class DirectoryLock:
         directory = os.stat(data_dir)
         key = (directory.st_dev, directory.st_ino)
         path = Path(data_dir) / LOCK_NAME
+        if fcntl is None:
+            self._release = lambda: None
+            return
         with _HELD_MUTEX:
-            held = _HELD.get(key)
-            if held is None and fcntl is not None:
-                held = [_take(path), 0]
-                _HELD[key] = held
-            if held is not None:
-                held[1] += 1
-        self._release = weakref.finalize(self, _release, key)
+            hold = _HELD.get(key)
+            if hold is None or not hold.covers(path):
+                # a stale entry stays with its own holders, which close it
+                hold = _HELD[key] = _Hold(_take(path))
+            hold.holders += 1
+        self._release = weakref.finalize(self, _release, key, hold)
 
     def release(self) -> None:
         self._release()

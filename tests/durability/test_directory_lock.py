@@ -4,10 +4,12 @@ The oracle runs real processes: a second process's open is refused while
 the first holds the directory, and admitted once the first is gone — after
 ``close`` or after a ``kill -9``, whose stamp the next opener takes over.
 Inside one process a second open is admitted, which is how the fault suite
-simulates a crash and a restart.
+simulates a crash and a restart; a directory that only shares a held one's
+inode, and a forked child, are not admitted that way.
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.durability import lock
 from repro.durability.lock import LOCK_NAME, DataDirectoryLocked, DirectoryLock
 from repro.engine.database import Database
 
@@ -122,3 +125,35 @@ def test_a_refused_open_leaves_this_process_holding_nothing(tmp_path):
     lock.release()
     lock.release()  # idempotent
     assert open_elsewhere(tmp_path / "db")[0] == 0
+
+
+def test_a_new_directory_on_a_held_ones_inode_is_locked_afresh(tmp_path):
+    abandoned = durable(tmp_path / "old")  # never closed, still alive
+    old = os.stat(tmp_path / "old")
+    shutil.rmtree(tmp_path / "old")
+    (tmp_path / "db").mkdir()
+    new = os.stat(tmp_path / "db")
+    # the filesystem may hand the freed inode to the new directory; make it
+    # do so, by re-keying the abandoned holder's registry entry
+    lock._HELD[(new.st_dev, new.st_ino)] = lock._HELD.pop((old.st_dev, old.st_ino))
+    database = durable(tmp_path / "db")
+    code, output = open_elsewhere(tmp_path / "db")
+    assert code == 3 and f"in use by process {os.getpid()}" in output
+    database.close()
+    assert open_elsewhere(tmp_path / "db")[0] == 0
+    abandoned.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_is_another_process(tmp_path):
+    database = durable(tmp_path / "db")
+    child = os.fork()
+    if child == 0:  # pragma: no cover - runs in the child
+        try:
+            DirectoryLock(tmp_path / "db")
+        except DataDirectoryLocked:
+            os._exit(3)
+        os._exit(0)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 3
+    database.close()

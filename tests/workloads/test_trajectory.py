@@ -8,6 +8,7 @@ with a recorded entry and the A/B verdict are checked without a 1M-row run.
 
 import copy
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -169,3 +170,14 @@ def test_a_gain_inside_the_spread_or_on_too_few_pairs_is_no_gain(reports):
     head = [faster(r, 0.5 if i < 8 else 1.5) for i, r in enumerate(base)]
     row = trajectory.compare_pairs(base, head, metric, "adjusted")
     assert row["wins"] == 8 and not row["gain"]
+
+
+@pytest.mark.skipif(not (trajectory.REPO_ROOT / ".git").exists() or not shutil.which("git"),
+                    reason="needs the git checkout")
+def test_ab_runs_this_side_from_a_plain_copy(tmp_path):
+    copy = trajectory.export_checkout(tmp_path / "this")
+    assert not (copy / ".git").exists()
+    for name in ("benchmarks/trajectory.py", "BENCHMARK.json",
+                 "src/repro/durability/recovery.py"):
+        assert (copy / name).read_bytes() == (trajectory.REPO_ROOT / name).read_bytes()
+    assert not list(copy.rglob("__pycache__"))
