@@ -149,11 +149,14 @@ def test_a_forked_child_is_another_process(tmp_path):
     database = durable(tmp_path / "db")
     child = os.fork()
     if child == 0:  # pragma: no cover - runs in the child
+        code = 1  # anything else raised: never return into the test runner
         try:
             DirectoryLock(tmp_path / "db")
+            code = 0
         except DataDirectoryLocked:
-            os._exit(3)
-        os._exit(0)
+            code = 3
+        finally:
+            os._exit(code)
     _, status = os.waitpid(child, 0)
     assert os.waitstatus_to_exitcode(status) == 3
     database.close()
