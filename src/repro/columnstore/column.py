@@ -59,7 +59,7 @@ class Column:
               length: Optional[int] = None) -> "Column":
         """A column around ``values`` itself, with no copy: the caller hands
         over an array nothing else writes, such as one a snapshot section
-        or a journal record was just read into.  It must already be a
+        or a journal record's payload was just copied into.  It must be a
         writable, contiguous one-dimensional array of ``dtype``.  The
         column holds its first ``length`` elements (all of them by
         default); the rest is room its appends fill before it grows."""

@@ -23,7 +23,6 @@ def aggregate(
     counters: Optional[CostCounters] = None,
 ) -> float:
     """Aggregate an array with one of sum/min/max/mean/count."""
-    values = np.asarray(values)
     if counters is not None:
         counters.record_scan(len(values))
     if function == "count":

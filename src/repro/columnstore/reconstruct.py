@@ -31,10 +31,18 @@ def late_reconstruct(
     expensive when positions are scattered over a large column.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    result: Dict[str, np.ndarray] = {}
-    for name in column_names:
-        column = table.column(name)
-        if counters is not None:
-            counters.record_random_access(len(positions))
-        result[name] = column.values[positions]
-    return result
+    return {name: fetch_column(table, positions, name, counters)
+            for name in column_names}
+
+
+def fetch_column(
+    table: Table,
+    positions: np.ndarray,
+    name: str,
+    counters: Optional[CostCounters] = None,
+) -> np.ndarray:
+    """One column of :func:`late_reconstruct`: ``name``'s values at the
+    int64 ``positions``, charged as that many random accesses."""
+    if counters is not None:
+        counters.record_random_access(len(positions))
+    return table.column(name).values[positions]

@@ -348,12 +348,6 @@ class CrackedColumn(SearchStrategy):
                 start, width = end, 2 * width
         return False
 
-    def _count_query(self) -> None:
-        """Thread-safely note one processed query (converged columns are
-        served by concurrent readers; a bare ``+= 1`` could lose counts)."""
-        with self._stats_lock:
-            self.queries_processed += 1
-
     def _sorted_range(
         self,
         low: Optional[float],
@@ -746,7 +740,8 @@ class CrackedColumn(SearchStrategy):
         under the gradual policy): indices of qualifying pending inserts
         and rowids of qualifying pending deletes.
         """
-        self._count_query()
+        with self._stats_lock:  # converged columns serve concurrent readers
+            self.queries_processed += 1
         pending = bool(self._pending_insert_values or self._delete_queue_rowids)
         if not self.materialised:
             if not pending and (low is not None or high is not None):
@@ -805,7 +800,6 @@ class CrackedColumn(SearchStrategy):
         would ask it: a merge that drains the pending queues mid-batch
         lets the column latch at the same range as in k searches.
         """
-        ranges = list(ranges)
         check_ranges(ranges)
         bounds = (self.locate_batch(ranges)
                   if not self.converged and len(ranges) > 1 and self.batchable else None)
@@ -813,18 +807,13 @@ class CrackedColumn(SearchStrategy):
             answers, charged = self.crack_batch(bounds)
             charge_batch(counters_list, charged)
             return answers
-        # each selection may rebind the arrays its gather reads
-        return [self._gather(self._select(low, high, counters), counters)
-                for (low, high), counters in self._in_turn(ranges, counters_list)]
-
-    def _in_turn(self, ranges, counters_list):
-        """``zip(ranges, counters_list)`` for a range-by-range batch, asking
-        :attr:`converged` (for its latch) before every range but the first,
-        which :meth:`search_many` asked already."""
-        for position, item in enumerate(zip(ranges, counters_list)):
-            if position:
-                self.converged
-            yield item
+        answers = []
+        for (low, high), counters in zip(ranges, counters_list):
+            if answers:
+                self.converged  # for its latch, as the next search would
+            # each selection may rebind the arrays its gather reads
+            answers.append(self._gather(self._select(low, high, counters), counters))
+        return answers
 
     @property
     def batchable(self) -> bool:

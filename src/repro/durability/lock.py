@@ -18,6 +18,11 @@ trusted only while its descriptor is still the file ``data_dir/LOCK``
 names and this process took it: a directory made where an abandoned one
 was removed, or a forked child, takes the lock afresh.
 
+A collection can run a holder's release on any allocation, including one
+made while this thread holds the registry's mutex; such a release is queued
+and done by whichever thread holds the mutex as it leaves, so it never waits
+for a mutex its own thread holds.
+
 Where ``fcntl`` does not exist, nothing is locked.
 """
 
@@ -27,7 +32,7 @@ import os
 import threading
 import weakref
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 try:
     import fcntl
@@ -72,16 +77,34 @@ class _Hold:
 #: (device, inode) of a data directory -> this process's hold on it
 _HELD: Dict[Tuple[int, int], _Hold] = {}
 _HELD_MUTEX = threading.Lock()
+#: released holders not yet dropped: a release queues here and drops only
+#: when it takes the mutex without waiting (a collection may run it on a
+#: thread that holds the mutex already)
+_RELEASED: List[Tuple[Tuple[int, int], _Hold]] = []
 
 
 def _release(key: Tuple[int, int], hold: _Hold) -> None:
-    with _HELD_MUTEX:
-        hold.holders -= 1
-        if hold.holders:
-            return
-        if _HELD.get(key) is hold:
-            del _HELD[key]
-        os.close(hold.fd)  # closing the descriptor drops the flock
+    _RELEASED.append((key, hold))
+    _drain()
+
+
+def _drain(wait: bool = False) -> None:
+    """Drop every queued release, unless another thread holds the mutex —
+    it drains on its way out.  ``wait`` takes the mutex once even so: a
+    drop another thread took over is done when that returns."""
+    while (_RELEASED or wait) and _HELD_MUTEX.acquire(wait):
+        wait = False
+        try:
+            while _RELEASED:
+                key, hold = _RELEASED.pop()
+                hold.holders -= 1
+                if hold.holders:
+                    continue
+                if _HELD.get(key) is hold:
+                    del _HELD[key]
+                os.close(hold.fd)  # closing the descriptor drops the flock
+        finally:
+            _HELD_MUTEX.release()
 
 
 class DirectoryLock:
@@ -96,16 +119,22 @@ class DirectoryLock:
         if fcntl is None:
             self._release = lambda: None
             return
-        with _HELD_MUTEX:
-            hold = _HELD.get(key)
-            if hold is None or not hold.covers(path):
-                # a stale entry stays with its own holders, which close it
-                hold = _HELD[key] = _Hold(_take(path))
-            hold.holders += 1
+        try:
+            with _HELD_MUTEX:
+                hold = _HELD.get(key)
+                if hold is None or not hold.covers(path):
+                    # a stale entry stays with its own holders, which close it
+                    hold = _HELD[key] = _Hold(_take(path))
+                hold.holders += 1
+        finally:
+            _drain()  # what a collection released meanwhile
         self._release = weakref.finalize(self, _release, key, hold)
 
     def release(self) -> None:
+        """Release this holder; the last one's ``flock`` is dropped when
+        this returns."""
         self._release()
+        _drain(wait=True)
 
 
 def _take(path: Path) -> int:

@@ -268,12 +268,11 @@ def decode_record(payload: bytes) -> WalRecord:
                         f"{itemsize}-byte {dtype.name} need "
                         f"{rows * itemsize} bytes, section holds {nbytes}"
                     )
-                # the one copy: recovery adopts this owned array as the
-                # column itself
-                values = np.frombuffer(
+                # a read-only view of the payload, no copy: recovery makes
+                # the one copy, into the column sized for the journal tail
+                dumps.append(ColumnDump(name, dtype, np.frombuffer(
                     payload, dtype=dtype.numpy_dtype, count=rows, offset=offset
-                )
-                dumps.append(ColumnDump(name, dtype, values.copy()))
+                )))
                 offset = end
             return WalRecord(sequence, kind, table, columns=tuple(dumps))
         if kind == "drop_table":

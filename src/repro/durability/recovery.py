@@ -161,16 +161,15 @@ def _choose_snapshot(
 
 
 def _journal_columns(dumps, spare: int) -> Dict[str, Column]:
-    """Columns around a ``create_table`` record's arrays, copied into ones
-    with ``spare`` rows of room when the journal tail appends to them."""
+    """Columns of a ``create_table`` record: each copied once, out of the
+    record's payload, into an array with ``spare`` rows of room for what
+    the journal tail appends."""
     columns = {}
     for dump in dumps:
-        values = dump.values
-        if spare:
-            values = dump.dtype.empty(len(dump.values) + spare)
-            values[: len(dump.values)] = dump.values
-        columns[dump.name] = Column.adopt(
-            values, dump.name, dump.dtype, length=len(dump.values))
+        rows = len(dump.values)
+        values = dump.dtype.empty(rows + spare)
+        values[:rows] = dump.values
+        columns[dump.name] = Column.adopt(values, dump.name, dump.dtype, length=rows)
     return columns
 
 

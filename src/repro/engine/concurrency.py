@@ -364,9 +364,6 @@ class _Held:
 
     __slots__ = ("_held",)
 
-    def __init__(self) -> None:
-        self._held: List = []
-
     def __exit__(self, *exc) -> None:
         held = self._held
         while held:
@@ -381,7 +378,7 @@ class _HeldPathLocks(_Held):
     __slots__ = ("_lock_for", "_keys", "_database")
 
     def __init__(self, manager, keys: List[PathKey], database=None) -> None:
-        super().__init__()
+        self._held: List = []
         self._lock_for = manager.lock_for
         self._keys = keys
         self._database = database
@@ -426,6 +423,9 @@ class AccessPathLockManager:
         handles share the underlying lock and interoperate freely.
         """
         witness_active = _WITNESS is not None
+        lock = self._locks.get(key)  # a key, once in, stays (no guard to read)
+        if lock is not None and not witness_active:
+            return lock
         with self._registry_guard:
             lock = self._locks.get(key)
             if lock is None:
@@ -458,10 +458,10 @@ class AccessPathLockManager:
 
 
 @guarded_by(
-    _active_readers="_condition",
-    _writer_active="_condition",
-    _waiting_writers="_condition",
-    fenced_writes="_condition",
+    _active_readers="_mutex",
+    _writer_active="_mutex",
+    _waiting_writers="_mutex",
+    fenced_writes="_mutex",
 )
 class TableGate:
     """A fair readers-writer gate fencing DML against in-flight queries.
@@ -483,7 +483,10 @@ class TableGate:
     """
 
     def __init__(self, name: Optional[str] = None) -> None:
-        self._condition = threading.Condition()
+        # a plain lock under the condition: entered directly, it is one C
+        # call each way (the condition's own ``with`` is a Python frame)
+        self._mutex = threading.Lock()
+        self._condition = threading.Condition(self._mutex)
         self._active_readers = 0
         self._writer_active = False
         self._waiting_writers = 0
@@ -494,7 +497,7 @@ class TableGate:
         self.fenced_writes = 0
 
     def acquire_read(self) -> None:
-        with self._condition:
+        with self._mutex:
             while self._writer_active or self._waiting_writers:
                 self._condition.wait()
             self._active_readers += 1
@@ -513,7 +516,7 @@ class TableGate:
         witness = _WITNESS
         if witness is not None:
             witness.released(self._witness_name)
-        with self._condition:
+        with self._mutex:
             self._active_readers -= 1
             # only a writer can be waiting for the last reader to leave (a
             # reader waits for writers only)
@@ -521,7 +524,7 @@ class TableGate:
                 self._condition.notify_all()
 
     def acquire_write(self) -> None:
-        with self._condition:
+        with self._mutex:
             if self._writer_active or self._active_readers:
                 self.fenced_writes += 1
             self._waiting_writers += 1
@@ -543,7 +546,7 @@ class TableGate:
         witness = _WITNESS
         if witness is not None:
             witness.released(self._witness_name)
-        with self._condition:
+        with self._mutex:
             self._writer_active = False
             self._condition.notify_all()
 
@@ -558,7 +561,7 @@ class TableGate:
     @property
     def pending_writers(self) -> int:
         """DML operations currently queued on the gate."""
-        with self._condition:
+        with self._mutex:
             return self._waiting_writers
 
 
@@ -577,6 +580,9 @@ class TableGateRegistry:
         self._registry_guard = threading.Lock()
 
     def gate(self, table: str) -> TableGate:
+        gate = self._gates.get(table)  # a gate, once in, stays (no guard to read)
+        if gate is not None:
+            return gate
         with self._registry_guard:
             gate = self._gates.get(table)
             if gate is None:
@@ -585,8 +591,7 @@ class TableGateRegistry:
 
     def read(self, tables: Sequence[str]) -> "_HeldGates":
         """Hold the gates of ``tables`` shared (sorted, deadlock-free)."""
-        return _HeldGates([self.gate(name) for name in sorted(set(tables))],
-                          exclusive=False)
+        return _HeldGates(list(map(self.gate, sorted(set(tables)))), exclusive=False)
 
     def write(self, table: str) -> "_HeldGates":
         """Hold one table's gate exclusive (the DML side)."""
@@ -611,7 +616,7 @@ class _HeldGates(_Held):
     __slots__ = ("_gates", "_exclusive")
 
     def __init__(self, gates: Sequence[TableGate], exclusive: bool) -> None:
-        super().__init__()
+        self._held: List = []
         self._gates = gates
         self._exclusive = exclusive
 

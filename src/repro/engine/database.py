@@ -472,10 +472,10 @@ class Database:
         the ``answer`` the path already gave for it (a batch pass) through
         the same tombstone filter."""
         path = self._access_paths.get((table, column))
+        owner = self.table(table)
         if path is None:
             positions = scan_select(
-                self.table(table).column(column), RangePredicate(low, high),
-                counters,
+                owner.column(column), RangePredicate(low, high), counters,
             )
         else:
             positions = path.search(low, high, counters) if answer is None else answer
@@ -483,7 +483,7 @@ class Database:
                 # updatable strategies receive every DML delete themselves,
                 # so their answers already exclude tombstoned rows
                 return positions
-        return self.visible_positions(table, positions)
+        return owner.visible_positions(positions)
 
     # -- query planning -------------------------------------------------------------------
 

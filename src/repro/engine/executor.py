@@ -14,7 +14,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.columnstore.operators import aggregate as aggregate_values
-from repro.columnstore.reconstruct import late_reconstruct
+from repro.columnstore.reconstruct import fetch_column, late_reconstruct
 from repro.columnstore.select import RangePredicate, refine_select
 from repro.cost.counters import CostCounters
 from repro.engine.planner import Plan
@@ -55,82 +55,66 @@ class Executor:
         as a search made here.
         """
         counters = counters if counters is not None else CostCounters()
-        table = self.database.table(plan.query.table)
-        positions: Optional[np.ndarray] = None
+        query = plan.query
+        table = self.database.table(query.table)
         columns: Dict[str, np.ndarray] = {}
         aggregates: Dict[str, float] = {}
-        for step in plan.steps:
-            if step.operator in ("scan_select", "index_select"):
-                if not step.columns:
-                    # one dispatch: a column without an access path is scanned
-                    positions = self.database.index_select(
-                        plan.query.table, step.column, step.low, step.high,
-                        counters, selection,
-                    )
+        # the leading selection, the one step that selects, runs first
+        leading = plan.access_path_steps()
+        step = leading[0] if leading else None
+        if step is None:
+            # no selection: all rows qualify
+            positions = _all_positions(table, counters)
+        elif not step.columns:
+            # one dispatch: a column without an access path is scanned
+            positions = self.database.index_select(
+                query.table, step.column, step.low, step.high, counters, selection,
+            )
+        else:
+            # the path covers the projection: it refines on the other
+            # predicates itself and hands back, aligned with the positions,
+            # every attribute the query projects or aggregates
+            path = self.database.access_path(query.table, step.column)
+            positions, columns = path.select_project(
+                step.low, step.high,
+                {name: (low, high) for name, low, high in step.refinements},
+                list(dict.fromkeys([*query.projections,
+                                    *(a.column for a in query.aggregates)])),
+                counters,
+            )
+            # the aligned columns lose their tombstoned rows with the
+            # positions (a no-op for a path that absorbed the deletes)
+            positions = table.visible_positions(positions, columns)
+        for step in plan.steps[len(leading):]:
+            operator = step.operator
+            if operator == "aggregate":
+                values = columns.get(step.column)
+                if values is None:
+                    values = fetch_column(table, positions, step.column, counters)
+                key = f"{step.function}({step.column})"
+                if step.function != "count" and len(values) == 0:
+                    aggregates[key] = float("nan")
                 else:
-                    # the path covers the projection: it refines on the other
-                    # predicates itself and hands back, aligned with the
-                    # positions, every attribute the query projects or aggregates
-                    query = plan.query
-                    refinements = {s.column: s.bounds for s in query.selections}
-                    del refinements[step.column]
-                    projections = list(dict.fromkeys(
-                        [*query.projections, *(a.column for a in query.aggregates)]
-                    ))
-                    path = self.database.access_path(query.table, step.column)
-                    positions, columns = path.select_project(
-                        step.low, step.high, refinements, projections, counters
-                    )
-                    # the aligned columns lose their tombstoned rows with the
-                    # positions (a no-op for a path that absorbed the deletes)
-                    positions = table.visible_positions(positions, columns)
-            elif step.operator == "refine":
-                if positions is None:
-                    raise RuntimeError("refine step executed before any selection")
+                    aggregates[key] = aggregate_values(values, step.function, counters)
+            elif operator == "refine":
                 positions = refine_select(
                     table.column(step.column),
                     positions,
                     RangePredicate(step.low, step.high),
                     counters,
                 )
-            elif step.operator == "reconstruct":
-                if positions is None:
-                    # projection without any selection: all rows qualify
-                    positions = _all_positions(table, counters)
+            elif operator == "reconstruct":
                 needed = [name for name in step.columns if name not in columns]
-                fetched = late_reconstruct(table, positions, needed, counters)
-                columns.update(fetched)
-            elif step.operator == "aggregate":
-                if positions is None:
-                    # aggregation without any selection: all rows qualify
-                    positions = _all_positions(table, counters)
-                if step.column in columns:
-                    values = columns[step.column]
-                else:
-                    values = late_reconstruct(
-                        table, positions, [step.column], counters
-                    )[step.column]
-                key = f"{step.function}({step.column})"
-                if step.function != "count" and len(values) == 0:
-                    aggregates[key] = float("nan")
-                else:
-                    aggregates[key] = aggregate_values(values, step.function, counters)
+                columns.update(late_reconstruct(table, positions, needed, counters))
             else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown plan operator {step.operator!r}")
+                raise ValueError(f"unknown plan operator {operator!r}")
 
-        if positions is None:
-            positions = _all_positions(table, counters)
         if columns:
             # keep only the requested projections in the result columns
-            requested = plan.query.projections
+            requested = query.projections
             columns = {name: values for name, values in columns.items()
                        if name in requested}
-        return QueryResult(
-            positions=positions,
-            columns=columns,
-            aggregates=aggregates,
-            counters=counters,
-        )
+        return QueryResult(positions, columns, aggregates, counters)
 
 
 def _all_positions(table, counters: CostCounters) -> np.ndarray:

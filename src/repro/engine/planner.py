@@ -17,7 +17,8 @@ aggregation) behind it; a leading path that declares ``covers_projection``
 takes the refinement and the reconstruction into its own step.  The
 produced plan is a linear list of steps; the executor interprets them.
 The planner is also where bounds become keys of their column's type
-(:func:`~repro.columnstore.types.exact_bounds`, once per selection).
+(:func:`~repro.columnstore.types.exact_bounds`, once per selection): the
+steps carry them, and the plan keeps the caller's query as it is.
 """
 
 from __future__ import annotations
@@ -26,12 +27,16 @@ from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
 from repro.columnstore.types import exact_bounds
-from repro.engine.query import Query, RangeSelection
+from repro.engine.query import Query
+
+#: the operators of a plan's leading selection step
+_SELECTS = ("scan_select", "index_select")
 
 
 class PlanStep(NamedTuple):
     """One step of a physical plan (a named tuple: immutable, and cheap to
-    build for every query)."""
+    build for every query — cheapest with positional fields, as the
+    planner builds the steps every query has)."""
 
     operator: str  # index_select | scan_select | refine | reconstruct |
     #               aggregate
@@ -39,24 +44,29 @@ class PlanStep(NamedTuple):
     column: str = ""
     low: Optional[float] = None
     high: Optional[float] = None
+    access_path: str = ""  # strategy / mode handling an index_select
     #: the attributes a ``reconstruct`` fetches — or, on a leading
     #: ``index_select``, the other attributes the query touches, all of
     #: which the step's path (it covers the projection) answers itself
     columns: tuple = ()
+    #: on a leading ``index_select`` that covers the projection: the other
+    #: selections, ``(column, low, high)`` each, which its path refines on
+    refinements: tuple = ()
     function: str = ""
-    access_path: str = ""  # strategy / mode handling an index_select
 
 
 @dataclass
 class Plan:
     """An ordered list of plan steps plus bookkeeping for explain output."""
 
-    #: the planned query, each selection's bounds typed for its column
+    #: the planned query as the caller gave it (the steps hold its bounds
+    #: typed for their columns)
     query: Query
     steps: List[PlanStep] = field(default_factory=list)
 
     def access_path_steps(self) -> List[PlanStep]:
-        """Steps that dispatch through a (table, column) access path.
+        """Steps that dispatch through a (table, column) access path: the
+        leading selection, the only step that selects, or none.
 
         These are the steps whose execution can touch a shared physical
         structure — the session's lock protocol
@@ -64,17 +74,15 @@ class Plan:
         claims from exactly this list.  Refinement, reconstruction and
         aggregation steps read immutable base columns only and are absent.
         """
-        return [
-            step for step in self.steps
-            if step.operator in ("scan_select", "index_select")
-        ]
+        steps = self.steps[:1]
+        return steps if steps and steps[0].operator in _SELECTS else []
 
     def explain(self) -> str:
         """Human-readable plan description (EXPLAIN-style)."""
         lines = [f"plan for: {self.query.description or self.query.table}"]
         for index, step in enumerate(self.steps):
             detail = ""
-            if step.operator in ("index_select", "scan_select", "refine"):
+            if step.operator in _SELECTS or step.operator == "refine":
                 detail = f" {step.column} in [{step.low}, {step.high})"
                 if step.access_path:
                     detail += f" via {step.access_path}"
@@ -94,86 +102,50 @@ class Planner:
     def __init__(self, database) -> None:
         self.database = database
 
-    def _typed(self, query: Query) -> Query:
-        """``query`` with each selection's bounds as keys of its column —
-        ``query`` itself when they already are."""
-        table = self.database.table(query.table)
-        selections, retyped = [], False
-        for selection in query.selections:
-            low, high = exact_bounds(table.column(selection.column).dtype.numpy_dtype,
-                                     selection.low, selection.high)
-            if low is not selection.low or high is not selection.high:
-                selection, retyped = RangeSelection(selection.column, low, high), True
-            selections.append(selection)
-        if not retyped:
-            return query
-        return Query(query.table, selections, query.projections,
-                     query.aggregates, query.description)
-
     def plan(self, query: Query) -> Plan:
         """Produce a plan for ``query`` against the current physical design."""
-        query = self._typed(query)
         table = query.table
-        plan = Plan(query=query)
+        column_of = self.database.table(table).column
+        access_path = self.database.access_path
+        # per selection: column, bounds as keys of its type, access path
+        ordered = []
+        for selection in query.selections:
+            name = selection.column
+            low, high = exact_bounds(column_of(name).dtype.numpy_dtype,
+                                     selection.low, selection.high)
+            ordered.append((name, low, high, access_path(table, name)))
         # selection order: lower priority first — a path that covers the
         # projection, an index, a tuner, then a scan (2) — stable, so one
         # selection needs no sort
-        access_path = self.database.access_path
-        ordered = [(selection, access_path(table, selection.column))
-                   for selection in query.selections]
         if len(ordered) > 1:
-            ordered.sort(key=lambda pair: 2 if pair[1] is None
-                         else pair[1].selection_priority)
+            ordered.sort(key=lambda typed: 2 if typed[3] is None
+                         else typed[3].selection_priority)
+        steps = []
         covered = ()
-        for index, (selection, path) in enumerate(ordered):
-            if index == 0:
-                if path is not None and path.covers_projection:
-                    # the path refines and projects from its own aligned
-                    # copies: every other attribute the query touches
-                    # rides on this step, none gets a step of its own
-                    covered = tuple(dict.fromkeys(
-                        [s.column for s, _ in ordered[1:]]
-                        + list(query.projections)
-                        + [a.column for a in query.aggregates]
-                    ))
-                plan.steps.append(
-                    PlanStep(
-                        operator="scan_select" if path is None else "index_select",
-                        table=table,
-                        column=selection.column,
-                        low=selection.low,
-                        high=selection.high,
-                        columns=covered,
-                        access_path=self.database.indexing_mode(
-                            table, selection.column) or "scan",
-                    )
-                )
-            elif not covered:
-                plan.steps.append(
-                    PlanStep(
-                        operator="refine",
-                        table=table,
-                        column=selection.column,
-                        low=selection.low,
-                        high=selection.high,
-                    )
-                )
-
+        if ordered:
+            name, low, high, path = ordered[0]
+            refinements = ()
+            if path is not None and path.covers_projection:
+                # the path refines and projects from its own aligned
+                # copies: every other attribute the query touches rides
+                # on this step, none gets a step of its own
+                refinements = tuple(typed[:3] for typed in ordered[1:])
+                covered = tuple(dict.fromkeys(
+                    [typed[0] for typed in refinements] + list(query.projections)
+                    + [a.column for a in query.aggregates]
+                ))
+            steps.append(PlanStep(
+                "scan_select" if path is None else "index_select", table, name,
+                low, high, self.database.indexing_mode(table, name) or "scan",
+                covered, refinements,
+            ))
+            if not covered:
+                for name, low, high, _ in ordered[1:]:
+                    steps.append(PlanStep("refine", table, name, low, high))
         if query.projections and not covered:
-            plan.steps.append(
-                PlanStep(
-                    operator="reconstruct",
-                    table=table,
-                    columns=tuple(query.projections),
-                )
-            )
+            steps.append(PlanStep("reconstruct", table,
+                                  columns=tuple(query.projections)))
         for aggregate in query.aggregates:
-            plan.steps.append(
-                PlanStep(
-                    operator="aggregate",
-                    table=table,
-                    column=aggregate.column,
-                    function=aggregate.function,
-                )
-            )
-        return plan
+            steps.append(PlanStep("aggregate", table, aggregate.column,
+                                  function=aggregate.function))
+        return Plan(query, steps)

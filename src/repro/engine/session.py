@@ -43,13 +43,13 @@ import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import guarded_by
 from repro.cost.counters import CostCounters
-from repro.cost.timer import Timer
 from repro.cost.witness import cost_witness
 from repro.durability.record import WalRecord
 from repro.engine.executor import QueryResult
@@ -166,12 +166,13 @@ class Session:
         return self._execute_batch([query])[0]
 
     def _execute_locked(
-        self, query: Query, plan: Plan, counters: CostCounters,
+        self, plan: Plan, counters: CostCounters,
         selection: Optional[np.ndarray] = None,
     ) -> QueryResult:
-        """Execute and journal one query whose path locks the caller holds;
-        ``selection`` is its leading ``index_select``'s answer when a batch
-        pass already computed it (charged to ``counters``).
+        """Execute and journal the query of ``plan``, whose path locks the
+        caller holds; ``selection`` is its leading ``index_select``'s
+        answer when a batch pass already computed it (charged to
+        ``counters``).
 
         Every query passes here holding its locks, which makes this the
         cost-conformance hook site: the witness (when armed, see
@@ -179,7 +180,7 @@ class Session:
         dispatches through before and after the executor runs and checks
         the structural delta against the query's counters."""
         database = self._database
-        timer = Timer()
+        query = plan.query
         witness = cost_witness()
         snapshots = None
         if witness is not None:
@@ -188,13 +189,13 @@ class Session:
                  database.access_path(step.table, step.column))
                 for step in plan.access_path_steps()
             )
-        with timer:
-            result = database.executor.execute(plan, counters, selection)
+        started = perf_counter()
+        result = database.executor.execute(plan, counters, selection)
+        result.elapsed_seconds = perf_counter() - started
         if witness is not None:
             witness.after(
                 query.description or query.table, snapshots, result.counters
             )
-        result.elapsed_seconds = timer.elapsed
         result.sequence = database._journal_record(
             "query", query.table, query, result, session=self.name
         )
@@ -281,10 +282,10 @@ class Session:
         results: List[QueryResult] = []
         if queries:
             with database._table_gates.read([q.table for q in queries]):
-                plans = [database.planner.plan(query) for query in queries]
+                plans = list(map(database.planner.plan, queries))
                 with database._path_locks.claimed(database, plans):
                     counters = [CostCounters() for _ in plans]
-                    results = list(map(self._execute_locked, queries, plans, counters,
+                    results = list(map(self._execute_locked, plans, counters,
                                        self._batch_selections(plans, counters)))
         with self._lock:
             self._stats.queries_executed += len(results)

@@ -66,7 +66,7 @@ class TestGuardedBy:
         from repro.engine.concurrency import TableGate
         from repro.engine.database import Database
 
-        assert guarded_attributes(TableGate)["_active_readers"] == "_condition"
+        assert guarded_attributes(TableGate)["_active_readers"] == "_mutex"
         assert guarded_attributes(Database)["rows_deleted"] == "_engine_stats_lock"
 
 

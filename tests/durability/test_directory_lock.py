@@ -49,6 +49,33 @@ print("ready", flush=True)
 time.sleep(120)
 """
 
+COLLECT = """
+import fcntl, gc, os, sys
+from pathlib import Path
+from repro.durability import lock
+
+class Abandoned:
+    pass
+
+abandoned = Abandoned()
+abandoned.cycle = abandoned  # freed by a collection only
+abandoned.lock = lock.DirectoryLock(sys.argv[1])
+del abandoned
+take = lock._take
+
+def collecting_take(path):
+    gc.collect()  # as any allocation under the registry mutex may
+    return take(path)
+
+lock._take = collecting_take
+second = lock.DirectoryLock(sys.argv[2])
+assert len(lock._HELD) == 1  # the abandoned hold is gone
+fd = os.open(Path(sys.argv[1]) / lock.LOCK_NAME, os.O_RDWR)
+fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # and its flock with it
+second.release()
+print("released")
+"""
+
 
 def python(script, *args, **popen):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -142,6 +169,22 @@ def test_a_new_directory_on_a_held_ones_inode_is_locked_afresh(tmp_path):
     database.close()
     assert open_elsewhere(tmp_path / "db")[0] == 0
     abandoned.close()
+
+
+def test_a_collection_under_the_registry_mutex_releases_without_waiting(tmp_path):
+    # the collection releases an abandoned holder while DirectoryLock holds
+    # the registry mutex on the same thread: waiting for it there would
+    # never end, so the run is in another process, bounded by a timeout
+    (tmp_path / "old").mkdir()
+    (tmp_path / "db").mkdir()
+    process = python(COLLECT, tmp_path / "old", tmp_path / "db")
+    try:
+        output, _ = process.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.communicate()
+        pytest.fail("DirectoryLock waited for its own registry mutex")
+    assert (process.returncode, output.strip()) == (0, "released")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

@@ -2,6 +2,7 @@
 taken when asked."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,39 @@ class TestReplayInRuns:
         for column in recovered.table("facts").columns.values():
             assert column.capacity == rows  # no regrowth, no slack
         recovered.close()
+
+    def test_a_journal_only_table_is_copied_once(self, tmp_path):
+        # the journal-only case at a size tracemalloc can see: the open
+        # reads the segment and slices the create_table record's payload
+        # out of it (2x the table), then copies the payload once, into
+        # columns sized for the tail; a decode copy beside the segment and
+        # the payload made it 3x
+        rows, appended = 200_000, 20
+        rng = np.random.default_rng(7)
+        database = Database("durable", data_dir=tmp_path)
+        table = database.create_table("facts", {
+            "key": rng.integers(0, DOMAIN, size=rows).astype(np.int64),
+            "payload": rng.uniform(0, 100, size=rows),
+        })
+        table_bytes = table.nbytes
+        with database.session() as session:
+            for value in range(appended):
+                session.insert_row("facts", {"key": value, "payload": 0.5})
+        database.close()
+        tracemalloc.start()
+        try:
+            recovered = Database.open(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert recovered.recovery_report.snapshot_path is None
+            assert recovered.table("facts").row_count == rows + appended
+            for column in recovered.table("facts").columns.values():
+                assert column.capacity == rows + appended
+        finally:
+            recovered.close()
+        assert peak < 2.5 * table_bytes, f"{peak / table_bytes:.2f}x the table"
 
     @pytest.mark.parametrize("kind", ["insert", "update"])
     def test_a_diverging_rowid_names_the_first_sequence_that_diverged(self, tmp_path, kind):
