@@ -11,7 +11,11 @@ and compares the fingerprints with the query's
 * **free reorganization** — an access path changed physically while the
   query charged zero comparisons *and* zero tuple movements.  Adaptive
   indexing pays for reorganisation out of query work; a structural change
-  with an empty bill means some kernel forgot to charge.
+  with an empty bill means some kernel forgot to charge.  A first build is
+  not a reorganisation: a path holding no auxiliary bytes that comes to
+  hold some, with the same description and row count (an updatable
+  column's copy, which no operation is charged for), had nothing to
+  reorganise.
 * **counter regression** — any counter is negative after the query.  The
   counters are monotone tallies; a negative value means a kernel
   *subtracted* work (or double-snapshotted), which silently corrupts every
@@ -76,6 +80,11 @@ def _fingerprint(path: object) -> Optional[Tuple[str, int, int]]:
     return (path.structure_description, int(path.nbytes), len(path))
 
 
+def _first_build(before: Tuple[str, int, int], after: Tuple[str, int, int]) -> bool:
+    """Whether the only change is auxiliary bytes going from none to some."""
+    return before[1] == 0 and (before[0], before[2]) == (after[0], after[2])
+
+
 class CostConformanceWitness(Witness):
     """Compares per-query counters against observed structural change."""
 
@@ -132,7 +141,7 @@ class CostConformanceWitness(Witness):
             if before is None:
                 continue
             after = _fingerprint(path)
-            if after != before:
+            if after != before and not _first_build(before, after):
                 self._report(
                     f"cost-conformance violation: access path {key} "
                     f"reorganized for free during query {description!r}: "

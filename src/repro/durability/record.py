@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.columnstore.types import DataType, dtype_by_name
+from repro.durability import checksum
 
 FRAME_HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 
@@ -301,7 +301,7 @@ def decode_record(payload: bytes) -> WalRecord:
 def frame_record(record: WalRecord) -> bytes:
     """Serialize one record as a self-delimiting checksummed frame."""
     payload = encode_record(record)
-    return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return FRAME_HEADER.pack(len(payload), checksum.crc32(payload)) + payload
 
 
 def iter_frames(
@@ -325,7 +325,7 @@ def iter_frames(
                 frame_complete=False,
             )
             return
-        length, checksum = FRAME_HEADER.unpack_from(buffer, offset)
+        length, expected = FRAME_HEADER.unpack_from(buffer, offset)
         body_start = offset + FRAME_HEADER.size
         body_end = body_start + length
         if body_end > size:
@@ -337,7 +337,7 @@ def iter_frames(
             )
             return
         payload = buffer[body_start:body_end]
-        if zlib.crc32(payload) != checksum:
+        if checksum.crc32(payload) != expected:
             yield offset, FrameError(
                 offset,
                 f"checksum mismatch in frame at byte {offset} "

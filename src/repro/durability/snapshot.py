@@ -22,6 +22,12 @@ a write sends each section straight from the column's array, and a load
 reads each section straight into the array its recovered column keeps
 (:meth:`~repro.columnstore.column.Column.adopt`), checksumming it there —
 an array recovery sizes with room for the rows its journal tail appends.
+A load cuts the sections into pieces and reads and checksums them on two
+threads, the caller from the front and one helper thread from the back,
+joined before the load returns (:mod:`repro.durability.checksum`; a write
+checksums each large section the same way).  The diagnostics are checked
+afterwards in manifest order, so they name what a front-to-back read
+would name.
 
 Writes are atomic: the dump goes to a ``*.tmp`` sibling, is fsynced, and
 only then renamed over the final name (``os.replace``) with a directory
@@ -32,18 +38,20 @@ half-written file under a valid name.  Stray ``*.tmp`` files are ignored
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.columnstore.types import dtype_by_name
+from repro.durability import checksum
 from repro.durability.faults import (
     FaultInjector, fsync_directory, kill_point, open_durable,
 )
@@ -119,7 +127,7 @@ def _encode_parts(state: SnapshotState) -> Tuple[bytes, List[memoryview]]:
                     "dtype": dump.dtype.name,
                     "rows": int(len(dump.values)),
                     "nbytes": raw.nbytes,
-                    "crc": zlib.crc32(raw),
+                    "crc": checksum.crc32(raw),
                 }
             )
         tables_manifest.append(
@@ -159,27 +167,116 @@ def encode_snapshot(state: SnapshotState) -> bytes:
     return b"".join([head, *sections])
 
 
+def _reader(data: Union[bytes, BinaryIO]) -> Tuple[Callable[[memoryview, int], int], int]:
+    """``(read, size)`` for a snapshot's bytes or for a binary file with a
+    descriptor: ``read(view, offset)`` fills ``view`` from byte ``offset``
+    and returns how many bytes it got (fewer only at the end of the data).
+    Reads at explicit offsets share no file position, so both threads of a
+    load read through the same ``read``."""
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        source = memoryview(data).cast("B")
+
+        def read(view: memoryview, offset: int) -> int:
+            chunk = source[offset:offset + view.nbytes]
+            view[:chunk.nbytes] = chunk
+            return chunk.nbytes
+
+        return read, source.nbytes
+    descriptor = data.fileno()
+
+    def read(view: memoryview, offset: int) -> int:
+        done = 0
+        while done < view.nbytes:
+            got = os.preadv(descriptor, [view[done:]], offset + done)
+            if not got:
+                break
+            done += got
+        return done
+
+    return read, os.fstat(descriptor).st_size
+
+
+@dataclass(frozen=True)
+class _Section:
+    """One column section to read: where it starts and the array it fills."""
+
+    name: str  # table.column, as the diagnostics name it
+    offset: int
+    values: np.ndarray
+    crc: int
+
+
+def _load_sections(
+    read: Callable[[memoryview, int], int], sections: Sequence[_Section],
+    source: str,
+) -> None:
+    """Read every section straight into its array and check it.
+
+    Each section is cut into :func:`~repro.durability.checksum.pieces`,
+    and each piece is read into its place in the array and checksummed
+    there by :func:`~repro.durability.checksum.run_pieces`: the caller
+    from the front, one helper thread from the back, the caller alone
+    below ``SPLIT_MIN_BYTES``.  A section's crc is its pieces' crcs
+    combined.  The checks run after every piece is back, in manifest
+    order, so a damaged file is named as a front-to-back read names it."""
+    cuts = [
+        checksum.pieces(section.offset, section.offset + section.values.nbytes)
+        for section in sections
+    ]
+    parts = [
+        (section, low, high)
+        for section, section_pieces in zip(sections, cuts)
+        for low, high in section_pieces
+    ]
+
+    def load(index: int) -> Tuple[int, int]:
+        section, low, high = parts[index]
+        view = memoryview(section.values).cast("B")[
+            low - section.offset:high - section.offset
+        ]
+        got = read(view, low)
+        return got, zlib.crc32(view[:got])
+
+    loaded = iter(checksum.run_pieces(
+        load, len(parts), sum(section.values.nbytes for section in sections)
+    ))
+    for section, section_pieces in zip(sections, cuts):
+        nbytes = section.values.nbytes
+        got_crcs = [next(loaded) for _ in section_pieces]
+        got = sum(got for got, _ in got_crcs)
+        if got != nbytes:
+            raise SnapshotCorruptionError(
+                f"{source}: truncated column section {section.name} "
+                f"({got} of {nbytes} bytes)"
+            )
+        if checksum.crc32_of_pieces([crc for _, crc in got_crcs]) != section.crc:
+            raise SnapshotCorruptionError(
+                f"{source}: checksum mismatch in column section "
+                f"{section.name} at byte {section.offset}"
+            )
+
+
 def decode_snapshot(
     data: Union[bytes, BinaryIO], source: str = "<snapshot>",
     spare: Optional[Mapping[str, int]] = None,
 ) -> SnapshotState:
     """Validate and decode a snapshot from its file bytes or from a binary
-    file holding it: each column section is read straight into the array
-    its column keeps, and checksummed there.
+    file holding it (read through its descriptor): each column section is
+    read straight into the array its column keeps, and checksummed there
+    (see :func:`_load_sections`).
 
     Each column's ``values`` is a prefix view of that array (its ``base``),
     which holds ``spare[table]`` more rows (none by default): the room
     recovery's journal tail appends into
     (``Column.adopt(values.base, …, length=len(values))``)."""
     spare = spare or {}
-    stream = io.BytesIO(data) if isinstance(data, (bytes, bytearray)) else data
-    size = stream.seek(0, io.SEEK_END)
-    stream.seek(0)
+    read, size = _reader(data)
     if size < SNAPSHOT_HEADER.size + MANIFEST_HEADER.size:
         raise SnapshotCorruptionError(
             f"{source}: truncated snapshot header ({size} bytes)"
         )
-    header = stream.read(SNAPSHOT_HEADER.size + MANIFEST_HEADER.size)
+    header = bytearray(SNAPSHOT_HEADER.size + MANIFEST_HEADER.size)
+    read(memoryview(header), 0)
     magic, version = SNAPSHOT_HEADER.unpack_from(header, 0)
     if magic != SNAPSHOT_MAGIC:
         raise SnapshotCorruptionError(f"{source}: bad snapshot magic {magic!r}")
@@ -197,54 +294,59 @@ def decode_snapshot(
             f"{source}: truncated manifest "
             f"({size - manifest_start} of {manifest_length} bytes)"
         )
-    manifest_bytes = stream.read(manifest_length)
+    manifest_bytes = bytearray(manifest_length)
+    read(memoryview(manifest_bytes), manifest_start)
     if zlib.crc32(manifest_bytes) != manifest_crc:
         raise SnapshotCorruptionError(f"{source}: manifest checksum mismatch")
     manifest = json.loads(manifest_bytes.decode("utf-8"))
 
+    # Lay out the sections first; a section that cannot be laid out is
+    # reported after every section before it has been read and checked.
     offset = manifest_end
     tables: List[TableState] = []
-    for table_entry in manifest["tables"]:
-        dumps: List[ColumnDump] = []
-        for column_entry in table_entry["columns"]:
-            nbytes = int(column_entry["nbytes"])
-            end = offset + nbytes
-            section_name = f"{table_entry['name']}.{column_entry['name']}"
-            if end > size:
-                raise SnapshotCorruptionError(
-                    f"{source}: truncated column section {section_name} "
-                    f"({size - offset} of {nbytes} bytes)"
+    sections: List[_Section] = []
+    layout_error: Optional[SnapshotCorruptionError] = None
+    try:
+        for table_entry in manifest["tables"]:
+            dumps: List[ColumnDump] = []
+            for column_entry in table_entry["columns"]:
+                nbytes = int(column_entry["nbytes"])
+                end = offset + nbytes
+                section_name = f"{table_entry['name']}.{column_entry['name']}"
+                if end > size:
+                    raise SnapshotCorruptionError(
+                        f"{source}: truncated column section {section_name} "
+                        f"({size - offset} of {nbytes} bytes)"
+                    )
+                dtype = dtype_by_name(column_entry["dtype"])
+                rows = int(column_entry["rows"])
+                values = np.empty(
+                    rows + spare.get(table_entry["name"], 0),
+                    dtype=dtype.numpy_dtype,
+                )[:rows]
+                if values.nbytes != nbytes:
+                    raise SnapshotCorruptionError(
+                        f"{source}: column section {section_name} at byte "
+                        f"{offset} holds {nbytes} bytes, not {len(values)} "
+                        f"{dtype.name} rows"
+                    )
+                sections.append(_Section(
+                    section_name, offset, values, int(column_entry["crc"])
+                ))
+                dumps.append(ColumnDump(column_entry["name"], dtype, values))
+                offset = end
+            tables.append(
+                TableState(
+                    name=table_entry["name"],
+                    columns=tuple(dumps),
+                    deleted_rows=tuple(table_entry["deleted_rows"]),
                 )
-            dtype = dtype_by_name(column_entry["dtype"])
-            rows = int(column_entry["rows"])
-            values = np.empty(
-                rows + spare.get(table_entry["name"], 0), dtype=dtype.numpy_dtype
-            )[:rows]
-            if values.nbytes != nbytes:
-                raise SnapshotCorruptionError(
-                    f"{source}: column section {section_name} at byte {offset} "
-                    f"holds {nbytes} bytes, not {len(values)} {dtype.name} rows"
-                )
-            read = stream.readinto(memoryview(values).cast("B"))
-            if read != nbytes:
-                raise SnapshotCorruptionError(
-                    f"{source}: truncated column section {section_name} "
-                    f"({read} of {nbytes} bytes)"
-                )
-            if zlib.crc32(values) != int(column_entry["crc"]):
-                raise SnapshotCorruptionError(
-                    f"{source}: checksum mismatch in column section "
-                    f"{section_name} at byte {offset}"
-                )
-            dumps.append(ColumnDump(column_entry["name"], dtype, values))
-            offset = end
-        tables.append(
-            TableState(
-                name=table_entry["name"],
-                columns=tuple(dumps),
-                deleted_rows=tuple(table_entry["deleted_rows"]),
             )
-        )
+    except SnapshotCorruptionError as exc:
+        layout_error = exc
+    _load_sections(read, sections, source)
+    if layout_error is not None:
+        raise layout_error
     if offset != size:
         raise SnapshotCorruptionError(
             f"{source}: {size - offset} trailing bytes after the last "

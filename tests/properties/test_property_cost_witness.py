@@ -171,15 +171,16 @@ def test_a_batch_pass_that_charges_nothing_trips_the_witness(monkeypatch):
 class _Reorganizer:
     """A fake access path whose fingerprint changes on demand."""
 
-    def __init__(self):
+    def __init__(self, built=True):
         self.pieces = 1
+        self.built = built
 
     def __len__(self):
         return SIZE
 
     @property
     def nbytes(self):
-        return 8 * SIZE
+        return 8 * SIZE if self.built else 0
 
     @property
     def structure_description(self):
@@ -214,6 +215,26 @@ class TestWitnessMechanism:
         snapshots = active.before([("facts", "key", path)])
         active.after("q", snapshots, CostCounters())
         assert active.violations() == []
+
+    def test_a_first_build_is_no_reorganization(self):
+        """An updatable column's first use copies its arrays and charges
+        nothing: auxiliary bytes from none to some, the same description
+        and rows."""
+        active = cost_witness_module.CostConformanceWitness()
+        path = _Reorganizer(built=False)
+        snapshots = active.before([("facts", "key", path)])
+        path.built = True
+        active.after("q", snapshots, CostCounters())
+        assert active.violations() == []
+
+    def test_a_free_build_that_also_cracks_raises(self):
+        active = cost_witness_module.CostConformanceWitness()
+        path = _Reorganizer(built=False)
+        snapshots = active.before([("facts", "key", path)])
+        path.built = True
+        path.pieces += 1
+        with pytest.raises(cost_witness_module.CostConformanceViolation):
+            active.after("q", snapshots, CostCounters())
 
     def test_counter_regression_raises(self):
         active = cost_witness_module.CostConformanceWitness()
