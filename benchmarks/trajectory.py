@@ -14,12 +14,15 @@ processes and keeps what the runs say; it edits nothing under
   entry to ``BENCH_e21_layers.json`` at the repository root: per workload
   and seed the exact ``facts``/``counts`` (it refuses to record when runs
   disagree on them), the median and quartiles of every ``BENCHMARK.json``
-  end-to-end metric, host-adjusted and raw, and a host stamp.
-* ``check`` runs each recorded workload and seed once, compares
-  ``facts``/``counts`` bit for bit with the last entry and prints every
-  metric against the recorded quartiles.  It fails on an exact-count
-  difference and, on the recording host only, on a metric worse than the
-  recorded median by more than ``BENCHMARK.json``'s bound.
+  end-to-end metric, host-adjusted and raw, and a host stamp.  From a
+  checkout with uncommitted changes the entry's ``git_commit`` is the
+  parent commit plus a digest of those changes.
+* ``check`` runs each recorded workload and seed as many times as the last
+  entry recorded, compares every run's ``facts``/``counts`` bit for bit
+  with the entry and prints the median of every metric against the
+  recorded quartiles.  It fails on an exact-count difference and, on the
+  recording host only, on a median worse than the recorded median by more
+  than ``BENCHMARK.json``'s bound.
 * ``ab REV`` exports REV with ``git archive`` into a scratch directory
   (a worktree would register itself in the repository's metadata), copies
   this checkout's files as they stand beside it, and alternates
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import json
 import math
 import shutil
@@ -219,18 +223,23 @@ def append_entry(entry: Dict[str, object], path: Path = RECORD_FILE) -> None:
 
 def check(entry: Dict[str, object], run: Runner, scratch: Path,
           checkout: Path = REPO_ROOT) -> List[str]:
-    """Run each recorded workload and seed once; the problems found."""
+    """Run each recorded workload and seed as many times as the entry did
+    and hold the runs' median to the recorded one; the problems found."""
     bounds = {m["name"]: m for m in load_contract(checkout)["end_to_end"]}
+    runs = entry.get("runs", 1)
     problems: List[str] = []
     for workload, by_seed in sorted(entry["workloads"].items()):
         for seed, recorded in sorted(by_seed.items()):
-            report = run(checkout, workload, int(seed), scratch / f"check-{workload}-{seed}.json")
-            print(f"== {workload} seed {seed}")
-            problems += [f"{workload} seed {seed}: {difference}"
-                         for difference in exact_differences(recorded, report)]
-            same_host = host_stamp(report) == entry["host"]
+            reports = [run(checkout, workload, int(seed),
+                           scratch / f"check-{workload}-{seed}-{index}.json")
+                       for index in range(runs)]
+            print(f"== {workload} seed {seed} ({runs} runs)")
+            problems += list(dict.fromkeys(
+                f"{workload} seed {seed}: {difference}"
+                for report in reports for difference in exact_differences(recorded, report)))
+            same_host = host_stamp(reports[0]) == entry["host"]
             for name, cell in recorded["metrics"].items():
-                value = metric_views(report, name)["adjusted"]
+                value = quartiles([metric_views(r, name)["adjusted"] for r in reports])["median"]
                 quart = cell["adjusted"]
                 worse = worse_by(value, quart["median"], bounds[name]["better"])
                 outside = worse > bounds[name]["bound"]
@@ -241,6 +250,25 @@ def check(entry: Dict[str, object], run: Runner, scratch: Path,
                     problems.append(f"{workload} seed {seed}: {name} worse than the "
                                     f"recorded median by {worse * 100:.1f} %")
     return problems
+
+
+def stamp_tree(commit: str, checkout: Path = REPO_ROOT) -> str:
+    """``commit`` for a clean checkout; for one with uncommitted changes,
+    ``commit`` plus ``+`` and a short digest of ``git diff HEAD`` and of the
+    new files git does not ignore."""
+    def git(*arguments: str) -> bytes:
+        return subprocess.run(["git", *arguments], cwd=checkout,
+                              capture_output=True, check=True).stdout
+
+    diff = git("diff", "HEAD", "--binary")
+    new_files = list(filter(None, git("ls-files", "-z", "--others",
+                                      "--exclude-standard").split(b"\0")))
+    if not diff and not new_files:
+        return commit
+    digest = hashlib.sha256(diff)
+    for name in new_files:
+        digest.update(name + b"\0" + (checkout / name.decode()).read_bytes())
+    return f"{commit}+{digest.hexdigest()[:12]}"
 
 
 def export_revision(revision: str, destination: Path) -> Path:
@@ -345,6 +373,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except Disagreement as exc:
             print(f"trajectory: refusing to record: {exc}")
             return 1
+        stamp = stamp_tree(entry["git_commit"])
+        if stamp != entry["git_commit"]:
+            print(f"trajectory: the checkout has uncommitted changes; stamped {stamp}")
+            entry["git_commit"] = stamp
         append_entry(entry)
         print(f"trajectory: appended an entry for {entry['git_commit']} to {RECORD_FILE}")
         return 0

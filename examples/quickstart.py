@@ -35,6 +35,9 @@ def main() -> None:
             result = session.query("events").where("key", low, low + 1_000).run()
             costs.append(DEFAULT_MAIN_MEMORY_MODEL.cost(result.counters))
 
+        # from here on the database keeps the linearized operation history
+        db.record_journal = True
+
         # verify one query by hand against the base column
         sample_low = 123_456
         result = (
@@ -56,7 +59,8 @@ def main() -> None:
         # plain cracking from scratch — the honest cost of a non-updatable
         # design, and what the updatable strategies avoid)
         refined = [
-            f"{record['mode']} — {record['structure']}"
+            f"{record['mode']} — {record['structure']} "
+            f"({record['nbytes']:,} index bytes)"
             for record in db.physical_design_report()
         ]
 
@@ -67,6 +71,12 @@ def main() -> None:
 
         stats = session.stats()
 
+    # the journal replays sequentially to the same answers and counters
+    journal = [(record.sequence, record.kind) for record in db.operation_journal()]
+    # dropping the table drops its access path and its journal entries stay
+    db.drop_table("events")
+    assert db.table_names == [] and db.physical_design_report() == []
+
     print(f"\nfirst query cost      : {costs[0]:12.0f}   (copy + first crack)")
     print(f"10th query cost       : {costs[9]:12.0f}")
     print(f"100th query cost      : {costs[99]:12.0f}")
@@ -76,6 +86,10 @@ def main() -> None:
     print(
         f"session statistics    : {stats.queries_executed} queries, "
         f"{stats.rows_inserted} insert(s), all through one lock-aware handle"
+    )
+    print(
+        "operation journal     : "
+        + ", ".join(f"#{sequence} {kind}" for sequence, kind in journal)
     )
     print("\nthe column was never sorted and no CREATE INDEX was ever issued;")
     print("every query left the data a little better organised than it found it.")

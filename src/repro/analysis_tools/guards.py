@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Callable, Dict, Sequence, Tuple, Type, TypeVar, Union
+from typing import Callable, Dict, Sequence, Tuple, Type, TypeVar
 
 from repro.analysis_tools.type_witness import parse_buffer_spec, type_witness
 
@@ -106,11 +106,6 @@ def guarded_by(**attribute_locks: str):
         return cls
 
     return decorate
-
-
-def guarded_attributes(cls: type) -> Dict[str, str]:
-    """The merged attribute → lock mapping of ``cls`` (empty if undeclared)."""
-    return dict(getattr(cls, "__guarded_attributes__", {}))
 
 
 def typed_kernel(
@@ -186,8 +181,3 @@ def typed_kernel(
         return wrapper
 
     return decorate
-
-
-def typed_buffers(func: Union[Callable, type]) -> Dict[str, str]:
-    """The buffer specs ``func`` declares via ``@typed_kernel`` (or {})."""
-    return dict(getattr(func, "__typed_buffers__", {}))

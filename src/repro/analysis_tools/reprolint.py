@@ -41,9 +41,8 @@ that discipline:
 
 A finding is silenced only by ``# reprolint: ignore[RL00x] <reason>`` on
 its own line; findings, output formats and exit status follow the contract
-in :mod:`repro.analysis_tools.common`.  Run ``python -m repro lint``
-(equivalently ``python -m repro.analysis_tools.reprolint [paths]
-[--format=text|json]``).
+in :mod:`repro.analysis_tools.common`.  Run ``python -m repro lint [paths]
+[--format=text|json]``.
 """
 
 from __future__ import annotations
@@ -608,7 +607,7 @@ def analyze_paths(paths: Sequence[str]) -> Tuple[List[Finding], AcquisitionGraph
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
-    """The options of this analyzer's main and of ``repro lint``."""
+    """The options of ``repro lint``."""
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories to analyze (default: src/repro)",
@@ -659,17 +658,3 @@ def report(paths: Sequence[str] = (), output_format: str = "text") -> int:
             file=sys.stderr,
         )
     return int(bool(active))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="reprolint",
-        description="concurrency-invariant static analysis for the repro engine",
-    )
-    add_arguments(parser)
-    args = parser.parse_args(argv)
-    return report(args.paths, args.format)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -46,9 +46,9 @@ from repro.core.strategies import available_strategies
 from repro.version import __version__
 from repro.workloads.benchmark import AdaptiveIndexingBenchmark, run_operations
 from repro.workloads.generators import (
+    WORKLOAD_PATTERNS,
     WorkloadSpec,
     generate_column_data,
-    make_workload,
     random_workload,
 )
 from repro.workloads.reporting import (
@@ -254,7 +254,7 @@ def _command_compare(args: argparse.Namespace) -> int:
         selectivity=args.selectivity,
         seed=args.seed + 1,
     )
-    queries = make_workload(args.pattern, spec)
+    queries = WORKLOAD_PATTERNS[args.pattern](spec)
     harness = AdaptiveIndexingBenchmark(values, queries)
     options = {
         "partitioned-cracking": {

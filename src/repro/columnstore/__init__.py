@@ -23,7 +23,7 @@ provides exactly that substrate:
 from repro.columnstore.column import Column
 from repro.columnstore.table import Table
 from repro.columnstore.types import DataType, FLOAT64, INT32, INT64, infer_dtype
-from repro.columnstore.storage import MemoryTracker, StorageBudget
+from repro.columnstore.storage import StorageBudget
 
 __all__ = [
     "Column",
@@ -33,6 +33,5 @@ __all__ = [
     "INT64",
     "FLOAT64",
     "infer_dtype",
-    "MemoryTracker",
     "StorageBudget",
 ]

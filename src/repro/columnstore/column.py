@@ -43,18 +43,6 @@ class Column:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def empty(cls, name: str = "", dtype: DataType = None, capacity: int = 0) -> "Column":
-        """Create an empty column with optional pre-allocated capacity."""
-        from repro.columnstore.types import INT64
-
-        dtype = dtype or INT64
-        column = cls(np.empty(0, dtype=dtype.numpy_dtype), name=name, dtype=dtype)
-        if capacity:
-            column._data = dtype.empty(capacity)
-            column._length = 0
-        return column
-
-    @classmethod
     def adopt(cls, values: np.ndarray, name: str, dtype: DataType,
               length: Optional[int] = None) -> "Column":
         """A column around ``values`` itself, with no copy: the caller hands
@@ -86,29 +74,10 @@ class Column:
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, item):
-        return self.values[item]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Column(name={self.name!r}, dtype={self.dtype.name}, length={len(self)})"
-
     @property
     def values(self) -> np.ndarray:
         """Zero-copy view of the valid region of the column."""
         return self._data[: self._length]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes used by the valid region."""
-        return self._length * self.dtype.width_bytes
-
-    @property
-    def capacity(self) -> int:
-        """Allocated capacity in elements (>= len(self))."""
-        return len(self._data)
 
     # -- mutation ------------------------------------------------------------
 
@@ -128,21 +97,3 @@ class Column:
         if counters is not None:
             counters.record_move(len(array))
             counters.record_allocation(len(array) * self.dtype.width_bytes)
-
-    def copy(self, name: Optional[str] = None) -> "Column":
-        """Deep copy of this column."""
-        return Column(self.values.copy(), name=name or self.name, dtype=self.dtype)
-
-    # -- statistics ----------------------------------------------------------
-
-    def min(self):
-        """Minimum value (raises ValueError on an empty column)."""
-        if self._length == 0:
-            raise ValueError("empty column has no minimum")
-        return self.values.min()
-
-    def max(self):
-        """Maximum value (raises ValueError on an empty column)."""
-        if self._length == 0:
-            raise ValueError("empty column has no maximum")
-        return self.values.max()

@@ -1,15 +1,12 @@
-"""Memory accounting and storage budgets.
+"""Storage budgets.
 
 Partial cracking (Idreos et al., SIGMOD 2009) bounds the storage available to
-auxiliary cracking structures; the :class:`StorageBudget` models that bound
-and the :class:`MemoryTracker` gives a global view of the memory used by a
-database instance (base columns plus all auxiliary index structures).
+auxiliary cracking structures; the :class:`StorageBudget` models that bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 
 class StorageExceededError(RuntimeError):
@@ -51,28 +48,3 @@ class StorageBudget:
         if nbytes < 0:
             raise ValueError("cannot release a negative number of bytes")
         self.used_bytes = max(0, self.used_bytes - nbytes)
-
-
-@dataclass
-class MemoryTracker:
-    """Tracks memory used by named components of a database instance."""
-
-    components: Dict[str, int] = field(default_factory=dict)
-
-    def set_usage(self, component: str, nbytes: int) -> None:
-        """Record the current memory footprint of a component."""
-        if nbytes < 0:
-            raise ValueError("memory usage cannot be negative")
-        self.components[component] = int(nbytes)
-
-    def remove(self, component: str) -> None:
-        """Forget a component (e.g. a dropped index)."""
-        self.components.pop(component, None)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.components.values())
-
-    def breakdown(self) -> Dict[str, int]:
-        """Per-component memory usage (copy)."""
-        return dict(self.components)

@@ -84,18 +84,8 @@ class Table:
             return 0
         return len(next(iter(self._columns.values())))
 
-    @property
-    def nbytes(self) -> int:
-        return sum(column.nbytes for column in self._columns.values())
-
     def __len__(self) -> int:
         return self.row_count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Table(name={self.name!r}, rows={self.row_count}, "
-            f"columns={self.column_names})"
-        )
 
     # -- row operations --------------------------------------------------------
 

@@ -157,13 +157,6 @@ class DataType:
         """Allocate an uninitialised array of ``capacity`` elements."""
         return np.empty(int(capacity), dtype=self.numpy_dtype)
 
-    def zeros(self, capacity: int) -> np.ndarray:
-        """Allocate a zero-initialised array of ``capacity`` elements."""
-        return np.zeros(int(capacity), dtype=self.numpy_dtype)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DataType({self.name})"
-
 
 INT32 = DataType("int32", np.dtype(np.int32), 4)
 INT64 = DataType("int64", np.dtype(np.int64), 8)

@@ -263,11 +263,6 @@ class CrackedColumn(SearchStrategy):
         return len(self._delete_queue_rowids)
 
     @property
-    def _pending_delete_rowids(self) -> Dict[int, float]:
-        """The queued deletes as rowid -> value, in arrival order (inspection)."""
-        return dict(zip(self._delete_queue_rowids, self._delete_queue_values))
-
-    @property
     def converged(self) -> bool:
         """True once the cracker column is fully sorted and nothing is pending.
 
@@ -421,17 +416,6 @@ class CrackedColumn(SearchStrategy):
         if rowid in self._removed_base_rowids:
             raise KeyError(f"unknown row identifier {rowid}")
         return self._base.item(rowid - self.rowid_base)
-
-    def value_of(self, rowid: int) -> float:
-        """Current value of a visible row (base or inserted)."""
-        if rowid in self._pending_delete_rowid_set:
-            raise KeyError(f"row {rowid} has been deleted")
-        if self._is_original(rowid):
-            return self._merged_value(rowid)
-        try:
-            return self._inserted_values[rowid]
-        except KeyError:
-            raise KeyError(f"row {rowid} not found") from None
 
     # -- updates -----------------------------------------------------------------
 

@@ -65,11 +65,6 @@ class Piece:
     def size(self) -> int:
         return self.end - self.start
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        lo = "-inf" if self.low is None else self.low
-        hi = "+inf" if self.high is None else self.high
-        return f"Piece([{self.start}:{self.end}), values [{lo}, {hi}))"
-
 
 class CrackerIndex:
     """Ordered boundary structure over a cracker column of ``size`` elements."""
@@ -84,22 +79,10 @@ class CrackerIndex:
 
     # -- basic properties ---------------------------------------------------
 
-    def __len__(self) -> int:
-        """Number of boundaries currently registered."""
-        return len(self._values)
-
     @property
     def piece_count(self) -> int:
         """Number of pieces (boundaries + 1)."""
         return len(self._values) + 1
-
-    @property
-    def boundary_values(self) -> List[float]:
-        return list(self._values)
-
-    @property
-    def boundary_positions(self) -> List[int]:
-        return self._positions.tolist()
 
     def positions_for_values_above(self, value: float) -> np.ndarray:
         """Boundary positions whose boundary value is strictly above ``value``.
@@ -139,13 +122,6 @@ class CrackerIndex:
         else:
             end = self.size
         return slot, positions[slot - 1] if slot else 0, end
-
-    def position_of(self, value: float) -> Optional[int]:
-        """Position registered for ``value``, or None when not a boundary."""
-        index = bisect.bisect_left(self._values, value)
-        if index < len(self._values) and self._values[index] == value:
-            return self._positions[index]
-        return None
 
     def piece_for_value(self, value: float) -> Piece:
         """The piece whose value range contains ``value``.

@@ -271,10 +271,6 @@ class SidewaysCracker(SearchStrategy):
         self.budget.release(self.nbytes)
         self.maps.clear()
 
-    def map_names(self) -> List[str]:
-        """Tail attributes for which a map is currently materialised."""
-        return sorted(self.maps)
-
     def check_invariants(self) -> None:
         """Verify alignment and content preservation of every map (tests)."""
         base_head = self.table.column(self.head).values

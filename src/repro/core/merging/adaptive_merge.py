@@ -205,7 +205,7 @@ class AdaptiveMergingIndex(SearchStrategy):
             return
         self.runs.check_invariants(self._base)
         self.merged_ranges.check_invariants()
-        spans = self.merged_ranges.spans
+        spans = self.merged_ranges._spans
         assert sum(stop - start for start, stop in spans) == self.merged_count, (
             "tuples lost or duplicated during merging"
         )

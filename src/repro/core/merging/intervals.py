@@ -48,22 +48,6 @@ class IntervalSet:
         self._highs: List[float] = []
         self._spans: List[Tuple[int, int]] = []
 
-    def __len__(self) -> int:
-        return len(self._lows)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    @property
-    def intervals(self) -> List[Tuple[float, float]]:
-        """The disjoint intervals, sorted by lower bound (copy)."""
-        return list(zip(self._lows, self._highs))
-
-    @property
-    def spans(self) -> List[Tuple[int, int]]:
-        """The position span of every interval, in interval order (copy)."""
-        return list(self._spans)
-
     def add(self, low: float, high: float, start: int = 0, stop: int = 0) -> None:
         """Add ``[low, high)``, which occupies positions ``[start, stop)``,
         merging with overlapping or adjacent intervals (and their spans)."""
@@ -100,11 +84,6 @@ class IntervalSet:
         if high <= low:
             return 0, 0
         return self._spans[self._covering(low, high)]
-
-    def contains_point(self, value: float) -> bool:
-        """True when ``value`` lies inside some stored interval."""
-        index = bisect_right(self._lows, value) - 1
-        return index >= 0 and value < self._highs[index]
 
     def uncovered(self, low: float, high: float) -> List[Tuple[float, float]]:
         """Sub-intervals of ``[low, high)`` not covered by the set."""

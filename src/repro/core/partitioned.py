@@ -70,7 +70,6 @@ from repro.core.cracking.crack_engine import (
 )
 from repro.core.access_path import SearchStrategy
 from repro.core.cracking.cracked_column import CrackedColumn
-from repro.core.cracking.cracker_index import Piece
 from repro.cost.counters import CostCounters
 
 __all__ = [
@@ -262,11 +261,6 @@ class PartitionedCrackedColumn(SearchStrategy):
         return len(self._partitions)
 
     @property
-    def partitions(self) -> Tuple[ColumnPartition, ...]:
-        """The partitions, left to right (for inspection and tests)."""
-        return self._partitions
-
-    @property
     def piece_count(self) -> int:
         """Total pieces across all partition cracker indexes."""
         return sum(p.cracked.piece_count for p in self._partitions)
@@ -275,11 +269,6 @@ class PartitionedCrackedColumn(SearchStrategy):
     def nbytes(self) -> int:
         """Bytes of auxiliary storage held across all partitions."""
         return sum(p.cracked.nbytes for p in self._partitions)
-
-    @property
-    def materialised(self) -> bool:
-        """True once at least one partition holds its cracker-column copy."""
-        return any(p.cracked.materialised for p in self._partitions)
 
     @property
     def converged(self) -> bool:
@@ -304,22 +293,6 @@ class PartitionedCrackedColumn(SearchStrategy):
     #: the column itself, as ``benchmarks/e21_layers`` reads its piece count
     cracked = property(lambda self: self)
 
-    def pieces(self) -> List[Piece]:
-        """All pieces across partitions, positions shifted by the partition start."""
-        result: List[Piece] = []
-        for partition in self._partitions:
-            start = partition.start  # hoisted out of the piece loop
-            for piece in partition.cracked.pieces():
-                result.append(
-                    Piece(
-                        start=piece.start + start,
-                        end=piece.end + start,
-                        low=piece.low,
-                        high=piece.high,
-                    )
-                )
-        return result
-
     # -- the thread fan-out -----------------------------------------------------
 
     def _executor(self) -> ThreadPoolExecutor:
@@ -340,12 +313,6 @@ class PartitionedCrackedColumn(SearchStrategy):
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __del__(self) -> None:
         # never join here: the collector can run a finalizer inside

@@ -117,10 +117,6 @@ class TunedColumn(SearchStrategy):
     def __len__(self) -> int:
         return len(self._column)
 
-    @property
-    def queries_processed(self) -> int:
-        return self.tuner.queries_processed
-
     def search(self, low, high, counters=None):
         return self.tuner.select(self._column, RangePredicate(low, high), counters)
 

@@ -7,8 +7,8 @@ points) is determined by how much data each algorithm touches.  The counters
 in this module capture exactly that: every operator and every index strategy
 increments the counters of the :class:`CostCounters` instance it was given.
 
-Counters are plain integers and support addition, subtraction (for deltas),
-snapshots and dictionary export.
+Counters are plain integers; a bundle supports subtraction (for deltas) and
+in-place addition, and compares equal field by field.
 """
 
 from __future__ import annotations
@@ -77,22 +77,6 @@ class CostCounters:
 
     # -- arithmetic --------------------------------------------------------
 
-    def copy(self) -> "CostCounters":
-        """Return an independent snapshot of the current counters."""
-        return CostCounters(**self.as_dict())
-
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for name in _FIELDS:
-            setattr(self, name, 0)
-
-    def __add__(self, other: "CostCounters") -> "CostCounters":
-        if not isinstance(other, CostCounters):
-            return NotImplemented
-        return CostCounters(
-            **{name: getattr(self, name) + getattr(other, name) for name in _FIELDS}
-        )
-
     def __sub__(self, other: "CostCounters") -> "CostCounters":
         if not isinstance(other, CostCounters):
             return NotImplemented
@@ -106,12 +90,6 @@ class CostCounters:
         for name in _FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
-
-    # -- export ------------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        """Export every counter as a flat dictionary, in field order."""
-        return {name: getattr(self, name) for name in _FIELDS}
 
 
 _FIELDS = tuple(f.name for f in fields(CostCounters))

@@ -35,17 +35,3 @@ class Timer:
         self.total += self.elapsed
         self.entries += 1
         self._start = None
-
-    @property
-    def mean(self) -> float:
-        """Mean interval length across all entries (0.0 when unused)."""
-        if self.entries == 0:
-            return 0.0
-        return self.total / self.entries
-
-    def reset(self) -> None:
-        """Clear all accumulated timings."""
-        self.elapsed = 0.0
-        self.total = 0.0
-        self.entries = 0
-        self._start = None

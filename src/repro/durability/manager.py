@@ -113,10 +113,6 @@ class DurabilityManager:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def sync(self) -> None:
-        """Force the journal to disk (flushes a pending group commit)."""
-        self.wal.sync()
-
     def close(self) -> None:
         self.wal.close()
         self.directory_lock.release()

@@ -383,11 +383,6 @@ class WriteAheadLog:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def last_sequence(self) -> int:
-        """Highest sequence ever appended (-1 when none)."""
-        return self._last_sequence
-
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {

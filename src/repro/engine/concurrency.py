@@ -554,16 +554,6 @@ class TableGate:
         """Hold the gate shared (query side)."""
         return _HeldGates((self,), exclusive=False)
 
-    def write(self) -> "_HeldGates":
-        """Hold the gate exclusive (DML side)."""
-        return _HeldGates((self,), exclusive=True)
-
-    @property
-    def pending_writers(self) -> int:
-        """DML operations currently queued on the gate."""
-        with self._mutex:
-            return self._waiting_writers
-
 
 @guarded_by(_gates="_registry_guard")
 class TableGateRegistry:

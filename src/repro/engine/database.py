@@ -36,7 +36,6 @@ import numpy as np
 from repro.analysis_tools.guards import guarded_by
 from repro.columnstore.column import Column
 from repro.columnstore.select import RangePredicate, scan_select
-from repro.columnstore.storage import MemoryTracker
 from repro.columnstore.table import Table
 from repro.core.access_path import SearchStrategy
 from repro.core.strategies import (
@@ -59,8 +58,7 @@ from repro.engine.concurrency import (
     TableGateRegistry,
 )
 from repro.engine.executor import Executor
-from repro.engine.planner import Plan, Planner
-from repro.engine.query import Query
+from repro.engine.planner import Planner
 from repro.engine.session import OperationRecord, Session
 
 
@@ -323,23 +321,6 @@ class Database:
             )
             return table
 
-    @property
-    def memory(self) -> MemoryTracker:
-        """What every table and installed access path holds right now, read
-        at call time under the schema lock: ``table:{name}`` per table and
-        ``index:{table}.{column}`` per path holding any auxiliary bytes (no
-        entry for a path holding none: a cracker column no query has built
-        yet, a tuner without an index)."""
-        memory = MemoryTracker()
-        with self._schema_lock:
-            for name, table in self._tables.items():
-                memory.set_usage(f"table:{name}", table.nbytes)
-            for (table, column), path in self._access_paths.items():
-                nbytes = path.nbytes
-                if nbytes:
-                    memory.set_usage(f"index:{table}.{column}", nbytes)
-        return memory
-
     def drop_table(self, name: str) -> None:
         """Drop a table and all physical structures attached to it (its
         tombstones go with its :class:`Table`)."""
@@ -485,12 +466,6 @@ class Database:
                 return positions
         return owner.visible_positions(positions)
 
-    # -- query planning -------------------------------------------------------------------
-
-    def plan(self, query: Query) -> Plan:
-        """Plan a query without executing it (EXPLAIN)."""
-        return self.planner.plan(query)
-
     # -- linearization journal ------------------------------------------------------------
 
     def _journal_record(
@@ -529,11 +504,6 @@ class Database:
         with self._engine_stats_lock:
             return list(self._journal)
 
-    def clear_journal(self) -> None:
-        """Drop all recorded journal entries (the sequence keeps advancing)."""
-        with self._engine_stats_lock:
-            self._journal.clear()
-
     def _trim_journal(self, high_water: int) -> None:
         """Drop in-memory journal entries a snapshot now covers."""
         with self._engine_stats_lock:
@@ -549,8 +519,10 @@ class Database:
         ``fenced_writes`` counts DML operations that had to wait)."""
         return self._table_gates.gate(table)
 
-    def physical_design_report(self) -> List[Dict[str, str]]:
-        """One record per configured access path (for documentation / examples)."""
+    def physical_design_report(self) -> List[Dict[str, object]]:
+        """One record per configured access path (for documentation /
+        examples): its table, column, mode, structure and the auxiliary
+        bytes the path holds (``nbytes``, 0 for a scan)."""
         report = []
         for (table, column), mode in sorted(self._modes.items()):
             path = self._access_paths.get((table, column))
@@ -562,6 +534,7 @@ class Database:
                     "structure": (
                         path.structure_description if path is not None else ""
                     ),
+                    "nbytes": path.nbytes if path is not None else 0,
                 }
             )
         return report

@@ -77,24 +77,6 @@ class Plan:
         steps = self.steps[:1]
         return steps if steps and steps[0].operator in _SELECTS else []
 
-    def explain(self) -> str:
-        """Human-readable plan description (EXPLAIN-style)."""
-        lines = [f"plan for: {self.query.description or self.query.table}"]
-        for index, step in enumerate(self.steps):
-            detail = ""
-            if step.operator in _SELECTS or step.operator == "refine":
-                detail = f" {step.column} in [{step.low}, {step.high})"
-                if step.access_path:
-                    detail += f" via {step.access_path}"
-                if step.columns:
-                    detail += f" covering {list(step.columns)}"
-            elif step.operator == "reconstruct":
-                detail = f" columns={list(step.columns)}"
-            elif step.operator == "aggregate":
-                detail = f" {step.function}({step.column})"
-            lines.append(f"  {index}: {step.operator}{detail}")
-        return "\n".join(lines)
-
 
 class Planner:
     """Plans queries against the physical design registered in a Database."""

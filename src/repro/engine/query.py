@@ -18,7 +18,7 @@ builder (constructed directly) can still ``build()``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 
 #: aggregate functions the executor implements (see
@@ -39,11 +39,6 @@ class RangeSelection:
             raise ValueError(
                 f"empty selection on {self.column!r}: high ({self.high}) < low ({self.low})"
             )
-
-    @property
-    def bounds(self) -> Tuple[Optional[float], Optional[float]]:
-        return (self.low, self.high)
-
 
 @dataclass(frozen=True)
 class Aggregate:
@@ -122,7 +117,6 @@ class QueryBuilder:
         self._selections: List[RangeSelection] = []
         self._projections: List[str] = []
         self._aggregates: List[Aggregate] = []
-        self._description = ""
         self._runner = runner
 
     def where(
@@ -152,11 +146,6 @@ class QueryBuilder:
         self._aggregates.append(Aggregate(column, function))
         return self
 
-    def describe(self, description: str) -> "QueryBuilder":
-        """Attach a human-readable description to the built query."""
-        self._description = description
-        return self
-
     def build(self) -> Query:
         """Desugar to the immutable :class:`Query` dataclass."""
         return Query(
@@ -164,7 +153,7 @@ class QueryBuilder:
             selections=list(self._selections),
             projections=list(self._projections),
             aggregates=list(self._aggregates),
-            description=self._description or self._default_description(),
+            description=self._default_description(),
         )
 
     def _default_description(self) -> str:

@@ -141,10 +141,6 @@ class Session:
         with self._lock:
             self._closed = True
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError(f"session {self.name!r} is closed")
@@ -231,8 +227,11 @@ class Session:
             answers = path.search_many(
                 [(step.low, step.high) for _, step in steps], batch)
             if witness is not None:
+                charged = CostCounters()
+                for each in batch:
+                    charged += each
                 witness.after(f"batch of {len(steps)} on {table}.{column}",
-                              snapshots, sum(batch, CostCounters()))
+                              snapshots, charged)
             for (position, _), answer in zip(steps, answers):
                 selections[position] = answer
         return selections
@@ -621,7 +620,3 @@ class Session:
                 rows_deleted=self._stats.rows_deleted,
                 rows_updated=self._stats.rows_updated,
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        return f"Session({self.name!r}, {state}, db={self._database.name!r})"

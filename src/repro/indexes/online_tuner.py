@@ -113,7 +113,3 @@ class OnlineIndexTuner:
     def _build_index(self, name: str, column: Column, counters: CostCounters) -> None:
         self.indexes[name] = FullIndex(column, counters=counters, name=name)
         self.builds.append((self.queries_processed, name))
-
-    def has_index(self, name: str) -> bool:
-        """True when a full index on ``name`` is currently materialised."""
-        return name in self.indexes

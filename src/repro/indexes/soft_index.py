@@ -77,7 +77,3 @@ class SoftIndexManager:
             self.indexes[name] = index
             self.builds.append((self.queries_processed, name))
         return positions
-
-    def has_index(self, name: str) -> bool:
-        """True when a full index on ``name`` has been materialised."""
-        return name in self.indexes

@@ -191,20 +191,6 @@ class BenchmarkResult:
         rows = [run.summary_row() for run in self.runs.values()]
         return sorted(rows, key=lambda row: row["total_logical_cost"])
 
-    def per_query_costs(self, model: CostModel = DEFAULT_MAIN_MEMORY_MODEL) -> Dict[str, List[float]]:
-        """Per-query logical cost series per strategy (for the figures)."""
-        return {
-            name: run.statistics.per_query_cost(model)
-            for name, run in self.runs.items()
-        }
-
-    def cumulative_costs(self, model: CostModel = DEFAULT_MAIN_MEMORY_MODEL) -> Dict[str, List[float]]:
-        """Cumulative logical cost series per strategy."""
-        return {
-            name: run.statistics.cumulative_cost(model)
-            for name, run in self.runs.items()
-        }
-
 
 class AdaptiveIndexingBenchmark:
     """Run several strategies over one column and one operation stream."""

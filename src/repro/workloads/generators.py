@@ -184,18 +184,6 @@ WORKLOAD_PATTERNS = {
 }
 
 
-def make_workload(pattern: str, spec: WorkloadSpec, **kwargs) -> List[RangeQuery]:
-    """Dispatch helper: build a workload by pattern name."""
-    try:
-        generator = WORKLOAD_PATTERNS[pattern]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload pattern {pattern!r}; "
-            f"available: {sorted(WORKLOAD_PATTERNS)}"
-        ) from None
-    return generator(spec, **kwargs)
-
-
 def generate_column_data(
     size: int,
     domain_low: float = 0.0,

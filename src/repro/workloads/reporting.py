@@ -78,9 +78,11 @@ def per_query_series_csv(
     model: CostModel = DEFAULT_MAIN_MEMORY_MODEL,
 ) -> str:
     """CSV text of the per-query (or cumulative) cost series, one column per strategy."""
-    series = (
-        result.cumulative_costs(model) if cumulative else result.per_query_costs(model)
-    )
+    series = {
+        name: (run.statistics.cumulative_cost(model) if cumulative
+               else run.statistics.per_query_cost(model))
+        for name, run in result.runs.items()
+    }
     names = sorted(series)
     buffer = io.StringIO()
     writer = csv.writer(buffer)

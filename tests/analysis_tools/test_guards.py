@@ -6,7 +6,6 @@ from repro.analysis_tools.guards import (
     LOCK_LEVELS,
     LOCK_ORDER,
     LOCK_RANK,
-    guarded_attributes,
     guarded_by,
 )
 
@@ -17,7 +16,7 @@ class TestGuardedBy:
         class Sample:
             pass
 
-        assert guarded_attributes(Sample) == {
+        assert Sample.__guarded_attributes__ == {
             "_items": "_lock",
             "count": "_stats_lock",
         }
@@ -31,7 +30,7 @@ class TestGuardedBy:
         class Child(Base):
             pass
 
-        assert guarded_attributes(Child) == {
+        assert Child.__guarded_attributes__ == {
             "_base_state": "_lock",
             "_child_state": "_child_lock",
         }
@@ -45,8 +44,8 @@ class TestGuardedBy:
         class Child(Base):
             pass
 
-        assert guarded_attributes(Child)["_state"] == "_other_lock"
-        assert guarded_attributes(Base)["_state"] == "_lock"
+        assert Child.__guarded_attributes__["_state"] == "_other_lock"
+        assert Base.__guarded_attributes__["_state"] == "_lock"
 
     def test_empty_declaration_is_rejected(self):
         with pytest.raises(ValueError):
@@ -60,14 +59,14 @@ class TestGuardedBy:
         class Plain:
             pass
 
-        assert guarded_attributes(Plain) == {}
+        assert not hasattr(Plain, "__guarded_attributes__")
 
     def test_engine_classes_declare_their_guards(self):
         from repro.engine.concurrency import TableGate
         from repro.engine.database import Database
 
-        assert guarded_attributes(TableGate)["_active_readers"] == "_mutex"
-        assert guarded_attributes(Database)["rows_deleted"] == "_engine_stats_lock"
+        assert TableGate.__guarded_attributes__["_active_readers"] == "_mutex"
+        assert Database.__guarded_attributes__["rows_deleted"] == "_engine_stats_lock"
 
 
 class TestLockOrder:

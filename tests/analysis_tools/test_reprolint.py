@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis_tools import reprolint
+from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -47,7 +48,7 @@ class TestFixtures:
     @pytest.mark.parametrize("rule", RULES)
     def test_bad_fixture_exits_nonzero(self, rule):
         fixture = FIXTURES / f"{rule.lower()}_bad.py"
-        assert reprolint.main([str(fixture)]) == 1
+        assert repro_main(["lint", str(fixture)]) == 1
 
     def test_declared_order_is_clean_outermost_first(self):
         # schema lock -> gate -> path -> WAL-order -> leaf, read from
@@ -72,7 +73,7 @@ class TestFixtures:
 
 class TestRealTree:
     def test_engine_tree_is_clean_under_its_inline_ignores(self):
-        assert reprolint.main([str(REPO_ROOT / "src" / "repro")]) == 0
+        assert repro_main(["lint", str(REPO_ROOT / "src" / "repro")]) == 0
 
     def test_only_durability_write_ahead_findings_are_ignored(self):
         # The only findings the analyzer is allowed to raise on the real
@@ -189,9 +190,7 @@ class TestSuppression:
 
 class TestJsonOutput:
     def test_json_shape_and_exit_code(self, capsys):
-        status = reprolint.main(
-            [str(FIXTURES / "rl002_bad.py"), "--format=json"]
-        )
+        status = repro_main(["lint", str(FIXTURES / "rl002_bad.py"), "--format=json"])
         assert status == 1
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"findings", "acquisition_graph", "summary"}
@@ -204,9 +203,7 @@ class TestJsonOutput:
         )
 
     def test_clean_json_run_exits_zero(self, capsys):
-        status = reprolint.main(
-            [str(FIXTURES / "rl002_good.py"), "--format=json"]
-        )
+        status = repro_main(["lint", str(FIXTURES / "rl002_good.py"), "--format=json"])
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["active"] == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis_tools.guards import typed_kernel, typed_buffers
+from repro.analysis_tools.guards import typed_kernel
 from repro.analysis_tools.type_witness import (
     TypeConformanceViolation,
     disable_type_witness,
@@ -35,7 +35,7 @@ def _total(values, payload=None):
 class TestDeclaration:
     def test_declaration_is_attached(self):
         assert _negate.__typed_kernel__ is True
-        assert typed_buffers(_negate) == {"values": "numeric"}
+        assert _negate.__typed_buffers__ == {"values": "numeric"}
         assert _negate.__typed_mutates__ == ("values",)
 
     def test_each_buffer_names_its_own_spec(self):
@@ -43,7 +43,7 @@ class TestDeclaration:
         def merge(left, right):
             return left, right
 
-        assert typed_buffers(merge) == {"left": "int64", "right": "numeric?"}
+        assert merge.__typed_buffers__ == {"left": "int64", "right": "numeric?"}
 
     def test_unknown_spec_is_rejected(self):
         with pytest.raises(ValueError, match="unknown buffer spec"):
@@ -63,7 +63,7 @@ class TestDeclaration:
         def plain(values):
             return values
 
-        assert typed_buffers(plain) == {}
+        assert not hasattr(plain, "__typed_buffers__")
 
     def test_spec_suffixes_parse(self):
         assert parse_buffer_spec("int64?*") == ("int64", True, True)

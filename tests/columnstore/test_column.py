@@ -24,14 +24,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="one-dimensional"):
             Column(np.zeros((3, 3)))
 
-    def test_empty_constructor(self):
-        column = Column.empty(name="e", dtype=INT64, capacity=10)
-        assert len(column) == 0
-        assert column.capacity >= 10
+    def test_empty_column(self):
+        column = Column(np.empty(0, dtype=np.int64), name="e")
+        assert len(column) == 0 and column.dtype is INT64
 
-    def test_nbytes_reflects_width(self):
+    def test_width_of_the_dtype(self):
         column = Column(np.arange(10, dtype=np.int64))
-        assert column.nbytes == 80
+        assert column.dtype.width_bytes * len(column) == column.values.nbytes == 80
 
 
 class TestMutation:
@@ -46,7 +45,7 @@ class TestMutation:
         for value in range(100):
             column.append(value)
         assert len(column) == 104
-        assert column.capacity >= 104
+        assert len(column._data) >= 104
 
     def test_append_records_counters(self):
         counters = CostCounters()
@@ -55,26 +54,26 @@ class TestMutation:
         assert counters.tuples_moved == 10
         assert counters.bytes_allocated == 80
 
-    def test_copy_is_independent(self):
+    def test_a_column_built_from_another_is_independent(self):
         column = Column(np.array([1, 2, 3], dtype=np.int64), name="orig")
-        clone = column.copy(name="clone")
+        clone = Column(column.values, name="clone")
         clone.append(4)
         assert len(column) == 3
         assert clone.name == "clone"
 
 
-class TestStatistics:
-    def test_min_max(self):
+class TestValues:
+    def test_values_is_a_view_of_the_valid_region(self):
         column = Column(np.array([5, 1, 9], dtype=np.int64))
-        assert column.min() == 1
-        assert column.max() == 9
+        column.append(2)
+        assert column.values.tolist() == [5, 1, 9, 2]
+        assert np.shares_memory(column.values, column._data)
 
-    def test_min_max_empty_raises(self):
+    def test_an_empty_column_grows_on_append(self):
         column = Column(np.empty(0, dtype=np.int64))
-        with pytest.raises(ValueError):
-            column.min()
-        with pytest.raises(ValueError):
-            column.max()
+        assert column.values.size == 0
+        column.append(5)
+        assert column.values.tolist() == [5] and len(column._data) >= 1
 
 
 class TestAdopt:
@@ -85,7 +84,7 @@ class TestAdopt:
         column = Column.adopt(values, "key", INT64)
         assert column.name == "key" and column.dtype is INT64
         assert np.shares_memory(column.values, values)
-        assert len(column) == column.capacity == 10
+        assert len(column) == len(column._data) == 10
 
     def test_an_append_grows_out_of_the_adopted_array(self):
         values = np.arange(4, dtype=np.int64)

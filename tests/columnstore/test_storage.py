@@ -1,8 +1,10 @@
-"""Unit tests for storage budgets and memory tracking."""
+"""Unit tests for storage budgets."""
 
+import numpy as np
 import pytest
 
-from repro.columnstore.storage import MemoryTracker, StorageBudget, StorageExceededError
+from repro import Database, Query
+from repro.columnstore.storage import StorageBudget, StorageExceededError
 
 
 class TestStorageBudget:
@@ -38,17 +40,24 @@ class TestStorageBudget:
         with pytest.raises(ValueError):
             budget.release(-1)
 
-class TestMemoryTracker:
-    def test_set_add_remove(self):
-        tracker = MemoryTracker()
-        tracker.set_usage("table:t", 100)
-        tracker.set_usage("table:t", 150)
-        tracker.set_usage("index:i", 10)
-        assert tracker.total_bytes == 160
-        tracker.remove("index:i")
-        assert tracker.total_bytes == 150
-        assert tracker.breakdown() == {"table:t": 150}
 
-    def test_negative_usage_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryTracker().set_usage("x", -5)
+class TestIndexBytes:
+    """A database reports each installed path's auxiliary bytes beside its
+    mode (what a memory tracker used to keep)."""
+
+    def test_a_path_reports_its_bytes_once_built(self):
+        database = Database("index-bytes")
+        database.create_table("t", {"x": np.arange(1_000, dtype=np.int64)})
+        database.set_indexing("t", "x", "cracking")
+        [record] = database.physical_design_report()
+        assert record["nbytes"] == 0  # the cracker column is built by a query
+        with database.session() as session:
+            session.execute(Query.range_query("t", "x", 10, 20))
+        [record] = database.physical_design_report()
+        assert record["nbytes"] == database.access_path("t", "x").nbytes >= 16 * 1_000
+
+    def test_a_scan_reports_no_bytes(self):
+        database = Database("scan-bytes")
+        database.create_table("t", {"x": np.arange(10, dtype=np.int64)})
+        database.set_indexing("t", "x", "scan")
+        assert [record["nbytes"] for record in database.physical_design_report()] == [0]

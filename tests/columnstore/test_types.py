@@ -55,10 +55,9 @@ class TestDataType:
             INT64.validate_array(np.array([np.nan]))
         assert INT32.validate_array(np.array([-2**31, 2**31 - 1])).dtype == np.int32
 
-    def test_empty_and_zeros(self):
-        assert len(INT64.empty(7)) == 7
-        zeros = FLOAT64.zeros(3)
-        assert np.all(zeros == 0.0)
+    def test_empty_allocates_the_dtype(self):
+        assert len(INT64.empty(7)) == 7 and INT64.empty(7).dtype == np.int64
+        assert FLOAT64.empty(3).dtype == np.float64
 
 
 class TestInference:

@@ -182,6 +182,20 @@ def _counter_tuple(counters):
     )
 
 
+def memory_breakdown(database):
+    """``table:{name}``: the bytes of a table's columns; ``index:{table}.
+    {column}``: the auxiliary bytes of each installed path holding any."""
+    breakdown = {
+        f"table:{name}": sum(column.values.nbytes
+                             for column in database.table(name).columns.values())
+        for name in database.table_names
+    }
+    breakdown.update(
+        (f"index:{record['table']}.{record['column']}", record["nbytes"])
+        for record in database.physical_design_report() if record["nbytes"])
+    return breakdown
+
+
 def run_engine_stream(label):
     """Drive one mode through a session; returns the dict pinned in
     ``ENGINE_GOLDEN``: per-operation counters in stream order and, per stage,
@@ -203,7 +217,7 @@ def run_engine_stream(label):
             record["structure"] for record in database.physical_design_report()
         ]
         assert len(structures) == 1
-        stages[name] = (structures[0], database.memory.breakdown())
+        stages[name] = (structures[0], memory_breakdown(database))
 
     def queries(session):
         for _ in range(ENGINE_QUERIES):
@@ -782,7 +796,7 @@ def run_sideways_stream(label):
                     digest.update(repr(sorted(previous.aggregates.items())).encode())
                 recorded.append((
                     _counter_tuple(counters), cracker().nbytes,
-                    tuple(cracker().map_names()),
+                    tuple(sorted(cracker().maps)),
                 ))
     finally:
         database.close()

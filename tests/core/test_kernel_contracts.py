@@ -10,6 +10,7 @@ in a kernel's ``mutates=`` is shown to be needed: without it the armed
 witness reports the write.
 """
 
+from dataclasses import astuple
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -105,11 +106,15 @@ def _stable_sort_rows(counters):
     return stable_sort_rows(_column(), 4, counters)
 
 
+def _boundary_positions(index):
+    return [piece.start for piece in index.pieces()[1:]]
+
+
 def _crack_value_new(counters):
     values, rowids, payload = _arrays()
     index = CrackerIndex(len(values))
     split = crack_value(values, rowids, index, 5, counters, payload)
-    return split, values, rowids, payload, index.boundary_positions
+    return split, values, rowids, payload, _boundary_positions(index)
 
 
 def _crack_value_known(counters):
@@ -117,14 +122,14 @@ def _crack_value_known(counters):
     index = CrackerIndex(len(values))
     crack_value(values, rowids, index, 5, None, payload)
     split = crack_value(values, rowids, index, 5, counters, payload)
-    return split, values, rowids, payload, index.boundary_positions
+    return split, values, rowids, payload, _boundary_positions(index)
 
 
 def _crack_range_in_three(counters):
     values, rowids, payload = _arrays()
     index = CrackerIndex(len(values))
     region = crack_range(values, rowids, index, 3, 6, counters, payload)
-    return region, values, rowids, payload, index.boundary_positions
+    return region, values, rowids, payload, _boundary_positions(index)
 
 
 def _crack_range_in_two(counters):
@@ -132,7 +137,7 @@ def _crack_range_in_two(counters):
     index = CrackerIndex(len(values))
     crack_value(values, rowids, index, 5, None, payload)
     region = crack_range(values, rowids, index, 3, 8, counters, payload)
-    return region, values, rowids, payload, index.boundary_positions
+    return region, values, rowids, payload, _boundary_positions(index)
 
 
 def _crack_many(counters):
@@ -141,7 +146,7 @@ def _crack_many(counters):
     bounds = locate_bounds(index, [(3, 6), (2, 8)])
     answers, charges = crack_many(values, rowids, index, bounds)
     charge_batch([counters, counters], charges)
-    return (*answers, values, rowids, index.boundary_positions)
+    return (*answers, values, rowids, _boundary_positions(index))
 
 
 def _ripple_insert(counters):
@@ -159,7 +164,7 @@ def _ripple_delete(counters):
 def _first_search(counters):
     column = CrackedColumn(_column())
     answer = column.search(3, 6, counters)
-    return answer, column.values, column.rowids, column.index.boundary_positions
+    return answer, column.values, column.rowids, _boundary_positions(column.index)
 
 
 def _full_index_lookup(counters):
@@ -206,7 +211,7 @@ CASES = [
 
 
 def _charges(counters: CostCounters) -> Tuple[int, ...]:
-    return tuple(counters.as_dict().values())
+    return astuple(counters)
 
 
 def _same(left: Outcome, right: Outcome) -> bool:

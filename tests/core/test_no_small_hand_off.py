@@ -13,6 +13,8 @@ The decision reads ``CrackedColumn.crack_work``; the last tests hold that
 estimate to what the search then charges to ``tuples_moved``.
 """
 
+from contextlib import closing
+
 import numpy as np
 
 from repro.core import partitioned
@@ -47,10 +49,10 @@ def test_the_sizes_here_straddle_the_bar():
 
 def test_the_first_query_hands_off_every_partition_a_late_one_none(pool_submits):
     column, rng = build_column()
-    with column:
+    with closing(column):
         (first, *later), probe = random_ranges(rng, 301), (DOMAIN // 3, DOMAIN // 2)
         column.search(*first)
-        assert pool_submits == [p.cracked.search_many for p in column.partitions]
+        assert pool_submits == [p.cracked.search_many for p in column._partitions]
         for low, high in later:
             column.search(low, high)
         del pool_submits[:]
@@ -70,10 +72,10 @@ def test_a_small_column_never_creates_a_pool(pool_submits):
 
 def test_crack_work_is_what_the_search_charges_to_tuples_moved():
     column, rng = build_column()
-    with column:
+    with closing(column):
         readings = []
         for low, high in random_ranges(rng, 500):
-            predicted = sum(p.cracked.crack_work(low, high) for p in column.partitions)
+            predicted = sum(p.cracked.crack_work(low, high) for p in column._partitions)
             counters = CostCounters()
             column.search(low, high, counters)
             readings.append((predicted, counters.tuples_moved))

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestPartitionedCrackedColumn:
         values = np.arange(1000, dtype=np.int64)
         column = PartitionedCrackedColumn(values, partitions=4)
         column.search(10, 20)
-        materialised = [p.cracked.materialised for p in column.partitions]
+        materialised = [p.cracked.materialised for p in column._partitions]
         assert materialised == [True, False, False, False]
         column.check_invariants()
 
@@ -121,7 +122,7 @@ class TestPartitionedCrackedColumn:
     def test_parallel_answers_match_sequential(self, rng, pooled_fan_out):
         values = rng.integers(0, 1000, size=2000).astype(np.int64)
         sequential = PartitionedCrackedColumn(values, partitions=8, parallel=False)
-        with PartitionedCrackedColumn(values, partitions=8, parallel=True) as parallel:
+        with closing(PartitionedCrackedColumn(values, partitions=8, parallel=True)) as parallel:
             for _ in range(20):
                 low = int(rng.integers(0, 900))
                 expected = sequential.search(low, low + 100)
@@ -133,13 +134,13 @@ class TestPartitionedCrackedColumn:
     def test_parallel_counters_match_sequential(self, rng, pooled_fan_out):
         values = rng.integers(0, 1000, size=2000).astype(np.int64)
         sequential = PartitionedCrackedColumn(values, partitions=4, parallel=False)
-        with PartitionedCrackedColumn(values, partitions=4, parallel=True) as parallel:
+        with closing(PartitionedCrackedColumn(values, partitions=4, parallel=True)) as parallel:
             seq_counters = CostCounters()
             par_counters = CostCounters()
             for low in (100, 400, 700, 250):
                 sequential.search(low, low + 80, seq_counters)
                 parallel.search(low, low + 80, par_counters)
-            assert par_counters.as_dict() == seq_counters.as_dict()
+            assert par_counters == seq_counters
 
     def test_mixed_dispatch_matches_sequential(self, rng, monkeypatch,
                                                pool_submits):
@@ -152,21 +153,21 @@ class TestPartitionedCrackedColumn:
             [500 * shard + rng.permutation(500) for shard in range(4)]
         ).astype(np.int64)
         sequential = PartitionedCrackedColumn(values, partitions=4, parallel=False)
-        with PartitionedCrackedColumn(values, partitions=4, parallel=True) as mixed:
+        with closing(PartitionedCrackedColumn(values, partitions=4, parallel=True)) as mixed:
             seq_counters, mixed_counters = CostCounters(), CostCounters()
             for low, high in ((100, 200), (600, 700)):
                 sequential.search(low, high, seq_counters)
                 mixed.search(low, high, mixed_counters)
             assert mixed._pool is None and pool_submits == []
-            work = [p.cracked.crack_work(150, 1900) for p in mixed.partitions]
+            work = [p.cracked.crack_work(150, 1900) for p in mixed._partitions]
             assert work == [400, 400, 500, 500]
             expected = sequential.search(150, 1900, seq_counters)
             actual = mixed.search(150, 1900, mixed_counters)
-            assert pool_submits == [p.cracked.search_many for p in mixed.partitions[2:]]
+            assert pool_submits == [p.cracked.search_many for p in mixed._partitions[2:]]
             # rowids in partition order, whoever ran the partition
             assert np.array_equal(actual, expected)
             assert set(actual.tolist()) == reference(values, 150, 1900)
-            assert mixed_counters.as_dict() == seq_counters.as_dict()
+            assert mixed_counters == seq_counters
             mixed.check_invariants()
 
     def test_nbytes_and_pieces_aggregate_partitions(self, rng):
@@ -176,9 +177,8 @@ class TestPartitionedCrackedColumn:
         column.search(200, 800)
         assert column.nbytes > 0
         assert column.piece_count >= column.partition_count
-        pieces = column.pieces()
-        assert pieces[0].start == 0
-        assert pieces[-1].end == len(values)
+        pieces = [piece for p in column._partitions for piece in p.cracked.pieces()]
+        assert len(pieces) == column.piece_count
 
     def test_is_fully_sorted_after_exhaustive_cracking(self):
         rng = np.random.default_rng(3)
@@ -217,25 +217,25 @@ class TestPartitionedCrackedColumn:
         with pytest.raises(ValueError, match="empty range"):
             column.search_many([(10, 20), (50, 40)], [None, None])
         assert column.queries_processed == 0
-        assert not column.materialised
+        assert column.nbytes == 0  # nothing was materialised
 
 
 def _swap_base_rows(column):
-    left, right = column.partitions[0].cracked, column.partitions[1].cracked
+    left, right = column._partitions[0].cracked, column._partitions[1].cracked
     position = int(np.flatnonzero(left.rowids < 10)[0])
     left.rowids[position], right.rowids[0] = right.rowids[0], left.rowids[position]
 
 
 def _shrink_first_partition(column):
-    column.partitions[0].end -= 1
+    column._partitions[0].end -= 1
 
 
 def _shift_a_shard_value(column):
-    column.partitions[1].cracked.values[0] += 100
+    column._partitions[1].cracked.values[0] += 100
 
 
 def _duplicate_a_row(column):
-    left = column.partitions[0].cracked
+    left = column._partitions[0].cracked
     left.rowids[0], left.values[0] = left.rowids[1], left.values[1]
 
 
@@ -253,7 +253,7 @@ class TestInvariantCheck:
         column = PartitionedCrackedColumn(
             np.arange(40, dtype=np.int64), partitions=4)
         column.search(5, 35)  # every partition is built and cracked
-        assert all(p.cracked.materialised for p in column.partitions)
+        assert all(p.cracked.materialised for p in column._partitions)
         column.check_invariants()
         corrupt(column)
         with pytest.raises(AssertionError, match=message):
@@ -277,9 +277,9 @@ class TestSequentialThreadEquivalence:
         for parallel in (False, True):
             whole = CrackedColumn(values)
             counters = CostCounters()
-            with PartitionedCrackedColumn(
+            with closing(PartitionedCrackedColumn(
                 values, partitions=4, parallel=parallel
-            ) as column:
+            )) as column:
                 for low, high in self.QUERIES:
                     expected = whole.search(low, high)
                     actual = column.search(low, high, counters)
@@ -320,8 +320,8 @@ class TestFailedSubSelection:
         """Regression: the column re-raised while another partition was still
         cracking on the pool, so a session released the path lock with a
         worker still moving that partition's data."""
-        with self.two_partitions() as column:
-            first, second = (partition.cracked for partition in column.partitions)
+        with closing(self.two_partitions()) as column:
+            first, second = (partition.cracked for partition in column._partitions)
             started, finished = threading.Event(), []
             select = second._select
 
@@ -343,8 +343,8 @@ class TestFailedSubSelection:
             column.check_invariants()
 
     def test_the_first_failure_in_partition_order_is_raised(self):
-        with self.two_partitions() as column:
-            first, second = (partition.cracked for partition in column.partitions)
+        with closing(self.two_partitions()) as column:
+            first, second = (partition.cracked for partition in column._partitions)
             raised = threading.Event()
 
             def late(low, high, counters):

@@ -25,18 +25,18 @@ class TestTimer:
                 pass
         assert timer.entries == 3
         assert timer.total >= timer.elapsed
-        assert timer.mean == pytest.approx(timer.total / 3)
 
-    def test_mean_zero_when_unused(self):
-        assert Timer().mean == 0.0
-
-    def test_reset(self):
+    def test_zero_when_unused(self):
         timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.entries == 0
-        assert timer.total == 0.0
+        assert timer.entries == 0 and timer.total == timer.elapsed == 0.0
+
+    def test_a_raising_block_is_timed_and_the_error_propagates(self):
+        timer = Timer()
+        with pytest.raises(RuntimeError):
+            with timer:
+                raise RuntimeError("inside the timed block")
+        assert timer.entries == 1
+        assert timer.total == timer.elapsed > 0
 
 
 def _stats(costs):

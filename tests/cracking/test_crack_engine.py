@@ -33,7 +33,7 @@ class TestCrackValue:
         assert np.all(values[:split] < 250)
         assert np.all(values[split:] >= 250)
         assert np.array_equal(original[rowids], values)
-        assert index.position_of(250) == split
+        assert index.lookup(250) == (-1, split, split)
 
     def test_crack_value_existing_boundary_free(self, rng):
         values, rowids, index = make_column(rng)

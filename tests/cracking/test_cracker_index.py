@@ -28,11 +28,11 @@ class TestBoundaries:
         piece = index.piece_for_value(50)
         assert piece.start == 40
 
-    def test_position_of(self):
+    def test_lookup_of_a_boundary(self):
         index = CrackerIndex(10)
         index.add_boundary(5, 3)
-        assert index.position_of(5) == 3
-        assert index.position_of(6) is None
+        assert index.lookup(5) == (-1, 3, 3)
+        assert not index.has_boundary(6)
         assert index.has_boundary(5)
         assert not index.has_boundary(6)
 
@@ -88,8 +88,8 @@ class TestShifts:
         index.add_boundary(10, 20)
         index.add_boundary(50, 60)
         index.shift_positions(30, +5)
-        assert index.position_of(10) == 20
-        assert index.position_of(50) == 65
+        assert index.lookup(10) == (-1, 20, 20)
+        assert index.lookup(50) == (-1, 65, 65)
         assert index.size == 105
 
     def test_shift_positions_for_values_above(self):
@@ -97,8 +97,8 @@ class TestShifts:
         index.add_boundary(10, 20)
         index.add_boundary(50, 60)
         index.shift_positions_for_values_above(10, +1)
-        assert index.position_of(10) == 20  # value 10 itself not shifted
-        assert index.position_of(50) == 61
+        assert index.lookup(10) == (-1, 20, 20)  # value 10 itself not shifted
+        assert index.lookup(50) == (-1, 61, 61)
         assert index.size == 101
 
     def test_shift_rejects_negative_size(self):
@@ -112,7 +112,7 @@ class TestShifts:
         index.add_boundary(30, 40)
         index.add_boundary(50, 60)
         index.drop_boundaries_in_position_range(20, 60)
-        assert index.position_of(10) == 20
-        assert index.position_of(30) is None
-        assert index.position_of(50) == 60
+        assert index.lookup(10) == (-1, 20, 20)
+        assert not index.has_boundary(30)
+        assert index.lookup(50) == (-1, 60, 60)
         index.check_invariants()

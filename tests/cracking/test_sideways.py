@@ -35,11 +35,11 @@ class TestSelectProject:
 
     def test_maps_created_lazily_per_attribute(self, sample_table):
         cracker = SidewaysCracker(sample_table, head="a")
-        assert cracker.map_names() == []
+        assert sorted(cracker.maps) == []
         cracker.select_project(0, 1000, {}, ["b"])
-        assert cracker.map_names() == ["b"]
+        assert sorted(cracker.maps) == ["b"]
         cracker.select_project(0, 1000, {}, ["c"])
-        assert set(cracker.map_names()) == {"b", "c"}
+        assert set(cracker.maps) == {"b", "c"}
 
     def test_unknown_head_or_tail_rejected(self, sample_table):
         with pytest.raises(KeyError):
@@ -105,7 +105,7 @@ class TestMultiColumnSelection:
 class TestStorageBoundedMaps:
     def test_budget_evicts_maps(self, sample_table):
         one_map_bytes = (
-            sample_table["a"].nbytes + sample_table["b"].nbytes
+            sample_table["a"].values.nbytes + sample_table["b"].values.nbytes
             + 8 * sample_table.row_count
         )
         budget = StorageBudget(limit_bytes=int(one_map_bytes * 1.5))

@@ -49,7 +49,7 @@ class TestInsertions:
         assert column.pending_inserts == {"ripple": 1, "gradual": 2}[policy]
         column.search(0, 50)
         assert column.pending_inserts == 1
-        assert column.value_of(len(small_values)) == 99
+        assert list(column._pending_insert_values) == [99]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_inserted_rows_returned_by_later_queries(self, small_values, reference, policy):
@@ -76,8 +76,9 @@ class TestInsertions:
                 column.insert(value)
         accepted = [7, np.int64(7), 7.0, np.float32(7), True, 2**63 - 1, -2**63]
         rowids = [column.insert(value) for value in accepted]
-        assert [column.value_of(rowid) for rowid in rowids] == [int(v) for v in accepted]
-        assert all(type(column.value_of(rowid)) is int for rowid in rowids)
+        stored = [column._inserted_values[rowid] for rowid in rowids]
+        assert stored == [int(v) for v in accepted]
+        assert all(type(value) is int for value in stored)
         assert column.pending_inserts == len(accepted)
 
     def test_a_nan_key_is_refused(self):
@@ -164,14 +165,13 @@ class TestDeletions:
 
     def test_merged_delete_of_insert_forgets_the_rowid(self, small_values):
         # once the delete of an inserted row has merged, the row is gone for
-        # good: value_of raises and no per-insert bookkeeping is retained
+        # good: the row is unknown and no per-insert bookkeeping is retained
         column = UpdatableCrackedColumn(small_values)
         rowid = column.insert(55)
         column.search(50, 60)  # merge the insert
         column.delete(rowid)
         column.search(50, 60)  # merge the delete
-        with pytest.raises(KeyError):
-            column.value_of(rowid)
+        assert rowid not in column.rowids.tolist()
         assert not column.knows_rowid(rowid)
         assert column._inserted_values == {}
 
@@ -443,8 +443,9 @@ class TestConvergedLatch:
         self.assert_matches_scan(column, model)
 
 
-class TestDeleteAndValueOfExceptionMatrix:
-    """What ``delete`` and ``value_of`` raise, ignore and accept — pinned.
+class TestDeleteExceptionMatrix:
+    """What ``delete`` raises, ignores and accepts, and which rows stay
+    visible — pinned.
 
     The same script runs against an updatable column, against a shard
     numbered from ``rowid_base > 0`` (what every partition of a partitioned
@@ -467,6 +468,11 @@ class TestDeleteAndValueOfExceptionMatrix:
         return column.rowid_base + position
 
     @staticmethod
+    def visible(column):
+        """The visible values as a set (the base values are distinct)."""
+        return set(column.visible_values().tolist())
+
+    @staticmethod
     def merge_everything(column):
         column.search(None, None)
         assert column.pending_inserts == column.pending_deletes == 0
@@ -476,19 +482,18 @@ class TestDeleteAndValueOfExceptionMatrix:
         assert not column.knows_rowid(unknown)
         with pytest.raises(KeyError, match="unknown row identifier"):
             column.delete(unknown)
-        with pytest.raises(KeyError, match=f"row {unknown} not found"):
-            column.value_of(unknown)
         assert column.pending_deletes == 0
+        assert self.visible(column) == set(self.BASE.tolist())
 
     def test_base_row_is_read_and_deleted_by_its_rowid(self, column):
-        one, seven = self.row(column, 1), self.row(column, 7)
-        assert column.value_of(one) == 3.0 and column.value_of(seven) == 0.0
+        one = self.row(column, 1)
         counters = CostCounters()
         column.delete(one, counters)
         # a delete only queues: one move, no copy
-        assert counters.as_dict() == CostCounters(tuples_moved=1).as_dict()
+        assert counters == CostCounters(tuples_moved=1)
         assert not column.materialised
-        assert column._pending_delete_rowids == {one: 3.0}
+        assert column.pending_deletes == 1
+        assert self.visible(column) == set(self.BASE.tolist()) - {3}
 
     def test_double_delete_while_pending_is_a_noop(self, column):
         one = self.row(column, 1)
@@ -496,9 +501,8 @@ class TestDeleteAndValueOfExceptionMatrix:
         counters = CostCounters()
         column.delete(one, counters)
         assert column.pending_deletes == 1
-        assert counters.as_dict() == CostCounters().as_dict()
-        with pytest.raises(KeyError, match=f"row {one} has been deleted"):
-            column.value_of(one)
+        assert counters == CostCounters()
+        assert 3 not in self.visible(column)
         assert column.knows_rowid(one)
 
     def test_delete_of_a_base_row_after_its_delete_was_merged(self, column):
@@ -510,12 +514,11 @@ class TestDeleteAndValueOfExceptionMatrix:
         assert column.knows_rowid(one)
         with pytest.raises(KeyError, match=f"unknown row identifier {one}"):
             column.delete(one)
-        with pytest.raises(KeyError, match=f"unknown row identifier {one}"):
-            column.value_of(one)
         assert column.pending_deletes == 0
         # its neighbours are untouched
-        assert column.value_of(self.row(column, 0)) == 7.0
-        assert column.value_of(self.row(column, 5)) == 5.0
+        assert self.visible(column) == set(self.BASE.tolist()) - {3}
+        assert column.search(7, 8).tolist() == [self.row(column, 0)]
+        assert column.search(5, 6).tolist() == [self.row(column, 5)]
         column.check_invariants()
 
     def test_a_shard_never_knows_a_row_outside_its_range(self):
@@ -526,37 +529,31 @@ class TestDeleteAndValueOfExceptionMatrix:
             assert not shard.knows_rowid(rowid)
             with pytest.raises(KeyError, match=f"unknown row identifier {rowid}"):
                 shard.delete(rowid)
-            with pytest.raises(KeyError, match=f"row {rowid} not found"):
-                shard.value_of(rowid)
         assert shard.pending_deletes == 0
 
     def test_delete_cancels_a_pending_insert(self, column):
         rowid = column.insert(4)
-        assert column.value_of(rowid) == 4.0
+        assert 4 in self.visible(column)
         counters = CostCounters()
         column.delete(rowid, counters)
         assert column.pending_inserts == column.pending_deletes == 0
-        assert counters.as_dict() == CostCounters().as_dict()
+        assert counters == CostCounters()
         assert not column.knows_rowid(rowid)
-        with pytest.raises(KeyError, match=f"row {rowid} not found"):
-            column.value_of(rowid)
+        assert 4 not in self.visible(column)
         with pytest.raises(KeyError, match="unknown row identifier"):
             column.delete(rowid)
 
     def test_delete_of_a_merged_inserted_row(self, column):
         rowid = column.insert(4)
         self.merge_everything(column)
-        assert column.value_of(rowid) == 4.0
+        assert column.search(4, 5).tolist() == [rowid]
         column.delete(rowid)
-        assert column._pending_delete_rowids == {rowid: 4.0}
-        with pytest.raises(KeyError, match=f"row {rowid} has been deleted"):
-            column.value_of(rowid)
+        assert column.pending_deletes == 1 and 4 not in self.visible(column)
         self.merge_everything(column)
         assert not column.knows_rowid(rowid)
         with pytest.raises(KeyError, match="unknown row identifier"):
             column.delete(rowid)
-        with pytest.raises(KeyError, match=f"row {rowid} not found"):
-            column.value_of(rowid)
+        assert 4 not in self.visible(column)
         column.check_invariants()
 
 
@@ -567,8 +564,9 @@ class TestBulkBaseDelete:
     def test_queues_every_rowid_in_order(self, small_values):
         column = UpdatableCrackedColumn(small_values, rowid_base=10)
         column.delete_base_rows(np.array([10, 13, 17], dtype=np.int64))
-        assert column._pending_delete_rowids == {
-            10: small_values[0], 13: small_values[3], 17: small_values[7]}
+        assert list(column._delete_queue_rowids) == [10, 13, 17]
+        assert list(column._delete_queue_values) == [
+            small_values[0], small_values[3], small_values[7]]
         assert len(column) == len(small_values) - 3
         assert not column.materialised
 

@@ -44,7 +44,7 @@ database = Database(data_dir=sys.argv[1])
 database.create_table("t", {"x": np.arange(5, dtype=np.int64)})
 with database.session() as session:
     session.insert_row("t", {"x": 9})
-database.durability.sync()
+database.durability.wal.sync()
 print("ready", flush=True)
 time.sleep(120)
 """

@@ -176,7 +176,7 @@ class TestOpenRecover:
         reopened = Database.open(tmp_path / "closed")
         assert reopened.indexing_mode("facts", "key") == "sideways-cracking"
         assert reopened._mode_options[("facts", "key")] == {"budget_bytes": 50_000}
-        plan = reopened.plan(query)
+        plan = reopened.planner.plan(query)
         assert [step.operator for step in plan.steps] == ["index_select", "aggregate"]
         assert plan.steps[0].columns == ("payload",)
         with reopened.session() as replayed, lived.session() as expected:
@@ -260,12 +260,12 @@ class TestOpenRecover:
         database = make_database(tmp_path)
         database.set_indexing("facts", "key", "full-index")
         installed = database.access_path("facts", "key")
-        memory = database.memory.breakdown()
-        assert memory["index:facts.key"] == installed.nbytes
+        design = database.physical_design_report()
+        assert [record["nbytes"] for record in design] == [installed.nbytes]
         with pytest.raises(ValueError):
             database.set_indexing("facts", "key", mode, **options)
         assert database.access_path("facts", "key") is installed
-        assert database.memory.breakdown() == memory
+        assert database.physical_design_report() == design
 
         # a fan-out pool must survive the refusal too: the old path is
         # released only after its replacement exists
@@ -420,7 +420,7 @@ class TestReplayInRuns:
         recovered = Database.open(tmp_path)
         assert recovered.table("facts").row_count == rows > ROWS
         for column in recovered.table("facts").columns.values():
-            assert column.capacity == rows  # no regrowth, no slack
+            assert len(column._data) == rows  # no regrowth, no slack
         recovered.close()
 
     def test_a_journal_only_table_is_copied_once(self, tmp_path):
@@ -436,7 +436,7 @@ class TestReplayInRuns:
             "key": rng.integers(0, DOMAIN, size=rows).astype(np.int64),
             "payload": rng.uniform(0, 100, size=rows),
         })
-        table_bytes = table.nbytes
+        table_bytes = sum(column.values.nbytes for column in table.columns.values())
         with database.session() as session:
             for value in range(appended):
                 session.insert_row("facts", {"key": value, "payload": 0.5})
@@ -451,7 +451,7 @@ class TestReplayInRuns:
             assert recovered.recovery_report.snapshot_path is None
             assert recovered.table("facts").row_count == rows + appended
             for column in recovered.table("facts").columns.values():
-                assert column.capacity == rows + appended
+                assert len(column._data) == rows + appended
         finally:
             recovered.close()
         assert peak < 2.5 * table_bytes, f"{peak / table_bytes:.2f}x the table"

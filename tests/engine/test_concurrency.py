@@ -137,13 +137,13 @@ class TestClassifyAndSchedule:
 
     def test_scan_claims_are_shared(self, database):
         queries = self.ranges_on_a()
-        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        claims = schedule_batch(database, [database.planner.plan(q) for q in queries])
         assert claims == [[AccessPathClaim(("path", "facts", "a"), False)]] * len(queries)
 
     def test_cracking_claims_are_exclusive(self, database):
         database.set_indexing("facts", "a", "cracking")
         queries = self.ranges_on_a()
-        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        claims = schedule_batch(database, [database.planner.plan(q) for q in queries])
         assert claims == [[AccessPathClaim(("path", "facts", "a"), True)]] * len(queries)
 
     def test_a_mixed_batch_has_both_claims(self, database):
@@ -155,7 +155,7 @@ class TestClassifyAndSchedule:
             Query.range_query("facts", "a", 500, 900),
             Query.range_query("facts", "b", 100, 300),
         ]
-        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        claims = schedule_batch(database, [database.planner.plan(q) for q in queries])
         assert [[(c.key[2], c.exclusive) for c in plan] for plan in claims] == [
             [("a", True)], [("b", False)], [("a", True)], [("b", False)]
         ]
@@ -167,7 +167,7 @@ class TestClassifyAndSchedule:
             selections=[RangeSelection("a", 0, 1_000)],
             projections=["c"],
         )
-        claims = classify_plan(database, database.plan(query))
+        claims = classify_plan(database, database.planner.plan(query))
         assert [(c.key, c.exclusive) for c in claims] == [
             (("path", "facts", "a"), True)
         ]
@@ -178,7 +178,7 @@ class TestClassifyAndSchedule:
             table="facts",
             selections=[RangeSelection("a", 0, 5_000), RangeSelection("b", 0, 500)],
         )
-        claims = classify_plan(database, database.plan(query))
+        claims = classify_plan(database, database.planner.plan(query))
         assert [c.key for c in claims] == [("path", "facts", "a")]
 
 
@@ -195,7 +195,7 @@ class TestLockManager:
             Query.range_query("facts", "a", 0, 500),
             Query.range_query("facts", "b", 0, 100),
         ]
-        claims = schedule_batch(database, [database.plan(q) for q in queries])
+        claims = schedule_batch(database, [database.planner.plan(q) for q in queries])
         manager = AccessPathLockManager()
         with manager.locked(claims[0]):
             assert manager.lock_for(("path", "facts", "a")).locked()
@@ -253,7 +253,7 @@ class TestLockManager:
         monkeypatch.setattr(Session, "_execute_locked", execute_locked)
         results = session.execute_many(queries)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
@@ -300,7 +300,7 @@ class TestAFailedEntryReleasesWhatItTook:
         database.set_indexing("facts", "b", "cracking")
         manager = database._path_locks
         self.failing_on_b(manager, monkeypatch, error)
-        plans = [database.plan(Query.range_query("facts", column, 0, 500))
+        plans = [database.planner.plan(Query.range_query("facts", column, 0, 500))
                  for column in "ab"]
         with pytest.raises(type(error)):
             with manager.claimed(database, plans):
@@ -322,7 +322,7 @@ class TestAFailedEntryReleasesWhatItTook:
 
         monkeypatch.setattr(concurrency, "reorganizes_on_read", failing_on_b)
         manager = database._path_locks
-        plans = [database.plan(Query.range_query("facts", column, 0, 500))
+        plans = [database.planner.plan(Query.range_query("facts", column, 0, 500))
                  for column in "ab"]
         with pytest.raises(RuntimeError, match="classification failed"):
             with manager.claimed(database, plans):
@@ -345,7 +345,7 @@ class TestExecuteManyIgnoredArguments:
                    for low in (0, 50, 5_000)]
         results = session.execute_many(queries, parallel, workers)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
@@ -451,7 +451,7 @@ class TestTombstoneReadsRacingDeletes:
                 while not stop.is_set():
                     results = session.execute_many(queries)
                     for query, result in zip(queries, results):
-                        low, high = query.selections[0].bounds
+                        low, high = query.selections[0].low, query.selections[0].high
                         positions = set(result.positions.tolist())
                         full = {
                             r for r in np.flatnonzero(

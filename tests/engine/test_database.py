@@ -26,6 +26,13 @@ def database(rng):
     return db
 
 
+def index_bytes(db):
+    """Auxiliary bytes of every installed path holding any, from the
+    physical-design report: ``table.column`` -> ``nbytes``."""
+    return {f"{record['table']}.{record['column']}": record["nbytes"]
+            for record in db.physical_design_report() if record["nbytes"]}
+
+
 def reference_positions(db, low, high, column="a", table="facts"):
     values = db.table(table)[column].values
     return set(np.flatnonzero((values >= low) & (values < high)).tolist())
@@ -84,8 +91,12 @@ class TestSchema:
         with pytest.raises(KeyError, match="available"):
             database.table("nope")
 
-    def test_memory_tracker_records_tables(self, database):
-        assert database.memory.total_bytes >= database.table("facts").nbytes
+    def test_physical_design_report_records_index_bytes(self, database):
+        database.set_indexing("facts", "a", "full-index")
+        database.set_indexing("facts", "b", "scan")
+        report = {record["column"]: record for record in database.physical_design_report()}
+        assert report["a"]["nbytes"] == database.access_path("facts", "a").nbytes > 0
+        assert report["b"]["nbytes"] == 0
 
 
 class TestIndexingModes:
@@ -201,7 +212,7 @@ class TestExecution:
         )
         expected = session.execute(query)
         database.set_indexing("facts", "a", "sideways-cracking")
-        assert [step.operator for step in database.plan(query).steps] == [
+        assert [step.operator for step in database.planner.plan(query).steps] == [
             "index_select", "aggregate", "aggregate"
         ]
         sideways = session.execute(query)
@@ -277,16 +288,13 @@ class TestMemoryAccounting:
     def test_drop_table_removes_index_memory(self, database):
         database.set_indexing("facts", "a", "full-index")
         database.set_indexing("facts", "b", "full-index")
-        assert "index:facts.a" in database.memory.breakdown()
-        assert "index:facts.b" in database.memory.breakdown()
+        assert "facts.a" in index_bytes(database)
+        assert "facts.b" in index_bytes(database)
         database.drop_table("facts")
-        breakdown = database.memory.breakdown()
-        assert "index:facts.a" not in breakdown
-        assert "index:facts.b" not in breakdown
-        assert "table:facts" not in breakdown
-        assert database.memory.total_bytes == 0
+        assert index_bytes(database) == {}
+        assert database.table_names == []
 
-    def test_memory_tracker_follows_dml(self):
+    def test_index_bytes_follow_dml(self):
         rng = np.random.default_rng(3)
         database = Database("updatable-memory")
         database.create_table(
@@ -296,35 +304,35 @@ class TestMemoryAccounting:
         # nothing is built at install: no index entry until a query builds it
         path = database.access_path("facts", "key")
         assert path.nbytes == 0
-        assert "index:facts.key" not in database.memory.breakdown()
+        assert "facts.key" not in index_bytes(database)
         with database.session() as session:
             session.insert_row("facts", {"key": 7})
-            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            assert index_bytes(database)["facts.key"] == path.nbytes
             session.delete_row("facts", 0)
-            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            assert index_bytes(database)["facts.key"] == path.nbytes
             session.execute(Query.range_query("facts", "key", 0, 1_000))
             assert path.materialised
-            assert database.memory.breakdown()["index:facts.key"] == path.nbytes
+            assert index_bytes(database)["facts.key"] == path.nbytes
             assert path.nbytes >= 16 * 1_500
         database.close()
 
     def test_mode_switch_away_from_full_index_removes_memory(self, database):
         database.set_indexing("facts", "a", "full-index")
-        assert "index:facts.a" in database.memory.breakdown()
+        assert "facts.a" in index_bytes(database)
         database.set_indexing("facts", "a", "cracking")
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
 
     def test_mode_switch_to_scan_removes_memory(self, database):
         database.set_indexing("facts", "a", "full-index")
         database.set_indexing("facts", "a", "scan")
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
 
     def test_switching_back_to_full_index_records_again(self, database):
         database.set_indexing("facts", "a", "full-index")
-        recorded = database.memory.breakdown()["index:facts.a"]
+        recorded = index_bytes(database)["facts.a"]
         database.set_indexing("facts", "a", "cracking")
         database.set_indexing("facts", "a", "full-index")
-        assert database.memory.breakdown()["index:facts.a"] == recorded
+        assert index_bytes(database)["facts.a"] == recorded
 
     @pytest.mark.parametrize("release", ["scan", "drop_table"])
     def test_cracker_maps_are_tracked_and_released(self, database, session, release):
@@ -333,7 +341,7 @@ class TestMemoryAccounting:
         database.set_indexing(
             "facts", "a", "sideways-cracking", budget_bytes=10**6
         )
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
         covering = Query(
             table="facts", selections=[RangeSelection("a", 1000, 4000)],
             projections=["b", "c"],
@@ -341,23 +349,23 @@ class TestMemoryAccounting:
         session.execute(covering)
         session.delete_row("facts", 7)
         cracker = database.access_path("facts", "a")
-        assert cracker.map_names() == ["b", "c"]
-        assert database.memory.breakdown()["index:facts.a"] == cracker.nbytes == 240_000
+        assert sorted(cracker.maps) == ["b", "c"]
+        assert index_bytes(database)["facts.a"] == cracker.nbytes == 240_000
         # an insert drops every map (they re-materialise on demand) ...
         session.insert_row("facts", {"a": 1500, "b": 1, "c": 1.0})
         rebuilt = database.access_path("facts", "a")
         assert rebuilt is not cracker and cracker.budget.used_bytes == 0
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
         # ... and the next DML operation reads the re-materialised ones
         session.execute(covering)
         session.delete_row("facts", 8)
-        assert database.memory.breakdown()["index:facts.a"] == rebuilt.nbytes == 240_048
+        assert index_bytes(database)["facts.a"] == rebuilt.nbytes == 240_048
         assert rebuilt.budget.used_bytes == rebuilt.nbytes
         if release == "scan":
             database.set_indexing("facts", "a", "scan")
         else:
             database.drop_table("facts")
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
         assert rebuilt.budget.used_bytes == 0 and rebuilt.nbytes == 0
 
     def test_one_physical_design_per_column(self, database, session,
@@ -370,11 +378,11 @@ class TestMemoryAccounting:
         session.execute(Query.range_query("facts", "a", 0, 9_000))
         replaced = database.access_path("facts", "a")
         assert replaced._pool is not None
-        assert "index:facts.a" in database.memory.breakdown()
+        assert "facts.a" in index_bytes(database)
         database.set_indexing("facts", "a", "sideways-cracking")
         assert replaced._pool is None
         assert database.indexing_mode("facts", "a") == "sideways-cracking"
-        assert "index:facts.a" not in database.memory.breakdown()
+        assert "facts.a" not in index_bytes(database)
         assert [(r["column"], r["mode"], r["structure"])
                 for r in database.physical_design_report()] == [
             ("a", "sideways-cracking", "0 cracker maps")
@@ -539,12 +547,12 @@ class TestDML:
             assert cracked.pending_inserts == 0
             assert rows(big, big + 1) == [rowid]
             assert rows(2**60, big) == [] and rows(big + 1, 2**61) == []
-            value = cracked.value_of(rowid)
+            value = cracked._inserted_values[rowid]
             assert value == big and type(value) is int
             assert int(database.table("t")["k"].values[rowid]) == big
             cracked.check_invariants()
             session.delete_row("t", rowid)
-            assert cracked._pending_delete_rowids == {rowid: big}
+            assert list(cracked._delete_queue_values) == [big]
             assert rows(2**60, 2**61) == []
             assert cracked.pending_deletes == 0
             cracked.check_invariants()
@@ -592,7 +600,7 @@ class TestDML:
         assert column.search(big, big + 1).tolist() == [2]
         assert column.search(2**60, big).tolist() == []
         assert column.search(big + 1, 2**61).tolist() == []
-        owner = next(p for p in column.partitions if p.start <= 2 < p.end)
+        owner = next(p for p in column._partitions if p.start <= 2 < p.end)
         assert owner.max_value == big and type(owner.max_value) is int
         column.check_invariants()
 
@@ -698,13 +706,13 @@ class TestDML:
         )
         assert result.aggregates["count(c)"] == 4999
 
-    def test_insert_updates_memory_tracker(self, database, session):
+    def test_insert_updates_index_bytes(self, database, session):
         database.set_indexing("facts", "a", "full-index")
-        table_before = database.memory.breakdown()["table:facts"]
-        index_before = database.memory.breakdown()["index:facts.a"]
+        rows_before = database.table("facts").row_count
+        index_before = index_bytes(database)["facts.a"]
         session.insert_row("facts", {"a": 1, "b": 2, "c": 3.0})
-        assert database.memory.breakdown()["table:facts"] > table_before
-        assert database.memory.breakdown()["index:facts.a"] > index_before
+        assert database.table("facts").row_count == rows_before + 1
+        assert index_bytes(database)["facts.a"] > index_before
 
     def test_updatable_path_absorbs_instead_of_rebuilding(self, database, session):
         database.set_indexing("facts", "a", "updatable-cracking")
@@ -754,7 +762,7 @@ class TestExecuteMany:
         results = session.execute_many(queries)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
@@ -773,7 +781,7 @@ class TestExecuteMany:
         results = session.execute_many(queries, parallel=True)
         assert len(results) == len(queries)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             expected = reference_positions(
                 database, low, high, column=query.selections[0].column,
                 table=query.table,
@@ -795,7 +803,7 @@ class TestExecuteMany:
         ]
         results = session.execute_many(queries, parallel=True, max_workers=4)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             assert set(result.positions.tolist()) == reference_positions(
                 database, low, high
             )
@@ -853,7 +861,7 @@ class TestExecuteManyWithDML:
         ]
         results = session.execute_many(queries, parallel=parallel)
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             expected = {r for r, v in model.items() if low <= v < high}
             assert set(result.positions.tolist()) == expected, (
                 f"{mode} (parallel={parallel}) diverged on [{low}, {high})"
@@ -885,7 +893,7 @@ class TestExecuteManyWithDML:
         results = session.execute_many(queries, parallel=True)
         dim_values = database.table("dim")["k"].values
         for query, result in zip(queries, results):
-            low, high = query.selections[0].bounds
+            low, high = query.selections[0].low, query.selections[0].high
             if query.table == "facts":
                 expected = {r for r, v in model.items() if low <= v < high}
             else:

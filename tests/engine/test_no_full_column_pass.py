@@ -87,7 +87,7 @@ def test_classifying_a_query_on_an_unconverged_column_allocates_no_mask(
     with database.session() as session:
         for low in rng.integers(0, DOMAIN - 2_000, size=200).tolist():
             query = Query.range_query("t", "key", float(low), float(low + 2_000))
-            plan = database.plan(query)
+            plan = database.planner.plan(query)
             for _ in range(2):  # before the query's own cracks, and after
                 claims = []
                 peak = max(peak, traced_peak(
@@ -187,7 +187,8 @@ def test_a_gap_is_located_in_one_bisection():
         session.execute(Query.range_query("t", "key", 0.0, 2_000.0))
         query = Query.range_query("t", "key", 500_000.0, 502_000.0)
         takes = call_events(lambda: session.execute(query), "take")
-        assert len(database.access_path("t", "key").merged_ranges) == 2
+        merged = database.access_path("t", "key").merged_ranges
+        assert merged.uncovered(0, 502_000) == [(2_000, 500_000)]
     database.close()
     assert takes == run_size.bit_length(), takes
 

@@ -80,7 +80,7 @@ class TestCoveringPathRefinements:
                     projections=["b", "c"],
                     aggregates=[Aggregate("b", "count")],
                 )
-                assert [step.operator for step in sideways.plan(query).steps] == [
+                assert [step.operator for step in sideways.planner.plan(query).steps] == [
                     "index_select", "aggregate"]
                 expected = _expected_rows(columns, bounds_a, bounds_b)
                 for result in (scan_session.execute(query),
@@ -94,7 +94,7 @@ class TestCoveringPathRefinements:
 
 
 class TestPlanKeepsTheQuery:
-    """``db.plan(q).query is q``; every selecting step's bounds are
+    """``db.planner.plan(q).query is q``; every selecting step's bounds are
     ``exact_bounds`` of the column's dtype."""
 
     @pytest.fixture
@@ -132,10 +132,10 @@ class TestPlanKeepsTheQuery:
             aggregates=[Aggregate(others[1], "sum")],
         )
         selections = list(query.selections)
-        plan = database.plan(query)
+        plan = database.planner.plan(query)
         assert plan.query is query
         assert query.selections == selections
-        assert [s.bounds for s in query.selections] == [bounds, bounds]
+        assert [(s.low, s.high) for s in query.selections] == [bounds, bounds]
 
         def expected(name):
             dtype = database.table("t").column(name).dtype.numpy_dtype
@@ -163,6 +163,6 @@ class TestPlanKeepsTheQuery:
         bounds = (math.nan, 5.0) if nan_at == "low" else (1.0, math.nan)
         query = Query(table="t", selections=[RangeSelection(column, *bounds)])
         with pytest.raises(ValueError, match="NaN"):
-            database.plan(query)
+            database.planner.plan(query)
         with database.session() as session, pytest.raises(ValueError, match="NaN"):
             session.execute(query)

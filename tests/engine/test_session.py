@@ -35,9 +35,8 @@ def reference_positions(db, low, high, column="a", table="facts"):
 class TestSessionLifecycle:
     def test_context_manager_closes(self, database):
         with database.session(name="s") as session:
-            assert not session.closed
+            session.execute(Query.range_query("facts", "a", 0, 10))
             assert session.name == "s"
-        assert session.closed
         with pytest.raises(RuntimeError, match="closed"):
             session.execute(Query.range_query("facts", "a", 0, 10))
         with pytest.raises(RuntimeError, match="closed"):
@@ -219,7 +218,6 @@ class TestQueryBuilder:
             .where("b", None, 500)
             .select("c")
             .agg("sum", "c")
-            .describe("demo")
             .build()
         )
         assert query == Query(
@@ -227,7 +225,7 @@ class TestQueryBuilder:
             selections=[RangeSelection("a", 10, 20), RangeSelection("b", None, 500)],
             projections=["c"],
             aggregates=[Aggregate("c", "sum")],
-            description="demo",
+            description="facts: a in [10, 20) and b in [None, 500)",
         )
 
     def test_builder_run_and_submit(self, database, session):
@@ -294,13 +292,14 @@ class TestTableGate:
         acquired = threading.Event()
 
         def writer():
-            with gate.write():
-                acquired.set()
+            gate.acquire_write()
+            acquired.set()
+            gate.release_write()
 
         thread = threading.Thread(target=writer)
         thread.start()
         assert not acquired.wait(0.1)
-        assert gate.pending_writers == 1
+        assert gate.fenced_writes == 1  # queued behind the reader
         gate.release_read()
         assert acquired.wait(2.0)
         thread.join()
@@ -313,8 +312,8 @@ class TestTableGate:
         reader_entered = threading.Event()
 
         def writer():
-            with gate.write():
-                pass
+            gate.acquire_write()
+            gate.release_write()
             writer_done.set()
 
         def late_reader():
@@ -323,7 +322,7 @@ class TestTableGate:
 
         writer_thread = threading.Thread(target=writer)
         writer_thread.start()
-        while gate.pending_writers == 0:
+        while gate.fenced_writes == 0:
             pass  # wait until the writer is queued
         reader_thread = threading.Thread(target=late_reader)
         reader_thread.start()

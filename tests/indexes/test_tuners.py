@@ -20,7 +20,7 @@ class TestOnlineTuner:
         queries_before_build = None
         for query_number in range(1, 200):
             tuner.select(column, predicate)
-            if tuner.has_index("key"):
+            if "key" in tuner.indexes:
                 queries_before_build = query_number
                 break
         assert queries_before_build is not None, "online tuner never built the index"
@@ -42,7 +42,7 @@ class TestOnlineTuner:
             counters = CostCounters()
             tuner.select(column, RangePredicate(100, 200), counters)
             costs.append(counters.tuples_moved)
-            if tuner.has_index("key"):
+            if "key" in tuner.indexes:
                 break
         assert costs[-1] >= len(column)  # the build moved the whole column
 
@@ -54,9 +54,9 @@ class TestOnlineTuner:
         for query_number in range(1, 500):
             eager.select(column, RangePredicate(100, 200))
             lazy.select(column, RangePredicate(100, 200))
-            if eager_build is None and eager.has_index("key"):
+            if eager_build is None and "key" in eager.indexes:
                 eager_build = query_number
-            if lazy_build is None and lazy.has_index("key"):
+            if lazy_build is None and "key" in lazy.indexes:
                 lazy_build = query_number
             if eager_build and lazy_build:
                 break
@@ -76,9 +76,9 @@ class TestSoftIndexes:
         for query_number in range(1, 10):
             positions = manager.select(column, RangePredicate(50, 150))
             assert set(positions.tolist()) == expected
-            if manager.has_index("key"):
+            if "key" in manager.indexes:
                 break
-        assert manager.has_index("key")
+        assert "key" in manager.indexes
         assert query_number == 3  # built exactly when the threshold was reached
 
     def test_build_charged_to_carrying_query(self, rng):

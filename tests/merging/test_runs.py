@@ -58,11 +58,11 @@ class TestRunGeneration:
         values = rng.integers(0, 1000, size=1050)
         counters = CostCounters()
         RunSet(values, run_size=100, counters=counters)
-        assert counters.as_dict() == CostCounters(
+        assert counters == CostCounters(
             tuples_scanned=1050, tuples_moved=1050,
             comparisons=10 * sort_comparisons(100) + sort_comparisons(50),
             bytes_allocated=1050 * 16, pieces_created=11,
-        ).as_dict()
+        )
 
 
 class TestExtraction:

@@ -14,6 +14,8 @@ Covered: a column numbered from 0 or from an offset and both merge
 policies, each its own case; int32, int64, float32 and float64 bases.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,12 +69,12 @@ def step(column, op, argument, victim):
     elif op == "batch":
         each = [CostCounters() for _ in argument]
         answers = column.search_many(argument, each)
-        return [a.tolist() for a in answers], [c.as_dict() for c in each]
+        return [a.tolist() for a in answers], [asdict(c) for c in each]
     elif op == "insert":
         answer = column.insert(argument, counters)
     else:
         answer = column.delete(victim, counters)
-    return answer, [counters.as_dict()]
+    return answer, [asdict(counters)]
 
 
 def run(make, values, picks, stream):

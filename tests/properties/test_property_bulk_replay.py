@@ -75,7 +75,7 @@ def write_journal(data_dir, name, steps, snapshot_at, create_at):
             else:
                 victim = rows.pop(pick % len(rows))
                 rows.append(session.update_row(table, victim, {"a": value}))
-    database.durability.sync()
+    database.durability.wal.sync()
     database.close()
 
 

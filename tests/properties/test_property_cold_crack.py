@@ -72,7 +72,7 @@ def cases(draw):
 def _state(column):
     return (column.values.dtype, column.values.tolist(),
             column.rowids.dtype, column.rowids.tolist(),
-            column.index.boundary_values, column.index.boundary_positions)
+            column.index.pieces())
 
 
 def _reference_search(values, low, high, rowid_base):
@@ -91,7 +91,7 @@ def _assert_same_then_same_again(column, reference, low, high):
     again, expected = CostCounters(), CostCounters()
     answer = column.search(low, high, again)
     assert answer.tolist() == reference.search(low, high, expected).tolist()
-    assert again.as_dict() == expected.as_dict()
+    assert again == expected
     assert _state(column) == _state(reference)
     column.check_invariants()
 
@@ -106,7 +106,7 @@ def test_a_cold_search_is_the_copy_then_the_crack(case):
     reference, expected, charged = _reference_search(values, low, high, rowid_base)
     assert answer.dtype == expected.dtype
     assert answer.tolist() == expected.tolist()
-    assert counters.as_dict() == charged.as_dict()
+    assert counters == charged
     _assert_same_then_same_again(column, reference, low, high)
 
 
@@ -124,7 +124,7 @@ def test_a_cold_crack_at_is_the_copy_then_crack_value(case):
     expected = crack_value(reference.values, reference.rowids, reference.index,
                            pivot, charged)
     assert position == expected
-    assert counters.as_dict() == charged.as_dict()
+    assert counters == charged
     _assert_same_then_same_again(column, reference, low, high)
 
 
@@ -141,7 +141,7 @@ def test_an_empty_or_one_row_column(size, low, high, rowid_base):
     answer = column.search(low, high, counters)
     reference, expected, charged = _reference_search(values, low, high, rowid_base)
     assert answer.tolist() == expected.tolist()
-    assert counters.as_dict() == charged.as_dict()
+    assert counters == charged
     _assert_same_then_same_again(column, reference, low, high)
 
 
@@ -165,7 +165,7 @@ def test_a_cold_stochastic_search_is_the_copy_then_the_cuts(case, variant):
                              low, high, charged)
     charged.record_scan(end - start)
     assert answer.tolist() == reference.rowids[start:end].tolist()
-    assert counters.as_dict() == charged.as_dict()
+    assert counters == charged
     _assert_same_then_same_again(column, reference, low, high)
 
 

@@ -10,6 +10,8 @@ every later search is two binary searches, moves nothing and creates no
 piece, until an update is physically merged.
 """
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +92,7 @@ def oracle(column) -> bool:
     """What ``column.converged`` must answer right now (never latches)."""
     if isinstance(column, PartitionedCrackedColumn):
         return all(
-            p._bounds_known and oracle(p.cracked) for p in column.partitions
+            p._bounds_known and oracle(p.cracked) for p in column._partitions
         )
     return (column.pending_inserts == 0 and column.pending_deletes == 0
             and column.is_fully_sorted())
@@ -98,7 +100,7 @@ def oracle(column) -> bool:
 
 def plain_columns(column):
     if isinstance(column, PartitionedCrackedColumn):
-        return [p.cracked for p in column.partitions]
+        return [p.cracked for p in column._partitions]
     return [column]
 
 
@@ -132,7 +134,7 @@ def latched_search(column, low, high):
     again = column.search(low, high, second)
     assert same_state(before, snapshot(column))
     assert np.array_equal(answer, again)
-    assert first.as_dict() == second.as_dict()
+    assert first == second
     assert first.tuples_moved == first.pieces_created == first.bytes_allocated == 0
     if not isinstance(column, PartitionedCrackedColumn):
         probes = (low is not None) + (high is not None)
@@ -199,7 +201,7 @@ def test_stochastic_column_converged_is_exact_after_every_step(
 @settings(max_examples=80, deadline=None)
 def test_partitioned_column_converged_is_exact_after_every_step(values, ops, partitions):
     # a partitioned column takes searches only: no crack_at, no DML
-    with PartitionedCrackedColumn(values, partitions=partitions) as column:
+    with closing(PartitionedCrackedColumn(values, partitions=partitions)) as column:
         drive(column, values, [op for op in ops if op[0] == "search"])
 
 

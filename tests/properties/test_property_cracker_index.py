@@ -15,6 +15,7 @@ column end, a one-piece column and the delete of a piece's last element.
 """
 
 import bisect
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ from repro.cost.counters import CostCounters
 
 DOMAIN = 24
 PROBES = [v / 2 for v in range(-2, 2 * DOMAIN + 3)]
+
+
+def boundaries(index):
+    """The index's boundary values and positions, read off its pieces."""
+    pieces = index.pieces()[1:]
+    return [piece.low for piece in pieces], [piece.start for piece in pieces]
 
 
 class ListModel:
@@ -139,8 +146,8 @@ class CrackerIndexMachine(RuleBasedStateMachine):
     @rule(value=key)
     def repeat_a_boundary(self, value):
         """Re-registering a boundary where it is changes nothing."""
-        position = self.index.position_of(value)
-        if position is not None:
+        slot, position, _ = self.index.lookup(value)
+        if slot == -1:
             self.index.add_boundary(value, position)
 
     def shift(self, first, delta, call):
@@ -181,11 +188,8 @@ class CrackerIndexMachine(RuleBasedStateMachine):
 def assert_same(index, model):
     index.check_invariants()
     assert index.size == model.size and type(index.size) is int
-    assert len(index) == len(model.values)
     assert index.piece_count == len(model.values) + 1
-    assert index.boundary_values == model.values
-    assert index.boundary_positions == model.positions
-    assert all(type(p) is int for p in index.boundary_positions)
+    assert boundaries(index) == (model.values, model.positions)
     pieces = index.pieces()
     assert pieces == [model.piece(i) for i in range(len(model.values) + 1)]
     for piece in pieces:
@@ -196,28 +200,26 @@ def assert_same(index, model):
         assert_lookup(index, probe)
         known = probe in model.values
         assert index.has_boundary(probe) is known
-        position = index.position_of(probe)
         if known:
-            assert position == model.positions[model.values.index(probe)]
-            assert type(position) is int
-        else:
-            assert position is None
+            position = model.positions[model.values.index(probe)]
+            assert index.lookup(probe) == (-1, position, position)
         above = index.positions_for_values_above(probe)
         assert above.dtype == np.int64 and above.tolist() == model.positions[i:]
 
 
 def assert_lookup(index, probe):
-    """:meth:`CrackerIndex.lookup` says what ``position_of`` and
+    """:meth:`CrackerIndex.lookup` says what ``has_boundary`` and
     ``piece_for_value`` say together, and gives the insertion point."""
     slot, start, end = index.lookup(probe)
     assert all(type(x) is int for x in (slot, start, end))
-    position = index.position_of(probe)
-    if position is not None:
+    values, positions = boundaries(index)
+    if index.has_boundary(probe):
+        position = positions[values.index(probe)]
         assert (slot, start, end) == (-1, position, position)
     else:
         piece = index.piece_for_value(probe)
         assert (start, end) == (piece.start, piece.end)
-        assert slot == bisect.bisect_left(index.boundary_values, probe)
+        assert slot == bisect.bisect_left(values, probe)
 
 
 @st.composite
@@ -237,21 +239,19 @@ def boundary_sets(draw):
 @example(index=ListModel(6, [2, 3, 4], [3, 3, 3]).build(), probes=[2.5, 3, 3.5, 9])
 @example(index=ListModel(0, [1, 5], [0, 0]).build(), probes=[0, 1, 3, 5, 6])
 @example(index=CrackerIndex(4), probes=[0, 7])
-def test_lookup_is_position_of_and_piece_for_value(index, probes):
+def test_lookup_is_has_boundary_and_piece_for_value(index, probes):
     """On random boundary sets, a probe on a boundary and one in an empty
     piece included, one lookup equals the two older lookups; a new value
     registered at the slot it reports lands where a bisect would put it."""
-    for probe in probes + index.boundary_values:
+    for probe in probes + boundaries(index)[0]:
         assert_lookup(index, probe)
     for probe in probes:
         slot, start, end = index.lookup(probe)
         if slot >= 0:
-            model = ListModel(index.size, index.boundary_values,
-                              index.boundary_positions)
+            model = ListModel(index.size, *boundaries(index))
             model.add_boundary(probe, start)
             index.add_boundary(probe, start, slot)
-            assert index.boundary_values == model.values
-            assert index.boundary_positions == model.positions
+            assert boundaries(index) == (model.values, model.positions)
             index.check_invariants()
 
 
@@ -269,10 +269,9 @@ def test_bounds_in_two_empty_pieces_of_one_span_crack_in_three():
     counters = CostCounters()
     assert crack_range(values, rowids, index, 4.5, 5.5, counters) == (3, 3)
     assert rowids[3:3].size == 0
-    assert counters.as_dict() == {**CostCounters().as_dict(),
+    assert asdict(counters) == {**asdict(CostCounters()),
                                   "comparisons": 3, "pieces_created": 2}
-    assert index.boundary_values == [4.0, 4.5, 5.0, 5.5, 6.0]
-    assert index.boundary_positions == [3, 3, 3, 3, 3]
+    assert boundaries(index) == ([4.0, 4.5, 5.0, 5.5, 6.0], [3, 3, 3, 3, 3])
     assert np.array_equal(values, before_values)
     assert np.array_equal(rowids, before_rowids)
 

@@ -176,7 +176,7 @@ def assert_matches_model(queries, results, model, context):
     for query, result in zip(queries, results):
         if [selection.column for selection in query.selections] != ["key"]:
             continue
-        low, high = query.selections[0].bounds
+        low, high = query.selections[0].low, query.selections[0].high
         expected = {
             rowid for rowid, value in model.items()
             if (low is None or value >= low) and (high is None or value < high)

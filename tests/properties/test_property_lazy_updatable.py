@@ -16,6 +16,8 @@ one-row bases, numbered from 0 or from an offset (policy and offset each
 their own case).
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +89,7 @@ def state(shard):
 
 
 def charged(counters):
-    return [c.as_dict() for c in counters]
+    return [asdict(c) for c in counters]
 
 
 def step(column, op, argument, victim):

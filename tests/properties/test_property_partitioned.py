@@ -8,6 +8,8 @@ positions returned by :class:`PartitionedCrackedColumn` equals what a plain
 which also charges the same logical costs.
 """
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,9 +57,9 @@ def test_partitioned_matches_cracked_column(partitions, parallel, seed,
     domain = int(rng.integers(1, 2000))
     values = rng.integers(0, domain, size=size).astype(np.int64)
     whole = CrackedColumn(values)
-    with PartitionedCrackedColumn(
+    with closing(PartitionedCrackedColumn(
         values, partitions=partitions, parallel=parallel
-    ) as partitioned:
+    )) as partitioned:
         for low, high in random_workload(rng, domain, count=40):
             expected = whole.search(low, high)
             actual = partitioned.search(low, high)
@@ -107,9 +109,9 @@ def test_zoom_in_stream_matches_cracked_column(partitions, pooled_fan_out):
     outcomes = {}
     for label, execution in EXECUTIONS:
         whole = CrackedColumn(values)
-        with PartitionedCrackedColumn(
+        with closing(PartitionedCrackedColumn(
             values, partitions=partitions, **execution
-        ) as partitioned:
+        )) as partitioned:
             counters = CostCounters()
             low, high = 0.0, 5000.0
             for _ in range(80):

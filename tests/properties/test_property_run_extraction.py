@@ -228,7 +228,7 @@ def assert_stream_matches_model(make_subject, base, run_size, queries):
         want = model.search(low, high, want_counters)
         where = f"query {step}: [{low}, {high})"
         assert got.dtype == np.int64 and got.tolist() == want.tolist(), where
-        assert got_counters.as_dict() == want_counters.as_dict(), where
+        assert got_counters == want_counters, where
         assert observed() == expected(), where
     getattr(searcher, "index", searcher).check_invariants()
 
@@ -464,7 +464,7 @@ def assert_runs_match_the_model(keys, width):
     assert runs.values.dtype == keys.dtype and runs.rowids.dtype == np.int64
     assert np.array_equal(runs.values, want_values)
     assert np.array_equal(runs.rowids, want_rowids)
-    assert counters.as_dict() == want_counters.as_dict()
+    assert counters == want_counters
     runs.check_invariants(keys)
 
 
@@ -477,9 +477,9 @@ def assert_full_index_is_a_stable_sort(keys):
     assert np.array_equal(index.sorted_values, keys[order])
     assert np.array_equal(index.sorted_positions, order)
     n = len(keys)
-    assert counters.as_dict() == CostCounters(
+    assert counters == CostCounters(
         tuples_scanned=n, tuples_moved=n, comparisons=sort_cost(n),
-        bytes_allocated=n * (keys.itemsize + 8), pieces_created=1).as_dict()
+        bytes_allocated=n * (keys.itemsize + 8), pieces_created=1)
 
 
 def assert_kernel_is_a_stable_argsort(keys, width):
@@ -490,10 +490,10 @@ def assert_kernel_is_a_stable_argsort(keys, width):
     assert np.array_equal(sorted_values, want_values)
     assert np.array_equal(positions, want_positions)
     rows, tail = divmod(len(keys), width)
-    assert counters.as_dict() == CostCounters(
+    assert counters == CostCounters(
         tuples_moved=len(keys),
         comparisons=rows * sort_cost(width) + (sort_cost(tail) if tail else 0),
-    ).as_dict()
+    )
 
 
 @given(keyed=keyed_rows())

@@ -150,13 +150,13 @@ def batches(draw, keys):
 def cracker_state(column):
     """Everything a search may change, as comparable plain data."""
     if isinstance(column, PartitionedCrackedColumn):
-        return ([cracker_state(p.cracked) for p in column.partitions],
+        return ([cracker_state(p.cracked) for p in column._partitions],
                 column.queries_processed)
     materialised = column.materialised
     return (
         column.values.tolist() if materialised else None,
         column.rowids.tolist() if materialised else None,
-        column.index.boundary_values, column.index.boundary_positions,
+        column.index.pieces(),
         column.queries_processed, column.merges_performed,
         column.pending_inserts, column.pending_deletes,
     )

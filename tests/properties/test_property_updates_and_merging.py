@@ -1,5 +1,7 @@
 """Property-based tests for updates, intervals and adaptive merging."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -232,7 +234,8 @@ class TestIntervalSetProperties:
         for low, high in intervals:
             interval_set.add(low, high)
         naive = any(low <= probe < high for low, high in intervals)
-        assert interval_set.contains_point(probe) == naive
+        # a point is in the set when the one-ulp range starting at it is covered
+        assert interval_set.covers(probe, math.nextafter(probe, math.inf)) == naive
 
     @given(intervals=intervals_strategy,
            query=st.tuples(st.floats(0, 100, allow_nan=False),
@@ -254,7 +257,7 @@ class TestIntervalSetProperties:
             previous_end = gap_high
             midpoint = (gap_low + gap_high) / 2
             if gap_high > gap_low:
-                assert not interval_set.contains_point(midpoint)
+                assert not interval_set.covers(midpoint, math.nextafter(midpoint, math.inf))
 
 
 class TestAdaptiveMergingProperties:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.workloads.generators import (
+    WORKLOAD_PATTERNS,
     RangeQuery,
     WorkloadSpec,
     generate_column_data,
-    make_workload,
     periodic_workload,
     piecewise_focus_workload,
     random_workload,
@@ -107,10 +107,13 @@ class TestPatterns:
         with pytest.raises(ValueError):
             piecewise_focus_workload(SPEC, focus_fraction=0)
 
-    def test_make_workload_dispatch(self):
-        assert len(make_workload("random", SPEC)) == SPEC.query_count
-        with pytest.raises(ValueError, match="unknown workload pattern"):
-            make_workload("mystery", SPEC)
+    def test_pattern_table_dispatch(self):
+        """The CLI's ``--pattern`` names are the pattern table's keys, and
+        each builds the spec's number of queries."""
+        assert sorted(WORKLOAD_PATTERNS) == [
+            "periodic", "piecewise", "random", "sequential", "skewed"]
+        for generator in WORKLOAD_PATTERNS.values():
+            assert len(generator(SPEC)) == SPEC.query_count
 
 
 class TestColumnData:

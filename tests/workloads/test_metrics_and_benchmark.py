@@ -89,10 +89,9 @@ class TestBenchmarkHarness:
         assert set(result.runs) == {"scan", "cracking", "sort-first"}
         table = result.summary_table()
         assert len(table) == 3
-        series = result.per_query_costs()
-        assert all(len(v) == 120 for v in series.values())
-        cumulative = result.cumulative_costs()
-        assert all(len(v) == 120 for v in cumulative.values())
+        for run in result.runs.values():
+            assert len(run.statistics.per_query_cost()) == 120
+            assert len(run.statistics.cumulative_cost()) == 120
 
     def test_benchmark_shape_scan_never_converges(self, harness):
         result = harness.run(["scan", "cracking", "sort-first"])

@@ -9,6 +9,7 @@ with a recorded entry and the A/B verdict are checked without a 1M-row run.
 import copy
 import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -130,6 +131,47 @@ def test_check_gates_wall_clock_only_on_the_recording_host(reports, tmp_path, sa
              if p.startswith("durable_dml seed 21: recovery_s worse than the recorded median")]
     assert len(gated) == (1 if same_host else 0)
     assert len(problems) == len(gated)
+
+
+def slower(report, factor):
+    report = copy.deepcopy(report)
+    report["metrics"]["recovery_s"]["value"] *= factor
+    return report
+
+
+def test_check_holds_the_median_of_as_many_runs_as_the_entry_recorded(reports, tmp_path):
+    """One slow run among three is host noise, not a regression: ``check``
+    runs a cell as often as the entry did and compares the medians."""
+    entry = recorded_entry(reports)
+    entry["runs"] = 3
+    run = runner([slower(reports[0], 2), reports[1], reports[2]])
+    assert trajectory.check(entry, run, tmp_path) == []
+    assert len(run.calls) == 3
+    # every run slow is a regression, and a moved count is named once
+    moved = [slower(report, 2) for report in reports]
+    for report in moved:
+        report["counts"]["deletes"] += 1
+    problems = trajectory.check(entry, runner(moved), tmp_path)
+    assert [p.split(":")[1].strip().split(" ")[0] for p in problems] == [
+        "counts.deletes", "recovery_s"]
+
+
+GIT = ["git", "-c", "user.name=trajectory", "-c", "user.email=trajectory@example.org"]
+
+
+@pytest.mark.skipif(not shutil.which("git"), reason="needs git")
+def test_record_stamps_a_checkout_with_uncommitted_changes(tmp_path):
+    subprocess.run(GIT + ["init", "-q", str(tmp_path)], check=True)
+    (tmp_path / "kept.py").write_text("one\n")
+    subprocess.run(GIT + ["add", "kept.py"], cwd=tmp_path, check=True)
+    subprocess.run(GIT + ["commit", "-q", "-m", "one"], cwd=tmp_path, check=True)
+    assert trajectory.stamp_tree("abc123", tmp_path) == "abc123"
+    (tmp_path / "kept.py").write_text("two\n")
+    edited = trajectory.stamp_tree("abc123", tmp_path)
+    assert edited.startswith("abc123+") and len(edited) == len("abc123+") + 12
+    (tmp_path / "new.py").write_text("three\n")
+    added = trajectory.stamp_tree("abc123", tmp_path)
+    assert added.startswith("abc123+") and added != edited
 
 
 def faster(report, factor):
