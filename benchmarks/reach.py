@@ -59,6 +59,7 @@ import json
 import os
 import sys
 import threading
+import time
 
 _seen = {}
 
@@ -73,7 +74,9 @@ def _dump():
     sys.setprofile(None)
     threading.setprofile(None)
     pairs = sorted({(code.co_filename, code.co_firstlineno) for code in _seen.values()})
-    path = os.path.join(os.environ["REACH_DUMPS"], "%d.json" % os.getpid())
+    # a recycled pid must not overwrite an earlier process's dump
+    name = "%d-%d.json" % (os.getpid(), time.monotonic_ns())
+    path = os.path.join(os.environ["REACH_DUMPS"], name)
     with open(path, "w") as handle:
         json.dump(pairs, handle)
 
@@ -143,7 +146,8 @@ def write_bootstrap(directory: Path) -> Path:
     return directory
 
 
-def probe_environment(bootstrap: Path, dumps: Path, extra_path: Sequence[Path] = ()) -> Dict[str, str]:
+def probe_environment(bootstrap: Path, dumps: Path,
+                      extra_path: Sequence[Path] = ()) -> Dict[str, str]:
     """The environment of a probed process: the bootstrap first on
     ``PYTHONPATH``, then ``extra_path``, then whatever was there."""
     env = dict(os.environ)
@@ -194,7 +198,8 @@ def seed_data_directory(data_dir: Path) -> None:
         cwd=REPO_ROOT, env=env, check=True, capture_output=True)
 
 
-def run_group(group: Sequence[Tuple[str, List[str]]], env: Mapping[str, str]) -> Tuple[List[str], bool]:
+def run_group(group: Sequence[Tuple[str, List[str]]],
+              env: Mapping[str, str]) -> Tuple[List[str], bool]:
     """Run one group's commands in order: a line per command, and whether
     every one exited 0."""
     lines, clean = [], True
