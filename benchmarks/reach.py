@@ -1,7 +1,7 @@
 """The reachability gate: every function in ``src/repro`` is reached by a
 user entry point, or ``benchmarks/reach_allow.json`` names it with a reason.
 
-    python3 benchmarks/reach.py [--jobs N] [--dumps DIR]
+    python3 benchmarks/reach.py
 
 Each entry point runs in a fresh subprocess whose ``PYTHONPATH`` starts with
 a bootstrap directory holding a ``sitecustomize.py``.  The bootstrap sets
@@ -29,11 +29,9 @@ point reached is reported, so the list only shrinks.  Exit status: 0 clean,
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -214,17 +212,17 @@ def run_group(group: Sequence[Tuple[str, List[str]]],
     return lines, clean
 
 
-def probe(dumps: Path, jobs: int) -> bool:
-    """Run every entry point under the bootstrap; True when all exited 0."""
-    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        scratch_path = Path(scratch)
-        data_dir = scratch_path / "state"
-        seed_data_directory(data_dir)
-        env = probe_environment(write_bootstrap(scratch_path / "boot"), dumps,
-                                [REPO_ROOT / "src"])
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda group: run_group(group, env),
-                                     entry_points(data_dir)))
+def probe(scratch: Path) -> bool:
+    """Run every entry point under the bootstrap, two groups at a time,
+    dumping into ``scratch/dumps``; True when all exited 0."""
+    data_dir = scratch / "state"
+    seed_data_directory(data_dir)
+    dumps = scratch / "dumps"
+    dumps.mkdir()
+    env = probe_environment(write_bootstrap(scratch / "boot"), dumps, [REPO_ROOT / "src"])
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(lambda group: run_group(group, env),
+                                 entry_points(data_dir)))
     for lines, _ in outcomes:
         print("\n".join(lines))
     return all(clean for _, clean in outcomes)
@@ -256,27 +254,12 @@ def gate(defined: Mapping[Key, str], hit: Set[Key],
     return {"failures": failures, "now_reached": now_reached}
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="entry-point groups run at once (default 2)")
-    parser.add_argument("--dumps", type=Path,
-                        help="keep the per-process dumps here, replacing earlier "
-                             "ones (default: a temporary directory)")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     started = time.perf_counter()
-    dumps = args.dumps or Path(tempfile.mkdtemp(prefix="reach-dumps-"))
-    dumps.mkdir(parents=True, exist_ok=True)
-    for stale in dumps.glob("*.json"):
-        stale.unlink()
-    try:
-        clean_exit = probe(dumps, args.jobs)
+    with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
+        clean_exit = probe(Path(scratch))
         defined = definitions(SOURCE_ROOT)
-        hit = reached(dumps, SOURCE_ROOT)
-    finally:
-        if args.dumps is None:
-            shutil.rmtree(dumps, ignore_errors=True)
+        hit = reached(Path(scratch) / "dumps", SOURCE_ROOT)
     allow = load_allowlist()
     verdict = gate(defined, hit, allow)
     for line in verdict["now_reached"] + verdict["failures"]:

@@ -71,9 +71,9 @@ def main() -> None:
 
         stats = session.stats()
 
-    # the journal replays sequentially to the same answers and counters
+    # the operations recorded since record_journal was set, in sequence order
     journal = [(record.sequence, record.kind) for record in db.operation_journal()]
-    # dropping the table drops its access path and its journal entries stay
+    # dropping the table drops its access path with it
     db.drop_table("events")
     assert db.table_names == [] and db.physical_design_report() == []
 

@@ -522,19 +522,22 @@ class Database:
     def physical_design_report(self) -> List[Dict[str, object]]:
         """One record per configured access path (for documentation /
         examples): its table, column, mode, structure and the auxiliary
-        bytes the path holds (``nbytes``, 0 for a scan)."""
+        bytes the path holds (``nbytes``, 0 for a scan).  Read under the
+        schema lock, so a concurrent mode switch or drop cannot change the
+        dicts mid-iteration or pair a mode with another path."""
         report = []
-        for (table, column), mode in sorted(self._modes.items()):
-            path = self._access_paths.get((table, column))
-            report.append(
-                {
-                    "table": table,
-                    "column": column,
-                    "mode": mode,
-                    "structure": (
-                        path.structure_description if path is not None else ""
-                    ),
-                    "nbytes": path.nbytes if path is not None else 0,
-                }
-            )
+        with self._schema_lock:
+            for (table, column), mode in sorted(self._modes.items()):
+                path = self._access_paths.get((table, column))
+                report.append(
+                    {
+                        "table": table,
+                        "column": column,
+                        "mode": mode,
+                        "structure": (
+                            path.structure_description if path is not None else ""
+                        ),
+                        "nbytes": path.nbytes if path is not None else 0,
+                    }
+                )
         return report

@@ -42,10 +42,13 @@ class TestMutation:
 
     def test_append_grows_geometrically(self):
         column = Column(np.arange(4, dtype=np.int64))
+        moves = 0
         for value in range(100):
+            before = column.values
             column.append(value)
+            moves += not np.shares_memory(before, column.values)
         assert len(column) == 104
-        assert len(column._data) >= 104
+        assert moves <= 4  # 4 -> 16 -> 32 -> 64 -> 128
 
     def test_append_records_counters(self):
         counters = CostCounters()
@@ -67,13 +70,14 @@ class TestValues:
         column = Column(np.array([5, 1, 9], dtype=np.int64))
         column.append(2)
         assert column.values.tolist() == [5, 1, 9, 2]
-        assert np.shares_memory(column.values, column._data)
+        column.values[0] = 7
+        assert column.values.tolist() == [7, 1, 9, 2]
 
     def test_an_empty_column_grows_on_append(self):
         column = Column(np.empty(0, dtype=np.int64))
         assert column.values.size == 0
         column.append(5)
-        assert column.values.tolist() == [5] and len(column._data) >= 1
+        assert column.values.tolist() == [5]
 
 
 class TestAdopt:
@@ -84,7 +88,7 @@ class TestAdopt:
         column = Column.adopt(values, "key", INT64)
         assert column.name == "key" and column.dtype is INT64
         assert np.shares_memory(column.values, values)
-        assert len(column) == len(column._data) == 10
+        assert len(column) == 10
 
     def test_an_append_grows_out_of_the_adopted_array(self):
         values = np.arange(4, dtype=np.int64)

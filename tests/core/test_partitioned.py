@@ -104,8 +104,9 @@ class TestPartitionedCrackedColumn:
         values = np.arange(1000, dtype=np.int64)
         column = PartitionedCrackedColumn(values, partitions=4)
         column.search(10, 20)
-        materialised = [p.cracked.materialised for p in column._partitions]
-        assert materialised == [True, False, False, False]
+        first_shard = CrackedColumn(values[:250])
+        first_shard.search(10, 20)
+        assert column.nbytes == first_shard.nbytes > 0
         column.check_invariants()
 
     def test_pruned_partition_costs_no_movement(self):
@@ -177,8 +178,6 @@ class TestPartitionedCrackedColumn:
         column.search(200, 800)
         assert column.nbytes > 0
         assert column.piece_count >= column.partition_count
-        pieces = [piece for p in column._partitions for piece in p.cracked.pieces()]
-        assert len(pieces) == column.piece_count
 
     def test_is_fully_sorted_after_exhaustive_cracking(self):
         rng = np.random.default_rng(3)
