@@ -29,23 +29,34 @@ Two merging policies are provided:
   remainder directly from the pending structures, spreading the
   maintenance cost over more queries.
 
+Each pending queue keeps its entries in arrival order, which is the merge
+order, and beside them a value-ordered index (:class:`_QueueIndex`) in
+typed storage: the queued values in ascending order with each one's arrival
+number (16 B an entry), and the arrival numbers in queue order (8 B).
+Every change to a queue changes its index in the same call.  A query finds
+what qualifies with two bisects of each index and maps the qualifying
+arrival numbers back to queue positions, so a query whose range holds no
+pending value does O(log n) work, none per entry.
+
 Cost accounting follows the convention established for the cracking
 kernels: whenever the pending structures are non-empty, a query is charged
-one comparison per pending entry for deciding which updates qualify — the
-scan happens whether or not anything qualifies.
+one comparison per pending entry for deciding which updates qualify.  That
+bills the modelled algorithm — a scan of the pending structures, as in the
+paper — not the bisects, the way adaptive merging bills its modelled splice
+rather than the rank-addressed write it performs.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis_tools.guards import guarded_by, typed_kernel
-from repro.columnstore.bulk import binary_search_count, filter_range, lower_bound
+from repro.columnstore.bulk import binary_search_count, lower_bound
 from repro.columnstore.column import Column
 from repro.columnstore.types import exact_key
 from repro.core.access_path import SearchStrategy
@@ -77,6 +88,70 @@ def _value_queue(dtype: np.dtype) -> array:
     bit-exact and ``np.frombuffer(queue, dtype=queue.typecode)`` views it
     without a copy; any other dtype queues float64."""
     return array(dtype.char if dtype.char in "bBhHiIlLqQfd" else "d")
+
+
+class _QueueIndex:
+    """The value-ordered index of one pending queue.
+
+    ``keys`` holds the queued values in ascending order, ties in arrival
+    order, and ``arrivals`` the arrival number of each; ``queued`` holds
+    the arrival numbers in queue order, so it ascends, and a bisect of it
+    turns an arrival number back into a queue position.  A NaN entry is
+    queued but not keyed: no bounded range holds it, and the fully open
+    range takes the whole queue.
+    """
+
+    __slots__ = ("keys", "arrivals", "queued", "_next")
+
+    def __init__(self, typecode: str) -> None:
+        self.keys = array(typecode)
+        self.arrivals = array("q")
+        self.queued = array("q")
+        self._next = 0
+
+    def add(self, value) -> None:
+        """Index a value appended to the queue."""
+        if value == value:
+            position = bisect_right(self.keys, value)
+            self.keys.insert(position, value)
+            self.arrivals.insert(position, self._next)
+        self.queued.append(self._next)
+        self._next += 1
+
+    def remove(self, position: int, value) -> None:
+        """Forget queue entry ``position``, which holds ``value``."""
+        arrival = self.queued.pop(position)
+        if value == value:
+            start = bisect_left(self.keys, value)
+            end = bisect_right(self.keys, value, start)
+            slot = bisect_left(self.arrivals, arrival, start, end)
+            del self.keys[slot]
+            del self.arrivals[slot]
+
+    def fill(self, values: np.ndarray) -> None:
+        """Index ``values``, queued in this order on an empty queue: one
+        stable sort, no Python object per entry."""
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        if ordered.dtype.kind == "f":  # NaN sorts last
+            kept = int(np.searchsorted(ordered, np.nan))
+            order, ordered = order[:kept], ordered[:kept]
+        self.keys.frombytes(memoryview(ordered).cast("B"))
+        self.arrivals.frombytes(memoryview(order.astype(np.int64, copy=False)).cast("B"))
+        self.queued.frombytes(memoryview(np.arange(len(values), dtype=np.int64)).cast("B"))
+        self._next = len(values)
+
+    def within(self, low, high) -> np.ndarray:
+        """Queue positions of the entries with ``low <= value < high``, in
+        arrival order; a ``None`` bound is unbounded."""
+        if low is None and high is None:
+            return np.arange(len(self.queued))
+        start = 0 if low is None else bisect_left(self.keys, low)
+        end = len(self.keys) if high is None else bisect_left(self.keys, high, start)
+        if start == end:
+            return _NOTHING_PENDING
+        arrivals = np.sort(np.frombuffer(self.arrivals, dtype=np.int64)[start:end])
+        return np.searchsorted(np.frombuffer(self.queued, dtype=np.int64), arrivals)
 
 
 @guarded_by(queries_processed="_stats_lock")
@@ -158,13 +233,18 @@ class CrackedColumn(SearchStrategy):
         self._rowids_buffer: Optional[np.ndarray] = None
         self.index = CrackerIndex(len(base))
         # pending structures: typed queues in arrival order, which is the
-        # merge order, each beside a set that answers membership in O(1)
+        # merge order, each beside a value-ordered index that answers a
+        # range in O(log n) and the queued rowids for membership (a set of
+        # the inserts; the deletes ascending in typed storage, as
+        # :meth:`delete_base_rows` builds them without a Python object each)
         self._pending_insert_values = _value_queue(base.dtype)
         self._pending_insert_rowids = array("q")
         self._pending_insert_rowid_set: set = set()
+        self._insert_index = _QueueIndex(self._pending_insert_values.typecode)
         self._delete_queue_values = _value_queue(base.dtype)
         self._delete_queue_rowids = array("q")
-        self._pending_delete_rowid_set: set = set()
+        self._pending_delete_rowids = array("q")
+        self._delete_index = _QueueIndex(self._delete_queue_values.typecode)
         # values of rows inserted at any point (needed to delete them later)
         self._inserted_values: Dict[int, float] = {}
         # base rows whose delete has been merged: their value stays in the
@@ -444,6 +524,7 @@ class CrackedColumn(SearchStrategy):
         self._pending_insert_values.append(value)
         self._pending_insert_rowids.append(rowid)
         self._pending_insert_rowid_set.add(rowid)
+        self._insert_index.add(value)
         self._inserted_values[rowid] = value
         if counters is not None:
             counters.record_move(1)
@@ -451,13 +532,16 @@ class CrackedColumn(SearchStrategy):
 
     def delete(self, rowid: int, counters: Optional[CostCounters] = None) -> None:
         """Queue the deletion of the row identified by ``rowid``."""
-        if rowid in self._pending_delete_rowid_set:
+        pending = self._pending_delete_rowids
+        slot = bisect_left(pending, rowid)
+        if slot < len(pending) and pending[slot] == rowid:
             return
         if not self.knows_rowid(rowid):
             raise KeyError(f"unknown row identifier {rowid}")
         # deleting a still-pending insert simply cancels it
         if rowid in self._pending_insert_rowid_set:
             position = self._pending_insert_rowids.index(rowid)
+            self._insert_index.remove(position, self._pending_insert_values[position])
             del self._pending_insert_rowids[position]
             del self._pending_insert_values[position]
             self._pending_insert_rowid_set.discard(rowid)
@@ -466,17 +550,18 @@ class CrackedColumn(SearchStrategy):
         value = self._inserted_values.get(rowid)
         if value is None:
             value = self._merged_value(rowid)
-        self._pending_delete_rowid_set.add(rowid)
+        pending.insert(slot, rowid)
         self._delete_queue_rowids.append(rowid)
         self._delete_queue_values.append(value)
+        self._delete_index.add(value)
         if counters is not None:
             counters.record_move(1)
 
     def delete_base_rows(self, rowids: np.ndarray) -> None:
         """Queue the deletion of the base rows ``rowids`` (sorted, distinct)
         on a column nothing was queued in or merged into yet: the queues,
-        set and counters :meth:`delete` of each would leave, from one
-        gather of the base.  ``set_indexing`` hands it a table's
+        index and counters :meth:`delete` of each would leave, from one
+        gather of the base and one sort.  ``set_indexing`` hands it a table's
         tombstones."""
         rowids = np.asarray(rowids, dtype=np.int64)
         if not len(rowids):
@@ -494,7 +579,8 @@ class CrackedColumn(SearchStrategy):
         values = self._base[rowids - self.rowid_base].astype(queue.typecode, copy=False)
         queue.frombytes(memoryview(values).cast("B"))
         self._delete_queue_rowids.frombytes(memoryview(rowids).cast("B"))
-        self._pending_delete_rowid_set.update(rowids.tolist())
+        self._delete_index.fill(values)
+        self._pending_delete_rowids.frombytes(memoryview(rowids).cast("B"))
 
     def update(self, rowid: int, new_value: float,
                counters: Optional[CostCounters] = None) -> int:
@@ -573,16 +659,11 @@ class CrackedColumn(SearchStrategy):
     # -- merge-on-demand -----------------------------------------------------------
 
     def _qualifying_pending(self, low, high) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices of the pending inserts / pending deletes inside the range.
-
-        One range mask per queue, over a zero-copy view of it, so the
-        indices come out in arrival order.  The views are locals: a queue
-        cannot grow or shrink while a view of it is alive.
-        """
-        typecode = self._pending_insert_values.typecode
-        inserts = np.frombuffer(self._pending_insert_values, dtype=typecode)
-        deletes = np.frombuffer(self._delete_queue_values, dtype=typecode)
-        return (filter_range(inserts, low, high), filter_range(deletes, low, high))
+        """Indices of the pending inserts / pending deletes inside the range,
+        in arrival order: two bisects of each queue's index, plus the
+        entries that qualify."""
+        return (self._insert_index.within(low, high),
+                self._delete_index.within(low, high))
 
     def _merge_pending(self, low, high, counters: Optional[CostCounters]
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -600,8 +681,8 @@ class CrackedColumn(SearchStrategy):
             len(self._pending_insert_values) + len(self._delete_queue_rowids)
         )
         if counters is not None and pending_total:
-            # deciding what qualifies scans every pending entry, whether or
-            # not anything ends up qualifying
+            # the modelled decision scans every pending entry, whether or
+            # not anything ends up qualifying (see the module docstring)
             counters.record_comparisons(pending_total)
         # (every queued delete targets a merged row: deleting a still-pending
         # insert cancels it instead)
@@ -668,7 +749,7 @@ class CrackedColumn(SearchStrategy):
         # the indices in ``items`` stay valid while it runs
         merged_inserts: List[int] = []
         merged_deletes: List[int] = []
-        pending_deletes = self._pending_delete_rowid_set
+        pending_deletes = self._pending_delete_rowids
         for position in range(len(kinds)):
             if budget <= 0:
                 break
@@ -684,7 +765,7 @@ class CrackedColumn(SearchStrategy):
                 value = self._delete_queue_values[item]
                 if not self._ripple_delete_one(rowid, value, counters):
                     continue
-                pending_deletes.discard(rowid)
+                del pending_deletes[bisect_left(pending_deletes, rowid)]
                 # a merged delete of an inserted row removes the row for
                 # good: forget its value so the rowid becomes unknown (and
                 # the bookkeeping doesn't grow with every insert ever made);
@@ -695,11 +776,12 @@ class CrackedColumn(SearchStrategy):
             self.merges_performed += 1
             budget -= 1
         for index in sorted(merged_inserts, reverse=True):
-            del self._pending_insert_values[index]
+            self._insert_index.remove(index, self._pending_insert_values.pop(index))
             self._pending_insert_rowid_set.discard(
                 self._pending_insert_rowids.pop(index)
             )
         for index in sorted(merged_deletes, reverse=True):
+            self._delete_index.remove(index, self._delete_queue_values[index])
             del self._delete_queue_rowids[index]
             del self._delete_queue_values[index]
         return len(merged_inserts) + len(merged_deletes)
@@ -917,6 +999,20 @@ class CrackedColumn(SearchStrategy):
         """Verify piece bounds, rowid alignment and content preservation (test helper)."""
         self.index.check_invariants()
         assert self.index.size == self._length
+        # each queue's index holds its keyed entries by value, ties in
+        # arrival order, and one ascending arrival number per queue entry
+        for queue, index in ((self._pending_insert_values, self._insert_index),
+                             (self._delete_queue_values, self._delete_index)):
+            values = np.frombuffer(queue, dtype=queue.typecode)
+            queued = np.frombuffer(index.queued, dtype=np.int64)
+            assert len(queued) == len(values), "index and queue lengths differ"
+            assert np.all(queued[1:] > queued[:-1]), "arrivals out of queue order"
+            keyed = ~np.isnan(values) if values.dtype.kind == "f" else slice(None)
+            order = np.argsort(values[keyed], kind="stable")
+            assert np.array_equal(np.frombuffer(index.keys, dtype=queue.typecode),
+                                  values[keyed][order]), "index keys differ from the queue"
+            assert np.array_equal(np.frombuffer(index.arrivals, dtype=np.int64),
+                                  queued[keyed][order]), "index arrivals differ from the queue"
         if not self.materialised:
             return
         assert len(self.values) == len(self.rowids) == self._length

@@ -274,17 +274,22 @@ class CrackerIndex:
         self._shift_from(bisect.bisect_right(self._values, value), delta)
 
     def _shift_from(self, first: int, delta: int) -> None:
-        """Move boundaries ``first..`` and the column end by ``delta``."""
+        """Move boundaries ``first..`` and the column end by ``delta``.
+
+        Positions are non-decreasing and both the unshifted prefix and the
+        shifted suffix stay so, so the ends of the two hold the extremes:
+        the range check reads at most four boundaries, not all of them.
+        """
         self.size += delta
         if self.size < 0:
             raise ValueError("shift made the column size negative")
         positions = np.frombuffer(self._positions, dtype=np.int64)
         positions[first:] += delta
-        out_of_range = len(positions) and (
-            positions.min() < 0 or positions.max() > self.size
-        )
         del positions  # a raise would keep the view alive in its traceback
-        if out_of_range:
+        count = len(self._positions)
+        ends = [self._positions[slot] for slot in (0, first - 1, first, count - 1)
+                if 0 <= slot < count]
+        if ends and (min(ends) < 0 or max(ends) > self.size):
             raise ValueError("shift produced out-of-range boundaries")
 
     def drop_boundaries_in_position_range(self, start: int, end: int) -> None:

@@ -141,7 +141,7 @@ def _get_str(buffer: bytes, offset: int) -> Tuple[str, int]:
     end = offset + length
     if end > len(buffer):
         raise RecordFormatError("string field overruns payload")
-    return buffer[offset:end].decode("utf-8"), end
+    return str(buffer[offset:end], "utf-8"), end
 
 
 def _put_values(parts: List[bytes], values: Mapping[str, Union[int, float]]) -> None:
@@ -285,7 +285,7 @@ def decode_record(payload: bytes) -> WalRecord:
         end = offset + length
         if end > len(payload):
             raise RecordFormatError("options section overruns payload")
-        options = json.loads(payload[offset:end].decode("utf-8"))
+        options = json.loads(str(payload[offset:end], "utf-8"))
         return WalRecord(
             sequence, kind, table, column=column, mode=mode, options=options
         )
@@ -306,14 +306,19 @@ def frame_record(record: WalRecord) -> bytes:
 
 def iter_frames(
     buffer: bytes, start: int = 0
-) -> Iterator[Tuple[int, Union[bytes, FrameError]]]:
+) -> Iterator[Tuple[int, Union[memoryview, FrameError]]]:
     """Yield ``(offset, payload | FrameError)`` for each frame in ``buffer``.
+
+    A payload is a read-only view of ``buffer``, not a copy: a scan holds
+    the journal once, and a decoded ``create_table`` column is a view of
+    it too.
 
     Iteration stops after the first :class:`FrameError`; the offset of a
     yielded error is where a subsequent valid frame *would* resume if the
     broken frame's length header can be trusted (only meaningful when
     ``frame_complete`` is True).
     """
+    view = memoryview(buffer).toreadonly()
     offset = start
     size = len(buffer)
     while offset < size:
@@ -336,7 +341,7 @@ def iter_frames(
                 frame_complete=False,
             )
             return
-        payload = buffer[body_start:body_end]
+        payload = view[body_start:body_end]
         if checksum.crc32(payload) != expected:
             yield offset, FrameError(
                 offset,
@@ -357,7 +362,7 @@ def scan_frames(buffer: bytes, start: int = 0):
     the last valid frame, and ``error`` is ``None`` or the
     :class:`FrameError` that stopped the scan.
     """
-    payloads: List[bytes] = []
+    payloads: List[memoryview] = []
     valid_end = start
     error: Optional[FrameError] = None
     for offset, item in iter_frames(buffer, start):

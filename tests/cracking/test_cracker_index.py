@@ -106,6 +106,15 @@ class TestShifts:
         with pytest.raises(ValueError):
             index.shift_positions(0, -5)
 
+    def test_shift_rejects_a_prefix_boundary_past_the_shrunken_end(self):
+        # nothing above 60 moves, but the column shrinks under the boundary
+        # at its end: the unshifted prefix's last boundary is checked too
+        index = CrackerIndex(100)
+        index.add_boundary(10, 20)
+        index.add_boundary(50, 100)
+        with pytest.raises(ValueError, match="shift produced out-of-range boundaries"):
+            index.shift_positions_for_values_above(60, -1)
+
     def test_drop_boundaries_in_position_range(self):
         index = CrackerIndex(100)
         index.add_boundary(10, 20)

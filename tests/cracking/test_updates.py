@@ -98,6 +98,23 @@ class TestInsertions:
         assert column.converged
         column.check_invariants()
 
+    @pytest.mark.parametrize("bulk", [False, True], ids=["delete", "delete_base_rows"])
+    def test_a_deleted_nan_row_waits_for_the_open_range(self, bulk):
+        # a NaN base row can still be deleted: no bounded range holds its
+        # queued delete, the fully open one does
+        column = UpdatableCrackedColumn(np.array([3.0, np.nan, 1.0, np.nan, 2.0]))
+        if bulk:
+            column.delete_base_rows(np.array([1, 3, 4]))
+        else:
+            for rowid in (1, 3, 4):
+                column.delete(rowid)
+        column.check_invariants()
+        # (only the bookkeeping is asserted here: a crack puts NaN above
+        # every pivot, so a range with a low bound answers the NaN rows)
+        column.search(0.0, 10.0)
+        assert column.pending_deletes == 2
+        assert sorted(column.search(None, None).tolist()) == [0, 2]
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_many_inserts_preserve_content(self, small_values, policy):
         column = updatable(small_values, policy)

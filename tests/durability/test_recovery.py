@@ -425,10 +425,10 @@ class TestReplayInRuns:
 
     def test_a_journal_only_table_is_copied_once(self, tmp_path):
         # the journal-only case at a size tracemalloc can see: the open
-        # reads the segment and slices the create_table record's payload
-        # out of it (2x the table), then copies the payload once, into
-        # columns sized for the tail; a decode copy beside the segment and
-        # the payload made it 3x
+        # reads the segment, decodes the create_table record as views of
+        # it, then copies the columns once, into columns sized for the tail
+        # (2x the table); a decode copy beside the segment and the columns
+        # made it 3x
         rows, appended = 200_000, 20
         rng = np.random.default_rng(7)
         database = Database("durable", data_dir=tmp_path)

@@ -2,7 +2,9 @@
 
 import os
 import stat
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.durability import faults
@@ -10,9 +12,11 @@ from repro.durability.faults import FaultInjector, KilledByFault
 from repro.durability.record import WalRecord
 from repro.durability.wal import (
     SEGMENT_HEADER,
+    WAL_SUBDIR,
     WalCorruptionError,
     WriteAheadLog,
 )
+from repro.engine.database import Database
 
 
 def insert(sequence, key=1):
@@ -36,6 +40,31 @@ class TestAppendScan:
         assert [record.sequence for record in scan.records] == list(range(10))
         assert scan.torn_tail is None
         assert scan.last_sequence == 9
+
+    def test_a_scan_holds_the_journal_once(self, tmp_path):
+        # every payload is a view of the segment it was read from, and the
+        # create_table columns are views of the payload: a copy of each
+        # payload beside the segment read 2.00x the segment
+        rows = 100_000
+        rng = np.random.default_rng(3)
+        database = Database("durable", data_dir=tmp_path)
+        database.create_table("facts", {
+            "key": rng.integers(0, 1_000_000, size=rows).astype(np.int64),
+            "payload": rng.uniform(0, 100, size=rows),
+        })
+        database.close()
+        wal_dir = tmp_path / WAL_SUBDIR
+        segment_bytes = sum(path.stat().st_size for path in wal_dir.glob("wal-*.seg"))
+        assert segment_bytes > 16 * rows
+        tracemalloc.start()
+        try:
+            scan = WriteAheadLog.scan(wal_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (record,) = scan.records
+        assert [len(dump.values) for dump in record.columns] == [rows, rows]
+        assert peak <= 1.1 * segment_bytes, f"{peak / segment_bytes:.2f}x the segment"
 
     def test_empty_directory_scans_clean(self, tmp_path):
         scan = WriteAheadLog.scan(tmp_path)

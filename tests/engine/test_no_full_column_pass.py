@@ -15,7 +15,7 @@ final partition or of a run (``tracemalloc``), and no Python-level work per
 run (``sys.setprofile`` counts calls, so the run count can be varied with the
 column held fixed).  So is an updatable cracked column: merging a pending
 update makes no call per piece, and deciding that nothing pending qualifies
-converts no pending entry.
+converts no pending entry and allocates nothing per pending entry.
 """
 
 import sys
@@ -241,3 +241,26 @@ def test_a_query_converts_no_pending_entry_it_does_not_merge():
     assert peak < 16 * pending, (
         f"a query allocated {peak} B beside {pending} pending updates")
 
+
+def test_a_query_with_nothing_to_merge_allocates_nothing_per_pending_entry():
+    """4 000 queued deletes, none inside the query's range: the query
+    bisects each queue's value-ordered index, so it allocates less than
+    ``pending // 4`` bytes beyond the same query with nothing queued — a
+    range mask over a typed queue alone is a byte per entry."""
+    pending = 4_000
+    peaks = {}
+    for queued in (0, pending):
+        database, _ = build_database("updatable-cracking")
+        keys = database.table("t")["key"].values
+        query = Query.range_query("t", "key", 1_000, 3_000)
+        with database.session() as session:
+            session.execute(query)
+            for rowid in np.flatnonzero(keys >= 10_000)[:queued].tolist():
+                session.delete_row("t", rowid)
+            peaks[queued] = max(traced_peak(lambda: session.execute(query))
+                                for _ in range(3))
+            assert database.access_path("t", "key").pending_deletes == queued
+        database.close()
+    extra = peaks[pending] - peaks[0]
+    assert extra < pending // 4, (
+        f"{pending} pending deletes raised a query's peak by {extra} B")

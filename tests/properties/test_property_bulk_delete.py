@@ -57,7 +57,9 @@ def state(shard):
     return (arrays, shard.pieces(), shard._converged, shard.queries_processed,
             shard.merges_performed,
             shard._delete_queue_values.typecode, list(shard._delete_queue_values),
-            list(shard._delete_queue_rowids), sorted(shard._pending_delete_rowid_set),
+            list(shard._delete_queue_rowids), list(shard._pending_delete_rowids),
+            list(shard._delete_index.keys), list(shard._delete_index.arrivals),
+            list(shard._delete_index.queued),
             list(shard._pending_insert_values), list(shard._pending_insert_rowids),
             sorted(shard._removed_base_rowids), len(shard))
 

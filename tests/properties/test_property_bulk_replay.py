@@ -122,7 +122,7 @@ def queues(path):
     """An updatable path's pending queues, in order."""
     return (list(path._pending_insert_values), list(path._pending_insert_rowids),
             list(path._delete_queue_values), list(path._delete_queue_rowids),
-            sorted(path._pending_delete_rowid_set))
+            list(path._pending_delete_rowids))
 
 
 def assert_same(recovered, reference, seed):

@@ -133,6 +133,71 @@ class TestUpdatePolicyOracleProperties:
         assert len(column) == len(model)
 
 
+class TestPendingIndexProperties:
+    """The pending queues' value-ordered index against the queues
+    themselves (``check_invariants``) after every operation, and every
+    answer against a dict model: a domain of nine values, so duplicates
+    abound; deletes of the newest insert, which cancel it while it is
+    pending; tombstones re-absorbed by ``delete_base_rows`` before any DML;
+    open bounds; and the gradual policy at a budget of one, so entries stay
+    queued across many merges."""
+
+    bound = st.one_of(st.none(), st.integers(-1, 9))
+    operations = st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), st.integers(0, 8)),
+            st.tuples(st.just("delete"), st.integers(0, 120)),
+            st.tuples(st.just("delete_last_insert"), st.just(0)),
+            st.tuples(st.just("update"), st.tuples(st.integers(0, 120), st.integers(0, 8))),
+            st.tuples(st.just("query"), st.tuples(bound, bound)),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @given(
+        base=st.lists(st.integers(0, 8), min_size=1, max_size=60),
+        tombstones=st.sets(st.integers(0, 59)),
+        ops=operations,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_index_equals_the_queues(self, dtype, base, tombstones, ops):
+        values = np.asarray(base, dtype=dtype)
+        column = UpdatableCrackedColumn(values, policy="gradual", merge_batch=1)
+        dead = sorted(rowid for rowid in tombstones if rowid < len(values))
+        column.delete_base_rows(np.asarray(dead, dtype=np.int64))
+        column.check_invariants()
+        model = {rowid: value for rowid, value in enumerate(values.tolist())
+                 if rowid not in dead}
+        last_insert = None
+        for kind, payload in ops:
+            if kind == "insert":
+                last_insert = column.insert(payload)
+                model[last_insert] = payload
+            elif kind == "delete" or kind == "delete_last_insert":
+                victim = payload if kind == "delete" else last_insert
+                if victim in model:
+                    column.delete(victim)
+                    del model[victim]
+            elif kind == "update":
+                victim, value = payload
+                if victim in model:
+                    del model[victim]
+                    last_insert = column.update(victim, value)
+                    model[last_insert] = value
+            else:
+                low, high = payload
+                if low is not None and high is not None and high < low:
+                    low, high = high, low
+                expected = {rowid for rowid, value in model.items()
+                            if (low is None or value >= low)
+                            and (high is None or value < high)}
+                assert set(column.search(low, high).tolist()) == expected
+            column.check_invariants()
+        assert sorted(column.visible_values().tolist()) == sorted(model.values())
+
+
 #: action mixes for :func:`drive_mixed_stream` (0-1 insert, 2 delete, 3 update,
 #: 4-5 select): the balanced default, one where deletes outnumber inserts so
 #: the column drains while pending deletes pile up, and one where inserts
